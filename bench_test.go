@@ -978,8 +978,8 @@ func BenchmarkC4_DatasetScaleRender(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// F10 — the viewport pyramid (DESIGN.md §8): mipmapped tile levels,
-// speculative prefetch, and float32 render slabs. The pane is genome-scale
+// F10 — the viewport pyramid (DESIGN.md §8): mipmapped tile levels and
+// speculative prefetch. The pane is genome-scale
 // (24k rows), built with FromDataset so the fixture skips the O(n²)
 // clustering that F4 already measures.
 
@@ -1043,32 +1043,21 @@ func benchPyramidTile(b *testing.B, level int) {
 func BenchmarkF10_PyramidTileL0(b *testing.B) { benchPyramidTile(b, 0) }
 func BenchmarkF10_PyramidTileL3(b *testing.B) { benchPyramidTile(b, 3) }
 
-// BenchmarkF10_RenderSlab isolates the raster half of the tile path over the
-// full genome-scale level-0 slab (24000 rows x 60 cols into a 128px tile)
-// in both storage modes, apart from PNG encoding and HTTP. Expect parity,
-// not a float32 speedup: the global regime's per-pixel column reads touch
-// one cache line per row at either element size, so float32's win is the
-// halved slab footprint (Pyramid.MemBytes), which this pair would expose
-// regressing into a slowdown.
-func benchRenderSlab(b *testing.B, f32 bool) {
+// BenchmarkF10_RenderSlabF64 isolates the raster half of the tile path over
+// the full genome-scale level-0 slab (24000 rows x 60 cols into a 128px
+// tile), apart from PNG encoding and HTTP.
+func BenchmarkF10_RenderSlabF64(b *testing.B) {
 	cd := getPyramidBenchPane(b)
-	slab := cd.Pyramid(core.PyramidOptions{Float32: f32}).Level(0)
+	slab := cd.Pyramid(core.PyramidOptions{}).Level(0)
 	c := render.NewCanvas(128, 128, color.RGBA{A: 255})
 	r := render.Rect{X: 0, Y: 0, W: 128, H: 128}
 	opt := render.HeatmapOptions{Limit: 2}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if f32 {
-			render.RenderHeatmapF32(c, r, slab.F32, opt)
-		} else {
-			render.RenderHeatmap(c, r, slab.F64, opt)
-		}
+		render.RenderHeatmap(c, r, slab.F64, opt)
 	}
 }
-
-func BenchmarkF10_RenderSlabF64(b *testing.B) { benchRenderSlab(b, false) }
-func BenchmarkF10_RenderSlabF32(b *testing.B) { benchRenderSlab(b, true) }
 
 // BenchmarkF10_PrefetchPanWalk pushes the correlated pan/zoom workload
 // (whole-window steps with the prefetcher's own zoom geometry) through a

@@ -85,7 +85,6 @@ func main() {
 		maxTileDim = flag.Int("max-tile", 2048, "cap on requested tile width/height")
 		searchPar  = flag.Int("search-parallelism", 0, "workers per SPELL scan (0 = GOMAXPROCS; bound it on colocated shard daemons)")
 		clusterArr = flag.Bool("cluster-arrays", false, "also cluster experiment columns, enabling the atree= column-dendrogram strip")
-		f32Slabs   = flag.Bool("float32-slabs", false, "store pyramid render slabs as float32 (half the memory; colors may differ by ±1/255)")
 		prefetchW  = flag.Int("prefetch-workers", 2, "speculative tile-prefetch workers (0 disables prefetching)")
 		prefetchQ  = flag.Int("prefetch-queue", 0, "prefetch queue depth (0 = 16x workers)")
 
@@ -97,8 +96,6 @@ func main() {
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "coordinator: per-shard attempt deadline")
 		shardRetry   = flag.Bool("shard-retry", true, "coordinator: grant each ownership group one extra attempt after every replica failed")
 		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: duplicate a slow group request after this delay, onto the next untried replica (0 disables hedging)")
-		breakerTh    = flag.Int("breaker-threshold", 0, "coordinator: consecutive replica failures that trip its circuit breaker open (0 = default 3, negative disables the breaker)")
-		infoCooldown = flag.Duration("info-cooldown", 0, "coordinator: cooldown between failing compendium-info probe rounds (0 = default 15s, negative disables)")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
@@ -113,12 +110,10 @@ func main() {
 		datasets: *nDatasets, seed: *seed,
 		cacheMB: *cacheMB, workers: *workers, queue: *queue,
 		maxGenes: *maxGenes, maxTileDim: *maxTileDim, searchPar: *searchPar,
-		clusterArrays: *clusterArr, float32Slabs: *f32Slabs,
-		prefetchWorkers: *prefetchW, prefetchQueue: *prefetchQ,
+		clusterArrays: *clusterArr, prefetchWorkers: *prefetchW, prefetchQueue: *prefetchQ,
 		role: *role, shards: splitList(*shardsFlag), self: *selfFlag,
 		replication: *replication, fleetToken: *fleetToken,
 		shardDeadline: *shardTimeout, shardRetry: *shardRetry, hedgeAfter: *hedgeAfter,
-		breakerThreshold: *breakerTh, infoCooldown: *infoCooldown,
 		onDrained: func() {
 			select {
 			case sigCh <- syscall.SIGTERM:
@@ -198,7 +193,6 @@ type buildConfig struct {
 	maxGenes, maxTileDim     int
 	searchPar                int
 	clusterArrays            bool
-	float32Slabs             bool
 	prefetchWorkers          int
 	prefetchQueue            int
 
@@ -210,11 +204,6 @@ type buildConfig struct {
 	shardDeadline time.Duration
 	shardRetry    bool
 	hedgeAfter    time.Duration
-
-	// breakerThreshold and infoCooldown tune the coordinator's adaptive
-	// failure handling (zero keeps the package defaults).
-	breakerThreshold int
-	infoCooldown     time.Duration
 	// onDrained runs once after a shard-role daemon finishes its warm
 	// handoff (POST /api/shard/v1/admin/drain); main uses it to trigger
 	// the graceful-shutdown path.
@@ -262,13 +251,11 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			return nil, fmt.Errorf("-obo belongs on shard daemons, not the coordinator (it scatters /api/enrich to ontology-bearing shards)")
 		}
 		coord, err := shard.NewCoordinator(shard.Config{
-			Shards:              cfg.shards,
-			Replication:         repl,
-			Deadline:            cfg.shardDeadline,
-			Retry:               cfg.shardRetry,
-			HedgeAfter:          cfg.hedgeAfter,
-			BreakerThreshold:    cfg.breakerThreshold,
-			InfoFailureCooldown: cfg.infoCooldown,
+			Shards:      cfg.shards,
+			Replication: repl,
+			Deadline:    cfg.shardDeadline,
+			Retry:       cfg.shardRetry,
+			HedgeAfter:  cfg.hedgeAfter,
 		})
 		if err != nil {
 			return nil, err
@@ -487,7 +474,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		MaxTileDim:        cfg.maxTileDim,
 		SearchParallelism: cfg.searchPar,
 		ClusterArrays:     cfg.clusterArrays,
-		Float32Slabs:      cfg.float32Slabs,
 		PrefetchWorkers:   cfg.prefetchWorkers,
 		PrefetchQueue:     cfg.prefetchQueue,
 	}

@@ -167,15 +167,15 @@ func (cd *ClusteredDataset) refreshDisplayRows() {
 // Pyramid returns the pane's tile pyramid, building it on first use (and
 // after any display-order change). Safe for concurrent callers; the result
 // is immutable.
-func (cd *ClusteredDataset) Pyramid(opt PyramidOptions) *Pyramid {
+func (cd *ClusteredDataset) Pyramid(PyramidOptions) *Pyramid {
 	cd.pyrMu.Lock()
 	defer cd.pyrMu.Unlock()
-	if cd.pyr == nil || cd.pyr.float32Mode != opt.Float32 {
+	if cd.pyr == nil {
 		rows := cd.displayRows
 		if rows == nil {
 			rows = cd.copyRowHeaders(0, len(cd.DisplayOrder))
 		}
-		cd.pyr = buildPyramid(rows, cd.Data.NumExperiments(), opt)
+		cd.pyr = buildPyramid(rows, cd.Data.NumExperiments())
 	}
 	return cd.pyr
 }

@@ -33,35 +33,29 @@ func NumPyramidLevels(nRows int) int {
 	return levels
 }
 
-// PyramidOptions configure Pyramid construction.
-type PyramidOptions struct {
-	// Float32 stores every level (including a level-0 copy) as float32
-	// slabs, halving memory bandwidth on the tile hot loop at the cost of
-	// ~1e-7 relative rounding (see DESIGN.md §8).
-	Float32 bool
-}
+// PyramidOptions configure Pyramid construction. It carries no options
+// today; the type stays so ClusteredDataset.Pyramid's callers keep
+// compiling.
+type PyramidOptions struct{}
 
-// Slab is one pyramid level's row-major matrix view. Exactly one of F64 /
-// F32 is non-nil, matching the PyramidOptions the pyramid was built with.
-// Row slices are three-index headers into shared storage: callers may not
-// append to or mutate them.
+// Slab is one pyramid level's row-major matrix view. Row slices are
+// three-index headers into shared storage: callers may not append to or
+// mutate them.
 type Slab struct {
 	// K is the aggregation level: each slab row summarizes 2^K display rows.
 	K     int
 	NRows int
 	NCols int
 	F64   [][]float64
-	F32   [][]float32
 }
 
 // Pyramid holds every aggregation level for one display order. It is
 // immutable once built; ClusteredDataset.Pyramid caches one per pane and
 // rebuilds on display-order changes.
 type Pyramid struct {
-	float32Mode bool
-	nRows       int
-	nCols       int
-	levels      []Slab
+	nRows  int
+	nCols  int
+	levels []Slab
 }
 
 // NumLevels returns the number of levels, counting level 0.
@@ -79,25 +73,16 @@ func (p *Pyramid) Level(k int) Slab {
 }
 
 // MemBytes reports the storage the aggregated levels add beyond the raw
-// dataset (level 0 in float64 mode aliases the dataset and costs only row
-// headers).
+// dataset (level 0 aliases the dataset and costs only row headers).
 func (p *Pyramid) MemBytes() int64 {
 	var b int64
 	for _, s := range p.levels {
 		b += int64(len(s.F64)) * 24 // row headers
-		b += int64(len(s.F32)) * 24
-		if s.K > 0 || s.F32 != nil {
-			b += int64(s.NRows) * int64(s.NCols) * elemSize(s)
+		if s.K > 0 {
+			b += int64(s.NRows) * int64(s.NCols) * 8
 		}
 	}
 	return b
-}
-
-func elemSize(s Slab) int64 {
-	if s.F32 != nil {
-		return 4
-	}
-	return 8
 }
 
 // buildPyramid constructs every level for the current display order.
@@ -105,16 +90,11 @@ func elemSize(s Slab) int64 {
 // carries exact float64 sums and observation counts level-to-level, so
 // level k equals the direct NaN-aware mean over its 2^k-row block up to
 // float64 summation order (pairwise here vs sequential in the oracle).
-func buildPyramid(displayRows [][]float64, nCols int, opt PyramidOptions) *Pyramid {
+func buildPyramid(displayRows [][]float64, nCols int) *Pyramid {
 	n := len(displayRows)
 	nl := NumPyramidLevels(n)
-	p := &Pyramid{float32Mode: opt.Float32, nRows: n, nCols: nCols, levels: make([]Slab, 0, nl)}
-
-	if opt.Float32 {
-		p.levels = append(p.levels, makeSlab32(displayRows, n, nCols))
-	} else {
-		p.levels = append(p.levels, Slab{K: 0, NRows: n, NCols: nCols, F64: displayRows})
-	}
+	p := &Pyramid{nRows: n, nCols: nCols, levels: make([]Slab, 0, nl)}
+	p.levels = append(p.levels, Slab{K: 0, NRows: n, NCols: nCols, F64: displayRows})
 
 	// Running per-column (sum, count) for the level under construction.
 	curRows := n
@@ -151,29 +131,14 @@ func buildPyramid(displayRows [][]float64, nCols int, opt PyramidOptions) *Pyram
 			}
 		}
 		sum, cnt, curRows = nextSum, nextCnt, nextRows
-		p.levels = append(p.levels, emitLevel(k, nextRows, nCols, nextSum, nextCnt, opt.Float32))
+		p.levels = append(p.levels, emitLevel(k, nextRows, nCols, nextSum, nextCnt))
 	}
 	return p
 }
 
 // emitLevel materializes one contiguous slab from accumulated sums/counts.
-func emitLevel(k, nRows, nCols int, sum []float64, cnt []int32, f32 bool) Slab {
+func emitLevel(k, nRows, nCols int, sum []float64, cnt []int32) Slab {
 	s := Slab{K: k, NRows: nRows, NCols: nCols}
-	if f32 {
-		vals := make([]float32, nRows*nCols)
-		for i := range vals {
-			if cnt[i] > 0 {
-				vals[i] = float32(sum[i] / float64(cnt[i]))
-			} else {
-				vals[i] = float32(math.NaN())
-			}
-		}
-		s.F32 = make([][]float32, nRows)
-		for i := range s.F32 {
-			s.F32[i] = vals[i*nCols : (i+1)*nCols : (i+1)*nCols]
-		}
-		return s
-	}
 	vals := make([]float64, nRows*nCols)
 	for i := range vals {
 		if cnt[i] > 0 {
@@ -189,31 +154,10 @@ func emitLevel(k, nRows, nCols int, sum []float64, cnt []int32, f32 bool) Slab {
 	return s
 }
 
-// makeSlab32 copies level 0 into a contiguous float32 slab.
-func makeSlab32(displayRows [][]float64, nRows, nCols int) Slab {
-	vals := make([]float32, nRows*nCols)
-	for i, row := range displayRows {
-		dst := vals[i*nCols : (i+1)*nCols]
-		for c := 0; c < nCols; c++ {
-			if c < len(row) {
-				dst[c] = float32(row[c])
-			} else {
-				dst[c] = float32(math.NaN())
-			}
-		}
-	}
-	s := Slab{K: 0, NRows: nRows, NCols: nCols, F32: make([][]float32, nRows)}
-	for i := range s.F32 {
-		s.F32[i] = vals[i*nCols : (i+1)*nCols : (i+1)*nCols]
-	}
-	return s
-}
-
 // ReferencePyramidLevel computes level k by direct NaN-aware mean over the
 // raw display rows — the naive O(rows) aggregation the pyramid replaces.
 // Retained as the golden-parity oracle for Pyramid (level k row i must
-// match within 1e-12 in float64 mode; see pyramid tests for the float32
-// tolerance).
+// match within 1e-12).
 func (cd *ClusteredDataset) ReferencePyramidLevel(k int) [][]float64 {
 	n := len(cd.DisplayOrder)
 	nCols := cd.Data.NumExperiments()

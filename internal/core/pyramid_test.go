@@ -70,33 +70,6 @@ func TestPyramidParityFloat64(t *testing.T) {
 	}
 }
 
-// TestPyramidParityFloat32 checks the float32 slabs against the float64
-// oracle within the documented tolerance: one rounding of the exact mean,
-// |f32 - f64| <= max(|v|*1e-6, 1e-6) (float32 eps is 2^-23 ~ 1.2e-7; the
-// slack covers the accumulate-then-round path).
-func TestPyramidParityFloat32(t *testing.T) {
-	cd := pyramidFixture(t)
-	p := cd.Pyramid(PyramidOptions{Float32: true})
-	for k := 0; k < p.NumLevels(); k++ {
-		slab := p.Level(k)
-		if slab.F64 != nil || slab.F32 == nil {
-			t.Fatalf("level %d: expected float32 slab", k)
-		}
-		ref := cd.ReferencePyramidLevel(k)
-		for i, refRow := range ref {
-			for c, want := range refRow {
-				got := float64(slab.F32[i][c])
-				if math.IsNaN(want) != math.IsNaN(got) {
-					t.Fatalf("level %d row %d col %d: got %v, want %v", k, i, c, got, want)
-				}
-				if !math.IsNaN(want) && math.Abs(got-want) > math.Max(math.Abs(want)*1e-6, 1e-6) {
-					t.Fatalf("level %d row %d col %d: got %v, want %v (err %g)", k, i, c, got, want, math.Abs(got-want))
-				}
-			}
-		}
-	}
-}
-
 // TestPyramidInvalidatedByOrderChange proves a display-order change drops
 // the cached pyramid and the rebuilt levels follow the new order.
 func TestPyramidInvalidatedByOrderChange(t *testing.T) {
@@ -124,7 +97,7 @@ func TestPyramidInvalidatedByOrderChange(t *testing.T) {
 }
 
 // TestPyramidRaceHammer drives concurrent Pyramid builds and reads under
-// -race, including the mode flip between float64 and float32.
+// -race.
 func TestPyramidRaceHammer(t *testing.T) {
 	cd := pyramidFixture(t)
 	ref := cd.ReferencePyramidLevel(2)
@@ -134,7 +107,7 @@ func TestPyramidRaceHammer(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for iter := 0; iter < 20; iter++ {
-				p := cd.Pyramid(PyramidOptions{Float32: w%2 == 0})
+				p := cd.Pyramid(PyramidOptions{})
 				slab := p.Level(2)
 				if slab.NRows != len(ref) {
 					t.Errorf("worker %d: %d rows, want %d", w, slab.NRows, len(ref))
@@ -142,17 +115,12 @@ func TestPyramidRaceHammer(t *testing.T) {
 				}
 				i := iter % len(ref)
 				for c, want := range ref[i] {
-					var got float64
-					if slab.F32 != nil {
-						got = float64(slab.F32[i][c])
-					} else {
-						got = slab.F64[i][c]
-					}
+					got := slab.F64[i][c]
 					if math.IsNaN(want) != math.IsNaN(got) {
 						t.Errorf("worker %d row %d col %d: got %v, want %v", w, i, c, got, want)
 						return
 					}
-					if !math.IsNaN(want) && math.Abs(got-want) > math.Max(math.Abs(want)*1e-6, 1e-6) {
+					if !math.IsNaN(want) && math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 						t.Errorf("worker %d row %d col %d: got %v, want %v", w, i, c, got, want)
 						return
 					}

@@ -29,20 +29,6 @@ type HeatmapOptions struct {
 // the paper: a whole genome in a strip), taking the mean of observed
 // values.
 func RenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
-	renderHeatmap(c, r, rows, opt)
-}
-
-// RenderHeatmapF32 is RenderHeatmap over float32 rows (pyramid slabs in
-// float32 mode): same geometry and transfer, half the memory traffic on
-// the hot loop.
-func RenderHeatmapF32(c *Canvas, r Rect, rows [][]float32, opt HeatmapOptions) {
-	renderHeatmap(c, r, rows, opt)
-}
-
-// renderHeatmap is the shared kernel. For float64 it performs exactly the
-// arithmetic the pre-generic renderer did, so float64 output stays
-// bit-identical.
-func renderHeatmap[F ~float32 | ~float64](c *Canvas, r Rect, rows [][]F, opt HeatmapOptions) {
 	nR := len(rows)
 	if nR == 0 || r.W <= 0 || r.H <= 0 {
 		return
@@ -111,7 +97,7 @@ func renderHeatmap[F ~float32 | ~float64](c *Canvas, r Rect, rows [][]F, opt Hea
 							dc = colOrder[cc]
 						}
 						if dc >= 0 && dc < len(row) {
-							if v := float64(row[dc]); !math.IsNaN(v) {
+							if v := row[dc]; !math.IsNaN(v) {
 								sum += v
 								n++
 							}
@@ -170,7 +156,7 @@ func renderHeatmap[F ~float32 | ~float64](c *Canvas, r Rect, rows [][]F, opt Hea
 			}
 			v := math.NaN()
 			if dc >= 0 && dc < len(row) {
-				v = float64(row[dc])
+				v = row[dc]
 			}
 			col := opt.ColorMap.Map(v, opt.Limit)
 			if border {

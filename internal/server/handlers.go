@@ -9,7 +9,6 @@ import (
 	"image/color"
 	"log"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -55,30 +54,49 @@ type errorBody struct {
 	Message string `json:"message"`
 }
 
-// writeJSON encodes v with the right Content-Type. The body is encoded
-// before the status line is committed: an encode failure (a NaN float is
-// the classic) becomes a logged, counted 500 with an error body instead of
-// the silent empty 200 it used to be.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// encodeJSON is the API's one JSON encoding, trimmed to size so that a
+// cached body holds no more than it is charged for.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(v); err != nil {
-		s.encodeFailures.Add(1)
-		log.Printf("server: response encode failed (intended status %d): %v", status, err)
-		// Marshaling the envelope of string fields cannot fail (unlike Go's
-		// %q quoting, whose \x escapes are not valid JSON), so the error
-		// body is always parseable.
-		body, _ := json.Marshal(errorEnvelope{Error: errorBody{
-			Code:    codeEncodeFailed,
-			Message: "response encoding failed: " + err.Error(),
-		}})
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusInternalServerError)
-		_, _ = w.Write(body)
-		return
+	err := json.NewEncoder(&buf).Encode(v)
+	return bytes.Clone(buf.Bytes()), err
+}
+
+// writeJSON encodes v with the right Content-Type; a json.RawMessage is a
+// body some compute path encoded (and cached) already, written as it is.
+// The body is encoded before the status line is committed: an encode
+// failure (a NaN float is the classic) becomes a 500 instead of the silent
+// empty 200 it used to be.
+func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	body, ok := v.(json.RawMessage)
+	if !ok {
+		var err error
+		if body, err = encodeJSON(v); err != nil {
+			s.writeEncodeFailure(w, status, err)
+			return
+		}
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
+}
+
+// writeEncodeFailure answers for a result that does not encode: a logged,
+// counted 500 with an error body.
+func (s *Server) writeEncodeFailure(w http.ResponseWriter, status int, err error) {
+	s.encodeFailures.Add(1)
+	log.Printf("server: response encode failed (intended status %d): %v", status, err)
+	// Marshaling the envelope of string fields cannot fail (unlike Go's
+	// %q quoting, whose \x escapes are not valid JSON), so the error
+	// body is always parseable.
+	body, _ := json.Marshal(errorEnvelope{Error: errorBody{
+		Code:    codeEncodeFailed,
+		Message: "response encoding failed: " + err.Error(),
+	}})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusInternalServerError)
+	_, _ = w.Write(body)
 }
 
 func (s *Server) writeJSONError(w http.ResponseWriter, status int, code, msg string) {
@@ -110,46 +128,58 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeSingleGeneQuery, spell.MsgSingleGeneQuery)
 		return
 	}
-	res, meta, disp, err := s.searchWith(r.Context(), &s.statSearch, ids, spell.Options{MaxGenes: top, IncludeQuery: true})
-	switch {
-	case errors.Is(err, shard.ErrDegradedUnresolved):
-		// A degraded scatter whose survivors can't resolve the query genes
-		// at all. Retryable, so 503 — a query error it is not.
-		s.statSearch.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeDegradedUnresolved, err.Error())
-		return
-	case errors.Is(err, shard.ErrAllShardsFailed):
-		// Full outage across the shard set; equally retryable.
-		s.statSearch.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeAllShardsFailed, err.Error())
-		return
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.statSearch.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "search repeatedly interrupted, retry later")
-		return
-	case err != nil:
-		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
+	e, meta, disp, err := s.searchWith(r.Context(), &s.statSearch, ids, spell.Options{MaxGenes: top, IncludeQuery: true})
+	if err != nil {
+		s.writeComputeError(w, r, &s.statSearch, "search", err)
 		return
 	}
-	if disp != "" {
-		w.Header().Set(cacheHeader, disp)
-	}
+	w.Header().Set(cacheHeader, disp)
 	if meta != nil {
-		// Sharded answers always disclose how much of the compendium they
-		// cover; a degraded merge is a correct ranking over the surviving
-		// shards, flagged rather than failed.
-		w.Header().Set("X-Forestview-Shards-Ok", strconv.Itoa(meta.ShardsOK))
-		w.Header().Set("X-Forestview-Shards-Total", strconv.Itoa(meta.ShardsTotal))
-		w.Header().Set("X-Forestview-Degraded", strconv.FormatBool(meta.Degraded))
-		s.writeJSON(w, http.StatusOK, scatterSearchResponse{Result: res, Meta: *meta})
+		setScatterHeaders(w, meta)
+		s.writeJSON(w, http.StatusOK, scatterSearchResponse{Result: e.res, Meta: *meta})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, res)
+	s.writeJSON(w, http.StatusOK, json.RawMessage(e.body))
 }
+
+// setScatterHeaders discloses a scatter's coverage: sharded answers always
+// say how much of the compendium they cover; a degraded merge is a correct
+// ranking (or analysis) over the surviving shards, flagged rather than
+// failed.
+func setScatterHeaders(w http.ResponseWriter, meta *shard.Meta) {
+	w.Header().Set("X-Forestview-Shards-Ok", strconv.Itoa(meta.ShardsOK))
+	w.Header().Set("X-Forestview-Shards-Total", strconv.Itoa(meta.ShardsTotal))
+	w.Header().Set("X-Forestview-Degraded", strconv.FormatBool(meta.Degraded))
+}
+
+// writeContextError is the daemon's one cancellation rule, applied by every
+// compute endpoint. It reports whether err was a context error, in which
+// case the response has been written. If the request's own context is done,
+// its client hung up (or timed out) before the computation finished and
+// nobody is listening for a body: 499, the de-facto "client closed request"
+// status, keeps the abort visible as an error in /api/stats. If the client
+// is still live, the context error leaked from other requests' flights
+// (cachedCompute exhausted its retries against flights whose leaders kept
+// disconnecting): shed with a 503 "interrupted" so the client retries,
+// counted in ep.rejected like every other shed. what names the computation
+// for the message.
+func (s *Server) writeContextError(w http.ResponseWriter, r *http.Request, ep *endpointStats, err error, what string) bool {
+	if !isContextErr(err) {
+		return false
+	}
+	if r.Context().Err() != nil {
+		w.WriteHeader(statusClientClosedRequest)
+		return true
+	}
+	ep.rejected.Add(1)
+	s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, what+" repeatedly interrupted, retry later")
+	return true
+}
+
+// statusClientClosedRequest is nginx's non-standard 499 "client closed
+// request"; net/http never sends it to anyone (the client is gone) but the
+// per-endpoint error accounting sees it.
+const statusClientClosedRequest = 499
 
 // enrichResponse is the /api/enrich body.
 type enrichResponse struct {
@@ -197,67 +227,72 @@ func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.MinSelected = m
 	}
-	if s.cfg.Scatter != nil {
-		s.serveScatterEnrich(w, r, genes, opt)
-		return
-	}
-	results, disp, err := s.enrichCtx(r.Context(), genes, opt)
-	if err != nil {
-		s.writeEnrichError(w, r, err)
-		return
-	}
-	var tested, ignored []string
-	for _, g := range spell.CanonicalQuery(genes) {
-		if s.cfg.Enricher.InBackground(g) {
-			tested = append(tested, g)
-		} else {
-			ignored = append(ignored, g)
-		}
-	}
-	if disp != "" {
-		w.Header().Set(cacheHeader, disp)
-	}
-	s.writeJSON(w, http.StatusOK, enrichResponse{
-		Selection:  tested,
-		Ignored:    ignored,
-		Background: s.cfg.Enricher.BackgroundSize(),
-		Results:    results,
-	})
-}
-
-// writeEnrichError maps an enrichment failure — local kernel or fleet
-// scatter alike — onto the error envelope. Both paths share one contract:
-// retryable conditions are 503s with a condition-specific code, selections
-// the background doesn't know are 422 no_selection_genes.
-func (s *Server) writeEnrichError(w http.ResponseWriter, r *http.Request, err error) {
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		if r.Context().Err() != nil {
-			// Our client hung up before the analysis finished; the kernel
-			// stopped mid-scan and nobody is listening for a body. Keep the
-			// abort visible in /api/stats as a 499.
-			w.WriteHeader(statusClientClosedRequest)
+	// A single daemon caches the whole body; a coordinator scatters, merges
+	// exactly and discloses coverage like the search scatter does.
+	sel := spell.CanonicalQuery(genes)
+	if s.cfg.Scatter == nil {
+		body, disp, err := s.enrichCtx(r.Context(), sel, opt)
+		if err != nil {
+			s.writeComputeError(w, r, &s.statEnrich, "enrichment", err)
 			return
 		}
-		// The context error leaked from other requests' flights (the compute
-		// path exhausted its retries against flights whose leaders kept
-		// disconnecting). Shed so the client retries, counted like every
-		// other shed.
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "enrichment repeatedly interrupted, retry later")
+		w.Header().Set(cacheHeader, disp)
+		s.writeJSON(w, http.StatusOK, json.RawMessage(body))
+		return
+	}
+	res, meta, disp, err := s.scatterEnrich(r.Context(), sel, opt)
+	if err != nil {
+		s.writeComputeError(w, r, &s.statEnrich, "enrichment", err)
+		return
+	}
+	w.Header().Set(cacheHeader, disp)
+	setScatterHeaders(w, meta)
+	resp := newEnrichResponse(sel, res.Background, res.Results, func(g string) bool { return res.InBackground[g] })
+	s.writeJSON(w, http.StatusOK, scatterEnrichResponse{enrichResponse: resp, Meta: *meta})
+}
+
+// newEnrichResponse is the body for the canonical selection sel; known says
+// which genes the universe holds (from the partials' disclosure on a
+// coordinator, from the local enricher otherwise).
+func newEnrichResponse(sel []string, background int, results []golem.Enrichment, known func(gene string) bool) enrichResponse {
+	resp := enrichResponse{Background: background, Results: results}
+	for _, g := range sel {
+		if known(g) {
+			resp.Selection = append(resp.Selection, g)
+		} else {
+			resp.Ignored = append(resp.Ignored, g)
+		}
+	}
+	return resp
+}
+
+// writeComputeError maps a search or enrichment failure — local kernel or
+// fleet scatter alike — onto the error envelope. Every path shares one
+// contract: retryable conditions are 503s with a condition-specific code,
+// counted in ep.rejected; anything else is a query error (422).
+func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, ep *endpointStats, what string, err error) {
+	reject := func(code string) {
+		ep.rejected.Add(1)
+		s.writeJSONError(w, http.StatusServiceUnavailable, code, err.Error())
+	}
+	switch {
+	case s.writeContextError(w, r, ep, err, what):
 	case errors.Is(err, shard.ErrNoEnrichment):
 		// The fleet has no capable shard: same condition as a single daemon
 		// booted without an ontology, same code.
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeNoOntology, err.Error())
+		reject(codeNoOntology)
 	case errors.Is(err, shard.ErrDegradedUnresolved):
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeDegradedUnresolved, err.Error())
+		// A degraded scatter whose survivors can't rule the genes in or out.
+		// Retryable, so 503 — a query error it is not.
+		reject(codeDegradedUnresolved)
 	case errors.Is(err, shard.ErrAllShardsFailed):
-		s.statEnrich.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeAllShardsFailed, err.Error())
+		// Full outage across the shard set; equally retryable.
+		reject(codeAllShardsFailed)
 	case errors.Is(err, golem.ErrNoSelection):
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeNoSelectionGenes, err.Error())
+	case errors.As(err, new(*json.UnsupportedValueError)):
+		// A single daemon encodes the body as part of the computation.
+		s.writeEncodeFailure(w, http.StatusOK, err)
 	default:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	}
@@ -268,44 +303,6 @@ func (s *Server) writeEnrichError(w http.ResponseWriter, r *http.Request, err er
 type scatterEnrichResponse struct {
 	enrichResponse
 	shard.Meta
-}
-
-// serveScatterEnrich is handleEnrich's coordinator tail: scatter the
-// selection over the fleet, merge exactly, disclose coverage in headers
-// and body exactly like the search scatter does.
-func (s *Server) serveScatterEnrich(w http.ResponseWriter, r *http.Request, genes []string, opt golem.Options) {
-	res, meta, disp, err := s.scatterEnrich(r.Context(), genes, opt)
-	if meta != nil {
-		w.Header().Set("X-Forestview-Shards-Ok", strconv.Itoa(meta.ShardsOK))
-		w.Header().Set("X-Forestview-Shards-Total", strconv.Itoa(meta.ShardsTotal))
-		w.Header().Set("X-Forestview-Degraded", strconv.FormatBool(meta.Degraded))
-	}
-	if err != nil {
-		s.writeEnrichError(w, r, err)
-		return
-	}
-	var tested, ignored []string
-	for g, known := range res.InBackground {
-		if known {
-			tested = append(tested, g)
-		} else {
-			ignored = append(ignored, g)
-		}
-	}
-	sort.Strings(tested)
-	sort.Strings(ignored)
-	if disp != "" {
-		w.Header().Set(cacheHeader, disp)
-	}
-	s.writeJSON(w, http.StatusOK, scatterEnrichResponse{
-		enrichResponse: enrichResponse{
-			Selection:  tested,
-			Ignored:    ignored,
-			Background: res.Background,
-			Results:    res.Results,
-		},
-		Meta: *meta,
-	})
 }
 
 // tileParams are the canonicalized /api/heatmap parameters; their string
@@ -455,13 +452,11 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 
 	cd, gen, err := s.trees.get(r.Context(), dsIndex)
 	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// Only our own hangup surfaces here (a dead leader's flight is
-			// retried while our context lives).
-			w.WriteHeader(statusClientClosedRequest)
-			return
+		// Only our own hangup surfaces as a context error here: the tree
+		// cache retries a dead leader's build while our context lives.
+		if !s.writeContextError(w, r, &s.statHeatmap, err, "clustering") {
+			s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		}
-		s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	p.gen = gen
@@ -507,21 +502,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeSaturated, "render pool saturated, retry later")
 		return
 	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			// Our client hung up (or timed out) before the tile rendered;
-			// nobody is listening for a body. 499 is the de-facto status
-			// for "client closed request", and it keeps the abort visible
-			// as an error in /api/stats.
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		// Our client is still live: the context error leaked from other
-		// requests' flights (renderTile exhausted its retries against
-		// flights whose leaders kept disconnecting). Shed like saturation
-		// so the client retries, rather than misreporting a hangup.
-		s.statHeatmap.rejected.Add(1)
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "render repeatedly interrupted, retry later")
+	if s.writeContextError(w, r, &s.statHeatmap, err, "render") {
 		return
 	}
 	if err != nil {
@@ -537,36 +518,25 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		// Every served tile predicts the next viewport motion.
 		s.prefetch.speculate(p, nPaneRows, core.NumPyramidLevels(nPaneRows))
 	}
-	if disp != "" {
-		w.Header().Set(cacheHeader, disp)
-	}
+	w.Header().Set(cacheHeader, disp)
 	w.Header().Set("X-Forestview-Level", strconv.Itoa(p.level))
 	w.Header().Set("Content-Type", "image/png")
 	w.Header().Set("Content-Length", strconv.Itoa(len(png)))
 	_, _ = w.Write(png)
 }
 
-// statusClientClosedRequest is nginx's non-standard 499 "client closed
-// request"; net/http never sends it to anyone (the client is gone) but the
-// per-endpoint error accounting sees it.
-const statusClientClosedRequest = 499
-
 // renderTile produces the PNG bytes for p, cached and coalesced like every
 // other result; only the actual rasterization runs on the worker pool, so
 // cache hits bypass the pool entirely. The request context rides through
-// the coalescing layer into Pool.Run, so a tile whose client has hung up
-// stops waiting immediately and is skipped if still queued. Because
-// coalesced followers share the leader's flight — and therefore the
-// leader's context — a follower whose own context is still live retries
-// when a flight dies of someone else's cancellation, becoming the new
-// leader instead of failing an innocent request. ep receives the
+// cachedCompute into Pool.Run, so a tile whose client has hung up stops
+// waiting immediately and is skipped if still queued. ep receives the
 // cache/compute accounting: the foreground handler passes statHeatmap, the
 // prefetcher its own stats, so speculation never skews request counters.
 func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
 	key := p.key()
-	tileCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, ep, key, tileCost, func() (any, error) {
-		return s.pool.Run(ctx, func() (any, error) {
+	return cachedCompute(ctx, s, ep, key, wireCost, nil, func() ([]byte, error) {
+		// Pool.Run is any-valued (one pool serves every job shape).
+		res, err := s.pool.Run(ctx, func() (any, error) {
 			png, err := s.rasterizeTile(cd, p)
 			if err != nil {
 				return nil, err
@@ -576,23 +546,25 @@ func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p ti
 			// running, so a render abandoned mid-rasterization still
 			// completes — this keeps the finished tile for the
 			// retrying follower (or the next request) instead of
-			// discarding it with the canceled wait. cachedDo's own
+			// discarding it with the canceled wait. cachedCompute's own
 			// Put after a live wait is an idempotent overwrite.
-			s.cache.Put(key, png, tileCost(png))
+			s.cache.Put(key, png, wireCost(png))
 			return png, nil
 		})
-	}, nil, nil)
-	if err != nil {
-		return nil, disp, err
-	}
-	return v.([]byte), disp, nil
+		png, _ := res.([]byte)
+		return png, err
+	})
 }
+
+// wireCost is the cache cost of an entry held in its wire form — a PNG
+// tile or a gob-encoded shard partial: the exact byte length plus entry
+// overhead.
+func wireCost(b []byte) int64 { return int64(len(b)) + 64 }
 
 // rasterizeTile draws one tile: optional array-tree strip on top, optional
 // gene-tree strip on the left, and the expression matrix — from the raw
 // display rows at level 0 (the pre-pyramid path, byte-for-byte), or from
-// the pane's precomputed pyramid slab at level >= 1 (float32 slabs when the
-// server is configured for them).
+// the pane's precomputed pyramid slab at level >= 1.
 func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte, error) {
 	c := render.NewCanvas(p.w, p.h, color.RGBA{A: 255})
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
@@ -619,17 +591,13 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 	}
 	hr := render.Rect{X: hx, Y: hy, W: p.w - hx, H: p.h - hy}
 	opt := render.HeatmapOptions{ColorMap: p.cmap, Limit: p.limit, CellBorder: true, ColOrder: colOrder}
-	if p.level == 0 && !s.cfg.Float32Slabs {
+	if p.level == 0 {
 		render.RenderHeatmap(c, hr, cd.RowsInDisplayRange(p.from, p.to), opt)
 	} else {
-		slab := cd.Pyramid(core.PyramidOptions{Float32: s.cfg.Float32Slabs}).Level(p.level)
+		slab := cd.Pyramid(core.PyramidOptions{}).Level(p.level)
 		lo := p.from >> uint(p.level)
 		hi := (p.to + 1<<uint(p.level) - 1) >> uint(p.level)
-		if slab.F32 != nil {
-			render.RenderHeatmapF32(c, hr, slab.F32[lo:hi], opt)
-		} else {
-			render.RenderHeatmap(c, hr, slab.F64[lo:hi], opt)
-		}
+		render.RenderHeatmap(c, hr, slab.F64[lo:hi], opt)
 	}
 	var buf bytes.Buffer
 	if err := c.EncodePNG(&buf); err != nil {

@@ -124,11 +124,6 @@ type Config struct {
 	// lazily built trees, enabling the atree=H column-dendrogram strip —
 	// the paper's two-axis ForestView display.
 	ClusterArrays bool
-	// Float32Slabs serves heatmap tiles from float32 pyramid slabs instead
-	// of float64, halving memory bandwidth on the render hot loop at a
-	// bounded color error (see DESIGN.md §8). Level-0 tiles lose their
-	// byte-identity with the float64 path when enabled.
-	Float32Slabs bool
 
 	// PrefetchWorkers enables speculative tile prefetch: each served
 	// heatmap tile enqueues its predicted pan/zoom neighbours for
@@ -320,9 +315,9 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
 			s.cfg.ShardSelf = strings.TrimRight(strings.TrimSpace(cfg.ShardSelf), "/")
-			s.mux.HandleFunc(shard.DrainPath, s.instrument(&s.statShard, s.handleShardDrain))
-			s.mux.HandleFunc(shard.HandoffPath, s.instrument(&s.statShard, s.handleShardHandoff))
-			s.mux.HandleFunc(shard.ShardFleetPath, s.instrument(&s.statShard, s.handleShardFleet))
+			s.mux.HandleFunc(shard.DrainPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardDrain)))
+			s.mux.HandleFunc(shard.HandoffPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardHandoff)))
+			s.mux.HandleFunc(shard.ShardFleetPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardFleet)))
 		}
 		if cfg.Enricher != nil {
 			// Enrichment is a shard capability, not a fleet invariant: only
@@ -334,14 +329,14 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	if cfg.Scatter != nil {
-		s.mux.HandleFunc("/api/admin/fleet", s.instrument(&s.statFleet, s.handleFleet))
+		s.mux.HandleFunc("/api/admin/fleet", s.instrument(&s.statFleet, s.fleetAdmin(s.handleFleet)))
 	}
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintln(w, "ok")
 	})
 
 	// The SPELL HTML page shares this server's engine and cache: its
-	// Searcher runs through the same cachedDo keys as /api/search, with
+	// Searcher runs through the same cachedCompute keys as /api/search, with
 	// its cache/compute activity accounted to the html endpoint.
 	web := spellweb.NewServerFor(&cachedSearcher{s: s, ep: &s.statHTML})
 	web.MaxGenes = 50
@@ -366,30 +361,18 @@ func (s *Server) Close() {
 	s.pool.Close()
 }
 
-// NumDatasets implements spellweb.Searcher. A coordinator reports the sum
-// of its shards' slices (0 while no shard has answered an info probe yet).
-func (s *Server) NumDatasets() int {
+// compendiumSize reports the dataset and gene counts this daemon answers
+// for: a shard's current (reload-aware) slice, a single daemon's engine, or
+// — on a coordinator — the union of its shards' slices and gene sets (0, 0
+// while some shard has not answered an info probe yet).
+func (s *Server) compendiumSize() (datasets, genes int) {
 	if st := s.shardSt.Load(); st != nil {
-		return st.engine.NumDatasets() // reload-aware
+		return st.engine.NumDatasets(), st.engine.NumGenes()
 	}
 	if s.cfg.Engine != nil {
-		return s.cfg.Engine.NumDatasets()
+		return s.cfg.Engine.NumDatasets(), s.cfg.Engine.NumGenes()
 	}
-	d, _ := s.scatterInfo()
-	return d
-}
-
-// NumGenes implements spellweb.Searcher. A coordinator reports the union
-// of its shards' gene sets.
-func (s *Server) NumGenes() int {
-	if st := s.shardSt.Load(); st != nil {
-		return st.engine.NumGenes()
-	}
-	if s.cfg.Engine != nil {
-		return s.cfg.Engine.NumGenes()
-	}
-	_, g := s.scatterInfo()
-	return g
+	return s.scatterInfo()
 }
 
 // scatterInfo asks the coordinator for the union compendium description;
@@ -405,12 +388,13 @@ func (s *Server) scatterInfo() (datasets, genes int) {
 	return info.Datasets, info.Genes
 }
 
-// Search implements spellweb.Searcher for the JSON API through the shared
-// cache and the coalescing layer (scattering to shard backends when the
-// daemon coordinates).
-func (s *Server) Search(ids []string, opt spell.Options) (*spell.Result, error) {
-	res, _, _, err := s.searchWith(context.Background(), &s.statSearch, ids, opt)
-	return res, err
+// searchEntry is what the single role caches for a search: the result (the
+// HTML page renders it) and its /api/search body, encoded once at compute
+// time so that a hit costs a write, not a re-encode — as tiles and shard
+// partials are cached in wire form. The scatter path leaves body nil.
+type searchEntry struct {
+	res  *spell.Result
+	body []byte
 }
 
 // searchWith is the single search path; ep receives the cache/compute
@@ -418,29 +402,30 @@ func (s *Server) Search(ids []string, opt spell.Options) (*spell.Result, error) 
 // while sharing one set of cache keys. The returned meta is non-nil only
 // on the scatter path; disp is the cache disposition (hit/miss/coalesced)
 // the handlers surface as the X-Forestview-Cache header.
-func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (*spell.Result, *shard.Meta, string, error) {
+func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (searchEntry, *shard.Meta, string, error) {
 	ids = spell.CanonicalQuery(ids)
 	if opt.MaxGenes <= 0 || opt.MaxGenes > s.cfg.MaxGenes {
 		opt.MaxGenes = s.cfg.MaxGenes
 	}
 	if s.cfg.Scatter != nil {
-		return s.scatterSearch(ctx, ep, ids, opt)
+		res, meta, disp, err := s.scatterSearch(ctx, ep, ids, opt)
+		return searchEntry{res: res}, meta, disp, err
 	}
 	if opt.Parallelism <= 0 {
 		// Doesn't shape results, so it stays out of the cache key.
 		opt.Parallelism = s.cfg.SearchParallelism
 	}
-	// Parallelism doesn't affect results so it stays out of the key; every
-	// result-shaping option must be in it.
+	// Every result-shaping option must be in the key.
 	key := fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s",
 		opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	v, disp, err := s.cachedDo(ep, key, searchCost, func() (any, error) {
-		return s.cfg.Engine.Search(ids, opt)
+	cost := func(e searchEntry) int64 { return searchCost(e.res) + int64(len(e.body)) }
+	e, disp, err := cachedCompute(ctx, s, ep, key, cost, nil, func() (e searchEntry, err error) {
+		if e.res, err = s.cfg.Engine.SearchCtx(ctx, ids, opt); err == nil {
+			e.body, err = encodeJSON(e.res)
+		}
+		return e, err
 	})
-	if err != nil {
-		return nil, nil, disp, err
-	}
-	return v.(*spell.Result), nil, disp, nil
+	return e, nil, disp, err
 }
 
 // cachedSearcher adapts the shared search path for the HTML page: same
@@ -451,8 +436,8 @@ type cachedSearcher struct {
 }
 
 func (c *cachedSearcher) Search(ids []string, opt spell.Options) (*spell.Result, error) {
-	res, _, _, err := c.s.searchWith(context.Background(), c.ep, ids, opt)
-	return res, err
+	e, _, _, err := c.s.searchWith(context.Background(), c.ep, ids, opt)
+	return e.res, err
 }
 
 // SearchCtx implements spellweb.ContextSearcher: the page request's
@@ -461,56 +446,38 @@ func (c *cachedSearcher) Search(ids []string, opt spell.Options) (*spell.Result,
 // page must print — the HTML surface keeps the same honesty contract as
 // the API's degraded headers.
 func (c *cachedSearcher) SearchCtx(ctx context.Context, ids []string, opt spell.Options) (*spell.Result, string, error) {
-	res, meta, _, err := c.s.searchWith(ctx, c.ep, ids, opt)
+	e, meta, _, err := c.s.searchWith(ctx, c.ep, ids, opt)
 	if err != nil {
 		return nil, "", err
 	}
 	if meta != nil && meta.Degraded {
-		return res, fmt.Sprintf("degraded result: only %d of %d shards answered; rankings are renormalized over the reachable slice of the compendium",
+		return e.res, fmt.Sprintf("degraded result: only %d of %d shards answered; rankings are renormalized over the reachable slice of the compendium",
 			meta.ShardsOK, meta.ShardsTotal), nil
 	}
-	return res, "", nil
+	return e.res, "", nil
 }
 
-func (c *cachedSearcher) NumDatasets() int { return c.s.NumDatasets() }
-func (c *cachedSearcher) NumGenes() int    { return c.s.NumGenes() }
+func (c *cachedSearcher) NumDatasets() int { d, _ := c.s.compendiumSize(); return d }
+func (c *cachedSearcher) NumGenes() int    { _, g := c.s.compendiumSize(); return g }
 
-// Enrich runs a GOLEM analysis through the shared cache and coalescing
-// layer.
-func (s *Server) Enrich(genes []string, opt golem.Options) ([]golem.Enrichment, error) {
-	return s.EnrichCtx(context.Background(), genes, opt)
-}
-
-// EnrichCtx is the /api/enrich compute path: canonicalized cache key into
+// enrichCtx is the /api/enrich compute path for a canonical gene list (the
+// handler has checked an enricher is loaded): canonicalized cache key into
 // the sharded LRU, singleflight coalescing, and the request context threaded
 // into the bitset kernel (golem.AnalyzeCtx) so a disconnected client stops
-// paying mid-scan. Like the tile path, a follower whose joined flight died
-// of the *leader's* hangup retries with its own live context instead of
-// failing an innocent request. Kernel executions and their latency are
-// accounted under enrich_cache in /api/stats.
-func (s *Server) EnrichCtx(ctx context.Context, genes []string, opt golem.Options) ([]golem.Enrichment, error) {
-	res, _, err := s.enrichCtx(ctx, genes, opt)
-	return res, err
-}
-
-// enrichCtx is EnrichCtx plus the cache disposition, for the handler's
-// X-Forestview-Cache header.
-func (s *Server) enrichCtx(ctx context.Context, genes []string, opt golem.Options) ([]golem.Enrichment, string, error) {
-	if s.cfg.Enricher == nil {
-		return nil, "", errNoEnricher
-	}
-	genes = spell.CanonicalQuery(genes)
+// paying mid-scan. Kernel executions and their latency are accounted under
+// enrich_cache in /api/stats. Cached and returned is the response body (key
+// and body have the same inputs), with the disposition for X-Forestview-Cache.
+func (s *Server) enrichCtx(ctx context.Context, genes []string, opt golem.Options) ([]byte, string, error) {
 	key := fmt.Sprintf("enrich\x1f%d\x1f%g\x1f%s", opt.MinSelected, opt.MaxPValue, joinIDs(genes))
-	v, disp, err := s.cachedDoRetry(ctx, &s.statEnrich, key, enrichCost, func() (any, error) {
+	return cachedCompute(ctx, s, &s.statEnrich, key, wireCost, nil, func() ([]byte, error) {
 		t0 := time.Now()
 		res, aerr := s.cfg.Enricher.AnalyzeCtx(ctx, genes, opt)
 		s.enrichKernel.observe(time.Since(t0), aerr)
-		return res, aerr
-	}, nil, func() { s.enrichKernel.retries.Add(1) })
-	if err != nil {
-		return nil, disp, err
-	}
-	return v.([]golem.Enrichment), disp, nil
+		if aerr != nil {
+			return nil, aerr
+		}
+		return encodeJSON(newEnrichResponse(genes, s.cfg.Enricher.BackgroundSize(), res, s.cfg.Enricher.InBackground))
+	})
 }
 
 // joinIDs joins gene IDs for a cache key with each ID quoted, so an ID
@@ -539,88 +506,86 @@ const (
 // cacheHeader is the response header carrying the cache disposition.
 const cacheHeader = "X-Forestview-Cache"
 
-// cachedDo is the daemon's concurrency discipline in one place: cache
-// lookup, then coalesced computation, then cache fill. Errors are never
-// cached (a transiently bad query must not poison the cache), but
-// concurrent identical failures still compute only once. The returned
-// disposition says which layer answered.
-func (s *Server) cachedDo(ep *endpointStats, key string, cost func(any) int64, compute func() (any, error)) (any, string, error) {
-	return s.cachedDoIf(ep, key, cost, compute, nil)
-}
-
-// cachedDoIf is cachedDo with a cacheability predicate: a computed value
-// for which it returns false is delivered to its waiters but never enters
-// the cache (the scatter path keeps degraded merges out this way). A nil
-// predicate caches every successful value.
-func (s *Server) cachedDoIf(ep *endpointStats, key string, cost func(any) int64, compute func() (any, error), cacheable func(any) bool) (any, string, error) {
-	if v, ok := s.cache.Get(key); ok {
-		ep.cacheHits.Add(1)
-		return v, dispHit, nil
-	}
-	ep.cacheMisses.Add(1)
-	// computed is written only when this caller leads the flight (a joiner's
-	// closure never runs), so reading it after Do is race-free.
-	computed := false
-	v, err, joined := s.flights.Do(key, func() (any, error) {
-		// Re-check under the flight: a caller that missed the cache just as
-		// the previous flight completed must find that flight's result here
-		// rather than compute again.
-		if v, ok := s.cache.Get(key); ok {
-			return v, nil
-		}
-		ep.computed.Add(1)
-		computed = true
-		v, err := compute()
-		if err == nil && (cacheable == nil || cacheable(v)) {
-			s.cache.Put(key, v, cost(v))
-		}
-		return v, err
-	})
-	if joined {
-		ep.coalesced.Add(1)
-		return v, dispCoalesced, err
-	}
-	if !computed {
-		// We led a flight but its cache re-check hit: the previous flight
-		// filled the key between our miss and our entry. For the client
-		// that's a hit — no computation ran on its behalf.
-		return v, dispHit, err
-	}
-	return v, dispMiss, err
-}
-
-// cachedDoRetry wraps cachedDoIf in the daemon's leader-handover retry
-// discipline, shared by every compute path (tiles, enrichment, partials,
-// scatters): a coalesced follower whose joined flight died of a context
-// error that is not its own — the *leader's* client disconnected — retries
-// with its own live context instead of failing an innocent request.
-// onRetry (optional) is called before each re-attempt, for accounting.
-// The disposition of the final attempt is returned.
-func (s *Server) cachedDoRetry(ctx context.Context, ep *endpointStats, key string, cost func(any) int64, compute func() (any, error), cacheable func(any) bool, onRetry func()) (any, string, error) {
+// cachedCompute is the daemon's concurrency discipline in one place, shared
+// by every compute path (searches, enrichments, tiles, shard partials,
+// scatters): cache lookup, then coalesced computation, then cache fill.
+// Errors are never cached (a transiently bad query must not poison the
+// cache), but concurrent identical failures still compute only once. A
+// computed value for which cacheable (optional) returns false is delivered
+// to its waiters but never enters the cache — the scatter path keeps
+// degraded merges out this way. compute is expected to honor ctx; because
+// coalesced followers share the leader's flight — and therefore the
+// leader's context — a caller whose joined flight died of a context error
+// that is not its own (the *leader's* client disconnected) retries with its
+// own live context, becoming the new leader instead of failing an innocent
+// request. The returned disposition says which layer answered the final
+// attempt. A package-level function because Go methods cannot take type
+// parameters; Cache and flightGroup stay any-valued underneath.
+func cachedCompute[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
+	cost func(T) int64, cacheable func(T) bool, compute func() (T, error)) (T, string, error) {
 	const maxAttempts = 3
 	var (
-		v    any
+		val  T
 		disp string
 		err  error
 	)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 && onRetry != nil {
-			onRetry()
+		if attempt > 0 {
+			ep.retries.Add(1)
 		}
-		v, disp, err = s.cachedDoIf(ep, key, cost, compute, cacheable)
-		if err == nil || ctx.Err() != nil {
-			break
+		if v, ok := s.cache.Get(key); ok {
+			ep.cacheHits.Add(1)
+			return v.(T), dispHit, nil
 		}
-		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+		ep.cacheMisses.Add(1)
+		// computed is written only when this caller leads the flight (a joiner's
+		// closure never runs), so reading it after Do is race-free.
+		computed := false
+		v, ferr, joined := s.flights.Do(key, func() (any, error) {
+			// Re-check under the flight: a caller that missed the cache just as
+			// the previous flight completed must find that flight's result here
+			// rather than compute again.
+			if v, ok := s.cache.Get(key); ok {
+				return v, nil
+			}
+			ep.computed.Add(1)
+			computed = true
+			v, err := compute()
+			if err == nil && (cacheable == nil || cacheable(v)) {
+				s.cache.Put(key, v, cost(v))
+			}
+			return v, err
+		})
+		// A panicking compute surfaces as an error with a nil value.
+		val, _ = v.(T)
+		err = ferr
+		switch {
+		case joined:
+			ep.coalesced.Add(1)
+			disp = dispCoalesced
+		case !computed:
+			// We led a flight but its cache re-check hit: the previous flight
+			// filled the key between our miss and our entry. For the client
+			// that's a hit — no computation ran on its behalf.
+			disp = dispHit
+		default:
+			disp = dispMiss
+		}
+		if err == nil || ctx.Err() != nil || !isContextErr(err) {
 			break
 		}
 	}
-	return v, disp, err
+	return val, disp, err
+}
+
+// isContextErr reports whether err is (or wraps) a context cancellation or
+// deadline — an aborted computation, not a failed one.
+func isContextErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // searchCost approximates the resident size of a cached *spell.Result.
-func searchCost(v any) int64 {
-	r := v.(*spell.Result)
+func searchCost(r *spell.Result) int64 {
 	n := int64(256)
 	for _, q := range r.Query {
 		n += int64(len(q)) + 16
@@ -630,16 +595,6 @@ func searchCost(v any) int64 {
 	}
 	for _, g := range r.Genes {
 		n += int64(len(g.ID)+len(g.Name)) + 40
-	}
-	return n
-}
-
-// enrichCost approximates the resident size of a cached enrichment table.
-func enrichCost(v any) int64 {
-	rs := v.([]golem.Enrichment)
-	n := int64(128)
-	for _, r := range rs {
-		n += int64(len(r.TermID)+len(r.TermName)) + 96
 	}
 	return n
 }
@@ -682,14 +637,7 @@ func (s *Server) Role() string {
 // Stats assembles the /api/stats snapshot.
 func (s *Server) Stats() StatsSnapshot {
 	prefixes := s.cache.Prefixes()
-	nDatasets, nGenes := 0, 0
-	if st := s.shardSt.Load(); st != nil {
-		nDatasets, nGenes = st.engine.NumDatasets(), st.engine.NumGenes()
-	} else if s.cfg.Engine != nil {
-		nDatasets, nGenes = s.cfg.Engine.NumDatasets(), s.cfg.Engine.NumGenes()
-	} else {
-		nDatasets, nGenes = s.scatterInfo() // one probe (cached after success)
-	}
+	nDatasets, nGenes := s.compendiumSize() // at most one probe (cached after success)
 	snap := StatsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Server: ServerInfo{
@@ -760,7 +708,7 @@ func (s *Server) Stats() StatsSnapshot {
 			Analyses:     s.enrichKernel.analyses.Load(),
 			Canceled:     s.enrichKernel.canceled.Load(),
 			Failures:     s.enrichKernel.failures.Load(),
-			Retries:      s.enrichKernel.retries.Load(),
+			Retries:      s.statEnrich.retries.Load(),
 			MaxAnalyzeUS: s.enrichKernel.maxUS.Load(),
 			Entries:      prefixes["enrich"].Entries,
 			Bytes:        prefixes["enrich"].Bytes,

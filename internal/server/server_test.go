@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -32,7 +33,7 @@ var (
 
 // fixture builds one small demo compendium shared by every test; each test
 // still gets its own Server (and therefore its own cache and counters).
-func fixture(t *testing.T) (*Server, *synth.Universe) {
+func fixture(t testing.TB) (*Server, *synth.Universe) {
 	t.Helper()
 	fixOnce.Do(func() {
 		u := synth.NewUniverse(250, 8, 42)
@@ -326,6 +327,58 @@ func TestHTMLSharesSearchCache(t *testing.T) {
 	ep := statsOf(t, s, "search")
 	if ep.CacheHits != 1 || ep.Computed != 0 {
 		t.Fatalf("API did not hit the HTML-warmed cache: %+v", ep)
+	}
+}
+
+// TestHitServesTheCachedBody: the single role caches /api/search and
+// /api/enrich answers with their encoded bodies, so a hit — of an entry the
+// API or the HTML page computed — must carry byte for byte what the miss
+// carried, which is what encoding the library's answer gives, with its
+// length declared.
+func TestHitServesTheCachedBody(t *testing.T) {
+	s, u := fixture(t)
+	ids := spell.CanonicalQuery(u.ModuleGeneIDs(3)[:3])
+	q := strings.Join(ids, ",")
+	eres, err := fixEnricher.Analyze(ids, golem.Options{MinSelected: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEnrich, _ := encodeJSON(enrichResponse{Selection: ids, Background: fixEnricher.BackgroundSize(), Results: eres})
+
+	if rec := get(t, s, "/search?q="+q); rec.Code != http.StatusOK { // MaxGenes 50, warms the API's entry
+		t.Fatalf("HTML search = %d", rec.Code)
+	}
+	for _, c := range []struct {
+		url   string
+		want  []byte // nil: whatever the first answer carries (parallel SPELL sums are not bit-stable run to run)
+		disps []string
+	}{
+		{"/api/search?q=" + q + "&top=50", nil, []string{dispHit, dispHit}},
+		{"/api/search?q=" + q + "&top=7", nil, []string{dispMiss, dispHit}},
+		{"/api/enrich?genes=" + q, wantEnrich, []string{dispMiss, dispHit}},
+	} {
+		for _, disp := range c.disps {
+			rec := get(t, s, c.url)
+			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != disp {
+				t.Fatalf("%s = %d %q, want 200 %q", c.url, rec.Code, rec.Header().Get(cacheHeader), disp)
+			}
+			if c.want == nil {
+				c.want = bytes.Clone(rec.Body.Bytes())
+				var res spell.Result
+				if err := json.Unmarshal(c.want, &res); err != nil || strings.Join(res.Query, ",") != q || len(res.Genes) == 0 {
+					t.Fatalf("%s (%s) is not this query's result (%v): %s", c.url, disp, err, c.want)
+				}
+			}
+			if !bytes.Equal(rec.Body.Bytes(), c.want) {
+				t.Fatalf("%s (%s) body differs:\n got %s\nwant %s", c.url, disp, rec.Body, c.want)
+			}
+			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(c.want)) {
+				t.Fatalf("%s (%s) Content-Length = %q, want %d", c.url, disp, got, len(c.want))
+			}
+		}
+	}
+	if n := s.encodeFailures.Load(); n != 0 {
+		t.Fatalf("encode failures = %d, want 0", n)
 	}
 }
 

@@ -23,138 +23,130 @@ import (
 // directions run through the same sharded LRU + singleflight discipline
 // as every other endpoint.
 
-// handleShardSearch serves POST /api/shard/search: a gob shard.SearchRequest
-// in, a gob spell.Partial out — dataset indexes already remapped to the
-// global compendium order. Partials are cached under the canonical query
-// ("partial" prefix): identical queries from one or many coordinators
-// scan each dataset slice once.
+// handleShardSearch serves POST /api/shard/v1/search: a gob
+// shard.SearchRequest in, a gob spell.Partial out — dataset indexes already
+// remapped to the global compendium order. Partials are cached under the
+// canonical query ("partial" prefix): identical queries from one or many
+// coordinators scan each dataset slice once.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
+	serveShardPartial(s, w, r, shard.CapabilitySearch,
+		func(req *shard.SearchRequest) []string { return req.Query }, s.partialSearch)
+}
+
+// handleShardEnrich serves POST /api/shard/v1/enrich: a gob
+// shard.EnrichRequest in, a gob golem.PartialCounts out — the integer
+// tallies of this request's background slice. Mounted only on shards with
+// an enricher; a capability-less shard 404s, which the coordinator reads
+// as "unsupported" and fails over.
+func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
+	serveShardPartial(s, w, r, shard.CapabilityEnrich,
+		func(req *shard.EnrichRequest) []string { return req.Selection }, s.partialEnrich)
+}
+
+// serveShardPartial is the one decode → canonicalize → warm-touch → serve
+// → error-map path behind both partial endpoints; kind is the capability
+// name, genes picks the request's gene list, and partial computes (or
+// serves cached) the gob-encoded answer.
+func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
+	genes func(*R) []string, partial func(context.Context, []string, *R) ([]byte, string, error)) {
 	if r.Method != http.MethodPost {
-		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard search request")
+		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
 		return
 	}
-	var req shard.SearchRequest
+	var req R
 	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "bad shard request: "+err.Error())
 		return
 	}
-	ids := spell.CanonicalQuery(req.Query)
+	ids := spell.CanonicalQuery(genes(&req))
 	if len(ids) == 0 {
-		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty query")
+		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty "+kind+" gene list")
 		return
 	}
-	s.warm.touch(shard.CapabilitySearch, ids)
-	var body []byte
-	var disp string
-	var err error
-	if len(req.Owners) > 0 {
-		body, disp, err = s.partialGroupSearch(r.Context(), ids, &req)
-	} else {
-		body, disp, err = s.partialSearch(r.Context(), ids)
-	}
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			// The coordinator gave up on us (deadline, hedge won elsewhere,
-			// or its own caller hung up); nobody reads a body.
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "partial search repeatedly interrupted, retry later")
-		return
-	}
-	if errors.Is(err, errPartialEncode) {
+	s.warm.touch(kind, ids)
+	body, disp, err := partial(r.Context(), ids, &req)
+	switch {
+	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
+		// 499: the coordinator gave up on us (deadline, hedge won elsewhere,
+		// or its own caller hung up).
+	case errors.Is(err, errPartialEncode):
 		s.encodeFailures.Add(1)
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, err.Error())
-		return
-	}
-	if err != nil {
+	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
-		return
+	default:
+		w.Header().Set(cacheHeader, disp)
+		w.Header().Set("Content-Type", shard.ContentType)
+		_, _ = w.Write(body)
 	}
-	w.Header().Set(cacheHeader, disp)
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(body)
 }
 
 // errPartialEncode marks a gob failure while encoding a partial — a bug,
 // reported as a counted 500 like every other encode failure.
 var errPartialEncode = errors.New("partial encode failed")
 
-// partialSearch computes (or serves cached) this shard's partial for a
-// canonical query, already gob-encoded: the wire form is what every
-// consumer of the cache wants, so a cache hit costs zero re-encoding and
-// the entry's cost is its exact byte length. Leader-handover retries as
-// on every compute path.
-func (s *Server) partialSearch(ctx context.Context, ids []string) ([]byte, string, error) {
+// cachedPartial computes (or serves cached) one shard partial, already
+// gob-encoded: the wire form is what every consumer of the cache wants, so
+// a cache hit costs zero re-encoding and the entry's cost is its exact byte
+// length.
+func cachedPartial[P any](ctx context.Context, s *Server, key string, compute func() (P, error)) ([]byte, string, error) {
+	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
+		p, err := compute()
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
+		}
+		return buf.Bytes(), nil
+	})
+}
+
+// searchPartialKey is the cache key of one search partial. The handoff
+// receiver (drain.go) inserts pushed bodies under this exact key, so it
+// must stay in lockstep with partialSearch. A group-scoped key carries the
+// topology generation, the replication factor and the owner tuple: a
+// membership change re-derives groups, and stale group partials become
+// unreachable rather than wrong.
+func searchPartialKey(req *shard.SearchRequest, ids []string) string {
+	if len(req.Owners) == 0 {
+		return "partial\x1f" + joinIDs(ids)
+	}
+	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%s",
+		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(ids))
+}
+
+// partialSearch serves this shard's partial for a canonical query. An
+// ownerless request (single-owner fleets and direct probes) scores every
+// held dataset. A request scoped to one ownership group of a replicated
+// fleet (DESIGN.md §5) recomputes the group from its (shards, replication,
+// owners) — the same pure function the coordinator derived it from — and
+// scores only the datasets this shard holds from that group, so no two
+// replicas can both claim a dataset in one merge.
+func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) ([]byte, string, error) {
 	st := s.shardState()
-	key := "partial\x1f" + joinIDs(ids)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
-		p, perr := st.engine.PartialSearchCtx(ctx, ids, spell.Options{Parallelism: s.cfg.SearchParallelism})
-		if perr != nil {
-			return nil, perr
+	return cachedPartial(ctx, s, searchPartialKey(req, ids), func() (*spell.Partial, error) {
+		var subset []int // nil: every held dataset
+		if len(req.Owners) > 0 {
+			subset = []int{} // non-nil: an empty intersection is a valid empty partial
+			for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, req.Shards, req.Replication, req.Owners) {
+				if li, ok := st.local[gi]; ok {
+					subset = append(subset, li)
+				}
+			}
+		}
+		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{Parallelism: s.cfg.SearchParallelism})
+		if err != nil {
+			return nil, err
 		}
 		// Remap local dataset indexes to the global compendium order once,
 		// at compute time: cached partials are already global.
 		for i := range p.Datasets {
 			p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
 		}
-		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
-		}
-		return buf.Bytes(), nil
-	}, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	return v.([]byte), disp, nil
-}
-
-// groupSearchKey is the cache key of one group-scoped search partial. The
-// handoff receiver (drain.go) inserts pushed bodies under this exact key,
-// so it must stay in lockstep with partialGroupSearch.
-func groupSearchKey(req *shard.SearchRequest, ids []string) string {
-	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%s",
-		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(ids))
-}
-
-// partialGroupSearch is partialSearch scoped to one ownership group of a
-// replicated fleet (DESIGN.md §5): the shard recomputes the group from
-// the request's (shards, replication, owners) — the same pure function
-// the coordinator derived it from — and scores only the datasets it holds
-// from that group, so no two replicas can both claim a dataset in one
-// merge. The cache key carries the topology generation, the replication
-// factor and the owner tuple: a membership change re-derives groups, and
-// stale group partials become unreachable rather than wrong.
-func (s *Server) partialGroupSearch(ctx context.Context, ids []string, req *shard.SearchRequest) ([]byte, string, error) {
-	st := s.shardState()
-	key := groupSearchKey(req, ids)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
-		subset := []int{} // non-nil: an empty intersection is a valid empty partial
-		for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, req.Shards, req.Replication, req.Owners) {
-			if li, ok := st.local[gi]; ok {
-				subset = append(subset, li)
-			}
-		}
-		p, perr := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{Parallelism: s.cfg.SearchParallelism})
-		if perr != nil {
-			return nil, perr
-		}
-		for i := range p.Datasets {
-			p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
-		}
-		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
-		}
-		return buf.Bytes(), nil
-	}, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	return v.([]byte), disp, nil
+		return p, nil
+	})
 }
 
 // handleShardInfo serves GET /api/shard/v1/info: this shard's slice (size,
@@ -172,8 +164,7 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Enricher != nil {
 		caps = append(caps, shard.CapabilityEnrich)
 	}
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(shard.Info{
+	s.writeGob(w, "info", shard.Info{
 		Datasets:      st.engine.NumDatasets(),
 		GeneIDs:       st.engine.GeneIDs(),
 		DatasetIDs:    held,
@@ -181,78 +172,38 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		Capabilities:  caps,
 		Status:        s.shardStatus(),
 	})
-	if err != nil {
+}
+
+// writeGob answers a shard-protocol request with gob-encoded v. Like
+// writeJSON the body is encoded before the status line is committed, so an
+// encode failure is a counted 500 naming what, never a truncated 200.
+func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
 		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, "info encode failed: "+err.Error())
+		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, what+" encode failed: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", shard.ContentType)
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleShardEnrich serves POST /api/shard/v1/enrich: a gob
-// shard.EnrichRequest in, a gob golem.PartialCounts out — the integer
-// tallies of this request's background slice. The slice index is
-// re-derived from the request's (shards, replication, owners) through the
-// same pure Groups function the coordinator used, so both sides always
-// agree on which gene range slice gi covers. Mounted only on shards with
-// an enricher; a capability-less shard 404s, which the coordinator reads
-// as "unsupported" and fails over.
-func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard enrich request")
-		return
-	}
-	var req shard.EnrichRequest
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "bad shard request: "+err.Error())
-		return
-	}
-	sel := spell.CanonicalQuery(req.Selection)
-	if len(sel) == 0 {
-		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty selection")
-		return
-	}
-	s.warm.touch(shard.CapabilityEnrich, sel)
-	body, disp, err := s.partialEnrich(r.Context(), sel, &req)
-	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		if r.Context().Err() != nil {
-			w.WriteHeader(statusClientClosedRequest)
-			return
-		}
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, "partial enrichment repeatedly interrupted, retry later")
-		return
-	}
-	if errors.Is(err, errPartialEncode) {
-		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, err.Error())
-		return
-	}
-	if err != nil {
-		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
-		return
-	}
-	w.Header().Set(cacheHeader, disp)
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(body)
-}
-
 // groupEnrichKey is the cache key of one background slice's tallies, kept
-// in lockstep with partialEnrich for the handoff receiver's inserts.
+// in lockstep with partialEnrich for the handoff receiver's inserts. It
+// carries the topology generation, replication factor and owner tuple:
+// after a membership change the group list re-derives and stale slice
+// tallies become unreachable rather than wrong.
 func groupEnrichKey(req *shard.EnrichRequest, sel []string) string {
 	return fmt.Sprintf("epartial\x1f%016x\x1f%d\x1f%s\x1f%s",
 		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(sel))
 }
 
-// partialEnrich computes (or serves cached) the slice tallies for one
-// canonical selection, already gob-encoded like the search partials. The
-// cache key carries the topology generation, replication factor and owner
-// tuple: after a membership change the group list re-derives and stale
-// slice tallies become unreachable rather than wrong.
+// partialEnrich serves the slice tallies for one canonical selection. The
+// slice index is re-derived from the request's (shards, replication,
+// owners) through the same pure Groups function the coordinator used, so
+// both sides always agree on which gene range slice gi covers.
 func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) ([]byte, string, error) {
-	key := groupEnrichKey(req, sel)
-	wireCost := func(v any) int64 { return int64(len(v.([]byte))) + 64 }
-	v, disp, err := s.cachedDoRetry(ctx, &s.statShard, key, wireCost, func() (any, error) {
+	return cachedPartial(ctx, s, groupEnrichKey(req, sel), func() (*golem.PartialCounts, error) {
 		// An ownerless request asks for the whole universe as slice 0 of 1
 		// (a single-shard or testing topology).
 		gi, slices := 0, 1
@@ -264,20 +215,8 @@ func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.Enr
 			}
 			slices = len(groups)
 		}
-		p, perr := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
-		if perr != nil {
-			return nil, perr
-		}
-		var buf bytes.Buffer
-		if eerr := gob.NewEncoder(&buf).Encode(p); eerr != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, eerr)
-		}
-		return buf.Bytes(), nil
-	}, nil, nil)
-	if err != nil {
-		return nil, "", err
-	}
-	return v.([]byte), disp, nil
+		return s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
+	})
 }
 
 // handleShardEnrichCatalog serves GET /api/shard/v1/enrich/catalog: the
@@ -285,50 +224,48 @@ func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.Enr
 // coordinator merges partial tallies under. Fetched once per membership
 // generation, so no caching is needed here.
 func (s *Server) handleShardEnrichCatalog(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s.cfg.Enricher.Catalog()); err != nil {
-		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, "catalog encode failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(buf.Bytes())
+	s.writeGob(w, "catalog", s.cfg.Enricher.Catalog())
 }
 
-// scatterValue is the cached unit of the coordinator search path: the
-// merged result plus the scatter metadata it was merged under.
-type scatterValue struct {
-	res  *spell.Result
+// scattered is the cached unit of a coordinator path: the merged value plus
+// the scatter metadata it was merged under.
+type scattered[T any] struct {
+	res  T
 	meta shard.Meta
 }
 
-func scatterCost(v any) int64 { return searchCost(v.(*scatterValue).res) + 64 }
+// cachedScatter is the coordinator's compute path, shared by search and
+// enrichment: run one scatter under key, and cache the merged value with
+// its metadata. key carries the shard-set generation, so a coordinator
+// restarted against a different topology can never replay merges of the old
+// one. Degraded merges (a group unserved) are delivered but never cached:
+// cached, they would keep answering for the survivor subset long after the
+// shard recovered. Coalescing still holds — concurrent identical queries
+// scatter once.
+func cachedScatter[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
+	cost func(T) int64, scatter func() (T, shard.Meta, error)) (T, *shard.Meta, string, error) {
+	sv, disp, err := cachedCompute(ctx, s, ep, key,
+		func(v scattered[T]) int64 { return cost(v.res) + 64 },
+		func(v scattered[T]) bool { return !v.meta.Degraded },
+		func() (scattered[T], error) {
+			res, meta, err := scatter()
+			return scattered[T]{res: res, meta: meta}, err
+		})
+	if err != nil {
+		return sv.res, nil, disp, err
+	}
+	return sv.res, &sv.meta, disp, nil
+}
 
-// scatterSearch is searchWith's coordinator branch: scatter over the
-// shard backends, merge with global renormalization, and cache the merged
-// result keyed by canonical query + shard-set generation — a coordinator
-// restarted against a different topology can never replay merges of the
-// old one. Degraded merges (a shard missing) are served but never cached:
-// cached, they would keep answering for the survivor subset long after
-// the shard recovered. Coalescing still holds — concurrent identical
-// queries scatter once — and a flight that died of its leader's hangup is
-// retried under our live context, like every other compute path.
+// scatterSearch is searchWith's coordinator branch: scatter over the shard
+// backends and merge with global renormalization, cached under the
+// result-shaping options and the canonical query.
 func (s *Server) scatterSearch(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (*spell.Result, *shard.Meta, string, error) {
 	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s",
 		s.cfg.Scatter.Generation(), opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	v, disp, err := s.cachedDoRetry(ctx, ep, key, scatterCost, func() (any, error) {
-		res, meta, serr := s.cfg.Scatter.SearchCtx(ctx, ids, opt)
-		if serr != nil {
-			return nil, serr
-		}
-		return &scatterValue{res: res, meta: meta}, nil
-	}, func(v any) bool { return !v.(*scatterValue).meta.Degraded }, nil)
-	if err != nil {
-		return nil, nil, disp, err
-	}
-	sv := v.(*scatterValue)
-	meta := sv.meta
-	return sv.res, &meta, disp, nil
+	return cachedScatter(ctx, s, ep, key, searchCost, func() (*spell.Result, shard.Meta, error) {
+		return s.cfg.Scatter.SearchCtx(ctx, ids, opt)
+	})
 }
 
 // scatterSearchResponse is the /api/search body in coordinator mode: the
@@ -338,45 +275,28 @@ type scatterSearchResponse struct {
 	shard.Meta
 }
 
-// enrichScatterValue is the cached unit of the coordinator enrich path.
-type enrichScatterValue struct {
-	res  *shard.EnrichResult
-	meta shard.Meta
-}
-
-func enrichScatterCost(v any) int64 {
-	sv := v.(*enrichScatterValue)
-	n := enrichCost(sv.res.Results) + 128
-	for g := range sv.res.InBackground {
+// enrichScatterCost approximates the resident size of a cached merged
+// enrichment: the table and the selection's membership disclosure.
+func enrichScatterCost(res *shard.EnrichResult) int64 {
+	n := int64(192)
+	for _, r := range res.Results {
+		n += int64(len(r.TermID)+len(r.TermName)) + 96
+	}
+	for g := range res.InBackground {
 		n += int64(len(g)) + 24
 	}
 	return n
 }
 
 // scatterEnrich is handleEnrich's coordinator compute path: scatter the
-// selection over the fleet's background slices, merge the exact tallies,
-// and cache the merged table keyed by the result-shaping options, the
-// canonical selection and the shard-set generation. Degraded merges —
-// correct analyses over the covered background — are served but never
-// cached, exactly like degraded search merges: cached, they would keep
-// answering for the survivor subset long after the slice recovered.
-func (s *Server) scatterEnrich(ctx context.Context, genes []string, opt golem.Options) (*shard.EnrichResult, *shard.Meta, string, error) {
-	sel := spell.CanonicalQuery(genes)
+// canonical selection over the fleet's background slices and merge the
+// exact tallies, cached under the result-shaping options and the selection.
+func (s *Server) scatterEnrich(ctx context.Context, sel []string, opt golem.Options) (*shard.EnrichResult, *shard.Meta, string, error) {
 	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
 		s.cfg.Scatter.Generation(), opt.MinSelected, opt.MaxPValue, joinIDs(sel))
-	v, disp, err := s.cachedDoRetry(ctx, &s.statEnrich, key, enrichScatterCost, func() (any, error) {
-		res, meta, serr := s.cfg.Scatter.EnrichCtx(ctx, sel, opt)
-		if serr != nil {
-			return nil, serr
-		}
-		return &enrichScatterValue{res: res, meta: meta}, nil
-	}, func(v any) bool { return !v.(*enrichScatterValue).meta.Degraded }, nil)
-	if err != nil {
-		return nil, nil, disp, err
-	}
-	sv := v.(*enrichScatterValue)
-	meta := sv.meta
-	return sv.res, &meta, disp, nil
+	return cachedScatter(ctx, s, &s.statEnrich, key, enrichScatterCost, func() (*shard.EnrichResult, shard.Meta, error) {
+		return s.cfg.Scatter.EnrichCtx(ctx, sel, opt)
+	})
 }
 
 // fleetState is the /api/admin/fleet body: the live membership and the
@@ -395,18 +315,23 @@ type fleetRequest struct {
 	Shard  string `json:"shard"`
 }
 
-// fleetAuthorized checks the fleet admin token (Authorization: Bearer or
-// X-Fleet-Token) in constant time. An empty configured token refuses
-// everything: membership mutation is opt-in, never open by default.
-func (s *Server) fleetAuthorized(r *http.Request) bool {
-	if s.cfg.FleetToken == "" {
-		return false
+// fleetAdmin gates a fleet admin handler (the coordinator's membership
+// endpoint, a shard's drain/handoff/fleet endpoints) behind the fleet token
+// (Authorization: Bearer or X-Fleet-Token), compared in constant time. An
+// empty configured token refuses everything: membership mutation is
+// opt-in, never open by default.
+func (s *Server) fleetAdmin(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		tok := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
+		if tok == "" || tok == r.Header.Get("Authorization") {
+			tok = r.Header.Get("X-Fleet-Token")
+		}
+		if s.cfg.FleetToken == "" || subtle.ConstantTimeCompare([]byte(tok), []byte(s.cfg.FleetToken)) != 1 {
+			s.writeJSONError(w, http.StatusForbidden, codeForbidden, "fleet admin token required")
+			return
+		}
+		h(w, r)
 	}
-	tok := strings.TrimPrefix(r.Header.Get("Authorization"), "Bearer ")
-	if tok == "" || tok == r.Header.Get("Authorization") {
-		tok = r.Header.Get("X-Fleet-Token")
-	}
-	return subtle.ConstantTimeCompare([]byte(tok), []byte(s.cfg.FleetToken)) == 1
 }
 
 // handleFleet serves /api/admin/fleet on a coordinator: GET reports the
@@ -416,10 +341,6 @@ func (s *Server) fleetAuthorized(r *http.Request) bool {
 // every topology-keyed cache entry; a removed shard stops receiving
 // scatters immediately and can drain out through its SIGTERM handler.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	if !s.fleetAuthorized(r) {
-		s.writeJSONError(w, http.StatusForbidden, codeForbidden, "fleet admin token required")
-		return
-	}
 	m := s.cfg.Scatter.Membership()
 	state := func(shards []string, gen uint64) fleetState {
 		return fleetState{

@@ -406,7 +406,7 @@ func TestShardEndpointErrors(t *testing.T) {
 }
 
 // fixtureShard is the shared fixture server re-wired as a shard backend.
-func fixtureShard(t *testing.T) (*Server, *synth.Universe) {
+func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 	t.Helper()
 	base, u := fixture(t)
 	indexes := make([]int, base.cfg.Engine.NumDatasets())

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
@@ -19,7 +17,8 @@ type endpointStats struct {
 	cacheMisses atomic.Int64
 	coalesced   atomic.Int64 // requests that joined another's in-flight compute
 	computed    atomic.Int64 // underlying computations actually executed
-	rejected    atomic.Int64 // shed by the render pool (503)
+	rejected    atomic.Int64 // shed with a retryable 503 (saturation, outage, interruption)
+	retries     atomic.Int64 // cache-path re-entries after a flight died of its leader's hangup
 	latencyUS   atomic.Int64 // summed request latency, microseconds
 	maxUS       atomic.Int64 // worst observed request latency, microseconds
 }
@@ -30,12 +29,16 @@ func (e *endpointStats) observe(d time.Duration, failed bool) {
 	if failed {
 		e.errors.Add(1)
 	}
-	us := d.Microseconds()
-	e.latencyUS.Add(us)
+	e.latencyUS.Add(d.Microseconds())
+	storeMax(&e.maxUS, d.Microseconds())
+}
+
+// storeMax raises m to v if v is larger.
+func storeMax(m *atomic.Int64, v int64) {
 	for {
-		cur := e.maxUS.Load()
-		if us <= cur || e.maxUS.CompareAndSwap(cur, us) {
-			break
+		cur := m.Load()
+		if v <= cur || m.CompareAndSwap(cur, v) {
+			return
 		}
 	}
 }
@@ -81,7 +84,6 @@ type enrichKernelStats struct {
 	analyses  atomic.Int64 // kernel executions
 	canceled  atomic.Int64 // ended by client disconnect (context error)
 	failures  atomic.Int64 // other analysis errors (bad selections)
-	retries   atomic.Int64 // re-entries after a flight died of its leader's hangup
 	analyzeUS atomic.Int64 // summed kernel latency, microseconds
 	maxUS     atomic.Int64 // worst observed kernel latency, microseconds
 }
@@ -91,19 +93,13 @@ func (e *enrichKernelStats) observe(d time.Duration, err error) {
 	e.analyses.Add(1)
 	switch {
 	case err == nil:
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+	case isContextErr(err):
 		e.canceled.Add(1)
 	default:
 		e.failures.Add(1)
 	}
-	us := d.Microseconds()
-	e.analyzeUS.Add(us)
-	for {
-		cur := e.maxUS.Load()
-		if us <= cur || e.maxUS.CompareAndSwap(cur, us) {
-			break
-		}
-	}
+	e.analyzeUS.Add(d.Microseconds())
+	storeMax(&e.maxUS, d.Microseconds())
 }
 
 // EnrichCacheInfo is the enrich_cache section of /api/stats: the cache

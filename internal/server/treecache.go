@@ -121,7 +121,7 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 			if f.err == nil {
 				return f.cd, f.gen, nil
 			}
-			if errors.Is(f.err, context.Canceled) || errors.Is(f.err, context.DeadlineExceeded) {
+			if isContextErr(f.err) {
 				// The leader's client hung up mid-build. If we are still
 				// live, loop and become the new leader.
 				if ctx.Err() != nil {
@@ -155,7 +155,7 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 		case err == nil:
 			tc.builds.Add(1)
 			tc.buildNS.Add(time.Since(t0).Nanoseconds())
-		case !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded):
+		case !isContextErr(err):
 			tc.failures.Add(1)
 		}
 		close(f.done)

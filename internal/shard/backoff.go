@@ -9,7 +9,7 @@ import (
 // everything in the scatter path that must wait before trying again: the
 // per-group last-resort retry, scavenge attempts after a failure, and the
 // circuit breaker's open window before a half-open probe. The zero value
-// is invalid; use the package defaults or fill every field.
+// is invalid; fill every field.
 type Backoff struct {
 	// Base is the attempt-0 delay before jitter.
 	Base time.Duration
@@ -19,28 +19,27 @@ type Backoff struct {
 	Factor float64
 }
 
-// Default schedules. Retry delays sit under typical attempt deadlines so a
+// The scatter path's two schedules and the breaker's trip point. They used
+// to be Config knobs; no deployment, test or benchmark ever set them, so
+// they are fixed. Retry delays sit under typical attempt deadlines so a
 // backed-off retry still fits the same scatter; breaker windows grow into
 // seconds because they gate a *shard*, not one query.
 var (
-	defaultRetryBackoff   = Backoff{Base: 50 * time.Millisecond, Max: time.Second, Factor: 2}
-	defaultBreakerBackoff = Backoff{Base: 200 * time.Millisecond, Max: 15 * time.Second, Factor: 2}
+	// retryBackoff shapes the jittered delay before the last-resort group
+	// retry and between failed scavenge attempts: an immediate retry just
+	// re-dials a still-sick shard, a short backoff lets transient faults
+	// clear.
+	retryBackoff = Backoff{Base: 50 * time.Millisecond, Max: time.Second, Factor: 2}
+	// breakerBackoff shapes a tripped breaker's open window, growing with
+	// consecutive trips.
+	breakerBackoff = Backoff{Base: 200 * time.Millisecond, Max: 15 * time.Second, Factor: 2}
 )
 
-// withDefaults fills zero fields from d, so a Config can override just
-// Base (or nothing at all).
-func (b Backoff) withDefaults(d Backoff) Backoff {
-	if b.Base <= 0 {
-		b.Base = d.Base
-	}
-	if b.Max <= 0 {
-		b.Max = d.Max
-	}
-	if b.Factor < 1 {
-		b.Factor = d.Factor
-	}
-	return b
-}
+// breakerThreshold is the consecutive-failure count that trips a replica's
+// circuit breaker open. While open, scatter attempts skip the replica — its
+// groups are served by the other replicas — until the breakerBackoff window
+// elapses and a half-open probe is admitted.
+const breakerThreshold = 3
 
 // Delay returns the attempt-th delay: min(Max, Base·Factor^attempt) scaled
 // by a jitter in [0.5, 1.5) drawn from rnd (a func returning [0, 1)). The

@@ -1,18 +1,12 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
-	"strings"
-	"sync"
 
 	"forestview/internal/golem"
-	"forestview/internal/spell"
 )
 
 // The distributed-enrichment scatter. Enrichment rides the same
@@ -35,13 +29,6 @@ var ErrNoEnrichment = errors.New("shard: no reachable shard offers enrichment")
 // the enrichment endpoints — no ontology, or an older protocol version.
 var errEnrichUnsupported = errors.New("shard does not serve enrichment")
 
-// enrichCatalogState pairs a fetched term catalog with the membership
-// generation it was fetched under.
-type enrichCatalogState struct {
-	gen uint64
-	cat *golem.TermCatalog
-}
-
 // EnrichResult is the merged outcome of an enrichment scatter.
 type EnrichResult struct {
 	// Results is the exact merged analysis (bit-identical to a
@@ -58,247 +45,90 @@ type EnrichResult struct {
 }
 
 // EnrichCtx scatters one enrichment selection over the fleet's ownership
-// groups: group gi is asked for background slice gi of G, served by one of
-// its R replicas with failover/hedging/scavenge exactly like SearchCtx.
-// The slice tallies merge through golem.MergeCounts, so the result is
-// exact, not approximate. Degraded means some slice was unreachable — the
-// analysis is then over the covered background only. A selection none of
-// the *reachable* slices hold returns ErrDegradedUnresolved when the
-// universe is known to contain it, golem.ErrNoSelection when it does not.
+// groups (see scatter): group gi is asked for background slice gi of G,
+// served by one of its R replicas with failover/hedging/scavenge exactly
+// like SearchCtx. The slice tallies merge through golem.MergeCounts, so the
+// result is exact, not approximate. Degraded means some slice was
+// unreachable — the analysis is then over the covered background only. A
+// selection none of the *reachable* slices hold returns
+// ErrDegradedUnresolved when the universe is known to contain it,
+// golem.ErrNoSelection when it does not.
 func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt golem.Options) (*EnrichResult, Meta, error) {
-	shards, gen := c.membership.Snapshot()
-	r := c.replicationFor(len(shards))
-	meta := Meta{ShardsTotal: len(shards), Replication: r}
-	sel := spell.CanonicalQuery(selection)
-	if len(sel) == 0 {
-		return nil, meta, errors.New("golem: empty selection")
-	}
-	cat, err := c.catalogFor(ctx, shards, gen)
+	var ecat *golem.TermCatalog
+	sc, err := scatter(ctx, c, selection, scatterOp[golem.PartialCounts]{
+		path:  EnrichPath,
+		empty: "golem: empty selection",
+		request: func(genes, shards []string, r int, owners []string) any {
+			return EnrichRequest{Selection: genes, Shards: shards, Replication: r, Owners: owners}
+		},
+		prepare: func(ctx context.Context, shards []string, gen uint64) (err error) {
+			ecat, err = c.enrichCatalogFor(ctx, shards, gen)
+			return err
+		},
+		// A slice answer is all-or-nothing. A partial from a
+		// differently-built enricher or a shard that derived a different
+		// partition must fail over, not merge: exactness beats availability
+		// here.
+		check: func(p *golem.PartialCounts, gi, n int, _ ownerGroup) (int, error) {
+			if p.Fingerprint != ecat.Fingerprint {
+				return 0, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
+					p.Fingerprint, ecat.Fingerprint)
+			}
+			if p.Slices != n || p.Slice != gi {
+				return 0, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
+					p.Slice, p.Slices, gi, n)
+			}
+			return 0, nil
+		},
+	})
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, meta, cerr
-		}
-		c.outages.Add(1)
-		return nil, meta, fmt.Errorf("%w (catalog: %v)", ErrAllShardsFailed, err)
+		return nil, sc.meta, err
 	}
-	ecat, err := c.enrichCatalogFor(ctx, shards, gen)
+	merged, err := golem.MergeCounts(ecat, sc.parts, opt)
 	if err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, meta, cerr
-		}
-		if errors.Is(err, ErrNoEnrichment) {
-			return nil, meta, err
-		}
-		c.outages.Add(1)
-		return nil, meta, fmt.Errorf("%w (enrich catalog: %v)", ErrAllShardsFailed, err)
-	}
-	meta.GroupsTotal = len(cat.groups)
-
-	bodies := make([][]byte, len(cat.groups))
-	for gi, g := range cat.groups {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(EnrichRequest{
-			Selection:   sel,
-			Shards:      shards,
-			Replication: r,
-			Owners:      g.owners,
-		}); err != nil {
-			return nil, meta, err
-		}
-		bodies[gi] = body.Bytes()
-	}
-
-	results := make([]groupResult, len(cat.groups))
-	var wg sync.WaitGroup
-	for gi := range cat.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			results[gi] = c.fetchGroup(ctx, shards, cat.groups[gi], 1,
-				func(actx context.Context, shard string) (any, int, error) {
-					p, err := c.doEnrich(actx, shard, bodies[gi])
-					if err != nil {
-						return nil, 0, err
-					}
-					// A partial from a differently-built enricher or a shard
-					// that derived a different partition must fail over, not
-					// merge: exactness beats availability here.
-					if p.Fingerprint != ecat.Fingerprint {
-						return nil, 0, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
-							p.Fingerprint, ecat.Fingerprint)
-					}
-					if p.Slices != len(cat.groups) || p.Slice != gi {
-						return nil, 0, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
-							p.Slice, p.Slices, gi, len(cat.groups))
-					}
-					return p, 0, nil
-				})
-		}(gi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, meta, err
-	}
-
-	parts := make([]*golem.PartialCounts, 0, len(results))
-	contributors := make(map[string]bool)
-	var firstErr error
-	for gi, gr := range results {
-		if gr.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("group %v: %w", cat.groups[gi].owners, gr.err)
-		}
-		if gr.payload == nil {
-			continue
-		}
-		meta.GroupsOK++
-		parts = append(parts, gr.payload.(*golem.PartialCounts))
-		contributors[gr.shard] = true
-	}
-	meta.ShardsOK = len(contributors)
-	if len(parts) == 0 {
-		c.outages.Add(1)
-		return nil, meta, fmt.Errorf("%w (first: %v)", ErrAllShardsFailed, firstErr)
-	}
-	meta.Degraded = meta.GroupsOK < meta.GroupsTotal
-	if meta.Degraded {
-		c.degraded.Add(1)
-	}
-	merged, err := golem.MergeCounts(ecat, parts, opt)
-	if err != nil {
-		if errors.Is(err, golem.ErrNoSelection) && meta.Degraded && golem.SelectionKnown(parts) {
+		if errors.Is(err, golem.ErrNoSelection) && sc.meta.Degraded && golem.SelectionKnown(sc.parts) {
 			// The reachable slices hold none of the genes but the universe
 			// does: the unreachable slices may carry them, so the honest
 			// answer is "retry later", not "bad selection".
-			err = fmt.Errorf("%w (%d of %d groups served: %v)",
-				ErrDegradedUnresolved, meta.GroupsOK, meta.GroupsTotal, firstErr)
+			err = sc.unresolved()
 		}
-		return nil, meta, err
+		return nil, sc.meta, err
 	}
-	res := &EnrichResult{Results: merged, InBackground: make(map[string]bool, len(sel))}
-	for _, p := range parts {
+	res := &EnrichResult{Results: merged, InBackground: make(map[string]bool, len(sc.genes))}
+	for _, p := range sc.parts {
 		res.Background += p.BackgroundSize
 	}
 	// Every partial discloses full-universe membership identically; any one
 	// serves.
-	for i, ok := range parts[0].InBackground {
-		res.InBackground[sel[i]] = ok
+	for i, ok := range sc.parts[0].InBackground {
+		res.InBackground[sc.genes[i]] = ok
 	}
-	return res, meta, nil
-}
-
-// doEnrich performs one HTTP attempt against a shard's EnrichPath.
-func (c *Coordinator) doEnrich(ctx context.Context, shard string, reqBody []byte) (*golem.PartialCounts, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.resolve(shard)+EnrichPath, bytes.NewReader(reqBody))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", ContentType)
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, errEnrichUnsupported
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	var p golem.PartialCounts
-	if err := gob.NewDecoder(resp.Body).Decode(&p); err != nil {
-		return nil, fmt.Errorf("decoding partial counts: %w", err)
-	}
-	return &p, nil
+	return res, sc.meta, nil
 }
 
 // enrichCatalogFor returns the fleet's term catalog for the given
 // membership snapshot, fetching it from any capable shard on the first
-// enrichment of a generation.
+// enrichment of a generation. A fleet in which every *reachable* shard
+// answers "unsupported" is ErrNoEnrichment (not an outage): nobody will
+// ever serve this until a capable shard joins. Any other failure wraps
+// ErrAllShardsFailed.
 func (c *Coordinator) enrichCatalogFor(ctx context.Context, shards []string, gen uint64) (*golem.TermCatalog, error) {
-	if st := c.ecat.Load(); st != nil && st.gen == gen {
-		return st.cat, nil
-	}
-	c.ecatMu.Lock()
-	defer c.ecatMu.Unlock()
-	if st := c.ecat.Load(); st != nil && st.gen == gen {
-		return st.cat, nil
-	}
-	cat, err := c.fetchAnyEnrichCatalog(ctx, shards)
-	if err != nil {
-		return nil, err
-	}
-	c.ecat.Store(&enrichCatalogState{gen: gen, cat: cat})
-	return cat, nil
-}
-
-// fetchAnyEnrichCatalog asks every live shard for its term catalog
-// concurrently and takes the first complete answer. A fleet in which every
-// *reachable* shard answers "unsupported" is ErrNoEnrichment (not an
-// outage): nobody will ever serve this until a capable shard joins.
-func (c *Coordinator) fetchAnyEnrichCatalog(ctx context.Context, shards []string) (*golem.TermCatalog, error) {
-	fctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type fetch struct {
-		cat *golem.TermCatalog
-		err error
-	}
-	ch := make(chan fetch, len(shards))
-	for _, s := range shards {
-		go func(s string) {
-			cat, err := c.fetchOneEnrichCatalog(fctx, s)
-			if err != nil {
-				ch <- fetch{err: fmt.Errorf("%s: %w", s, err)}
-				return
+	return c.ecat.get(gen, func() (*golem.TermCatalog, error) {
+		cat, errs := firstSuccess(ctx, shards, func(ctx context.Context, s string) (*golem.TermCatalog, error) {
+			cat, err := call[golem.TermCatalog](ctx, c, s, http.MethodGet, EnrichCatalogPath, nil)
+			if err == nil && len(cat.Terms) == 0 {
+				err = errors.New("shard reported an empty term catalog")
 			}
-			ch <- fetch{cat: cat}
-		}(s)
-	}
-	var firstErr error
-	unsupported := 0
-	for range shards {
-		f := <-ch
-		if f.err == nil {
-			return f.cat, nil
+			return cat, err
+		})
+		for _, err := range errs {
+			if !errors.Is(err, errEnrichUnsupported) {
+				return nil, fmt.Errorf("%w (enrich catalog: %v)", ErrAllShardsFailed, err)
+			}
 		}
-		if errors.Is(f.err, errEnrichUnsupported) {
-			unsupported++
-		} else if firstErr == nil {
-			firstErr = f.err
+		if errs != nil {
+			return nil, ErrNoEnrichment
 		}
-	}
-	if unsupported == len(shards) {
-		return nil, ErrNoEnrichment
-	}
-	return nil, firstErr
-}
-
-// fetchOneEnrichCatalog fetches one shard's EnrichCatalogPath under the
-// attempt deadline.
-func (c *Coordinator) fetchOneEnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error) {
-	actx, cancel := context.WithTimeout(ctx, c.cfg.Deadline)
-	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.resolve(shard)+EnrichCatalogPath, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		return nil, errEnrichUnsupported
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("shard status %d", resp.StatusCode)
-	}
-	var cat golem.TermCatalog
-	if err := gob.NewDecoder(resp.Body).Decode(&cat); err != nil {
-		return nil, err
-	}
-	if len(cat.Terms) == 0 {
-		return nil, errors.New("shard reported an empty term catalog")
-	}
-	return &cat, nil
+		return cat, nil
+	})
 }

@@ -33,11 +33,6 @@ func TestBackoffDelaySchedule(t *testing.T) {
 	if got := b.Delay(2, nil); got != 400*time.Millisecond {
 		t.Errorf("nil-rnd Delay(2) = %v, want 400ms", got)
 	}
-	// withDefaults fills only the zero fields.
-	got := Backoff{Base: 5 * time.Millisecond}.withDefaults(defaultRetryBackoff)
-	if got.Base != 5*time.Millisecond || got.Max != defaultRetryBackoff.Max || got.Factor != defaultRetryBackoff.Factor {
-		t.Errorf("withDefaults = %+v", got)
-	}
 }
 
 func TestBreakerStateMachine(t *testing.T) {

@@ -275,6 +275,14 @@ func (e *Engine) queryInfosSubset(ctx context.Context, qgids []int, par int, sub
 // duplicate pair and distort every rank — so no entry point can be exposed
 // to the duplicate-query bug regardless of whether it canonicalizes.
 func (e *Engine) Search(query []string, opt Options) (*Result, error) {
+	return e.SearchCtx(context.Background(), query, opt)
+}
+
+// SearchCtx is Search with cooperative cancellation: both per-dataset
+// stages stop pulling work once ctx is done and the context error is
+// returned, so a hung-up client stops costing scan CPU (the same contract
+// as PartialSearchCtx).
+func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*Result, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
 		return nil, errors.New("spell: empty query")
@@ -294,7 +302,10 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 	par := e.searchPar(opt.Parallelism)
 
 	// Stage 1: per-dataset query rows and coherence.
-	infos := e.queryInfos(context.Background(), qgids, par)
+	infos := e.queryInfos(ctx, qgids, par)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	// Normalize positive coherence into weights. A dataset where the query
 	// genes are uncorrelated (or absent) contributes nothing, exactly the
@@ -350,7 +361,7 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 			defer wg.Done()
 			var acc *accum
 			for di := range work2 {
-				if weights[di] == 0 || len(infos[di].rows) == 0 {
+				if weights[di] == 0 || len(infos[di].rows) == 0 || ctx.Err() != nil {
 					continue
 				}
 				if acc == nil {
@@ -366,6 +377,9 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 	}
 	close(work2)
 	wg.Wait()
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	merged := mergeAccums(accs)
 
 	res := &Result{Query: query}
