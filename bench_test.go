@@ -235,17 +235,44 @@ func BenchmarkF4_SPELL(b *testing.B) {
 				NumDatasets: nDS, MinExperiments: 12, MaxExperiments: 24,
 				ActiveFraction: 0.4, Noise: 0.25, Seed: 17,
 			})
-			engine, err := spell.NewEngine(dss)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := engine.Search(query, spell.Options{MaxGenes: 50}); err != nil {
-					b.Fatal(err)
-				}
-			}
+			benchSearch(b, dss, query)
 		})
+	}
+	// The regime the daemon and the repo benchmark serve: paper scale, and
+	// the default compendium's 2% missing cells beside complete data.
+	pu := synth.NewUniverse(paperGenes, 20, 13)
+	pquery := pu.ModuleGeneIDs(4)[:4]
+	for _, missing := range []float64{0, 0.02} {
+		b.Run(fmt.Sprintf("paper-6000x24/missing=%g", missing), func(b *testing.B) {
+			benchSearch(b, paperCompendium(pu, missing), pquery)
+		})
+	}
+}
+
+// paperGenes x paperCompendium is the paper-scale SPELL fixture: 6,000
+// genes x 24 datasets x 12-40 experiments, the shape forestviewd -demo and
+// bench/ build by default.
+const paperGenes = 6000
+
+func paperCompendium(u *synth.Universe, missing float64) []*microarray.Dataset {
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 24, MinExperiments: 12, MaxExperiments: 40,
+		ActiveFraction: 0.4, Noise: 0.25, MissingRate: missing, Seed: 17,
+	})
+	return dss
+}
+
+func benchSearch(b *testing.B, dss []*microarray.Dataset, query []string) {
+	engine, err := spell.NewEngine(dss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.Search(query, spell.Options{MaxGenes: 50}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -502,17 +529,8 @@ type scatterBenchTop struct {
 	query []string
 }
 
-func newScatterBench(b *testing.B, nShards int) *scatterBenchTop {
+func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, query []string) *scatterBenchTop {
 	b.Helper()
-	u := synth.NewUniverse(2000, 20, 73)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
-		// Scan-heavy on purpose: the per-query cost must be dominated by
-		// the dataset scan (nDatasets × nGenes × nExp dot products), not
-		// by the fixed per-shard scatter overhead (HTTP + gob + merge),
-		// or the benchmark would measure the overhead's replication.
-		NumDatasets: 24, MinExperiments: 80, MaxExperiments: 120,
-		ActiveFraction: 0.4, Noise: 0.25, Seed: 74,
-	})
 	names := make([]string, len(dss))
 	for i, ds := range dss {
 		names[i] = ds.Name
@@ -557,11 +575,31 @@ func newScatterBench(b *testing.B, nShards int) *scatterBenchTop {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &scatterBenchTop{coord: coord, query: u.ModuleGeneIDs(4)[:4]}
+	return &scatterBenchTop{coord: coord, query: query}
 }
 
+// benchScatter runs two fixtures: "complete" is scan-heavy on purpose —
+// the per-query cost must be dominated by the dataset scan (nDatasets ×
+// nGenes × nExp dot products), not by the fixed per-shard scatter overhead
+// (HTTP + gob + merge), or the benchmark would measure the overhead's
+// replication — and "paper-6000x24/missing=0.02" is the compendium the
+// fleet actually serves.
 func benchScatter(b *testing.B, nShards int) {
-	top := newScatterBench(b, nShards)
+	b.Run("complete", func(b *testing.B) {
+		u := synth.NewUniverse(2000, 20, 73)
+		dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+			NumDatasets: 24, MinExperiments: 80, MaxExperiments: 120,
+			ActiveFraction: 0.4, Noise: 0.25, Seed: 74,
+		})
+		runScatter(b, newScatterBench(b, nShards, dss, u.ModuleGeneIDs(4)[:4]))
+	})
+	b.Run("paper-6000x24/missing=0.02", func(b *testing.B) {
+		u := synth.NewUniverse(paperGenes, 20, 73)
+		runScatter(b, newScatterBench(b, nShards, paperCompendium(u, 0.02), u.ModuleGeneIDs(4)[:4]))
+	})
+}
+
+func runScatter(b *testing.B, top *scatterBenchTop) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -529,14 +529,24 @@ func TestScatterHedgeWins(t *testing.T) {
 // primary is rescued by a different machine.
 func TestScatterHedgeFailsOver(t *testing.T) {
 	f := newScatterFixtureR(t, 2, 2)
-	// Shard 0 black-holes every search request; shard 1 is healthy. With
-	// r=2 every group is owned by both, so any group whose p2c primary
-	// lands on shard 0 is rescued only by the hedge failing over to
-	// shard 1 — a few queries rotate the primary over both shards.
-	f.shards[0].behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
-		_, _ = io.Copy(io.Discard, r.Body)
-		<-r.Context().Done()
-		return true
+	// Whichever shard the very first request reaches — a primary attempt:
+	// hedges only start 50 ms later — black-holes every search request from
+	// then on; the other is healthy. With r=2 every group is owned by both,
+	// so that first group, and any later one whose p2c primary lands on
+	// the stalled shard, is rescued only by the hedge failing over. (Fixing
+	// the stalled shard up front left it to p2c's in-flight counts whether
+	// it was ever anyone's primary.)
+	var stalled atomic.Int32 // 1 + index of the stalled shard, 0 until the first request
+	for si, sh := range f.shards {
+		sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
+			stalled.CompareAndSwap(0, int32(si+1))
+			if stalled.Load() != int32(si+1) {
+				return false
+			}
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+			return true
+		}
 	}
 	c, _ := f.start(t, Config{Deadline: 10 * time.Second, Replication: 2, HedgeAfter: 50 * time.Millisecond})
 	for i := 0; i < 4; i++ {

@@ -1,11 +1,9 @@
 package spell
 
-// accum is one worker's private pair of dense gene-score vectors, indexed
-// by global gene id. Stage 2 of a search gives every worker its own accum,
-// so the hot accumulation loop never takes a lock and never hashes a
-// string; after the workers drain, the per-worker vectors are merged by
-// plain vector addition on the calling goroutine. This replaces the old
-// map[string]float64 score tables that were merged under a global mutex.
+// accum is the pair of dense gene-score vectors of one search, indexed by
+// global gene id. Stage 2 gives every worker a disjoint range of the gene
+// index (see scan), so the hot accumulation loop never takes a lock, never
+// hashes a string, and leaves nothing to merge.
 type accum struct {
 	score  []float64 // sum over datasets of weight[di] * meanCorr(gene, query)
 	weight []float64 // sum over datasets of weight[di] where the gene scored
@@ -22,27 +20,4 @@ func newAccum(numGenes int) *accum {
 func (a *accum) add(gid int32, w, meanCorr float64) {
 	a.score[gid] += w * meanCorr
 	a.weight[gid] += w
-}
-
-// mergeAccums folds the per-worker accumulators into the first non-nil one
-// and returns it (nil when no worker scored anything). Workers that never
-// pulled a dataset leave a nil slot; those are skipped.
-func mergeAccums(accs []*accum) *accum {
-	var dst *accum
-	for _, a := range accs {
-		if a == nil {
-			continue
-		}
-		if dst == nil {
-			dst = a
-			continue
-		}
-		for i, v := range a.score {
-			dst.score[i] += v
-		}
-		for i, v := range a.weight {
-			dst.weight[i] += v
-		}
-	}
-	return dst
 }

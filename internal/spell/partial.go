@@ -1,12 +1,13 @@
 package spell
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"sync"
+	"strings"
 )
 
 // This file factors Search into a mergeable pipeline for the sharded
@@ -83,10 +84,10 @@ type PartialGene struct {
 	USum, UCnt float64
 }
 
-// dualAccum is the stage-2 accumulator of PartialSearch: per-worker dense
-// vectors like accum, but keeping the coherence-weighted and unweighted
-// pairs side by side so one scoring pass feeds both (the mean-correlation
-// dot products dominate; computing them twice would double the scan).
+// dualAccum is the stage-2 accumulator of PartialSearch: dense vectors like
+// accum, but keeping the coherence-weighted and unweighted pairs side by
+// side so one scoring pass feeds both (the mean-correlation dot products
+// dominate; computing them twice would double the scan).
 // It satisfies scoreAdder with w carrying the dataset's clamped raw
 // coherence: the weighted pair only accumulates when it is positive,
 // mirroring Search's stage-2 skip of zero-weight datasets.
@@ -113,22 +114,6 @@ func (a *dualAccum) add(gid int32, c, meanCorr float64) {
 	a.ucnt[gid]++
 }
 
-// merge folds o into a by vector addition.
-func (a *dualAccum) merge(o *dualAccum) {
-	for i, v := range o.wsum {
-		a.wsum[i] += v
-	}
-	for i, v := range o.wcnt {
-		a.wcnt[i] += v
-	}
-	for i, v := range o.usum {
-		a.usum[i] += v
-	}
-	for i, v := range o.ucnt {
-		a.ucnt[i] += v
-	}
-}
-
 // PartialSearch computes this engine's share of a sharded query. Unlike
 // Search it does not error when no query gene occurs in this engine's
 // datasets — on a shard that is an ordinary outcome, and the resulting
@@ -140,8 +125,8 @@ func (e *Engine) PartialSearch(query []string, opt Options) (*Partial, error) {
 	return e.PartialSearchCtx(context.Background(), query, opt)
 }
 
-// PartialSearchCtx is PartialSearch with cooperative cancellation: the
-// per-dataset scan stops pulling work once ctx is done, so a coordinator
+// PartialSearchCtx is PartialSearch with cooperative cancellation: both
+// stages stop at the next dataset once ctx is done, so a coordinator
 // deadline or a hung-up client stops costing shard CPU mid-scan.
 func (e *Engine) PartialSearchCtx(ctx context.Context, query []string, opt Options) (*Partial, error) {
 	return e.PartialSearchSubsetCtx(ctx, query, nil, opt)
@@ -162,10 +147,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		return nil, errors.New("spell: empty query")
 	}
 	if subset == nil {
-		subset = make([]int, len(e.slabs))
-		for di := range subset {
-			subset[di] = di
-		}
+		subset = e.allDatasets()
 	} else {
 		seen := make(map[int]bool, len(subset))
 		for _, di := range subset {
@@ -185,83 +167,50 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		}
 	}
 
-	par := e.searchPar(opt.Parallelism)
-	infos := e.queryInfosSubset(ctx, qgids, par, subset)
-	if err := ctx.Err(); err != nil {
+	infos, err := e.queryInfos(ctx, qgids, subset)
+	if err != nil {
 		return nil, err
 	}
-
 	p := &Partial{Query: query, Datasets: make([]PartialDataset, len(subset))}
 	for i, di := range subset {
 		p.Datasets[i] = PartialDataset{
 			Index:     di,
 			Name:      e.datasets[di].Name,
 			Coherence: infos[di].coherence,
-			Present:   len(infos[di].rows),
+			Present:   len(infos[di].q),
 		}
-	}
-	if len(qgids) == 0 {
-		return p, nil // no query gene in this slice: zero contribution
 	}
 
 	// Stage 2: one scoring pass per dataset measuring the query feeds both
-	// accumulator pairs, per worker, merged lock-free like Search.
-	accs := make([]*dualAccum, par)
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var acc *dualAccum
-			for di := range work {
-				if len(infos[di].rows) == 0 || ctx.Err() != nil {
-					continue
-				}
-				if acc == nil {
-					acc = newDualAccum(len(e.order))
-				}
-				cw := infos[di].coherence
-				if math.IsNaN(cw) || cw < 0 {
-					cw = 0
-				}
-				scoreInto(e.slabs[di], infos[di].rows, infos[di].allFast, cw, acc)
-			}
-			accs[w] = acc
-		}(w)
-	}
+	// accumulator pairs, at the dataset's clamped raw coherence.
+	var todo []int
+	cw := make([]float64, len(e.slabs))
 	for _, di := range subset {
-		work <- di
+		if len(infos[di].q) == 0 {
+			continue
+		}
+		todo = append(todo, di)
+		if c := infos[di].coherence; c > 0 { // false for NaN
+			cw[di] = c
+		}
 	}
-	close(work)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	if len(todo) == 0 {
+		return p, nil // no query gene in this slice: zero contribution
+	}
+	acc := newDualAccum(len(e.order))
+	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, cw, acc); err != nil {
 		return nil, err
 	}
-
-	var merged *dualAccum
-	for _, a := range accs {
-		if a == nil {
+	for gi := range e.order {
+		if acc.ucnt[gi] == 0 {
 			continue
 		}
-		if merged == nil {
-			merged = a
-			continue
-		}
-		merged.merge(a)
-	}
-	if merged != nil {
-		for gi := range e.order {
-			if merged.ucnt[gi] == 0 {
-				continue
-			}
-			p.Genes = append(p.Genes, PartialGene{
-				ID:   e.order[gi],
-				Name: e.names[gi],
-				WSum: merged.wsum[gi], WCnt: merged.wcnt[gi],
-				USum: merged.usum[gi], UCnt: merged.ucnt[gi],
-			})
-		}
+		p.Genes = append(p.Genes, PartialGene{
+			ID:   e.order[gi],
+			Name: e.names[gi],
+			WSum: acc.wsum[gi], WCnt: acc.wcnt[gi],
+			USum: acc.usum[gi], UCnt: acc.ucnt[gi],
+		})
 	}
 	return p, nil
 }
@@ -437,15 +386,13 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		}
 		res.Genes = append(res.Genes, GeneRank{ID: id, Name: mg.name, Score: score, IsQuery: isQ})
 	}
-	sort.Slice(res.Genes, func(a, b int) bool {
-		if res.Genes[a].Score != res.Genes[b].Score {
-			return res.Genes[a].Score > res.Genes[b].Score
+	// Score descending, gene ID among exact ties.
+	res.Genes = topK(res.Genes, opt.MaxGenes, func(a, b GeneRank) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		return res.Genes[a].ID < res.Genes[b].ID
+		return strings.Compare(a.ID, b.ID)
 	})
-	if opt.MaxGenes > 0 && len(res.Genes) > opt.MaxGenes {
-		res.Genes = res.Genes[:opt.MaxGenes]
-	}
 	return res, nil
 }
 

@@ -14,12 +14,12 @@ import (
 // ReferenceSearch is the original SPELL scoring path, retained as the
 // golden standard the dense kernel is verified against (parity to 1e-12 in
 // the package tests) and as the baseline BenchmarkF4_SPELLReference
-// measures the kernel's speedup from. It computes every Pearson pair with
-// the NaN-pairwise statistic — re-deriving means and sums of the z-scored
-// rows on every call — and merges per-dataset map[string]float64 score
-// tables under one mutex, exactly as the engine did before the kernel
-// rewrite. Do not optimize it: its value is being obviously equivalent to
-// the SPELL definition.
+// measures the kernel's speedup from. It shares nothing with the kernel's
+// slabs: it z-scores the datasets' own rows on every call, computes every
+// Pearson pair with the NaN-pairwise statistic, and merges per-dataset
+// map[string]float64 score tables under one mutex, exactly as the engine
+// did before the kernel rewrite. Do not optimize it: its value is being
+// obviously equivalent to the SPELL definition.
 //
 // Results match Search up to floating-point accumulation order; the query
 // contract (internal canonicalization, error cases) is identical.
@@ -179,13 +179,17 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 }
 
 // referenceQueryRows collects the z-scored rows of the query genes present
-// in dataset di.
+// in dataset di. A gene ID the dataset carries twice resolves to its last
+// row, as a map from ID to row would.
 func (e *Engine) referenceQueryRows(di int, qgids []int) [][]float64 {
-	sl := e.slabs[di]
+	ds := e.datasets[di]
 	var rows [][]float64
 	for _, gi := range qgids {
-		if r := sl.rowOf[gi]; r >= 0 {
-			rows = append(rows, sl.zrow(r))
+		for g := ds.NumGenes() - 1; g >= 0; g-- {
+			if ds.Genes[g].ID == e.order[gi] {
+				rows = append(rows, stats.ZScores(ds.Row(g)))
+				break
+			}
 		}
 	}
 	return rows
@@ -221,11 +225,10 @@ func (e *Engine) referenceScoreDataset(di int, qgids []int) map[string]float64 {
 	if len(qrows) == 0 {
 		return nil
 	}
-	sl := e.slabs[di]
 	ds := e.datasets[di]
-	out := make(map[string]float64, len(sl.fast))
-	for g := range sl.fast {
-		row := sl.zrow(int32(g))
+	out := make(map[string]float64, ds.NumGenes())
+	for g := 0; g < ds.NumGenes(); g++ {
+		row := stats.ZScores(ds.Row(g))
 		s, n := 0.0, 0
 		for _, qr := range qrows {
 			r := stats.Pearson(row, qr)

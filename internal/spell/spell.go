@@ -11,22 +11,23 @@
 //
 // The scoring core is a dense, integer-indexed kernel: the engine assigns
 // every distinct gene ID a global integer once, stores each dataset's
-// z-scored rows in one contiguous slab with precomputed centered unit-norm
-// forms (see slab.go), and accumulates gene scores into per-worker dense
-// vectors merged lock-free after the workers drain (see accum.go). For
-// complete rows, Pearson correlation collapses to a single dot product;
-// rows with missing values fall back to the NaN-pairwise statistic. The
-// retained naive scorer in reference.go is the golden standard the kernel
-// is tested against.
+// z-scored rows in one contiguous zero-filled slab, and scores every pair
+// of rows — complete or not — with one dot product plus a correction per
+// missing cell (pairCorr, slab.go). Gene scores accumulate into one dense
+// vector that the workers share by owning disjoint ranges of the gene
+// index (see accum.go). The retained naive scorer in reference.go is the
+// golden standard the kernel is tested against.
 package spell
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -206,64 +207,47 @@ func CanonicalQuery(ids []string) []string {
 
 // dsInfo is the stage-1 result for one dataset.
 type dsInfo struct {
-	rows      []int32 // dataset rows measuring query genes
-	allFast   bool    // every query row has a unit form
+	q         []rowView // the dataset's rows measuring query genes
 	coherence float64
 }
 
-// searchPar clamps a requested parallelism to the compendium size.
+// searchPar resolves a requested parallelism: GOMAXPROCS by default, and
+// never more workers than there are genes to share out.
 func (e *Engine) searchPar(requested int) int {
 	par := requested
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(e.slabs) {
-		par = len(e.slabs)
-	}
-	return par
+	return max(1, min(par, len(e.order)))
 }
 
-// queryInfos runs stage 1 — per-dataset query rows and raw coherence —
-// concurrently over par workers. One result slot per dataset, no shared
-// mutable state. Workers stop pulling datasets once ctx is canceled; the
-// caller must check ctx.Err() before trusting the result.
-func (e *Engine) queryInfos(ctx context.Context, qgids []int, par int) []dsInfo {
-	return e.queryInfosSubset(ctx, qgids, par, nil)
-}
-
-// queryInfosSubset is queryInfos over a subset of dataset indexes (nil =
-// all). The result is still one slot per dataset of the engine; slots
-// outside the subset stay zero and must not be read.
-func (e *Engine) queryInfosSubset(ctx context.Context, qgids []int, par int, subset []int) []dsInfo {
+// queryInfos runs stage 1 — per-dataset query rows and raw coherence — over
+// the listed datasets, stopping with the context error once ctx is done. It
+// costs len(qgids)/2 gene rows of stage 2, not worth a goroutine. The
+// result is one slot per dataset of the engine; slots outside the list stay
+// zero and must not be read.
+func (e *Engine) queryInfos(ctx context.Context, qgids []int, dss []int) ([]dsInfo, error) {
 	infos := make([]dsInfo, len(e.slabs))
-	var wg sync.WaitGroup
-	work := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for di := range work {
-				if ctx.Err() != nil {
-					continue // drain without computing
-				}
-				sl := e.slabs[di]
-				rows, allFast := sl.queryRows(qgids)
-				infos[di] = dsInfo{rows: rows, allFast: allFast, coherence: coherence(sl, rows)}
-			}
-		}()
-	}
-	if subset == nil {
-		for di := range e.slabs {
-			work <- di
+	views := make([]rowView, 0, len(dss)*len(qgids)) // one allocation, cut per dataset
+	for _, di := range dss {
+		if ctx.Err() != nil {
+			break
 		}
-	} else {
-		for _, di := range subset {
-			work <- di
-		}
+		from := len(views)
+		views = e.slabs[di].appendQueryViews(views, qgids)
+		q := views[from:]
+		infos[di] = dsInfo{q: q, coherence: coherence(q)}
 	}
-	close(work)
-	wg.Wait()
-	return infos
+	return infos, ctx.Err()
+}
+
+// allDatasets lists every dataset index of the engine.
+func (e *Engine) allDatasets() []int {
+	all := make([]int, len(e.slabs))
+	for di := range all {
+		all[di] = di
+	}
+	return all
 }
 
 // Search runs a SPELL query. At least one query gene must be present
@@ -278,10 +262,13 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 	return e.SearchCtx(context.Background(), query, opt)
 }
 
-// SearchCtx is Search with cooperative cancellation: both per-dataset
-// stages stop pulling work once ctx is done and the context error is
-// returned, so a hung-up client stops costing scan CPU (the same contract
-// as PartialSearchCtx).
+// SearchCtx is Search with cooperative cancellation: both stages stop at
+// the next dataset once ctx is done and the context error is returned, so
+// a hung-up client stops costing scan CPU (the same contract as
+// PartialSearchCtx).
+//
+// Two runs of one query on one engine return bit-identical results,
+// whatever the parallelism: every float sum is taken in dataset order.
 func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*Result, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
@@ -299,11 +286,9 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		return nil, fmt.Errorf("spell: none of the %d query genes occur in the compendium", len(query))
 	}
 
-	par := e.searchPar(opt.Parallelism)
-
 	// Stage 1: per-dataset query rows and coherence.
-	infos := e.queryInfos(ctx, qgids, par)
-	if err := ctx.Err(); err != nil {
+	infos, err := e.queryInfos(ctx, qgids, e.allDatasets())
+	if err != nil {
 		return nil, err
 	}
 
@@ -317,7 +302,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		if opt.UniformWeights {
 			// Ablation baseline: every dataset measuring the query counts
 			// equally, informative or not.
-			if len(infos[di].rows) > 0 {
+			if len(infos[di].q) > 0 {
 				w = 1
 			} else {
 				w = 0
@@ -334,7 +319,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		// back to uniform weights over datasets measuring the query.
 		n := 0
 		for di := range infos {
-			if len(infos[di].rows) > 0 {
+			if len(infos[di].q) > 0 {
 				weights[di] = 1
 				n++
 			}
@@ -348,100 +333,97 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		weights[di] /= total
 	}
 
-	// Stage 2: weighted gene scores, concurrently per dataset. Every worker
-	// accumulates into its own dense vector pair indexed by global gene id;
-	// the vectors merge by plain addition once the workers drain — no lock,
-	// no map, no string hashing on the hot path.
-	accs := make([]*accum, par)
-	var wg sync.WaitGroup
-	work2 := make(chan int)
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var acc *accum
-			for di := range work2 {
-				if weights[di] == 0 || len(infos[di].rows) == 0 || ctx.Err() != nil {
-					continue
-				}
-				if acc == nil {
-					acc = newAccum(len(e.order))
-				}
-				scoreInto(e.slabs[di], infos[di].rows, infos[di].allFast, weights[di], acc)
-			}
-			accs[w] = acc
-		}(w)
+	// Stage 2: weighted gene scores over the datasets that carry weight
+	// (which only a dataset measuring the query can).
+	var todo []int
+	for di, w := range weights {
+		if w != 0 {
+			todo = append(todo, di)
+		}
 	}
-	for di := range e.slabs {
-		work2 <- di
-	}
-	close(work2)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	acc := newAccum(len(e.order))
+	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, weights, acc); err != nil {
 		return nil, err
 	}
-	merged := mergeAccums(accs)
 
-	res := &Result{Query: query}
+	res := &Result{Query: query, Datasets: make([]DatasetRank, len(e.slabs))}
 	for di := range e.slabs {
-		res.Datasets = append(res.Datasets, DatasetRank{
+		res.Datasets[di] = DatasetRank{
 			Index:          di,
 			Name:           e.datasets[di].Name,
 			Weight:         weights[di],
 			QueryCoherence: infos[di].coherence,
-			QueryPresent:   len(infos[di].rows),
-		})
+			QueryPresent:   len(infos[di].q),
+		}
 	}
-	sort.SliceStable(res.Datasets, func(a, b int) bool {
-		return res.Datasets[a].Weight > res.Datasets[b].Weight
+	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
+		return cmp.Compare(b.Weight, a.Weight)
 	})
 
-	// Rank by sorting compact gene indices rather than GeneRank structs:
-	// stably swapping 4-byte ids costs a fraction of shuffling 40-byte
-	// structs full of string pointers (which dominated the profile), and
-	// only the entries that survive the MaxGenes cut are materialized.
-	var order []int32
-	if merged != nil {
-		order = make([]int32, 0, len(e.order))
-		for gi := range e.order {
-			if qmask[gi] && !opt.IncludeQuery {
-				continue
-			}
-			if w := merged.weight[gi]; w != 0 {
-				merged.score[gi] /= w // final score, reused in place
-				order = append(order, int32(gi))
-			}
+	// Rank compact gene indices rather than GeneRank structs, and
+	// materialize only the entries that survive the MaxGenes cut.
+	order := make([]int32, 0, len(e.order))
+	for gi := range e.order {
+		if qmask[gi] && !opt.IncludeQuery {
+			continue
 		}
-		sort.SliceStable(order, func(a, b int) bool {
-			return merged.score[order[a]] > merged.score[order[b]]
-		})
+		if w := acc.weight[gi]; w != 0 {
+			acc.score[gi] /= w // final score, reused in place
+			order = append(order, int32(gi))
+		}
 	}
-	if opt.MaxGenes > 0 && len(order) > opt.MaxGenes {
-		order = order[:opt.MaxGenes]
-	}
+	// Score descending, compendium first-seen order among exact ties.
+	order = topK(order, opt.MaxGenes, func(a, b int32) int {
+		if c := cmp.Compare(acc.score[b], acc.score[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	res.Genes = make([]GeneRank, len(order))
 	for i, gi := range order {
 		res.Genes[i] = GeneRank{
 			ID:      e.order[gi],
 			Name:    e.names[gi],
-			Score:   merged.score[gi],
+			Score:   acc.score[gi],
 			IsQuery: qmask[gi],
 		}
 	}
 	return res, nil
 }
 
+// topK sorts xs by the total order by and cuts it to its first k elements
+// (k <= 0 keeps all). When the cut is real it never sorts the tail: one
+// pass keeps the best k seen so far, in order, at the front of xs.
+func topK[T any](xs []T, k int, by func(a, b T) int) []T {
+	if k <= 0 || k >= len(xs) {
+		slices.SortFunc(xs, by)
+		return xs
+	}
+	top := xs[:0]
+	for _, x := range xs {
+		if len(top) == k {
+			if by(x, top[k-1]) >= 0 {
+				continue
+			}
+			top = top[:k-1]
+		}
+		at, _ := slices.BinarySearchFunc(top, x, by)
+		top = slices.Insert(top, at, x)
+	}
+	return top
+}
+
 // coherence is the mean Fisher-z-transformed pairwise Pearson correlation
 // among the query rows — SPELL's dataset informativeness signal. NaN when
 // fewer than two query genes are present.
-func coherence(sl *slab, qrows []int32) float64 {
-	if len(qrows) < 2 {
+func coherence(q []rowView) float64 {
+	if len(q) < 2 {
 		return math.NaN()
 	}
 	s, n := 0.0, 0
-	for i := 0; i < len(qrows); i++ {
-		for j := i + 1; j < len(qrows); j++ {
-			r := rowCorr(sl, qrows[i], qrows[j])
+	for i := range q {
+		for j := i + 1; j < len(q); j++ {
+			r := pairCorr(&q[i], &q[j])
 			if math.IsNaN(r) {
 				continue
 			}
@@ -455,16 +437,7 @@ func coherence(sl *slab, qrows []int32) float64 {
 	return s / float64(n)
 }
 
-// rowCorr is the Pearson correlation of two slab rows: a single dot product
-// when both rows have unit forms, the NaN-pairwise statistic otherwise.
-func rowCorr(sl *slab, a, b int32) float64 {
-	if sl.fast[a] && sl.fast[b] {
-		return stats.Clamp(stats.Dot(sl.unitRow(a), sl.unitRow(b)), -1, 1)
-	}
-	return stats.Pearson(sl.zrow(a), sl.zrow(b))
-}
-
-// scoreAdder is the accumulator contract of the stage-2 scoring loops: the
+// scoreAdder is the accumulator contract of the stage-2 scan: the
 // single-process kernel's dense *accum and the shard path's *dualAccum
 // (partial.go) both satisfy it, and the generic instantiation keeps each
 // call monomorphized — no interface dispatch on the per-gene hot path.
@@ -472,69 +445,59 @@ type scoreAdder interface {
 	add(gid int32, w, meanCorr float64)
 }
 
-// scoreInto accumulates dataset sl's contribution (at weight w) to every
-// gene's score: each gene row's mean correlation to the query rows.
-//
-// When every query row has a unit form, the query rows are pre-summed once:
-// for a gene row g with a unit form, mean_q Pearson(g, q) =
-// Dot(unit_g, Σ_q unit_q) / nq — one dot product per gene instead of one
-// per (gene, query) pair. Rows without unit forms take the per-pair path.
-func scoreInto[A scoreAdder](sl *slab, qrows []int32, allFast bool, w float64, acc A) {
-	nq := len(qrows)
-	if nq == 0 {
-		return
-	}
-	nE := sl.nExp
-	if allFast && nE > 0 {
-		qsum := make([]float64, nE)
-		for _, r := range qrows {
-			for i, v := range sl.unitRow(r) {
-				qsum[i] += v
+// scan runs stage 2 over the datasets in todo: every gene's mean
+// correlation to the query rows of each dataset, accumulated into acc at
+// weights[di]. The par workers each own a contiguous range of the global
+// gene index and walk the datasets in todo order, so every accumulator cell
+// is written by one worker in one order — no lock, no per-worker copy to
+// merge, and sums that do not depend on scheduling or on par. Workers stop
+// at the next dataset once ctx is done; scan then returns the context error
+// and acc must not be trusted.
+func scan[A scoreAdder](ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, weights []float64, acc A) error {
+	var wg sync.WaitGroup
+	for w := 0; w < par; w++ {
+		lo, hi := w*len(e.order)/par, (w+1)*len(e.order)/par
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, di := range todo {
+				if ctx.Err() != nil {
+					return
+				}
+				scoreRange(e.slabs[di], infos[di].q, weights[di], lo, hi, acc)
 			}
-		}
-		inv := 1 / float64(nq)
-		for g := range sl.fast {
-			gi := sl.gids[g]
-			if sl.rowOf[gi] != int32(g) {
-				// Duplicate gene ID within the dataset: only the row the
-				// index points at (the last) scores, matching the map
-				// overwrite in the reference scorer. Supported readers
-				// reject duplicates, but a hand-built Dataset can carry
-				// them, and accumulating both rows would double-count.
-				continue
-			}
-			if sl.fast[g] {
-				s := stats.Dot(sl.unit[g*nE:(g+1)*nE], qsum)
-				acc.add(gi, w, s*inv)
-			} else {
-				scoreRowSlow(sl, int32(g), qrows, w, acc)
-			}
-		}
-		return
+		}()
 	}
-	for g := range sl.fast {
-		if sl.rowOf[sl.gids[g]] != int32(g) {
-			continue // duplicate gene ID: last row wins, as above
-		}
-		scoreRowSlow(sl, int32(g), qrows, w, acc)
-	}
+	wg.Wait()
+	return ctx.Err()
 }
 
-// scoreRowSlow scores one gene row against the query rows pair by pair,
-// skipping undefined correlations; the row scores only when at least one
-// pair is defined.
-func scoreRowSlow[A scoreAdder](sl *slab, g int32, qrows []int32, w float64, acc A) {
-	s, n := 0.0, 0
-	for _, qr := range qrows {
-		r := rowCorr(sl, g, qr)
-		if math.IsNaN(r) {
+// scoreRange accumulates dataset sl's contribution (at weight w) to the
+// score of every gene with global index in [lo, hi): the gene row's mean
+// correlation to the query rows q, skipping undefined correlations; a gene
+// scores only when at least one pair is defined. Each gene row meets all
+// query rows while it is in cache. Walking the gene index (not the rows)
+// means a gene ID a hand-built dataset carries twice scores once, by the
+// row the index points at — the last, as in the reference scorer.
+func scoreRange[A scoreAdder](sl *slab, q []rowView, w float64, lo, hi int, acc A) {
+	for gi := lo; gi < hi; gi++ {
+		r := sl.rowOf[gi]
+		if r < 0 {
 			continue
 		}
-		s += r
-		n++
-	}
-	if n > 0 {
-		acc.add(sl.gids[g], w, s/float64(n))
+		g := sl.view(r)
+		s, n := 0.0, 0
+		for k := range q {
+			c := pairCorr(&g, &q[k])
+			if math.IsNaN(c) {
+				continue
+			}
+			s += c
+			n++
+		}
+		if n > 0 {
+			acc.add(int32(gi), w, s/float64(n))
+		}
 	}
 }
 

@@ -3,16 +3,17 @@ package stats
 import "math"
 
 // This file holds the dense fast paths behind the SPELL scoring kernel
-// (internal/spell). Unlike the rest of the package, Dot assumes its inputs
-// are complete — no missing values — because the caller has already proven
-// that with a per-row mask; checking NaN per element would throw away most
-// of the win. CenterUnitNormInto is the one-time preprocessing that makes
-// the assumption useful: once a complete row is centered and scaled to unit
-// Euclidean norm, the Pearson correlation of two such rows is exactly their
-// dot product.
+// (internal/spell) and the clustering kernel (internal/cluster). Unlike the
+// rest of the package, Dot does not skip missing values: its callers have
+// dealt with them beforehand — SPELL stores missing cells as 0, so they
+// drop out of the sum, and corrects the other moments per pair; clustering
+// proves rows complete with a per-row mask and prepares them with
+// CenterUnitNormInto, after which the Pearson correlation of two such rows
+// is exactly their dot product. Checking NaN per element would throw away
+// most of the win.
 
 // Dot returns the dense dot product of xs and ys over the shorter common
-// length. Missing values are NOT skipped: both vectors must be complete.
+// length. Missing values are NOT skipped: neither vector may hold a NaN.
 // The loop runs four independent accumulators so the adds pipeline; the
 // grouping of the final reduction is fixed, keeping results deterministic.
 func Dot(xs, ys []float64) float64 {
@@ -40,8 +41,9 @@ func Dot(xs, ys []float64) float64 {
 // false — leaving dst in an unspecified state — when xs has a missing
 // value, fewer than two entries, or zero variance. When it returns true,
 // Pearson(a, b) == Dot(da, db) for any two rows prepared this way (up to
-// floating-point rounding), which is what lets the SPELL kernel replace the
-// pairwise-NaN Pearson with a single dot product on complete rows.
+// floating-point rounding), which is what lets the clustering kernel
+// replace the pairwise-NaN Pearson with a single dot product on complete
+// rows.
 func CenterUnitNormInto(dst, xs []float64) bool {
 	if len(xs) < 2 || len(dst) < len(xs) {
 		return false
