@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"image/color"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -1094,6 +1095,87 @@ func BenchmarkF10_RenderSlabF64(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		render.RenderHeatmap(c, r, slab.F64, opt)
+	}
+}
+
+// tileShapes are the slabs a 256x256 tile renders from under level=auto at
+// paper scale: a zoomed-in window (cells larger than a pixel) and two
+// global-regime windows with 1-2 slab rows per pixel row, narrow and wide.
+var tileShapes = []struct {
+	name   string
+	nR, nC int
+}{{"zoom-100x24", 100, 24}, {"global-300x12", 300, 12}, {"global-400x40", 400, 40}}
+
+// tileBenchRows is an nR x nC slab of unit-normal values with 2% missing
+// cells, the benchmark fixture's rate.
+func tileBenchRows(nR, nC int) [][]float64 {
+	rng := rand.New(rand.NewSource(int64(nR*1000 + nC)))
+	rows := make([][]float64, nR)
+	for i := range rows {
+		rows[i] = make([]float64, nC)
+		for c := range rows[i] {
+			rows[i][c] = rng.NormFloat64()
+			if rng.Float64() < 0.02 {
+				rows[i][c] = math.NaN()
+			}
+		}
+	}
+	return rows
+}
+
+// drawBenchTile rasterizes rows the way /api/heatmap's defaults do.
+func drawBenchTile(rows [][]float64) *render.Canvas {
+	c := render.NewCanvas(256, 256, color.RGBA{A: 255})
+	render.RenderHeatmap(c, render.Rect{W: 256, H: 256}, rows,
+		render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true})
+	return c
+}
+
+// BenchmarkF10_TileRaster is the raster half of one cold tile, canvas
+// allocation included; BenchmarkF10_TileEncodePNG the encode half, with the
+// file size as png_bytes. Together they are what the repo benchmark's
+// tile-cold workload blames as render.heatmap_ms + render.png_ms.
+func BenchmarkF10_TileRaster(b *testing.B) {
+	for _, sh := range tileShapes {
+		rows := tileBenchRows(sh.nR, sh.nC)
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				drawBenchTile(rows)
+			}
+		})
+	}
+}
+
+func BenchmarkF10_TileEncodePNG(b *testing.B) {
+	for _, sh := range tileShapes {
+		c := drawBenchTile(tileBenchRows(sh.nR, sh.nC))
+		b.Run(sh.name, func(b *testing.B) {
+			var buf bytes.Buffer
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := c.EncodePNG(&buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(buf.Len()), "png_bytes")
+		})
+	}
+}
+
+// TestTileRenderAllocs: a cold tile costs a dozen allocations (the canvas,
+// the column spans, the returned file). A rasterizer that boxes one colour
+// per pixel into a color.Color costs 65,000; this bound catches it.
+func TestTileRenderAllocs(t *testing.T) {
+	rows := tileBenchRows(400, 40)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := drawBenchTile(rows).PNG(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 64 {
+		t.Fatalf("one 256x256 global-regime tile made %.0f allocations, want <= 64", allocs)
 	}
 }
 

@@ -70,14 +70,18 @@ func (c *Canvas) ClipBounds() Rect {
 	return Rect{X: b.Min.X - c.offX, Y: b.Min.Y - c.offY, W: b.Dx(), H: b.Dy()}
 }
 
-// Set writes one pixel, silently clipping out-of-bounds writes.
-func (c *Canvas) Set(x, y int, col color.Color) {
-	x, y = x+c.offX, y+c.offY
-	if !(image.Point{X: x, Y: y}).In(c.img.Bounds()) {
-		return
+// toRGBA converts once at the public boundary; everything below it takes
+// a color.RGBA by value, so a per-pixel or per-cell caller neither boxes a
+// colour into an interface nor pays a model conversion.
+func toRGBA(col color.Color) color.RGBA {
+	if rgba, ok := col.(color.RGBA); ok {
+		return rgba
 	}
-	c.img.Set(x, y, col)
+	return color.RGBAModel.Convert(col).(color.RGBA)
 }
+
+// Set writes one pixel, silently clipping out-of-bounds writes.
+func (c *Canvas) Set(x, y int, col color.Color) { c.fillRect(x, y, 1, 1, toRGBA(col)) }
 
 // At reads one pixel; out-of-bounds reads return opaque black.
 func (c *Canvas) At(x, y int) color.RGBA {
@@ -89,22 +93,28 @@ func (c *Canvas) At(x, y int) color.RGBA {
 }
 
 // FillRect fills the axis-aligned rectangle with origin (x,y).
-func (c *Canvas) FillRect(x, y, w, h int, col color.Color) {
+func (c *Canvas) FillRect(x, y, w, h int, col color.Color) { c.fillRect(x, y, w, h, toRGBA(col)) }
+
+func (c *Canvas) fillRect(x, y, w, h int, rgba color.RGBA) {
 	x, y = x+c.offX, y+c.offY
 	r := image.Rect(x, y, x+w, y+h).Intersect(c.img.Bounds())
 	if r.Empty() {
 		return
 	}
-	rgba := color.RGBAModel.Convert(col).(color.RGBA)
-	for yy := r.Min.Y; yy < r.Max.Y; yy++ {
-		base := c.img.PixOffset(r.Min.X, yy)
-		for xx := r.Min.X; xx < r.Max.X; xx++ {
-			c.img.Pix[base] = rgba.R
-			c.img.Pix[base+1] = rgba.G
-			c.img.Pix[base+2] = rgba.B
-			c.img.Pix[base+3] = rgba.A
-			base += 4
-		}
+	// Paint the first row, then copy it down.
+	base := c.img.PixOffset(r.Min.X, r.Min.Y)
+	first := c.img.Pix[base : base+4*r.Dx()]
+	fillRun(first, rgba)
+	for yy := r.Min.Y + 1; yy < r.Max.Y; yy++ {
+		base += c.img.Stride
+		copy(c.img.Pix[base:], first)
+	}
+}
+
+// fillRun paints every 4-byte pixel of run, a slice of Pix.
+func fillRun(run []uint8, rgba color.RGBA) {
+	for i := 0; i+3 < len(run); i += 4 {
+		run[i], run[i+1], run[i+2], run[i+3] = rgba.R, rgba.G, rgba.B, rgba.A
 	}
 }
 

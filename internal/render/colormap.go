@@ -39,13 +39,13 @@ func (m ColorMap) String() string {
 }
 
 // Map converts value v to a color, saturating at ±limit. NaN maps to
-// MissingColor. limit must be positive; a non-positive limit defaults to 2
-// (±2 log2 units ≈ 4-fold change, TreeView's default contrast).
+// MissingColor. limit must be positive; a non-positive or NaN limit defaults
+// to 2 (±2 log2 units ≈ 4-fold change, TreeView's default contrast).
 func (m ColorMap) Map(v, limit float64) color.RGBA {
 	if math.IsNaN(v) {
 		return MissingColor
 	}
-	if limit <= 0 {
+	if !(limit > 0) { // non-positive or NaN
 		limit = 2
 	}
 	t := v / limit
@@ -86,7 +86,7 @@ func (m ColorMap) Legend(c *Canvas, r Rect, limit float64, fg color.Color) {
 	for x := 0; x < r.W; x++ {
 		t := (float64(x)/float64(maxInt(r.W-1, 1)))*2 - 1
 		col := m.Map(t*limit, limit)
-		c.VLine(r.X+x, r.Y, r.Y+barH-1, col)
+		c.fillRect(r.X+x, r.Y, 1, barH, col)
 	}
 	if r.H > 10 {
 		c.DrawText(r.X, r.Y+barH+2, formatLimit(-limit), 1, fg)

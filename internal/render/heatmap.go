@@ -46,113 +46,27 @@ func RenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
 	if nC == 0 {
 		return
 	}
-	colOrder := opt.ColOrder
-	hl := opt.HighlightColor
-	if hl == nil {
-		hl = color.RGBA{R: 255, G: 255, B: 255, A: 255}
-	}
-
-	// Per-pixel loops respect the canvas clip so a wall tile only pays for
-	// its own viewport.
-	clip := c.ClipBounds()
-	pyLo, pyHi := 0, r.H
-	if r.Y < clip.Y {
-		pyLo = clip.Y - r.Y
-	}
-	if r.Y+r.H > clip.Y+clip.H {
-		pyHi = clip.Y + clip.H - r.Y
-	}
-	pxLo, pxHi := 0, r.W
-	if r.X < clip.X {
-		pxLo = clip.X - r.X
-	}
-	if r.X+r.W > clip.X+clip.W {
-		pxHi = clip.X + clip.W - r.X
-	}
-	if pyLo >= pyHi || pxLo >= pxHi {
-		return
+	hl := color.RGBA{R: 255, G: 255, B: 255, A: 255}
+	if opt.HighlightColor != nil {
+		hl = toRGBA(opt.HighlightColor)
 	}
 
 	if nR >= r.H {
-		// Global view: each pixel row aggregates >= 1 gene rows.
-		for py := pyLo; py < pyHi; py++ {
-			lo := py * nR / r.H
-			hi := (py + 1) * nR / r.H
-			if hi <= lo {
-				hi = lo + 1
-			}
-			anyHL := false
-			for px := pxLo; px < pxHi; px++ {
-				cLo := px * nC / r.W
-				cHi := (px + 1) * nC / r.W
-				if cHi <= cLo {
-					cHi = cLo + 1
-				}
-				sum, n := 0.0, 0
-				for gr := lo; gr < hi && gr < nR; gr++ {
-					row := rows[gr]
-					for cc := cLo; cc < cHi; cc++ {
-						dc := cc
-						if colOrder != nil {
-							dc = colOrder[cc]
-						}
-						if dc >= 0 && dc < len(row) {
-							if v := row[dc]; !math.IsNaN(v) {
-								sum += v
-								n++
-							}
-						}
-					}
-				}
-				v := math.NaN()
-				if n > 0 {
-					v = sum / float64(n)
-				}
-				c.Set(r.X+px, r.Y+py, opt.ColorMap.Map(v, opt.Limit))
-			}
-			if opt.Highlight != nil {
-				for gr := lo; gr < hi && gr < nR; gr++ {
-					if opt.Highlight[gr] {
-						anyHL = true
-						break
-					}
-				}
-			}
-			if anyHL {
-				// Selection tick marks at both edges of the strip.
-				c.FillRect(r.X, r.Y+py, 3, 1, hl)
-				c.FillRect(r.X+r.W-3, r.Y+py, 3, 1, hl)
-			}
-		}
+		renderGlobal(c, r, rows, nC, opt, hl)
 		return
 	}
 
 	// Zoom view: each gene row gets >= 1 pixel rows.
-	cellH := r.H / nR
-	if cellH < 1 {
-		cellH = 1
-	}
-	cellW := r.W / nC
-	if cellW < 1 {
-		cellW = 1
-	}
-	border := opt.CellBorder && cellH >= 3 && cellW >= 3
-	for gr := 0; gr < nR; gr++ {
+	border := opt.CellBorder && r.H/nR >= 3 && r.W/nC >= 3
+	for gr, row := range rows {
 		y := r.Y + gr*r.H/nR
 		h := r.Y + (gr+1)*r.H/nR - y
-		if h < 1 {
-			h = 1
-		}
-		row := rows[gr]
 		for cc := 0; cc < nC; cc++ {
 			x := r.X + cc*r.W/nC
-			w := r.X + (cc+1)*r.W/nC - x
-			if w < 1 {
-				w = 1
-			}
+			w := max(r.X+(cc+1)*r.W/nC-x, 1)
 			dc := cc
-			if colOrder != nil {
-				dc = colOrder[cc]
+			if opt.ColOrder != nil {
+				dc = opt.ColOrder[cc]
 			}
 			v := math.NaN()
 			if dc >= 0 && dc < len(row) {
@@ -160,13 +74,78 @@ func RenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
 			}
 			col := opt.ColorMap.Map(v, opt.Limit)
 			if border {
-				c.FillRect(x, y, w-1, h-1, col)
+				c.fillRect(x, y, w-1, h-1, col)
 			} else {
-				c.FillRect(x, y, w, h, col)
+				c.fillRect(x, y, w, h, col)
 			}
 		}
-		if opt.Highlight != nil && opt.Highlight[gr] {
-			c.FillRect(r.X, y, 3, h, hl)
+		if opt.Highlight[gr] {
+			c.fillRect(r.X, y, 3, h, hl)
+		}
+	}
+}
+
+// renderGlobal is the global-view regime: each pixel row aggregates >= 1
+// gene rows. All pixels of a pixel row that map to the same column span
+// [cLo, cHi) share one aggregate, so the spans (at most min(nC, r.W) of
+// them) are cut once per call and each (pixel row, span) is summed and
+// colour-mapped once — rows outermost, columns innermost, the order the
+// per-pixel reference in heatmap_test.go sums in, so Pix is bit-identical —
+// and its run is painted straight into Pix. The loops cover only the part
+// of r inside the canvas clip, so a wall tile pays for its own viewport.
+func renderGlobal(c *Canvas, r Rect, rows [][]float64, nC int, opt HeatmapOptions, hl color.RGBA) {
+	clip := c.ClipBounds()
+	pyLo, pyHi := max(0, clip.Y-r.Y), min(r.H, clip.Y+clip.H-r.Y)
+	pxLo, pxHi := max(0, clip.X-r.X), min(r.W, clip.X+clip.W-r.X)
+	if pyLo >= pyHi || pxLo >= pxHi {
+		return
+	}
+	type span struct{ pxLo, pxHi, cLo, cHi int }
+	var spans []span
+	for px := pxLo; px < pxHi; px++ {
+		cLo := px * nC / r.W
+		cHi := max((px+1)*nC/r.W, cLo+1)
+		if n := len(spans); n > 0 && spans[n-1].cLo == cLo && spans[n-1].cHi == cHi {
+			spans[n-1].pxHi = px + 1
+		} else {
+			spans = append(spans, span{px, px + 1, cLo, cHi})
+		}
+	}
+	nR := len(rows)
+	for py := pyLo; py < pyHi; py++ {
+		lo := py * nR / r.H
+		hi := (py + 1) * nR / r.H // > lo: nR >= r.H
+		base := c.img.PixOffset(r.X+c.offX, r.Y+py+c.offY)
+		for _, sp := range spans {
+			sum, n := 0.0, 0
+			for _, row := range rows[lo:hi] {
+				for cc := sp.cLo; cc < sp.cHi; cc++ {
+					dc := cc
+					if opt.ColOrder != nil {
+						dc = opt.ColOrder[cc]
+					}
+					if dc >= 0 && dc < len(row) {
+						if v := row[dc]; v == v {
+							sum += v
+							n++
+						}
+					}
+				}
+			}
+			v := math.NaN()
+			if n > 0 {
+				v = sum / float64(n)
+			}
+			fillRun(c.img.Pix[base+4*sp.pxLo:base+4*sp.pxHi], opt.ColorMap.Map(v, opt.Limit))
+		}
+		anyHL := false
+		for gr := lo; gr < hi && !anyHL; gr++ {
+			anyHL = opt.Highlight[gr]
+		}
+		if anyHL {
+			// Selection tick marks at both edges of the strip.
+			c.fillRect(r.X, r.Y+py, 3, 1, hl)
+			c.fillRect(r.X+r.W-3, r.Y+py, 3, 1, hl)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package render
 
 import (
+	"bytes"
 	"image/color"
 	"math"
 	"math/rand"
@@ -48,6 +49,251 @@ func TestRenderHeatmapColOrder(t *testing.T) {
 					t.Fatalf("display col %d px (%d,%d): got %v, want %v", j, dx, y, got, want)
 				}
 			}
+		}
+	}
+}
+
+// referenceRenderHeatmap is the per-pixel rasterizer RenderHeatmap replaced,
+// kept verbatim as the parity oracle: it recomputes the aggregate and the
+// colour for every pixel and draws through the public Set / FillRect.
+func referenceRenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
+	nR := len(rows)
+	if nR == 0 || r.W <= 0 || r.H <= 0 {
+		return
+	}
+	nC := 0
+	if opt.ColOrder != nil {
+		nC = len(opt.ColOrder)
+	} else {
+		for _, row := range rows {
+			if len(row) > nC {
+				nC = len(row)
+			}
+		}
+	}
+	if nC == 0 {
+		return
+	}
+	colOrder := opt.ColOrder
+	hl := opt.HighlightColor
+	if hl == nil {
+		hl = color.RGBA{R: 255, G: 255, B: 255, A: 255}
+	}
+
+	// Per-pixel loops respect the canvas clip so a wall tile only pays for
+	// its own viewport.
+	clip := c.ClipBounds()
+	pyLo, pyHi := 0, r.H
+	if r.Y < clip.Y {
+		pyLo = clip.Y - r.Y
+	}
+	if r.Y+r.H > clip.Y+clip.H {
+		pyHi = clip.Y + clip.H - r.Y
+	}
+	pxLo, pxHi := 0, r.W
+	if r.X < clip.X {
+		pxLo = clip.X - r.X
+	}
+	if r.X+r.W > clip.X+clip.W {
+		pxHi = clip.X + clip.W - r.X
+	}
+	if pyLo >= pyHi || pxLo >= pxHi {
+		return
+	}
+
+	if nR >= r.H {
+		// Global view: each pixel row aggregates >= 1 gene rows.
+		for py := pyLo; py < pyHi; py++ {
+			lo := py * nR / r.H
+			hi := (py + 1) * nR / r.H
+			if hi <= lo {
+				hi = lo + 1
+			}
+			anyHL := false
+			for px := pxLo; px < pxHi; px++ {
+				cLo := px * nC / r.W
+				cHi := (px + 1) * nC / r.W
+				if cHi <= cLo {
+					cHi = cLo + 1
+				}
+				sum, n := 0.0, 0
+				for gr := lo; gr < hi && gr < nR; gr++ {
+					row := rows[gr]
+					for cc := cLo; cc < cHi; cc++ {
+						dc := cc
+						if colOrder != nil {
+							dc = colOrder[cc]
+						}
+						if dc >= 0 && dc < len(row) {
+							if v := row[dc]; !math.IsNaN(v) {
+								sum += v
+								n++
+							}
+						}
+					}
+				}
+				v := math.NaN()
+				if n > 0 {
+					v = sum / float64(n)
+				}
+				c.Set(r.X+px, r.Y+py, opt.ColorMap.Map(v, opt.Limit))
+			}
+			if opt.Highlight != nil {
+				for gr := lo; gr < hi && gr < nR; gr++ {
+					if opt.Highlight[gr] {
+						anyHL = true
+						break
+					}
+				}
+			}
+			if anyHL {
+				// Selection tick marks at both edges of the strip.
+				c.FillRect(r.X, r.Y+py, 3, 1, hl)
+				c.FillRect(r.X+r.W-3, r.Y+py, 3, 1, hl)
+			}
+		}
+		return
+	}
+
+	// Zoom view: each gene row gets >= 1 pixel rows.
+	cellH := r.H / nR
+	if cellH < 1 {
+		cellH = 1
+	}
+	cellW := r.W / nC
+	if cellW < 1 {
+		cellW = 1
+	}
+	border := opt.CellBorder && cellH >= 3 && cellW >= 3
+	for gr := 0; gr < nR; gr++ {
+		y := r.Y + gr*r.H/nR
+		h := r.Y + (gr+1)*r.H/nR - y
+		if h < 1 {
+			h = 1
+		}
+		row := rows[gr]
+		for cc := 0; cc < nC; cc++ {
+			x := r.X + cc*r.W/nC
+			w := r.X + (cc+1)*r.W/nC - x
+			if w < 1 {
+				w = 1
+			}
+			dc := cc
+			if colOrder != nil {
+				dc = colOrder[cc]
+			}
+			v := math.NaN()
+			if dc >= 0 && dc < len(row) {
+				v = row[dc]
+			}
+			col := opt.ColorMap.Map(v, opt.Limit)
+			if border {
+				c.FillRect(x, y, w-1, h-1, col)
+			} else {
+				c.FillRect(x, y, w, h, col)
+			}
+		}
+		if opt.Highlight != nil && opt.Highlight[gr] {
+			c.FillRect(r.X, y, 3, h, hl)
+		}
+	}
+}
+
+// TestRenderHeatmapMatchesReference: RenderHeatmap must paint exactly the
+// pixels the per-pixel oracle paints — both regimes and their boundary,
+// columns below / at / above the pixel width, ragged, empty and all-NaN
+// rows and columns, column orders with out-of-range entries, highlights,
+// borders, and rects partly or wholly outside a translated canvas (the
+// wall-tile clip path).
+func TestRenderHeatmapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const cases = 3000
+	regimes := [2]int{}
+	for i := 0; i < cases; i++ {
+		r := Rect{X: rng.Intn(30) - 10, Y: rng.Intn(30) - 10, W: 1 + rng.Intn(48), H: 1 + rng.Intn(48)}
+		var nR, nC int
+		switch rng.Intn(4) {
+		case 0: // the regime boundary
+			nR = max(1, r.H-1+rng.Intn(3))
+		case 1:
+			nR = 1 + rng.Intn(r.H)
+		default:
+			nR = r.H + rng.Intn(4*r.H)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			nC = r.W
+		case 1:
+			nC = 1 + rng.Intn(r.W)
+		default:
+			nC = r.W + 1 + rng.Intn(2*r.W)
+		}
+		rows := synthRows(nR, nC, rng.Int63())
+		nanCol := -1
+		if rng.Intn(4) == 0 {
+			nanCol = rng.Intn(nC)
+		}
+		for g := range rows {
+			switch rng.Intn(12) {
+			case 0:
+				rows[g] = nil
+			case 1:
+				rows[g] = rows[g][:rng.Intn(nC)]
+			case 2:
+				for c := range rows[g] {
+					rows[g][c] = math.NaN()
+				}
+			}
+			if nanCol >= 0 && nanCol < len(rows[g]) {
+				rows[g][nanCol] = math.NaN()
+			}
+		}
+		opt := HeatmapOptions{ColorMap: ColorMap(rng.Intn(3)), Limit: []float64{2, 0.5, 0, math.NaN()}[rng.Intn(4)], CellBorder: rng.Intn(2) == 0}
+		if rng.Intn(3) == 0 {
+			opt.ColOrder = rng.Perm(nC)[:1+rng.Intn(nC)]
+			if rng.Intn(2) == 0 {
+				opt.ColOrder[rng.Intn(len(opt.ColOrder))] = []int{-1, nC, nC + 7}[rng.Intn(3)]
+			}
+		}
+		if rng.Intn(3) == 0 {
+			opt.Highlight = map[int]bool{rng.Intn(nR): true, rng.Intn(nR): true, rng.Intn(nR): false}
+			if rng.Intn(2) == 0 {
+				opt.HighlightColor = color.NRGBA{R: 200, G: 40, B: uint8(rng.Intn(256)), A: uint8(128 + rng.Intn(128))}
+			}
+		}
+		// A canvas smaller than the rect's reach, shifted so the rect falls
+		// inside, across an edge or (rarely) wholly outside.
+		cw, ch := 1+rng.Intn(60), 1+rng.Intn(60)
+		dx, dy := 0, 0
+		if rng.Intn(2) == 0 {
+			dx, dy = rng.Intn(80)-40, rng.Intn(80)-40
+		}
+		bg := color.RGBA{R: 9, G: 9, B: 9, A: 255}
+		got, want := NewCanvas(cw, ch, bg), NewCanvas(cw, ch, bg)
+		RenderHeatmap(got.Translated(dx, dy), r, rows, opt)
+		referenceRenderHeatmap(want.Translated(dx, dy), r, rows, opt)
+		if !bytes.Equal(got.Image().Pix, want.Image().Pix) {
+			t.Fatalf("case %d: Pix differs (rect %+v, %d rows x %d cols, canvas %dx%d shifted %d,%d, opt %+v)",
+				i, r, nR, nC, cw, ch, dx, dy, opt)
+		}
+		if nR >= r.H {
+			regimes[0]++
+		} else {
+			regimes[1]++
+		}
+	}
+	if regimes[0] < cases/4 || regimes[1] < cases/4 {
+		t.Fatalf("regimes unevenly covered: global %d, zoom %d", regimes[0], regimes[1])
+	}
+	// The slab shapes a 256x256 /api/heatmap tile renders from.
+	for _, sh := range [][2]int{{100, 24}, {255, 24}, {256, 256}, {257, 300}, {300, 12}, {400, 40}, {511, 24}} {
+		rows := synthRows(sh[0], sh[1], 99)
+		opt := HeatmapOptions{Limit: 2, CellBorder: true}
+		got, want := NewCanvas(256, 256, color.RGBA{A: 255}), NewCanvas(256, 256, color.RGBA{A: 255})
+		RenderHeatmap(got, Rect{W: 256, H: 256}, rows, opt)
+		referenceRenderHeatmap(want, Rect{W: 256, H: 256}, rows, opt)
+		if !bytes.Equal(got.Image().Pix, want.Image().Pix) {
+			t.Fatalf("256x256 tile of %d rows x %d cols: Pix differs", sh[0], sh[1])
 		}
 	}
 }

@@ -220,6 +220,10 @@ func TestColorMapBasics(t *testing.T) {
 	if got := m.Map(1, 0); got.R == 0 {
 		t.Fatalf("zero limit fallback broken: %v", got)
 	}
+	// So does a NaN limit, which is not <= 0 either.
+	if got, want := m.Map(1, math.NaN()), m.Map(1, 2); got != want {
+		t.Fatalf("NaN limit maps to %v, want the default limit's %v", got, want)
+	}
 }
 
 func TestColorMapVariants(t *testing.T) {

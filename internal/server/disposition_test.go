@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -174,6 +175,71 @@ func TestHeatmapCacheDispositionHeader(t *testing.T) {
 	resp := <-recCh
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "coalesced" {
 		t.Fatalf("coalesced tile = %d, %s: %q", resp.StatusCode, cacheHeader, resp.Header.Get(cacheHeader))
+	}
+}
+
+// TestCachedTileIsExactlySized: the LRU charges a tile its length
+// (wireCost), so the slice it holds must not pin a larger backing array,
+// as the bytes of a bytes.Buffer grown by doubling do (up to twice).
+func TestCachedTileIsExactlySized(t *testing.T) {
+	s, _ := fixture(t)
+	url := "/api/heatmap?dataset=0&w=256&h=256&rows=0:150"
+	get(t, s, url)
+	if rec := get(t, s, url); rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "hit" {
+		t.Fatalf("warm tile = %d, %s: %q", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
+	}
+	_, gen, err := s.trees.get(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tileParams{dsIndex: 0, gen: gen, from: 0, to: 150, w: 256, h: 256, cmap: 0, limit: 2}
+	v, ok := s.cache.Get(p.key())
+	if !ok {
+		t.Fatalf("no cache entry under the tile's key %q", p.key())
+	}
+	if b := v.([]byte); cap(b) != len(b) {
+		t.Fatalf("cached tile holds cap %d for the %d bytes it is charged", cap(b), len(b))
+	}
+}
+
+// TestTileCanvasReuseIsInvisible: a tile drawn on a recycled canvas —
+// after a different tile of the same size, after one with strips, after
+// one of another size — is byte for byte the tile drawn on a fresh one.
+func TestTileCanvasReuseIsInvisible(t *testing.T) {
+	s, _ := fixture(t)
+	cd, gen, err := s.trees.get(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(cd.DisplayOrder)
+	tiles := []tileParams{
+		{from: 0, to: 40, w: 96, h: 64},
+		{from: 20, to: n, w: 96, h: 64, cmap: 1},
+		{from: 0, to: n, w: 96, h: 64, treeW: 30},
+		{from: 0, to: n, w: 64, h: 96, cmap: 2},
+	}
+	var fresh [][]byte
+	for i := range tiles {
+		tiles[i].dsIndex, tiles[i].gen, tiles[i].limit = 0, gen, 2
+		// An emptied pool: every one of these draws on a new canvas.
+		for tileCanvases.Get() != nil {
+		}
+		png, err := s.rasterizeTile(cd, tiles[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh = append(fresh, png)
+	}
+	for round := 0; round < 3; round++ {
+		for i, p := range tiles {
+			png, err := s.rasterizeTile(cd, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(png, fresh[i]) {
+				t.Fatalf("round %d, tile %d: a recycled canvas changed the tile", round, i)
+			}
+		}
 	}
 }
 

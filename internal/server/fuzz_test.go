@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"image"
+	"image/png"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
 	"forestview/internal/shard"
+	"forestview/internal/spell"
 )
 
 // FuzzShardPartialRequest throws arbitrary bodies at the one decode-and-
@@ -64,6 +68,67 @@ func FuzzShardPartialRequest(f *testing.F) {
 		// request: well under the 1 MiB a request body may carry.
 		if rec.Body.Len() > 1<<20 {
 			t.Fatalf("%d-byte response to a %d-byte request", rec.Body.Len(), len(body))
+		}
+	})
+}
+
+// FuzzHeatmapQuery throws arbitrary query strings at /api/heatmap on a
+// daemon that clusters both axes, so every parameter — rows, w, h, cmap,
+// limit, tree, atree, level — reaches its validation and, when accepted,
+// the rasterizer and the PNG writer. Whatever the bytes: no panic, no 5xx
+// (nothing else is using the render pool), and a 200 is a PNG of the
+// requested size that discloses its pyramid level. The seed corpus in
+// testdata/fuzz holds the README's examples, every row of the
+// bad-parameter tables, limit=NaN/Inf, level and tree/atree combinations,
+// and the edges of MaxTileDim (300 here, to keep an execution cheap).
+func FuzzHeatmapQuery(f *testing.F) {
+	_, dss := rawFixture(f, 2)
+	engine, err := spell.NewEngine(dss)
+	if err != nil {
+		f.Fatal(err)
+	}
+	s, err := New(Config{
+		Engine: engine, RawDatasets: dss, ClusterArrays: true,
+		CacheBytes: 1 << 20, RenderWorkers: 2, RenderQueue: 64, MaxTileDim: 300,
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(s.Close)
+
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		req := httptest.NewRequest(http.MethodGet, "/api/heatmap", nil)
+		req.URL.RawQuery = rawQuery // NewRequest would panic on bytes no request line can carry
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		case rec.Code >= 400:
+			if strings.Contains(rec.Body.String(), "panicked") {
+				t.Fatalf("request panicked the render path: %s", rec.Body.String())
+			}
+		case rec.Code == http.StatusOK:
+			want := image.Pt(512, 512)
+			q := req.URL.Query()
+			if v := q.Get("w"); v != "" {
+				want.X, _ = strconv.Atoi(v)
+			}
+			if v := q.Get("h"); v != "" {
+				want.Y, _ = strconv.Atoi(v)
+			}
+			img, err := png.Decode(rec.Body)
+			if err != nil {
+				t.Fatalf("200 whose body is not a PNG: %v", err)
+			}
+			if got := img.Bounds().Size(); got != want {
+				t.Fatalf("tile is %v, asked for %v", got, want)
+			}
+			if _, err := strconv.Atoi(rec.Header().Get("X-Forestview-Level")); err != nil {
+				t.Fatalf("X-Forestview-Level = %q", rec.Header().Get("X-Forestview-Level"))
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 		}
 	})
 }

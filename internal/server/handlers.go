@@ -8,9 +8,11 @@ import (
 	"fmt"
 	"image/color"
 	"log"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"forestview/internal/core"
 	"forestview/internal/golem"
@@ -410,7 +412,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := q.Get("limit"); v != "" {
 		lim, err := strconv.ParseFloat(v, 64)
-		if err != nil || lim <= 0 {
+		if err != nil || !(lim > 0) || math.IsInf(lim, 1) { // NaN parses, and is not <= 0
 			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "limit must be a positive number")
 			return
 		}
@@ -566,7 +568,8 @@ func wireCost(b []byte) int64 { return int64(len(b)) + 64 }
 // display rows at level 0 (the pre-pyramid path, byte-for-byte), or from
 // the pane's precomputed pyramid slab at level >= 1.
 func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte, error) {
-	c := render.NewCanvas(p.w, p.h, color.RGBA{A: 255})
+	c := tileCanvas(p.w, p.h, color.RGBA{A: 255})
+	defer tileCanvases.Put(c)
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
 	hx, hy := 0, 0
 	var colOrder []int
@@ -599,11 +602,27 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 		hi := (p.to + 1<<uint(p.level) - 1) >> uint(p.level)
 		render.RenderHeatmap(c, hr, slab.F64[lo:hi], opt)
 	}
-	var buf bytes.Buffer
-	if err := c.EncodePNG(&buf); err != nil {
-		return nil, err
+	// Exactly sized: wireCost charges the LRU len, so the cached tile must
+	// not pin a larger capacity.
+	return c.PNG()
+}
+
+// tileCanvases recycles the framebuffer between tile renders. A 256×256
+// canvas is 256 KiB, a dozen times the PNG it becomes; allocated per tile it
+// was nearly all the daemon's garbage, and at a thousand renders a second
+// it had the collector running every 1.3 s — so whether a second of traffic
+// met one collection or none showed in that second's throughput. The pool
+// holds at most one canvas per concurrent render: a tile of another size
+// drops the canvas it was handed and puts back the one it allocated.
+var tileCanvases sync.Pool
+
+// tileCanvas returns a w×h canvas cleared to bg, as render.NewCanvas does.
+func tileCanvas(w, h int, bg color.RGBA) *render.Canvas {
+	if c, _ := tileCanvases.Get().(*render.Canvas); c != nil && c.Width() == w && c.Height() == h {
+		c.Fill(bg)
+		return c
 	}
-	return buf.Bytes(), nil
+	return render.NewCanvas(w, h, bg)
 }
 
 // parseRowRange parses a strict "FROM:TO" display-row range; unlike

@@ -259,6 +259,8 @@ func TestHeatmapErrors(t *testing.T) {
 		{"/api/heatmap?dataset=0&rows=100000:100002", http.StatusBadRequest},
 		{"/api/heatmap?dataset=0&cmap=sepia", http.StatusBadRequest},
 		{"/api/heatmap?dataset=0&limit=-1", http.StatusBadRequest},
+		{"/api/heatmap?dataset=0&limit=NaN", http.StatusBadRequest},
+		{"/api/heatmap?dataset=0&limit=Inf", http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if rec := get(t, s, c.url); rec.Code != c.want {

@@ -20,7 +20,7 @@ import (
 
 // rawFixture builds a daemon whose heatmap panes are raw datasets — the
 // lazy tree-cache path — sharing the SPELL engine across tests.
-func rawFixture(t *testing.T, nDatasets int) (*Server, []*microarray.Dataset) {
+func rawFixture(t testing.TB, nDatasets int) (*Server, []*microarray.Dataset) {
 	t.Helper()
 	u := synth.NewUniverse(220, 8, 77)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -78,6 +78,8 @@ func TestHeatmapParamValidation(t *testing.T) {
 		{"rows past end", "/api/heatmap?dataset=0&rows=100000:100002", http.StatusBadRequest},
 		{"bad cmap", "/api/heatmap?dataset=0&cmap=sepia", http.StatusBadRequest},
 		{"bad limit", "/api/heatmap?dataset=0&limit=-1", http.StatusBadRequest},
+		{"NaN limit", "/api/heatmap?dataset=0&limit=NaN", http.StatusBadRequest},
+		{"infinite limit", "/api/heatmap?dataset=0&limit=%2BInf", http.StatusBadRequest},
 		{"tree not a number", "/api/heatmap?dataset=0&tree=wide", http.StatusBadRequest},
 		{"tree swallows tile", "/api/heatmap?dataset=0&w=128&tree=128", http.StatusBadRequest},
 		{"tree with row subrange", "/api/heatmap?dataset=0&tree=32&rows=0:10", http.StatusBadRequest},
