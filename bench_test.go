@@ -7,6 +7,7 @@ package forestview
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"image/color"
 	"math"
@@ -617,6 +618,94 @@ func runScatter(b *testing.B, top *scatterBenchTop) {
 func BenchmarkF5_Scatter1Shards(b *testing.B) { benchScatter(b, 1) }
 func BenchmarkF5_Scatter2Shards(b *testing.B) { benchScatter(b, 2) }
 func BenchmarkF5_Scatter4Shards(b *testing.B) { benchScatter(b, 4) }
+
+// F5b — what one scattered search pays outside the kernel, per ownership
+// group and per merge, at the shape the replicated fleet serves: the paper
+// compendium cut into 12 two-dataset groups (4 shards at R=2 have 12 ordered
+// owner pairs), every group partial listing all 6,000 genes.
+
+// paperGroupPartials computes the first n two-dataset group partials of one
+// query over the paper compendium.
+func paperGroupPartials(b testing.TB, n int) []*spell.Partial {
+	b.Helper()
+	u := synth.NewUniverse(paperGenes, 20, 73)
+	engine, err := spell.NewEngine(paperCompendium(u, 0.02)[:2*n])
+	if err != nil {
+		b.Fatal(err)
+	}
+	parts := make([]*spell.Partial, n)
+	for g := range parts {
+		parts[g], err = engine.PartialSearchSubsetCtx(context.Background(), u.ModuleGeneIDs(4)[:4], []int{2 * g, 2*g + 1}, spell.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(parts[g].IDs) != paperGenes {
+			b.Fatalf("group %d partial lists %d genes", g, len(parts[g].IDs))
+		}
+	}
+	return parts
+}
+
+// partialWireTrip is one group partial's trip over the shard hop, minus the
+// socket: gob-encode on the shard, gob-decode on the coordinator.
+func partialWireTrip(b testing.TB, buf *bytes.Buffer, p *spell.Partial) (decoded spell.Partial, wireBytes int) {
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(p); err != nil {
+		b.Fatal(err)
+	}
+	wireBytes = buf.Len()
+	if err := gob.NewDecoder(buf).Decode(&decoded); err != nil {
+		b.Fatal(err)
+	}
+	return decoded, wireBytes
+}
+
+// BenchmarkF5_PartialWire: the gob-enveloped frame round trip of one
+// 6,000-gene group partial (DESIGN.md §4 has the numbers).
+func BenchmarkF5_PartialWire(b *testing.B) {
+	p := paperGroupPartials(b, 1)[0]
+	var buf bytes.Buffer
+	_, n := partialWireTrip(b, &buf, p)
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if back, _ := partialWireTrip(b, &buf, p); len(back.IDs) != paperGenes {
+			b.Fatalf("decoded %d genes", len(back.IDs))
+		}
+	}
+}
+
+// BenchmarkF5_Merge12: the coordinator's serial step — 12 decoded group
+// partials merged into the top 20.
+func BenchmarkF5_Merge12(b *testing.B) {
+	var buf bytes.Buffer
+	parts := make([]spell.Partial, 0, 12)
+	for _, p := range paperGroupPartials(b, 12) {
+		back, _ := partialWireTrip(b, &buf, p)
+		parts = append(parts, back)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := spell.Merge(parts, spell.Options{MaxGenes: 20})
+		if err != nil || len(res.Genes) != 20 {
+			b.Fatalf("merge: %v", err)
+		}
+	}
+}
+
+// TestPartialWireAllocs bounds what the shard hop may allocate per group: a
+// partial that goes back to one struct per gene, or a wire form that goes
+// back through reflection, costs two allocations per gene and fails here.
+func TestPartialWireAllocs(t *testing.T) {
+	p := paperGroupPartials(t, 1)[0]
+	var buf bytes.Buffer
+	partialWireTrip(t, &buf, p) // size the buffer once, as a warm server has
+	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, &buf, p) }); allocs > 300 {
+		t.Errorf("one group partial's wire round trip made %.0f allocations, want <= 300", allocs)
+	}
+}
 
 // ---------------------------------------------------------------------------
 // F8 — distributed GOLEM (DESIGN.md §6): scatter an exact enrichment over N

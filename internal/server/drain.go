@@ -531,7 +531,8 @@ func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *sh
 // searchBodyMatches reports whether a pushed search partial covers exactly
 // the dataset set this shard would serve for the group: the group's
 // members under the push topology, intersected with our holdings. Any
-// difference — the drainer held less, or we hold less — fails the check
+// difference — the drainer held less, or we hold less — and any body whose
+// frame does not decode (a peer on another frame version) fails the check
 // and the entry is recomputed instead.
 func (s *Server) searchBodyMatches(st *shardState, sreq *shard.SearchRequest, body []byte) bool {
 	if body == nil {

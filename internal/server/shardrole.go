@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 
 	"forestview/internal/golem"
@@ -24,10 +25,10 @@ import (
 // as every other endpoint.
 
 // handleShardSearch serves POST /api/shard/v1/search: a gob
-// shard.SearchRequest in, a gob spell.Partial out — dataset indexes already
-// remapped to the global compendium order. Partials are cached under the
-// canonical query ("partial" prefix): identical queries from one or many
-// coordinators scan each dataset slice once.
+// shard.SearchRequest in, a gob-enveloped spell.Partial frame out — dataset
+// indexes already remapped to the global compendium order. Partials are
+// cached under the canonical query ("partial" prefix): identical queries
+// from one or many coordinators scan each dataset slice once.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
 		func(req *shard.SearchRequest) []string { return req.Query }, s.partialSearch)
@@ -76,9 +77,18 @@ func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request,
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:
 		w.Header().Set(cacheHeader, disp)
-		w.Header().Set("Content-Type", shard.ContentType)
-		_, _ = w.Write(body)
+		writeGobBody(w, body)
 	}
+}
+
+// writeGobBody sends an encoded shard-protocol body with its Content-Length.
+// Without one net/http chunks any body over 2 KB; the peer's gob decoder
+// stops at the end of the message, before the terminal chunk, and a response
+// closed short of EOF takes its connection with it (see shard's call).
+func writeGobBody(w http.ResponseWriter, body []byte) {
+	w.Header().Set("Content-Type", shard.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 // errPartialEncode marks a gob failure while encoding a partial — a bug,
@@ -86,9 +96,11 @@ func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request,
 var errPartialEncode = errors.New("partial encode failed")
 
 // cachedPartial computes (or serves cached) one shard partial, already
-// gob-encoded: the wire form is what every consumer of the cache wants, so
-// a cache hit costs zero re-encoding and the entry's cost is its exact byte
-// length.
+// gob-encoded (a spell.Partial as its own binary frame inside the gob
+// envelope): the wire form is what every consumer of the cache wants, so a
+// cache hit costs zero re-encoding and the entry's cost is its exact byte
+// length — the body is copied out of the encode buffer at that length, so
+// the cache never holds growth slack the LRU did not charge for.
 func cachedPartial[P any](ctx context.Context, s *Server, key string, compute func() (P, error)) ([]byte, string, error) {
 	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
 		p, err := compute()
@@ -99,7 +111,9 @@ func cachedPartial[P any](ctx context.Context, s *Server, key string, compute fu
 		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 			return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
 		}
-		return buf.Bytes(), nil
+		body := make([]byte, buf.Len())
+		copy(body, buf.Bytes())
+		return body, nil
 	})
 }
 
@@ -184,8 +198,7 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, what+" encode failed: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", shard.ContentType)
-	_, _ = w.Write(buf.Bytes())
+	writeGobBody(w, buf.Bytes())
 }
 
 // groupEnrichKey is the cache key of one background slice's tallies, kept

@@ -21,9 +21,16 @@ import (
 
 // call performs one shard-protocol HTTP exchange, bounded by the attempt
 // deadline: method + path against the shard, an optional gob request body,
-// a gob response decoded as T. Any non-200 status is an error carrying a
+// a gob response decoded as T (a spell.Partial decodes its own frame inside
+// the gob envelope; a frame it rejects is a decode error here, and so an
+// ordinary failed attempt). Any non-200 status is an error carrying a
 // bounded excerpt of the body; a 404 on the enrichment paths is
 // errEnrichUnsupported (no ontology, or an older protocol version).
+//
+// Whatever the outcome, a bounded remainder of the body is read before it is
+// closed: gob stops at the end of its message, and net/http only returns a
+// connection to the idle pool once the body has been read to EOF — closing
+// short of it costs the next call to this shard a TCP handshake.
 func call[T any](ctx context.Context, c *Coordinator, shard, method, path string, body []byte) (*T, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Deadline)
 	defer cancel()
@@ -42,7 +49,10 @@ func call[T any](ctx context.Context, c *Coordinator, shard, method, path string
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, 64<<10) // best effort: a failure only costs the reuse
+		resp.Body.Close()
+	}()
 	if resp.StatusCode == http.StatusNotFound && strings.HasPrefix(path, EnrichPath) {
 		return nil, errEnrichUnsupported
 	}

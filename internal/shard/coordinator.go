@@ -46,7 +46,8 @@ type Config struct {
 	// themselves addresses). In-process tests resolve logical names to
 	// httptest listeners with it.
 	Resolve func(identity string) string
-	// Client issues the scatter requests (default: a plain http.Client;
+	// Client issues the scatter requests (default: net/http's default
+	// transport with its idle pool widened to maxIdleConnsPerShard;
 	// deadlines come from per-attempt contexts, not a client timeout).
 	Client *http.Client
 	// Deadline bounds each shard attempt (default 10s). A shard that
@@ -69,6 +70,13 @@ type Config struct {
 	// or the first successful round.
 	InfoFailureCooldown time.Duration
 }
+
+// maxIdleConnsPerShard is how many idle connections the default client
+// keeps per shard. A scatter holds one request open per ownership group a
+// shard serves — 3 at 4 shards R=2, more on larger fleets — all at once, and
+// net/http's default of 2 closes the rest when they finish, so the next
+// scatter re-dials them.
+const maxIdleConnsPerShard = 32
 
 // NormalizeAddr is the default identity resolver: an address-like
 // identity ("host:port", with or without a scheme) becomes a base URL.
@@ -148,7 +156,9 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.MaxIdleConnsPerHost = maxIdleConnsPerShard
+		client = &http.Client{Transport: tr}
 	}
 	resolve := cfg.Resolve
 	if resolve == nil {

@@ -383,6 +383,18 @@ func TestScatterFailureModes(t *testing.T) {
 			killAlso: true,
 			wantOK:   2,
 		},
+		{
+			// A shard on another frame version (or a corrupted body): the
+			// partial's own decoder rejects it inside the gob envelope, and
+			// that is an ordinary failed attempt.
+			name: "bad-frame",
+			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
+				w.Header().Set("Content-Type", ContentType)
+				_ = gob.NewEncoder(w).Encode(foreignFrame{})
+				return true
+			},
+			wantOK: 2,
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -461,6 +473,18 @@ func TestScatterFailureModes(t *testing.T) {
 			t.Fatalf("outage counter = %d", c.Stats().FullOutages)
 		}
 	})
+}
+
+// foreignFrame gob-encodes, like spell.Partial, as a BinaryMarshaler — so it
+// decodes into one — but its bytes are a frame of a version nobody reads.
+type foreignFrame struct{}
+
+func (foreignFrame) MarshalBinary() ([]byte, error) {
+	frame, err := spell.Partial{Query: []string{"A", "B"}}.MarshalBinary()
+	if err == nil {
+		frame[4] = 0xff // the version byte
+	}
+	return frame, err
 }
 
 // TestScatterRetryRecovers: with Retry enabled, a shard that fails its

@@ -1,13 +1,22 @@
 package shard
 
-// The shard wire protocol: Go-to-Go internal RPC carried as gob over
-// HTTP POST. Gob over JSON because the payloads are float-heavy and
+// The shard wire protocol: Go-to-Go internal RPC, every body one gob message
+// over HTTP POST. Gob over JSON because the payloads are float-heavy and
 // NaN-bearing — a dataset that measures fewer than two query genes has NaN
 // coherence, which JSON cannot represent at all (the daemon's public API
-// papers over it with a custom marshaler) — and gob round-trips every
-// float64 bit-exactly, which the golden-parity guarantee of the merged
-// path leans on. The endpoints are internal (shard daemons are not meant
-// to face the public), so Go-only encoding is not a constraint.
+// papers over it with a custom marshaler) — and the golden-parity guarantee
+// of the merged path needs every float64 bit-exact. The endpoints are
+// internal (shard daemons are not meant to face the public), so Go-only
+// encoding is not a constraint.
+//
+// The one large body, the search partial, is not left to gob's reflection:
+// spell.Partial implements encoding.BinaryMarshaler as a columnar
+// little-endian frame (spell/frame.go; layout and length checks in
+// DESIGN.md §4), and gob carries those bytes verbatim as the message. Gob
+// stays the envelope so that nothing here — call, the handlers, the handoff
+// bodies below — has a second code path for it. A frame the decoder rejects
+// (another version, corruption) is a decode error like any other: the
+// attempt fails and the group fails over.
 //
 // Paths are versioned: every endpoint lives under /api/shard/v1/. A
 // coordinator only ever speaks one protocol version; a shard from another
@@ -156,9 +165,10 @@ type HandoffRequest struct {
 
 // HandoffEntry is one warm partial: a hot query (or enrichment selection)
 // scoped to one ownership group of the post-drain topology. Body is the
-// gob partial exactly as the receiver would serve it; a nil Body (or one
-// that fails the receiver's validation) makes the receiver recompute the
-// partial locally instead — replay warming, correct by construction.
+// encoded partial exactly as the receiver would serve and cache it; a nil
+// Body (or one that fails to decode, or fails the receiver's validation)
+// makes the receiver recompute the partial locally instead — replay
+// warming, correct by construction.
 type HandoffEntry struct {
 	// Kind is CapabilitySearch or CapabilityEnrich.
 	Kind string
@@ -166,8 +176,9 @@ type HandoffEntry struct {
 	Query []string
 	// Owners is the target group's ordered replica tuple under Shards.
 	Owners []string
-	// Body is the gob-encoded partial (*spell.Partial or
-	// *golem.PartialCounts); nil requests a local recompute.
+	// Body is one gob message: a *spell.Partial (its binary frame inside
+	// the gob envelope) or a *golem.PartialCounts (plain gob). nil requests
+	// a local recompute.
 	Body []byte
 }
 

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -15,7 +16,7 @@ import (
 // datasets computes a Partial — unnormalized per-dataset coherences plus
 // per-gene correlation accumulators — and the pure Merge renormalizes the
 // dataset weights over the union compendium and reproduces the
-// single-process ranking.
+// single-process ranking. The Partial's wire form is in frame.go.
 //
 // Why the accumulators merge exactly: SPELL's dataset weights are
 // w_d = c_d / Σc (c_d the clamped raw coherence), and a gene's final score
@@ -27,26 +28,43 @@ import (
 // the global total does change the math is SPELL's degenerate fallback —
 // when every dataset's coherence clamps to zero, Search reweights uniformly
 // over datasets measuring the query — and a shard cannot know locally
-// whether the *global* total is zero. Each PartialGene therefore carries
-// both accumulator pairs: coherence-weighted (WSum/WCnt) and unweighted
+// whether the *global* total is zero. A Partial therefore carries both
+// accumulator pairs per gene: coherence-weighted (WSum/WCnt) and unweighted
 // (USum/UCnt); Merge picks per the global total (and UCnt also serves the
 // UniformWeights ablation, which is deferred to merge time entirely).
 
 // Partial is one shard's share of a search: every dataset the shard holds
 // (weighted or not), and the accumulators for every gene that scored
-// against the query there. Partials are wire-friendly — all fields
-// exported, NaN coherences intact under encoding/gob — and are merged with
-// Merge. The zero shard case (no query gene present anywhere in the slice)
-// is a valid Partial with Present == 0 on every dataset and no genes.
+// against the query there, held as parallel columns — what the dense
+// scoring kernel produces and what the wire frame (MarshalBinary) ships,
+// with no per-gene struct in between. Partials are merged with Merge. The
+// zero shard case (no query gene present anywhere in the slice) is a valid
+// Partial with Present == 0 on every dataset and empty columns.
+//
+// The columns are read-only: a Partial computed by an engine shares its ID
+// and Name columns with that engine, and one decoded from a frame holds
+// substrings of a few large blobs.
 type Partial struct {
 	// Query is the canonicalized query the shard ran. Merge refuses to
 	// combine partials of different queries.
 	Query []string
 	// Datasets lists every dataset of the shard's slice.
 	Datasets []PartialDataset
-	// Genes holds one accumulator entry per gene that scored in at least
-	// one dataset of the slice, in the shard engine's stable gene order.
-	Genes []PartialGene
+
+	// IDs and Names identify the genes that scored in at least one dataset
+	// of the slice, in the shard engine's stable gene order; the four
+	// accumulator columns below are parallel to them. m_{g,d} is the gene's
+	// mean correlation to the query genes within dataset d; c_d is the
+	// dataset's raw coherence clamped to [0, ∞) with NaN → 0.
+	IDs, Names []string
+	// WSum = Σ c_d·m_{g,d} and WCnt = Σ c_d over the shard's datasets with
+	// c_d > 0 where the gene scored — the coherence-weighted pair.
+	WSum, WCnt []float64
+	// USum = Σ m_{g,d} and UCnt = count, over every dataset measuring the
+	// query where the gene scored regardless of coherence — the uniform
+	// pair, used by Merge for the degenerate fallback and the
+	// UniformWeights ablation.
+	USum, UCnt []float64
 }
 
 // PartialDataset is one dataset's unnormalized stage-1 result.
@@ -67,21 +85,14 @@ type PartialDataset struct {
 	Present int
 }
 
-// PartialGene carries one gene's mergeable score accumulators over the
-// shard's datasets. m_{g,d} is the gene's mean correlation to the query
-// genes within dataset d; c_d is the dataset's raw coherence clamped to
-// [0, ∞) with NaN → 0.
-type PartialGene struct {
-	ID   string
-	Name string
-	// WSum = Σ c_d·m_{g,d} and WCnt = Σ c_d over the shard's datasets with
-	// c_d > 0 where the gene scored — the coherence-weighted pair.
-	WSum, WCnt float64
-	// USum = Σ m_{g,d} and UCnt = count, over every dataset measuring the
-	// query where the gene scored regardless of coherence — the uniform
-	// pair, used by Merge for the degenerate fallback and the
-	// UniformWeights ablation.
-	USum, UCnt float64
+// checkColumns reports whether the six gene columns have one length.
+func (p *Partial) checkColumns() error {
+	n := len(p.IDs)
+	if len(p.Names) != n || len(p.WSum) != n || len(p.WCnt) != n || len(p.USum) != n || len(p.UCnt) != n {
+		return fmt.Errorf("spell: partial gene columns differ in length (%d ids, %d names, %d/%d/%d/%d accumulators)",
+			n, len(p.Names), len(p.WSum), len(p.WCnt), len(p.USum), len(p.UCnt))
+	}
+	return nil
 }
 
 // dualAccum is the stage-2 accumulator of PartialSearch: dense vectors like
@@ -97,12 +108,10 @@ type dualAccum struct {
 }
 
 func newDualAccum(numGenes int) *dualAccum {
-	return &dualAccum{
-		wsum: make([]float64, numGenes),
-		wcnt: make([]float64, numGenes),
-		usum: make([]float64, numGenes),
-		ucnt: make([]float64, numGenes),
-	}
+	// One allocation, cut four ways: the columns leave in a Partial together.
+	buf := make([]float64, 4*numGenes)
+	cut := func(i int) []float64 { return buf[i*numGenes : (i+1)*numGenes : (i+1)*numGenes] }
+	return &dualAccum{wsum: cut(0), wcnt: cut(1), usum: cut(2), ucnt: cut(3)}
 }
 
 func (a *dualAccum) add(gid int32, c, meanCorr float64) {
@@ -149,7 +158,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	if subset == nil {
 		subset = e.allDatasets()
 	} else {
-		seen := make(map[int]bool, len(subset))
+		seen := make([]bool, len(e.slabs))
 		for _, di := range subset {
 			if di < 0 || di >= len(e.slabs) {
 				return nil, fmt.Errorf("spell: subset dataset index %d out of range [0,%d)", di, len(e.slabs))
@@ -201,17 +210,30 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, cw, acc); err != nil {
 		return nil, err
 	}
-	for gi := range e.order {
-		if acc.ucnt[gi] == 0 {
-			continue
+	// The columns are the accumulator itself. When every gene scored — the
+	// subset's datasets measure every gene of the engine, the normal case —
+	// nothing is copied and the ID and Name columns are the engine's own;
+	// otherwise the genes that scored are compacted to the front in place.
+	n := 0
+	for _, c := range acc.ucnt {
+		if c != 0 {
+			n++
 		}
-		p.Genes = append(p.Genes, PartialGene{
-			ID:   e.order[gi],
-			Name: e.names[gi],
-			WSum: acc.wsum[gi], WCnt: acc.wcnt[gi],
-			USum: acc.usum[gi], UCnt: acc.ucnt[gi],
-		})
 	}
+	if n == len(e.order) {
+		p.IDs, p.Names = e.order[:n:n], e.names[:n:n]
+	} else {
+		p.IDs, p.Names = make([]string, 0, n), make([]string, 0, n)
+		for gi, c := range acc.ucnt {
+			if c == 0 {
+				continue
+			}
+			k := len(p.IDs)
+			p.IDs, p.Names = append(p.IDs, e.order[gi]), append(p.Names, e.names[gi])
+			acc.wsum[k], acc.wcnt[k], acc.usum[k], acc.ucnt[k] = acc.wsum[gi], acc.wcnt[gi], acc.usum[gi], c
+		}
+	}
+	p.WSum, p.WCnt, p.USum, p.UCnt = acc.wsum[:n:n], acc.wcnt[:n:n], acc.usum[:n:n], acc.ucnt[:n:n]
 	return p, nil
 }
 
@@ -220,13 +242,6 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 // degraded scatter) should treat it as inconclusive — the missing shards
 // may hold the genes — rather than as proof the genes don't exist.
 var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the compendium")
-
-// mergedGene is one gene's union accumulator during Merge.
-type mergedGene struct {
-	name       string
-	wsum, wcnt float64
-	usum, ucnt float64
-}
 
 // Merge combines per-shard partials into the full search result,
 // renormalizing dataset weights over the union compendium. It is pure —
@@ -246,14 +261,23 @@ type mergedGene struct {
 // Every partial must carry the same canonical query, and dataset names
 // must be unique across partials — a duplicate means two shards both
 // claimed a dataset, which would double-count its coherence and scores.
+//
+// The result shares no memory with the partials: every string it returns
+// is cloned. A decoded partial's strings are substrings of its frame's
+// blobs (frame.go), and the coordinator caches merged results — a cached
+// top-20 that aliased its inputs would pin ≈100 KB of gene-ID blob per
+// entry (measured on fleet-scatter: mem_live_mb +15%).
 func Merge(parts []Partial, opt Options) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("spell: no partials to merge")
 	}
 	query := parts[0].Query
-	for _, p := range parts[1:] {
-		if !equalQueries(query, p.Query) {
-			return nil, fmt.Errorf("spell: partials ran different queries (%v vs %v)", query, p.Query)
+	for i := range parts {
+		if !slices.Equal(query, parts[i].Query) {
+			return nil, fmt.Errorf("spell: partials ran different queries (%v vs %v)", query, parts[i].Query)
+		}
+		if err := parts[i].checkColumns(); err != nil {
+			return nil, err
 		}
 	}
 	if len(query) == 0 {
@@ -324,34 +348,61 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		weights[i] /= total
 	}
 
-	// Union gene accumulators, in deterministic first-partial-first-seen
-	// order (only tie order among bitwise-equal scores could observe it).
-	genes := make(map[string]*mergedGene)
-	var order []string
-	for _, p := range parts {
-		for _, g := range p.Genes {
-			mg := genes[g.ID]
-			if mg == nil {
-				mg = &mergedGene{name: g.Name}
-				genes[g.ID] = mg
-				order = append(order, g.ID)
+	// Union gene accumulators in a slot table: every distinct gene ID gets a
+	// dense slot in first-partial-first-seen order (only tie order among
+	// bitwise-equal scores could observe it), a part maps its rows to slots
+	// once, and accumulation is four dense loops. Shards of one compendium
+	// mostly score the same genes in the same order, so a part whose ID
+	// column equals the previous part's reuses that part's row→slot vector
+	// and never touches the map.
+	n0 := len(parts[0].IDs)
+	slot := make(map[string]int32, n0)
+	ids, names := make([]string, 0, n0), make([]string, 0, n0)
+	wsum, wcnt := make([]float64, 0, n0), make([]float64, 0, n0)
+	usum, ucnt := make([]float64, 0, n0), make([]float64, 0, n0)
+	var (
+		prevIDs []string
+		buf     []int32 // the row→slot vector of the part last mapped
+		rows    []int32 // buf, or nil when that vector is the identity
+	)
+	for pi := range parts {
+		p := &parts[pi]
+		if !slices.Equal(p.IDs, prevIDs) {
+			prevIDs, buf = p.IDs, slices.Grow(buf[:0], len(p.IDs))
+			identity := true
+			for i, id := range p.IDs {
+				s, ok := slot[id]
+				if !ok {
+					s = int32(len(ids))
+					slot[id] = s
+					ids, names = append(ids, id), append(names, p.Names[i])
+					wsum, wcnt, usum, ucnt = append(wsum, 0), append(wcnt, 0), append(usum, 0), append(ucnt, 0)
+				}
+				buf = append(buf, s)
+				identity = identity && int(s) == i
 			}
-			mg.wsum += g.WSum
-			mg.wcnt += g.WCnt
-			mg.usum += g.USum
-			mg.ucnt += g.UCnt
+			if rows = buf; identity {
+				rows = nil
+			}
 		}
+		addRows(wsum, p.WSum, rows)
+		addRows(wcnt, p.WCnt, rows)
+		addRows(usum, p.USum, rows)
+		addRows(ucnt, p.UCnt, rows)
 	}
 
-	res := &Result{Query: query}
+	res := &Result{Query: make([]string, len(query)), Datasets: make([]DatasetRank, len(dss))}
+	for i, q := range query {
+		res.Query[i] = strings.Clone(q)
+	}
 	for i, d := range dss {
-		res.Datasets = append(res.Datasets, DatasetRank{
+		res.Datasets[i] = DatasetRank{
 			Index:          d.Index,
-			Name:           d.Name,
+			Name:           strings.Clone(d.Name),
 			Weight:         weights[i],
 			QueryCoherence: d.Coherence,
 			QueryPresent:   d.Present,
-		})
+		}
 	}
 	// Equivalent to Search's stable sort over index-ordered entries:
 	// weight descending, global index ascending among equal weights.
@@ -362,48 +413,58 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		return res.Datasets[a].Index < res.Datasets[b].Index
 	})
 
-	qset := make(map[string]bool, len(query))
-	for _, q := range query {
-		qset[q] = true
+	// As in SearchCtx: rank compact slot indexes and materialize only the
+	// entries that survive the MaxGenes cut.
+	sum, cnt := wsum, wcnt
+	if uniform {
+		sum, cnt = usum, ucnt
 	}
-	for _, id := range order {
-		isQ := qset[id]
-		if isQ && !opt.IncludeQuery {
+	qmask := make([]bool, len(ids))
+	for _, q := range query {
+		if s, ok := slot[q]; ok {
+			qmask[s] = true
+		}
+	}
+	order := make([]int32, 0, len(ids))
+	for s := range ids {
+		if qmask[s] && !opt.IncludeQuery {
 			continue
 		}
-		mg := genes[id]
-		var score float64
-		if uniform {
-			if mg.ucnt == 0 {
-				continue
-			}
-			score = mg.usum / mg.ucnt
-		} else {
-			if mg.wcnt == 0 {
-				continue
-			}
-			score = mg.wsum / mg.wcnt
+		if c := cnt[s]; c != 0 {
+			sum[s] /= c // final score, reused in place
+			order = append(order, int32(s))
 		}
-		res.Genes = append(res.Genes, GeneRank{ID: id, Name: mg.name, Score: score, IsQuery: isQ})
 	}
 	// Score descending, gene ID among exact ties.
-	res.Genes = topK(res.Genes, opt.MaxGenes, func(a, b GeneRank) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+	order = topK(order, opt.MaxGenes, func(a, b int32) int {
+		if c := cmp.Compare(sum[b], sum[a]); c != 0 {
 			return c
 		}
-		return strings.Compare(a.ID, b.ID)
+		return strings.Compare(ids[a], ids[b])
 	})
+	res.Genes = make([]GeneRank, len(order))
+	for i, s := range order {
+		res.Genes[i] = GeneRank{
+			ID:      strings.Clone(ids[s]),
+			Name:    strings.Clone(names[s]),
+			Score:   sum[s],
+			IsQuery: qmask[s],
+		}
+	}
 	return res, nil
 }
 
-func equalQueries(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// addRows adds the column src into the accumulator dst: row i into slot
+// rows[i], or — rows == nil, the identity — into slot i.
+func addRows(dst, src []float64, rows []int32) {
+	if rows == nil {
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] += v
 		}
+		return
 	}
-	return true
+	for i, s := range rows {
+		dst[s] += src[i]
+	}
 }

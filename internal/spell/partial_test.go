@@ -7,9 +7,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"forestview/internal/microarray"
 	"forestview/internal/synth"
@@ -189,8 +192,8 @@ func TestPartialSearchNoQueryGenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Genes) != 0 || len(p.Datasets) != 1 {
-		t.Fatalf("partial shape: %d genes, %d datasets", len(p.Genes), len(p.Datasets))
+	if len(p.IDs) != 0 || len(p.Datasets) != 1 {
+		t.Fatalf("partial shape: %d genes, %d datasets", len(p.IDs), len(p.Datasets))
 	}
 	if d := p.Datasets[0]; d.Present != 0 || !math.IsNaN(d.Coherence) {
 		t.Fatalf("dataset entry: %+v", d)
@@ -220,10 +223,11 @@ func TestMergeErrors(t *testing.T) {
 	}
 }
 
-// TestPartialGobRoundTrip pins the wire contract: a Partial — NaN
-// coherences included — survives encoding/gob bit-exactly, so the merged
-// result of decoded partials is identical (==, not merely close) to the
-// merge of the originals.
+// TestPartialGobRoundTrip pins the wire contract end to end: a Partial —
+// NaN coherences included — survives its gob-enveloped frame bit-exactly,
+// so the merged result of decoded partials is identical (==, not merely
+// close) to the merge of the originals. (frame_test.go pins the frame
+// itself.)
 func TestPartialGobRoundTrip(t *testing.T) {
 	u := synth.NewUniverse(120, 6, 17)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -465,7 +469,7 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 
 	// A nil subset is the whole slice (PartialSearchCtx), an empty subset a
 	// valid empty partial, and malformed subsets are loud errors.
-	if p, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{}, Options{}); err != nil || len(p.Datasets) != 0 || len(p.Genes) != 0 {
+	if p, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{}, Options{}); err != nil || len(p.Datasets) != 0 || len(p.IDs) != 0 {
 		t.Fatalf("empty subset: %+v, %v", p, err)
 	}
 	if _, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{0, 0}, Options{}); err == nil {
@@ -473,5 +477,247 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 	}
 	if _, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{99}, Options{}); err == nil {
 		t.Fatal("out-of-range subset index accepted")
+	}
+}
+
+// scrambled returns ds with its rows shuffled and a share of them dropped
+// (never a row of keep), so that no two datasets of a compendium — and no
+// two engines built over them — list the same genes in the same order.
+func scrambled(ds *microarray.Dataset, rng *rand.Rand, drop float64, keep map[string]bool) *microarray.Dataset {
+	var rows []int
+	for _, r := range rng.Perm(ds.NumGenes()) {
+		if keep[ds.Genes[r].ID] || rng.Float64() >= drop {
+			rows = append(rows, r)
+		}
+	}
+	return ds.Subset(ds.Name, rows)
+}
+
+// TestMergeMixedGeneColumns is the golden-parity proof for the slot table's
+// general path: the parts list different gene subsets in different orders
+// (so no part can reuse its predecessor's slot vector), some parts repeat a
+// predecessor's column exactly (so some do), and Merge must still match the
+// single-process Search to 1e-12 — weighted, UniformWeights, and the
+// degenerate all-NaN-coherence fallback.
+func TestMergeMixedGeneColumns(t *testing.T) {
+	u := synth.NewUniverse(220, 8, 71)
+	raw, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 9, MinExperiments: 8, MaxExperiments: 16,
+		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.04, Seed: 72,
+	})
+	query := u.ModuleGeneIDs(3)[:4]
+	rng := rand.New(rand.NewSource(73))
+
+	// coherent: every dataset keeps all query genes. degenerate: each keeps
+	// exactly one, so no coherence is defined anywhere and Search falls back
+	// to uniform weights.
+	keepAll := map[string]bool{}
+	for _, q := range query {
+		keepAll[q] = true
+	}
+	coherent := make([]*microarray.Dataset, len(raw))
+	degenerate := make([]*microarray.Dataset, len(raw))
+	for di, ds := range raw {
+		coherent[di] = scrambled(ds, rng, 0.25, keepAll)
+		var rows []int
+		for r, g := range ds.Genes {
+			if !keepAll[g.ID] || g.ID == query[di%len(query)] {
+				rows = append(rows, r)
+			}
+		}
+		degenerate[di] = scrambled(ds.Subset(ds.Name, rows), rng, 0.25, keepAll)
+	}
+
+	for _, tc := range []struct {
+		name string
+		dss  []*microarray.Dataset
+		opts []Options
+	}{
+		{"coherent", coherent, []Options{{}, {UniformWeights: true}, {MaxGenes: 30, IncludeQuery: true}}},
+		{"degenerate", degenerate, []Options{{IncludeQuery: true}, {MaxGenes: 30}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full, err := NewEngine(tc.dss)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// One part per dataset from the full engine: subsets of one gene
+			// order, each compacted differently...
+			var perDataset []Partial
+			for di := range tc.dss {
+				p, err := full.PartialSearchSubsetCtx(context.Background(), query, []int{di}, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				perDataset = append(perDataset, *p)
+			}
+			for _, opt := range tc.opts {
+				want, err := full.Search(query, opt)
+				if err != nil {
+					t.Fatalf("search %+v: %v", opt, err)
+				}
+				if tc.name == "degenerate" {
+					for _, d := range want.Datasets {
+						if !math.IsNaN(d.QueryCoherence) {
+							t.Fatalf("fixture: dataset %d has a defined coherence", d.Index)
+						}
+					}
+				}
+				splits := map[string][]Partial{"per-dataset": perDataset}
+				// ...and per-shard engines, whose first-seen gene orders differ.
+				for _, n := range []int{2, 4} {
+					splits[fmt.Sprintf("%d-shards", n)] = shardSplit(t, tc.dss, n, query, opt)
+				}
+				for name, parts := range splits {
+					mapped := 0
+					for i := 1; i < len(parts); i++ {
+						if !slices.Equal(parts[i].IDs, parts[i-1].IDs) {
+							mapped++
+						}
+					}
+					if mapped == 0 {
+						t.Fatalf("%s: every part repeats its predecessor's gene column; the general path is untested", name)
+					}
+					got, err := Merge(parts, opt)
+					if err != nil {
+						t.Fatalf("%s %+v: %v", name, opt, err)
+					}
+					assertResultsMatch(t, got, want, 1e-12)
+
+					// The same parts doubled up — every second one repeats its
+					// predecessor's column, half its accumulators each — take the
+					// slot-reuse shortcut between the mapped parts and must agree.
+					var halves []Partial
+					for _, p := range parts {
+						a, b := p, p
+						a.Datasets, b.Datasets = p.Datasets[:len(p.Datasets)/2], p.Datasets[len(p.Datasets)/2:]
+						a.WSum, b.WSum = splitColumn(p.WSum)
+						a.WCnt, b.WCnt = splitColumn(p.WCnt)
+						a.USum, b.USum = splitColumn(p.USum)
+						a.UCnt, b.UCnt = splitColumn(p.UCnt)
+						halves = append(halves, a, b)
+					}
+					again, err := Merge(halves, opt)
+					if err != nil {
+						t.Fatalf("%s halves %+v: %v", name, opt, err)
+					}
+					assertResultsMatch(t, again, want, 1e-12)
+				}
+			}
+		})
+	}
+}
+
+// splitColumn splits an accumulator column into two that sum back to it
+// exactly: the even rows in one, the odd rows in the other, zeros elsewhere.
+func splitColumn(col []float64) (even, odd []float64) {
+	even, odd = make([]float64, len(col)), make([]float64, len(col))
+	for i, v := range col {
+		if i%2 == 0 {
+			even[i] = v
+		} else {
+			odd[i] = v
+		}
+	}
+	return even, odd
+}
+
+// TestMergeResultOwnsItsMemory: a merged result shares nothing with the
+// partials it came from. Decoded partials hold substrings of their frames'
+// blobs, and the coordinator caches merged results: an aliased top-20 would
+// pin every frame it was merged from. Scribbling over the parts must not
+// change the result, and none of its strings may point into a part's.
+func TestMergeResultOwnsItsMemory(t *testing.T) {
+	u := synth.NewUniverse(120, 6, 17)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 4, MinExperiments: 8, MaxExperiments: 12,
+		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.03, Seed: 18,
+	})
+	query := u.ModuleGeneIDs(2)[:4]
+	var parts []Partial
+	for _, p := range shardSplit(t, dss, 2, query, Options{}) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+			t.Fatal(err)
+		}
+		var back Partial
+		if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
+			t.Fatal(err)
+		}
+		parts = append(parts, back)
+	}
+	opt := Options{IncludeQuery: true, MaxGenes: 20}
+	got, err := Merge(parts, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Every byte range a part's strings occupy.
+	type span struct{ lo, hi uintptr }
+	var spans []span
+	note := func(s string) {
+		if len(s) > 0 {
+			lo := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+			spans = append(spans, span{lo, lo + uintptr(len(s))})
+		}
+	}
+	for _, p := range parts {
+		for _, col := range [][]string{p.Query, p.IDs, p.Names} {
+			for _, s := range col {
+				note(s)
+			}
+		}
+		for _, d := range p.Datasets {
+			note(d.Name)
+		}
+	}
+	held := 0
+	check := func(what, s string) {
+		held += len(s)
+		if len(s) == 0 {
+			return
+		}
+		at := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		for _, sp := range spans {
+			if at >= sp.lo && at < sp.hi {
+				t.Fatalf("%s %q points into a partial's memory", what, s)
+			}
+		}
+	}
+	for _, q := range got.Query {
+		check("query gene", q)
+	}
+	for _, d := range got.Datasets {
+		check("dataset name", d.Name)
+	}
+	for _, g := range got.Genes {
+		check("gene ID", g.ID)
+		check("gene name", g.Name)
+	}
+	if held == 0 || len(got.Genes) != 20 {
+		t.Fatalf("fixture: result holds %d string bytes, %d genes", held, len(got.Genes))
+	}
+
+	want := bitsOf(got)
+	wantIDs := got.TopGeneIDs(len(got.Genes))
+	wantQuery := append([]string(nil), got.Query...)
+	for pi := range parts {
+		p := &parts[pi]
+		for _, col := range [][]string{p.Query, p.IDs, p.Names} {
+			for i := range col {
+				col[i] = "scribbled"
+			}
+		}
+		for _, col := range [][]float64{p.WSum, p.WCnt, p.USum, p.UCnt} {
+			for i := range col {
+				col[i] = -1
+			}
+		}
+		for i := range p.Datasets {
+			p.Datasets[i] = PartialDataset{Name: "scribbled"}
+		}
+	}
+	if !reflect.DeepEqual(bitsOf(got), want) || !reflect.DeepEqual(got.TopGeneIDs(len(got.Genes)), wantIDs) || !reflect.DeepEqual(got.Query, wantQuery) {
+		t.Fatal("scribbling over the merged partials changed the result")
 	}
 }
