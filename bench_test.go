@@ -31,7 +31,6 @@ import (
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 	"forestview/internal/wall"
-	"forestview/internal/workload"
 )
 
 // ---------------------------------------------------------------------------
@@ -903,63 +902,6 @@ func BenchmarkF6_CombinedPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkF6_ForestbenchOpenLoop pushes the forestbench open-loop
-// workload through a live single-role server in-process: the combined
-// serving path (HTTP, shared cache, singleflight, SPELL scan) under a
-// Poisson arrival process rather than a tight request loop. One iteration
-// is one ~250ms open-loop run, so sec/op tracks the run length by
-// construction; the interesting outputs are the reported p99-ms and
-// achieved-qps metrics, and any 5xx fails the benchmark outright.
-func BenchmarkF6_ForestbenchOpenLoop(b *testing.B) {
-	u := synth.NewUniverse(300, 10, 81)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
-		NumDatasets: 3, MinExperiments: 8, MaxExperiments: 12,
-		ActiveFraction: 0.5, Noise: 0.3, Seed: 82,
-	})
-	engine, err := spell.NewEngine(dss)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{Engine: engine, CacheBytes: 16 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
-	hs := httptest.NewServer(srv)
-	b.Cleanup(hs.Close)
-	plan, err := workload.NewPlan(workload.Spec{
-		Rate: 300, Duration: 250 * time.Millisecond, Seed: 83,
-		Mix: workload.Mix{Search: 4, Stats: 1}, Genes: u.GeneIDs(),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var p99, qps float64
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		n, err := workload.Run(context.Background(), plan, workload.RunOptions{BaseURL: hs.URL, Out: &buf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != len(plan.Ops) {
-			b.Fatalf("wrote %d envelopes for %d ops", n, len(plan.Ops))
-		}
-		envs, err := workload.ReadEnvelopes(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := workload.Analyze(envs, workload.AnalyzeOptions{})
-		if rep.Errors5xx > 0 || rep.Transport > 0 {
-			b.Fatalf("load errors: %d 5xx, %d transport", rep.Errors5xx, rep.Transport)
-		}
-		p99 += rep.Latency.P99
-		qps += rep.Steps[0].AchievedQPS
-	}
-	b.ReportMetric(p99/float64(b.N), "p99-ms")
-	b.ReportMetric(qps/float64(b.N), "achieved-qps")
-}
-
 // ---------------------------------------------------------------------------
 // C1 — §1 claim: display walls beat the desktop by ~two orders of magnitude.
 
@@ -1266,76 +1208,6 @@ func TestTileRenderAllocs(t *testing.T) {
 	if allocs > 64 {
 		t.Fatalf("one 256x256 global-regime tile made %.0f allocations, want <= 64", allocs)
 	}
-}
-
-// BenchmarkF10_PrefetchPanWalk pushes the correlated pan/zoom workload
-// (whole-window steps with the prefetcher's own zoom geometry) through a
-// live server with the speculative prefetcher armed, the benchmark analogue
-// of forestbench -profile=panwalk. One iteration is one ~250ms open-loop
-// run; the interesting outputs are the reported warm-pct and p99-ms
-// metrics, and any 5xx fails the benchmark outright.
-func BenchmarkF10_PrefetchPanWalk(b *testing.B) {
-	u := synth.NewUniverse(300, 10, 81)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
-		NumDatasets: 4, MinExperiments: 8, MaxExperiments: 12,
-		ActiveFraction: 0.5, Noise: 0.3, Seed: 82,
-	})
-	engine, err := spell.NewEngine(dss)
-	if err != nil {
-		b.Fatal(err)
-	}
-	srv, err := server.New(server.Config{
-		Engine: engine, RawDatasets: dss, CacheBytes: 16 << 20,
-		RenderWorkers: 4, RenderQueue: 64, PrefetchWorkers: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(srv.Close)
-	if err := srv.WarmTrees(context.Background()); err != nil {
-		b.Fatal(err)
-	}
-	hs := httptest.NewServer(srv)
-	b.Cleanup(hs.Close)
-	paneRows := make([]int, len(dss))
-	for i, ds := range dss {
-		paneRows[i] = ds.NumGenes()
-	}
-	plan, err := workload.NewPanwalkPlan(workload.Spec{
-		Rate: 300, Duration: 250 * time.Millisecond, Seed: 83,
-		TileRows: 64, TileSize: 32, PaneRows: paneRows,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var warm, p99 float64
-	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		n, err := workload.Run(context.Background(), plan, workload.RunOptions{BaseURL: hs.URL, Out: &buf})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != len(plan.Ops) {
-			b.Fatalf("wrote %d envelopes for %d ops", n, len(plan.Ops))
-		}
-		envs, err := workload.ReadEnvelopes(&buf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		rep := workload.Analyze(envs, workload.AnalyzeOptions{})
-		if rep.Errors5xx > 0 || rep.Transport > 0 {
-			b.Fatalf("load errors: %d 5xx, %d transport", rep.Errors5xx, rep.Transport)
-		}
-		hm := rep.Endpoints["heatmap"]
-		if hm == nil || hm.Requests == 0 {
-			b.Fatal("panwalk run recorded no heatmap requests")
-		}
-		warm += hm.WarmRate
-		p99 += hm.Latency.P99
-	}
-	b.ReportMetric(100*warm/float64(b.N), "warm-pct")
-	b.ReportMetric(p99/float64(b.N), "p99-ms")
 }
 
 func BenchmarkC4_PCLParse(b *testing.B) {

@@ -1,20 +1,15 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"net/http"
-	"os"
-	"sort"
 	"strings"
 	"time"
 
 	"forestview/internal/faultline"
-	"forestview/internal/workload"
 )
 
-// chaosOne is the -chaos mode: the replicated 3-shard R=2 fleet under
+// chaos is the -chaos gate: the replicated 3-shard R=2 fleet under
 // open-loop load while a deterministic faultline injector abuses the
 // coordinator's scatter paths — one shard drawing the full fault menu
 // (5xx, resets, truncated gobs, stalls), another slowed but healthy. The
@@ -24,14 +19,15 @@ import (
 // failover always has somewhere correct to go. The gate fails on any 5xx,
 // transport error or degraded merge — and also if the injector never
 // fired, which would make the whole run vacuous.
-func chaosOne(rate float64, stepDur time.Duration, seed int64, outPrefix string, maxP99MS float64, stdout io.Writer) error {
-	inj := faultline.New(seed)
+func (g gateRun) chaos() error {
+	inj := faultline.New(g.seed)
 	tp, err := newFleetTopology("chaos3r2", 3, 2, 6, 16,
 		&http.Client{Transport: inj.Wrap(nil)})
 	if err != nil {
 		return err
 	}
 	defer tp.close()
+	tp.faults = inj
 	host := func(i int) string { return strings.TrimPrefix(tp.shardServers[i].URL, "http://") }
 	inj.SetRules(
 		// shard-1: every other scatter request draws the next fault in the
@@ -46,74 +42,17 @@ func chaosOne(rate float64, stepDur time.Duration, seed int64, outPrefix string,
 			Delay: 30 * time.Millisecond},
 	)
 
-	jsonlPath := fmt.Sprintf("%s-chaos.jsonl", outPrefix)
-	f, err := os.Create(jsonlPath)
+	plans, err := g.ramp(tp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	for step := 0; step < 2; step++ {
-		plan, err := workload.NewPlan(workload.Spec{
-			Rate:     rate * float64(step+1),
-			Duration: stepDur,
-			Seed:     seed + int64(step),
-			Mix:      tp.mix,
-			Genes:    tp.genes,
-		})
-		if err != nil {
-			return err
-		}
-		if _, err := workload.Run(context.Background(), plan, workload.RunOptions{
-			BaseURL: tp.url, Out: f, Step: step,
-		}); err != nil {
-			return err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	envs, err := workload.ReadEnvelopes(f)
-	if err != nil {
-		return err
-	}
-	rep := workload.Analyze(envs, workload.AnalyzeOptions{P99SLOMS: maxP99MS})
-	counts := inj.Counts()
-	writeChaos := func(w io.Writer) {
-		fmt.Fprintf(w, "== chaos chaos3r2: %d requests against %s ==\n", rep.Requests, tp.url)
-		fmt.Fprintf(w, "faults injected: %d (", inj.Total())
-		kinds := make([]string, 0, len(counts))
-		for k := range counts {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		for i, k := range kinds {
-			if i > 0 {
-				fmt.Fprint(w, ", ")
-			}
-			fmt.Fprintf(w, "%s=%d", k, counts[k])
-		}
-		fmt.Fprintln(w, ")")
-		rep.WriteText(w)
-	}
-	writeChaos(stdout)
-	fmt.Fprintln(stdout)
-	rf, err := os.Create(fmt.Sprintf("%s-chaos-report.txt", outPrefix))
-	if err != nil {
-		return err
-	}
-	writeChaos(rf)
-	rf.Close()
+	_, gateErr := g.drive(tp, plans, "chaos", true)
 
-	if inj.Total() == 0 {
-		return fmt.Errorf("injector fired no faults — the chaos gate proved nothing")
-	}
+	counts := inj.Counts()
 	for _, kind := range []string{"err5xx", "reset"} {
 		if counts[kind] == 0 {
-			return fmt.Errorf("fault kind %s never fired: %v", kind, counts)
+			return fmt.Errorf("fault kind %s never fired (%d faults: %v) — the chaos gate proved nothing", kind, inj.Total(), counts)
 		}
 	}
-	if rep.Degraded > 0 {
-		return fmt.Errorf("%d degraded merges under chaos — a fault leaked past failover", rep.Degraded)
-	}
-	return gate(rep, maxP99MS)
+	return gateErr
 }

@@ -1,48 +1,39 @@
-// Command forestbench drives an open-loop load against a running
-// forestviewd (any role: single, shard or coordinator) and folds the
-// recorded per-request envelopes into latency and capacity reports.
+// Command forestbench runs the fleet gates: seconds-scale open-loop loads
+// pushed through in-process forestviewd topologies (single daemon,
+// coordinator + shards, replicated fleet), each folded into a pass/fail
+// verdict. It measures nothing for the record — latency, capacity and
+// every other committed number belong to bench/ (see bench/README.md).
 //
 // The generator is open-loop — arrivals are scheduled by a Poisson clock
 // at the offered rate before the first request is sent — so a saturated
 // server shows up as growing scheduled-relative latency, not as a quietly
-// reduced load (the coordinated-omission trap of closed-loop drivers; see
-// EXPERIMENTS.md for the methodology).
+// reduced load (the coordinated-omission trap of closed-loop drivers).
 //
 // Usage:
 //
-//	# replay a mixed session at 100 req/s for 30s, one JSONL line per request
-//	forestbench run -target http://127.0.0.1:8080 -rate 100 -duration 30s -out run.jsonl
+//	# every endpoint of every topology answers under load, no 5xx
+//	forestbench -profile=smoke -topology all
 //
-//	# stepped rate sweep for a capacity curve
-//	forestbench run -target http://127.0.0.1:8080 -sweep 50,100,200,400 -step-duration 10s -out sweep.jsonl
+//	# the prefetcher stays ahead of a correlated pan/zoom walk
+//	forestbench -profile=panwalk
 //
-//	# fold envelopes into p50/p95/p99 per endpoint, error/degraded rates
-//	# and the max sustainable rate; gate CI on the result and keep the
-//	# latency-vs-rate curve for plotting
-//	forestbench analyze -in sweep.jsonl -fail-on-5xx -max-p99 2000 -csv sweep.csv
+//	# the replicated fleet absorbs injected faults without degrading
+//	forestbench -chaos
 //
-//	# seconds-scale self-contained proof against in-process topologies
-//	# (-topology all adds the replicated 4-shard fleet)
-//	forestbench -profile=smoke -topology both
-//
-// run generates queries for the daemon's -demo compendium by regenerating
-// the same synthetic universe; point -demo-genes/-demo-modules/-demo-seed/
-// -demo-datasets at the daemon's flags (defaults match forestviewd's).
-// Against a file compendium, pass -gene-ids and -pane-rows explicitly.
+// Each gate writes <out>-<label>.jsonl (one envelope per request) and
+// <out>-<label>-report.txt; the two remaining fleet gates, shard kill and
+// rolling restart, are the package's E2E tests.
 package main
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
-	"forestview/internal/synth"
 	"forestview/internal/workload"
 )
 
@@ -50,363 +41,159 @@ func main() {
 	os.Exit(runMain(os.Args[1:], os.Stdout, os.Stderr))
 }
 
+// gateRun is one invocation's settings, shared by every gate.
+type gateRun struct {
+	rate     float64
+	stepDur  time.Duration
+	seed     int64
+	out      string
+	maxP99MS float64
+	stdout   io.Writer
+}
+
 // runMain is main with its environment injected, so E2E tests run the
 // real CLI in-process.
 func runMain(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 {
-		switch args[0] {
-		case "run":
-			return cmdRun(args[1:], stderr)
-		case "analyze":
-			return cmdAnalyze(args[1:], stdout, stderr)
-		}
-	}
 	fs := flag.NewFlagSet("forestbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	g := gateRun{stdout: stdout}
 	var (
-		profile  = fs.String("profile", "", `"smoke": seconds-scale run against in-process topologies; "panwalk": correlated pan/zoom walk with the speculative prefetcher off vs on`)
-		chaos    = fs.Bool("chaos", false, "run the chaos gate: the replicated fleet under deterministic fault injection must stay 5xx-free and non-degraded")
-		topo     = fs.String("topology", "both", `smoke topology: "single", "shard2" (coordinator + 2 shards, R=1), "shard4" (coordinator + 4 shards, R=2), "both" (single+shard2) or "all"`)
-		rate     = fs.Float64("rate", 40, "smoke base rate, req/s (the sweep steps are 1x and 2x)")
-		stepDur  = fs.Duration("step-duration", 1200*time.Millisecond, "smoke duration per sweep step")
-		seed     = fs.Int64("seed", 1, "workload seed (and the chaos injection schedule's seed)")
-		out      = fs.String("out", "forestbench-smoke", "smoke artifact prefix (<out>-<topology>.jsonl, <out>-<topology>-report.txt)")
-		maxP99MS = fs.Float64("max-p99", 2000, "fail if overall p99 latency exceeds this many ms")
-		p99Slack = fs.Float64("p99-slack", panwalkP99SlackMS, "panwalk: scheduling-noise allowance when comparing prefetch-on vs prefetch-off p99, ms")
+		profile = fs.String("profile", "", `"smoke": seconds-scale run against in-process topologies; "panwalk": correlated pan/zoom walk with the speculative prefetcher off vs on`)
+		chaos   = fs.Bool("chaos", false, "run the chaos gate: the replicated fleet under deterministic fault injection must stay 5xx-free and non-degraded")
+		topo    = fs.String("topology", "both", `smoke topology: "single", "shard2" (coordinator + 2 shards, R=1), "shard4" (coordinator + 4 shards, R=2), "both" (single+shard2) or "all"`)
 	)
+	fs.Float64Var(&g.rate, "rate", 40, "base rate, req/s (smoke and chaos run it at 1x, then 2x)")
+	fs.DurationVar(&g.stepDur, "step-duration", 1200*time.Millisecond, "duration of each run")
+	fs.Int64Var(&g.seed, "seed", 1, "workload seed (and the chaos injection schedule's seed)")
+	fs.StringVar(&g.out, "out", "forestbench-smoke", "artifact prefix (<out>-<label>.jsonl, <out>-<label>-report.txt)")
+	fs.Float64Var(&g.maxP99MS, "max-p99", 2000, "fail if overall p99 latency exceeds this many ms")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *chaos {
-		if err := chaosOne(*rate, *stepDur, *seed, *out, *maxP99MS, stdout); err != nil {
-			fmt.Fprintf(stderr, "forestbench: chaos: %v\n", err)
-			return 1
-		}
-		return 0
+	type namedGate struct {
+		name string
+		run  func() error
 	}
-	if *profile == "panwalk" {
-		if err := panwalkOne(*rate, *stepDur, *seed, *out, *maxP99MS, *p99Slack, stdout); err != nil {
-			fmt.Fprintf(stderr, "forestbench: panwalk: %v\n", err)
-			return 1
+	var gates []namedGate
+	switch {
+	case fs.NArg() > 0:
+		fmt.Fprintf(stderr, "forestbench: unexpected argument %q\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	case *chaos:
+		gates = append(gates, namedGate{"chaos", g.chaos})
+	case *profile == "panwalk":
+		gates = append(gates, namedGate{"panwalk", g.panwalk})
+	case *profile == "smoke":
+		topos := []string{*topo}
+		switch *topo {
+		case "both":
+			topos = []string{"single", "shard2"}
+		case "all":
+			topos = []string{"single", "shard2", "shard4"}
 		}
-		return 0
-	}
-	if *profile != "smoke" {
-		fmt.Fprintln(stderr, `forestbench: expected "run", "analyze", -chaos, -profile=smoke or -profile=panwalk`)
+		for _, name := range topos {
+			gates = append(gates, namedGate{"smoke " + name, func() error { return g.smoke(name) }})
+		}
+	default:
+		fmt.Fprintln(stderr, "forestbench: expected -chaos, -profile=smoke or -profile=panwalk")
 		fs.Usage()
 		return 2
 	}
-	var topos []string
-	switch *topo {
-	case "both":
-		topos = []string{"single", "shard2"}
-	case "all":
-		topos = []string{"single", "shard2", "shard4"}
-	default:
-		topos = []string{*topo}
-	}
 	code := 0
-	for _, name := range topos {
-		if err := smokeOne(name, *rate, *stepDur, *seed, *out, *maxP99MS, stdout); err != nil {
-			fmt.Fprintf(stderr, "forestbench: smoke %s: %v\n", name, err)
+	for _, gt := range gates {
+		if err := gt.run(); err != nil {
+			fmt.Fprintf(stderr, "forestbench: %s: %v\n", gt.name, err)
 			code = 1
 		}
 	}
 	return code
 }
 
-// smokeOne loads one in-process topology with a two-step rate sweep and
-// gates on the analysis: any 5xx or transport error fails, as does an
-// overall p99 beyond maxP99MS.
-func smokeOne(name string, rate float64, stepDur time.Duration, seed int64, outPrefix string, maxP99MS float64, stdout io.Writer) error {
+// smoke loads one in-process topology at the base rate and then twice it,
+// and gates on the fold: any 5xx or transport error fails, as does an
+// overall p99 beyond the bound.
+func (g gateRun) smoke(name string) error {
 	tp, err := newTopology(name, 32<<20)
 	if err != nil {
 		return err
 	}
 	defer tp.close()
-
-	jsonlPath := fmt.Sprintf("%s-%s.jsonl", outPrefix, name)
-	f, err := os.Create(jsonlPath)
+	plans, err := g.ramp(tp)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
+	_, err = g.drive(tp, plans, name, false)
+	return err
+}
+
+// ramp is the offered load smoke and chaos share: tp's mix at the base
+// rate, then at twice it, as two consecutive plans.
+func (g gateRun) ramp(tp *topology) ([]*workload.Plan, error) {
+	var plans []*workload.Plan
 	for step := 0; step < 2; step++ {
 		plan, err := workload.NewPlan(workload.Spec{
-			Rate:     rate * float64(step+1),
-			Duration: stepDur,
-			Seed:     seed + int64(step),
+			Rate:     g.rate * float64(step+1),
+			Duration: g.stepDur,
+			Seed:     g.seed + int64(step),
 			Mix:      tp.mix,
 			Genes:    tp.genes,
 			PaneRows: tp.paneRows,
 		})
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if _, err := workload.Run(context.Background(), plan, workload.RunOptions{
-			BaseURL: tp.url, Out: f, Step: step,
-		}); err != nil {
-			return err
-		}
+		plans = append(plans, plan)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	envs, err := workload.ReadEnvelopes(f)
-	if err != nil {
-		return err
-	}
-	rep := workload.Analyze(envs, workload.AnalyzeOptions{P99SLOMS: maxP99MS})
-	fmt.Fprintf(stdout, "== smoke %s: %d requests against %s ==\n", name, rep.Requests, tp.url)
-	rep.WriteText(stdout)
-	fmt.Fprintln(stdout)
-	rf, err := os.Create(fmt.Sprintf("%s-%s-report.txt", outPrefix, name))
-	if err != nil {
-		return err
-	}
-	rep.WriteText(rf)
-	rf.Close()
-	cf, err := os.Create(fmt.Sprintf("%s-%s-sweep.csv", outPrefix, name))
-	if err != nil {
-		return err
-	}
-	if err := rep.WriteCSV(cf); err != nil {
-		cf.Close()
-		return err
-	}
-	cf.Close()
-	return gate(rep, maxP99MS)
+	return plans, nil
 }
 
-// gate is the pass/fail fold shared by smoke and analyze -fail-on-5xx.
-func gate(rep *workload.Report, maxP99MS float64) error {
-	if rep.Requests == 0 {
+// drive is the one path under every CLI gate: replay plans back to back
+// against tp, fold the envelopes, write the two artifacts CI uploads —
+// <out>-<label>.jsonl and <out>-<label>-report.txt — and apply gate.
+func (g gateRun) drive(tp *topology, plans []*workload.Plan, label string, forbidDegraded bool) (*workload.Summary, error) {
+	var envs []workload.Envelope
+	for _, plan := range plans {
+		envs = append(envs, workload.Run(context.Background(), plan, tp.url)...)
+	}
+	sum := workload.Summarize(envs)
+
+	var report, jsonl bytes.Buffer
+	fmt.Fprintf(&report, "== %s: %d requests against %s ==\n", label, sum.Requests, tp.url)
+	if tp.faults != nil {
+		fmt.Fprintf(&report, "faults injected: %d %v\n", tp.faults.Total(), tp.faults.Counts())
+	}
+	sum.WriteText(&report)
+	fmt.Fprintf(g.stdout, "%s\n", report.Bytes())
+	if err := workload.WriteEnvelopes(&jsonl, envs); err != nil {
+		return nil, err
+	}
+	prefix := g.out + "-" + label
+	if err := os.WriteFile(prefix+".jsonl", jsonl.Bytes(), 0o644); err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(prefix+"-report.txt", report.Bytes(), 0o644); err != nil {
+		return nil, err
+	}
+	return sum, gate(sum, g.maxP99MS, forbidDegraded)
+}
+
+// gate is the pass/fail fold every run goes through: it must have
+// happened, with no 5xx and no transport error, inside the p99 bound, and
+// — where replication is supposed to hide every fault — with no degraded
+// response.
+func gate(sum *workload.Summary, maxP99MS float64, forbidDegraded bool) error {
+	switch {
+	case sum.Requests == 0:
 		return fmt.Errorf("no envelopes recorded")
-	}
-	if rep.Errors5xx > 0 {
-		return fmt.Errorf("%d 5xx responses", rep.Errors5xx)
-	}
-	if rep.Transport > 0 {
-		return fmt.Errorf("%d transport errors", rep.Transport)
-	}
-	if maxP99MS > 0 && rep.Latency.P99 > maxP99MS {
-		return fmt.Errorf("p99 %.1fms exceeds bound %.1fms", rep.Latency.P99, maxP99MS)
+	case sum.Errors5xx > 0:
+		return fmt.Errorf("%d 5xx responses", sum.Errors5xx)
+	case sum.Transport > 0:
+		return fmt.Errorf("%d transport errors", sum.Transport)
+	case forbidDegraded && sum.Degraded > 0:
+		return fmt.Errorf("%d degraded responses", sum.Degraded)
+	case maxP99MS > 0 && sum.Latency.P99 > maxP99MS:
+		return fmt.Errorf("p99 %.1fms exceeds bound %.1fms", sum.Latency.P99, maxP99MS)
 	}
 	return nil
-}
-
-func cmdRun(args []string, stderr io.Writer) int {
-	fs := flag.NewFlagSet("forestbench run", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		target  = fs.String("target", "", "base URL of the daemon under load (required)")
-		rate    = fs.Float64("rate", 50, "open-loop arrival rate, req/s")
-		dur     = fs.Duration("duration", 10*time.Second, "run length (single step)")
-		sweep   = fs.String("sweep", "", "comma-separated rates for a stepped sweep (overrides -rate)")
-		stepDur = fs.Duration("step-duration", 10*time.Second, "duration of each sweep step")
-		seed    = fs.Int64("seed", 1, "workload seed")
-		mixFlag = fs.String("mix", "search=5,heatmap=3,enrich=2,stats=0", "endpoint mix weights")
-		out     = fs.String("out", "-", `JSONL output path ("-" = stdout)`)
-
-		demoGenes    = fs.Int("demo-genes", 1500, "daemon's -genes (regenerates the demo universe for queries)")
-		demoModules  = fs.Int("demo-modules", 20, "daemon's -modules")
-		demoSeed     = fs.Int64("demo-seed", 1, "daemon's -seed")
-		demoDatasets = fs.Int("demo-datasets", 8, "daemon's -datasets (pane count)")
-		geneIDs      = fs.String("gene-ids", "", "comma-separated queryable gene IDs (overrides the demo universe)")
-		paneRows     = fs.String("pane-rows", "", "comma-separated per-dataset row counts (overrides the demo universe)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *target == "" {
-		fmt.Fprintln(stderr, "forestbench run: -target is required")
-		return 2
-	}
-	mix, err := parseMix(*mixFlag)
-	if err != nil {
-		fmt.Fprintln(stderr, "forestbench run:", err)
-		return 2
-	}
-	spec := workload.Spec{Seed: *seed, Mix: mix}
-	if *geneIDs != "" {
-		spec.Genes = strings.Split(*geneIDs, ",")
-	}
-	if *paneRows != "" {
-		for _, s := range strings.Split(*paneRows, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				fmt.Fprintf(stderr, "forestbench run: bad -pane-rows entry %q\n", s)
-				return 2
-			}
-			spec.PaneRows = append(spec.PaneRows, n)
-		}
-	}
-	if spec.Genes == nil && (mix.Search > 0 || mix.Enrich > 0) {
-		spec.Genes = synth.NewUniverse(*demoGenes, *demoModules, *demoSeed).GeneIDs()
-	}
-	if spec.PaneRows == nil && mix.Heatmap > 0 {
-		// Demo datasets each span the full universe, so every pane has
-		// -demo-genes rows.
-		for i := 0; i < *demoDatasets; i++ {
-			spec.PaneRows = append(spec.PaneRows, *demoGenes)
-		}
-	}
-
-	rates := []float64{*rate}
-	durs := []time.Duration{*dur}
-	if *sweep != "" {
-		rates = rates[:0]
-		for _, s := range strings.Split(*sweep, ",") {
-			r, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-			if err != nil || r <= 0 {
-				fmt.Fprintf(stderr, "forestbench run: bad -sweep entry %q\n", s)
-				return 2
-			}
-			rates = append(rates, r)
-		}
-		durs = nil
-		for range rates {
-			durs = append(durs, *stepDur)
-		}
-	}
-
-	var w io.Writer = os.Stdout
-	if *out != "-" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(stderr, "forestbench run:", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	total := 0
-	for step, r := range rates {
-		spec.Rate = r
-		spec.Duration = durs[step]
-		spec.Seed = *seed + int64(step)
-		plan, err := workload.NewPlan(spec)
-		if err != nil {
-			fmt.Fprintln(stderr, "forestbench run:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "step %d: %g req/s for %v (%d requests) against %s\n",
-			step, r, durs[step], len(plan.Ops), *target)
-		n, err := workload.Run(context.Background(), plan, workload.RunOptions{
-			BaseURL: *target, Out: w, Step: step,
-		})
-		total += n
-		if err != nil {
-			fmt.Fprintln(stderr, "forestbench run:", err)
-			return 1
-		}
-	}
-	fmt.Fprintf(stderr, "wrote %d envelopes\n", total)
-	return 0
-}
-
-func cmdAnalyze(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("forestbench analyze", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		in        = fs.String("in", "-", `JSONL envelope path ("-" = stdin)`)
-		asJSON    = fs.Bool("json", false, "emit the report as JSON instead of text")
-		csvOut    = fs.String("csv", "", `write the per-step latency-vs-rate sweep as CSV to this path ("-" = stdout)`)
-		stallMS   = fs.Float64("stall-ms", 5, "issue-delay threshold counted as a generator stall")
-		sloP99    = fs.Float64("slo-p99", 1000, "per-step p99 bound for the capacity model, ms")
-		failOn5xx = fs.Bool("fail-on-5xx", false, "exit nonzero if any 5xx or transport error was recorded")
-		maxP99MS  = fs.Float64("max-p99", 0, "exit nonzero if overall p99 exceeds this many ms (0 = no gate)")
-	)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	var r io.Reader = os.Stdin
-	if *in != "-" {
-		f, err := os.Open(*in)
-		if err != nil {
-			fmt.Fprintln(stderr, "forestbench analyze:", err)
-			return 1
-		}
-		defer f.Close()
-		r = f
-	}
-	envs, err := workload.ReadEnvelopes(r)
-	if err != nil {
-		fmt.Fprintln(stderr, "forestbench analyze:", err)
-		return 1
-	}
-	rep := workload.Analyze(envs, workload.AnalyzeOptions{StallMS: *stallMS, P99SLOMS: *sloP99})
-	if *asJSON {
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(stderr, "forestbench analyze:", err)
-			return 1
-		}
-	} else {
-		rep.WriteText(stdout)
-	}
-	if *csvOut != "" {
-		var cw io.Writer = stdout
-		if *csvOut != "-" {
-			f, err := os.Create(*csvOut)
-			if err != nil {
-				fmt.Fprintln(stderr, "forestbench analyze:", err)
-				return 1
-			}
-			defer f.Close()
-			cw = f
-		}
-		if err := rep.WriteCSV(cw); err != nil {
-			fmt.Fprintln(stderr, "forestbench analyze:", err)
-			return 1
-		}
-	}
-	if *failOn5xx {
-		if rep.Errors5xx > 0 || rep.Transport > 0 {
-			fmt.Fprintf(stderr, "forestbench analyze: %d 5xx, %d transport errors\n", rep.Errors5xx, rep.Transport)
-			return 1
-		}
-		if rep.Requests == 0 {
-			fmt.Fprintln(stderr, "forestbench analyze: no envelopes")
-			return 1
-		}
-	}
-	if *maxP99MS > 0 && rep.Latency.P99 > *maxP99MS {
-		fmt.Fprintf(stderr, "forestbench analyze: p99 %.1fms exceeds -max-p99 %.1fms\n", rep.Latency.P99, *maxP99MS)
-		return 1
-	}
-	return 0
-}
-
-// parseMix parses "search=5,heatmap=3,enrich=2,stats=0".
-func parseMix(s string) (workload.Mix, error) {
-	var m workload.Mix
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return m, fmt.Errorf("bad mix entry %q (want name=weight)", part)
-		}
-		w, err := strconv.Atoi(strings.TrimSpace(val))
-		if err != nil {
-			return m, fmt.Errorf("bad mix weight in %q", part)
-		}
-		switch strings.TrimSpace(name) {
-		case "search":
-			m.Search = w
-		case "heatmap":
-			m.Heatmap = w
-		case "enrich":
-			m.Enrich = w
-		case "stats":
-			m.Stats = w
-		default:
-			return m, fmt.Errorf("unknown mix endpoint %q", name)
-		}
-	}
-	return m, nil
 }

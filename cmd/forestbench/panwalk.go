@@ -3,90 +3,65 @@ package main
 import (
 	"context"
 	"fmt"
-	"io"
-	"os"
-	"time"
 
 	"forestview/internal/workload"
 )
-
-// This file implements -profile=panwalk: the viewport-pyramid prefetch
-// proof. The same correlated pan/zoom walk (workload.NewPanwalkPlan —
-// whole-window steps with the prefetcher's own parent/child zoom geometry)
-// runs twice against the single-role topology, once with the speculative
-// prefetcher off and once with it on, and the gate compares the two:
-//
-//   - with prefetch on, the steady-state walk must land mostly on warm
-//     tiles (hit/prefetched/coalesced), with at least one tile disclosed
-//     as "prefetched" — speculation demonstrably ahead of the viewer;
-//   - the prefetching run's heatmap p99 must not exceed the cold run's
-//     (plus a small scheduling-noise allowance) — speculation may never
-//     slow the foreground down.
 
 // panwalkPrefetchWorkers arms the ON run's prefetcher; two workers match
 // forestviewd's default.
 const panwalkPrefetchWorkers = 2
 
-// panwalkP99SlackMS is the default scheduler-noise allowance between the
-// two runs when comparing p99s; both runs are seconds-scale, so a strict
-// <= would flake. The -p99-slack flag overrides it — race-instrumented
-// test builds need a wider allowance because instrumentation multiplies
-// render cost, so speculative renders serialize with foreground requests
-// on starved cores in a way an uninstrumented server never exhibits.
-const panwalkP99SlackMS = 25.0
-
-// panwalkOne runs the off/on pair and gates. The tile geometry is chosen
-// so auto-level selection engages the pyramid (64-row windows over
-// 32-pixel tiles resolve to level 1), making the walk exercise pyramid
-// slabs, prefetch, and level transitions at once.
-func panwalkOne(rate float64, dur time.Duration, seed int64, outPrefix string, maxP99MS, slackMS float64, stdout io.Writer) error {
-	spec := workload.Spec{
-		Rate:     rate,
-		Duration: dur,
-		Seed:     seed,
-		TileRows: 64,
-		TileSize: 32,
-	}
-	runOnce := func(label string, prefetchWorkers int) (*workload.Report, error) {
+// panwalk is -profile=panwalk, the viewport-pyramid prefetch proof. The
+// same seeded pan/zoom walk (workload.NewPanwalkPlan — whole-window steps
+// with the prefetcher's own parent/child zoom geometry) runs twice against
+// the single-role topology, prefetcher off and then on, and the gate asks
+// what two runs of one plan decide whatever the host's scheduling does:
+//
+//   - with prefetch on, at least one tile is disclosed as "prefetched" and
+//     most of the walk lands warm (hit/prefetched/coalesced) —
+//     speculation demonstrably ahead of the viewer;
+//   - with prefetch on, strictly fewer requests pay a cold "miss" render
+//     than with it off: both runs touch the same windows in the same
+//     order, so the difference is exactly what speculation got to first.
+//
+// Both runs also pass the static p99 bound. That speculation never slows
+// the foreground down is a latency claim, and those belong to the referee:
+// bench/'s tile-cold workload (uncorrelated tiles, where prefetch is pure
+// waste) and session-hot's lat_p25_ms. Two runs of ~50 requests cannot
+// decide it: their p99s are a max against a max.
+//
+// The tile geometry is chosen so auto-level selection engages the pyramid
+// (64-row windows over 32-pixel tiles resolve to level 1), making the walk
+// exercise pyramid slabs, prefetch, and level transitions at once.
+func (g gateRun) panwalk() error {
+	runOnce := func(label string, prefetchWorkers int) (*workload.Tally, error) {
 		tp, err := newSingleTopology(prefetchWorkers)
 		if err != nil {
 			return nil, err
 		}
 		defer tp.close()
-		// Pre-cluster every pane: the gate compares steady-state pan
-		// latency across the two runs, and a first-touch tree build
-		// landing in different windows would drown that signal.
+		// Pre-cluster every pane, so a first-touch tree build cannot land
+		// inside the p99 bound of one run and not the other.
 		if err := tp.srv.WarmTrees(context.Background()); err != nil {
 			return nil, err
 		}
-		s := spec
-		s.PaneRows = tp.paneRows
-		plan, err := workload.NewPanwalkPlan(s)
+		plan, err := workload.NewPanwalkPlan(workload.Spec{
+			Rate:     g.rate,
+			Duration: g.stepDur,
+			Seed:     g.seed,
+			PaneRows: tp.paneRows,
+			TileRows: 64,
+			TileSize: 32,
+		})
 		if err != nil {
 			return nil, err
 		}
-		f, err := os.Create(fmt.Sprintf("%s-%s.jsonl", outPrefix, label))
+		sum, err := g.drive(tp, []*workload.Plan{plan}, label, false)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%s: %w", label, err)
 		}
-		defer f.Close()
-		if _, err := workload.Run(context.Background(), plan, workload.RunOptions{
-			BaseURL: tp.url, Out: f,
-		}); err != nil {
-			return nil, err
-		}
-		if _, err := f.Seek(0, io.SeekStart); err != nil {
-			return nil, err
-		}
-		envs, err := workload.ReadEnvelopes(f)
-		if err != nil {
-			return nil, err
-		}
-		rep := workload.Analyze(envs, workload.AnalyzeOptions{P99SLOMS: maxP99MS})
-		fmt.Fprintf(stdout, "== panwalk %s: %d requests ==\n", label, rep.Requests)
-		rep.WriteText(stdout)
-		fmt.Fprintln(stdout)
-		return rep, gate(rep, maxP99MS)
+		// A panwalk plan is heatmap-only, so the overall tally is the walk's.
+		return &sum.Tally, nil
 	}
 
 	off, err := runOnce("prefetch-off", 0)
@@ -98,23 +73,16 @@ func panwalkOne(rate float64, dur time.Duration, seed int64, outPrefix string, m
 		return err
 	}
 
-	hm := on.Endpoints["heatmap"]
-	if hm == nil || hm.Requests == 0 {
-		return fmt.Errorf("prefetch-on run recorded no heatmap requests")
+	dispositions := fmt.Sprintf("%d hit / %d miss / %d coalesced / %d prefetched", on.Hits, on.Misses, on.Coalesced, on.Prefetched)
+	switch {
+	case on.Prefetched == 0:
+		return fmt.Errorf("prefetch-on run served no prefetched tiles (%s)", dispositions)
+	case on.WarmShare() <= 0.5:
+		return fmt.Errorf("prefetch-on walk was mostly cold: warm share %.0f%% (%s)", 100*on.WarmShare(), dispositions)
+	case on.Misses >= off.Misses:
+		return fmt.Errorf("prefetch saved no cold render: %d misses with prefetch vs %d without", on.Misses, off.Misses)
 	}
-	if hm.Prefetched == 0 {
-		return fmt.Errorf("prefetch-on run served no prefetched tiles (%d hits, %d misses)", hm.Hits, hm.Misses)
-	}
-	if hm.WarmRate <= 0.5 {
-		return fmt.Errorf("prefetch-on walk was mostly cold: warm rate %.0f%% (%d hit / %d miss / %d coalesced / %d prefetched)",
-			100*hm.WarmRate, hm.Hits, hm.Misses, hm.Coalesced, hm.Prefetched)
-	}
-	offHM := off.Endpoints["heatmap"]
-	if offHM != nil && hm.Latency.P99 > offHM.Latency.P99+slackMS {
-		return fmt.Errorf("prefetch made the walk slower: p99 %.1fms with prefetch vs %.1fms without (+%.0fms slack)",
-			hm.Latency.P99, offHM.Latency.P99, slackMS)
-	}
-	fmt.Fprintf(stdout, "panwalk gate: warm %.0f%% (%d prefetched), p99 %.1fms with prefetch vs %.1fms without\n",
-		100*hm.WarmRate, hm.Prefetched, hm.Latency.P99, offHM.Latency.P99)
+	fmt.Fprintf(g.stdout, "panwalk gate: warm %.0f%% (%d prefetched), %d cold renders with prefetch vs %d without\n",
+		100*on.WarmShare(), on.Prefetched, on.Misses, off.Misses)
 	return nil
 }

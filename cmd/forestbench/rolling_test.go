@@ -84,13 +84,9 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	runDone := make(chan error, 1)
+	runDone := make(chan []workload.Envelope, 1)
 	t0 := time.Now()
-	go func() {
-		_, err := workload.Run(context.Background(), plan, workload.RunOptions{BaseURL: tp.url, Out: &buf})
-		runDone <- err
-	}()
+	go func() { runDone <- workload.Run(context.Background(), plan, tp.url) }()
 	time.Sleep(400 * time.Millisecond) // let the load reach steady state
 
 	hotQuery := tp.u.ModuleGeneIDs(2)[:4]
@@ -176,13 +172,7 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 		t.Fatalf("rolling restart took %v, outlasting the %v load window — the zero-degraded claim was not under load", seq, loadDur)
 	}
 
-	if err := <-runDone; err != nil {
-		t.Fatal(err)
-	}
-	envs, err := workload.ReadEnvelopes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := <-runDone
 	if len(envs) < 100 {
 		t.Fatalf("only %d envelopes — not a load", len(envs))
 	}

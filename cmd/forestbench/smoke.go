@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"forestview/internal/cluster"
+	"forestview/internal/faultline"
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
 	"forestview/internal/ontology"
@@ -24,7 +25,7 @@ import (
 // endpoints — so drain and chaos harnesses can drive rolling restarts.
 const fleetAdminToken = "bench-fleet-token"
 
-// This file builds the in-process topologies behind -profile=smoke: real
+// This file builds the in-process topologies behind every gate: real
 // server.Server instances behind httptest listeners, so CI can push a
 // seconds-scale open-loop load through the exact fleet wiring — including
 // a coordinator scattering over replicated shard daemons — without sockets
@@ -64,6 +65,9 @@ type topology struct {
 	// repl the replication factor; both empty/zero in single mode.
 	identities []string
 	repl       int
+	// faults is the injector wrapped around the coordinator's scatter
+	// client (chaos only); drive reports its counters.
+	faults *faultline.Injector
 
 	// The compendium behind every fleet member, kept so a restarted shard
 	// can rebuild its slice (and a reload can load datasets it lacked).

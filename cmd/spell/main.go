@@ -1,26 +1,23 @@
 // Command spell runs a SPELL similarity search over a compendium of PCL
 // datasets: given query genes, it prints the ranked dataset list and the
-// ranked gene list — or, with -serve, exposes the Figure-4 web interface
-// over HTTP.
+// ranked gene list. The Figure-4 web interface is the query daemon's:
+// forestviewd -demo serves the SPELL page at /.
 //
 // Usage:
 //
 //	spell -files a.pcl,b.pcl,c.pcl -query YAL001C,YBR072W -top 25
 //	spell -demo -query-module 3 -top 20
-//	spell -demo -serve 127.0.0.1:8080
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"strings"
 	"text/tabwriter"
 
 	"forestview/internal/microarray"
 	"forestview/internal/spell"
-	"forestview/internal/spellweb"
 	"forestview/internal/synth"
 )
 
@@ -31,17 +28,16 @@ func main() {
 		query       = flag.String("query", "", "comma-separated query gene IDs")
 		queryModule = flag.Int("query-module", -1, "demo mode: query with genes of this synthetic module")
 		top         = flag.Int("top", 25, "number of result genes to print")
-		serve       = flag.String("serve", "", "serve the SPELL web interface on this address instead of querying once")
 		seed        = flag.Int64("seed", 1, "demo generator seed")
 	)
 	flag.Parse()
-	if err := run(*files, *demo, *query, *queryModule, *top, *serve, *seed); err != nil {
+	if err := run(*files, *demo, *query, *queryModule, *top, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "spell:", err)
 		os.Exit(1)
 	}
 }
 
-func run(files string, demo bool, query string, queryModule, top int, serve string, seed int64) error {
+func run(files string, demo bool, query string, queryModule, top int, seed int64) error {
 	var datasets []*microarray.Dataset
 	var queryIDs []string
 
@@ -91,11 +87,6 @@ func run(files string, demo bool, query string, queryModule, top int, serve stri
 	engine, err := spell.NewEngine(datasets)
 	if err != nil {
 		return err
-	}
-	if serve != "" {
-		fmt.Printf("serving the SPELL web interface on http://%s (%d datasets, %d genes)\n",
-			serve, engine.NumDatasets(), engine.NumGenes())
-		return http.ListenAndServe(serve, spellweb.NewServer(engine))
 	}
 	if len(queryIDs) == 0 {
 		return fmt.Errorf("no query genes (use -query or -query-module with -demo)")

@@ -10,13 +10,13 @@ import (
 )
 
 func TestRunDemoModuleQuery(t *testing.T) {
-	if err := run("", true, "", 3, 10, "", 1); err != nil {
+	if err := run("", true, "", 3, 10, 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunNoQuery(t *testing.T) {
-	if err := run("", true, "", -1, 10, "", 1); err == nil {
+	if err := run("", true, "", -1, 10, 1); err == nil {
 		t.Fatal("no query should error")
 	}
 }
@@ -39,10 +39,10 @@ func TestRunExplicitQueryAgainstFiles(t *testing.T) {
 		paths = append(paths, p)
 	}
 	query := u.Genes[0].ID + "," + u.Genes[1].ID
-	if err := run(paths[0]+","+paths[1], false, query, -1, 5, "", 1); err != nil {
+	if err := run(paths[0]+","+paths[1], false, query, -1, 5, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := run("/no/such.pcl", false, query, -1, 5, "", 1); err == nil {
+	if err := run("/no/such.pcl", false, query, -1, 5, 1); err == nil {
 		t.Fatal("missing file should error")
 	}
 }

@@ -141,7 +141,7 @@ func TestAnalyzeRootNeverEnriched(t *testing.T) {
 	}
 }
 
-func TestAnalyzeOptions(t *testing.T) {
+func TestAnalyzeMinSelectedMaxPValue(t *testing.T) {
 	o, ann, bg := fixture(t)
 	e, _ := NewEnricher(o, ann, bg)
 	// Three heat genes plus one metabolism gene: GO:M is tested with one

@@ -155,8 +155,7 @@ type Config struct {
 	MaxTileDim int
 }
 
-// Server is the forestviewd HTTP engine. It implements http.Handler and
-// spellweb.Searcher.
+// Server is the forestviewd HTTP engine. It implements http.Handler.
 type Server struct {
 	cfg      Config
 	mux      *http.ServeMux
@@ -338,10 +337,8 @@ func New(cfg Config) (*Server, error) {
 	// The SPELL HTML page shares this server's engine and cache: its
 	// Searcher runs through the same cachedCompute keys as /api/search, with
 	// its cache/compute activity accounted to the html endpoint.
-	web := spellweb.NewServerFor(&cachedSearcher{s: s, ep: &s.statHTML})
-	web.MaxGenes = 50
 	html := http.NewServeMux()
-	web.RegisterHTML(html)
+	spellweb.RegisterHTML(html, &cachedSearcher{s: s, ep: &s.statHTML})
 	s.mux.HandleFunc("/", s.instrument(&s.statHTML, html.ServeHTTP))
 	s.mux.HandleFunc("/search", s.instrument(&s.statHTML, html.ServeHTTP))
 	return s, nil
@@ -435,12 +432,7 @@ type cachedSearcher struct {
 	ep *endpointStats
 }
 
-func (c *cachedSearcher) Search(ids []string, opt spell.Options) (*spell.Result, error) {
-	e, _, _, err := c.s.searchWith(context.Background(), c.ep, ids, opt)
-	return e.res, err
-}
-
-// SearchCtx implements spellweb.ContextSearcher: the page request's
+// SearchCtx implements spellweb.Searcher: the page request's
 // context rides into the search (a closed tab cancels a whole scatter on
 // a coordinator), and a degraded merge comes back with the disclosure the
 // page must print — the HTML surface keeps the same honesty contract as

@@ -611,7 +611,7 @@ func TestFleetAdminDisabled(t *testing.T) {
 }
 
 // TestCoordinatorHTMLDisclosesDegraded: the HTML page runs through
-// spellweb.ContextSearcher, so a degraded scatter is disclosed on the
+// spellweb.Searcher, so a degraded scatter is disclosed on the
 // page, not silently rendered as a full-compendium ranking.
 func TestCoordinatorHTMLDisclosesDegraded(t *testing.T) {
 	top := newShardTopology(t, 2, shard.Config{Deadline: 500 * time.Millisecond})

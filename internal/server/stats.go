@@ -155,9 +155,8 @@ type PrefetchInfo struct {
 }
 
 // ServerInfo is the server section of /api/stats: which daemon produced a
-// measurement series. Load-harness analyze output joins on this, so a
-// capacity curve is always attributable to the topology role (and Go
-// runtime) that produced it.
+// measurement series, so a benchmark record is always attributable to the
+// topology role (and Go runtime) that produced it.
 type ServerInfo struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// Role is "single", "shard" or "coordinator" (see Server.Role).

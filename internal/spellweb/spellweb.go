@@ -1,14 +1,13 @@
 // Package spellweb provides the web front-end to the SPELL search engine —
 // the reproduction of the Figure-4 artifact ("Currently SPELL runs on a
-// pre-defined collection of microarray data through a web interface"). It
-// exposes an HTML search page over a fixed compendium plus a JSON API, so
-// both humans and ForestView integrations can query it.
+// pre-defined collection of microarray data through a web interface"): an
+// HTML search page over a fixed compendium. The query daemon
+// (internal/server) mounts it beside its JSON API, so humans and ForestView
+// integrations query one engine through one cache.
 package spellweb
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"html/template"
 	"net/http"
 	"strings"
@@ -16,72 +15,33 @@ import (
 	"forestview/internal/spell"
 )
 
-// Searcher is the engine-shaped dependency of the web front-end. The plain
-// *spell.Engine satisfies it; so does the query daemon's cached, coalesced
-// search path (internal/server), which is how the HTML page and the JSON
-// API come to share one engine instance and one result cache.
+// Searcher is the engine-shaped dependency of the page: the query
+// daemon's cached, coalesced search path. SearchCtx receives the page
+// request's context — so an abandoned browser tab cancels the search,
+// which on a sharded daemon stops a whole scatter — and may return a
+// service notice the page must disclose alongside the result (e.g. that a
+// ranking is degraded because a shard was unreachable). An empty notice
+// means nothing to disclose.
 type Searcher interface {
-	Search(ids []string, opt spell.Options) (*spell.Result, error)
+	SearchCtx(ctx context.Context, ids []string, opt spell.Options) (res *spell.Result, notice string, err error)
 	NumDatasets() int
 	NumGenes() int
 }
 
-// ContextSearcher is an optional Searcher upgrade. Implementations
-// receive the page request's context — so an abandoned browser tab
-// cancels the search, which on a sharded daemon stops a whole scatter —
-// and may return a service notice the page must disclose alongside the
-// result (e.g. that a ranking is degraded because a shard was
-// unreachable). An empty notice means nothing to disclose.
-type ContextSearcher interface {
-	SearchCtx(ctx context.Context, ids []string, opt spell.Options) (res *spell.Result, notice string, err error)
-}
+// maxGenes caps result length per query.
+const maxGenes = 50
 
-// search dispatches through ContextSearcher when the engine offers it.
-func (s *Server) search(r *http.Request, ids []string) (*spell.Result, string, error) {
-	opt := spell.Options{MaxGenes: s.maxGenes(), IncludeQuery: true}
-	if cs, ok := s.engine.(ContextSearcher); ok {
-		return cs.SearchCtx(r.Context(), ids, opt)
-	}
-	res, err := s.engine.Search(ids, opt)
-	return res, "", err
-}
-
-// Server wraps a Searcher as an http.Handler.
-type Server struct {
+// page renders the SPELL page over a Searcher.
+type page struct {
 	engine Searcher
-	mux    *http.ServeMux
-	// MaxGenes caps result length per query (default 50).
-	MaxGenes int
 }
 
-// NewServer builds the standalone handler over a prepared engine, with its
-// own mux serving the HTML page, the JSON API and a health check.
-func NewServer(engine *spell.Engine) *Server {
-	return NewServerFor(engine)
-}
-
-// NewServerFor is NewServer for any Searcher implementation.
-func NewServerFor(engine Searcher) *Server {
-	s := &Server{engine: engine, mux: http.NewServeMux(), MaxGenes: 50}
-	s.RegisterHTML(s.mux)
-	s.mux.HandleFunc("/api/search", s.handleAPISearch)
-	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	return s
-}
-
-// RegisterHTML mounts only the human-facing routes ("/" and "/search") on
-// an external mux. The query daemon uses this to serve the SPELL page from
-// its own mux while keeping ownership of the JSON API and health routes.
-func (s *Server) RegisterHTML(mux *http.ServeMux) {
-	mux.HandleFunc("/", s.handleIndex)
-	mux.HandleFunc("/search", s.handleSearch)
-}
-
-// ServeHTTP implements http.Handler.
-func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+// RegisterHTML mounts the human-facing routes ("/" and "/search"),
+// searching through engine, on mux.
+func RegisterHTML(mux *http.ServeMux, engine Searcher) {
+	p := &page{engine: engine}
+	mux.HandleFunc("/", p.handleIndex)
+	mux.HandleFunc("/search", p.handleSearch)
 }
 
 var pageTmpl = template.Must(template.New("page").Funcs(template.FuncMap{
@@ -126,102 +86,57 @@ type pageData struct {
 	Result *spell.Result
 }
 
-func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
+func (p *page) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
 		http.NotFound(w, r)
 		return
 	}
-	s.renderPage(w, pageData{
-		NumDatasets: s.engine.NumDatasets(),
-		NumGenes:    s.engine.NumGenes(),
+	p.renderPage(w, pageData{
+		NumDatasets: p.engine.NumDatasets(),
+		NumGenes:    p.engine.NumGenes(),
 	})
 }
 
-func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+func (p *page) handleSearch(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query().Get("q")
 	data := pageData{
-		NumDatasets: s.engine.NumDatasets(),
-		NumGenes:    s.engine.NumGenes(),
+		NumDatasets: p.engine.NumDatasets(),
+		NumGenes:    p.engine.NumGenes(),
 		Query:       q,
 	}
 	ids := ParseQuery(q)
 	if len(ids) == 0 {
 		data.Error = "enter at least one gene ID"
-		s.renderPage(w, data)
+		p.renderPage(w, data)
 		return
 	}
 	if len(spell.CanonicalQuery(ids)) < 2 {
 		// One gene has no query pairs: every dataset's coherence is NaN and
 		// the ranking is weightless. Same contract as the daemon's API.
 		data.Error = "enter at least two distinct gene IDs: SPELL's dataset weighting needs a pair to measure coherence"
-		s.renderPage(w, data)
+		p.renderPage(w, data)
 		return
 	}
-	res, notice, err := s.search(r, ids)
+	res, notice, err := p.engine.SearchCtx(r.Context(), ids, spell.Options{MaxGenes: maxGenes, IncludeQuery: true})
 	if err != nil {
 		data.Error = err.Error()
-		s.renderPage(w, data)
+		p.renderPage(w, data)
 		return
 	}
 	data.Result, data.Notice = res, notice
-	s.renderPage(w, data)
+	p.renderPage(w, data)
 }
 
-func (s *Server) handleAPISearch(w http.ResponseWriter, r *http.Request) {
-	ids := ParseQuery(r.URL.Query().Get("q"))
-	if len(ids) == 0 {
-		http.Error(w, `{"error":"missing q parameter"}`, http.StatusBadRequest)
-		return
-	}
-	if len(spell.CanonicalQuery(ids)) < 2 {
-		// A one-gene query yields NaN coherence in every DatasetRank, which
-		// would kill the JSON encoder below after the 200 header committed —
-		// the empty-200 bug. Reject it like the daemon's /api/search does.
-		apiError(w, http.StatusUnprocessableEntity, spell.MsgSingleGeneQuery)
-		return
-	}
-	res, _, err := s.search(r, ids)
-	if err != nil {
-		apiError(w, http.StatusUnprocessableEntity, err.Error())
-		return
-	}
-	// Encode before committing the status line so a failure can still
-	// become a real 500 instead of a silently truncated 200.
-	body, err := json.Marshal(res)
-	if err != nil {
-		apiError(w, http.StatusInternalServerError, "internal: response encoding failed: "+err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_, _ = w.Write(body)
-}
-
-// apiError writes a JSON error payload; marshaling a string map cannot
-// fail, so this path is safe for encoder-failure reporting too.
-func apiError(w http.ResponseWriter, status int, msg string) {
-	body, _ := json.Marshal(map[string]string{"error": msg})
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(body)
-}
-
-func (s *Server) renderPage(w http.ResponseWriter, data pageData) {
+func (p *page) renderPage(w http.ResponseWriter, data pageData) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	if err := pageTmpl.Execute(w, data); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }
 
-func (s *Server) maxGenes() int {
-	if s.MaxGenes > 0 {
-		return s.MaxGenes
-	}
-	return 50
-}
-
 // ParseQuery splits a comma/whitespace separated gene list. It is the one
-// query-string grammar shared by the HTML form, the JSON API and the query
-// daemon's endpoints.
+// query-string grammar shared by the HTML form and the query daemon's
+// JSON endpoints.
 func ParseQuery(q string) []string {
 	var out []string
 	for _, f := range strings.FieldsFunc(q, func(r rune) bool {

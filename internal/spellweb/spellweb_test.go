@@ -1,7 +1,7 @@
 package spellweb
 
 import (
-	"encoding/json"
+	"context"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +11,16 @@ import (
 	"forestview/internal/synth"
 )
 
-func testServer(t *testing.T) (*Server, *synth.Universe) {
+// engineSearcher mounts the page straight on an engine: no cache, nothing
+// to disclose.
+type engineSearcher struct{ *spell.Engine }
+
+func (e engineSearcher) SearchCtx(ctx context.Context, ids []string, opt spell.Options) (*spell.Result, string, error) {
+	res, err := e.Engine.SearchCtx(ctx, ids, opt)
+	return res, "", err
+}
+
+func testServer(t *testing.T) (http.Handler, *synth.Universe) {
 	t.Helper()
 	u := synth.NewUniverse(200, 8, 111)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -22,7 +31,9 @@ func testServer(t *testing.T) (*Server, *synth.Universe) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewServer(engine), u
+	mux := http.NewServeMux()
+	RegisterHTML(mux, engineSearcher{engine})
+	return mux, u
 }
 
 func TestIndexPage(t *testing.T) {
@@ -44,15 +55,6 @@ func TestIndexNotFoundForOtherPaths(t *testing.T) {
 	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/nope", nil))
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status = %d", rec.Code)
-	}
-}
-
-func TestHealthz(t *testing.T) {
-	s, _ := testServer(t)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "ok") {
-		t.Fatalf("healthz = %d %q", rec.Code, rec.Body.String())
 	}
 }
 
@@ -95,77 +97,22 @@ func TestSearchHTMLUnknownGenes(t *testing.T) {
 	}
 }
 
-func TestAPISearch(t *testing.T) {
-	s, u := testServer(t)
-	ids := u.ModuleGeneIDs(3)
-	q := strings.Join(ids[:3], ",")
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search?q="+q, nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("status = %d: %s", rec.Code, rec.Body.String())
-	}
-	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("content type = %q", ct)
-	}
-	var res spell.Result
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Datasets) != 4 {
-		t.Fatalf("datasets = %d", len(res.Datasets))
-	}
-	if len(res.Genes) == 0 {
-		t.Fatal("no genes in API result")
-	}
-}
-
-func TestAPISearchErrors(t *testing.T) {
-	s, _ := testServer(t)
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search", nil))
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("missing q status = %d", rec.Code)
-	}
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search?q=ZZZ", nil))
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("unknown genes status = %d", rec.Code)
-	}
-	var e map[string]string
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-		t.Fatal(err)
-	}
-	if e["error"] == "" {
-		t.Fatal("error payload missing")
-	}
-}
-
-// TestAPISearchSingleGeneRejected: the standalone server shares the daemon's
-// single-gene contract — one gene (even duplicated) means NaN coherence,
-// which used to kill the JSON encoder after the 200 header committed. The
-// API must answer 422 with a parseable error body instead.
-func TestAPISearchSingleGeneRejected(t *testing.T) {
+// TestSearchHTMLSingleGeneRejected: the page shares the daemon's
+// single-gene contract — one gene (even duplicated) means NaN coherence in
+// every dataset rank, so it renders the guidance instead of a weightless
+// ranking.
+func TestSearchHTMLSingleGeneRejected(t *testing.T) {
 	s, u := testServer(t)
 	g := u.ModuleGeneIDs(1)[0]
 	for _, q := range []string{g, g + "," + g} {
 		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search?q="+q, nil))
-		if rec.Code != http.StatusUnprocessableEntity {
-			t.Fatalf("q=%s: status = %d, want 422 (body %q)", q, rec.Code, rec.Body.String())
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q="+q, nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "two distinct gene IDs") {
+			t.Fatalf("q=%s: HTML single-gene search: %d %q", q, rec.Code, rec.Body.String())
 		}
-		var e map[string]string
-		if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
-			t.Fatalf("q=%s: error body is not JSON: %v", q, err)
+		if strings.Contains(rec.Body.String(), "Datasets by relevance") {
+			t.Fatalf("q=%s: single-gene search rendered a ranking", q)
 		}
-		if !strings.Contains(e["error"], "single-gene") {
-			t.Fatalf("q=%s: unhelpful error %q", q, e["error"])
-		}
-	}
-	// The HTML page renders the same guidance instead of a NaN ranking.
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q="+g, nil))
-	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "two distinct gene IDs") {
-		t.Fatalf("HTML single-gene search: %d %q", rec.Code, rec.Body.String())
 	}
 }
 
@@ -187,17 +134,18 @@ func TestParseQuery(t *testing.T) {
 	}
 }
 
+// TestMaxGenesCap: the page lists at most maxGenes result genes however
+// large the compendium.
 func TestMaxGenesCap(t *testing.T) {
 	s, u := testServer(t)
-	s.MaxGenes = 5
 	ids := u.ModuleGeneIDs(3)
 	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/search?q="+strings.Join(ids[:3], ","), nil))
-	var res spell.Result
-	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
-		t.Fatal(err)
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/search?q="+strings.Join(ids[:3], ","), nil))
+	_, genes, ok := strings.Cut(rec.Body.String(), "Genes by weighted correlation")
+	if !ok {
+		t.Fatalf("no gene table:\n%s", rec.Body.String())
 	}
-	if len(res.Genes) != 5 {
-		t.Fatalf("genes = %d, want capped 5", len(res.Genes))
+	if rows := strings.Count(genes, "<tr><td>"); rows != maxGenes {
+		t.Fatalf("gene table has %d rows, want the cap %d of %d genes", rows, maxGenes, len(u.GeneIDs()))
 	}
 }

@@ -1,23 +1,16 @@
 package workload
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
-// Envelope is the JSONL record of one request: what was scheduled, what
-// was sent, what came back, and what the response disclosed about how it
-// was produced (cache disposition, shard tally). One line per request is
-// the whole measurement output of a run — analysis is a separate fold so
-// raw envelopes can be re-analyzed, merged across runs, or diffed.
+// Envelope is the record of one request: what was scheduled, what came
+// back, and what the response disclosed about how it was produced (cache
+// disposition, shard tally). Run returns one per issued op; Summarize
+// folds them, and WriteEnvelopes keeps them as the JSONL artifact a failed
+// gate is diagnosed from.
 type Envelope struct {
-	// Step tags the rate-sweep step this request belongs to (0 for a
-	// single-rate run).
-	Step int `json:"step"`
-	// Rate is the offered open-loop rate of the step, requests/second.
-	Rate float64 `json:"rate"`
 	// Seq is the op's index in its plan.
 	Seq int `json:"seq"`
 
@@ -26,20 +19,16 @@ type Envelope struct {
 
 	// SchedMS is the scheduled arrival, ms from run start.
 	SchedMS float64 `json:"sched_ms"`
-	// IssueDelayMS is how late the generator itself issued the request
-	// (scheduler lag, not server time). Large values mean the harness, not
-	// the server, was the bottleneck — a stall.
-	IssueDelayMS float64 `json:"issue_delay_ms"`
 	// LatencyMS is completion minus *scheduled* arrival — the
 	// coordinated-omission-free latency a real open-loop client would see.
 	LatencyMS float64 `json:"latency_ms"`
-	// ServiceMS is completion minus actual send — the server's share alone.
+	// ServiceMS is completion minus actual send — the server's share
+	// alone. LatencyMS - ServiceMS is how late the generator itself was.
 	ServiceMS float64 `json:"service_ms"`
 
 	// Status is the HTTP status, or 0 when the request failed in
 	// transport (see Error).
-	Status int   `json:"status"`
-	Bytes  int64 `json:"bytes"`
+	Status int `json:"status"`
 	// Cache is the X-Forestview-Cache disposition
 	// (hit|miss|coalesced|prefetched), empty when the endpoint does not
 	// disclose one. "prefetched" is a hit whose tile the server rendered
@@ -62,28 +51,4 @@ func WriteEnvelopes(w io.Writer, envs []Envelope) error {
 		}
 	}
 	return nil
-}
-
-// ReadEnvelopes reads JSONL envelopes until EOF.
-func ReadEnvelopes(r io.Reader) ([]Envelope, error) {
-	var envs []Envelope
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		b := sc.Bytes()
-		if len(b) == 0 {
-			continue
-		}
-		var e Envelope
-		if err := json.Unmarshal(b, &e); err != nil {
-			return nil, fmt.Errorf("workload: envelope line %d: %w", line, err)
-		}
-		envs = append(envs, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return envs, nil
 }

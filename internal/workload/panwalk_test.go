@@ -102,59 +102,6 @@ func TestPanwalkAdjacency(t *testing.T) {
 	}
 }
 
-// TestDiurnalArrivalShape: with one diurnal period spanning the whole
-// duration, the first half (rising sine) must schedule measurably more
-// arrivals than the second (falling sine) — the thinning sampler actually
-// shapes the trace.
-func TestDiurnalArrivalShape(t *testing.T) {
-	spec := Spec{
-		Rate:     400,
-		Duration: 4 * time.Second,
-		Seed:     3,
-		Diurnal:  []DiurnalPeriod{{Period: 4 * time.Second, Amplitude: 0.8}},
-		PaneRows: []int{300},
-		Genes:    testGenes(50),
-	}
-	plan, err := NewPlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	half := spec.Duration / 2
-	firstHalf := 0
-	for _, op := range plan.Ops {
-		if op.At < half {
-			firstHalf++
-		}
-	}
-	secondHalf := len(plan.Ops) - firstHalf
-	// Expected ratio is (1+2·0.8/π)/(1-2·0.8/π) ≈ 3.1; even 5σ of Poisson
-	// noise cannot push it below 1.5.
-	if float64(firstHalf) < 1.5*float64(secondHalf) {
-		t.Fatalf("diurnal trace flat: %d arrivals in the peak half vs %d in the trough half", firstHalf, secondHalf)
-	}
-	// Total volume stays near the base rate×duration (the sine integrates
-	// to zero over a full period).
-	want := spec.Rate * spec.Duration.Seconds()
-	if got := float64(len(plan.Ops)); got < 0.7*want || got > 1.3*want {
-		t.Fatalf("diurnal op count %v, want ~%v", got, want)
-	}
-
-	// The panwalk generator honors the same trace.
-	pw, err := NewPanwalkPlan(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pwFirst := 0
-	for _, op := range pw.Ops {
-		if op.At < half {
-			pwFirst++
-		}
-	}
-	if float64(pwFirst) < 1.5*float64(len(pw.Ops)-pwFirst) {
-		t.Fatalf("panwalk diurnal trace flat: %d vs %d", pwFirst, len(pw.Ops)-pwFirst)
-	}
-}
-
 // TestPanwalkValidation mirrors NewPlan's input checking.
 func TestPanwalkValidation(t *testing.T) {
 	base := Spec{Rate: 100, Duration: time.Second, PaneRows: []int{100}}

@@ -39,15 +39,14 @@ func (g *planGen) init() {
 	spec, rng := g.spec, g.rng
 
 	if spec.Mix.Search > 0 {
-		n := spec.QueryPool
-		g.pool = make([]string, n)
-		seen := make(map[string]bool, n)
-		for i := 0; i < n; i++ {
+		g.pool = make([]string, queryPool)
+		seen := make(map[string]bool, queryPool)
+		for i := range g.pool {
 			// Distinct gene sets so distinct pool slots are distinct cache
 			// keys; resample on the (rare) collision.
 			for {
-				ids := make([]string, spec.QueryGenes)
-				for j, p := range rng.Perm(len(spec.Genes))[:spec.QueryGenes] {
+				ids := make([]string, queryGenes)
+				for j, p := range rng.Perm(len(spec.Genes))[:queryGenes] {
 					ids[j] = spec.Genes[p]
 				}
 				q := strings.Join(ids, ",")
@@ -58,7 +57,7 @@ func (g *planGen) init() {
 				}
 			}
 		}
-		g.zipf = rand.NewZipf(rng, spec.ZipfS, 1, uint64(n-1))
+		g.zipf = rand.NewZipf(rng, zipfS, 1, queryPool-1)
 	}
 
 	if spec.Mix.Heatmap > 0 {
@@ -130,16 +129,13 @@ func (g *planGen) heatmapOp() Op {
 func (g *planGen) enrichOp() Op {
 	spec, rng := g.spec, g.rng
 	if g.burstLeft <= 0 {
-		n := spec.EnrichGenes
-		if n > len(spec.Genes) {
-			n = len(spec.Genes)
-		}
+		n := min(enrichGenes, len(spec.Genes))
 		start := rng.Intn(len(spec.Genes))
 		g.selection = make([]string, n)
 		for i := 0; i < n; i++ {
 			g.selection[i] = spec.Genes[(start+i)%len(spec.Genes)]
 		}
-		g.burstLeft = spec.EnrichBurst
+		g.burstLeft = enrichBurst
 	} else if rng.Intn(2) == 0 {
 		// Refine: swap one gene, keeping the burst correlated but not
 		// identical — misses that share most of their work.

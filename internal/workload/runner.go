@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -10,54 +9,29 @@ import (
 	"time"
 )
 
-// RunOptions configures one open-loop run of a plan.
-type RunOptions struct {
-	// BaseURL is the target daemon, e.g. "http://127.0.0.1:8080".
-	BaseURL string
-	// Client issues the requests (default: a client with a generous
-	// timeout and unlimited idle connections to BaseURL's host).
-	Client *http.Client
-	// Out receives one JSON envelope per line. Required.
-	Out io.Writer
-	// Step and Rate tag every envelope (rate defaults to the plan's).
-	Step int
-	Rate float64
-}
+// maxIdleConns is the runner's idle pool per target. An open-loop run has
+// as many requests in flight as the server is slow; net/http's default of
+// 2 closes every connection beyond that on return and re-dials it for the
+// next arrival.
+const maxIdleConns = 256
 
-// Run replays plan against BaseURL open-loop: every op is issued at its
+// Run replays plan against baseURL open-loop: every op is issued at its
 // scheduled offset regardless of how earlier requests are faring, each on
 // its own goroutine, so a slow server bends latency — never the offered
-// load. One envelope per op is written to opt.Out (ordered by completion,
-// not by schedule). Run returns the number of envelopes written; a
-// canceled context stops issuing new requests but still drains in-flight
-// ones.
-func Run(ctx context.Context, plan *Plan, opt RunOptions) (int, error) {
-	client := opt.Client
-	if client == nil {
-		client = &http.Client{Timeout: 30 * time.Second}
-	}
-	rate := opt.Rate
-	if rate == 0 {
-		rate = plan.Spec.Rate
-	}
+// load. It returns one envelope per issued op, in Seq order. A canceled
+// context stops issuing new requests but still drains in-flight ones, so
+// the result is then a prefix of the plan. Run dials over its own
+// transport and leaves no connection open behind it.
+func Run(ctx context.Context, plan *Plan, baseURL string) []Envelope {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0
+	tr.MaxIdleConnsPerHost = maxIdleConns
+	defer tr.CloseIdleConnections()
+	client := &http.Client{Transport: tr, Timeout: 30 * time.Second}
 
-	var (
-		mu    sync.Mutex
-		enc   = json.NewEncoder(opt.Out)
-		wrErr error
-		count int
-		wg    sync.WaitGroup
-	)
-	emit := func(e *Envelope) {
-		mu.Lock()
-		defer mu.Unlock()
-		if wrErr == nil {
-			if wrErr = enc.Encode(e); wrErr == nil {
-				count++
-			}
-		}
-	}
-
+	envs := make([]Envelope, len(plan.Ops))
+	issued := 0
+	var wg sync.WaitGroup
 	start := time.Now()
 	timer := time.NewTimer(0)
 	defer timer.Stop()
@@ -72,36 +46,27 @@ issue:
 			select {
 			case <-timer.C:
 			case <-ctx.Done():
-				if !timer.Stop() {
-					<-timer.C
-				}
 				break issue
 			}
 		} else if ctx.Err() != nil {
 			break issue
 		}
-		issuedAt := time.Since(start)
+		issued++
 		wg.Add(1)
-		go func(seq int, op *Op, issuedAt time.Duration) {
+		go func() {
 			defer wg.Done()
-			e := measure(ctx, client, opt.BaseURL, op, start)
-			e.Step = opt.Step
-			e.Rate = rate
-			e.Seq = seq
-			e.IssueDelayMS = ms(issuedAt - op.At)
-			emit(e)
-		}(seq, op, issuedAt)
+			envs[seq] = measure(ctx, client, baseURL, seq, op, start)
+		}()
 	}
 	wg.Wait()
-	mu.Lock()
-	defer mu.Unlock()
-	return count, wrErr
+	return envs[:issued]
 }
 
 // measure issues one request and fills the measurement fields of its
 // envelope.
-func measure(ctx context.Context, client *http.Client, base string, op *Op, start time.Time) *Envelope {
-	e := &Envelope{
+func measure(ctx context.Context, client *http.Client, base string, seq int, op *Op, start time.Time) Envelope {
+	e := Envelope{
+		Seq:      seq,
 		Endpoint: op.Endpoint,
 		Path:     op.Path,
 		SchedMS:  ms(op.At),
@@ -117,10 +82,9 @@ func measure(ctx context.Context, client *http.Client, base string, op *Op, star
 	if err != nil {
 		e.Error = err.Error()
 	} else {
-		n, _ := io.Copy(io.Discard, resp.Body)
+		_, _ = io.Copy(io.Discard, resp.Body) // drained so the connection is reused; the status is the result
 		resp.Body.Close()
 		e.Status = resp.StatusCode
-		e.Bytes = n
 		e.Cache = resp.Header.Get("X-Forestview-Cache")
 		e.ShardsOK = atoiHeader(resp.Header, "X-Forestview-Shards-Ok")
 		e.ShardsTotal = atoiHeader(resp.Header, "X-Forestview-Shards-Total")

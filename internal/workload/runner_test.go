@@ -1,18 +1,36 @@
 package workload
 
 import (
-	"bytes"
 	"context"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
+// checkSeqOrder asserts the Run contract every caller indexes by: envelope
+// i is op i of the plan, so the result is a prefix of the plan with no
+// gaps, duplicates or reordering.
+func checkSeqOrder(t *testing.T, plan *Plan, envs []Envelope) {
+	t.Helper()
+	if len(envs) > len(plan.Ops) {
+		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
+	}
+	for i, e := range envs {
+		op := plan.Ops[i]
+		if e.Seq != i || e.Endpoint != op.Endpoint || e.Path != op.Path || e.SchedMS != ms(op.At) {
+			t.Fatalf("envelope %d = %+v does not match op %+v", i, e, op)
+		}
+	}
+}
+
 // TestRunOpenLoop replays a short plan against a trivial server and checks
-// the open-loop contract: one envelope per op, issue times tracking the
-// schedule (not the server), and header fields relayed into envelopes.
+// the open-loop contract: one envelope per op in Seq order, send times
+// tracking the schedule (not the server), and header fields relayed into
+// envelopes.
 func TestRunOpenLoop(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch {
@@ -40,40 +58,18 @@ func TestRunOpenLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := Run(context.Background(), plan, RunOptions{BaseURL: srv.URL, Out: &buf, Step: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(plan.Ops) {
-		t.Fatalf("wrote %d envelopes for %d ops", n, len(plan.Ops))
-	}
-	envs, err := ReadEnvelopes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	envs := Run(context.Background(), plan, srv.URL)
 	if len(envs) != len(plan.Ops) {
-		t.Fatalf("read %d envelopes for %d ops", len(envs), len(plan.Ops))
+		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
 	}
-	seen := map[int]bool{}
+	checkSeqOrder(t, plan, envs)
 	for _, e := range envs {
-		if seen[e.Seq] {
-			t.Fatalf("seq %d duplicated", e.Seq)
-		}
-		seen[e.Seq] = true
-		op := plan.Ops[e.Seq]
-		if e.Endpoint != op.Endpoint || e.Path != op.Path || e.Step != 3 || e.Rate != 200 {
-			t.Fatalf("envelope %+v does not match op %+v", e, op)
-		}
-		if e.SchedMS != ms(op.At) {
-			t.Fatalf("seq %d sched %v, want %v", e.Seq, e.SchedMS, ms(op.At))
-		}
 		// Open-loop: against an instant server the generator must track its
 		// own schedule closely. 250ms of slack absorbs CI scheduling noise.
-		if e.IssueDelayMS < 0 || e.IssueDelayMS > 250 {
-			t.Fatalf("seq %d issue delay %vms", e.Seq, e.IssueDelayMS)
+		if late := e.LatencyMS - e.ServiceMS; late < 0 || late > 250 {
+			t.Fatalf("seq %d sent %vms after its scheduled arrival", e.Seq, late)
 		}
-		if e.LatencyMS < 0 || e.ServiceMS < 0 {
+		if e.ServiceMS < 0 {
 			t.Fatalf("seq %d negative timing: %+v", e.Seq, e)
 		}
 		switch e.Endpoint {
@@ -94,7 +90,7 @@ func TestRunOpenLoop(t *testing.T) {
 }
 
 // TestRunTransportError: an unreachable target yields envelopes with
-// status 0 and an error string, not a Run failure.
+// status 0 and an error string, one per op as ever.
 func TestRunTransportError(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
 	srv.Close() // nothing listens anymore
@@ -103,17 +99,9 @@ func TestRunTransportError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	n, err := Run(context.Background(), plan, RunOptions{BaseURL: srv.URL, Out: &buf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	envs, err := ReadEnvelopes(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n == 0 || len(envs) != n {
-		t.Fatalf("n=%d envelopes=%d", n, len(envs))
+	envs := Run(context.Background(), plan, srv.URL)
+	if len(envs) == 0 || len(envs) != len(plan.Ops) {
+		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
 	}
 	for _, e := range envs {
 		if e.Status != 0 || e.Error == "" {
@@ -122,8 +110,9 @@ func TestRunTransportError(t *testing.T) {
 	}
 }
 
-// TestRunCanceled: canceling the context stops issuing but the call still
-// returns cleanly with the envelopes already earned.
+// TestRunCanceled: canceling the context stops issuing, and the call
+// returns the envelopes already earned: a proper prefix of the plan, still
+// one per issued op and in Seq order.
 func TestRunCanceled(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("{}"))
@@ -136,12 +125,68 @@ func TestRunCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	var buf bytes.Buffer
-	n, err := Run(ctx, plan, RunOptions{BaseURL: srv.URL, Out: &buf})
+	envs := Run(ctx, plan, srv.URL)
+	if len(envs) == 0 || len(envs) >= len(plan.Ops) {
+		t.Fatalf("canceled run returned %d of %d envelopes", len(envs), len(plan.Ops))
+	}
+	checkSeqOrder(t, plan, envs)
+}
+
+// TestRunReusesConnections: a run whose requests overlap keeps using the
+// connections its busiest moment opened, and leaves none behind. Over
+// http.DefaultTransport (two idle connections per host, shared by the
+// whole process) every completion past the second closes its connection
+// and the next arrival dials again — a dial for every second or third op
+// — and the two idle ones outlive the run, and the topology it was aimed
+// at.
+func TestRunReusesConnections(t *testing.T) {
+	var dialed, open, inflight, peak atomic.Int64
+	hs := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n := inflight.Add(1)
+		defer inflight.Add(-1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		time.Sleep(20 * time.Millisecond)
+		_, _ = w.Write([]byte("{}"))
+	}))
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			dialed.Add(1)
+			open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			open.Add(-1)
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+
+	// 300/s against a 20ms handler: about six requests in flight throughout.
+	plan, err := NewPlan(Spec{Rate: 300, Duration: time.Second, Seed: 3, Mix: Mix{Stats: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 || n >= len(plan.Ops) {
-		t.Fatalf("canceled run wrote %d of %d envelopes", n, len(plan.Ops))
+	envs := Run(context.Background(), plan, hs.URL)
+	for _, e := range envs {
+		if e.Status != 200 {
+			t.Fatalf("envelope failed: %+v", e)
+		}
+	}
+	if peak.Load() < 3 {
+		t.Fatalf("peak concurrency %d: requests never overlapped enough to outgrow a two-connection idle pool", peak.Load())
+	}
+	// A request that finds the pool empty dials, and may then be handed a
+	// connection another request just returned, leaving its own dial idle
+	// in the pool: dials can exceed the server-side peak, but stay of its
+	// order rather than of the op count's.
+	if d, limit := dialed.Load(), 2*peak.Load(); d > limit {
+		t.Fatalf("%d connections dialed for %d ops at peak concurrency %d, want <= %d", d, len(envs), peak.Load(), limit)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for open.Load() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := open.Load(); n != 0 {
+		t.Fatalf("%d connections still open after Run returned", n)
 	}
 }

@@ -1,6 +1,7 @@
 // Package workload generates and drives open-loop request workloads
 // against a forestviewd daemon, and folds the recorded per-request
-// envelopes into latency/capacity reports.
+// envelopes into the pass/fail summary cmd/forestbench gates on. It
+// measures nothing for the record: every committed number is bench/'s.
 //
 // The generator is *open-loop*: arrival times come from a Poisson process
 // at a configured rate, fixed before the first request is sent, so a slow
@@ -28,7 +29,6 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"time"
 )
@@ -46,25 +46,10 @@ type Mix struct {
 // dominates, tile pulls follow the viewer around, enrichment punctuates.
 func DefaultMix() Mix { return Mix{Search: 5, Heatmap: 3, Enrich: 2, Stats: 0} }
 
-// DiurnalPeriod is one sinusoidal component of a time-varying arrival
-// rate: the instantaneous rate swings by ±Amplitude·Rate over each Period.
-// Stacking several periods (a long "daily" swell plus a short "burst"
-// ripple) reproduces the multi-period load traces production services see.
-type DiurnalPeriod struct {
-	Period    time.Duration
-	Amplitude float64 // fraction of the base rate, e.g. 0.5 = ±50%
-}
-
 // Spec configures a Plan.
 type Spec struct {
 	// Rate is the open-loop arrival rate in requests/second.
 	Rate float64
-	// Diurnal, when non-empty, modulates Rate sinusoidally: the
-	// instantaneous rate at offset t is
-	// Rate·max(0.05, 1 + Σᵢ Amplitudeᵢ·sin(2πt/Periodᵢ)), sampled by
-	// thinning a homogeneous process at the peak rate — still open-loop,
-	// still a pure function of the seed.
-	Diurnal []DiurnalPeriod
 	// Duration bounds the arrival schedule.
 	Duration time.Duration
 	// Seed makes the plan deterministic.
@@ -75,16 +60,6 @@ type Spec struct {
 	// Genes is the queryable gene universe (required when Mix.Search or
 	// Mix.Enrich is positive).
 	Genes []string
-	// QueryGenes is the genes per search query (default 3, min 2 — the
-	// daemon rejects single-gene searches).
-	QueryGenes int
-	// QueryPool is the number of distinct candidate queries the Zipf draw
-	// ranks over (default 64).
-	QueryPool int
-	// ZipfS is the Zipf skew (> 1; default 1.2 — a few queries dominate,
-	// the tail stays long).
-	ZipfS float64
-
 	// PaneRows lists the row count of each heatmap pane; index is the
 	// dataset reference (required when Mix.Heatmap is positive).
 	PaneRows []int
@@ -93,16 +68,17 @@ type Spec struct {
 	// TileSize is the requested tile width and height in pixels
 	// (default 128).
 	TileSize int
-
-	// EnrichBurst is the ops per enrichment burst (default 4).
-	EnrichBurst int
-	// EnrichGenes is the genes per enrichment selection (default 20).
-	EnrichGenes int
-
-	// ZoomEvery is the pan steps between zoom transitions in a panwalk
-	// plan (default 8); NewPlan ignores it.
-	ZoomEvery int
 }
+
+// The shape of a session, fixed: no gate ever varied these.
+const (
+	queryGenes  = 3   // genes per search query (the daemon rejects single-gene searches)
+	queryPool   = 64  // distinct candidate queries the Zipf draw ranks over
+	zipfS       = 1.2 // Zipf skew: a few queries dominate, the tail stays long
+	enrichBurst = 4   // ops per enrichment burst
+	enrichGenes = 20  // genes per enrichment selection
+	zoomEvery   = 8   // pan steps between zoom transitions in a panwalk plan
+)
 
 // Op is one scheduled request.
 type Op struct {
@@ -117,8 +93,7 @@ type Op struct {
 
 // Plan is a fully materialized open-loop schedule.
 type Plan struct {
-	Spec Spec
-	Ops  []Op
+	Ops []Op
 }
 
 // withDefaults fills the zero-valued knobs.
@@ -126,73 +101,64 @@ func (s Spec) withDefaults() Spec {
 	if s.Mix == (Mix{}) {
 		s.Mix = DefaultMix()
 	}
-	if s.QueryGenes < 2 {
-		s.QueryGenes = 3
-	}
-	if s.QueryPool <= 0 {
-		s.QueryPool = 64
-	}
-	if s.ZipfS <= 1 {
-		s.ZipfS = 1.2
-	}
 	if s.TileRows <= 0 {
 		s.TileRows = 64
 	}
 	if s.TileSize <= 0 {
 		s.TileSize = 128
 	}
-	if s.EnrichBurst <= 0 {
-		s.EnrichBurst = 4
-	}
-	if s.EnrichGenes <= 0 {
-		s.EnrichGenes = 20
-	}
-	if s.ZoomEvery <= 0 {
-		s.ZoomEvery = 8
-	}
 	return s
+}
+
+// validate rejects a spec no schedule can be drawn from.
+func (s Spec) validate() error {
+	if s.Rate <= 0 {
+		return fmt.Errorf("workload: rate must be positive, got %g", s.Rate)
+	}
+	if s.Duration <= 0 {
+		return fmt.Errorf("workload: duration must be positive, got %v", s.Duration)
+	}
+	m := s.Mix
+	if m.Search < 0 || m.Heatmap < 0 || m.Enrich < 0 || m.Stats < 0 {
+		return fmt.Errorf("workload: negative mix weight %+v", m)
+	}
+	if m.Search+m.Heatmap+m.Enrich+m.Stats == 0 {
+		return fmt.Errorf("workload: empty mix")
+	}
+	if m.Search > 0 && len(s.Genes) < queryGenes {
+		return fmt.Errorf("workload: search mix needs >= %d genes, have %d", queryGenes, len(s.Genes))
+	}
+	if m.Enrich > 0 && len(s.Genes) == 0 {
+		return fmt.Errorf("workload: enrich mix needs a gene universe")
+	}
+	if m.Heatmap > 0 {
+		if len(s.PaneRows) == 0 {
+			return fmt.Errorf("workload: heatmap mix needs pane row counts")
+		}
+		for i, n := range s.PaneRows {
+			if n <= 0 {
+				return fmt.Errorf("workload: pane %d has %d rows", i, n)
+			}
+		}
+	}
+	return nil
 }
 
 // NewPlan materializes the open-loop schedule for spec. The result is a
 // pure function of the spec (including its seed).
 func NewPlan(spec Spec) (*Plan, error) {
 	spec = spec.withDefaults()
-	if spec.Rate <= 0 {
-		return nil, fmt.Errorf("workload: rate must be positive, got %g", spec.Rate)
-	}
-	if spec.Duration <= 0 {
-		return nil, fmt.Errorf("workload: duration must be positive, got %v", spec.Duration)
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 	m := spec.Mix
-	if m.Search < 0 || m.Heatmap < 0 || m.Enrich < 0 || m.Stats < 0 {
-		return nil, fmt.Errorf("workload: negative mix weight %+v", m)
-	}
 	total := m.Search + m.Heatmap + m.Enrich + m.Stats
-	if total == 0 {
-		return nil, fmt.Errorf("workload: empty mix")
-	}
-	if m.Search > 0 && len(spec.Genes) < spec.QueryGenes {
-		return nil, fmt.Errorf("workload: search mix needs >= %d genes, have %d", spec.QueryGenes, len(spec.Genes))
-	}
-	if m.Enrich > 0 && len(spec.Genes) == 0 {
-		return nil, fmt.Errorf("workload: enrich mix needs a gene universe")
-	}
-	if m.Heatmap > 0 {
-		if len(spec.PaneRows) == 0 {
-			return nil, fmt.Errorf("workload: heatmap mix needs pane row counts")
-		}
-		for i, n := range spec.PaneRows {
-			if n <= 0 {
-				return nil, fmt.Errorf("workload: pane %d has %d rows", i, n)
-			}
-		}
-	}
 
 	rng := rand.New(rand.NewSource(spec.Seed))
 	g := &planGen{spec: spec, rng: rng}
 	g.init()
 
-	plan := &Plan{Spec: spec}
+	plan := &Plan{}
 	for _, t := range spec.arrivals(rng) {
 		r := rng.Intn(total)
 		var op Op
@@ -212,35 +178,11 @@ func NewPlan(spec Spec) (*Plan, error) {
 	return plan, nil
 }
 
-// rateAt is the instantaneous arrival rate at offset t: the base rate
-// modulated by every diurnal period, floored at 5% so the process never
-// fully dies mid-trace.
-func (s Spec) rateAt(t time.Duration) float64 {
-	mod := 1.0
-	for _, d := range s.Diurnal {
-		mod += d.Amplitude * math.Sin(2*math.Pi*t.Seconds()/d.Period.Seconds())
-	}
-	return s.Rate * math.Max(0.05, mod)
-}
-
-// arrivals draws the arrival schedule. Without diurnal periods this is a
-// homogeneous Poisson process at Rate. With them, it thins a homogeneous
-// process at the peak rate rmax = Rate·(1+Σ|amplitude|): each candidate
-// arrival at offset t survives with probability rate(t)/rmax, the standard
-// exact sampler for a non-homogeneous Poisson process.
+// arrivals draws the arrival schedule: a homogeneous Poisson process at
+// Rate, cut off at Duration.
 func (s Spec) arrivals(rng *rand.Rand) []time.Duration {
-	rmax := s.Rate
-	for _, d := range s.Diurnal {
-		if d.Period <= 0 {
-			continue
-		}
-		rmax += s.Rate * math.Abs(d.Amplitude)
-	}
 	var out []time.Duration
-	for t := time.Duration(float64(time.Second) * rng.ExpFloat64() / rmax); t < s.Duration; t += time.Duration(float64(time.Second) * rng.ExpFloat64() / rmax) {
-		if len(s.Diurnal) > 0 && rng.Float64()*rmax > s.rateAt(t) {
-			continue
-		}
+	for t := time.Duration(float64(time.Second) * rng.ExpFloat64() / s.Rate); t < s.Duration; t += time.Duration(float64(time.Second) * rng.ExpFloat64() / s.Rate) {
 		out = append(out, t)
 	}
 	return out
@@ -249,29 +191,18 @@ func (s Spec) arrivals(rng *rand.Rand) []time.Duration {
 // NewPanwalkPlan materializes a heatmap-only schedule that mimics an
 // interactive viewer panning through a clustered pane: every op moves one
 // full window from the previous one (down until the pane edge, then back
-// up), with a zoom transition every ZoomEvery pans — doubling the window
+// up), with a zoom transition every zoomEvery pans — doubling the window
 // around its center (zoom out) or narrowing to its center half (zoom in).
 // These are exactly the neighbourhoods the daemon's speculative prefetcher
 // predicts, so against a prefetching server the steady-state walk should
 // land almost entirely on prefetched or cached tiles; against a
-// non-prefetching server every fresh window is a miss. Arrivals honor
-// Diurnal like NewPlan. The result is a pure function of the spec.
+// non-prefetching server every fresh window is a miss. The result is a
+// pure function of the spec.
 func NewPanwalkPlan(spec Spec) (*Plan, error) {
 	spec = spec.withDefaults()
 	spec.Mix = Mix{Heatmap: 1}
-	if spec.Rate <= 0 {
-		return nil, fmt.Errorf("workload: rate must be positive, got %g", spec.Rate)
-	}
-	if spec.Duration <= 0 {
-		return nil, fmt.Errorf("workload: duration must be positive, got %v", spec.Duration)
-	}
-	if len(spec.PaneRows) == 0 {
-		return nil, fmt.Errorf("workload: panwalk needs pane row counts")
-	}
-	for i, n := range spec.PaneRows {
-		if n <= 0 {
-			return nil, fmt.Errorf("workload: pane %d has %d rows", i, n)
-		}
+	if err := spec.validate(); err != nil {
+		return nil, err
 	}
 
 	rng := rand.New(rand.NewSource(spec.Seed))
@@ -284,7 +215,7 @@ func NewPanwalkPlan(spec Spec) (*Plan, error) {
 		walkers[i] = panWalker{pane: i, rows: rows, to: win, dir: 1}
 	}
 
-	plan := &Plan{Spec: spec}
+	plan := &Plan{}
 	for _, t := range spec.arrivals(rng) {
 		w := &walkers[rng.Intn(len(walkers))]
 		plan.Ops = append(plan.Ops, Op{
@@ -293,7 +224,7 @@ func NewPanwalkPlan(spec Spec) (*Plan, error) {
 			Path: fmt.Sprintf("/api/heatmap?dataset=%d&rows=%d:%d&w=%d&h=%d",
 				w.pane, w.from, w.to, spec.TileSize, spec.TileSize),
 		})
-		w.step(spec.ZoomEvery, rng)
+		w.step(rng)
 	}
 	return plan, nil
 }
@@ -310,7 +241,7 @@ type panWalker struct {
 }
 
 // step advances to the next window.
-func (w *panWalker) step(zoomEvery int, rng *rand.Rand) {
+func (w *panWalker) step(rng *rand.Rand) {
 	span := w.to - w.from
 	if span >= w.rows {
 		return // the window already covers the whole pane; nowhere to go
