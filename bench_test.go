@@ -675,13 +675,87 @@ func BenchmarkF5_PartialWire(b *testing.B) {
 	}
 }
 
-// BenchmarkF5_Merge12: the coordinator's serial step — 12 decoded group
-// partials merged into the top 20.
-func BenchmarkF5_Merge12(b *testing.B) {
+// BenchmarkF5_ShardBatch: what a shard adds to its cached group partials to
+// answer a batched request — three two-dataset group partials (what one of
+// 4 shards at R=2 is picked for) summed and framed inside the answer
+// envelope, and the answer decoded as the coordinator will. "lookup" is the
+// step before it, the request's owner tuples resolved to groups: "table" as
+// served, from the group table the shard keeps per topology, and
+// "rendezvous" as it was done per request before there was one.
+func BenchmarkF5_ShardBatch(b *testing.B) {
+	b.Run("sum+frame", func(b *testing.B) {
+		parts := paperGroupPartials(b, 3)
+		var buf bytes.Buffer
+		trip := func() (decoded shard.SearchAnswer) {
+			sum, err := spell.Sum(parts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			buf.Reset()
+			if err := gob.NewEncoder(&buf).Encode(shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: sum}}}); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(buf.Len()))
+			if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+				b.Fatal(err)
+			}
+			return decoded
+		}
+		if back := trip(); len(back.Parts) != 1 || len(back.Parts[0].Partial.IDs) != paperGenes || len(back.Parts[0].Partial.Datasets) != 6 {
+			b.Fatalf("decoded answer: %+v", back.Parts)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			trip()
+		}
+	})
+
+	// The fleet-scatter shape: 24 datasets, 4 shards, R=2, a request for
+	// three of the groups.
+	names := make([]string, 24)
+	for i := range names {
+		names[i] = fmt.Sprintf("synthetic-%d (condition %d)", i, i%7)
+	}
+	fleet := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
+	request := shard.Groups(names, fleet, 2)[:3]
+	b.Run("lookup/table", func(b *testing.B) {
+		table := shard.NewGroupTable(names, fleet, 2)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, owners := range request {
+				if gi, ok := table.Lookup(owners); !ok || len(table.Members[gi]) == 0 {
+					b.Fatal("group not found")
+				}
+			}
+		}
+	})
+	b.Run("lookup/rendezvous", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, owners := range request {
+				if len(shard.GroupIndexes(names, fleet, 2, owners)) == 0 {
+					b.Fatal("group not found")
+				}
+			}
+			_ = shard.Generation(fleet)
+		}
+	})
+}
+
+// benchMerge is the coordinator's serial step: n decoded partials — the
+// paper compendium cut n ways — merged into the top 20.
+func benchMerge(b *testing.B, n int) {
+	groups := paperGroupPartials(b, 12)
 	var buf bytes.Buffer
-	parts := make([]spell.Partial, 0, 12)
-	for _, p := range paperGroupPartials(b, 12) {
-		back, _ := partialWireTrip(b, &buf, p)
+	parts := make([]spell.Partial, 0, n)
+	for i := 0; i < n; i++ {
+		sum, err := spell.Sum(groups[i*12/n : (i+1)*12/n])
+		if err != nil {
+			b.Fatal(err)
+		}
+		back, _ := partialWireTrip(b, &buf, sum)
 		parts = append(parts, back)
 	}
 	b.ReportAllocs()
@@ -693,6 +767,13 @@ func BenchmarkF5_Merge12(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkF5_Merge4: the batched fleet's merge — one summed frame from each
+// of 4 shards. BenchmarkF5_Merge12: one frame per ownership group, which is
+// what a merge still sees when every group is served by a different answer
+// (a 12-shard R=1 fleet; the unbatched fleet before it).
+func BenchmarkF5_Merge4(b *testing.B)  { benchMerge(b, 4) }
+func BenchmarkF5_Merge12(b *testing.B) { benchMerge(b, 12) }
 
 // TestPartialWireAllocs bounds what the shard hop may allocate per group: a
 // partial that goes back to one struct per gene, or a wire form that goes

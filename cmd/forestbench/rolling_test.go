@@ -145,7 +145,7 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			for _, owners := range shard.Groups(tp.names, survivors, tp.repl) {
 				for _, owner := range owners {
 					code, disp := shardGroupSearch(t, tp.resolve(owner), shard.SearchRequest{
-						Query: hotQuery, Shards: survivors, Replication: tp.repl, Owners: owners,
+						Query: hotQuery, Shards: survivors, Replication: tp.repl, Groups: [][]string{owners},
 					})
 					if code != http.StatusOK || disp != "hit" {
 						t.Fatalf("post-drain search on %s (group %v) = %d/%q, want 200/hit", owner, owners, code, disp)

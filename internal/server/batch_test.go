@@ -1,0 +1,270 @@
+package server
+
+import (
+	"bytes"
+	"encoding/gob"
+	"encoding/json"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"forestview/internal/golem"
+	"forestview/internal/shard"
+	"forestview/internal/spell"
+)
+
+// postShard drives one shard-protocol POST in-process and decodes a 200's
+// answer into A.
+func postShard[A any](t testing.TB, s *Server, path string, req any) (*httptest.ResponseRecorder, *A) {
+	t.Helper()
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(req); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &body))
+	if rec.Code != http.StatusOK {
+		return rec, nil
+	}
+	a := new(A)
+	if err := gob.NewDecoder(bytes.NewReader(rec.Body.Bytes())).Decode(a); err != nil {
+		t.Fatalf("%s answered 200 with a body that does not decode: %v", path, err)
+	}
+	return rec, a
+}
+
+// decodeCounts decodes one slice body of an enrichment answer.
+func decodeCounts(t testing.TB, body []byte) *golem.PartialCounts {
+	t.Helper()
+	p := new(golem.PartialCounts)
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// partialBits renders a partial with every float as its bit pattern.
+func partialBits(p *spell.Partial) any {
+	bits := func(xs []float64) []uint64 {
+		out := make([]uint64, len(xs))
+		for i, x := range xs {
+			out[i] = math.Float64bits(x)
+		}
+		return out
+	}
+	rows := make([]string, len(p.Datasets))
+	for i, d := range p.Datasets {
+		rows[i] = fmt.Sprint(d.Index, d.Name, d.Present, math.Float64bits(d.Coherence))
+	}
+	return []any{p.Query, p.Uniform, rows, append([]string{}, p.IDs...), append([]string{}, p.Names...), bits(p.Sum), bits(p.Cnt)}
+}
+
+// TestShardBatchedAnswers drives the shard endpoints with batched requests
+// over fixtureShard's catalog under a 4-shard R=2 topology (the fixture shard
+// holds every dataset, so every group completely).
+func TestShardBatchedAnswers(t *testing.T) {
+	s, u := fixtureShard(t)
+	genes := u.ModuleGeneIDs(2)[:4]
+	fleet := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
+	groups := shard.Groups(s.cfg.ShardDatasetIDs, fleet, 2)
+	if len(groups) < 3 {
+		t.Fatalf("fixture: %d ownership groups, want a batch of at least 3", len(groups))
+	}
+	search := func(tuples [][]string, uniform bool) shard.SearchRequest {
+		return shard.SearchRequest{Query: genes, Shards: fleet, Replication: 2, Groups: tuples, Uniform: uniform}
+	}
+
+	t.Run("batch-is-the-sum-of-its-groups", func(t *testing.T) {
+		for _, uniform := range []bool{false, true} {
+			var singles []*spell.Partial
+			for _, owners := range groups {
+				rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search([][]string{owners}, uniform))
+				if a == nil || len(a.Parts) != 1 || !reflect.DeepEqual(a.Parts[0].Groups, []int{0}) {
+					t.Fatalf("single-group request = %d, %+v", rec.Code, a)
+				}
+				singles = append(singles, a.Parts[0].Partial)
+			}
+			want, err := spell.Sum(singles)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Asked in reverse: the sum does not depend on the order.
+			reversed := append([][]string(nil), groups...)
+			for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
+				reversed[i], reversed[j] = reversed[j], reversed[i]
+			}
+			rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search(reversed, uniform))
+			if a == nil || len(a.Parts) != 1 || len(a.Parts[0].Groups) != len(groups) {
+				t.Fatalf("batched request = %d, %+v", rec.Code, a)
+			}
+			got := a.Parts[0].Partial
+			if got.Uniform != uniform || len(got.Datasets) != len(s.cfg.ShardDatasetIDs) {
+				t.Fatalf("batched partial: uniform=%t, %d datasets", got.Uniform, len(got.Datasets))
+			}
+			if !reflect.DeepEqual(partialBits(got), partialBits(want)) {
+				t.Fatalf("uniform=%t: the batched answer is not the Sum of the single-group answers, bit for bit", uniform)
+			}
+			// Every group was cached by the single requests: the batch is a hit.
+			if disp := rec.Header().Get(cacheHeader); disp != dispHit {
+				t.Fatalf("batched answer over cached groups says %q, want hit", disp)
+			}
+		}
+		// One cold group among cached ones is a miss for the answer.
+		other := u.ModuleGeneIDs(3)[:4]
+		req := search(groups[:1], false)
+		req.Query = other
+		postShard[shard.SearchAnswer](t, s, shard.SearchPath, req)
+		req.Groups = groups
+		if rec, _ := postShard[shard.SearchAnswer](t, s, shard.SearchPath, req); rec.Header().Get(cacheHeader) != dispMiss {
+			t.Fatalf("batch with cold groups says %q, want miss", rec.Header().Get(cacheHeader))
+		}
+	})
+
+	t.Run("enrich-batch-lists-its-slices", func(t *testing.T) {
+		req := shard.EnrichRequest{Selection: genes, Shards: fleet, Replication: 2, Groups: groups}
+		rec, a := postShard[shard.EnrichAnswer](t, s, shard.EnrichPath, req)
+		if a == nil || len(a.Slices) != len(groups) {
+			t.Fatalf("batched enrich = %d, %+v", rec.Code, a)
+		}
+		for gi := range groups {
+			want, err := fixEnricher.PartialAnalyze(spell.CanonicalQuery(genes), gi, len(groups))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := decodeCounts(t, a.Slices[gi])
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("slice %d of the batch is not PartialAnalyze(%d of %d)", gi, gi, len(groups))
+			}
+		}
+	})
+
+	// What a request may not name, on either endpoint; each refusal must cost
+	// no partial (the work is bounded by the catalog, not by the request).
+	many := make([][]string, 10000)
+	for i := range many {
+		many[i] = groups[i%len(groups)]
+	}
+	for name, tuples := range map[string][][]string{
+		"duplicate-tuple": {groups[0], groups[1], groups[0]},
+		"foreign-tuple":   {groups[0], {"shard-9", "shard-0"}},
+		"empty-tuple":     {groups[0], {}},
+		"10000-tuples":    many,
+	} {
+		t.Run(name, func(t *testing.T) {
+			fresh := u.ModuleGeneIDs(4)[:4] // nothing cached for it
+			before := s.Stats().Endpoints["shard"].Computed
+			for path, req := range map[string]any{
+				shard.SearchPath: shard.SearchRequest{Query: fresh, Shards: fleet, Replication: 2, Groups: tuples},
+				shard.EnrichPath: shard.EnrichRequest{Selection: fresh, Shards: fleet, Replication: 2, Groups: tuples},
+			} {
+				var body bytes.Buffer
+				if err := gob.NewEncoder(&body).Encode(req); err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, &body))
+				if code, _ := errorEnvelopeOf(t, rec.Body.Bytes()); rec.Code != http.StatusUnprocessableEntity || code != codeUnprocessable {
+					t.Fatalf("%s: %d %s, want 422", path, rec.Code, rec.Body.String())
+				}
+			}
+			if after := s.Stats().Endpoints["shard"].Computed; after != before {
+				t.Fatalf("a refused request computed %d partials", after-before)
+			}
+		})
+	}
+}
+
+// TestShardAnswersOldRequestUnreadably is the other half of the version
+// skew: a coordinator from before batching names one group in an Owners
+// field and reads the answer as a bare partial. A shard of this version does
+// not know the field — it serves the request as a whole-slice probe — and
+// what it answers must not decode as what that coordinator expects, so the
+// attempt fails instead of a whole slice being merged as one group.
+func TestShardAnswersOldRequestUnreadably(t *testing.T) {
+	s, u := fixtureShard(t)
+	old := struct {
+		Query       []string
+		Shards      []string
+		Replication int
+		Owners      []string
+	}{u.ModuleGeneIDs(2)[:4], []string{"shard-0", "shard-1"}, 2, []string{"shard-1", "shard-0"}}
+	var body bytes.Buffer
+	if err := gob.NewEncoder(&body).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shard.SearchPath, &body))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("old-style request = %d: %s", rec.Code, rec.Body.String())
+	}
+	var bare spell.Partial
+	if err := gob.NewDecoder(bytes.NewReader(rec.Body.Bytes())).Decode(&bare); err == nil {
+		t.Fatalf("the answer to an old-style request decodes as a bare partial of %d datasets", len(bare.Datasets))
+	}
+	if !strings.Contains(rec.Body.String(), "SearchAnswer") {
+		t.Fatalf("fixture: the answer is not the batched envelope")
+	}
+}
+
+// TestGroupViewIsDerivedOncePerTopology: requests naming groups look them up
+// in one table per (holdings, shards, replication), derived on first use.
+func TestGroupViewIsDerivedOncePerTopology(t *testing.T) {
+	s, _ := fixtureShard(t)
+	st := s.shardState()
+	fleet := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
+	v := s.groupView(st, fleet, 2)
+	if again := s.groupView(st, append([]string(nil), fleet...), 2); again != v {
+		t.Fatal("the same topology derived a second view")
+	}
+	if other := s.groupView(st, fleet[:3], 2); other == v || s.groupView(st, fleet[:3], 2) != other {
+		t.Fatal("another topology did not replace the view")
+	}
+	for gi, members := range v.table.Members {
+		if len(v.held[gi]) != len(members) || !v.holdsAll(gi) {
+			t.Fatalf("group %d: the fixture shard holds %d of %d datasets", gi, len(v.held[gi]), len(members))
+		}
+		if got := shard.GroupIndexes(s.cfg.ShardDatasetIDs, fleet, 2, v.table.Tuples[gi]); !reflect.DeepEqual(got, members) {
+			t.Fatalf("group %d: table members %v, GroupIndexes %v", gi, members, got)
+		}
+	}
+}
+
+// TestScatterStatsDiscloseBatching: /api/stats on a coordinator shows, per
+// shard, the wire requests next to the ownership groups they carried, and
+// how often a search took the uniform second round — and a healthy fleet
+// touches none of the fault counters.
+func TestScatterStatsDiscloseBatching(t *testing.T) {
+	top := newShardTopology(t, 3, shard.Config{Deadline: 2 * time.Second, Replication: 2})
+	if rec := get(t, top.coord, searchURL(top.query)); rec.Code != http.StatusOK {
+		t.Fatalf("search = %d: %s", rec.Code, rec.Body.String())
+	}
+	var raw struct {
+		Scatter map[string]json.RawMessage `json:"scatter"`
+	}
+	body := get(t, top.coord, "/api/stats").Body.Bytes()
+	if err := json.Unmarshal(body, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if string(raw.Scatter["uniform_rounds"]) != "0" {
+		t.Fatalf("scatter.uniform_rounds = %q, want 0", raw.Scatter["uniform_rounds"])
+	}
+	var snap StatsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatal(err)
+	}
+	var requests, groups int64
+	for _, sh := range snap.Scatter.Shards {
+		requests, groups = requests+sh.Requests, groups+sh.Groups
+		if sh.Failovers+sh.Hedges+sh.Retries+sh.BreakerSkips+sh.Errors != 0 {
+			t.Fatalf("healthy fleet counted a fault on %s: %+v", sh.Addr, sh)
+		}
+	}
+	if snap.Scatter.Groups <= 3 || groups != int64(snap.Scatter.Groups) || requests == 0 || requests > 3 {
+		t.Fatalf("one search over %d groups: %d groups in %d requests", snap.Scatter.Groups, groups, requests)
+	}
+}

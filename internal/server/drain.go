@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -26,8 +27,9 @@ import (
 // that a rolling restart is a zero-degradation event: survivors take
 // ownership (reload) *before* the leaver drains, the leaver pushes its
 // warm partials keyed under the post-drain topology, and the receivers
-// either accept a byte-identical partial or recompute it locally — a
-// handoff can warm a cache but can never make it wrong.
+// either accept a partial covering exactly what they would compute or
+// recompute it locally — a handoff can warm a cache but can never make it
+// wrong.
 
 // shardState is the shard role's reloadable view: the engine over the
 // held datasets, the global-index maps, the raw datasets the engine was
@@ -335,42 +337,32 @@ func (s *Server) handleShardDrain(w http.ResponseWriter, r *http.Request) {
 // pushHandoff derives the post-drain ownership groups and pushes one
 // HandoffRequest to every successor replica: for each tracked hot query ×
 // each group, a gob body when this shard holds the *whole* group (the
-// partial is then byte-identical to what the receiver would compute), or
-// a bodyless entry telling the receiver to recompute locally. Enrichment
-// slices are data-independent, so their bodies are always valid on any
-// capable receiver.
+// partial is then exactly what the receiver would compute), or a bodyless
+// entry telling the receiver to recompute locally. Enrichment slices are
+// data-independent, so their bodies are always valid on any capable
+// receiver.
 func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []string, repl int) (pushed, replayed int64, errs []string) {
 	warm := s.warm.snapshot()
 	if len(warm) == 0 {
 		return 0, 0, nil
 	}
-	gen := shard.Generation(target)
-	groups := shard.Groups(s.cfg.ShardDatasetIDs, target, repl)
+	v := s.groupView(st, target, repl)
 	batches := make(map[string][]shard.HandoffEntry, len(target))
-	for _, owners := range groups {
-		heldAll := true
-		for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, target, repl, owners) {
-			if _, ok := st.local[gi]; !ok {
-				heldAll = false
-				break
-			}
-		}
+	for gi, owners := range v.table.Tuples {
 		for _, e := range warm {
 			var body []byte
 			switch e.kind {
 			case shard.CapabilitySearch:
-				if heldAll {
-					body, _, _ = s.partialSearch(ctx, e.ids, &shard.SearchRequest{
-						Query: e.ids, Shards: target, Replication: repl, Owners: owners,
-					})
+				if v.holdsAll(gi) {
+					if p, _, err := s.groupPartial(ctx, st, searchPartialKey(v, owners, false, e.ids), e.ids, v.held[gi], false); err == nil {
+						body, _ = encodePartial(p)
+					}
 				}
 			case shard.CapabilityEnrich:
 				if s.cfg.Enricher == nil {
 					continue
 				}
-				body, _, _ = s.partialEnrich(ctx, e.ids, &shard.EnrichRequest{
-					Selection: e.ids, Shards: target, Replication: repl, Owners: owners,
-				})
+				body, _, _ = s.sliceTallies(ctx, groupEnrichKey(v, owners, e.ids), e.ids, gi, len(v.table.Tuples))
 			default:
 				continue
 			}
@@ -397,7 +389,7 @@ func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []strin
 		}
 		if err := s.pushOneHandoff(ctx, resolve(owner), shard.HandoffRequest{
 			From: s.cfg.ShardSelf, Shards: target, Replication: repl,
-			Generation: gen, Entries: batch,
+			Generation: v.gen, Entries: batch,
 		}); err != nil {
 			errs = append(errs, fmt.Sprintf("%s: %v", owner, err))
 			s.handoffPushErrors.Add(1)
@@ -409,7 +401,10 @@ func (s *Server) pushHandoff(ctx context.Context, st *shardState, target []strin
 }
 
 // pushOneHandoff posts one batch to a successor, authenticated with the
-// same fleet token that gates the receiving endpoint.
+// same fleet token that gates the receiving endpoint. The response is a few
+// counters: it is read through a limit, and a bounded remainder is drained
+// before the body is closed so the connection returns to the idle pool (see
+// shard's call).
 func (s *Server) pushOneHandoff(ctx context.Context, baseURL string, req shard.HandoffRequest) error {
 	var body bytes.Buffer
 	if err := gob.NewEncoder(&body).Encode(req); err != nil {
@@ -423,16 +418,19 @@ func (s *Server) pushOneHandoff(ctx context.Context, baseURL string, req shard.H
 	}
 	hreq.Header.Set("Content-Type", shard.ContentType)
 	hreq.Header.Set("X-Fleet-Token", s.cfg.FleetToken)
-	resp, err := http.DefaultClient.Do(hreq)
+	resp, err := s.fleetClient.Do(hreq)
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, 64<<10) // best effort: a failure only costs the reuse
+		resp.Body.Close()
+	}()
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("handoff status %d", resp.StatusCode)
 	}
 	var hr shard.HandoffResponse
-	if err := gob.NewDecoder(resp.Body).Decode(&hr); err != nil {
+	if err := gob.NewDecoder(io.LimitReader(resp.Body, 64<<10)).Decode(&hr); err != nil {
 		return fmt.Errorf("decoding handoff response: %w", err)
 	}
 	if hr.RefusedStale > 0 {
@@ -470,8 +468,9 @@ func (s *Server) handleShardHandoff(w http.ResponseWriter, r *http.Request) {
 		resp.RefusedStale = len(req.Entries)
 		s.handoffRefused.Add(int64(len(req.Entries)))
 	} else {
+		v := s.groupView(st, req.Shards, req.Replication)
 		for _, e := range req.Entries {
-			switch s.acceptHandoffEntry(r.Context(), st, &req, &e) {
+			switch s.acceptHandoffEntry(r.Context(), v, &e) {
 			case handoffAccepted:
 				resp.Accepted++
 			case handoffRecomputed:
@@ -494,70 +493,73 @@ const (
 	handoffRecomputed
 )
 
-// acceptHandoffEntry validates one pushed entry and either inserts its
-// body under the exact cache key this shard serves, or recomputes the
-// partial locally (filling the same key through the normal cached path).
-func (s *Server) acceptHandoffEntry(ctx context.Context, st *shardState, req *shard.HandoffRequest, e *shard.HandoffEntry) handoffOutcome {
+// acceptHandoffEntry validates one pushed entry and either caches it under
+// the exact key this shard serves — a search partial decoded, an enrichment
+// slice as the body it came in — or recomputes the partial locally (filling
+// the same key through the normal cached path).
+func (s *Server) acceptHandoffEntry(ctx context.Context, v *groupView, e *shard.HandoffEntry) handoffOutcome {
 	ids := spell.CanonicalQuery(e.Query)
-	if len(ids) == 0 || len(e.Owners) == 0 {
+	gi, ok := v.table.Lookup(e.Owners)
+	if len(ids) == 0 || !ok {
 		return handoffSkipped
 	}
 	switch e.Kind {
 	case shard.CapabilitySearch:
-		sreq := &shard.SearchRequest{Query: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
-		if s.searchBodyMatches(st, sreq, e.Body) {
-			s.cache.Put(searchPartialKey(sreq, ids), e.Body, wireCost(e.Body))
+		key := searchPartialKey(v, e.Owners, false, ids)
+		if p := s.pushedSearchPartial(v, gi, ids, e.Body); p != nil {
+			s.cache.Put(key, p, v.st.partialCost(p))
 			return handoffAccepted
 		}
-		if _, _, err := s.partialSearch(ctx, ids, sreq); err == nil {
+		if _, _, err := s.groupPartial(ctx, v.st, key, ids, v.held[gi], false); err == nil {
 			return handoffRecomputed
 		}
 	case shard.CapabilityEnrich:
 		if s.cfg.Enricher == nil {
 			return handoffSkipped
 		}
-		ereq := &shard.EnrichRequest{Selection: ids, Shards: req.Shards, Replication: req.Replication, Owners: e.Owners}
-		if s.enrichBodyMatches(req, e) {
-			s.cache.Put(groupEnrichKey(ereq, ids), e.Body, wireCost(e.Body))
+		key := groupEnrichKey(v, e.Owners, ids)
+		if s.enrichBodyMatches(v, gi, e.Body) {
+			s.cache.Put(key, e.Body, wireCost(e.Body))
 			return handoffAccepted
 		}
-		if _, _, err := s.partialEnrich(ctx, ids, ereq); err == nil {
+		if _, _, err := s.sliceTallies(ctx, key, ids, gi, len(v.table.Tuples)); err == nil {
 			return handoffRecomputed
 		}
 	}
 	return handoffSkipped
 }
 
-// searchBodyMatches reports whether a pushed search partial covers exactly
-// the dataset set this shard would serve for the group: the group's
-// members under the push topology, intersected with our holdings. Any
+// pushedSearchPartial decodes a pushed search partial and returns it only
+// if it is what this shard would compute for the group: the weighted pair,
+// for this query, over exactly the group's members this shard holds. Any
 // difference — the drainer held less, or we hold less — and any body whose
-// frame does not decode (a peer on another frame version) fails the check
-// and the entry is recomputed instead.
-func (s *Server) searchBodyMatches(st *shardState, sreq *shard.SearchRequest, body []byte) bool {
+// frame does not decode (a peer on another frame version) returns nil and
+// the entry is recomputed instead. An accepted partial that lists the
+// engine's genes in the engine's order is made to share the engine's
+// columns, so the cache does not pin the frame's ID and name blobs.
+func (s *Server) pushedSearchPartial(v *groupView, gi int, ids []string, body []byte) *spell.Partial {
 	if body == nil {
-		return false
+		return nil
 	}
-	var p spell.Partial
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
-		return false
+	p := new(spell.Partial)
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(p); err != nil {
+		return nil
 	}
-	want := make(map[int]bool)
-	for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, sreq.Shards, sreq.Replication, sreq.Owners) {
-		if _, ok := st.local[gi]; ok {
-			want[gi] = true
-		}
+	if p.Uniform || !slices.Equal(p.Query, ids) || len(p.Datasets) != len(v.held[gi]) {
+		return nil
 	}
-	if len(p.Datasets) != len(want) {
-		return false
+	want := make(map[int]bool, len(v.held[gi]))
+	for _, li := range v.held[gi] {
+		want[v.st.indexes[li]] = true
 	}
 	for _, d := range p.Datasets {
 		if !want[d.Index] {
-			return false
+			return nil
 		}
 		delete(want, d.Index)
 	}
-	return len(want) == 0
+	v.st.engine.AdoptGenes(p)
+	return p
 }
 
 // enrichBodyMatches reports whether a pushed enrichment partial is the
@@ -565,18 +567,13 @@ func (s *Server) searchBodyMatches(st *shardState, sreq *shard.SearchRequest, bo
 // slice/slices pair the group derivation assigns to the entry's owners.
 // Slice tallies are data-independent, so fingerprint + slice identity is
 // the whole contract.
-func (s *Server) enrichBodyMatches(req *shard.HandoffRequest, e *shard.HandoffEntry) bool {
-	if e.Body == nil {
+func (s *Server) enrichBodyMatches(v *groupView, gi int, body []byte) bool {
+	if body == nil {
 		return false
 	}
 	var p golem.PartialCounts
-	if err := gob.NewDecoder(bytes.NewReader(e.Body)).Decode(&p); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&p); err != nil {
 		return false
 	}
-	if p.Fingerprint != s.cfg.Enricher.Fingerprint() {
-		return false
-	}
-	groups := shard.Groups(s.cfg.ShardDatasetIDs, req.Shards, req.Replication)
-	gi := shard.GroupIndex(groups, e.Owners)
-	return gi >= 0 && p.Slice == gi && p.Slices == len(groups)
+	return p.Fingerprint == s.cfg.Enricher.Fingerprint() && p.Slice == gi && p.Slices == len(v.table.Tuples)
 }

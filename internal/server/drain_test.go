@@ -126,9 +126,9 @@ func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Respo
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var p spell.Partial
+	var a shard.SearchAnswer
 	if resp.StatusCode == http.StatusOK {
-		if err := gob.NewDecoder(resp.Body).Decode(&p); err != nil {
+		if err := gob.NewDecoder(resp.Body).Decode(&a); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -215,11 +215,23 @@ func TestShardDrainWarmHandoff(t *testing.T) {
 	for _, owners := range shard.Groups(top.names, survivors, 2) {
 		for _, owner := range owners {
 			resp, disp := shardSearch(t, urls[owner], shard.SearchRequest{
-				Query: top.query, Shards: survivors, Replication: 2, Owners: owners,
+				Query: top.query, Shards: survivors, Replication: 2, Groups: [][]string{owners},
 			})
 			if resp.StatusCode != http.StatusOK || disp != dispHit {
 				t.Fatalf("post-drain search on %s (group %v) = %d/%s, want 200/hit", owner, owners, resp.StatusCode, disp)
 			}
+		}
+	}
+
+	// So does a batched request — every group of the topology at once, as
+	// the coordinator would ask after the switch: each group hit, so the
+	// answer says hit.
+	for owner, url := range urls {
+		resp, disp := shardSearch(t, url, shard.SearchRequest{
+			Query: top.query, Shards: survivors, Replication: 2, Groups: shard.Groups(top.names, survivors, 2),
+		})
+		if resp.StatusCode != http.StatusOK || disp != dispHit {
+			t.Fatalf("batched post-drain search on %s = %d/%s, want 200/hit", owner, resp.StatusCode, disp)
 		}
 	}
 
@@ -368,5 +380,104 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	}
 	if again.Loaded != 0 || again.Generation != st.Generation {
 		t.Fatalf("repeat reload not a no-op: %s", raw)
+	}
+}
+
+// TestHandoffAcceptedPartialAdoptsEngineGenes: a pushed search partial that
+// the receiver accepts is cached decoded, and — its ID column listing the
+// receiver's genes in the receiver's order — made to share the engine's gene
+// columns, so it is charged (and pins) what a locally computed partial
+// would, not its frame's ID and name blobs on top. A body of the wrong
+// accumulator kind, or for another query, is recomputed instead.
+func TestHandoffAcceptedPartialAdoptsEngineGenes(t *testing.T) {
+	top := newDrainTopology(t, 3, 2)
+	// A group both shard-1 and shard-2 own — each holds all of it — and a
+	// query coherent in it, so the partial lists genes.
+	var owners, ids []string
+	u := synth.NewUniverse(200, 8, 71) // newDrainTopology's
+	st := top.srv[1].shardState()
+	v := top.srv[1].groupView(st, top.shards, 2)
+	for gi, g := range v.table.Tuples {
+		if !((g[0] == "shard-1" && g[1] == "shard-2") || (g[0] == "shard-2" && g[1] == "shard-1")) {
+			continue
+		}
+		for m := 0; m < 8 && owners == nil; m++ {
+			q := spell.CanonicalQuery(u.ModuleGeneIDs(m)[:4])
+			p, err := st.engine.PartialSearchSubsetCtx(context.Background(), q, v.held[gi], spell.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(p.IDs) == st.engine.NumGenes() {
+				owners, ids = g, q
+			}
+		}
+	}
+	if owners == nil {
+		t.Fatal("fixture: no module is coherent in a group shard-1 and shard-2 share")
+	}
+	sender, receiver := top.srv[2], top.srv[1]
+	body := func(query []string, uniform bool) []byte {
+		a, _, err := sender.partialSearch(context.Background(), query, &shard.SearchRequest{
+			Query: query, Shards: top.shards, Replication: 2, Groups: [][]string{owners}, Uniform: uniform,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := encodePartial(a.Parts[0].Partial)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	push := func(query []string, b []byte) shard.HandoffResponse {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(shard.HandoffRequest{
+			From: "shard-2", Shards: top.shards, Replication: 2, Generation: shard.Generation(top.shards),
+			Entries: []shard.HandoffEntry{{Kind: shard.CapabilitySearch, Query: query, Owners: owners, Body: b}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, shard.HandoffPath, &buf)
+		req.Header.Set("X-Fleet-Token", drainToken)
+		rec := httptest.NewRecorder()
+		receiver.ServeHTTP(rec, req)
+		var hr shard.HandoffResponse
+		if err := gob.NewDecoder(rec.Body).Decode(&hr); rec.Code != http.StatusOK || err != nil {
+			t.Fatalf("handoff = %d, %v", rec.Code, err)
+		}
+		return hr
+	}
+
+	if hr := push(ids, body(ids, false)); hr.Accepted != 1 {
+		t.Fatalf("a partial over exactly the receiver's datasets: %+v, want accepted", hr)
+	}
+	cached, ok := receiver.cache.Get(searchPartialKey(v, owners, false, ids))
+	if !ok {
+		t.Fatal("accepted partial not cached under the key requests are served from")
+	}
+	accepted := cached.(*spell.Partial)
+	gi, _ := v.table.Lookup(owners)
+	local, err := st.engine.PartialSearchSubsetCtx(context.Background(), ids, v.held[gi], spell.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cost := st.partialCost
+	if len(accepted.IDs) != st.engine.NumGenes() || cost(accepted) != cost(local) {
+		t.Fatalf("accepted partial of %d genes is charged %d, a local one %d: it does not share the engine's gene columns",
+			len(accepted.IDs), cost(accepted), cost(local))
+	}
+	if resp, disp := shardSearch(t, top.servers[1].URL, shard.SearchRequest{
+		Query: ids, Shards: top.shards, Replication: 2, Groups: [][]string{owners},
+	}); resp.StatusCode != http.StatusOK || disp != dispHit {
+		t.Fatalf("request after the handoff = %d/%s, want a hit", resp.StatusCode, disp)
+	}
+
+	other := ids[:3]
+	if hr := push(other, body(other, true)); hr.Recomputed != 1 {
+		t.Fatalf("a uniform-pair body: %+v, want recomputed", hr)
+	}
+	third := ids[1:]
+	if hr := push(third, body(ids, false)); hr.Recomputed != 1 {
+		t.Fatalf("a body for another query: %+v, want recomputed", hr)
 	}
 }

@@ -3,11 +3,14 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
+	"flag"
 	"fmt"
 	"image"
 	"image/png"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -16,32 +19,127 @@ import (
 	"forestview/internal/spell"
 )
 
+// groupRequestSeeds builds the FuzzShardPartialRequest seeds that name
+// ownership groups, over fixtureShard's catalog under a 4-shard R=2 fleet:
+// one group, every group in one batch, the uniform pair, a tuple named
+// twice, a tuple the catalog never derives, an empty tuple, and more tuples
+// than the catalog has groups. (The older seeds beside them name one group
+// in an Owners field, as the protocol did before requests were batched; a
+// shard reads those as whole-slice probes now.)
+func groupRequestSeeds(t testing.TB, catalog, genes []string) map[string]any {
+	t.Helper()
+	fleet := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
+	groups := shard.Groups(catalog, fleet, 2)
+	if len(groups) < 2 {
+		t.Fatalf("fixture: %d ownership groups", len(groups))
+	}
+	foreign := []string{"shard-9", "shard-0"}
+	many := make([][]string, len(groups)+1)
+	for i := range many {
+		many[i] = []string{fleet[i%len(fleet)], fleet[(i+1)%len(fleet)]}
+	}
+	out := map[string]any{
+		"search-groups-uniform": shard.SearchRequest{Query: genes, Shards: fleet, Replication: 2, Groups: groups, Uniform: true},
+	}
+	for name, tuples := range map[string][][]string{
+		"groups-one":         groups[:1],
+		"groups-batch":       groups,
+		"groups-duplicate":   {groups[0], groups[1], groups[0]},
+		"groups-foreign":     {groups[0], foreign},
+		"groups-empty-tuple": {groups[0], {}},
+		"groups-too-many":    many,
+	} {
+		out["search-"+name] = shard.SearchRequest{Query: genes, Shards: fleet, Replication: 2, Groups: tuples}
+		out["enrich-"+name] = shard.EnrichRequest{Selection: genes, Shards: fleet, Replication: 2, Groups: tuples}
+	}
+	return out
+}
+
+const requestCorpusDir = "testdata/fuzz/FuzzShardPartialRequest"
+
+var updateRequestCorpus = flag.Bool("update-request-corpus", false, "rewrite the group seeds under "+requestCorpusDir+" from groupRequestSeeds")
+
+// TestShardRequestCorpusCommitted keeps the committed group seeds decoding
+// to the requests groupRequestSeeds builds, so that a change to the request
+// types shows up as a stale corpus (regenerate with -update-request-corpus)
+// instead of the fuzzer silently starting from bodies that no longer say
+// what their names claim. (Not byte for byte: gob numbers types in the order
+// a process first meets them.)
+func TestShardRequestCorpusCommitted(t *testing.T) {
+	s, u := fixtureShard(t)
+	for name, want := range groupRequestSeeds(t, s.cfg.ShardDatasetIDs, u.ModuleGeneIDs(2)[:4]) {
+		file := filepath.Join(requestCorpusDir, name)
+		_, enrich := want.(shard.EnrichRequest)
+		header := fmt.Sprintf("go test fuzz v1\nbool(%t)\n[]byte(", enrich)
+		if *updateRequestCorpus {
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(want); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(file, []byte(header+strconv.Quote(body.String())+")\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seed, err := os.ReadFile(file)
+		if err != nil {
+			t.Errorf("%v: regenerate with -update-request-corpus", err)
+			continue
+		}
+		quoted, ok := strings.CutPrefix(string(seed), header)
+		quoted, ok2 := strings.CutSuffix(quoted, ")\n")
+		body, err := strconv.Unquote(quoted)
+		if !ok || !ok2 || err != nil {
+			t.Errorf("%s is not a (bool, []byte) corpus entry for its endpoint", file)
+			continue
+		}
+		var got any
+		if enrich {
+			var req shard.EnrichRequest
+			err, got = gob.NewDecoder(strings.NewReader(body)).Decode(&req), req
+		} else {
+			var req shard.SearchRequest
+			err, got = gob.NewDecoder(strings.NewReader(body)).Decode(&req), req
+		}
+		// gob drops empty slices; so does the comparison.
+		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s decodes to %v (%v), want %v: regenerate with -update-request-corpus", file, got, err, want)
+		}
+	}
+}
+
 // FuzzShardPartialRequest throws arbitrary bodies at the one decode-and-
 // serve path behind /api/shard/v1/{search,enrich} (serveShardPartial): a
 // hostile or version-skewed peer must not be able to panic a shard or
 // balloon its answer. Whatever the bytes, the shard answers 200 or a 4xx —
 // the only 5xx is the counted encode failure — and the response stays
 // small. The seed corpus in testdata/fuzz holds valid gob requests for both
-// endpoints over this fixture's catalog: ownerless, a real ownership group
-// of a 3-shard R=2 fleet, an owner tuple the catalog never derives,
-// replication 0 and beyond the fleet, an empty fleet, and a truncated
-// body. The 10k-member fleet is seeded here, being too bulky to commit.
+// endpoints over this fixture's catalog: groupless, the group seeds of
+// groupRequestSeeds, replication 0 and beyond the fleet, an empty fleet, a
+// truncated body, and requests naming one group the way the protocol did
+// before batching. The 10k-member fleet and the 10k-tuple request are
+// seeded here, being too bulky to commit.
 func FuzzShardPartialRequest(f *testing.F) {
 	s, u := fixtureShard(f)
 	genes := u.ModuleGeneIDs(2)[:4]
 	big := make([]string, 10000)
+	tuples := make([][]string, len(big))
 	for i := range big {
 		big[i] = fmt.Sprintf("shard-%d", i)
+		tuples[i] = []string{big[i], big[(i+1)%len(big)]}
 	}
-	var sb, eb bytes.Buffer
-	if err := gob.NewEncoder(&sb).Encode(shard.SearchRequest{Query: genes, Shards: big, Replication: 2, Owners: big[:2]}); err != nil {
-		f.Fatal(err)
+	for _, req := range []any{
+		shard.SearchRequest{Query: genes, Shards: big, Replication: 2, Groups: tuples[:1]},
+		shard.EnrichRequest{Selection: genes, Shards: big, Replication: 2, Groups: tuples[:1]},
+		shard.SearchRequest{Query: genes, Shards: big[:3], Replication: 2, Groups: tuples},
+		shard.EnrichRequest{Selection: genes, Shards: big[:3], Replication: 2, Groups: tuples},
+	} {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(req); err != nil {
+			f.Fatal(err)
+		}
+		_, enrich := req.(shard.EnrichRequest)
+		f.Add(enrich, b.Bytes())
 	}
-	if err := gob.NewEncoder(&eb).Encode(shard.EnrichRequest{Selection: genes, Shards: big, Replication: 2, Owners: big[:2]}); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(false, sb.Bytes())
-	f.Add(true, eb.Bytes())
 	f.Add(false, []byte("not gob"))
 
 	f.Fuzz(func(t *testing.T, enrich bool, body []byte) {
@@ -64,7 +162,7 @@ func FuzzShardPartialRequest(f *testing.F) {
 				t.Fatalf("status %d (%s): %s", rec.Code, code, rec.Body.String())
 			}
 		}
-		// A partial is bounded by the shard's own compendium, never by the
+		// An answer is bounded by the shard's own compendium, never by the
 		// request: well under the 1 MiB a request body may carry.
 		if rec.Body.Len() > 1<<20 {
 			t.Fatalf("%d-byte response to a %d-byte request", rec.Body.Len(), len(body))

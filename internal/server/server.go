@@ -180,10 +180,16 @@ type Server struct {
 	// shardSt is the shard role's reloadable state (engine, index maps,
 	// membership view); see drain.go. Non-nil whenever ShardIndexes is.
 	shardSt atomic.Pointer[shardState]
+	// groupVw is the ownership-group view of the topology last asked for
+	// (shardrole.go); derived on first use, replaced when another is named.
+	groupVw atomic.Pointer[groupView]
 	// fleet is the shard-side membership view driving shardSt reloads
 	// (nil without ShardFleet); shardMu serializes reloads and drains.
-	fleet        *shard.Membership
-	shardMu      sync.Mutex
+	fleet   *shard.Membership
+	shardMu sync.Mutex
+	// fleetClient carries the shard role's own fleet traffic, the drain's
+	// handoff pushes: its own pool, so Close can drop the idle connections.
+	fleetClient  *http.Client
 	draining     atomic.Bool
 	warm         *warmTracker
 	shardReloads atomic.Int64
@@ -314,6 +320,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
 			s.cfg.ShardSelf = strings.TrimRight(strings.TrimSpace(cfg.ShardSelf), "/")
+			s.fleetClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 			s.mux.HandleFunc(shard.DrainPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardDrain)))
 			s.mux.HandleFunc(shard.HandoffPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardHandoff)))
 			s.mux.HandleFunc(shard.ShardFleetPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardFleet)))
@@ -349,13 +356,16 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the prefetch workers (which submit to the render pool) and
-// then releases the pool.
+// Close stops the prefetch workers (which submit to the render pool),
+// releases the pool, and drops the fleet client's idle connections.
 func (s *Server) Close() {
 	if s.prefetch != nil {
 		s.prefetch.Close()
 	}
 	s.pool.Close()
+	if s.fleetClient != nil {
+		s.fleetClient.CloseIdleConnections()
+	}
 }
 
 // compendiumSize reports the dataset and gene counts this daemon answers

@@ -9,8 +9,10 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"forestview/internal/golem"
 	"forestview/internal/shard"
@@ -25,20 +27,22 @@ import (
 // as every other endpoint.
 
 // handleShardSearch serves POST /api/shard/v1/search: a gob
-// shard.SearchRequest in, a gob-enveloped spell.Partial frame out — dataset
-// indexes already remapped to the global compendium order. Partials are
-// cached under the canonical query ("partial" prefix): identical queries
-// from one or many coordinators scan each dataset slice once.
+// shard.SearchRequest in, a gob shard.SearchAnswer out — the requested
+// groups' partials summed into one spell.Partial frame, dataset indexes
+// already remapped to the global compendium order. Partials are cached per
+// group under the canonical query ("partial" prefix): identical queries from
+// one or many coordinators scan each group's datasets once, however the
+// groups are batched.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
 		func(req *shard.SearchRequest) []string { return req.Query }, s.partialSearch)
 }
 
 // handleShardEnrich serves POST /api/shard/v1/enrich: a gob
-// shard.EnrichRequest in, a gob golem.PartialCounts out — the integer
-// tallies of this request's background slice. Mounted only on shards with
-// an enricher; a capability-less shard 404s, which the coordinator reads
-// as "unsupported" and fails over.
+// shard.EnrichRequest in, a gob shard.EnrichAnswer out — the integer
+// tallies of the requested groups' background slices. Mounted only on
+// shards with an enricher; a capability-less shard 404s, which the
+// coordinator reads as "unsupported" and fails over.
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilityEnrich,
 		func(req *shard.EnrichRequest) []string { return req.Selection }, s.partialEnrich)
@@ -47,9 +51,9 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 // serveShardPartial is the one decode → canonicalize → warm-touch → serve
 // → error-map path behind both partial endpoints; kind is the capability
 // name, genes picks the request's gene list, and partial computes (or
-// serves cached) the gob-encoded answer.
-func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
-	genes func(*R) []string, partial func(context.Context, []string, *R) ([]byte, string, error)) {
+// serves cached) the answer.
+func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
+	genes func(*R) []string, partial func(context.Context, []string, *R) (*A, string, error)) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
 		return
@@ -65,7 +69,7 @@ func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request,
 		return
 	}
 	s.warm.touch(kind, ids)
-	body, disp, err := partial(r.Context(), ids, &req)
+	answer, disp, err := partial(r.Context(), ids, &req)
 	switch {
 	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
 		// 499: the coordinator gave up on us (deadline, hedge won elsewhere,
@@ -77,7 +81,7 @@ func serveShardPartial[R any](s *Server, w http.ResponseWriter, r *http.Request,
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:
 		w.Header().Set(cacheHeader, disp)
-		writeGobBody(w, body)
+		s.writeGob(w, "partial "+kind, answer)
 	}
 }
 
@@ -95,62 +99,128 @@ func writeGobBody(w http.ResponseWriter, body []byte) {
 // reported as a counted 500 like every other encode failure.
 var errPartialEncode = errors.New("partial encode failed")
 
-// cachedPartial computes (or serves cached) one shard partial, already
-// gob-encoded (a spell.Partial as its own binary frame inside the gob
-// envelope): the wire form is what every consumer of the cache wants, so a
-// cache hit costs zero re-encoding and the entry's cost is its exact byte
-// length — the body is copied out of the encode buffer at that length, so
-// the cache never holds growth slack the LRU did not charge for.
-func cachedPartial[P any](ctx context.Context, s *Server, key string, compute func() (P, error)) ([]byte, string, error) {
-	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
-		p, err := compute()
-		if err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-			return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
-		}
-		body := make([]byte, buf.Len())
-		copy(body, buf.Bytes())
-		return body, nil
-	})
-}
-
-// searchPartialKey is the cache key of one search partial. The handoff
-// receiver (drain.go) inserts pushed bodies under this exact key, so it
-// must stay in lockstep with partialSearch. A group-scoped key carries the
-// topology generation, the replication factor and the owner tuple: a
-// membership change re-derives groups, and stale group partials become
-// unreachable rather than wrong.
-func searchPartialKey(req *shard.SearchRequest, ids []string) string {
-	if len(req.Owners) == 0 {
-		return "partial\x1f" + joinIDs(ids)
+// encodePartial gob-encodes one partial as a handoff or cache body (a
+// spell.Partial as its own binary frame inside the gob envelope), copied out
+// of the encode buffer at its exact length, so nothing holds growth slack
+// the LRU did not charge for.
+func encodePartial(p any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+		return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
 	}
-	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%s",
-		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(ids))
+	body := make([]byte, buf.Len())
+	copy(body, buf.Bytes())
+	return body, nil
 }
 
-// partialSearch serves this shard's partial for a canonical query. An
-// ownerless request (single-owner fleets and direct probes) scores every
-// held dataset. A request scoped to one ownership group of a replicated
-// fleet (DESIGN.md §5) recomputes the group from its (shards, replication,
-// owners) — the same pure function the coordinator derived it from — and
-// scores only the datasets this shard holds from that group, so no two
-// replicas can both claim a dataset in one merge.
-func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) ([]byte, string, error) {
-	st := s.shardState()
-	return cachedPartial(ctx, s, searchPartialKey(req, ids), func() (*spell.Partial, error) {
-		var subset []int // nil: every held dataset
-		if len(req.Owners) > 0 {
-			subset = []int{} // non-nil: an empty intersection is a valid empty partial
-			for _, gi := range shard.GroupIndexes(s.cfg.ShardDatasetIDs, req.Shards, req.Replication, req.Owners) {
-				if li, ok := st.local[gi]; ok {
-					subset = append(subset, li)
-				}
+// groupView is this shard's side of one fleet topology: the catalog's
+// ownership groups under (shards, replication) and what the shard holds of
+// each. Requests name groups by owner tuple, so serving one is a map lookup
+// per tuple instead of a rendezvous ranking of the whole catalog per tuple.
+// A fleet speaks one topology at a time (two across a membership change),
+// so the server keeps the view last asked for and derives another when a
+// request — or a drain, or a handoff — names a different one.
+type groupView struct {
+	st     *shardState // the holdings the view was derived against
+	shards []string
+	repl   int
+	gen    uint64 // shard.Generation(shards), for cache keys
+	table  *shard.GroupTable
+	// held[gi] are the engine-local indexes of the datasets of group gi this
+	// shard holds.
+	held [][]int
+}
+
+// holdsAll reports whether the shard holds every dataset of group gi.
+func (v *groupView) holdsAll(gi int) bool { return len(v.held[gi]) == len(v.table.Members[gi]) }
+
+func (s *Server) groupView(st *shardState, shards []string, repl int) *groupView {
+	if v := s.groupVw.Load(); v != nil && v.st == st && v.repl == repl && slices.Equal(v.shards, shards) {
+		return v
+	}
+	v := &groupView{
+		st: st, shards: slices.Clone(shards), repl: repl, gen: shard.Generation(shards),
+		table: shard.NewGroupTable(s.cfg.ShardDatasetIDs, shards, repl),
+	}
+	v.held = make([][]int, len(v.table.Tuples))
+	for gi, members := range v.table.Members {
+		v.held[gi] = []int{} // non-nil: holding nothing of a group is a valid empty partial
+		for _, di := range members {
+			if li, ok := st.local[di]; ok {
+				v.held[gi] = append(v.held[gi], li)
 			}
 		}
-		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{Parallelism: s.cfg.SearchParallelism})
+	}
+	s.groupVw.Store(v)
+	return v
+}
+
+// resolve looks a request's owner tuples up. A tuple that is not a group of
+// the catalog under this topology is a client error, and so is one named
+// twice: its partial would be summed twice.
+func (v *groupView) resolve(tuples [][]string) ([]int, error) {
+	if len(tuples) > len(v.table.Tuples) {
+		return nil, fmt.Errorf("request names %d ownership groups, the catalog has %d", len(tuples), len(v.table.Tuples))
+	}
+	gis := make([]int, len(tuples))
+	seen := make([]bool, len(v.table.Tuples))
+	for i, owners := range tuples {
+		gi, ok := v.table.Lookup(owners)
+		if !ok {
+			return nil, fmt.Errorf("owner tuple %v is not an ownership group of this catalog", owners)
+		}
+		if seen[gi] {
+			return nil, fmt.Errorf("owner tuple %v named twice", owners)
+		}
+		seen[gi] = true
+		gis[i] = gi
+	}
+	return gis, nil
+}
+
+// batchDisposition folds the cache dispositions of a batched answer's groups
+// into one header value: a hit only when every group hit, a miss when any
+// group was computed for this request.
+func batchDisposition(all, one string) string {
+	switch {
+	case all == "" || all == one:
+		return one
+	case all == dispMiss || one == dispMiss:
+		return dispMiss
+	default:
+		return dispCoalesced
+	}
+}
+
+// searchPartialKey is the cache key of one group's search partial (owners
+// nil: the whole-slice probe). The handoff receiver (drain.go) inserts
+// pushed partials under this exact key. A group-scoped key carries the
+// topology generation, the replication factor and the owner tuple: a
+// membership change re-derives groups, and stale group partials become
+// unreachable rather than wrong. It also carries which accumulator pair the
+// partial holds.
+func searchPartialKey(v *groupView, owners []string, uniform bool, ids []string) string {
+	if owners == nil {
+		return fmt.Sprintf("partial\x1f%t\x1f%s", uniform, joinIDs(ids))
+	}
+	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%t\x1f%s",
+		v.gen, v.repl, joinIDs(owners), uniform, joinIDs(ids))
+}
+
+// partialCost is what the LRU charges for a cached search partial: the
+// memory the partial owns beyond the engine's (its accumulator columns and
+// dataset rows; its gene strings too unless they are the engine's own) plus
+// entry overhead.
+func (st *shardState) partialCost(p *spell.Partial) int64 { return st.engine.OwnedBytes(p) + 64 }
+
+// groupPartial computes (or serves cached) the search partial of one
+// dataset subset of this shard — an ownership group's holdings, or with a
+// nil subset everything held — with dataset indexes already global. The
+// cached value is shared: read-only.
+func (s *Server) groupPartial(ctx context.Context, st *shardState, key string, ids []string, subset []int, uniform bool) (*spell.Partial, string, error) {
+	return cachedCompute(ctx, s, &s.statShard, key, st.partialCost, nil, func() (*spell.Partial, error) {
+		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset,
+			spell.Options{Parallelism: s.cfg.SearchParallelism, UniformWeights: uniform})
 		if err != nil {
 			return nil, err
 		}
@@ -161,6 +231,58 @@ func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.Sea
 		}
 		return p, nil
 	})
+}
+
+// partialSearch serves this shard's answer for a canonical query. A request
+// naming no groups (direct probes) scores every held dataset. A request
+// scoped to ownership groups of a replicated fleet (DESIGN.md §5) looks
+// them up in the topology's group view — the same pure derivation the
+// coordinator named them from — takes each group's partial over the
+// datasets this shard holds of it from the cache (or computes it), and
+// answers with one frame: the spell.Sum of the groups held completely. A
+// group held only in part keeps a frame to itself, so the coordinator can
+// still prefer another replica's complete answer for it.
+func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) (*shard.SearchAnswer, string, error) {
+	st := s.shardState()
+	if len(req.Groups) == 0 {
+		p, disp, err := s.groupPartial(ctx, st, searchPartialKey(nil, nil, req.Uniform, ids), ids, nil, req.Uniform)
+		if err != nil {
+			return nil, disp, err
+		}
+		return &shard.SearchAnswer{Parts: []shard.SearchPart{{Partial: p}}}, disp, nil
+	}
+	v := s.groupView(st, req.Shards, req.Replication)
+	gis, err := v.resolve(req.Groups)
+	if err != nil {
+		return nil, "", err
+	}
+	var (
+		answer shard.SearchAnswer
+		whole  = shard.SearchPart{Groups: make([]int, 0, len(gis))}
+		parts  = make([]*spell.Partial, 0, len(gis))
+		disp   string
+	)
+	for pos, gi := range gis {
+		p, d, err := s.groupPartial(ctx, st, searchPartialKey(v, req.Groups[pos], req.Uniform, ids), ids, v.held[gi], req.Uniform)
+		if err != nil {
+			return nil, d, err
+		}
+		disp = batchDisposition(disp, d)
+		// Whole by what the partial lists, not by what is held now: a cached
+		// partial may predate a reload that grew the holdings.
+		if len(p.Datasets) == len(v.table.Members[gi]) {
+			whole.Groups, parts = append(whole.Groups, pos), append(parts, p)
+		} else {
+			answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
+		}
+	}
+	if len(parts) > 0 {
+		if whole.Partial, err = spell.Sum(parts); err != nil {
+			return nil, disp, err
+		}
+		answer.Parts = append(answer.Parts, whole)
+	}
+	return &answer, disp, nil
 }
 
 // handleShardInfo serves GET /api/shard/v1/info: this shard's slice (size,
@@ -192,8 +314,10 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 // writeJSON the body is encoded before the status line is committed, so an
 // encode failure is a counted 500 naming what, never a truncated 200.
 func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+	buf := gobBuffers.Get().(*bytes.Buffer)
+	defer gobBuffers.Put(buf)
+	buf.Reset()
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
 		s.encodeFailures.Add(1)
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, what+" encode failed: "+err.Error())
 		return
@@ -201,35 +325,67 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 	writeGobBody(w, buf.Bytes())
 }
 
-// groupEnrichKey is the cache key of one background slice's tallies, kept
-// in lockstep with partialEnrich for the handoff receiver's inserts. It
-// carries the topology generation, replication factor and owner tuple:
-// after a membership change the group list re-derives and stale slice
-// tallies become unreachable rather than wrong.
-func groupEnrichKey(req *shard.EnrichRequest, sel []string) string {
-	return fmt.Sprintf("epartial\x1f%016x\x1f%d\x1f%s\x1f%s",
-		shard.Generation(req.Shards), req.Replication, joinIDs(req.Owners), joinIDs(sel))
+// gobBuffers recycles writeGob's encode buffer. A search answer is one
+// ≈185 KB frame at paper scale, now encoded per request rather than once per
+// cache fill; grown from empty each time, the buffer alone was a ninth of
+// what a scattered search allocated fleet-wide.
+var gobBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// groupEnrichKey is the cache key of one background slice's tallies (owners
+// nil: the direct probe's slice 0 of 1), shared with the handoff receiver's
+// inserts. It carries the topology generation, replication factor and owner
+// tuple: after a membership change the group list re-derives and stale
+// slice tallies become unreachable rather than wrong.
+func groupEnrichKey(v *groupView, owners []string, sel []string) string {
+	if owners == nil {
+		return "epartial\x1f" + joinIDs(sel)
+	}
+	return fmt.Sprintf("epartial\x1f%016x\x1f%d\x1f%s\x1f%s", v.gen, v.repl, joinIDs(owners), joinIDs(sel))
 }
 
-// partialEnrich serves the slice tallies for one canonical selection. The
-// slice index is re-derived from the request's (shards, replication,
-// owners) through the same pure Groups function the coordinator used, so
-// both sides always agree on which gene range slice gi covers.
-func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) ([]byte, string, error) {
-	return cachedPartial(ctx, s, groupEnrichKey(req, sel), func() (*golem.PartialCounts, error) {
-		// An ownerless request asks for the whole universe as slice 0 of 1
-		// (a single-shard or testing topology).
-		gi, slices := 0, 1
-		if len(req.Owners) > 0 {
-			groups := shard.Groups(s.cfg.ShardDatasetIDs, req.Shards, req.Replication)
-			gi = shard.GroupIndex(groups, req.Owners)
-			if gi < 0 {
-				return nil, fmt.Errorf("owner tuple %v is not an ownership group of this catalog", req.Owners)
-			}
-			slices = len(groups)
+// sliceTallies computes (or serves cached) one background slice's tallies,
+// already gob-encoded: the wire form is what the answer, the cache and a
+// drain's handoff all carry, so a cache hit costs zero re-encoding and the
+// entry's cost is its exact byte length.
+func (s *Server) sliceTallies(ctx context.Context, key string, sel []string, slice, slices int) ([]byte, string, error) {
+	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
+		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, slice, slices)
+		if err != nil {
+			return nil, err
 		}
-		return s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, slices)
+		return encodePartial(p)
 	})
+}
+
+// partialEnrich serves the slice tallies for one canonical selection: one
+// per requested ownership group, slice gi of G for the group at position gi
+// of the topology's G groups — the same pure derivation the coordinator
+// used, so both sides always agree on which gene range a slice covers. A
+// request naming no groups asks for the whole universe as slice 0 of 1 (a
+// single-shard or testing topology).
+func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) (*shard.EnrichAnswer, string, error) {
+	if len(req.Groups) == 0 {
+		body, disp, err := s.sliceTallies(ctx, groupEnrichKey(nil, nil, sel), sel, 0, 1)
+		if err != nil {
+			return nil, disp, err
+		}
+		return &shard.EnrichAnswer{Slices: [][]byte{body}}, disp, nil
+	}
+	v := s.groupView(s.shardState(), req.Shards, req.Replication)
+	gis, err := v.resolve(req.Groups)
+	if err != nil {
+		return nil, "", err
+	}
+	answer := &shard.EnrichAnswer{Slices: make([][]byte, len(gis))}
+	disp := ""
+	for pos, gi := range gis {
+		body, d, err := s.sliceTallies(ctx, groupEnrichKey(v, req.Groups[pos], sel), sel, gi, len(v.table.Tuples))
+		if err != nil {
+			return nil, d, err
+		}
+		answer.Slices[pos], disp = body, batchDisposition(disp, d)
+	}
+	return answer, disp, nil
 }
 
 // handleShardEnrichCatalog serves GET /api/shard/v1/enrich/catalog: the

@@ -345,14 +345,15 @@ func TestShardEndpointCachesPartials(t *testing.T) {
 		return resp
 	}
 	resp := post()
-	var p spell.Partial
-	if err := gob.NewDecoder(resp.Body).Decode(&p); err != nil {
+	var a shard.SearchAnswer
+	if err := gob.NewDecoder(resp.Body).Decode(&a); err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(p.Datasets) == 0 {
-		t.Fatalf("shard search = %d, %d datasets", resp.StatusCode, len(p.Datasets))
+	if resp.StatusCode != http.StatusOK || len(a.Parts) != 1 || len(a.Parts[0].Groups) != 0 || len(a.Parts[0].Partial.Datasets) == 0 {
+		t.Fatalf("whole-slice shard search = %d, answer %+v", resp.StatusCode, a)
 	}
+	p := a.Parts[0].Partial
 	// Dataset indexes are global, not local: they must be a subset of the
 	// full compendium's index space with no duplicates of other shards'.
 	for _, d := range p.Datasets {
@@ -413,9 +414,12 @@ func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 	for i := range indexes {
 		indexes[i] = i
 	}
+	// Names that differ before their last byte: rendezvous scores of names
+	// differing only there rank the shards alike, and the whole catalog
+	// would be one ownership group under any fleet.
 	catalog := make([]string, len(indexes))
 	for i := range catalog {
-		catalog[i] = fmt.Sprintf("ds-%d", i)
+		catalog[i] = fmt.Sprintf("dataset-%d-of-%d", i, len(catalog))
 	}
 	s, err := New(Config{Engine: base.cfg.Engine, Enricher: fixEnricher, ShardIndexes: indexes, ShardDatasetIDs: catalog, CacheBytes: 4 << 20})
 	if err != nil {

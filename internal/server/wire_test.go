@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"fmt"
 	"net"
 	"net/http"
@@ -9,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"forestview/internal/microarray"
 	"forestview/internal/shard"
@@ -16,44 +19,79 @@ import (
 	"forestview/internal/synth"
 )
 
-// TestCachedPartialBodiesAreExactSize: the LRU charges a cached partial its
-// len, so the heap must not hold more than that — no encode-buffer growth
-// slack behind either partial kind.
+// TestCachedPartialBodiesAreExactSize: the LRU must be charged what a
+// cached partial keeps alive. An enrichment slice is cached as its encoded
+// body, charged its len, so the heap must not hold more than that — no
+// encode-buffer growth slack. A search partial is cached decoded, charged
+// the accumulator columns, dataset rows and query it owns; its gene columns
+// are the engine's own and cost nothing.
 func TestCachedPartialBodiesAreExactSize(t *testing.T) {
 	s, u := fixtureShard(t)
 	ids := spell.CanonicalQuery(u.ModuleGeneIDs(2)[:4])
-	sreq := &shard.SearchRequest{Query: ids}
-	ereq := &shard.EnrichRequest{Selection: ids}
-	for _, tc := range []struct {
-		kind, key string
-		compute   func() ([]byte, string, error)
-	}{
-		{"search", searchPartialKey(sreq, ids), func() ([]byte, string, error) { return s.partialSearch(context.Background(), ids, sreq) }},
-		{"enrich", groupEnrichKey(ereq, ids), func() ([]byte, string, error) { return s.partialEnrich(context.Background(), ids, ereq) }},
-	} {
-		body, _, err := tc.compute()
-		if err != nil {
-			t.Fatalf("%s partial: %v", tc.kind, err)
+
+	answer, _, err := s.partialEnrich(context.Background(), ids, &shard.EnrichRequest{Selection: ids})
+	if err != nil {
+		t.Fatalf("enrich partial: %v", err)
+	}
+	cached, ok := s.cache.Get(groupEnrichKey(nil, nil, ids))
+	if !ok || len(answer.Slices) != 1 {
+		t.Fatalf("enrich partial not cached, or %d slices served", len(answer.Slices))
+	}
+	for what, b := range map[string][]byte{"served": answer.Slices[0], "cached": cached.([]byte)} {
+		if len(b) == 0 || cap(b) != len(b) {
+			t.Errorf("%s enrich partial body: len %d, cap %d", what, len(b), cap(b))
 		}
-		cached, ok := s.cache.Get(tc.key)
-		if !ok {
-			t.Fatalf("%s partial not cached", tc.kind)
-		}
-		for what, b := range map[string][]byte{"served": body, "cached": cached.([]byte)} {
-			if len(b) == 0 || cap(b) != len(b) {
-				t.Errorf("%s %s partial body: len %d, cap %d", what, tc.kind, len(b), cap(b))
-			}
-		}
+	}
+	if got, want := s.cache.Prefixes()["epartial"].Bytes, wireCost(cached.([]byte)); got != want {
+		t.Errorf("enrich partial charged %d bytes, its body costs %d", got, want)
+	}
+
+	if _, _, err := s.partialSearch(context.Background(), ids, &shard.SearchRequest{Query: ids}); err != nil {
+		t.Fatalf("search partial: %v", err)
+	}
+	cached, ok = s.cache.Get(searchPartialKey(nil, nil, false, ids))
+	if !ok {
+		t.Fatal("search partial not cached")
+	}
+	p, engine := cached.(*spell.Partial), s.cfg.Engine
+	if len(p.IDs) != engine.NumGenes() || cap(p.Sum) != len(p.Sum) || cap(p.Cnt) != len(p.Cnt) {
+		t.Fatalf("fixture: partial of %d of %d genes, columns %d/%d and %d/%d", len(p.IDs), engine.NumGenes(), len(p.Sum), cap(p.Sum), len(p.Cnt), cap(p.Cnt))
+	}
+	owned := int64(16*len(p.IDs)) + int64(len(p.Datasets))*int64(unsafe.Sizeof(spell.PartialDataset{}))
+	charged := s.cache.Prefixes()["partial"].Bytes
+	if charged < owned || charged > owned+1024 {
+		t.Errorf("search partial charged %d bytes; its columns and dataset rows are %d, its gene strings the engine's", charged, owned)
+	}
+	// A copy of the same partial that owns its gene strings — what a frame
+	// decodes to — costs those too, until it adopts the engine's.
+	var buf bytes.Buffer
+	var decoded spell.Partial
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
+		t.Fatal(err)
+	}
+	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
+		t.Fatal(err)
+	}
+	strs := 0
+	for i := range decoded.IDs {
+		strs += len(decoded.IDs[i]) + len(decoded.Names[i])
+	}
+	cost := s.shardState().partialCost
+	if got, want := cost(&decoded), cost(p)+int64(strs+32*len(p.IDs)); got != want {
+		t.Errorf("decoded partial costs %d, want %d (its %d string bytes and headers on top)", got, want, strs)
+	}
+	if !engine.AdoptGenes(&decoded) || cost(&decoded) != cost(p) {
+		t.Errorf("decoded partial after adopting the engine's gene columns costs %d, the computed one %d", cost(&decoded), cost(p))
 	}
 }
 
 // connCountingFleet boots nShards shard-role daemons at replication repl
-// over a compendium wide enough that every group partial is over 64 KB,
+// over a compendium wide enough that every partial frame is over 64 KB,
 // each behind a listener that counts the connections it accepts, and a
 // coordinator with the package's default HTTP client.
 func connCountingFleet(t *testing.T, nShards, repl, nDatasets int) (*shard.Coordinator, []*Server, []*atomic.Int64, []string) {
 	t.Helper()
-	u := synth.NewUniverse(1800, 10, 91)
+	u := synth.NewUniverse(2600, 10, 91)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: nDatasets, MinExperiments: 6, MaxExperiments: 8,
 		ActiveFraction: 0.5, Noise: 0.3, Seed: 92,
@@ -112,30 +150,25 @@ func connCountingFleet(t *testing.T, nShards, repl, nDatasets int) (*shard.Coord
 
 // TestScatterReusesShardConnections: serial scatters over partial bodies
 // larger than anything a decoder reads ahead keep using the connections the
-// first one opened. Two things make it so. The response must be read to EOF
-// before it is closed: a partial without a Content-Length is chunked, gob
-// stops before the terminal chunk, and closing there discards the
-// connection — the handlers' Content-Length and the bounded drain in
-// shard's call each fix that alone, and both are kept (one for peers that
-// do not drain, one for bodies that do not say their length). And the idle
-// pool must be as wide as the groups a shard serves at once, which
-// net/http's default of 2 is not from three groups per shard up.
+// first one opened. The response must be read to EOF before it is closed: an
+// answer without a Content-Length is chunked, gob stops before the terminal
+// chunk, and closing there discards the connection — the handlers'
+// Content-Length and the bounded drain in shard's call each fix that alone,
+// and both are kept (one for peers that do not drain, one for bodies that do
+// not say their length). And a scatter has one request open per shard,
+// however many groups the shard serves, so one connection per shard is all
+// serial scatters ever need.
 func TestScatterReusesShardConnections(t *testing.T) {
 	const scatters = 16
 	for _, tc := range []struct {
 		name                     string
 		nShards, repl, nDatasets int
-		// perShard is how many requests one scatter can have open to one
-		// shard at once. A shard may see one connection more: the catalog
-		// probe races every shard once per membership generation and cancels
-		// the losers mid-flight, connection included.
-		perShard func(groups int) int64
 	}{
 		// One owner per dataset: each shard serves exactly its own group.
-		{"one-group-per-shard", 2, 1, 8, func(int) int64 { return 1 }},
-		// Ordered owner pairs: a shard is a replica of up to half the groups
-		// and may be picked as the primary of each of them at once.
-		{"several-groups-per-shard", 4, 2, 24, func(groups int) int64 { return int64(groups+1) / 2 }},
+		{"one-group-per-shard", 2, 1, 8},
+		// Ordered owner pairs: a shard is a replica of half the groups, and
+		// is sent the ones it was picked for in one request.
+		{"several-groups-per-shard", 4, 2, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			coord, shards, conns, query := connCountingFleet(t, tc.nShards, tc.repl, tc.nDatasets)
@@ -153,13 +186,19 @@ func TestScatterReusesShardConnections(t *testing.T) {
 				t.Fatalf("fixture: %d groups over %d shards", groups, tc.nShards)
 			}
 			for si, n := range conns {
-				// Every partial lists every gene, so the mean body size is each one's.
-				if p := shards[si].cache.Prefixes()["partial"]; p.Entries == 0 || p.Bytes/int64(p.Entries) <= 64<<10 {
-					t.Fatalf("fixture: shard %d serves partials of %+v, want bodies over 64 KB", si, p)
+				// A frame lists every gene of the shard's engine: 16 bytes of
+				// accumulators, and the ID and the name with their lengths, 12
+				// bytes at the least.
+				if p, genes := shards[si].cache.Prefixes()["partial"], shards[si].cfg.Engine.NumGenes(); p.Entries == 0 || genes*28 <= 64<<10 {
+					t.Fatalf("fixture: shard %d caches %+v over %d genes, want frames over 64 KB", si, p, genes)
 				}
-				if got, limit := n.Load(), tc.perShard(groups)+1; got > limit {
-					t.Errorf("shard %d accepted %d connections over %d serial scatters of %d groups, want at most %d",
-						si, got, scatters, groups, limit)
+				// One connection for the scatters, and one more at most: the
+				// catalog probe races every shard once per membership
+				// generation and cancels the losers mid-flight, connection
+				// included.
+				if got := n.Load(); got > 2 {
+					t.Errorf("shard %d accepted %d connections over %d serial scatters of %d groups, want at most 2",
+						si, got, scatters, groups)
 				}
 			}
 		})

@@ -9,15 +9,17 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the per-group attempt discipline of a scatter: the wire
-// call, the per-replica bookkeeping around it (counters, in-flight gauge,
-// circuit breaker), replica ordering, and fetchGroup's ordered candidate
-// walk (failover, hedge, last-resort retry, scavenge).
+// This file is the attempt discipline of a scatter: the wire call, the
+// per-replica bookkeeping around it (counters, in-flight gauge, circuit
+// breaker), replica ordering, and fetchGroups' per-group candidate walks
+// (failover, hedge, last-resort retry, scavenge) batched into per-shard
+// requests.
 
 // call performs one shard-protocol HTTP exchange, bounded by the attempt
 // deadline: method + path against the shard, an optional gob request body,
@@ -70,7 +72,8 @@ func call[T any](ctx context.Context, c *Coordinator, shard, method, path string
 // shardCounters is one backend's cumulative scatter accounting, plus its
 // circuit breaker (per-replica state lives with per-replica counters).
 type shardCounters struct {
-	requests     atomic.Int64
+	requests     atomic.Int64 // wire requests
+	groups       atomic.Int64 // ownership groups those requests carried
 	errors       atomic.Int64
 	retries      atomic.Int64
 	hedges       atomic.Int64
@@ -83,8 +86,9 @@ type shardCounters struct {
 	breaker      breaker
 }
 
-func (s *shardCounters) observe(d time.Duration, failed bool) {
+func (s *shardCounters) observe(d time.Duration, groups int, failed bool) {
 	s.requests.Add(1)
+	s.groups.Add(int64(groups))
 	if failed {
 		s.errors.Add(1)
 	}
@@ -166,37 +170,40 @@ func (c *Coordinator) orderReplicas(owners []string) []string {
 	return append(out, last...)
 }
 
-// attemptFn is one endpoint-specific shard attempt: it returns the decoded
-// answer and a "missing" score (0 = the group is fully served; higher =
-// failover-worthy shortfall, e.g. datasets the serving shard did not hold).
-type attemptFn[P any] func(ctx context.Context, shard string) (payload *P, missing int, err error)
-
-// attemptOutcome is what one attempt came back with.
-type attemptOutcome[P any] struct {
-	shard   string
-	hedge   bool
+// part is one mergeable piece of a shard's answer: the catalog groups it
+// serves and its payload. A part serving several groups serves each of them
+// completely; a part serving one may fall short of it by missing datasets
+// (0 = the group is fully served; higher = a failover-worthy shortfall, the
+// datasets the serving shard did not hold).
+type part[P any] struct {
+	groups  []int
 	payload *P
 	missing int
-	err     error
 }
 
-// attempt runs one shard attempt inside its bookkeeping — the in-flight
-// gauge p2c reads, the latency/error counters, and the breaker observation
-// (probe says the breaker admitted it as the half-open probe).
-func attempt[P any](ctx context.Context, c *Coordinator, shard string, probe bool, do attemptFn[P]) attemptOutcome[P] {
+// requestFn is one endpoint-specific shard request for a set of catalog
+// groups: it returns the decoded, validated answer cut into parts. A group
+// of the request that no part serves got nothing from this shard.
+type requestFn[P any] func(ctx context.Context, shard string, groups []int) ([]part[P], error)
+
+// request runs one shard request inside its bookkeeping — the in-flight
+// gauge p2c reads, the latency/error/batching counters, and the breaker
+// observation (probe says the breaker admitted it as the half-open probe).
+func request[P any](ctx context.Context, c *Coordinator, shard string, groups []int, probe bool, do requestFn[P]) ([]part[P], error) {
 	sc := c.counterFor(shard)
 	sc.inflight.Add(1)
 	t0 := time.Now()
-	p, missing, err := do(ctx, shard)
+	parts, err := do(ctx, shard, groups)
 	sc.inflight.Add(-1)
-	sc.observe(time.Since(t0), err != nil)
+	sc.observe(time.Since(t0), len(groups), err != nil)
 	c.breakerObserve(shard, err, probe)
-	return attemptOutcome[P]{shard: shard, payload: p, missing: missing, err: err}
+	return parts, err
 }
 
 // groupResult is one ownership group's scatter outcome: the best answer
-// obtained (lowest missing score), which shard served it, and the first
-// error met along the way.
+// obtained (lowest missing score; under batching a payload may be shared
+// with other groups), which shard served it, and the first error met along
+// the way.
 type groupResult[P any] struct {
 	payload *P
 	shard   string
@@ -207,163 +214,312 @@ type groupResult[P any] struct {
 // complete reports whether the group is fully served.
 func (g *groupResult[P]) complete() bool { return g.payload != nil && g.missing == 0 }
 
-// take folds one attempt outcome in: the first error is remembered, a
-// better answer replaces the best so far.
-func (g *groupResult[P]) take(o attemptOutcome[P]) {
-	if o.err != nil {
-		if g.err == nil {
-			g.err = fmt.Errorf("%s: %w", o.shard, o.err)
-		}
-		return
-	}
-	if g.payload == nil || o.missing < g.missing {
-		g.payload, g.shard, g.missing = o.payload, o.shard, o.missing
-	}
+// groupWalk is one group's place in its attempt discipline.
+type groupWalk[P any] struct {
+	groupResult[P]
+	// cands is the ordered candidate walk: the group's replicas
+	// (orderReplicas: p2c primary first, draining last), then every other
+	// fleet member; next is the walk's position, owners how many of cands
+	// are replicas.
+	cands  []string
+	owners int
+	next   int
+	// flying counts the requests in flight that carry the group, waiting
+	// whether a backoff timer holds its next attempt.
+	flying  int
+	waiting bool
+	// launched: some request has carried the group. retried: the
+	// last-resort retry is spent. scavenging: the walk has left the owners;
+	// fails counts the failed scavenge attempts behind the growing backoff.
+	launched, retried, scavenging bool
+	fails                         int
 }
 
-// fetchGroup runs one ownership group's attempt discipline over an
-// endpoint-specific attempt function. The candidates form one ordered
-// walk: the group's replicas (orderReplicas: p2c primary first, draining
-// last), then every other fleet member. A candidate whose breaker is open
-// is skipped (counted); each candidate is tried at most once by the walk.
+// fetchGroups runs the attempt discipline of every ownership group of one
+// scatter over an endpoint-specific request function, and returns each
+// group's best answer. The discipline is per group; what travels is per
+// shard: whenever groups need an attempt at the same moment, those whose
+// next candidate is the same shard go out in one request, and an answer
+// settles the groups it serves while the rest move on at once — there is no
+// barrier between shards or between rounds.
 //
-// Owners run concurrently as needed: the primary first; an error or an
-// incomplete answer fails over to the next owner; a hedge (if configured)
-// duplicates onto the next untried owner too, or onto the primary itself
-// when none remain (the single-owner tail-latency hedge). If every owner's
-// breaker refused admission, the primary is probed anyway — the
-// availability floor. If every owner failed outright, Retry grants the
-// primary one extra attempt after a jittered backoff, forced through its
-// breaker as a probe: there is nowhere else to send this group.
+// A group's candidates form one ordered walk: its replicas, then every
+// other fleet member. A candidate whose breaker is open is skipped
+// (counted); each candidate is tried at most once by the walk. The primary
+// goes first; an error, or an answer that leaves the group incomplete, fails
+// it over to the next replica. The hedge timer (if configured) fires once
+// per scatter: every group still waiting on a replica is duplicated onto
+// its next untried replica, or onto the primary itself when none remain
+// (the single-owner tail-latency hedge). Whichever complete answer arrives
+// first settles a group; a summed part that covers a group already settled
+// cannot be taken apart and is dropped whole — its other groups still have
+// their hedge in flight. If every replica's breaker refused admission, the
+// primary is probed anyway — the availability floor. If every replica
+// failed outright, Retry grants the primary one extra attempt after a
+// jittered backoff, forced through its breaker as a probe: there is nowhere
+// else to send the group.
 //
 // Only when coverage is still incomplete — which consistent placement never
-// triggers — does the walk continue past the owners, sequentially, with a
-// growing backoff after failures: after a membership change without a data
-// re-sync the other shards may still hold the group's datasets from their
-// boot-time assignment (and for enrichment any capable shard can serve any
-// slice). These scavenge answers are cheap, cached and empty in the common
-// case. The best answer wins.
-func fetchGroup[P any](ctx context.Context, c *Coordinator, shards []string, g ownerGroup, do attemptFn[P]) groupResult[P] {
-	// One cancel for the whole group: returning stops any stragglers.
+// triggers — does the walk continue past the replicas, one candidate at a
+// time, with a growing backoff after failures: after a membership change
+// without a data re-sync the other shards may still hold the group's
+// datasets from their boot-time assignment (and for enrichment any capable
+// shard can serve any slice). These scavenge answers are cheap, cached and
+// empty in the common case. The best answer wins.
+//
+// The failover, hedge, retry and breaker-skip counters count groups, as
+// they did when every group travelled alone; requests counts what went over
+// the wire.
+func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, groups [][]string, do requestFn[P]) []groupResult[P] {
+	// One cancel for the whole scatter: returning stops any stragglers.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	replicas := c.orderReplicas(g.owners)
-	inGroup := make(map[string]bool, len(replicas))
-	for _, s := range replicas {
-		inGroup[s] = true
-	}
-	cands := replicas
-	for _, s := range shards {
-		if !inGroup[s] {
-			cands = append(cands, s)
+	walks := make([]groupWalk[P], len(groups))
+	for gi, owners := range groups {
+		w := &walks[gi]
+		w.cands = c.orderReplicas(owners)
+		w.owners = len(w.cands)
+		for _, s := range shards {
+			if !slices.Contains(w.cands[:w.owners], s) {
+				w.cands = append(w.cands, s)
+			}
 		}
 	}
-	// admit advances the walk to the next candidate before limit whose
+
+	// What the loop below waits for: answers, and backoff timers running out.
+	type event struct {
+		shard  string
+		groups []int // the request's groups, or the one group a timer held back
+		hedge  bool
+		parts  []part[P]
+		err    error
+		then   func() // a backoff ran out: the launch it held back
+	}
+	events := make(chan event)
+	done := make(chan struct{}) // closed on return: nobody reads events any more
+	defer close(done)
+	send := func(ev event) {
+		select {
+		case events <- ev:
+		case <-done:
+		}
+	}
+	pending := 0 // requests in flight + timers running
+
+	// Launches collect in batch, one entry per shard and kind, until flush
+	// sends them; admitted remembers each shard's breaker verdict for the
+	// batch, so the groups of one request share one admission (and one
+	// half-open probe).
+	type launch struct {
+		shard  string
+		hedge  bool
+		probe  bool
+		groups []int
+	}
+	var batch []launch
+	type verdict struct{ ok, probe bool }
+	admitted := map[string]verdict{}
+	enqueue := func(gi int, shard string, hedge, probe bool) {
+		w := &walks[gi]
+		w.launched = true
+		w.flying++
+		for i := range batch {
+			if batch[i].shard == shard && batch[i].hedge == hedge {
+				batch[i].groups = append(batch[i].groups, gi)
+				batch[i].probe = batch[i].probe || probe
+				return
+			}
+		}
+		batch = append(batch, launch{shard: shard, hedge: hedge, probe: probe, groups: []int{gi}})
+	}
+	flush := func() {
+		for _, l := range batch {
+			pending++
+			go func() {
+				parts, err := request(ctx, c, l.shard, l.groups, l.probe, do)
+				send(event{shard: l.shard, groups: l.groups, hedge: l.hedge, parts: parts, err: err})
+			}()
+		}
+		batch = batch[:0]
+		clear(admitted)
+	}
+	// admit advances a group's walk to the next candidate before limit whose
 	// breaker admits an attempt.
-	next := 0
-	admit := func(limit int) (shard string, probe, ok bool) {
-		for next < limit && ctx.Err() == nil {
-			s := cands[next]
-			next++
-			if ok, probe := c.breakerAllow(s, false); ok {
-				return s, probe, true
+	admit := func(w *groupWalk[P], limit int) (shard string, probe, ok bool) {
+		for w.next < limit && ctx.Err() == nil {
+			s := w.cands[w.next]
+			w.next++
+			v, seen := admitted[s]
+			if !seen {
+				v.ok, v.probe = c.breakerAllow(s, false)
+				admitted[s] = v
+			}
+			if v.ok {
+				return s, v.probe, true
 			}
 			c.counterFor(s).breakerSkips.Add(1)
 		}
 		return "", false, false
 	}
-
-	var best groupResult[P]
-	// Sized to the most attempts that can be in flight: every replica once,
-	// plus the duplicate hedge (or the availability-floor probe).
-	resCh := make(chan attemptOutcome[P], len(replicas)+2)
-	outstanding := 0
-	launch := func(shard string, hedge, probe bool) {
-		outstanding++
+	// force sends a group to its primary through the breaker, as a probe.
+	force := func(gi int) {
+		s := walks[gi].cands[0]
+		_, probe := c.breakerAllow(s, true)
+		enqueue(gi, s, false, probe)
+	}
+	// after holds a group's next attempt, then, back for d; then runs on
+	// this goroutine, unless the scatter ends first.
+	after := func(gi int, d time.Duration, then func()) {
+		walks[gi].waiting = true
+		pending++
 		go func() {
-			o := attempt(ctx, c, shard, probe, do)
-			o.hedge = hedge
-			resCh <- o
+			ev := event{groups: []int{gi}, then: then}
+			if !sleepCtx(ctx, d) {
+				ev.err = ctx.Err()
+			}
+			send(ev)
 		}()
 	}
-	launchOwner := func(hedge, failover bool) bool {
-		s, probe, ok := admit(len(replicas))
+
+	// advance gives an unsettled group its next attempt, if it is due one.
+	advance := func(gi int) {
+		w := &walks[gi]
+		if w.complete() || w.waiting || ctx.Err() != nil {
+			return
+		}
+		if !w.scavenging {
+			if s, probe, ok := admit(w, w.owners); ok {
+				if w.launched {
+					c.counterFor(s).failovers.Add(1)
+				}
+				enqueue(gi, s, false, probe)
+				return
+			}
+			if !w.launched && w.owners > 0 && ctx.Err() == nil {
+				// Availability floor: every replica's breaker refused
+				// admission. Force a half-open probe of the primary rather
+				// than fail the group without a single attempt.
+				force(gi)
+				return
+			}
+		}
+		if w.flying > 0 {
+			return // a hedge, or what it duplicated, is still out
+		}
+		if w.payload == nil && c.cfg.Retry && !w.retried && w.owners > 0 && !w.scavenging {
+			w.retried = true
+			after(gi, retryBackoff.Delay(0, rand.Float64), func() {
+				c.counterFor(w.cands[0]).retries.Add(1)
+				force(gi)
+			})
+			return
+		}
+		// Scavenging is speculative, so a shard known to be sick (open
+		// breaker) is not worth the attempt deadline: admit skips it.
+		w.scavenging = true
+		s, probe, ok := admit(w, len(w.cands))
 		if !ok {
-			return false
+			return
 		}
-		if failover {
+		scavenge := func() {
 			c.counterFor(s).failovers.Add(1)
+			enqueue(gi, s, false, probe)
 		}
-		if hedge {
-			c.counterFor(s).hedges.Add(1)
+		if w.fails > 0 {
+			after(gi, retryBackoff.Delay(w.fails-1, rand.Float64), scavenge)
+			return
 		}
-		launch(s, hedge, probe)
-		return true
+		scavenge()
 	}
 
-	if !launchOwner(false, false) && len(replicas) > 0 && ctx.Err() == nil {
-		// Availability floor: every replica's breaker refused admission.
-		// Force a half-open probe of the primary rather than fail the
-		// group without a single attempt.
-		_, probe := c.breakerAllow(replicas[0], true)
-		launch(replicas[0], false, probe)
+	for gi := range walks {
+		advance(gi)
 	}
+	flush()
 	var hedgeC <-chan time.Time
 	if c.cfg.HedgeAfter > 0 {
 		timer := time.NewTimer(c.cfg.HedgeAfter)
 		defer timer.Stop()
 		hedgeC = timer.C
 	}
-	for outstanding > 0 {
+	unsettled := len(walks)
+	for pending > 0 && unsettled > 0 {
 		select {
-		case o := <-resCh:
-			outstanding--
-			if o.err == nil && o.hedge {
-				c.counterFor(o.shard).hedgeWins.Add(1)
+		case ev := <-events:
+			pending--
+			switch {
+			case ev.then != nil:
+				walks[ev.groups[0]].waiting = false
+				if ev.err == nil {
+					ev.then()
+				}
+			case ev.err != nil:
+				for _, gi := range ev.groups {
+					w := &walks[gi]
+					w.flying--
+					if w.err == nil {
+						w.err = fmt.Errorf("%s: %w", ev.shard, ev.err)
+					}
+					if w.scavenging {
+						w.fails++
+					}
+				}
+			default:
+				for _, gi := range ev.groups {
+					walks[gi].flying--
+					if ev.hedge {
+						c.counterFor(ev.shard).hedgeWins.Add(1)
+					}
+				}
+				for _, p := range ev.parts {
+					// First come: a part is taken only for groups still
+					// unsettled, and a summed part only whole.
+					if slices.ContainsFunc(p.groups, func(gi int) bool { return walks[gi].complete() }) {
+						continue
+					}
+					for _, gi := range p.groups {
+						w := &walks[gi]
+						if w.payload == nil || p.missing < w.missing {
+							w.payload, w.shard, w.missing = p.payload, ev.shard, p.missing
+							if w.complete() {
+								unsettled--
+							}
+						}
+					}
+				}
 			}
-			best.take(o)
-			if best.complete() {
-				return best
+			// Failed, or incomplete coverage (membership drift): each group
+			// the event leaves unsettled tries its next candidate.
+			for _, gi := range ev.groups {
+				advance(gi)
 			}
-			// Failed, or incomplete coverage (membership drift): try the
-			// next replica.
-			launchOwner(false, true)
 		case <-hedgeC:
 			hedgeC = nil
 			if ctx.Err() != nil {
 				continue
 			}
-			if !launchOwner(true, false) && len(replicas) > 0 && next >= len(replicas) {
-				// Every replica already tried or in flight: duplicate the
-				// primary, the legacy tail-latency hedge.
-				c.counterFor(replicas[0]).hedges.Add(1)
-				launch(replicas[0], true, false)
+			for gi := range walks {
+				w := &walks[gi]
+				if w.complete() || w.flying == 0 || w.scavenging || w.retried {
+					continue
+				}
+				if s, probe, ok := admit(w, w.owners); ok {
+					c.counterFor(s).hedges.Add(1)
+					enqueue(gi, s, true, probe)
+				} else if w.next >= w.owners && w.owners > 0 {
+					// Every replica already tried or in flight: duplicate
+					// the primary, the legacy tail-latency hedge.
+					c.counterFor(w.cands[0]).hedges.Add(1)
+					enqueue(gi, w.cands[0], true, false)
+				}
 			}
 		}
+		flush()
 	}
-
-	if best.payload == nil && c.cfg.Retry && ctx.Err() == nil && len(replicas) > 0 &&
-		sleepCtx(ctx, retryBackoff.Delay(0, rand.Float64)) {
-		s := replicas[0]
-		_, probe := c.breakerAllow(s, true)
-		c.counterFor(s).retries.Add(1)
-		best.take(attempt(ctx, c, s, probe, do))
+	results := make([]groupResult[P], len(walks))
+	for gi := range walks {
+		results[gi] = walks[gi].groupResult
 	}
-
-	// Scavenging is speculative, so a shard known to be sick (open breaker)
-	// is not worth the attempt deadline: admit skips it.
-	for fails := 0; !best.complete(); {
-		s, probe, ok := admit(len(cands))
-		if !ok || (fails > 0 && !sleepCtx(ctx, retryBackoff.Delay(fails-1, rand.Float64))) {
-			break
-		}
-		c.counterFor(s).failovers.Add(1)
-		o := attempt(ctx, c, s, probe, do)
-		if o.err != nil {
-			fails++
-		}
-		best.take(o)
-	}
-	return best
+	return results
 }

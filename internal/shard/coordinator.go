@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -72,10 +73,10 @@ type Config struct {
 }
 
 // maxIdleConnsPerShard is how many idle connections the default client
-// keeps per shard. A scatter holds one request open per ownership group a
-// shard serves — 3 at 4 shards R=2, more on larger fleets — all at once, and
-// net/http's default of 2 closes the rest when they finish, so the next
-// scatter re-dials them.
+// keeps per shard. One scatter has one request open per shard, but scatters
+// overlap — the daemon runs as many as it has distinct queries in flight —
+// and net/http's default of 2 closes every connection beyond it when its
+// request finishes, so the next burst re-dials them.
 const maxIdleConnsPerShard = 32
 
 // NormalizeAddr is the default identity resolver: an address-like
@@ -104,6 +105,9 @@ type Coordinator struct {
 	rr       atomic.Uint64
 	degraded atomic.Int64
 	outages  atomic.Int64
+	// uniformRounds counts searches that scattered a second time, for the
+	// uniform accumulator pair (see SearchCtx).
+	uniformRounds atomic.Int64
 
 	// draining marks replicas an operator (or the shard's own info
 	// status) has flagged as leaving: orderReplicas demotes them to
@@ -115,7 +119,7 @@ type Coordinator struct {
 	// catalog caches the ownership-group derivation, ecat the enrichment
 	// term catalog (fetched from any capable shard), each per membership
 	// generation.
-	catalog genCache[*catalogState]
+	catalog genCache[*GroupTable]
 	ecat    genCache[*golem.TermCatalog]
 
 	info atomic.Pointer[infoState]
@@ -250,25 +254,25 @@ type Meta struct {
 }
 
 // scatterOp is what differs between the fleet's scatters (search partials,
-// enrichment slice tallies); scatter runs everything else. P is the decoded
-// per-group answer.
-type scatterOp[P any] struct {
-	// path is the shard endpoint the group requests are POSTed to.
+// enrichment slice tallies); scatter runs everything else. A is the decoded
+// answer to one request, P the mergeable payload it is cut into.
+type scatterOp[A, P any] struct {
+	// path is the shard endpoint the requests are POSTed to.
 	path string
 	// empty is the error an empty gene list is rejected with.
 	empty string
-	// request builds one group's request (gob-encoded by scatter): the same
-	// canonical gene list for every group, a different ownership scope.
-	request func(genes, shards []string, replication int, owners []string) any
+	// request builds the request for a set of groups (gob-encoded by
+	// scatter): the same canonical gene list for every shard, a different
+	// list of owner tuples.
+	request func(genes, shards []string, replication int, groups [][]string) any
 	// prepare (optional) loads per-generation state the answers are checked
 	// against, once the ownership catalog is known. Its error fails the
 	// scatter as returned (wrap ErrAllShardsFailed to count an outage).
 	prepare func(ctx context.Context, shards []string, gen uint64) error
-	// check validates one decoded answer for group gi of n and scores it:
-	// missing is how many of the group's g.count datasets the answer does
-	// not cover (0 = the group is fully served; anything higher is a
-	// failover-worthy shortfall). An error fails the attempt over.
-	check func(p *P, gi, n int, g ownerGroup) (missing int, err error)
+	// split validates the answer to a request for the catalog groups req
+	// and cuts it into parts (see part). Any error fails the whole attempt
+	// over: exactness beats availability.
+	split func(a *A, req []int, cat *GroupTable) ([]part[P], error)
 }
 
 // scattered is a scatter's outcome: the canonical gene list that was asked,
@@ -289,15 +293,15 @@ func (sc *scattered[P]) unresolved() error {
 }
 
 // scatter runs one request over the fleet's ownership groups: snapshot the
-// membership, derive (or reuse) the generation's ownership catalog, send
-// every group its request concurrently — each group served by one of its R
-// replicas through fetchGroup's attempt discipline — and tally the
-// outcome. The result is degraded when some group could not be fully
+// membership, derive (or reuse) the generation's ownership catalog, serve
+// every group by one of its R replicas through fetchGroups' attempt
+// discipline — the groups that go to one shard in one request — and tally
+// the outcome. The result is degraded when some group could not be fully
 // served (under replication that takes all R of its replicas failing); only
 // a scatter in which no group contributed at all returns
 // ErrAllShardsFailed. A canceled caller context aborts the scatter with the
 // context error. Meta is valid on every return.
-func scatter[P any](ctx context.Context, c *Coordinator, genes []string, op scatterOp[P]) (scattered[P], error) {
+func scatter[A, P any](ctx context.Context, c *Coordinator, genes []string, op scatterOp[A, P]) (scattered[P], error) {
 	shards, gen := c.membership.Snapshot()
 	r := c.replicationFor(len(shards))
 	sc := scattered[P]{genes: spell.CanonicalQuery(genes), meta: Meta{ShardsTotal: len(shards), Replication: r}}
@@ -324,40 +328,24 @@ func scatter[P any](ctx context.Context, c *Coordinator, genes []string, op scat
 			return sc, setupErr(err)
 		}
 	}
-	n := len(cat.groups)
-	sc.meta.GroupsTotal = n
+	sc.meta.GroupsTotal = len(cat.Tuples)
 
-	bodies := make([][]byte, n)
-	for gi, g := range cat.groups {
-		var body bytes.Buffer
-		if err := gob.NewEncoder(&body).Encode(op.request(sc.genes, shards, r, g.owners)); err != nil {
-			return sc, err
-		}
-		bodies[gi] = body.Bytes()
-	}
-
-	results := make([]groupResult[P], n)
-	var wg sync.WaitGroup
-	for gi := range cat.groups {
-		wg.Add(1)
-		go func(gi int) {
-			defer wg.Done()
-			g := cat.groups[gi]
-			results[gi] = fetchGroup(ctx, c, shards, g,
-				func(actx context.Context, shard string) (*P, int, error) {
-					p, err := call[P](actx, c, shard, http.MethodPost, op.path, bodies[gi])
-					if err != nil {
-						return nil, 0, err
-					}
-					missing, err := op.check(p, gi, n, g)
-					if err != nil {
-						return nil, 0, err
-					}
-					return p, missing, nil
-				})
-		}(gi)
-	}
-	wg.Wait()
+	results := fetchGroups(ctx, c, shards, cat.Tuples,
+		func(actx context.Context, shard string, req []int) ([]part[P], error) {
+			tuples := make([][]string, len(req))
+			for i, gi := range req {
+				tuples[i] = cat.Tuples[gi]
+			}
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(op.request(sc.genes, shards, r, tuples)); err != nil {
+				return nil, err
+			}
+			a, err := call[A](actx, c, shard, http.MethodPost, op.path, body.Bytes())
+			if err != nil {
+				return nil, err
+			}
+			return op.split(a, req, cat)
+		})
 	if err := ctx.Err(); err != nil {
 		// The caller hung up or timed out: report that, not a fabricated
 		// outage — per-group errors here are all descendants of it.
@@ -365,9 +353,10 @@ func scatter[P any](ctx context.Context, c *Coordinator, genes []string, op scat
 	}
 
 	contributors := make(map[string]bool)
+	merged := make(map[*P]bool) // a summed payload serves several groups, and merges once
 	for gi, gr := range results {
 		if gr.err != nil && sc.firstErr == nil {
-			sc.firstErr = fmt.Errorf("group %v: %w", cat.groups[gi].owners, gr.err)
+			sc.firstErr = fmt.Errorf("group %v: %w", cat.Tuples[gi], gr.err)
 		}
 		if gr.payload == nil {
 			continue
@@ -378,7 +367,8 @@ func scatter[P any](ctx context.Context, c *Coordinator, genes []string, op scat
 		// A best answer covering none of its group (the serving shard held
 		// nothing of it — membership drift) adds nothing to the merge and
 		// does not make its shard a contributor.
-		if gr.missing < cat.groups[gi].count {
+		if gr.missing < len(cat.Members[gi]) && !merged[gr.payload] {
+			merged[gr.payload] = true
 			sc.parts = append(sc.parts, gr.payload)
 			contributors[gr.shard] = true
 		}
@@ -395,22 +385,78 @@ func scatter[P any](ctx context.Context, c *Coordinator, genes []string, op scat
 	return sc, nil
 }
 
-// SearchCtx scatters one query over the fleet's ownership groups (see
-// scatter) and merges the partials with global renormalization. A group's
-// answer falls short by the datasets its serving shard did not hold; a
-// degraded merge whose survivors measured none of the query genes is
-// ErrDegradedUnresolved.
-func (c *Coordinator) SearchCtx(ctx context.Context, query []string, opt spell.Options) (*spell.Result, Meta, error) {
-	sc, err := scatter(ctx, c, query, scatterOp[spell.Partial]{
+// searchOp is the search scatter: a request names owner tuples and the
+// accumulator pair, an answer is SearchAnswer's summed frame plus one frame
+// per partly held group. A part falls short of its group by the datasets
+// its serving shard did not hold; a frame summed over several groups must
+// cover every dataset of each.
+func searchOp(uniform bool) scatterOp[SearchAnswer, spell.Partial] {
+	return scatterOp[SearchAnswer, spell.Partial]{
 		path:  SearchPath,
 		empty: "spell: empty query",
-		request: func(genes, shards []string, r int, owners []string) any {
-			return SearchRequest{Query: genes, Shards: shards, Replication: r, Owners: owners}
+		request: func(genes, shards []string, r int, groups [][]string) any {
+			return SearchRequest{Query: genes, Shards: shards, Replication: r, Groups: groups, Uniform: uniform}
 		},
-		check: func(p *spell.Partial, _, _ int, g ownerGroup) (int, error) {
-			return g.count - len(p.Datasets), nil
+		split: func(a *SearchAnswer, req []int, cat *GroupTable) ([]part[spell.Partial], error) {
+			parts := make([]part[spell.Partial], 0, len(a.Parts))
+			seen := make([]bool, len(req))
+			for _, sp := range a.Parts {
+				if len(sp.Groups) == 0 || sp.Partial == nil {
+					return nil, errors.New("answer part without groups or without a partial")
+				}
+				// A part names its groups as positions in the request.
+				groups := make([]int, len(sp.Groups))
+				for i, pos := range sp.Groups {
+					if pos < 0 || pos >= len(req) || seen[pos] {
+						return nil, fmt.Errorf("answer names group %d of a %d-group request out of range or twice", pos, len(req))
+					}
+					seen[pos] = true
+					groups[i] = req[pos]
+				}
+				if sp.Partial.Uniform != uniform {
+					return nil, fmt.Errorf("partial carries the wrong accumulator pair (uniform=%t)", sp.Partial.Uniform)
+				}
+				want := 0
+				for _, gi := range groups {
+					want += len(cat.Members[gi])
+				}
+				missing := want - len(sp.Partial.Datasets)
+				if missing < 0 || (missing > 0 && len(groups) > 1) {
+					return nil, fmt.Errorf("partial lists %d datasets for groups of %d", len(sp.Partial.Datasets), want)
+				}
+				parts = append(parts, part[spell.Partial]{groups: groups, payload: sp.Partial, missing: missing})
+			}
+			if slices.Contains(seen, false) {
+				return nil, errors.New("answer leaves a requested group out")
+			}
+			return parts, nil
 		},
-	})
+	}
+}
+
+// SearchCtx scatters one query over the fleet's ownership groups (see
+// scatter) and merges the partials with global renormalization. A degraded
+// merge whose survivors measured none of the query genes is
+// ErrDegradedUnresolved.
+//
+// The shards accumulate the pair the merge is expected to read: the
+// coherence-weighted one, or with opt.UniformWeights the uniform one. A
+// query whose coherences all clamp to zero — knowable only here, over the
+// union — needs the uniform pair after all, and is scattered once more for
+// it; its first round cost the shards next to nothing, no dataset having
+// carried any weight.
+func (c *Coordinator) SearchCtx(ctx context.Context, query []string, opt spell.Options) (*spell.Result, Meta, error) {
+	res, meta, err := c.searchRound(ctx, query, opt, opt.UniformWeights)
+	if errors.Is(err, spell.ErrNeedUniform) {
+		c.uniformRounds.Add(1)
+		res, meta, err = c.searchRound(ctx, query, opt, true)
+	}
+	return res, meta, err
+}
+
+// searchRound is one scatter and merge, for one accumulator pair.
+func (c *Coordinator) searchRound(ctx context.Context, query []string, opt spell.Options, uniform bool) (*spell.Result, Meta, error) {
+	sc, err := scatter(ctx, c, query, searchOp(uniform))
 	if err != nil {
 		return nil, sc.meta, err
 	}
@@ -441,25 +487,33 @@ type StatsSnapshot struct {
 	MembershipBumps int64 `json:"membership_bumps"`
 	// Groups is the number of ownership groups in the current catalog (0
 	// until the first scatter of this generation derives it).
-	Groups      int             `json:"groups"`
-	Degraded    int64           `json:"degraded"`     // queries merged over less than full coverage
-	FullOutages int64           `json:"full_outages"` // scatters in which no group was served
-	Shards      []ShardSnapshot `json:"shards"`
+	Groups      int   `json:"groups"`
+	Degraded    int64 `json:"degraded"`     // queries merged over less than full coverage
+	FullOutages int64 `json:"full_outages"` // scatters in which no group was served
+	// UniformRounds counts searches that were scattered a second time for
+	// the uniform accumulator pair: queries incoherent in every dataset.
+	UniformRounds int64           `json:"uniform_rounds"`
+	Shards        []ShardSnapshot `json:"shards"`
 }
 
 // ShardSnapshot is one backend's cumulative counters plus its breaker and
 // drain state.
 type ShardSnapshot struct {
-	Addr          string `json:"addr"`
-	Requests      int64  `json:"requests"`
-	Errors        int64  `json:"errors"`
-	Retries       int64  `json:"retries"`
-	Hedges        int64  `json:"hedges"`
-	Failovers     int64  `json:"failovers"`
-	HedgeWins     int64  `json:"hedge_wins"`
-	InFlight      int64  `json:"in_flight"`
-	MeanLatencyUS int64  `json:"mean_latency_us"`
-	MaxLatencyUS  int64  `json:"max_latency_us"`
+	Addr string `json:"addr"`
+	// Requests counts wire requests, Groups the ownership groups they
+	// carried: Groups / Requests is the batching factor. Errors, like the
+	// latencies, are per request; Retries, Hedges, Failovers and
+	// BreakerSkips count groups.
+	Requests      int64 `json:"requests"`
+	Groups        int64 `json:"groups"`
+	Errors        int64 `json:"errors"`
+	Retries       int64 `json:"retries"`
+	Hedges        int64 `json:"hedges"`
+	Failovers     int64 `json:"failovers"`
+	HedgeWins     int64 `json:"hedge_wins"`
+	InFlight      int64 `json:"in_flight"`
+	MeanLatencyUS int64 `json:"mean_latency_us"`
+	MaxLatencyUS  int64 `json:"max_latency_us"`
 	// Draining marks a replica demoted to last-resort ordering.
 	Draining bool `json:"draining,omitempty"`
 	// Breaker is the replica's circuit state (closed / open / half-open),
@@ -479,15 +533,17 @@ func (c *Coordinator) Stats() StatsSnapshot {
 		MembershipBumps: c.membership.Bumps(),
 		Degraded:        c.degraded.Load(),
 		FullOutages:     c.outages.Load(),
+		UniformRounds:   c.uniformRounds.Load(),
 	}
 	if cat, ok := c.catalog.peek(gen); ok {
-		snap.Groups = len(cat.groups)
+		snap.Groups = len(cat.Tuples)
 	}
 	for _, addr := range shards {
 		sc := c.counterFor(addr)
 		s := ShardSnapshot{
 			Addr:         addr,
 			Requests:     sc.requests.Load(),
+			Groups:       sc.groups.Load(),
 			Errors:       sc.errors.Load(),
 			Retries:      sc.retries.Load(),
 			Hedges:       sc.hedges.Load(),

@@ -32,6 +32,12 @@ type testShard struct {
 	// handler runs; return true when it wrote the response.
 	behave func(n int64, w http.ResponseWriter, r *http.Request) bool
 	calls  atomic.Int64
+	// asked, when non-nil, sees every decoded search request the real
+	// handler serves.
+	asked func(req *SearchRequest)
+	// disown lists global dataset indexes the shard holds but answers as if
+	// it did not: membership drift, a group held only in part.
+	disown map[int]bool
 
 	// enr, when non-nil, makes the shard enrichment-capable (start
 	// registers the enrich endpoints); enrichBehave may hijack a decoded
@@ -40,6 +46,31 @@ type testShard struct {
 	enrichBehave func(w http.ResponseWriter, req *EnrichRequest) bool
 }
 
+// partial computes the shard's partial over the datasets it holds of the
+// given global indexes (nil: everything held), indexes remapped to global.
+func (s *testShard) partial(ctx context.Context, query []string, members []int, uniform bool) (*spell.Partial, error) {
+	var subset []int
+	if members != nil {
+		subset = []int{} // non-nil: an empty group intersection is an empty partial
+		for _, gi := range members {
+			if li, ok := s.g2l[gi]; ok && !s.disown[gi] {
+				subset = append(subset, li)
+			}
+		}
+	}
+	p, err := s.engine.PartialSearchSubsetCtx(ctx, query, subset, spell.Options{UniformWeights: uniform})
+	if err != nil {
+		return nil, err
+	}
+	for i := range p.Datasets {
+		p.Datasets[i].Index = s.global[p.Datasets[i].Index]
+	}
+	return p, nil
+}
+
+// ServeHTTP serves SearchPath the way the daemon does: look the request's
+// owner tuples up in the topology's group table, and answer with the Sum of
+// the groups held completely plus one part per group held in part.
 func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := s.calls.Add(1)
 	if s.behave != nil && s.behave(n, w, r) {
@@ -50,25 +81,50 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	var subset []int
-	if len(req.Owners) > 0 {
-		subset = []int{} // non-nil: an empty group intersection is an empty partial
-		for _, gi := range GroupIndexes(s.allIDs, req.Shards, req.Replication, req.Owners) {
-			if li, ok := s.g2l[gi]; ok {
-				subset = append(subset, li)
+	if s.asked != nil {
+		s.asked(&req)
+	}
+	var answer SearchAnswer
+	fail := func(err error) { http.Error(w, err.Error(), http.StatusUnprocessableEntity) }
+	if len(req.Groups) == 0 {
+		p, err := s.partial(r.Context(), req.Query, nil, req.Uniform)
+		if err != nil {
+			fail(err)
+			return
+		}
+		answer.Parts = []SearchPart{{Partial: p}}
+	} else {
+		table := NewGroupTable(s.allIDs, req.Shards, req.Replication)
+		var whole SearchPart
+		var sum []*spell.Partial
+		for pos, owners := range req.Groups {
+			gi, ok := table.Lookup(owners)
+			if !ok {
+				fail(fmt.Errorf("unknown ownership group %v", owners))
+				return
+			}
+			p, err := s.partial(r.Context(), req.Query, table.Members[gi], req.Uniform)
+			if err != nil {
+				fail(err)
+				return
+			}
+			if len(p.Datasets) == len(table.Members[gi]) {
+				whole.Groups, sum = append(whole.Groups, pos), append(sum, p)
+			} else {
+				answer.Parts = append(answer.Parts, SearchPart{Groups: []int{pos}, Partial: p})
 			}
 		}
-	}
-	p, err := s.engine.PartialSearchSubsetCtx(r.Context(), req.Query, subset, spell.Options{})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-		return
-	}
-	for i := range p.Datasets {
-		p.Datasets[i].Index = s.global[p.Datasets[i].Index]
+		if len(sum) > 0 {
+			var err error
+			if whole.Partial, err = spell.Sum(sum); err != nil {
+				fail(err)
+				return
+			}
+			answer.Parts = append(answer.Parts, whole)
+		}
 	}
 	w.Header().Set("Content-Type", ContentType)
-	_ = gob.NewEncoder(w).Encode(p)
+	_ = gob.NewEncoder(w).Encode(answer)
 }
 
 // infoHandler serves the shard's InfoPath: held slice plus boot catalog.
@@ -384,13 +440,33 @@ func TestScatterFailureModes(t *testing.T) {
 			wantOK:   2,
 		},
 		{
-			// A shard on another frame version (or a corrupted body): the
-			// partial's own decoder rejects it inside the gob envelope, and
-			// that is an ordinary failed attempt.
-			name: "bad-frame",
+			// A shard still on the old protocol answers with a bare partial
+			// whose frame is version 1: not the answer envelope this
+			// coordinator decodes, and an ordinary failed attempt.
+			name: "v1-shard",
 			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
 				w.Header().Set("Content-Type", ContentType)
-				_ = gob.NewEncoder(w).Encode(foreignFrame{})
+				_ = gob.NewEncoder(w).Encode(oldFrame{})
+				return true
+			},
+			wantOK: 2,
+		},
+		{
+			// The envelope is right and names the requested groups, but the
+			// frame inside it is of a version nobody reads (or corrupted):
+			// the partial's own decoder rejects it inside the gob envelope.
+			name: "bad-frame",
+			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
+				var req SearchRequest
+				if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+					return false
+				}
+				groups := make([]int, len(req.Groups))
+				for i := range groups {
+					groups[i] = i
+				}
+				w.Header().Set("Content-Type", ContentType)
+				_ = gob.NewEncoder(w).Encode(struct{ Parts []oldPart }{[]oldPart{{groups, &oldFrame{}}}})
 				return true
 			},
 			wantOK: 2,
@@ -475,14 +551,21 @@ func TestScatterFailureModes(t *testing.T) {
 	})
 }
 
-// foreignFrame gob-encodes, like spell.Partial, as a BinaryMarshaler — so it
-// decodes into one — but its bytes are a frame of a version nobody reads.
-type foreignFrame struct{}
+// oldFrame gob-encodes, like spell.Partial, as a BinaryMarshaler — so it
+// decodes into one — but its bytes are a frame of version 1, which carried
+// four accumulator columns and no kind byte. oldPart is a SearchPart
+// carrying one.
+type oldFrame struct{}
 
-func (foreignFrame) MarshalBinary() ([]byte, error) {
+type oldPart struct {
+	Groups  []int
+	Partial *oldFrame
+}
+
+func (oldFrame) MarshalBinary() ([]byte, error) {
 	frame, err := spell.Partial{Query: []string{"A", "B"}}.MarshalBinary()
 	if err == nil {
-		frame[4] = 0xff // the version byte
+		frame[4] = 1 // the version byte
 	}
 	return frame, err
 }

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,8 +12,8 @@ import (
 )
 
 // The distributed-enrichment scatter. Enrichment rides the same
-// ownership-group machinery as search — one request per group, p2c replica
-// selection, failover, hedging, scavenge — but with one structural
+// ownership-group machinery as search — batched per-shard requests, p2c
+// replica selection, failover, hedging, scavenge — but with one structural
 // difference: a group names a background *slice* (slice gi of G, where gi
 // is the group's position in the Groups derivation), and slices don't
 // depend on which datasets a shard holds, so any shard with an enricher
@@ -47,19 +49,19 @@ type EnrichResult struct {
 // EnrichCtx scatters one enrichment selection over the fleet's ownership
 // groups (see scatter): group gi is asked for background slice gi of G,
 // served by one of its R replicas with failover/hedging/scavenge exactly
-// like SearchCtx. The slice tallies merge through golem.MergeCounts, so the
-// result is exact, not approximate. Degraded means some slice was
-// unreachable — the analysis is then over the covered background only. A
-// selection none of the *reachable* slices hold returns
-// ErrDegradedUnresolved when the universe is known to contain it,
-// golem.ErrNoSelection when it does not.
+// like SearchCtx, and a shard answers all the slices asked of it in one
+// list. The slice tallies merge through golem.MergeCounts, so the result is
+// exact, not approximate. Degraded means some slice was unreachable — the
+// analysis is then over the covered background only. A selection none of
+// the *reachable* slices hold returns ErrDegradedUnresolved when the
+// universe is known to contain it, golem.ErrNoSelection when it does not.
 func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt golem.Options) (*EnrichResult, Meta, error) {
 	var ecat *golem.TermCatalog
-	sc, err := scatter(ctx, c, selection, scatterOp[golem.PartialCounts]{
+	sc, err := scatter(ctx, c, selection, scatterOp[EnrichAnswer, golem.PartialCounts]{
 		path:  EnrichPath,
 		empty: "golem: empty selection",
-		request: func(genes, shards []string, r int, owners []string) any {
-			return EnrichRequest{Selection: genes, Shards: shards, Replication: r, Owners: owners}
+		request: func(genes, shards []string, r int, groups [][]string) any {
+			return EnrichRequest{Selection: genes, Shards: shards, Replication: r, Groups: groups}
 		},
 		prepare: func(ctx context.Context, shards []string, gen uint64) (err error) {
 			ecat, err = c.enrichCatalogFor(ctx, shards, gen)
@@ -69,16 +71,27 @@ func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt gol
 		// differently-built enricher or a shard that derived a different
 		// partition must fail over, not merge: exactness beats availability
 		// here.
-		check: func(p *golem.PartialCounts, gi, n int, _ ownerGroup) (int, error) {
-			if p.Fingerprint != ecat.Fingerprint {
-				return 0, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
-					p.Fingerprint, ecat.Fingerprint)
+		split: func(a *EnrichAnswer, req []int, cat *GroupTable) ([]part[golem.PartialCounts], error) {
+			if len(a.Slices) != len(req) {
+				return nil, fmt.Errorf("%d slices answer a request for %d", len(a.Slices), len(req))
 			}
-			if p.Slices != n || p.Slice != gi {
-				return 0, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
-					p.Slice, p.Slices, gi, n)
+			parts := make([]part[golem.PartialCounts], len(req))
+			for i, gi := range req {
+				p := new(golem.PartialCounts)
+				if err := gob.NewDecoder(bytes.NewReader(a.Slices[i])).Decode(p); err != nil {
+					return nil, fmt.Errorf("decoding slice %d: %w", gi, err)
+				}
+				if p.Fingerprint != ecat.Fingerprint {
+					return nil, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
+						p.Fingerprint, ecat.Fingerprint)
+				}
+				if n := len(cat.Tuples); p.Slices != n || p.Slice != gi {
+					return nil, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
+						p.Slice, p.Slices, gi, n)
+				}
+				parts[i] = part[golem.PartialCounts]{groups: []int{gi}, payload: p}
 			}
-			return 0, nil
+			return parts, nil
 		},
 	})
 	if err != nil {

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -15,9 +16,9 @@ import (
 	"forestview/internal/spell"
 )
 
-// enrichHandler serves EnrichPath the way the daemon does: re-derive the
-// group list from the request's fleet view, translate Owners into a slice
-// index, and return that slice's partial counts.
+// enrichHandler serves EnrichPath the way the daemon does: look the
+// request's owner tuples up in the topology's group table, translate each
+// into a slice index, and return the slices' partial counts.
 func (s *testShard) enrichHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req EnrichRequest
@@ -28,22 +29,35 @@ func (s *testShard) enrichHandler() http.HandlerFunc {
 		if s.enrichBehave != nil && s.enrichBehave(w, &req) {
 			return
 		}
-		gi, slices := 0, 1
-		if len(req.Owners) > 0 {
-			groups := Groups(s.allIDs, req.Shards, req.Replication)
-			slices = len(groups)
-			if gi = GroupIndex(groups, req.Owners); gi < 0 {
-				http.Error(w, "unknown ownership group", http.StatusUnprocessableEntity)
-				return
+		slices, n := []int{0}, 1 // no groups: the universe as slice 0 of 1
+		if len(req.Groups) > 0 {
+			table := NewGroupTable(s.allIDs, req.Shards, req.Replication)
+			slices, n = slices[:0], len(table.Tuples)
+			for _, owners := range req.Groups {
+				gi, ok := table.Lookup(owners)
+				if !ok {
+					http.Error(w, "unknown ownership group", http.StatusUnprocessableEntity)
+					return
+				}
+				slices = append(slices, gi)
 			}
 		}
-		p, err := s.enr.PartialAnalyzeCtx(r.Context(), req.Selection, gi, slices)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-			return
+		var answer EnrichAnswer
+		for _, gi := range slices {
+			p, err := s.enr.PartialAnalyzeCtx(r.Context(), req.Selection, gi, n)
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+				return
+			}
+			var body bytes.Buffer
+			if err := gob.NewEncoder(&body).Encode(p); err != nil {
+				http.Error(w, err.Error(), http.StatusInternalServerError)
+				return
+			}
+			answer.Slices = append(answer.Slices, body.Bytes())
 		}
 		w.Header().Set("Content-Type", ContentType)
-		_ = gob.NewEncoder(w).Encode(p)
+		_ = gob.NewEncoder(w).Encode(answer)
 	}
 }
 
@@ -240,10 +254,12 @@ func TestEnrichScatterDegraded(t *testing.T) {
 	}
 	lost := len(groups) - 1
 	refuse := func(w http.ResponseWriter, req *EnrichRequest) bool {
-		g := Groups(f.ids, req.Shards, req.Replication)
-		if gi := GroupIndex(g, req.Owners); gi == lost {
-			http.Error(w, "refusing slice for test", http.StatusInternalServerError)
-			return true
+		table := NewGroupTable(f.ids, req.Shards, req.Replication)
+		for _, owners := range req.Groups {
+			if gi, _ := table.Lookup(owners); gi == lost {
+				http.Error(w, "refusing slice for test", http.StatusInternalServerError)
+				return true
+			}
 		}
 		return false
 	}

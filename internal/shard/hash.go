@@ -116,76 +116,68 @@ func OwnedIndexesR(datasetIDs []string, shards []string, self string, r int) []i
 	return owned
 }
 
-// GroupIndexes returns the positions of the datasets whose ordered top-r
-// owner tuple equals owners, under the given shard set. This is the shared
-// vocabulary of the replicated scatter: the coordinator partitions the
-// dataset list into ownership groups (distinct owner tuples) and asks one
-// replica per group; the shard recomputes the same set from the request's
-// (shards, r, owners) and serves exactly those datasets it holds — both
-// sides derive the group from the same pure function, so no dataset can be
-// claimed twice in one merge.
-func GroupIndexes(datasetIDs []string, shards []string, r int, owners []string) []int {
-	var idx []int
+// GroupTable is the ownership-group derivation of one (catalog, shards, r)
+// view: the distinct ordered top-r owner tuples of the dataset list, and the
+// datasets behind each. It is the shared vocabulary of the replicated
+// scatter — the coordinator partitions the dataset list into groups and asks
+// one replica per group, a shard looks the tuples of a request up in the
+// same table and serves the datasets it holds of each — and both sides
+// derive it from the same pure function, so no dataset can be claimed twice
+// in one merge. Deriving it costs one rendezvous ranking per dataset; both
+// sides keep the table of the topology they are serving.
+type GroupTable struct {
+	// Tuples lists the groups in first-seen catalog order. The ordering is
+	// load-bearing: distributed enrichment assigns background slice gi of G
+	// to group gi of the G groups.
+	Tuples [][]string
+	// Members[gi] are the catalog positions of group gi's datasets,
+	// ascending.
+	Members [][]int
+	index   map[string]int
+}
+
+// NewGroupTable derives the table.
+func NewGroupTable(datasetIDs []string, shards []string, r int) *GroupTable {
+	t := &GroupTable{index: make(map[string]int)}
 	for i, id := range datasetIDs {
-		got := Owners(id, shards, r)
-		if len(got) != len(owners) {
-			continue
+		owners := Owners(id, shards, r)
+		key := strings.Join(owners, "\x00")
+		gi, ok := t.index[key]
+		if !ok {
+			gi = len(t.Tuples)
+			t.index[key] = gi
+			t.Tuples, t.Members = append(t.Tuples, owners), append(t.Members, nil)
 		}
-		match := true
-		for k := range got {
-			if got[k] != owners[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			idx = append(idx, i)
-		}
+		t.Members[gi] = append(t.Members[gi], i)
 	}
-	return idx
+	return t
+}
+
+// Lookup finds an owner tuple's position in Tuples; ok is false for a tuple
+// that is not a group of the view.
+func (t *GroupTable) Lookup(owners []string) (gi int, ok bool) {
+	if len(owners) == 0 {
+		return 0, false
+	}
+	gi, ok = t.index[strings.Join(owners, "\x00")]
+	return gi, ok
+}
+
+// GroupIndexes returns the positions of the datasets whose ordered top-r
+// owner tuple equals owners, under the given shard set (nil when no dataset
+// has that tuple): one row of the GroupTable.
+func GroupIndexes(datasetIDs []string, shards []string, r int, owners []string) []int {
+	t := NewGroupTable(datasetIDs, shards, r)
+	if gi, ok := t.Lookup(owners); ok {
+		return t.Members[gi]
+	}
+	return nil
 }
 
 // Groups returns the distinct ordered top-r owner tuples of the dataset
-// list, in first-seen catalog order. This ordering is load-bearing shared
-// vocabulary: the coordinator's scatter and the distributed-enrichment
-// slice assignment both index it — background slice gi of G belongs to
-// group gi of the G groups — so coordinator and shard must derive the
-// identical list from the identical (catalog, shards, r) inputs, which
-// this pure function guarantees.
+// list, in first-seen catalog order: the GroupTable's Tuples.
 func Groups(datasetIDs []string, shards []string, r int) [][]string {
-	var groups [][]string
-	seen := make(map[string]bool)
-	for _, id := range datasetIDs {
-		owners := Owners(id, shards, r)
-		key := strings.Join(owners, "\x00")
-		if !seen[key] {
-			seen[key] = true
-			groups = append(groups, owners)
-		}
-	}
-	return groups
-}
-
-// GroupIndex finds the position of an owner tuple in Groups' derivation,
-// or -1. A shard uses it to translate an EnrichRequest's Owners into the
-// background slice index it must tally.
-func GroupIndex(groups [][]string, owners []string) int {
-	for gi, g := range groups {
-		if len(g) != len(owners) {
-			continue
-		}
-		match := true
-		for k := range g {
-			if g[k] != owners[k] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return gi
-		}
-	}
-	return -1
+	return NewGroupTable(datasetIDs, shards, r).Tuples
 }
 
 // Generation fingerprints a shard set: a stable hash of the sorted

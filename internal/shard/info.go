@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -89,47 +88,18 @@ func firstSuccess[T any](ctx context.Context, shards []string, fetch func(ctx co
 	return zero, errs
 }
 
-// catalogState is the per-generation ownership derivation: the global
-// dataset list (from any shard's boot catalog) partitioned into ownership
-// groups — the distinct ordered top-R owner tuples.
-type catalogState struct {
-	ids    []string
-	groups []ownerGroup
-}
-
-// ownerGroup is one ownership group: the ordered replica tuple and how
-// many datasets it covers.
-type ownerGroup struct {
-	owners []string
-	count  int
-}
-
-func deriveCatalog(ids []string, shards []string, r int) *catalogState {
-	cat := &catalogState{ids: ids}
-	// Groups owns the group ordering — the same derivation shards apply to
-	// an EnrichRequest, so group gi here is background slice gi there.
-	index := make(map[string]int)
-	for _, owners := range Groups(ids, shards, r) {
-		index[strings.Join(owners, "\x00")] = len(cat.groups)
-		cat.groups = append(cat.groups, ownerGroup{owners: owners})
-	}
-	for _, id := range ids {
-		cat.groups[index[strings.Join(Owners(id, shards, r), "\x00")]].count++
-	}
-	return cat
-}
-
 // fetchInfo fetches one shard's InfoPath.
 func (c *Coordinator) fetchInfo(ctx context.Context, shard string) (*Info, error) {
 	return call[Info](ctx, c, shard, http.MethodGet, InfoPath, nil)
 }
 
 // catalogFor returns the ownership groups for the given membership
-// snapshot, fetching the dataset catalog from any one live shard on the
-// first scatter of a generation. With no shard reachable the error wraps
-// ErrAllShardsFailed.
-func (c *Coordinator) catalogFor(ctx context.Context, shards []string, gen uint64) (*catalogState, error) {
-	return c.catalog.get(gen, func() (*catalogState, error) {
+// snapshot — the GroupTable the shards look a request's tuples up in, so
+// group gi here is group (and background slice) gi there — fetching the
+// dataset catalog from any one live shard on the first scatter of a
+// generation. With no shard reachable the error wraps ErrAllShardsFailed.
+func (c *Coordinator) catalogFor(ctx context.Context, shards []string, gen uint64) (*GroupTable, error) {
+	return c.catalog.get(gen, func() (*GroupTable, error) {
 		ids, errs := firstSuccess(ctx, shards, func(ctx context.Context, s string) ([]string, error) {
 			info, err := c.fetchInfo(ctx, s)
 			if err != nil {
@@ -143,7 +113,7 @@ func (c *Coordinator) catalogFor(ctx context.Context, shards []string, gen uint6
 		if errs != nil {
 			return nil, fmt.Errorf("%w (catalog: %v)", ErrAllShardsFailed, errs[0])
 		}
-		return deriveCatalog(ids, shards, c.replicationFor(len(shards))), nil
+		return NewGroupTable(ids, shards, c.replicationFor(len(shards))), nil
 	})
 }
 

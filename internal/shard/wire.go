@@ -1,5 +1,7 @@
 package shard
 
+import "forestview/internal/spell"
+
 // The shard wire protocol: Go-to-Go internal RPC, every body one gob message
 // over HTTP POST. Gob over JSON because the payloads are float-heavy and
 // NaN-bearing — a dataset that measures fewer than two query genes has NaN
@@ -12,17 +14,26 @@ package shard
 // The one large body, the search partial, is not left to gob's reflection:
 // spell.Partial implements encoding.BinaryMarshaler as a columnar
 // little-endian frame (spell/frame.go; layout and length checks in
-// DESIGN.md §4), and gob carries those bytes verbatim as the message. Gob
-// stays the envelope so that nothing here — call, the handlers, the handoff
-// bodies below — has a second code path for it. A frame the decoder rejects
-// (another version, corruption) is a decode error like any other: the
-// attempt fails and the group fails over.
+// DESIGN.md §4), and gob carries those bytes verbatim inside the answer.
+// Gob stays the envelope so that nothing here — call, the handlers, the
+// handoff bodies below — has a second code path for it. A frame the decoder
+// rejects (another version, corruption) is a decode error like any other:
+// the attempt fails and its groups fail over.
+//
+// One request names every ownership group the coordinator wants from that
+// shard at that moment, and one answer serves them all: a search answer is
+// one frame in which the groups' accumulators are already summed (plus a
+// frame apiece for groups the shard holds only in part), an enrichment
+// answer the list of the groups' slice tallies.
 //
 // Paths are versioned: every endpoint lives under /api/shard/v1/. A
 // coordinator only ever speaks one protocol version; a shard from another
 // version 404s these paths, which the scatter's failover treats like any
 // other per-shard failure — mixed-version fleets degrade, they don't get
-// garbled merges.
+// garbled merges. The same holds inside v1 across the change from one group
+// and one bare partial per request to batches: a peer from before it sends a
+// frame version (and lacks an answer envelope) that a peer from after it
+// refuses to decode, and the other way round.
 
 // SearchPath is the shard-role endpoint serving spell partials.
 const SearchPath = "/api/shard/v1/search"
@@ -72,45 +83,77 @@ const (
 
 // SearchRequest asks a shard for its partial of one query. Result-shaping
 // options stay coordinator-side (spell.Merge applies them); the shard only
-// needs the gene list and the ownership group, so identical queries hit
-// the shard's partial cache regardless of which coordinator options rode
-// in.
+// needs the gene list, the ownership groups and which accumulator pair to
+// carry, so identical queries hit the shard's partial cache regardless of
+// which coordinator options rode in.
 type SearchRequest struct {
 	Query []string
 
-	// Shards, Replication and Owners scope the request to one ownership
-	// group of the replicated fleet (DESIGN.md §5): the shard recomputes
-	// GroupIndexes(allDatasetIDs, Shards, Replication, Owners) and serves
-	// only the datasets it holds from that group, so the coordinator can
-	// ask different replicas for different groups without any dataset being
-	// claimed twice in one merge. Empty Owners is the legacy whole-slice
-	// request: the shard serves everything it holds (single-owner fleets
-	// and direct probes).
+	// Shards, Replication and Groups scope the request to ownership groups
+	// of the replicated fleet (DESIGN.md §5): each entry of Groups is one
+	// group's ordered owner tuple, as Groups(allDatasetIDs, Shards,
+	// Replication) derives them, and the shard serves the datasets it holds
+	// of each — so the coordinator can ask different replicas for different
+	// groups without any dataset being claimed twice in one merge. A tuple
+	// that is not a group of the catalog, or named twice, is refused (422).
+	// No Groups is the whole-slice probe: the shard serves everything it
+	// holds (direct probes and warm-up).
 	Shards      []string
 	Replication int
-	Owners      []string
+	Groups      [][]string
+
+	// Uniform asks for the uniform accumulator pair (spell.Partial.Uniform):
+	// set for the UniformWeights ablation and on the second round of a query
+	// whose merged coherences all clamp to zero.
+	Uniform bool
 }
 
-// EnrichRequest asks a shard for one background slice's enrichment tallies.
+// SearchAnswer is a shard's reply to a SearchRequest. In the common case it
+// is one part: the spell.Sum of every requested group, each of which the
+// shard holds completely. A group the shard holds only in part (membership
+// drift) rides as a part of its own, so the coordinator can weigh it against
+// other replicas' answers for that group alone. The whole-slice probe is
+// answered with one part naming no groups.
+type SearchAnswer struct {
+	Parts []SearchPart
+}
+
+// SearchPart is one frame of a SearchAnswer and the groups it covers, as
+// positions in the request's Groups. A part covering several groups covers
+// each of them completely.
+type SearchPart struct {
+	Groups  []int
+	Partial *spell.Partial
+}
+
+// EnrichRequest asks a shard for background slices' enrichment tallies.
 // Analysis options (MinSelected, MaxPValue) stay coordinator-side —
 // golem.MergeCounts applies them to the summed globals — so identical
 // selections hit the shard's partial cache regardless of options.
 //
-// The slice is named indirectly, by ownership group: the shard re-derives
-// Groups(bootCatalog, Shards, Replication), finds Owners in it, and serves
-// background slice gi of G where gi is the group's position and G the group
-// count — the same pure-function contract GroupIndexes gives search.
-// Unlike search the slice does not depend on which datasets the shard
-// holds, so *any* shard with an enricher can serve *any* slice: failover
-// and the scavenge pass work across the whole fleet, and a single
-// ontology-less shard costs coverage only if nobody else is reachable.
-// Empty Owners is the direct probe: the whole universe as slice 0 of 1.
+// The slices are named indirectly, by ownership group: the shard derives
+// Groups(bootCatalog, Shards, Replication), finds each requested tuple in
+// it, and serves background slice gi of G where gi is the group's position
+// and G the group count. Unlike search a slice does not depend on which
+// datasets the shard holds, so *any* shard with an enricher can serve *any*
+// slice: failover and the scavenge pass work across the whole fleet, and a
+// single ontology-less shard costs coverage only if nobody else is
+// reachable. Tuples are validated as for search; no Groups is the direct
+// probe, the whole universe as slice 0 of 1.
 type EnrichRequest struct {
 	Selection []string
 
 	Shards      []string
 	Replication int
-	Owners      []string
+	Groups      [][]string
+}
+
+// EnrichAnswer is a shard's reply to an EnrichRequest: the requested groups'
+// slice tallies in request order, each one gob message holding a
+// golem.PartialCounts — the form the shard caches them in and a drain hands
+// them off in, so a warm answer encodes nothing but this envelope.
+type EnrichAnswer struct {
+	Slices [][]byte
 }
 
 // Info describes a shard's slice of the compendium, served at InfoPath.
@@ -165,10 +208,11 @@ type HandoffRequest struct {
 
 // HandoffEntry is one warm partial: a hot query (or enrichment selection)
 // scoped to one ownership group of the post-drain topology. Body is the
-// encoded partial exactly as the receiver would serve and cache it; a nil
-// Body (or one that fails to decode, or fails the receiver's validation)
-// makes the receiver recompute the partial locally instead — replay
-// warming, correct by construction.
+// encoded partial; the receiver caches it (a search partial decoded) only if
+// it is exactly what the receiver would compute for the group. A nil Body
+// (or one that fails to decode, or fails the receiver's validation) makes
+// the receiver recompute the partial locally instead — replay warming,
+// correct by construction.
 type HandoffEntry struct {
 	// Kind is CapabilitySearch or CapabilityEnrich.
 	Kind string
@@ -177,8 +221,8 @@ type HandoffEntry struct {
 	// Owners is the target group's ordered replica tuple under Shards.
 	Owners []string
 	// Body is one gob message: a *spell.Partial (its binary frame inside
-	// the gob envelope) or a *golem.PartialCounts (plain gob). nil requests
-	// a local recompute.
+	// the gob envelope, the coherence-weighted pair) or a
+	// *golem.PartialCounts (plain gob). nil requests a local recompute.
 	Body []byte
 }
 

@@ -14,15 +14,16 @@ import (
 // it stops going through reflection.
 //
 //	section        encoding                                   length check
-//	magic+version  "SPLP", 0x01                               5 bytes, both equal
-//	counts         nq, nd, ng: u32 each                       1·nq + 25·nd + 34·ng + 32 ≤ bytes left
+//	magic+version  "SPLP", 0x02                               5 bytes, both equal
+//	kind           u8: 0 coherence-weighted, 1 uniform         at most 1
+//	counts         nq, nd, ng: u32 each                       1·nq + 25·nd + 18·ng + 32 ≤ bytes left
 //	query          string column of nq
 //	dataset names  string column of nd
 //	dataset rows   nd × (index i64, coherence f64, present i64)   24·nd ≤ bytes left
 //	gene IDs       string column of ng
 //	gene names     string column of ng
-//	WSum, WCnt,    ng × f64 each (raw bits: NaN payloads, ±0       8·ng ≤ bytes left, four times;
-//	USum, UCnt     and subnormals survive)                         then no byte may be left
+//	Sum, Cnt       ng × f64 each (raw bits: NaN payloads, ±0       8·ng ≤ bytes left, twice;
+//	               and subnormals survive)                         then no byte may be left
 //
 // A string column of n is: table length u32, blob length u32, a table of n
 // uvarint string lengths, and one blob of all the strings' bytes. Both
@@ -30,22 +31,27 @@ import (
 // and they must sum to the blob length.
 //
 // The counts check is what bounds allocation: every string costs at least
-// one table byte, every dataset 25 bytes, every gene 34, so a frame cannot
+// one table byte, every dataset 25 bytes, every gene 18, so a frame cannot
 // make the decoder allocate more than a small multiple of its own size
 // whatever its length fields claim. Decoded strings are substrings of one
 // copy of each blob (gob reuses the buffer a frame is handed in, so the copy
 // is required anyway): four string allocations per frame instead of one per
 // gene, and the reason Merge clones what it returns.
+//
+// Version 1 carried both accumulator pairs as four float columns and no kind
+// byte. A peer that still speaks it fails the version check here, which the
+// scatter treats as a failed attempt; testdata/fuzz keeps its frames as
+// inputs that must be rejected.
 const (
 	frameMagic   = "SPLP"
-	frameVersion = 1
+	frameVersion = 2
 	// frameMinString, frameMinDataset and frameMinGene are the fewest frame
 	// bytes one query string, one dataset and one gene can occupy;
 	// frameColumns is the number of string columns, each with 8 bytes of
 	// length fields.
 	frameMinString  = 1
 	frameMinDataset = 1 + 24
-	frameMinGene    = 2 + 32
+	frameMinGene    = 2 + 16
 	frameColumns    = 4
 )
 
@@ -61,7 +67,7 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 	for i, d := range p.Datasets {
 		dsNames[i] = d.Name
 	}
-	size := uint64(len(frameMagic) + 1 + 3*4 + 24*len(p.Datasets) + 4*8*len(p.IDs))
+	size := uint64(len(frameMagic) + 2 + 3*4 + 24*len(p.Datasets) + 2*8*len(p.IDs))
 	for _, col := range [frameColumns][]string{p.Query, dsNames, p.IDs, p.Names} {
 		// A table under 4 GiB also keeps the row counts within their u32s:
 		// every string takes at least one table byte.
@@ -74,7 +80,10 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 
 	b := make([]byte, 0, size)
 	b = append(b, frameMagic...)
-	b = append(b, frameVersion)
+	b = append(b, frameVersion, 0)
+	if p.Uniform {
+		b[len(b)-1] = 1
+	}
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Query)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.Datasets)))
 	b = binary.LittleEndian.AppendUint32(b, uint32(len(p.IDs)))
@@ -87,7 +96,7 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 	}
 	b = appendColumn(b, p.IDs)
 	b = appendColumn(b, p.Names)
-	for _, col := range [4][]float64{p.WSum, p.WCnt, p.USum, p.UCnt} {
+	for _, col := range [2][]float64{p.Sum, p.Cnt} {
 		for _, v := range col {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
@@ -139,6 +148,10 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 	if v := head[len(frameMagic)]; v != frameVersion {
 		return fmt.Errorf("spell: partial frame version %d, this build reads version %d", v, frameVersion)
 	}
+	kind := r.take(1)
+	if r.err == nil && kind[0] > 1 {
+		r.err = fmt.Errorf("spell: partial frame of unknown accumulator kind %d", kind[0])
+	}
 	nq, nd, ng := uint64(r.u32()), uint64(r.u32()), uint64(r.u32())
 	if r.err == nil && frameMinString*nq+frameMinDataset*nd+frameMinGene*ng+8*frameColumns > uint64(len(r.b)) {
 		r.err = fmt.Errorf("spell: partial frame claims %d query genes, %d datasets and %d genes in %d bytes", nq, nd, ng, len(r.b))
@@ -147,7 +160,7 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 		return r.err
 	}
 
-	var out Partial
+	out := Partial{Uniform: kind[0] == 1}
 	out.Query = r.column(int(nq))
 	dsNames := r.column(int(nd))
 	rows := r.take(24 * nd)
@@ -166,20 +179,20 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 	}
 	out.IDs = r.column(int(ng))
 	out.Names = r.column(int(ng))
-	floats := r.take(4 * 8 * ng)
+	floats := r.take(2 * 8 * ng)
 	if r.err != nil {
 		return r.err
 	}
 	if len(r.b) != 0 {
 		return fmt.Errorf("spell: %d trailing bytes after the partial frame", len(r.b))
 	}
-	// One allocation cut four ways, like the accumulator the columns came from.
-	vals := make([]float64, 4*ng)
+	// One allocation cut two ways.
+	vals := make([]float64, 2*ng)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:]))
 	}
 	n := int(ng)
-	out.WSum, out.WCnt, out.USum, out.UCnt = vals[:n:n], vals[n:2*n:2*n], vals[2*n:3*n:3*n], vals[3*n:]
+	out.Sum, out.Cnt = vals[:n:n], vals[n:]
 	*p = out
 	return nil
 }

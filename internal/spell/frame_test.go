@@ -42,7 +42,7 @@ func partialBits(p *Partial) any {
 	for i, d := range p.Datasets {
 		dss[i] = ds{d.Index, d.Present, d.Name, math.Float64bits(d.Coherence)}
 	}
-	return []any{strs(p.Query), dss, strs(p.IDs), strs(p.Names), bits(p.WSum), bits(p.WCnt), bits(p.USum), bits(p.UCnt)}
+	return []any{strs(p.Query), dss, p.Uniform, strs(p.IDs), strs(p.Names), bits(p.Sum), bits(p.Cnt)}
 }
 
 // awkwardPartial is a hand-built partial holding every value an encoding
@@ -60,20 +60,19 @@ func awkwardPartial() *Partial {
 			{Index: math.MaxInt32, Name: "negative zero", Coherence: math.Copysign(0, -1), Present: 2},
 			{Index: 3, Name: "infinite", Coherence: math.Inf(-1), Present: 2},
 		},
-		IDs:   []string{"YAL001C", "ÿ-gène", "", "遺伝子", string(make([]byte, 200))},
-		Names: []string{"TFC3", "", "naïve", "名前", "long-id"},
-		WSum:  []float64{1.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, payloadNaN},
-		WCnt:  []float64{2, 0, 5e-324, math.MaxFloat64, math.Inf(1)},
-		USum:  []float64{-0.125, 0, -math.SmallestNonzeroFloat64, 1e-310, math.NaN()},
-		UCnt:  []float64{3, 1, 1, 24, 0},
+		Uniform: true,
+		IDs:     []string{"YAL001C", "ÿ-gène", "", "遺伝子", string(make([]byte, 200))},
+		Names:   []string{"TFC3", "", "naïve", "名前", "long-id"},
+		Sum:     []float64{1.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, payloadNaN},
+		Cnt:     []float64{2, 0, 5e-324, math.MaxFloat64, math.Inf(1)},
 	}
 }
 
 // enginePartials computes real partials covering the shapes the engine
 // produces: the whole slice with every gene scoring (columns shared with
-// the engine), a dataset subset in which some genes never score (the
-// compacting path), and the two empty partials — a query the slice does not
-// measure, and an empty subset.
+// the engine), of either accumulator kind, a dataset subset in which some
+// genes never score (the compacting path), and the two empty partials — a
+// query the slice does not measure, and an empty subset.
 func enginePartials(t testing.TB) map[string]*Partial {
 	t.Helper()
 	u := synth.NewUniverse(90, 5, 7)
@@ -93,23 +92,27 @@ func enginePartials(t testing.TB) map[string]*Partial {
 	query := u.ModuleGeneIDs(1)[:3]
 	out := map[string]*Partial{}
 	for name, c := range map[string]struct {
-		e      *Engine
-		query  []string
-		subset []int
+		e       *Engine
+		query   []string
+		subset  []int
+		uniform bool
 	}{
-		"full":      {dense, query, nil},
-		"subset":    {sparse, query, []int{2, 3, 0}},
-		"no-query":  {sparse, []string{"NOPE1", "NOPE2"}, nil},
-		"no-subset": {sparse, query, []int{}},
+		"full":         {dense, query, nil, false},
+		"full-uniform": {dense, query, nil, true},
+		"subset":       {sparse, query, []int{2, 3, 0}, true},
+		"no-query":     {sparse, []string{"NOPE1", "NOPE2"}, nil, false},
+		"no-subset":    {sparse, query, []int{}, false},
 	} {
-		p, err := c.e.PartialSearchSubsetCtx(context.Background(), c.query, c.subset, Options{})
+		p, err := c.e.PartialSearchSubsetCtx(context.Background(), c.query, c.subset, Options{UniformWeights: c.uniform})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out[name] = p
 	}
-	if full := out["full"]; len(full.IDs) != dense.NumGenes() || &full.IDs[0] != &dense.order[0] {
-		t.Fatalf("full partial: %d of %d genes, or columns not shared with the engine", len(full.IDs), dense.NumGenes())
+	for _, name := range []string{"full", "full-uniform"} {
+		if full := out[name]; len(full.IDs) != dense.NumGenes() || !dense.ownsGenes(full) || full.Uniform != (name == "full-uniform") {
+			t.Fatalf("%s partial: %d of %d genes (uniform=%t), or columns not shared with the engine", name, len(full.IDs), dense.NumGenes(), full.Uniform)
+		}
 	}
 	if n := len(out["subset"].IDs); n == 0 || n >= sparse.NumGenes() {
 		t.Fatalf("subset partial scored %d of %d genes: the compacting path is not exercised", n, sparse.NumGenes())
@@ -175,7 +178,7 @@ func TestPartialFrameRoundTrip(t *testing.T) {
 // cannot be framed or merged.
 func TestPartialFrameRaggedColumns(t *testing.T) {
 	p := awkwardPartial()
-	p.UCnt = p.UCnt[:len(p.UCnt)-1]
+	p.Cnt = p.Cnt[:len(p.Cnt)-1]
 	if _, err := p.MarshalBinary(); err == nil {
 		t.Error("ragged partial framed")
 	}
@@ -199,14 +202,14 @@ func frameSections(p *Partial) []int {
 	for i, d := range p.Datasets {
 		names[i] = d.Name
 	}
-	ends := []int{4, 5, 17}
+	ends := []int{4, 5, 6, 18}
 	add := func(n int) { ends = append(ends, ends[len(ends)-1]+n) }
 	add(col(p.Query))
 	add(col(names))
 	add(24 * len(p.Datasets))
 	add(col(p.IDs))
 	add(col(p.Names))
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 2; i++ {
 		add(8 * len(p.IDs))
 	}
 	return ends
@@ -224,8 +227,7 @@ func frameCorpus(t testing.TB) map[string][]byte {
 		},
 		IDs:   []string{"A", "Bb", "Ccc"},
 		Names: []string{"a", "", "c-name"},
-		WSum:  []float64{1, 2, 3}, WCnt: []float64{0.5, 0.5, 0.5},
-		USum: []float64{-1, 0, 1}, UCnt: []float64{1, 2, 2},
+		Sum:   []float64{1, 2, 3}, Cnt: []float64{0.5, 0.5, 0.5},
 	}
 	frame := func(p *Partial) []byte {
 		b, err := p.MarshalBinary()
@@ -258,40 +260,63 @@ func frameCorpus(t testing.TB) map[string][]byte {
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	mutate("bad-magic", 0, 'X')
 	mutate("bad-version", 4, frameVersion+1)
-	mutate("huge-query-count", 5, huge...)
-	mutate("huge-dataset-count", 9, huge...)
-	mutate("huge-gene-count", 13, huge...)
-	mutate("huge-query-table", 17, huge...)
-	mutate("huge-query-blob", 21, huge...)
-	mutate("huge-id-table", ends[5], huge...)
-	mutate("huge-id-blob", ends[5]+4, huge...)
-	mutate("gene-count-short-of-columns", 13, 2, 0, 0, 0)
-	mutate("gene-count-beyond-columns", 13, 4, 0, 0, 0)
-	mutate("id-lengths-exceed-blob", ends[5]+8, 3)    // "A" claims 3 bytes: the lengths sum past the blob
-	mutate("id-lengths-short-of-blob", ends[5]+10, 1) // "Ccc" claims 1 byte: blob bytes left over
-	mutate("id-length-unterminated-varint", ends[5]+10, 0x80)
-	mutate("id-length-two-byte-varint", ends[5]+9, 0x80) // 0x80 0x03: one 384-byte string where two short ones were
+	mutate("bad-kind", 5, 2)
+	mutate("huge-query-count", 6, huge...)
+	mutate("huge-dataset-count", 10, huge...)
+	mutate("huge-gene-count", 14, huge...)
+	mutate("huge-query-table", 18, huge...)
+	mutate("huge-query-blob", 22, huge...)
+	mutate("huge-id-table", ends[6], huge...)
+	mutate("huge-id-blob", ends[6]+4, huge...)
+	mutate("gene-count-short-of-columns", 14, 2, 0, 0, 0)
+	mutate("gene-count-beyond-columns", 14, 4, 0, 0, 0)
+	mutate("id-lengths-exceed-blob", ends[6]+8, 3)    // "A" claims 3 bytes: the lengths sum past the blob
+	mutate("id-lengths-short-of-blob", ends[6]+10, 1) // "Ccc" claims 1 byte: blob bytes left over
+	mutate("id-length-unterminated-varint", ends[6]+10, 0x80)
+	mutate("id-length-two-byte-varint", ends[6]+9, 0x80) // 0x80 0x03: one 384-byte string where two short ones were
+	out["columns-one-float-short"] = valid[:len(valid)-8]
 	out["trailing-byte"] = append(append([]byte(nil), valid...), 0)
 	return out
 }
 
 const frameCorpusDir = "testdata/fuzz/FuzzPartialFrame"
 
+// oldFramePrefix marks the committed seeds of earlier frame versions: every
+// frame the version-1 corpus held, valid ones included. They stay in the
+// corpus as inputs this build must reject (a peer that still speaks the old
+// version is a failed attempt, never a misread partial).
+const oldFramePrefix = "v1-"
+
 var updateFrameCorpus = flag.Bool("update-frame-corpus", false, "rewrite "+frameCorpusDir+" from frameCorpus")
 
+// corpusEntry formats (and parses back) one seed file of a []byte fuzz target.
+func corpusEntry(b []byte) string {
+	return "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+}
+
+func parseCorpusEntry(t testing.TB, body string) []byte {
+	t.Helper()
+	quoted, ok := strings.CutPrefix(body, "go test fuzz v1\n[]byte(")
+	quoted, ok2 := strings.CutSuffix(quoted, ")\n")
+	b, err := strconv.Unquote(quoted)
+	if !ok || !ok2 || err != nil {
+		t.Fatalf("not a []byte corpus entry: %q", body)
+	}
+	return []byte(b)
+}
+
 // TestPartialFrameCorpusCommitted keeps the committed fuzz corpus equal to
-// what frameCorpus builds. The corpus holds valid version-1 frames, so this
-// is also the test that fails when the frame layout changes without a
-// version bump: regenerate with -update-frame-corpus only together with one.
+// what frameCorpus builds. The corpus holds valid frames of the current
+// version, so this is also the test that fails when the frame layout changes
+// without a version bump: bump frameVersion, rename the old seeds under a
+// prefix like oldFramePrefix, and only then regenerate with
+// -update-frame-corpus (which leaves the old versions' seeds alone).
 func TestPartialFrameCorpusCommitted(t *testing.T) {
 	want := map[string]string{}
 	for name, b := range frameCorpus(t) {
-		want[name] = "go test fuzz v1\n[]byte(" + strconv.Quote(string(b)) + ")\n"
+		want[name] = corpusEntry(b)
 	}
 	if *updateFrameCorpus {
-		if err := os.RemoveAll(frameCorpusDir); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.MkdirAll(frameCorpusDir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -305,23 +330,34 @@ func TestPartialFrameCorpusCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := 0
+	seeds, old := 0, 0
 	for _, e := range entries {
+		got, err := os.ReadFile(filepath.Join(frameCorpusDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasPrefix(e.Name(), oldFramePrefix) {
+			old++
+			var p Partial
+			if err := p.UnmarshalBinary(parseCorpusEntry(t, string(got))); err == nil {
+				t.Errorf("%s/%s: a frame of an old version decoded", frameCorpusDir, e.Name())
+			}
+			continue
+		}
 		body, ok := want[e.Name()]
 		if !ok {
 			continue // an input the fuzzer found and someone committed
 		}
 		seeds++
-		got, err := os.ReadFile(filepath.Join(frameCorpusDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
 		if string(got) != body {
-			t.Errorf("%s/%s is not what frameCorpus builds: the frame layout changed (bump frameVersion, then -update-frame-corpus)", frameCorpusDir, e.Name())
+			t.Errorf("%s/%s is not what frameCorpus builds: the frame layout changed (bump frameVersion, keep the old seeds, then -update-frame-corpus)", frameCorpusDir, e.Name())
 		}
 	}
 	if seeds != len(want) {
 		t.Errorf("%d of %d seed frames committed under %s", seeds, len(want), frameCorpusDir)
+	}
+	if old < 3 {
+		t.Errorf("%d version-1 seeds under %s: the must-reject half of the corpus is gone", old, frameCorpusDir)
 	}
 }
 
@@ -341,7 +377,7 @@ func checkFrameDecode(t *testing.T, data []byte) (accepted bool) {
 	if err := p.checkColumns(); err != nil {
 		t.Fatalf("accepted frame decoded ragged: %v", err)
 	}
-	footprint := 16*(len(p.Query)+len(p.IDs)+len(p.Names)) + 32*len(p.IDs) + int(unsafe.Sizeof(PartialDataset{}))*len(p.Datasets)
+	footprint := 16*(len(p.Query)+len(p.IDs)+len(p.Names)) + 16*len(p.IDs) + int(unsafe.Sizeof(PartialDataset{}))*len(p.Datasets)
 	for _, col := range [][]string{p.Query, p.IDs, p.Names} {
 		for _, s := range col {
 			footprint += len(s)

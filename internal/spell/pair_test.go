@@ -226,9 +226,12 @@ func TestSearchBitStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPart, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, Options{Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	var wantPart [2]*Partial // the weighted pair, the uniform pair
+	for k := range wantPart {
+		wantPart[k], err = e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, Options{Parallelism: 1, UniformWeights: k == 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 	for run := 0; run < 20; run++ {
 		opt := Options{IncludeQuery: true, Parallelism: 1 + run%5}
@@ -239,13 +242,16 @@ func TestSearchBitStable(t *testing.T) {
 		if !reflect.DeepEqual(bitsOf(got), bitsOf(want)) {
 			t.Fatalf("run %d (parallelism %d): Search result differs in some bit", run, opt.Parallelism)
 		}
-		part, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cols := func(p *Partial) [][]float64 { return [][]float64{p.WSum, p.WCnt, p.USum, p.UCnt} }
-		if !reflect.DeepEqual(part.IDs, wantPart.IDs) || !reflect.DeepEqual(cols(part), cols(wantPart)) { // accumulators are never NaN
-			t.Fatalf("run %d (parallelism %d): partial accumulators differ in some bit", run, opt.Parallelism)
+		for k, want := range wantPart {
+			opt.UniformWeights = k == 1
+			part, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols := func(p *Partial) [][]float64 { return [][]float64{p.Sum, p.Cnt} }
+			if !reflect.DeepEqual(part.IDs, want.IDs) || !reflect.DeepEqual(cols(part), cols(want)) { // accumulators are never NaN
+				t.Fatalf("run %d (parallelism %d, uniform %t): partial accumulators differ in some bit", run, opt.Parallelism, opt.UniformWeights)
+			}
 		}
 	}
 }

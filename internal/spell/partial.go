@@ -9,14 +9,16 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // This file factors Search into a mergeable pipeline for the sharded
 // compendium (internal/shard): a shard engine holding a slice of the
 // datasets computes a Partial — unnormalized per-dataset coherences plus
-// per-gene correlation accumulators — and the pure Merge renormalizes the
-// dataset weights over the union compendium and reproduces the
-// single-process ranking. The Partial's wire form is in frame.go.
+// per-gene correlation accumulators — the pure Sum adds partials of disjoint
+// dataset sets into one, and the pure Merge renormalizes the dataset weights
+// over the union compendium and reproduces the single-process ranking. The
+// Partial's wire form is in frame.go.
 //
 // Why the accumulators merge exactly: SPELL's dataset weights are
 // w_d = c_d / Σc (c_d the clamped raw coherence), and a gene's final score
@@ -28,43 +30,49 @@ import (
 // the global total does change the math is SPELL's degenerate fallback —
 // when every dataset's coherence clamps to zero, Search reweights uniformly
 // over datasets measuring the query — and a shard cannot know locally
-// whether the *global* total is zero. A Partial therefore carries both
-// accumulator pairs per gene: coherence-weighted (WSum/WCnt) and unweighted
-// (USum/UCnt); Merge picks per the global total (and UCnt also serves the
-// UniformWeights ablation, which is deferred to merge time entirely).
+// whether the *global* total is zero. A Partial carries one accumulator
+// pair, weighted by coherence or uniform (Options.UniformWeights), and Merge
+// answers ErrNeedUniform when it was given the weighted pair and the union
+// turns out to need the other: the caller asks the shards once more. That
+// second round is rare and its first round was nearly free — a query
+// incoherent everywhere gives no dataset any weight, so the weighted scan
+// had nothing to scan.
 
-// Partial is one shard's share of a search: every dataset the shard holds
+// Partial is one shard's share of a search: the datasets it answers for
 // (weighted or not), and the accumulators for every gene that scored
 // against the query there, held as parallel columns — what the dense
 // scoring kernel produces and what the wire frame (MarshalBinary) ships,
-// with no per-gene struct in between. Partials are merged with Merge. The
-// zero shard case (no query gene present anywhere in the slice) is a valid
-// Partial with Present == 0 on every dataset and empty columns.
+// with no per-gene struct in between. Partials are added with Sum and
+// merged with Merge. The zero shard case (no query gene present anywhere in
+// the slice, or no dataset carrying weight) is a valid Partial with empty
+// columns.
 //
-// The columns are read-only: a Partial computed by an engine shares its ID
-// and Name columns with that engine, and one decoded from a frame holds
-// substrings of a few large blobs.
+// A Partial is read-only once built: one computed by an engine shares its
+// ID and Name columns with that engine, one decoded from a frame holds
+// substrings of a few large blobs, a shard caches them and hands one value
+// to many requests, and Sum may return (or alias the columns of) its input.
 type Partial struct {
-	// Query is the canonicalized query the shard ran. Merge refuses to
-	// combine partials of different queries.
+	// Query is the canonicalized query the shard ran. Sum and Merge refuse
+	// to combine partials of different queries.
 	Query []string
-	// Datasets lists every dataset of the shard's slice.
+	// Datasets lists every dataset the partial answers for.
 	Datasets []PartialDataset
 
-	// IDs and Names identify the genes that scored in at least one dataset
-	// of the slice, in the shard engine's stable gene order; the four
-	// accumulator columns below are parallel to them. m_{g,d} is the gene's
-	// mean correlation to the query genes within dataset d; c_d is the
-	// dataset's raw coherence clamped to [0, ∞) with NaN → 0.
+	// Uniform says which accumulator pair Sum and Cnt hold. m_{g,d} is the
+	// gene's mean correlation to the query genes within dataset d; c_d is
+	// the dataset's raw coherence clamped to [0, ∞) with NaN → 0.
+	//
+	//	false  Sum = Σ c_d·m_{g,d}, Cnt = Σ c_d, over the datasets with
+	//	       c_d > 0 where the gene scored — what Search accumulates
+	//	true   Sum = Σ m_{g,d}, Cnt = count, over every dataset measuring
+	//	       the query where the gene scored — the degenerate fallback
+	//	       and the UniformWeights ablation
+	Uniform bool
+	// IDs and Names identify the genes that scored in at least one scanned
+	// dataset, in the shard engine's stable gene order; Sum and Cnt are
+	// parallel to them.
 	IDs, Names []string
-	// WSum = Σ c_d·m_{g,d} and WCnt = Σ c_d over the shard's datasets with
-	// c_d > 0 where the gene scored — the coherence-weighted pair.
-	WSum, WCnt []float64
-	// USum = Σ m_{g,d} and UCnt = count, over every dataset measuring the
-	// query where the gene scored regardless of coherence — the uniform
-	// pair, used by Merge for the degenerate fallback and the
-	// UniformWeights ablation.
-	USum, UCnt []float64
+	Sum, Cnt   []float64
 }
 
 // PartialDataset is one dataset's unnormalized stage-1 result.
@@ -85,51 +93,24 @@ type PartialDataset struct {
 	Present int
 }
 
-// checkColumns reports whether the six gene columns have one length.
+// checkColumns reports whether the four gene columns have one length.
 func (p *Partial) checkColumns() error {
 	n := len(p.IDs)
-	if len(p.Names) != n || len(p.WSum) != n || len(p.WCnt) != n || len(p.USum) != n || len(p.UCnt) != n {
-		return fmt.Errorf("spell: partial gene columns differ in length (%d ids, %d names, %d/%d/%d/%d accumulators)",
-			n, len(p.Names), len(p.WSum), len(p.WCnt), len(p.USum), len(p.UCnt))
+	if len(p.Names) != n || len(p.Sum) != n || len(p.Cnt) != n {
+		return fmt.Errorf("spell: partial gene columns differ in length (%d ids, %d names, %d/%d accumulators)",
+			n, len(p.Names), len(p.Sum), len(p.Cnt))
 	}
 	return nil
-}
-
-// dualAccum is the stage-2 accumulator of PartialSearch: dense vectors like
-// accum, but keeping the coherence-weighted and unweighted pairs side by
-// side so one scoring pass feeds both (the mean-correlation dot products
-// dominate; computing them twice would double the scan).
-// It satisfies scoreAdder with w carrying the dataset's clamped raw
-// coherence: the weighted pair only accumulates when it is positive,
-// mirroring Search's stage-2 skip of zero-weight datasets.
-type dualAccum struct {
-	wsum, wcnt []float64
-	usum, ucnt []float64
-}
-
-func newDualAccum(numGenes int) *dualAccum {
-	// One allocation, cut four ways: the columns leave in a Partial together.
-	buf := make([]float64, 4*numGenes)
-	cut := func(i int) []float64 { return buf[i*numGenes : (i+1)*numGenes : (i+1)*numGenes] }
-	return &dualAccum{wsum: cut(0), wcnt: cut(1), usum: cut(2), ucnt: cut(3)}
-}
-
-func (a *dualAccum) add(gid int32, c, meanCorr float64) {
-	if c > 0 {
-		a.wsum[gid] += c * meanCorr
-		a.wcnt[gid] += c
-	}
-	a.usum[gid] += meanCorr
-	a.ucnt[gid]++
 }
 
 // PartialSearch computes this engine's share of a sharded query. Unlike
 // Search it does not error when no query gene occurs in this engine's
 // datasets — on a shard that is an ordinary outcome, and the resulting
 // empty Partial merges as zero contribution. Options are honored for
-// Parallelism only: result-shaping options (MaxGenes, IncludeQuery,
-// UniformWeights) apply at Merge time, because a shard cannot cap or
-// filter accumulators without breaking the union renormalization.
+// Parallelism and UniformWeights (which accumulator pair the partial
+// carries); MaxGenes and IncludeQuery apply at Merge time, because a shard
+// cannot cap or filter accumulators without breaking the union
+// renormalization.
 func (e *Engine) PartialSearch(query []string, opt Options) (*Partial, error) {
 	return e.PartialSearchCtx(context.Background(), query, opt)
 }
@@ -145,11 +126,13 @@ func (e *Engine) PartialSearchCtx(ctx context.Context, query []string, opt Optio
 // this engine's datasets, given as local dataset indexes (nil means every
 // dataset — plain PartialSearchCtx). The replicated fleet needs this:
 // under top-R ownership a shard holds more datasets than any single
-// request should claim, and the coordinator asks each replica for exactly
-// one ownership group, so two replicas can never both count a dataset
-// into one merge. Entries must be in range and unique; only the subset's
-// datasets are scanned, scored, and listed in the Partial. An empty
-// (non-nil) subset is valid and yields the empty partial.
+// request should claim, and the coordinator asks each replica for whole
+// ownership groups, so two replicas can never both count a dataset into one
+// merge. Entries must be in range and unique; every dataset of the subset
+// is listed in the Partial, and those that carry weight — clamped coherence
+// above zero, or with opt.UniformWeights any that measures the query — are
+// scanned, as in Search. An empty (non-nil) subset is valid and yields the
+// empty partial.
 func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, subset []int, opt Options) (*Partial, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
@@ -180,7 +163,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	if err != nil {
 		return nil, err
 	}
-	p := &Partial{Query: query, Datasets: make([]PartialDataset, len(subset))}
+	p := &Partial{Query: query, Uniform: opt.UniformWeights, Datasets: make([]PartialDataset, len(subset))}
 	for i, di := range subset {
 		p.Datasets[i] = PartialDataset{
 			Index:     di,
@@ -190,33 +173,34 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		}
 	}
 
-	// Stage 2: one scoring pass per dataset measuring the query feeds both
-	// accumulator pairs, at the dataset's clamped raw coherence.
+	// Stage 2, as in Search but at unnormalized weights: the clamped raw
+	// coherence, or 1 for every dataset measuring the query.
 	var todo []int
-	cw := make([]float64, len(e.slabs))
+	weights := make([]float64, len(e.slabs))
 	for _, di := range subset {
-		if len(infos[di].q) == 0 {
-			continue
+		w := infos[di].coherence
+		if opt.UniformWeights {
+			w = float64(min(len(infos[di].q), 1))
 		}
-		todo = append(todo, di)
-		if c := infos[di].coherence; c > 0 { // false for NaN
-			cw[di] = c
+		if w > 0 { // false for NaN
+			weights[di] = w
+			todo = append(todo, di)
 		}
 	}
 	if len(todo) == 0 {
-		return p, nil // no query gene in this slice: zero contribution
+		return p, nil // nothing in this slice carries weight: zero contribution
 	}
-	acc := newDualAccum(len(e.order))
-	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, cw, acc); err != nil {
+	acc := newAccum(len(e.order))
+	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, weights, acc); err != nil {
 		return nil, err
 	}
 	// The columns are the accumulator itself. When every gene scored — the
-	// subset's datasets measure every gene of the engine, the normal case —
+	// scanned datasets measure every gene of the engine, the normal case —
 	// nothing is copied and the ID and Name columns are the engine's own;
 	// otherwise the genes that scored are compacted to the front in place.
 	n := 0
-	for _, c := range acc.ucnt {
-		if c != 0 {
+	for _, w := range acc.weight {
+		if w != 0 {
 			n++
 		}
 	}
@@ -224,17 +208,61 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		p.IDs, p.Names = e.order[:n:n], e.names[:n:n]
 	} else {
 		p.IDs, p.Names = make([]string, 0, n), make([]string, 0, n)
-		for gi, c := range acc.ucnt {
-			if c == 0 {
+		for gi, w := range acc.weight {
+			if w == 0 {
 				continue
 			}
 			k := len(p.IDs)
 			p.IDs, p.Names = append(p.IDs, e.order[gi]), append(p.Names, e.names[gi])
-			acc.wsum[k], acc.wcnt[k], acc.usum[k], acc.ucnt[k] = acc.wsum[gi], acc.wcnt[gi], acc.usum[gi], c
+			acc.score[k], acc.weight[k] = acc.score[gi], w
 		}
 	}
-	p.WSum, p.WCnt, p.USum, p.UCnt = acc.wsum[:n:n], acc.wcnt[:n:n], acc.usum[:n:n], acc.ucnt[:n:n]
+	p.Sum, p.Cnt = acc.score[:n:n], acc.weight[:n:n]
 	return p, nil
+}
+
+// ownsGenes reports whether p's gene columns are this engine's own slices.
+func (e *Engine) ownsGenes(p *Partial) bool {
+	return len(p.IDs) == len(e.order) && len(p.IDs) > 0 && &p.IDs[0] == &e.order[0]
+}
+
+// AdoptGenes makes p share this engine's gene columns when its ID column
+// lists exactly the engine's genes in the engine's order — as a partial
+// does that a peer engine over the same datasets computed and a frame
+// carried here — and reports whether p shares them now. A decoded partial
+// otherwise keeps its frame's ID and name blobs alive for as long as it
+// lives, ≈15 bytes a gene. Call it before p is shared: it writes p.
+func (e *Engine) AdoptGenes(p *Partial) bool {
+	if !e.ownsGenes(p) && slices.Equal(p.IDs, e.order) {
+		p.IDs, p.Names = e.order[:len(e.order):len(e.order)], e.names[:len(e.names):len(e.names)]
+	}
+	return e.ownsGenes(p)
+}
+
+// OwnedBytes returns the memory p keeps alive beyond what this engine holds
+// anyway — what a cache of partials must charge for one: the accumulator
+// columns, the dataset rows and the query with their strings, and, unless
+// the gene columns are the engine's own (a computed partial in which every
+// gene scored, or one AdoptGenes accepted), the gene ID and name strings
+// and their headers.
+func (e *Engine) OwnedBytes(p *Partial) int64 {
+	n := int64(unsafe.Sizeof(*p)) + 8*int64(len(p.Sum)+len(p.Cnt)) +
+		int64(unsafe.Sizeof(""))*int64(len(p.Query)) + int64(unsafe.Sizeof(PartialDataset{}))*int64(len(p.Datasets))
+	for _, q := range p.Query {
+		n += int64(len(q))
+	}
+	for _, d := range p.Datasets {
+		n += int64(len(d.Name))
+	}
+	if !e.ownsGenes(p) {
+		n += int64(unsafe.Sizeof("")) * int64(len(p.IDs)+len(p.Names))
+		for _, col := range [2][]string{p.IDs, p.Names} {
+			for _, s := range col {
+				n += int64(len(s))
+			}
+		}
+	}
+	return n
 }
 
 // ErrNoQueryGenes reports that no dataset of the merged partials measured
@@ -242,6 +270,163 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 // degraded scatter) should treat it as inconclusive — the missing shards
 // may hold the genes — rather than as proof the genes don't exist.
 var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the compendium")
+
+// ErrNeedUniform reports that Merge was given coherence-weighted partials
+// but the result takes the uniform accumulator pair: Options.UniformWeights
+// is set, or every dataset's coherence clamps to zero (SPELL's degenerate
+// fallback, knowable only over the union). The caller computes the partials
+// again with Options.UniformWeights and merges those.
+var ErrNeedUniform = errors.New("spell: the merge needs uniform-weight partials")
+
+// checkParts is the precondition Sum and Merge share: at least one partial,
+// one canonical query, one accumulator kind, consistent columns. It returns
+// the parts in the order both add them up in — ascending lowest global
+// dataset index — so that a sum depends on which datasets each part covers
+// and never on the order the parts arrived in.
+func checkParts(parts []*Partial) ([]*Partial, error) {
+	if len(parts) == 0 {
+		return nil, errors.New("spell: no partials to merge")
+	}
+	first := parts[0]
+	if len(first.Query) == 0 {
+		return nil, errors.New("spell: empty query")
+	}
+	if !slices.IsSorted(first.Query) {
+		return nil, fmt.Errorf("spell: partial query %v is not canonical", first.Query)
+	}
+	for _, p := range parts {
+		if !slices.Equal(first.Query, p.Query) {
+			return nil, fmt.Errorf("spell: partials ran different queries (%v vs %v)", first.Query, p.Query)
+		}
+		if p.Uniform != first.Uniform {
+			return nil, errors.New("spell: partials mix coherence-weighted and uniform accumulators")
+		}
+		if err := p.checkColumns(); err != nil {
+			return nil, err
+		}
+	}
+	lowest := func(p *Partial) int {
+		lo := math.MaxInt
+		for _, d := range p.Datasets {
+			lo = min(lo, d.Index)
+		}
+		return lo
+	}
+	ordered := slices.Clone(parts)
+	slices.SortStableFunc(ordered, func(a, b *Partial) int { return cmp.Compare(lowest(a), lowest(b)) })
+	return ordered, nil
+}
+
+// geneSums is the union of several partials' gene accumulators. While every
+// part lists the same genes in the same order — shards of one compendium
+// mostly do, and the group partials of one engine share the engine's own
+// columns — adding a part is two dense loops over columns that alias the
+// first part's ID and Name columns. The first part that differs moves the
+// union into a slot table: every distinct gene ID gets a dense slot in
+// first-seen order (only tie order among bitwise-equal scores could observe
+// it), the part maps its rows to slots once, and a part whose ID column
+// equals its predecessor's reuses that row→slot vector.
+type geneSums struct {
+	ids, names []string
+	sum, cnt   []float64
+
+	slot    map[string]int32 // nil until a part lists other genes than the first
+	prevIDs []string
+	buf     []int32 // the row→slot vector of the part last mapped
+	rows    []int32 // buf, or nil when that vector is the identity
+}
+
+// sameColumn reports whether two ID columns list the same genes in the same
+// order; columns shared with one engine are the same memory.
+func sameColumn(a, b []string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
+}
+
+// add accumulates one part; p is only read.
+func (u *geneSums) add(p *Partial) {
+	if len(p.IDs) == 0 {
+		return // nothing scored there
+	}
+	if u.ids == nil {
+		// Clipped, so that growing the union copies instead of writing
+		// behind the part's columns.
+		u.ids, u.names = slices.Clip(p.IDs), slices.Clip(p.Names)
+		u.sum, u.cnt = slices.Clone(p.Sum), slices.Clone(p.Cnt)
+		u.prevIDs = p.IDs
+		return
+	}
+	if !sameColumn(p.IDs, u.prevIDs) {
+		if u.slot == nil {
+			u.slot = make(map[string]int32, len(u.ids))
+			for i, id := range u.ids {
+				u.slot[id] = int32(i)
+			}
+		}
+		u.prevIDs, u.buf = p.IDs, slices.Grow(u.buf[:0], len(p.IDs))
+		identity := true
+		for i, id := range p.IDs {
+			s, ok := u.slot[id]
+			if !ok {
+				s = int32(len(u.ids))
+				u.slot[id] = s
+				u.ids, u.names = append(u.ids, id), append(u.names, p.Names[i])
+				u.sum, u.cnt = append(u.sum, 0), append(u.cnt, 0)
+			}
+			u.buf = append(u.buf, s)
+			identity = identity && int(s) == i
+		}
+		if u.rows = u.buf; identity {
+			u.rows = nil
+		}
+	}
+	addRows(u.sum, p.Sum, u.rows)
+	addRows(u.cnt, p.Cnt, u.rows)
+}
+
+// addRows adds the column src into the accumulator dst: row i into slot
+// rows[i], or — rows == nil, the identity — into slot i.
+func addRows(dst, src []float64, rows []int32) {
+	if rows == nil {
+		dst = dst[:len(src)]
+		for i, v := range src {
+			dst[i] += v
+		}
+		return
+	}
+	for i, s := range rows {
+		dst[s] += src[i]
+	}
+}
+
+// Sum adds partials of one query over disjoint dataset sets into the
+// partial a single scan of the union would have produced, up to float
+// accumulation order: the dataset lists concatenated and the accumulators
+// added, part by part in ascending order of lowest global dataset index. A
+// shard answers a request for several ownership groups with the Sum of its
+// cached per-group partials. Sum is pure and never writes to its inputs;
+// the result is read-only like them, and the Sum of one partial is that
+// partial. Whether the dataset sets really are disjoint is for Merge to
+// check, which sees every part of an answer.
+func Sum(parts []*Partial) (*Partial, error) {
+	ordered, err := checkParts(parts)
+	if err != nil {
+		return nil, err
+	}
+	if len(ordered) == 1 {
+		return ordered[0], nil
+	}
+	out := &Partial{Query: ordered[0].Query, Uniform: ordered[0].Uniform}
+	var u geneSums
+	for _, p := range ordered {
+		out.Datasets = append(out.Datasets, p.Datasets...)
+		u.add(p)
+	}
+	out.IDs, out.Names, out.Sum, out.Cnt = u.ids, u.names, u.sum, u.cnt
+	return out, nil
+}
 
 // Merge combines per-shard partials into the full search result,
 // renormalizing dataset weights over the union compendium. It is pure —
@@ -253,14 +438,16 @@ var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the co
 // tests, for any split of the compendium): dataset weights sum the clamped
 // coherences in global-index order, the degenerate all-zero-coherence
 // fallback reweights uniformly over datasets measuring the query, and gene
-// scores divide the merged weighted sums. The one intended deviation is
-// tie order among genes with exactly equal float scores: Search ties by
-// compendium first-seen order, which is unrecoverable from partials, so
-// Merge ties by gene ID.
+// scores divide the merged sums, added up in the order Sum uses. The one
+// intended deviation is tie order among genes with exactly equal float
+// scores: Search ties by compendium first-seen order, which is
+// unrecoverable from partials, so Merge ties by gene ID.
 //
-// Every partial must carry the same canonical query, and dataset names
-// must be unique across partials — a duplicate means two shards both
-// claimed a dataset, which would double-count its coherence and scores.
+// Every partial must carry the same canonical query and the same
+// accumulator pair, and dataset names must be unique across partials — a
+// duplicate means two shards both claimed a dataset, which would
+// double-count its coherence and scores. Weighted partials whose union
+// needs the uniform pair are ErrNeedUniform.
 //
 // The result shares no memory with the partials: every string it returns
 // is cloned. A decoded partial's strings are substrings of its frame's
@@ -268,27 +455,21 @@ var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the co
 // top-20 that aliased its inputs would pin ≈100 KB of gene-ID blob per
 // entry (measured on fleet-scatter: mem_live_mb +15%).
 func Merge(parts []Partial, opt Options) (*Result, error) {
-	if len(parts) == 0 {
-		return nil, errors.New("spell: no partials to merge")
-	}
-	query := parts[0].Query
+	ptrs := make([]*Partial, len(parts))
 	for i := range parts {
-		if !slices.Equal(query, parts[i].Query) {
-			return nil, fmt.Errorf("spell: partials ran different queries (%v vs %v)", query, parts[i].Query)
-		}
-		if err := parts[i].checkColumns(); err != nil {
-			return nil, err
-		}
+		ptrs[i] = &parts[i]
 	}
-	if len(query) == 0 {
-		return nil, errors.New("spell: empty query")
+	ordered, err := checkParts(ptrs)
+	if err != nil {
+		return nil, err
 	}
+	query := ordered[0].Query
 
 	// Union dataset list in global-index order; weight normalization must
 	// sum in that order to match Search's total bitwise.
 	var dss []PartialDataset
 	seenDS := make(map[string]bool)
-	for _, p := range parts {
+	for _, p := range ordered {
 		for _, d := range p.Datasets {
 			if seenDS[d.Name] {
 				return nil, fmt.Errorf("spell: dataset %q claimed by more than one shard", d.Name)
@@ -344,52 +525,21 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		}
 		total = float64(n)
 	}
+	if uniform != ordered[0].Uniform {
+		if uniform {
+			return nil, ErrNeedUniform
+		}
+		return nil, errors.New("spell: uniform-weight partials, but the merged coherences call for the weighted pair")
+	}
 	for i := range weights {
 		weights[i] /= total
 	}
 
-	// Union gene accumulators in a slot table: every distinct gene ID gets a
-	// dense slot in first-partial-first-seen order (only tie order among
-	// bitwise-equal scores could observe it), a part maps its rows to slots
-	// once, and accumulation is four dense loops. Shards of one compendium
-	// mostly score the same genes in the same order, so a part whose ID
-	// column equals the previous part's reuses that part's row→slot vector
-	// and never touches the map.
-	n0 := len(parts[0].IDs)
-	slot := make(map[string]int32, n0)
-	ids, names := make([]string, 0, n0), make([]string, 0, n0)
-	wsum, wcnt := make([]float64, 0, n0), make([]float64, 0, n0)
-	usum, ucnt := make([]float64, 0, n0), make([]float64, 0, n0)
-	var (
-		prevIDs []string
-		buf     []int32 // the row→slot vector of the part last mapped
-		rows    []int32 // buf, or nil when that vector is the identity
-	)
-	for pi := range parts {
-		p := &parts[pi]
-		if !slices.Equal(p.IDs, prevIDs) {
-			prevIDs, buf = p.IDs, slices.Grow(buf[:0], len(p.IDs))
-			identity := true
-			for i, id := range p.IDs {
-				s, ok := slot[id]
-				if !ok {
-					s = int32(len(ids))
-					slot[id] = s
-					ids, names = append(ids, id), append(names, p.Names[i])
-					wsum, wcnt, usum, ucnt = append(wsum, 0), append(wcnt, 0), append(usum, 0), append(ucnt, 0)
-				}
-				buf = append(buf, s)
-				identity = identity && int(s) == i
-			}
-			if rows = buf; identity {
-				rows = nil
-			}
-		}
-		addRows(wsum, p.WSum, rows)
-		addRows(wcnt, p.WCnt, rows)
-		addRows(usum, p.USum, rows)
-		addRows(ucnt, p.UCnt, rows)
+	var u geneSums
+	for _, p := range ordered {
+		u.add(p)
 	}
+	ids, names, sum, cnt := u.ids, u.names, u.sum, u.cnt
 
 	res := &Result{Query: make([]string, len(query)), Datasets: make([]DatasetRank, len(dss))}
 	for i, q := range query {
@@ -414,19 +564,12 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	})
 
 	// As in SearchCtx: rank compact slot indexes and materialize only the
-	// entries that survive the MaxGenes cut.
-	sum, cnt := wsum, wcnt
-	if uniform {
-		sum, cnt = usum, ucnt
-	}
+	// entries that survive the MaxGenes cut. The query is sorted, so finding
+	// its genes among the slots needs no map.
 	qmask := make([]bool, len(ids))
-	for _, q := range query {
-		if s, ok := slot[q]; ok {
-			qmask[s] = true
-		}
-	}
 	order := make([]int32, 0, len(ids))
-	for s := range ids {
+	for s, id := range ids {
+		_, qmask[s] = slices.BinarySearch(query, id)
 		if qmask[s] && !opt.IncludeQuery {
 			continue
 		}
@@ -452,19 +595,4 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// addRows adds the column src into the accumulator dst: row i into slot
-// rows[i], or — rows == nil, the identity — into slot i.
-func addRows(dst, src []float64, rows []int32) {
-	if rows == nil {
-		dst = dst[:len(src)]
-		for i, v := range src {
-			dst[i] += v
-		}
-		return
-	}
-	for i, s := range rows {
-		dst[s] += src[i]
-	}
 }

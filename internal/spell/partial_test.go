@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -51,6 +52,30 @@ func shardSplit(t testing.TB, dss []*microarray.Dataset, nShards int, query []st
 		parts = append(parts, *p)
 	}
 	return parts
+}
+
+// mergeRounds merges the way the coordinator does: the parts carry the pair
+// opt asks for, and if Merge then finds it needs the uniform pair after all
+// (ErrNeedUniform: every coherence clamped to zero) the parts are computed
+// once more, uniform, and merged again. split computes the parts for a
+// partial-search option set; rounds reports how many merges it took.
+func mergeRounds(t testing.TB, split func(Options) []Partial, opt Options) (res *Result, rounds int) {
+	t.Helper()
+	res, err := Merge(split(Options{UniformWeights: opt.UniformWeights}), opt)
+	if !errors.Is(err, ErrNeedUniform) {
+		if err != nil {
+			t.Fatalf("merge %+v: %v", opt, err)
+		}
+		return res, 1
+	}
+	if opt.UniformWeights {
+		t.Fatalf("merge %+v: uniform partials answered ErrNeedUniform", opt)
+	}
+	res, err = Merge(split(Options{UniformWeights: true}), opt)
+	if err != nil {
+		t.Fatalf("merge %+v, uniform round: %v", opt, err)
+	}
+	return res, 2
 }
 
 // disjointDataset is a dataset over gene IDs that occur nowhere else in the
@@ -136,9 +161,9 @@ func TestMergeMatchesSearch(t *testing.T) {
 
 // TestMergeDegenerateFallback: when no dataset holds two query genes,
 // every coherence is NaN, and Search falls back to uniform weights over
-// datasets measuring the query. Merge must reproduce that from the
-// unweighted accumulator pair — the global total being zero is knowable
-// only at merge time.
+// datasets measuring the query. The global total being zero is knowable
+// only at merge time: Merge answers weighted partials with ErrNeedUniform,
+// and reproduces Search from the uniform pair of the second round.
 func TestMergeDegenerateFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nExp = 10
@@ -170,10 +195,20 @@ func TestMergeDegenerateFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nShards := range []int{1, 2, 3} {
-		parts := shardSplit(t, dss, nShards, query, Options{IncludeQuery: true})
-		got, err := Merge(parts, Options{IncludeQuery: true})
-		if err != nil {
-			t.Fatalf("%d shards: %v", nShards, err)
+		got, rounds := mergeRounds(t, func(o Options) []Partial {
+			parts := shardSplit(t, dss, nShards, query, o)
+			if !o.UniformWeights {
+				// The weighted round of an incoherent query scans nothing.
+				for _, p := range parts {
+					if len(p.IDs) != 0 {
+						t.Fatalf("%d shards: a weighted partial of an incoherent query scored %d genes", nShards, len(p.IDs))
+					}
+				}
+			}
+			return parts
+		}, Options{IncludeQuery: true})
+		if rounds != 2 {
+			t.Fatalf("%d shards: merged in %d round(s), want the uniform second round", nShards, rounds)
 		}
 		assertResultsMatch(t, got, want, 1e-12)
 	}
@@ -295,8 +330,8 @@ func TestPartialSearchCtxCanceled(t *testing.T) {
 }
 
 // TestPartialConcurrentHammer drives concurrent PartialSearch + Merge
-// against shared engines; under -race it proves the dual-accumulator
-// stage shares nothing mutable, and results must stay deterministic.
+// against shared engines; under -race it proves the accumulator stage
+// shares nothing mutable, and results must stay deterministic.
 func TestPartialConcurrentHammer(t *testing.T) {
 	u := synth.NewUniverse(150, 6, 61)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -543,13 +578,16 @@ func TestMergeMixedGeneColumns(t *testing.T) {
 			}
 			// One part per dataset from the full engine: subsets of one gene
 			// order, each compacted differently...
-			var perDataset []Partial
-			for di := range tc.dss {
-				p, err := full.PartialSearchSubsetCtx(context.Background(), query, []int{di}, Options{})
-				if err != nil {
-					t.Fatal(err)
+			perDataset := func(o Options) []Partial {
+				var parts []Partial
+				for di := range tc.dss {
+					p, err := full.PartialSearchSubsetCtx(context.Background(), query, []int{di}, o)
+					if err != nil {
+						t.Fatal(err)
+					}
+					parts = append(parts, *p)
 				}
-				perDataset = append(perDataset, *p)
+				return parts
 			}
 			for _, opt := range tc.opts {
 				want, err := full.Search(query, opt)
@@ -563,38 +601,37 @@ func TestMergeMixedGeneColumns(t *testing.T) {
 						}
 					}
 				}
-				splits := map[string][]Partial{"per-dataset": perDataset}
+				splits := map[string]func(Options) []Partial{"per-dataset": perDataset}
 				// ...and per-shard engines, whose first-seen gene orders differ.
 				for _, n := range []int{2, 4} {
-					splits[fmt.Sprintf("%d-shards", n)] = shardSplit(t, tc.dss, n, query, opt)
+					splits[fmt.Sprintf("%d-shards", n)] = func(o Options) []Partial { return shardSplit(t, tc.dss, n, query, o) }
 				}
-				for name, parts := range splits {
+				for name, split := range splits {
+					var last []Partial // the parts of the round that merged
+					got, rounds := mergeRounds(t, func(o Options) []Partial { last = split(o); return last }, opt)
+					if want := map[string]int{"coherent": 1, "degenerate": 2}[tc.name]; rounds != want {
+						t.Fatalf("%s %+v: merged in %d round(s), want %d", name, opt, rounds, want)
+					}
+					assertResultsMatch(t, got, want, 1e-12)
 					mapped := 0
-					for i := 1; i < len(parts); i++ {
-						if !slices.Equal(parts[i].IDs, parts[i-1].IDs) {
+					for i := 1; i < len(last); i++ {
+						if !slices.Equal(last[i].IDs, last[i-1].IDs) {
 							mapped++
 						}
 					}
 					if mapped == 0 {
 						t.Fatalf("%s: every part repeats its predecessor's gene column; the general path is untested", name)
 					}
-					got, err := Merge(parts, opt)
-					if err != nil {
-						t.Fatalf("%s %+v: %v", name, opt, err)
-					}
-					assertResultsMatch(t, got, want, 1e-12)
 
 					// The same parts doubled up — every second one repeats its
 					// predecessor's column, half its accumulators each — take the
 					// slot-reuse shortcut between the mapped parts and must agree.
 					var halves []Partial
-					for _, p := range parts {
+					for _, p := range last {
 						a, b := p, p
 						a.Datasets, b.Datasets = p.Datasets[:len(p.Datasets)/2], p.Datasets[len(p.Datasets)/2:]
-						a.WSum, b.WSum = splitColumn(p.WSum)
-						a.WCnt, b.WCnt = splitColumn(p.WCnt)
-						a.USum, b.USum = splitColumn(p.USum)
-						a.UCnt, b.UCnt = splitColumn(p.UCnt)
+						a.Sum, b.Sum = splitColumn(p.Sum)
+						a.Cnt, b.Cnt = splitColumn(p.Cnt)
 						halves = append(halves, a, b)
 					}
 					again, err := Merge(halves, opt)
@@ -708,7 +745,7 @@ func TestMergeResultOwnsItsMemory(t *testing.T) {
 				col[i] = "scribbled"
 			}
 		}
-		for _, col := range [][]float64{p.WSum, p.WCnt, p.USum, p.UCnt} {
+		for _, col := range [][]float64{p.Sum, p.Cnt} {
 			for i := range col {
 				col[i] = -1
 			}

@@ -437,14 +437,6 @@ func coherence(q []rowView) float64 {
 	return s / float64(n)
 }
 
-// scoreAdder is the accumulator contract of the stage-2 scan: the
-// single-process kernel's dense *accum and the shard path's *dualAccum
-// (partial.go) both satisfy it, and the generic instantiation keeps each
-// call monomorphized — no interface dispatch on the per-gene hot path.
-type scoreAdder interface {
-	add(gid int32, w, meanCorr float64)
-}
-
 // scan runs stage 2 over the datasets in todo: every gene's mean
 // correlation to the query rows of each dataset, accumulated into acc at
 // weights[di]. The par workers each own a contiguous range of the global
@@ -453,7 +445,7 @@ type scoreAdder interface {
 // merge, and sums that do not depend on scheduling or on par. Workers stop
 // at the next dataset once ctx is done; scan then returns the context error
 // and acc must not be trusted.
-func scan[A scoreAdder](ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, weights []float64, acc A) error {
+func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, weights []float64, acc *accum) error {
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		lo, hi := w*len(e.order)/par, (w+1)*len(e.order)/par
@@ -479,7 +471,7 @@ func scan[A scoreAdder](ctx context.Context, e *Engine, par int, todo []int, inf
 // query rows while it is in cache. Walking the gene index (not the rows)
 // means a gene ID a hand-built dataset carries twice scores once, by the
 // row the index points at — the last, as in the reference scorer.
-func scoreRange[A scoreAdder](sl *slab, q []rowView, w float64, lo, hi int, acc A) {
+func scoreRange(sl *slab, q []rowView, w float64, lo, hi int, acc *accum) {
 	for gi := lo; gi < hi; gi++ {
 		r := sl.rowOf[gi]
 		if r < 0 {
