@@ -57,14 +57,11 @@ func TestSearchClientCancel(t *testing.T) {
 // cachedKeys lists every key resident in the cache.
 func cachedKeys(c *Cache) []string {
 	var keys []string
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
+	c.each(func(sh *cacheShard) {
 		for k := range sh.items {
 			keys = append(keys, k)
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return keys
 }
 

@@ -271,7 +271,10 @@ func TestStatsServerSection(t *testing.T) {
 	if err := json.Unmarshal(raw["server"], &sec); err != nil {
 		t.Fatalf("server section: %v", err)
 	}
-	for _, k := range []string{"uptime_seconds", "role", "go_version"} {
+	if snap.Server.SpellKernel != spell.KernelName() {
+		t.Fatalf("spell_kernel = %q, want %q", snap.Server.SpellKernel, spell.KernelName())
+	}
+	for _, k := range []string{"uptime_seconds", "role", "go_version", "spell_kernel"} {
 		if _, ok := sec[k]; !ok {
 			t.Fatalf("server section missing %q: %s", k, raw["server"])
 		}

@@ -316,6 +316,7 @@ func New(cfg Config) (*Server, error) {
 			st.shards, st.gen = fleet.Snapshot()
 		}
 		s.shardSt.Store(st)
+		s.cache.Confine("partial", partialCacheNth)
 		s.mux.HandleFunc(shard.SearchPath, s.instrument(&s.statShard, s.handleShardSearch))
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
@@ -646,6 +647,7 @@ func (s *Server) Stats() StatsSnapshot {
 			UptimeSeconds: time.Since(s.start).Seconds(),
 			Role:          s.Role(),
 			GoVersion:     runtime.Version(),
+			SpellKernel:   spell.KernelName(),
 		},
 		Compendium: CompendiumInfo{
 			Datasets:  nDatasets,
@@ -656,7 +658,7 @@ func (s *Server) Stats() StatsSnapshot {
 		Cache: CacheInfo{
 			Entries:  s.cache.Len(),
 			Bytes:    s.cache.Bytes(),
-			MaxBytes: s.cacheMaxBytes(),
+			MaxBytes: s.cache.MaxBytes(),
 			Prefixes: prefixes,
 		},
 		Endpoints: map[string]EndpointSnapshot{
@@ -722,14 +724,6 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	snap.EncodeFailures = s.encodeFailures.Load()
 	return snap
-}
-
-func (s *Server) cacheMaxBytes() int64 {
-	var b int64
-	for i := range s.cache.shards {
-		b += s.cache.shards[i].maxBytes
-	}
-	return b
 }
 
 // lookupDataset resolves a `dataset` query parameter to a pane index: a

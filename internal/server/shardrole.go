@@ -213,6 +213,17 @@ func searchPartialKey(v *groupView, owners []string, uniform bool, ids []string)
 // entry overhead.
 func (st *shardState) partialCost(p *spell.Partial) int64 { return st.engine.OwnedBytes(p) + 64 }
 
+// partialCacheNth confines a shard's search partials to one nth of its cache
+// budget, in an LRU of their own (Cache.Confine). A group partial at paper
+// scale is 96 KB that 0.3 ms recomputes — a hundredth, per byte, of what any
+// other cached value is worth — and what it is kept for (a hedge, a re-ask,
+// the same query from a second coordinator) comes within moments. Sharing
+// the LRU, a stream of distinct queries filled every shard's whole budget
+// with them: four shards' 64 MiB of live heap, twice that in collector
+// headroom, grown in the first ≈600 searches a fleet served, a fifth of
+// both cores going to page faults meanwhile.
+const partialCacheNth = 8
+
 // groupPartial computes (or serves cached) the search partial of one
 // dataset subset of this shard — an ownership group's holdings, or with a
 // nil subset everything held — with dataset indexes already global. The

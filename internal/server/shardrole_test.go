@@ -380,6 +380,50 @@ func TestShardEndpointCachesPartials(t *testing.T) {
 	}
 }
 
+// TestShardConfinesPartials: a stream of distinct queries fills only the
+// partials' own share of a shard's cache budget (partialCacheNth), the
+// budget /api/stats reports is still the configured one, and what was asked
+// a moment ago is still a hit.
+func TestShardConfinesPartials(t *testing.T) {
+	s, u := fixtureShard(t)
+	post := func(genes ...string) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(shard.SearchRequest{Query: genes}); err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shard.SearchPath, &buf))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shard search %v = %d: %s", genes, rec.Code, rec.Body.String())
+		}
+		return rec.Header().Get(cacheHeader)
+	}
+	const queries = 240
+	for i := 0; i < queries; i++ {
+		if disp := post(u.Genes[i].ID, u.Genes[i+1].ID); disp != dispMiss {
+			t.Fatalf("distinct query %d: %s = %q", i, cacheHeader, disp)
+		}
+	}
+	if disp := post(u.Genes[queries-1].ID, u.Genes[queries].ID); disp != dispHit {
+		t.Fatalf("the query before last: %s = %q, want a hit", cacheHeader, disp)
+	}
+	var snap StatsSnapshot
+	if err := json.Unmarshal(get(t, s, "/api/stats").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if snap.Cache.MaxBytes != 4<<20 {
+		t.Fatalf("cache budget reads %d, want the configured %d", snap.Cache.MaxBytes, 4<<20)
+	}
+	pfx := snap.Cache.Prefixes["partial"]
+	if share := snap.Cache.MaxBytes / partialCacheNth; pfx.Bytes > share || pfx.Bytes < share/2 {
+		t.Fatalf("%d partials hold %d bytes after %d distinct queries; their share is %d", pfx.Entries, pfx.Bytes, queries, share)
+	}
+	if pfx.Entries >= queries {
+		t.Fatalf("all %d partials still cached: the fixture does not fill the share", pfx.Entries)
+	}
+}
+
 // TestShardEndpointErrors pins the shard protocol's error contract.
 func TestShardEndpointErrors(t *testing.T) {
 	s, _ := fixtureShard(t)

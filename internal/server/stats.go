@@ -163,6 +163,10 @@ type ServerInfo struct {
 	Role string `json:"role"`
 	// GoVersion is runtime.Version() of the serving binary.
 	GoVersion string `json:"go_version"`
+	// SpellKernel is spell.KernelName(): the dot routine this replica scores
+	// with. Replicas on different routines differ in speed and in the last
+	// bits of a score.
+	SpellKernel string `json:"spell_kernel"`
 }
 
 // StatsSnapshot is the /api/stats response body.

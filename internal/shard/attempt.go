@@ -252,8 +252,11 @@ type groupWalk[P any] struct {
 // its next untried replica, or onto the primary itself when none remain
 // (the single-owner tail-latency hedge). Whichever complete answer arrives
 // first settles a group; a summed part that covers a group already settled
-// cannot be taken apart and is dropped whole — its other groups still have
-// their hedge in flight. If every replica's breaker refused admission, the
+// cannot be taken apart and is dropped whole, and the shard that sent it is
+// asked again, as a plain attempt, for the groups of it still unsettled
+// (each re-ask names strictly fewer groups, so this ends) — their hedges
+// may have been batched onto a shard that never answers, and waiting for
+// those would take the deadline. If every replica's breaker refused admission, the
 // primary is probed anyway — the availability floor. If every replica
 // failed outright, Retry grants the primary one extra attempt after a
 // jittered backoff, forced through its breaker as a probe: there is nowhere
@@ -448,6 +451,7 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		select {
 		case ev := <-events:
 			pending--
+			var reasked []int // groups of ev asked for again on ev.shard
 			switch {
 			case ev.then != nil:
 				walks[ev.groups[0]].waiting = false
@@ -474,8 +478,18 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				}
 				for _, p := range ev.parts {
 					// First come: a part is taken only for groups still
-					// unsettled, and a summed part only whole.
+					// unsettled, and a summed part only whole. One that
+					// overlaps a settled group is dropped, and the shard
+					// asked again, at once, for just the groups of it still
+					// unsettled: it has them cached, and their other
+					// attempts may sit on a shard that never answers.
 					if slices.ContainsFunc(p.groups, func(gi int) bool { return walks[gi].complete() }) {
+						for _, gi := range p.groups {
+							if !walks[gi].complete() {
+								reasked = append(reasked, gi)
+								enqueue(gi, ev.shard, false, false)
+							}
+						}
 						continue
 					}
 					for _, gi := range p.groups {
@@ -490,9 +504,12 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				}
 			}
 			// Failed, or incomplete coverage (membership drift): each group
-			// the event leaves unsettled tries its next candidate.
+			// the event leaves unsettled tries its next candidate — unless
+			// it was just asked for again where it is.
 			for _, gi := range ev.groups {
-				advance(gi)
+				if !slices.Contains(reasked, gi) {
+					advance(gi)
+				}
 			}
 		case <-hedgeC:
 			hedgeC = nil

@@ -276,6 +276,46 @@ func TestScatterHedgeBatches(t *testing.T) {
 	}
 }
 
+// TestScatterHedgeOverlapReasks: the hedge fires before any primary has
+// answered, so every group is duplicated — some onto the shard that never
+// answers. A healthy primary's summed answer then overlaps groups a faster
+// hedge already settled and is dropped whole; its other groups must be
+// asked for again there, at once, not left waiting out the deadline behind
+// the stalled shard. Every dataset is still merged exactly once
+// (spell.Merge refuses a dataset claimed twice).
+func TestScatterHedgeOverlapReasks(t *testing.T) {
+	f := newScatterFixtureN(t, 4, 2, 24)
+	for si, sh := range f.shards {
+		sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
+			time.Sleep(20 * time.Millisecond) // outlive the hedge timer
+			return false
+		}
+		if si == 1 {
+			sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
+				_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
+				<-r.Context().Done()
+				return true
+			}
+		}
+	}
+	c, _ := f.start(t, Config{Deadline: 10 * time.Second, Replication: 2, HedgeAfter: time.Millisecond})
+	want, err := f.full.Search(f.query, spell.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		t0 := time.Now()
+		got, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
+		if err != nil || meta.Degraded || meta.GroupsOK != meta.GroupsTotal {
+			t.Fatalf("scatter %d: %v after %v, meta %+v", i, err, time.Since(t0), meta)
+		}
+		if elapsed := time.Since(t0); elapsed > time.Second {
+			t.Fatalf("scatter %d took %v: groups of a dropped summed answer waited behind the stalled shard", i, elapsed)
+		}
+		assertParity(t, got, want)
+	}
+}
+
 // TestScatterUniformSecondRound: a query incoherent in every dataset is
 // scattered twice — the weighted round, which scans nothing, then the
 // uniform round — matches the single-process fallback, counts one uniform

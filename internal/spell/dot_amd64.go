@@ -1,0 +1,38 @@
+package spell
+
+// useAsm says whether dotTile runs dotTileAsm: decided once, from what the
+// CPU reports. Tests clear it to reach the Go loop.
+var useAsm = cpuHasAVX2FMA()
+
+// dotTileAsm is dotTile's contract in AVX2 + FMA: the tile line in two
+// 256-bit registers, one broadcast per query row, eight accumulators. It
+// reads tileRows·nExp cells of tile and blockRows·nExp of qz whatever their
+// lengths, so it is called through dotTile only.
+//
+//go:noescape
+func dotTileAsm(out *[blockRows * tileRows]float64, tile, qz []float64, nExp int)
+
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+func xgetbv() (eax, edx uint32)
+
+// cpuHasAVX2FMA reports whether the CPU implements AVX2 and FMA and the
+// operating system saves the YMM registers across context switches.
+func cpuHasAVX2FMA() bool {
+	const (
+		fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28 // CPUID.1:ECX
+		avx2              = 1 << 5                    // CPUID.7.0:EBX
+		xmmYMM            = 1<<1 | 1<<2               // XCR0: SSE and AVX state enabled
+	)
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	if _, _, c, _ := cpuid(1, 0); c&(fma|osxsave|avx) != fma|osxsave|avx {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&xmmYMM != xmmYMM {
+		return false
+	}
+	_, b, _, _ := cpuid(7, 0)
+	return b&avx2 != 0
+}

@@ -1,0 +1,72 @@
+#include "textflag.h"
+
+// func dotTileAsm(out *[32]float64, tile, qz []float64, nExp int)
+//
+// Y0-Y7 accumulate out: query row k against lanes 0-3 in Y(2k), lanes 4-7
+// in Y(2k+1). Each experiment is one 64-byte tile line and 32 bytes of qz.
+TEXT ·dotTileAsm(SB), NOSPLIT, $0-64
+	MOVQ   out+0(FP), DI
+	MOVQ   tile_base+8(FP), SI
+	MOVQ   qz_base+32(FP), DX
+	MOVQ   nExp+56(FP), CX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	TESTQ  CX, CX
+	JLE    store
+
+line:
+	VMOVUPD      (SI), Y8
+	VMOVUPD      32(SI), Y9
+	VBROADCASTSD (DX), Y10
+	VBROADCASTSD 8(DX), Y11
+	VBROADCASTSD 16(DX), Y12
+	VBROADCASTSD 24(DX), Y13
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
+	VFMADD231PD  Y8, Y11, Y2
+	VFMADD231PD  Y9, Y11, Y3
+	VFMADD231PD  Y8, Y12, Y4
+	VFMADD231PD  Y9, Y12, Y5
+	VFMADD231PD  Y8, Y13, Y6
+	VFMADD231PD  Y9, Y13, Y7
+	ADDQ         $64, SI
+	ADDQ         $32, DX
+	DECQ         CX
+	JNZ          line
+
+store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	VMOVUPD Y4, 128(DI)
+	VMOVUPD Y5, 160(DI)
+	VMOVUPD Y6, 192(DI)
+	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET

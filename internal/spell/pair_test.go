@@ -15,8 +15,9 @@ import (
 var nan = math.NaN()
 
 // kernelVsPearson runs two raw rows (NaN = missing) through slab
-// construction and pairCorr, and through the oracle the kernel stands in
-// for: stats.Pearson on the rows z-scored with their NaNs intact.
+// construction and the kernel — dotTile then finishTile, row A as the query
+// against the lane of row B and back — and through the oracle the kernel
+// stands in for: stats.Pearson on the rows z-scored with their NaNs intact.
 func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 	t.Helper()
 	ds := &microarray.Dataset{
@@ -26,10 +27,19 @@ func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 		Data:        [][]float64{a, b},
 	}
 	sl := buildSlab(ds, map[string]int{"A": 0, "B": 1}, 2)
-	va, vb := sl.view(0), sl.view(1)
-	got = pairCorr(&va, &vb)
-	if back := pairCorr(&vb, &va); math.Float64bits(back) != math.Float64bits(got) {
-		t.Fatalf("pairCorr is not symmetric: %v vs %v\na=%v\nb=%v", got, back, a, b)
+	pair := func(query, lane int) float64 {
+		q := queryRows{rows: sl.appendQueryRows(nil, []int{query}), buf: make([]float64, 2*blockRows*sl.nExp)}
+		sl.gather(&q)
+		z, _, _ := q.block(0, sl.nExp)
+		var dots [blockRows * tileRows]float64
+		dotTile(&dots, sl.zt, z, sl.nExp)
+		var corr [tileRows]float64
+		sl.finishTile(&corr, 0, (*[tileRows]float64)(dots[:]), &q, 0, 2)
+		return corr[lane]
+	}
+	got = pair(0, 1)
+	if back := pair(1, 0); math.Float64bits(back) != math.Float64bits(got) {
+		t.Fatalf("the kernel is not symmetric: %v vs %v\na=%v\nb=%v", got, back, a, b)
 	}
 	return got, stats.Pearson(stats.ZScores(a), stats.ZScores(b))
 }
@@ -40,10 +50,28 @@ func assertPairParity(t testing.TB, a, b []float64) (got float64) {
 	t.Helper()
 	got, want := kernelVsPearson(t, a, b)
 	if math.IsNaN(got) != math.IsNaN(want) || math.Abs(got-want) > 1e-12 {
-		t.Fatalf("pairCorr = %v, stats.Pearson = %v (diff %g)\na=%v\nb=%v",
+		t.Fatalf("kernel = %v, stats.Pearson = %v (diff %g)\na=%v\nb=%v",
 			got, want, math.Abs(got-want), a, b)
 	}
 	return got
+}
+
+// underEachDot runs f as the subtests "go" and "avx2-fma": under the Go dot
+// loop, and under the assembly routine where start-up selected it.
+func underEachDot(t *testing.T, f func(t *testing.T)) {
+	asm := useAsm
+	defer func() { useAsm = asm }()
+	t.Run("go", func(t *testing.T) {
+		useAsm = false
+		f(t)
+	})
+	t.Run("avx2-fma", func(t *testing.T) {
+		if !asm {
+			t.Skip("no AVX2+FMA dot routine in this build or on this CPU")
+		}
+		useAsm = true
+		f(t)
+	})
 }
 
 func TestPairCorrTable(t *testing.T) {
@@ -92,9 +120,11 @@ func TestPairCorrTable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			if got := assertPairParity(t, c.a, c.b); math.IsNaN(got) == c.defined {
-				t.Fatalf("pairCorr = %v, want defined = %v", got, c.defined)
-			}
+			underEachDot(t, func(t *testing.T) {
+				if got := assertPairParity(t, c.a, c.b); math.IsNaN(got) == c.defined {
+					t.Fatalf("kernel = %v, want defined = %v", got, c.defined)
+				}
+			})
 		})
 	}
 }
@@ -103,37 +133,39 @@ func TestPairCorrTable(t *testing.T) {
 // and value shape (gaussian, spiked, offset, quantized — the last makes
 // constant joint subsets common).
 func TestPairCorrProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(20260927))
-	row := func(n int, missing float64, shape int) []float64 {
-		r := make([]float64, n)
-		for i := range r {
-			switch shape {
-			case 0:
-				r[i] = rng.NormFloat64()
-			case 1:
-				r[i] = 0.01 * rng.NormFloat64()
-				if rng.Intn(n) == 0 {
-					r[i] = 50
+	underEachDot(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(20260927))
+		row := func(n int, missing float64, shape int) []float64 {
+			r := make([]float64, n)
+			for i := range r {
+				switch shape {
+				case 0:
+					r[i] = rng.NormFloat64()
+				case 1:
+					r[i] = 0.01 * rng.NormFloat64()
+					if rng.Intn(n) == 0 {
+						r[i] = 50
+					}
+				case 2:
+					r[i] = 1000 + rng.NormFloat64()
+				default:
+					r[i] = float64(rng.Intn(2))
 				}
-			case 2:
-				r[i] = 1000 + rng.NormFloat64()
-			default:
-				r[i] = float64(rng.Intn(2))
+				if rng.Float64() < missing {
+					r[i] = nan
+				}
 			}
-			if rng.Float64() < missing {
-				r[i] = nan
+			return r
+		}
+		for iter := 0; iter < 20000; iter++ {
+			n := rng.Intn(12)
+			if iter%4 == 0 {
+				n = 12 + rng.Intn(90)
 			}
+			missing := []float64{0, 0.02, 0.3, 0.7}[rng.Intn(4)]
+			assertPairParity(t, row(n, missing, rng.Intn(4)), row(n, missing, rng.Intn(4)))
 		}
-		return r
-	}
-	for iter := 0; iter < 20000; iter++ {
-		n := rng.Intn(12)
-		if iter%4 == 0 {
-			n = 12 + rng.Intn(90)
-		}
-		missing := []float64{0, 0.02, 0.3, 0.7}[rng.Intn(4)]
-		assertPairParity(t, row(n, missing, rng.Intn(4)), row(n, missing, rng.Intn(4)))
-	}
+	})
 }
 
 // rowsFromBytes decodes a fuzz input into two equally long rows: the first
@@ -170,7 +202,11 @@ func rowsFromBytes(data []byte) (a, b []float64) {
 func FuzzPairCorr(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := rowsFromBytes(data)
-		assertPairParity(t, a, b)
+		asm := useAsm
+		defer func() { useAsm = asm }()
+		for _, useAsm = range []bool{false, asm} {
+			assertPairParity(t, a, b)
+		}
 	})
 }
 
@@ -210,49 +246,70 @@ func TestSlabDuplicateGeneIDLastRowWins(t *testing.T) {
 
 // TestSearchBitStable: the same query on the same engine returns the same
 // bits, run after run and at every parallelism — each float sum is taken in
-// dataset order by the one worker that owns the gene.
+// dataset order by the one worker that owns the gene. The mixed-genes
+// compendium is what holds the scan to ownership by gene: its datasets list
+// different genes in different orders, so a range of the gene index cuts
+// each dataset's tiles somewhere else, and a scan that shared out tiles
+// instead would give one gene's accumulator cell two writers (the race
+// detector sees it, and the sums change with the parallelism).
 func TestSearchBitStable(t *testing.T) {
 	u := synth.NewUniverse(300, 8, 91)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+	raw, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 7, MinExperiments: 8, MaxExperiments: 20,
 		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.05, Seed: 92,
 	})
-	e, err := NewEngine(dss)
-	if err != nil {
-		t.Fatal(err)
-	}
 	query := u.ModuleGeneIDs(2)[:4]
-	want, err := e.Search(query, Options{IncludeQuery: true, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	keep := map[string]bool{}
+	for _, q := range query {
+		keep[q] = true
 	}
-	var wantPart [2]*Partial // the weighted pair, the uniform pair
-	for k := range wantPart {
-		wantPart[k], err = e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, Options{Parallelism: 1, UniformWeights: k == 1})
-		if err != nil {
-			t.Fatal(err)
-		}
+	rng := rand.New(rand.NewSource(93))
+	mixed := make([]*microarray.Dataset, len(raw))
+	for di, ds := range raw {
+		mixed[di] = scrambled(ds, rng, 0.2, keep)
 	}
-	for run := 0; run < 20; run++ {
-		opt := Options{IncludeQuery: true, Parallelism: 1 + run%5}
-		got, err := e.Search(query, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(bitsOf(got), bitsOf(want)) {
-			t.Fatalf("run %d (parallelism %d): Search result differs in some bit", run, opt.Parallelism)
-		}
-		for k, want := range wantPart {
-			opt.UniformWeights = k == 1
-			part, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, opt)
+	for _, tc := range []struct {
+		name string
+		dss  []*microarray.Dataset
+	}{{"same-genes", raw}, {"mixed-genes", mixed}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(tc.dss)
 			if err != nil {
 				t.Fatal(err)
 			}
-			cols := func(p *Partial) [][]float64 { return [][]float64{p.Sum, p.Cnt} }
-			if !reflect.DeepEqual(part.IDs, want.IDs) || !reflect.DeepEqual(cols(part), cols(want)) { // accumulators are never NaN
-				t.Fatalf("run %d (parallelism %d, uniform %t): partial accumulators differ in some bit", run, opt.Parallelism, opt.UniformWeights)
+			want, err := e.Search(query, Options{IncludeQuery: true, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			var wantPart [2]*Partial // the weighted pair, the uniform pair
+			for k := range wantPart {
+				wantPart[k], err = e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, Options{Parallelism: 1, UniformWeights: k == 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			for run := 0; run < 24; run++ {
+				opt := Options{IncludeQuery: true, Parallelism: []int{1, 2, 3, 4, 5, 7}[run%6]}
+				got, err := e.Search(query, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(bitsOf(got), bitsOf(want)) {
+					t.Fatalf("run %d (parallelism %d): Search result differs in some bit", run, opt.Parallelism)
+				}
+				for k, want := range wantPart {
+					opt.UniformWeights = k == 1
+					part, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{5, 0, 3}, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cols := func(p *Partial) [][]float64 { return [][]float64{p.Sum, p.Cnt} }
+					if !reflect.DeepEqual(part.IDs, want.IDs) || !reflect.DeepEqual(cols(part), cols(want)) { // accumulators are never NaN
+						t.Fatalf("run %d (parallelism %d, uniform %t): partial accumulators differ in some bit", run, opt.Parallelism, opt.UniformWeights)
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -11,9 +11,10 @@
 //
 // The scoring core is a dense, integer-indexed kernel: the engine assigns
 // every distinct gene ID a global integer once, stores each dataset's
-// z-scored rows in one contiguous zero-filled slab, and scores every pair
-// of rows — complete or not — with one dot product plus a correction per
-// missing cell (pairCorr, slab.go). Gene scores accumulate into one dense
+// z-scored rows zero-filled in gene-ordered tiles of eight, and scores a
+// query row against a tile's eight rows — complete or not — with one pass
+// of dot products plus a correction per missing cell (dotTile and
+// finishTile, slab.go). Gene scores accumulate into one dense
 // vector that the workers share by owning disjoint ranges of the gene
 // index (see accum.go). The retained naive scorer in reference.go is the
 // golden standard the kernel is tested against.
@@ -207,7 +208,7 @@ func CanonicalQuery(ids []string) []string {
 
 // dsInfo is the stage-1 result for one dataset.
 type dsInfo struct {
-	q         []rowView // the dataset's rows measuring query genes
+	q         queryRows // the dataset's rows measuring query genes
 	coherence float64
 }
 
@@ -223,20 +224,31 @@ func (e *Engine) searchPar(requested int) int {
 
 // queryInfos runs stage 1 — per-dataset query rows and raw coherence — over
 // the listed datasets, stopping with the context error once ctx is done. It
-// costs len(qgids)/2 gene rows of stage 2, not worth a goroutine. The
+// costs about len(qgids) tiles of stage 2 a dataset, not worth a goroutine. The
 // result is one slot per dataset of the engine; slots outside the list stay
 // zero and must not be read.
 func (e *Engine) queryInfos(ctx context.Context, qgids []int, dss []int) ([]dsInfo, error) {
 	infos := make([]dsInfo, len(e.slabs))
-	views := make([]rowView, 0, len(dss)*len(qgids)) // one allocation, cut per dataset
+	// Two allocations, cut per dataset: the query rows and the cells they
+	// are gathered into.
+	rows := make([]queryRow, 0, len(dss)*len(qgids))
+	cells := 0
+	for _, di := range dss {
+		cells += e.slabs[di].nExp
+	}
+	buf := make([]float64, (len(qgids)+blockRows-1)/blockRows*2*blockRows*cells)
 	for _, di := range dss {
 		if ctx.Err() != nil {
 			break
 		}
-		from := len(views)
-		views = e.slabs[di].appendQueryViews(views, qgids)
-		q := views[from:]
-		infos[di] = dsInfo{q: q, coherence: coherence(q)}
+		sl := e.slabs[di]
+		from := len(rows)
+		rows = sl.appendQueryRows(rows, qgids)
+		q := queryRows{rows: rows[from:]}
+		n := q.blocks() * 2 * blockRows * sl.nExp
+		q.buf, buf = buf[:n], buf[n:]
+		sl.gather(&q)
+		infos[di] = dsInfo{q: q, coherence: sl.coherence(&q)}
 	}
 	return infos, ctx.Err()
 }
@@ -302,7 +314,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		if opt.UniformWeights {
 			// Ablation baseline: every dataset measuring the query counts
 			// equally, informative or not.
-			if len(infos[di].q) > 0 {
+			if len(infos[di].q.rows) > 0 {
 				w = 1
 			} else {
 				w = 0
@@ -319,7 +331,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		// back to uniform weights over datasets measuring the query.
 		n := 0
 		for di := range infos {
-			if len(infos[di].q) > 0 {
+			if len(infos[di].q.rows) > 0 {
 				weights[di] = 1
 				n++
 			}
@@ -353,7 +365,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 			Name:           e.datasets[di].Name,
 			Weight:         weights[di],
 			QueryCoherence: infos[di].coherence,
-			QueryPresent:   len(infos[di].q),
+			QueryPresent:   len(infos[di].q.rows),
 		}
 	}
 	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
@@ -414,27 +426,33 @@ func topK[T any](xs []T, k int, by func(a, b T) int) []T {
 }
 
 // coherence is the mean Fisher-z-transformed pairwise Pearson correlation
-// among the query rows — SPELL's dataset informativeness signal. NaN when
-// fewer than two query genes are present.
-func coherence(q []rowView) float64 {
-	if len(q) < 2 {
-		return math.NaN()
-	}
-	s, n := 0.0, 0
-	for i := range q {
-		for j := i + 1; j < len(q); j++ {
-			r := pairCorr(&q[i], &q[j])
-			if math.IsNaN(r) {
-				continue
+// among the query rows q of this dataset — SPELL's dataset informativeness
+// signal. NaN when fewer than two query genes are present. A query gene's
+// row is a lane of some tile, so each pair is read off the kernel stage 2
+// runs: that tile against the block holding the other row.
+func (s *slab) coherence(q *queryRows) float64 {
+	sum, n := 0.0, 0
+	var dots [blockRows * tileRows]float64
+	var corr [tileRows]float64
+	for i := 1; i < len(q.rows); i++ {
+		t, lane := int(q.rows[i].row)/tileRows, int(q.rows[i].row)%tileRows
+		tile := s.tile(t)
+		for b := 0; blockRows*b < i; b++ {
+			z, _, live := q.block(b, s.nExp)
+			dotTile(&dots, tile, z, s.nExp)
+			for k := 0; k < min(live, i-blockRows*b); k++ {
+				s.finishTile(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, lane+1)
+				if r := corr[lane]; !math.IsNaN(r) {
+					sum += stats.FisherZ(r)
+					n++
+				}
 			}
-			s += stats.FisherZ(r)
-			n++
 		}
 	}
 	if n == 0 {
 		return math.NaN()
 	}
-	return s / float64(n)
+	return sum / float64(n)
 }
 
 // scan runs stage 2 over the datasets in todo: every gene's mean
@@ -456,7 +474,7 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 				if ctx.Err() != nil {
 					return
 				}
-				scoreRange(e.slabs[di], infos[di].q, weights[di], lo, hi, acc)
+				e.slabs[di].scoreGenes(&infos[di].q, weights[di], lo, hi, acc)
 			}
 		}()
 	}
@@ -464,31 +482,42 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 	return ctx.Err()
 }
 
-// scoreRange accumulates dataset sl's contribution (at weight w) to the
+// scoreGenes accumulates this dataset's contribution (at weight w) to the
 // score of every gene with global index in [lo, hi): the gene row's mean
 // correlation to the query rows q, skipping undefined correlations; a gene
-// scores only when at least one pair is defined. Each gene row meets all
-// query rows while it is in cache. Walking the gene index (not the rows)
-// means a gene ID a hand-built dataset carries twice scores once, by the
-// row the index points at — the last, as in the reference scorer.
-func scoreRange(sl *slab, q []rowView, w float64, lo, hi int, acc *accum) {
-	for gi := lo; gi < hi; gi++ {
-		r := sl.rowOf[gi]
-		if r < 0 {
-			continue
-		}
-		g := sl.view(r)
-		s, n := 0.0, 0
-		for k := range q {
-			c := pairCorr(&g, &q[k])
-			if math.IsNaN(c) {
-				continue
+// scores only when at least one pair is defined. Rows are in gene order, so
+// the range is a run of rows; a tile the run only partly covers is computed
+// whole and only the run's lanes are added — the neighbouring range computes
+// it again for its own. (Sharing out tiles instead would not do: datasets
+// measuring different genes put one gene in tiles of different numbers, and
+// its accumulator cell would then have two writers.)
+func (s *slab) scoreGenes(q *queryRows, w float64, lo, hi int, acc *accum) {
+	r0, _ := slices.BinarySearch(s.gids, int32(lo))
+	r1, _ := slices.BinarySearch(s.gids, int32(hi))
+	var dots [blockRows * tileRows]float64
+	var corr [tileRows]float64
+	for t := r0 / tileRows; t*tileRows < r1; t++ {
+		base, tile := t*tileRows, s.tile(t)
+		live := min(tileRows, len(s.gids)-base)
+		var sum [tileRows]float64
+		var n [tileRows]int
+		for b := 0; b < q.blocks(); b++ {
+			z, _, rows := q.block(b, s.nExp)
+			dotTile(&dots, tile, z, s.nExp)
+			for k := 0; k < rows; k++ {
+				s.finishTile(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, live)
+				for j, c := range corr[:live] {
+					if !math.IsNaN(c) {
+						sum[j] += c
+						n[j]++
+					}
+				}
 			}
-			s += c
-			n++
 		}
-		if n > 0 {
-			acc.add(int32(gi), w, s/float64(n))
+		for r := max(r0, base); r < min(r1, base+tileRows); r++ {
+			if j := r - base; n[j] > 0 {
+				acc.add(s.gids[r], w, sum[j]/float64(n[j]))
+			}
 		}
 	}
 }
