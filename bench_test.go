@@ -331,18 +331,48 @@ func clusterBenchRows(nGenes int) [][]float64 {
 	return ds.Data
 }
 
+// paperPaneRows is pane 0 of the repo benchmark's fixture — the synth spec
+// and seed of bench/spec.go and bench/data.go, through the same PCL bytes a
+// daemon parses: 6,000 rows × 37 experiments at 2% missing, the pane whose
+// tree is `cluster.tree_s` in BENCHMARK.json.
+func paperPaneRows(b *testing.B) [][]float64 {
+	const seed = 20070326
+	u := synth.NewUniverse(paperGenes, 40, seed)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 24, MinExperiments: 12, MaxExperiments: 40,
+		ActiveFraction: 0.4, Noise: 0.25, MissingRate: 0.02, Seed: seed + 50,
+	})
+	var buf bytes.Buffer
+	if err := microarray.WritePCL(&buf, dss[0]); err != nil {
+		b.Fatal(err)
+	}
+	ds, err := microarray.ReadPCL(&buf, dss[0].Name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if ds.NumGenes() != paperGenes || ds.NumExperiments() != 37 {
+		b.Fatalf("pane 0 is %d x %d, want %d x 37: the fixture spec moved", ds.NumGenes(), ds.NumExperiments(), paperGenes)
+	}
+	return ds.Data
+}
+
 func BenchmarkF4_Cluster(b *testing.B) {
+	run := func(b *testing.B, rows [][]float64) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cluster.Hierarchical(rows, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	for _, nGenes := range []int{500, 1000, 2000} {
 		rows := clusterBenchRows(nGenes)
-		b.Run(fmt.Sprintf("genes-%d", nGenes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.Hierarchical(rows, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("genes-%d", nGenes), func(b *testing.B) { run(b, rows) })
 	}
+	// What a daemon boots on: rows with missing cells, which the complete
+	// synthetic rows above never had.
+	b.Run("paper-6000x37/missing=0.02", func(b *testing.B) { run(b, paperPaneRows(b)) })
 }
 
 // BenchmarkF4_ClusterReference runs the identical workload through the

@@ -64,6 +64,7 @@ import (
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
+	"forestview/internal/tilecorr"
 )
 
 func main() {
@@ -132,7 +133,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "forestviewd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("forestviewd (%s, spell kernel %s) listening on http://%s\n", *role, spell.KernelName(), ln.Addr())
+	fmt.Printf("forestviewd (%s, spell kernel %s) listening on http://%s\n", *role, tilecorr.KernelName(), ln.Addr())
 	// Conservative connection timeouts: a client trickling bytes must not
 	// pin goroutines forever past all the admission control downstream.
 	hs := &http.Server{

@@ -1,0 +1,224 @@
+package cluster
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"forestview/internal/stats"
+)
+
+// structural reports whether rows a and b are a pair whose distance the
+// tile build must take from Metric.Distance itself rather than from the
+// kernel's one-pass arithmetic: fewer than three shared cells, an undefined
+// correlation, or |r| within 1e-12 of 1 — where exact ties decide merges.
+// (The margin keeps pairs the kernel's own r, a rounding away, may see on
+// either side of the line out of the claim.)
+func structural(a, b []float64) bool {
+	joint := 0
+	for i := range a {
+		if !math.IsNaN(a[i]) && !math.IsNaN(b[i]) {
+			joint++
+		}
+	}
+	r := stats.Pearson(a, b)
+	return joint < 3 || math.IsNaN(r) || math.Abs(r) > 1-1e-12+1e-14
+}
+
+// requireDistancesMatchMetric holds every entry of the condensed matrix
+// buildDistances makes of rows to Metric.Distance on the raw rows: never
+// NaN, within 1e-12, and the same bits on structural pairs (on every pair
+// when exact is set).
+func requireDistancesMatchMetric(t *testing.T, rows [][]float64, metric Metric, exact bool) {
+	t.Helper()
+	dist, err := buildDistances(context.Background(), rows, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(rows); i++ {
+		for j := 0; j < i; j++ {
+			got, want := dist.at(i, j), metric.Distance(rows[i], rows[j])
+			if math.IsNaN(got) || math.Abs(got-want) > 1e-12 {
+				t.Fatalf("%v: pair (%d,%d) = %v, Metric.Distance = %v\na=%v\nb=%v", metric, i, j, got, want, rows[i], rows[j])
+			}
+			if got != want && (exact || structural(rows[i], rows[j])) {
+				t.Fatalf("%v: pair (%d,%d) = %v is not Metric.Distance's %v to the bit (|Δ|=%g)\na=%v\nb=%v",
+					metric, i, j, got, want, math.Abs(got-want), rows[i], rows[j])
+			}
+		}
+	}
+}
+
+// TestDistancesMatchMetric is the distance build's property test for the two
+// Pearson metrics, under both dot routines: row counts either side of the
+// tile and block sizes, 1-70 columns, missing rates 0-40%, and in every set
+// as many as fit of the rows that break one-pass arithmetic — a constant row,
+// an all-missing row, a duplicated row, ±Inf cells, and pairs of rows sharing
+// exactly 0, 1 and 2 cells.
+func TestDistancesMatchMetric(t *testing.T) {
+	underEachDot(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(19))
+		for _, n := range []int{1, 2, 7, 8, 9, 17, 64, 257} {
+			for iter := 0; iter < 6; iter++ {
+				dim := 1 + rng.Intn(70)
+				rows := noisyRows(rng.Int63(), n, dim, []float64{0, 0.02, 0.15, 0.4}[rng.Intn(4)])
+				slots := rng.Perm(n) // where the special rows go
+				take := func() []float64 {
+					if len(slots) == 0 {
+						return make([]float64, dim) // no room left: a throwaway
+					}
+					row := rows[slots[0]]
+					slots = slots[1:]
+					return row
+				}
+				specials := []func(){
+					func() { // constant
+						for i, row := 0, take(); i < dim; i++ {
+							row[i] = 1.5
+						}
+					},
+					func() { // all missing
+						for i, row := 0, take(); i < dim; i++ {
+							row[i] = math.NaN()
+						}
+					},
+					func() { copy(take(), rows[rng.Intn(n)]) }, // duplicated
+					func() { take()[rng.Intn(dim)] = math.Inf(1) },
+					func() { take()[rng.Intn(dim)] = math.Inf(-1) },
+				}
+				for shared := 0; shared <= 2; shared++ {
+					specials = append(specials, func() { // two rows sharing exactly `shared` cells (or all dim of them)
+						a, b := take(), take()
+						cut := max(shared, dim/2)
+						for i := range a {
+							a[i], b[i] = rng.NormFloat64(), rng.NormFloat64()
+							if i >= cut {
+								a[i] = math.NaN()
+							}
+							if i < cut-shared {
+								b[i] = math.NaN()
+							}
+						}
+					})
+				}
+				rng.Shuffle(len(specials), func(i, j int) { specials[i], specials[j] = specials[j], specials[i] })
+				for _, plant := range specials {
+					plant()
+				}
+				for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
+					requireDistancesMatchMetric(t, rows, metric, false)
+				}
+			}
+		}
+		// The case that fixed the rule: two rows sharing two cells correlate
+		// at exactly ±1 in the reference, among rows that correlate at 0.99….
+		// (On these two the one-pass identity lands on 1 − 5.6e-16.)
+		two := [][]float64{
+			{-1.75, 1.75, math.NaN(), math.NaN(), 4, 2},
+			{math.NaN(), math.NaN(), 3.25, 1.25, 1.75, -2.75},
+			{-1.75, 1.751, 3.25, 1.25, 4, 2.001},
+			{-1.75, 1.75, 3.252, 1.25, 4.001, 2},
+		}
+		requireDistancesMatchMetric(t, two, PearsonDist, false)
+		if d, err := buildDistances(context.Background(), two, PearsonDist); err != nil || d.at(1, 0) != 0 {
+			t.Fatalf("rows sharing two concordant cells: distance %v (err %v), want exactly 0", d.at(1, 0), err)
+		}
+		// Ragged rows cannot be tiled: every pair is Metric.Distance itself.
+		ragged := noisyRows(23, 12, 9, 0.1)
+		ragged[4] = ragged[4][:6]
+		for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
+			requireDistancesMatchMetric(t, ragged, metric, true)
+		}
+	})
+}
+
+// TestTreeParityPaperShape holds the whole kernel to the reference at a size
+// and missing rates the 40-48-row golden fixtures do not reach: every row is
+// several tiles from most others, most tiles hold a missing cell, and at 15%
+// missing nearly every pair is corrected.
+func TestTreeParityPaperShape(t *testing.T) {
+	underEachDot(t, func(t *testing.T) {
+		for _, missing := range []float64{0.02, 0.15} {
+			rows := noisyRows(600, 600, 24, missing)
+			for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
+				for _, linkage := range allLinkages {
+					ref, err := ReferenceHierarchical(rows, metric, linkage)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := Hierarchical(rows, metric, linkage)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := got.Validate(); err != nil {
+						t.Fatal(err)
+					}
+					for i := range ref.Merges {
+						if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
+							t.Fatalf("missing %g, %v/%v: merge %d height: reference %v vs kernel %v",
+								missing, metric, linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
+						}
+					}
+					for _, k := range []int{2, 5, 20, 100} {
+						want, err1 := ref.Cut(k)
+						have, err2 := got.Cut(k)
+						if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
+							t.Fatalf("missing %g, %v/%v: Cut(%d) differs from the reference (errs %v, %v)", missing, metric, linkage, k, err1, err2)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestDistancesWorkerIndependent: a pair's value is a function of the rows
+// and their indices, so the matrix is the same bits whatever GOMAXPROCS
+// shares the blocks out to.
+func TestDistancesWorkerIndependent(t *testing.T) {
+	rows := noisyRows(31, 257, 19, 0.05)
+	copy(rows[40], rows[200]) // a handed-back pair
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want *triMatrix
+	for _, procs := range []int{1, 2, 3, 5} {
+		runtime.GOMAXPROCS(procs)
+		got, err := buildDistances(context.Background(), rows, PearsonDist)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS=%d: the distance matrix differs from GOMAXPROCS=1's in some bit", procs)
+		}
+	}
+}
+
+// BenchmarkF4_ClusterDistances times stage 1 alone — the condensed matrix of
+// 2,000 rows × 37 experiments, complete and at the served 2% missing — and
+// reports it per pair, so a set-up change can tell the distance build from
+// the NN-chain (BenchmarkF4_Cluster times both) without a profiler.
+func BenchmarkF4_ClusterDistances(b *testing.B) {
+	for _, missing := range []float64{0, 0.02} {
+		b.Run(fmt.Sprintf("missing=%g", missing), func(b *testing.B) {
+			rows := noisyRows(37, 2000, 37, missing)
+			if holes := slices.ContainsFunc(rows, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }); holes != (missing > 0) {
+				b.Fatalf("rows have missing cells: %t at rate %g", holes, missing)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := buildDistances(context.Background(), rows, PearsonDist); err != nil {
+					b.Fatal(err)
+				}
+			}
+			pairs := float64(len(rows) * (len(rows) - 1) / 2)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+		})
+	}
+}

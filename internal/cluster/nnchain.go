@@ -7,27 +7,26 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"forestview/internal/stats"
+	"forestview/internal/tilecorr"
 )
 
 // This file is the clustering kernel: the exact O(n²) replacement for the
 // O(n³)-worst-case reference path, in two stages.
 //
-// Stage 1 builds the condensed distance matrix in parallel. Rows are dealt
-// round-robin across GOMAXPROCS workers (triangular row i holds i pairs, so
-// striding keeps shard costs within one row of each other), and each worker
-// writes a disjoint slice of the flat matrix — no locks, no false-sharing
-// hot spots beyond cache-line edges. For the correlation metrics the pairs
-// take the same dense fast path as the SPELL scoring kernel: each complete
-// row is preprocessed once into a centered (or, for the uncentered metric,
-// merely scaled) unit-Euclidean-norm form held in one contiguous slab, after
-// which the correlation of two such rows is exactly stats.Dot — no means, no
-// variances, no NaN checks in the O(n²) loop. Rows with missing values fail
-// the preprocessing mask and fall back pairwise to Metric.Distance, whose
-// statistics are pairwise-complete, so missing-value semantics are exactly
-// those of the reference path.
+// Stage 1 builds the condensed distance matrix in parallel; each worker
+// writes disjoint rows of the flat matrix — no locks. The two Pearson
+// metrics run on the correlation kernel SPELL scans with (internal/tilecorr):
+// the rows are tiled once, z-scored and zero-filled, and every block of four
+// rows meets every tile at or below its diagonal in one pass of dot products
+// plus a correction per missing cell — no means, no variances, no NaN checks
+// in the O(n²) loop, whether the rows are complete or not (tileDistances).
+// The other metrics keep a per-pair kernel with a dense tier for complete
+// rows (pairKernel). Either way a pair the fast arithmetic cannot settle to
+// the reference's bits where they matter falls back to Metric.Distance on
+// the raw rows, so missing-value semantics — and exact ties — are those of
+// the reference path.
 //
 // Stage 2 agglomerates by nearest-neighbor chain (Müllner 2011): grow a
 // chain slot → nearest neighbour → ... until two clusters are each other's
@@ -69,34 +68,39 @@ func HierarchicalCtx(ctx context.Context, rows [][]float64, metric Metric, linka
 }
 
 // pairKernel evaluates one metric over row pairs, with a dense fast path
-// for rows that admit a precomputed unit form and a pairwise-complete
-// fallback (Metric.Distance) for rows with missing values — the same
-// two-tier discipline as the SPELL scoring kernel, so NaN-bearing
-// microarray rows cannot poison the tree.
+// for rows that admit one and a pairwise-complete fallback
+// (Metric.Distance) for rows with missing values, so NaN-bearing microarray
+// rows cannot poison the tree. It serves every metric but the two Pearson
+// distances over rows of one length, which tileDistances builds.
 type pairKernel struct {
 	metric Metric
 	rows   [][]float64
 	dim    int       // common row length; 0 when rows are ragged (no fast path)
-	unit   []float64 // contiguous per-row unit forms (correlation metrics)
+	unit   []float64 // contiguous per-row unit forms (uncentered and rank correlation)
 	fast   []bool    // unit form exists for row i
 	whole  []bool    // row i has no missing values (distance metrics)
 }
 
-func newPairKernel(rows [][]float64, metric Metric) *pairKernel {
-	k := &pairKernel{metric: metric, rows: rows}
+// commonDim returns the length every row shares, or 0 when the rows are
+// ragged or empty.
+func commonDim(rows [][]float64) int {
 	dim := len(rows[0])
 	for _, r := range rows {
 		if len(r) != dim {
-			return k // ragged input: every pair falls back
+			return 0
 		}
 	}
-	if dim == 0 {
-		return k
+	return dim
+}
+
+func newPairKernel(rows [][]float64, metric Metric) *pairKernel {
+	k := &pairKernel{metric: metric, rows: rows, dim: commonDim(rows)}
+	if k.dim == 0 {
+		return k // ragged input: every pair falls back
 	}
-	k.dim = dim
-	n := len(rows)
+	dim, n := k.dim, len(rows)
 	switch metric {
-	case PearsonDist, PearsonAbsDist, UncenteredDist, SpearmanDist:
+	case UncenteredDist, SpearmanDist:
 		k.unit = make([]float64, n*dim)
 		k.fast = make([]bool, n)
 		for i, row := range rows {
@@ -111,8 +115,6 @@ func newPairKernel(rows [][]float64, metric Metric) *pairKernel {
 				if rowComplete(row) {
 					k.fast[i] = stats.CenterUnitNormInto(dst, stats.Ranks(row))
 				}
-			default:
-				k.fast[i] = stats.CenterUnitNormInto(dst, row)
 			}
 		}
 	case EuclideanDist, ManhattanDist:
@@ -127,7 +129,7 @@ func newPairKernel(rows [][]float64, metric Metric) *pairKernel {
 // dist returns the metric distance between rows i and j.
 func (k *pairKernel) dist(i, j int) float64 {
 	switch k.metric {
-	case PearsonDist, PearsonAbsDist, UncenteredDist, SpearmanDist:
+	case UncenteredDist, SpearmanDist:
 		if k.fast != nil && k.fast[i] && k.fast[j] {
 			r := stats.Dot(k.unit[i*k.dim:(i+1)*k.dim], k.unit[j*k.dim:(j+1)*k.dim])
 			// Guard against floating-point drift outside [-1, 1], like
@@ -136,9 +138,6 @@ func (k *pairKernel) dist(i, j int) float64 {
 				r = 1
 			} else if r < -1 {
 				r = -1
-			}
-			if k.metric == PearsonAbsDist {
-				return 1 - math.Abs(r)
 			}
 			return 1 - r
 		}
@@ -174,38 +173,37 @@ func rowComplete(row []float64) bool {
 	return true
 }
 
-// buildDistances fills the condensed distance matrix in parallel,
-// worker-sharded by triangular row.
+// buildDistances fills the condensed distance matrix in parallel. A pair's
+// value depends on the two rows and their indices only — never on the
+// worker count or on what else the process is building — so a tree is
+// bit-stable on a host.
 func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triMatrix, error) {
 	n := len(rows)
-	k := newPairKernel(rows, metric)
 	dist := newTriMatrix(n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n-1 {
-		workers = n - 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 1 + w; i < n; i += workers {
-				if stop.Load() {
-					return
-				}
-				if ctx.Err() != nil {
-					stop.Store(true)
-					return
-				}
+	var fill func(w, workers int) // worker w's share; polls ctx once per unit of work
+	if dim := commonDim(rows); dim > 0 && (metric == PearsonDist || metric == PearsonAbsDist) {
+		tiles := tilecorr.New(rows, dim)
+		fill = func(w, workers int) { tileDistances(ctx, dist, tiles, rows, metric, w, workers) }
+	} else {
+		// Triangular row i holds i pairs, so dealing rows round-robin keeps
+		// the workers' shares within one row of each other.
+		k := newPairKernel(rows, metric)
+		fill = func(w, workers int) {
+			for i := 1 + w; i < n && ctx.Err() == nil; i += workers {
 				out := dist.v[i*(i-1)/2 : i*(i-1)/2+i]
 				for j := range out {
 					out[j] = k.dist(i, j)
 				}
 			}
+		}
+	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), n-1))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fill(w, workers)
 		}(w)
 	}
 	wg.Wait()
@@ -213,6 +211,61 @@ func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triM
 		return nil, err
 	}
 	return dist, nil
+}
+
+// tileDistances is worker w's share of the Pearson distance build: the
+// blocks of tilecorr.BlockRows rows numbered w, w+workers, … (a block's cost
+// grows with its number, so dealing them round-robin balances the workers).
+// A block is gathered once and met with every tile holding a row below one
+// of its own; the kernel's lane-wise finish yields each pair's correlation
+// over the cells both rows observe, and the distance goes straight into the
+// block's rows of the condensed matrix, which no other worker writes.
+//
+// The lanes the kernel does not vouch for — two shared cells, a joint subset
+// nearly constant, |r| within 1e-12 of 1 — are Metric.Distance on the raw
+// rows, bit for bit. Under complete linkage that is structural, not
+// cosmetic: two rows sharing two cells correlate at exactly ±1 in the
+// reference, and a one-pass value an ulp short of it changes which pair
+// merges at height 0 and with it the tree above (DESIGN.md §3b).
+func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, rows [][]float64, metric Metric, w, workers int) {
+	const tileRows, blockRows = tilecorr.TileRows, tilecorr.BlockRows
+	n, dim := len(rows), tiles.NExp()
+	q := tilecorr.Query{
+		Rows: make([]tilecorr.Row, 0, blockRows),
+		Buf:  make([]float64, tilecorr.QueryCells(blockRows, dim)),
+	}
+	var dots [blockRows * tileRows]float64
+	var rs [tileRows]float64
+	for i0 := w * blockRows; i0 < n && ctx.Err() == nil; i0 += workers * blockRows {
+		i1 := min(i0+blockRows, n)
+		q.Rows = q.Rows[:0]
+		for i := i0; i < i1; i++ {
+			q.Rows = append(q.Rows, tiles.Row(i))
+		}
+		clear(q.Buf)
+		tiles.Gather(&q)
+		z, _, _ := q.Block(0, dim)
+		for t := 0; t*tileRows < i1-1; t++ {
+			base := t * tileRows
+			tilecorr.Dot(&dots, tiles.Tile(t), z, dim)
+			for k := max(0, base+1-i0); k < i1-i0; k++ {
+				i := i0 + k
+				live := min(tileRows, i-base) // the tile's rows below row i
+				flagged := tiles.Finish(&rs, t, (*[tileRows]float64)(dots[k*tileRows:]), &q, k, live)
+				out := dist.v[i*(i-1)/2+base:]
+				for j, r := range rs[:live] {
+					switch {
+					case flagged>>j&1 != 0 || math.IsNaN(r): // NaN: fewer than two shared cells, the metric's maximum
+						out[j] = metric.Distance(rows[i], rows[base+j])
+					case metric == PearsonAbsDist:
+						out[j] = 1 - math.Abs(r)
+					default:
+						out[j] = 1 - r
+					}
+				}
+			}
+		}
+	}
 }
 
 // nnChain agglomerates the condensed matrix by nearest-neighbor chain and

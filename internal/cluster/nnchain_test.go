@@ -5,9 +5,12 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // allMetrics and allLinkages enumerate every supported combination for the
@@ -298,12 +301,21 @@ func TestNNChainFromDistanceParity(t *testing.T) {
 	}
 }
 
-// TestPairKernelFallbackMatchesMetric pins the kernel's two tiers together:
-// for masked (NaN-bearing) rows the kernel must evaluate exactly
-// Metric.Distance, and for fast rows it must agree within float tolerance.
+// TestPairKernelFallbackMatchesMetric pins the distance build's tiers
+// together on masked (NaN-bearing) rows, for every metric. The per-pair
+// kernel must evaluate exactly Metric.Distance on a pair with a masked row
+// and agree within float tolerance on its dense tier. The two Pearson
+// metrics no longer pass through it when the rows share a length — the tile
+// kernel corrects a missing cell instead of falling back — so for them the
+// same matrix contract reads: Metric.Distance to the bit on every pair the
+// kernel hands back (structural), within 1e-12 on the rest.
 func TestPairKernelFallbackMatchesMetric(t *testing.T) {
 	rows := noisyRows(5, 20, 9, 0.2)
 	for _, metric := range allMetrics {
+		if metric == PearsonDist || metric == PearsonAbsDist {
+			requireDistancesMatchMetric(t, rows, metric, false)
+			continue
+		}
 		k := newPairKernel(rows, metric)
 		for i := 1; i < len(rows); i++ {
 			for j := 0; j < i; j++ {
@@ -337,6 +349,42 @@ func TestHierarchicalCtxCancel(t *testing.T) {
 	if err != nil || tree.NLeaves != 64 {
 		t.Fatalf("live build: %v, %+v", err, tree)
 	}
+
+	// A cancellation inside the distance build of a 2,000-row input (500
+	// blocks) stops it after at most one more poll — one block's work — per
+	// worker, and its goroutines are gone when it returns.
+	rows = noisyRows(12, 2000, 16, 0.02)
+	before := runtime.NumGoroutine()
+	mid := &pollCtx{Context: context.Background()}
+	mid.after.Store(60)
+	if _, err := HierarchicalCtx(mid, rows, PearsonDist, AverageLinkage); err != context.Canceled {
+		t.Fatalf("build canceled at its 60th poll: err = %v, want context.Canceled", err)
+	}
+	// After the flip: each worker's next poll, and buildDistances' own.
+	if polls, most := mid.polls.Load(), int64(60+runtime.GOMAXPROCS(0)+1); polls > most {
+		t.Fatalf("%d polls, want at most %d: the build worked on after its context was canceled", polls, most)
+	}
+	for wait := 0; runtime.NumGoroutine() > before; wait++ {
+		if wait == 100 {
+			t.Fatalf("%d goroutines, %d before the build: a worker was left behind", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// pollCtx is a context that reports itself canceled from its after-th Err
+// call on, and counts the calls: a cancellation that lands at a known point
+// inside a build, whatever the host's speed.
+type pollCtx struct {
+	context.Context
+	after, polls atomic.Int64
+}
+
+func (c *pollCtx) Err() error {
+	if c.polls.Add(1) > c.after.Load() {
+		return context.Canceled
+	}
+	return nil
 }
 
 // TestHierarchicalRaceHammer runs concurrent kernel builds over shared rows

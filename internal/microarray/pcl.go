@@ -39,7 +39,10 @@ func ReadPCL(r io.Reader, name string) (*Dataset, error) {
 	if hasGweight {
 		expStart = 3
 	}
-	experiments := append([]string(nil), header[expStart:]...)
+	experiments := make([]string, len(header)-expStart)
+	for i, h := range header[expStart:] {
+		experiments[i] = strings.TrimSpace(h) // as gene IDs and names are: "exp\r" would not survive WritePCL
+	}
 	ds := NewDataset(name, experiments)
 
 	lineNo := 1
@@ -61,23 +64,25 @@ func ReadPCL(r io.Reader, name string) (*Dataset, error) {
 			}
 			continue
 		}
-		if len(fields) < expStart {
-			return nil, fmt.Errorf("microarray: PCL line %d has %d columns, want >= %d",
-				lineNo, len(fields), expStart)
+		// A row carries every cell the header names, as Cluster 3.0 insists:
+		// padding a short one would let a few bytes of input claim a whole
+		// dense row (a 1 MB file of 6-byte rows under a wide header, hundreds
+		// of GB). Cells beyond the header are ignored.
+		if want := expStart + len(experiments); len(fields) < want {
+			return nil, fmt.Errorf("microarray: PCL line %d has %d columns, the header has %d",
+				lineNo, len(fields), want)
 		}
 		g := Gene{ID: strings.TrimSpace(fields[0])}
-		if len(fields) > 1 {
-			nameField := strings.TrimSpace(fields[1])
-			// Convention: "NAME annotation text ...".
-			if sp := strings.IndexByte(nameField, ' '); sp >= 0 {
-				g.Name = nameField[:sp]
-				g.Annotation = strings.TrimSpace(nameField[sp+1:])
-			} else {
-				g.Name = nameField
-			}
+		nameField := strings.TrimSpace(fields[1])
+		// Convention: "NAME annotation text ...".
+		if sp := strings.IndexByte(nameField, ' '); sp >= 0 {
+			g.Name = nameField[:sp]
+			g.Annotation = strings.TrimSpace(nameField[sp+1:])
+		} else {
+			g.Name = nameField
 		}
 		gw := 1.0
-		if hasGweight && len(fields) > 2 {
+		if hasGweight {
 			if w, err := strconv.ParseFloat(strings.TrimSpace(fields[2]), 64); err == nil {
 				gw = w
 			}
@@ -85,10 +90,6 @@ func ReadPCL(r io.Reader, name string) (*Dataset, error) {
 		values := make([]float64, len(experiments))
 		for i := range values {
 			col := expStart + i
-			if col >= len(fields) {
-				values[i] = Missing
-				continue
-			}
 			cell := strings.TrimSpace(fields[col])
 			if cell == "" || strings.EqualFold(cell, "NA") || strings.EqualFold(cell, "NaN") {
 				values[i] = Missing

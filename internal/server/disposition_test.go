@@ -14,6 +14,7 @@ import (
 
 	"forestview/internal/golem"
 	"forestview/internal/spell"
+	"forestview/internal/tilecorr"
 )
 
 // These tests pin the X-Forestview-Cache response header: every /api/search,
@@ -271,8 +272,8 @@ func TestStatsServerSection(t *testing.T) {
 	if err := json.Unmarshal(raw["server"], &sec); err != nil {
 		t.Fatalf("server section: %v", err)
 	}
-	if snap.Server.SpellKernel != spell.KernelName() {
-		t.Fatalf("spell_kernel = %q, want %q", snap.Server.SpellKernel, spell.KernelName())
+	if snap.Server.SpellKernel != tilecorr.KernelName() {
+		t.Fatalf("spell_kernel = %q, want %q", snap.Server.SpellKernel, tilecorr.KernelName())
 	}
 	for _, k := range []string{"uptime_seconds", "role", "go_version", "spell_kernel"} {
 		if _, ok := sec[k]; !ok {

@@ -39,6 +39,7 @@ import (
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/spellweb"
+	"forestview/internal/tilecorr"
 )
 
 // Config assembles a Server. Engine is required unless Scatter makes the
@@ -647,7 +648,7 @@ func (s *Server) Stats() StatsSnapshot {
 			UptimeSeconds: time.Since(s.start).Seconds(),
 			Role:          s.Role(),
 			GoVersion:     runtime.Version(),
-			SpellKernel:   spell.KernelName(),
+			SpellKernel:   tilecorr.KernelName(),
 		},
 		Compendium: CompendiumInfo{
 			Datasets:  nDatasets,

@@ -163,9 +163,9 @@ type ServerInfo struct {
 	Role string `json:"role"`
 	// GoVersion is runtime.Version() of the serving binary.
 	GoVersion string `json:"go_version"`
-	// SpellKernel is spell.KernelName(): the dot routine this replica scores
-	// with. Replicas on different routines differ in speed and in the last
-	// bits of a score.
+	// SpellKernel is tilecorr.KernelName(): the dot routine this replica
+	// scores and clusters with. Replicas on different routines differ in
+	// speed and in the last bits of a score.
 	SpellKernel string `json:"spell_kernel"`
 }
 
@@ -193,8 +193,12 @@ type StatsSnapshot struct {
 // vs Hits+Coalesced is the "recluster once per dataset, not per request"
 // acceptance criterion made observable.
 type TreeCacheInfo struct {
-	Panes         int     `json:"panes"`
-	Built         int     `json:"built"`
+	Panes int `json:"panes"`
+	Built int `json:"built"`
+	// Building is the number of tree builds running now, at most
+	// GOMAXPROCS: non-zero while a daemon boots or a replaced pane
+	// reclusters.
+	Building      int     `json:"building"`
 	Builds        int64   `json:"builds"`
 	Hits          int64   `json:"hits"`
 	Coalesced     int64   `json:"coalesced"`

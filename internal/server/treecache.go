@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,12 +32,19 @@ import (
 //     replaced dataset.
 //   - trees live outside the byte-budgeted LRU: a burst of hot tiles must
 //     not evict the dendrograms they are rendered from.
+//   - at most GOMAXPROCS builds run at once, whoever asked (warm, or every
+//     pane of a cold daemon touched together): a build holds an n²/2
+//     distance matrix — 144 MB for 6,000 rows — while it agglomerates on one
+//     core, so more builds than cores add peak heap and no speed. A leader
+//     waits for its slot under its own context; if that dies first the
+//     flight goes to a live follower, as when a build is cancelled.
 //
 // Counters are surfaced under tree_cache in /api/stats.
 type treeCache struct {
 	mu      sync.Mutex
 	entries []*treeEntry
 	opt     core.ClusterOptions
+	slots   chan struct{} // one token per running build; cap GOMAXPROCS
 
 	builds        atomic.Int64 // kernel builds that completed
 	hits          atomic.Int64 // requests served an already-built tree
@@ -63,7 +71,7 @@ type treeFlight struct {
 }
 
 func newTreeCache(opt core.ClusterOptions) *treeCache {
-	return &treeCache{opt: opt}
+	return &treeCache{opt: opt, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
 }
 
 // addPre appends a pre-clustered pane (generation 0, never rebuilt unless
@@ -137,8 +145,7 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 		raw := e.raw
 		tc.mu.Unlock()
 
-		t0 := time.Now()
-		cd, err := core.ClusterCtx(ctx, raw, tc.opt)
+		cd, err := tc.build(ctx, raw)
 		f.cd, f.err = cd, err
 
 		tc.mu.Lock()
@@ -151,16 +158,30 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 			}
 		}
 		tc.mu.Unlock()
-		switch {
-		case err == nil:
-			tc.builds.Add(1)
-			tc.buildNS.Add(time.Since(t0).Nanoseconds())
-		case !isContextErr(err):
-			tc.failures.Add(1)
-		}
 		close(f.done)
 		return cd, f.gen, err
 	}
+}
+
+// build clusters raw in one of the cache's build slots, waiting for a free
+// one for as long as ctx lives.
+func (tc *treeCache) build(ctx context.Context, raw *microarray.Dataset) (*core.ClusteredDataset, error) {
+	select {
+	case tc.slots <- struct{}{}:
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+	defer func() { <-tc.slots }()
+	t0 := time.Now()
+	cd, err := core.ClusterCtx(ctx, raw, tc.opt)
+	switch {
+	case err == nil:
+		tc.builds.Add(1)
+		tc.buildNS.Add(time.Since(t0).Nanoseconds())
+	case !isContextErr(err):
+		tc.failures.Add(1)
+	}
+	return cd, err
 }
 
 // generation returns the pane's current generation without forcing a
@@ -238,7 +259,7 @@ func (tc *treeCache) warm(ctx context.Context) error {
 // snapshot assembles the /api/stats view.
 func (tc *treeCache) snapshot() TreeCacheInfo {
 	tc.mu.Lock()
-	info := TreeCacheInfo{Panes: len(tc.entries)}
+	info := TreeCacheInfo{Panes: len(tc.entries), Building: len(tc.slots)}
 	for _, e := range tc.entries {
 		if e.built != nil {
 			info.Built++

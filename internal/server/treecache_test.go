@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -306,5 +308,77 @@ func TestMixedPreAndRawPanes(t *testing.T) {
 	}
 	if ts := treeStats(t, s); ts.Builds != 1 || ts.Built != 2 {
 		t.Fatalf("raw pane stats: %+v", ts)
+	}
+}
+
+// TestTreeCacheBoundsConcurrentBuilds: 3 × GOMAXPROCS cold panes touched at
+// once — as a booting daemon's first screenful does — cluster at most
+// GOMAXPROCS at a time, each exactly once; and a leader whose client hangs up
+// while it waits for a build slot takes none. Run with -race.
+func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	u := synth.NewUniverse(700, 8, 41)
+	tc := newTreeCache(treeClusterOptions(cluster.PearsonDist, cluster.AverageLinkage, false, false))
+	for i := 0; i < 3*procs+1; i++ {
+		tc.addRaw(u.Generate(synth.DatasetSpec{Name: fmt.Sprint("pane-", i), NumExperiments: 16, Seed: int64(42 + i)}))
+	}
+	last := 3 * procs // the pane whose leader gives up waiting
+
+	var peak atomic.Int64
+	watched := make(chan struct{})
+	stopWatch := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for {
+			if b := int64(tc.snapshot().Building); b > peak.Load() {
+				peak.Store(b)
+			}
+			select {
+			case <-stopWatch:
+				return
+			default:
+				runtime.Gosched()
+			}
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for i := 0; i < last; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if cd, _, err := tc.get(context.Background(), i); err != nil || cd == nil {
+				t.Errorf("pane %d: %v", i, err)
+			}
+		}(i)
+	}
+	// With every slot taken, a leader that is cancelled while it waits
+	// returns its context's error and leaves the pane buildable.
+	for len(tc.slots) < procs {
+		runtime.Gosched()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	waiter := make(chan error, 1)
+	go func() {
+		_, _, err := tc.get(ctx, last)
+		waiter <- err
+	}()
+	cancel()
+	if err := <-waiter; err != context.Canceled {
+		t.Fatalf("leader cancelled waiting for a slot: err = %v, want context.Canceled", err)
+	}
+	wg.Wait()
+	close(stopWatch)
+	<-watched
+
+	if p := peak.Load(); p > int64(procs) || p == 0 {
+		t.Fatalf("building gauge peaked at %d, want 1..GOMAXPROCS (%d)", p, procs)
+	}
+	info := tc.snapshot()
+	if info.Builds != int64(last) || info.Built != last || info.Building != 0 {
+		t.Fatalf("after %d panes touched once each: %+v (a cancelled waiter must leave no slot taken)", last, info)
+	}
+	if cd, _, err := tc.get(context.Background(), last); err != nil || cd == nil {
+		t.Fatalf("the cancelled leader's pane did not build afterwards: %v", err)
 	}
 }

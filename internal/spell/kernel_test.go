@@ -10,95 +10,8 @@ import (
 
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
+	"forestview/internal/tilecorr"
 )
-
-// TestDotTileMatchesGo holds the assembly dot routine to the Go loop: on
-// random tiles, for every row length that matters (none, shorter than any
-// unrolling, the paper's 12-40, past 64), with 1-4 live query rows and with
-// argument slices of exactly the length dotTile asserts — NaN lies right
-// behind them, so a routine reading one cell too far poisons its answer.
-// Each of the 32 dot products is within nExp·2⁻⁵²·Σ|q·t| of the Go loop's
-// (the two differ by fused against unfused rounding only), and the 32 are
-// the only memory written.
-func TestDotTileMatchesGo(t *testing.T) {
-	if !useAsm {
-		t.Skip("no AVX2+FMA dot routine in this build or on this CPU")
-	}
-	rng := rand.New(rand.NewSource(18))
-	// exact returns n random cells as a slice of length and capacity n,
-	// with NaN before and after it in memory.
-	exact := func(n int) []float64 {
-		buf := make([]float64, n+2)
-		for i := range buf {
-			buf[i] = rng.NormFloat64()
-		}
-		buf[0], buf[n+1] = nan, nan
-		return buf[1 : n+1 : n+1]
-	}
-	for _, nExp := range []int{0, 1, 2, 3, 12, 40, 70, 120} {
-		for live := 1; live <= blockRows; live++ {
-			tile, qz := exact(tileRows*nExp), exact(blockRows*nExp)
-			for e := 0; e < nExp; e++ {
-				for k := live; k < blockRows; k++ {
-					qz[e*blockRows+k] = 0
-				}
-			}
-			tileWas, qzWas := slices.Clone(tile), slices.Clone(qz)
-			const sentinel = 12345.678
-			var got struct {
-				before [4]float64
-				out    [blockRows * tileRows]float64
-				after  [4]float64
-			}
-			for _, cells := range [][]float64{got.before[:], got.out[:], got.after[:]} {
-				for i := range cells {
-					cells[i] = sentinel // every output is written, zeros included
-				}
-			}
-			dotTile(&got.out, tile, qz, nExp)
-			var want [blockRows * tileRows]float64
-			dotTileGo(&want, tile, qz, nExp)
-			for k := 0; k < blockRows; k++ {
-				for j := 0; j < tileRows; j++ {
-					mag := 0.0
-					for e := 0; e < nExp; e++ {
-						mag += math.Abs(qz[e*blockRows+k] * tile[e*tileRows+j])
-					}
-					g, w := got.out[k*tileRows+j], want[k*tileRows+j]
-					if !(math.Abs(g-w) <= float64(nExp)*0x1p-52*mag) {
-						t.Fatalf("nExp %d, %d live rows: dot[%d][%d] = %v, the Go loop says %v", nExp, live, k, j, g, w)
-					}
-				}
-			}
-			for _, s := range append(got.before[:], got.after[:]...) {
-				if s != sentinel {
-					t.Fatalf("nExp %d: the routine wrote outside its 32 outputs", nExp)
-				}
-			}
-			if !slices.Equal(tile, tileWas) || !slices.Equal(qz, qzWas) {
-				t.Fatalf("nExp %d: the routine wrote to its inputs", nExp)
-			}
-
-			// One cell short on either side never reaches the routine.
-			if nExp > 0 {
-				for _, short := range [][2][]float64{{tile[:len(tile)-1], qz}, {tile, qz[:len(qz)-1]}} {
-					out := got.out
-					func() {
-						defer func() {
-							if recover() == nil {
-								t.Fatalf("nExp %d: dotTile accepted an argument one cell short", nExp)
-							}
-						}()
-						dotTile(&got.out, short[0], short[1], nExp)
-					}()
-					if got.out != out {
-						t.Fatalf("nExp %d: the routine ran before dotTile rejected its arguments", nExp)
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestSlabGeneOrderedTiles: whatever order a dataset lists its genes in,
 // however few of the compendium's genes it measures and wherever its row
@@ -154,25 +67,13 @@ func TestSlabGeneOrderedTiles(t *testing.T) {
 		if len(sl.gids) != len(lastRow) {
 			t.Fatalf("%s: %d slab rows for %d gene IDs", ds.Name, len(sl.gids), len(lastRow))
 		}
-		if want := (len(lastRow) + tileRows - 1) / tileRows * tileRows; len(sl.zt) != want*nExp || len(sl.t1) != want || len(sl.missOff) != want+1 {
-			t.Fatalf("%s: slab not padded to %d rows", ds.Name, want)
-		}
 		for r, gi := range sl.gids {
 			if r > 0 && sl.gids[r-1] >= gi {
 				t.Fatalf("%s: gids not ascending at row %d: %v", ds.Name, r, sl.gids)
 			}
 			// The row, read back out of its tile with its missing cells
 			// restored, is the z-scored last row carrying the gene.
-			got := make([]float64, nExp)
-			for i := range got {
-				got[i] = sl.zt[(r/tileRows*nExp+i)*tileRows+r%tileRows]
-			}
-			for _, m := range sl.miss[sl.missOff[r]:sl.missOff[r+1]] {
-				if int(m&7) != r%tileRows || got[m>>3] != 0 {
-					t.Fatalf("%s row %d: missing entry %d names another lane or a stored value", ds.Name, r, m)
-				}
-				got[m>>3] = nan
-			}
+			got := sl.tiles.AppendZ(nil, r)
 			want := stats.ZScores(ds.Row(lastRow[gi]))
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
@@ -228,7 +129,8 @@ func TestOraclesUnderGoDot(t *testing.T) {
 
 // BenchmarkF4_SPELLTile times the kernel on one tile: 8 rows × 26
 // experiments (the paper compendium's mean) against one block of 4 query
-// rows, dot then finish, under each dot routine. ns/pair is the whole
+// rows from the next tile — a scan meets a gene with itself once in 6,000
+// rows, not once in 8 — dot then finish, under each dot routine. ns/pair is the whole
 // kernel per (gene row, query row) pair and dot-ns/pair the dot routine's
 // share of it, timed by itself after the measured loop — so a kernel change
 // can tell the dot from the finish without a profiler.
@@ -249,7 +151,7 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 				rng := rand.New(rand.NewSource(26))
 				ds := &microarray.Dataset{Name: "tile", Experiments: make([]string, nExp)}
 				gid := map[string]int{}
-				for g := 0; g < tileRows; g++ {
+				for g := 0; g < 2*tileRows; g++ {
 					r := make([]float64, nExp)
 					for i := range r {
 						r[i] = rng.NormFloat64()
@@ -261,28 +163,31 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 					gid[id] = g
 					ds.Genes, ds.Data = append(ds.Genes, microarray.Gene{ID: id}), append(ds.Data, r)
 				}
-				sl := buildSlab(ds, gid, tileRows)
-				if (missing > 0) != (len(sl.miss) > 0) {
-					b.Fatalf("the tile has %d missing cells at rate %g", len(sl.miss), missing)
+				sl := buildSlab(ds, gid, 2*tileRows)
+				if holes := slices.ContainsFunc(ds.Data, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }); holes != (missing > 0) {
+					b.Fatalf("the tile has missing cells: %t at rate %g", holes, missing)
 				}
-				q := queryRows{rows: sl.appendQueryRows(nil, []int{0, 1, 2, 3}), buf: make([]float64, 2*blockRows*nExp)}
-				sl.gather(&q)
-				z, _, _ := q.block(0, nExp)
+				q := tilecorr.Query{Rows: sl.appendQueryRows(nil, []int{8, 9, 10, 11}), Buf: make([]float64, tilecorr.QueryCells(blockRows, nExp))}
+				sl.tiles.Gather(&q)
+				z, _, _ := q.Block(0, nExp)
+				tile := sl.tiles.Tile(0)
 				var dots [pairs]float64
 				var corr [tileRows]float64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					dotTile(&dots, sl.zt, z, nExp)
+					tilecorr.Dot(&dots, tile, z, nExp)
 					for k := 0; k < blockRows; k++ {
-						sl.finishTile(&corr, 0, (*[tileRows]float64)(dots[k*tileRows:]), &q, k, tileRows)
+						if m := sl.tiles.Finish(&corr, 0, (*[tileRows]float64)(dots[k*tileRows:]), &q, k, tileRows); m != 0 {
+							sl.exactLanes(&corr, m, 0, q.Rows[k].Index)
+						}
 					}
 				}
 				b.StopTimer()
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 				start := time.Now()
 				for i := 0; i < b.N; i++ {
-					dotTile(&dots, sl.zt, z, nExp)
+					tilecorr.Dot(&dots, tile, z, nExp)
 				}
 				b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/pairs, "dot-ns/pair")
 			})

@@ -10,14 +10,16 @@ import (
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
 	"forestview/internal/synth"
+	"forestview/internal/tilecorr"
 )
 
 var nan = math.NaN()
 
 // kernelVsPearson runs two raw rows (NaN = missing) through slab
-// construction and the kernel — dotTile then finishTile, row A as the query
-// against the lane of row B and back — and through the oracle the kernel
-// stands in for: stats.Pearson on the rows z-scored with their NaNs intact.
+// construction and the kernel — tilecorr.Dot, Finish, exactLanes, row A as
+// the query against the lane of row B and back — and through the oracle the
+// kernel stands in for: stats.Pearson on the rows z-scored with their NaNs
+// intact.
 func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 	t.Helper()
 	ds := &microarray.Dataset{
@@ -27,14 +29,17 @@ func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 		Data:        [][]float64{a, b},
 	}
 	sl := buildSlab(ds, map[string]int{"A": 0, "B": 1}, 2)
+	nExp := sl.tiles.NExp()
 	pair := func(query, lane int) float64 {
-		q := queryRows{rows: sl.appendQueryRows(nil, []int{query}), buf: make([]float64, 2*blockRows*sl.nExp)}
-		sl.gather(&q)
-		z, _, _ := q.block(0, sl.nExp)
+		q := tilecorr.Query{Rows: sl.appendQueryRows(nil, []int{query}), Buf: make([]float64, tilecorr.QueryCells(1, nExp))}
+		sl.tiles.Gather(&q)
+		z, _, _ := q.Block(0, nExp)
 		var dots [blockRows * tileRows]float64
-		dotTile(&dots, sl.zt, z, sl.nExp)
+		tilecorr.Dot(&dots, sl.tiles.Tile(0), z, nExp)
 		var corr [tileRows]float64
-		sl.finishTile(&corr, 0, (*[tileRows]float64)(dots[:]), &q, 0, 2)
+		if m := sl.tiles.Finish(&corr, 0, (*[tileRows]float64)(dots[:]), &q, 0, 2); m != 0 {
+			sl.exactLanes(&corr, m, 0, q.Rows[0].Index)
+		}
 		return corr[lane]
 	}
 	got = pair(0, 1)

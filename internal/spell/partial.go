@@ -169,7 +169,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 			Index:     di,
 			Name:      e.datasets[di].Name,
 			Coherence: infos[di].coherence,
-			Present:   len(infos[di].q.rows),
+			Present:   len(infos[di].q.Rows),
 		}
 	}
 
@@ -180,7 +180,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	for _, di := range subset {
 		w := infos[di].coherence
 		if opt.UniformWeights {
-			w = float64(min(len(infos[di].q.rows), 1))
+			w = float64(min(len(infos[di].q.Rows), 1))
 		}
 		if w > 0 { // false for NaN
 			weights[di] = w

@@ -13,10 +13,10 @@
 // every distinct gene ID a global integer once, stores each dataset's
 // z-scored rows zero-filled in gene-ordered tiles of eight, and scores a
 // query row against a tile's eight rows — complete or not — with one pass
-// of dot products plus a correction per missing cell (dotTile and
-// finishTile, slab.go). Gene scores accumulate into one dense
-// vector that the workers share by owning disjoint ranges of the gene
-// index (see accum.go). The retained naive scorer in reference.go is the
+// of dot products plus a correction per missing cell (the kernel shared
+// with clustering, internal/tilecorr; slab.go). Gene scores accumulate into
+// one dense vector that the workers share by owning disjoint ranges of the
+// gene index (see accum.go). The retained naive scorer in reference.go is the
 // golden standard the kernel is tested against.
 package spell
 
@@ -35,6 +35,7 @@ import (
 
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
+	"forestview/internal/tilecorr"
 )
 
 // Options tune a search.
@@ -208,7 +209,7 @@ func CanonicalQuery(ids []string) []string {
 
 // dsInfo is the stage-1 result for one dataset.
 type dsInfo struct {
-	q         queryRows // the dataset's rows measuring query genes
+	q         tilecorr.Query // the dataset's rows measuring query genes, gathered
 	coherence float64
 }
 
@@ -231,12 +232,12 @@ func (e *Engine) queryInfos(ctx context.Context, qgids []int, dss []int) ([]dsIn
 	infos := make([]dsInfo, len(e.slabs))
 	// Two allocations, cut per dataset: the query rows and the cells they
 	// are gathered into.
-	rows := make([]queryRow, 0, len(dss)*len(qgids))
+	rows := make([]tilecorr.Row, 0, len(dss)*len(qgids))
 	cells := 0
 	for _, di := range dss {
-		cells += e.slabs[di].nExp
+		cells += tilecorr.QueryCells(len(qgids), e.slabs[di].tiles.NExp())
 	}
-	buf := make([]float64, (len(qgids)+blockRows-1)/blockRows*2*blockRows*cells)
+	buf := make([]float64, cells)
 	for _, di := range dss {
 		if ctx.Err() != nil {
 			break
@@ -244,10 +245,10 @@ func (e *Engine) queryInfos(ctx context.Context, qgids []int, dss []int) ([]dsIn
 		sl := e.slabs[di]
 		from := len(rows)
 		rows = sl.appendQueryRows(rows, qgids)
-		q := queryRows{rows: rows[from:]}
-		n := q.blocks() * 2 * blockRows * sl.nExp
-		q.buf, buf = buf[:n], buf[n:]
-		sl.gather(&q)
+		q := tilecorr.Query{Rows: rows[from:]}
+		n := tilecorr.QueryCells(len(q.Rows), sl.tiles.NExp())
+		q.Buf, buf = buf[:n], buf[n:]
+		sl.tiles.Gather(&q)
 		infos[di] = dsInfo{q: q, coherence: sl.coherence(&q)}
 	}
 	return infos, ctx.Err()
@@ -314,7 +315,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		if opt.UniformWeights {
 			// Ablation baseline: every dataset measuring the query counts
 			// equally, informative or not.
-			if len(infos[di].q.rows) > 0 {
+			if len(infos[di].q.Rows) > 0 {
 				w = 1
 			} else {
 				w = 0
@@ -331,7 +332,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 		// back to uniform weights over datasets measuring the query.
 		n := 0
 		for di := range infos {
-			if len(infos[di].q.rows) > 0 {
+			if len(infos[di].q.Rows) > 0 {
 				weights[di] = 1
 				n++
 			}
@@ -365,7 +366,7 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 			Name:           e.datasets[di].Name,
 			Weight:         weights[di],
 			QueryCoherence: infos[di].coherence,
-			QueryPresent:   len(infos[di].q.rows),
+			QueryPresent:   len(infos[di].q.Rows),
 		}
 	}
 	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
@@ -430,18 +431,21 @@ func topK[T any](xs []T, k int, by func(a, b T) int) []T {
 // signal. NaN when fewer than two query genes are present. A query gene's
 // row is a lane of some tile, so each pair is read off the kernel stage 2
 // runs: that tile against the block holding the other row.
-func (s *slab) coherence(q *queryRows) float64 {
+func (s *slab) coherence(q *tilecorr.Query) float64 {
 	sum, n := 0.0, 0
+	nExp := s.tiles.NExp()
 	var dots [blockRows * tileRows]float64
 	var corr [tileRows]float64
-	for i := 1; i < len(q.rows); i++ {
-		t, lane := int(q.rows[i].row)/tileRows, int(q.rows[i].row)%tileRows
-		tile := s.tile(t)
+	for i := 1; i < len(q.Rows); i++ {
+		t, lane := q.Rows[i].Index/tileRows, q.Rows[i].Index%tileRows
+		tile := s.tiles.Tile(t)
 		for b := 0; blockRows*b < i; b++ {
-			z, _, live := q.block(b, s.nExp)
-			dotTile(&dots, tile, z, s.nExp)
+			z, _, live := q.Block(b, nExp)
+			tilecorr.Dot(&dots, tile, z, nExp)
 			for k := 0; k < min(live, i-blockRows*b); k++ {
-				s.finishTile(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, lane+1)
+				if m := s.tiles.Finish(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, lane+1); m != 0 {
+					s.exactLanes(&corr, m, t, q.Rows[blockRows*b+k].Index)
+				}
 				if r := corr[lane]; !math.IsNaN(r) {
 					sum += stats.FisherZ(r)
 					n++
@@ -491,21 +495,24 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 // it again for its own. (Sharing out tiles instead would not do: datasets
 // measuring different genes put one gene in tiles of different numbers, and
 // its accumulator cell would then have two writers.)
-func (s *slab) scoreGenes(q *queryRows, w float64, lo, hi int, acc *accum) {
+func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) {
 	r0, _ := slices.BinarySearch(s.gids, int32(lo))
 	r1, _ := slices.BinarySearch(s.gids, int32(hi))
+	nExp := s.tiles.NExp()
 	var dots [blockRows * tileRows]float64
 	var corr [tileRows]float64
 	for t := r0 / tileRows; t*tileRows < r1; t++ {
-		base, tile := t*tileRows, s.tile(t)
+		base, tile := t*tileRows, s.tiles.Tile(t)
 		live := min(tileRows, len(s.gids)-base)
 		var sum [tileRows]float64
 		var n [tileRows]int
-		for b := 0; b < q.blocks(); b++ {
-			z, _, rows := q.block(b, s.nExp)
-			dotTile(&dots, tile, z, s.nExp)
+		for b := 0; b < q.Blocks(); b++ {
+			z, _, rows := q.Block(b, nExp)
+			tilecorr.Dot(&dots, tile, z, nExp)
 			for k := 0; k < rows; k++ {
-				s.finishTile(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, live)
+				if m := s.tiles.Finish(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, live); m != 0 {
+					s.exactLanes(&corr, m, t, q.Rows[blockRows*b+k].Index)
+				}
 				for j, c := range corr[:live] {
 					if !math.IsNaN(c) {
 						sum[j] += c

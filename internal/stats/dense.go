@@ -2,15 +2,15 @@ package stats
 
 import "math"
 
-// This file holds the dense fast paths behind the SPELL scoring kernel
-// (internal/spell) and the clustering kernel (internal/cluster). Unlike the
-// rest of the package, Dot does not skip missing values: its callers have
-// dealt with them beforehand — SPELL stores missing cells as 0, so they
-// drop out of the sum, and corrects the other moments per pair; clustering
-// proves rows complete with a per-row mask and prepares them with
-// CenterUnitNormInto, after which the Pearson correlation of two such rows
-// is exactly their dot product. Checking NaN per element would throw away
-// most of the win.
+// This file holds the dense fast paths behind the clustering kernel's
+// per-pair tier (internal/cluster: uncentered and rank correlation) and the
+// z-scoring both kernels store rows by. Unlike the rest of the package, Dot
+// does not skip missing values: clustering proves rows complete with a
+// per-row mask and prepares them with UnitNormInto or CenterUnitNormInto,
+// after which the correlation of two such rows is exactly their dot product.
+// Checking NaN per element would throw away most of the win. (Pearson itself,
+// for SPELL and for clustering, runs on internal/tilecorr, which handles
+// missing cells by correction instead of by mask.)
 
 // Dot returns the dense dot product of xs and ys over the shorter common
 // length. Missing values are NOT skipped: neither vector may hold a NaN.
@@ -42,8 +42,8 @@ func Dot(xs, ys []float64) float64 {
 // value, fewer than two entries, or zero variance. When it returns true,
 // Pearson(a, b) == Dot(da, db) for any two rows prepared this way (up to
 // floating-point rounding), which is what lets the clustering kernel
-// replace the pairwise-NaN Pearson with a single dot product on complete
-// rows.
+// replace the pairwise-NaN rank correlation with a single dot product on
+// complete rows.
 func CenterUnitNormInto(dst, xs []float64) bool {
 	if len(xs) < 2 || len(dst) < len(xs) {
 		return false

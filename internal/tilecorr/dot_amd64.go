@@ -1,16 +1,20 @@
-package spell
+//go:build !purego
 
-// useAsm says whether dotTile runs dotTileAsm: decided once, from what the
-// CPU reports. Tests clear it to reach the Go loop.
+package tilecorr
+
+// useAsm says whether Dot runs dotAsm: decided once, from what the CPU
+// reports. Only test binaries clear it — this package's directly, those of
+// internal/spell and internal/cluster through a go:linkname in a _test file
+// — to hold one process to both routines (DESIGN.md §3a).
 var useAsm = cpuHasAVX2FMA()
 
-// dotTileAsm is dotTile's contract in AVX2 + FMA: the tile line in two
-// 256-bit registers, one broadcast per query row, eight accumulators. It
-// reads tileRows·nExp cells of tile and blockRows·nExp of qz whatever their
-// lengths, so it is called through dotTile only.
+// dotAsm is Dot's contract in AVX2 + FMA: the tile line in two 256-bit
+// registers, one broadcast per query row, eight accumulators. It reads
+// TileRows·nExp cells of tile and BlockRows·nExp of qz whatever their
+// lengths, so it is called through Dot only.
 //
 //go:noescape
-func dotTileAsm(out *[blockRows * tileRows]float64, tile, qz []float64, nExp int)
+func dotAsm(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -1,10 +1,12 @@
+//go:build !purego
+
 #include "textflag.h"
 
-// func dotTileAsm(out *[32]float64, tile, qz []float64, nExp int)
+// func dotAsm(out *[32]float64, tile, qz []float64, nExp int)
 //
 // Y0-Y7 accumulate out: query row k against lanes 0-3 in Y(2k), lanes 4-7
 // in Y(2k+1). Each experiment is one 64-byte tile line and 32 bytes of qz.
-TEXT ·dotTileAsm(SB), NOSPLIT, $0-64
+TEXT ·dotAsm(SB), NOSPLIT, $0-64
 	MOVQ   out+0(FP), DI
 	MOVQ   tile_base+8(FP), SI
 	MOVQ   qz_base+32(FP), DX

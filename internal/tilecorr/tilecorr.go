@@ -1,0 +1,314 @@
+// Package tilecorr is the Pearson correlation kernel under SPELL's scan
+// (internal/spell) and the clustering distance build (internal/cluster).
+//
+// Rows are stored z-scored and zero-filled in tiles of eight, experiment-
+// major (Tiles). One pass over a tile dots it with a block of up to four
+// gathered rows (Dot: an AVX2+FMA assembly routine where the CPU has it, the
+// same sums in a Go loop everywhere else), and Finish turns the eight dots
+// against one row into eight correlations over the cells each pair observes
+// jointly — a missing cell costs a correction, not another code path. A lane
+// whose one-pass value cannot be trusted to the last bits is reported to the
+// caller, who recomputes that pair exactly by its own definition: the kernel
+// never chooses the exact routine.
+package tilecorr
+
+import (
+	"math"
+	"slices"
+
+	"forestview/internal/stats"
+)
+
+const (
+	TileRows  = 8 // rows a tile interleaves: two 256-bit vectors of float64
+	BlockRows = 4 // gathered rows dotted with a tile in one pass
+)
+
+// Tiles holds rows of nExp cells in kernel-ready form: each row z-scored
+// over its observed cells, missing (NaN) cells stored as 0 — so a missing
+// cell on either side of a pair contributes exactly 0 to its dot product,
+// no per-cell test — and, beside the tiles, what the zero-fill hides: each
+// row's totals over its observed cells and the list of its missing cells,
+// from which Finish recovers the exact moments over a pair's joint cells.
+// Tiles are immutable once built and safe for concurrent use.
+type Tiles struct {
+	nExp int
+	// zt holds the tiles back to back: row TileRows·t+j at experiment e is
+	// zt[(t·nExp+e)·TileRows+j]. The last tile is zero-padded.
+	zt []float64
+	// Row r's moments over its observed cells, t1 = Σz and t2 = Σz², and
+	// inv = 1/sqrt(nExp·t2 − t1²), the row's variance term when a pair has
+	// nothing to correct (0 when that term fails varGuard — a constant
+	// row). Padded to the tile with zeros.
+	t1, t2, inv []float64
+	// Row r's missing cells are miss[missOff[r]:missOff[r+1]], each entry
+	// column<<3 | lane — the cell's offset within its tile — by ascending
+	// column; missOff is padded to the tile, so tile t's missing cells are
+	// the one contiguous list miss[missOff[TileRows·t]:missOff[TileRows·(t+1)]].
+	missOff []int32
+	miss    []int32
+}
+
+// New tiles rows, each of which must hold nExp cells (NaN = missing), in
+// the order given: row r is lane r%TileRows of tile r/TileRows.
+func New(rows [][]float64, nExp int) *Tiles {
+	padded := (len(rows) + TileRows - 1) / TileRows * TileRows
+	s := &Tiles{
+		nExp:    nExp,
+		zt:      make([]float64, padded*nExp),
+		t1:      make([]float64, padded),
+		t2:      make([]float64, padded),
+		inv:     make([]float64, padded),
+		missOff: make([]int32, padded+1),
+	}
+	zr := make([]float64, nExp)
+	for r, row := range rows {
+		stats.ZScoresInto(zr, row[:nExp])
+		tile, lane := s.Tile(r/TileRows), r%TileRows
+		var t1, t2 float64
+		for i, v := range zr {
+			if math.IsNaN(v) {
+				s.miss = append(s.miss, int32(i<<3|lane))
+				continue
+			}
+			tile[i*TileRows+lane] = v
+			t1 += v
+			t2 += v * v
+		}
+		s.t1[r], s.t2[r] = t1, t2
+		if d := float64(nExp)*t2 - t1*t1; d > varGuard*float64(nExp)*t2 {
+			s.inv[r] = 1 / math.Sqrt(d)
+		}
+		s.missOff[r+1] = int32(len(s.miss))
+	}
+	for r := len(rows); r < padded; r++ {
+		s.missOff[r+1] = int32(len(s.miss))
+	}
+	return s
+}
+
+// NExp is the number of cells in a row.
+func (s *Tiles) NExp() int { return s.nExp }
+
+// Tile returns tile t: TileRows·nExp cells, experiment-major.
+func (s *Tiles) Tile(t int) []float64 {
+	return s.zt[t*TileRows*s.nExp : (t+1)*TileRows*s.nExp]
+}
+
+// AppendZ appends row r's z-scores to dst, NaN back at its missing cells:
+// the row as stats.ZScores left it, for a caller's exact recomputation.
+func (s *Tiles) AppendZ(dst []float64, r int) []float64 {
+	from := len(dst)
+	tile, lane := s.Tile(r/TileRows), r%TileRows
+	for e := 0; e < s.nExp; e++ {
+		dst = append(dst, tile[e*TileRows+lane])
+	}
+	for _, m := range s.miss[s.missOff[r]:s.missOff[r+1]] {
+		dst[from+int(m>>3)] = math.NaN()
+	}
+	return dst
+}
+
+// Row is one row of the tiles as Finish reads it on the gathered side.
+type Row struct {
+	Index       int     // the row: lane Index%TileRows of tile Index/TileRows
+	t1, t2, inv float64 // as in the tiles
+	miss        []int32 // the row's entries of the missing list (column = entry>>3)
+}
+
+// Row returns row r for a Query.
+func (s *Tiles) Row(r int) Row {
+	return Row{
+		Index: r, t1: s.t1[r], t2: s.t2[r], inv: s.inv[r],
+		miss: s.miss[s.missOff[r]:s.missOff[r+1]],
+	}
+}
+
+// Query is a set of rows gathered out of their tiles into blocks of
+// BlockRows, the side of the kernel one tile is met with. Block b is
+// 2·BlockRows·nExp cells of Buf: first the rows' zero-filled z-scores,
+// interleaved — row BlockRows·b+k at experiment e is z[e·BlockRows+k], absent
+// rows 0 — then, in the same layout, 1 where the row observes the experiment
+// and 0 where it does not. The caller owns both slices, so many queries can
+// be cut from two allocations.
+type Query struct {
+	Rows []Row
+	Buf  []float64 // QueryCells(len(Rows), nExp) cells, zeroed before Gather
+}
+
+// QueryCells is the number of cells a Query of n rows needs in Buf.
+func QueryCells(n, nExp int) int {
+	return (n + BlockRows - 1) / BlockRows * 2 * BlockRows * nExp
+}
+
+// Blocks is the number of blocks the rows fill.
+func (q *Query) Blocks() int { return (len(q.Rows) + BlockRows - 1) / BlockRows }
+
+// Block returns block b's z-scores, its presence mask and how many of its
+// rows are live.
+func (q *Query) Block(b, nExp int) (z, present []float64, live int) {
+	n := BlockRows * nExp
+	blk := q.Buf[2*n*b : 2*n*(b+1)]
+	return blk[:n], blk[n:], min(BlockRows, len(q.Rows)-BlockRows*b)
+}
+
+// Gather copies q.Rows out of their tiles into q.Buf.
+func (s *Tiles) Gather(q *Query) {
+	for i, qr := range q.Rows {
+		z, present, _ := q.Block(i/BlockRows, s.nExp)
+		k := i % BlockRows
+		tile, lane := s.Tile(qr.Index/TileRows), qr.Index%TileRows
+		for e := 0; e < s.nExp; e++ {
+			z[e*BlockRows+k] = tile[e*TileRows+lane]
+			present[e*BlockRows+k] = 1
+		}
+		for _, m := range qr.miss {
+			present[int(m>>3)*BlockRows+k] = 0
+		}
+	}
+}
+
+// Dot fills out[k·TileRows+j] with Σ_e qz[e·BlockRows+k]·tile[e·TileRows+j],
+// summed in ascending e: the dot products of BlockRows interleaved gathered
+// rows with the TileRows rows of one tile. The work is done by the build's
+// assembly routine where start-up found the CPU can run it (useAsm,
+// dot_amd64.go) and by dotGo everywhere else; the length checks here are
+// what keeps the assembly from reading past its arguments.
+func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
+	if nExp < 0 || len(tile) < TileRows*nExp || len(qz) < BlockRows*nExp {
+		panic("tilecorr: Dot arguments shorter than nExp lines")
+	}
+	if useAsm {
+		dotAsm(out, tile, qz, nExp)
+		return
+	}
+	dotGo(out, tile, qz, nExp)
+}
+
+// KernelName names the dot routine this process runs: "avx2-fma" (amd64
+// with AVX2 and FMA) or "go". Processes on different routines differ in
+// speed and in the last bits of a correlation (fused against unfused
+// rounding).
+func KernelName() string {
+	if useAsm {
+		return "avx2-fma"
+	}
+	return "go"
+}
+
+// dotGo is the portable dot routine, and the assembly's oracle.
+func dotGo(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
+	for k := 0; k < BlockRows; k++ {
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
+		for e := 0; e < nExp; e++ {
+			q, line := qz[e*BlockRows+k], (*[TileRows]float64)(tile[e*TileRows:])
+			a0 += q * line[0]
+			a1 += q * line[1]
+			a2 += q * line[2]
+			a3 += q * line[3]
+			a4 += q * line[4]
+			a5 += q * line[5]
+			a6 += q * line[6]
+			a7 += q * line[7]
+		}
+		*(*[TileRows]float64)(out[k*TileRows:]) = [TileRows]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+	}
+}
+
+// varGuard is the share of a row's full sum of squares its variance term
+// over a pair's joint cells must keep for the one-pass moments to be
+// trusted. Rounding in n·Σz² − (Σz)² is a few ulps of nExp·t2, so above the
+// guard the correlation is good to ~1e-14; below it (the joint cells are
+// nearly constant, or exactly so) Finish flags the lane.
+const varGuard = 1.0 / 64
+
+// sure bounds the correlations Finish vouches for. At |r| = 1 a two-pass
+// Pearson is exact where the one-pass identity lands an ulp short or is
+// clamped, and exact ties at ±1 are structural to callers that compare
+// pairs — duplicated rows, rows sharing two cells — so anything this close
+// is the caller's to recompute.
+const sure = 1 - 1e-12
+
+// Finish turns dot — the dot products of tile t's rows with row i of q, as
+// Dot left them for its block — into out: the Pearson correlation of each of
+// the tile's first live rows with that row over the cells both observe,
+// equal to stats.Pearson on the NaN-bearing rows to rounding (≤1e-12), and
+// NaN where fewer than two cells are shared. Lanes past live hold nothing,
+// and neither do the lanes set in flagged, which the kernel does not vouch
+// for — two shared cells, a variance term under varGuard, |r| beyond sure:
+// every pair whose correlation is ±1 or undefined is among them — and the
+// caller recomputes by its own exact routine.
+//
+// Because missing cells are stored as 0 the dot product already is Σab over
+// the joint cells; each row's Σz and Σz² over the joint cells are its
+// stored totals minus its values at the other row's missing columns, and
+// the joint count is nExp minus the columns either row is missing. The
+// tile's rows lose a whole tile line per column the gathered row is missing;
+// the gathered row's sums are corrected, lane by lane, in one walk of the
+// tile's missing list — whose presence-mask term leaves a column missing
+// on both sides counted once. No list is walked per lane.
+func (s *Tiles) Finish(out *[TileRows]float64, t int, dot *[TileRows]float64, q *Query, i, live int) (flagged uint8) {
+	qr, k := &q.Rows[i], i%BlockRows
+	base := TileRows * t
+	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
+	inv := (*[TileRows]float64)(s.inv[base:])
+	tmiss := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
+	fnE := float64(s.nExp)
+	if len(tmiss)+len(qr.miss) == 0 && s.nExp > 2 && qr.inv != 0 && !slices.Contains(inv[:live], 0) {
+		// Nothing to correct: every variance term is its row's own.
+		// (No clamp: a value Finish vouches for is inside ±sure.)
+		for j := range out {
+			r := (fnE*dot[j] - t1[j]*qr.t1) * (inv[j] * qr.inv)
+			out[j] = r
+			if !(r < sure && r > -sure) {
+				flagged |= 1 << j
+			}
+		}
+		return flagged & (1<<live - 1)
+	}
+	tile := s.Tile(t)
+	z, present, _ := q.Block(i/BlockRows, s.nExp)
+	sa, saa := *t1, *t2
+	for _, m := range qr.miss {
+		for j, v := range (*[TileRows]float64)(tile[m&^7:]) {
+			sa[j] -= v
+			saa[j] -= v * v
+		}
+	}
+	var sb, sbb, n [TileRows]float64
+	nb := float64(s.nExp - len(qr.miss))
+	for j := range n {
+		sb[j], sbb[j], n[j] = qr.t1, qr.t2, nb
+	}
+	for _, m := range tmiss {
+		c, j := int(m>>3)*BlockRows+k, m&7
+		v := z[c]
+		sb[j] -= v
+		sbb[j] -= v * v
+		n[j] -= present[c]
+	}
+	lim := varGuard * fnE
+	limB := lim * qr.t2 // hoisted by hand: for all the compiler knows out aliases qr
+	for j := 0; j < live; j++ {
+		fn := n[j]
+		if fn < 3 {
+			if fn < 2 {
+				out[j] = math.NaN()
+			} else {
+				flagged |= 1 << j
+			}
+			continue
+		}
+		da, db := fn*saa[j]-sa[j]*sa[j], fn*sbb[j]-sb[j]*sb[j]
+		if !(da > lim*t2[j] && db > limB) {
+			flagged |= 1 << j
+			continue
+		}
+		r := (fn*dot[j] - sa[j]*sb[j]) / math.Sqrt(da*db)
+		out[j] = r
+		if !(r < sure && r > -sure) {
+			flagged |= 1 << j
+		}
+	}
+	return flagged
+}
