@@ -653,26 +653,51 @@ func BenchmarkF5_Scatter4Shards(b *testing.B) { benchScatter(b, 4) }
 // compendium cut into 12 two-dataset groups (4 shards at R=2 have 12 ordered
 // owner pairs), every group partial listing all 6,000 genes.
 
-// paperGroupPartials computes the first n two-dataset group partials of one
-// query over the paper compendium.
-func paperGroupPartials(b testing.TB, n int) []*spell.Partial {
+// paperGroups is the fixture: an engine over the first n two-dataset groups
+// of the paper compendium, and the function that computes group g's partial
+// of one query, as a shard does on a cache miss.
+func paperGroups(b testing.TB, n int) func(g int) *spell.Partial {
 	b.Helper()
 	u := synth.NewUniverse(paperGenes, 20, 73)
 	engine, err := spell.NewEngine(paperCompendium(u, 0.02)[:2*n])
 	if err != nil {
 		b.Fatal(err)
 	}
-	parts := make([]*spell.Partial, n)
-	for g := range parts {
-		parts[g], err = engine.PartialSearchSubsetCtx(context.Background(), u.ModuleGeneIDs(4)[:4], []int{2 * g, 2*g + 1}, spell.Options{})
+	return func(g int) *spell.Partial {
+		p, err := engine.PartialSearchSubsetCtx(context.Background(), u.ModuleGeneIDs(4)[:4], []int{2 * g, 2*g + 1}, spell.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(parts[g].IDs) != paperGenes {
-			b.Fatalf("group %d partial lists %d genes", g, len(parts[g].IDs))
+		if len(p.IDs) != paperGenes {
+			b.Fatalf("group %d partial lists %d genes", g, len(p.IDs))
 		}
+		return p
+	}
+}
+
+// paperGroupPartials computes the first n two-dataset group partials of one
+// query over the paper compendium.
+func paperGroupPartials(b testing.TB, n int) []*spell.Partial {
+	b.Helper()
+	partial := paperGroups(b, n)
+	parts := make([]*spell.Partial, n)
+	for g := range parts {
+		parts[g] = partial(g)
 	}
 	return parts
+}
+
+// BenchmarkF5_GroupPartial: one 6,000-gene two-dataset group partial,
+// computed. Read it beside BenchmarkF5_PartialWire, the same partial
+// shipped: computing it costs less than moving it, which is why a drained
+// shard hands its successors nothing (DESIGN.md §7).
+func BenchmarkF5_GroupPartial(b *testing.B) {
+	partial := paperGroups(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		partial(0)
+	}
 }
 
 // partialWireTrip is one group partial's trip over the shard hop, minus the

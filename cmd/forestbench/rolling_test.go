@@ -31,9 +31,8 @@ func adminPost(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 	return resp, b
 }
 
-// shardGroupSearch posts one shard-level search and returns the status
-// plus the X-Forestview-Cache disposition.
-func shardGroupSearch(t *testing.T, url string, req shard.SearchRequest) (int, string) {
+// shardGroupSearch posts one shard-level search and returns the status.
+func shardGroupSearch(t *testing.T, url string, req shard.SearchRequest) int {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
@@ -45,19 +44,19 @@ func shardGroupSearch(t *testing.T, url string, req shard.SearchRequest) (int, s
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	return resp.StatusCode, resp.Header.Get("X-Forestview-Cache")
+	return resp.StatusCode
 }
 
-// TestRollingRestartDrainE2E is the PR's acceptance proof: every shard of
-// a 3-shard R=2 fleet is drained, restarted and re-added in sequence while
-// an open-loop load runs against the coordinator — and not one response
-// is a 5xx or a degraded merge. The rolling order per shard: survivors
-// reload to the post-drain topology, the coordinator demotes the victim
-// to last-resort, the victim pushes its warm partials and drains out, the
-// coordinator drops it, the shard restarts fresh and rejoins. The first
-// cycle also proves the warm handoff observable: the drained shard's hot
-// query is served as an X-Forestview-Cache hit by every successor on
-// first touch.
+// TestRollingRestartDrainE2E is the drain's acceptance proof: every shard
+// of a 3-shard R=2 fleet is drained, restarted and re-added in sequence
+// while an open-loop load runs against the coordinator — and not one
+// response is a 5xx or a degraded merge. The rolling order per shard:
+// survivors reload to the post-drain topology, the coordinator demotes the
+// victim to last-resort, the victim drains out, the coordinator drops it,
+// the shard restarts fresh and rejoins. The first cycle also asks every
+// successor of every post-drain ownership group for a query it has not
+// seen under that topology, before the coordinator switches to it: each
+// answers 200 on first touch, having reloaded first.
 func TestRollingRestartDrainE2E(t *testing.T) {
 	tp, err := newFleetTopology("roll3r2", 3, 2, 6, 16, nil)
 	if err != nil {
@@ -89,7 +88,7 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 	go func() { runDone <- workload.Run(context.Background(), plan, tp.url) }()
 	time.Sleep(400 * time.Millisecond) // let the load reach steady state
 
-	hotQuery := tp.u.ModuleGeneIDs(2)[:4]
+	query := tp.u.ModuleGeneIDs(2)[:4]
 	for i, victim := range tp.identities {
 		var survivors []string
 		for _, id := range tp.identities {
@@ -102,16 +101,8 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		if i == 0 {
-			// Make one query hot on the victim so the first cycle can prove
-			// the handoff warms its successors.
-			if code, disp := shardGroupSearch(t, tp.resolve(victim), shard.SearchRequest{Query: hotQuery}); code != http.StatusOK {
-				t.Fatalf("warming search on %s = %d/%s", victim, code, disp)
-			}
-		}
-
-		// Survivors adopt the post-drain topology first, so the victim's
-		// generation-guarded push finds them ready.
+		// Survivors adopt the post-drain topology first: they hold what they
+		// are about to own before anyone asks them for it.
 		for _, id := range survivors {
 			if resp, b := adminPost(t, tp.resolve(id)+shard.ShardFleetPath, fleetBody); resp.StatusCode != http.StatusOK {
 				t.Fatalf("cycle %d: survivor %s reload = %d: %s", i, id, resp.StatusCode, b)
@@ -123,32 +114,25 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			t.Fatalf("cycle %d: drain %s = %d: %s", i, victim, resp.StatusCode, b)
 		}
 		var dr struct {
-			Status     string   `json:"status"`
-			Pushed     int64    `json:"pushed"`
-			Replayed   int64    `json:"replayed"`
-			PushErrors []string `json:"push_errors"`
+			Status string `json:"status"`
 		}
 		if err := json.Unmarshal(b, &dr); err != nil {
 			t.Fatal(err)
 		}
-		if dr.Status != shard.StatusDraining || len(dr.PushErrors) != 0 {
+		if dr.Status != shard.StatusDraining {
 			t.Fatalf("cycle %d: drain response %s", i, b)
 		}
 		if i == 0 {
-			if dr.Pushed+dr.Replayed == 0 {
-				t.Fatalf("cycle 0: warmed drain pushed nothing: %s", b)
-			}
-			// The warm-hit proof, before the coordinator switches to the
-			// 2-shard topology (so only the handoff can have filled these
-			// cache keys): every successor of every post-drain ownership
-			// group serves the victim's hot query warm on first touch.
+			// Before the coordinator switches to the 2-shard topology:
+			// every successor of every post-drain ownership group serves
+			// the group on first touch.
 			for _, owners := range shard.Groups(tp.names, survivors, tp.repl) {
 				for _, owner := range owners {
-					code, disp := shardGroupSearch(t, tp.resolve(owner), shard.SearchRequest{
-						Query: hotQuery, Shards: survivors, Replication: tp.repl, Groups: [][]string{owners},
+					code := shardGroupSearch(t, tp.resolve(owner), shard.SearchRequest{
+						Query: query, Shards: survivors, Replication: tp.repl, Groups: [][]string{owners},
 					})
-					if code != http.StatusOK || disp != "hit" {
-						t.Fatalf("post-drain search on %s (group %v) = %d/%q, want 200/hit", owner, owners, code, disp)
+					if code != http.StatusOK {
+						t.Fatalf("post-drain search on %s (group %v) = %d, want 200", owner, owners, code)
 					}
 				}
 			}

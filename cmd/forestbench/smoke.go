@@ -21,7 +21,7 @@ import (
 )
 
 // fleetAdminToken arms every fleet topology's admin surface — the
-// coordinator's /api/admin/fleet and the shards' drain/handoff/fleet
+// coordinator's /api/admin/fleet and the shards' drain and fleet
 // endpoints — so drain and chaos harnesses can drive rolling restarts.
 const fleetAdminToken = "bench-fleet-token"
 
@@ -83,8 +83,7 @@ type topology struct {
 	closers []func()
 }
 
-// resolve is the identity->URL hook shared by the coordinator and the
-// shards' handoff pushes; it follows restarts.
+// resolve is the coordinator's identity->URL hook; it follows restarts.
 func (tp *topology) resolve(id string) string {
 	tp.mu.Lock()
 	defer tp.mu.Unlock()
@@ -180,7 +179,7 @@ func newSingleTopology(prefetchWorkers int) (*topology, error) {
 // ontology, so the coordinator scatters enrichment as well as search; only
 // heatmaps stay off the fleet mix. Every member boots with the drain
 // plumbing armed under fleetAdminToken, so rolling-restart and chaos
-// harnesses can drive reloads, drains and warm handoffs over the wire.
+// harnesses can drive reloads and drains over the wire.
 // coordCacheBytes sizes the coordinator's merged-result cache — pass
 // something tiny (e.g. 16) to force every search to re-scatter, which is
 // what a shard-kill test needs: cached full merges would keep answering
@@ -269,8 +268,7 @@ func (tp *topology) bootShard(self string) error {
 			}
 			return tp.dss[gi], nil
 		},
-		ShardResolve: tp.resolve,
-		FleetToken:   fleetAdminToken,
+		FleetToken: fleetAdminToken,
 	})
 	if err != nil {
 		return err

@@ -93,16 +93,16 @@ func main() {
 		shardsFlag   = flag.String("shards", "", "comma-separated shard identities — the same list on every fleet member (shards and coordinator hash these strings for dataset ownership)")
 		selfFlag     = flag.String("self", "", "this daemon's entry in -shards (required with -role=shard)")
 		replication  = flag.Int("replication", 1, "ownership replication factor R: each dataset is held by its top-R rendezvous shards (same value on every fleet member)")
-		fleetToken   = flag.String("fleet-token", "", "bearer token for fleet admin: the coordinator's POST /api/admin/fleet, and a shard's drain/handoff/fleet endpoints (empty disables them)")
+		fleetToken   = flag.String("fleet-token", "", "bearer token for fleet admin: the coordinator's POST /api/admin/fleet, and a shard's drain and fleet endpoints (empty disables them)")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "coordinator: per-shard attempt deadline")
 		shardRetry   = flag.Bool("shard-retry", true, "coordinator: grant each ownership group one extra attempt after every replica failed")
 		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: duplicate a slow group request after this delay, onto the next untried replica (0 disables hedging)")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
-	// The drain hook feeds the same signal channel the OS does: when a
-	// shard finishes handing off its warm partials it asks its own process
-	// to exit through the ordinary graceful-shutdown path.
+	// The drain hook feeds the same signal channel the OS does: a drained
+	// shard asks its own process to exit through the ordinary
+	// graceful-shutdown path.
 	sigCh := make(chan os.Signal, 2)
 	srv, err := buildServer(buildConfig{
 		files: *files, obo: *oboPath, assoc: *assocPath,
@@ -205,9 +205,9 @@ type buildConfig struct {
 	shardDeadline time.Duration
 	shardRetry    bool
 	hedgeAfter    time.Duration
-	// onDrained runs once after a shard-role daemon finishes its warm
-	// handoff (POST /api/shard/v1/admin/drain); main uses it to trigger
-	// the graceful-shutdown path.
+	// onDrained runs once when a shard-role daemon is drained (POST
+	// /api/shard/v1/admin/drain); main uses it to trigger the
+	// graceful-shutdown path.
 	onDrained func()
 
 	log func(format string, args ...any)
@@ -481,7 +481,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 	if role == "shard" {
 		// Fleet plumbing: the shard knows its own identity and the full
 		// membership view, can load datasets it newly owns after a reload,
-		// and exits through onDrained once a drain's warm handoff lands.
+		// and exits through onDrained once it is drained.
 		scfg.ShardSelf = cfg.self
 		scfg.ShardFleet = cfg.shards
 		scfg.ShardReplication = repl

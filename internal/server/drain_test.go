@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,15 +28,19 @@ type drainTopology struct {
 	dss     []*microarray.Dataset
 	names   []string // global dataset catalog
 	shards  []string // fleet identities
+	repl    int
 	servers []*httptest.Server
 	srv     []*Server
 	query   []string
 	drained chan string // OnDrained pings, by shard identity
+	// failLoad is the global index of a dataset the loader refuses to load
+	// (-1, the default: none).
+	failLoad atomic.Int64
 }
 
 const drainToken = "sesame"
 
-func newDrainTopology(t *testing.T, nShards, repl int) *drainTopology {
+func newDrainTopology(t testing.TB, nShards, repl int) *drainTopology {
 	t.Helper()
 	u := synth.NewUniverse(200, 8, 71)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -50,49 +56,56 @@ func newDrainTopology(t *testing.T, nShards, repl int) *drainTopology {
 		shardNames = append(shardNames, fmt.Sprintf("shard-%d", i))
 	}
 	top := &drainTopology{
-		dss: dss, names: names, shards: shardNames,
+		dss: dss, names: names, shards: shardNames, repl: repl,
 		query:   u.ModuleGeneIDs(2)[:4],
 		drained: make(chan string, nShards),
 	}
-	urls := make(map[string]string, nShards)
-	for si, self := range shardNames {
-		self := self
-		owned := shard.OwnedIndexesR(names, shardNames, self, repl)
-		var slice []*microarray.Dataset
-		for _, gi := range owned {
-			slice = append(slice, dss[gi])
-		}
-		se, err := spell.NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := New(Config{
-			Engine:           se,
-			ShardIndexes:     owned,
-			ShardDatasetIDs:  names,
-			ShardSelf:        self,
-			ShardFleet:       shardNames,
-			ShardReplication: repl,
-			ShardRawDatasets: slice,
-			ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
-				return dss[gi], nil
-			},
-			ShardResolve: func(id string) string { return urls[id] },
-			OnDrained:    func() { top.drained <- self },
-			FleetToken:   drainToken,
-			CacheBytes:   4 << 20,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ss.Close)
+	top.failLoad.Store(-1)
+	for _, self := range shardNames {
+		ss := top.newShard(t, self)
 		hs := httptest.NewServer(ss)
 		t.Cleanup(hs.Close)
 		top.servers = append(top.servers, hs)
 		top.srv = append(top.srv, ss)
-		urls[shardNames[si]] = hs.URL
 	}
 	return top
+}
+
+// newShard boots one member over its owned slice of the full-fleet view.
+func (top *drainTopology) newShard(t testing.TB, self string) *Server {
+	t.Helper()
+	owned := shard.OwnedIndexesR(top.names, top.shards, self, top.repl)
+	var slice []*microarray.Dataset
+	for _, gi := range owned {
+		slice = append(slice, top.dss[gi])
+	}
+	se, err := spell.NewEngine(slice)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := New(Config{
+		Engine:           se,
+		ShardIndexes:     owned,
+		ShardDatasetIDs:  top.names,
+		ShardSelf:        self,
+		ShardFleet:       top.shards,
+		ShardReplication: top.repl,
+		ShardRawDatasets: slice,
+		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
+			if int64(gi) == top.failLoad.Load() {
+				return nil, fmt.Errorf("dataset %d is unreadable", gi)
+			}
+			return top.dss[gi], nil
+		},
+		OnDrained:  func() { top.drained <- self },
+		FleetToken: drainToken,
+		CacheBytes: 4 << 20,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(ss.Close)
+	return ss
 }
 
 // postJSON drives a token-gated admin endpoint over the real listener.
@@ -113,9 +126,9 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// shardSearch posts one shard search request and returns the response plus
-// its cache disposition header.
-func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Response, string) {
+// shardSearch posts one shard search request and returns the response and
+// the decoded answer.
+func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Response, shard.SearchAnswer) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
@@ -132,61 +145,35 @@ func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Respo
 			t.Fatal(err)
 		}
 	}
-	return resp, resp.Header.Get(cacheHeader)
+	return resp, a
 }
 
-// TestShardDrainWarmHandoff is the tentpole's server-layer proof: a
-// drained shard pushes its warm partials to the post-drain owners, the
-// receivers accept (or replay-warm) every entry, and the successor serves
-// the drained shard's hot query as a cache hit on first touch.
-func TestShardDrainWarmHandoff(t *testing.T) {
+// TestShardDrain pins what a drain is: a token-gated, one-way flip that the
+// shard advertises, that fires OnDrained once, and after which the shard
+// keeps serving — and nothing else. There is no shard-to-shard endpoint.
+func TestShardDrain(t *testing.T) {
 	top := newDrainTopology(t, 3, 2)
-	survivors := []string{"shard-1", "shard-2"}
+	drainURL := top.servers[0].URL + shard.DrainPath
 
-	// Warm shard-0 with a hot query (legacy whole-slice request: the warm
-	// tracker records the query, not the scope).
-	if resp, disp := shardSearch(t, top.servers[0].URL, shard.SearchRequest{Query: top.query}); resp.StatusCode != http.StatusOK || disp != dispMiss {
-		t.Fatalf("warming search = %d/%s", resp.StatusCode, disp)
-	}
-
-	// Survivors adopt the post-drain topology first (the rolling-restart
-	// order): each re-derives its owned slice, loading what it lacked.
-	fleetBody := `{"shards":["shard-1","shard-2"],"replication":2}`
-	for _, si := range []int{1, 2} {
-		resp, body := postJSON(t, top.servers[si].URL+shard.ShardFleetPath, fleetBody)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("survivor %d reload = %d: %s", si, resp.StatusCode, body)
-		}
-		var st shardFleetState
-		if err := json.Unmarshal(body, &st); err != nil {
-			t.Fatal(err)
-		}
-		// R=2 over 2 shards: every survivor owns the whole catalog.
-		if st.Held != len(top.dss) {
-			t.Fatalf("survivor %d holds %d datasets after reload, want %d (%s)", si, st.Held, len(top.dss), body)
-		}
-		if st.Reloads != 1 {
-			t.Fatalf("survivor %d reloads = %d", si, st.Reloads)
-		}
-	}
-
-	// Drain shard-0 toward the survivors.
-	resp, body := postJSON(t, top.servers[0].URL+shard.DrainPath, fleetBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("drain = %d: %s", resp.StatusCode, body)
-	}
-	var dr drainResponse
-	if err := json.Unmarshal(body, &dr); err != nil {
+	plain, err := http.Post(drainURL, "application/json", nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if dr.Status != shard.StatusDraining || len(dr.PushErrors) != 0 {
-		t.Fatalf("drain response: %+v", dr)
+	plain.Body.Close()
+	if plain.StatusCode != http.StatusForbidden {
+		t.Fatalf("tokenless drain = %d, want 403", plain.StatusCode)
 	}
-	if dr.Pushed+dr.Replayed == 0 {
-		t.Fatalf("drain pushed nothing: %+v", dr)
+	if top.srv[0].draining.Load() {
+		t.Fatal("a refused drain flipped the shard")
 	}
 
-	// OnDrained fired exactly once, for shard-0.
+	// With a body (any body: it is ignored) and, the second time, without.
+	for i, body := range []string{`{"shards":["shard-1","shard-2"],"replication":2}`, ""} {
+		resp, raw := postJSON(t, drainURL, body)
+		if got := strings.TrimSpace(string(raw)); resp.StatusCode != http.StatusOK || got != `{"status":"draining"}` {
+			t.Fatalf("drain %d = %d: %s", i, resp.StatusCode, raw)
+		}
+	}
 	select {
 	case id := <-top.drained:
 		if id != "shard-0" {
@@ -195,161 +182,83 @@ func TestShardDrainWarmHandoff(t *testing.T) {
 	case <-time.After(2 * time.Second):
 		t.Fatal("OnDrained never fired")
 	}
-
-	// The drained shard advertises its state.
-	info := shardInfoOf(t, top.servers[0])
-	if info.Status != shard.StatusDraining {
-		t.Fatalf("drained shard status = %q", info.Status)
-	}
-	for _, si := range []int{1, 2} {
-		if st := shardInfoOf(t, top.servers[si]); st.Status != shard.StatusActive {
-			t.Fatalf("survivor %d status = %q", si, st.Status)
-		}
-	}
-
-	// The successors serve the drained shard's hot query warm: every
-	// ownership group of the post-drain topology answers the first group
-	// request for it as a cache hit (accepted verbatim or replay-warmed at
-	// handoff time — either way, no cold recompute now).
-	urls := map[string]string{"shard-1": top.servers[1].URL, "shard-2": top.servers[2].URL}
-	for _, owners := range shard.Groups(top.names, survivors, 2) {
-		for _, owner := range owners {
-			resp, disp := shardSearch(t, urls[owner], shard.SearchRequest{
-				Query: top.query, Shards: survivors, Replication: 2, Groups: [][]string{owners},
-			})
-			if resp.StatusCode != http.StatusOK || disp != dispHit {
-				t.Fatalf("post-drain search on %s (group %v) = %d/%s, want 200/hit", owner, owners, resp.StatusCode, disp)
-			}
-		}
-	}
-
-	// So does a batched request — every group of the topology at once, as
-	// the coordinator would ask after the switch: each group hit, so the
-	// answer says hit.
-	for owner, url := range urls {
-		resp, disp := shardSearch(t, url, shard.SearchRequest{
-			Query: top.query, Shards: survivors, Replication: 2, Groups: shard.Groups(top.names, survivors, 2),
-		})
-		if resp.StatusCode != http.StatusOK || disp != dispHit {
-			t.Fatalf("batched post-drain search on %s = %d/%s, want 200/hit", owner, resp.StatusCode, disp)
-		}
-	}
-
-	// Both directions of the handoff are accounted, with nothing refused.
-	snap0 := top.srv[0].Stats()
-	if snap0.Shard == nil || snap0.Shard.Status != shard.StatusDraining {
-		t.Fatalf("drained shard stats: %+v", snap0.Shard)
-	}
-	if snap0.Shard.Handoff.Pushed+snap0.Shard.Handoff.Replayed == 0 || snap0.Shard.Handoff.PushErrors != 0 {
-		t.Fatalf("drained shard handoff counters: %+v", snap0.Shard.Handoff)
-	}
-	var received int64
-	for _, si := range []int{1, 2} {
-		h := top.srv[si].Stats().Shard.Handoff
-		if h.RefusedStale != 0 {
-			t.Fatalf("survivor %d refused entries: %+v", si, h)
-		}
-		received += h.Accepted + h.Recomputed
-	}
-	if received == 0 {
-		t.Fatal("no survivor recorded a received handoff entry")
-	}
-
-	// Idempotent: a repeat drain reports without re-pushing.
-	pushedBefore := snap0.Shard.Handoff.Pushed
-	resp, body = postJSON(t, top.servers[0].URL+shard.DrainPath, fleetBody)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat drain = %d: %s", resp.StatusCode, body)
-	}
-	if got := top.srv[0].Stats().Shard.Handoff.Pushed; got != pushedBefore {
-		t.Fatalf("repeat drain re-pushed: %d -> %d", pushedBefore, got)
-	}
 	select {
 	case id := <-top.drained:
-		t.Fatalf("repeat drain re-fired OnDrained (%q)", id)
-	default:
+		t.Fatalf("OnDrained fired twice (%q)", id)
+	case <-time.After(50 * time.Millisecond):
 	}
-}
 
-// TestShardHandoffGenerationGuard pins the staleness rules: a push whose
-// generation does not fingerprint its own shard list is rejected outright,
-// and a well-formed push for a topology the receiver is not at is refused
-// entirely as stale.
-func TestShardHandoffGenerationGuard(t *testing.T) {
-	top := newDrainTopology(t, 3, 2)
-
-	push := func(req shard.HandoffRequest) (*http.Response, shard.HandoffResponse) {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-			t.Fatal(err)
+	// The drained shard advertises its state; its neighbours do not.
+	if info := shardInfoOf(t, top.servers[0]); info.Status != shard.StatusDraining {
+		t.Fatalf("drained shard status = %q", info.Status)
+	}
+	if snap := top.srv[0].Stats(); snap.Shard == nil || snap.Shard.Status != shard.StatusDraining {
+		t.Fatalf("drained shard stats: %+v", snap.Shard)
+	}
+	for _, si := range []int{1, 2} {
+		if info := shardInfoOf(t, top.servers[si]); info.Status != shard.StatusActive {
+			t.Fatalf("shard-%d status = %q", si, info.Status)
 		}
-		hreq, err := http.NewRequest(http.MethodPost, top.servers[1].URL+shard.HandoffPath, &buf)
-		if err != nil {
-			t.Fatal(err)
+	}
+
+	// It serves until its process exits: a group it owns, asked for after
+	// the drain, is a 200.
+	for _, owners := range shard.Groups(top.names, top.shards, 2) {
+		if !slices.Contains(owners, "shard-0") {
+			continue
 		}
-		hreq.Header.Set("X-Fleet-Token", drainToken)
-		resp, err := http.DefaultClient.Do(hreq)
-		if err != nil {
-			t.Fatal(err)
+		resp, _ := shardSearch(t, top.servers[0].URL, shard.SearchRequest{
+			Query: top.query, Shards: top.shards, Replication: 2, Groups: [][]string{owners},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("drained shard answered group %v with %d", owners, resp.StatusCode)
 		}
-		defer resp.Body.Close()
-		var hr shard.HandoffResponse
-		if resp.StatusCode == http.StatusOK {
-			if err := gob.NewDecoder(resp.Body).Decode(&hr); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return resp, hr
 	}
 
-	entry := shard.HandoffEntry{Kind: shard.CapabilitySearch, Query: top.query, Owners: []string{"shard-1", "shard-2"}}
-	target := []string{"shard-1", "shard-2"}
-
-	// Self-inconsistent push: generation does not fingerprint its list.
-	resp, _ := push(shard.HandoffRequest{
-		From: "shard-0", Shards: target, Replication: 2,
-		Generation: 12345, Entries: []shard.HandoffEntry{entry},
-	})
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Fatalf("inconsistent generation = %d, want 422", resp.StatusCode)
-	}
-
-	// Consistent push for a topology the receiver (still at boot view,
-	// three shards) is not serving: every entry refused as stale.
-	resp, hr := push(shard.HandoffRequest{
-		From: "shard-0", Shards: target, Replication: 2,
-		Generation: shard.Generation(target), Entries: []shard.HandoffEntry{entry},
-	})
-	if resp.StatusCode != http.StatusOK || hr.RefusedStale != 1 || hr.Accepted+hr.Recomputed != 0 {
-		t.Fatalf("stale push = %d, %+v", resp.StatusCode, hr)
-	}
-
-	// No token, no handoff.
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(shard.HandoffRequest{})
-	plain, err := http.Post(top.servers[1].URL+shard.HandoffPath, shard.ContentType, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Body.Close()
-	if plain.StatusCode != http.StatusForbidden {
-		t.Fatalf("tokenless handoff = %d, want 403", plain.StatusCode)
+	if resp, raw := postJSON(t, top.servers[1].URL+"/api/shard/v1/handoff", ""); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /api/shard/v1/handoff = %d, want 404: %s", resp.StatusCode, raw)
 	}
 }
 
 // TestShardFleetReloadGrowsHoldings pins the membership-reload side: a
 // shard told the fleet shrank re-derives its owned slice, loads the
-// datasets it lacked through ShardLoader, and serves them — while a
-// repeated identical POST is a no-op.
+// datasets it lacked through ShardLoader, and serves them — the whole-slice
+// probe too, whose pre-reload partial is cached — while a reload whose
+// loader fails, and a repeated identical POST, leave the state as it is.
 func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	top := newDrainTopology(t, 3, 1) // R=1: slices are disjoint, reload must load
 	s1 := top.srv[1]
-	heldBefore := len(s1.shardState().indexes)
-	if heldBefore == len(top.dss) {
+	boot := s1.shardState()
+	if len(boot.indexes) == len(top.dss) {
 		t.Fatal("fixture gives shard-1 the whole catalog; nothing to prove")
+	}
+	probe := func() int {
+		t.Helper()
+		resp, a := shardSearch(t, top.servers[1].URL, shard.SearchRequest{Query: top.query})
+		if resp.StatusCode != http.StatusOK || len(a.Parts) != 1 {
+			t.Fatalf("probe = %d, %d parts", resp.StatusCode, len(a.Parts))
+		}
+		return len(a.Parts[0].Partial.Datasets)
+	}
+	if got := probe(); got != len(boot.indexes) {
+		t.Fatalf("boot probe lists %d datasets, shard-1 holds %d", got, len(boot.indexes))
 	}
 
 	body := `{"shards":["shard-1"],"replication":1}`
+	for gi := range top.dss {
+		if _, held := boot.local[gi]; !held {
+			top.failLoad.Store(int64(gi)) // a dataset the reload has to load
+			break
+		}
+	}
+	if resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body); resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("reload with an unreadable dataset = %d, want 422: %s", resp.StatusCode, raw)
+	}
+	if s1.shardState() != boot || s1.shardReloads.Load() != 0 {
+		t.Fatalf("a failed reload changed the shard: state swapped %t, reloads %d", s1.shardState() != boot, s1.shardReloads.Load())
+	}
+	top.failLoad.Store(-1)
+
 	resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload = %d: %s", resp.StatusCode, raw)
@@ -358,18 +267,20 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	if err := json.Unmarshal(raw, &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Held != len(top.dss) || st.Loaded != len(top.dss)-heldBefore {
-		t.Fatalf("sole-survivor reload: held %d loaded %d, want %d/%d (%s)",
-			st.Held, st.Loaded, len(top.dss), len(top.dss)-heldBefore, raw)
+	if st.Held != len(top.dss) || st.Loaded != len(top.dss)-len(boot.indexes) || st.Reloads != 1 {
+		t.Fatalf("sole-survivor reload: held %d loaded %d reloads %d, want %d/%d/1 (%s)",
+			st.Held, st.Loaded, st.Reloads, len(top.dss), len(top.dss)-len(boot.indexes), raw)
 	}
 
-	// The engine behind the state actually serves the grown slice.
-	resp2, _ := shardSearch(t, top.servers[1].URL, shard.SearchRequest{Query: top.query})
-	if resp2.StatusCode != http.StatusOK {
-		t.Fatalf("post-reload search = %d", resp2.StatusCode)
+	// The engine behind the state serves the grown slice, not the partial
+	// the first probe left in the cache.
+	if got := probe(); got != len(top.dss) {
+		t.Fatalf("post-reload probe lists %d datasets, want all %d", got, len(top.dss))
 	}
 
-	// Identical list: no generation bump, no load, no reload count.
+	// Identical list: the state, the ownership-group view cached against
+	// it, the generation and the reload count all stay.
+	grown := s1.shardState()
 	resp, raw = postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat reload = %d: %s", resp.StatusCode, raw)
@@ -378,106 +289,7 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	if err := json.Unmarshal(raw, &again); err != nil {
 		t.Fatal(err)
 	}
-	if again.Loaded != 0 || again.Generation != st.Generation {
-		t.Fatalf("repeat reload not a no-op: %s", raw)
-	}
-}
-
-// TestHandoffAcceptedPartialAdoptsEngineGenes: a pushed search partial that
-// the receiver accepts is cached decoded, and — its ID column listing the
-// receiver's genes in the receiver's order — made to share the engine's gene
-// columns, so it is charged (and pins) what a locally computed partial
-// would, not its frame's ID and name blobs on top. A body of the wrong
-// accumulator kind, or for another query, is recomputed instead.
-func TestHandoffAcceptedPartialAdoptsEngineGenes(t *testing.T) {
-	top := newDrainTopology(t, 3, 2)
-	// A group both shard-1 and shard-2 own — each holds all of it — and a
-	// query coherent in it, so the partial lists genes.
-	var owners, ids []string
-	u := synth.NewUniverse(200, 8, 71) // newDrainTopology's
-	st := top.srv[1].shardState()
-	v := top.srv[1].groupView(st, top.shards, 2)
-	for gi, g := range v.table.Tuples {
-		if !((g[0] == "shard-1" && g[1] == "shard-2") || (g[0] == "shard-2" && g[1] == "shard-1")) {
-			continue
-		}
-		for m := 0; m < 8 && owners == nil; m++ {
-			q := spell.CanonicalQuery(u.ModuleGeneIDs(m)[:4])
-			p, err := st.engine.PartialSearchSubsetCtx(context.Background(), q, v.held[gi], spell.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(p.IDs) == st.engine.NumGenes() {
-				owners, ids = g, q
-			}
-		}
-	}
-	if owners == nil {
-		t.Fatal("fixture: no module is coherent in a group shard-1 and shard-2 share")
-	}
-	sender, receiver := top.srv[2], top.srv[1]
-	body := func(query []string, uniform bool) []byte {
-		a, _, err := sender.partialSearch(context.Background(), query, &shard.SearchRequest{
-			Query: query, Shards: top.shards, Replication: 2, Groups: [][]string{owners}, Uniform: uniform,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := encodePartial(a.Parts[0].Partial)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	push := func(query []string, b []byte) shard.HandoffResponse {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(shard.HandoffRequest{
-			From: "shard-2", Shards: top.shards, Replication: 2, Generation: shard.Generation(top.shards),
-			Entries: []shard.HandoffEntry{{Kind: shard.CapabilitySearch, Query: query, Owners: owners, Body: b}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		req := httptest.NewRequest(http.MethodPost, shard.HandoffPath, &buf)
-		req.Header.Set("X-Fleet-Token", drainToken)
-		rec := httptest.NewRecorder()
-		receiver.ServeHTTP(rec, req)
-		var hr shard.HandoffResponse
-		if err := gob.NewDecoder(rec.Body).Decode(&hr); rec.Code != http.StatusOK || err != nil {
-			t.Fatalf("handoff = %d, %v", rec.Code, err)
-		}
-		return hr
-	}
-
-	if hr := push(ids, body(ids, false)); hr.Accepted != 1 {
-		t.Fatalf("a partial over exactly the receiver's datasets: %+v, want accepted", hr)
-	}
-	cached, ok := receiver.cache.Get(searchPartialKey(v, owners, false, ids))
-	if !ok {
-		t.Fatal("accepted partial not cached under the key requests are served from")
-	}
-	accepted := cached.(*spell.Partial)
-	gi, _ := v.table.Lookup(owners)
-	local, err := st.engine.PartialSearchSubsetCtx(context.Background(), ids, v.held[gi], spell.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost := st.partialCost
-	if len(accepted.IDs) != st.engine.NumGenes() || cost(accepted) != cost(local) {
-		t.Fatalf("accepted partial of %d genes is charged %d, a local one %d: it does not share the engine's gene columns",
-			len(accepted.IDs), cost(accepted), cost(local))
-	}
-	if resp, disp := shardSearch(t, top.servers[1].URL, shard.SearchRequest{
-		Query: ids, Shards: top.shards, Replication: 2, Groups: [][]string{owners},
-	}); resp.StatusCode != http.StatusOK || disp != dispHit {
-		t.Fatalf("request after the handoff = %d/%s, want a hit", resp.StatusCode, disp)
-	}
-
-	other := ids[:3]
-	if hr := push(other, body(other, true)); hr.Recomputed != 1 {
-		t.Fatalf("a uniform-pair body: %+v, want recomputed", hr)
-	}
-	third := ids[1:]
-	if hr := push(third, body(ids, false)); hr.Recomputed != 1 {
-		t.Fatalf("a body for another query: %+v, want recomputed", hr)
+	if again.Loaded != 0 || again.Generation != st.Generation || again.Reloads != 1 || s1.shardState() != grown {
+		t.Fatalf("repeat reload not a no-op (state swapped: %t): %s", s1.shardState() != grown, raw)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"image"
@@ -224,6 +225,76 @@ func FuzzHeatmapQuery(f *testing.F) {
 			}
 			if _, err := strconv.Atoi(rec.Header().Get("X-Forestview-Level")); err != nil {
 				t.Fatalf("X-Forestview-Level = %q", rec.Header().Get("X-Forestview-Level"))
+			}
+		default:
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// FuzzShardFleetRequest throws arbitrary bodies at POST
+// /api/shard/v1/admin/fleet, the one admin body a shard decodes: a holder of
+// the fleet token must not be able to panic a shard or leave it between two
+// membership views. Each execution boots shard-1 of a 3-shard R=1 fleet anew
+// (so a finding replays from its input alone) over a loader that cannot read
+// one dataset. Whatever the bytes: no panic and no 5xx; a 4xx — bad JSON, a
+// bad list, the unreadable dataset — leaves the shard's state the very
+// pointer it was; a 200 leaves indexes, local, raw and the engine describing
+// one set of holdings that includes everything held before. The seed corpus
+// in testdata/fuzz holds shrinking and growing lists, the shard's own view
+// (a no-op), duplicates, empty strings, self absent, identities that
+// normalize onto each other, negative and huge replication, wrong types and
+// truncated JSON; the two 64 KiB lists, one just under the body limit and
+// one over it, are seeded here, being too bulky to commit.
+func FuzzShardFleetRequest(f *testing.F) {
+	top := newDrainTopology(f, 3, 1)
+	top.failLoad.Store(int64(len(top.dss) - 1))
+	fleet := make([]string, 6000)
+	for i := range fleet {
+		fleet[i] = fmt.Sprintf("shard-%d", i)
+	}
+	for _, n := range []int{5000, len(fleet)} { // 63,920 bytes, and 76,920: over the 64 KiB a body may carry
+		body, err := json.Marshal(shardFleetRequest{Shards: fleet[:n]})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s := top.newShard(t, "shard-1")
+		before := s.shardState()
+		req := httptest.NewRequest(http.MethodPost, shard.ShardFleetPath, bytes.NewReader(body))
+		req.Header.Set("X-Fleet-Token", drainToken)
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		st := s.shardState()
+		switch {
+		case rec.Code >= 400 && rec.Code < 500:
+			if st != before {
+				t.Fatalf("a refused reload (%d) swapped the shard's state: %s", rec.Code, rec.Body.String())
+			}
+		case rec.Code == http.StatusOK:
+			var view shardFleetState
+			if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || view.Held != len(st.indexes) {
+				t.Fatalf("200 body %q (%v) for a shard holding %d", rec.Body.String(), err, len(st.indexes))
+			}
+			if len(st.local) != len(st.indexes) || len(st.raw) != len(st.indexes) || st.engine.NumDatasets() != len(st.indexes) {
+				t.Fatalf("holdings disagree: %d indexes, %d local, %d raw, an engine over %d",
+					len(st.indexes), len(st.local), len(st.raw), st.engine.NumDatasets())
+			}
+			for li, gi := range st.indexes {
+				if st.local[gi] != li || st.raw[li] != top.dss[gi] {
+					t.Fatalf("local index %d: global %d maps back to %d, raw is %q", li, gi, st.local[gi], st.raw[li].Name)
+				}
+			}
+			for _, gi := range before.indexes {
+				if _, ok := st.local[gi]; !ok {
+					t.Fatalf("reload dropped dataset %d", gi)
+				}
+			}
+			if st.repl < 1 || st.repl > len(st.shards) || st.gen != shard.Generation(st.shards) {
+				t.Fatalf("view %v at replication %d, generation %016x", st.shards, st.repl, st.gen)
 			}
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())

@@ -70,22 +70,20 @@ type Config struct {
 	ShardDatasetIDs []string
 	// FleetToken authorizes POST /api/admin/fleet on a coordinator
 	// (runtime shard joins and leaves) and the shard-side admin endpoints
-	// (drain, handoff, fleet view). Empty disables them: every request is
-	// refused.
+	// (drain, fleet view). Empty disables them: every request is refused.
 	FleetToken string
 	// ShardSelf is this shard's own fleet identity (its entry in the
-	// -shards list). Setting it (with ShardIndexes) mounts the drain,
-	// handoff and shard-fleet admin endpoints: the shard can then be
-	// drained gracefully and can reload its membership view at runtime.
+	// -shards list). Setting it (with ShardIndexes) mounts the drain and
+	// shard-fleet admin endpoints: the shard can then be drained gracefully
+	// and can reload its membership view at runtime.
 	ShardSelf string
 	// ShardFleet is the shard's boot-time view of the fleet list, the
 	// starting point for runtime membership reloads. Optional: without it
-	// the shard serves its boot slice and refuses handoffs (it has no
-	// generation to guard them against).
+	// the shard serves its boot slice and refuses reloads.
 	ShardFleet []string
 	// ShardReplication is the fleet's replication factor as this shard
-	// understands it, used to derive its owned slice after a reload and to
-	// scope drain pushes (default 1).
+	// understands it, used to derive its owned slice after a reload
+	// (default 1).
 	ShardReplication int
 	// ShardRawDatasets are the raw datasets behind Engine, aligned with
 	// ShardIndexes. Required for membership reloads that grow the slice:
@@ -95,11 +93,12 @@ type Config struct {
 	// ShardLoader loads one dataset by its global catalog index, for
 	// membership reloads that assign this shard datasets it does not hold.
 	ShardLoader func(ctx context.Context, globalIndex int) (*microarray.Dataset, error)
-	// ShardResolve turns a fleet identity into a dial URL for drain pushes
-	// (default shard.NormalizeAddr, mirroring the coordinator).
+	// ShardResolve is read by nothing: a shard dials no one. The field stays
+	// because bench/topology.go, which a benchmarked change may not edit,
+	// assigns it (ROADMAP item 1(f)).
 	ShardResolve func(string) string
-	// OnDrained, when set, is called (once, on its own goroutine) after a
-	// drain request has pushed its warm handoff: the daemon hooks its
+	// OnDrained, when set, is called (once, on its own goroutine) when a
+	// drain request flips the shard to draining: the daemon hooks its
 	// graceful shutdown here so a drained shard exits by itself.
 	OnDrained func()
 	// Enricher is the prepared GOLEM context behind /api/enrich.
@@ -184,24 +183,10 @@ type Server struct {
 	// groupVw is the ownership-group view of the topology last asked for
 	// (shardrole.go); derived on first use, replaced when another is named.
 	groupVw atomic.Pointer[groupView]
-	// fleet is the shard-side membership view driving shardSt reloads
-	// (nil without ShardFleet); shardMu serializes reloads and drains.
-	fleet   *shard.Membership
-	shardMu sync.Mutex
-	// fleetClient carries the shard role's own fleet traffic, the drain's
-	// handoff pushes: its own pool, so Close can drop the idle connections.
-	fleetClient  *http.Client
+	// shardMu serializes membership reloads (drain.go).
+	shardMu      sync.Mutex
 	draining     atomic.Bool
-	warm         *warmTracker
 	shardReloads atomic.Int64
-
-	// Handoff counters, both directions (see drain.go).
-	handoffPushed     atomic.Int64 // entries pushed with a body
-	handoffReplayed   atomic.Int64 // entries pushed for receiver recompute
-	handoffPushErrors atomic.Int64 // failed pushes to a successor
-	handoffAccepted   atomic.Int64 // received entries inserted verbatim
-	handoffRecomputed atomic.Int64 // received entries warmed by recompute
-	handoffRefused    atomic.Int64 // received entries refused as stale
 
 	// enrichKernel tracks actual golem kernel executions (cache misses that
 	// computed), reported as the enrich_cache stats section.
@@ -254,7 +239,6 @@ func New(cfg Config) (*Server, error) {
 		trees:   newTreeCache(treeClusterOptions(cfg.TreeMetric, cfg.TreeLinkage, cfg.TreeOptimizeOrder, cfg.ClusterArrays)),
 		start:   time.Now(),
 		dsIndex: make(map[string]int, len(cfg.Datasets)+len(cfg.RawDatasets)),
-		warm:    newWarmTracker(),
 	}
 	if cfg.PrefetchWorkers > 0 {
 		s.prefetch = newPrefetcher(s, cfg.PrefetchWorkers, cfg.PrefetchQueue)
@@ -313,7 +297,6 @@ func New(cfg Config) (*Server, error) {
 			if err != nil {
 				return nil, fmt.Errorf("server: shard fleet view: %w", err)
 			}
-			s.fleet = fleet
 			st.shards, st.gen = fleet.Snapshot()
 		}
 		s.shardSt.Store(st)
@@ -322,9 +305,7 @@ func New(cfg Config) (*Server, error) {
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
 			s.cfg.ShardSelf = strings.TrimRight(strings.TrimSpace(cfg.ShardSelf), "/")
-			s.fleetClient = &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()}
 			s.mux.HandleFunc(shard.DrainPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardDrain)))
-			s.mux.HandleFunc(shard.HandoffPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardHandoff)))
 			s.mux.HandleFunc(shard.ShardFleetPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardFleet)))
 		}
 		if cfg.Enricher != nil {
@@ -358,16 +339,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the prefetch workers (which submit to the render pool),
-// releases the pool, and drops the fleet client's idle connections.
+// Close stops the prefetch workers (which submit to the render pool) and
+// releases the pool.
 func (s *Server) Close() {
 	if s.prefetch != nil {
 		s.prefetch.Close()
 	}
 	s.pool.Close()
-	if s.fleetClient != nil {
-		s.fleetClient.CloseIdleConnections()
-	}
 }
 
 // compendiumSize reports the dataset and gene counts this daemon answers
@@ -683,14 +661,6 @@ func (s *Server) Stats() StatsSnapshot {
 			Replication: st.repl,
 			Held:        len(st.indexes),
 			Reloads:     s.shardReloads.Load(),
-			Handoff: HandoffCounters{
-				Pushed:       s.handoffPushed.Load(),
-				Replayed:     s.handoffReplayed.Load(),
-				PushErrors:   s.handoffPushErrors.Load(),
-				Accepted:     s.handoffAccepted.Load(),
-				Recomputed:   s.handoffRecomputed.Load(),
-				RefusedStale: s.handoffRefused.Load(),
-			},
 		}
 	}
 	if s.prefetch != nil {

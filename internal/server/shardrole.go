@@ -48,10 +48,10 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 		func(req *shard.EnrichRequest) []string { return req.Selection }, s.partialEnrich)
 }
 
-// serveShardPartial is the one decode → canonicalize → warm-touch → serve
-// → error-map path behind both partial endpoints; kind is the capability
-// name, genes picks the request's gene list, and partial computes (or
-// serves cached) the answer.
+// serveShardPartial is the one decode → canonicalize → serve → error-map
+// path behind both partial endpoints; kind is the capability name, genes
+// picks the request's gene list, and partial computes (or serves cached) the
+// answer.
 func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
 	genes func(*R) []string, partial func(context.Context, []string, *R) (*A, string, error)) {
 	if r.Method != http.MethodPost {
@@ -68,7 +68,6 @@ func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Reque
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty "+kind+" gene list")
 		return
 	}
-	s.warm.touch(kind, ids)
 	answer, disp, err := partial(r.Context(), ids, &req)
 	switch {
 	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
@@ -99,10 +98,10 @@ func writeGobBody(w http.ResponseWriter, body []byte) {
 // reported as a counted 500 like every other encode failure.
 var errPartialEncode = errors.New("partial encode failed")
 
-// encodePartial gob-encodes one partial as a handoff or cache body (a
-// spell.Partial as its own binary frame inside the gob envelope), copied out
-// of the encode buffer at its exact length, so nothing holds growth slack
-// the LRU did not charge for.
+// encodePartial gob-encodes one partial as a cache body — the enrichment
+// slice tallies, kept in the form the answer carries them in — copied out of
+// the encode buffer at its exact length, so nothing holds growth slack the
+// LRU did not charge for.
 func encodePartial(p any) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
@@ -119,7 +118,7 @@ func encodePartial(p any) ([]byte, error) {
 // per tuple instead of a rendezvous ranking of the whole catalog per tuple.
 // A fleet speaks one topology at a time (two across a membership change),
 // so the server keeps the view last asked for and derives another when a
-// request — or a drain, or a handoff — names a different one.
+// request names a different one.
 type groupView struct {
 	st     *shardState // the holdings the view was derived against
 	shards []string
@@ -192,19 +191,21 @@ func batchDisposition(all, one string) string {
 	}
 }
 
-// searchPartialKey is the cache key of one group's search partial (owners
-// nil: the whole-slice probe). The handoff receiver (drain.go) inserts
-// pushed partials under this exact key. A group-scoped key carries the
-// topology generation, the replication factor and the owner tuple: a
-// membership change re-derives groups, and stale group partials become
-// unreachable rather than wrong. It also carries which accumulator pair the
-// partial holds.
-func searchPartialKey(v *groupView, owners []string, uniform bool, ids []string) string {
+// searchPartialKey is the cache key of one group's search partial (v and
+// owners nil: the whole-slice probe). Every key carries how many datasets
+// the shard held when the partial was computed — holdings only grow within
+// a process, so the count names them — and a partial that predates a reload
+// which loaded datasets becomes unreachable instead of answering for the
+// smaller slice. A group-scoped key also carries the topology generation,
+// the replication factor and the owner tuple: a membership change re-derives
+// groups, and stale group partials become unreachable rather than wrong.
+// Both carry which accumulator pair the partial holds.
+func (st *shardState) searchPartialKey(v *groupView, owners []string, uniform bool, ids []string) string {
 	if owners == nil {
-		return fmt.Sprintf("partial\x1f%t\x1f%s", uniform, joinIDs(ids))
+		return fmt.Sprintf("partial\x1f%d\x1f%t\x1f%s", len(st.indexes), uniform, joinIDs(ids))
 	}
-	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%s\x1f%t\x1f%s",
-		v.gen, v.repl, joinIDs(owners), uniform, joinIDs(ids))
+	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%d\x1f%s\x1f%t\x1f%s",
+		v.gen, v.repl, len(st.indexes), joinIDs(owners), uniform, joinIDs(ids))
 }
 
 // partialCost is what the LRU charges for a cached search partial: the
@@ -256,7 +257,7 @@ func (s *Server) groupPartial(ctx context.Context, st *shardState, key string, i
 func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) (*shard.SearchAnswer, string, error) {
 	st := s.shardState()
 	if len(req.Groups) == 0 {
-		p, disp, err := s.groupPartial(ctx, st, searchPartialKey(nil, nil, req.Uniform, ids), ids, nil, req.Uniform)
+		p, disp, err := s.groupPartial(ctx, st, st.searchPartialKey(nil, nil, req.Uniform, ids), ids, nil, req.Uniform)
 		if err != nil {
 			return nil, disp, err
 		}
@@ -274,14 +275,12 @@ func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.Sea
 		disp   string
 	)
 	for pos, gi := range gis {
-		p, d, err := s.groupPartial(ctx, st, searchPartialKey(v, req.Groups[pos], req.Uniform, ids), ids, v.held[gi], req.Uniform)
+		p, d, err := s.groupPartial(ctx, st, st.searchPartialKey(v, req.Groups[pos], req.Uniform, ids), ids, v.held[gi], req.Uniform)
 		if err != nil {
 			return nil, d, err
 		}
 		disp = batchDisposition(disp, d)
-		// Whole by what the partial lists, not by what is held now: a cached
-		// partial may predate a reload that grew the holdings.
-		if len(p.Datasets) == len(v.table.Members[gi]) {
+		if v.holdsAll(gi) {
 			whole.Groups, parts = append(whole.Groups, pos), append(parts, p)
 		} else {
 			answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
@@ -343,10 +342,10 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 var gobBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // groupEnrichKey is the cache key of one background slice's tallies (owners
-// nil: the direct probe's slice 0 of 1), shared with the handoff receiver's
-// inserts. It carries the topology generation, replication factor and owner
-// tuple: after a membership change the group list re-derives and stale
-// slice tallies become unreachable rather than wrong.
+// nil: the direct probe's slice 0 of 1). It carries the topology generation,
+// replication factor and owner tuple: after a membership change the group
+// list re-derives and stale slice tallies become unreachable rather than
+// wrong.
 func groupEnrichKey(v *groupView, owners []string, sel []string) string {
 	if owners == nil {
 		return "epartial\x1f" + joinIDs(sel)
@@ -355,9 +354,9 @@ func groupEnrichKey(v *groupView, owners []string, sel []string) string {
 }
 
 // sliceTallies computes (or serves cached) one background slice's tallies,
-// already gob-encoded: the wire form is what the answer, the cache and a
-// drain's handoff all carry, so a cache hit costs zero re-encoding and the
-// entry's cost is its exact byte length.
+// already gob-encoded: the wire form is what the answer and the cache both
+// carry, so a cache hit costs zero re-encoding and the entry's cost is its
+// exact byte length.
 func (s *Server) sliceTallies(ctx context.Context, key string, sel []string, slice, slices int) ([]byte, string, error) {
 	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
 		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, slice, slices)
@@ -496,7 +495,7 @@ type fleetRequest struct {
 }
 
 // fleetAdmin gates a fleet admin handler (the coordinator's membership
-// endpoint, a shard's drain/handoff/fleet endpoints) behind the fleet token
+// endpoint, a shard's drain and fleet endpoints) behind the fleet token
 // (Authorization: Bearer or X-Fleet-Token), compared in constant time. An
 // empty configured token refuses everything: membership mutation is
 // opt-in, never open by default.

@@ -212,30 +212,16 @@ type TreeCacheInfo struct {
 }
 
 // ShardRoleInfo is the shard section of /api/stats: the shard's lifecycle
-// state (active/draining), its membership view and reload count, and the
-// warm-handoff traffic in both directions (drain pushes sent, peer pushes
-// received). A rolling restart is legible from this section alone: the
-// leaver's Pushed/Replayed against the survivors' Accepted/Recomputed,
-// with RefusedStale flagging any generation-skewed push.
+// state (active/draining), its membership view, what it holds and how many
+// reloads changed that view.
 type ShardRoleInfo struct {
-	Self        string          `json:"self,omitempty"`
-	Status      string          `json:"status"`
-	Shards      []string        `json:"shards,omitempty"`
-	Generation  string          `json:"generation"`
-	Replication int             `json:"replication"`
-	Held        int             `json:"held_datasets"`
-	Reloads     int64           `json:"reloads"`
-	Handoff     HandoffCounters `json:"handoff"`
-}
-
-// HandoffCounters tallies warm-handoff traffic (see DESIGN.md §7).
-type HandoffCounters struct {
-	Pushed       int64 `json:"pushed"`
-	Replayed     int64 `json:"replayed"`
-	PushErrors   int64 `json:"push_errors"`
-	Accepted     int64 `json:"accepted"`
-	Recomputed   int64 `json:"recomputed"`
-	RefusedStale int64 `json:"refused_stale"`
+	Self        string   `json:"self,omitempty"`
+	Status      string   `json:"status"`
+	Shards      []string `json:"shards,omitempty"`
+	Generation  string   `json:"generation"`
+	Replication int      `json:"replication"`
+	Held        int      `json:"held_datasets"`
+	Reloads     int64    `json:"reloads"`
 }
 
 // CompendiumInfo summarizes what the daemon loaded at startup.

@@ -49,7 +49,7 @@ func TestCachedPartialBodiesAreExactSize(t *testing.T) {
 	if _, _, err := s.partialSearch(context.Background(), ids, &shard.SearchRequest{Query: ids}); err != nil {
 		t.Fatalf("search partial: %v", err)
 	}
-	cached, ok = s.cache.Get(searchPartialKey(nil, nil, false, ids))
+	cached, ok = s.cache.Get(s.shardState().searchPartialKey(nil, nil, false, ids))
 	if !ok {
 		t.Fatal("search partial not cached")
 	}
@@ -63,7 +63,7 @@ func TestCachedPartialBodiesAreExactSize(t *testing.T) {
 		t.Errorf("search partial charged %d bytes; its columns and dataset rows are %d, its gene strings the engine's", charged, owned)
 	}
 	// A copy of the same partial that owns its gene strings — what a frame
-	// decodes to — costs those too, until it adopts the engine's.
+	// decodes to — costs those too.
 	var buf bytes.Buffer
 	var decoded spell.Partial
 	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
@@ -79,9 +79,6 @@ func TestCachedPartialBodiesAreExactSize(t *testing.T) {
 	cost := s.shardState().partialCost
 	if got, want := cost(&decoded), cost(p)+int64(strs+32*len(p.IDs)); got != want {
 		t.Errorf("decoded partial costs %d, want %d (its %d string bytes and headers on top)", got, want, strs)
-	}
-	if !engine.AdoptGenes(&decoded) || cost(&decoded) != cost(p) {
-		t.Errorf("decoded partial after adopting the engine's gene columns costs %d, the computed one %d", cost(&decoded), cost(p))
 	}
 }
 

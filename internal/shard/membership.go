@@ -104,30 +104,6 @@ func (m *Membership) Add(shard string) ([]string, uint64, error) {
 	return append([]string(nil), m.shards...), m.gen, nil
 }
 
-// Set replaces the live list wholesale and bumps the generation (a no-op
-// when the normalized list is byte-identical). Rolling operations drive it
-// on the shard side: the operator ships one authoritative post-change
-// list, instead of sequencing add/remove deltas whose intermediate
-// generations nobody will ever serve under.
-func (m *Membership) Set(shards []string) ([]string, uint64, error) {
-	normalized, err := normalizeIdentities(shards)
-	if err != nil {
-		return nil, 0, err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	same := len(normalized) == len(m.shards)
-	for i := 0; same && i < len(normalized); i++ {
-		same = normalized[i] == m.shards[i]
-	}
-	if !same {
-		m.shards = normalized
-		m.gen = Generation(normalized)
-		m.bumps++
-	}
-	return append([]string(nil), m.shards...), m.gen, nil
-}
-
 // Remove drops a shard from the live list and bumps the generation: no
 // further scatter touches it, so once its in-flight partials finish the
 // shard can exit (its daemon's SIGTERM drain covers those). The last

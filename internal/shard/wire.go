@@ -15,10 +15,10 @@ import "forestview/internal/spell"
 // spell.Partial implements encoding.BinaryMarshaler as a columnar
 // little-endian frame (spell/frame.go; layout and length checks in
 // DESIGN.md §4), and gob carries those bytes verbatim inside the answer.
-// Gob stays the envelope so that nothing here — call, the handlers, the
-// handoff bodies below — has a second code path for it. A frame the decoder
-// rejects (another version, corruption) is a decode error like any other:
-// the attempt fails and its groups fail over.
+// Gob stays the envelope so that nothing here — call, the handlers — has a
+// second code path for it. A frame the decoder rejects (another version,
+// corruption) is a decode error like any other: the attempt fails and its
+// groups fail over.
 //
 // One request names every ownership group the coordinator wants from that
 // shard at that moment, and one answer serves them all: a search answer is
@@ -51,16 +51,10 @@ const EnrichPath = "/api/shard/v1/enrich"
 const EnrichCatalogPath = "/api/shard/v1/enrich/catalog"
 
 // DrainPath is the token-gated shard-role admin endpoint that flips the
-// shard into the draining state: it finishes in-flight partials, pushes
-// its warm cache entries to the successor replicas (HandoffPath), acks,
-// and signals the daemon to exit.
+// shard into the draining state: the shard advertises it (Info.Status), acks,
+// and signals the daemon to exit; in-flight and late partials are served
+// until the daemon's graceful shutdown ends.
 const DrainPath = "/api/shard/v1/admin/drain"
-
-// HandoffPath is the token-gated shard-role endpoint receiving a draining
-// peer's warm partial-result entries (HandoffRequest, gob). Pushes are
-// generation-guarded: a receiver whose membership view differs refuses
-// the whole batch as stale.
-const HandoffPath = "/api/shard/v1/handoff"
 
 // ShardFleetPath is the token-gated shard-role admin endpoint that
 // replaces the shard's membership view wholesale (JSON {"shards": [...],
@@ -150,8 +144,8 @@ type EnrichRequest struct {
 
 // EnrichAnswer is a shard's reply to an EnrichRequest: the requested groups'
 // slice tallies in request order, each one gob message holding a
-// golem.PartialCounts — the form the shard caches them in and a drain hands
-// them off in, so a warm answer encodes nothing but this envelope.
+// golem.PartialCounts — the form the shard caches them in, so a warm answer
+// encodes nothing but this envelope.
 type EnrichAnswer struct {
 	Slices [][]byte
 }
@@ -190,46 +184,3 @@ const (
 	StatusActive   = "active"
 	StatusDraining = "draining"
 )
-
-// HandoffRequest is a draining shard's warm-cache push to one successor:
-// the post-drain topology the entries are keyed under, its generation
-// fingerprint (the receiver refuses the batch if its own membership view
-// disagrees — a stale push must never seed a cache), and the entries.
-type HandoffRequest struct {
-	// From is the draining shard's identity, for logs and stats.
-	From string
-	// Shards is the post-drain fleet list; Generation must equal
-	// Generation(Shards) and the receiver's live view.
-	Shards      []string
-	Replication int
-	Generation  uint64
-	Entries     []HandoffEntry
-}
-
-// HandoffEntry is one warm partial: a hot query (or enrichment selection)
-// scoped to one ownership group of the post-drain topology. Body is the
-// encoded partial; the receiver caches it (a search partial decoded) only if
-// it is exactly what the receiver would compute for the group. A nil Body
-// (or one that fails to decode, or fails the receiver's validation) makes
-// the receiver recompute the partial locally instead — replay warming,
-// correct by construction.
-type HandoffEntry struct {
-	// Kind is CapabilitySearch or CapabilityEnrich.
-	Kind string
-	// Query is the canonical gene list (search) or selection (enrich).
-	Query []string
-	// Owners is the target group's ordered replica tuple under Shards.
-	Owners []string
-	// Body is one gob message: a *spell.Partial (its binary frame inside
-	// the gob envelope, the coherence-weighted pair) or a
-	// *golem.PartialCounts (plain gob). nil requests a local recompute.
-	Body []byte
-}
-
-// HandoffResponse reports what the receiver did with a push.
-type HandoffResponse struct {
-	Accepted     int // entries inserted into the cache verbatim
-	Recomputed   int // entries warmed by local recompute instead
-	RefusedStale int // entries refused by the generation guard
-	Skipped      int // entries this shard cannot serve (no enricher, bad entry)
-}

@@ -7,11 +7,10 @@ import (
 	"math"
 )
 
-// The Partial wire frame. A Partial crosses the shard hop (and sits in the
-// shards' caches and in drain handoffs) as one little-endian frame, which
-// encoding/gob picks up through the BinaryMarshaler hook: gob stays the
-// envelope of every shard-protocol body, and the 6,000-row gene table inside
-// it stops going through reflection.
+// The Partial wire frame. A Partial crosses the shard hop as one
+// little-endian frame, which encoding/gob picks up through the
+// BinaryMarshaler hook: gob stays the envelope of every shard-protocol body,
+// and the 6,000-row gene table inside it stops going through reflection.
 //
 //	section        encoding                                   length check
 //	magic+version  "SPLP", 0x02                               5 bytes, both equal

@@ -404,8 +404,8 @@ func checkFrameDecode(t *testing.T, data []byte) (accepted bool) {
 }
 
 // FuzzPartialFrame is the fuzz cover of every body that decodes as a
-// spell.Partial: the coordinator's shard responses and the handoff bodies a
-// draining peer pushes (both reach UnmarshalBinary through gob).
+// spell.Partial: the shard answers a coordinator reads (they reach
+// UnmarshalBinary through gob).
 func FuzzPartialFrame(f *testing.F) {
 	for _, b := range frameCorpus(f) {
 		f.Add(b)

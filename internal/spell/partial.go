@@ -226,25 +226,11 @@ func (e *Engine) ownsGenes(p *Partial) bool {
 	return len(p.IDs) == len(e.order) && len(p.IDs) > 0 && &p.IDs[0] == &e.order[0]
 }
 
-// AdoptGenes makes p share this engine's gene columns when its ID column
-// lists exactly the engine's genes in the engine's order — as a partial
-// does that a peer engine over the same datasets computed and a frame
-// carried here — and reports whether p shares them now. A decoded partial
-// otherwise keeps its frame's ID and name blobs alive for as long as it
-// lives, ≈15 bytes a gene. Call it before p is shared: it writes p.
-func (e *Engine) AdoptGenes(p *Partial) bool {
-	if !e.ownsGenes(p) && slices.Equal(p.IDs, e.order) {
-		p.IDs, p.Names = e.order[:len(e.order):len(e.order)], e.names[:len(e.names):len(e.names)]
-	}
-	return e.ownsGenes(p)
-}
-
 // OwnedBytes returns the memory p keeps alive beyond what this engine holds
 // anyway — what a cache of partials must charge for one: the accumulator
 // columns, the dataset rows and the query with their strings, and, unless
 // the gene columns are the engine's own (a computed partial in which every
-// gene scored, or one AdoptGenes accepted), the gene ID and name strings
-// and their headers.
+// gene scored), the gene ID and name strings and their headers.
 func (e *Engine) OwnedBytes(p *Partial) int64 {
 	n := int64(unsafe.Sizeof(*p)) + 8*int64(len(p.Sum)+len(p.Cnt)) +
 		int64(unsafe.Sizeof(""))*int64(len(p.Query)) + int64(unsafe.Sizeof(PartialDataset{}))*int64(len(p.Datasets))
