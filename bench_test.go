@@ -588,8 +588,7 @@ func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, query
 			Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names,
 			// A 1-byte-per-shard budget caches nothing: every request pays
 			// the full dataset scan, which is the thing under test.
-			CacheBytes:        16,
-			SearchParallelism: 1,
+			CacheBytes: 16,
 		})
 		if err != nil {
 			b.Fatal(err)

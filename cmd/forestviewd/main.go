@@ -52,6 +52,7 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -81,13 +82,10 @@ func main() {
 		seed       = flag.Int64("seed", 1, "demo generator seed")
 		cacheMB    = flag.Int64("cache-mb", 64, "shared LRU cache budget in MiB")
 		workers    = flag.Int("render-workers", runtime.GOMAXPROCS(0), "bounded render pool size")
-		queue      = flag.Int("render-queue", 0, "render queue depth before load shedding (0 = 4x workers)")
 		maxGenes   = flag.Int("max-genes", 200, "cap on requested search result length")
 		maxTileDim = flag.Int("max-tile", 2048, "cap on requested tile width/height")
-		searchPar  = flag.Int("search-parallelism", 0, "workers per SPELL scan (0 = GOMAXPROCS; bound it on colocated shard daemons)")
 		clusterArr = flag.Bool("cluster-arrays", false, "also cluster experiment columns, enabling the atree= column-dendrogram strip")
 		prefetchW  = flag.Int("prefetch-workers", 2, "speculative tile-prefetch workers (0 disables prefetching)")
-		prefetchQ  = flag.Int("prefetch-queue", 0, "prefetch queue depth (0 = 16x workers)")
 
 		role         = flag.String("role", "single", `daemon role: "single" (whole compendium in-process), "shard" (serve partials for this daemon's slice), "coordinator" (scatter searches over -shards and merge)`)
 		shardsFlag   = flag.String("shards", "", "comma-separated shard identities — the same list on every fleet member (shards and coordinator hash these strings for dataset ownership)")
@@ -95,7 +93,6 @@ func main() {
 		replication  = flag.Int("replication", 1, "ownership replication factor R: each dataset is held by its top-R rendezvous shards (same value on every fleet member)")
 		fleetToken   = flag.String("fleet-token", "", "bearer token for fleet admin: the coordinator's POST /api/admin/fleet, and a shard's drain and fleet endpoints (empty disables them)")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "coordinator: per-shard attempt deadline")
-		shardRetry   = flag.Bool("shard-retry", true, "coordinator: grant each ownership group one extra attempt after every replica failed")
 		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: duplicate a slow group request after this delay, onto the next untried replica (0 disables hedging)")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM")
 	)
@@ -109,12 +106,12 @@ func main() {
 		demo: *demo || *files == "", precluster: *precluster,
 		genes: *genes, modules: *modules,
 		datasets: *nDatasets, seed: *seed,
-		cacheMB: *cacheMB, workers: *workers, queue: *queue,
-		maxGenes: *maxGenes, maxTileDim: *maxTileDim, searchPar: *searchPar,
-		clusterArrays: *clusterArr, prefetchWorkers: *prefetchW, prefetchQueue: *prefetchQ,
+		cacheMB: *cacheMB, workers: *workers,
+		maxGenes: *maxGenes, maxTileDim: *maxTileDim,
+		clusterArrays: *clusterArr, prefetchWorkers: *prefetchW,
 		role: *role, shards: splitList(*shardsFlag), self: *selfFlag,
 		replication: *replication, fleetToken: *fleetToken,
-		shardDeadline: *shardTimeout, shardRetry: *shardRetry, hedgeAfter: *hedgeAfter,
+		shardDeadline: *shardTimeout, hedgeAfter: *hedgeAfter,
 		onDrained: func() {
 			select {
 			case sigCh <- syscall.SIGTERM:
@@ -190,12 +187,10 @@ type buildConfig struct {
 	genes, modules, datasets int
 	seed                     int64
 	cacheMB                  int64
-	workers, queue           int
+	workers                  int
 	maxGenes, maxTileDim     int
-	searchPar                int
 	clusterArrays            bool
 	prefetchWorkers          int
-	prefetchQueue            int
 
 	role          string // "", "single", "shard", "coordinator"
 	shards        []string
@@ -203,7 +198,6 @@ type buildConfig struct {
 	replication   int
 	fleetToken    string
 	shardDeadline time.Duration
-	shardRetry    bool
 	hedgeAfter    time.Duration
 	// onDrained runs once when a shard-role daemon is drained (POST
 	// /api/shard/v1/admin/drain); main uses it to trigger the
@@ -255,7 +249,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			Shards:      cfg.shards,
 			Replication: repl,
 			Deadline:    cfg.shardDeadline,
-			Retry:       cfg.shardRetry,
+			Retry:       true, // one extra attempt a group once every replica failed
 			HedgeAfter:  cfg.hedgeAfter,
 		})
 		if err != nil {
@@ -266,15 +260,14 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			FleetToken:    cfg.fleetToken,
 			CacheBytes:    cfg.cacheMB << 20,
 			RenderWorkers: cfg.workers,
-			RenderQueue:   cfg.queue,
 			MaxGenes:      cfg.maxGenes,
 			MaxTileDim:    cfg.maxTileDim,
 		})
 		if err != nil {
 			return nil, err
 		}
-		cfg.log("coordinator over %d shards (generation %016x), replication=%d retry=%t hedge=%v fleet-admin=%t",
-			len(coord.Shards()), coord.Generation(), repl, cfg.shardRetry, cfg.hedgeAfter, cfg.fleetToken != "")
+		cfg.log("coordinator over %d shards (generation %016x), replication=%d hedge=%v fleet-admin=%t",
+			len(coord.Shards()), coord.Generation(), repl, cfg.hedgeAfter, cfg.fleetToken != "")
 		return srv, nil
 	}
 
@@ -293,15 +286,11 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		if len(cfg.shards) == 0 || cfg.self == "" {
 			return nil, fmt.Errorf("-role=shard requires -shards and -self")
 		}
-		selfListed := false
-		for _, s := range cfg.shards {
-			if s == cfg.self {
-				selfListed = true
-				break
-			}
-		}
-		if !selfListed {
+		if !slices.Contains(cfg.shards, cfg.self) {
 			return nil, fmt.Errorf("-self %q is not in -shards (assignment hashes the literal strings)", cfg.self)
+		}
+		if err := shard.CheckPlacement(names, cfg.shards, repl); err != nil {
+			return nil, err
 		}
 		// Top-repl ownership: this shard loads every dataset that ranks it
 		// among the top-repl rendezvous owners, so any repl-1 other shards
@@ -461,22 +450,19 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 	// one build), keeping startup off the clustering critical path. The
 	// -precluster flag restores pay-at-boot warming.
 	scfg := server.Config{
-		Engine:            engine,
-		ShardIndexes:      shardIndexes,
-		ShardDatasetIDs:   shardCatalog,
-		Enricher:          enricher,
-		RawDatasets:       datasets,
-		TreeMetric:        cluster.PearsonDist,
-		TreeLinkage:       cluster.AverageLinkage,
-		CacheBytes:        cfg.cacheMB << 20,
-		RenderWorkers:     cfg.workers,
-		RenderQueue:       cfg.queue,
-		MaxGenes:          cfg.maxGenes,
-		MaxTileDim:        cfg.maxTileDim,
-		SearchParallelism: cfg.searchPar,
-		ClusterArrays:     cfg.clusterArrays,
-		PrefetchWorkers:   cfg.prefetchWorkers,
-		PrefetchQueue:     cfg.prefetchQueue,
+		Engine:          engine,
+		ShardIndexes:    shardIndexes,
+		ShardDatasetIDs: shardCatalog,
+		Enricher:        enricher,
+		RawDatasets:     datasets,
+		TreeMetric:      cluster.PearsonDist,
+		TreeLinkage:     cluster.AverageLinkage,
+		CacheBytes:      cfg.cacheMB << 20,
+		RenderWorkers:   cfg.workers,
+		MaxGenes:        cfg.maxGenes,
+		MaxTileDim:      cfg.maxTileDim,
+		ClusterArrays:   cfg.clusterArrays,
+		PrefetchWorkers: cfg.prefetchWorkers,
 	}
 	if role == "shard" {
 		// Fleet plumbing: the shard knows its own identity and the full

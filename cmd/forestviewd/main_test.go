@@ -447,11 +447,31 @@ func enrichParity(t *testing.T, coord, single *server.Server, q string) {
 // compendium and a -role=coordinator build over the same identity list —
 // and checks /api/search through the coordinator against the
 // single-process daemon, plus the scatter bookkeeping the roles expose.
+// TestShardBootRefusesCollapsedPlacement: a catalog whose names differ only
+// in their last byte is one ownership group under any fleet; a shard refuses
+// to boot on it (before it parses a file) and says what to rename.
+func TestShardBootRefusesCollapsedPlacement(t *testing.T) {
+	cfg := buildConfig{
+		files: "d/expr1.pcl,d/expr2.pcl,d/expr3.pcl,d/expr4.pcl",
+		role:  "shard", shards: []string{"127.0.0.1:9001", "127.0.0.1:9002"}, self: "127.0.0.1:9001",
+	}
+	_, err := buildServer(cfg)
+	if err == nil || !strings.Contains(err.Error(), "one ownership group") {
+		t.Fatalf("boot on a collapsed catalog: err = %v, want the placement refusal", err)
+	}
+	// The same files under names that differ earlier get past placement (and
+	// fail on the files, which do not exist).
+	cfg.files = "d/1-expr.pcl,d/2-expr.pcl,d/3-expr.pcl,d/4-expr.pcl"
+	if _, err := buildServer(cfg); err == nil || strings.Contains(err.Error(), "ownership group") {
+		t.Fatalf("boot on a spread catalog: err = %v, want a file error", err)
+	}
+}
+
 func TestShardCoordinatorTopologyE2E(t *testing.T) {
 	identities, _ := startDaemonFleet(t, 2, 1, 4, "", nil)
 	coord, err := buildServer(buildConfig{
 		role: "coordinator", shards: identities,
-		cacheMB: 4, workers: 1, shardDeadline: 5 * time.Second, shardRetry: true,
+		cacheMB: 4, workers: 1, shardDeadline: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +513,7 @@ func TestShardCoordinatorReplicatedE2E(t *testing.T) {
 	coord, err := buildServer(buildConfig{
 		role: "coordinator", shards: identities, replication: 2,
 		fleetToken: "sesame",
-		cacheMB:    4, workers: 1, shardDeadline: 5 * time.Second, shardRetry: true,
+		cacheMB:    4, workers: 1, shardDeadline: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)

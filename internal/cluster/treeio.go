@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -16,8 +17,8 @@ import (
 //	NODE2X	NODE1X	GENE0X	0.85
 //
 // Children are either leaves ("GENE%dX" / "ARRY%dX") or earlier nodes
-// ("NODE%dX"). Similarity = 1 - merge height for the correlation metrics,
-// so heights round-trip exactly.
+// ("NODE%dX"). Similarity = 1 - merge height, written with every digit it
+// has, so a height comes back to within an ulp of 1 or of itself.
 
 // TreeKind selects the leaf naming convention.
 type TreeKind int
@@ -55,7 +56,7 @@ func WriteTree(w io.Writer, t *Tree, kind TreeKind) error {
 		sim := 1 - m.Height
 		if _, err := fmt.Fprintf(bw, "%s\t%s\t%s\t%s\n",
 			nodeID(i), childID(t, kind, m.A), childID(t, kind, m.B),
-			strconv.FormatFloat(sim, 'g', 10, 64)); err != nil {
+			strconv.FormatFloat(sim, 'g', -1, 64)); err != nil {
 			return err
 		}
 	}
@@ -63,8 +64,12 @@ func WriteTree(w io.Writer, t *Tree, kind TreeKind) error {
 }
 
 // ReadTree parses a GTR/ATR stream. nLeaves must match the paired CDT's row
-// (gene tree) or column (array tree) count.
+// (gene tree) or column (array tree) count — a file is refused at the first
+// merge too many for it — and a similarity must be a finite number.
 func ReadTree(r io.Reader, kind TreeKind, nLeaves int) (*Tree, error) {
+	if nLeaves <= 0 {
+		return nil, fmt.Errorf("cluster: a tree over %d leaves", nLeaves)
+	}
 	t := &Tree{NLeaves: nLeaves}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -104,6 +109,9 @@ func ReadTree(r io.Reader, kind TreeKind, nLeaves int) (*Tree, error) {
 		if len(fields) < 4 {
 			return nil, fmt.Errorf("cluster: tree line %d has %d fields, want 4", lineNo, len(fields))
 		}
+		if len(t.Merges) == nLeaves-1 {
+			return nil, fmt.Errorf("cluster: line %d: more than the %d merges of %d leaves", lineNo, nLeaves-1, nLeaves)
+		}
 		a, err := parseChild(fields[1])
 		if err != nil {
 			return nil, fmt.Errorf("cluster: line %d: %w", lineNo, err)
@@ -113,8 +121,8 @@ func ReadTree(r io.Reader, kind TreeKind, nLeaves int) (*Tree, error) {
 			return nil, fmt.Errorf("cluster: line %d: %w", lineNo, err)
 		}
 		sim, err := strconv.ParseFloat(strings.TrimSpace(fields[3]), 64)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: line %d: bad similarity: %w", lineNo, err)
+		if err != nil || math.IsNaN(sim) || math.IsInf(sim, 0) {
+			return nil, fmt.Errorf("cluster: line %d: bad similarity %q", lineNo, strings.TrimSpace(fields[3]))
 		}
 		nodeName := strings.TrimSpace(fields[0])
 		nodeIdx[nodeName] = nLeaves + len(t.Merges)

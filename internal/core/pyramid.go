@@ -33,9 +33,9 @@ func NumPyramidLevels(nRows int) int {
 	return levels
 }
 
-// PyramidOptions configure Pyramid construction. It carries no options
-// today; the type stays so ClusteredDataset.Pyramid's callers keep
-// compiling.
+// PyramidOptions configure Pyramid construction. It carries no options;
+// the type stays only because bench/verify.go, which a benchmarked change
+// may not edit, writes it (ROADMAP item 1(d)).
 type PyramidOptions struct{}
 
 // Slab is one pyramid level's row-major matrix view. Row slices are

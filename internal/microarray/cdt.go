@@ -114,7 +114,9 @@ func WriteCDT(w io.Writer, c *CDT) error {
 }
 
 // ReadCDT parses a CDT stream. Missing GID column / AID row yield nil
-// slices in the result.
+// slices in the result. As in ReadPCL a gene row carries every cell the
+// header names, and there is one AID row at most: a few bytes of input
+// cannot claim a header's width of memory.
 func ReadCDT(r io.Reader, name string) (*CDT, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 16*1024*1024)
@@ -141,7 +143,10 @@ func ReadCDT(r io.Reader, name string) (*CDT, error) {
 		expStart = gwCol
 		gwCol = -1
 	}
-	experiments := append([]string(nil), header[expStart:]...)
+	experiments := make([]string, len(header)-expStart)
+	for i, h := range header[expStart:] {
+		experiments[i] = strings.TrimSpace(h) // as in ReadPCL
+	}
 	ds := NewDataset(name, experiments)
 	c := &CDT{Dataset: ds}
 	if hasGID {
@@ -159,6 +164,9 @@ func ReadCDT(r io.Reader, name string) (*CDT, error) {
 		first := strings.TrimSpace(fields[0])
 		switch {
 		case strings.EqualFold(first, "AID"):
+			if c.AIDs != nil {
+				return nil, fmt.Errorf("microarray: CDT line %d: a second AID row", lineNo)
+			}
 			c.AIDs = make([]string, len(experiments))
 			for i := range experiments {
 				col := expStart + i
@@ -178,8 +186,9 @@ func ReadCDT(r io.Reader, name string) (*CDT, error) {
 			}
 			continue
 		}
-		if len(fields) <= nameCol {
-			return nil, fmt.Errorf("microarray: CDT line %d too short", lineNo)
+		if want := expStart + len(experiments); len(fields) < want {
+			return nil, fmt.Errorf("microarray: CDT line %d has %d columns, the header has %d",
+				lineNo, len(fields), want)
 		}
 		g := Gene{ID: strings.TrimSpace(fields[idCol])}
 		nameField := strings.TrimSpace(fields[nameCol])
@@ -190,7 +199,7 @@ func ReadCDT(r io.Reader, name string) (*CDT, error) {
 			g.Name = nameField
 		}
 		gw := 1.0
-		if gwCol >= 0 && len(fields) > gwCol {
+		if gwCol >= 0 {
 			if w, err := strconv.ParseFloat(strings.TrimSpace(fields[gwCol]), 64); err == nil {
 				gw = w
 			}
@@ -198,10 +207,6 @@ func ReadCDT(r io.Reader, name string) (*CDT, error) {
 		values := make([]float64, len(experiments))
 		for i := range values {
 			col := expStart + i
-			if col >= len(fields) {
-				values[i] = Missing
-				continue
-			}
 			cell := strings.TrimSpace(fields[col])
 			if cell == "" || strings.EqualFold(cell, "NA") || strings.EqualFold(cell, "NaN") {
 				values[i] = Missing

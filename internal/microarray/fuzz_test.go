@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -75,31 +76,16 @@ func checkReadPCL(t testing.TB, data []byte) bool {
 	return true
 }
 
-// longLinePCL is a file whose one gene row is a 2 MiB line: past the
-// scanner's first buffer, inside its limit. Built here rather than committed.
-func longLinePCL() []byte {
-	return []byte("ID\tNAME\tGWEIGHT\te1\nG1\tN " + strings.Repeat("x", 2<<20) + "\t1\t0.5\n")
-}
-
-// FuzzReadPCL's seeds live in testdata/fuzz/FuzzReadPCL: valid-* parse,
-// bad-* are rejected (TestReadPCLCorpus).
-func FuzzReadPCL(f *testing.F) {
-	f.Add(longLinePCL())
-	f.Fuzz(func(t *testing.T, data []byte) { checkReadPCL(t, data) })
-}
-
-// TestReadPCLCorpus runs the seed corpus as a plain test — exactly the
-// valid-* seeds parse — and measures what parsing allocates: the scanner's
-// first buffer and its growth to the longest line (2 MiB covers both for
-// every seed but the long line, which is bounded by its own length), plus a
-// small multiple of the input.
-func TestReadPCLCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzReadPCL")
+// seedCorpus reads the one-value seed files committed under
+// testdata/fuzz/<target>, at least want of them.
+func seedCorpus(t *testing.T, target string, want int) map[string][]byte {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	corpus := map[string][]byte{"valid-long-line": longLinePCL()}
+	corpus := make(map[string][]byte)
 	for _, e := range entries {
 		raw, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
@@ -115,15 +101,25 @@ func TestReadPCLCorpus(t *testing.T) {
 		}
 		corpus[e.Name()] = []byte(s)
 	}
-	if len(corpus) < 18 {
-		t.Fatalf("%d seeds in %s, want the 17 committed ones", len(corpus)-1, dir)
+	if len(corpus) < want {
+		t.Fatalf("%d seeds in %s, want the %d committed ones", len(corpus), dir, want)
 	}
+	return corpus
+}
+
+// checkCorpus runs a seed corpus as a plain test — exactly the valid-* seeds
+// parse, the bad-* ones are rejected — and measures what parse allocates:
+// the scanner's first buffer and its growth to the longest line (2 MiB
+// covers both for every seed but a long line, which is bounded by its own
+// length), plus a small multiple of the input.
+func checkCorpus(t *testing.T, corpus map[string][]byte, check func(testing.TB, []byte) bool, parse func([]byte)) {
+	t.Helper()
 	for name, data := range corpus {
 		valid := strings.HasPrefix(name, "valid-")
 		if !valid && !strings.HasPrefix(name, "bad-") {
 			continue // an input the fuzzer found and someone committed
 		}
-		if got := checkReadPCL(t, data); got != valid {
+		if got := check(t, data); got != valid {
 			t.Errorf("%s: parsed = %v, want %v", name, got, valid)
 		}
 		// TotalAlloc is process-wide: the least of three parses.
@@ -131,7 +127,7 @@ func TestReadPCLCorpus(t *testing.T) {
 		for try := 0; try < 3; try++ {
 			var ms0, ms1 runtime.MemStats
 			runtime.ReadMemStats(&ms0)
-			_, _ = ReadPCL(bytes.NewReader(data), name)
+			parse(data)
 			runtime.ReadMemStats(&ms1)
 			got = min(got, ms1.TotalAlloc-ms0.TotalAlloc)
 		}
@@ -139,7 +135,115 @@ func TestReadPCLCorpus(t *testing.T) {
 			t.Errorf("%s: parsing %d bytes allocated %d (limit %d)", name, len(data), got, limit)
 		}
 	}
+}
+
+// longLinePCL is a file whose one gene row is a 2 MiB line: past the
+// scanner's first buffer, inside its limit. Built here rather than committed.
+func longLinePCL() []byte {
+	return []byte("ID\tNAME\tGWEIGHT\te1\nG1\tN " + strings.Repeat("x", 2<<20) + "\t1\t0.5\n")
+}
+
+// FuzzReadPCL's seeds live in testdata/fuzz/FuzzReadPCL: valid-* parse,
+// bad-* are rejected (TestReadPCLCorpus).
+func FuzzReadPCL(f *testing.F) {
+	f.Add(longLinePCL())
+	f.Fuzz(func(t *testing.T, data []byte) { checkReadPCL(t, data) })
+}
+
+// TestReadPCLCorpus runs the seed corpus (and the long line) as a plain test.
+func TestReadPCLCorpus(t *testing.T) {
+	corpus := seedCorpus(t, "FuzzReadPCL", 17)
+	corpus["valid-long-line"] = longLinePCL()
+	checkCorpus(t, corpus, checkReadPCL, func(data []byte) { _, _ = ReadPCL(bytes.NewReader(data), "corpus") })
 	if ds, err := ReadPCL(bytes.NewReader(corpus["valid-crlf"]), "crlf"); err != nil || ds.Experiments[2] != "cold 20min" || ds.Value(0, 2) != 1.5 {
 		t.Errorf("CRLF sample: %v, %+v", err, ds)
+	}
+}
+
+// checkReadCDT holds ReadCDT to checkReadPCL's contract — a CDT file is what
+// a warm boot will read a clustered pane from — and reports whether the bytes
+// parsed: no panic; nothing returned beside an error; every gene row exactly
+// one value per experiment, one GID per gene and one AID per experiment where
+// the file has them; what a parse keeps at most 64 times the input; and
+// whatever parses survives WriteCDT → ReadCDT with the same genes,
+// experiments, leaf IDs and missing cells.
+func checkReadCDT(t testing.TB, data []byte) bool {
+	t.Helper()
+	c, err := ReadCDT(bytes.NewReader(data), "fuzz")
+	if err != nil {
+		if c != nil {
+			t.Fatalf("ReadCDT returned a table beside its error %v", err)
+		}
+		return false
+	}
+	ds := c.Dataset
+	nE := len(ds.Experiments)
+	if len(ds.Data) != len(ds.Genes) || len(ds.GWeights) != len(ds.Genes) || len(ds.EWeights) != nE {
+		t.Fatalf("%d genes, %d rows, %d gene weights; %d experiments, %d experiment weights",
+			len(ds.Genes), len(ds.Data), len(ds.GWeights), nE, len(ds.EWeights))
+	}
+	if c.GIDs != nil && len(c.GIDs) != len(ds.Genes) || c.AIDs != nil && len(c.AIDs) != nE {
+		t.Fatalf("%d GIDs for %d genes, %d AIDs for %d experiments", len(c.GIDs), len(ds.Genes), len(c.AIDs), nE)
+	}
+	kept := 24 * nE // string headers and weights of the experiments
+	for _, e := range ds.Experiments {
+		kept += len(e)
+	}
+	for _, aid := range c.AIDs {
+		kept += 16 + len(aid)
+	}
+	for _, gid := range c.GIDs {
+		kept += 16 + len(gid)
+	}
+	for g, row := range ds.Data {
+		if len(row) != nE {
+			t.Fatalf("gene row %d has %d values for %d experiments", g, len(row), nE)
+		}
+		gene := ds.Genes[g]
+		kept += 80 + 8*nE + len(gene.ID) + len(gene.Name) + len(gene.Annotation) // Gene, row header, weight, cells
+	}
+	if kept > 64*len(data) {
+		t.Fatalf("a %d-byte file parsed to %d bytes", len(data), kept)
+	}
+
+	var buf bytes.Buffer
+	if err := WriteCDT(&buf, c); err != nil {
+		t.Fatalf("parsed table does not serialize: %v", err)
+	}
+	back, err := ReadCDT(&buf, "fuzz")
+	if err != nil {
+		t.Fatalf("WriteCDT output rejected: %v", err)
+	}
+	if !slices.Equal(back.Dataset.Experiments, ds.Experiments) || !slices.Equal(back.Dataset.Genes, ds.Genes) {
+		t.Fatalf("round trip changed the genes or experiments: %dx%d to %dx%d",
+			len(ds.Genes), nE, len(back.Dataset.Genes), len(back.Dataset.Experiments))
+	}
+	if (back.GIDs == nil) != (c.GIDs == nil) || !slices.Equal(back.GIDs, c.GIDs) ||
+		(back.AIDs == nil) != (c.AIDs == nil) || !slices.Equal(back.AIDs, c.AIDs) {
+		t.Fatalf("round trip changed the leaf IDs: GIDs %q to %q, AIDs %q to %q", c.GIDs, back.GIDs, c.AIDs, back.AIDs)
+	}
+	for g, row := range ds.Data {
+		for e, v := range row {
+			if math.IsNaN(v) != math.IsNaN(back.Dataset.Data[g][e]) {
+				t.Fatalf("round trip changed the missingness of cell (%d,%d): %v to %v", g, e, v, back.Dataset.Data[g][e])
+			}
+		}
+	}
+	return true
+}
+
+// FuzzReadCDT's seeds live in testdata/fuzz/FuzzReadCDT: valid-* parse,
+// bad-* are rejected (TestReadCDTCorpus).
+func FuzzReadCDT(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkReadCDT(t, data) })
+}
+
+// TestReadCDTCorpus runs the seed corpus as a plain test.
+func TestReadCDTCorpus(t *testing.T) {
+	corpus := seedCorpus(t, "FuzzReadCDT", 16)
+	checkCorpus(t, corpus, checkReadCDT, func(data []byte) { _, _ = ReadCDT(bytes.NewReader(data), "corpus") })
+	c, err := ReadCDT(bytes.NewReader(corpus["valid-sample"]), "sample")
+	if err != nil || c.GIDs[1] != "GENE0X" || c.AIDs[2] != "ARRY1X" || c.Dataset.Value(1, 2) != -0.5 || c.Dataset.EWeights[0] != 2 {
+		t.Errorf("sample: %v, %+v", err, c)
 	}
 }

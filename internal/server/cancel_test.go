@@ -69,14 +69,15 @@ func cachedKeys(c *Cache) []string {
 // leader's hangup: every request that joins it — on every retry — gets the
 // leader's context.Canceled, exactly what a follower sees when the flights
 // it coalesces onto keep losing their leaders. clear removes them.
-func poisonFlights(s *Server, keys []string) (clear func()) {
-	g := &s.flights
+func poisonFlights(g *flightGroup, keys []string) (clear func()) {
+	finished := make(chan struct{})
+	close(finished)
 	g.mu.Lock()
 	if g.calls == nil {
 		g.calls = make(map[string]*flightCall)
 	}
 	for _, k := range keys {
-		g.calls[k] = &flightCall{err: context.Canceled}
+		g.calls[k] = &flightCall{done: finished, err: context.Canceled}
 	}
 	g.mu.Unlock()
 	return func() {
@@ -158,7 +159,7 @@ func TestCancellationContract(t *testing.T) {
 			// 2. Live client, every joined flight died of its leader's hangup:
 			// retries exhausted, shed as a counted 503.
 			before := statsOf(t, s, tc.endpoint)
-			clear := poisonFlights(s, keys)
+			clear := poisonFlights(&s.flights, keys)
 			rec = serve(s, request())
 			clear()
 			if rec.Code != http.StatusServiceUnavailable {

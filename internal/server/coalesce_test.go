@@ -1,7 +1,9 @@
 package server
 
 import (
+	"context"
 	"errors"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -25,7 +27,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			if i > 0 {
 				<-ready // the first goroutine is mid-compute before others join
 			}
-			v, err, joined := g.Do("k", func() (any, error) {
+			v, err, joined := g.Do(context.Background(), "k", func() (any, error) {
 				computes.Add(1)
 				close(ready)
 				<-release
@@ -51,11 +53,75 @@ func TestFlightGroupCoalesces(t *testing.T) {
 	}
 }
 
+// TestFlightGroupJoinerHonoursItsContext: a joiner whose own context is
+// cancelled while the leader still computes leaves at once with its context's
+// error; the leader's result is unaffected, a later caller still gets the
+// value, and no goroutine is left behind.
+func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	var g flightGroup
+	computing := make(chan struct{})
+	release := make(chan struct{})
+	type result struct {
+		v      any
+		err    error
+		joined bool
+	}
+	leader := make(chan result, 1)
+	go func() {
+		v, err, joined := g.Do(context.Background(), "k", func() (any, error) {
+			close(computing)
+			<-release
+			return 42, nil
+		})
+		leader <- result{v, err, joined}
+	}()
+	<-computing
+
+	ctx, cancel := context.WithCancel(context.Background())
+	joiner := make(chan result, 1)
+	go func() {
+		v, err, joined := g.Do(ctx, "k", func() (any, error) { return nil, errors.New("joiner computed") })
+		joiner <- result{v, err, joined}
+	}()
+	cancel()
+	select {
+	case r := <-joiner:
+		if r.err != context.Canceled || !r.joined || r.v != nil {
+			t.Fatalf("cancelled joiner = %+v, want a joined context.Canceled", r)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("cancelled joiner still waits for the leader")
+	}
+
+	// A live joiner, and the leader itself, still get the leader's value.
+	live := make(chan result, 1)
+	go func() {
+		v, err, joined := g.Do(context.Background(), "k", func() (any, error) { return 7, nil })
+		live <- result{v, err, joined}
+	}()
+	time.Sleep(5 * time.Millisecond) // let it reach the flight (either way it must see 42 or recompute 7)
+	close(release)
+	if r := <-leader; r.err != nil || r.joined || r.v.(int) != 42 {
+		t.Fatalf("leader = %+v, want 42 computed", r)
+	}
+	if r := <-live; r.err != nil || (r.joined && r.v.(int) != 42) || (!r.joined && r.v.(int) != 7) {
+		t.Fatalf("later caller = %+v", r)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines, %d before the flight", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 	var g flightGroup
 	n := 0
 	for i := 0; i < 3; i++ {
-		v, err, joined := g.Do("k", func() (any, error) { n++; return n, nil })
+		v, err, joined := g.Do(context.Background(), "k", func() (any, error) { n++; return n, nil })
 		if err != nil || joined {
 			t.Fatalf("call %d: err=%v joined=%v", i, err, joined)
 		}
@@ -68,7 +134,7 @@ func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 func TestFlightGroupPropagatesErrors(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	_, err, _ := g.Do("k", func() (any, error) { return nil, boom })
+	_, err, _ := g.Do(context.Background(), "k", func() (any, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -78,11 +144,11 @@ func TestFlightGroupPropagatesErrors(t *testing.T) {
 // key — later callers get a fresh flight, concurrent joiners get the error.
 func TestFlightGroupSurvivesPanic(t *testing.T) {
 	var g flightGroup
-	_, err, _ := g.Do("k", func() (any, error) { panic("kaboom") })
+	_, err, _ := g.Do(context.Background(), "k", func() (any, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
-	v, err, joined := g.Do("k", func() (any, error) { return "recovered", nil })
+	v, err, joined := g.Do(context.Background(), "k", func() (any, error) { return "recovered", nil })
 	if err != nil || joined || v.(string) != "recovered" {
 		t.Fatalf("key wedged after panic: %v, %v, %v", v, err, joined)
 	}

@@ -28,14 +28,14 @@ import (
 // it (disposition "coalesced"). waitJoin blocks until the endpoint's miss
 // counter shows the request has entered the cache path, then releases the
 // flight after a grace period for it to pile on.
-func holdFlight(t *testing.T, s *Server, key string, val any) (release func()) {
+func holdFlight(t *testing.T, g *flightGroup, key string, val any) (release func()) {
 	t.Helper()
 	ready := make(chan struct{})
 	gate := make(chan struct{})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = s.flights.Do(key, func() (any, error) {
+		_, _, _ = g.Do(context.Background(), key, func() (any, error) {
 			close(ready)
 			<-gate
 			return val, nil
@@ -93,7 +93,7 @@ func TestSearchCacheDispositionHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := holdFlight(t, s, key, res)
+	release := holdFlight(t, &s.flights, key, res)
 	before := s.statSearch.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
@@ -129,7 +129,7 @@ func TestEnrichCacheDispositionHeader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := holdFlight(t, s, key, val)
+	release := holdFlight(t, &s.flights, key, val)
 	before := s.statEnrich.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
@@ -159,12 +159,12 @@ func TestHeatmapCacheDispositionHeader(t *testing.T) {
 
 	// Coalesced: hold the flight for a distinct tile's exact cache key. The
 	// held value is any PNG-shaped byte slice — the handler only relays it.
-	_, gen, err := s.trees.get(context.Background(), 0)
+	_, err := s.trees.get(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tileParams{dsIndex: 0, gen: gen, from: 32, to: 64, w: 64, h: 64, cmap: 0, limit: 2}
-	release := holdFlight(t, s, p.key(), append([]byte(nil), pngMagic...))
+	p := tileParams{dsIndex: 0, from: 32, to: 64, w: 64, h: 64, cmap: 0, limit: 2}
+	release := holdFlight(t, &s.flights, p.key(), append([]byte(nil), pngMagic...))
 	before := s.statHeatmap.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
@@ -189,11 +189,11 @@ func TestCachedTileIsExactlySized(t *testing.T) {
 	if rec := get(t, s, url); rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "hit" {
 		t.Fatalf("warm tile = %d, %s: %q", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
 	}
-	_, gen, err := s.trees.get(context.Background(), 0)
+	_, err := s.trees.get(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tileParams{dsIndex: 0, gen: gen, from: 0, to: 150, w: 256, h: 256, cmap: 0, limit: 2}
+	p := tileParams{dsIndex: 0, from: 0, to: 150, w: 256, h: 256, cmap: 0, limit: 2}
 	v, ok := s.cache.Get(p.key())
 	if !ok {
 		t.Fatalf("no cache entry under the tile's key %q", p.key())
@@ -208,7 +208,7 @@ func TestCachedTileIsExactlySized(t *testing.T) {
 // one of another size — is byte for byte the tile drawn on a fresh one.
 func TestTileCanvasReuseIsInvisible(t *testing.T) {
 	s, _ := fixture(t)
-	cd, gen, err := s.trees.get(context.Background(), 0)
+	cd, err := s.trees.get(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTileCanvasReuseIsInvisible(t *testing.T) {
 	}
 	var fresh [][]byte
 	for i := range tiles {
-		tiles[i].dsIndex, tiles[i].gen, tiles[i].limit = 0, gen, 2
+		tiles[i].dsIndex, tiles[i].limit = 0, 2
 		// An emptied pool: every one of these draws on a new canvas.
 		for tileCanvases.Get() != nil {
 		}

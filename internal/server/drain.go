@@ -133,6 +133,9 @@ func (s *Server) reloadShard(ctx context.Context, shards []string, repl int) (*s
 	if repl == st.repl && slices.Equal(normalized, st.shards) {
 		return st, 0, nil
 	}
+	if err := shard.CheckPlacement(s.cfg.ShardDatasetIDs, normalized, repl); err != nil {
+		return nil, 0, err
+	}
 
 	// The owned set under the new view; empty when this shard is not in the
 	// list (a leaver keeps serving its holdings until it exits).

@@ -293,3 +293,35 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 		t.Fatalf("repeat reload not a no-op (state swapped: %t): %s", s1.shardState() != grown, raw)
 	}
 }
+
+// TestShardFleetReloadRefusesCollapsedPlacement: a catalog whose names differ
+// only in their last byte is one ownership group under any fleet of two or
+// more; a one-shard fleet boots on it, and the reload that would grow the
+// fleet is refused with the state untouched.
+func TestShardFleetReloadRefusesCollapsedPlacement(t *testing.T) {
+	u := synth.NewUniverse(80, 4, 91)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 4, MinExperiments: 6, MaxExperiments: 8, ActiveFraction: 0.5, Noise: 0.3, Seed: 92,
+	})
+	engine, err := spell.NewEngine(dss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Engine: engine, ShardIndexes: []int{0, 1, 2, 3},
+		ShardDatasetIDs: []string{"expr-a", "expr-b", "expr-c", "expr-d"},
+		ShardSelf:       "shard-0", ShardFleet: []string{"shard-0"}, ShardRawDatasets: dss,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	boot := s.shardState()
+	_, _, err = s.reloadShard(context.Background(), []string{"shard-0", "shard-1"}, 1)
+	if err == nil || !strings.Contains(err.Error(), "one ownership group") {
+		t.Fatalf("reload onto a collapsed placement: err = %v, want the refusal", err)
+	}
+	if s.shardState() != boot || s.shardReloads.Load() != 0 {
+		t.Fatal("a refused reload changed the shard")
+	}
+}

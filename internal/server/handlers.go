@@ -67,8 +67,7 @@ func encodeJSON(v any) ([]byte, error) {
 // writeJSON encodes v with the right Content-Type; a json.RawMessage is a
 // body some compute path encoded (and cached) already, written as it is.
 // The body is encoded before the status line is committed: an encode
-// failure (a NaN float is the classic) becomes a 500 instead of the silent
-// empty 200 it used to be.
+// failure (a NaN float is the classic) is a 500, not a silent empty 200.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	body, ok := v.(json.RawMessage)
 	if !ok {
@@ -125,8 +124,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if len(spell.CanonicalQuery(ids)) < 2 {
 		// A one-gene query has no query pairs, so every dataset's coherence
 		// is NaN — unencodable and meaningless. Reject up front rather than
-		// serve a weightless ranking (this used to escape as an empty 200
-		// when the NaN killed the JSON encoder silently).
+		// serve a weightless ranking.
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeSingleGeneQuery, spell.MsgSingleGeneQuery)
 		return
 	}
@@ -161,10 +159,9 @@ func setScatterHeaders(w http.ResponseWriter, meta *shard.Meta) {
 // nobody is listening for a body: 499, the de-facto "client closed request"
 // status, keeps the abort visible as an error in /api/stats. If the client
 // is still live, the context error leaked from other requests' flights
-// (cachedCompute exhausted its retries against flights whose leaders kept
+// (coalesce ran out of retries against flights whose leaders kept
 // disconnecting): shed with a 503 "interrupted" so the client retries,
-// counted in ep.rejected like every other shed. what names the computation
-// for the message.
+// counted in ep.rejected like every other shed. what names the computation.
 func (s *Server) writeContextError(w http.ResponseWriter, r *http.Request, ep *endpointStats, err error, what string) bool {
 	if !isContextErr(err) {
 		return false
@@ -308,14 +305,12 @@ type scatterEnrichResponse struct {
 }
 
 // tileParams are the canonicalized /api/heatmap parameters; their string
-// form is the cache key. gen is the pane's tree-cache generation: replacing
-// a dataset bumps it, so every cached tile of the old data becomes
-// unreachable without a cache sweep. level is the resolved pyramid level
+// form is the cache key (a pane never changes, so its index names its data
+// for the daemon's lifetime). level is the resolved pyramid level
 // (auto-selection happens before the key is formed, so an auto request and
 // its explicit-level twin share a cache entry).
 type tileParams struct {
 	dsIndex  int
-	gen      uint64
 	from, to int // display-order row range [from, to)
 	w, h     int
 	treeW    int // gene dendrogram strip width, 0 = no tree
@@ -326,8 +321,8 @@ type tileParams struct {
 }
 
 func (p tileParams) key() string {
-	return fmt.Sprintf("tile\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%g",
-		p.dsIndex, p.gen, p.from, p.to, p.w, p.h, p.treeW, p.atreeH, p.level, p.cmap, p.limit)
+	return fmt.Sprintf("tile\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%d\x1f%g",
+		p.dsIndex, p.from, p.to, p.w, p.h, p.treeW, p.atreeH, p.level, p.cmap, p.limit)
 }
 
 // autoLevel picks the coarsest pyramid level that still gives every pixel
@@ -347,15 +342,13 @@ func autoLevel(span, h, levels int) int {
 // with a W-pixel gene dendrogram strip on the left and an H-pixel array
 // (column) dendrogram strip on top. Zoomed-out tiles serve from the pane's
 // tile pyramid: level K collapses runs of 2^K display rows into
-// precomputed mean-aggregate slab rows, so the render walks rows/2^K slab
-// rows instead of every raw row; level defaults to auto-selection from the
-// requested row span vs the pixel height (X-Forestview-Level discloses the
-// resolved level). The clustered tree comes from the per-dataset tree
-// cache — a cold dataset is clustered exactly once no matter how many tiles
-// ask for it concurrently. Tiles render on the bounded worker pool; a
-// saturated pool sheds the request with 503. Every served tile feeds the
-// speculative prefetcher (when enabled), which renders the predicted
-// pan/zoom neighbours in the background.
+// precomputed mean-aggregate slab rows; level defaults to auto-selection
+// from the row span vs the pixel height (X-Forestview-Level discloses it).
+// Every parameter validates off the pane's row count before the tree cache
+// is asked for the tree — a cold pane clusters exactly once however many
+// tiles ask. Tiles render on the bounded worker pool; a saturated pool sheds
+// the request with 503. Every served tile feeds the speculative prefetcher
+// (when enabled), which renders its pan/zoom neighbours in the background.
 func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	ref := q.Get("dataset")
@@ -370,7 +363,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 	}
 	// Parameter validation runs before the (possibly expensive) tree
 	// lookup, off the pane's row count alone.
-	nRows, _ := s.trees.rows(dsIndex)
+	nRows := s.trees.panes[dsIndex].rows
 	p := tileParams{dsIndex: dsIndex, from: 0, to: nRows, w: 512, h: 512, cmap: render.GreenBlackRed, limit: 2}
 
 	if v := q.Get("rows"); v != "" {
@@ -438,51 +431,26 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		}
 		p.atreeH = ah
 	}
-	// level validates off the pane's row count alone, like everything above;
-	// auto-selection resolves after the tree fetch, against the row range
-	// that actually renders.
-	levelAuto := true
+	// level validates off the pane's row count alone, like everything above.
+	levels := core.NumPyramidLevels(nRows)
 	if v := q.Get("level"); v != "" && v != "auto" {
 		lvl, err := strconv.Atoi(v)
-		if err != nil || lvl < 0 || lvl >= core.NumPyramidLevels(nRows) {
+		if err != nil || lvl < 0 || lvl >= levels {
 			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter,
-				fmt.Sprintf("level must be \"auto\" or an integer in [0, %d] for this dataset", core.NumPyramidLevels(nRows)-1))
+				fmt.Sprintf("level must be \"auto\" or an integer in [0, %d] for this dataset", levels-1))
 			return
 		}
-		p.level, levelAuto = lvl, false
+		p.level = lvl
+	} else {
+		p.level = autoLevel(p.to-p.from, p.h, levels)
 	}
 
-	cd, gen, err := s.trees.get(r.Context(), dsIndex)
+	cd, err := s.trees.get(r.Context(), dsIndex)
 	if err != nil {
-		// Only our own hangup surfaces as a context error here: the tree
-		// cache retries a dead leader's build while our context lives.
 		if !s.writeContextError(w, r, &s.statHeatmap, err, "clustering") {
 			s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		}
 		return
-	}
-	p.gen = gen
-	if got := len(cd.DisplayOrder); got != nRows {
-		// ReplaceDataset swapped the pane between validation and the tree
-		// fetch; re-validate the row range against the tree we actually
-		// got, so a stale-validated tile can't render (and be cached under
-		// the new generation) with the wrong row space.
-		if p.to == nRows || p.to > got {
-			p.to = got
-		}
-		if p.from >= p.to {
-			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, fmt.Sprintf("rows out of range: dataset has %d rows", got))
-			return
-		}
-		if p.treeW > 0 && (p.from != 0 || p.to != got) {
-			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "tree requires the full row range (the dendrogram spans every row)")
-			return
-		}
-		if !levelAuto && p.level >= core.NumPyramidLevels(got) {
-			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter,
-				fmt.Sprintf("level must be \"auto\" or an integer in [0, %d] for this dataset", core.NumPyramidLevels(got)-1))
-			return
-		}
 	}
 	if p.treeW > 0 && cd.GeneTree == nil {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "dataset has no gene tree to draw")
@@ -492,10 +460,6 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable,
 			"dataset has no array tree to draw (cluster it with ClusterArrays, or start the daemon with -cluster-arrays)")
 		return
-	}
-	nPaneRows := len(cd.DisplayOrder)
-	if levelAuto {
-		p.level = autoLevel(p.to-p.from, p.h, core.NumPyramidLevels(nPaneRows))
 	}
 
 	png, disp, err := s.renderTile(r.Context(), cd, p, &s.statHeatmap)
@@ -518,7 +482,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 			disp = dispPrefetched
 		}
 		// Every served tile predicts the next viewport motion.
-		s.prefetch.speculate(p, nPaneRows, core.NumPyramidLevels(nPaneRows))
+		s.prefetch.speculate(p, nRows, levels)
 	}
 	w.Header().Set(cacheHeader, disp)
 	w.Header().Set("X-Forestview-Level", strconv.Itoa(p.level))
@@ -528,12 +492,11 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderTile produces the PNG bytes for p, cached and coalesced like every
-// other result; only the actual rasterization runs on the worker pool, so
-// cache hits bypass the pool entirely. The request context rides through
-// cachedCompute into Pool.Run, so a tile whose client has hung up stops
-// waiting immediately and is skipped if still queued. ep receives the
-// cache/compute accounting: the foreground handler passes statHeatmap, the
-// prefetcher its own stats, so speculation never skews request counters.
+// other result; only the rasterization runs on the worker pool, so cache
+// hits bypass it. The request context rides into Pool.Run, so a tile whose
+// client has hung up stops waiting at once and is skipped if still queued.
+// ep receives the cache/compute accounting: statHeatmap from the handler,
+// the prefetcher's own stats from speculation.
 func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
 	key := p.key()
 	return cachedCompute(ctx, s, ep, key, wireCost, nil, func() ([]byte, error) {
@@ -543,13 +506,11 @@ func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p ti
 			if err != nil {
 				return nil, err
 			}
-			// Fill the cache from inside the job too: a worker only
-			// learns its submitter hung up when the job is already
-			// running, so a render abandoned mid-rasterization still
-			// completes — this keeps the finished tile for the
-			// retrying follower (or the next request) instead of
-			// discarding it with the canceled wait. cachedCompute's own
-			// Put after a live wait is an idempotent overwrite.
+			// Fill the cache from inside the job too: a render abandoned
+			// mid-rasterization still completes, and this keeps the tile
+			// for the retrying follower (or the next request) instead of
+			// discarding it with the canceled wait. cachedCompute's own Put
+			// after a live wait is an idempotent overwrite.
 			s.cache.Put(key, png, wireCost(png))
 			return png, nil
 		})
@@ -607,13 +568,11 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 	return c.PNG()
 }
 
-// tileCanvases recycles the framebuffer between tile renders. A 256×256
-// canvas is 256 KiB, a dozen times the PNG it becomes; allocated per tile it
-// was nearly all the daemon's garbage, and at a thousand renders a second
-// it had the collector running every 1.3 s — so whether a second of traffic
-// met one collection or none showed in that second's throughput. The pool
-// holds at most one canvas per concurrent render: a tile of another size
-// drops the canvas it was handed and puts back the one it allocated.
+// tileCanvases recycles the framebuffer between tile renders: a 256×256
+// canvas is 256 KiB, a dozen times the PNG it becomes, and allocated per tile
+// it would be nearly all the daemon's garbage. The pool holds at most one
+// canvas per concurrent render: a tile of another size drops the canvas it
+// was handed and puts back the one it allocated.
 var tileCanvases sync.Pool
 
 // tileCanvas returns a w×h canvas cleared to bg, as render.NewCanvas does.

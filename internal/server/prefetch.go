@@ -12,7 +12,7 @@ import (
 // heatmap tile predicts where the client pans or zooms next — the adjacent
 // windows at the same pyramid level, the parent tile one level up and the
 // child tile one level down — and renders those tiles in the background
-// into the same generation-keyed LRU the foreground path serves from.
+// into the same LRU, under the same keys, the foreground path serves from.
 //
 // The discipline that keeps speculation free:
 //
@@ -22,8 +22,6 @@ import (
 //   - workers yield to the foreground: a job only rasterizes while the render
 //     pool's queue is empty, and a saturated pool sheds the speculation
 //     (counted, never retried);
-//   - a stale-generation check drops predictions whose pane was hot-swapped
-//     while they queued;
 //   - tiles rendered speculatively are tracked until a foreground request
 //     first serves them (disposition becomes "prefetched") or the LRU evicts
 //     them untouched (counted as evicted_unused — the misprediction signal).
@@ -55,12 +53,14 @@ type prefetcher struct {
 	evictedUnused atomic.Int64
 }
 
+// prefetchQueuePerWorker sizes the speculative tile queue: a served tile
+// predicts at most four neighbours, so sixteen slots a worker hold a few
+// viewports' worth and anything older is not worth rendering.
+const prefetchQueuePerWorker = 16
+
 // newPrefetcher starts the worker set and hooks cache eviction. Call before
 // the server sees traffic (New does).
 func newPrefetcher(s *Server, workers, queue int) *prefetcher {
-	if queue < 1 {
-		queue = 16 * workers
-	}
 	pf := &prefetcher{
 		s:       s,
 		jobs:    make(chan tileParams, queue),
@@ -146,13 +146,9 @@ func (pf *prefetcher) worker() {
 	}
 }
 
-// run renders one speculative tile, or declines to: already cached, stale
-// generation, or a render pool with foreground work waiting.
+// run renders one speculative tile, or declines to: already cached, or a
+// render pool with foreground work waiting.
 func (pf *prefetcher) run(q tileParams) {
-	if gen, ok := pf.s.trees.generation(q.dsIndex); !ok || gen != q.gen {
-		pf.skippedStale.Add(1)
-		return
-	}
 	key := q.key()
 	if _, ok := pf.s.cache.Get(key); ok {
 		pf.skippedCached.Add(1)
@@ -163,8 +159,9 @@ func (pf *prefetcher) run(q tileParams) {
 		pf.shed.Add(1)
 		return
 	}
-	cd, gen, err := pf.s.trees.get(context.Background(), q.dsIndex)
-	if err != nil || gen != q.gen {
+	cd, err := pf.s.trees.get(context.Background(), q.dsIndex)
+	if err != nil {
+		// The pane has no tree (its clustering failed): nothing to draw from.
 		pf.skippedStale.Add(1)
 		return
 	}
@@ -172,24 +169,21 @@ func (pf *prefetcher) run(q tileParams) {
 	// in-job cache fill already reads "prefetched".
 	pf.mark(key)
 	_, disp, err := pf.s.renderTile(context.Background(), cd, q, &pf.stat)
+	if err == nil && disp == dispMiss {
+		pf.rendered.Add(1)
+		return
+	}
+	pf.take(key)
 	switch {
 	case errors.Is(err, ErrSaturated):
-		pf.unmark(key)
 		pf.shed.Add(1)
-	case errors.Is(err, ErrClosed):
-		pf.unmark(key)
-	case err != nil:
-		pf.unmark(key)
+	case err != nil: // the pool closed under us, or the render failed
 	case disp == dispCoalesced:
 		// A real request was already rendering this tile; the singleflight
 		// absorbed our speculation.
-		pf.unmark(key)
 		pf.coalesced.Add(1)
 	case disp == dispHit:
-		pf.unmark(key)
 		pf.skippedCached.Add(1)
-	default:
-		pf.rendered.Add(1)
 	}
 }
 
@@ -199,21 +193,19 @@ func (pf *prefetcher) mark(key string) {
 	pf.mu.Unlock()
 }
 
-func (pf *prefetcher) unmark(key string) {
+// take removes key's pending mark and reports whether there was one.
+func (pf *prefetcher) take(key string) bool {
 	pf.mu.Lock()
+	_, ok := pf.pending[key]
 	delete(pf.pending, key)
 	pf.mu.Unlock()
+	return ok
 }
 
 // claim consumes a pending mark: the foreground request serving key was
 // answered by a speculative render. Returns whether the mark existed.
 func (pf *prefetcher) claim(key string) bool {
-	pf.mu.Lock()
-	_, ok := pf.pending[key]
-	if ok {
-		delete(pf.pending, key)
-	}
-	pf.mu.Unlock()
+	ok := pf.take(key)
 	if ok {
 		pf.served.Add(1)
 	}
@@ -223,16 +215,7 @@ func (pf *prefetcher) claim(key string) bool {
 // noteEvicted is the cache's eviction observer: a speculative tile evicted
 // before any foreground touch was a wasted prediction.
 func (pf *prefetcher) noteEvicted(key string) {
-	if !strings.HasPrefix(key, "tile\x1f") {
-		return
-	}
-	pf.mu.Lock()
-	_, ok := pf.pending[key]
-	if ok {
-		delete(pf.pending, key)
-	}
-	pf.mu.Unlock()
-	if ok {
+	if strings.HasPrefix(key, "tile\x1f") && pf.take(key) {
 		pf.evictedUnused.Add(1)
 	}
 }

@@ -32,7 +32,7 @@ func prefetchStats(t *testing.T, s *Server) *PrefetchInfo {
 // path produced — replicated here from the raw display rows.
 func TestHeatmapLevelZeroByteIdentity(t *testing.T) {
 	s, _ := rawFixture(t, 1)
-	cd, _, err := s.trees.get(context.Background(), 0)
+	cd, err := s.trees.get(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +158,9 @@ func arrayFixture(t *testing.T, prefetchWorkers int) (*Server, []*microarray.Dat
 }
 
 // TestHeatmapArrayDendrogramStrip mirrors the tree=W strip test for the
-// column dendrogram: atree=H changes the tile, requires ClusterArrays, and
-// a dataset swap invalidates column-tree tiles through the generation key.
+// column dendrogram: atree=H changes the tile and requires ClusterArrays.
 func TestHeatmapArrayDendrogramStrip(t *testing.T) {
-	s, dss := arrayFixture(t, 0)
+	s, _ := arrayFixture(t, 0)
 	withStrip := get(t, s, "/api/heatmap?dataset=0&w=128&h=256&atree=48")
 	if withStrip.Code != http.StatusOK || !bytes.HasPrefix(withStrip.Body.Bytes(), pngMagic) {
 		t.Fatalf("atree tile = %d: %s", withStrip.Code, withStrip.Body.String())
@@ -182,19 +181,6 @@ func TestHeatmapArrayDendrogramStrip(t *testing.T) {
 	s2, _ := rawFixture(t, 1)
 	if rec := get(t, s2, "/api/heatmap?dataset=0&w=128&h=256&atree=48"); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("atree without ClusterArrays = %d", rec.Code)
-	}
-
-	// Swapping the dataset bumps the generation: the identical atree request
-	// re-renders rather than serving the stale column-tree tile.
-	if err := s.ReplaceDataset(dss[0].Name, dss[0]); err != nil {
-		t.Fatal(err)
-	}
-	again := get(t, s, "/api/heatmap?dataset=0&w=128&h=256&atree=48")
-	if again.Code != http.StatusOK {
-		t.Fatalf("post-swap atree tile = %d: %s", again.Code, again.Body.String())
-	}
-	if again.Header().Get(cacheHeader) == dispHit {
-		t.Fatal("post-swap atree tile served from the pre-swap cache entry")
 	}
 }
 
@@ -251,8 +237,7 @@ func TestPrefetchServesNextWindow(t *testing.T) {
 // admission drops instead of blocking.
 func TestPrefetchYieldsToForeground(t *testing.T) {
 	s, _ := rawFixture(t, 1) // PrefetchWorkers 0: we drive the prefetcher by hand
-	_, gen, err := s.trees.get(context.Background(), 0)
-	if err != nil {
+	if _, err := s.trees.get(context.Background(), 0); err != nil {
 		t.Fatal(err)
 	}
 	pf := newPrefetcher(s, 0, 4) // no workers: run() is called directly
@@ -279,7 +264,7 @@ func TestPrefetchYieldsToForeground(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	q := tileParams{dsIndex: 0, gen: gen, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}
+	q := tileParams{dsIndex: 0, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}
 	pf.run(q)
 	if pi := pf.snapshot(); pi.Shed != 1 || pi.Rendered != 0 {
 		t.Fatalf("run against a backed-up pool: %+v (want shed=1, rendered=0)", pi)
@@ -301,14 +286,6 @@ func TestPrefetchYieldsToForeground(t *testing.T) {
 		t.Fatal("rendered speculation missing from the cache")
 	}
 
-	// A stale generation is skipped before any work.
-	stale := q
-	stale.gen, stale.from, stale.to = gen+1, 50, 100
-	pf.run(stale)
-	if pi := pf.snapshot(); pi.SkippedStale != 1 {
-		t.Fatalf("stale-generation run: %+v (want skipped_stale=1)", pi)
-	}
-
 	// Enqueue-time admission: a full queue drops, never blocks.
 	for i := 0; i < 6; i++ {
 		c := q
@@ -328,7 +305,7 @@ func TestPrefetchEvictedUnusedAccounting(t *testing.T) {
 	pf := newPrefetcher(s, 0, 4)
 	t.Cleanup(pf.Close)
 
-	key := tileParams{dsIndex: 0, gen: 1, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}.key()
+	key := tileParams{dsIndex: 0, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}.key()
 	pf.mark(key)
 	// The 8 MiB budget splits across 16 shards, so ~400 KiB entries pressure
 	// a shard after two tenants; flood filler keys until some land in the

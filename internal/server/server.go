@@ -22,7 +22,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -94,8 +93,8 @@ type Config struct {
 	// membership reloads that assign this shard datasets it does not hold.
 	ShardLoader func(ctx context.Context, globalIndex int) (*microarray.Dataset, error)
 	// ShardResolve is read by nothing: a shard dials no one. The field stays
-	// because bench/topology.go, which a benchmarked change may not edit,
-	// assigns it (ROADMAP item 1(f)).
+	// only because bench/topology.go, which a benchmarked change may not
+	// edit, assigns it (ROADMAP item 1(f)).
 	ShardResolve func(string) string
 	// OnDrained, when set, is called (once, on its own goroutine) when a
 	// drain request flips the shard to draining: the daemon hooks its
@@ -104,7 +103,8 @@ type Config struct {
 	// Enricher is the prepared GOLEM context behind /api/enrich.
 	Enricher *golem.Enricher
 	// Datasets are pre-clustered panes behind /api/heatmap, indexable by
-	// position or dataset name.
+	// position or dataset name. The pane list is fixed here (New refuses a
+	// nil entry): nothing swaps or adds a pane on a running daemon.
 	Datasets []*core.ClusteredDataset
 	// RawDatasets are unclustered panes, indexed after Datasets: the first
 	// /api/heatmap touch clusters each one exactly once through the
@@ -117,9 +117,6 @@ type Config struct {
 	TreeMetric cluster.Metric
 	// TreeLinkage — see TreeMetric.
 	TreeLinkage cluster.Linkage
-	// TreeOptimizeOrder additionally runs the Gruvaeus-Wainer leaf
-	// orientation pass on lazily built trees.
-	TreeOptimizeOrder bool
 	// ClusterArrays additionally clusters the experiment (column) axis of
 	// lazily built trees, enabling the atree=H column-dendrogram strip —
 	// the paper's two-axis ForestView display.
@@ -128,28 +125,23 @@ type Config struct {
 	// PrefetchWorkers enables speculative tile prefetch: each served
 	// heatmap tile enqueues its predicted pan/zoom neighbours for
 	// background rendering into the shared LRU. 0 (the default) disables
-	// speculation entirely.
+	// speculation entirely. The queue holds prefetchQueuePerWorker
+	// predictions a worker; those beyond it are dropped, not queued.
 	PrefetchWorkers int
-	// PrefetchQueue bounds the speculative tile queue (default
-	// 16×PrefetchWorkers); predictions beyond it are dropped, not queued.
-	PrefetchQueue int
 
 	// CacheBytes budgets the shared LRU cache (default 64 MiB).
 	CacheBytes int64
 	// RenderWorkers bounds concurrent tile rasterizations (default 4).
 	RenderWorkers int
 	// RenderQueue bounds waiting render jobs before the daemon sheds load
-	// with 503 (default 4×RenderWorkers).
+	// with 503 (default 4×RenderWorkers). forestviewd has no flag for it; the
+	// field stays only because the forestbench smoke gate, whose bursts are
+	// sized in tiles rather than cores, names it.
 	RenderQueue int
 	// MaxGenes caps the gene ranking length a search request may ask for
 	// (default 200); requests above it are clamped, keeping any single
 	// query's response — and cache entry — bounded.
 	MaxGenes int
-	// SearchParallelism bounds the worker pool of each SPELL scan — local
-	// search and shard partials alike (0 = GOMAXPROCS). Shard daemons
-	// colocated on one host set it so a single query cannot monopolize
-	// every core their neighbours also scan with.
-	SearchParallelism int
 	// MaxTileDim caps requested tile width and height in pixels
 	// (default 2048).
 	MaxTileDim int
@@ -165,9 +157,7 @@ type Server struct {
 	trees    *treeCache
 	prefetch *prefetcher // nil unless cfg.PrefetchWorkers > 0
 	start    time.Time
-
-	nameMu  sync.RWMutex
-	dsIndex map[string]int // dataset name -> pane index
+	dsIndex  map[string]int // dataset name -> pane index; read-only after New
 
 	statSearch  endpointStats
 	statEnrich  endpointStats
@@ -231,42 +221,34 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTileDim <= 0 {
 		cfg.MaxTileDim = 2048
 	}
-	s := &Server{
-		cfg:     cfg,
-		mux:     http.NewServeMux(),
-		cache:   NewCache(cfg.CacheBytes),
-		pool:    NewPool(cfg.RenderWorkers, cfg.RenderQueue),
-		trees:   newTreeCache(treeClusterOptions(cfg.TreeMetric, cfg.TreeLinkage, cfg.TreeOptimizeOrder, cfg.ClusterArrays)),
-		start:   time.Now(),
-		dsIndex: make(map[string]int, len(cfg.Datasets)+len(cfg.RawDatasets)),
-	}
-	if cfg.PrefetchWorkers > 0 {
-		s.prefetch = newPrefetcher(s, cfg.PrefetchWorkers, cfg.PrefetchQueue)
-	}
-	for _, cd := range cfg.Datasets {
-		// Nil entries stay addressable by index position (and resolve to
-		// nothing), preserving the historical index space.
+	dsIndex := make(map[string]int, len(cfg.Datasets)+len(cfg.RawDatasets))
+	for i, cd := range cfg.Datasets {
 		if cd == nil || cd.Data == nil {
-			s.trees.addEmpty()
-			continue
+			return nil, fmt.Errorf("server: pre-clustered dataset %d is nil", i)
 		}
-		i := s.trees.addPre(cd)
-		s.dsIndex[cd.Data.Name] = i
+		dsIndex[cd.Data.Name] = i
 	}
 	for ri, ds := range cfg.RawDatasets {
-		if ds == nil {
-			s.trees.addEmpty()
-			continue
+		if ds == nil || ds.NumGenes() == 0 {
+			// Fail at boot, not with a fresh 500 on every tile of the pane.
+			return nil, fmt.Errorf("server: raw dataset %d is nil or has no genes", ri)
 		}
-		if ds.NumGenes() == 0 {
-			// Fail at boot like the pre-tree-cache eager clustering did,
-			// not with a fresh 500 on every tile of the pane.
-			return nil, fmt.Errorf("server: raw dataset %d (%q) has no genes", ri, ds.Name)
+		if _, taken := dsIndex[ds.Name]; !taken {
+			dsIndex[ds.Name] = len(cfg.Datasets) + ri
 		}
-		i := s.trees.addRaw(ds)
-		if _, taken := s.dsIndex[ds.Name]; !taken {
-			s.dsIndex[ds.Name] = i
-		}
+	}
+	s := &Server{
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		cache: NewCache(cfg.CacheBytes),
+		pool:  NewPool(cfg.RenderWorkers, cfg.RenderQueue),
+		trees: newTreeCache(core.ClusterOptions{Metric: cfg.TreeMetric, Linkage: cfg.TreeLinkage, ClusterArrays: cfg.ClusterArrays},
+			cfg.Datasets, cfg.RawDatasets),
+		start:   time.Now(),
+		dsIndex: dsIndex,
+	}
+	if cfg.PrefetchWorkers > 0 {
+		s.prefetch = newPrefetcher(s, cfg.PrefetchWorkers, prefetchQueuePerWorker*cfg.PrefetchWorkers)
 	}
 
 	s.mux.HandleFunc("/api/search", s.instrument(&s.statSearch, s.handleSearch))
@@ -398,10 +380,6 @@ func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string
 		res, meta, disp, err := s.scatterSearch(ctx, ep, ids, opt)
 		return searchEntry{res: res}, meta, disp, err
 	}
-	if opt.Parallelism <= 0 {
-		// Doesn't shape results, so it stays out of the cache key.
-		opt.Parallelism = s.cfg.SearchParallelism
-	}
 	// Every result-shaping option must be in the key.
 	key := fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s",
 		opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
@@ -488,82 +466,23 @@ const (
 // cacheHeader is the response header carrying the cache disposition.
 const cacheHeader = "X-Forestview-Cache"
 
-// cachedCompute is the daemon's concurrency discipline in one place, shared
-// by every compute path (searches, enrichments, tiles, shard partials,
-// scatters): cache lookup, then coalesced computation, then cache fill.
-// Errors are never cached (a transiently bad query must not poison the
-// cache), but concurrent identical failures still compute only once. A
-// computed value for which cacheable (optional) returns false is delivered
-// to its waiters but never enters the cache — the scatter path keeps
-// degraded merges out this way. compute is expected to honor ctx; because
-// coalesced followers share the leader's flight — and therefore the
-// leader's context — a caller whose joined flight died of a context error
-// that is not its own (the *leader's* client disconnected) retries with its
-// own live context, becoming the new leader instead of failing an innocent
-// request. The returned disposition says which layer answered the final
-// attempt. A package-level function because Go methods cannot take type
-// parameters; Cache and flightGroup stay any-valued underneath.
+// cachedCompute is coalesce over the shared LRU: the result lives under key,
+// charged cost(v), and any request may evict it. A computed value for which
+// cacheable (optional) returns false is delivered to its waiters but never
+// enters the cache — the scatter path keeps degraded merges out this way.
 func cachedCompute[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
 	cost func(T) int64, cacheable func(T) bool, compute func() (T, error)) (T, string, error) {
-	const maxAttempts = 3
-	var (
-		val  T
-		disp string
-		err  error
-	)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			ep.retries.Add(1)
-		}
-		if v, ok := s.cache.Get(key); ok {
-			ep.cacheHits.Add(1)
-			return v.(T), dispHit, nil
-		}
-		ep.cacheMisses.Add(1)
-		// computed is written only when this caller leads the flight (a joiner's
-		// closure never runs), so reading it after Do is race-free.
-		computed := false
-		v, ferr, joined := s.flights.Do(key, func() (any, error) {
-			// Re-check under the flight: a caller that missed the cache just as
-			// the previous flight completed must find that flight's result here
-			// rather than compute again.
-			if v, ok := s.cache.Get(key); ok {
-				return v, nil
-			}
-			ep.computed.Add(1)
-			computed = true
-			v, err := compute()
-			if err == nil && (cacheable == nil || cacheable(v)) {
-				s.cache.Put(key, v, cost(v))
-			}
-			return v, err
-		})
-		// A panicking compute surfaces as an error with a nil value.
-		val, _ = v.(T)
-		err = ferr
-		switch {
-		case joined:
-			ep.coalesced.Add(1)
-			disp = dispCoalesced
-		case !computed:
-			// We led a flight but its cache re-check hit: the previous flight
-			// filled the key between our miss and our entry. For the client
-			// that's a hit — no computation ran on its behalf.
-			disp = dispHit
-		default:
-			disp = dispMiss
-		}
-		if err == nil || ctx.Err() != nil || !isContextErr(err) {
-			break
+	load := func() (T, bool) {
+		v, ok := s.cache.Get(key)
+		val, _ := v.(T)
+		return val, ok
+	}
+	store := func(v T) {
+		if cacheable == nil || cacheable(v) {
+			s.cache.Put(key, v, cost(v))
 		}
 	}
-	return val, disp, err
-}
-
-// isContextErr reports whether err is (or wraps) a context cancellation or
-// deadline — an aborted computation, not a failed one.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	return coalesce(ctx, &s.flights, ep, key, load, store, compute)
 }
 
 // searchCost approximates the resident size of a cached *spell.Result.
@@ -700,59 +619,20 @@ func (s *Server) Stats() StatsSnapshot {
 // lookupDataset resolves a `dataset` query parameter to a pane index: a
 // position index, or an exact dataset name when the reference does not
 // parse as an index. Index takes precedence so every dataset stays
-// addressable even when one is named like a number. Nil entries (tolerated
-// in the config lists) are unresolvable.
+// addressable even when one is named like a number.
 func (s *Server) lookupDataset(ref string) (int, bool) {
-	if i, err := strconv.Atoi(ref); err == nil && s.trees.resolvable(i) {
+	if i, err := strconv.Atoi(ref); err == nil && i >= 0 && i < s.NumPanes() {
 		return i, true
 	}
-	s.nameMu.RLock()
 	i, ok := s.dsIndex[ref]
-	s.nameMu.RUnlock()
-	if ok && s.trees.resolvable(i) {
-		return i, true
-	}
-	return 0, false
+	return i, ok
 }
 
 // NumPanes returns the number of heatmap panes (pre-clustered plus raw).
-func (s *Server) NumPanes() int {
-	s.trees.mu.Lock()
-	defer s.trees.mu.Unlock()
-	return len(s.trees.entries)
-}
+func (s *Server) NumPanes() int { return len(s.trees.panes) }
 
-// WarmTrees clusters every pane up front (the pre-PR-3 startup behavior,
-// now opt-in): daemons that would rather pay at boot than on the first
-// tile call this after New.
+// WarmTrees clusters every pane up front: daemons that would rather pay at
+// boot than on the first tile call this after New.
 func (s *Server) WarmTrees(ctx context.Context) error {
 	return s.trees.warm(ctx)
-}
-
-// ReplaceDataset hot-swaps the dataset behind a pane, keyed by the same
-// reference /api/heatmap accepts. The pane's tree-cache generation bumps —
-// invalidating the cached tree and, because the generation is part of every
-// tile cache key, all of the pane's cached PNG tiles — and the name index
-// follows the new dataset. In-flight builds against the old data finish
-// for their waiters but are never installed.
-func (s *Server) ReplaceDataset(ref string, ds *microarray.Dataset) error {
-	if ds == nil || ds.NumGenes() == 0 {
-		return fmt.Errorf("server: replacement dataset is empty")
-	}
-	idx, ok := s.lookupDataset(ref)
-	if !ok {
-		return fmt.Errorf("server: unknown dataset %q", ref)
-	}
-	s.nameMu.Lock()
-	for name, i := range s.dsIndex {
-		if i == idx {
-			delete(s.dsIndex, name)
-		}
-	}
-	if _, taken := s.dsIndex[ds.Name]; !taken {
-		s.dsIndex[ds.Name] = idx
-	}
-	s.nameMu.Unlock()
-	s.trees.replace(idx, ds)
-	return nil
 }

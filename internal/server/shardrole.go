@@ -232,7 +232,7 @@ const partialCacheNth = 8
 func (s *Server) groupPartial(ctx context.Context, st *shardState, key string, ids []string, subset []int, uniform bool) (*spell.Partial, string, error) {
 	return cachedCompute(ctx, s, &s.statShard, key, st.partialCost, nil, func() (*spell.Partial, error) {
 		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset,
-			spell.Options{Parallelism: s.cfg.SearchParallelism, UniformWeights: uniform})
+			spell.Options{UniformWeights: uniform})
 		if err != nil {
 			return nil, err
 		}

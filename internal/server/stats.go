@@ -134,8 +134,9 @@ type EnrichCacheInfo struct {
 // pipeline's full ledger. Enqueued splits into Rendered (speculative work
 // that actually rasterized), Coalesced (a foreground request was already
 // rendering the tile — singleflight absorbed the speculation), SkippedCached
-// (already resident by the time the worker got to it), SkippedStale (the
-// pane's generation moved under the queued job), Shed (the render pool was
+// (already resident by the time the worker got to it), SkippedStale (the pane
+// has no tree to render from: its clustering failed — the name is the one
+// bench/layers.go reads), Shed (the render pool was
 // saturated or busy with foreground work — speculation never competes) and
 // Dropped (queue full at enqueue time). Served vs EvictedUnused is the
 // prediction quality signal: tiles a real request later consumed vs tiles
@@ -196,15 +197,14 @@ type TreeCacheInfo struct {
 	Panes int `json:"panes"`
 	Built int `json:"built"`
 	// Building is the number of tree builds running now, at most
-	// GOMAXPROCS: non-zero while a daemon boots or a replaced pane
-	// reclusters.
-	Building      int     `json:"building"`
-	Builds        int64   `json:"builds"`
-	Hits          int64   `json:"hits"`
-	Coalesced     int64   `json:"coalesced"`
-	Invalidations int64   `json:"invalidations"`
-	Failures      int64   `json:"failures"`
-	MeanBuildMS   float64 `json:"mean_build_ms"`
+	// GOMAXPROCS: non-zero while a daemon boots or its cold panes are
+	// first touched.
+	Building    int     `json:"building"`
+	Builds      int64   `json:"builds"`
+	Hits        int64   `json:"hits"`
+	Coalesced   int64   `json:"coalesced"`
+	Failures    int64   `json:"failures"`
+	MeanBuildMS float64 `json:"mean_build_ms"`
 	// TileEntries/TileBytes are the rendered-tile key family's current
 	// occupancy of the shared LRU — the pixels the cached trees back.
 	TileEntries int   `json:"tile_entries"`

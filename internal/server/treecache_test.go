@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"runtime"
 	"sync"
@@ -45,6 +46,9 @@ func rawFixture(t testing.TB, nDatasets int) (*Server, []*microarray.Dataset) {
 	t.Cleanup(srv.Close)
 	return srv, dss
 }
+
+// pearsonAverage is the daemon's default clustering (Cluster 3.0's).
+var pearsonAverage = core.ClusterOptions{Metric: cluster.PearsonDist, Linkage: cluster.AverageLinkage}
 
 func treeStats(t *testing.T, s *Server) TreeCacheInfo {
 	t.Helper()
@@ -140,76 +144,24 @@ func TestTreeCacheConcurrentSingleBuild(t *testing.T) {
 	}
 }
 
-// TestReplaceDatasetInvalidates: swapping the dataset behind a pane bumps
-// the generation, forces a recluster, reindexes the name, and keeps stale
-// PNG tiles unreachable even for identical tile parameters.
-func TestReplaceDatasetInvalidates(t *testing.T) {
-	s, dss := rawFixture(t, 1)
-	oldName := dss[0].Name
-
-	first := get(t, s, "/api/heatmap?dataset=0&w=64&h=64")
-	if first.Code != http.StatusOK {
-		t.Fatalf("first tile = %d", first.Code)
-	}
-	if ts := treeStats(t, s); ts.Builds != 1 || ts.Invalidations != 0 {
-		t.Fatalf("after first tile: %+v", ts)
-	}
-
-	// Replace with a differently-shaped dataset under a new name.
-	u2 := synth.NewUniverse(150, 6, 99)
-	repl := u2.Generate(synth.DatasetSpec{Name: "swapped", NumExperiments: 9, Seed: 100})
-	if err := s.ReplaceDataset(oldName, repl); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ReplaceDataset("never-existed", repl); err == nil {
-		t.Fatal("replacing an unknown dataset should error")
-	}
-
-	// Old name unresolvable, new name (and the index) serve the new data.
-	if rec := get(t, s, "/api/heatmap?dataset="+url.QueryEscape(oldName)); rec.Code != http.StatusNotFound {
-		t.Fatalf("old name after replace = %d", rec.Code)
-	}
-	second := get(t, s, "/api/heatmap?dataset=swapped&w=64&h=64")
-	if second.Code != http.StatusOK {
-		t.Fatalf("replacement tile = %d: %s", second.Code, second.Body.String())
-	}
-	ts := treeStats(t, s)
-	if ts.Builds != 2 || ts.Invalidations != 1 {
-		t.Fatalf("after replace: %+v", ts)
-	}
-	// Identical params, different generation: the tile was re-rendered, not
-	// served from the pre-replace cache entry.
-	if ep := statsOf(t, s, "heatmap"); ep.Computed != 2 {
-		t.Fatalf("computed = %d, want 2 (stale tile served?)", ep.Computed)
-	}
-	if bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
-		t.Fatal("replacement dataset rendered an identical tile")
-	}
-	// The 150-row replacement rejects the old dataset's row space.
-	if rec := get(t, s, "/api/heatmap?dataset=swapped&rows=200:210"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("rows past replacement end = %d", rec.Code)
-	}
-}
-
 // TestTreeCacheLeaderCancelHandover: a leader whose context dies mid-build
 // must not fail live followers — one of them rebuilds. Exercised at the
 // treeCache level for determinism; assertions hold under any interleaving.
 func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 	u := synth.NewUniverse(1200, 10, 5)
 	ds := u.Generate(synth.DatasetSpec{Name: "big", NumExperiments: 24, Seed: 6})
-	tc := newTreeCache(treeClusterOptions(cluster.PearsonDist, cluster.AverageLinkage, false, false))
-	tc.addRaw(ds)
+	tc := newTreeCache(pearsonAverage, nil, []*microarray.Dataset{ds})
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, _, err := tc.get(leaderCtx, 0)
+		_, err := tc.get(leaderCtx, 0)
 		leaderErr <- err
 	}()
 	time.Sleep(2 * time.Millisecond) // give the leader a head start (not required for correctness)
 	followerErr := make(chan error, 1)
 	go func() {
-		cd, _, err := tc.get(context.Background(), 0)
+		cd, err := tc.get(context.Background(), 0)
 		if err == nil && (cd == nil || cd.GeneTree == nil) {
 			err = fmt.Errorf("follower got no tree")
 		}
@@ -225,8 +177,66 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 		t.Fatalf("leader error = %v, want nil or context.Canceled", err)
 	}
 	// Whatever the interleaving, the cache must end up with the tree built.
-	if cd, _, err := tc.get(context.Background(), 0); err != nil || cd == nil {
+	if cd, err := tc.get(context.Background(), 0); err != nil || cd == nil {
 		t.Fatalf("cache not settled: %v", err)
+	}
+}
+
+// TestTreeFollowerHangup: a tile request that joined a cold pane's build
+// answers 499 the moment its own client hangs up — it does not sit out the
+// build — and the build, and every later request, are none the worse.
+func TestTreeFollowerHangup(t *testing.T) {
+	s, _ := rawFixture(t, 1)
+	// Someone else is clustering pane 0 and will be for a while.
+	release := holdFlight(t, &s.trees.flights, "0", (*core.ClusteredDataset)(nil))
+	before := s.trees.stat.cacheMisses.Load()
+	ctx, hangUp := context.WithCancel(context.Background())
+	answered := make(chan int, 1)
+	go func() {
+		req := httptest.NewRequest(http.MethodGet, "/api/heatmap?dataset=0&w=32&h=32", nil)
+		answered <- serve(s, req.WithContext(ctx)).Code
+	}()
+	waitMiss(t, &s.trees.stat.cacheMisses, before) // the request is at the flight
+	hangUp()
+	select {
+	case code := <-answered:
+		if code != statusClientClosedRequest {
+			t.Fatalf("follower that hung up = %d, want %d", code, statusClientClosedRequest)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a follower whose client hung up is still waiting for the leader's build")
+	}
+	release()
+	if rec := get(t, s, "/api/heatmap?dataset=0&w=32&h=32"); rec.Code != http.StatusOK {
+		t.Fatalf("tile after the hangup = %d: %s", rec.Code, rec.Body.String())
+	}
+	if ts := treeStats(t, s); ts.Builds != 1 || ts.Built != 1 {
+		t.Fatalf("after the hangup: %+v (want one build)", ts)
+	}
+}
+
+// TestTreeFollowerInterrupted: a live tile request whose pane's build keeps
+// losing its leaders gives up after three and is shed with the same counted
+// 503 "interrupted" every other endpoint gives; the next request builds.
+func TestTreeFollowerInterrupted(t *testing.T) {
+	s, _ := rawFixture(t, 1)
+	clear := poisonFlights(&s.trees.flights, []string{"0"})
+	rec := get(t, s, "/api/heatmap?dataset=0&w=32&h=32")
+	clear()
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("tile over dead build leaders = %d: %s", rec.Code, rec.Body.String())
+	}
+	if code, _ := errorEnvelopeOf(t, rec.Body.Bytes()); code != codeInterrupted {
+		t.Fatalf("error code = %q, want %q", code, codeInterrupted)
+	}
+	if ep := statsOf(t, s, "heatmap"); ep.Rejected != 1 {
+		t.Fatalf("rejected = %d, want 1", ep.Rejected)
+	}
+	if ts := treeStats(t, s); ts.Coalesced != 3 || ts.Builds != 0 {
+		t.Fatalf("after three dead leaders: %+v (want 3 joins, no build)", ts)
+	}
+	if rec := get(t, s, "/api/heatmap?dataset=0&w=32&h=32"); rec.Code != http.StatusOK {
+		t.Fatalf("next tile = %d: %s", rec.Code, rec.Body.String())
 	}
 }
 
@@ -318,10 +328,11 @@ func TestMixedPreAndRawPanes(t *testing.T) {
 func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	u := synth.NewUniverse(700, 8, 41)
-	tc := newTreeCache(treeClusterOptions(cluster.PearsonDist, cluster.AverageLinkage, false, false))
+	var panes []*microarray.Dataset
 	for i := 0; i < 3*procs+1; i++ {
-		tc.addRaw(u.Generate(synth.DatasetSpec{Name: fmt.Sprint("pane-", i), NumExperiments: 16, Seed: int64(42 + i)}))
+		panes = append(panes, u.Generate(synth.DatasetSpec{Name: fmt.Sprint("pane-", i), NumExperiments: 16, Seed: int64(42 + i)}))
 	}
+	tc := newTreeCache(pearsonAverage, nil, panes)
 	last := 3 * procs // the pane whose leader gives up waiting
 
 	var peak atomic.Int64
@@ -347,7 +358,7 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if cd, _, err := tc.get(context.Background(), i); err != nil || cd == nil {
+			if cd, err := tc.get(context.Background(), i); err != nil || cd == nil {
 				t.Errorf("pane %d: %v", i, err)
 			}
 		}(i)
@@ -360,7 +371,7 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
-		_, _, err := tc.get(ctx, last)
+		_, err := tc.get(ctx, last)
 		waiter <- err
 	}()
 	cancel()
@@ -378,7 +389,7 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	if info.Builds != int64(last) || info.Built != last || info.Building != 0 {
 		t.Fatalf("after %d panes touched once each: %+v (a cancelled waiter must leave no slot taken)", last, info)
 	}
-	if cd, _, err := tc.get(context.Background(), last); err != nil || cd == nil {
+	if cd, err := tc.get(context.Background(), last); err != nil || cd == nil {
 		t.Fatalf("the cancelled leader's pane did not build afterwards: %v", err)
 	}
 }

@@ -57,6 +57,9 @@ type Config struct {
 	Deadline time.Duration
 	// Retry gives each ownership group one extra attempt (against its
 	// primary replica, with a fresh deadline) after every replica failed.
+	// forestviewd always sets it; it stays a field only because
+	// bench/topology.go sets it too and the policy ablation that could
+	// retire it waits on that (ROADMAP items 1(c), 8).
 	Retry bool
 	// HedgeAfter, when positive, fires a duplicate request for a group
 	// whose in-flight attempt has not answered after this delay, taking

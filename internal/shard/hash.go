@@ -9,6 +9,7 @@
 package shard
 
 import (
+	"fmt"
 	"hash/fnv"
 	"sort"
 	"strings"
@@ -178,6 +179,25 @@ func GroupIndexes(datasetIDs []string, shards []string, r int, owners []string) 
 // list, in first-seen catalog order: the GroupTable's Tuples.
 func Groups(datasetIDs []string, shards []string, r int) [][]string {
 	return NewGroupTable(datasetIDs, shards, r).Tuples
+}
+
+// CheckPlacement refuses a catalog whose placement collapses: FNV-1a ends on
+// its multiply, so dataset ids that differ only in their last byte rank every
+// shard list the same way and the whole catalog is one ownership group — r
+// shards hold everything, under any fleet. A finalizer on the score would
+// move every deployed placement; until that has a migration, a shard refuses
+// such a catalog at boot and on reload. A catalog too small to tell (under
+// two datasets a shard) or a one-shard fleet passes.
+func CheckPlacement(datasetIDs []string, shards []string, r int) error {
+	if len(shards) < 2 || len(datasetIDs) < 2*len(shards) {
+		return nil
+	}
+	if groups := Groups(datasetIDs, shards, r); len(groups) == 1 {
+		return fmt.Errorf("shard: all %d datasets rank the %d shards identically (one ownership group, %s): "+
+			"dataset names that differ only in their last byte place alike; rename them so they differ earlier",
+			len(datasetIDs), len(shards), strings.Join(groups[0], ","))
+	}
+	return nil
 }
 
 // Generation fingerprints a shard set: a stable hash of the sorted

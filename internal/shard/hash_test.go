@@ -207,3 +207,47 @@ func TestGroupIndexesPartition(t *testing.T) {
 		t.Fatalf("groups cover %d of %d datasets", len(seen), len(ids))
 	}
 }
+
+// TestCheckPlacement: names that differ only in their last byte rank every
+// shard list identically (FNV-1a ends on its multiply), so such a catalog is
+// one ownership group under any fleet and replication; CheckPlacement refuses
+// it once the catalog is large enough to tell, and nothing else.
+func TestCheckPlacement(t *testing.T) {
+	numbered := func(prefix, suffix string, n int) []string {
+		var ids []string
+		for i := 0; i < n; i++ {
+			ids = append(ids, prefix+string(rune('a'+i))+suffix)
+		}
+		return ids
+	}
+	fleet := func(n int) []string {
+		var shards []string
+		for i := 0; i < n; i++ {
+			shards = append(shards, fmt.Sprintf("10.0.0.%d:9000", i))
+		}
+		return shards
+	}
+	cases := []struct {
+		name   string
+		ids    []string
+		shards []string
+		r      int
+		refuse bool
+	}{
+		{"last byte differs, 2 shards", numbered("expr-", "", 4), fleet(2), 1, true},
+		{"last byte differs, 4 shards R=2", numbered("expr-", "", 8), fleet(4), 2, true},
+		{"last byte differs, 8 shards R=8", numbered("expr-", "", 20), fleet(8), 8, true},
+		{"differs before a common suffix", numbered("expr-", ".2007", 8), fleet(4), 2, false},
+		{"too few datasets to tell", numbered("expr-", "", 3), fleet(2), 1, false},
+		{"one shard", numbered("expr-", "", 8), fleet(1), 1, false},
+		{"empty catalog", nil, fleet(3), 1, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := CheckPlacement(c.ids, c.shards, c.r)
+			if (err != nil) != c.refuse {
+				t.Fatalf("CheckPlacement = %v, want refusal %t (%d groups)", err, c.refuse, len(Groups(c.ids, c.shards, c.r)))
+			}
+		})
+	}
+}

@@ -3,9 +3,9 @@
 package tilecorr
 
 // useAsm says whether Dot runs dotAsm: decided once, from what the CPU
-// reports. Only test binaries clear it — this package's directly, those of
-// internal/spell and internal/cluster through a go:linkname in a _test file
-// — to hold one process to both routines (DESIGN.md §3a).
+// reports. Only this package's own tests clear it, to hold one process to
+// both routines; every other package meets the Go loop in a `-tags purego`
+// build (DESIGN.md §3a).
 var useAsm = cpuHasAVX2FMA()
 
 // dotAsm is Dot's contract in AVX2 + FMA: the tile line in two 256-bit
