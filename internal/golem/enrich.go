@@ -21,8 +21,6 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
-	"math/bits"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -92,6 +90,7 @@ type Enricher struct {
 	// rows, per-term K) so distributed partials from differently-built
 	// enrichers can never be merged into a silently wrong table.
 	fingerprint uint64
+	catalog     *TermCatalog // what a merge needs of the layout, see Catalog
 
 	refOnce   sync.Once
 	termGenes map[string]map[string]bool
@@ -168,6 +167,10 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 	binary.LittleEndian.PutUint64(buf[:], uint64(N))
 	fp.Write(buf[:])
 	e.fingerprint = fp.Sum64()
+	e.catalog = &TermCatalog{Fingerprint: e.fingerprint, BackgroundSize: N, Terms: make([]TermInfo, len(e.terms))}
+	for i, t := range e.terms {
+		e.catalog.Terms[i] = TermInfo{ID: t.id, Name: t.name}
+	}
 	// The universe size bounds every log-factorial the hypergeometric tests
 	// will ever need; growing the shared table here keeps Analyze pure
 	// lookups.
@@ -240,123 +243,25 @@ func (e *Enricher) Analyze(selection []string, opt Options) ([]Enrichment, error
 // would cost more than the counting.
 const countShardTerms = 256
 
-// AnalyzeCtx is Analyze with cancellation: the term-count shards and the
-// p-value pass poll ctx, so a disconnected client stops paying for its
-// enrichment mid-scan. The result is identical to Analyze's for a live
-// context; a canceled one returns ctx.Err().
+// AnalyzeCtx is Analyze with cancellation: the term-count shards poll ctx,
+// so a disconnected client stops paying for its enrichment mid-scan. The
+// result is identical to Analyze's for a live context; a canceled one
+// returns ctx.Err().
+//
+// An analysis is the merge of the one slice that covers the whole
+// background: a single process is a fleet of one, and runs the count pass
+// and the scoring a coordinator runs over the wire.
 func (e *Enricher) AnalyzeCtx(ctx context.Context, selection []string, opt Options) ([]Enrichment, error) {
-	if opt.MinSelected < 1 {
-		opt.MinSelected = 1
-	}
-	if err := ctx.Err(); err != nil {
+	p, err := e.PartialAnalyzeCtx(ctx, selection, 0, 1)
+	if err != nil {
 		return nil, err
 	}
-
-	// One selection bitset; duplicate and out-of-background IDs vanish here
-	// exactly as they did in the reference's selection map.
-	sel := make([]uint64, e.words)
-	n := 0
-	for _, g := range selection {
-		if gi, ok := e.geneIdx[g]; ok {
-			w, m := gi>>6, uint64(1)<<uint(gi&63)
-			if sel[w]&m == 0 {
-				sel[w] |= m
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return nil, ErrNoSelection
-	}
-	N := len(e.geneIdx)
-
-	// k per term: AND-popcount of the term's arena row against the
-	// selection, sharded across workers for large ontologies. Each worker
-	// owns a disjoint ks range — no locks, deterministic output.
-	ks := make([]int, len(e.terms))
-	par := runtime.GOMAXPROCS(0)
-	if max := len(e.terms) / countShardTerms; par > max {
-		par = max
-	}
-	if par <= 1 {
-		if err := e.countRange(ctx, sel, ks, 0, len(e.terms)); err != nil {
-			return nil, err
-		}
-	} else {
-		var wg sync.WaitGroup
-		chunk := (len(e.terms) + par - 1) / par
-		for w := 0; w < par; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(e.terms) {
-				hi = len(e.terms)
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				// Workers bail on cancellation; the error surfaces from
-				// the ctx re-check after the join.
-				_ = e.countRange(ctx, sel, ks, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Score the terms that pass MinSelected. The arena is TermID-sorted, so
-	// the tested family accumulates in the reference's deterministic order.
-	var results []Enrichment
-	for i := range e.terms {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		k := ks[i]
-		if k < opt.MinSelected {
-			continue
-		}
-		t := &e.terms[i]
-		results = append(results, Enrichment{
-			TermID:         t.id,
-			TermName:       t.name,
-			Selected:       k,
-			Background:     t.k,
-			SelectionSize:  n,
-			BackgroundSize: N,
-			PValue:         stats.HypergeomUpperTail(k, N, t.k, n),
-			Fold:           stats.FoldEnrichment(k, N, t.k, n),
-		})
-	}
-	return finishAnalysis(results, opt), nil
-}
-
-// countRange fills ks[lo:hi] with AND-popcounts of term rows against sel,
-// polling ctx between terms.
-func (e *Enricher) countRange(ctx context.Context, sel []uint64, ks []int, lo, hi int) error {
-	words := e.words
-	for i := lo; i < hi; i++ {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		row := e.bits[i*words : (i+1)*words]
-		row = row[:len(sel)] // one bounds check for the fused loop below
-		k := 0
-		for w, s := range sel {
-			k += bits.OnesCount64(row[w] & s)
-		}
-		ks[i] = k
-	}
-	return nil
+	return MergeCounts(e.catalog, []*PartialCounts{p}, opt)
 }
 
 // finishAnalysis applies the multiple-hypothesis corrections over the
 // tested family, the MaxPValue filter, and the final (p, TermID) ordering —
-// shared bit-for-bit by both the kernel and the reference path.
+// shared bit-for-bit by the kernel (MergeCounts) and the reference path.
 func finishAnalysis(results []Enrichment, opt Options) []Enrichment {
 	ps := make([]float64, len(results))
 	for i := range results {

@@ -10,14 +10,14 @@ import (
 	"forestview/internal/stats"
 )
 
-// Distributed enrichment factors Analyze into a per-shard counting pass and
-// a pure merge, the same shape as spell.PartialSearch/Merge. The background
-// bitset is partitioned by contiguous *word ranges*: slice gi of G covers
-// arena words [gi*W/G, (gi+1)*W/G), so each shard popcounts ~1/G of every
-// term row and the per-slice 2×2 tallies are plain integers that sum — over
-// a full partition — to exactly the global k, K, n, N the single-process
-// kernel feeds the hypergeometric. MergeCounts therefore reproduces Analyze
-// bit-for-bit, not approximately.
+// An analysis is a counting pass and a pure merge, the same shape as
+// spell.PartialSearch/Merge. The background bitset is partitioned by
+// contiguous *word ranges*: slice gi of G covers arena words
+// [gi*W/G, (gi+1)*W/G), so each shard popcounts ~1/G of every term row and
+// the per-slice 2×2 tallies are plain integers that sum — over a full
+// partition — to exactly the global k, K, n, N the hypergeometric is fed.
+// Analyze is slice 0 of 1, merged: the answer of a fleet is the answer of
+// one process bit-for-bit, because both are MergeCounts over the same sums.
 
 // TermInfo names one testable term for merge-time result assembly.
 type TermInfo struct {
@@ -36,18 +36,9 @@ type TermCatalog struct {
 	Terms          []TermInfo
 }
 
-// Catalog returns the enricher's term catalog.
-func (e *Enricher) Catalog() *TermCatalog {
-	c := &TermCatalog{
-		Fingerprint:    e.fingerprint,
-		BackgroundSize: len(e.geneIdx),
-		Terms:          make([]TermInfo, len(e.terms)),
-	}
-	for i := range e.terms {
-		c.Terms[i] = TermInfo{ID: e.terms[i].id, Name: e.terms[i].name}
-	}
-	return c
-}
+// Catalog returns the enricher's term catalog: one value, built with the
+// enricher and as immutable, that every caller shares.
+func (e *Enricher) Catalog() *TermCatalog { return e.catalog }
 
 // Fingerprint identifies the kernel layout (background gene order, term
 // rows, per-term K). Partials and catalogs compose iff fingerprints match.
@@ -81,9 +72,9 @@ func (e *Enricher) PartialAnalyze(selection []string, slice, slices int) (*Parti
 }
 
 // PartialAnalyzeCtx computes one slice's PartialCounts, polling ctx between
-// term chunks. Unlike AnalyzeCtx it does not error on an empty slice-local
-// selection: a slice legitimately holding none of the genes still
-// contributes its background tallies to the global table.
+// term chunks. It does not error on an empty slice-local selection: a slice
+// legitimately holding none of the genes still contributes its background
+// tallies to the global table, and ErrNoSelection is for the merge to say.
 func (e *Enricher) PartialAnalyzeCtx(ctx context.Context, selection []string, slice, slices int) (*PartialCounts, error) {
 	if slices < 1 || slice < 0 || slice >= slices {
 		return nil, fmt.Errorf("golem: slice %d of %d out of range", slice, slices)
@@ -91,9 +82,9 @@ func (e *Enricher) PartialAnalyzeCtx(ctx context.Context, selection []string, sl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// Full-universe selection bitset, exactly as AnalyzeCtx builds it; the
-	// slice restriction happens at the word range, not at interning, so the
-	// InBackground disclosure stays slice-independent.
+	// One full-universe selection bitset — duplicate and out-of-background
+	// IDs vanish here. The slice restriction happens at the word range, not
+	// at interning, so the InBackground disclosure stays slice-independent.
 	sel := make([]uint64, e.words)
 	inBG := make([]bool, len(selection))
 	for i, g := range selection {
@@ -128,8 +119,9 @@ func (e *Enricher) PartialAnalyzeCtx(ctx context.Context, selection []string, sl
 		p.SelectionSize += mbits.OnesCount64(w)
 	}
 
-	// Per-term AND-popcounts over the word range, worker-sharded like
-	// AnalyzeCtx's count pass. Each worker owns a disjoint term range.
+	// Per-term AND-popcounts over the word range, sharded across workers
+	// for large ontologies. Each worker owns a disjoint term range — no
+	// locks, deterministic output.
 	par := runtime.GOMAXPROCS(0)
 	sliceWords := whi - wlo
 	if sliceWords == 0 {
@@ -193,13 +185,15 @@ func (e *Enricher) partialCountRange(ctx context.Context, sel []uint64, p *Parti
 	return nil
 }
 
-// MergeCounts sums a set of slice partials into global 2×2 tables and runs
-// the shared hypergeometric + corrections over them. Over a complete
-// partition (every slice of some G present exactly once) the sums are the
-// exact global tallies, so the result is bit-identical to Analyze on the
-// same selection. Over a *subset* of slices — a degraded scatter — it is
-// still a valid exact analysis, just over the reduced background the
-// reachable slices cover.
+// MergeCounts sums a set of slice partials into global 2×2 tables and scores
+// them: the package's one hypergeometric pass, then the corrections. Over a
+// complete partition (every slice of some G present exactly once) the sums
+// are the exact global tallies whatever G is, so every split of one
+// selection — Analyze's 1 included — gives one bit-identical table. Over a
+// *subset* of slices — a degraded scatter — it is still a valid exact
+// analysis, just over the reduced background the reachable slices cover.
+// The arena is TermID-sorted, so the tested family accumulates in the
+// reference's deterministic order.
 //
 // Every partial must carry the catalog's fingerprint and agree on Slices;
 // duplicate slices are refused. An empty merged selection returns
@@ -241,15 +235,9 @@ func MergeCounts(cat *TermCatalog, parts []*PartialCounts, opt Options) ([]Enric
 	}
 
 	N, n := 0, 0
-	ks := make([]int, T)
-	Ks := make([]int, T)
 	for _, p := range parts {
 		N += p.BackgroundSize
 		n += p.SelectionSize
-		for t := 0; t < T; t++ {
-			ks[t] += int(p.Selected[t])
-			Ks[t] += int(p.Background[t])
-		}
 	}
 	if n == 0 {
 		return nil, ErrNoSelection
@@ -259,19 +247,24 @@ func MergeCounts(cat *TermCatalog, parts []*PartialCounts, opt Options) ([]Enric
 	stats.GrowLnFactorial(N)
 
 	var results []Enrichment
-	for t := 0; t < T; t++ {
-		if ks[t] < opt.MinSelected {
+	for t, term := range cat.Terms {
+		k, K := 0, 0
+		for _, p := range parts {
+			k += int(p.Selected[t])
+			K += int(p.Background[t])
+		}
+		if k < opt.MinSelected {
 			continue
 		}
 		results = append(results, Enrichment{
-			TermID:         cat.Terms[t].ID,
-			TermName:       cat.Terms[t].Name,
-			Selected:       ks[t],
-			Background:     Ks[t],
+			TermID:         term.ID,
+			TermName:       term.Name,
+			Selected:       k,
+			Background:     K,
 			SelectionSize:  n,
 			BackgroundSize: N,
-			PValue:         stats.HypergeomUpperTail(ks[t], N, Ks[t], n),
-			Fold:           stats.FoldEnrichment(ks[t], N, Ks[t], n),
+			PValue:         stats.HypergeomUpperTail(k, N, K, n),
+			Fold:           stats.FoldEnrichment(k, N, K, n),
 		})
 	}
 	return finishAnalysis(results, opt), nil

@@ -10,14 +10,17 @@ import (
 	"image/png"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"forestview/internal/shard"
 	"forestview/internal/spell"
+	"forestview/internal/spellweb"
 )
 
 // groupRequestSeeds builds the FuzzShardPartialRequest seeds that name
@@ -298,6 +301,106 @@ func FuzzShardFleetRequest(f *testing.F) {
 			}
 		default:
 			t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+		}
+	})
+}
+
+// queryFuzzCodes are the envelope codes a query string alone can draw from
+// /api/search and /api/enrich on a healthy single daemon.
+var queryFuzzCodes = []string{codeMissingParameter, codeBadParameter, codeSingleGeneQuery, codeNoSelectionGenes, codeUnprocessable}
+
+// fuzzQuery serves GET path?rawQuery on s and holds the answer to the
+// contract FuzzSearchQuery and FuzzEnrichQuery share: no panic, no 5xx, a
+// 4xx in the error envelope with a code the endpoint documents. It returns
+// the parsed query and the body of a 200, nil for a refusal.
+func fuzzQuery(t *testing.T, s *Server, path, rawQuery string) (url.Values, []byte) {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.URL.RawQuery = rawQuery // NewRequest would panic on bytes no request line can carry
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	switch {
+	case rec.Code == http.StatusOK:
+		return req.URL.Query(), rec.Body.Bytes()
+	case rec.Code >= 400 && rec.Code < 500:
+		code, msg := errorEnvelopeOf(t, rec.Body.Bytes())
+		if !slices.Contains(queryFuzzCodes, code) {
+			t.Fatalf("status %d with envelope code %q: %s", rec.Code, code, msg)
+		}
+		// A panic inside the computation is recovered by the flight group
+		// and would otherwise pass for a query error.
+		if strings.Contains(msg, "panicked") {
+			t.Fatalf("request panicked the compute path: %s", msg)
+		}
+	default:
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	return nil, nil
+}
+
+// FuzzSearchQuery throws arbitrary query strings at /api/search on a single
+// daemon, so q and top reach their validation and, when accepted, the SPELL
+// kernel, the ranking and the JSON encoder. Whatever the bytes: no panic, no
+// 5xx, a 4xx carries a documented envelope code, and a 200 decodes as a
+// spell.Result for the canonical query, ranked, within the top cut. The seed
+// corpus in testdata/fuzz holds the README's examples, every row of the
+// bad-parameter tables, one-gene, duplicated and absent genes, and top at 0,
+// 1, MaxGenes, beyond it and beyond an int.
+func FuzzSearchQuery(f *testing.F) {
+	s, _ := fixture(f)
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		q, body := fuzzQuery(t, s, "/api/search", rawQuery)
+		if body == nil {
+			return
+		}
+		var res spell.Result
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("200 whose body is not a search result: %v", err)
+		}
+		if want := spell.CanonicalQuery(spellweb.ParseQuery(q.Get("q"))); !slices.Equal(res.Query, want) || len(want) < 2 {
+			t.Fatalf("answered for query %q, asked %q", res.Query, want)
+		}
+		limit := s.cfg.MaxGenes
+		if top, err := strconv.Atoi(q.Get("top")); err == nil {
+			limit = min(limit, top)
+		}
+		if len(res.Genes) > limit || len(res.Datasets) != fixEngine.NumDatasets() {
+			t.Fatalf("%d genes over a cut of %d, %d datasets", len(res.Genes), limit, len(res.Datasets))
+		}
+		for i := 1; i < len(res.Genes); i++ {
+			if a, b := res.Genes[i-1], res.Genes[i]; a.Score < b.Score || (a.Score == b.Score && a.ID >= b.ID) {
+				t.Fatalf("rank %d: %s (%v) before %s (%v)", i, a.ID, a.Score, b.ID, b.Score)
+			}
+		}
+	})
+}
+
+// FuzzEnrichQuery is FuzzSearchQuery for /api/enrich: genes, maxp and min
+// reach their validation and, when accepted, the GOLEM kernel and the
+// encoder. A 200 decodes as the enrichment body: every requested gene either
+// tested or ignored, results in p-value order and under maxp. The seed corpus
+// in testdata/fuzz holds the README's examples, the bad-parameter rows,
+// one-gene, duplicated and absent selections, min at its edges, and maxp at
+// NaN, ±0, 1, 1e-400, ±Inf and hex floats.
+func FuzzEnrichQuery(f *testing.F) {
+	s, _ := fixture(f)
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		q, body := fuzzQuery(t, s, "/api/enrich", rawQuery)
+		if body == nil {
+			return
+		}
+		var res enrichResponse
+		if err := json.Unmarshal(body, &res); err != nil {
+			t.Fatalf("200 whose body is not an enrichment: %v", err)
+		}
+		sel := spell.CanonicalQuery(spellweb.ParseQuery(q.Get("genes")))
+		if got := spell.CanonicalQuery(append(slices.Clone(res.Selection), res.Ignored...)); !slices.Equal(got, sel) || len(res.Selection) == 0 {
+			t.Fatalf("tested %q and ignored %q of the selection %q", res.Selection, res.Ignored, sel)
+		}
+		maxp, _ := strconv.ParseFloat(q.Get("maxp"), 64)
+		for i, r := range res.Results {
+			if !(r.PValue >= 0 && r.PValue <= 1) || (maxp > 0 && r.PValue > maxp) || (i > 0 && r.PValue < res.Results[i-1].PValue) {
+				t.Fatalf("result %d (%s): p = %v after %v, maxp %v", i, r.TermID, r.PValue, res.Results[max(i, 1)-1].PValue, maxp)
+			}
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"forestview/internal/core"
 	"forestview/internal/golem"
@@ -104,12 +105,28 @@ func (s *Server) writeJSONError(w http.ResponseWriter, status int, code, msg str
 	s.writeJSON(w, status, errorEnvelope{Error: errorBody{Code: code, Message: msg}})
 }
 
+// geneListParam parses the gene list in query parameter name, or answers the
+// 400 and reports false. The body echoes the genes it ran, and JSON would
+// turn a byte that is not UTF-8 into U+FFFD — an answer for IDs nobody sent.
+func (s *Server) geneListParam(w http.ResponseWriter, r *http.Request, name string) ([]string, bool) {
+	v := r.URL.Query().Get(name)
+	ids := spellweb.ParseQuery(v)
+	switch {
+	case len(ids) == 0:
+		s.writeJSONError(w, http.StatusBadRequest, codeMissingParameter, "missing "+name+" parameter (comma separated gene IDs)")
+	case !utf8.ValidString(v):
+		s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, name+" must be valid UTF-8")
+	default:
+		return ids, true
+	}
+	return nil, false
+}
+
 // handleSearch serves /api/search?q=GENE1,GENE2[&top=N]: the SPELL ranked
 // dataset and gene lists as JSON.
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	ids := spellweb.ParseQuery(r.URL.Query().Get("q"))
-	if len(ids) == 0 {
-		s.writeJSONError(w, http.StatusBadRequest, codeMissingParameter, "missing q parameter (comma separated gene IDs)")
+	ids, ok := s.geneListParam(w, r, "q")
+	if !ok {
 		return
 	}
 	top := 0
@@ -204,19 +221,18 @@ func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeNoOntology, errNoEnricher.Error())
 		return
 	}
-	genes := spellweb.ParseQuery(r.URL.Query().Get("genes"))
-	if len(genes) == 0 {
-		s.writeJSONError(w, http.StatusBadRequest, codeMissingParameter, "missing genes parameter (comma separated gene IDs)")
+	genes, ok := s.geneListParam(w, r, "genes")
+	if !ok {
 		return
 	}
 	opt := golem.Options{MinSelected: 1}
 	if v := r.URL.Query().Get("maxp"); v != "" {
 		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !(p >= 0 && p <= 1) { // NaN parses, and is neither < 0 nor > 1
 			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "maxp must be in [0, 1]")
 			return
 		}
-		opt.MaxPValue = p
+		opt.MaxPValue = p + 0 // -0 parses too, and would key its own cache entry
 	}
 	if v := r.URL.Query().Get("min"); v != "" {
 		m, err := strconv.Atoi(v)

@@ -204,8 +204,11 @@ func TestEnrichErrors(t *testing.T) {
 	if rec := get(t, s, "/api/enrich"); rec.Code != http.StatusBadRequest {
 		t.Fatalf("missing genes = %d", rec.Code)
 	}
-	if rec := get(t, s, "/api/enrich?genes=A&maxp=7"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("bad maxp = %d", rec.Code)
+	// NaN parses as a float and is neither below 0 nor above 1.
+	for _, maxp := range []string{"7", "-0.1", "NaN", "-nan", "Inf", "0x1p1", "1e"} {
+		if rec := get(t, s, "/api/enrich?genes=A&maxp="+maxp); rec.Code != http.StatusBadRequest {
+			t.Fatalf("maxp=%s = %d, want 400", maxp, rec.Code)
+		}
 	}
 	if rec := get(t, s, "/api/enrich?genes=NOPE999"); rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("unknown genes = %d", rec.Code)
@@ -218,6 +221,24 @@ func TestEnrichErrors(t *testing.T) {
 	t.Cleanup(bare.Close)
 	if rec := get(t, bare, "/api/enrich?genes=A"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("no enricher = %d", rec.Code)
+	}
+}
+
+// TestEnrichMaxPZeroIsOneKey: maxp=0 means no filter, and every spelling of
+// it — none, 0, -0 — is one cache entry, not three copies of one table.
+func TestEnrichMaxPZeroIsOneKey(t *testing.T) {
+	s, u := fixture(t)
+	url := "/api/enrich?genes=" + strings.Join(u.ModuleGeneIDs(2), ",")
+	want := get(t, s, url)
+	if want.Code != http.StatusOK {
+		t.Fatalf("status = %d: %s", want.Code, want.Body.String())
+	}
+	for _, maxp := range []string{"0", "-0", "0e0", "-0x0p0"} {
+		rec := get(t, s, url+"&maxp="+maxp)
+		if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispHit || !bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()) {
+			t.Fatalf("maxp=%s: status %d, cache %q, same body %t; want a hit on the unfiltered entry",
+				maxp, rec.Code, rec.Header().Get(cacheHeader), bytes.Equal(rec.Body.Bytes(), want.Body.Bytes()))
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,10 +71,22 @@ func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config,
 		NumDatasets: nDatasets, MinExperiments: 8, MaxExperiments: 14,
 		ActiveFraction: 0.5, Noise: 0.3, Seed: 72,
 	})
+	top := &shardTopology{query: u.ModuleGeneIDs(2)[:4], u: u}
+	if enrich != nil {
+		top.enr = topologyEnricher(t, u)
+	}
+	startFleet(t, top, dss, nShards, cfg, enrich)
+	return top
+}
+
+// startFleet boots the two tiers of top over the compendium dss.
+func startFleet(t *testing.T, top *shardTopology, dss []*microarray.Dataset, nShards int, cfg shard.Config, enrich func(i int) bool) {
+	t.Helper()
 	full, err := spell.NewEngine(dss)
 	if err != nil {
 		t.Fatal(err)
 	}
+	top.dss, top.full = dss, full
 	names := make([]string, len(dss))
 	for i, ds := range dss {
 		names[i] = ds.Name
@@ -89,10 +102,6 @@ func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config,
 	r := cfg.Replication
 	if r < 1 {
 		r = 1
-	}
-	top := &shardTopology{dss: dss, full: full, query: u.ModuleGeneIDs(2)[:4], u: u}
-	if enrich != nil {
-		top.enr = topologyEnricher(t, u)
 	}
 	urls := make(map[string]string, nShards)
 	for si, self := range shardNames {
@@ -113,7 +122,7 @@ func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config,
 		}
 		scfg := Config{Engine: se, ShardIndexes: owned, ShardDatasetIDs: names, CacheBytes: 4 << 20}
 		if enrich != nil && enrich(si) {
-			scfg.Enricher = topologyEnricher(t, u)
+			scfg.Enricher = topologyEnricher(t, top.u)
 		}
 		ss, err := New(scfg)
 		if err != nil {
@@ -136,7 +145,6 @@ func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config,
 		t.Fatal(err)
 	}
 	t.Cleanup(top.coord.Close)
-	return top
 }
 
 func searchURL(query []string) string {
@@ -911,6 +919,83 @@ func TestCoordinatorEnrichReplicatedFailover(t *testing.T) {
 	assertEnrichBodyParity(t, &body, want)
 }
 
+// TestSingleAndFleetAgreeOnTies: genes tied to the bit rank in one order, gene
+// ID, whether a single daemon or a coordinator over two shards answers — with
+// and without the top cut — because both finish one partial with one ranking;
+// and a query the compendium lacks is the same refusal from both. The
+// compendium is spell's TestRankingTieOrder fixture over two datasets: the
+// Z*, M* and A* genes are copies of one row, first seen in another order
+// than their IDs sort in.
+func TestSingleAndFleetAgreeOnTies(t *testing.T) {
+	mk := func(name string, q1, q2, twin, loner []float64) *microarray.Dataset {
+		ds := &microarray.Dataset{Name: name, Experiments: make([]string, len(q1))}
+		for _, g := range []struct {
+			id  string
+			row []float64
+		}{
+			{"Q1", q1}, {"Z9", twin}, {"M5", twin}, {"Q2", q2}, {"TOP", loner}, {"A1", twin}, {"Z1", twin},
+		} {
+			ds.Genes = append(ds.Genes, microarray.Gene{ID: g.id, Name: g.id})
+			ds.Data = append(ds.Data, g.row)
+		}
+		return ds
+	}
+	dss := []*microarray.Dataset{
+		mk("first", []float64{1, 2, 3, 4, 6}, []float64{2, 3, 5, 4, 7}, []float64{3, 1, 4, 1, 5}, []float64{1, 2, 3, 5, 6.5}),
+		mk("second", []float64{2, 1, 4, 3, 5, 7}, []float64{3, 1, 5, 4, 5, 9}, []float64{2, 7, 1, 8, 2, 8}, []float64{2, 1, 4, 3, 6, 8}),
+	}
+	top := &shardTopology{}
+	startFleet(t, top, dss, 2, shard.Config{Deadline: 5 * time.Second}, nil)
+	single, err := New(Config{Engine: top.full})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(single.Close)
+
+	order := func(s *Server, url string) []string {
+		t.Helper()
+		rec := get(t, s, url)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", url, rec.Code, rec.Body.String())
+		}
+		var body scatterBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		ids := make([]string, len(body.Genes))
+		for i, g := range body.Genes {
+			ids[i] = g.ID
+		}
+		return ids
+	}
+	for _, url := range []string{"/api/search?q=Q1,Q2", "/api/search?q=Q1,Q2&top=4", "/api/search?q=Q1,Q2&top=5", "/api/search?q=Q2,Q1&top=6"} {
+		one, fleet := order(single, url), order(top.coord, url)
+		if !slices.Equal(one, fleet) {
+			t.Errorf("%s: single daemon ranks %v, fleet %v", url, one, fleet)
+		}
+		// The tied block, as far as the cut lets it through, is in ID order.
+		var twins []string
+		for _, id := range one {
+			if id[0] != 'Q' && id != "TOP" {
+				twins = append(twins, id)
+			}
+		}
+		if want := []string{"A1", "M5", "Z1", "Z9"}[:len(twins)]; len(twins) == 0 || !slices.Equal(twins, want) {
+			t.Errorf("%s: tied genes rank %v, want %v (of %v)", url, twins, want, one)
+		}
+	}
+
+	one, fleet := get(t, single, "/api/search?q=NOPE1,NOPE2"), get(t, top.coord, "/api/search?q=NOPE1,NOPE2")
+	oneCode, oneMsg := errorEnvelopeOf(t, one.Body.Bytes())
+	fleetCode, fleetMsg := errorEnvelopeOf(t, fleet.Body.Bytes())
+	if one.Code != http.StatusUnprocessableEntity || oneCode != codeUnprocessable || !strings.Contains(oneMsg, spell.ErrNoQueryGenes.Error()) {
+		t.Errorf("absent genes, single daemon: %d %s %q, want a 422 %s saying ErrNoQueryGenes", one.Code, oneCode, oneMsg, codeUnprocessable)
+	}
+	if fleet.Code != one.Code || fleetCode != oneCode || fleetMsg != oneMsg {
+		t.Errorf("absent genes: fleet answers %d %s %q, single daemon %d %s %q", fleet.Code, fleetCode, fleetMsg, one.Code, oneCode, oneMsg)
+	}
+}
+
 // TestAPIErrorEnvelope pins the uniform error contract: every /api/* error
 // path answers {"error": {"code", "message"}} with a stable code and the
 // pinned status.
@@ -935,9 +1020,13 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	}{
 		{"search missing q", single, http.MethodGet, "/api/search", http.StatusBadRequest, codeMissingParameter},
 		{"search bad top", single, http.MethodGet, "/api/search?q=A,B&top=zero", http.StatusBadRequest, codeBadParameter},
+		{"search not UTF-8", single, http.MethodGet, "/api/search?q=A,%FF", http.StatusBadRequest, codeBadParameter},
 		{"search single gene", single, http.MethodGet, "/api/search?q=" + gene, http.StatusUnprocessableEntity, codeSingleGeneQuery},
 		{"enrich missing genes", single, http.MethodGet, "/api/enrich", http.StatusBadRequest, codeMissingParameter},
 		{"enrich bad maxp", single, http.MethodGet, "/api/enrich?genes=A&maxp=7", http.StatusBadRequest, codeBadParameter},
+		{"enrich NaN maxp", single, http.MethodGet, "/api/enrich?genes=A&maxp=NaN", http.StatusBadRequest, codeBadParameter},
+		{"enrich NaN maxp, coordinator", top.coord, http.MethodGet, "/api/enrich?genes=A&maxp=NaN", http.StatusBadRequest, codeBadParameter},
+		{"enrich not UTF-8", single, http.MethodGet, "/api/enrich?genes=A,%FF", http.StatusBadRequest, codeBadParameter},
 		{"enrich unknown genes", single, http.MethodGet, "/api/enrich?genes=NOPE999", http.StatusUnprocessableEntity, codeNoSelectionGenes},
 		{"enrich no ontology", bare, http.MethodGet, "/api/enrich?genes=A", http.StatusServiceUnavailable, codeNoOntology},
 		{"heatmap missing dataset", single, http.MethodGet, "/api/heatmap", http.StatusBadRequest, codeMissingParameter},

@@ -7,36 +7,37 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"unsafe"
 )
 
-// This file factors Search into a mergeable pipeline for the sharded
-// compendium (internal/shard): a shard engine holding a slice of the
-// datasets computes a Partial — unnormalized per-dataset coherences plus
-// per-gene correlation accumulators — the pure Sum adds partials of disjoint
-// dataset sets into one, and the pure Merge renormalizes the dataset weights
-// over the union compendium and reproduces the single-process ranking. The
-// Partial's wire form is in frame.go.
+// This file is SPELL's search, written once as a mergeable pipeline. An
+// engine computes a Partial over some of its datasets — unnormalized
+// per-dataset coherences plus per-gene correlation accumulators — the pure
+// Sum adds partials of disjoint dataset sets into one, the pure Merge takes
+// the union of a fleet's partials, and finish normalizes the dataset weights
+// over whatever compendium the partial covers and ranks. Search is the
+// engine's partial over all of its datasets, finished; a sharded search
+// (internal/shard) is Merge, which ends in the same finish. The Partial's
+// wire form is in frame.go.
 //
 // Why the accumulators merge exactly: SPELL's dataset weights are
 // w_d = c_d / Σc (c_d the clamped raw coherence), and a gene's final score
 // is Σ_d w_d·m_{g,d} / Σ_d w_d — the global normalizer Σc divides both the
 // numerator and the denominator, so it cancels. A shard can therefore ship
-// Σ_{d∈shard} c_d·m and Σ_{d∈shard} c_d without knowing Σc, and Merge's
-// score (Σ c·m)/(Σ c) equals the single-process score up to float
+// Σ_{d∈shard} c_d·m and Σ_{d∈shard} c_d without knowing Σc, and the score
+// (Σ c·m)/(Σ c) over any split equals the score over one part up to float
 // accumulation order (the golden-parity tests pin ≤1e-12). The one place
 // the global total does change the math is SPELL's degenerate fallback —
-// when every dataset's coherence clamps to zero, Search reweights uniformly
-// over datasets measuring the query — and a shard cannot know locally
+// when every dataset's coherence clamps to zero, the weights are uniform
+// over the datasets measuring the query — and a shard cannot know locally
 // whether the *global* total is zero. A Partial carries one accumulator
-// pair, weighted by coherence or uniform (Options.UniformWeights), and Merge
-// answers ErrNeedUniform when it was given the weighted pair and the union
-// turns out to need the other: the caller asks the shards once more. That
-// second round is rare and its first round was nearly free — a query
-// incoherent everywhere gives no dataset any weight, so the weighted scan
-// had nothing to scan.
+// pair, weighted by coherence or uniform (Options.UniformWeights), and
+// finish answers ErrNeedUniform when it was given the weighted pair and the
+// compendium turns out to need the other: the caller — Search, or the
+// coordinator over the wire — asks once more. That second round is rare and
+// its first round was nearly free — a query incoherent everywhere gives no
+// dataset any weight, so the weighted scan had nothing to scan.
 
 // Partial is one shard's share of a search: the datasets it answers for
 // (weighted or not), and the accumulators for every gene that scored
@@ -63,10 +64,12 @@ type Partial struct {
 	// the dataset's raw coherence clamped to [0, ∞) with NaN → 0.
 	//
 	//	false  Sum = Σ c_d·m_{g,d}, Cnt = Σ c_d, over the datasets with
-	//	       c_d > 0 where the gene scored — what Search accumulates
+	//	       c_d > 0 where the gene scored
 	//	true   Sum = Σ m_{g,d}, Cnt = count, over every dataset measuring
 	//	       the query where the gene scored — the degenerate fallback
 	//	       and the UniformWeights ablation
+	//
+	// Either way a gene's score is Sum/Cnt.
 	Uniform bool
 	// IDs and Names identify the genes that scored in at least one scanned
 	// dataset, in the shard engine's stable gene order; Sum and Cnt are
@@ -103,10 +106,11 @@ func (p *Partial) checkColumns() error {
 	return nil
 }
 
-// PartialSearch computes this engine's share of a sharded query. Unlike
-// Search it does not error when no query gene occurs in this engine's
-// datasets — on a shard that is an ordinary outcome, and the resulting
-// empty Partial merges as zero contribution. Options are honored for
+// PartialSearch computes this engine's share of a query. It does not error
+// when no query gene occurs in this engine's datasets — on a shard that is
+// an ordinary outcome, and the resulting empty Partial merges as zero
+// contribution; only the finish, which sees the whole compendium, can say
+// ErrNoQueryGenes. Options are honored for
 // Parallelism and UniformWeights (which accumulator pair the partial
 // carries); MaxGenes and IncludeQuery apply at Merge time, because a shard
 // cannot cap or filter accumulators without breaking the union
@@ -131,8 +135,7 @@ func (e *Engine) PartialSearchCtx(ctx context.Context, query []string, opt Optio
 // merge. Entries must be in range and unique; every dataset of the subset
 // is listed in the Partial, and those that carry weight — clamped coherence
 // above zero, or with opt.UniformWeights any that measures the query — are
-// scanned, as in Search. An empty (non-nil) subset is valid and yields the
-// empty partial.
+// scanned. An empty (non-nil) subset is valid and yields the empty partial.
 func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, subset []int, opt Options) (*Partial, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
@@ -173,8 +176,8 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		}
 	}
 
-	// Stage 2, as in Search but at unnormalized weights: the clamped raw
-	// coherence, or 1 for every dataset measuring the query.
+	// Stage 2, at unnormalized weights: the clamped raw coherence, or 1 for
+	// every dataset measuring the query.
 	var todo []int
 	weights := make([]float64, len(e.slabs))
 	for _, di := range subset {
@@ -251,7 +254,7 @@ func (e *Engine) OwnedBytes(p *Partial) int64 {
 	return n
 }
 
-// ErrNoQueryGenes reports that no dataset of the merged partials measured
+// ErrNoQueryGenes reports that no dataset of the searched compendium measures
 // any query gene. Callers merging a *subset* of the compendium (a
 // degraded scatter) should treat it as inconclusive — the missing shards
 // may hold the genes — rather than as proof the genes don't exist.
@@ -261,7 +264,7 @@ var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the co
 // but the result takes the uniform accumulator pair: Options.UniformWeights
 // is set, or every dataset's coherence clamps to zero (SPELL's degenerate
 // fallback, knowable only over the union). The caller computes the partials
-// again with Options.UniformWeights and merges those.
+// again with Options.UniformWeights and merges those; Search does so itself.
 var ErrNeedUniform = errors.New("spell: the merge needs uniform-weight partials")
 
 // checkParts is the precondition Sum and Merge share: at least one partial,
@@ -420,14 +423,11 @@ func Sum(parts []*Partial) (*Partial, error) {
 // shards answered: dropping a shard's partial renormalizes the weights
 // over the survivors, which is exactly the degraded-mode semantics.
 //
-// Parity with the single-process Search (pinned ≤1e-12 by the package
-// tests, for any split of the compendium): dataset weights sum the clamped
-// coherences in global-index order, the degenerate all-zero-coherence
-// fallback reweights uniformly over datasets measuring the query, and gene
-// scores divide the merged sums, added up in the order Sum uses. The one
-// intended deviation is tie order among genes with exactly equal float
-// scores: Search ties by compendium first-seen order, which is
-// unrecoverable from partials, so Merge ties by gene ID.
+// Merge is the union step only — the dataset lists put in global-index
+// order, the gene accumulators added up in the order Sum uses — and hands
+// the union to finish, the ranking Search runs on its own partial: a search
+// over any split of the compendium is a search, to float accumulation order
+// (pinned ≤1e-12 by the package tests) and with the same order among ties.
 //
 // Every partial must carry the same canonical query and the same
 // accumulator pair, and dataset names must be unique across partials — a
@@ -449,11 +449,8 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	query := ordered[0].Query
-
-	// Union dataset list in global-index order; weight normalization must
-	// sum in that order to match Search's total bitwise.
-	var dss []PartialDataset
+	var u geneSums
+	union := &Partial{Query: ordered[0].Query, Uniform: ordered[0].Uniform}
 	seenDS := make(map[string]bool)
 	for _, p := range ordered {
 		for _, d := range p.Datasets {
@@ -461,30 +458,63 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 				return nil, fmt.Errorf("spell: dataset %q claimed by more than one shard", d.Name)
 			}
 			seenDS[d.Name] = true
-			dss = append(dss, d)
+			union.Datasets = append(union.Datasets, d)
 		}
+		u.add(p)
 	}
-	sort.Slice(dss, func(a, b int) bool {
-		if dss[a].Index != dss[b].Index {
-			return dss[a].Index < dss[b].Index
-		}
-		return dss[a].Name < dss[b].Name
+	slices.SortFunc(union.Datasets, func(a, b PartialDataset) int {
+		return cmp.Or(cmp.Compare(a.Index, b.Index), strings.Compare(a.Name, b.Name))
 	})
+	union.IDs, union.Names, union.Sum, union.Cnt = u.ids, u.names, u.sum, u.cnt
 
-	weights := make([]float64, len(dss))
-	total := 0.0
-	anyPresent := false
-	for i, d := range dss {
-		if d.Present > 0 {
-			anyPresent = true
-		}
+	qmask := make([]bool, len(union.IDs))
+	markQuery(qmask, union)
+	res, err := finish(union, qmask, opt)
+	if err != nil {
+		return nil, err
+	}
+	res.Query = slices.Clone(res.Query)
+	for i, q := range res.Query {
+		res.Query[i] = strings.Clone(q)
+	}
+	for i := range res.Datasets {
+		res.Datasets[i].Name = strings.Clone(res.Datasets[i].Name)
+	}
+	for i := range res.Genes {
+		g := &res.Genes[i]
+		g.ID, g.Name = strings.Clone(g.ID), strings.Clone(g.Name)
+	}
+	return res, nil
+}
+
+// markQuery sets qmask at the rows of p's gene columns that are query genes.
+// The query is sorted, so finding it needs no map.
+func markQuery(qmask []bool, p *Partial) {
+	for s, id := range p.IDs {
+		_, qmask[s] = slices.BinarySearch(p.Query, id)
+	}
+}
+
+// finish is SPELL's ranking, the one copy of it: from a partial that covers
+// the datasets being searched — an engine's own, or Merge's union of a
+// fleet's — to the result. p.Datasets must be in global-index order, the
+// order the weight total is summed in, and qmask marks the rows of p's gene
+// columns that are query genes. The result shares p's strings, and finish
+// divides p.Sum by p.Cnt in place: the caller owns the accumulator columns
+// and does not read them again.
+func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
+	// Normalize positive coherence into weights. A dataset where the query
+	// genes are uncorrelated (or absent) contributes nothing, exactly the
+	// behaviour that lets SPELL ignore irrelevant studies.
+	weights := make([]float64, len(p.Datasets))
+	total, measuring := 0.0, 0
+	for i, d := range p.Datasets {
+		measuring += min(d.Present, 1)
 		w := d.Coherence
 		if opt.UniformWeights {
-			if d.Present > 0 {
-				w = 1
-			} else {
-				w = 0
-			}
+			// Ablation baseline: every dataset measuring the query counts
+			// equally, informative or not.
+			w = float64(min(d.Present, 1))
 		}
 		if math.IsNaN(w) || w < 0 {
 			w = 0
@@ -492,74 +522,50 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		weights[i] = w
 		total += w
 	}
-	if !anyPresent {
-		return nil, fmt.Errorf("%w (%d query genes)", ErrNoQueryGenes, len(query))
+	if measuring == 0 {
+		return nil, fmt.Errorf("%w (%d query genes)", ErrNoQueryGenes, len(p.Query))
 	}
 	uniform := opt.UniformWeights
 	if total == 0 {
-		// Degenerate query (incoherent everywhere): uniform weights over
-		// datasets measuring the query, as in Search.
+		// Degenerate query (incoherent everywhere): fall back to uniform
+		// weights over the datasets measuring the query.
 		uniform = true
-		n := 0
-		for i, d := range dss {
-			if d.Present > 0 {
-				weights[i] = 1
-				n++
-			} else {
-				weights[i] = 0
-			}
+		for i, d := range p.Datasets {
+			weights[i] = float64(min(d.Present, 1))
 		}
-		total = float64(n)
+		total = float64(measuring)
 	}
-	if uniform != ordered[0].Uniform {
+	if uniform != p.Uniform {
 		if uniform {
 			return nil, ErrNeedUniform
 		}
 		return nil, errors.New("spell: uniform-weight partials, but the merged coherences call for the weighted pair")
 	}
-	for i := range weights {
-		weights[i] /= total
-	}
 
-	var u geneSums
-	for _, p := range ordered {
-		u.add(p)
-	}
-	ids, names, sum, cnt := u.ids, u.names, u.sum, u.cnt
-
-	res := &Result{Query: make([]string, len(query)), Datasets: make([]DatasetRank, len(dss))}
-	for i, q := range query {
-		res.Query[i] = strings.Clone(q)
-	}
-	for i, d := range dss {
+	res := &Result{Query: p.Query, Datasets: make([]DatasetRank, len(p.Datasets))}
+	for i, d := range p.Datasets {
 		res.Datasets[i] = DatasetRank{
 			Index:          d.Index,
-			Name:           strings.Clone(d.Name),
-			Weight:         weights[i],
+			Name:           d.Name,
+			Weight:         weights[i] / total,
 			QueryCoherence: d.Coherence,
 			QueryPresent:   d.Present,
 		}
 	}
-	// Equivalent to Search's stable sort over index-ordered entries:
-	// weight descending, global index ascending among equal weights.
-	sort.Slice(res.Datasets, func(a, b int) bool {
-		if res.Datasets[a].Weight != res.Datasets[b].Weight {
-			return res.Datasets[a].Weight > res.Datasets[b].Weight
-		}
-		return res.Datasets[a].Index < res.Datasets[b].Index
+	// Weight descending, global index ascending among equal weights.
+	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
+		return cmp.Compare(b.Weight, a.Weight)
 	})
 
-	// As in SearchCtx: rank compact slot indexes and materialize only the
-	// entries that survive the MaxGenes cut. The query is sorted, so finding
-	// its genes among the slots needs no map.
-	qmask := make([]bool, len(ids))
+	// Rank compact row indexes rather than GeneRank structs, and materialize
+	// only the entries that survive the MaxGenes cut.
+	ids, sum := p.IDs, p.Sum
 	order := make([]int32, 0, len(ids))
-	for s, id := range ids {
-		_, qmask[s] = slices.BinarySearch(query, id)
+	for s, c := range p.Cnt {
 		if qmask[s] && !opt.IncludeQuery {
 			continue
 		}
-		if c := cnt[s]; c != 0 {
+		if c != 0 {
 			sum[s] /= c // final score, reused in place
 			order = append(order, int32(s))
 		}
@@ -573,12 +579,7 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	})
 	res.Genes = make([]GeneRank, len(order))
 	for i, s := range order {
-		res.Genes[i] = GeneRank{
-			ID:      strings.Clone(ids[s]),
-			Name:    strings.Clone(names[s]),
-			Score:   sum[s],
-			IsQuery: qmask[s],
-		}
+		res.Genes[i] = GeneRank{ID: ids[s], Name: p.Names[s], Score: sum[s], IsQuery: qmask[s]}
 	}
 	return res, nil
 }

@@ -98,12 +98,14 @@ func disjointDataset(name string, nGenes, nExp int, seed int64) *microarray.Data
 }
 
 // TestMergeMatchesSearch is the golden-parity proof for the sharded
-// pipeline: for every shard count in {1, 2, 3, 5}, Merge over the
-// round-robin split of the compendium must agree with the single-process
-// Search to 1e-12 — dataset weights, coherences, gene scores, and rank
-// order (modulo exact float ties) — including a disjoint dataset whose
-// shard contributes zero coherent datasets, missing values, and every
-// result-shaping option.
+// pipeline: for every shard count in {2, 3, 5}, Merge over the round-robin
+// split of the compendium must agree with the single-process Search to
+// 1e-12 — dataset weights, coherences, gene scores, and rank order (modulo
+// exact float ties) — including a disjoint dataset whose shard contributes
+// zero coherent datasets, missing values, and every result-shaping option.
+// One shard is what Search itself runs (a partial, finished), so that case
+// is held to the oracle instead: the chain is ReferenceSearch ← single ←
+// K-way split.
 func TestMergeMatchesSearch(t *testing.T) {
 	for _, missing := range []float64{0, 0.05} {
 		t.Run(fmt.Sprintf("missing-%g", missing), func(t *testing.T) {
@@ -128,11 +130,19 @@ func TestMergeMatchesSearch(t *testing.T) {
 				{UniformWeights: true},
 				{MaxGenes: 25, IncludeQuery: true},
 			} {
-				want, err := full.Search(query, opt)
+				search, err := full.Search(query, opt)
 				if err != nil {
 					t.Fatalf("search %+v: %v", opt, err)
 				}
+				ref, err := full.ReferenceSearch(query, opt)
+				if err != nil {
+					t.Fatalf("reference %+v: %v", opt, err)
+				}
 				for _, nShards := range []int{1, 2, 3, 5} {
+					want := search
+					if nShards == 1 {
+						want = ref
+					}
 					parts := shardSplit(t, dss, nShards, query, opt)
 					got, err := Merge(parts, opt)
 					if err != nil {
@@ -160,10 +170,11 @@ func TestMergeMatchesSearch(t *testing.T) {
 }
 
 // TestMergeDegenerateFallback: when no dataset holds two query genes,
-// every coherence is NaN, and Search falls back to uniform weights over
+// every coherence is NaN, and SPELL falls back to uniform weights over
 // datasets measuring the query. The global total being zero is knowable
-// only at merge time: Merge answers weighted partials with ErrNeedUniform,
-// and reproduces Search from the uniform pair of the second round.
+// only over the whole compendium: Merge answers weighted partials with
+// ErrNeedUniform, and reproduces Search from the uniform pair of the second
+// round.
 func TestMergeDegenerateFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const nExp = 10
@@ -194,6 +205,12 @@ func TestMergeDegenerateFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Search takes the same second round by itself; the oracle has no rounds.
+	ref, err := full.ReferenceSearch(query, Options{IncludeQuery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsMatch(t, want, ref, 1e-12)
 	for _, nShards := range []int{1, 2, 3} {
 		got, rounds := mergeRounds(t, func(o Options) []Partial {
 			parts := shardSplit(t, dss, nShards, query, o)
@@ -216,8 +233,8 @@ func TestMergeDegenerateFallback(t *testing.T) {
 
 // TestPartialSearchNoQueryGenes: a shard whose slice holds none of the
 // query genes answers with a valid zero-contribution partial, not an error
-// — Search's "none occur" error belongs to the union, which only Merge
-// sees.
+// — ErrNoQueryGenes belongs to the whole compendium, which only Merge (or
+// Search, of its own engine) sees.
 func TestPartialSearchNoQueryGenes(t *testing.T) {
 	e, err := NewEngine([]*microarray.Dataset{disjointDataset("lone", 20, 8, 3)})
 	if err != nil {
@@ -234,8 +251,11 @@ func TestPartialSearchNoQueryGenes(t *testing.T) {
 		t.Fatalf("dataset entry: %+v", d)
 	}
 	// The union of only such shards is the single-process error case.
-	if _, err := Merge([]Partial{*p}, Options{}); err == nil {
-		t.Fatal("merge of query-free partials should error")
+	if _, err := Merge([]Partial{*p}, Options{}); !errors.Is(err, ErrNoQueryGenes) {
+		t.Fatalf("merge of query-free partials: err = %v, want ErrNoQueryGenes", err)
+	}
+	if _, err := e.Search([]string{"A", "B"}, Options{}); !errors.Is(err, ErrNoQueryGenes) {
+		t.Fatalf("search for genes the compendium lacks: err = %v, want ErrNoQueryGenes", err)
 	}
 }
 
@@ -500,10 +520,25 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 				t.Fatalf("%+v: rank %d = %s, want %s", opt, i, got.Genes[i].ID, want.Genes[i].ID)
 			}
 		}
+
+		// A nil subset is the whole slice (PartialSearchCtx): one part, which
+		// is what Search finishes, so it answers to the oracle.
+		ref, err := full.ReferenceSearch(query, opt)
+		if err != nil {
+			t.Fatalf("reference %+v: %v", opt, err)
+		}
+		whole, err := full.PartialSearchSubsetCtx(context.Background(), query, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = Merge([]Partial{*whole}, opt); err != nil {
+			t.Fatalf("merge of the whole slice %+v: %v", opt, err)
+		}
+		assertResultsMatch(t, got, ref, 1e-12)
 	}
 
-	// A nil subset is the whole slice (PartialSearchCtx), an empty subset a
-	// valid empty partial, and malformed subsets are loud errors.
+	// An empty subset is a valid empty partial, and malformed subsets are
+	// loud errors.
 	if p, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{}, Options{}); err != nil || len(p.Datasets) != 0 || len(p.IDs) != 0 {
 		t.Fatalf("empty subset: %+v, %v", p, err)
 	}

@@ -21,11 +21,9 @@
 package spell
 
 import (
-	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"runtime"
 	"slices"
@@ -277,131 +275,45 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 
 // SearchCtx is Search with cooperative cancellation: both stages stop at
 // the next dataset once ctx is done and the context error is returned, so
-// a hung-up client stops costing scan CPU (the same contract as
-// PartialSearchCtx).
+// a hung-up client stops costing scan CPU.
 //
-// Two runs of one query on one engine return bit-identical results,
-// whatever the parallelism: every float sum is taken in dataset order.
+// A search is the engine's partial over all of its datasets, finished — a
+// single process is a fleet of one, and runs what a coordinator runs over
+// the wire, down to the second round for a query that is incoherent in
+// every dataset. Two runs of one query on one engine return bit-identical
+// results, whatever the parallelism: every float sum is taken in dataset
+// order.
 func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*Result, error) {
-	query = CanonicalQuery(query)
-	if len(query) == 0 {
-		return nil, errors.New("spell: empty query")
+	res, err := e.searchRound(ctx, query, opt)
+	if errors.Is(err, ErrNeedUniform) {
+		opt.UniformWeights = true
+		res, err = e.searchRound(ctx, query, opt)
 	}
-	qgids := make([]int, 0, len(query))
-	qmask := make([]bool, len(e.order))
-	for _, q := range query {
-		if gi, ok := e.gid[q]; ok {
-			qgids = append(qgids, gi)
-			qmask[gi] = true
-		}
-	}
-	if len(qgids) == 0 {
-		return nil, fmt.Errorf("spell: none of the %d query genes occur in the compendium", len(query))
-	}
+	return res, err
+}
 
-	// Stage 1: per-dataset query rows and coherence.
-	infos, err := e.queryInfos(ctx, qgids, e.allDatasets())
+// searchRound is one partial and its finish, for one accumulator pair. The
+// partial is this call's own, so finish ranks its columns in place and the
+// result's strings are the engine's: nothing is added up and nothing cloned.
+func (e *Engine) searchRound(ctx context.Context, query []string, opt Options) (*Result, error) {
+	p, err := e.PartialSearchSubsetCtx(ctx, query, nil, opt)
 	if err != nil {
 		return nil, err
 	}
-
-	// Normalize positive coherence into weights. A dataset where the query
-	// genes are uncorrelated (or absent) contributes nothing, exactly the
-	// behaviour that lets SPELL ignore irrelevant studies.
-	weights := make([]float64, len(e.slabs))
-	total := 0.0
-	for di := range infos {
-		w := infos[di].coherence
-		if opt.UniformWeights {
-			// Ablation baseline: every dataset measuring the query counts
-			// equally, informative or not.
-			if len(infos[di].q.Rows) > 0 {
-				w = 1
-			} else {
-				w = 0
+	// Row s of a partial in which every gene scored is global gene s, and the
+	// engine's index finds the query there; a compacted partial is searched
+	// by ID, as Merge searches a decoded one.
+	qmask := make([]bool, len(p.IDs))
+	if e.ownsGenes(p) {
+		for _, q := range p.Query {
+			if gi, ok := e.gid[q]; ok {
+				qmask[gi] = true
 			}
 		}
-		if math.IsNaN(w) || w < 0 {
-			w = 0
-		}
-		weights[di] = w
-		total += w
+	} else {
+		markQuery(qmask, p)
 	}
-	if total == 0 {
-		// Degenerate query (single gene or incoherent everywhere): fall
-		// back to uniform weights over datasets measuring the query.
-		n := 0
-		for di := range infos {
-			if len(infos[di].q.Rows) > 0 {
-				weights[di] = 1
-				n++
-			}
-		}
-		if n == 0 {
-			return nil, errors.New("spell: query genes absent from every dataset")
-		}
-		total = float64(n)
-	}
-	for di := range weights {
-		weights[di] /= total
-	}
-
-	// Stage 2: weighted gene scores over the datasets that carry weight
-	// (which only a dataset measuring the query can).
-	var todo []int
-	for di, w := range weights {
-		if w != 0 {
-			todo = append(todo, di)
-		}
-	}
-	acc := newAccum(len(e.order))
-	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, weights, acc); err != nil {
-		return nil, err
-	}
-
-	res := &Result{Query: query, Datasets: make([]DatasetRank, len(e.slabs))}
-	for di := range e.slabs {
-		res.Datasets[di] = DatasetRank{
-			Index:          di,
-			Name:           e.datasets[di].Name,
-			Weight:         weights[di],
-			QueryCoherence: infos[di].coherence,
-			QueryPresent:   len(infos[di].q.Rows),
-		}
-	}
-	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
-		return cmp.Compare(b.Weight, a.Weight)
-	})
-
-	// Rank compact gene indices rather than GeneRank structs, and
-	// materialize only the entries that survive the MaxGenes cut.
-	order := make([]int32, 0, len(e.order))
-	for gi := range e.order {
-		if qmask[gi] && !opt.IncludeQuery {
-			continue
-		}
-		if w := acc.weight[gi]; w != 0 {
-			acc.score[gi] /= w // final score, reused in place
-			order = append(order, int32(gi))
-		}
-	}
-	// Score descending, compendium first-seen order among exact ties.
-	order = topK(order, opt.MaxGenes, func(a, b int32) int {
-		if c := cmp.Compare(acc.score[b], acc.score[a]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	res.Genes = make([]GeneRank, len(order))
-	for i, gi := range order {
-		res.Genes[i] = GeneRank{
-			ID:      e.order[gi],
-			Name:    e.names[gi],
-			Score:   acc.score[gi],
-			IsQuery: qmask[gi],
-		}
-	}
-	return res, nil
+	return finish(p, qmask, opt)
 }
 
 // topK sorts xs by the total order by and cuts it to its first k elements
