@@ -547,12 +547,11 @@ func BenchmarkF4_EnrichHTTP(b *testing.B) {
 // fixed 24-dataset compendium is split over the shards by the same
 // rendezvous ownership the coordinator derives its scatter groups from,
 // each shard running the real server role (gob endpoint, global index
-// remap) with its scan bounded to ONE worker and its partial cache disabled —
-// loopback shards share this machine's cores, so an unbounded scan or a
-// cache hit would fake the distributed scaling being measured. With the
-// per-shard scan serialized, wall time per query approaches
-// scan(24/N datasets) + scatter overhead: near-linear until overhead
-// dominates (and only when the host has at least N cores). Compare
+// remap) with its scan bounded to ONE worker — loopback shards share this
+// machine's cores, so an unbounded scan would fake the distributed scaling
+// being measured. With the per-shard scan serialized, wall time per query
+// approaches scan(24/N datasets) + scatter overhead: near-linear until
+// overhead dominates (and only when the host has at least N cores). Compare
 // Scatter{1,2,4}Shards sec/op.
 
 type scatterBenchTop struct {
@@ -586,9 +585,6 @@ func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, query
 		}
 		srv, err := server.New(server.Config{
 			Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names,
-			// A 1-byte-per-shard budget caches nothing: every request pays
-			// the full dataset scan, which is the thing under test.
-			CacheBytes: 16,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -653,37 +649,29 @@ func BenchmarkF5_Scatter4Shards(b *testing.B) { benchScatter(b, 4) }
 // owner pairs), every group partial listing all 6,000 genes.
 
 // paperGroups is the fixture: an engine over the first n two-dataset groups
-// of the paper compendium, and the function that computes group g's partial
-// of one query, as a shard does on a cache miss.
-func paperGroups(b testing.TB, n int) func(g int) *spell.Partial {
+// of the paper compendium, and the function that scans groups [lo, hi) of it
+// for one query in one pass, as a shard answers a request naming them.
+func paperGroups(b testing.TB, n int) func(lo, hi int) *spell.Partial {
 	b.Helper()
 	u := synth.NewUniverse(paperGenes, 20, 73)
 	engine, err := spell.NewEngine(paperCompendium(u, 0.02)[:2*n])
 	if err != nil {
 		b.Fatal(err)
 	}
-	return func(g int) *spell.Partial {
-		p, err := engine.PartialSearchSubsetCtx(context.Background(), u.ModuleGeneIDs(4)[:4], []int{2 * g, 2*g + 1}, spell.Options{})
+	return func(lo, hi int) *spell.Partial {
+		subset := make([]int, 0, 2*(hi-lo))
+		for di := 2 * lo; di < 2*hi; di++ {
+			subset = append(subset, di)
+		}
+		p, err := engine.PartialSearchSubsetCtx(context.Background(), u.ModuleGeneIDs(4)[:4], subset, spell.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(p.IDs) != paperGenes {
-			b.Fatalf("group %d partial lists %d genes", g, len(p.IDs))
+		if len(p.IDs) != paperGenes || len(p.Datasets) != len(subset) {
+			b.Fatalf("groups [%d,%d): partial lists %d genes, %d datasets", lo, hi, len(p.IDs), len(p.Datasets))
 		}
 		return p
 	}
-}
-
-// paperGroupPartials computes the first n two-dataset group partials of one
-// query over the paper compendium.
-func paperGroupPartials(b testing.TB, n int) []*spell.Partial {
-	b.Helper()
-	partial := paperGroups(b, n)
-	parts := make([]*spell.Partial, n)
-	for g := range parts {
-		parts[g] = partial(g)
-	}
-	return parts
 }
 
 // BenchmarkF5_GroupPartial: one 6,000-gene two-dataset group partial,
@@ -691,11 +679,11 @@ func paperGroupPartials(b testing.TB, n int) []*spell.Partial {
 // shipped: computing it costs less than moving it, which is why a drained
 // shard hands its successors nothing (DESIGN.md §7).
 func BenchmarkF5_GroupPartial(b *testing.B) {
-	partial := paperGroups(b, 1)
+	scan := paperGroups(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		partial(0)
+		scan(0, 1)
 	}
 }
 
@@ -716,7 +704,7 @@ func partialWireTrip(b testing.TB, buf *bytes.Buffer, p *spell.Partial) (decoded
 // BenchmarkF5_PartialWire: the gob-enveloped frame round trip of one
 // 6,000-gene group partial (DESIGN.md §4 has the numbers).
 func BenchmarkF5_PartialWire(b *testing.B) {
-	p := paperGroupPartials(b, 1)[0]
+	p := paperGroups(b, 1)(0, 1)
 	var buf bytes.Buffer
 	_, n := partialWireTrip(b, &buf, p)
 	b.SetBytes(int64(n))
@@ -729,24 +717,20 @@ func BenchmarkF5_PartialWire(b *testing.B) {
 	}
 }
 
-// BenchmarkF5_ShardBatch: what a shard adds to its cached group partials to
-// answer a batched request — three two-dataset group partials (what one of
-// 4 shards at R=2 is picked for) summed and framed inside the answer
-// envelope, and the answer decoded as the coordinator will. "lookup" is the
+// BenchmarkF5_ShardBatch: what a shard does per batched request — one scan
+// over the union of three two-dataset groups (what one of 4 shards at R=2 is
+// picked for), framed inside the answer envelope, and the answer decoded as
+// the coordinator will. "lookup" is the
 // step before it, the request's owner tuples resolved to groups: "table" as
 // served, from the group table the shard keeps per topology, and
 // "rendezvous" as it was done per request before there was one.
 func BenchmarkF5_ShardBatch(b *testing.B) {
-	b.Run("sum+frame", func(b *testing.B) {
-		parts := paperGroupPartials(b, 3)
+	b.Run("scan+frame", func(b *testing.B) {
+		scan := paperGroups(b, 3)
 		var buf bytes.Buffer
 		trip := func() (decoded shard.SearchAnswer) {
-			sum, err := spell.Sum(parts)
-			if err != nil {
-				b.Fatal(err)
-			}
 			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: sum}}}); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: scan(0, 3)}}}); err != nil {
 				b.Fatal(err)
 			}
 			b.SetBytes(int64(buf.Len()))
@@ -801,15 +785,11 @@ func BenchmarkF5_ShardBatch(b *testing.B) {
 // benchMerge is the coordinator's serial step: n decoded partials — the
 // paper compendium cut n ways — merged into the top 20.
 func benchMerge(b *testing.B, n int) {
-	groups := paperGroupPartials(b, 12)
+	scan := paperGroups(b, 12)
 	var buf bytes.Buffer
 	parts := make([]spell.Partial, 0, n)
 	for i := 0; i < n; i++ {
-		sum, err := spell.Sum(groups[i*12/n : (i+1)*12/n])
-		if err != nil {
-			b.Fatal(err)
-		}
-		back, _ := partialWireTrip(b, &buf, sum)
+		back, _ := partialWireTrip(b, &buf, scan(i*12/n, (i+1)*12/n))
 		parts = append(parts, back)
 	}
 	b.ReportAllocs()
@@ -822,8 +802,8 @@ func benchMerge(b *testing.B, n int) {
 	}
 }
 
-// BenchmarkF5_Merge4: the batched fleet's merge — one summed frame from each
-// of 4 shards. BenchmarkF5_Merge12: one frame per ownership group, which is
+// BenchmarkF5_Merge4: the batched fleet's merge — one frame from each of 4
+// shards. BenchmarkF5_Merge12: one frame per ownership group, which is
 // what a merge still sees when every group is served by a different answer
 // (a 12-shard R=1 fleet; the unbatched fleet before it).
 func BenchmarkF5_Merge4(b *testing.B)  { benchMerge(b, 4) }
@@ -833,7 +813,7 @@ func BenchmarkF5_Merge12(b *testing.B) { benchMerge(b, 12) }
 // partial that goes back to one struct per gene, or a wire form that goes
 // back through reflection, costs two allocations per gene and fails here.
 func TestPartialWireAllocs(t *testing.T) {
-	p := paperGroupPartials(t, 1)[0]
+	p := paperGroups(t, 1)(0, 1)
 	var buf bytes.Buffer
 	partialWireTrip(t, &buf, p) // size the buffer once, as a warm server has
 	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, &buf, p) }); allocs > 300 {
@@ -850,9 +830,9 @@ func TestPartialWireAllocs(t *testing.T) {
 // centralized p-value math in MergeCounts), so sec/op across shard counts
 // tracks the scatter round-trip itself — this family gates regressions in
 // the fleet enrichment path, it is not a linear-scaling demonstration.
-// Shard partial caches are disabled (16-byte budget) so every iteration
-// pays the real tally; the coordinator's term-catalog fetch is cached per
-// membership generation, amortized across iterations as in production.
+// Every iteration pays the real tally (a shard keeps nothing); the
+// coordinator's term-catalog fetch is cached per membership generation,
+// amortized across iterations as in production.
 
 func newEnrichScatterBench(b *testing.B, nShards int) *shard.Coordinator {
 	b.Helper()
@@ -890,7 +870,6 @@ func newEnrichScatterBench(b *testing.B, nShards int) *shard.Coordinator {
 		srv, err := server.New(server.Config{
 			Engine: engine, Enricher: f.enricher,
 			ShardIndexes: owned, ShardDatasetIDs: names,
-			CacheBytes: 16,
 		})
 		if err != nil {
 			b.Fatal(err)

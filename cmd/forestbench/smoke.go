@@ -259,7 +259,7 @@ func (tp *topology) bootShard(self string) error {
 	}
 	ss, err := server.New(server.Config{
 		Engine: se, Enricher: enricher,
-		ShardIndexes: owned, ShardDatasetIDs: tp.names, CacheBytes: 8 << 20,
+		ShardIndexes: owned, ShardDatasetIDs: tp.names,
 		ShardSelf: self, ShardFleet: tp.identities, ShardReplication: tp.repl,
 		ShardRawDatasets: slice,
 		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {

@@ -34,16 +34,15 @@ func main() {
 		mapDepth  = flag.Int("map-depth", 1, "descendant depth of the local map")
 		mapTerms  = flag.Int("map-terms", 5, "number of top terms to focus the map on")
 		seed      = flag.Int64("seed", 1, "demo seed")
-		reference = flag.Bool("reference", false, "score with the retained map-walk path instead of the bitset kernel (parity/benchmark baseline)")
 	)
 	flag.Parse()
-	if err := run(*oboPath, *assocPath, *genesPath, *demo, *reference, *maxP, *mapOut, *mapDepth, *mapTerms, *seed); err != nil {
+	if err := run(*oboPath, *assocPath, *genesPath, *demo, *maxP, *mapOut, *mapDepth, *mapTerms, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "golem:", err)
 		os.Exit(1)
 	}
 }
 
-func run(oboPath, assocPath, genesPath string, demo, reference bool, maxP float64, mapOut string, mapDepth, mapTerms int, seed int64) error {
+func run(oboPath, assocPath, genesPath string, demo bool, maxP float64, mapOut string, mapDepth, mapTerms int, seed int64) error {
 	var (
 		onto      *ontology.Ontology
 		ann       *ontology.Annotations
@@ -103,19 +102,15 @@ func run(oboPath, assocPath, genesPath string, demo, reference bool, maxP float6
 	if err != nil {
 		return err
 	}
-	analyze, scorer := enr.Analyze, "bitset kernel"
-	if reference {
-		analyze, scorer = enr.ReferenceAnalyze, "reference map-walk"
-	}
 	t0 := time.Now()
-	results, err := analyze(selection, golem.Options{MaxPValue: maxP})
+	results, err := enr.Analyze(selection, golem.Options{MaxPValue: maxP})
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(t0)
 	fmt.Printf("ontology: %d terms; background: %d genes; selection: %d genes\n",
 		onto.Len(), enr.BackgroundSize(), len(selection))
-	fmt.Printf("%d terms enriched at p <= %g (%s, %v)\n\n", len(results), maxP, scorer, elapsed.Round(time.Microsecond))
+	fmt.Printf("%d terms enriched at p <= %g (%v)\n\n", len(results), maxP, elapsed.Round(time.Microsecond))
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "term\tname\tk/n\tK/N\tfold\tp\tbonferroni\tFDR")

@@ -12,7 +12,7 @@ import (
 
 func TestRunDemo(t *testing.T) {
 	mapOut := filepath.Join(t.TempDir(), "map.png")
-	if err := run("", "", "", true, false, 0.05, mapOut, 1, 5, 1); err != nil {
+	if err := run("", "", "", true, 0.05, mapOut, 1, 5, 1); err != nil {
 		t.Fatal(err)
 	}
 	st, err := os.Stat(mapOut)
@@ -57,7 +57,7 @@ func TestRunFromFiles(t *testing.T) {
 	f.Close()
 
 	mapOut := filepath.Join(dir, "map.png")
-	if err := run(oboPath, assocPath, genesPath, false, true, 0.05, mapOut, 1, 3, 1); err != nil {
+	if err := run(oboPath, assocPath, genesPath, false, 0.05, mapOut, 1, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(mapOut); err != nil {
@@ -66,7 +66,7 @@ func TestRunFromFiles(t *testing.T) {
 }
 
 func TestRunMissingFiles(t *testing.T) {
-	if err := run("/no/o.obo", "/no/a.tsv", "/no/g.txt", false, false, 0.05, "", 1, 3, 1); err == nil {
+	if err := run("/no/o.obo", "/no/a.tsv", "/no/g.txt", false, 0.05, "", 1, 3, 1); err == nil {
 		t.Fatal("missing files should error")
 	}
 }

@@ -82,10 +82,10 @@ type Enricher struct {
 	bits    []uint64         // term arena, len = len(terms)*words
 
 	// The reference path's map state (term -> background gene set) is heavy
-	// — at GO scale it dwarfs the packed arena — and only parity tests,
-	// benchmarks and the golem -reference flag ever walk it, so it is built
-	// lazily on the first ReferenceAnalyze instead of living on the serving
-	// path's memory for the process lifetime.
+	// — at GO scale it dwarfs the packed arena — and only parity tests and
+	// benchmarks ever walk it, so it is built lazily on the first
+	// ReferenceAnalyze instead of living on the serving path's memory for the
+	// process lifetime.
 	// fingerprint identifies the exact kernel layout (gene bit order, term
 	// rows, per-term K) so distributed partials from differently-built
 	// enrichers can never be merged into a silently wrong table.

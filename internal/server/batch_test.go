@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"forestview/internal/golem"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 )
@@ -36,16 +35,6 @@ func postShard[A any](t testing.TB, s *Server, path string, req any) (*httptest.
 		t.Fatalf("%s answered 200 with a body that does not decode: %v", path, err)
 	}
 	return rec, a
-}
-
-// decodeCounts decodes one slice body of an enrichment answer.
-func decodeCounts(t testing.TB, body []byte) *golem.PartialCounts {
-	t.Helper()
-	p := new(golem.PartialCounts)
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(p); err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // partialBits renders a partial with every float as its bit pattern.
@@ -80,48 +69,67 @@ func TestShardBatchedAnswers(t *testing.T) {
 	}
 
 	t.Run("batch-is-the-sum-of-its-groups", func(t *testing.T) {
+		computed := func() int64 { return s.Stats().Endpoints["shard"].Computed }
 		for _, uniform := range []bool{false, true} {
-			var singles []*spell.Partial
+			var singles []spell.Partial
 			for _, owners := range groups {
 				rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search([][]string{owners}, uniform))
 				if a == nil || len(a.Parts) != 1 || !reflect.DeepEqual(a.Parts[0].Groups, []int{0}) {
 					t.Fatalf("single-group request = %d, %+v", rec.Code, a)
 				}
-				singles = append(singles, a.Parts[0].Partial)
+				singles = append(singles, *a.Parts[0].Partial)
 			}
-			want, err := spell.Sum(singles)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Asked in reverse: the sum does not depend on the order.
+			// The groups are the whole catalog and the fixture holds all of it:
+			// one scan of their union is the whole-slice probe's scan.
+			_, probe := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search(nil, uniform))
+			want := probe.Parts[0].Partial
+			// Asked in either order: the frame does not depend on it, and the
+			// whole batch costs one scan.
 			reversed := append([][]string(nil), groups...)
 			for i, j := 0, len(reversed)-1; i < j; i, j = i+1, j-1 {
 				reversed[i], reversed[j] = reversed[j], reversed[i]
 			}
-			rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search(reversed, uniform))
-			if a == nil || len(a.Parts) != 1 || len(a.Parts[0].Groups) != len(groups) {
-				t.Fatalf("batched request = %d, %+v", rec.Code, a)
+			var got *spell.Partial
+			for _, order := range [][][]string{groups, reversed} {
+				before := computed()
+				rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, search(order, uniform))
+				if a == nil || len(a.Parts) != 1 || len(a.Parts[0].Groups) != len(groups) {
+					t.Fatalf("batched request = %d, %+v", rec.Code, a)
+				}
+				if n := computed() - before; n != 1 {
+					t.Fatalf("a batch of %d completely held groups ran %d scans, want 1", len(groups), n)
+				}
+				got = a.Parts[0].Partial
+				if got.Uniform != uniform || len(got.Datasets) != len(s.cfg.ShardDatasetIDs) {
+					t.Fatalf("batched partial: uniform=%t, %d datasets", got.Uniform, len(got.Datasets))
+				}
+				if !reflect.DeepEqual(partialBits(got), partialBits(want)) {
+					t.Fatalf("uniform=%t: the batched answer is not one scan of the groups' union, bit for bit", uniform)
+				}
 			}
-			got := a.Parts[0].Partial
-			if got.Uniform != uniform || len(got.Datasets) != len(s.cfg.ShardDatasetIDs) {
-				t.Fatalf("batched partial: uniform=%t, %d datasets", got.Uniform, len(got.Datasets))
+			// And the coordinator's Merge cannot tell a batch from its groups.
+			opt := spell.Options{UniformWeights: uniform, IncludeQuery: true}
+			one, err := spell.Merge([]spell.Partial{*got}, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(partialBits(got), partialBits(want)) {
-				t.Fatalf("uniform=%t: the batched answer is not the Sum of the single-group answers, bit for bit", uniform)
+			many, err := spell.Merge(singles, opt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Every group was cached by the single requests: the batch is a hit.
-			if disp := rec.Header().Get(cacheHeader); disp != dispHit {
-				t.Fatalf("batched answer over cached groups says %q, want hit", disp)
+			if len(one.Genes) == 0 || len(one.Genes) != len(many.Genes) || len(one.Datasets) != len(many.Datasets) {
+				t.Fatalf("merged batch: %d genes, %d datasets; merged groups: %d, %d", len(one.Genes), len(one.Datasets), len(many.Genes), len(many.Datasets))
 			}
-		}
-		// One cold group among cached ones is a miss for the answer.
-		other := u.ModuleGeneIDs(3)[:4]
-		req := search(groups[:1], false)
-		req.Query = other
-		postShard[shard.SearchAnswer](t, s, shard.SearchPath, req)
-		req.Groups = groups
-		if rec, _ := postShard[shard.SearchAnswer](t, s, shard.SearchPath, req); rec.Header().Get(cacheHeader) != dispMiss {
-			t.Fatalf("batch with cold groups says %q, want miss", rec.Header().Get(cacheHeader))
+			for i := range one.Datasets {
+				if a, b := one.Datasets[i], many.Datasets[i]; a.Name != b.Name || math.Abs(a.Weight-b.Weight) > 1e-12 {
+					t.Fatalf("dataset rank %d: %+v vs %+v", i, a, b)
+				}
+			}
+			for i := range one.Genes {
+				if a, b := one.Genes[i], many.Genes[i]; a.ID != b.ID || math.Abs(a.Score-b.Score) > 1e-12 {
+					t.Fatalf("gene rank %d: %+v vs %+v", i, a, b)
+				}
+			}
 		}
 	})
 
@@ -136,8 +144,7 @@ func TestShardBatchedAnswers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := decodeCounts(t, a.Slices[gi])
-			if !reflect.DeepEqual(got, want) {
+			if !reflect.DeepEqual(a.Slices[gi], want) {
 				t.Fatalf("slice %d of the batch is not PartialAnalyze(%d of %d)", gi, gi, len(groups))
 			}
 		}
@@ -156,7 +163,7 @@ func TestShardBatchedAnswers(t *testing.T) {
 		"10000-tuples":    many,
 	} {
 		t.Run(name, func(t *testing.T) {
-			fresh := u.ModuleGeneIDs(4)[:4] // nothing cached for it
+			fresh := u.ModuleGeneIDs(4)[:4]
 			before := s.Stats().Endpoints["shard"].Computed
 			for path, req := range map[string]any{
 				shard.SearchPath: shard.SearchRequest{Query: fresh, Shards: fleet, Replication: 2, Groups: tuples},

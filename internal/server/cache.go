@@ -20,11 +20,6 @@ const numShards = 16
 // caller supplies with each value.
 type Cache struct {
 	shards [numShards]cacheShard
-	// confined, when set (Confine), is the LRU of the one key family that
-	// lives apart from everything else, on its own share of the budget:
-	// the entries whose keyPrefix is family.
-	confined *Cache
-	family   string
 	// onEvict, when set (before concurrent use, via OnEvict), observes every
 	// key removed by LRU budget pressure — not replacements or oversized
 	// drops. It runs outside the shard lock, so the callback may touch the
@@ -45,7 +40,7 @@ type cacheShard struct {
 	items    map[string]*list.Element
 	// prefixes tracks entry-count and byte occupancy per key prefix (the
 	// token before the first 0x1f separator: "search", "enrich", "tile",
-	// "scatter", "partial"), maintained on every insert, replace and
+	// "scatter", "escatter"), maintained on every insert, replace and
 	// eviction — the per-workload occupancy picture /api/stats surfaces.
 	prefixes map[string]*PrefixOccupancy
 }
@@ -91,10 +86,6 @@ func NewCache(maxBytes int64) *Cache {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	return newCache(maxBytes)
-}
-
-func newCache(maxBytes int64) *Cache {
 	c := &Cache{}
 	for i := range c.shards {
 		c.shards[i].maxBytes = maxBytes / numShards
@@ -105,30 +96,7 @@ func newCache(maxBytes int64) *Cache {
 	return c
 }
 
-// Confine moves one key family (keyPrefix) into an LRU of its own holding at
-// most one nth of the budget, taken out of everything else's. It is for
-// values that are big and cheap to recompute: in the shared LRU they push out
-// everything dearer, and with nothing else to push out they grow to the whole
-// budget for no hit worth having. Call before the cache sees traffic.
-func (c *Cache) Confine(prefix string, nth int64) {
-	f := newCache(0)
-	for i := range c.shards {
-		f.shards[i].maxBytes = c.shards[i].maxBytes / nth
-		c.shards[i].maxBytes -= f.shards[i].maxBytes
-	}
-	c.confined, c.family = f, prefix
-}
-
-// home is the cache key lives in: c itself unless its family is confined.
-func (c *Cache) home(key string) *Cache {
-	if c.confined != nil && keyPrefix(key) == c.family {
-		return c.confined
-	}
-	return c
-}
-
 func (c *Cache) shard(key string) *cacheShard {
-	c = c.home(key)
 	h := fnv.New32a()
 	_, _ = h.Write([]byte(key))
 	return &c.shards[h.Sum32()%numShards]
@@ -205,16 +173,13 @@ func (c *Cache) Put(key string, val any, cost int64) {
 	}
 }
 
-// each visits every shard, the confined family's included, under its lock.
+// each visits every shard under its lock.
 func (c *Cache) each(visit func(*cacheShard)) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
 		visit(s)
 		s.mu.Unlock()
-	}
-	if c.confined != nil {
-		c.confined.each(visit)
 	}
 }
 

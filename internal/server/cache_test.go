@@ -158,55 +158,6 @@ func TestCachePrefixEvictionAccounting(t *testing.T) {
 	}
 }
 
-// TestCacheConfine: a confined family has an LRU and a budget of its own,
-// taken out of the cache's, so neither side's churn evicts the other's
-// entries, and every aggregate still sees both.
-func TestCacheConfine(t *testing.T) {
-	c := NewCache(numShards * 1000)
-	c.Confine("partial", 4) // 250 bytes a shard for partials, 750 for the rest
-	if got := c.MaxBytes(); got != numShards*1000 {
-		t.Fatalf("MaxBytes = %d after Confine, want the budget unchanged (%d)", got, numShards*1000)
-	}
-	c.Put("search\x1fkept", "s", 700)
-	for i := 0; i < 400; i++ {
-		c.Put(fmt.Sprintf("partial\x1f%d", i), i, 100)
-	}
-	if _, ok := c.Get("search\x1fkept"); !ok {
-		t.Fatal("a stream of confined entries evicted an entry outside their family")
-	}
-	p := c.Prefixes()["partial"]
-	if p.Bytes > numShards*250 || p.Entries > numShards*2 {
-		t.Fatalf("confined family holds %d entries, %d bytes; its share is %d bytes", p.Entries, p.Bytes, numShards*250)
-	}
-	if p.Entries < numShards {
-		t.Fatalf("confined family holds %d entries after 400 puts, want its share used", p.Entries)
-	}
-	if v, ok := c.Get("partial\x1f399"); !ok || v.(int) != 399 {
-		t.Fatalf("the newest confined entry reads %v, %v", v, ok)
-	}
-	if _, ok := c.Get("partial\x1f0"); ok {
-		t.Fatal("the oldest of 400 confined entries survived a 4,000-byte share")
-	}
-	if got, want := c.Len(), p.Entries+1; got != want {
-		t.Fatalf("Len = %d, want %d (confined entries + the search entry)", got, want)
-	}
-	if got, want := c.Bytes(), p.Bytes+700; got != want {
-		t.Fatalf("Bytes = %d, want %d", got, want)
-	}
-	// The other way round: churn outside the family leaves it alone.
-	for i := 0; i < 400; i++ {
-		c.Put(fmt.Sprintf("tile\x1f%d", i), i, 300)
-	}
-	if got := c.Prefixes()["partial"]; got != p {
-		t.Fatalf("churn outside the family moved it from %+v to %+v", p, got)
-	}
-	// Larger than a shard of the family's share: never cached, as anywhere.
-	c.Put("partial\x1fbig", "big", 300)
-	if _, ok := c.Get("partial\x1fbig"); ok {
-		t.Fatal("an entry over the family's per-shard share was cached")
-	}
-}
-
 func TestCacheConcurrent(t *testing.T) {
 	c := NewCache(1 << 20)
 	var wg sync.WaitGroup

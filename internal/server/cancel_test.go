@@ -91,7 +91,10 @@ func poisonFlights(g *flightGroup, keys []string) (clear func()) {
 
 // TestCancellationContract drives every compute endpoint through the same
 // three steps. The cache keys to poison are learned from a twin server
-// answering the same request, so the test does not restate key formats.
+// answering the same request, so the test does not restate key formats. The
+// shard role keeps nothing and joins no flight: its step 2 cannot happen, and
+// its steps 1 and 3 are that a hangup leaves nothing behind and the next
+// request is answered.
 func TestCancellationContract(t *testing.T) {
 	// Each build returns a fresh server and a maker of one fixed request.
 	type build func(t *testing.T) (*Server, func() *http.Request)
@@ -115,45 +118,54 @@ func TestCancellationContract(t *testing.T) {
 		}
 	}
 	cases := []struct {
-		name     string
-		endpoint string // the /api/stats endpoint whose rejected counter moves
-		build    build
+		name         string
+		endpoint     string // the /api/stats endpoint whose rejected counter moves
+		build        build
+		keepsNothing bool // a shard-role endpoint: no cache, no flights
 	}{
-		{"search", "search", single("/api/search?q=")},
+		{"search", "search", single("/api/search?q="), false},
 		{"search-coordinator", "search", func(t *testing.T) (*Server, func() *http.Request) {
 			top := newShardTopology(t, 2, shard.Config{Deadline: time.Second})
 			return top.coord, func() *http.Request { return httptest.NewRequest(http.MethodGet, searchURL(top.query), nil) }
-		}},
-		{"enrich", "enrich", single("/api/enrich?genes=")},
+		}, false},
+		{"enrich", "enrich", single("/api/enrich?genes="), false},
 		{"heatmap", "heatmap", func(t *testing.T) (*Server, func() *http.Request) {
 			s, _ := fixture(t)
 			return s, func() *http.Request {
 				return httptest.NewRequest(http.MethodGet, "/api/heatmap?dataset=0&w=32&h=32", nil)
 			}
-		}},
+		}, false},
 		{"shard-search", "shard", shardRole(shard.SearchPath, func(genes []string) any {
 			return shard.SearchRequest{Query: genes}
-		})},
+		}), true},
 		{"shard-enrich", "shard", shardRole(shard.EnrichPath, func(genes []string) any {
 			return shard.EnrichRequest{Selection: genes}
-		})},
+		}), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			twin, request := tc.build(t)
-			if rec := serve(twin, request()); rec.Code != http.StatusOK {
-				t.Fatalf("twin = %d: %s", rec.Code, rec.Body.String())
-			}
-			keys := cachedKeys(twin.cache)
-			if len(keys) == 0 {
-				t.Fatal("the request cached nothing on the twin")
-			}
-
 			s, request := tc.build(t)
 			// 1. Own hangup: 499, no body, nothing cached.
 			rec := serve(s, canceled(request()))
 			if rec.Code != statusClientClosedRequest || rec.Body.Len() != 0 {
 				t.Fatalf("own hangup = %d with %d body bytes, want %d and none", rec.Code, rec.Body.Len(), statusClientClosedRequest)
+			}
+			if tc.keepsNothing {
+				// 3. The next clean request is answered, and kept no more than
+				// the aborted one.
+				if rec = serve(s, request()); rec.Code != http.StatusOK || s.cache.Len() != 0 {
+					t.Fatalf("clean request = %d, %d entries cached: %s", rec.Code, s.cache.Len(), rec.Body.String())
+				}
+				return
+			}
+
+			twin, twinRequest := tc.build(t)
+			if rec := serve(twin, twinRequest()); rec.Code != http.StatusOK {
+				t.Fatalf("twin = %d: %s", rec.Code, rec.Body.String())
+			}
+			keys := cachedKeys(twin.cache)
+			if len(keys) == 0 {
+				t.Fatal("the request cached nothing on the twin")
 			}
 
 			// 2. Live client, every joined flight died of its leader's hangup:

@@ -67,11 +67,11 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)
 }
 
 // coalesce is the daemon's concurrency discipline in one place, shared by
-// every compute path (searches, enrichments, tiles, shard partials,
-// scatters, pane trees): lookup, then coalesced computation, then fill.
-// load and store are the place the value is kept between requests: the
-// shared LRU for everything evictable (cachedCompute), a pane's own pointer
-// for its clustered tree, which a burst of tiles must never evict. Errors
+// every compute path (searches, enrichments, tiles, scatters, pane trees):
+// lookup, then coalesced computation, then fill. load and store are the
+// place the value is kept between requests: the shared LRU for everything
+// evictable (cachedCompute), a pane's own pointer for its clustered tree,
+// which a burst of tiles must never evict. Errors
 // are never stored (a transiently bad query must not poison the place), but
 // concurrent identical failures still compute only once. compute is
 // expected to honor ctx; because followers share the leader's flight — and

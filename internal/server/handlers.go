@@ -536,7 +536,7 @@ func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p ti
 }
 
 // wireCost is the cache cost of an entry held in its wire form — a PNG
-// tile or a gob-encoded shard partial: the exact byte length plus entry
+// tile or an enrichment's JSON body: the exact byte length plus entry
 // overhead.
 func wireCost(b []byte) int64 { return int64(len(b)) + 64 }
 

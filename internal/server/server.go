@@ -282,7 +282,6 @@ func New(cfg Config) (*Server, error) {
 			st.shards, st.gen = fleet.Snapshot()
 		}
 		s.shardSt.Store(st)
-		s.cache.Confine("partial", partialCacheNth)
 		s.mux.HandleFunc(shard.SearchPath, s.instrument(&s.statShard, s.handleShardSearch))
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
@@ -359,8 +358,8 @@ func (s *Server) scatterInfo() (datasets, genes int) {
 
 // searchEntry is what the single role caches for a search: the result (the
 // HTML page renders it) and its /api/search body, encoded once at compute
-// time so that a hit costs a write, not a re-encode — as tiles and shard
-// partials are cached in wire form. The scatter path leaves body nil.
+// time so that a hit costs a write, not a re-encode — as tiles are cached in
+// wire form. The scatter path leaves body nil.
 type searchEntry struct {
 	res  *spell.Result
 	body []byte

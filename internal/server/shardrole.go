@@ -6,7 +6,6 @@ import (
 	"crypto/subtle"
 	"encoding/gob"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"slices"
@@ -19,20 +18,18 @@ import (
 	"forestview/internal/spell"
 )
 
-// This file is the daemon's side of the sharded compendium (DESIGN.md §4):
-// the shard role serves spell partials for its dataset slice at
-// /api/shard/search, and the coordinator role scatters /api/search over
-// the shard backends, merging with global weight renormalization. Both
-// directions run through the same sharded LRU + singleflight discipline
-// as every other endpoint.
+// This file is the daemon's side of the sharded compendium (DESIGN.md §4).
+// The shard role answers /api/shard/v1/* as a pure function of the request
+// and its holdings: one scan (or one tally per slice) per request, nothing
+// cached, nothing coalesced. The coordinator role scatters /api/search and
+// /api/enrich over the shard backends and merges with global weight
+// renormalization; its LRU of merged results (cachedScatter) is the fleet's
+// only cache.
 
 // handleShardSearch serves POST /api/shard/v1/search: a gob
-// shard.SearchRequest in, a gob shard.SearchAnswer out — the requested
-// groups' partials summed into one spell.Partial frame, dataset indexes
-// already remapped to the global compendium order. Partials are cached per
-// group under the canonical query ("partial" prefix): identical queries from
-// one or many coordinators scan each group's datasets once, however the
-// groups are batched.
+// shard.SearchRequest in, a gob shard.SearchAnswer out — one spell.Partial
+// frame over the requested groups' datasets, dataset indexes already remapped
+// to the global compendium order.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
 		func(req *shard.SearchRequest) []string { return req.Query }, s.partialSearch)
@@ -50,10 +47,9 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 
 // serveShardPartial is the one decode → canonicalize → serve → error-map
 // path behind both partial endpoints; kind is the capability name, genes
-// picks the request's gene list, and partial computes (or serves cached) the
-// answer.
+// picks the request's gene list, and partial computes the answer.
 func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
-	genes func(*R) []string, partial func(context.Context, []string, *R) (*A, string, error)) {
+	genes func(*R) []string, partial func(context.Context, []string, *R) (*A, error)) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
 		return
@@ -68,18 +64,14 @@ func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Reque
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty "+kind+" gene list")
 		return
 	}
-	answer, disp, err := partial(r.Context(), ids, &req)
+	answer, err := partial(r.Context(), ids, &req)
 	switch {
 	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
 		// 499: the coordinator gave up on us (deadline, hedge won elsewhere,
 		// or its own caller hung up).
-	case errors.Is(err, errPartialEncode):
-		s.encodeFailures.Add(1)
-		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, err.Error())
 	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:
-		w.Header().Set(cacheHeader, disp)
 		s.writeGob(w, "partial "+kind, answer)
 	}
 }
@@ -94,24 +86,6 @@ func writeGobBody(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// errPartialEncode marks a gob failure while encoding a partial — a bug,
-// reported as a counted 500 like every other encode failure.
-var errPartialEncode = errors.New("partial encode failed")
-
-// encodePartial gob-encodes one partial as a cache body — the enrichment
-// slice tallies, kept in the form the answer carries them in — copied out of
-// the encode buffer at its exact length, so nothing holds growth slack the
-// LRU did not charge for.
-func encodePartial(p any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		return nil, fmt.Errorf("%w: %v", errPartialEncode, err)
-	}
-	body := make([]byte, buf.Len())
-	copy(body, buf.Bytes())
-	return body, nil
-}
-
 // groupView is this shard's side of one fleet topology: the catalog's
 // ownership groups under (shards, replication) and what the shard holds of
 // each. Requests name groups by owner tuple, so serving one is a map lookup
@@ -123,7 +97,6 @@ type groupView struct {
 	st     *shardState // the holdings the view was derived against
 	shards []string
 	repl   int
-	gen    uint64 // shard.Generation(shards), for cache keys
 	table  *shard.GroupTable
 	// held[gi] are the engine-local indexes of the datasets of group gi this
 	// shard holds.
@@ -138,7 +111,7 @@ func (s *Server) groupView(st *shardState, shards []string, repl int) *groupView
 		return v
 	}
 	v := &groupView{
-		st: st, shards: slices.Clone(shards), repl: repl, gen: shard.Generation(shards),
+		st: st, shards: slices.Clone(shards), repl: repl,
 		table: shard.NewGroupTable(s.cfg.ShardDatasetIDs, shards, repl),
 	}
 	v.held = make([][]int, len(v.table.Tuples))
@@ -156,7 +129,7 @@ func (s *Server) groupView(st *shardState, shards []string, repl int) *groupView
 
 // resolve looks a request's owner tuples up. A tuple that is not a group of
 // the catalog under this topology is a client error, and so is one named
-// twice: its partial would be summed twice.
+// twice: its datasets would be scanned twice.
 func (v *groupView) resolve(tuples [][]string) ([]int, error) {
 	if len(tuples) > len(v.table.Tuples) {
 		return nil, fmt.Errorf("request names %d ownership groups, the catalog has %d", len(tuples), len(v.table.Tuples))
@@ -177,122 +150,68 @@ func (v *groupView) resolve(tuples [][]string) ([]int, error) {
 	return gis, nil
 }
 
-// batchDisposition folds the cache dispositions of a batched answer's groups
-// into one header value: a hit only when every group hit, a miss when any
-// group was computed for this request.
-func batchDisposition(all, one string) string {
-	switch {
-	case all == "" || all == one:
-		return one
-	case all == dispMiss || one == dispMiss:
-		return dispMiss
-	default:
-		return dispCoalesced
+// scanPartial is the shard's one unit of search work: the partial of one
+// subset of its datasets (nil: everything held), dataset indexes remapped to
+// the global compendium order. statShard.computed counts these.
+func (s *Server) scanPartial(ctx context.Context, st *shardState, ids []string, subset []int, uniform bool) (*spell.Partial, error) {
+	s.statShard.computed.Add(1)
+	p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset, spell.Options{UniformWeights: uniform})
+	if err != nil {
+		return nil, err
 	}
-}
-
-// searchPartialKey is the cache key of one group's search partial (v and
-// owners nil: the whole-slice probe). Every key carries how many datasets
-// the shard held when the partial was computed — holdings only grow within
-// a process, so the count names them — and a partial that predates a reload
-// which loaded datasets becomes unreachable instead of answering for the
-// smaller slice. A group-scoped key also carries the topology generation,
-// the replication factor and the owner tuple: a membership change re-derives
-// groups, and stale group partials become unreachable rather than wrong.
-// Both carry which accumulator pair the partial holds.
-func (st *shardState) searchPartialKey(v *groupView, owners []string, uniform bool, ids []string) string {
-	if owners == nil {
-		return fmt.Sprintf("partial\x1f%d\x1f%t\x1f%s", len(st.indexes), uniform, joinIDs(ids))
+	for i := range p.Datasets {
+		p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
 	}
-	return fmt.Sprintf("partial\x1f%016x\x1f%d\x1f%d\x1f%s\x1f%t\x1f%s",
-		v.gen, v.repl, len(st.indexes), joinIDs(owners), uniform, joinIDs(ids))
-}
-
-// partialCost is what the LRU charges for a cached search partial: the
-// memory the partial owns beyond the engine's (its accumulator columns and
-// dataset rows; its gene strings too unless they are the engine's own) plus
-// entry overhead.
-func (st *shardState) partialCost(p *spell.Partial) int64 { return st.engine.OwnedBytes(p) + 64 }
-
-// partialCacheNth confines a shard's search partials to one nth of its cache
-// budget, in an LRU of their own (Cache.Confine). A group partial at paper
-// scale is 96 KB that 0.3 ms recomputes — a hundredth, per byte, of what any
-// other cached value is worth — and what it is kept for (a hedge, a re-ask,
-// the same query from a second coordinator) comes within moments. Sharing
-// the LRU, a stream of distinct queries filled every shard's whole budget
-// with them: four shards' 64 MiB of live heap, twice that in collector
-// headroom, grown in the first ≈600 searches a fleet served, a fifth of
-// both cores going to page faults meanwhile.
-const partialCacheNth = 8
-
-// groupPartial computes (or serves cached) the search partial of one
-// dataset subset of this shard — an ownership group's holdings, or with a
-// nil subset everything held — with dataset indexes already global. The
-// cached value is shared: read-only.
-func (s *Server) groupPartial(ctx context.Context, st *shardState, key string, ids []string, subset []int, uniform bool) (*spell.Partial, string, error) {
-	return cachedCompute(ctx, s, &s.statShard, key, st.partialCost, nil, func() (*spell.Partial, error) {
-		p, err := st.engine.PartialSearchSubsetCtx(ctx, ids, subset,
-			spell.Options{UniformWeights: uniform})
-		if err != nil {
-			return nil, err
-		}
-		// Remap local dataset indexes to the global compendium order once,
-		// at compute time: cached partials are already global.
-		for i := range p.Datasets {
-			p.Datasets[i].Index = st.indexes[p.Datasets[i].Index]
-		}
-		return p, nil
-	})
+	return p, nil
 }
 
 // partialSearch serves this shard's answer for a canonical query. A request
 // naming no groups (direct probes) scores every held dataset. A request
 // scoped to ownership groups of a replicated fleet (DESIGN.md §5) looks
 // them up in the topology's group view — the same pure derivation the
-// coordinator named them from — takes each group's partial over the
-// datasets this shard holds of it from the cache (or computes it), and
-// answers with one frame: the spell.Sum of the groups held completely. A
-// group held only in part keeps a frame to itself, so the coordinator can
-// still prefer another replica's complete answer for it.
-func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) (*shard.SearchAnswer, string, error) {
+// coordinator named them from — and answers the groups it holds completely
+// with one frame: one scan over the union of their datasets, ascending, so
+// the frame does not depend on the order the groups were named in. A group
+// held only in part keeps a scan and a frame to itself, so the coordinator
+// can still prefer another replica's complete answer for it.
+func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) (*shard.SearchAnswer, error) {
 	st := s.shardState()
 	if len(req.Groups) == 0 {
-		p, disp, err := s.groupPartial(ctx, st, st.searchPartialKey(nil, nil, req.Uniform, ids), ids, nil, req.Uniform)
+		p, err := s.scanPartial(ctx, st, ids, nil, req.Uniform)
 		if err != nil {
-			return nil, disp, err
+			return nil, err
 		}
-		return &shard.SearchAnswer{Parts: []shard.SearchPart{{Partial: p}}}, disp, nil
+		return &shard.SearchAnswer{Parts: []shard.SearchPart{{Partial: p}}}, nil
 	}
 	v := s.groupView(st, req.Shards, req.Replication)
 	gis, err := v.resolve(req.Groups)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	var (
 		answer shard.SearchAnswer
 		whole  = shard.SearchPart{Groups: make([]int, 0, len(gis))}
-		parts  = make([]*spell.Partial, 0, len(gis))
-		disp   string
+		union  []int
 	)
 	for pos, gi := range gis {
-		p, d, err := s.groupPartial(ctx, st, st.searchPartialKey(v, req.Groups[pos], req.Uniform, ids), ids, v.held[gi], req.Uniform)
-		if err != nil {
-			return nil, d, err
-		}
-		disp = batchDisposition(disp, d)
 		if v.holdsAll(gi) {
-			whole.Groups, parts = append(whole.Groups, pos), append(parts, p)
-		} else {
-			answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
+			whole.Groups, union = append(whole.Groups, pos), append(union, v.held[gi]...)
+			continue
 		}
+		p, err := s.scanPartial(ctx, st, ids, v.held[gi], req.Uniform)
+		if err != nil {
+			return nil, err
+		}
+		answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
 	}
-	if len(parts) > 0 {
-		if whole.Partial, err = spell.Sum(parts); err != nil {
-			return nil, disp, err
+	if len(whole.Groups) > 0 {
+		slices.Sort(union)
+		if whole.Partial, err = s.scanPartial(ctx, st, ids, union, req.Uniform); err != nil {
+			return nil, err
 		}
 		answer.Parts = append(answer.Parts, whole)
 	}
-	return &answer, disp, nil
+	return &answer, nil
 }
 
 // handleShardInfo serves GET /api/shard/v1/info: this shard's slice (size,
@@ -311,7 +230,6 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 		caps = append(caps, shard.CapabilityEnrich)
 	}
 	s.writeGob(w, "info", shard.Info{
-		Datasets:      st.engine.NumDatasets(),
 		GeneIDs:       st.engine.GeneIDs(),
 		DatasetIDs:    held,
 		AllDatasetIDs: s.cfg.ShardDatasetIDs,
@@ -336,72 +254,43 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 }
 
 // gobBuffers recycles writeGob's encode buffer. A search answer is one
-// ≈185 KB frame at paper scale, now encoded per request rather than once per
-// cache fill; grown from empty each time, the buffer alone was a ninth of
-// what a scattered search allocated fleet-wide.
+// ≈185 KB frame at paper scale, encoded per request; grown from empty each
+// time, the buffer alone was a ninth of what a scattered search allocated
+// fleet-wide.
 var gobBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// groupEnrichKey is the cache key of one background slice's tallies (owners
-// nil: the direct probe's slice 0 of 1). It carries the topology generation,
-// replication factor and owner tuple: after a membership change the group
-// list re-derives and stale slice tallies become unreachable rather than
-// wrong.
-func groupEnrichKey(v *groupView, owners []string, sel []string) string {
-	if owners == nil {
-		return "epartial\x1f" + joinIDs(sel)
-	}
-	return fmt.Sprintf("epartial\x1f%016x\x1f%d\x1f%s\x1f%s", v.gen, v.repl, joinIDs(owners), joinIDs(sel))
-}
-
-// sliceTallies computes (or serves cached) one background slice's tallies,
-// already gob-encoded: the wire form is what the answer and the cache both
-// carry, so a cache hit costs zero re-encoding and the entry's cost is its
-// exact byte length.
-func (s *Server) sliceTallies(ctx context.Context, key string, sel []string, slice, slices int) ([]byte, string, error) {
-	return cachedCompute(ctx, s, &s.statShard, key, wireCost, nil, func() ([]byte, error) {
-		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, slice, slices)
-		if err != nil {
-			return nil, err
-		}
-		return encodePartial(p)
-	})
-}
 
 // partialEnrich serves the slice tallies for one canonical selection: one
 // per requested ownership group, slice gi of G for the group at position gi
 // of the topology's G groups — the same pure derivation the coordinator
 // used, so both sides always agree on which gene range a slice covers. A
 // request naming no groups asks for the whole universe as slice 0 of 1 (a
-// single-shard or testing topology).
-func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) (*shard.EnrichAnswer, string, error) {
-	if len(req.Groups) == 0 {
-		body, disp, err := s.sliceTallies(ctx, groupEnrichKey(nil, nil, sel), sel, 0, 1)
-		if err != nil {
-			return nil, disp, err
+// single-shard or testing topology). statShard.computed counts the slices.
+func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) (*shard.EnrichAnswer, error) {
+	gis, n := []int{0}, 1
+	if len(req.Groups) > 0 {
+		v := s.groupView(s.shardState(), req.Shards, req.Replication)
+		var err error
+		if gis, err = v.resolve(req.Groups); err != nil {
+			return nil, err
 		}
-		return &shard.EnrichAnswer{Slices: [][]byte{body}}, disp, nil
+		n = len(v.table.Tuples)
 	}
-	v := s.groupView(s.shardState(), req.Shards, req.Replication)
-	gis, err := v.resolve(req.Groups)
-	if err != nil {
-		return nil, "", err
-	}
-	answer := &shard.EnrichAnswer{Slices: make([][]byte, len(gis))}
-	disp := ""
+	answer := &shard.EnrichAnswer{Slices: make([]*golem.PartialCounts, len(gis))}
 	for pos, gi := range gis {
-		body, d, err := s.sliceTallies(ctx, groupEnrichKey(v, req.Groups[pos], sel), sel, gi, len(v.table.Tuples))
+		s.statShard.computed.Add(1)
+		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, n)
 		if err != nil {
-			return nil, d, err
+			return nil, err
 		}
-		answer.Slices[pos], disp = body, batchDisposition(disp, d)
+		answer.Slices[pos] = p
 	}
-	return answer, disp, nil
+	return answer, nil
 }
 
 // handleShardEnrichCatalog serves GET /api/shard/v1/enrich/catalog: the
 // term catalog (fingerprint, background size, term ids/names) a
 // coordinator merges partial tallies under. Fetched once per membership
-// generation, so no caching is needed here.
+// generation.
 func (s *Server) handleShardEnrichCatalog(w http.ResponseWriter, r *http.Request) {
 	s.writeGob(w, "catalog", s.cfg.Enricher.Catalog())
 }

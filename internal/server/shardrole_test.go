@@ -334,101 +334,114 @@ func TestCoordinatorRejectsSingleGene(t *testing.T) {
 	}
 }
 
-// TestShardEndpointCachesPartials: the shard role caches partials under
-// the canonical query, so repeated scatters (or several coordinators)
-// scan the slice once; the partial prefix shows up in the LRU accounting.
-func TestShardEndpointCachesPartials(t *testing.T) {
-	top := newShardTopology(t, 2, shard.Config{Deadline: time.Second})
-	shardURL := top.servers[0].URL
-
-	post := func() *http.Response {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(shard.SearchRequest{Query: top.query}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(shardURL+shard.SearchPath, shard.ContentType, &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp
+// TestShardRoleKeepsNothing: the shard role is a pure function of the request
+// and the shard's holdings. Every kind of request it serves — the whole-slice
+// probe, a batch of completely held groups, its uniform twin, a batch with a
+// partly held group, a batched enrichment — answers the same bytes the second
+// time as the first, costs the same scans both times (one for everything held
+// completely, one per partly held group, one tally per slice), says nothing
+// about a cache and leaves none behind.
+func TestShardRoleKeepsNothing(t *testing.T) {
+	fixture(t) // builds fixEnricher
+	u := synth.NewUniverse(150, 6, 71)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 9, MinExperiments: 8, MaxExperiments: 12,
+		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.02, Seed: 72,
+	})
+	names := make([]string, len(dss))
+	for i, ds := range dss {
+		names[i] = ds.Name
 	}
-	resp := post()
-	var a shard.SearchAnswer
-	if err := gob.NewDecoder(resp.Body).Decode(&a); err != nil {
+	fleet := []string{"shard-0", "shard-1", "shard-2"}
+	table := shard.NewGroupTable(names, fleet, 1)
+	// The shard holds the catalog but for one dataset of a group of several.
+	part, dropped := -1, -1
+	for gi, members := range table.Members {
+		if len(members) >= 2 {
+			part, dropped = gi, members[len(members)-1]
+			break
+		}
+	}
+	if part < 0 || len(table.Tuples) != 3 {
+		t.Fatalf("fixture: %d ownership groups with members %v", len(table.Tuples), table.Members)
+	}
+	var held []int
+	var slice []*microarray.Dataset
+	for gi, ds := range dss {
+		if gi != dropped {
+			held, slice = append(held, gi), append(slice, ds)
+		}
+	}
+	engine, err := spell.NewEngine(slice)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(a.Parts) != 1 || len(a.Parts[0].Groups) != 0 || len(a.Parts[0].Partial.Datasets) == 0 {
-		t.Fatalf("whole-slice shard search = %d, answer %+v", resp.StatusCode, a)
-	}
-	p := a.Parts[0].Partial
-	// Dataset indexes are global, not local: they must be a subset of the
-	// full compendium's index space with no duplicates of other shards'.
-	for _, d := range p.Datasets {
-		if d.Index < 0 || d.Index >= len(top.dss) {
-			t.Fatalf("dataset index %d outside global range", d.Index)
-		}
-		if top.dss[d.Index].Name != d.Name {
-			t.Fatalf("dataset %q remapped to index %d (%q)", d.Name, d.Index, top.dss[d.Index].Name)
-		}
-	}
-	resp = post()
-	resp.Body.Close()
-
-	var snap StatsSnapshot
-	if err := json.Unmarshal(get(t, top.servers[0].Config.Handler.(*Server), "/api/stats").Body.Bytes(), &snap); err != nil {
+	s, err := New(Config{Engine: engine, Enricher: fixEnricher, ShardIndexes: held, ShardDatasetIDs: names})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ep := snap.Endpoints["shard"]
-	if ep.CacheHits != 1 || ep.Computed != 1 {
-		t.Fatalf("partial caching: %+v", ep)
-	}
-	if pfx := snap.Cache.Prefixes["partial"]; pfx.Entries != 1 || pfx.Bytes == 0 {
-		t.Fatalf("partial prefix occupancy: %+v", snap.Cache.Prefixes)
-	}
-}
+	t.Cleanup(s.Close)
 
-// TestShardConfinesPartials: a stream of distinct queries fills only the
-// partials' own share of a shard's cache budget (partialCacheNth), the
-// budget /api/stats reports is still the configured one, and what was asked
-// a moment ago is still a hit.
-func TestShardConfinesPartials(t *testing.T) {
-	s, u := fixtureShard(t)
-	post := func(genes ...string) string {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(shard.SearchRequest{Query: genes}); err != nil {
-			t.Fatal(err)
-		}
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shard.SearchPath, &buf))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("shard search %v = %d: %s", genes, rec.Code, rec.Body.String())
-		}
-		return rec.Header().Get(cacheHeader)
-	}
-	const queries = 240
-	for i := 0; i < queries; i++ {
-		if disp := post(u.Genes[i].ID, u.Genes[i+1].ID); disp != dispMiss {
-			t.Fatalf("distinct query %d: %s = %q", i, cacheHeader, disp)
+	var whole [][]string
+	for gi, owners := range table.Tuples {
+		if gi != part {
+			whole = append(whole, owners)
 		}
 	}
-	if disp := post(u.Genes[queries-1].ID, u.Genes[queries].ID); disp != dispHit {
-		t.Fatalf("the query before last: %s = %q, want a hit", cacheHeader, disp)
+	genes := u.ModuleGeneIDs(2)[:4]
+	search := func(groups [][]string, uniform bool) any {
+		return shard.SearchRequest{Query: genes, Shards: fleet, Replication: 1, Groups: groups, Uniform: uniform}
 	}
-	var snap StatsSnapshot
-	if err := json.Unmarshal(get(t, s, "/api/stats").Body.Bytes(), &snap); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name  string
+		path  string
+		req   any
+		scans int64
+	}{
+		{"whole-slice probe", shard.SearchPath, search(nil, false), 1},
+		{"batch", shard.SearchPath, search(whole, false), 1},
+		{"uniform batch", shard.SearchPath, search(whole, true), 1},
+		{"batch with a partly held group", shard.SearchPath, search(table.Tuples, false), 2},
+		{"batched enrichment", shard.EnrichPath,
+			shard.EnrichRequest{Selection: fixUniverse.ModuleGeneIDs(2)[:4], Shards: fleet, Replication: 1, Groups: table.Tuples}, 3},
+	} {
+		var first []byte
+		for i := 0; i < 2; i++ {
+			before := s.Stats().Endpoints["shard"].Computed
+			var rec *httptest.ResponseRecorder
+			if tc.path == shard.SearchPath {
+				var a *shard.SearchAnswer
+				if rec, a = postShard[shard.SearchAnswer](t, s, tc.path, tc.req); a != nil {
+					for _, sp := range a.Parts {
+						for _, d := range sp.Partial.Datasets {
+							if d.Index == dropped || names[d.Index] != d.Name {
+								t.Fatalf("%s: dataset %q at global index %d (dropped: %d)", tc.name, d.Name, d.Index, dropped)
+							}
+						}
+					}
+				}
+			} else {
+				rec, _ = postShard[shard.EnrichAnswer](t, s, tc.path, tc.req)
+			}
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s = %d: %s", tc.name, rec.Code, rec.Body.String())
+			}
+			if disp, ok := rec.Header()[cacheHeader]; ok {
+				t.Fatalf("%s: a shard answer carries %s: %q", tc.name, cacheHeader, disp)
+			}
+			if n := s.Stats().Endpoints["shard"].Computed - before; n != tc.scans {
+				t.Fatalf("%s, request %d: computed moved by %d, want %d", tc.name, i+1, n, tc.scans)
+			}
+			if i == 0 {
+				first = bytes.Clone(rec.Body.Bytes())
+			} else if !bytes.Equal(first, rec.Body.Bytes()) {
+				t.Fatalf("%s: the second answer differs from the first", tc.name)
+			}
+		}
 	}
-	if snap.Cache.MaxBytes != 4<<20 {
-		t.Fatalf("cache budget reads %d, want the configured %d", snap.Cache.MaxBytes, 4<<20)
-	}
-	pfx := snap.Cache.Prefixes["partial"]
-	if share := snap.Cache.MaxBytes / partialCacheNth; pfx.Bytes > share || pfx.Bytes < share/2 {
-		t.Fatalf("%d partials hold %d bytes after %d distinct queries; their share is %d", pfx.Entries, pfx.Bytes, queries, share)
-	}
-	if pfx.Entries >= queries {
-		t.Fatalf("all %d partials still cached: the fixture does not fill the share", pfx.Entries)
+	snap := s.Stats()
+	if ep := snap.Endpoints["shard"]; s.cache.Len() != 0 || len(snap.Cache.Prefixes) != 0 || ep.CacheHits+ep.CacheMisses+ep.Coalesced != 0 {
+		t.Fatalf("the shard role kept %d entries (%v); lookups %+v", s.cache.Len(), snap.Cache.Prefixes, ep)
 	}
 }
 

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"net/http"
@@ -11,76 +9,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 
 	"forestview/internal/microarray"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
-
-// TestCachedPartialBodiesAreExactSize: the LRU must be charged what a
-// cached partial keeps alive. An enrichment slice is cached as its encoded
-// body, charged its len, so the heap must not hold more than that — no
-// encode-buffer growth slack. A search partial is cached decoded, charged
-// the accumulator columns, dataset rows and query it owns; its gene columns
-// are the engine's own and cost nothing.
-func TestCachedPartialBodiesAreExactSize(t *testing.T) {
-	s, u := fixtureShard(t)
-	ids := spell.CanonicalQuery(u.ModuleGeneIDs(2)[:4])
-
-	answer, _, err := s.partialEnrich(context.Background(), ids, &shard.EnrichRequest{Selection: ids})
-	if err != nil {
-		t.Fatalf("enrich partial: %v", err)
-	}
-	cached, ok := s.cache.Get(groupEnrichKey(nil, nil, ids))
-	if !ok || len(answer.Slices) != 1 {
-		t.Fatalf("enrich partial not cached, or %d slices served", len(answer.Slices))
-	}
-	for what, b := range map[string][]byte{"served": answer.Slices[0], "cached": cached.([]byte)} {
-		if len(b) == 0 || cap(b) != len(b) {
-			t.Errorf("%s enrich partial body: len %d, cap %d", what, len(b), cap(b))
-		}
-	}
-	if got, want := s.cache.Prefixes()["epartial"].Bytes, wireCost(cached.([]byte)); got != want {
-		t.Errorf("enrich partial charged %d bytes, its body costs %d", got, want)
-	}
-
-	if _, _, err := s.partialSearch(context.Background(), ids, &shard.SearchRequest{Query: ids}); err != nil {
-		t.Fatalf("search partial: %v", err)
-	}
-	cached, ok = s.cache.Get(s.shardState().searchPartialKey(nil, nil, false, ids))
-	if !ok {
-		t.Fatal("search partial not cached")
-	}
-	p, engine := cached.(*spell.Partial), s.cfg.Engine
-	if len(p.IDs) != engine.NumGenes() || cap(p.Sum) != len(p.Sum) || cap(p.Cnt) != len(p.Cnt) {
-		t.Fatalf("fixture: partial of %d of %d genes, columns %d/%d and %d/%d", len(p.IDs), engine.NumGenes(), len(p.Sum), cap(p.Sum), len(p.Cnt), cap(p.Cnt))
-	}
-	owned := int64(16*len(p.IDs)) + int64(len(p.Datasets))*int64(unsafe.Sizeof(spell.PartialDataset{}))
-	charged := s.cache.Prefixes()["partial"].Bytes
-	if charged < owned || charged > owned+1024 {
-		t.Errorf("search partial charged %d bytes; its columns and dataset rows are %d, its gene strings the engine's", charged, owned)
-	}
-	// A copy of the same partial that owns its gene strings — what a frame
-	// decodes to — costs those too.
-	var buf bytes.Buffer
-	var decoded spell.Partial
-	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-		t.Fatal(err)
-	}
-	strs := 0
-	for i := range decoded.IDs {
-		strs += len(decoded.IDs[i]) + len(decoded.Names[i])
-	}
-	cost := s.shardState().partialCost
-	if got, want := cost(&decoded), cost(p)+int64(strs+32*len(p.IDs)); got != want {
-		t.Errorf("decoded partial costs %d, want %d (its %d string bytes and headers on top)", got, want, strs)
-	}
-}
 
 // connCountingFleet boots nShards shard-role daemons at replication repl
 // over a compendium wide enough that every partial frame is over 64 KB,
@@ -117,7 +51,7 @@ func connCountingFleet(t *testing.T, nShards, repl, nDatasets int) (*shard.Coord
 		if err != nil {
 			t.Fatal(err)
 		}
-		ss, err := New(Config{Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names, CacheBytes: 16 << 20})
+		ss, err := New(Config{Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,8 +120,8 @@ func TestScatterReusesShardConnections(t *testing.T) {
 				// A frame lists every gene of the shard's engine: 16 bytes of
 				// accumulators, and the ID and the name with their lengths, 12
 				// bytes at the least.
-				if p, genes := shards[si].cache.Prefixes()["partial"], shards[si].cfg.Engine.NumGenes(); p.Entries == 0 || genes*28 <= 64<<10 {
-					t.Fatalf("fixture: shard %d caches %+v over %d genes, want frames over 64 KB", si, p, genes)
+				if genes := shards[si].cfg.Engine.NumGenes(); genes*28 <= 64<<10 {
+					t.Fatalf("fixture: shard %d frames %d genes, want frames over 64 KB", si, genes)
 				}
 				// One connection for the scatters, and one more at most: the
 				// catalog probe races every shard once per membership

@@ -267,8 +267,8 @@ type groupWalk[P any] struct {
 // time, with a growing backoff after failures: after a membership change
 // without a data re-sync the other shards may still hold the group's
 // datasets from their boot-time assignment (and for enrichment any capable
-// shard can serve any slice). These scavenge answers are cheap, cached and
-// empty in the common case. The best answer wins.
+// shard can serve any slice). These scavenge answers are cheap and empty in
+// the common case. The best answer wins.
 //
 // The failover, hedge, retry and breaker-skip counters count groups, as
 // they did when every group travelled alone; requests counts what went over
@@ -481,7 +481,7 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 					// unsettled, and a summed part only whole. One that
 					// overlaps a settled group is dropped, and the shard
 					// asked again, at once, for just the groups of it still
-					// unsettled: it has them cached, and their other
+					// unsettled: it recomputes them, and their other
 					// attempts may sit on a shard that never answers.
 					if slices.ContainsFunc(p.groups, func(gi int) bool { return walks[gi].complete() }) {
 						for _, gi := range p.groups {

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -46,8 +47,20 @@ type testShard struct {
 	enrichBehave func(w http.ResponseWriter, req *EnrichRequest) bool
 }
 
+// holdsAll reports whether the shard holds (and owns up to) every one of the
+// given global dataset indexes.
+func (s *testShard) holdsAll(members []int) bool {
+	for _, gi := range members {
+		if _, ok := s.g2l[gi]; !ok || s.disown[gi] {
+			return false
+		}
+	}
+	return true
+}
+
 // partial computes the shard's partial over the datasets it holds of the
-// given global indexes (nil: everything held), indexes remapped to global.
+// given global indexes (nil: everything held), scanned in ascending local
+// order, indexes remapped to global.
 func (s *testShard) partial(ctx context.Context, query []string, members []int, uniform bool) (*spell.Partial, error) {
 	var subset []int
 	if members != nil {
@@ -57,6 +70,7 @@ func (s *testShard) partial(ctx context.Context, query []string, members []int, 
 				subset = append(subset, li)
 			}
 		}
+		slices.Sort(subset)
 	}
 	p, err := s.engine.PartialSearchSubsetCtx(ctx, query, subset, spell.Options{UniformWeights: uniform})
 	if err != nil {
@@ -69,7 +83,7 @@ func (s *testShard) partial(ctx context.Context, query []string, members []int, 
 }
 
 // ServeHTTP serves SearchPath the way the daemon does: look the request's
-// owner tuples up in the topology's group table, and answer with the Sum of
+// owner tuples up in the topology's group table, and answer with one scan of
 // the groups held completely plus one part per group held in part.
 func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	n := s.calls.Add(1)
@@ -96,27 +110,27 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	} else {
 		table := NewGroupTable(s.allIDs, req.Shards, req.Replication)
 		var whole SearchPart
-		var sum []*spell.Partial
+		var union []int // the members of the groups held completely
 		for pos, owners := range req.Groups {
 			gi, ok := table.Lookup(owners)
 			if !ok {
 				fail(fmt.Errorf("unknown ownership group %v", owners))
 				return
 			}
+			if s.holdsAll(table.Members[gi]) {
+				whole.Groups, union = append(whole.Groups, pos), append(union, table.Members[gi]...)
+				continue
+			}
 			p, err := s.partial(r.Context(), req.Query, table.Members[gi], req.Uniform)
 			if err != nil {
 				fail(err)
 				return
 			}
-			if len(p.Datasets) == len(table.Members[gi]) {
-				whole.Groups, sum = append(whole.Groups, pos), append(sum, p)
-			} else {
-				answer.Parts = append(answer.Parts, SearchPart{Groups: []int{pos}, Partial: p})
-			}
+			answer.Parts = append(answer.Parts, SearchPart{Groups: []int{pos}, Partial: p})
 		}
-		if len(sum) > 0 {
+		if len(whole.Groups) > 0 {
 			var err error
-			if whole.Partial, err = spell.Sum(sum); err != nil {
+			if whole.Partial, err = s.partial(r.Context(), req.Query, union, req.Uniform); err != nil {
 				fail(err)
 				return
 			}
@@ -136,7 +150,6 @@ func (s *testShard) infoHandler() http.HandlerFunc {
 		}
 		w.Header().Set("Content-Type", ContentType)
 		_ = gob.NewEncoder(w).Encode(Info{
-			Datasets:      s.engine.NumDatasets(),
 			GeneIDs:       s.engine.GeneIDs(),
 			DatasetIDs:    held,
 			AllDatasetIDs: s.allIDs,

@@ -1,14 +1,13 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http"
 
 	"forestview/internal/golem"
+	"forestview/internal/spell"
 )
 
 // The distributed-enrichment scatter. Enrichment rides the same
@@ -57,7 +56,8 @@ type EnrichResult struct {
 // universe is known to contain it, golem.ErrNoSelection when it does not.
 func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt golem.Options) (*EnrichResult, Meta, error) {
 	var ecat *golem.TermCatalog
-	sc, err := scatter(ctx, c, selection, scatterOp[EnrichAnswer, golem.PartialCounts]{
+	genes := spell.CanonicalQuery(selection)
+	sc, err := scatter(ctx, c, genes, scatterOp[EnrichAnswer, golem.PartialCounts]{
 		path:  EnrichPath,
 		empty: "golem: empty selection",
 		request: func(genes, shards []string, r int, groups [][]string) any {
@@ -68,28 +68,19 @@ func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt gol
 			return err
 		},
 		// A slice answer is all-or-nothing. A partial from a
-		// differently-built enricher or a shard that derived a different
-		// partition must fail over, not merge: exactness beats availability
-		// here.
+		// differently-built enricher, a shard that derived a different
+		// partition or tallies the catalog cannot have produced must fail
+		// over, not merge: exactness beats availability here.
 		split: func(a *EnrichAnswer, req []int, cat *GroupTable) ([]part[golem.PartialCounts], error) {
 			if len(a.Slices) != len(req) {
 				return nil, fmt.Errorf("%d slices answer a request for %d", len(a.Slices), len(req))
 			}
 			parts := make([]part[golem.PartialCounts], len(req))
 			for i, gi := range req {
-				p := new(golem.PartialCounts)
-				if err := gob.NewDecoder(bytes.NewReader(a.Slices[i])).Decode(p); err != nil {
-					return nil, fmt.Errorf("decoding slice %d: %w", gi, err)
+				if err := checkCounts(a.Slices[i], gi, len(cat.Tuples), len(genes), ecat); err != nil {
+					return nil, fmt.Errorf("slice %d: %w", gi, err)
 				}
-				if p.Fingerprint != ecat.Fingerprint {
-					return nil, fmt.Errorf("enricher fingerprint %016x, catalog has %016x",
-						p.Fingerprint, ecat.Fingerprint)
-				}
-				if n := len(cat.Tuples); p.Slices != n || p.Slice != gi {
-					return nil, fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d",
-						p.Slice, p.Slices, gi, n)
-				}
-				parts[i] = part[golem.PartialCounts]{groups: []int{gi}, payload: p}
+				parts[i] = part[golem.PartialCounts]{groups: []int{gi}, payload: a.Slices[i]}
 			}
 			return parts, nil
 		},
@@ -117,6 +108,33 @@ func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt gol
 		res.InBackground[sc.genes[i]] = ok
 	}
 	return res, sc.meta, nil
+}
+
+// checkCounts holds one slice's tallies, as a shard sent them, to what slice
+// gi of n over the catalog can be for a selection of nGenes: the merge indexes
+// the selection by InBackground and sizes the log-factorial table by the
+// summed BackgroundSize, so neither is taken on trust.
+func checkCounts(p *golem.PartialCounts, gi, n, nGenes int, ecat *golem.TermCatalog) error {
+	switch {
+	case p.Fingerprint != ecat.Fingerprint:
+		return fmt.Errorf("enricher fingerprint %016x, catalog has %016x", p.Fingerprint, ecat.Fingerprint)
+	case p.Slices != n || p.Slice != gi:
+		return fmt.Errorf("shard derived slice %d/%d, coordinator expects %d/%d", p.Slice, p.Slices, gi, n)
+	case len(p.InBackground) != nGenes:
+		return fmt.Errorf("%d membership flags for a selection of %d", len(p.InBackground), nGenes)
+	case p.SelectionSize < 0 || p.SelectionSize > nGenes:
+		return fmt.Errorf("selection size %d of %d genes", p.SelectionSize, nGenes)
+	case p.BackgroundSize < 0 || p.BackgroundSize > ecat.BackgroundSize:
+		return fmt.Errorf("background size %d of a universe of %d", p.BackgroundSize, ecat.BackgroundSize)
+	case len(p.Selected) != len(ecat.Terms) || len(p.Background) != len(ecat.Terms):
+		return fmt.Errorf("%d/%d term tallies, catalog has %d terms", len(p.Selected), len(p.Background), len(ecat.Terms))
+	}
+	for t := range p.Selected {
+		if p.Selected[t] < 0 || p.Background[t] < 0 {
+			return fmt.Errorf("negative tally for term %d", t)
+		}
+	}
+	return nil
 }
 
 // enrichCatalogFor returns the fleet's term catalog for the given

@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -9,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"sync/atomic"
 	"testing"
 
 	"forestview/internal/golem"
@@ -16,9 +16,34 @@ import (
 	"forestview/internal/spell"
 )
 
-// enrichHandler serves EnrichPath the way the daemon does: look the
-// request's owner tuples up in the topology's group table, translate each
-// into a slice index, and return the slices' partial counts.
+// enrichAnswer computes the answer to an enrich request the way the daemon
+// does: look the request's owner tuples up in the topology's group table,
+// translate each into a slice index, and tally the slices.
+func (s *testShard) enrichAnswer(ctx context.Context, req *EnrichRequest) (*EnrichAnswer, error) {
+	slices, n := []int{0}, 1 // no groups: the universe as slice 0 of 1
+	if len(req.Groups) > 0 {
+		table := NewGroupTable(s.allIDs, req.Shards, req.Replication)
+		slices, n = slices[:0], len(table.Tuples)
+		for _, owners := range req.Groups {
+			gi, ok := table.Lookup(owners)
+			if !ok {
+				return nil, errors.New("unknown ownership group")
+			}
+			slices = append(slices, gi)
+		}
+	}
+	var answer EnrichAnswer
+	for _, gi := range slices {
+		p, err := s.enr.PartialAnalyzeCtx(ctx, req.Selection, gi, n)
+		if err != nil {
+			return nil, err
+		}
+		answer.Slices = append(answer.Slices, p)
+	}
+	return &answer, nil
+}
+
+// enrichHandler serves EnrichPath with enrichAnswer.
 func (s *testShard) enrichHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req EnrichRequest
@@ -29,32 +54,10 @@ func (s *testShard) enrichHandler() http.HandlerFunc {
 		if s.enrichBehave != nil && s.enrichBehave(w, &req) {
 			return
 		}
-		slices, n := []int{0}, 1 // no groups: the universe as slice 0 of 1
-		if len(req.Groups) > 0 {
-			table := NewGroupTable(s.allIDs, req.Shards, req.Replication)
-			slices, n = slices[:0], len(table.Tuples)
-			for _, owners := range req.Groups {
-				gi, ok := table.Lookup(owners)
-				if !ok {
-					http.Error(w, "unknown ownership group", http.StatusUnprocessableEntity)
-					return
-				}
-				slices = append(slices, gi)
-			}
-		}
-		var answer EnrichAnswer
-		for _, gi := range slices {
-			p, err := s.enr.PartialAnalyzeCtx(r.Context(), req.Selection, gi, n)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusUnprocessableEntity)
-				return
-			}
-			var body bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(p); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			answer.Slices = append(answer.Slices, body.Bytes())
+		answer, err := s.enrichAnswer(r.Context(), &req)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+			return
 		}
 		w.Header().Set("Content-Type", ContentType)
 		_ = gob.NewEncoder(w).Encode(answer)
@@ -354,5 +357,77 @@ func TestEnrichScatterFingerprintMismatch(t *testing.T) {
 	}
 	if !matches(want, nil) && !matches(alt, aerr) {
 		t.Fatalf("merged results match neither enricher's exact analysis")
+	}
+}
+
+// TestEnrichScatterRefusesLyingSlices: slice tallies are checked field by
+// field before they are merged. A shard lying in any one of them is failed
+// over like a dead one — at R=2 the merge is exact and non-degraded through
+// the honest replicas, and a fleet that is one such shard is an outage —
+// where merging it unchecked indexed the selection out of range (a long
+// InBackground) or sized the process-wide log-factorial table by the lie.
+func TestEnrichScatterRefusesLyingSlices(t *testing.T) {
+	lies := map[string]func(p *golem.PartialCounts){
+		"long InBackground":   func(p *golem.PartialCounts) { p.InBackground = append(p.InBackground, true) },
+		"short InBackground":  func(p *golem.PartialCounts) { p.InBackground = p.InBackground[1:] },
+		"negative selection":  func(p *golem.PartialCounts) { p.SelectionSize = -1 },
+		"oversized selection": func(p *golem.PartialCounts) { p.SelectionSize = len(p.InBackground) + 1 },
+		"negative background": func(p *golem.PartialCounts) { p.BackgroundSize = -1 },
+		"oversized background": func(p *golem.PartialCounts) {
+			p.BackgroundSize = 401 // the fixture's universe is 400 genes
+		},
+		"short Selected":  func(p *golem.PartialCounts) { p.Selected = p.Selected[1:] },
+		"long Background": func(p *golem.PartialCounts) { p.Background = append(p.Background, 0) },
+		"negative tally":  func(p *golem.PartialCounts) { p.Selected[len(p.Selected)-1] = -1 },
+	}
+	for name, lie := range lies {
+		for _, tc := range []struct{ shards, repl int }{{3, 2}, {1, 1}} {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, tc.shards), func(t *testing.T) {
+				f := newScatterFixtureR(t, tc.shards, tc.repl)
+				sel := f.withEnrichers(t, 23)
+				liar := f.shards[tc.shards-1]
+				var lied atomic.Int64
+				liar.enrichBehave = func(w http.ResponseWriter, req *EnrichRequest) bool {
+					answer, err := liar.enrichAnswer(context.Background(), req)
+					if err != nil {
+						return false
+					}
+					for _, p := range answer.Slices {
+						lie(p)
+					}
+					lied.Add(1)
+					w.Header().Set("Content-Type", ContentType)
+					_ = gob.NewEncoder(w).Encode(answer)
+					return true
+				}
+				c, _ := f.start(t, Config{Replication: tc.repl})
+				// The honest shards drain, so the liar is every group's first
+				// choice wherever it is a replica.
+				for _, id := range f.identities[:tc.shards-1] {
+					c.SetDraining(id, true)
+				}
+				res, meta, err := c.EnrichCtx(context.Background(), sel, golem.Options{})
+				if lied.Load() == 0 {
+					t.Fatal("fixture: the lying shard was never asked")
+				}
+				if tc.shards == 1 {
+					if !errors.Is(err, ErrAllShardsFailed) {
+						t.Fatalf("a fleet of one lying shard: res = %+v, err = %v, want ErrAllShardsFailed", res, err)
+					}
+					return
+				}
+				if err != nil || meta.Degraded {
+					t.Fatalf("err = %v, meta = %+v: want a clean merge through the honest replicas", err, meta)
+				}
+				want, err := f.shards[0].enr.Analyze(sel, golem.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				assertEnrichParity(t, res.Results, want)
+				if genes := spell.CanonicalQuery(sel); len(res.InBackground) != len(genes) {
+					t.Fatalf("InBackground discloses %d genes of a selection of %d", len(res.InBackground), len(genes))
+				}
+			})
+		}
 	}
 }

@@ -164,9 +164,8 @@ func (c *Coordinator) Info(ctx context.Context) (CompendiumInfo, error) {
 	return info, nil
 }
 
-// probeInfo runs one probe round over every live shard. Dataset counts
-// come from the union of reported dataset names (replicated slices
-// overlap); shards predating DatasetIDs fall back to summed counts.
+// probeInfo runs one probe round over every live shard. The dataset count
+// is the union of reported dataset names (replicated slices overlap).
 func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (CompendiumInfo, error) {
 	infos := make([]*Info, len(shards))
 	errs := make([]error, len(shards))
@@ -179,11 +178,8 @@ func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (Compendiu
 		}(si)
 	}
 	wg.Wait()
-	out := CompendiumInfo{}
 	genes := make(map[string]bool)
 	names := make(map[string]bool)
-	sum := 0
-	allNamed := true
 	for si, info := range infos {
 		if info == nil {
 			return CompendiumInfo{}, fmt.Errorf("%s: %w", shards[si], errs[si])
@@ -194,10 +190,6 @@ func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (Compendiu
 			// status never clears an operator's explicit mark.
 			c.SetDraining(shards[si], true)
 		}
-		sum += info.Datasets
-		if info.Datasets > 0 && len(info.DatasetIDs) == 0 {
-			allNamed = false
-		}
 		for _, n := range info.DatasetIDs {
 			names[n] = true
 		}
@@ -205,11 +197,5 @@ func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (Compendiu
 			genes[g] = true
 		}
 	}
-	if allNamed {
-		out.Datasets = len(names)
-	} else {
-		out.Datasets = sum
-	}
-	out.Genes = len(genes)
-	return out, nil
+	return CompendiumInfo{Datasets: len(names), Genes: len(genes)}, nil
 }

@@ -171,7 +171,7 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 		}
 		w.Header().Set("Content-Type", ContentType)
 		_ = gob.NewEncoder(w).Encode(Info{
-			Datasets: 1, GeneIDs: []string{"g1"},
+			GeneIDs:    []string{"g1"},
 			DatasetIDs: []string{"d1"}, AllDatasetIDs: []string{"d1"},
 		})
 	})

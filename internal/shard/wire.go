@@ -1,6 +1,9 @@
 package shard
 
-import "forestview/internal/spell"
+import (
+	"forestview/internal/golem"
+	"forestview/internal/spell"
+)
 
 // The shard wire protocol: Go-to-Go internal RPC, every body one gob message
 // over HTTP POST. Gob over JSON because the payloads are float-heavy and
@@ -22,9 +25,11 @@ import "forestview/internal/spell"
 //
 // One request names every ownership group the coordinator wants from that
 // shard at that moment, and one answer serves them all: a search answer is
-// one frame in which the groups' accumulators are already summed (plus a
-// frame apiece for groups the shard holds only in part), an enrichment
-// answer the list of the groups' slice tallies.
+// one frame, the shard's one scan over the groups' datasets (plus a frame
+// apiece for groups the shard holds only in part), an enrichment answer the
+// list of the groups' slice tallies. A shard computes every answer from the
+// request and its holdings and keeps nothing; the coordinator's cache of
+// merged results is the fleet's only one.
 //
 // Paths are versioned: every endpoint lives under /api/shard/v1/. A
 // coordinator only ever speaks one protocol version; a shard from another
@@ -33,7 +38,8 @@ import "forestview/internal/spell"
 // garbled merges. The same holds inside v1 across the change from one group
 // and one bare partial per request to batches: a peer from before it sends a
 // frame version (and lacks an answer envelope) that a peer from after it
-// refuses to decode, and the other way round.
+// refuses to decode, and the other way round — and across EnrichAnswer's
+// change from nested gob bytes to the tallies themselves.
 
 // SearchPath is the shard-role endpoint serving spell partials.
 const SearchPath = "/api/shard/v1/search"
@@ -78,8 +84,7 @@ const (
 // SearchRequest asks a shard for its partial of one query. Result-shaping
 // options stay coordinator-side (spell.Merge applies them); the shard only
 // needs the gene list, the ownership groups and which accumulator pair to
-// carry, so identical queries hit the shard's partial cache regardless of
-// which coordinator options rode in.
+// carry.
 type SearchRequest struct {
 	Query []string
 
@@ -103,11 +108,11 @@ type SearchRequest struct {
 }
 
 // SearchAnswer is a shard's reply to a SearchRequest. In the common case it
-// is one part: the spell.Sum of every requested group, each of which the
-// shard holds completely. A group the shard holds only in part (membership
-// drift) rides as a part of its own, so the coordinator can weigh it against
-// other replicas' answers for that group alone. The whole-slice probe is
-// answered with one part naming no groups.
+// is one part: one scan over the datasets of every requested group, each of
+// which the shard holds completely. A group the shard holds only in part
+// (membership drift) rides as a part of its own, so the coordinator can weigh
+// it against other replicas' answers for that group alone. The whole-slice
+// probe is answered with one part naming no groups.
 type SearchAnswer struct {
 	Parts []SearchPart
 }
@@ -122,8 +127,7 @@ type SearchPart struct {
 
 // EnrichRequest asks a shard for background slices' enrichment tallies.
 // Analysis options (MinSelected, MaxPValue) stay coordinator-side —
-// golem.MergeCounts applies them to the summed globals — so identical
-// selections hit the shard's partial cache regardless of options.
+// golem.MergeCounts applies them to the summed globals.
 //
 // The slices are named indirectly, by ownership group: the shard derives
 // Groups(bootCatalog, Shards, Replication), finds each requested tuple in
@@ -143,24 +147,20 @@ type EnrichRequest struct {
 }
 
 // EnrichAnswer is a shard's reply to an EnrichRequest: the requested groups'
-// slice tallies in request order, each one gob message holding a
-// golem.PartialCounts — the form the shard caches them in, so a warm answer
-// encodes nothing but this envelope.
+// slice tallies in request order.
 type EnrichAnswer struct {
-	Slices [][]byte
+	Slices []*golem.PartialCounts
 }
 
 // Info describes a shard's slice of the compendium, served at InfoPath.
 type Info struct {
-	// Datasets is the number of datasets in the shard's slice.
-	Datasets int
 	// GeneIDs lists the distinct gene IDs of the slice in stable order.
 	// The coordinator unions these across shards to report compendium
 	// totals (shards overlap in genes, so counts cannot simply be summed).
 	GeneIDs []string
 	// DatasetIDs lists the global dataset names the shard holds. Under
 	// replication slices overlap, so the coordinator counts the union of
-	// these rather than summing Datasets.
+	// these.
 	DatasetIDs []string
 	// AllDatasetIDs is the full compendium dataset list the shard booted
 	// with, in global order. The coordinator fetches it from any one live

@@ -8,18 +8,16 @@ import (
 	"math"
 	"slices"
 	"strings"
-	"unsafe"
 )
 
 // This file is SPELL's search, written once as a mergeable pipeline. An
 // engine computes a Partial over some of its datasets — unnormalized
 // per-dataset coherences plus per-gene correlation accumulators — the pure
-// Sum adds partials of disjoint dataset sets into one, the pure Merge takes
-// the union of a fleet's partials, and finish normalizes the dataset weights
-// over whatever compendium the partial covers and ranks. Search is the
-// engine's partial over all of its datasets, finished; a sharded search
-// (internal/shard) is Merge, which ends in the same finish. The Partial's
-// wire form is in frame.go.
+// Merge takes the union of a fleet's partials, and finish normalizes the
+// dataset weights over whatever compendium the partial covers and ranks.
+// Search is the engine's partial over all of its datasets, finished; a
+// sharded search (internal/shard) is Merge, which ends in the same finish.
+// The Partial's wire form is in frame.go.
 //
 // Why the accumulators merge exactly: SPELL's dataset weights are
 // w_d = c_d / Σc (c_d the clamped raw coherence), and a gene's final score
@@ -43,18 +41,16 @@ import (
 // (weighted or not), and the accumulators for every gene that scored
 // against the query there, held as parallel columns — what the dense
 // scoring kernel produces and what the wire frame (MarshalBinary) ships,
-// with no per-gene struct in between. Partials are added with Sum and
-// merged with Merge. The zero shard case (no query gene present anywhere in
-// the slice, or no dataset carrying weight) is a valid Partial with empty
-// columns.
+// with no per-gene struct in between. Partials are merged with Merge. The
+// zero shard case (no query gene present anywhere in the slice, or no
+// dataset carrying weight) is a valid Partial with empty columns.
 //
 // A Partial is read-only once built: one computed by an engine shares its
-// ID and Name columns with that engine, one decoded from a frame holds
-// substrings of a few large blobs, a shard caches them and hands one value
-// to many requests, and Sum may return (or alias the columns of) its input.
+// ID and Name columns with that engine, and one decoded from a frame holds
+// substrings of a few large blobs.
 type Partial struct {
-	// Query is the canonicalized query the shard ran. Sum and Merge refuse
-	// to combine partials of different queries.
+	// Query is the canonicalized query the shard ran. Merge refuses to
+	// combine partials of different queries.
 	Query []string
 	// Datasets lists every dataset the partial answers for.
 	Datasets []PartialDataset
@@ -229,31 +225,6 @@ func (e *Engine) ownsGenes(p *Partial) bool {
 	return len(p.IDs) == len(e.order) && len(p.IDs) > 0 && &p.IDs[0] == &e.order[0]
 }
 
-// OwnedBytes returns the memory p keeps alive beyond what this engine holds
-// anyway — what a cache of partials must charge for one: the accumulator
-// columns, the dataset rows and the query with their strings, and, unless
-// the gene columns are the engine's own (a computed partial in which every
-// gene scored), the gene ID and name strings and their headers.
-func (e *Engine) OwnedBytes(p *Partial) int64 {
-	n := int64(unsafe.Sizeof(*p)) + 8*int64(len(p.Sum)+len(p.Cnt)) +
-		int64(unsafe.Sizeof(""))*int64(len(p.Query)) + int64(unsafe.Sizeof(PartialDataset{}))*int64(len(p.Datasets))
-	for _, q := range p.Query {
-		n += int64(len(q))
-	}
-	for _, d := range p.Datasets {
-		n += int64(len(d.Name))
-	}
-	if !e.ownsGenes(p) {
-		n += int64(unsafe.Sizeof("")) * int64(len(p.IDs)+len(p.Names))
-		for _, col := range [2][]string{p.IDs, p.Names} {
-			for _, s := range col {
-				n += int64(len(s))
-			}
-		}
-	}
-	return n
-}
-
 // ErrNoQueryGenes reports that no dataset of the searched compendium measures
 // any query gene. Callers merging a *subset* of the compendium (a
 // degraded scatter) should treat it as inconclusive — the missing shards
@@ -267,11 +238,11 @@ var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the co
 // again with Options.UniformWeights and merges those; Search does so itself.
 var ErrNeedUniform = errors.New("spell: the merge needs uniform-weight partials")
 
-// checkParts is the precondition Sum and Merge share: at least one partial,
-// one canonical query, one accumulator kind, consistent columns. It returns
-// the parts in the order both add them up in — ascending lowest global
-// dataset index — so that a sum depends on which datasets each part covers
-// and never on the order the parts arrived in.
+// checkParts is Merge's precondition: at least one partial, one canonical
+// query, one accumulator kind, consistent columns. It returns the parts in
+// the order Merge adds them up in — ascending lowest global dataset index —
+// so that a sum depends on which datasets each part covers and never on the
+// order the parts arrived in.
 func checkParts(parts []*Partial) ([]*Partial, error) {
 	if len(parts) == 0 {
 		return nil, errors.New("spell: no partials to merge")
@@ -308,8 +279,7 @@ func checkParts(parts []*Partial) ([]*Partial, error) {
 
 // geneSums is the union of several partials' gene accumulators. While every
 // part lists the same genes in the same order — shards of one compendium
-// mostly do, and the group partials of one engine share the engine's own
-// columns — adding a part is two dense loops over columns that alias the
+// mostly do — adding a part is two dense loops over columns that alias the
 // first part's ID and Name columns. The first part that differs moves the
 // union into a slot table: every distinct gene ID gets a dense slot in
 // first-seen order (only tie order among bitwise-equal scores could observe
@@ -390,33 +360,6 @@ func addRows(dst, src []float64, rows []int32) {
 	}
 }
 
-// Sum adds partials of one query over disjoint dataset sets into the
-// partial a single scan of the union would have produced, up to float
-// accumulation order: the dataset lists concatenated and the accumulators
-// added, part by part in ascending order of lowest global dataset index. A
-// shard answers a request for several ownership groups with the Sum of its
-// cached per-group partials. Sum is pure and never writes to its inputs;
-// the result is read-only like them, and the Sum of one partial is that
-// partial. Whether the dataset sets really are disjoint is for Merge to
-// check, which sees every part of an answer.
-func Sum(parts []*Partial) (*Partial, error) {
-	ordered, err := checkParts(parts)
-	if err != nil {
-		return nil, err
-	}
-	if len(ordered) == 1 {
-		return ordered[0], nil
-	}
-	out := &Partial{Query: ordered[0].Query, Uniform: ordered[0].Uniform}
-	var u geneSums
-	for _, p := range ordered {
-		out.Datasets = append(out.Datasets, p.Datasets...)
-		u.add(p)
-	}
-	out.IDs, out.Names, out.Sum, out.Cnt = u.ids, u.names, u.sum, u.cnt
-	return out, nil
-}
-
 // Merge combines per-shard partials into the full search result,
 // renormalizing dataset weights over the union compendium. It is pure —
 // no engine, no I/O — so the coordinator can merge whatever subset of
@@ -424,7 +367,7 @@ func Sum(parts []*Partial) (*Partial, error) {
 // over the survivors, which is exactly the degraded-mode semantics.
 //
 // Merge is the union step only — the dataset lists put in global-index
-// order, the gene accumulators added up in the order Sum uses — and hands
+// order, the gene accumulators added up in checkParts' order — and hands
 // the union to finish, the ranking Search runs on its own partial: a search
 // over any split of the compendium is a search, to float accumulation order
 // (pinned ≤1e-12 by the package tests) and with the same order among ties.

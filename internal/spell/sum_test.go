@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"forestview/internal/microarray"
@@ -59,11 +60,19 @@ func newGroupFleet(t testing.TB, dss []*microarray.Dataset) *groupFleet {
 	return f
 }
 
-// partial is what shard s caches for group g: the group's datasets it holds,
-// indexes already global.
-func (f *groupFleet) partial(t testing.TB, s, g int, query []string, o Options) *Partial {
+// scan is what shard s answers a request for the groups of mask with: one
+// subset scan over the union of their datasets it holds, local indexes
+// ascending, dataset indexes remapped to global.
+func (f *groupFleet) scan(t testing.TB, s int, mask uint, query []string, o Options) *Partial {
 	t.Helper()
-	p, err := f.local[s].PartialSearchSubsetCtx(context.Background(), query, f.held[s][g], o)
+	subset := []int{}
+	for g := range f.owners {
+		if mask>>g&1 == 1 {
+			subset = append(subset, f.held[s][g]...)
+		}
+	}
+	slices.Sort(subset)
+	p, err := f.local[s].PartialSearchSubsetCtx(context.Background(), query, subset, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +85,14 @@ func (f *groupFleet) partial(t testing.TB, s, g int, query []string, o Options) 
 // TestSumMergeMatchesSearch is the golden-parity proof of the batched fleet
 // path: whichever replica each of the 12 groups of a 4-shard R=2 fleet is
 // assigned to — all 4,096 assignments, which batch the groups into one to
-// four requests of one to twelve groups — the Merge of the shards' Sums
-// matches the single-process Search to 1e-12: weighted, UniformWeights, and
-// on a compendium incoherent everywhere, where the weighted round ends in
-// ErrNeedUniform and the uniform round matches. The dense shortcut of Sum
-// (every part shares its engine's gene columns) and the slot table (parts
-// listing different gene subsets) must both have been taken, and Sum must
-// leave the shared partials it adds up untouched.
+// four requests of one to twelve groups — the Merge of the shards' answers
+// (each one scan of the union of its assigned groups) matches the
+// single-process Search to 1e-12: weighted, UniformWeights, and on a
+// compendium incoherent everywhere, where the weighted round ends in
+// ErrNeedUniform and the uniform round matches. The dense shortcut of Merge's
+// union (every answer lists the same genes) and the slot table (answers
+// listing different gene subsets) must both have been taken, and Merge must
+// leave the partials it is given untouched.
 func TestSumMergeMatchesSearch(t *testing.T) {
 	u := synth.NewUniverse(160, 8, 81)
 	raw, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -127,52 +137,41 @@ func TestSumMergeMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// Every (replica, group) partial, of both kinds, computed once
-				// and shared by all assignments — as a shard's cache shares them.
-				var cached [2][4][]*Partial
-				var before [2][4][]any
-				for k := range cached {
-					for s := range cached[k] {
-						cached[k][s] = make([]*Partial, len(f.owners))
-						before[k][s] = make([]any, len(f.owners))
-						for g, own := range f.owners {
-							if own[0] == s || own[1] == s {
-								cached[k][s][g] = f.partial(t, s, g, query, Options{UniformWeights: k == 1})
-								before[k][s][g] = partialBits(cached[k][s][g])
-							}
-						}
-					}
+				// A shard's answer depends on the groups it was given and the
+				// accumulator kind alone: scanned once, shared by every
+				// assignment that asks it for the same groups.
+				type ask struct {
+					s       int
+					mask    uint
+					uniform bool
 				}
+				scans, before := map[ask]*Partial{}, map[ask]any{}
 				for assign := 0; assign < 1<<len(f.owners); assign++ {
 					round := func(o Options) []Partial {
-						k := 0
-						if o.UniformWeights {
-							k = 1
-						}
-						var batch [4][]*Partial
+						var masks [4]uint
 						for g, own := range f.owners {
-							s := own[assign>>g&1]
-							batch[s] = append(batch[s], cached[k][s][g])
+							masks[own[assign>>g&1]] |= 1 << g
 						}
 						var answers []Partial
-						for _, parts := range batch {
-							if len(parts) == 0 {
+						for s, mask := range masks {
+							if mask == 0 {
 								continue
 							}
-							same := true
-							for _, p := range parts[1:] {
-								same = same && (len(p.IDs) == 0 || len(parts[0].IDs) == 0 || sameColumn(p.IDs, parts[0].IDs))
+							k := ask{s, mask, o.UniformWeights}
+							if scans[k] == nil {
+								scans[k] = f.scan(t, s, mask, query, Options{UniformWeights: o.UniformWeights})
+								before[k] = partialBits(scans[k])
 							}
-							if len(parts) > 1 && same {
-								dense++
-							} else if len(parts) > 1 {
-								slotted++
-							}
-							sum, err := Sum(parts)
-							if err != nil {
-								t.Fatalf("assignment %012b: %v", assign, err)
-							}
-							answers = append(answers, *sum)
+							answers = append(answers, *scans[k])
+						}
+						same := true
+						for _, p := range answers[1:] {
+							same = same && (len(p.IDs) == 0 || len(answers[0].IDs) == 0 || sameColumn(p.IDs, answers[0].IDs))
+						}
+						if len(answers) > 1 && same {
+							dense++
+						} else if len(answers) > 1 {
+							slotted++
 						}
 						return answers
 					}
@@ -182,64 +181,20 @@ func TestSumMergeMatchesSearch(t *testing.T) {
 					}
 					assertResultsMatch(t, got, want, 1e-12)
 				}
-				for k := range cached {
-					for s := range cached[k] {
-						for g, p := range cached[k][s] {
-							if p != nil && !reflect.DeepEqual(partialBits(p), before[k][s][g]) {
-								t.Fatalf("%+v: Sum or Merge wrote to the shared partial of shard %d group %d", opt, s, g)
-							}
-						}
+				for k, p := range scans {
+					if !reflect.DeepEqual(partialBits(p), before[k]) {
+						t.Fatalf("%+v: Merge wrote to the shared partial of shard %d groups %012b", opt, k.s, k.mask)
 					}
 				}
 			}
 		})
 	}
 	if dense == 0 || slotted == 0 {
-		t.Fatalf("Sum took the dense path %d times and the slot table %d times: both must be tested", dense, slotted)
+		t.Fatalf("Merge took the dense path %d times and the slot table %d times: both must be tested", dense, slotted)
 	}
 }
 
-// TestSumIsOrderFree: a Sum depends on which partials it is given, never on
-// the order they are listed in — bit for bit — and the Sum of one partial is
-// that partial.
-func TestSumIsOrderFree(t *testing.T) {
-	u := synth.NewUniverse(120, 6, 17)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
-		NumDatasets: 12, MinExperiments: 8, MaxExperiments: 12,
-		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.03, Seed: 18,
-	})
-	f := newGroupFleet(t, dss)
-	query := u.ModuleGeneIDs(2)[:4]
-	var parts []*Partial
-	for g, own := range f.owners {
-		if own[0] == 0 || own[1] == 0 {
-			parts = append(parts, f.partial(t, 0, g, query, Options{}))
-		}
-	}
-	want, err := Sum(parts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want.Datasets) == 0 || len(want.IDs) == 0 {
-		t.Fatalf("fixture: the sum lists %d datasets and %d genes", len(want.Datasets), len(want.IDs))
-	}
-	rng := rand.New(rand.NewSource(19))
-	for i := 0; i < 20; i++ {
-		rng.Shuffle(len(parts), func(a, b int) { parts[a], parts[b] = parts[b], parts[a] })
-		got, err := Sum(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(partialBits(got), partialBits(want)) {
-			t.Fatalf("shuffle %d: the sum changed in some bit", i)
-		}
-	}
-	if one, err := Sum(parts[:1]); err != nil || one != parts[0] {
-		t.Fatalf("Sum of one partial = %p, %v; want the partial itself (%p)", one, err, parts[0])
-	}
-}
-
-// TestSumAndMergeRefuse: what neither may combine.
+// TestSumAndMergeRefuse: what Merge may not combine.
 func TestSumAndMergeRefuse(t *testing.T) {
 	ds := func(i int) []PartialDataset {
 		return []PartialDataset{{Index: i, Name: fmt.Sprint("d", i), Coherence: 1, Present: 2}}
@@ -255,15 +210,12 @@ func TestSumAndMergeRefuse(t *testing.T) {
 		if name == "a non-canonical query" {
 			first = other // both must run it, or the query check fires first
 		}
-		if _, err := Sum([]*Partial{&first, &second}); err == nil {
-			t.Errorf("Sum accepted %s", name)
-		}
 		if _, err := Merge([]Partial{first, second}, Options{}); err == nil {
 			t.Errorf("Merge accepted %s", name)
 		}
 	}
-	if _, err := Sum(nil); err == nil {
-		t.Error("Sum accepted no partials")
+	if _, err := Merge(nil, Options{}); err == nil {
+		t.Error("Merge accepted no partials")
 	}
 	// Uniform partials where the coherences call for the weighted pair is a
 	// plain error; the reverse is the sentinel the coordinator acts on.
