@@ -85,7 +85,6 @@ func main() {
 		maxGenes   = flag.Int("max-genes", 200, "cap on requested search result length")
 		maxTileDim = flag.Int("max-tile", 2048, "cap on requested tile width/height")
 		clusterArr = flag.Bool("cluster-arrays", false, "also cluster experiment columns, enabling the atree= column-dendrogram strip")
-		prefetchW  = flag.Int("prefetch-workers", 2, "speculative tile-prefetch workers (0 disables prefetching)")
 
 		role         = flag.String("role", "single", `daemon role: "single" (whole compendium in-process), "shard" (serve partials for this daemon's slice), "coordinator" (scatter searches over -shards and merge)`)
 		shardsFlag   = flag.String("shards", "", "comma-separated shard identities — the same list on every fleet member (shards and coordinator hash these strings for dataset ownership)")
@@ -108,8 +107,8 @@ func main() {
 		datasets: *nDatasets, seed: *seed,
 		cacheMB: *cacheMB, workers: *workers,
 		maxGenes: *maxGenes, maxTileDim: *maxTileDim,
-		clusterArrays: *clusterArr, prefetchWorkers: *prefetchW,
-		role: *role, shards: splitList(*shardsFlag), self: *selfFlag,
+		clusterArrays: *clusterArr, role: *role,
+		shards: splitList(*shardsFlag), self: *selfFlag,
 		replication: *replication, fleetToken: *fleetToken,
 		shardDeadline: *shardTimeout, hedgeAfter: *hedgeAfter,
 		onDrained: func() {
@@ -178,6 +177,11 @@ func serveUntilSignal(hs *http.Server, ln net.Listener, sig <-chan os.Signal, dr
 	}
 }
 
+// prefetchWorkers is the speculative tile-render worker count. It needs no
+// off switch: a pane whose requests stop following the predictions stops
+// speculating by itself (internal/server/prefetch.go).
+const prefetchWorkers = 2
+
 // buildConfig collects everything buildServer needs, so tests can assemble
 // a daemon without flags or sockets.
 type buildConfig struct {
@@ -190,7 +194,6 @@ type buildConfig struct {
 	workers                  int
 	maxGenes, maxTileDim     int
 	clusterArrays            bool
-	prefetchWorkers          int
 
 	role          string // "", "single", "shard", "coordinator"
 	shards        []string
@@ -462,7 +465,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		MaxGenes:        cfg.maxGenes,
 		MaxTileDim:      cfg.maxTileDim,
 		ClusterArrays:   cfg.clusterArrays,
-		PrefetchWorkers: cfg.prefetchWorkers,
+		PrefetchWorkers: prefetchWorkers,
 	}
 	if role == "shard" {
 		// Fleet plumbing: the shard knows its own identity and the full

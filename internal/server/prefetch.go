@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,7 +25,9 @@ import (
 //     (counted, never retried);
 //   - tiles rendered speculatively are tracked until a foreground request
 //     first serves them (disposition becomes "prefetched") or the LRU evicts
-//     them untouched (counted as evicted_unused — the misprediction signal).
+//     them untouched (counted as evicted_unused — the misprediction signal);
+//   - a pane whose requests stopped following its predictions speculates
+//     nothing at all (paneGate).
 type prefetcher struct {
 	s       *Server
 	jobs    chan tileParams
@@ -32,6 +35,8 @@ type prefetcher struct {
 	workers int
 	closeMu sync.Mutex
 	closed  bool
+
+	gates []paneGate // by pane index
 
 	// pending tracks cache keys populated by speculation and not yet served
 	// to any foreground request.
@@ -43,6 +48,7 @@ type prefetcher struct {
 	stat endpointStats
 
 	enqueued      atomic.Int64
+	withheld      atomic.Int64
 	dropped       atomic.Int64
 	rendered      atomic.Int64
 	coalesced     atomic.Int64
@@ -58,6 +64,51 @@ type prefetcher struct {
 // viewports' worth and anything older is not worth rendering.
 const prefetchQueuePerWorker = 16
 
+// Speculation pays on a correlated walk (overview → zoom → detail) and is
+// pure cost on an uncorrelated one (search → jump-to-gene). The gate tells
+// the two apart by the one thing the daemon sees: whether requests follow
+// its predictions.
+const (
+	gateRecord    = 64      // predictions remembered per pane, rendered or not
+	gateWeight    = 1.0 / 8 // EWMA weight of the newest foreground tile
+	gateThreshold = 0.25    // a pane speculates while its follow share is at or above this
+)
+
+// paneGate is one pane's ring of recent predictions and the EWMA of "this
+// foreground tile was one of them", its follow share. The share starts at
+// 1, so a fresh daemon speculates; eleven unpredicted tiles in a row close
+// the gate. A closed gate still records predictions, so a walk that turns
+// correlated again re-opens it within three followed tiles.
+type paneGate struct {
+	mu     sync.Mutex
+	recent [gateRecord]tileParams // zero entries match no request (w >= 1)
+	next   int
+	follow float64
+}
+
+// admit scores the foreground tile p, records its predictions and reports
+// whether the pane may speculate them.
+func (g *paneGate) admit(p tileParams, preds []tileParams) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	followed := 0.0
+	if slices.Contains(g.recent[:], p) {
+		followed = 1
+	}
+	g.follow += gateWeight * (followed - g.follow)
+	for _, q := range preds {
+		g.recent[g.next] = q
+		g.next = (g.next + 1) % gateRecord
+	}
+	return g.follow >= gateThreshold
+}
+
+func (g *paneGate) share() float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.follow
+}
+
 // newPrefetcher starts the worker set and hooks cache eviction. Call before
 // the server sees traffic (New does).
 func newPrefetcher(s *Server, workers, queue int) *prefetcher {
@@ -65,7 +116,11 @@ func newPrefetcher(s *Server, workers, queue int) *prefetcher {
 		s:       s,
 		jobs:    make(chan tileParams, queue),
 		workers: workers,
+		gates:   make([]paneGate, s.NumPanes()),
 		pending: make(map[string]struct{}),
+	}
+	for i := range pf.gates {
+		pf.gates[i].follow = 1
 	}
 	s.cache.OnEvict(pf.noteEvicted)
 	for i := 0; i < workers; i++ {
@@ -75,16 +130,17 @@ func newPrefetcher(s *Server, workers, queue int) *prefetcher {
 	return pf
 }
 
-// speculate enqueues the predicted neighbours of a just-served tile. nRows
-// is the pane's display row count, levels its pyramid depth. Non-blocking:
-// a full queue drops predictions rather than delaying the caller.
+// speculate predicts the neighbours of a just-served tile and enqueues them
+// if the pane's gate admits them. nRows is the pane's display row count,
+// levels its pyramid depth. Non-blocking: a full queue drops predictions
+// rather than delaying the caller.
 func (pf *prefetcher) speculate(p tileParams, nRows, levels int) {
 	span := p.to - p.from
 	if span <= 0 || nRows <= 0 {
 		return
 	}
 	type window struct{ from, to int }
-	var cands []window
+	cands := make([]window, 0, 4)
 	// Pan: the next and previous windows, truncated at the pane edges
 	// exactly like a client walking one full window per step would request
 	// them.
@@ -105,6 +161,7 @@ func (pf *prefetcher) speculate(p tileParams, nRows, levels int) {
 		from := p.from + span/4
 		cands = append(cands, window{from, min(nRows, from+span/2)})
 	}
+	preds := make([]tileParams, 0, 4)
 	for _, c := range cands {
 		if c.to <= c.from || (c.from == p.from && c.to == p.to) {
 			continue
@@ -116,6 +173,13 @@ func (pf *prefetcher) speculate(p tileParams, nRows, levels int) {
 		// window will form — including edge-truncated windows, whose
 		// shorter span resolves a finer level than the tile they neighbour.
 		q.level = autoLevel(c.to-c.from, p.h, levels)
+		preds = append(preds, q)
+	}
+	if !pf.gates[p.dsIndex].admit(p, preds) {
+		pf.withheld.Add(int64(len(preds)))
+		return
+	}
+	for _, q := range preds {
 		pf.enqueue(q)
 	}
 }
@@ -225,9 +289,14 @@ func (pf *prefetcher) snapshot() PrefetchInfo {
 	pf.mu.Lock()
 	pending := len(pf.pending)
 	pf.mu.Unlock()
+	follow := make([]float64, len(pf.gates))
+	for i := range pf.gates {
+		follow[i] = pf.gates[i].share()
+	}
 	return PrefetchInfo{
 		Workers:       pf.workers,
 		Enqueued:      pf.enqueued.Load(),
+		Withheld:      pf.withheld.Load(),
 		Dropped:       pf.dropped.Load(),
 		Rendered:      pf.rendered.Load(),
 		Coalesced:     pf.coalesced.Load(),
@@ -237,6 +306,7 @@ func (pf *prefetcher) snapshot() PrefetchInfo {
 		Served:        pf.served.Load(),
 		EvictedUnused: pf.evictedUnused.Load(),
 		Pending:       pending,
+		FollowShare:   follow,
 	}
 }
 

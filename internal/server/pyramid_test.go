@@ -6,7 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"image/color"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -320,5 +323,157 @@ func TestPrefetchEvictedUnusedAccounting(t *testing.T) {
 	// A claim after eviction finds nothing: the tile is gone either way.
 	if pf.claim(key) {
 		t.Fatal("claimed a key the cache already evicted")
+	}
+}
+
+// gateWalk drives /api/heatmap over a two-pane daemon whose prefetcher has
+// no workers: tile runs every queued prediction before it returns, so each
+// request sees exactly the speculation its predecessors were admitted.
+type gateWalk struct {
+	t   *testing.T
+	s   *Server
+	pf  *prefetcher
+	rng *rand.Rand
+}
+
+const gateWalkPx = 24
+
+func newGateWalk(t *testing.T) *gateWalk {
+	s, _ := rawFixture(t, 2)
+	pf := newPrefetcher(s, 0, 64)
+	s.prefetch = pf
+	t.Cleanup(pf.Close)
+	return &gateWalk{t: t, s: s, pf: pf, rng: rand.New(rand.NewSource(25))}
+}
+
+// tile requests rows [from, to) of pane and returns its disposition.
+func (g *gateWalk) tile(pane, from, to int) string {
+	g.t.Helper()
+	rec := get(g.t, g.s, fmt.Sprintf("/api/heatmap?dataset=%d&rows=%d:%d&w=%d&h=%d", pane, from, to, gateWalkPx, gateWalkPx))
+	if rec.Code != http.StatusOK {
+		g.t.Fatalf("rows %d:%d of pane %d = %d: %s", from, to, pane, rec.Code, rec.Body.String())
+	}
+	for len(g.pf.jobs) > 0 {
+		g.pf.run(<-g.pf.jobs)
+	}
+	return rec.Header().Get(cacheHeader)
+}
+
+// jump requests a random window of pane, as a search result's
+// jump-to-gene does: unrelated to the tile before it.
+func (g *gateWalk) jump(pane int) {
+	span := 8 + g.rng.Intn(150)
+	from := g.rng.Intn(220 - span)
+	g.tile(pane, from, from+span)
+}
+
+func (g *gateWalk) open(pane int) bool {
+	return g.pf.snapshot().FollowShare[pane] >= gateThreshold
+}
+
+// closeGate jumps around pane until its gate closes, which takes eleven
+// unpredicted tiles from a share of 1.
+func (g *gateWalk) closeGate(pane int) {
+	g.t.Helper()
+	for i := 0; g.open(pane); i++ {
+		if i == 16 {
+			g.t.Fatalf("16 random windows left pane %d's gate open: %+v", pane, g.pf.snapshot())
+		}
+		g.jump(pane)
+	}
+}
+
+// TestPrefetchGate walks the two kinds of the Nusrat–Gehlenborg task
+// taxonomy through the prefetcher's gate: a correlated walk keeps it open,
+// an uncorrelated one closes it, a walk that turns correlated re-opens it,
+// and one pane's traffic never decides another's, concurrently too.
+func TestPrefetchGate(t *testing.T) {
+	const rows = 220 // rawFixture's panes
+	cases := []struct {
+		name string
+		walk func(t *testing.T, g *gateWalk)
+	}{
+		{"overview→zoom→detail stays open", func(t *testing.T, g *gateWalk) {
+			g.tile(0, 0, rows) // the overview nothing predicted
+			// Zoom to the centre half twice, then pan down to the edge:
+			// every step is one of its predecessor's predictions.
+			for _, w := range [][2]int{{55, 165}, {82, 137}, {137, 192}, {192, 220}} {
+				if disp := g.tile(0, w[0], w[1]); disp != dispPrefetched {
+					t.Fatalf("rows %d:%d = %q, want %q: %+v", w[0], w[1], disp, dispPrefetched, g.pf.snapshot())
+				}
+				if !g.open(0) {
+					t.Fatalf("correlated walk closed the gate at rows %d:%d: %+v", w[0], w[1], g.pf.snapshot())
+				}
+			}
+			if pi := g.pf.snapshot(); pi.Withheld != 0 || pi.Served != 4 {
+				t.Fatalf("correlated walk: %+v (want withheld=0, served=4)", pi)
+			}
+		}},
+		{"search→jump-to-gene closes", func(t *testing.T, g *gateWalk) {
+			g.closeGate(0)
+			before := g.pf.snapshot()
+			for i := 0; i < 8; i++ {
+				g.jump(0)
+			}
+			after := g.pf.snapshot()
+			if after.Enqueued != before.Enqueued || after.Withheld <= before.Withheld || g.open(0) {
+				t.Fatalf("closed gate: %+v then %+v (want enqueued flat, withheld growing)", before, after)
+			}
+		}},
+		{"jump then pan re-opens within 3 steps", func(t *testing.T, g *gateWalk) {
+			g.closeGate(0)
+			g.tile(0, 20, 40) // the last jump
+			before := g.pf.snapshot().Enqueued
+			for step, from := 1, 40; !g.open(0); step, from = step+1, from+20 {
+				if step > 3 {
+					t.Fatalf("pan did not re-open the gate in 3 steps: %+v", g.pf.snapshot())
+				}
+				g.tile(0, from, from+20)
+			}
+			// The step that re-opened the gate speculated its neighbours.
+			if after := g.pf.snapshot().Enqueued; after <= before {
+				t.Fatalf("re-opened gate enqueued nothing: %d then %d", before, after)
+			}
+		}},
+		{"jumps on pane 1 leave pane 0's pan open", func(t *testing.T, g *gateWalk) {
+			g.tile(0, 0, 20)
+			for from := 20; from < 200; from += 20 {
+				g.jump(1)
+				g.jump(1)
+				if disp := g.tile(0, from, from+20); disp != dispPrefetched || !g.open(0) {
+					t.Fatalf("pane 0 rows %d:%d = %q beside pane 1's jumps: %+v", from, from+20, disp, g.pf.snapshot())
+				}
+			}
+			if g.open(1) {
+				t.Fatalf("18 random windows left pane 1 open: %+v", g.pf.snapshot())
+			}
+		}},
+		{"viewers panning both panes at once stay open", func(t *testing.T, g *gateWalk) {
+			// Two pans a pane, each followed by its own last prediction,
+			// while /api/stats reads the shares (run under -race).
+			var wg sync.WaitGroup
+			for v := 0; v < 4; v++ {
+				wg.Add(1)
+				go func(pane, start int) {
+					defer wg.Done()
+					for from := start; from < start+100; from += 10 {
+						u := fmt.Sprintf("/api/heatmap?dataset=%d&rows=%d:%d&w=%d&h=%d", pane, from, from+10, gateWalkPx, gateWalkPx)
+						rec := httptest.NewRecorder()
+						g.s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, u, nil))
+						if rec.Code != http.StatusOK {
+							t.Errorf("%s = %d", u, rec.Code)
+						}
+						g.s.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/api/stats", nil))
+					}
+				}(v%2, 110*(v/2))
+			}
+			wg.Wait()
+			if !g.open(0) || !g.open(1) {
+				t.Fatalf("concurrent pans closed a gate: %+v", g.pf.snapshot())
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) { c.walk(t, newGateWalk(t)) })
 	}
 }

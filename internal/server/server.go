@@ -124,9 +124,11 @@ type Config struct {
 
 	// PrefetchWorkers enables speculative tile prefetch: each served
 	// heatmap tile enqueues its predicted pan/zoom neighbours for
-	// background rendering into the shared LRU. 0 (the default) disables
-	// speculation entirely. The queue holds prefetchQueuePerWorker
-	// predictions a worker; those beyond it are dropped, not queued.
+	// background rendering into the shared LRU, while the pane's recent
+	// requests follow its predictions. 0 (the default) disables
+	// speculation entirely; forestviewd runs 2. The queue holds
+	// prefetchQueuePerWorker predictions a worker; those beyond it are
+	// dropped, not queued.
 	PrefetchWorkers int
 
 	// CacheBytes budgets the shared LRU cache (default 64 MiB).

@@ -131,7 +131,12 @@ type EnrichCacheInfo struct {
 }
 
 // PrefetchInfo is the prefetch section of /api/stats: the speculative tile
-// pipeline's full ledger. Enqueued splits into Rendered (speculative work
+// pipeline's full ledger. Every served tile predicts up to four
+// neighbours and its pane's gate decides: each foreground tile moves the
+// pane's FollowShare, an EWMA (weight 1/8, starting at 1) of "this tile
+// was among the pane's last 64 predictions", and a pane whose share is
+// below 0.25 has its predictions recorded but Withheld instead of
+// enqueued. Enqueued splits into Rendered (speculative work
 // that actually rasterized), Coalesced (a foreground request was already
 // rendering the tile — singleflight absorbed the speculation), SkippedCached
 // (already resident by the time the worker got to it), SkippedStale (the pane
@@ -144,6 +149,7 @@ type EnrichCacheInfo struct {
 type PrefetchInfo struct {
 	Workers       int   `json:"workers"`
 	Enqueued      int64 `json:"enqueued"`
+	Withheld      int64 `json:"withheld"`
 	Dropped       int64 `json:"dropped"`
 	Rendered      int64 `json:"rendered"`
 	Coalesced     int64 `json:"coalesced"`
@@ -153,6 +159,8 @@ type PrefetchInfo struct {
 	Served        int64 `json:"served"`
 	EvictedUnused int64 `json:"evicted_unused"`
 	Pending       int   `json:"pending"`
+	// FollowShare is each pane's current follow share, by pane index.
+	FollowShare []float64 `json:"follow_share"`
 }
 
 // ServerInfo is the server section of /api/stats: which daemon produced a
