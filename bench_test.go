@@ -541,6 +541,36 @@ func BenchmarkF4_EnrichHTTP(b *testing.B) {
 	}
 }
 
+// BenchmarkF4_SearchHTTP measures a single daemon's /api/search miss at
+// paper scale: each iteration asks a distinct four-gene query, so every
+// request walks parse -> canonicalize -> cache miss -> singleflight -> the
+// coordinator over the daemon's one local member (scan, merge) -> JSON
+// encode end to end, with nothing encoded between member and coordinator.
+func BenchmarkF4_SearchHTTP(b *testing.B) {
+	u := synth.NewUniverse(paperGenes, 20, 13)
+	engine, err := spell.NewEngine(paperCompendium(u, 0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: engine, CacheBytes: 64 << 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	ids := u.GeneIDs()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		from := (i * 7) % (len(ids) - 4)
+		url := "/api/search?q=" + strings.Join(ids[from:from+4], ",")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Forestview-Cache") != "miss" {
+			b.Fatalf("search = %d (%s): %s", rec.Code, rec.Header().Get("X-Forestview-Cache"), rec.Body.String())
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // F5a — the sharded compendium (DESIGN.md §4): scatter a SPELL query over
 // N loopback shard daemons and merge with global renormalization. One

@@ -270,7 +270,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			return nil, err
 		}
 		cfg.log("coordinator over %d shards (generation %016x), replication=%d hedge=%v fleet-admin=%t",
-			len(coord.Shards()), coord.Generation(), repl, cfg.hedgeAfter, cfg.fleetToken != "")
+			len(cfg.shards), coord.Generation(), repl, cfg.hedgeAfter, cfg.fleetToken != "")
 		return srv, nil
 	}
 

@@ -298,11 +298,12 @@ func TestGracefulShutdownDrainTimeout(t *testing.T) {
 // strings serve as both the rendezvous identities and the dial addresses —
 // exactly what a real deployment passes in -shards on every fleet member.
 // Because the ports (and hence the rendezvous placement) are random, an
-// unlucky draw can leave a shard with no datasets, which buildServer
-// rejects by design; such draws are retried with fresh ports. Returns the
-// identity list and the running HTTP servers (index-aligned). A non-empty
-// token arms the drain and fleet admin endpoints; drained (when non-nil)
-// receives a shard's identity once it is drained.
+// unlucky draw can leave a shard with no datasets, or place every dataset
+// alike, which buildServer rejects by design; such draws are retried with
+// fresh ports. Returns the identity list and the running HTTP servers
+// (index-aligned). A non-empty token arms the drain and fleet admin
+// endpoints; drained (when non-nil) receives a shard's identity once it is
+// drained.
 func startDaemonFleet(t *testing.T, n, repl, datasets int, token string, drained chan string) ([]string, []*httptest.Server) {
 	t.Helper()
 attempt:
@@ -339,7 +340,7 @@ attempt:
 			}
 			srv, err := buildServer(cfg)
 			if err != nil {
-				if strings.Contains(err.Error(), "owns none") {
+				if strings.Contains(err.Error(), "owns none") || strings.Contains(err.Error(), "one ownership group") {
 					abort()
 					continue attempt
 				}

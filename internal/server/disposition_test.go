@@ -12,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"forestview/internal/golem"
 	"forestview/internal/spell"
 	"forestview/internal/tilecorr"
 )
@@ -88,12 +87,8 @@ func TestSearchCacheDispositionHeader(t *testing.T) {
 	// then let the HTTP request join it.
 	ids2 := u.ModuleGeneIDs(4)[:3]
 	canonical := spell.CanonicalQuery(ids2)
-	key := fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s", 10, true, false, joinIDs(canonical))
-	res, err := s.cfg.Engine.Search(canonical, spell.Options{MaxGenes: 10, IncludeQuery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := holdFlight(t, &s.flights, key, res)
+	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s", s.coord.Generation(), 10, true, false, joinIDs(canonical))
+	release := holdFlight(t, &s.flights, key, answer{})
 	before := s.statSearch.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
@@ -124,12 +119,8 @@ func TestEnrichCacheDispositionHeader(t *testing.T) {
 
 	genes2 := u.ModuleGeneIDs(2)
 	canonical := spell.CanonicalQuery(genes2)
-	key := fmt.Sprintf("enrich\x1f%d\x1f%g\x1f%s", 1, 0.0, joinIDs(canonical))
-	val, err := s.cfg.Enricher.Analyze(canonical, golem.Options{MinSelected: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := holdFlight(t, &s.flights, key, val)
+	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s", s.coord.Generation(), 1, 0.0, joinIDs(canonical))
+	release := holdFlight(t, &s.flights, key, answer{})
 	before := s.statEnrich.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {

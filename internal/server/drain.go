@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strings"
 
 	"forestview/internal/microarray"
 	"forestview/internal/shard"
@@ -20,11 +21,11 @@ import (
 // A shard never dials another shard; what a successor is first asked after a
 // drain it computes, as it computes any query it has not seen.
 
-// shardState is the shard role's reloadable view: the engine over the
-// held datasets, the global-index maps, the raw datasets the engine was
+// shardState is what a daemon's own member computes on: the engine over
+// the held datasets, the global-index maps, the raw datasets the engine was
 // built from (nil disables reload), and the membership list the holdings
-// were last derived from. Swapped atomically by reloadShard; handlers
-// read one consistent state per request.
+// were last derived from. On a shard it is reloadable, swapped atomically by
+// reloadShard; handlers read one consistent state per request.
 type shardState struct {
 	engine  *spell.Engine
 	indexes []int       // engine local index -> global catalog index
@@ -36,6 +37,54 @@ type shardState struct {
 }
 
 func (s *Server) shardState() *shardState { return s.shardSt.Load() }
+
+// newShardState validates the engine and shard fields of cfg and returns
+// the boot holdings: the shard role's slice or — a single daemon — the
+// whole engine, whose dataset names become the catalog
+// (cfg.ShardDatasetIDs) with each dataset at its own index. A coordinator
+// that holds no data has none.
+func newShardState(cfg *Config) (*shardState, error) {
+	switch {
+	case cfg.Engine == nil && cfg.ShardIndexes != nil:
+		return nil, fmt.Errorf("server: shard role requires an engine")
+	case cfg.Engine == nil && cfg.Scatter != nil:
+		return nil, nil // a coordinator holds no data
+	case cfg.Engine == nil:
+		return nil, fmt.Errorf("server: nil SPELL engine (and no shard coordinator)")
+	case cfg.ShardIndexes == nil: // a single daemon: nothing more to check
+	case len(cfg.ShardIndexes) != cfg.Engine.NumDatasets():
+		return nil, fmt.Errorf("server: %d shard indexes for %d datasets", len(cfg.ShardIndexes), cfg.Engine.NumDatasets())
+	case len(cfg.ShardDatasetIDs) == 0:
+		return nil, fmt.Errorf("server: shard role requires the global dataset catalog (ShardDatasetIDs)")
+	case len(cfg.ShardRawDatasets) != 0 && len(cfg.ShardRawDatasets) != len(cfg.ShardIndexes):
+		return nil, fmt.Errorf("server: %d raw shard datasets for %d shard indexes", len(cfg.ShardRawDatasets), len(cfg.ShardIndexes))
+	}
+	for i, gi := range cfg.ShardIndexes {
+		if gi < 0 || gi >= len(cfg.ShardDatasetIDs) {
+			return nil, fmt.Errorf("server: shard index %d of dataset %d outside the %d-dataset catalog", gi, i, len(cfg.ShardDatasetIDs))
+		}
+	}
+	st := &shardState{engine: cfg.Engine, indexes: slices.Clone(cfg.ShardIndexes), raw: cfg.ShardRawDatasets, repl: max(cfg.ShardReplication, 1)}
+	if st.indexes == nil {
+		cfg.ShardDatasetIDs = cfg.Engine.DatasetNames()
+		for i := range cfg.ShardDatasetIDs {
+			st.indexes = append(st.indexes, i)
+		}
+	}
+	st.local = make(map[int]int, len(st.indexes))
+	for li, gi := range st.indexes {
+		st.local[gi] = li
+	}
+	if len(cfg.ShardFleet) > 0 {
+		fleet, err := shard.NewMembership(cfg.ShardFleet)
+		if err != nil {
+			return nil, fmt.Errorf("server: shard fleet view: %w", err)
+		}
+		st.shards, st.gen = fleet.Snapshot()
+	}
+	cfg.ShardSelf = strings.TrimRight(strings.TrimSpace(cfg.ShardSelf), "/")
+	return st, nil
+}
 
 // shardFleetRequest is the POST /api/shard/v1/admin/fleet body: the
 // authoritative post-change fleet list, and optionally a new replication
@@ -187,6 +236,7 @@ func (s *Server) reloadShard(ctx context.Context, shards []string, repl int) (*s
 		next.engine, next.indexes, next.local, next.raw = engine, indexes, local, raw
 	}
 	s.shardSt.Store(next)
+	s.coord.ForgetInfo() // its own coordinator counts the grown holdings anew
 	s.shardReloads.Add(1)
 	return next, len(missing), nil
 }

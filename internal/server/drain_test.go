@@ -294,6 +294,46 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	}
 }
 
+// TestShardSearchFollowsReload: a shard's own /api/search is a coordinator
+// over its one local member, whose one group is the whole global catalog, so
+// it searches what the shard holds now. Before a reload that is a slice of
+// the catalog, not the compendium: the answer ranks the slice and says it
+// is degraded. The reload that makes the shard the sole survivor gives it
+// everything, and the answer ranks the whole catalog, undegraded, as
+// /api/stats counts it.
+func TestShardSearchFollowsReload(t *testing.T) {
+	top := newDrainTopology(t, 3, 1)
+	s1 := top.srv[1]
+	held := len(s1.shardState().indexes)
+	if held == len(top.dss) {
+		t.Fatal("fixture gives shard-1 the whole catalog; nothing to prove")
+	}
+	search := func() (ranked int, degraded string) {
+		t.Helper()
+		rec := get(t, s1, searchURL(top.query))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("shard search = %d: %s", rec.Code, rec.Body.String())
+		}
+		var body scatterBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+			t.Fatal(err)
+		}
+		return len(body.Datasets), rec.Header().Get("X-Forestview-Degraded")
+	}
+	if n, degraded := search(); n != held || degraded != "true" {
+		t.Fatalf("before the reload: %d datasets ranked (degraded %q), want the %d held (degraded true)", n, degraded, held)
+	}
+	if resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, `{"shards":["shard-1"],"replication":1}`); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload = %d: %s", resp.StatusCode, raw)
+	}
+	if n, degraded := search(); n != len(top.dss) || degraded != "false" {
+		t.Fatalf("after the reload: %d datasets ranked (degraded %q), want all %d (degraded false)", n, degraded, len(top.dss))
+	}
+	if n := s1.Stats().Compendium.Datasets; n != len(top.dss) {
+		t.Fatalf("/api/stats counts %d datasets after the reload, want %d", n, len(top.dss))
+	}
+}
+
 // TestShardFleetReloadRefusesCollapsedPlacement: a catalog whose names differ
 // only in their last byte is one ownership group under any fleet of two or
 // more; a one-shard fleet boots on it, and the reload that would grow the

@@ -23,8 +23,6 @@ import (
 	"forestview/internal/spellweb"
 )
 
-var errNoEnricher = errors.New("server: no ontology loaded; /api/enrich is unavailable")
-
 // Stable machine-readable error codes, carried in every /api/* error
 // envelope. Clients branch on the code; the message is for humans and may
 // change freely. Adding a code is fine, renaming one is a breaking change.
@@ -145,28 +143,32 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeSingleGeneQuery, spell.MsgSingleGeneQuery)
 		return
 	}
-	e, meta, disp, err := s.searchWith(r.Context(), &s.statSearch, ids, spell.Options{MaxGenes: top, IncludeQuery: true})
+	a, disp, err := s.searchWith(r.Context(), &s.statSearch, ids, spell.Options{MaxGenes: top, IncludeQuery: true})
 	if err != nil {
 		s.writeComputeError(w, r, &s.statSearch, "search", err)
 		return
 	}
-	w.Header().Set(cacheHeader, disp)
-	if meta != nil {
-		setScatterHeaders(w, meta)
-		s.writeJSON(w, http.StatusOK, scatterSearchResponse{Result: e.res, Meta: *meta})
-		return
-	}
-	s.writeJSON(w, http.StatusOK, json.RawMessage(e.body))
+	s.writeAnswer(w, a, disp)
 }
 
-// setScatterHeaders discloses a scatter's coverage: sharded answers always
-// say how much of the compendium they cover; a degraded merge is a correct
-// ranking (or analysis) over the surviving shards, flagged rather than
-// failed.
-func setScatterHeaders(w http.ResponseWriter, meta *shard.Meta) {
-	w.Header().Set("X-Forestview-Shards-Ok", strconv.Itoa(meta.ShardsOK))
-	w.Header().Set("X-Forestview-Shards-Total", strconv.Itoa(meta.ShardsTotal))
-	w.Header().Set("X-Forestview-Degraded", strconv.FormatBool(meta.Degraded))
+// scatterSearchResponse is the /api/search body: the ranking plus the
+// degraded flag and shard/group tallies.
+type scatterSearchResponse struct {
+	*spell.Result
+	shard.Meta
+}
+
+// writeAnswer writes a cached or fresh answer's body, with its cache
+// disposition and its coverage: every answer — a single daemon's is a fleet
+// of one — says how much of the compendium it covers; a degraded merge is a
+// correct ranking (or analysis) over the surviving shards, flagged rather
+// than failed.
+func (s *Server) writeAnswer(w http.ResponseWriter, a answer, disp string) {
+	w.Header().Set(cacheHeader, disp)
+	w.Header().Set("X-Forestview-Shards-Ok", strconv.Itoa(a.meta.ShardsOK))
+	w.Header().Set("X-Forestview-Shards-Total", strconv.Itoa(a.meta.ShardsTotal))
+	w.Header().Set("X-Forestview-Degraded", strconv.FormatBool(a.meta.Degraded))
+	s.writeJSON(w, http.StatusOK, json.RawMessage(a.body))
 }
 
 // writeContextError is the daemon's one cancellation rule, applied by every
@@ -209,18 +211,17 @@ type enrichResponse struct {
 	Background int `json:"background"`
 	// Results are ordered by ascending p-value.
 	Results []golem.Enrichment `json:"results"`
+	// Meta is the scatter's coverage: the degraded flag and the shard and
+	// group tallies.
+	shard.Meta
 }
 
 // handleEnrich serves /api/enrich?genes=G1,G2[&maxp=0.05][&min=2]: the
-// GOLEM enrichment table for a gene list as JSON. On a coordinator the
-// analysis scatters over the fleet's background slices and merges exactly
-// (golem.MergeCounts); the body then also carries the degraded flag and
-// shard/group tallies, mirroring /api/search.
+// GOLEM enrichment table for a gene list as JSON, scattered over the
+// members' background slices and merged exactly (golem.MergeCounts); the
+// body also carries the degraded flag and shard/group tallies, mirroring
+// /api/search. Members without an ontology make it a 503 no_ontology.
 func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Enricher == nil && s.cfg.Scatter == nil {
-		s.writeJSONError(w, http.StatusServiceUnavailable, codeNoOntology, errNoEnricher.Error())
-		return
-	}
 	genes, ok := s.geneListParam(w, r, "genes")
 	if !ok {
 		return
@@ -242,37 +243,20 @@ func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
 		}
 		opt.MinSelected = m
 	}
-	// A single daemon caches the whole body; a coordinator scatters, merges
-	// exactly and discloses coverage like the search scatter does.
-	sel := spell.CanonicalQuery(genes)
-	if s.cfg.Scatter == nil {
-		body, disp, err := s.enrichCtx(r.Context(), sel, opt)
-		if err != nil {
-			s.writeComputeError(w, r, &s.statEnrich, "enrichment", err)
-			return
-		}
-		w.Header().Set(cacheHeader, disp)
-		s.writeJSON(w, http.StatusOK, json.RawMessage(body))
-		return
-	}
-	res, meta, disp, err := s.scatterEnrich(r.Context(), sel, opt)
+	a, disp, err := s.scatterEnrich(r.Context(), spell.CanonicalQuery(genes), opt)
 	if err != nil {
 		s.writeComputeError(w, r, &s.statEnrich, "enrichment", err)
 		return
 	}
-	w.Header().Set(cacheHeader, disp)
-	setScatterHeaders(w, meta)
-	resp := newEnrichResponse(sel, res.Background, res.Results, func(g string) bool { return res.InBackground[g] })
-	s.writeJSON(w, http.StatusOK, scatterEnrichResponse{enrichResponse: resp, Meta: *meta})
+	s.writeAnswer(w, a, disp)
 }
 
-// newEnrichResponse is the body for the canonical selection sel; known says
-// which genes the universe holds (from the partials' disclosure on a
-// coordinator, from the local enricher otherwise).
-func newEnrichResponse(sel []string, background int, results []golem.Enrichment, known func(gene string) bool) enrichResponse {
-	resp := enrichResponse{Background: background, Results: results}
+// newEnrichResponse is the body for the canonical selection sel; which of
+// its genes the universe holds comes from the partials' disclosure.
+func newEnrichResponse(sel []string, res *shard.EnrichResult, meta shard.Meta) enrichResponse {
+	resp := enrichResponse{Background: res.Background, Results: res.Results, Meta: meta}
 	for _, g := range sel {
-		if known(g) {
+		if res.InBackground[g] {
 			resp.Selection = append(resp.Selection, g)
 		} else {
 			resp.Ignored = append(resp.Ignored, g)
@@ -281,9 +265,8 @@ func newEnrichResponse(sel []string, background int, results []golem.Enrichment,
 	return resp
 }
 
-// writeComputeError maps a search or enrichment failure — local kernel or
-// fleet scatter alike — onto the error envelope. Every path shares one
-// contract: retryable conditions are 503s with a condition-specific code,
+// writeComputeError maps a search or enrichment failure onto the error
+// envelope: retryable conditions are 503s with a condition-specific code,
 // counted in ep.rejected; anything else is a query error (422).
 func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, ep *endpointStats, what string, err error) {
 	reject := func(code string) {
@@ -293,8 +276,8 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, ep *e
 	switch {
 	case s.writeContextError(w, r, ep, err, what):
 	case errors.Is(err, shard.ErrNoEnrichment):
-		// The fleet has no capable shard: same condition as a single daemon
-		// booted without an ontology, same code.
+		// No member has an ontology: a daemon booted without one, or a fleet
+		// of such shards.
 		reject(codeNoOntology)
 	case errors.Is(err, shard.ErrDegradedUnresolved):
 		// A degraded scatter whose survivors can't rule the genes in or out.
@@ -306,18 +289,11 @@ func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, ep *e
 	case errors.Is(err, golem.ErrNoSelection):
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeNoSelectionGenes, err.Error())
 	case errors.As(err, new(*json.UnsupportedValueError)):
-		// A single daemon encodes the body as part of the computation.
+		// The body is encoded as part of the computation.
 		s.writeEncodeFailure(w, http.StatusOK, err)
 	default:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	}
-}
-
-// scatterEnrichResponse is the /api/enrich body in coordinator mode: the
-// usual table plus the explicit degraded flag and shard/group tallies.
-type scatterEnrichResponse struct {
-	enrichResponse
-	shard.Meta
 }
 
 // tileParams are the canonicalized /api/heatmap parameters; their string

@@ -41,19 +41,19 @@ import (
 	"forestview/internal/tilecorr"
 )
 
-// Config assembles a Server. Engine is required unless Scatter makes the
-// daemon a coordinator; Enricher and the dataset lists gate their
+// Config assembles a Server. Enricher and the dataset lists gate their
 // endpoints (a daemon without an ontology serves 503 on /api/enrich
 // rather than failing to start).
 type Config struct {
-	// Engine is the prepared SPELL compendium (required, except for a
-	// pure coordinator: with Scatter set and Engine nil, search scatters
-	// to the shard backends and no local compendium is held).
+	// Engine is the prepared SPELL compendium, required unless Scatter makes
+	// the daemon a coordinator that holds no data.
 	Engine *spell.Engine
-	// Scatter, when set, routes every search — /api/search and the HTML
-	// page alike — through the shard coordinator: scatter, merge with
-	// global renormalization, cache the merged result under the canonical
-	// query + shard-set generation. Degraded merges are never cached.
+	// Scatter makes the daemon a coordinator over the fleet it names.
+	// Without it a daemon holding an engine coordinates itself: one
+	// in-process member at R=1. Either way every search and enrichment —
+	// the API and the HTML page alike — takes one path: scatter, merge,
+	// cache the answer under the canonical query and the membership
+	// generation. Degraded merges are never cached.
 	Scatter *shard.Coordinator
 	// ShardIndexes, when non-nil, makes the daemon a shard backend: entry
 	// i is the global compendium index of the engine's dataset i (the
@@ -65,7 +65,8 @@ type Config struct {
 	// — the boot catalog every fleet member agrees on. Required with
 	// ShardIndexes (whose entries index into it): the shard recomputes
 	// ownership groups from it for replicated requests and serves it at
-	// /api/shard/info so coordinators stay dataset-stateless.
+	// /api/shard/info so coordinators stay dataset-stateless. A single
+	// daemon's catalog is its engine's dataset names (New sets it).
 	ShardDatasetIDs []string
 	// FleetToken authorizes POST /api/admin/fleet on a coordinator
 	// (runtime shard joins and leaves) and the shard-side admin endpoints
@@ -158,8 +159,11 @@ type Server struct {
 	pool     *Pool
 	trees    *treeCache
 	prefetch *prefetcher // nil unless cfg.PrefetchWorkers > 0
-	start    time.Time
-	dsIndex  map[string]int // dataset name -> pane index; read-only after New
+	// coord answers every search and enrichment: cfg.Scatter, or the
+	// coordinator over this daemon's one local member (shardrole.go).
+	coord   *shard.Coordinator
+	start   time.Time
+	dsIndex map[string]int // dataset name -> pane index; read-only after New
 
 	statSearch  endpointStats
 	statEnrich  endpointStats
@@ -169,8 +173,8 @@ type Server struct {
 	statShard   endpointStats // /api/shard/* (shard role only)
 	statFleet   endpointStats // /api/admin/fleet (coordinator role only)
 
-	// shardSt is the shard role's reloadable state (engine, index maps,
-	// membership view); see drain.go. Non-nil whenever ShardIndexes is.
+	// shardSt is the holdings the local member computes on (engine, index
+	// maps, membership view); see drain.go. Non-nil whenever Engine is.
 	shardSt atomic.Pointer[shardState]
 	// groupVw is the ownership-group view of the topology last asked for
 	// (shardrole.go); derived on first use, replaced when another is named.
@@ -180,8 +184,8 @@ type Server struct {
 	draining     atomic.Bool
 	shardReloads atomic.Int64
 
-	// enrichKernel tracks actual golem kernel executions (cache misses that
-	// computed), reported as the enrich_cache stats section.
+	// enrichKernel tracks enrichment computations (cache misses that
+	// scattered), reported as the enrich_cache stats section.
 	enrichKernel enrichKernelStats
 	// encodeFailures counts JSON responses whose encoding failed (writeJSON
 	// turned them into 500s); any nonzero value is a bug worth paging on.
@@ -190,26 +194,9 @@ type Server struct {
 
 // New wires a Server from the config.
 func New(cfg Config) (*Server, error) {
-	if cfg.Engine == nil && cfg.Scatter == nil {
-		return nil, fmt.Errorf("server: nil SPELL engine (and no shard coordinator)")
-	}
-	if cfg.ShardIndexes != nil {
-		if cfg.Engine == nil {
-			return nil, fmt.Errorf("server: shard role requires an engine")
-		}
-		if len(cfg.ShardIndexes) != cfg.Engine.NumDatasets() {
-			return nil, fmt.Errorf("server: %d shard indexes for %d datasets",
-				len(cfg.ShardIndexes), cfg.Engine.NumDatasets())
-		}
-		if len(cfg.ShardDatasetIDs) == 0 {
-			return nil, fmt.Errorf("server: shard role requires the global dataset catalog (ShardDatasetIDs)")
-		}
-		for i, gi := range cfg.ShardIndexes {
-			if gi < 0 || gi >= len(cfg.ShardDatasetIDs) {
-				return nil, fmt.Errorf("server: shard index %d of dataset %d outside the %d-dataset catalog",
-					gi, i, len(cfg.ShardDatasetIDs))
-			}
-		}
+	st, err := newShardState(&cfg)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.RenderWorkers <= 0 {
 		cfg.RenderWorkers = 4
@@ -241,6 +228,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
+		coord: cfg.Scatter,
 		mux:   http.NewServeMux(),
 		cache: NewCache(cfg.CacheBytes),
 		pool:  NewPool(cfg.RenderWorkers, cfg.RenderQueue),
@@ -257,37 +245,17 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("/api/enrich", s.instrument(&s.statEnrich, s.handleEnrich))
 	s.mux.HandleFunc("/api/heatmap", s.instrument(&s.statHeatmap, s.handleHeatmap))
 	s.mux.HandleFunc("/api/stats", s.instrument(&s.statStats, s.handleStats))
+	s.shardSt.Store(st)
+	if s.coord == nil {
+		if s.coord, err = shard.NewCoordinator(shard.Config{Shards: []string{localMember}, Backend: local{s}}); err != nil {
+			s.Close()
+			return nil, err
+		}
+	}
 	if cfg.ShardIndexes != nil {
-		local := make(map[int]int, len(cfg.ShardIndexes))
-		for li, gi := range cfg.ShardIndexes {
-			local[gi] = li
-		}
-		st := &shardState{
-			engine:  cfg.Engine,
-			indexes: append([]int(nil), cfg.ShardIndexes...),
-			local:   local,
-			raw:     cfg.ShardRawDatasets,
-			repl:    cfg.ShardReplication,
-		}
-		if st.repl <= 0 {
-			st.repl = 1
-		}
-		if len(cfg.ShardRawDatasets) != 0 && len(cfg.ShardRawDatasets) != len(cfg.ShardIndexes) {
-			return nil, fmt.Errorf("server: %d raw shard datasets for %d shard indexes",
-				len(cfg.ShardRawDatasets), len(cfg.ShardIndexes))
-		}
-		if len(cfg.ShardFleet) > 0 {
-			fleet, err := shard.NewMembership(cfg.ShardFleet)
-			if err != nil {
-				return nil, fmt.Errorf("server: shard fleet view: %w", err)
-			}
-			st.shards, st.gen = fleet.Snapshot()
-		}
-		s.shardSt.Store(st)
 		s.mux.HandleFunc(shard.SearchPath, s.instrument(&s.statShard, s.handleShardSearch))
 		s.mux.HandleFunc(shard.InfoPath, s.instrument(&s.statShard, s.handleShardInfo))
 		if cfg.ShardSelf != "" {
-			s.cfg.ShardSelf = strings.TrimRight(strings.TrimSpace(cfg.ShardSelf), "/")
 			s.mux.HandleFunc(shard.DrainPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardDrain)))
 			s.mux.HandleFunc(shard.ShardFleetPath, s.instrument(&s.statShard, s.fleetAdmin(s.handleShardFleet)))
 		}
@@ -311,7 +279,7 @@ func New(cfg Config) (*Server, error) {
 	// Searcher runs through the same cachedCompute keys as /api/search, with
 	// its cache/compute activity accounted to the html endpoint.
 	html := http.NewServeMux()
-	spellweb.RegisterHTML(html, &cachedSearcher{s: s, ep: &s.statHTML})
+	spellweb.RegisterHTML(html, htmlSearcher{s})
 	s.mux.HandleFunc("/", s.instrument(&s.statHTML, html.ServeHTTP))
 	s.mux.HandleFunc("/search", s.instrument(&s.statHTML, html.ServeHTTP))
 	return s, nil
@@ -332,112 +300,77 @@ func (s *Server) Close() {
 }
 
 // compendiumSize reports the dataset and gene counts this daemon answers
-// for: a shard's current (reload-aware) slice, a single daemon's engine, or
-// — on a coordinator — the union of its shards' slices and gene sets (0, 0
-// while some shard has not answered an info probe yet).
+// for: the union of its coordinator's members' holdings (0, 0 while some
+// member has not answered an info probe; the coordinator caches a complete
+// answer, so only the first call pays a probe).
 func (s *Server) compendiumSize() (datasets, genes int) {
-	if st := s.shardSt.Load(); st != nil {
-		return st.engine.NumDatasets(), st.engine.NumGenes()
-	}
-	if s.cfg.Engine != nil {
-		return s.cfg.Engine.NumDatasets(), s.cfg.Engine.NumGenes()
-	}
-	return s.scatterInfo()
-}
-
-// scatterInfo asks the coordinator for the union compendium description;
-// the coordinator caches a complete answer, so only the first call (and
-// calls while a shard is unreachable) pay a probe.
-func (s *Server) scatterInfo() (datasets, genes int) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	info, err := s.cfg.Scatter.Info(ctx)
+	info, err := s.coord.Info(ctx)
 	if err != nil {
 		return 0, 0
 	}
 	return info.Datasets, info.Genes
 }
 
-// searchEntry is what the single role caches for a search: the result (the
-// HTML page renders it) and its /api/search body, encoded once at compute
-// time so that a hit costs a write, not a re-encode — as tiles are cached in
-// wire form. The scatter path leaves body nil.
-type searchEntry struct {
-	res  *spell.Result
-	body []byte
-}
-
-// searchWith is the single search path; ep receives the cache/compute
-// accounting, so HTML-page and API traffic stay separable in /api/stats
-// while sharing one set of cache keys. The returned meta is non-nil only
-// on the scatter path; disp is the cache disposition (hit/miss/coalesced)
-// the handlers surface as the X-Forestview-Cache header.
-func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (searchEntry, *shard.Meta, string, error) {
+// searchWith is the one search path, /api/search's and the HTML page's; ep
+// receives the cache/compute accounting, so page and API traffic stay
+// separable in /api/stats while sharing one set of cache keys. disp is the
+// cache disposition (hit/miss/coalesced) the handlers surface as the
+// X-Forestview-Cache header.
+func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (answer, string, error) {
 	ids = spell.CanonicalQuery(ids)
 	if opt.MaxGenes <= 0 || opt.MaxGenes > s.cfg.MaxGenes {
 		opt.MaxGenes = s.cfg.MaxGenes
 	}
-	if s.cfg.Scatter != nil {
-		res, meta, disp, err := s.scatterSearch(ctx, ep, ids, opt)
-		return searchEntry{res: res}, meta, disp, err
-	}
 	// Every result-shaping option must be in the key.
-	key := fmt.Sprintf("search\x1f%d\x1f%t\x1f%t\x1f%s",
-		opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	cost := func(e searchEntry) int64 { return searchCost(e.res) + int64(len(e.body)) }
-	e, disp, err := cachedCompute(ctx, s, ep, key, cost, nil, func() (e searchEntry, err error) {
-		if e.res, err = s.cfg.Engine.SearchCtx(ctx, ids, opt); err == nil {
-			e.body, err = encodeJSON(e.res)
-		}
-		return e, err
+	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s",
+		s.coord.Generation(), opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
+	return cachedScatter(ctx, s, ep, key, func() (*spell.Result, any, shard.Meta, error) {
+		res, meta, err := s.coord.SearchCtx(ctx, ids, opt)
+		return res, scatterSearchResponse{res, meta}, meta, err
 	})
-	return e, nil, disp, err
 }
 
-// cachedSearcher adapts the shared search path for the HTML page: same
+// htmlSearcher adapts the shared search path for the HTML page: same
 // cache keys, html-endpoint accounting.
-type cachedSearcher struct {
-	s  *Server
-	ep *endpointStats
-}
+type htmlSearcher struct{ *Server }
 
 // SearchCtx implements spellweb.Searcher: the page request's
 // context rides into the search (a closed tab cancels a whole scatter on
 // a coordinator), and a degraded merge comes back with the disclosure the
 // page must print — the HTML surface keeps the same honesty contract as
 // the API's degraded headers.
-func (c *cachedSearcher) SearchCtx(ctx context.Context, ids []string, opt spell.Options) (*spell.Result, string, error) {
-	e, meta, _, err := c.s.searchWith(ctx, c.ep, ids, opt)
+func (h htmlSearcher) SearchCtx(ctx context.Context, ids []string, opt spell.Options) (*spell.Result, string, error) {
+	a, _, err := h.searchWith(ctx, &h.statHTML, ids, opt)
 	if err != nil {
 		return nil, "", err
 	}
-	if meta != nil && meta.Degraded {
-		return e.res, fmt.Sprintf("degraded result: only %d of %d shards answered; rankings are renormalized over the reachable slice of the compendium",
-			meta.ShardsOK, meta.ShardsTotal), nil
+	if a.meta.Degraded {
+		return a.res, fmt.Sprintf("degraded result: only %d of %d shards answered; rankings are renormalized over the reachable slice of the compendium",
+			a.meta.ShardsOK, a.meta.ShardsTotal), nil
 	}
-	return e.res, "", nil
+	return a.res, "", nil
 }
 
-func (c *cachedSearcher) NumDatasets() int { d, _ := c.s.compendiumSize(); return d }
-func (c *cachedSearcher) NumGenes() int    { _, g := c.s.compendiumSize(); return g }
+func (h htmlSearcher) NumDatasets() int { d, _ := h.compendiumSize(); return d }
+func (h htmlSearcher) NumGenes() int    { _, g := h.compendiumSize(); return g }
 
-// enrichCtx is the /api/enrich compute path for a canonical gene list (the
-// handler has checked an enricher is loaded): canonicalized cache key into
-// the sharded LRU, singleflight coalescing, and the request context threaded
-// into the bitset kernel (golem.AnalyzeCtx) so a disconnected client stops
-// paying mid-scan. Kernel executions and their latency are accounted under
-// enrich_cache in /api/stats. Cached and returned is the response body (key
-// and body have the same inputs), with the disposition for X-Forestview-Cache.
-func (s *Server) enrichCtx(ctx context.Context, genes []string, opt golem.Options) ([]byte, string, error) {
-	key := fmt.Sprintf("enrich\x1f%d\x1f%g\x1f%s", opt.MinSelected, opt.MaxPValue, joinIDs(genes))
-	return cachedCompute(ctx, s, &s.statEnrich, key, wireCost, nil, func() ([]byte, error) {
+// scatterEnrich is /api/enrich's compute path: scatter the canonical
+// selection over the members' background slices and merge the exact
+// tallies, cached under the result-shaping options and the selection. The
+// enrich_cache section of /api/stats counts these computations.
+func (s *Server) scatterEnrich(ctx context.Context, sel []string, opt golem.Options) (answer, string, error) {
+	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
+		s.coord.Generation(), opt.MinSelected, opt.MaxPValue, joinIDs(sel))
+	return cachedScatter(ctx, s, &s.statEnrich, key, func() (*spell.Result, any, shard.Meta, error) {
 		t0 := time.Now()
-		res, aerr := s.cfg.Enricher.AnalyzeCtx(ctx, genes, opt)
-		s.enrichKernel.observe(time.Since(t0), aerr)
-		if aerr != nil {
-			return nil, aerr
+		res, meta, err := s.coord.EnrichCtx(ctx, sel, opt)
+		s.enrichKernel.observe(time.Since(t0), err)
+		if err != nil {
+			return nil, nil, meta, err
 		}
-		return encodeJSON(newEnrichResponse(genes, s.cfg.Enricher.BackgroundSize(), res, s.cfg.Enricher.InBackground))
+		return nil, newEnrichResponse(sel, res, meta), meta, nil
 	})
 }
 
@@ -470,7 +403,7 @@ const cacheHeader = "X-Forestview-Cache"
 // cachedCompute is coalesce over the shared LRU: the result lives under key,
 // charged cost(v), and any request may evict it. A computed value for which
 // cacheable (optional) returns false is delivered to its waiters but never
-// enters the cache — the scatter path keeps degraded merges out this way.
+// enters the cache — cachedScatter keeps degraded merges out this way.
 func cachedCompute[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
 	cost func(T) int64, cacheable func(T) bool, compute func() (T, error)) (T, string, error) {
 	load := func() (T, bool) {
@@ -486,9 +419,44 @@ func cachedCompute[T any](ctx context.Context, s *Server, ep *endpointStats, key
 	return coalesce(ctx, &s.flights, ep, key, load, store, compute)
 }
 
-// searchCost approximates the resident size of a cached *spell.Result.
+// answer is what every role caches for a search or an enrichment: the
+// merged search result (the HTML page renders it; nil for an enrichment),
+// the scatter metadata, and the response body, encoded once inside the
+// compute closure so that a hit costs a write, not a re-encode.
+type answer struct {
+	res  *spell.Result
+	meta shard.Meta
+	body []byte
+}
+
+// cachedScatter runs one scatter under key: scatter returns the merged
+// result the page keeps (if any), the value the body encodes and the
+// metadata. key carries the membership generation, so merges of one
+// topology are never replayed under another. Degraded merges (a group
+// unserved) are delivered but never cached: cached, they would keep
+// answering for the survivors long after the shard recovered. A result that
+// does not encode fails its computation.
+func cachedScatter(ctx context.Context, s *Server, ep *endpointStats, key string,
+	scatter func() (*spell.Result, any, shard.Meta, error)) (answer, string, error) {
+	return cachedCompute(ctx, s, ep, key,
+		func(a answer) int64 { return searchCost(a.res) + int64(len(a.body)) },
+		func(a answer) bool { return !a.meta.Degraded },
+		func() (a answer, err error) {
+			var v any
+			if a.res, v, a.meta, err = scatter(); err == nil {
+				a.body, err = encodeJSON(v)
+			}
+			return a, err
+		})
+}
+
+// searchCost approximates the resident size of an answer's search result
+// (a fixed entry overhead for none).
 func searchCost(r *spell.Result) int64 {
 	n := int64(256)
+	if r == nil {
+		return n
+	}
 	for _, q := range r.Query {
 		n += int64(len(q)) + 16
 	}
@@ -540,6 +508,7 @@ func (s *Server) Role() string {
 func (s *Server) Stats() StatsSnapshot {
 	prefixes := s.cache.Prefixes()
 	nDatasets, nGenes := s.compendiumSize() // at most one probe (cached after success)
+	scatter := s.coord.Stats()
 	snap := StatsSnapshot{
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Server: ServerInfo{
@@ -554,6 +523,7 @@ func (s *Server) Stats() StatsSnapshot {
 			Clustered: s.NumPanes(),
 		},
 		TreeCache: s.trees.snapshot(),
+		Scatter:   &scatter,
 		Cache: CacheInfo{
 			Entries:  s.cache.Len(),
 			Bytes:    s.cache.Bytes(),
@@ -589,8 +559,6 @@ func (s *Server) Stats() StatsSnapshot {
 	}
 	if s.cfg.Scatter != nil {
 		snap.Endpoints["fleet"] = s.statFleet.snapshot()
-		sc := s.cfg.Scatter.Stats()
-		snap.Scatter = &sc
 	}
 	if s.cfg.Enricher != nil {
 		snap.Compendium.GOTerms = s.cfg.Enricher.NumTerms()
@@ -605,8 +573,8 @@ func (s *Server) Stats() StatsSnapshot {
 			Failures:     s.enrichKernel.failures.Load(),
 			Retries:      s.statEnrich.retries.Load(),
 			MaxAnalyzeUS: s.enrichKernel.maxUS.Load(),
-			Entries:      prefixes["enrich"].Entries,
-			Bytes:        prefixes["enrich"].Bytes,
+			Entries:      prefixes["escatter"].Entries,
+			Bytes:        prefixes["escatter"].Bytes,
 		}
 		if ec.Analyses > 0 {
 			ec.MeanAnalyzeUS = s.enrichKernel.analyzeUS.Load() / ec.Analyses

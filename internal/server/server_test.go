@@ -16,6 +16,7 @@ import (
 	"forestview/internal/core"
 	"forestview/internal/golem"
 	"forestview/internal/ontology"
+	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
@@ -353,57 +354,61 @@ func TestHTMLSharesSearchCache(t *testing.T) {
 	}
 }
 
-// TestHitServesTheCachedBody: the single role caches /api/search and
-// /api/enrich answers with their encoded bodies, so a hit — of an entry the
-// API or the HTML page computed — must carry byte for byte what the miss
-// carried, which is what encoding the library's answer gives, with its
-// length declared.
+// TestHitServesTheCachedBody: a daemon caches /api/search and /api/enrich
+// answers with their encoded bodies, so a hit — of an entry the API or the
+// HTML page computed — must carry byte for byte what the miss carried, with
+// its length declared: what encoding the library's answer gives, with the
+// meta of a fleet of one. A single daemon and a coordinator over one shard
+// holding everything answer alike.
 func TestHitServesTheCachedBody(t *testing.T) {
-	s, u := fixture(t)
+	single, u := fixture(t)
 	ids := spell.CanonicalQuery(u.ModuleGeneIDs(3)[:3])
 	q := strings.Join(ids, ",")
+	one := shard.Meta{ShardsOK: 1, ShardsTotal: 1, Replication: 1, GroupsOK: 1, GroupsTotal: 1}
 	eres, err := fixEnricher.Analyze(ids, golem.Options{MinSelected: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantEnrich, _ := encodeJSON(enrichResponse{Selection: ids, Background: fixEnricher.BackgroundSize(), Results: eres})
+	wantEnrich, _ := encodeJSON(enrichResponse{Selection: ids, Background: fixEnricher.BackgroundSize(), Results: eres, Meta: one})
 
 	wantSearch := func(top int) []byte {
 		res, err := fixEngine.Search(ids, spell.Options{MaxGenes: top, IncludeQuery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := encodeJSON(res) // SPELL sums are bit-stable run to run
+		body, _ := encodeJSON(scatterSearchResponse{res, one}) // SPELL sums are bit-stable run to run
 		return body
 	}
 
-	if rec := get(t, s, "/search?q="+q); rec.Code != http.StatusOK { // MaxGenes 50, warms the API's entry
-		t.Fatalf("HTML search = %d", rec.Code)
-	}
-	for _, c := range []struct {
-		url   string
-		want  []byte
-		disps []string
-	}{
-		{"/api/search?q=" + q + "&top=50", wantSearch(50), []string{dispHit, dispHit}},
-		{"/api/search?q=" + q + "&top=7", wantSearch(7), []string{dispMiss, dispHit}},
-		{"/api/enrich?genes=" + q, wantEnrich, []string{dispMiss, dispHit}},
-	} {
-		for _, disp := range c.disps {
-			rec := get(t, s, c.url)
-			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != disp {
-				t.Fatalf("%s = %d %q, want 200 %q", c.url, rec.Code, rec.Header().Get(cacheHeader), disp)
-			}
-			if !bytes.Equal(rec.Body.Bytes(), c.want) {
-				t.Fatalf("%s (%s) body differs:\n got %s\nwant %s", c.url, disp, rec.Body, c.want)
-			}
-			if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(c.want)) {
-				t.Fatalf("%s (%s) Content-Length = %q, want %d", c.url, disp, got, len(c.want))
+	for name, s := range map[string]*Server{"single": single, "coordinator": fleetOfOne(t)} {
+		if rec := get(t, s, "/search?q="+q); rec.Code != http.StatusOK { // MaxGenes 50, warms the API's entry
+			t.Fatalf("%s: HTML search = %d", name, rec.Code)
+		}
+		for _, c := range []struct {
+			url   string
+			want  []byte
+			disps []string
+		}{
+			{"/api/search?q=" + q + "&top=50", wantSearch(50), []string{dispHit, dispHit}},
+			{"/api/search?q=" + q + "&top=7", wantSearch(7), []string{dispMiss, dispHit}},
+			{"/api/enrich?genes=" + q, wantEnrich, []string{dispMiss, dispHit}},
+		} {
+			for _, disp := range c.disps {
+				rec := get(t, s, c.url)
+				if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != disp {
+					t.Fatalf("%s: %s = %d %q, want 200 %q", name, c.url, rec.Code, rec.Header().Get(cacheHeader), disp)
+				}
+				if !bytes.Equal(rec.Body.Bytes(), c.want) {
+					t.Fatalf("%s: %s (%s) body differs:\n got %s\nwant %s", name, c.url, disp, rec.Body, c.want)
+				}
+				if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(len(c.want)) {
+					t.Fatalf("%s: %s (%s) Content-Length = %q, want %d", name, c.url, disp, got, len(c.want))
+				}
 			}
 		}
-	}
-	if n := s.encodeFailures.Load(); n != 0 {
-		t.Fatalf("encode failures = %d, want 0", n)
+		if n := s.encodeFailures.Load(); n != 0 {
+			t.Fatalf("%s: encode failures = %d, want 0", name, n)
+		}
 	}
 }
 
@@ -691,7 +696,7 @@ func TestStatsPrefixOccupancy(t *testing.T) {
 	if err := json.Unmarshal(get(t, s, "/api/stats").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, prefix := range []string{"search", "enrich", "tile"} {
+	for _, prefix := range []string{"scatter", "escatter", "tile"} {
 		if occ := snap.Cache.Prefixes[prefix]; occ.Entries != 1 || occ.Bytes <= 0 {
 			t.Fatalf("prefix %q occupancy: %+v (map %+v)", prefix, occ, snap.Cache.Prefixes)
 		}

@@ -19,12 +19,18 @@ import (
 )
 
 // This file is the daemon's side of the sharded compendium (DESIGN.md §4).
-// The shard role answers /api/shard/v1/* as a pure function of the request
-// and its holdings: one scan (or one tally per slice) per request, nothing
-// cached, nothing coalesced. The coordinator role scatters /api/search and
-// /api/enrich over the shard backends and merges with global weight
-// renormalization; its LRU of merged results (cachedScatter) is the fleet's
-// only cache.
+// The shard role's compute (local) is a pure function of the request and the
+// holdings, caching nothing: it answers /api/shard/v1/* on a shard, and is
+// the one member of the coordinator every daemon with an engine searches
+// through. The LRU of merged answers (cachedScatter) is the only cache.
+
+// localMember is the identity of a daemon's own member in its coordinator.
+const localMember = "local"
+
+// local is the shard.Backend of a daemon's own member, and the compute
+// behind the shard role's endpoints: answers from the current holdings,
+// handed over by pointer with nothing encoded. Gene lists arrive canonical.
+type local struct{ s *Server }
 
 // handleShardSearch serves POST /api/shard/v1/search: a gob
 // shard.SearchRequest in, a gob shard.SearchAnswer out — one spell.Partial
@@ -32,7 +38,7 @@ import (
 // to the global compendium order.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
-		func(req *shard.SearchRequest) []string { return req.Query }, s.partialSearch)
+		func(req *shard.SearchRequest) *[]string { return &req.Query }, local{s}.Search)
 }
 
 // handleShardEnrich serves POST /api/shard/v1/enrich: a gob
@@ -42,14 +48,15 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 // coordinator reads as "unsupported" and fails over.
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilityEnrich,
-		func(req *shard.EnrichRequest) []string { return req.Selection }, s.partialEnrich)
+		func(req *shard.EnrichRequest) *[]string { return &req.Selection }, local{s}.Enrich)
 }
 
 // serveShardPartial is the one decode → canonicalize → serve → error-map
 // path behind both partial endpoints; kind is the capability name, genes
-// picks the request's gene list, and partial computes the answer.
+// points at the request's gene list (canonicalized in place), and partial
+// computes the answer.
 func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
-	genes func(*R) []string, partial func(context.Context, []string, *R) (*A, error)) {
+	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error)) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
 		return
@@ -59,12 +66,12 @@ func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Reque
 		s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "bad shard request: "+err.Error())
 		return
 	}
-	ids := spell.CanonicalQuery(genes(&req))
-	if len(ids) == 0 {
+	ids := genes(&req)
+	if *ids = spell.CanonicalQuery(*ids); len(*ids) == 0 {
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, "empty "+kind+" gene list")
 		return
 	}
-	answer, err := partial(r.Context(), ids, &req)
+	answer, err := partial(r.Context(), s.cfg.ShardSelf, &req)
 	switch {
 	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
 		// 499: the coordinator gave up on us (deadline, hedge won elsewhere,
@@ -74,16 +81,6 @@ func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Reque
 	default:
 		s.writeGob(w, "partial "+kind, answer)
 	}
-}
-
-// writeGobBody sends an encoded shard-protocol body with its Content-Length.
-// Without one net/http chunks any body over 2 KB; the peer's gob decoder
-// stops at the end of the message, before the terminal chunk, and a response
-// closed short of EOF takes its connection with it (see shard's call).
-func writeGobBody(w http.ResponseWriter, body []byte) {
-	w.Header().Set("Content-Type", shard.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
 }
 
 // groupView is this shard's side of one fleet topology: the catalog's
@@ -165,7 +162,7 @@ func (s *Server) scanPartial(ctx context.Context, st *shardState, ids []string, 
 	return p, nil
 }
 
-// partialSearch serves this shard's answer for a canonical query. A request
+// Search serves this shard's answer for a canonical query. A request
 // naming no groups (direct probes) scores every held dataset. A request
 // scoped to ownership groups of a replicated fleet (DESIGN.md §5) looks
 // them up in the topology's group view — the same pure derivation the
@@ -174,7 +171,8 @@ func (s *Server) scanPartial(ctx context.Context, st *shardState, ids []string, 
 // the frame does not depend on the order the groups were named in. A group
 // held only in part keeps a scan and a frame to itself, so the coordinator
 // can still prefer another replica's complete answer for it.
-func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.SearchRequest) (*shard.SearchAnswer, error) {
+func (l local) Search(ctx context.Context, _ string, req *shard.SearchRequest) (*shard.SearchAnswer, error) {
+	s, ids := l.s, req.Query
 	st := s.shardState()
 	if len(req.Groups) == 0 {
 		p, err := s.scanPartial(ctx, st, ids, nil, req.Uniform)
@@ -214,12 +212,18 @@ func (s *Server) partialSearch(ctx context.Context, ids []string, req *shard.Sea
 	return &answer, nil
 }
 
-// handleShardInfo serves GET /api/shard/v1/info: this shard's slice (size,
-// gene IDs, held dataset names) plus the full boot catalog coordinators
-// derive ownership groups from, and the capability list a mixed-version
-// fleet negotiates with (a shard without an ontology simply doesn't list
-// "enrich", and its enrich paths 404).
+// handleShardInfo serves GET /api/shard/v1/info.
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
+	info, _ := local{s}.Info(r.Context(), s.cfg.ShardSelf) // holdings always describe themselves
+	s.writeGob(w, "info", info)
+}
+
+// Info describes the holdings: their size, gene IDs and dataset names, plus
+// the full boot catalog coordinators derive ownership groups from, and the
+// capability list a mixed-version fleet negotiates with (a shard without an
+// ontology simply doesn't list "enrich", and its enrich paths 404).
+func (l local) Info(context.Context, string) (*shard.Info, error) {
+	s := l.s
 	st := s.shardState()
 	held := make([]string, len(st.indexes))
 	for li, gi := range st.indexes {
@@ -229,18 +233,22 @@ func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Enricher != nil {
 		caps = append(caps, shard.CapabilityEnrich)
 	}
-	s.writeGob(w, "info", shard.Info{
+	return &shard.Info{
 		GeneIDs:       st.engine.GeneIDs(),
 		DatasetIDs:    held,
 		AllDatasetIDs: s.cfg.ShardDatasetIDs,
 		Capabilities:  caps,
 		Status:        s.shardStatus(),
-	})
+	}, nil
 }
 
 // writeGob answers a shard-protocol request with gob-encoded v. Like
 // writeJSON the body is encoded before the status line is committed, so an
-// encode failure is a counted 500 naming what, never a truncated 200.
+// encode failure is a counted 500 naming what, never a truncated 200. The
+// Content-Length matters: without one net/http chunks any body over 2 KB,
+// the peer's gob decoder stops at the end of the message, before the
+// terminal chunk, and a response closed short of EOF takes its connection
+// with it (see shard's call).
 func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 	buf := gobBuffers.Get().(*bytes.Buffer)
 	defer gobBuffers.Put(buf)
@@ -250,7 +258,9 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, what+" encode failed: "+err.Error())
 		return
 	}
-	writeGobBody(w, buf.Bytes())
+	w.Header().Set("Content-Type", shard.ContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	_, _ = w.Write(buf.Bytes())
 }
 
 // gobBuffers recycles writeGob's encode buffer. A search answer is one
@@ -259,14 +269,17 @@ func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
 // fleet-wide.
 var gobBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// partialEnrich serves the slice tallies for one canonical selection: one
+// Enrich serves the slice tallies for one canonical selection: one
 // per requested ownership group, slice gi of G for the group at position gi
 // of the topology's G groups — the same pure derivation the coordinator
 // used, so both sides always agree on which gene range a slice covers. A
 // request naming no groups asks for the whole universe as slice 0 of 1 (a
 // single-shard or testing topology). statShard.computed counts the slices.
-func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.EnrichRequest) (*shard.EnrichAnswer, error) {
-	gis, n := []int{0}, 1
+func (l local) Enrich(ctx context.Context, _ string, req *shard.EnrichRequest) (*shard.EnrichAnswer, error) {
+	s, gis, n := l.s, []int{0}, 1
+	if s.cfg.Enricher == nil {
+		return nil, shard.ErrUnsupported
+	}
 	if len(req.Groups) > 0 {
 		v := s.groupView(s.shardState(), req.Shards, req.Replication)
 		var err error
@@ -278,7 +291,7 @@ func (s *Server) partialEnrich(ctx context.Context, sel []string, req *shard.Enr
 	answer := &shard.EnrichAnswer{Slices: make([]*golem.PartialCounts, len(gis))}
 	for pos, gi := range gis {
 		s.statShard.computed.Add(1)
-		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, sel, gi, n)
+		p, err := s.cfg.Enricher.PartialAnalyzeCtx(ctx, req.Selection, gi, n)
 		if err != nil {
 			return nil, err
 		}
@@ -295,76 +308,12 @@ func (s *Server) handleShardEnrichCatalog(w http.ResponseWriter, r *http.Request
 	s.writeGob(w, "catalog", s.cfg.Enricher.Catalog())
 }
 
-// scattered is the cached unit of a coordinator path: the merged value plus
-// the scatter metadata it was merged under.
-type scattered[T any] struct {
-	res  T
-	meta shard.Meta
-}
-
-// cachedScatter is the coordinator's compute path, shared by search and
-// enrichment: run one scatter under key, and cache the merged value with
-// its metadata. key carries the shard-set generation, so a coordinator
-// restarted against a different topology can never replay merges of the old
-// one. Degraded merges (a group unserved) are delivered but never cached:
-// cached, they would keep answering for the survivor subset long after the
-// shard recovered. Coalescing still holds — concurrent identical queries
-// scatter once.
-func cachedScatter[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
-	cost func(T) int64, scatter func() (T, shard.Meta, error)) (T, *shard.Meta, string, error) {
-	sv, disp, err := cachedCompute(ctx, s, ep, key,
-		func(v scattered[T]) int64 { return cost(v.res) + 64 },
-		func(v scattered[T]) bool { return !v.meta.Degraded },
-		func() (scattered[T], error) {
-			res, meta, err := scatter()
-			return scattered[T]{res: res, meta: meta}, err
-		})
-	if err != nil {
-		return sv.res, nil, disp, err
+// EnrichCatalog is the enricher's term catalog.
+func (l local) EnrichCatalog(context.Context, string) (*golem.TermCatalog, error) {
+	if l.s.cfg.Enricher == nil {
+		return nil, shard.ErrUnsupported
 	}
-	return sv.res, &sv.meta, disp, nil
-}
-
-// scatterSearch is searchWith's coordinator branch: scatter over the shard
-// backends and merge with global renormalization, cached under the
-// result-shaping options and the canonical query.
-func (s *Server) scatterSearch(ctx context.Context, ep *endpointStats, ids []string, opt spell.Options) (*spell.Result, *shard.Meta, string, error) {
-	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s",
-		s.cfg.Scatter.Generation(), opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	return cachedScatter(ctx, s, ep, key, searchCost, func() (*spell.Result, shard.Meta, error) {
-		return s.cfg.Scatter.SearchCtx(ctx, ids, opt)
-	})
-}
-
-// scatterSearchResponse is the /api/search body in coordinator mode: the
-// usual result plus the explicit degraded flag and shard tally.
-type scatterSearchResponse struct {
-	*spell.Result
-	shard.Meta
-}
-
-// enrichScatterCost approximates the resident size of a cached merged
-// enrichment: the table and the selection's membership disclosure.
-func enrichScatterCost(res *shard.EnrichResult) int64 {
-	n := int64(192)
-	for _, r := range res.Results {
-		n += int64(len(r.TermID)+len(r.TermName)) + 96
-	}
-	for g := range res.InBackground {
-		n += int64(len(g)) + 24
-	}
-	return n
-}
-
-// scatterEnrich is handleEnrich's coordinator compute path: scatter the
-// canonical selection over the fleet's background slices and merge the
-// exact tallies, cached under the result-shaping options and the selection.
-func (s *Server) scatterEnrich(ctx context.Context, sel []string, opt golem.Options) (*shard.EnrichResult, *shard.Meta, string, error) {
-	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
-		s.cfg.Scatter.Generation(), opt.MinSelected, opt.MaxPValue, joinIDs(sel))
-	return cachedScatter(ctx, s, &s.statEnrich, key, enrichScatterCost, func() (*shard.EnrichResult, shard.Meta, error) {
-		return s.cfg.Scatter.EnrichCtx(ctx, sel, opt)
-	})
+	return l.s.cfg.Enricher.Catalog(), nil
 }
 
 // fleetState is the /api/admin/fleet body: the live membership and the
@@ -409,14 +358,14 @@ func (s *Server) fleetAdmin(h http.HandlerFunc) http.HandlerFunc {
 // every topology-keyed cache entry; a removed shard stops receiving
 // scatters immediately and can drain out through its SIGTERM handler.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	m := s.cfg.Scatter.Membership()
+	m := s.coord.Membership()
 	state := func(shards []string, gen uint64) fleetState {
 		return fleetState{
 			Shards:      shards,
 			Generation:  fmt.Sprintf("%016x", gen),
-			Replication: s.cfg.Scatter.Replication(),
+			Replication: s.coord.Replication(),
 			Bumps:       m.Bumps(),
-			Draining:    s.cfg.Scatter.DrainingShards(),
+			Draining:    s.coord.DrainingShards(),
 		}
 	}
 	switch r.Method {
@@ -442,13 +391,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
 			// later as a fresh, healthy member.
 			shards, gen, err = m.Remove(req.Shard)
 			if err == nil {
-				s.cfg.Scatter.SetDraining(req.Shard, false)
+				s.coord.SetDraining(req.Shard, false)
 			}
 		case "drain", "undrain":
 			// Demote (or restore) a member in replica ordering without a
 			// membership change: no generation bump, caches stay valid, the
 			// shard just stops being anyone's first choice.
-			s.cfg.Scatter.SetDraining(req.Shard, req.Action == "drain")
+			s.coord.SetDraining(req.Shard, req.Action == "drain")
 			shards, gen = m.Snapshot()
 		default:
 			s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, `action must be "add", "remove", "drain" or "undrain"`)

@@ -494,6 +494,71 @@ func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 	return s, u
 }
 
+// fleetOfOne is a coordinator over one HTTP shard holding the fixture's
+// whole compendium, under its own dataset names, and its ontology: the
+// topology a single daemon is, with the wire in the middle.
+func fleetOfOne(t *testing.T) *Server {
+	t.Helper()
+	fixture(t)
+	indexes := make([]int, fixEngine.NumDatasets())
+	for i := range indexes {
+		indexes[i] = i
+	}
+	sh, err := New(Config{Engine: fixEngine, Enricher: fixEnricher, ShardIndexes: indexes, ShardDatasetIDs: fixEngine.DatasetNames()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sh.Close)
+	hs := httptest.NewServer(sh)
+	t.Cleanup(hs.Close)
+	coord, err := shard.NewCoordinator(shard.Config{Shards: []string{hs.Listener.Addr().String()}, Deadline: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Scatter: coord, CacheBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// TestSingleIsAFleetOfOne: a single daemon is a coordinator over one local
+// member, so it answers exactly as a coordinator over one HTTP shard holding
+// the whole catalog — the same bytes on a miss and on a hit, the same
+// coverage headers — for searches (the uniform second round included) and
+// enrichments alike.
+func TestSingleIsAFleetOfOne(t *testing.T) {
+	single, u := fixture(t)
+	fleet := fleetOfOne(t)
+	q := strings.Join(u.ModuleGeneIDs(3)[:4], ",")
+	for _, url := range []string{
+		"/api/search?q=" + q,
+		"/api/search?q=" + q + "&top=5",
+		"/api/search?q=" + u.ModuleGeneIDs(2)[0] + ",NOT-A-REAL-GENE", // every coherence NaN: two rounds
+		"/api/enrich?genes=" + q,
+		"/api/enrich?genes=" + q + ",NOT-A-REAL-GENE&maxp=0.01&min=2",
+	} {
+		for _, disp := range []string{dispMiss, dispHit} {
+			one, many := get(t, single, url), get(t, fleet, url)
+			if one.Code != http.StatusOK || many.Code != http.StatusOK {
+				t.Fatalf("%s: single %d, fleet of one %d: %s", url, one.Code, many.Code, many.Body)
+			}
+			if one.Header().Get(cacheHeader) != disp || many.Header().Get(cacheHeader) != disp {
+				t.Fatalf("%s: dispositions %q and %q, want %q", url, one.Header().Get(cacheHeader), many.Header().Get(cacheHeader), disp)
+			}
+			if !bytes.Equal(one.Body.Bytes(), many.Body.Bytes()) {
+				t.Fatalf("%s (%s): bodies differ:\nsingle       %s\nfleet of one %s", url, disp, one.Body, many.Body)
+			}
+			for _, h := range []string{"X-Forestview-Shards-Ok", "X-Forestview-Shards-Total", "X-Forestview-Degraded"} {
+				if got, want := one.Header().Get(h), many.Header().Get(h); got != want || got == "" {
+					t.Fatalf("%s: %s is %q on the single daemon, %q on the fleet of one", url, h, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestServerShardConfigValidation(t *testing.T) {
 	s, _ := fixture(t)
 	n := s.cfg.Engine.NumDatasets()

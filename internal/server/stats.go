@@ -189,7 +189,7 @@ type StatsSnapshot struct {
 	TreeCache     TreeCacheInfo               `json:"tree_cache"`
 	EnrichCache   *EnrichCacheInfo            `json:"enrich_cache,omitempty"` // nil without an ontology
 	Prefetch      *PrefetchInfo               `json:"prefetch,omitempty"`     // nil unless prefetching
-	Scatter       *shard.StatsSnapshot        `json:"scatter,omitempty"`      // nil unless coordinating
+	Scatter       *shard.StatsSnapshot        `json:"scatter,omitempty"`      // every role: a single daemon's has one member
 	Shard         *ShardRoleInfo              `json:"shard,omitempty"`        // nil unless a shard backend
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 	// EncodeFailures counts responses whose JSON encoding failed and were

@@ -1,73 +1,20 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"slices"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// This file is the attempt discipline of a scatter: the wire call, the
-// per-replica bookkeeping around it (counters, in-flight gauge, circuit
+// This file is the attempt discipline of a scatter: the per-replica
+// bookkeeping around each backend call (counters, in-flight gauge, circuit
 // breaker), replica ordering, and fetchGroups' per-group candidate walks
 // (failover, hedge, last-resort retry, scavenge) batched into per-shard
 // requests.
-
-// call performs one shard-protocol HTTP exchange, bounded by the attempt
-// deadline: method + path against the shard, an optional gob request body,
-// a gob response decoded as T (a spell.Partial decodes its own frame inside
-// the gob envelope; a frame it rejects is a decode error here, and so an
-// ordinary failed attempt). Any non-200 status is an error carrying a
-// bounded excerpt of the body; a 404 on the enrichment paths is
-// errEnrichUnsupported (no ontology, or an older protocol version).
-//
-// Whatever the outcome, a bounded remainder of the body is read before it is
-// closed: gob stops at the end of its message, and net/http only returns a
-// connection to the idle pool once the body has been read to EOF — closing
-// short of it costs the next call to this shard a TCP handshake.
-func call[T any](ctx context.Context, c *Coordinator, shard, method, path string, body []byte) (*T, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Deadline)
-	defer cancel()
-	var reqBody io.Reader
-	if body != nil {
-		reqBody = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.resolve(shard)+path, reqBody)
-	if err != nil {
-		return nil, err
-	}
-	if body != nil {
-		req.Header.Set("Content-Type", ContentType)
-	}
-	resp, err := c.client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer func() {
-		_, _ = io.CopyN(io.Discard, resp.Body, 64<<10) // best effort: a failure only costs the reuse
-		resp.Body.Close()
-	}()
-	if resp.StatusCode == http.StatusNotFound && strings.HasPrefix(path, EnrichPath) {
-		return nil, errEnrichUnsupported
-	}
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
-	}
-	var out T
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("decoding %s response: %w", path, err)
-	}
-	return &out, nil
-}
 
 // shardCounters is one backend's cumulative scatter accounting, plus its
 // circuit breaker (per-replica state lives with per-replica counters).

@@ -1,0 +1,103 @@
+package shard
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+	"time"
+
+	"forestview/internal/golem"
+)
+
+// Backend is how a coordinator reaches its members: one method per shard
+// protocol endpoint, answers handed over by pointer. The default speaks the
+// protocol over HTTP; a daemon that holds an engine is a coordinator over
+// itself, through an in-process backend that encodes nothing. A member that
+// does not serve a capability answers ErrUnsupported. A backend bounds its
+// own calls (the HTTP one by Config.Deadline) and honors ctx.
+type Backend interface {
+	Search(ctx context.Context, shard string, req *SearchRequest) (*SearchAnswer, error)
+	Enrich(ctx context.Context, shard string, req *EnrichRequest) (*EnrichAnswer, error)
+	Info(ctx context.Context, shard string) (*Info, error)
+	EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error)
+}
+
+// httpBackend is the default Backend: the shard protocol over HTTP, one gob
+// body each way (see wire.go).
+type httpBackend struct {
+	client   *http.Client
+	resolve  func(string) string
+	deadline time.Duration
+}
+
+func (b *httpBackend) Search(ctx context.Context, shard string, req *SearchRequest) (*SearchAnswer, error) {
+	return call[SearchAnswer](ctx, b, shard, SearchPath, req)
+}
+
+func (b *httpBackend) Enrich(ctx context.Context, shard string, req *EnrichRequest) (*EnrichAnswer, error) {
+	return call[EnrichAnswer](ctx, b, shard, EnrichPath, req)
+}
+
+func (b *httpBackend) Info(ctx context.Context, shard string) (*Info, error) {
+	return call[Info](ctx, b, shard, InfoPath, nil)
+}
+
+func (b *httpBackend) EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error) {
+	return call[golem.TermCatalog](ctx, b, shard, EnrichCatalogPath, nil)
+}
+
+// call performs one shard-protocol HTTP exchange, bounded by the attempt
+// deadline: a gob request POSTed to path (GET when req is nil), a gob
+// response decoded as T (a spell.Partial decodes its own frame inside the
+// gob envelope; a frame it rejects is a decode error here, and so an
+// ordinary failed attempt). Any non-200 status is an error carrying a
+// bounded excerpt of the body; a 404 on the enrichment paths is
+// ErrUnsupported (no ontology, or an older protocol version).
+//
+// Whatever the outcome, a bounded remainder of the body is read before it is
+// closed: gob stops at the end of its message, and net/http only returns a
+// connection to the idle pool once the body has been read to EOF — closing
+// short of it costs the next call to this shard a TCP handshake.
+func call[T any](ctx context.Context, b *httpBackend, shard, path string, req any) (*T, error) {
+	ctx, cancel := context.WithTimeout(ctx, b.deadline)
+	defer cancel()
+	method, body := http.MethodGet, io.Reader(nil)
+	if req != nil {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+			return nil, err
+		}
+		method, body = http.MethodPost, &buf
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, b.resolve(shard)+path, body)
+	if err != nil {
+		return nil, err
+	}
+	if req != nil {
+		hreq.Header.Set("Content-Type", ContentType)
+	}
+	resp, err := b.client.Do(hreq)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		_, _ = io.CopyN(io.Discard, resp.Body, 64<<10) // best effort: a failure only costs the reuse
+		resp.Body.Close()
+	}()
+	if resp.StatusCode == http.StatusNotFound && strings.HasPrefix(path, EnrichPath) {
+		return nil, ErrUnsupported
+	}
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
+		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
+	}
+	var out T
+	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
+		return nil, fmt.Errorf("decoding %s response: %w", path, err)
+	}
+	return &out, nil
+}

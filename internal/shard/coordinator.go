@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net/http"
@@ -42,6 +40,10 @@ type Config struct {
 	// 1, the single-owner fleet). Shard daemons must be booted with the
 	// same factor, or coverage gaps surface as degraded merges.
 	Replication int
+	// Backend reaches the members (default: the shard protocol over HTTP,
+	// configured by Resolve, Client and Deadline, which it alone reads). A
+	// daemon holding an engine passes its in-process one; tests pass fakes.
+	Backend Backend
 	// Resolve turns a shard identity into a dial URL (default: trim, and
 	// prefix "http://" unless a scheme is present — identities that are
 	// themselves addresses). In-process tests resolve logical names to
@@ -100,8 +102,7 @@ func NormalizeAddr(identity string) string {
 // membership generation. Safe for concurrent use.
 type Coordinator struct {
 	cfg        Config
-	client     *http.Client
-	resolve    func(string) string
+	backend    Backend
 	membership *Membership
 
 	counters sync.Map // shard identity -> *shardCounters
@@ -161,22 +162,20 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.InfoFailureCooldown == 0 {
 		cfg.InfoFailureCooldown = 15 * time.Second
 	}
-	client := cfg.Client
-	if client == nil {
-		tr := http.DefaultTransport.(*http.Transport).Clone()
-		tr.MaxIdleConnsPerHost = maxIdleConnsPerShard
-		client = &http.Client{Transport: tr}
+	backend := cfg.Backend
+	if backend == nil {
+		hb := &httpBackend{client: cfg.Client, resolve: cfg.Resolve, deadline: cfg.Deadline}
+		if hb.client == nil {
+			tr := http.DefaultTransport.(*http.Transport).Clone()
+			tr.MaxIdleConnsPerHost = maxIdleConnsPerShard
+			hb.client = &http.Client{Transport: tr}
+		}
+		if hb.resolve == nil {
+			hb.resolve = NormalizeAddr
+		}
+		backend = hb
 	}
-	resolve := cfg.Resolve
-	if resolve == nil {
-		resolve = NormalizeAddr
-	}
-	return &Coordinator{
-		cfg:        cfg,
-		client:     client,
-		resolve:    resolve,
-		membership: m,
-	}, nil
+	return &Coordinator{cfg: cfg, backend: backend, membership: m}, nil
 }
 
 // Membership exposes the live shard list for runtime joins and leaves
@@ -184,12 +183,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // re-derives ownership on the next scatter and invalidates the cached
 // catalog and compendium info.
 func (c *Coordinator) Membership() *Membership { return c.membership }
-
-// Shards returns the live shard identities.
-func (c *Coordinator) Shards() []string {
-	shards, _ := c.membership.Snapshot()
-	return shards
-}
 
 // Generation fingerprints the live shard topology; see the package
 // function. The daemon bakes it into merged-result cache keys, so results
@@ -257,17 +250,14 @@ type Meta struct {
 }
 
 // scatterOp is what differs between the fleet's scatters (search partials,
-// enrichment slice tallies); scatter runs everything else. A is the decoded
-// answer to one request, P the mergeable payload it is cut into.
+// enrichment slice tallies); scatter runs everything else. A is one
+// member's answer to one request, P the mergeable payload it is cut into.
 type scatterOp[A, P any] struct {
-	// path is the shard endpoint the requests are POSTed to.
-	path string
 	// empty is the error an empty gene list is rejected with.
 	empty string
-	// request builds the request for a set of groups (gob-encoded by
-	// scatter): the same canonical gene list for every shard, a different
-	// list of owner tuples.
-	request func(genes, shards []string, replication int, groups [][]string) any
+	// ask asks one shard, through the backend, for a set of groups: the same
+	// canonical gene list for every shard, a different list of owner tuples.
+	ask func(ctx context.Context, shard string, genes, shards []string, replication int, groups [][]string) (*A, error)
 	// prepare (optional) loads per-generation state the answers are checked
 	// against, once the ownership catalog is known. Its error fails the
 	// scatter as returned (wrap ErrAllShardsFailed to count an outage).
@@ -339,11 +329,7 @@ func scatter[A, P any](ctx context.Context, c *Coordinator, genes []string, op s
 			for i, gi := range req {
 				tuples[i] = cat.Tuples[gi]
 			}
-			var body bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(op.request(sc.genes, shards, r, tuples)); err != nil {
-				return nil, err
-			}
-			a, err := call[A](actx, c, shard, http.MethodPost, op.path, body.Bytes())
+			a, err := op.ask(actx, shard, sc.genes, shards, r, tuples)
 			if err != nil {
 				return nil, err
 			}
@@ -393,12 +379,11 @@ func scatter[A, P any](ctx context.Context, c *Coordinator, genes []string, op s
 // per partly held group. A part falls short of its group by the datasets
 // its serving shard did not hold; a frame summed over several groups must
 // cover every dataset of each.
-func searchOp(uniform bool) scatterOp[SearchAnswer, spell.Partial] {
+func searchOp(b Backend, uniform bool) scatterOp[SearchAnswer, spell.Partial] {
 	return scatterOp[SearchAnswer, spell.Partial]{
-		path:  SearchPath,
 		empty: "spell: empty query",
-		request: func(genes, shards []string, r int, groups [][]string) any {
-			return SearchRequest{Query: genes, Shards: shards, Replication: r, Groups: groups, Uniform: uniform}
+		ask: func(ctx context.Context, shard string, genes, shards []string, r int, groups [][]string) (*SearchAnswer, error) {
+			return b.Search(ctx, shard, &SearchRequest{Query: genes, Shards: shards, Replication: r, Groups: groups, Uniform: uniform})
 		},
 		split: func(a *SearchAnswer, req []int, cat *GroupTable) ([]part[spell.Partial], error) {
 			parts := make([]part[spell.Partial], 0, len(a.Parts))
@@ -459,7 +444,7 @@ func (c *Coordinator) SearchCtx(ctx context.Context, query []string, opt spell.O
 
 // searchRound is one scatter and merge, for one accumulator pair.
 func (c *Coordinator) searchRound(ctx context.Context, query []string, opt spell.Options, uniform bool) (*spell.Result, Meta, error) {
-	sc, err := scatter(ctx, c, query, searchOp(uniform))
+	sc, err := scatter(ctx, c, query, searchOp(c.backend, uniform))
 	if err != nil {
 		return nil, sc.meta, err
 	}

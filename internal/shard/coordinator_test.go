@@ -786,7 +786,7 @@ func TestNewCoordinatorValidation(t *testing.T) {
 	// Identities are canonicalized but NOT rewritten into URLs: they must
 	// stay byte-identical to the shard daemons' -shards entries for the
 	// rendezvous hash. Dialing is the resolver's concern.
-	got := c.Shards()
+	got, _ := c.Membership().Snapshot()
 	if got[0] != "host:9001" || got[1] != "http://other:9002" {
 		t.Fatalf("identities: %v", got)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"forestview/internal/golem"
 	"forestview/internal/spell"
@@ -20,15 +19,15 @@ import (
 // coverage across the whole fleet, and a single ontology-less shard costs
 // nothing while any capable shard is reachable.
 
-// ErrNoEnrichment reports a fleet in which no reachable shard offers
-// enrichment (no shard booted with an ontology, or every capable shard is
-// down and the rest answered "unsupported"). The daemon maps it to the
-// same 503 a single-process daemon without an ontology returns.
-var ErrNoEnrichment = errors.New("shard: no reachable shard offers enrichment")
+// ErrNoEnrichment reports a fleet in which no reachable member offers
+// enrichment (no member booted with an ontology — a single daemon's one
+// member included — or every capable shard is down and the rest answered
+// "unsupported"). The daemon maps it to a 503 no_ontology.
+var ErrNoEnrichment = errors.New("shard: no reachable member offers enrichment (no ontology loaded)")
 
-// errEnrichUnsupported marks a shard that answers HTTP but does not serve
-// the enrichment endpoints — no ontology, or an older protocol version.
-var errEnrichUnsupported = errors.New("shard does not serve enrichment")
+// ErrUnsupported marks a member that answers but does not serve the
+// enrichment endpoints — no ontology, or an older protocol version.
+var ErrUnsupported = errors.New("shard does not serve enrichment")
 
 // EnrichResult is the merged outcome of an enrichment scatter.
 type EnrichResult struct {
@@ -58,10 +57,9 @@ func (c *Coordinator) EnrichCtx(ctx context.Context, selection []string, opt gol
 	var ecat *golem.TermCatalog
 	genes := spell.CanonicalQuery(selection)
 	sc, err := scatter(ctx, c, genes, scatterOp[EnrichAnswer, golem.PartialCounts]{
-		path:  EnrichPath,
 		empty: "golem: empty selection",
-		request: func(genes, shards []string, r int, groups [][]string) any {
-			return EnrichRequest{Selection: genes, Shards: shards, Replication: r, Groups: groups}
+		ask: func(ctx context.Context, shard string, genes, shards []string, r int, groups [][]string) (*EnrichAnswer, error) {
+			return c.backend.Enrich(ctx, shard, &EnrichRequest{Selection: genes, Shards: shards, Replication: r, Groups: groups})
 		},
 		prepare: func(ctx context.Context, shards []string, gen uint64) (err error) {
 			ecat, err = c.enrichCatalogFor(ctx, shards, gen)
@@ -146,14 +144,14 @@ func checkCounts(p *golem.PartialCounts, gi, n, nGenes int, ecat *golem.TermCata
 func (c *Coordinator) enrichCatalogFor(ctx context.Context, shards []string, gen uint64) (*golem.TermCatalog, error) {
 	return c.ecat.get(gen, func() (*golem.TermCatalog, error) {
 		cat, errs := firstSuccess(ctx, shards, func(ctx context.Context, s string) (*golem.TermCatalog, error) {
-			cat, err := call[golem.TermCatalog](ctx, c, s, http.MethodGet, EnrichCatalogPath, nil)
+			cat, err := c.backend.EnrichCatalog(ctx, s)
 			if err == nil && len(cat.Terms) == 0 {
 				err = errors.New("shard reported an empty term catalog")
 			}
 			return cat, err
 		})
 		for _, err := range errs {
-			if !errors.Is(err, errEnrichUnsupported) {
+			if !errors.Is(err, ErrUnsupported) {
 				return nil, fmt.Errorf("%w (enrich catalog: %v)", ErrAllShardsFailed, err)
 			}
 		}

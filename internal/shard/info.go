@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -88,11 +87,6 @@ func firstSuccess[T any](ctx context.Context, shards []string, fetch func(ctx co
 	return zero, errs
 }
 
-// fetchInfo fetches one shard's InfoPath.
-func (c *Coordinator) fetchInfo(ctx context.Context, shard string) (*Info, error) {
-	return call[Info](ctx, c, shard, http.MethodGet, InfoPath, nil)
-}
-
 // catalogFor returns the ownership groups for the given membership
 // snapshot — the GroupTable the shards look a request's tuples up in, so
 // group gi here is group (and background slice) gi there — fetching the
@@ -101,7 +95,7 @@ func (c *Coordinator) fetchInfo(ctx context.Context, shard string) (*Info, error
 func (c *Coordinator) catalogFor(ctx context.Context, shards []string, gen uint64) (*GroupTable, error) {
 	return c.catalog.get(gen, func() (*GroupTable, error) {
 		ids, errs := firstSuccess(ctx, shards, func(ctx context.Context, s string) ([]string, error) {
-			info, err := c.fetchInfo(ctx, s)
+			info, err := c.backend.Info(ctx, s)
 			if err != nil {
 				return nil, err
 			}
@@ -164,6 +158,15 @@ func (c *Coordinator) Info(ctx context.Context) (CompendiumInfo, error) {
 	return info, nil
 }
 
+// ForgetInfo drops the cached compendium description, so the next Info
+// probes again: a member's holdings grew under the same membership (a
+// shard's reload, as its own coordinator sees it).
+func (c *Coordinator) ForgetInfo() {
+	c.infoMu.Lock()
+	defer c.infoMu.Unlock()
+	c.info.Store(nil)
+}
+
 // probeInfo runs one probe round over every live shard. The dataset count
 // is the union of reported dataset names (replicated slices overlap).
 func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (CompendiumInfo, error) {
@@ -174,7 +177,7 @@ func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (Compendiu
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			infos[si], errs[si] = c.fetchInfo(ctx, shards[si])
+			infos[si], errs[si] = c.backend.Info(ctx, shards[si])
 		}(si)
 	}
 	wg.Wait()

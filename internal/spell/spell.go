@@ -168,6 +168,15 @@ func NewEngine(dss []*microarray.Dataset) (*Engine, error) {
 // NumDatasets returns the compendium size.
 func (e *Engine) NumDatasets() int { return len(e.datasets) }
 
+// DatasetNames returns the compendium's dataset names in engine order.
+func (e *Engine) DatasetNames() []string {
+	names := make([]string, len(e.datasets))
+	for di, ds := range e.datasets {
+		names[di] = ds.Name
+	}
+	return names
+}
+
 // NumGenes returns the number of distinct gene IDs across the compendium.
 func (e *Engine) NumGenes() int { return len(e.order) }
 
