@@ -81,7 +81,7 @@ func main() {
 		nDatasets  = flag.Int("datasets", 8, "demo compendium size")
 		seed       = flag.Int64("seed", 1, "demo generator seed")
 		cacheMB    = flag.Int64("cache-mb", 64, "shared LRU cache budget in MiB")
-		workers    = flag.Int("render-workers", runtime.GOMAXPROCS(0), "bounded render pool size")
+		workers    = flag.Int("render-workers", runtime.GOMAXPROCS(0), "render slots: tiles rendering at once (speculation takes idle slots only)")
 		maxGenes   = flag.Int("max-genes", 200, "cap on requested search result length")
 		maxTileDim = flag.Int("max-tile", 2048, "cap on requested tile width/height")
 		clusterArr = flag.Bool("cluster-arrays", false, "also cluster experiment columns, enabling the atree= column-dendrogram strip")

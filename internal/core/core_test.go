@@ -13,7 +13,7 @@ import (
 
 // buildFixture returns a ForestView over three small synthetic datasets
 // sharing a universe.
-func buildFixture(t *testing.T) (*synth.Universe, *ForestView) {
+func buildFixture(t testing.TB) (*synth.Universe, *ForestView) {
 	t.Helper()
 	u := synth.NewUniverse(60, 6, 7)
 	specs := []synth.DatasetSpec{

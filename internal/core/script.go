@@ -32,6 +32,10 @@ import (
 //	load-session session.json
 //	echo message...
 
+// maxRenderSide bounds each side of a scripted render's canvas: an 8192²
+// canvas is already 256 MiB, and the paper's desktop is 1600×1200.
+const maxRenderSide = 8192
+
 // ScriptResult records what a script run did, for logs and tests.
 type ScriptResult struct {
 	// Commands executed (after parsing).
@@ -45,7 +49,7 @@ type ScriptResult struct {
 func (fv *ForestView) RunScript(r io.Reader) (*ScriptResult, error) {
 	res := &ScriptResult{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1024*1024), 4*1024*1024)
+	sc.Buffer(nil, 4*1024*1024)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++
@@ -246,6 +250,9 @@ func (fv *ForestView) runCommand(args []string) (string, error) {
 		h, err := atoi(args[3])
 		if err != nil {
 			return "", err
+		}
+		if w < 1 || w > maxRenderSide || h < 1 || h > maxRenderSide {
+			return "", fmt.Errorf("canvas %dx%d: each side must be in [1, %d]", w, h, maxRenderSide)
 		}
 		c := render.NewCanvas(w, h, color.RGBA{A: 255})
 		fv.RenderScene(c, w, h)

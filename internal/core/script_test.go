@@ -3,6 +3,8 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -185,4 +187,100 @@ func TestRunScriptComments(t *testing.T) {
 	if res.Commands != 0 {
 		t.Fatalf("comments executed: %d", res.Commands)
 	}
+}
+
+// TestRunScriptRenderBounds: a scripted render's canvas sides must lie in
+// [1, maxRenderSide]; anything else is a line-numbered error, never a panic
+// in image.NewRGBA or a 40 GB canvas.
+func TestRunScriptRenderBounds(t *testing.T) {
+	_, fv := buildFixture(t)
+	png := filepath.Join(t.TempDir(), "out.png")
+	if _, err := fv.RunScript(strings.NewReader("render " + png + " 8192 1")); err != nil {
+		t.Fatalf("a side of exactly %d: %v", maxRenderSide, err)
+	}
+	for _, dims := range []string{"8193 1", "1 8193", "0 5", "5 -1", "100000 100000", "1099511627776 1099511627776"} {
+		_, err := fv.RunScript(strings.NewReader("echo x\nrender " + png + " " + dims))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Errorf("render %s: err = %v, want a line 2 error", dims, err)
+		}
+	}
+}
+
+// scriptPathCommands take a file path as their first argument.
+var scriptPathCommands = map[string]bool{
+	"render": true, "select-list": true, "export-list": true, "export-merged": true,
+	"save-session": true, "load-session": true,
+}
+
+// containScript rewrites script so running it touches no file but path, and
+// draws no canvas side above 64 pixels: the first argument of every path
+// command becomes path, and each render side in [1, maxRenderSide] is
+// clamped to 64 (sides outside it pass through, to be refused). It returns
+// the rewritten script and its count of lines that may run a command.
+func containScript(script, path string) (string, int) {
+	lines := strings.Split(script, "\n")
+	cmds := 0
+	for i, line := range lines {
+		args := splitScriptLine(strings.TrimSpace(line))
+		if len(args) == 0 {
+			continue
+		}
+		cmds++
+		cmd := strings.ToLower(args[0])
+		if !scriptPathCommands[cmd] || len(args) < 2 {
+			continue
+		}
+		args[1] = path
+		if cmd == "render" {
+			for j := 2; j < len(args); j++ {
+				if v, err := strconv.Atoi(args[j]); err == nil && v > 64 && v <= maxRenderSide {
+					args[j] = "64"
+				}
+			}
+		}
+		lines[i] = `"` + strings.Join(args, `" "`) + `"`
+	}
+	return strings.Join(lines, "\n"), cmds
+}
+
+// scriptCommandBudget is what one command may allocate on buildFixture's
+// session. The largest is select-list, whose reader starts with a 1 MiB line
+// buffer; a first PNG encode is ≈0.9 MB.
+const scriptCommandBudget = 2 << 20
+
+// FuzzRunScript holds the script language to FuzzPartialFrame's contract:
+// any input runs or fails with an error, never panics, and allocates at
+// most 16 bytes an input byte plus scriptCommandBudget a command and one
+// for the run itself — no
+// argument, numeric or not, may make a command allocate past a fixed bound.
+// containScript keeps the fuzzer off every file but one under t.TempDir().
+func FuzzRunScript(f *testing.F) {
+	_, base := buildFixture(f)
+	panes := make([]*ClusteredDataset, base.NumPanes())
+	for i := range panes {
+		panes[i] = base.Pane(i).DS
+	}
+	for _, seed := range []string{
+		"select-region 0 5 14\nsync off\nscroll 1 3\nsync on\nrender f 640 360\nexport-list f\nexport-merged f\nsave-session f\nclear\nload-session f\necho done",
+		`select-query "stress response induced"`,
+		"select-region 0 0 4\nselect-node 0 3\nundo\nredo\norder-spell G1,G2 5\norder-reset",
+		"export-list f\nselect-list f",
+		"# only comments\n\n   \n# more\n",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, script string) {
+		fv, err := New(panes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, cmds := containScript(script, filepath.Join(t.TempDir(), "f"))
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		_, _ = fv.RunScript(strings.NewReader(src))
+		runtime.ReadMemStats(&ms1)
+		if got, limit := ms1.TotalAlloc-ms0.TotalAlloc, uint64(16*len(src)+scriptCommandBudget*(cmds+1)); got > limit {
+			t.Fatalf("a %d-byte script of %d commands allocated %d bytes (limit %d)", len(src), cmds, got, limit)
+		}
+	})
 }

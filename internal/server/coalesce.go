@@ -136,7 +136,9 @@ func coalesce[T any](ctx context.Context, g *flightGroup, ep *endpointStats, key
 		default:
 			disp = dispMiss
 		}
-		if err == nil || ctx.Err() != nil || !isContextErr(err) {
+		// A joined flight shed by its leader's admission (a speculation finds
+		// no idle render slot) is not this caller's refusal either.
+		if err == nil || ctx.Err() != nil || !isContextErr(err) && !(joined && errors.Is(err, ErrSaturated)) {
 			break
 		}
 	}

@@ -192,10 +192,10 @@ func TestPoolShedsWhenSaturated(t *testing.T) {
 		_, _ = p.Run(nil, func() (any, error) { return nil, nil })
 	}()
 	// Wait for the filler job to occupy the one queue slot.
-	for i := 0; len(p.jobs) == 0 && i < 2000; i++ {
+	for i := 0; p.waiting.Load() == 0 && i < 2000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if len(p.jobs) == 0 {
+	if p.waiting.Load() == 0 {
 		t.Fatal("queue slot never filled")
 	}
 	// Worker busy + queue full: the next submission must shed, not block.

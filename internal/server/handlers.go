@@ -454,7 +454,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	png, disp, err := s.renderTile(r.Context(), cd, p, &s.statHeatmap)
+	png, disp, err := s.renderTile(r.Context(), s.pool.Run, cd, p, &s.statHeatmap)
 	if errors.Is(err, ErrSaturated) {
 		s.statHeatmap.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeSaturated, "render pool saturated, retry later")
@@ -484,28 +484,16 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderTile produces the PNG bytes for p, cached and coalesced like every
-// other result; only the rasterization runs on the worker pool, so cache
-// hits bypass it. The request context rides into Pool.Run, so a tile whose
-// client has hung up stops waiting at once and is skipped if still queued.
-// ep receives the cache/compute accounting: statHeatmap from the handler,
-// the prefetcher's own stats from speculation.
-func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
-	key := p.key()
-	return cachedCompute(ctx, s, ep, key, wireCost, nil, func() ([]byte, error) {
-		// Pool.Run is any-valued (one pool serves every job shape).
-		res, err := s.pool.Run(ctx, func() (any, error) {
-			png, err := s.rasterizeTile(cd, p)
-			if err != nil {
-				return nil, err
-			}
-			// Fill the cache from inside the job too: a render abandoned
-			// mid-rasterization still completes, and this keeps the tile
-			// for the retrying follower (or the next request) instead of
-			// discarding it with the canceled wait. cachedCompute's own Put
-			// after a live wait is an idempotent overwrite.
-			s.cache.Put(key, png, wireCost(png))
-			return png, nil
-		})
+// other result; only the rasterization takes a render slot, through admit,
+// so cache hits bypass it. A request admits with s.pool.Run: its context
+// rides in, so a tile whose client hangs up while waiting for a slot leaves
+// at once and never renders. A prediction admits with s.pool.TryRun, which
+// sheds unless a slot is idle. ep receives the cache/compute accounting:
+// statHeatmap from the handler, the prefetcher's own stats from speculation.
+func (s *Server) renderTile(ctx context.Context, admit func(context.Context, func() (any, error)) (any, error),
+	cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
+	return cachedCompute(ctx, s, ep, p.key(), wireCost, nil, func() ([]byte, error) {
+		res, err := admit(ctx, func() (any, error) { return s.rasterizeTile(cd, p) })
 		png, _ := res.([]byte)
 		return png, err
 	})

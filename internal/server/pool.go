@@ -5,139 +5,115 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// ErrSaturated is returned by Pool.Run when the job queue is full. The
-// heatmap handler maps it to 503 so an overloaded daemon sheds render load
-// instead of accumulating unbounded goroutines — search and enrichment are
-// cheap relative to rasterizing tiles, so only renders go through the pool.
-var ErrSaturated = errors.New("server: render pool saturated")
+var (
+	// ErrSaturated is returned by Pool.Run when every slot is held and the
+	// wait line is full, and by Pool.TryRun whenever no slot is free. The
+	// heatmap handler maps it to 503: an overloaded daemon sheds load
+	// instead of piling up waiters.
+	ErrSaturated = errors.New("server: pool saturated")
+	// ErrClosed is returned by Run after Close.
+	ErrClosed = errors.New("server: pool closed")
+)
 
-// Pool is a bounded worker pool: a fixed set of workers drains a bounded
-// job queue. Submissions beyond queue capacity fail fast with ErrSaturated
-// rather than queueing unboundedly (the admission-control half of keeping
-// tail latency sane under heavy traffic). Jobs carry the submitter's
-// context: a job whose context is already canceled when a worker picks it
-// up is skipped without running — work queued for a client that has hung
-// up must not steal a worker from clients still waiting.
+// Pool is the daemon's one admission mechanism, a counting semaphore: at
+// most workers jobs hold a slot at once, each on its submitter's goroutine,
+// and at most queue more submitters wait for one; past that Run fails fast
+// with ErrSaturated rather than queueing unboundedly. A waiter waits under
+// its own context: a client that hangs up before its job took a slot leaves
+// at once and the job never runs, so work for a client that is gone never
+// steals a slot. Renders and tree builds wait with Run; speculation takes
+// idle slots only, with TryRun. The Pool starts no goroutine.
 type Pool struct {
-	jobs    chan poolJob
-	wg      sync.WaitGroup
-	closeMu sync.Mutex
-	closed  bool
+	slots   chan struct{} // one token per job holding a slot
+	queue   int64
+	waiting atomic.Int64
+	closed  chan struct{}
+	once    sync.Once
 }
 
-type poolJob struct {
-	ctx  context.Context
-	fn   func() (any, error)
-	done chan poolResult
-}
-
-type poolResult struct {
-	val any
-	err error
-}
-
-// NewPool starts workers goroutines over a queue of depth queueDepth.
-// Non-positive arguments default to 1 worker and 2×workers queue slots.
-func NewPool(workers, queueDepth int) *Pool {
+// NewPool sizes a pool of workers slots and queue waiters. Non-positive
+// arguments default to 1 slot and 2×workers waiters.
+func NewPool(workers, queue int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	if queueDepth < 1 {
-		queueDepth = 2 * workers
+	if queue < 1 {
+		queue = 2 * workers
 	}
-	p := &Pool{jobs: make(chan poolJob, queueDepth)}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go func() {
-			defer p.wg.Done()
-			for j := range p.jobs {
-				if err := j.ctx.Err(); err != nil {
-					// Abandoned while queued: skip the work entirely. The
-					// done channel is buffered, so this never blocks even
-					// when the submitter has already stopped listening.
-					j.done <- poolResult{err: err}
-					continue
-				}
-				j.done <- runJob(j.fn)
-			}
-		}()
-	}
-	return p
+	return &Pool{slots: make(chan struct{}, workers), queue: int64(queue), closed: make(chan struct{})}
 }
 
-// runJob executes one job, converting a panic into an error: a bad render
-// must fail that one request, not take the whole daemon down with it.
-func runJob(fn func() (any, error)) (res poolResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			res = poolResult{err: fmt.Errorf("server: render job panicked: %v", r)}
-		}
-	}()
-	v, err := fn()
-	return poolResult{val: v, err: err}
-}
-
-// ErrClosed is returned by Run after Close.
-var ErrClosed = errors.New("server: render pool closed")
-
-// Run submits fn and waits for its result or for ctx to end, whichever
-// comes first. It returns ErrSaturated immediately when the queue is full,
-// ErrClosed after Close, and ctx.Err() when the context ends before the
-// job completes — in which case a still-queued job will be skipped by the
-// worker that dequeues it. A nil ctx means context.Background().
+// Run runs fn in a slot, waiting for one for as long as ctx lives, and
+// returns its result. It returns ErrSaturated at once when the wait line is
+// full, ErrClosed after Close, and ctx.Err() when the context ends before fn
+// took a slot. A nil ctx means context.Background().
 func (p *Pool) Run(ctx context.Context, fn func() (any, error)) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	j := poolJob{ctx: ctx, fn: fn, done: make(chan poolResult, 1)}
-	// The enqueue is non-blocking, so holding closeMu across it is cheap;
-	// it serializes against Close so we never send on a closed channel.
-	p.closeMu.Lock()
-	if p.closed {
-		p.closeMu.Unlock()
-		return nil, ErrClosed
-	}
 	select {
-	case p.jobs <- j:
-		p.closeMu.Unlock()
+	case p.slots <- struct{}{}:
+		return p.hold(ctx, fn)
 	default:
-		p.closeMu.Unlock()
+	}
+	if p.waiting.Add(1) > p.queue {
+		p.waiting.Add(-1)
 		return nil, ErrSaturated
 	}
 	select {
-	case r := <-j.done:
-		return r.val, r.err
+	case p.slots <- struct{}{}:
+		p.waiting.Add(-1)
+		return p.hold(ctx, fn)
 	case <-ctx.Done():
-		// The job may still run to completion; its buffered done channel
-		// lets the worker move on without a receiver. If it finished in
-		// the same instant we were leaving, prefer the result over the
-		// cancellation — completed work must not be thrown away.
-		select {
-		case r := <-j.done:
-			return r.val, r.err
-		default:
-		}
+		p.waiting.Add(-1)
 		return nil, ctx.Err()
+	case <-p.closed:
+		p.waiting.Add(-1)
+		return nil, ErrClosed
 	}
 }
 
-// QueueLen reports how many submitted jobs are waiting for a worker. The
-// prefetcher polls it to yield to foreground renders: speculation only
-// proceeds when the queue is drained.
-func (p *Pool) QueueLen() int { return len(p.jobs) }
-
-// Close stops accepting work and waits for in-flight jobs to finish.
-func (p *Pool) Close() {
-	p.closeMu.Lock()
-	if !p.closed {
-		p.closed = true
-		close(p.jobs)
+// TryRun runs fn only if a slot is free right now, and never waits:
+// otherwise it returns ErrSaturated without calling fn.
+func (p *Pool) TryRun(ctx context.Context, fn func() (any, error)) (any, error) {
+	select {
+	case p.slots <- struct{}{}:
+		return p.hold(ctx, fn)
+	default:
+		return nil, ErrSaturated
 	}
-	p.closeMu.Unlock()
-	p.wg.Wait()
+}
+
+// hold runs fn in the slot its caller just took and gives the slot back,
+// converting a panic into an error: a bad render must fail that one
+// request, not take the whole daemon down with it.
+func (p *Pool) hold(ctx context.Context, fn func() (any, error)) (v any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			v, err = nil, fmt.Errorf("server: pool job panicked: %v", r)
+		}
+		<-p.slots
+	}()
+	if ctx != nil && ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	return fn()
+}
+
+// Running reports how many jobs hold a slot.
+func (p *Pool) Running() int { return len(p.slots) }
+
+// Close wakes every waiter with ErrClosed and returns once the running jobs
+// have released their slots, which it then keeps: Run after Close is
+// ErrClosed, TryRun finds no slot free. It is idempotent.
+func (p *Pool) Close() {
+	p.once.Do(func() {
+		close(p.closed)
+		for range cap(p.slots) {
+			p.slots <- struct{}{}
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,10 +75,10 @@ func TestPoolSkipsAbandonedQueuedJobs(t *testing.T) {
 	}
 	// Wait for the abandoned jobs to be queued, then hang up before the
 	// worker can reach them.
-	for i := 0; len(p.jobs) < 3 && i < 2000; i++ {
+	for i := 0; p.waiting.Load() < 3 && i < 2000; i++ {
 		time.Sleep(time.Millisecond)
 	}
-	if len(p.jobs) < 3 {
+	if p.waiting.Load() < 3 {
 		t.Fatal("jobs never queued")
 	}
 	cancel()
@@ -90,6 +91,112 @@ func TestPoolSkipsAbandonedQueuedJobs(t *testing.T) {
 	}
 	if n := ran.Load(); n != 0 {
 		t.Fatalf("%d abandoned jobs executed, want 0", n)
+	}
+}
+
+// holdSlots fills every one of p's n slots with a job parked until the
+// returned release is called; release waits for the jobs to return.
+func holdSlots(t *testing.T, p *Pool, n int) (release func()) {
+	t.Helper()
+	block := make(chan struct{})
+	var started, done sync.WaitGroup
+	for i := 0; i < n; i++ {
+		started.Add(1)
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			_, _ = p.Run(nil, func() (any, error) { started.Done(); <-block; return nil, nil })
+		}()
+	}
+	started.Wait()
+	var once sync.Once
+	release = func() { once.Do(func() { close(block); done.Wait() }) }
+	t.Cleanup(release)
+	return release
+}
+
+// TestPoolTryRun: TryRun runs its job in a free slot and, with every slot
+// held, returns ErrSaturated at once without calling the job.
+func TestPoolTryRun(t *testing.T) {
+	p := NewPool(1, 4)
+	defer p.Close()
+	if v, err := p.TryRun(nil, func() (any, error) { return "ran", nil }); err != nil || v.(string) != "ran" {
+		t.Fatalf("TryRun with a free slot = %v, %v", v, err)
+	}
+	release := holdSlots(t, p, 1)
+	called := false
+	t0 := time.Now()
+	if _, err := p.TryRun(nil, func() (any, error) { called = true; return nil, nil }); err != ErrSaturated {
+		t.Fatalf("TryRun with every slot held: err = %v, want ErrSaturated", err)
+	}
+	if called || time.Since(t0) > 100*time.Millisecond {
+		t.Fatalf("TryRun with every slot held called the job (%v) or waited (%v)", called, time.Since(t0))
+	}
+	release()
+	if _, err := p.TryRun(nil, func() (any, error) { return nil, nil }); err != nil {
+		t.Fatalf("TryRun after the slot freed: %v", err)
+	}
+}
+
+// TestPoolClose: Close wakes every waiter with ErrClosed, returns only after
+// the running job has released its slot, refuses later work and returns at
+// once the second time (a server is closed twice during a rolling restart).
+func TestPoolClose(t *testing.T) {
+	p := NewPool(1, 4)
+	release := holdSlots(t, p, 1)
+	waiter := make(chan error, 1)
+	go func() {
+		_, err := p.Run(context.Background(), func() (any, error) { return nil, nil })
+		waiter <- err
+	}()
+	for i := 0; p.waiting.Load() == 0 && i < 2000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case err := <-waiter:
+		if err != ErrClosed {
+			t.Fatalf("waiter woken with %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not wake the waiter")
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a job still held its slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close did not return after the running job finished")
+	}
+	if _, err := p.Run(nil, func() (any, error) { t.Error("job ran after Close"); return nil, nil }); err != ErrClosed {
+		t.Fatalf("Run after Close: err = %v, want ErrClosed", err)
+	}
+	again := make(chan struct{})
+	go func() { p.Close(); close(again) }()
+	select {
+	case <-again:
+	case <-time.After(time.Second):
+		t.Fatal("a second Close did not return at once")
+	}
+}
+
+// TestPoolStartsNoGoroutine: a job runs on its submitter's goroutine;
+// neither NewPool nor Run starts one.
+func TestPoolStartsNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewPool(4, 8)
+	defer p.Close()
+	inJob := 0
+	if _, err := p.Run(nil, func() (any, error) { inJob = runtime.NumGoroutine(); return nil, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); inJob > before || after > before {
+		t.Fatalf("goroutines: %d before NewPool, %d inside a job, %d after Run", before, inJob, after)
 	}
 }
 

@@ -20,9 +20,9 @@ import (
 //   - predictions go through the exact renderTile path (cache → singleflight
 //     → pool), so a speculative render coalesces with a real request for the
 //     same tile and never double-renders;
-//   - workers yield to the foreground: a job only rasterizes while the render
-//     pool's queue is empty, and a saturated pool sheds the speculation
-//     (counted, never retried);
+//   - workers yield to the foreground: a job only rasterizes in a render
+//     slot that is idle right now (Pool.TryRun) and otherwise sheds the
+//     speculation (counted, never retried);
 //   - tiles rendered speculatively are tracked until a foreground request
 //     first serves them (disposition becomes "prefetched") or the LRU evicts
 //     them untouched (counted as evicted_unused — the misprediction signal);
@@ -210,17 +210,12 @@ func (pf *prefetcher) worker() {
 	}
 }
 
-// run renders one speculative tile, or declines to: already cached, or a
-// render pool with foreground work waiting.
+// run renders one speculative tile, or declines to: already cached, or no
+// render slot idle.
 func (pf *prefetcher) run(q tileParams) {
 	key := q.key()
 	if _, ok := pf.s.cache.Get(key); ok {
 		pf.skippedCached.Add(1)
-		return
-	}
-	if pf.s.pool.QueueLen() > 0 {
-		// Foreground renders are waiting for workers; speculation yields.
-		pf.shed.Add(1)
 		return
 	}
 	cd, err := pf.s.trees.get(context.Background(), q.dsIndex)
@@ -230,9 +225,9 @@ func (pf *prefetcher) run(q tileParams) {
 		return
 	}
 	// Mark before rendering so a foreground hit arriving right after the
-	// in-job cache fill already reads "prefetched".
+	// cache fill already reads "prefetched".
 	pf.mark(key)
-	_, disp, err := pf.s.renderTile(context.Background(), cd, q, &pf.stat)
+	_, disp, err := pf.s.renderTile(context.Background(), pf.s.pool.TryRun, cd, q, &pf.stat)
 	if err == nil && disp == dispMiss {
 		pf.rendered.Add(1)
 		return

@@ -235,9 +235,9 @@ func TestPrefetchServesNextWindow(t *testing.T) {
 }
 
 // TestPrefetchYieldsToForeground: speculation must never compete with real
-// requests for render workers. With the pool's queue non-empty, a prefetch
-// job sheds instead of rendering; with the queue full, enqueue-time
-// admission drops instead of blocking.
+// requests for render slots. With every slot held — whether or not anyone
+// waits — a prefetch job sheds at once instead of rendering; with the queue
+// full, enqueue-time admission drops instead of blocking.
 func TestPrefetchYieldsToForeground(t *testing.T) {
 	s, _ := rawFixture(t, 1) // PrefetchWorkers 0: we drive the prefetcher by hand
 	if _, err := s.trees.get(context.Background(), 0); err != nil {
@@ -246,39 +246,45 @@ func TestPrefetchYieldsToForeground(t *testing.T) {
 	pf := newPrefetcher(s, 0, 4) // no workers: run() is called directly
 	t.Cleanup(pf.Close)
 
-	// Saturate the pool: rawFixture runs 2 workers over a 64-slot queue, so
-	// two blocked jobs pin the workers and a third sits in the queue.
-	block := make(chan struct{})
-	done := make(chan struct{})
-	for i := 0; i < 3; i++ {
-		go func() {
-			_, _ = s.pool.Run(context.Background(), func() (any, error) {
-				<-block
-				return nil, nil
-			})
-			done <- struct{}{}
-		}()
+	// rawFixture's pool has 2 slots: hold both, with nobody waiting.
+	release := holdSlots(t, s.pool, 2)
+	q := tileParams{dsIndex: 0, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}
+	ran := make(chan struct{})
+	go func() { pf.run(q); close(ran) }()
+	select {
+	case <-ran:
+	case <-time.After(100 * time.Millisecond):
+		t.Fatal("speculation waited for a busy render slot instead of shedding")
 	}
+	if pi := pf.snapshot(); pi.Shed != 1 || pi.Rendered != 0 {
+		t.Fatalf("run against a busy pool: %+v (want shed=1, rendered=0)", pi)
+	}
+	if _, ok := s.cache.Get(q.key()); ok {
+		t.Fatal("shed speculation still rendered into the cache")
+	}
+
+	// A foreground render waiting for a slot as well: still shed.
+	waiter := make(chan struct{})
+	go func() {
+		_, _ = s.pool.Run(context.Background(), func() (any, error) { return nil, nil })
+		close(waiter)
+	}()
 	waitQueued := time.Now().Add(2 * time.Second)
-	for s.pool.QueueLen() == 0 {
+	for s.pool.waiting.Load() == 0 {
 		if time.Now().After(waitQueued) {
 			t.Fatal("pool queue never filled")
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	q := tileParams{dsIndex: 0, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}
 	pf.run(q)
-	if pi := pf.snapshot(); pi.Shed != 1 || pi.Rendered != 0 {
-		t.Fatalf("run against a backed-up pool: %+v (want shed=1, rendered=0)", pi)
+	if pi := pf.snapshot(); pi.Shed != 2 || pi.Rendered != 0 {
+		t.Fatalf("run against a backed-up pool: %+v (want shed=2, rendered=0)", pi)
 	}
 	if _, ok := s.cache.Get(q.key()); ok {
 		t.Fatal("shed speculation still rendered into the cache")
 	}
-	close(block)
-	for i := 0; i < 3; i++ {
-		<-done
-	}
+	release()
+	<-waiter
 
 	// With the pool idle again the same job renders.
 	pf.run(q)
@@ -297,6 +303,34 @@ func TestPrefetchYieldsToForeground(t *testing.T) {
 	}
 	if pi := pf.snapshot(); pi.Dropped != 2 || pi.Enqueued != 4 {
 		t.Fatalf("admission over a 4-slot queue: %+v (want enqueued=4, dropped=2)", pi)
+	}
+}
+
+// TestHeatmapOutlivesShedSpeculation: a request that joined a speculative
+// render's flight just as the speculation found no idle slot is not refused
+// with it: it asks again under its own admission and renders the tile.
+func TestHeatmapOutlivesShedSpeculation(t *testing.T) {
+	s, _ := rawFixture(t, 1)
+	const url = "/api/heatmap?dataset=0&w=32&h=32"
+	twin, _ := rawFixture(t, 1)
+	if rec := get(t, twin, url); rec.Code != http.StatusOK {
+		t.Fatalf("twin = %d", rec.Code)
+	}
+	key := cachedKeys(twin.cache)[0]
+	ready, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = s.flights.Do(context.Background(), key, func() (any, error) { close(ready); <-gate; return nil, ErrSaturated })
+	}()
+	<-ready // the shedding flight is open; the request will join it
+	before := s.statHeatmap.cacheMisses.Load()
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() { answered <- get(t, s, url) }()
+	waitMiss(t, &s.statHeatmap.cacheMisses, before)
+	close(gate)
+	<-done
+	if rec := <-answered; rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispMiss {
+		t.Fatalf("joiner of a shed speculation = %d (%s: %q)", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
 	}
 }
 

@@ -10,8 +10,8 @@
 //     tables and rendered PNG tiles under canonicalized query keys;
 //   - request coalescing (singleflight) ensures a burst of identical
 //     concurrent queries computes the underlying result exactly once;
-//   - a bounded worker pool with fail-fast admission control keeps tile
-//     rasterization from monopolizing the process under load;
+//   - one admission Pool with fail-fast shedding keeps tile rasterization
+//     from monopolizing the process under load;
 //   - per-endpoint counters (requests, errors, hit rate, coalesced joins,
 //     computations, latency) are exposed at /api/stats.
 //
@@ -290,8 +290,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close stops the prefetch workers (which submit to the render pool) and
-// releases the pool.
+// Close stops the prefetch workers (which take render slots), then waits
+// for the renders holding a slot and refuses later ones.
 func (s *Server) Close() {
 	if s.prefetch != nil {
 		s.prefetch.Close()

@@ -141,8 +141,8 @@ type EnrichCacheInfo struct {
 // rendering the tile — singleflight absorbed the speculation), SkippedCached
 // (already resident by the time the worker got to it), SkippedStale (the pane
 // has no tree to render from: its clustering failed — the name is the one
-// bench/layers.go reads), Shed (the render pool was
-// saturated or busy with foreground work — speculation never competes) and
+// bench/layers.go reads), Shed (no render slot was idle — speculation never
+// waits for one, so it never competes with foreground work) and
 // Dropped (queue full at enqueue time). Served vs EvictedUnused is the
 // prediction quality signal: tiles a real request later consumed vs tiles
 // that died cold in the LRU.

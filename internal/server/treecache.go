@@ -27,15 +27,15 @@ import (
 //   - at most GOMAXPROCS builds run at once, whoever asked (warm, or every
 //     pane of a cold daemon touched together): a build holds an n²/2
 //     distance matrix — 144 MB for 6,000 rows — while it agglomerates on one
-//     core, so more builds than cores add peak heap and no speed. A leader
-//     waits for its slot under its own context; if that dies first the
-//     flight goes to a live follower, as when a build is cancelled.
+//     core, so more builds than cores add peak heap and no speed. A build is
+//     a Run on the cache's own Pool, waiting under its leader's context; if
+//     that dies first the flight goes to a live follower.
 //
 // Counters are surfaced under tree_cache in /api/stats.
 type treeCache struct {
 	panes   []*pane
 	opt     core.ClusterOptions
-	slots   chan struct{} // one token per running build; cap GOMAXPROCS
+	pool    *Pool // GOMAXPROCS slots; one waiter a pane, so it never sheds
 	flights flightGroup
 	stat    endpointStats // hits on a built tree, joins of another's build
 
@@ -54,7 +54,7 @@ type pane struct {
 // newTreeCache lists the pre-clustered panes, then the lazily clustered
 // ones; a pane's position is its index.
 func newTreeCache(opt core.ClusterOptions, pre []*core.ClusteredDataset, raw []*microarray.Dataset) *treeCache {
-	tc := &treeCache{opt: opt, slots: make(chan struct{}, runtime.GOMAXPROCS(0))}
+	tc := &treeCache{opt: opt}
 	for _, cd := range pre {
 		p := &pane{rows: len(cd.DisplayOrder)}
 		p.tree.Store(cd)
@@ -63,6 +63,7 @@ func newTreeCache(opt core.ClusterOptions, pre []*core.ClusteredDataset, raw []*
 	for _, ds := range raw {
 		tc.panes = append(tc.panes, &pane{raw: ds, rows: ds.NumGenes()})
 	}
+	tc.pool = NewPool(runtime.GOMAXPROCS(0), len(tc.panes))
 	return tc
 }
 
@@ -82,21 +83,19 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 // build clusters raw in one of the cache's build slots, waiting for a free
 // one for as long as ctx lives.
 func (tc *treeCache) build(ctx context.Context, raw *microarray.Dataset) (*core.ClusteredDataset, error) {
-	select {
-	case tc.slots <- struct{}{}:
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-	defer func() { <-tc.slots }()
-	t0 := time.Now()
-	cd, err := core.ClusterCtx(ctx, raw, tc.opt)
-	switch {
-	case err == nil:
-		tc.builds.Add(1)
-		tc.buildNS.Add(time.Since(t0).Nanoseconds())
-	case !isContextErr(err):
-		tc.failures.Add(1)
-	}
+	v, err := tc.pool.Run(ctx, func() (any, error) {
+		t0 := time.Now()
+		cd, err := core.ClusterCtx(ctx, raw, tc.opt)
+		switch {
+		case err == nil:
+			tc.builds.Add(1)
+			tc.buildNS.Add(time.Since(t0).Nanoseconds())
+		case !isContextErr(err):
+			tc.failures.Add(1)
+		}
+		return cd, err
+	})
+	cd, _ := v.(*core.ClusteredDataset)
 	return cd, err
 }
 
@@ -120,7 +119,7 @@ func (tc *treeCache) warm(ctx context.Context) error {
 func (tc *treeCache) snapshot() TreeCacheInfo {
 	info := TreeCacheInfo{
 		Panes:     len(tc.panes),
-		Building:  len(tc.slots),
+		Building:  tc.pool.Running(),
 		Builds:    tc.builds.Load(),
 		Hits:      tc.stat.cacheHits.Load(),
 		Coalesced: tc.stat.coalesced.Load(),

@@ -365,7 +365,7 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	}
 	// With every slot taken, a leader that is cancelled while it waits
 	// returns its context's error and leaves the pane buildable.
-	for len(tc.slots) < procs {
+	for tc.pool.Running() < procs {
 		runtime.Gosched()
 	}
 	ctx, cancel := context.WithCancel(context.Background())
