@@ -38,16 +38,24 @@ func (m ColorMap) String() string {
 	}
 }
 
-// Map converts value v to a color, saturating at ±limit. NaN maps to
-// MissingColor. limit must be positive; a non-positive or NaN limit defaults
-// to 2 (±2 log2 units ≈ 4-fold change, TreeView's default contrast).
+// contrastLimit is the saturation limit Map and Legend draw with: limit
+// when positive, else 2 (±2 log2 units ≈ 4-fold change, TreeView's default
+// contrast) — so a saved session without one colours and labels alike.
+func contrastLimit(limit float64) float64 {
+	if !(limit > 0) { // non-positive or NaN
+		return 2
+	}
+	return limit
+}
+
+// Map converts value v to a color, saturating at ±limit (see
+// contrastLimit for a limit that is not positive). NaN maps to
+// MissingColor.
 func (m ColorMap) Map(v, limit float64) color.RGBA {
 	if math.IsNaN(v) {
 		return MissingColor
 	}
-	if !(limit > 0) { // non-positive or NaN
-		limit = 2
-	}
+	limit = contrastLimit(limit)
 	t := v / limit
 	if t > 1 {
 		t = 1
@@ -74,11 +82,12 @@ func (m ColorMap) Map(v, limit float64) color.RGBA {
 }
 
 // Legend renders a horizontal color scale with tick labels into the rect,
-// used by pane footers.
+// used by pane footers. It scales by the limit Map uses.
 func (m ColorMap) Legend(c *Canvas, r Rect, limit float64, fg color.Color) {
 	if r.W <= 0 || r.H <= 0 {
 		return
 	}
+	limit = contrastLimit(limit)
 	barH := r.H
 	if barH > 10 {
 		barH = r.H - TextHeight(1) - 2

@@ -2,122 +2,198 @@ package render
 
 import (
 	"bytes"
-	"compress/zlib"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"image"
-	"image/png"
 	"io"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
 )
 
-// pngLevel is the one deflate level every canvas is written at: the level
-// image/png used, so files stay about the size they were (median over the
-// 200 traced tiles of the repo benchmark's tile-cold workload: 1.01× on one
-// seed, 1.05× on another) and a tile cache sized for yesterday's tiles
-// holds as many of today's. With one filter decision per row and a pooled
-// deflater that is 1.5-2.4 ms per 256×256 tile on the three
-// BenchmarkF10_TileEncodePNG shapes, where image/png took 2.5-4.3 ms.
-// Level 3 would take 0.6-1.8 ms at 1.04-1.08× the bytes, level 2 less at
-// 1.13×; DESIGN.md §8 has the table and why the faster level is a later,
-// separate step.
-const pngLevel = 6
+// The PNG writer is built for what a canvas holds: runs of one pixel and
+// rows that repeat, the matches deflate would search for. This one does
+// not search. Rows are unfiltered (filter None); a row equal to one still
+// in the 32 KiB window is whole-row matches back to it, any other row
+// pixel runs (see runs). Tokens are Huffman-coded in dynamic blocks. There
+// is no level: the output is a function of the pixels alone.
+const (
+	windowSize     = 1 << 15 // deflate's farthest match distance
+	minMatch       = 3
+	maxMatch       = 258
+	maxBlockTokens = 1 << 16 // bounds the token buffer whatever the canvas size
+	rowTableBits   = 12      // the row table's largest size, in bits
+	adlerMod       = 65521
+)
 
-// pngEncoder is the reusable state of one encode: the deflate window and
-// hash chains (the 870 KB image/png allocates per call), the filtered row
-// and the finished file. Encoders live in a sync.Pool, so there are as many
-// as there are concurrent encodes — the render and prefetch workers — and
-// each holds one buffer that grows to the largest file it has written.
+// pngEncoder is the reusable state of one encode, pooled: one per
+// concurrent encode, each with buffers grown to the largest file it wrote.
 type pngEncoder struct {
-	zw            *zlib.Writer
-	row, straight []byte
-	out           bytes.Buffer
+	out      []byte   // the file; the deflate stream is appended bit by bit
+	straight []byte   // a translucent row in straight alpha
+	tokens   []uint32 // the current block (see token)
+	rows     [1 << rowTableBits]rowEntry
+	bits     uint64 // pending output bits, LSB first
+	nbits    uint
+
+	img         *image.RGBA // the canvas being encoded
+	bpp, stride int         // bytes a pixel and a filtered row
+
+	litFreq  [286]uint32 // literal/length symbol counts of the current block
+	distFreq [30]uint32
 }
 
-var pngEncoders = sync.Pool{New: func() any {
-	zw, _ := zlib.NewWriterLevel(io.Discard, pngLevel) // errs on a bad level only
-	return &pngEncoder{zw: zw}
-}}
+// rowEntry is the last row seen with a hash, with its Adler-32 sums, so a
+// repeated row costs neither a scan nor a sum.
+type rowEntry struct {
+	y1        int32  // row index + 1; 0 is empty
+	sum, wsum uint32 // the row's Adler-32 sums (see runs), mod adlerMod
+}
+
+var pngEncoders = sync.Pool{New: func() any { return new(pngEncoder) }}
 
 // pngHead is everything before the IDAT payload: signature, IHDR chunk
 // (length, type, 13 bytes, CRC) and the IDAT chunk's length and type.
 const pngHead = 8 + (8 + 13 + 4) + 8
 
-// encode writes the canvas into e.out as a complete PNG file: 8-bit RGB
-// when every pixel is opaque, RGBA otherwise, in a single IDAT chunk. A
-// canvas is flat runs (heatmap cells, dendrogram lines, text), so each row
-// gets one filter decision instead of image/png's five trial filters: Up
-// when the row equals the one above (every repeated row of the zoom regime
-// becomes zeros), else Sub (every run becomes zeros after its first pixel).
-// Rows stream through the deflater one at a time; nothing the size of the
-// image is held besides the output. The bytes depend on the pixels alone —
-// Reset returns the deflater to its initial state — so equal canvases
-// encode equal, first use or hundredth.
+// encode writes the canvas into e.out as a PNG file: 8-bit RGB when every
+// pixel is opaque, else straight-alpha RGBA, in one IDAT chunk. It starts
+// as RGB and starts over as RGBA at a pixel that is not opaque: every pixel
+// is a run start, which is checked, or equal to one, so no separate pass.
 func (c *Canvas) encode(e *pngEncoder) error {
-	b := c.img.Bounds()
-	w, h := b.Dx(), b.Dy()
-	if w <= 0 || h <= 0 {
+	if w, h := c.Width(), c.Height(); w <= 0 || h <= 0 {
 		return fmt.Errorf("render: encoding PNG: invalid image size %dx%d", w, h)
 	}
-	bpp, colorType := 4, byte(6)
-	if c.img.Opaque() {
-		bpp, colorType = 3, 2
+	e.img = c.img
+	if !e.deflate(3) {
+		e.deflate(4)
 	}
+	e.img = nil // a pooled encoder must not pin the canvas
 
-	e.out.Reset()
-	var head [pngHead]byte
-	copy(head[:], "\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR")
-	binary.BigEndian.PutUint32(head[16:], uint32(w))
-	binary.BigEndian.PutUint32(head[20:], uint32(h))
-	head[24], head[25] = 8, colorType
-	binary.BigEndian.PutUint32(head[29:], crc32.ChecksumIEEE(head[12:29]))
-	copy(head[37:], "IDAT") // its length, head[33:37], is patched in below
-	e.out.Write(head[:])
-
-	e.zw.Reset(&e.out)
-	e.row = slices.Grow(e.row[:0], 1+bpp*w)[:1+bpp*w]
-	var prev []uint8
-	for y := b.Min.Y; y < b.Max.Y; y++ {
-		off := c.img.PixOffset(b.Min.X, y)
-		cur := c.img.Pix[off : off+4*w]
-		if bytes.Equal(cur, prev) {
-			e.row[0] = 2 // Up
-			clear(e.row[1:])
-		} else {
-			e.row[0] = 1 // Sub
-			src := cur
-			if bpp == 4 {
-				src = e.unpremultiplied(cur)
-			}
-			dst := e.row[1:]
-			copy(dst, src[:bpp])
-			for s, d := 4, bpp; s < len(src); s, d = s+4, d+bpp {
-				dst[d], dst[d+1], dst[d+2] = src[s]-src[s-4], src[s+1]-src[s-3], src[s+2]-src[s-2]
-				if bpp == 4 {
-					dst[d+3] = src[s+3] - src[s-1]
-				}
-			}
-		}
-		if _, err := e.zw.Write(e.row); err != nil {
-			return fmt.Errorf("render: encoding PNG: %w", err)
-		}
-		prev = cur
-	}
-	if err := e.zw.Close(); err != nil {
-		return fmt.Errorf("render: encoding PNG: %w", err)
-	}
-
-	file := e.out.Bytes()
-	idat := file[pngHead-4:] // chunk type + payload: what the CRC covers
-	binary.BigEndian.PutUint32(file[pngHead-8:], uint32(len(idat)-4))
-	var tail [4 + 12]byte
-	binary.BigEndian.PutUint32(tail[:], crc32.ChecksumIEEE(idat))
-	copy(tail[4:], "\x00\x00\x00\x00IEND\xae\x42\x60\x82")
-	e.out.Write(tail[:])
+	idat := e.out[pngHead-4:] // chunk type + payload: what the CRC covers
+	binary.BigEndian.PutUint32(e.out[pngHead-8:], uint32(len(idat)-4))
+	e.out = binary.BigEndian.AppendUint32(e.out, crc32.ChecksumIEEE(idat))
+	e.out = append(e.out, "\x00\x00\x00\x00IEND\xae\x42\x60\x82"...)
 	return nil
+}
+
+// deflate writes e.img into e.out at bpp bytes a pixel, up to the end of
+// the IDAT payload; at 3 it gives up, false, on a pixel that is not opaque.
+func (e *pngEncoder) deflate(bpp int) bool {
+	w, h := e.img.Rect.Dx(), e.img.Rect.Dy()
+	e.bpp, e.stride = bpp, 1+bpp*w // a filtered row: the filter byte, then the pixels
+	e.out = append(e.out[:0], "\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR"...)
+	e.out = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(e.out, uint32(w)), uint32(h))
+	e.out = append(e.out, 8, byte(4*bpp-10), 0, 0, 0) // 8-bit RGB (2) or RGBA (6)
+	e.out = binary.BigEndian.AppendUint32(e.out, crc32.ChecksumIEEE(e.out[12:29]))
+	e.out = append(e.out, "\x00\x00\x00\x00IDAT\x78\x01"...) // IDAT's length is patched in by encode
+	e.tokens, e.bits, e.nbits = e.tokens[:0], 0, 0
+	e.litFreq, e.distFreq = [286]uint32{}, [30]uint32{}
+
+	// About twice as many slots as the window holds rows.
+	tableBits := min(rowTableBits, 1+bits.Len(uint(min(h, windowSize/e.stride+1))))
+	table := e.rows[:1<<tableBits]
+	clear(table)
+	s1, s2 := uint64(1), uint64(0) // Adler-32 of the filtered rows
+	for y := 0; y < h; y++ {
+		src := e.row(y)
+		slot := &table[crc32.ChecksumIEEE(src)>>(32-tableBits)] // fixed: no per-process seed
+		if y0 := int(slot.y1) - 1; y0 < 0 || (y-y0)*e.stride > windowSize || !bytes.Equal(src, e.row(y0)) {
+			sum, wsum, ok := e.runs(y)
+			if !ok {
+				return false
+			}
+			*slot = rowEntry{sum: uint32(sum % adlerMod), wsum: uint32(wsum % adlerMod)}
+		} else {
+			e.match(e.stride, (y-y0)*e.stride)
+		}
+		slot.y1 = int32(y + 1)
+		s2 = (s2 + uint64(e.stride)*s1 + uint64(slot.wsum)) % adlerMod
+		s1 = (s1 + uint64(slot.sum)) % adlerMod
+	}
+	e.writeBlock(1)
+	for ; e.nbits > 0; e.nbits -= min(8, e.nbits) {
+		e.out = append(e.out, byte(e.bits))
+		e.bits >>= 8
+	}
+	e.out = binary.BigEndian.AppendUint32(e.out, uint32(s2<<16|s1))
+	return true
+}
+
+// row returns the source pixels of row y of the canvas being encoded.
+func (e *pngEncoder) row(y int) []uint8 {
+	off := e.img.PixOffset(e.img.Rect.Min.X, e.img.Rect.Min.Y+y)
+	return e.img.Pix[off : off+4*e.img.Rect.Dx()]
+}
+
+// pixel is the i-th 4-byte pixel of p as one word.
+func pixel(p []uint8, i int) uint32 { return binary.LittleEndian.Uint32(p[4*i:]) }
+
+// runs writes row y, which repeats no row in reach: the filter byte, then
+// from each run start either the run (first pixel as literals, the rest
+// one match bpp back) or, where the pixels equal the row above's for longer
+// than the run, that span as one match a row back — so a row that differs
+// from the one above in places (a dendrogram leg across a zoomed heatmap)
+// costs those places. On a tie the run wins: its matches carry no distance
+// bits. It returns the row's Adler-32 sums, per run: sum = Σ b_i and
+// wsum = Σ (stride − i)·b_i over the row's bytes b_i, so the stream's (s1,
+// s2) become (s1 + sum, s2 + stride·s1 + wsum); not ok at a pixel that is
+// not opaque when bpp is 3.
+func (e *pngEncoder) runs(y int) (sum, wsum uint64, ok bool) {
+	src, px, bpp, stride := e.row(y), e.row(y), e.bpp, e.stride
+	if bpp == 4 {
+		px = e.unpremultiplied(src)
+	}
+	var up []uint8 // compared as source pixels: equal there, equal written
+	if y > 0 && stride <= windowSize {
+		up = e.row(y - 1)
+	}
+	e.room(1)
+	e.token(0) // filter None
+	for i, n, covered := 0, len(px)/4, 0; i < n; {
+		p, j := pixel(px, i), i+1
+		for j < n && pixel(px, j) == p {
+			j++
+		}
+		if covered == 0 && up != nil {
+			v := 0
+			for i+v < n && pixel(src, i+v) == pixel(up, i+v) {
+				v++
+			}
+			if v > j-i {
+				e.match(v*bpp, stride)
+				covered = v
+			}
+		}
+		if covered > 0 { // inside a span already matched: only the sums
+			j = min(j, i+covered)
+			covered -= j - i
+		} else {
+			if bpp == 3 && p>>24 != 0xff {
+				return 0, 0, false
+			}
+			e.room(bpp)
+			for k := 0; k < bpp; k++ {
+				e.token(p >> (8 * k) & 0xff)
+			}
+			if j-i > 1 {
+				e.match((j-i-1)*bpp, bpp)
+			}
+		}
+		// Byte k of the run's r-th pixel is at row offset o + r·bpp + k.
+		b0, b1, b2, b3 := uint64(p&0xff), uint64(p>>8&0xff), uint64(p>>16&0xff), uint64(p>>24)
+		pSum, pWeighted := b0+b1+b2, b1+2*b2
+		if bpp == 4 {
+			pSum, pWeighted = pSum+b3, pWeighted+3*b3
+		}
+		r, o := uint64(j-i), uint64(1+i*bpp)
+		sum += r * pSum
+		wsum += r*((uint64(stride)-o)*pSum-pWeighted) - uint64(bpp)*(r*(r-1)/2)*pSum
+		i = j
+	}
+	return sum, wsum, true
 }
 
 // unpremultiplied converts a row of image.RGBA's alpha-premultiplied pixels
@@ -138,6 +214,236 @@ func (e *pngEncoder) unpremultiplied(row []uint8) []uint8 {
 	return e.straight
 }
 
+// room ends the block if n more tokens would not fit in it.
+func (e *pngEncoder) room(n int) {
+	if len(e.tokens)+n > maxBlockTokens {
+		e.writeBlock(0)
+	}
+}
+
+// A token is a literal (its byte) or a match chunk: length symbol | length
+// extra<<9 | distance code<<14 | distance extra<<19. Its caller made room.
+func (e *pngEncoder) token(t uint32) {
+	e.tokens = append(e.tokens, t)
+	e.litFreq[t&511]++
+	if t&511 > 256 {
+		e.distFreq[t>>14&31]++
+	}
+}
+
+// match copies length bytes from dist back, in chunks of at most maxMatch
+// and none shorter than minMatch (length >= minMatch).
+func (e *pngEncoder) match(length, dist int) {
+	d := uint32(dist - 1)
+	dist32 := d // codes 0-3 carry no extra bits
+	if d >= 4 {
+		nb := uint32(bits.Len32(d)) - 1
+		dist32 = 2*nb + d>>(nb-1)&1 | (d&(1<<(nb-1)-1))<<5
+	}
+	e.room(length/(maxMatch-minMatch) + 1) // every chunk but the last is over 255
+	for length > 0 {
+		n := min(length, maxMatch)
+		if rest := length - n; rest > 0 && rest < minMatch {
+			n = length - minMatch
+		}
+		length -= n
+		e.token(lengthToken[n] | dist32<<14)
+	}
+}
+
+// lengthToken[n] is the length half of a match token (RFC 1951 §3.2.5).
+var lengthToken = func() (t [maxMatch + 1]uint32) {
+	for n := minMatch; n < maxMatch; n++ {
+		l := uint32(n - minMatch)
+		t[n] = 257 + l
+		if l >= 8 {
+			nb := uint32(bits.Len32(l)) - 1
+			t[n] = 257 + 4*(nb-1) + l>>(nb-2)&3 | (l&(1<<(nb-2)-1))<<9
+		}
+	}
+	t[maxMatch] = 285
+	return t
+}()
+
+var (
+	lengthExtraBits = [29]uint8{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
+	distExtraBits   = [30]uint8{0, 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7, 8, 8, 9, 9, 10, 10, 11, 11, 12, 12, 13, 13}
+	clExtraBits     = [3]uint8{2, 3, 7} // after code-length symbols 16, 17, 18
+	clOrder         = [19]uint8{16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15}
+)
+
+// writeBlock writes the buffered tokens as one dynamic-Huffman block, the
+// stream's last when final is 1.
+func (e *pngEncoder) writeBlock(final uint64) {
+	var (
+		litLen, distLen, clLen    [286]uint8
+		litCode, distCode, clCode [286]uint16
+		lens                      [286 + 30]uint8             // both code-length lists
+		syms                      = make([]uint16, 0, 286+30) // lens coded: symbol | extra<<8
+	)
+	e.litFreq[256]++ // end of block
+	huffman(litLen[:], litCode[:], e.litFreq[:], 15)
+	huffman(distLen[:30], distCode[:30], e.distFreq[:], 15)
+	nlit, ndist := 286, 30
+	for nlit > 257 && litLen[nlit-1] == 0 {
+		nlit--
+	}
+	for ndist > 1 && distLen[ndist-1] == 0 {
+		ndist--
+	}
+
+	// Both code-length lists run-length coded as one (RFC 1951 §3.2.7): 16
+	// repeats the last length 3-6 times, 17 and 18 are 3-10 and 11-138 zeros.
+	n := copy(lens[copy(lens[:], litLen[:nlit]):], distLen[:ndist]) + nlit
+	for i := 0; i < n; { // a run of one length, at most 7 (138 zeros) long
+		l, r := lens[i], 1
+		for i+r < n && lens[i+r] == l && r < 138 && (l == 0 || r < 7) {
+			r++
+		}
+		i += r
+		switch {
+		case l == 0 && r >= 11:
+			syms = append(syms, 18|uint16(r-11)<<8)
+		case l == 0 && r >= 3:
+			syms = append(syms, 17|uint16(r-3)<<8)
+		case l != 0 && r >= 4:
+			syms = append(syms, uint16(l), 16|uint16(r-4)<<8)
+		default:
+			for ; r > 0; r-- {
+				syms = append(syms, uint16(l))
+			}
+		}
+	}
+	var clFreq [19]uint32
+	for _, s := range syms {
+		clFreq[s&0xff]++
+	}
+	huffman(clLen[:19], clCode[:19], clFreq[:], 7)
+	ncl := 19
+	for ncl > 4 && clLen[clOrder[ncl-1]] == 0 {
+		ncl--
+	}
+	e.write(final|2<<1|uint64(nlit-257)<<3|uint64(ndist-1)<<8|uint64(ncl-4)<<13, 17)
+	for _, s := range clOrder[:ncl] {
+		e.write(uint64(clLen[s]), 3)
+	}
+	for _, s := range syms {
+		sym, n := s&0xff, clLen[s&0xff]
+		if sym < 16 {
+			e.write(uint64(clCode[sym]), n)
+		} else {
+			e.write(uint64(clCode[sym])|uint64(s>>8)<<n, n+clExtraBits[sym-16])
+		}
+	}
+	for _, t := range e.tokens {
+		s := t & 511
+		if s < 256 {
+			e.write(uint64(litCode[s]), litLen[s])
+			continue
+		}
+		e.write(uint64(litCode[s])|uint64(t>>9&31)<<litLen[s], litLen[s]+lengthExtraBits[s-257])
+		d := t >> 14 & 31
+		e.write(uint64(distCode[d])|uint64(t>>19)<<distLen[d], distLen[d]+distExtraBits[d])
+	}
+	e.write(uint64(litCode[256]), litLen[256])
+	e.tokens, e.litFreq, e.distFreq = e.tokens[:0], [286]uint32{}, [30]uint32{}
+}
+
+// write appends the low n bits of v (n <= 32) to the deflate stream.
+func (e *pngEncoder) write(v uint64, n uint8) {
+	e.bits |= v << e.nbits
+	e.nbits += uint(n)
+	if e.nbits >= 32 {
+		e.out = binary.LittleEndian.AppendUint32(e.out, uint32(e.bits))
+		e.bits >>= 32
+		e.nbits -= 32
+	}
+}
+
+// huffman sets lengths and codes to a Huffman code for freq of at most
+// maxBits bits: built over the used symbols sorted by (frequency, symbol),
+// and while too deep, rebuilt with the counts halved (each kept >= 1). An
+// alphabet of fewer than two used symbols gets unused 0 or 1 beside, so
+// every code is complete and any inflater takes it. The codes are RFC 1951
+// §3.2.2's canonical ones, bit-reversed for the LSB-first stream.
+func huffman(lengths []uint8, codes []uint16, freq []uint32, maxBits int32) {
+	var buf [286]uint64
+	var weights [286]int32
+	keys := buf[:0]
+	for s, f := range freq {
+		if f > 0 {
+			keys = append(keys, uint64(f)<<16|uint64(s))
+		}
+	}
+	for s := 0; len(keys) < 2; s++ {
+		if freq[s] == 0 {
+			keys = append(keys, uint64(1)<<16|uint64(s))
+		}
+	}
+	slices.Sort(keys)
+	a := weights[:len(keys)]
+	for shift := 16; shift == 16 || a[0] > maxBits; shift++ {
+		for i, k := range keys {
+			a[i] = int32(max(k>>shift, 1))
+		}
+		minimumRedundancy(a)
+	}
+	clear(lengths)
+	var count, next [16]uint16
+	for i, k := range keys {
+		lengths[k&0xffff] = uint8(a[i])
+		count[a[i]]++
+	}
+	for l := 1; l < 16; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
+	}
+	for s, l := range lengths {
+		if l > 0 {
+			codes[s] = bits.Reverse16(next[l]) >> (16 - l)
+			next[l]++
+		}
+	}
+}
+
+// minimumRedundancy replaces a, n >= 2 ascending weights, by the lengths
+// of an optimal prefix code, a[0] the longest (Moffat and Katajainen,
+// "In-place calculation of minimum-redundancy codes", 1995).
+func minimumRedundancy(a []int32) {
+	n, root, leaf := len(a), 0, 0
+	// Left to right: node next is the two lightest of the nodes made so far
+	// and the leaves left, each node taken leaving its parent's index.
+	lightest := func(next int) (w int32) {
+		if leaf >= n || (root < next && a[root] < a[leaf]) {
+			w, a[root] = a[root], int32(next)
+			root++
+			return w
+		}
+		leaf++
+		return a[leaf-1]
+	}
+	for next := 0; next < n-1; next++ {
+		a[next] = lightest(next) + lightest(next)
+	}
+	// Right to left: internal node depths, then leaf depths.
+	a[n-2] = 0
+	for next := n - 3; next >= 0; next-- {
+		a[next] = a[a[next]] + 1
+	}
+	avail, used, depth := 1, 0, int32(0)
+	root, next := n-2, n-1
+	for avail > 0 {
+		for root >= 0 && a[root] == depth {
+			used++
+			root--
+		}
+		for ; avail > used; avail-- {
+			a[next] = depth
+			next--
+		}
+		avail, used, depth = 2*used, 0, depth+1
+	}
+}
+
 // EncodePNG writes the canvas as PNG to w, in one Write.
 func (c *Canvas) EncodePNG(w io.Writer) error {
 	e := pngEncoders.Get().(*pngEncoder)
@@ -145,7 +451,7 @@ func (c *Canvas) EncodePNG(w io.Writer) error {
 	if err := c.encode(e); err != nil {
 		return err
 	}
-	_, err := w.Write(e.out.Bytes())
+	_, err := w.Write(e.out)
 	return err
 }
 
@@ -157,9 +463,7 @@ func (c *Canvas) PNG() ([]byte, error) {
 	if err := c.encode(e); err != nil {
 		return nil, err
 	}
-	file := make([]byte, e.out.Len())
-	copy(file, e.out.Bytes())
-	return file, nil
+	return append(make([]byte, 0, len(e.out)), e.out...), nil
 }
 
 // SavePNG writes the canvas to a file.
@@ -173,20 +477,4 @@ func (c *Canvas) SavePNG(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// DecodePNG reads a PNG back into a canvas (tests use this to round-trip).
-func DecodePNG(r io.Reader) (*Canvas, error) {
-	img, err := png.Decode(r)
-	if err != nil {
-		return nil, fmt.Errorf("render: decoding PNG: %w", err)
-	}
-	b := img.Bounds()
-	out := image.NewRGBA(image.Rect(0, 0, b.Dx(), b.Dy()))
-	for y := 0; y < b.Dy(); y++ {
-		for x := 0; x < b.Dx(); x++ {
-			out.Set(x, y, img.At(b.Min.X+x, b.Min.Y+y))
-		}
-	}
-	return FromImage(out), nil
 }

@@ -270,6 +270,23 @@ func TestLegend(t *testing.T) {
 	}
 }
 
+// TestLegendFollowsMapLimit: for a limit Map does not take as given — 0,
+// negative, NaN — the legend is limit 2's, bar and labels, the limit Map
+// colours the heatmap beside it with.
+func TestLegendFollowsMapLimit(t *testing.T) {
+	draw := func(limit float64) []uint8 {
+		c := NewCanvas(120, 24, black)
+		GreenBlackRed.Legend(c, Rect{W: 120, H: 24}, limit, white)
+		return c.Image().Pix
+	}
+	want := draw(2)
+	for _, limit := range []float64{0, -2, math.NaN()} {
+		if !bytes.Equal(draw(limit), want) {
+			t.Errorf("legend for limit %v differs from limit 2's", limit)
+		}
+	}
+}
+
 func TestRenderHeatmapZoom(t *testing.T) {
 	rows := [][]float64{
 		{2, -2},
