@@ -55,7 +55,7 @@ func requireDistancesMatchMetric(t *testing.T, rows [][]float64, metric Metric, 
 }
 
 // TestDistancesMatchMetric is the distance build's property test for the two
-// Pearson metrics, under both dot routines: row counts either side of the
+// Pearson metrics, under both kernel routines: row counts either side of the
 // tile and block sizes, 1-70 columns, missing rates 0-40%, and in every set
 // as many as fit of the rows that break one-pass arithmetic — a constant row,
 // an all-missing row, a duplicated row, ±Inf cells, and pairs of rows sharing

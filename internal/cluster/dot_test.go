@@ -6,8 +6,8 @@ import (
 	"forestview/internal/tilecorr"
 )
 
-// underEachDot runs f as the subtest named for the dot routine this build
-// runs ("go" or "avx2-fma", tilecorr.KernelName()); the other name says so
+// underEachDot runs f as the subtest named for the kernel routines this
+// build runs ("go" or "avx2-fma", tilecorr.KernelName()); the other name says so
 // and passes. A test binary has one routine — the kernel exports no switch,
 // and only tilecorr's own tests flip its unexported one — so the distance
 // build's oracles meet the Go loop in CI's `-tags purego` leg and the

@@ -217,8 +217,8 @@ func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triM
 // blocks of tilecorr.BlockRows rows numbered w, w+workers, … (a block's cost
 // grows with its number, so dealing them round-robin balances the workers).
 // A block is gathered once and met with every tile holding a row below one
-// of its own; the kernel's lane-wise finish yields each pair's correlation
-// over the cells both rows observe, and the distance goes straight into the
+// of its own; the kernel's block finish yields each pair's correlation over
+// the cells both rows observe, and the distance goes straight into the
 // block's rows of the condensed matrix, which no other worker writes.
 //
 // The lanes the kernel does not vouch for — two shared cells, a joint subset
@@ -234,8 +234,7 @@ func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, 
 		Rows: make([]tilecorr.Row, 0, blockRows),
 		Buf:  make([]float64, tilecorr.QueryCells(blockRows, dim)),
 	}
-	var dots [blockRows * tileRows]float64
-	var rs [tileRows]float64
+	var dots, rs [blockRows * tileRows]float64
 	for i0 := w * blockRows; i0 < n && ctx.Err() == nil; i0 += workers * blockRows {
 		i1 := min(i0+blockRows, n)
 		q.Rows = q.Rows[:0]
@@ -248,14 +247,17 @@ func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, 
 		for t := 0; t*tileRows < i1-1; t++ {
 			base := t * tileRows
 			tilecorr.Dot(&dots, tiles.Tile(t), z, dim)
+			flagged := tiles.FinishBlock(&rs, &dots, t, &q, 0)
 			for k := max(0, base+1-i0); k < i1-i0; k++ {
 				i := i0 + k
 				live := min(tileRows, i-base) // the tile's rows below row i
-				flagged := tiles.Finish(&rs, t, (*[tileRows]float64)(dots[k*tileRows:]), &q, k, live)
+				// Only those lanes are read: the diagonal's self-pair, flagged
+				// at r = 1, is never recomputed.
+				below := uint8(flagged>>(tileRows*k)) & (1<<live - 1)
 				out := dist.v[i*(i-1)/2+base:]
-				for j, r := range rs[:live] {
+				for j, r := range rs[k*tileRows : k*tileRows+live] {
 					switch {
-					case flagged>>j&1 != 0 || math.IsNaN(r): // NaN: fewer than two shared cells, the metric's maximum
+					case below>>j&1 != 0 || math.IsNaN(r): // NaN: fewer than two shared cells, the metric's maximum
 						out[j] = metric.Distance(rows[i], rows[base+j])
 					case metric == PearsonAbsDist:
 						out[j] = 1 - math.Abs(r)

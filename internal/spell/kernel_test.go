@@ -11,6 +11,7 @@ import (
 
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
+	"forestview/internal/synth"
 	"forestview/internal/tilecorr"
 )
 
@@ -126,11 +127,39 @@ func TestOraclesUnderGoDot(t *testing.T) {
 	}
 }
 
+// TestSearchAllocs guards what a search allocates on a paper-shaped engine
+// — 6,000 genes, 24 datasets of 12-40 experiments, 2% missing, a 4-gene
+// query on two workers, as the repo benchmark's `spell.search_allocs`
+// measures it (27 when this test was written). Everything the kernel needs
+// of the query is prepared once per search, in the two allocations stage 1
+// cuts every dataset's query from: preparing it per worker and dataset (per
+// scoreGenes call) or per tile costs dozens more and fails here.
+func TestSearchAllocs(t *testing.T) {
+	u := synth.NewUniverse(6000, 20, 13)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 24, MinExperiments: 12, MaxExperiments: 40,
+		ActiveFraction: 0.4, Noise: 0.25, MissingRate: 0.02, Seed: 17,
+	})
+	e, err := NewEngine(dss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := u.ModuleGeneIDs(4)[:4]
+	opt := Options{MaxGenes: 20, IncludeQuery: true, Parallelism: 2}
+	if n := testing.AllocsPerRun(5, func() {
+		if _, err := e.Search(query, opt); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 30 {
+		t.Fatalf("a search allocates %v times, want ≤ 30", n)
+	}
+}
+
 // BenchmarkF4_SPELLTile times the kernel on one tile: 8 rows × 26
 // experiments (the paper compendium's mean) against one block of 4 query
 // rows from the next tile — a scan meets a gene with itself once in 6,000
-// rows, not once in 8 — dot then finish, under the dot routine this build runs
-// (`-tags purego` for the Go loop on an AVX2 host). ns/pair is the whole
+// rows, not once in 8 — Dot then FinishBlock, under the routines this build
+// runs (`-tags purego` for the Go code on an AVX2 host). ns/pair is the whole
 // kernel per (gene row, query row) pair and dot-ns/pair the dot routine's
 // share of it, timed by itself after the measured loop — so a kernel change
 // can tell the dot from the finish without a profiler.
@@ -167,16 +196,13 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 			sl.tiles.Gather(&q)
 			z, _, _ := q.Block(0, nExp)
 			tile := sl.tiles.Tile(0)
-			var dots [pairs]float64
-			var corr [tileRows]float64
+			var dots, corr [pairs]float64
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				tilecorr.Dot(&dots, tile, z, nExp)
-				for k := 0; k < blockRows; k++ {
-					if m := sl.tiles.Finish(&corr, 0, (*[tileRows]float64)(dots[k*tileRows:]), &q, k, tileRows); m != 0 {
-						sl.exactLanes(&corr, m, 0, q.Rows[k].Index)
-					}
+				if m := sl.tiles.FinishBlock(&corr, &dots, 0, &q, 0); m != 0 {
+					sl.exactLanes(&corr, m, 0, q.Rows)
 				}
 			}
 			b.StopTimer()

@@ -16,7 +16,7 @@ import (
 var nan = math.NaN()
 
 // kernelVsPearson runs two raw rows (NaN = missing) through slab
-// construction and the kernel — tilecorr.Dot, Finish, exactLanes, row A as
+// construction and the kernel — tilecorr.Dot, FinishBlock, exactLanes, row A as
 // the query against the lane of row B and back — and through the oracle the
 // kernel stands in for: stats.Pearson on the rows z-scored with their NaNs
 // intact.
@@ -34,11 +34,10 @@ func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 		q := tilecorr.Query{Rows: sl.appendQueryRows(nil, []int{query}), Buf: make([]float64, tilecorr.QueryCells(1, nExp))}
 		sl.tiles.Gather(&q)
 		z, _, _ := q.Block(0, nExp)
-		var dots [blockRows * tileRows]float64
+		var dots, corr [blockRows * tileRows]float64
 		tilecorr.Dot(&dots, sl.tiles.Tile(0), z, nExp)
-		var corr [tileRows]float64
-		if m := sl.tiles.Finish(&corr, 0, (*[tileRows]float64)(dots[:]), &q, 0, 2); m != 0 {
-			sl.exactLanes(&corr, m, 0, q.Rows[0].Index)
+		if m := sl.tiles.FinishBlock(&corr, &dots, 0, &q, 0); m != 0 {
+			sl.exactLanes(&corr, m, 0, q.Rows)
 		}
 		return corr[lane]
 	}
@@ -61,8 +60,8 @@ func assertPairParity(t testing.TB, a, b []float64) (got float64) {
 	return got
 }
 
-// underEachDot runs f as the subtest named for the dot routine this build
-// runs ("go" or "avx2-fma", tilecorr.KernelName()); the other name says so
+// underEachDot runs f as the subtest named for the kernel routines this
+// build runs ("go" or "avx2-fma", tilecorr.KernelName()); the other name says so
 // and passes. A test binary has one routine — the kernel exports no switch,
 // and only tilecorr's own tests flip its unexported one — so SPELL's oracles
 // meet the Go loop in CI's `-tags purego` leg and the assembly in the default

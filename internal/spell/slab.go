@@ -68,17 +68,18 @@ func (s *slab) appendQueryRows(rows []tilecorr.Row, qgids []int) []tilecorr.Row 
 	return rows
 }
 
-// exactLanes finishes what tilecorr's Finish started for tile t against
-// query row qrow: the lanes set in flagged — the ones the kernel does not
-// vouch for — are stats.Pearson itself. With them out holds the Pearson
-// correlation of each of the tile's live rows with the query row over the
+// exactLanes finishes what tilecorr's FinishBlock started for tile t
+// against a block whose rows start at rows[0]: the pairs set in flagged —
+// bit k·tileRows+j, the ones the kernel does not vouch for or the caller
+// keeps — are stats.Pearson itself. With them out[k·tileRows+j] holds the
+// Pearson correlation of the tile's row j with the block's row k over the
 // cells both observe, equal to stats.Pearson on the NaN-bearing z-rows to
 // rounding, and NaN exactly when it is. Callers test flagged != 0 first: it
 // is zero for all but a few tiles of a scan.
-func (s *slab) exactLanes(out *[tileRows]float64, flagged uint8, t, qrow int) {
+func (s *slab) exactLanes(out *[blockRows * tileRows]float64, flagged uint32, t int, rows []tilecorr.Row) {
 	for ; flagged != 0; flagged &= flagged - 1 {
-		j := bits.TrailingZeros8(flagged)
-		out[j] = s.exactCorr(tileRows*t+j, qrow)
+		p := bits.TrailingZeros32(flagged)
+		out[p] = s.exactCorr(tileRows*t+p%tileRows, rows[p/tileRows].Index)
 	}
 }
 

@@ -355,19 +355,22 @@ func topK[T any](xs []T, k int, by func(a, b T) int) []T {
 func (s *slab) coherence(q *tilecorr.Query) float64 {
 	sum, n := 0.0, 0
 	nExp := s.tiles.NExp()
-	var dots [blockRows * tileRows]float64
-	var corr [tileRows]float64
+	var dots, corr [blockRows * tileRows]float64
 	for i := 1; i < len(q.Rows); i++ {
 		t, lane := q.Rows[i].Index/tileRows, q.Rows[i].Index%tileRows
 		tile := s.tiles.Tile(t)
 		for b := 0; blockRows*b < i; b++ {
 			z, _, live := q.Block(b, nExp)
+			rows := min(live, i-blockRows*b) // the block's rows before row i
 			tilecorr.Dot(&dots, tile, z, nExp)
-			for k := 0; k < min(live, i-blockRows*b); k++ {
-				if m := s.tiles.Finish(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, lane+1); m != 0 {
-					s.exactLanes(&corr, m, t, q.Rows[blockRows*b+k].Index)
-				}
-				if r := corr[lane]; !math.IsNaN(r) {
+			// Only row i's lane is read, so only its flags are recomputed (a
+			// uint32 shifted by 32 is 0: four rows keep all 32 bits).
+			read := uint32(0x01010101) << lane & (uint32(1)<<(tileRows*rows) - 1)
+			if m := s.tiles.FinishBlock(&corr, &dots, t, q, b) & read; m != 0 {
+				s.exactLanes(&corr, m, t, q.Rows[blockRows*b:])
+			}
+			for k := 0; k < rows; k++ {
+				if r := corr[k*tileRows+lane]; !math.IsNaN(r) {
 					sum += stats.FisherZ(r)
 					n++
 				}
@@ -420,8 +423,7 @@ func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) 
 	r0, _ := slices.BinarySearch(s.gids, int32(lo))
 	r1, _ := slices.BinarySearch(s.gids, int32(hi))
 	nExp := s.tiles.NExp()
-	var dots [blockRows * tileRows]float64
-	var corr [tileRows]float64
+	var dots, corr [blockRows * tileRows]float64
 	for t := r0 / tileRows; t*tileRows < r1; t++ {
 		base, tile := t*tileRows, s.tiles.Tile(t)
 		live := min(tileRows, len(s.gids)-base)
@@ -430,11 +432,11 @@ func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) 
 		for b := 0; b < q.Blocks(); b++ {
 			z, _, rows := q.Block(b, nExp)
 			tilecorr.Dot(&dots, tile, z, nExp)
+			if m := s.tiles.FinishBlock(&corr, &dots, t, q, b); m != 0 {
+				s.exactLanes(&corr, m, t, q.Rows[blockRows*b:])
+			}
 			for k := 0; k < rows; k++ {
-				if m := s.tiles.Finish(&corr, t, (*[tileRows]float64)(dots[k*tileRows:]), q, blockRows*b+k, live); m != 0 {
-					s.exactLanes(&corr, m, t, q.Rows[blockRows*b+k].Index)
-				}
-				for j, c := range corr[:live] {
+				for j, c := range corr[k*tileRows : k*tileRows+live] {
 					if !math.IsNaN(c) {
 						sum[j] += c
 						n[j]++

@@ -2,10 +2,10 @@
 
 package tilecorr
 
-// useAsm says whether Dot runs dotAsm: decided once, from what the CPU
-// reports. Only this package's own tests clear it, to hold one process to
-// both routines; every other package meets the Go loop in a `-tags purego`
-// build (DESIGN.md §3a).
+// useAsm says whether Dot runs dotAsm and FinishBlock finishAsm: decided
+// once, from what the CPU reports. Only this package's own tests clear it,
+// to hold one process to both routines; every other package meets the Go
+// code in a `-tags purego` build (DESIGN.md §3a).
 var useAsm = cpuHasAVX2FMA()
 
 // dotAsm is Dot's contract in AVX2 + FMA: the tile line in two 256-bit
@@ -15,6 +15,14 @@ var useAsm = cpuHasAVX2FMA()
 //
 //go:noescape
 func dotAsm(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int)
+
+// finishAsm is finishGo in AVX2 + FMA, one query row at a time with all of
+// its sums in registers, eight lanes per pair of vectors. It trusts every
+// column it is handed to lie inside the tile, so it is called through
+// FinishBlock only.
+//
+//go:noescape
+func finishAsm(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, z, present []float64, rows []Row, unit *[TileRows][TileRows]float64, lim float64) (flagged uint32)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

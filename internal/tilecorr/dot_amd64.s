@@ -1,5 +1,6 @@
 //go:build !purego
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func dotAsm(out *[32]float64, tile, qz []float64, nExp int)
@@ -51,6 +52,170 @@ store:
 	VMOVUPD Y5, 160(DI)
 	VMOVUPD Y6, 192(DI)
 	VMOVUPD Y7, 224(DI)
+	VZEROUPPER
+	RET
+
+// 2 (the fewest joint cells with a defined r), sure and the sign-clearing
+// mask: the constants of finishGo, whose tilecorr.go names them.
+DATA finishK<>+0(SB)/8, $2.0
+DATA finishK<>+8(SB)/8, $0.999999999999
+DATA finishK<>+16(SB)/8, $0x7fffffffffffffff
+GLOBL finishK<>(SB), RODATA|NOPTR, $24
+
+// HALF finishes four lanes of one query row from its sums — Sa, Saa, Sb,
+// Sbb and the joint count N, lanes off/8 to off/8+3 — against the tile's
+// guard limits LimA and the row's in Y15. It stores r (NaN where N < 2) at
+// off(DI) and leaves in MASK a bit per lane the finish vouches for or calls
+// NaN. Every step rounds where finishGo's does; Sa, Saa, Sbb and N are
+// spent. Scratch: Y12-Y14.
+#define HALF(Sa, Saa, Sb, Sbb, N, LimA, off, MASK) \
+	VMULPD       Saa, N, Saa; \
+	VMULPD       Sa, Sa, Y12; \
+	VSUBPD       Y12, Saa, Saa; \
+	VMULPD       Sbb, N, Sbb; \
+	VMULPD       Sb, Sb, Y12; \
+	VSUBPD       Y12, Sbb, Sbb; \
+	VCMPPD       $0x1e, LimA, Saa, Y12; \
+	VCMPPD       $0x1e, Y15, Sbb, Y13; \
+	VANDPD       Y13, Y12, Y12; \
+	VBROADCASTSD finishK<>+0(SB), Y14; \
+	VCMPPD       $0x1e, Y14, N, Y13; \
+	VANDPD       Y13, Y12, Y12; \
+	VCMPPD       $0x11, Y14, N, Y13; \
+	VMULPD       Sbb, Saa, Saa; \
+	VSQRTPD      Saa, Saa; \
+	VMULPD       off(SI), N, N; \
+	VMULPD       Sb, Sa, Sa; \
+	VSUBPD       Sa, N, N; \
+	VDIVPD       Saa, N, N; \
+	VBROADCASTSD finishK<>+16(SB), Y14; \
+	VANDPD       Y14, N, Sa; \
+	VBROADCASTSD finishK<>+8(SB), Y14; \
+	VCMPPD       $0x11, Y14, Sa, Sa; \
+	VANDPD       Sa, Y12, Y12; \
+	VORPD        Y13, N, N; \
+	VMOVUPD      N, off(DI); \
+	VORPD        Y13, Y12, Y12; \
+	VMOVMSKPD    Y12, MASK
+
+// func finishAsm(out, dots *[32]float64, tile []float64, t1, t2 *[8]float64, cells []int32, z, present []float64, rows []Row, unit *[8][8]float64, lim float64) (flagged uint32)
+//
+// One query row k at a time, lanes 0-3 in the even register of each pair
+// and 4-7 in the odd: Y0/Y1 Sa and Y2/Y3 Saa (the tile's totals less a tile
+// line per column row k misses), Y4/Y5 Sb, Y6/Y7 Sbb and Y8/Y9 the joint
+// count (row k's totals and nExp − |Nb|, less row k's cell at each of the
+// tile's missing cells, in that cell's lane: a broadcast times the lane's
+// unit row, which an FMA subtracts exactly). Y10/Y11 hold the tile's
+// guard limits lim·t2 for the whole call. DI, SI, R12 and R13 walk out,
+// dots, z and present to row k; BX walks rows; CX is 8k, the row's shift
+// into R9, the flags.
+TEXT ·finishAsm(SB), NOSPLIT, $0-172
+	MOVQ         out+0(FP), DI
+	MOVQ         dots+8(FP), SI
+	MOVQ         tile_base+16(FP), DX
+	MOVQ         z_base+80(FP), R12
+	MOVQ         present_base+104(FP), R13
+	MOVQ         rows_base+128(FP), BX
+	MOVQ         unit+152(FP), R14
+	XORQ         R9, R9
+	XORQ         CX, CX
+	MOVQ         t2+48(FP), AX
+	VBROADCASTSD lim+160(FP), Y12
+	VMULPD       (AX), Y12, Y10
+	VMULPD       32(AX), Y12, Y11
+	MOVQ         rows_len+136(FP), AX
+	TESTQ        AX, AX
+	JEQ          done
+
+row:
+	MOVQ         t1+40(FP), AX
+	VMOVUPD      (AX), Y0
+	VMOVUPD      32(AX), Y1
+	MOVQ         t2+48(FP), AX
+	VMOVUPD      (AX), Y2
+	VMOVUPD      32(AX), Y3
+	MOVQ         Row_miss(BX), R8
+	MOVQ         Row_miss+8(BX), R11
+	MOVQ         tile_len+24(FP), AX
+	SHRQ         $3, AX
+	SUBQ         R11, AX
+	VCVTSI2SDQ   AX, X8, X8
+	VBROADCASTSD X8, Y8
+	VMOVAPD      Y8, Y9
+	TESTQ        R11, R11
+	JEQ          sums
+
+qmiss:
+	MOVLQSX      (R8), AX
+	ANDQ         $~7, AX
+	VMOVUPD      (DX)(AX*8), Y12
+	VMOVUPD      32(DX)(AX*8), Y13
+	VSUBPD       Y12, Y0, Y0
+	VSUBPD       Y13, Y1, Y1
+	VMULPD       Y12, Y12, Y12
+	VMULPD       Y13, Y13, Y13
+	VSUBPD       Y12, Y2, Y2
+	VSUBPD       Y13, Y3, Y3
+	ADDQ         $4, R8
+	DECQ         R11
+	JNZ          qmiss
+
+sums:
+	VBROADCASTSD Row_t1(BX), Y4
+	VMOVAPD      Y4, Y5
+	VBROADCASTSD Row_t2(BX), Y6
+	VMOVAPD      Y6, Y7
+	MOVQ         cells_base+56(FP), R8
+	MOVQ         cells_len+64(FP), R11
+	TESTQ        R11, R11
+	JEQ          lanes
+
+cell:
+	MOVL         (R8), AX
+	MOVL         AX, R10
+	ANDL         $7, AX
+	SHLQ         $6, AX
+	VMOVUPD      (R14)(AX*1), Y12
+	VMOVUPD      32(R14)(AX*1), Y13
+	SHRL         $3, R10
+	SHLQ         $5, R10
+	VBROADCASTSD (R12)(R10*1), Y14
+	VBROADCASTSD (R13)(R10*1), Y15
+	VFNMADD231PD Y14, Y12, Y4
+	VFNMADD231PD Y14, Y13, Y5
+	VMULPD       Y14, Y14, Y14
+	VFNMADD231PD Y14, Y12, Y6
+	VFNMADD231PD Y14, Y13, Y7
+	VFNMADD231PD Y15, Y12, Y8
+	VFNMADD231PD Y15, Y13, Y9
+	ADDQ         $4, R8
+	DECQ         R11
+	JNZ          cell
+
+lanes:
+	VMOVSD       Row_t2(BX), X15
+	VMULSD       lim+160(FP), X15, X15
+	VBROADCASTSD X15, Y15
+	HALF(Y0, Y2, Y4, Y6, Y8, Y10, 0, AX)
+	HALF(Y1, Y3, Y5, Y7, Y9, Y11, 32, R10)
+	SHLQ         $4, R10
+	ORQ          R10, AX
+	XORQ         $0xff, AX
+	SHLQ         CX, AX
+	ORQ          AX, R9
+	ADDQ         $64, DI
+	ADDQ         $64, SI
+	ADDQ         $8, R12
+	ADDQ         $8, R13
+	ADDQ         $Row__size, BX
+	ADDQ         $8, CX
+	MOVQ         rows_len+136(FP), AX
+	SHLQ         $3, AX
+	CMPQ         CX, AX
+	JLT          row
+
+done:
+	MOVL         R9, flagged+168(FP)
 	VZEROUPPER
 	RET
 

@@ -2,11 +2,16 @@
 
 package tilecorr
 
-// This build has no assembly dot routine — another architecture, or the
+// This build has no assembly routines — another architecture, or the
 // purego tag, which is how a host that would choose the assembly runs every
-// package's tests on the Go loop: Dot always runs dotGo.
+// package's tests on the Go code: Dot always runs dotGo, FinishBlock
+// finishGo.
 var useAsm = false
 
 func dotAsm(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 	panic("tilecorr: no assembly dot routine in this build")
+}
+
+func finishAsm(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, z, present []float64, rows []Row, unit *[TileRows][TileRows]float64, lim float64) uint32 {
+	panic("tilecorr: no assembly finish routine in this build")
 }

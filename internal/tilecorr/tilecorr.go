@@ -3,18 +3,17 @@
 //
 // Rows are stored z-scored and zero-filled in tiles of eight, experiment-
 // major (Tiles). One pass over a tile dots it with a block of up to four
-// gathered rows (Dot: an AVX2+FMA assembly routine where the CPU has it, the
-// same sums in a Go loop everywhere else), and Finish turns the eight dots
-// against one row into eight correlations over the cells each pair observes
-// jointly — a missing cell costs a correction, not another code path. A lane
+// gathered rows (Dot), and FinishBlock turns those 4×8 dots into 32
+// correlations over the cells each pair observes jointly — a missing cell
+// costs a correction, not another code path. Both are AVX2+FMA assembly
+// where the CPU has it and the same arithmetic in Go everywhere else. A pair
 // whose one-pass value cannot be trusted to the last bits is reported to the
-// caller, who recomputes that pair exactly by its own definition: the kernel
-// never chooses the exact routine.
+// caller, who recomputes it exactly by its own definition: the kernel never
+// chooses the exact routine.
 package tilecorr
 
 import (
 	"math"
-	"slices"
 
 	"forestview/internal/stats"
 )
@@ -28,19 +27,17 @@ const (
 // over its observed cells, missing (NaN) cells stored as 0 — so a missing
 // cell on either side of a pair contributes exactly 0 to its dot product,
 // no per-cell test — and, beside the tiles, what the zero-fill hides: each
-// row's totals over its observed cells and the list of its missing cells,
-// from which Finish recovers the exact moments over a pair's joint cells.
+// row's totals over its observed cells and its missing cells, from which
+// FinishBlock recovers the exact moments over a pair's joint cells.
 // Tiles are immutable once built and safe for concurrent use.
 type Tiles struct {
-	nExp int
+	nExp, rows int
 	// zt holds the tiles back to back: row TileRows·t+j at experiment e is
 	// zt[(t·nExp+e)·TileRows+j]. The last tile is zero-padded.
 	zt []float64
-	// Row r's moments over its observed cells, t1 = Σz and t2 = Σz², and
-	// inv = 1/sqrt(nExp·t2 − t1²), the row's variance term when a pair has
-	// nothing to correct (0 when that term fails varGuard — a constant
-	// row). Padded to the tile with zeros.
-	t1, t2, inv []float64
+	// Row r's moments over its observed cells, t1 = Σz and t2 = Σz², padded
+	// to the tile with zeros.
+	t1, t2 []float64
 	// Row r's missing cells are miss[missOff[r]:missOff[r+1]], each entry
 	// column<<3 | lane — the cell's offset within its tile — by ascending
 	// column; missOff is padded to the tile, so tile t's missing cells are
@@ -55,10 +52,10 @@ func New(rows [][]float64, nExp int) *Tiles {
 	padded := (len(rows) + TileRows - 1) / TileRows * TileRows
 	s := &Tiles{
 		nExp:    nExp,
+		rows:    len(rows),
 		zt:      make([]float64, padded*nExp),
 		t1:      make([]float64, padded),
 		t2:      make([]float64, padded),
-		inv:     make([]float64, padded),
 		missOff: make([]int32, padded+1),
 	}
 	zr := make([]float64, nExp)
@@ -76,9 +73,6 @@ func New(rows [][]float64, nExp int) *Tiles {
 			t2 += v * v
 		}
 		s.t1[r], s.t2[r] = t1, t2
-		if d := float64(nExp)*t2 - t1*t1; d > varGuard*float64(nExp)*t2 {
-			s.inv[r] = 1 / math.Sqrt(d)
-		}
 		s.missOff[r+1] = int32(len(s.miss))
 	}
 	for r := len(rows); r < padded; r++ {
@@ -109,19 +103,19 @@ func (s *Tiles) AppendZ(dst []float64, r int) []float64 {
 	return dst
 }
 
-// Row is one row of the tiles as Finish reads it on the gathered side.
+// Row is one row of the tiles as FinishBlock reads it on the gathered side:
+// everything the finish needs of a query row besides its cells, so a query
+// is prepared once, not per tile. The assembly reads these fields by name
+// (go_asm.h).
 type Row struct {
-	Index       int     // the row: lane Index%TileRows of tile Index/TileRows
-	t1, t2, inv float64 // as in the tiles
-	miss        []int32 // the row's entries of the missing list (column = entry>>3)
+	Index  int     // the row: lane Index%TileRows of tile Index/TileRows
+	t1, t2 float64 // as in the tiles
+	miss   []int32 // the row's entries of the missing list (column = entry>>3)
 }
 
 // Row returns row r for a Query.
 func (s *Tiles) Row(r int) Row {
-	return Row{
-		Index: r, t1: s.t1[r], t2: s.t2[r], inv: s.inv[r],
-		miss: s.miss[s.missOff[r]:s.missOff[r+1]],
-	}
+	return Row{Index: r, t1: s.t1[r], t2: s.t2[r], miss: s.miss[s.missOff[r]:s.missOff[r+1]]}
 }
 
 // Query is a set of rows gathered out of their tiles into blocks of
@@ -185,10 +179,10 @@ func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 	dotGo(out, tile, qz, nExp)
 }
 
-// KernelName names the dot routine this process runs: "avx2-fma" (amd64
-// with AVX2 and FMA) or "go". Processes on different routines differ in
-// speed and in the last bits of a correlation (fused against unfused
-// rounding).
+// KernelName names the routines this process runs, Dot's and FinishBlock's
+// both: "avx2-fma" (amd64 with AVX2 and FMA) or "go". Processes on different
+// routines differ in speed and in the last bits of a correlation (the
+// assembly dot fuses its multiply-adds, the Go loop does not).
 func KernelName() string {
 	if useAsm {
 		return "avx2-fma"
@@ -219,95 +213,114 @@ func dotGo(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 // over a pair's joint cells must keep for the one-pass moments to be
 // trusted. Rounding in n·Σz² − (Σz)² is a few ulps of nExp·t2, so above the
 // guard the correlation is good to ~1e-14; below it (the joint cells are
-// nearly constant, or exactly so) Finish flags the lane.
+// nearly constant, or exactly so) the finish flags the pair.
 const varGuard = 1.0 / 64
 
-// sure bounds the correlations Finish vouches for. At |r| = 1 a two-pass
-// Pearson is exact where the one-pass identity lands an ulp short or is
-// clamped, and exact ties at ±1 are structural to callers that compare
+// sure bounds the correlations the finish vouches for. At |r| = 1 a
+// two-pass Pearson is exact where the one-pass identity lands an ulp short
+// or is clamped, and exact ties at ±1 are structural to callers that compare
 // pairs — duplicated rows, rows sharing two cells — so anything this close
-// is the caller's to recompute.
+// is the caller's to recompute. dot_amd64.s spells it out as a literal.
 const sure = 1 - 1e-12
 
-// Finish turns dot — the dot products of tile t's rows with row i of q, as
-// Dot left them for its block — into out: the Pearson correlation of each of
-// the tile's first live rows with that row over the cells both observe,
-// equal to stats.Pearson on the NaN-bearing rows to rounding (≤1e-12), and
-// NaN where fewer than two cells are shared. Lanes past live hold nothing,
-// and neither do the lanes set in flagged, which the kernel does not vouch
-// for — two shared cells, a variance term under varGuard, |r| beyond sure:
-// every pair whose correlation is ±1 or undefined is among them — and the
-// caller recomputes by its own exact routine.
+// unitLanes[j] is 1 in lane j and 0 in the others: a missing cell's lane
+// as a multiplier, which the assembly loads two vectors at a time.
+var unitLanes = func() (u [TileRows][TileRows]float64) {
+	for j := range u {
+		u[j][j] = 1
+	}
+	return u
+}()
+
+// FinishBlock turns dots — tile t's rows dotted with block b of q, as Dot
+// left them — into out[k·TileRows+j]: the Pearson correlation of the
+// block's row k with the tile's row j over the cells both observe, equal to
+// stats.Pearson on the NaN-bearing rows to rounding (≤1e-12), and NaN where
+// fewer than two cells are shared. flagged has bit k·TileRows+j set for the
+// pairs the kernel does not vouch for — two shared cells, a variance term
+// under varGuard, |r| beyond sure: every pair whose correlation is ±1 or
+// undefined is among them — and the caller recomputes those by its own
+// exact routine. Only real pairs are reported: lanes past the tiles' last
+// row and rows past the block's live ones are never flagged and hold
+// nothing to read.
 //
 // Because missing cells are stored as 0 the dot product already is Σab over
 // the joint cells; each row's Σz and Σz² over the joint cells are its
 // stored totals minus its values at the other row's missing columns, and
-// the joint count is nExp minus the columns either row is missing. The
-// tile's rows lose a whole tile line per column the gathered row is missing;
-// the gathered row's sums are corrected, lane by lane, in one walk of the
-// tile's missing list — whose presence-mask term leaves a column missing
-// on both sides counted once. No list is walked per lane.
-func (s *Tiles) Finish(out *[TileRows]float64, t int, dot *[TileRows]float64, q *Query, i, live int) (flagged uint8) {
-	qr, k := &q.Rows[i], i%BlockRows
+// the joint count is nExp minus the columns either row is missing. A block
+// row loses a whole tile line per column it is missing; it in turn is
+// subtracted, eight lanes at a time through unitLanes, at each of the tile's
+// missing cells — whose presence term leaves a column missing on both sides
+// counted once. The work is done by the assembly where Dot's is
+// (useAsm) and by finishGo, the same arithmetic, everywhere else; the checks
+// here keep the assembly inside its arguments.
+func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *Query, b int) (flagged uint32) {
+	tile := s.Tile(t)
 	base := TileRows * t
 	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
-	inv := (*[TileRows]float64)(s.inv[base:])
-	tmiss := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
-	fnE := float64(s.nExp)
-	if len(tmiss)+len(qr.miss) == 0 && s.nExp > 2 && qr.inv != 0 && !slices.Contains(inv[:live], 0) {
-		// Nothing to correct: every variance term is its row's own.
-		// (No clamp: a value Finish vouches for is inside ±sure.)
-		for j := range out {
-			r := (fnE*dot[j] - t1[j]*qr.t1) * (inv[j] * qr.inv)
-			out[j] = r
-			if !(r < sure && r > -sure) {
-				flagged |= 1 << j
+	cells := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
+	z, present, live := q.Block(b, s.nExp)
+	rows := q.Rows[BlockRows*b : BlockRows*b+live]
+	for i := range rows {
+		if m := rows[i].miss; len(m) > 0 && int(m[len(m)-1]>>3) >= s.nExp {
+			panic("tilecorr: FinishBlock query row from tiles of another width")
+		}
+	}
+	lim := varGuard * float64(s.nExp)
+	if useAsm {
+		flagged = finishAsm(out, dots, tile, t1, t2, cells, z, present, rows, &unitLanes, lim)
+	} else {
+		flagged = finishGo(out, dots, tile, t1, t2, cells, z, present, rows, lim)
+	}
+	// Every real pair: the tile's lanes up to its last row, in each live row
+	// (a uint32 shifted by 32 is 0, so four live rows keep all 32 bits).
+	lanes := uint32(1)<<min(TileRows, s.rows-base) - 1
+	return flagged & (lanes * 0x01010101) & (uint32(1)<<(TileRows*live) - 1)
+}
+
+// finishGo is FinishBlock's arithmetic in Go, and the assembly's oracle:
+// the same sums in the same order, each rounded where the assembly rounds,
+// so the two agree to the bit wherever Go does not fuse a multiply-add.
+func finishGo(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, z, present []float64, rows []Row, lim float64) (flagged uint32) {
+	nExp := len(tile) / TileRows
+	var limA [TileRows]float64
+	for j, v := range t2 {
+		limA[j] = lim * v
+	}
+	for k := range rows {
+		qr := &rows[k]
+		sa, saa := *t1, *t2
+		for _, m := range qr.miss {
+			for j, v := range (*[TileRows]float64)(tile[m&^7:]) {
+				sa[j] -= v
+				saa[j] -= v * v
 			}
 		}
-		return flagged & (1<<live - 1)
-	}
-	tile := s.Tile(t)
-	z, present, _ := q.Block(i/BlockRows, s.nExp)
-	sa, saa := *t1, *t2
-	for _, m := range qr.miss {
-		for j, v := range (*[TileRows]float64)(tile[m&^7:]) {
-			sa[j] -= v
-			saa[j] -= v * v
+		var sb, sbb, n [TileRows]float64
+		nb := float64(nExp - len(qr.miss))
+		for j := range n {
+			sb[j], sbb[j], n[j] = qr.t1, qr.t2, nb
 		}
-	}
-	var sb, sbb, n [TileRows]float64
-	nb := float64(s.nExp - len(qr.miss))
-	for j := range n {
-		sb[j], sbb[j], n[j] = qr.t1, qr.t2, nb
-	}
-	for _, m := range tmiss {
-		c, j := int(m>>3)*BlockRows+k, m&7
-		v := z[c]
-		sb[j] -= v
-		sbb[j] -= v * v
-		n[j] -= present[c]
-	}
-	lim := varGuard * fnE
-	limB := lim * qr.t2 // hoisted by hand: for all the compiler knows out aliases qr
-	for j := 0; j < live; j++ {
-		fn := n[j]
-		if fn < 3 {
-			if fn < 2 {
-				out[j] = math.NaN()
-			} else {
-				flagged |= 1 << j
+		for _, m := range cells {
+			i, j := int(m>>3)*BlockRows+k, m&7
+			v, p := z[i], present[i]
+			sb[j] -= v
+			sbb[j] -= v * v
+			n[j] -= p
+		}
+		limB := lim * qr.t2
+		dot, o := (*[TileRows]float64)(dots[TileRows*k:]), (*[TileRows]float64)(out[TileRows*k:])
+		for j := range TileRows {
+			fn := n[j]
+			da, db := fn*saa[j]-sa[j]*sa[j], fn*sbb[j]-sb[j]*sb[j]
+			r := (fn*dot[j] - sa[j]*sb[j]) / math.Sqrt(da*db)
+			switch {
+			case fn < 2:
+				r = math.NaN()
+			case !(fn > 2 && da > limA[j] && db > limB && math.Abs(r) < sure):
+				flagged |= 1 << (TileRows*k + j)
 			}
-			continue
-		}
-		da, db := fn*saa[j]-sa[j]*sa[j], fn*sbb[j]-sb[j]*sb[j]
-		if !(da > lim*t2[j] && db > limB) {
-			flagged |= 1 << j
-			continue
-		}
-		r := (fn*dot[j] - sa[j]*sb[j]) / math.Sqrt(da*db)
-		out[j] = r
-		if !(r < sure && r > -sure) {
-			flagged |= 1 << j
+			o[j] = r
 		}
 	}
 	return flagged

@@ -3,6 +3,7 @@ package tilecorr
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -11,8 +12,8 @@ import (
 
 var nan = math.NaN()
 
-// underEachDot runs f as the subtests "go" and "avx2-fma": under the Go dot
-// loop, and under the assembly routine where start-up selected it.
+// underEachDot runs f as the subtests "go" and "avx2-fma": under the Go
+// routines, and under the assembly ones where start-up selected them.
 func underEachDot(t *testing.T, f func(t *testing.T)) {
 	asm := useAsm
 	defer func() { useAsm = asm }()
@@ -22,7 +23,7 @@ func underEachDot(t *testing.T, f func(t *testing.T)) {
 	})
 	t.Run("avx2-fma", func(t *testing.T) {
 		if !asm {
-			t.Skip("no AVX2+FMA dot routine in this build or on this CPU")
+			t.Skip("no AVX2+FMA routines in this build or on this CPU")
 		}
 		useAsm = true
 		f(t)
@@ -163,13 +164,37 @@ func randomRows(rng *rand.Rand, n, nExp int, missing float64) [][]float64 {
 	return rows
 }
 
-// assertKernelContract tiles rows, meets every row with every tile the way
-// the callers do — gathered in blocks, Dot, Finish over the tile's live
-// lanes — and holds each pair to the kernel's contract against stats.Pearson
-// on the rows as given: a lane Finish vouches for is NaN exactly when fewer
-// than two cells are shared and within 1e-12 of stats.Pearson otherwise; and
-// every pair that shares two cells, that stats.Pearson calls undefined, or
-// that correlates at ±1, is flagged.
+// assertPair holds one pair to the kernel's contract against stats.Pearson
+// on the rows as given: a pair the finish vouches for is NaN exactly when
+// fewer than two cells are shared and within 1e-12 of stats.Pearson
+// otherwise; and every pair that shares two cells, that stats.Pearson calls
+// undefined, or that correlates at ±1, is flagged.
+func assertPair(t testing.TB, a, c []float64, got float64, flagged bool, i, j int) {
+	t.Helper()
+	joint := 0
+	for e := range a {
+		if !math.IsNaN(a[e]) && !math.IsNaN(c[e]) {
+			joint++
+		}
+	}
+	want := stats.Pearson(a, c)
+	if flagged {
+		if joint < 2 {
+			t.Fatalf("rows %d and %d share %d cells and were flagged: NaN is certain", i, j, joint)
+		}
+		return
+	}
+	if joint == 2 || joint > 2 && !(math.Abs(want) < 1-1e-13) {
+		t.Fatalf("rows %d and %d (%d joint cells, stats.Pearson %v) were not flagged\na=%v\nb=%v", i, j, joint, want, a, c)
+	}
+	if math.IsNaN(got) != (joint < 2) || math.Abs(got-want) > 1e-12 {
+		t.Fatalf("rows %d and %d: kernel = %v, stats.Pearson = %v (diff %g)\na=%v\nb=%v", i, j, got, want, math.Abs(got-want), a, c)
+	}
+}
+
+// assertKernelContract tiles rows, meets every block of rows with every
+// tile the way the callers do — gathered, Dot, FinishBlock — and holds each
+// pair to assertPair, and the flags to the real pairs.
 func assertKernelContract(t testing.TB, rows [][]float64, nExp int) {
 	t.Helper()
 	s := New(rows, nExp)
@@ -178,40 +203,24 @@ func assertKernelContract(t testing.TB, rows [][]float64, nExp int) {
 		q.Rows = append(q.Rows, s.Row(r))
 	}
 	s.Gather(&q)
-	var dots [BlockRows * TileRows]float64
-	var rs [TileRows]float64
+	var dots, rs [BlockRows * TileRows]float64
 	for b := 0; b < q.Blocks(); b++ {
 		z, _, rowsLive := q.Block(b, nExp)
 		for tl := 0; tl*TileRows < len(rows); tl++ {
 			Dot(&dots, s.Tile(tl), z, nExp)
+			flagged := s.FinishBlock(&rs, &dots, tl, &q, b)
 			live := min(TileRows, len(rows)-tl*TileRows)
-			for k := 0; k < rowsLive; k++ {
-				i := b*BlockRows + k
-				flagged := s.Finish(&rs, tl, (*[TileRows]float64)(dots[k*TileRows:]), &q, i, live)
-				if flagged>>live != 0 {
-					t.Fatalf("rows %d, tile %d: lanes past the %d live ones flagged: %08b", i, tl, live, flagged)
+			for k := 0; k < BlockRows; k++ {
+				row := flagged >> (TileRows * k) & (1<<TileRows - 1)
+				if k >= rowsLive && row != 0 || row>>live != 0 {
+					t.Fatalf("block %d, tile %d: pairs past the %d live rows and %d live lanes flagged: %032b", b, tl, rowsLive, live, flagged)
 				}
+				if k >= rowsLive {
+					continue
+				}
+				i := b*BlockRows + k
 				for j := 0; j < live; j++ {
-					a, c := rows[i], rows[tl*TileRows+j]
-					joint := 0
-					for e := range a {
-						if !math.IsNaN(a[e]) && !math.IsNaN(c[e]) {
-							joint++
-						}
-					}
-					want := stats.Pearson(a, c)
-					if flagged>>j&1 != 0 {
-						if joint < 2 {
-							t.Fatalf("rows %d and %d share %d cells and were flagged: NaN is certain", i, tl*TileRows+j, joint)
-						}
-						continue
-					}
-					if joint == 2 || joint > 2 && !(math.Abs(want) < 1-1e-13) {
-						t.Fatalf("rows %d and %d (%d joint cells, stats.Pearson %v) were not flagged\na=%v\nb=%v", i, tl*TileRows+j, joint, want, a, c)
-					}
-					if got := rs[j]; math.IsNaN(got) != (joint < 2) || math.Abs(got-want) > 1e-12 {
-						t.Fatalf("rows %d and %d: kernel = %v, stats.Pearson = %v (diff %g)\na=%v\nb=%v", i, tl*TileRows+j, got, want, math.Abs(got-want), a, c)
-					}
+					assertPair(t, rows[i], rows[tl*TileRows+j], rs[k*TileRows+j], row>>j&1 != 0, i, tl*TileRows+j)
 				}
 			}
 		}
@@ -235,23 +244,7 @@ func TestFinishContract(t *testing.T) {
 			missing := []float64{0, 0.02, 0.3, 0.7}[rng.Intn(4)]
 			rows := randomRows(rng, n, nExp, missing)
 			for _, row := range rows {
-				switch shape := rng.Intn(4); shape {
-				case 1:
-					for i := range row {
-						row[i] *= 0.01
-						if rng.Intn(nExp) == 0 {
-							row[i] = 50
-						}
-					}
-				case 2:
-					for i := range row {
-						row[i] += 1000
-					}
-				case 3:
-					for i := range row {
-						row[i] = float64(rng.Intn(2)) + 0*row[i] // keeps the NaNs
-					}
-				}
+				reshape(rng, row)
 			}
 			if n > 4 {
 				rows[1] = slices.Clone(rows[n-1])
@@ -262,6 +255,29 @@ func TestFinishContract(t *testing.T) {
 			assertKernelContract(t, rows, nExp)
 		}
 	})
+}
+
+// reshape gives a random row one of four value shapes: gaussian as drawn,
+// spiked, offset, or quantized — the last makes constant joint subsets and
+// exact ±1 common.
+func reshape(rng *rand.Rand, row []float64) {
+	switch shape := rng.Intn(4); shape {
+	case 1:
+		for i := range row {
+			row[i] *= 0.01
+			if rng.Intn(len(row)) == 0 {
+				row[i] = 50
+			}
+		}
+	case 2:
+		for i := range row {
+			row[i] += 1000
+		}
+	case 3:
+		for i := range row {
+			row[i] = float64(rng.Intn(2)) + 0*row[i] // keeps the NaNs
+		}
+	}
 }
 
 // rowsFromBytes decodes a fuzz input into two equally long rows: the first
@@ -295,7 +311,7 @@ func rowsFromBytes(data []byte) (a, b []float64) {
 }
 
 // FuzzPairCorr holds the kernel's contract on one pair of rows, both ways
-// round and under both dot routines. Its seeds live in
+// round and under both routines. Its seeds live in
 // testdata/fuzz/FuzzPairCorr.
 func FuzzPairCorr(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -305,5 +321,185 @@ func FuzzPairCorr(f *testing.F) {
 		for _, useAsm = range []bool{false, asm} {
 			assertKernelContract(t, [][]float64{a, b}, len(a))
 		}
+	})
+}
+
+// blockCase tiles the gathered rows into tile 0 — padded to a whole tile
+// with rows missing every cell — and the tile rows into tile 1, then
+// gathers the block FinishBlock meets tile 1 with: the gathered rows in
+// order, except that with self its first row is tile 1's row 0, whose pair
+// with lane 0 is the diagonal. all is the rows as tiled.
+func blockCase(gathered, tileRows [][]float64, nExp int, self bool) (s *Tiles, q *Query, all [][]float64) {
+	all = append(all, gathered...)
+	for len(all) < TileRows {
+		row := make([]float64, nExp)
+		for i := range row {
+			row[i] = nan
+		}
+		all = append(all, row)
+	}
+	all = append(all, tileRows...)
+	s = New(all, nExp)
+	q = &Query{Buf: make([]float64, QueryCells(len(gathered), nExp))}
+	for k := range gathered {
+		r := k
+		if self && k == 0 {
+			r = TileRows
+		}
+		q.Rows = append(q.Rows, s.Row(r))
+	}
+	s.Gather(q)
+	return s, q, all
+}
+
+// finishChecked runs FinishBlock on dots — tile 1 against block 0 of a
+// blockCase — under the routine useAsm selects. It holds the call to what
+// it may write, the 32 outputs: sentinels either side of them keep their
+// values and every input keeps its bits. And it holds every real pair to
+// assertPair and the flags to the real pairs.
+func finishChecked(t testing.TB, s *Tiles, q *Query, all [][]float64, dots *[BlockRows * TileRows]float64) (out [BlockRows * TileRows]float64, flagged uint32) {
+	t.Helper()
+	inputs := func() []any {
+		return []any{slices.Clone(s.zt), slices.Clone(s.t1), slices.Clone(s.t2), slices.Clone(s.miss), slices.Clone(q.Buf), *dots, unitLanes}
+	}
+	was := inputs()
+	const sentinel = 12345.678
+	var got struct {
+		before [4]float64
+		out    [BlockRows * TileRows]float64
+		after  [4]float64
+	}
+	for _, cells := range [][]float64{got.before[:], got.after[:]} {
+		for i := range cells {
+			cells[i] = sentinel
+		}
+	}
+	flagged = s.FinishBlock(&got.out, dots, 1, q, 0)
+	for _, c := range append(got.before[:], got.after[:]...) {
+		if c != sentinel {
+			t.Fatalf("%s: the finish wrote outside its 32 outputs", KernelName())
+		}
+	}
+	if !reflect.DeepEqual(inputs(), was) {
+		t.Fatalf("%s: the finish wrote to its inputs", KernelName())
+	}
+	_, _, live := q.Block(0, s.NExp())
+	lanes := len(all) - TileRows
+	if real := uint32(1<<lanes-1) * 0x01010101 & (uint32(1)<<(TileRows*live) - 1); flagged&^real != 0 {
+		t.Fatalf("%s: pairs past the %d live rows and %d live lanes flagged: %032b", KernelName(), live, lanes, flagged)
+	}
+	for k, qr := range q.Rows {
+		for j := 0; j < lanes; j++ {
+			p := TileRows*k + j
+			assertPair(t, all[qr.Index], all[TileRows+j], got.out[p], flagged>>p&1 != 0, qr.Index, TileRows+j)
+		}
+	}
+	return got.out, flagged
+}
+
+// assertRoutinesAgree runs finishChecked on the same dots under the Go
+// routine and, where this build and CPU have it, the assembly: both meet
+// the contract, and where both vouch for a pair they agree to 1e-14.
+func assertRoutinesAgree(t testing.TB, s *Tiles, q *Query, all [][]float64) {
+	t.Helper()
+	asm := useAsm
+	defer func() { useAsm = asm }()
+	z, _, _ := q.Block(0, s.NExp())
+	var dots [BlockRows * TileRows]float64
+	Dot(&dots, s.Tile(1), z, s.NExp())
+	useAsm = false
+	goOut, goFlags := finishChecked(t, s, q, all, &dots)
+	if !asm {
+		return
+	}
+	useAsm = true
+	asmOut, asmFlags := finishChecked(t, s, q, all, &dots)
+	for p := range goOut {
+		g, a := goOut[p], asmOut[p]
+		if (goFlags|asmFlags)>>p&1 == 0 && p/TileRows < len(q.Rows) && p%TileRows < len(all)-TileRows &&
+			!(math.IsNaN(g) && math.IsNaN(a)) && !(math.Abs(g-a) <= 1e-14) {
+			t.Fatalf("pair %d: the assembly finishes %v, the Go routine %v", p, a, g)
+		}
+	}
+}
+
+// TestFinishAsmMatchesGo holds the assembly finish to finishGo on random
+// blocks: 1-4 live rows against a tile of 1-8 live lanes, rows of 0-120
+// cells, 0-70% of them missing, the four value shapes, a ±Inf cell now and
+// then and the diagonal pair in a quarter of the blocks.
+func TestFinishAsmMatchesGo(t *testing.T) {
+	if !useAsm {
+		t.Skip("no AVX2+FMA finish routine in this build or on this CPU")
+	}
+	rng := rand.New(rand.NewSource(30))
+	for iter := 0; iter < 4000; iter++ {
+		nExp := rng.Intn(121)
+		missing := 0.7 * rng.Float64()
+		gathered := randomRows(rng, 1+rng.Intn(BlockRows), nExp, missing)
+		tileRows := randomRows(rng, 1+rng.Intn(TileRows), nExp, missing)
+		for _, row := range append(gathered, tileRows...) {
+			reshape(rng, row)
+			if nExp > 0 && rng.Intn(16) == 0 {
+				row[rng.Intn(nExp)] = math.Inf(1 - 2*rng.Intn(2))
+			}
+		}
+		s, q, all := blockCase(gathered, tileRows, nExp, rng.Intn(4) == 0)
+		assertRoutinesAgree(t, s, q, all)
+	}
+}
+
+// blockFromBytes decodes a fuzz input into a blockCase: byte 0 is the row
+// length (mod 73); byte 1 the shape — 1 + bits 0-1 gathered rows, 1 + bits
+// 2-4 tile rows, bit 5 the diagonal pair; then each row, gathered rows
+// first, is one value byte per cell (a signed eighth, with -128 for −Inf
+// and 127 for +Inf) and one mask byte per eight cells (a set bit is a
+// missing cell). Bytes past the input are 0.
+func blockFromBytes(data []byte) (gathered, tileRows [][]float64, nExp int, self bool) {
+	at := func(i int) byte {
+		if i < len(data) {
+			return data[i]
+		}
+		return 0
+	}
+	nExp = int(at(0)) % 73
+	shape := at(1)
+	next := 2
+	row := func() []float64 {
+		r := make([]float64, nExp)
+		for i := range r {
+			switch v := int8(at(next + i)); v {
+			case -128:
+				r[i] = math.Inf(-1)
+			case 127:
+				r[i] = math.Inf(1)
+			default:
+				r[i] = float64(v) / 8
+			}
+			if at(next+nExp+i/8)>>(i%8)&1 != 0 {
+				r[i] = nan
+			}
+		}
+		next += nExp + (nExp+7)/8
+		return r
+	}
+	for range 1 + int(shape&3) {
+		gathered = append(gathered, row())
+	}
+	for range 1 + int(shape>>2&7) {
+		tileRows = append(tileRows, row())
+	}
+	return gathered, tileRows, nExp, shape>>5&1 != 0
+}
+
+// FuzzFinishBlock holds one block finish to the contract under both
+// routines, and the routines to each other: several lanes missing one
+// column, several query rows each missing their own, which FuzzPairCorr's
+// one pair of rows cannot reach. Its seeds live in
+// testdata/fuzz/FuzzFinishBlock.
+func FuzzFinishBlock(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		gathered, tileRows, nExp, self := blockFromBytes(data)
+		s, q, all := blockCase(gathered, tileRows, nExp, self)
+		assertRoutinesAgree(t, s, q, all)
 	})
 }
