@@ -10,12 +10,10 @@ import (
 	"testing"
 
 	"forestview/internal/cluster"
-	"forestview/internal/core"
 	"forestview/internal/microarray"
 	"forestview/internal/render"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
-	"forestview/internal/wall"
 )
 
 // newBenchCanvas allocates the full-HD canvas the rendering ablations draw
@@ -124,37 +122,6 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 			b.ReportMetric(sil, "silhouette")
 		})
 	}
-}
-
-// AblationWallTransport: in-process coordination vs the TCP control plane
-// on the same wall geometry — the cost of the cluster protocol itself.
-func BenchmarkAblation_WallTransport(b *testing.B) {
-	f := getFixture(b)
-	scene := core.WallScene{FV: f.fv}
-	cfg := wall.Config{TilesX: 2, TilesY: 2, TileW: 512, TileH: 384}
-	b.Run("local-goroutines", func(b *testing.B) {
-		w, err := wall.NewWall(cfg, scene)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			w.RenderFrame()
-		}
-	})
-	b.Run("tcp-control-plane", func(b *testing.B) {
-		nw, err := wall.StartNetWall(cfg, scene)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer nw.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := nw.RenderFrame(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // AblationSyncViews: the cost of synchronized (placeholder-aligned) zoom

@@ -171,7 +171,7 @@ func BenchmarkF2_SelectionSize(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // F3 — Figure 3 (display wall deployment): synchronized frame rendering
-// across tile grids, local and over the TCP control plane.
+// across tile grids.
 
 func BenchmarkF3_WallScaling(b *testing.B) {
 	f := getFixture(b)
@@ -204,23 +204,6 @@ func BenchmarkF3_WallScaling(b *testing.B) {
 			b.ReportMetric(pixPerFrame*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mpix/s")
 			b.ReportMetric(float64(skew)/float64(b.N)/1e6, "skew-ms/frame")
 		})
-	}
-}
-
-func BenchmarkF3_WallNetProtocol(b *testing.B) {
-	f := getFixture(b)
-	scene := core.WallScene{FV: f.fv}
-	cfg := wall.Config{TilesX: 2, TilesY: 2, TileW: 512, TileH: 384}
-	nw, err := wall.StartNetWall(cfg, scene)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer nw.Close()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := nw.RenderFrame(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wallsim -preset princeton -frames 10
-//	wallsim -tiles-x 4 -tiles-y 2 -tile-w 1024 -tile-h 768 -net -out wall.png
+//	wallsim -tiles-x 4 -tiles-y 2 -tile-w 1024 -tile-h 768 -out wall.png
 package main
 
 import (
@@ -17,33 +17,31 @@ import (
 
 	"forestview/internal/cluster"
 	"forestview/internal/core"
-	"forestview/internal/render"
 	"forestview/internal/synth"
 	"forestview/internal/wall"
 )
 
 func main() {
 	var (
-		preset  = flag.String("preset", "", "wall preset: desktop, princeton, large")
-		tilesX  = flag.Int("tiles-x", 4, "tile columns")
-		tilesY  = flag.Int("tiles-y", 2, "tile rows")
-		tileW   = flag.Int("tile-w", 1024, "tile width")
-		tileH   = flag.Int("tile-h", 768, "tile height")
-		frames  = flag.Int("frames", 5, "frames to render")
-		netMode = flag.Bool("net", false, "drive nodes over loopback TCP (cluster protocol)")
-		out     = flag.String("out", "", "save the final composited wall image as PNG")
-		genes   = flag.Int("genes", 1200, "genes per synthetic dataset")
-		nData   = flag.Int("datasets", 4, "datasets (panes)")
-		seed    = flag.Int64("seed", 1, "generator seed")
+		preset = flag.String("preset", "", "wall preset: desktop, princeton, large")
+		tilesX = flag.Int("tiles-x", 4, "tile columns")
+		tilesY = flag.Int("tiles-y", 2, "tile rows")
+		tileW  = flag.Int("tile-w", 1024, "tile width")
+		tileH  = flag.Int("tile-h", 768, "tile height")
+		frames = flag.Int("frames", 5, "frames to render")
+		out    = flag.String("out", "", "save the final composited wall image as PNG")
+		genes  = flag.Int("genes", 1200, "genes per synthetic dataset")
+		nData  = flag.Int("datasets", 4, "datasets (panes)")
+		seed   = flag.Int64("seed", 1, "generator seed")
 	)
 	flag.Parse()
-	if err := run(*preset, *tilesX, *tilesY, *tileW, *tileH, *frames, *netMode, *out, *genes, *nData, *seed); err != nil {
+	if err := run(*preset, *tilesX, *tilesY, *tileW, *tileH, *frames, *out, *genes, *nData, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "wallsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(preset string, tilesX, tilesY, tileW, tileH, frames int, netMode bool, out string, genes, nData int, seed int64) error {
+func run(preset string, tilesX, tilesY, tileW, tileH, frames int, out string, genes, nData int, seed int64) error {
 	cfg := wall.Config{TilesX: tilesX, TilesY: tilesY, TileW: tileW, TileH: tileH}
 	switch preset {
 	case "desktop":
@@ -55,6 +53,12 @@ func run(preset string, tilesX, tilesY, tileW, tileH, frames int, netMode bool, 
 	case "":
 	default:
 		return fmt.Errorf("unknown preset %q (want desktop, princeton, large)", preset)
+	}
+	if frames < 1 {
+		return fmt.Errorf("-frames %d: want at least 1", frames)
+	}
+	if nData < 1 {
+		return fmt.Errorf("-datasets %d: want at least 1", nData)
 	}
 
 	// Build the ForestView scene.
@@ -82,23 +86,18 @@ func run(preset string, tilesX, tilesY, tileW, tileH, frames int, netMode bool, 
 	}
 	scene := core.WallScene{FV: fv}
 
-	fmt.Printf("wall: %dx%d tiles of %dx%d = %.1f megapixels (%d nodes, net=%v)\n",
-		cfg.TilesX, cfg.TilesY, cfg.TileW, cfg.TileH,
-		float64(cfg.Pixels())/1e6, cfg.TilesX*cfg.TilesY, netMode)
-
-	renderOne, composite, cleanup, err := makeWall(cfg, scene, netMode)
+	w, err := wall.NewWall(cfg, scene)
 	if err != nil {
 		return err
 	}
-	defer cleanup()
+	fmt.Printf("wall: %dx%d tiles of %dx%d = %.1f megapixels (%d nodes)\n",
+		cfg.TilesX, cfg.TilesY, cfg.TileW, cfg.TileH,
+		float64(cfg.Pixels())/1e6, w.NumNodes())
 
 	var totalNS int64
 	for f := 0; f < frames; f++ {
 		start := time.Now()
-		fs, err := renderOne()
-		if err != nil {
-			return err
-		}
+		fs := w.RenderFrame()
 		frameNS := time.Since(start).Nanoseconds()
 		totalNS += frameNS
 		fmt.Printf("frame %d: %.1f ms wall-clock, slowest tile %.1f ms, barrier skew %.2f ms, %.1f Mpix/s\n",
@@ -110,30 +109,10 @@ func run(preset string, tilesX, tilesY, tileW, tileH, frames int, netMode bool, 
 		float64(cfg.Pixels())*float64(frames)/(float64(totalNS)/1e9)/1e6)
 
 	if out != "" {
-		comp := composite()
-		if err := comp.SavePNG(out); err != nil {
+		if err := w.Composite().SavePNG(out); err != nil {
 			return err
 		}
 		fmt.Printf("composited wall image -> %s\n", out)
 	}
 	return nil
-}
-
-// makeWall abstracts local vs net mode behind closures.
-func makeWall(cfg wall.Config, scene wall.Scene, netMode bool) (
-	func() (wall.FrameStats, error), func() *render.Canvas, func(), error) {
-	if netMode {
-		nw, err := wall.StartNetWall(cfg, scene)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		return func() (wall.FrameStats, error) { return nw.RenderFrame() },
-			nw.Composite, nw.Close, nil
-	}
-	w, err := wall.NewWall(cfg, scene)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return func() (wall.FrameStats, error) { return w.RenderFrame(), nil },
-		w.Composite, func() {}, nil
 }

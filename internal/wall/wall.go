@@ -2,11 +2,11 @@
 // ForestView on. Princeton's wall was a grid of projector tiles, each
 // driven by its own PC, with a coordinator synchronizing frame swaps over a
 // LAN. The simulation preserves that architecture: a Wall is a grid of
-// Tiles, each owned by a render node (a goroutine, or a TCP-connected
-// server in net mode), frames are rendered in parallel into per-tile
-// framebuffers, a barrier collects completion, and a compositor assembles
-// the full-wall image. Per-frame statistics (render time per tile, barrier
-// skew, pixel throughput) quantify the scalability claims of Section 1.
+// Tiles, each owned by a render node (a goroutine), frames are rendered
+// in parallel into per-tile framebuffers, a barrier collects completion,
+// and a compositor assembles the full-wall image. Per-frame statistics
+// (render time per tile, barrier skew, pixel throughput) quantify the
+// scalability claims of Section 1.
 package wall
 
 import (
@@ -87,7 +87,7 @@ func (id TileID) String() string { return fmt.Sprintf("tile(%d,%d)", id.X, id.Y)
 
 // Node owns one tile: a double-buffered framebuffer pair and the scene
 // replica it renders from. On a real wall each node is a PC; here it is a
-// value driven by a goroutine (local mode) or a TCP server (net mode).
+// value driven by one of the coordinator's goroutines.
 type Node struct {
 	ID       TileID
 	cfg      Config
@@ -95,7 +95,6 @@ type Node struct {
 	back     *render.Canvas
 	front    *render.Canvas
 	frames   int64
-	lastCRC  uint32
 	swapLock sync.Mutex
 }
 
@@ -140,7 +139,6 @@ func (n *Node) RenderFrame() TileStats {
 	start := time.Now()
 	n.scene.Render(n.back, n.Viewport(), n.cfg.WallWidth(), n.cfg.WallHeight())
 	crc := crc32.ChecksumIEEE(n.back.Image().Pix)
-	n.lastCRC = crc
 	n.frames++
 	return TileStats{
 		ID:       n.ID,
@@ -181,8 +179,8 @@ type FrameStats struct {
 	TotalPixels int
 }
 
-// Wall is the local-mode coordinator: all nodes in-process, rendered by a
-// goroutine pool, synchronized by a barrier.
+// Wall is the coordinator: all nodes in-process, rendered by a goroutine
+// per tile, synchronized by a barrier.
 type Wall struct {
 	cfg   Config
 	nodes []*Node

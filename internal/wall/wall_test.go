@@ -111,9 +111,6 @@ func TestWallRenderFrameBarrier(t *testing.T) {
 	if fs.MaxRenderNS <= 0 {
 		t.Fatalf("max render = %d", fs.MaxRenderNS)
 	}
-	for _, n := range []int{0, 1} {
-		_ = n
-	}
 	// Every node rendered exactly one frame.
 	for y := 0; y < cfg.TilesY; y++ {
 		for x := 0; x < cfg.TilesX; x++ {
@@ -229,87 +226,5 @@ func TestMultipleFrames(t *testing.T) {
 	}
 	if w.Node(0, 0).Frames() != 5 {
 		t.Fatalf("node frames = %d", w.Node(0, 0).Frames())
-	}
-}
-
-func TestNetWallRoundTrip(t *testing.T) {
-	cfg := Config{TilesX: 2, TilesY: 2, TileW: 16, TileH: 16}
-	nw, err := StartNetWall(cfg, gradientScene())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	if nw.NumNodes() != 4 {
-		t.Fatalf("nodes = %d", nw.NumNodes())
-	}
-	fs, err := nw.RenderFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs.Tiles) != 4 {
-		t.Fatalf("tiles = %d", len(fs.Tiles))
-	}
-	if fs.SkewNS < 0 {
-		t.Fatal("negative skew")
-	}
-	// Net composite matches the local-mode reference render.
-	comp := nw.Composite()
-	ref := render.NewCanvas(cfg.WallWidth(), cfg.WallHeight(), color.RGBA{A: 255})
-	gradientScene().Render(ref, render.Rect{W: cfg.WallWidth(), H: cfg.WallHeight()},
-		cfg.WallWidth(), cfg.WallHeight())
-	for y := 0; y < ref.Height(); y += 3 {
-		for x := 0; x < ref.Width(); x += 3 {
-			if comp.At(x, y) != ref.At(x, y) {
-				t.Fatalf("net composite pixel (%d,%d) differs", x, y)
-			}
-		}
-	}
-}
-
-func TestNetWallMultipleFrames(t *testing.T) {
-	cfg := Config{TilesX: 1, TilesY: 2, TileW: 8, TileH: 8}
-	nw, err := StartNetWall(cfg, gradientScene())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	for i := 1; i <= 3; i++ {
-		fs, err := nw.RenderFrame()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fs.Frame != int64(i) {
-			t.Fatalf("frame = %d", fs.Frame)
-		}
-	}
-}
-
-func TestNetWallChecksumsMatchLocal(t *testing.T) {
-	cfg := Config{TilesX: 2, TilesY: 1, TileW: 12, TileH: 12}
-	lw, _ := NewWall(cfg, gradientScene())
-	nw, err := StartNetWall(cfg, gradientScene())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nw.Close()
-	lf := lw.RenderFrame()
-	nf, err := nw.RenderFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	lsum := make(map[TileID]uint32)
-	for _, s := range lf.Tiles {
-		lsum[s.ID] = s.Checksum
-	}
-	for _, s := range nf.Tiles {
-		if lsum[s.ID] != s.Checksum {
-			t.Fatalf("tile %v: net %x vs local %x", s.ID, s.Checksum, lsum[s.ID])
-		}
-	}
-}
-
-func TestStartNetWallBadConfig(t *testing.T) {
-	if _, err := StartNetWall(Config{}, gradientScene()); err == nil {
-		t.Fatal("bad config should error")
 	}
 }
