@@ -7,7 +7,6 @@ package forestview
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"image/color"
 	"math"
@@ -559,7 +558,7 @@ func BenchmarkF4_SearchHTTP(b *testing.B) {
 // N loopback shard daemons and merge with global renormalization. One
 // fixed 24-dataset compendium is split over the shards by the same
 // rendezvous ownership the coordinator derives its scatter groups from,
-// each shard running the real server role (gob endpoint, global index
+// each shard running the real server role (shard endpoint, global index
 // remap) with its scan bounded to ONE worker — loopback shards share this
 // machine's cores, so an unbounded scan would fake the distributed scaling
 // being measured. With the per-shard scan serialized, wall time per query
@@ -620,7 +619,7 @@ func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, query
 // benchScatter runs two fixtures: "complete" is scan-heavy on purpose —
 // the per-query cost must be dominated by the dataset scan (nDatasets ×
 // nGenes × nExp dot products), not by the fixed per-shard scatter overhead
-// (HTTP + gob + merge), or the benchmark would measure the overhead's
+// (HTTP + answer bodies + merge), or the benchmark would measure the overhead's
 // replication — and "paper-6000x24/missing=0.02" is the compendium the
 // fleet actually serves.
 func benchScatter(b *testing.B, nShards int) {
@@ -700,25 +699,33 @@ func BenchmarkF5_GroupPartial(b *testing.B) {
 	}
 }
 
-// partialWireTrip is one group partial's trip over the shard hop, minus the
-// socket: gob-encode on the shard, gob-decode on the coordinator.
-func partialWireTrip(b testing.TB, buf *bytes.Buffer, p *spell.Partial) (decoded spell.Partial, wireBytes int) {
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(p); err != nil {
+// answerTrip is one search answer's trip over the shard hop, minus the
+// socket: its body appended to the shard's reused buffer, and decoded by the
+// coordinator.
+func answerTrip(b testing.TB, buf *[]byte, a *shard.SearchAnswer) (decoded shard.SearchAnswer, wireBytes int) {
+	body, err := a.AppendBinary((*buf)[:0])
+	if err != nil {
 		b.Fatal(err)
 	}
-	wireBytes = buf.Len()
-	if err := gob.NewDecoder(buf).Decode(&decoded); err != nil {
+	*buf = body
+	if err := decoded.UnmarshalBinary(body); err != nil {
 		b.Fatal(err)
 	}
-	return decoded, wireBytes
+	return decoded, len(body)
 }
 
-// BenchmarkF5_PartialWire: the gob-enveloped frame round trip of one
-// 6,000-gene group partial (DESIGN.md §4 has the numbers).
+// partialWireTrip is one group partial's trip over the shard hop: the
+// answer body of one part carrying it.
+func partialWireTrip(b testing.TB, buf *[]byte, p *spell.Partial) (decoded spell.Partial, wireBytes int) {
+	a, n := answerTrip(b, buf, &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0}, Partial: p}}})
+	return *a.Parts[0].Partial, n
+}
+
+// BenchmarkF5_PartialWire: the answer-body round trip of one 6,000-gene
+// group partial (DESIGN.md §4 has the numbers).
 func BenchmarkF5_PartialWire(b *testing.B) {
 	p := paperGroups(b, 1)(0, 1)
-	var buf bytes.Buffer
+	var buf []byte
 	_, n := partialWireTrip(b, &buf, p)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
@@ -732,24 +739,18 @@ func BenchmarkF5_PartialWire(b *testing.B) {
 
 // BenchmarkF5_ShardBatch: what a shard does per batched request — one scan
 // over the union of three two-dataset groups (what one of 4 shards at R=2 is
-// picked for), framed inside the answer envelope, and the answer decoded as
-// the coordinator will. "lookup" is the
+// picked for), framed as the answer body, and the answer decoded as the
+// coordinator will. "lookup" is the
 // step before it, the request's owner tuples resolved to groups: "table" as
 // served, from the group table the shard keeps per topology, and
 // "rendezvous" as it was done per request before there was one.
 func BenchmarkF5_ShardBatch(b *testing.B) {
 	b.Run("scan+frame", func(b *testing.B) {
 		scan := paperGroups(b, 3)
-		var buf bytes.Buffer
-		trip := func() (decoded shard.SearchAnswer) {
-			buf.Reset()
-			if err := gob.NewEncoder(&buf).Encode(shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: scan(0, 3)}}}); err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(int64(buf.Len()))
-			if err := gob.NewDecoder(&buf).Decode(&decoded); err != nil {
-				b.Fatal(err)
-			}
+		var buf []byte
+		trip := func() shard.SearchAnswer {
+			decoded, n := answerTrip(b, &buf, &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: scan(0, 3)}}})
+			b.SetBytes(int64(n))
 			return decoded
 		}
 		if back := trip(); len(back.Parts) != 1 || len(back.Parts[0].Partial.IDs) != paperGenes || len(back.Parts[0].Partial.Datasets) != 6 {
@@ -799,7 +800,7 @@ func BenchmarkF5_ShardBatch(b *testing.B) {
 // paper compendium cut n ways — merged into the top 20.
 func benchMerge(b *testing.B, n int) {
 	scan := paperGroups(b, 12)
-	var buf bytes.Buffer
+	var buf []byte
 	parts := make([]spell.Partial, 0, n)
 	for i := 0; i < n; i++ {
 		back, _ := partialWireTrip(b, &buf, scan(i*12/n, (i+1)*12/n))
@@ -827,10 +828,10 @@ func BenchmarkF5_Merge12(b *testing.B) { benchMerge(b, 12) }
 // back through reflection, costs two allocations per gene and fails here.
 func TestPartialWireAllocs(t *testing.T) {
 	p := paperGroups(t, 1)(0, 1)
-	var buf bytes.Buffer
+	var buf []byte
 	partialWireTrip(t, &buf, p) // size the buffer once, as a warm server has
-	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, &buf, p) }); allocs > 300 {
-		t.Errorf("one group partial's wire round trip made %.0f allocations, want <= 300", allocs)
+	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, &buf, p) }); allocs > 30 {
+		t.Errorf("one group partial's wire round trip made %.0f allocations, want <= 30", allocs)
 	}
 }
 
@@ -839,7 +840,7 @@ func TestPartialWireAllocs(t *testing.T) {
 // loopback shard daemons, each tallying its ownership-group word range of
 // the F4c fixture's 6k-gene arena, and merge the integer counts into the
 // full hypergeometric analysis. Unlike F5's dataset scan, the distributed
-// tally is cheap next to the fixed per-group overhead (HTTP + gob + the
+// tally is cheap next to the fixed per-group overhead (HTTP + bodies + the
 // centralized p-value math in MergeCounts), so sec/op across shard counts
 // tracks the scatter round-trip itself — this family gates regressions in
 // the fleet enrichment path, it is not a linear-scaling demonstration.

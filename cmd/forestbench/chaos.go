@@ -12,7 +12,7 @@ import (
 // chaos is the -chaos gate: the replicated 3-shard R=2 fleet under
 // open-loop load while a deterministic faultline injector abuses the
 // coordinator's scatter paths — one shard drawing the full fault menu
-// (5xx, resets, truncated gobs, stalls), another slowed but healthy. The
+// (5xx, resets, truncated bodies, stalls), another slowed but healthy. The
 // topology makes zero degradation a structural obligation rather than a
 // timing accident: every ownership group {0,1},{0,2},{1,2} has a member
 // that either never faults (shard-0) or only slows down (shard-2), so

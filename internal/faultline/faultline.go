@@ -42,8 +42,8 @@ const (
 	// killed process or a dropped TCP connection.
 	Reset
 	// Truncate: pass the request through, then cut the response body in
-	// half. Models a connection dying mid-transfer; gob decoders see an
-	// unexpected EOF, exercising the decode-error path rather than the
+	// half. Models a connection dying mid-transfer; the client's decoder
+	// sees a short body, exercising the decode-error path rather than the
 	// transport-error path.
 	Truncate
 	// Stall: hold the request until the rule's Delay elapses or the
@@ -319,9 +319,9 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // truncateBody replaces the response body with its first half, fixing
-// Content-Length so the client reads a clean-but-short body: gob decoders
-// fail with an unexpected EOF, exactly like a connection dying
-// mid-transfer without the transport noticing.
+// Content-Length so the client reads a clean-but-short body, which its
+// decoder rejects, exactly like a connection dying mid-transfer without the
+// transport noticing.
 func truncateBody(resp *http.Response) *http.Response {
 	full, err := io.ReadAll(resp.Body)
 	resp.Body.Close()

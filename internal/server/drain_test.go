@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -141,7 +142,11 @@ func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Respo
 	defer resp.Body.Close()
 	var a shard.SearchAnswer
 	if resp.StatusCode == http.StatusOK {
-		if err := gob.NewDecoder(resp.Body).Decode(&a); err != nil {
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := a.UnmarshalBinary(body); err != nil {
 			t.Fatal(err)
 		}
 	}

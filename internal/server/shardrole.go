@@ -33,30 +33,36 @@ const localMember = "local"
 type local struct{ s *Server }
 
 // handleShardSearch serves POST /api/shard/v1/search: a gob
-// shard.SearchRequest in, a gob shard.SearchAnswer out — one spell.Partial
+// shard.SearchRequest in, a shard.SearchAnswer body out — one spell.Partial
 // frame over the requested groups' datasets, dataset indexes already remapped
 // to the global compendium order.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
-		func(req *shard.SearchRequest) *[]string { return &req.Query }, local{s}.Search)
+		func(req *shard.SearchRequest) *[]string { return &req.Query }, local{s}.Search,
+		func(a *shard.SearchAnswer, b []byte) ([]byte, error) {
+			// The current engine: after a reload it owns none of the
+			// partials' genes, and they are encoded afresh.
+			return a.AppendFrames(b, s.shardState().engine.AppendPartial)
+		})
 }
 
 // handleShardEnrich serves POST /api/shard/v1/enrich: a gob
-// shard.EnrichRequest in, a gob shard.EnrichAnswer out — the integer
+// shard.EnrichRequest in, a shard.EnrichAnswer body out — the integer
 // tallies of the requested groups' background slices. Mounted only on
 // shards with an enricher; a capability-less shard 404s, which the
 // coordinator reads as "unsupported" and fails over.
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilityEnrich,
-		func(req *shard.EnrichRequest) *[]string { return &req.Selection }, local{s}.Enrich)
+		func(req *shard.EnrichRequest) *[]string { return &req.Selection }, local{s}.Enrich,
+		(*shard.EnrichAnswer).AppendBinary)
 }
 
 // serveShardPartial is the one decode → canonicalize → serve → error-map
 // path behind both partial endpoints; kind is the capability name, genes
-// points at the request's gene list (canonicalized in place), and partial
-// computes the answer.
+// points at the request's gene list (canonicalized in place), partial
+// computes the answer and encode appends its body.
 func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
-	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error)) {
+	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error), encode func(*A, []byte) ([]byte, error)) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
 		return
@@ -79,7 +85,7 @@ func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Reque
 	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:
-		s.writeGob(w, "partial "+kind, answer)
+		s.writeBody(w, "partial "+kind, shard.AnswerContentType, func(b []byte) ([]byte, error) { return encode(answer, b) })
 	}
 }
 
@@ -242,32 +248,40 @@ func (l local) Info(context.Context, string) (*shard.Info, error) {
 	}, nil
 }
 
-// writeGob answers a shard-protocol request with gob-encoded v. Like
-// writeJSON the body is encoded before the status line is committed, so an
-// encode failure is a counted 500 naming what, never a truncated 200. The
-// Content-Length matters: without one net/http chunks any body over 2 KB,
-// the peer's gob decoder stops at the end of the message, before the
-// terminal chunk, and a response closed short of EOF takes its connection
-// with it (see shard's call).
-func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
-	buf := gobBuffers.Get().(*bytes.Buffer)
-	defer gobBuffers.Put(buf)
-	buf.Reset()
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+// writeBody answers a shard-protocol request with what encode appends to a
+// pooled buffer. Like writeJSON the body is complete before the status line
+// is committed, so an encode failure is a counted 500 naming what, never a
+// truncated 200. The Content-Length matters: without one net/http chunks any
+// body over 2 KB, and a peer that stops reading before the terminal chunk
+// loses its connection (see shard's call).
+func (s *Server) writeBody(w http.ResponseWriter, what, contentType string, encode func([]byte) ([]byte, error)) {
+	buf := bodyBuffers.Get().(*[]byte)
+	defer bodyBuffers.Put(buf)
+	b, err := encode((*buf)[:0])
+	if err != nil {
 		s.encodeFailures.Add(1)
 		s.writeJSONError(w, http.StatusInternalServerError, codeEncodeFailed, what+" encode failed: "+err.Error())
 		return
 	}
-	w.Header().Set("Content-Type", shard.ContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
+	*buf = b
+	w.Header().Set("Content-Type", contentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
 }
 
-// gobBuffers recycles writeGob's encode buffer. A search answer is one
-// ≈185 KB frame at paper scale, encoded per request; grown from empty each
-// time, the buffer alone was a ninth of what a scattered search allocated
-// fleet-wide.
-var gobBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// writeGob answers with gob-encoded v: Info and the term catalog.
+func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
+	s.writeBody(w, what, shard.ContentType, func(b []byte) ([]byte, error) {
+		buf := bytes.NewBuffer(b)
+		err := gob.NewEncoder(buf).Encode(v)
+		return buf.Bytes(), err
+	})
+}
+
+// bodyBuffers recycles writeBody's buffer. A search answer is one ≈185 KB
+// frame at paper scale, encoded per request; grown from empty each time, the
+// buffer alone was a ninth of what a scattered search allocated fleet-wide.
+var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // Enrich serves the slice tallies for one canonical selection: one
 // per requested ownership group, slice gi of G for the group at position gi

@@ -82,8 +82,8 @@ func connCountingFleet(t *testing.T, nShards, repl, nDatasets int) (*shard.Coord
 // TestScatterReusesShardConnections: serial scatters over partial bodies
 // larger than anything a decoder reads ahead keep using the connections the
 // first one opened. The response must be read to EOF before it is closed: an
-// answer without a Content-Length is chunked, gob stops before the terminal
-// chunk, and closing there discards the connection — the handlers'
+// answer without a Content-Length is chunked, a decoder that stops at the end
+// of its message stops before the terminal chunk, and closing there discards the connection — the handlers'
 // Content-Length and the bounded drain in shard's call each fix that alone,
 // and both are kept (one for peers that do not drain, one for bodies that do
 // not say their length). And a scatter has one request open per shard,

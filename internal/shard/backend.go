@@ -8,9 +8,11 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"time"
 
 	"forestview/internal/golem"
+	"forestview/internal/spell"
 )
 
 // Backend is how a coordinator reaches its members: one method per shard
@@ -26,43 +28,52 @@ type Backend interface {
 	EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error)
 }
 
-// httpBackend is the default Backend: the shard protocol over HTTP, one gob
-// body each way (see wire.go).
+// httpBackend is the default Backend: the shard protocol over HTTP, a gob
+// request out and an answer body (or, for Info and the catalog, a gob body)
+// back (see wire.go).
 type httpBackend struct {
 	client   *http.Client
 	resolve  func(string) string
 	deadline time.Duration
+	genes    spell.GeneColumns // the gene columns of the fleet's answers, decoded once
 }
 
 func (b *httpBackend) Search(ctx context.Context, shard string, req *SearchRequest) (*SearchAnswer, error) {
-	return call[SearchAnswer](ctx, b, shard, SearchPath, req)
+	return call(ctx, b, shard, SearchPath, req, func(a *SearchAnswer, body []byte) error { return a.unmarshal(body, &b.genes) })
 }
 
 func (b *httpBackend) Enrich(ctx context.Context, shard string, req *EnrichRequest) (*EnrichAnswer, error) {
-	return call[EnrichAnswer](ctx, b, shard, EnrichPath, req)
+	return call(ctx, b, shard, EnrichPath, req, (*EnrichAnswer).UnmarshalBinary)
 }
 
 func (b *httpBackend) Info(ctx context.Context, shard string) (*Info, error) {
-	return call[Info](ctx, b, shard, InfoPath, nil)
+	return call(ctx, b, shard, InfoPath, nil, gobDecode[Info])
 }
 
 func (b *httpBackend) EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error) {
-	return call[golem.TermCatalog](ctx, b, shard, EnrichCatalogPath, nil)
+	return call(ctx, b, shard, EnrichCatalogPath, nil, gobDecode[golem.TermCatalog])
 }
 
+func gobDecode[T any](v *T, body []byte) error {
+	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+}
+
+// maxBody bounds a shard answer the coordinator reads: 1 GiB, the limit gob
+// puts on one message.
+const maxBody = 1 << 30
+
 // call performs one shard-protocol HTTP exchange, bounded by the attempt
-// deadline: a gob request POSTed to path (GET when req is nil), a gob
-// response decoded as T (a spell.Partial decodes its own frame inside the
-// gob envelope; a frame it rejects is a decode error here, and so an
-// ordinary failed attempt). Any non-200 status is an error carrying a
-// bounded excerpt of the body; a 404 on the enrichment paths is
-// ErrUnsupported (no ontology, or an older protocol version).
+// deadline: a gob request POSTed to path (GET when req is nil), and a
+// response body read whole into a pooled buffer and decoded as T. A body the
+// decoder rejects is an ordinary failed attempt. Any non-200 status is an
+// error carrying a bounded excerpt of the body; a 404 on the enrichment paths
+// is ErrUnsupported (no ontology, or an older protocol version).
 //
 // Whatever the outcome, a bounded remainder of the body is read before it is
-// closed: gob stops at the end of its message, and net/http only returns a
-// connection to the idle pool once the body has been read to EOF — closing
-// short of it costs the next call to this shard a TCP handshake.
-func call[T any](ctx context.Context, b *httpBackend, shard, path string, req any) (*T, error) {
+// closed: net/http only returns a connection to the idle pool once the body
+// has been read to EOF, and closing short of it costs the next call to this
+// shard a TCP handshake.
+func call[T any](ctx context.Context, b *httpBackend, shard, path string, req any, decode func(*T, []byte) error) (*T, error) {
 	ctx, cancel := context.WithTimeout(ctx, b.deadline)
 	defer cancel()
 	method, body := http.MethodGet, io.Reader(nil)
@@ -95,9 +106,22 @@ func call[T any](ctx context.Context, b *httpBackend, shard, path string, req an
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return nil, fmt.Errorf("shard status %d: %s", resp.StatusCode, strings.TrimSpace(string(msg)))
 	}
+	buf := bodies.Get().(*bytes.Buffer)
+	defer bodies.Put(buf)
+	buf.Reset()
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, maxBody+1)); err != nil {
+		return nil, fmt.Errorf("reading %s response: %w", path, err)
+	}
+	if buf.Len() > maxBody {
+		return nil, fmt.Errorf("%s response over %d bytes", path, maxBody)
+	}
 	var out T
-	if err := gob.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decode(&out, buf.Bytes()); err != nil {
 		return nil, fmt.Errorf("decoding %s response: %w", path, err)
 	}
 	return &out, nil
 }
+
+// bodies recycles call's response buffers: a search answer is one ≈185 KB
+// frame at paper scale, read per attempt. Nothing decoded keeps the bytes.
+var bodies = sync.Pool{New: func() any { return new(bytes.Buffer) }}

@@ -1,9 +1,7 @@
 package shard
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"math/rand"
@@ -405,14 +403,10 @@ func (f *scatterFixture) rebuild(t testing.TB) {
 }
 
 // TestOldFrameInAnswerFailsOnItsVersion pins why the bad-frame row of
-// TestScatterFailureModes fails: the envelope decodes, the frame does not.
+// TestScatterFailureModes fails: the body decodes, the frame does not.
 func TestOldFrameInAnswerFailsOnItsVersion(t *testing.T) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(struct{ Parts []oldPart }{[]oldPart{{[]int{0}, &oldFrame{}}}}); err != nil {
-		t.Fatal(err)
-	}
 	var a SearchAnswer
-	err := gob.NewDecoder(&buf).Decode(&a)
+	err := a.UnmarshalBinary(oldFrameAnswer([]int{0}))
 	if err == nil || !strings.Contains(err.Error(), "version 1") {
 		t.Fatalf("decoding an answer with a version-1 frame: err = %v, want the frame's version check", err)
 	}

@@ -137,8 +137,18 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			answer.Parts = append(answer.Parts, whole)
 		}
 	}
-	w.Header().Set("Content-Type", ContentType)
-	_ = gob.NewEncoder(w).Encode(answer)
+	writeAnswer(w, &answer)
+}
+
+// writeAnswer writes an answer body as the daemon's shard role does.
+func writeAnswer(w http.ResponseWriter, a interface{ AppendBinary([]byte) ([]byte, error) }) {
+	body, err := a.AppendBinary(nil)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", AnswerContentType)
+	_, _ = w.Write(body)
 }
 
 // infoHandler serves the shard's InfoPath: held slice plus boot catalog.
@@ -453,33 +463,43 @@ func TestScatterFailureModes(t *testing.T) {
 			wantOK:   2,
 		},
 		{
-			// A shard still on the old protocol answers with a bare partial
-			// whose frame is version 1: not the answer envelope this
-			// coordinator decodes, and an ordinary failed attempt.
+			// A shard from before batching answers with a bare gob partial,
+			// and one from before answer bodies with the gob SearchAnswer
+			// envelope: neither is an answer body, and each is an ordinary
+			// failed attempt.
 			name: "v1-shard",
 			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
 				w.Header().Set("Content-Type", ContentType)
-				_ = gob.NewEncoder(w).Encode(oldFrame{})
+				_ = gob.NewEncoder(w).Encode(spell.Partial{Query: []string{"A"}})
 				return true
 			},
 			wantOK: 2,
 		},
 		{
-			// The envelope is right and names the requested groups, but the
-			// frame inside it is of a version nobody reads (or corrupted):
-			// the partial's own decoder rejects it inside the gob envelope.
-			name: "bad-frame",
+			name: "gob-answer-shard",
 			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
-				var req SearchRequest
-				if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+				groups, ok := requestedPositions(r)
+				if !ok {
 					return false
 				}
-				groups := make([]int, len(req.Groups))
-				for i := range groups {
-					groups[i] = i
-				}
 				w.Header().Set("Content-Type", ContentType)
-				_ = gob.NewEncoder(w).Encode(struct{ Parts []oldPart }{[]oldPart{{groups, &oldFrame{}}}})
+				_ = gob.NewEncoder(w).Encode(SearchAnswer{Parts: []SearchPart{{Groups: groups, Partial: &spell.Partial{Query: []string{"A"}}}}})
+				return true
+			},
+			wantOK: 2,
+		},
+		{
+			// The body is right and names the requested groups, but the
+			// frame inside it is of a version nobody reads (or corrupted):
+			// the partial's own decoder rejects it.
+			name: "bad-frame",
+			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
+				groups, ok := requestedPositions(r)
+				if !ok {
+					return false
+				}
+				w.Header().Set("Content-Type", AnswerContentType)
+				_, _ = w.Write(oldFrameAnswer(groups))
 				return true
 			},
 			wantOK: 2,
@@ -564,23 +584,31 @@ func TestScatterFailureModes(t *testing.T) {
 	})
 }
 
-// oldFrame gob-encodes, like spell.Partial, as a BinaryMarshaler — so it
-// decodes into one — but its bytes are a frame of version 1, which carried
-// four accumulator columns and no kind byte. oldPart is a SearchPart
-// carrying one.
-type oldFrame struct{}
-
-type oldPart struct {
-	Groups  []int
-	Partial *oldFrame
+// requestedPositions decodes a search request and lists the positions of
+// its groups, as an answer covering all of them names them.
+func requestedPositions(r *http.Request) ([]int, bool) {
+	var req SearchRequest
+	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+		return nil, false
+	}
+	groups := make([]int, len(req.Groups))
+	for i := range groups {
+		groups[i] = i
+	}
+	return groups, true
 }
 
-func (oldFrame) MarshalBinary() ([]byte, error) {
-	frame, err := spell.Partial{Query: []string{"A", "B"}}.MarshalBinary()
-	if err == nil {
-		frame[4] = 1 // the version byte
+// oldFrameAnswer is an answer body whose one part, naming groups, carries a
+// partial frame of version 1, which had four accumulator columns and no kind
+// byte.
+func oldFrameAnswer(groups []int) []byte {
+	a := SearchAnswer{Parts: []SearchPart{{Groups: groups, Partial: &spell.Partial{Query: []string{"A", "B"}}}}}
+	b, err := a.AppendBinary(nil)
+	if err != nil {
+		panic(err)
 	}
-	return frame, err
+	b[len(answerHead)+4+4*len(groups)+8+4] = 1 // the frame's version byte
+	return b
 }
 
 // TestScatterRetryRecovers: with Retry enabled, a shard that fails its

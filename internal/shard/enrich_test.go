@@ -59,8 +59,7 @@ func (s *testShard) enrichHandler() http.HandlerFunc {
 			http.Error(w, err.Error(), http.StatusUnprocessableEntity)
 			return
 		}
-		w.Header().Set("Content-Type", ContentType)
-		_ = gob.NewEncoder(w).Encode(answer)
+		writeAnswer(w, answer)
 	}
 }
 
@@ -396,8 +395,7 @@ func TestEnrichScatterRefusesLyingSlices(t *testing.T) {
 						lie(p)
 					}
 					lied.Add(1)
-					w.Header().Set("Content-Type", ContentType)
-					_ = gob.NewEncoder(w).Encode(answer)
+					writeAnswer(w, answer)
 					return true
 				}
 				c, _ := f.start(t, Config{Replication: tc.repl})

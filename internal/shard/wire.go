@@ -1,45 +1,53 @@
 package shard
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
+
 	"forestview/internal/golem"
 	"forestview/internal/spell"
 )
 
-// The shard wire protocol: Go-to-Go internal RPC, every body one gob message
-// over HTTP POST. Gob over JSON because the payloads are float-heavy and
-// NaN-bearing — a dataset that measures fewer than two query genes has NaN
-// coherence, which JSON cannot represent at all (the daemon's public API
-// papers over it with a custom marshaler) — and the golden-parity guarantee
-// of the merged path needs every float64 bit-exact. The endpoints are
-// internal (shard daemons are not meant to face the public), so Go-only
-// encoding is not a constraint.
+// The shard wire protocol: Go-to-Go internal RPC over HTTP. Requests, Info
+// and the term catalog are one gob message each. Gob over JSON because the
+// payloads are float-heavy and NaN-bearing — a dataset that measures fewer
+// than two query genes has NaN coherence, which JSON cannot represent — and
+// the merged path's golden parity needs every float64 bit-exact. The
+// endpoints are internal, so Go-only encoding is no constraint.
 //
-// The one large body, the search partial, is not left to gob's reflection:
-// spell.Partial implements encoding.BinaryMarshaler as a columnar
-// little-endian frame (spell/frame.go; layout and length checks in
-// DESIGN.md §4), and gob carries those bytes verbatim inside the answer.
-// Gob stays the envelope so that nothing here — call, the handlers — has a
-// second code path for it. A frame the decoder rejects (another version,
-// corruption) is a decode error like any other: the attempt fails and its
-// groups fail over.
+// The answers a coordinator reads on every query are not gob. A search or
+// enrichment answer is a body of parts, each a spell.Partial or
+// golem.PartialCounts frame (layouts and length checks in spell/frame.go and
+// golem/frame.go), written by AppendBinary and read by UnmarshalBinary:
+//
+//	magic+version  "FVSA", 0x01
+//	part count     u32                                  8·count ≤ bytes left
+//	each part      group count u32, that many group     every length ≤ bytes
+//	               positions u32, frame length u32,      left; then no byte
+//	               the frame                             may be left
+//
+// A body the decoder rejects — a peer that still answers in gob, a truncated
+// body, a frame of another version — is a decode error like any other: the
+// attempt fails and its groups fail over.
 //
 // One request names every ownership group the coordinator wants from that
 // shard at that moment, and one answer serves them all: a search answer is
 // one frame, the shard's one scan over the groups' datasets (plus a frame
 // apiece for groups the shard holds only in part), an enrichment answer the
-// list of the groups' slice tallies. A shard computes every answer from the
-// request and its holdings and keeps nothing; the coordinator's cache of
-// merged results is the fleet's only one.
+// groups' slice tallies. A shard computes every answer from the request and
+// its holdings and keeps nothing; the coordinator's cache of merged results
+// is the fleet's only one.
 //
 // Paths are versioned: every endpoint lives under /api/shard/v1/. A
 // coordinator only ever speaks one protocol version; a shard from another
 // version 404s these paths, which the scatter's failover treats like any
 // other per-shard failure — mixed-version fleets degrade, they don't get
-// garbled merges. The same holds inside v1 across the change from one group
-// and one bare partial per request to batches: a peer from before it sends a
-// frame version (and lacks an answer envelope) that a peer from after it
-// refuses to decode, and the other way round — and across EnrichAnswer's
-// change from nested gob bytes to the tallies themselves.
+// garbled merges. The same holds inside v1 across each change of its bodies
+// (bare partials to batches, gob answers to frames): each side refuses what
+// the other sends.
 
 // SearchPath is the shard-role endpoint serving spell partials.
 const SearchPath = "/api/shard/v1/search"
@@ -69,8 +77,12 @@ const DrainPath = "/api/shard/v1/admin/drain"
 // GET returns the current view.
 const ShardFleetPath = "/api/shard/v1/admin/fleet"
 
-// ContentType labels gob-encoded shard protocol bodies.
-const ContentType = "application/x-gob"
+// ContentType labels gob-encoded shard protocol bodies, AnswerContentType
+// the answer bodies of SearchPath and EnrichPath.
+const (
+	ContentType       = "application/x-gob"
+	AnswerContentType = "application/x-forestview-answer"
+)
 
 // Capability names a shard-role feature advertised in Info.Capabilities.
 const (
@@ -147,9 +159,141 @@ type EnrichRequest struct {
 }
 
 // EnrichAnswer is a shard's reply to an EnrichRequest: the requested groups'
-// slice tallies in request order.
+// slice tallies in request order, one part each, naming no groups.
 type EnrichAnswer struct {
 	Slices []*golem.PartialCounts
+}
+
+// answerHead opens every answer body: its magic and version 1.
+const answerHead = "FVSA\x01"
+
+// AppendBinary appends a's answer body to b.
+func (a *SearchAnswer) AppendBinary(b []byte) ([]byte, error) {
+	return a.AppendFrames(b, func(b []byte, p *spell.Partial) ([]byte, error) { return p.AppendBinary(b) })
+}
+
+// AppendFrames appends a's answer body to b, each part's partial appended by
+// frame: p.AppendBinary, or the Engine.AppendPartial of the engine that
+// scanned it.
+func (a *SearchAnswer) AppendFrames(b []byte, frame func([]byte, *spell.Partial) ([]byte, error)) ([]byte, error) {
+	return appendBody(b, len(a.Parts), func(i int) []int { return a.Parts[i].Groups },
+		func(b []byte, i int) ([]byte, error) { return frame(b, a.Parts[i].Partial) })
+}
+
+// UnmarshalBinary decodes an answer body into a, replacing its contents. A
+// body it rejects leaves a untouched; it never panics, and it allocates at
+// most a small multiple of len(data), which it does not retain.
+func (a *SearchAnswer) UnmarshalBinary(data []byte) error { return a.unmarshal(data, nil) }
+
+// unmarshal is UnmarshalBinary, the partials' gene columns shared through
+// genes (spell.Partial.UnmarshalShared).
+func (a *SearchAnswer) unmarshal(data []byte, genes *spell.GeneColumns) error {
+	var parts []SearchPart
+	err := readBody(data, func(groups []int, frame []byte) error {
+		p := new(spell.Partial)
+		parts = append(parts, SearchPart{Groups: groups, Partial: p})
+		return p.UnmarshalShared(frame, genes)
+	})
+	if err == nil {
+		a.Parts = parts
+	}
+	return err
+}
+
+// AppendBinary appends a's answer body to b.
+func (a *EnrichAnswer) AppendBinary(b []byte) ([]byte, error) {
+	return appendBody(b, len(a.Slices), func(int) []int { return nil },
+		func(b []byte, i int) ([]byte, error) { return a.Slices[i].AppendBinary(b) })
+}
+
+// UnmarshalBinary decodes an answer body into a, with SearchAnswer's
+// contract.
+func (a *EnrichAnswer) UnmarshalBinary(data []byte) error {
+	var slices []*golem.PartialCounts
+	err := readBody(data, func(groups []int, frame []byte) error {
+		if groups != nil {
+			return errors.New("an enrichment slice names groups")
+		}
+		p := new(golem.PartialCounts)
+		slices = append(slices, p)
+		return p.UnmarshalBinary(frame)
+	})
+	if err == nil {
+		a.Slices = slices
+	}
+	return err
+}
+
+// appendBody appends an answer body of n parts, part i naming groups(i) and
+// carrying the frame that frame(b, i) appends.
+func appendBody(b []byte, n int, groups func(int) []int, frame func([]byte, int) ([]byte, error)) ([]byte, error) {
+	le := binary.LittleEndian
+	b = le.AppendUint32(append(b, answerHead...), uint32(n))
+	for i := range n {
+		gs := groups(i)
+		b = le.AppendUint32(b, uint32(len(gs)))
+		for _, g := range gs {
+			b = le.AppendUint32(b, uint32(g))
+		}
+		at := len(b)
+		var err error
+		if b, err = frame(le.AppendUint32(b, 0), i); err != nil {
+			return nil, err
+		}
+		if uint64(len(b)-at-4) > math.MaxUint32 {
+			return nil, errors.New("shard: an answer frame exceeds 4 GiB")
+		}
+		le.PutUint32(b[at:], uint32(len(b)-at-4))
+	}
+	return b, nil
+}
+
+// readBody checks an answer body's framing and hands each part's groups (nil
+// for none) and frame, a sub-slice of data, to part, in order.
+func readBody(data []byte, part func(groups []int, frame []byte) error) error {
+	r, ok := bytes.CutPrefix(data, []byte(answerHead))
+	if !ok || len(r) < 4 {
+		return errors.New("shard: not an answer body of version 1")
+	}
+	u32 := func() uint64 {
+		v := binary.LittleEndian.Uint32(r)
+		r = r[4:]
+		return uint64(v)
+	}
+	// Every part takes at least 8 bytes and every group position 4, checked
+	// before anything is sized by them.
+	n := u32()
+	if 8*n > uint64(len(r)) {
+		return fmt.Errorf("shard: answer body claims %d parts in %d bytes", n, len(r))
+	}
+	for i := range n {
+		if len(r) < 8 {
+			return fmt.Errorf("shard: answer body truncated in part %d", i)
+		}
+		ng := u32()
+		if 4*ng+4 > uint64(len(r)) {
+			return fmt.Errorf("shard: answer part %d claims %d groups in %d bytes", i, ng, len(r))
+		}
+		var groups []int
+		if ng > 0 {
+			groups = make([]int, ng)
+		}
+		for j := range groups {
+			groups[j] = int(u32())
+		}
+		fl := u32()
+		if fl > uint64(len(r)) {
+			return fmt.Errorf("shard: answer part %d claims a %d-byte frame in %d bytes", i, fl, len(r))
+		}
+		if err := part(groups, r[:fl]); err != nil {
+			return fmt.Errorf("shard: answer part %d: %w", i, err)
+		}
+		r = r[fl:]
+	}
+	if len(r) != 0 {
+		return fmt.Errorf("shard: %d trailing bytes after the answer body", len(r))
+	}
+	return nil
 }
 
 // Info describes a shard's slice of the compendium, served at InfoPath.

@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // The Partial wire frame. A Partial crosses the shard hop as one
-// little-endian frame, which encoding/gob picks up through the
-// BinaryMarshaler hook: gob stays the envelope of every shard-protocol body,
-// and the 6,000-row gene table inside it stops going through reflection.
+// little-endian frame, a part of the shard's answer body
+// (shard.SearchAnswer), with no reflection on either side:
 //
 //	section        encoding                                   length check
 //	magic+version  "SPLP", 0x02                               5 bytes, both equal
@@ -33,9 +33,9 @@ import (
 // one table byte, every dataset 25 bytes, every gene 18, so a frame cannot
 // make the decoder allocate more than a small multiple of its own size
 // whatever its length fields claim. Decoded strings are substrings of one
-// copy of each blob (gob reuses the buffer a frame is handed in, so the copy
-// is required anyway): four string allocations per frame instead of one per
-// gene, and the reason Merge clones what it returns.
+// copy of each blob (the coordinator reuses the body a frame arrives in, so
+// the copy is required anyway): four string allocations per frame instead of
+// one per gene, and the reason Merge clones what it returns.
 //
 // Version 1 carried both accumulator pairs as four float columns and no kind
 // byte. A peer that still speaks it fails the version check here, which the
@@ -55,10 +55,17 @@ const (
 )
 
 // MarshalBinary encodes p as one frame (see the layout above), sized
-// exactly. encoding/gob calls it for every Partial it is given — by value or
-// by pointer, which is why the receiver is a value: gob refuses to take the
-// address of a value it was handed inside an interface.
-func (p Partial) MarshalBinary() ([]byte, error) {
+// exactly. encoding/gob calls it for a Partial it is given, by value or by
+// pointer, which is why the receiver is a value.
+func (p Partial) MarshalBinary() ([]byte, error) { return p.AppendBinary(nil) }
+
+// AppendBinary appends p's frame to b, growing b at most once: a shard
+// writes every part of its answer straight into one response buffer.
+func (p Partial) AppendBinary(b []byte) ([]byte, error) { return p.appendFrame(b, nil) }
+
+// appendFrame is AppendBinary. genes, when not nil, is the encoding of p's
+// gene ID and name columns, appended as it is (Engine.AppendPartial).
+func (p Partial) appendFrame(b, genes []byte) ([]byte, error) {
 	if err := p.checkColumns(); err != nil {
 		return nil, err
 	}
@@ -66,8 +73,12 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 	for i, d := range p.Datasets {
 		dsNames[i] = d.Name
 	}
-	size := uint64(len(frameMagic) + 2 + 3*4 + 24*len(p.Datasets) + 2*8*len(p.IDs))
-	for _, col := range [frameColumns][]string{p.Query, dsNames, p.IDs, p.Names} {
+	size := uint64(len(frameMagic) + 2 + 3*4 + 24*len(p.Datasets) + 2*8*len(p.IDs) + len(genes))
+	cols := [][]string{p.Query, dsNames, p.IDs, p.Names}
+	if genes != nil {
+		cols = cols[:2]
+	}
+	for _, col := range cols {
 		// A table under 4 GiB also keeps the row counts within their u32s:
 		// every string takes at least one table byte.
 		table, blob := columnSize(col)
@@ -77,7 +88,9 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 		size += 8 + table + blob
 	}
 
-	b := make([]byte, 0, size)
+	if uint64(cap(b)-len(b)) < size {
+		b = append(make([]byte, 0, uint64(len(b))+size), b...)
+	}
 	b = append(b, frameMagic...)
 	b = append(b, frameVersion, 0)
 	if p.Uniform {
@@ -93,8 +106,11 @@ func (p Partial) MarshalBinary() ([]byte, error) {
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Coherence))
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(d.Present)))
 	}
-	b = appendColumn(b, p.IDs)
-	b = appendColumn(b, p.Names)
+	if genes != nil {
+		b = append(b, genes...)
+	} else {
+		b = appendColumn(appendColumn(b, p.IDs), p.Names)
+	}
 	for _, col := range [2][]float64{p.Sum, p.Cnt} {
 		for _, v := range col {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
@@ -138,7 +154,12 @@ func appendColumn(b []byte, col []string) []byte {
 // bytes left, a column whose lengths disagree, trailing bytes — is an error
 // and leaves p untouched; it never panics and never allocates beyond a small
 // multiple of len(data). data is not retained.
-func (p *Partial) UnmarshalBinary(data []byte) error {
+func (p *Partial) UnmarshalBinary(data []byte) error { return p.UnmarshalShared(data, nil) }
+
+// UnmarshalShared is UnmarshalBinary, with p's gene ID and name columns
+// taken from genes when it has decoded the same bytes before (nil: never).
+// Columns so shared are read-only, like every Partial's.
+func (p *Partial) UnmarshalShared(data []byte, genes *GeneColumns) error {
 	r := frameReader{b: data}
 	head := r.take(uint64(len(frameMagic)) + 1)
 	if r.err != nil || string(head[:len(frameMagic)]) != frameMagic {
@@ -176,8 +197,7 @@ func (p *Partial) UnmarshalBinary(data []byte) error {
 			Present:   int(int64(binary.LittleEndian.Uint64(row[16:]))),
 		}
 	}
-	out.IDs = r.column(int(ng))
-	out.Names = r.column(int(ng))
+	out.IDs, out.Names = genes.columns(&r, int(ng))
 	floats := r.take(2 * 8 * ng)
 	if r.err != nil {
 		return r.err
@@ -261,4 +281,59 @@ func (r *frameReader) column(n int) []string {
 		return nil
 	}
 	return out
+}
+
+// GeneColumns lets the frames a coordinator decodes share their gene ID and
+// name columns: a shard lists the same genes in every answer until it
+// reloads, and the shards of one compendium list the same genes as each
+// other, which also keeps Merge on its no-map path. It keeps the last few
+// column pairs it decoded and compares each frame's bytes with theirs, in
+// full. Safe for concurrent use; the zero value is ready.
+type GeneColumns struct {
+	mu   sync.Mutex
+	seen [4]geneColumns
+	next int
+}
+
+type geneColumns struct {
+	frame      string // the pair's bytes in the frame
+	ids, names []string
+}
+
+// columns reads the gene ID and name columns of n strings each, from m's
+// copy when m holds one decoded from the same bytes.
+func (m *GeneColumns) columns(r *frameReader, n int) (ids, names []string) {
+	if m == nil {
+		return r.column(n), r.column(n)
+	}
+	pair := r.b[:pairLen(r.b)]
+	m.mu.Lock()
+	for _, c := range m.seen {
+		if len(c.ids) == n && c.frame == string(pair) {
+			m.mu.Unlock()
+			r.take(uint64(len(pair)))
+			return c.ids, c.names
+		}
+	}
+	m.mu.Unlock()
+	if ids, names = r.column(n), r.column(n); r.err == nil {
+		m.mu.Lock()
+		m.seen[m.next] = geneColumns{string(pair), ids, names}
+		m.next = (m.next + 1) % len(m.seen)
+		m.mu.Unlock()
+	}
+	return ids, names
+}
+
+// pairLen is how many bytes the two string columns b starts with claim, at
+// most len(b).
+func pairLen(b []byte) int {
+	at := uint64(0)
+	for range 2 {
+		if at+8 > uint64(len(b)) {
+			break
+		}
+		at += 8 + uint64(binary.LittleEndian.Uint32(b[at:])) + uint64(binary.LittleEndian.Uint32(b[at+4:]))
+	}
+	return int(min(at, uint64(len(b))))
 }

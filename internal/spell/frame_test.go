@@ -124,8 +124,8 @@ func enginePartials(t testing.TB) map[string]*Partial {
 }
 
 // TestPartialFrameRoundTrip: a frame carries every bit of a Partial, both
-// bare and inside the gob envelope the shard protocol ships it in, and
-// encoding what was decoded yields the same bytes.
+// bare and inside a gob envelope (which picks the frame up through the
+// BinaryMarshaler hook), and encoding what was decoded yields the same bytes.
 func TestPartialFrameRoundTrip(t *testing.T) {
 	cases := enginePartials(t)
 	cases["awkward"] = awkwardPartial()
@@ -153,7 +153,7 @@ func TestPartialFrameRoundTrip(t *testing.T) {
 				t.Fatal("re-encoding a decoded frame changed its bytes")
 			}
 
-			// Through gob, by pointer (the daemon) and by value.
+			// Through gob, by pointer and by value.
 			for _, v := range []any{p, *p} {
 				var buf bytes.Buffer
 				if err := gob.NewEncoder(&buf).Encode(v); err != nil {
@@ -404,8 +404,7 @@ func checkFrameDecode(t *testing.T, data []byte) (accepted bool) {
 }
 
 // FuzzPartialFrame is the fuzz cover of every body that decodes as a
-// spell.Partial: the shard answers a coordinator reads (they reach
-// UnmarshalBinary through gob).
+// spell.Partial: the parts of the shard answers a coordinator reads.
 func FuzzPartialFrame(f *testing.F) {
 	for _, b := range frameCorpus(f) {
 		f.Add(b)

@@ -222,7 +222,20 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 
 // ownsGenes reports whether p's gene columns are this engine's own slices.
 func (e *Engine) ownsGenes(p *Partial) bool {
-	return len(p.IDs) == len(e.order) && len(p.IDs) > 0 && &p.IDs[0] == &e.order[0]
+	return len(p.IDs) == len(e.order) && len(p.Names) == len(e.names) && len(p.IDs) > 0 &&
+		&p.IDs[0] == &e.order[0] && &p.Names[0] == &e.names[0]
+}
+
+// AppendPartial appends p's frame to b: the bytes p.AppendBinary appends.
+// When p's gene columns are this engine's own slices (every gene scored),
+// they are copied from one encoding the engine builds on first use, not
+// encoded again; a daemon that never answers a coordinator never builds it.
+func (e *Engine) AppendPartial(b []byte, p *Partial) ([]byte, error) {
+	if !e.ownsGenes(p) {
+		return p.AppendBinary(b)
+	}
+	e.genesOnce.Do(func() { e.genes = appendColumn(appendColumn(nil, e.order), e.names) })
+	return p.appendFrame(b, e.genes)
 }
 
 // ErrNoQueryGenes reports that no dataset of the searched compendium measures

@@ -116,6 +116,9 @@ type Engine struct {
 	names    []string       // global gene index -> display name
 	gid      map[string]int // gene ID -> global index
 	slabs    []*slab
+
+	genesOnce sync.Once
+	genes     []byte // order and names as frame columns (AppendPartial)
 }
 
 // NewEngine prepares the given datasets for searching. Datasets are not
