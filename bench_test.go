@@ -301,6 +301,32 @@ func BenchmarkF4_SPELLEngineBuild(b *testing.B) {
 	}
 }
 
+// BenchmarkF4_ReadPCL parses paperFixture's 24 PCL files, what a daemon
+// boot or a shard reload reads before anything else (`microarray.pcl_parse_s`
+// in BENCHMARK.json): MB/s over the files' bytes, allocs per 24-file pass.
+func BenchmarkF4_ReadPCL(b *testing.B) {
+	var files [][]byte
+	size := 0
+	for _, ds := range paperFixture() {
+		var buf bytes.Buffer
+		if err := microarray.WritePCL(&buf, ds); err != nil {
+			b.Fatal(err)
+		}
+		files = append(files, buf.Bytes())
+		size += buf.Len()
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range files {
+			if _, err := microarray.ReadPCL(bytes.NewReader(f), "bench"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // F4b — the clustering half of the interactive-heatmap path: the
 // nearest-neighbor-chain kernel vs the retained reference agglomerator,
@@ -313,17 +339,23 @@ func clusterBenchRows(nGenes int) [][]float64 {
 	return ds.Data
 }
 
-// paperPaneRows is pane 0 of the repo benchmark's fixture — the synth spec
-// and seed of bench/spec.go and bench/data.go, through the same PCL bytes a
-// daemon parses: 6,000 rows × 37 experiments at 2% missing, the pane whose
-// tree is `cluster.tree_s` in BENCHMARK.json.
-func paperPaneRows(b *testing.B) [][]float64 {
+// paperFixture is the repo benchmark's compendium: the synth spec and seed
+// of bench/spec.go and bench/data.go, 24 datasets of 6,000 genes.
+func paperFixture() []*microarray.Dataset {
 	const seed = 20070326
 	u := synth.NewUniverse(paperGenes, 40, seed)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 24, MinExperiments: 12, MaxExperiments: 40,
 		ActiveFraction: 0.4, Noise: 0.25, MissingRate: 0.02, Seed: seed + 50,
 	})
+	return dss
+}
+
+// paperPaneRows is pane 0 of paperFixture, through the same PCL bytes a
+// daemon parses: 6,000 rows × 37 experiments at 2% missing, the pane whose
+// tree is `cluster.tree_s` in BENCHMARK.json.
+func paperPaneRows(b *testing.B) [][]float64 {
+	dss := paperFixture()
 	var buf bytes.Buffer
 	if err := microarray.WritePCL(&buf, dss[0]); err != nil {
 		b.Fatal(err)

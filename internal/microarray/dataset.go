@@ -38,7 +38,8 @@ type Dataset struct {
 	Genes []Gene
 	// Experiments holds the column labels.
 	Experiments []string
-	// Data[g][e] is the expression of gene g in experiment e.
+	// Data[g][e] is the expression of gene g in experiment e. The rows of
+	// a parsed dataset share one backing array, each with cap == len.
 	Data [][]float64
 	// GWeights and EWeights are the optional Cluster 3.0 row and column
 	// weights (all 1 when absent from the source file).

@@ -2,6 +2,7 @@ package microarray
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -246,4 +247,55 @@ func TestReadCDTCorpus(t *testing.T) {
 	if err != nil || c.GIDs[1] != "GENE0X" || c.AIDs[2] != "ARRY1X" || c.Dataset.Value(1, 2) != -0.5 || c.Dataset.EWeights[0] != 2 {
 		t.Errorf("sample: %v, %+v", err, c)
 	}
+}
+
+// referenceCell is a cell's meaning spelled with strings and strconv:
+// trimmed; blank, "NA" or "NaN" in any case missing; anything else
+// ParseFloat's.
+func referenceCell(s string) (float64, error) {
+	s = strings.TrimSpace(s)
+	if s == "" || strings.EqualFold(s, "NA") || strings.EqualFold(s, "NaN") {
+		return Missing, nil
+	}
+	return strconv.ParseFloat(s, 64)
+}
+
+// FuzzParseCell holds the cell parser to strconv. Where parseCell accepts a
+// prefix, ParseFloat accepts it too with the same bits. The reader's cell, on
+// either path, gives referenceCell's bits or error for the field before the
+// first tab, and so does a PCL row of that one cell. Seeds live in
+// testdata/fuzz/FuzzParseCell.
+func FuzzParseCell(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if v, n := parseCell(data); n > 0 {
+			want, err := strconv.ParseFloat(string(data[:n]), 64)
+			if err != nil || math.Float64bits(v) != math.Float64bits(want) {
+				t.Fatalf("parseCell(%q) = %v on %d bytes; ParseFloat: %v, %v", data, v, n, want, err)
+			}
+		}
+		field, rest := cut(data)
+		want, wantErr := referenceCell(string(field))
+		sameCell := func(what string, got float64, err error, wantErr error) {
+			t.Helper()
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || err == nil && math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s of %q = %v, %v; want %v, %v", what, data, got, err, want, wantErr)
+			}
+		}
+		got, tail, err := cell(data)
+		sameCell("cell", got, err, wantErr)
+		if err == nil && !bytes.Equal(tail, rest) {
+			t.Fatalf("cell of %q left %q, want %q", data, tail, rest)
+		}
+		if bytes.ContainsAny(data, "\t\n") || bytes.HasSuffix(data, []byte("\r")) {
+			return // not one cell of a row
+		}
+		ds, err := ReadPCL(bytes.NewReader(append([]byte("ID\tNAME\te1\nG\tN\t"), data...)), "cell")
+		if wantErr != nil {
+			wantErr = fmt.Errorf("microarray: PCL line 2 column 3: %w", wantErr)
+		}
+		if err == nil {
+			got = ds.Data[0][0]
+		}
+		sameCell("a row's cell", got, err, wantErr)
+	})
 }

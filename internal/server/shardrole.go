@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"crypto/subtle"
 	"encoding/gob"
@@ -221,7 +220,7 @@ func (l local) Search(ctx context.Context, _ string, req *shard.SearchRequest) (
 // handleShardInfo serves GET /api/shard/v1/info.
 func (s *Server) handleShardInfo(w http.ResponseWriter, r *http.Request) {
 	info, _ := local{s}.Info(r.Context(), s.cfg.ShardSelf) // holdings always describe themselves
-	s.writeGob(w, "info", info)
+	s.writeBody(w, "info", shard.AnswerContentType, info.AppendBinary)
 }
 
 // Info describes the holdings: their size, gene IDs and dataset names, plus
@@ -269,15 +268,6 @@ func (s *Server) writeBody(w http.ResponseWriter, what, contentType string, enco
 	_, _ = w.Write(b)
 }
 
-// writeGob answers with gob-encoded v: Info and the term catalog.
-func (s *Server) writeGob(w http.ResponseWriter, what string, v any) {
-	s.writeBody(w, what, shard.ContentType, func(b []byte) ([]byte, error) {
-		buf := bytes.NewBuffer(b)
-		err := gob.NewEncoder(buf).Encode(v)
-		return buf.Bytes(), err
-	})
-}
-
 // bodyBuffers recycles writeBody's buffer. A search answer is one ≈185 KB
 // frame at paper scale, encoded per request; grown from empty each time, the
 // buffer alone was a ninth of what a scattered search allocated fleet-wide.
@@ -319,7 +309,9 @@ func (l local) Enrich(ctx context.Context, _ string, req *shard.EnrichRequest) (
 // coordinator merges partial tallies under. Fetched once per membership
 // generation.
 func (s *Server) handleShardEnrichCatalog(w http.ResponseWriter, r *http.Request) {
-	s.writeGob(w, "catalog", s.cfg.Enricher.Catalog())
+	s.writeBody(w, "catalog", shard.AnswerContentType, func(b []byte) ([]byte, error) {
+		return shard.AppendCatalog(b, s.cfg.Enricher.Catalog()), nil
+	})
 }
 
 // EnrichCatalog is the enricher's term catalog.

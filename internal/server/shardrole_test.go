@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -889,8 +890,12 @@ func shardInfoOf(t *testing.T, hs *httptest.Server) shard.Info {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("info = %d", resp.StatusCode)
 	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var info shard.Info
-	if err := gob.NewDecoder(resp.Body).Decode(&info); err != nil {
+	if err := info.UnmarshalBinary(body); err != nil {
 		t.Fatal(err)
 	}
 	return info

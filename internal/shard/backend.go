@@ -29,8 +29,7 @@ type Backend interface {
 }
 
 // httpBackend is the default Backend: the shard protocol over HTTP, a gob
-// request out and an answer body (or, for Info and the catalog, a gob body)
-// back (see wire.go).
+// request out and a body back (see wire.go).
 type httpBackend struct {
 	client   *http.Client
 	resolve  func(string) string
@@ -47,15 +46,11 @@ func (b *httpBackend) Enrich(ctx context.Context, shard string, req *EnrichReque
 }
 
 func (b *httpBackend) Info(ctx context.Context, shard string) (*Info, error) {
-	return call(ctx, b, shard, InfoPath, nil, gobDecode[Info])
+	return call(ctx, b, shard, InfoPath, nil, (*Info).UnmarshalBinary)
 }
 
 func (b *httpBackend) EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error) {
-	return call(ctx, b, shard, EnrichCatalogPath, nil, gobDecode[golem.TermCatalog])
-}
-
-func gobDecode[T any](v *T, body []byte) error {
-	return gob.NewDecoder(bytes.NewReader(body)).Decode(v)
+	return call(ctx, b, shard, EnrichCatalogPath, nil, UnmarshalCatalog)
 }
 
 // maxBody bounds a shard answer the coordinator reads: 1 GiB, the limit gob

@@ -158,12 +158,13 @@ func (s *testShard) infoHandler() http.HandlerFunc {
 		for i, gi := range s.global {
 			held[i] = s.allIDs[gi]
 		}
-		w.Header().Set("Content-Type", ContentType)
-		_ = gob.NewEncoder(w).Encode(Info{
+		body, _ := (&Info{
 			GeneIDs:       s.engine.GeneIDs(),
 			DatasetIDs:    held,
 			AllDatasetIDs: s.allIDs,
-		})
+		}).AppendBinary(nil)
+		w.Header().Set("Content-Type", AnswerContentType)
+		_, _ = w.Write(body)
 	}
 }
 

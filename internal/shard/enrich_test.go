@@ -65,8 +65,8 @@ func (s *testShard) enrichHandler() http.HandlerFunc {
 
 func (s *testShard) enrichCatalogHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", ContentType)
-		_ = gob.NewEncoder(w).Encode(s.enr.Catalog())
+		w.Header().Set("Content-Type", AnswerContentType)
+		_, _ = w.Write(AppendCatalog(nil, s.enr.Catalog()))
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -169,11 +168,12 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 			http.Error(w, "sick", http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", ContentType)
-		_ = gob.NewEncoder(w).Encode(Info{
+		body, _ := (&Info{
 			GeneIDs:    []string{"g1"},
 			DatasetIDs: []string{"d1"}, AllDatasetIDs: []string{"d1"},
-		})
+		}).AppendBinary(nil)
+		w.Header().Set("Content-Type", AnswerContentType)
+		_, _ = w.Write(body)
 	})
 	srv := httptest.NewServer(mux)
 	defer srv.Close()

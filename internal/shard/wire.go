@@ -11,10 +11,10 @@ import (
 	"forestview/internal/spell"
 )
 
-// The shard wire protocol: Go-to-Go internal RPC over HTTP. Requests, Info
-// and the term catalog are one gob message each. Gob over JSON because the
-// payloads are float-heavy and NaN-bearing — a dataset that measures fewer
-// than two query genes has NaN coherence, which JSON cannot represent — and
+// The shard wire protocol: Go-to-Go internal RPC over HTTP. Requests are
+// one gob message each. Gob over JSON because the payloads are float-heavy
+// and NaN-bearing — a dataset that measures fewer than two query genes has
+// NaN coherence, which JSON cannot represent — and
 // the merged path's golden parity needs every float64 bit-exact. The
 // endpoints are internal, so Go-only encoding is no constraint.
 //
@@ -46,8 +46,8 @@ import (
 // version 404s these paths, which the scatter's failover treats like any
 // other per-shard failure — mixed-version fleets degrade, they don't get
 // garbled merges. The same holds inside v1 across each change of its bodies
-// (bare partials to batches, gob answers to frames): each side refuses what
-// the other sends.
+// (bare partials to batches, gob answers, info and catalog to bodies): each
+// side refuses what the other sends.
 
 // SearchPath is the shard-role endpoint serving spell partials.
 const SearchPath = "/api/shard/v1/search"
@@ -77,8 +77,8 @@ const DrainPath = "/api/shard/v1/admin/drain"
 // GET returns the current view.
 const ShardFleetPath = "/api/shard/v1/admin/fleet"
 
-// ContentType labels gob-encoded shard protocol bodies, AnswerContentType
-// the answer bodies of SearchPath and EnrichPath.
+// ContentType labels the gob-encoded requests, AnswerContentType every body
+// a shard answers with.
 const (
 	ContentType       = "application/x-gob"
 	AnswerContentType = "application/x-forestview-answer"
@@ -328,3 +328,146 @@ const (
 	StatusActive   = "active"
 	StatusDraining = "draining"
 )
+
+// Info and the term catalog are bodies of strings, each a u32 length and
+// its bytes, after the body's magic and version:
+//
+//	Info      "FVSI", 0x01; GeneIDs, DatasetIDs, AllDatasetIDs and
+//	          Capabilities, each a u32 count and that many strings; Status
+//	catalog   "FVSC", 0x01; Fingerprint u64, BackgroundSize i64; a u32 term
+//	          count and each term's ID and Name
+//
+// Every count and length is checked against the bytes left before anything
+// is sized by it, so a body cannot make the decoder allocate more than a
+// small multiple of its length; gob cannot promise that (a 136-byte gob body
+// can claim a 10 MiB slice).
+const (
+	infoHead    = "FVSI\x01"
+	catalogHead = "FVSC\x01"
+)
+
+// AppendBinary appends i's body to b.
+func (i *Info) AppendBinary(b []byte) ([]byte, error) {
+	b = append(b, infoHead...)
+	for _, col := range [][]string{i.GeneIDs, i.DatasetIDs, i.AllDatasetIDs, i.Capabilities} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(col)))
+		for _, s := range col {
+			b = appendString(b, s)
+		}
+	}
+	return appendString(b, i.Status), nil
+}
+
+// UnmarshalBinary decodes a body into i, replacing its contents, with
+// SearchAnswer's contract.
+func (i *Info) UnmarshalBinary(data []byte) error {
+	r := stringReader{data}
+	if !r.head(infoHead) {
+		return errors.New("shard: not an info body of version 1")
+	}
+	var out Info
+	for _, col := range []*[]string{&out.GeneIDs, &out.DatasetIDs, &out.AllDatasetIDs, &out.Capabilities} {
+		*col = r.strings(1)
+	}
+	out.Status = r.string()
+	if err := r.done("info"); err != nil {
+		return err
+	}
+	*i = out
+	return nil
+}
+
+// AppendCatalog appends c's body to b.
+func AppendCatalog(b []byte, c *golem.TermCatalog) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint64(append(b, catalogHead...), c.Fingerprint)
+	b = le.AppendUint32(le.AppendUint64(b, uint64(int64(c.BackgroundSize))), uint32(len(c.Terms)))
+	for _, t := range c.Terms {
+		b = appendString(appendString(b, t.ID), t.Name)
+	}
+	return b
+}
+
+// UnmarshalCatalog decodes a body into c, replacing its contents, with
+// SearchAnswer's contract.
+func UnmarshalCatalog(c *golem.TermCatalog, data []byte) error {
+	r := stringReader{data}
+	if !r.head(catalogHead) || len(r.b) < 16 {
+		return errors.New("shard: not a catalog body of version 1")
+	}
+	le := binary.LittleEndian
+	out := golem.TermCatalog{Fingerprint: le.Uint64(r.b), BackgroundSize: int(int64(le.Uint64(r.b[8:])))}
+	r.b = r.b[16:]
+	ids := r.strings(2) // an ID and a Name a term
+	out.Terms = make([]golem.TermInfo, len(ids)/2)
+	for t := range out.Terms {
+		out.Terms[t] = golem.TermInfo{ID: ids[2*t], Name: ids[2*t+1]}
+	}
+	if err := r.done("catalog"); err != nil {
+		return err
+	}
+	*c = out
+	return nil
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
+}
+
+// stringReader reads a body of strings. The first malformed length empties
+// it and marks it bad, and every later read returns zero values.
+type stringReader struct{ b []byte }
+
+func (r *stringReader) head(h string) bool {
+	var ok bool
+	r.b, ok = bytes.CutPrefix(r.b, []byte(h))
+	return ok
+}
+
+func (r *stringReader) u32() uint64 {
+	if len(r.b) < 4 {
+		r.b = nil
+		return 0
+	}
+	v := binary.LittleEndian.Uint32(r.b)
+	r.b = r.b[4:]
+	return uint64(v)
+}
+
+func (r *stringReader) string() string {
+	n := r.u32()
+	if r.b == nil || n > uint64(len(r.b)) {
+		r.b = nil
+		return ""
+	}
+	s := string(r.b[:n])
+	r.b = r.b[n:]
+	return s
+}
+
+// strings reads a u32 count of groups of per strings, and the strings: nil
+// for none.
+func (r *stringReader) strings(per uint64) []string {
+	n := r.u32() * per
+	if n == 0 || 4*n > uint64(len(r.b)) { // every string takes 4 bytes at least
+		if n != 0 {
+			r.b = nil
+		}
+		return nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		out[i] = r.string()
+	}
+	return out
+}
+
+func (r *stringReader) done(what string) error {
+	switch {
+	case r.b == nil:
+		return fmt.Errorf("shard: a malformed %s body", what)
+	case len(r.b) != 0:
+		return fmt.Errorf("shard: %d trailing bytes after the %s body", len(r.b), what)
+	}
+	return nil
+}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"forestview/internal/golem"
 	"forestview/internal/spell"
 )
 
@@ -99,4 +100,41 @@ func FuzzSearchAnswer(f *testing.F) {
 			t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", name, len(data), got, limit)
 		}
 	})
+}
+
+// catalogBody gives the term catalog's body codec the answerBody methods.
+type catalogBody golem.TermCatalog
+
+func (c *catalogBody) AppendBinary(b []byte) ([]byte, error) {
+	return AppendCatalog(b, (*golem.TermCatalog)(c)), nil
+}
+
+func (c *catalogBody) UnmarshalBinary(data []byte) error {
+	return UnmarshalCatalog((*golem.TermCatalog)(c), data)
+}
+
+// checkNamedBody holds a decoder to checkBody's contract and to allocating
+// at most a small multiple of its input. A committed seed says by name
+// whether it must decode: accept-* must, reject-* must not.
+func checkNamedBody[A any, PA answerBody[A]](t *testing.T, data []byte) {
+	accepted := checkBody[A, PA](t, data)
+	name := path.Base(t.Name())
+	if want, named := map[string]bool{"accept": true, "reject": false}[strings.SplitN(name, "-", 2)[0]]; named && accepted != want {
+		t.Errorf("%s: decoded = %v, want %v", name, accepted, want)
+	}
+	if limit, got := uint64(16*len(data)+1024), decodeAllocs[A, PA](data); got > limit {
+		t.Errorf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
+	}
+}
+
+// FuzzShardInfo is the fuzz cover of the info bodies a coordinator reads
+// from every shard once a membership generation.
+func FuzzShardInfo(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkNamedBody[Info](t, data) })
+}
+
+// FuzzTermCatalog is the fuzz cover of the term catalog bodies a coordinator
+// reads from a shard once a membership generation.
+func FuzzTermCatalog(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) { checkNamedBody[catalogBody](t, data) })
 }
