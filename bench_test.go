@@ -21,6 +21,7 @@ import (
 	"forestview/internal/baseline"
 	"forestview/internal/cluster"
 	"forestview/internal/core"
+	"forestview/internal/fleettest"
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
 	"forestview/internal/ontology"
@@ -41,7 +42,6 @@ type fixture struct {
 	panes    []*core.ClusteredDataset
 	fv       *core.ForestView
 	onto     *ontology.Ontology
-	leafOf   map[string]string
 	ann      *ontology.Annotations
 	enricher *golem.Enricher
 }
@@ -68,22 +68,17 @@ func getFixture(b testing.TB) *fixture {
 		if err != nil {
 			panic(err)
 		}
-		var names []string
-		for _, m := range u.Modules {
-			names = append(names, m.Name)
-		}
-		onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 9})
+		onto, ann, err := u.Ontology(9)
 		if err != nil {
 			panic(err)
 		}
-		ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 		enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 		if err != nil {
 			panic(err)
 		}
 		fix = &fixture{
 			universe: u, caseCol: col, panes: panes, fv: fv,
-			onto: onto, leafOf: leafOf, ann: ann, enricher: enr,
+			onto: onto, ann: ann, enricher: enr,
 		}
 	})
 	return fix
@@ -598,54 +593,24 @@ func BenchmarkF4_SearchHTTP(b *testing.B) {
 // overhead dominates (and only when the host has at least N cores). Compare
 // Scatter{1,2,4}Shards sec/op.
 
-type scatterBenchTop struct {
-	coord *shard.Coordinator
-	query []string
-}
-
-func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, query []string) *scatterBenchTop {
+// newScatterBench boots nShards shard daemons over dss and returns the
+// coordinator over them.
+func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, enricher *golem.Enricher) *shard.Coordinator {
 	b.Helper()
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
-	}
-	identities := make([]string, nShards)
-	for i := range identities {
-		identities[i] = fmt.Sprintf("shard-%d", i)
-	}
-	urls := make(map[string]string, nShards)
-	for _, self := range identities {
-		owned := shard.OwnedIndexesR(names, identities, self, 1)
-		if len(owned) == 0 {
-			b.Fatalf("shard %s owns no datasets at this fixture seed", self)
-		}
-		var slice []*microarray.Dataset
-		for _, gi := range owned {
-			slice = append(slice, dss[gi])
-		}
-		engine, err := spell.NewEngine(slice)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := server.New(server.Config{
-			Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(srv.Close)
-		hs := httptest.NewServer(srv)
-		b.Cleanup(hs.Close)
-		urls[self] = hs.URL
-	}
-	coord, err := shard.NewCoordinator(shard.Config{
-		Shards: identities, Deadline: time.Minute,
-		Resolve: func(id string) string { return urls[id] },
+	fleet, err := fleettest.New(fleettest.Spec[*server.Server]{
+		Datasets: dss, Shards: nShards,
+		Coordinator: shard.Config{Deadline: time.Minute},
+		Boot: func(m fleettest.Member) (*server.Server, error) {
+			return server.New(server.Config{
+				Engine: m.Engine, Enricher: enricher, ShardIndexes: m.Owned, ShardDatasetIDs: m.Catalog,
+			})
+		},
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	return &scatterBenchTop{coord: coord, query: query}
+	b.Cleanup(fleet.Close)
+	return fleet.Coordinator()
 }
 
 // benchScatter runs two fixtures: "complete" is scan-heavy on purpose —
@@ -661,19 +626,19 @@ func benchScatter(b *testing.B, nShards int) {
 			NumDatasets: 24, MinExperiments: 80, MaxExperiments: 120,
 			ActiveFraction: 0.4, Noise: 0.25, Seed: 74,
 		})
-		runScatter(b, newScatterBench(b, nShards, dss, u.ModuleGeneIDs(4)[:4]))
+		runScatter(b, newScatterBench(b, nShards, dss, nil), u.ModuleGeneIDs(4)[:4])
 	})
 	b.Run("paper-6000x24/missing=0.02", func(b *testing.B) {
 		u := synth.NewUniverse(paperGenes, 20, 73)
-		runScatter(b, newScatterBench(b, nShards, paperCompendium(u, 0.02), u.ModuleGeneIDs(4)[:4]))
+		runScatter(b, newScatterBench(b, nShards, paperCompendium(u, 0.02), nil), u.ModuleGeneIDs(4)[:4])
 	})
 }
 
-func runScatter(b *testing.B, top *scatterBenchTop) {
+func runScatter(b *testing.B, coord *shard.Coordinator, query []string) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, meta, err := top.coord.SearchCtx(context.Background(), top.query, spell.Options{MaxGenes: 50})
+		res, meta, err := coord.SearchCtx(context.Background(), query, spell.Options{MaxGenes: 50})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -880,64 +845,16 @@ func TestPartialWireAllocs(t *testing.T) {
 // coordinator's term-catalog fetch is cached per membership generation,
 // amortized across iterations as in production.
 
-func newEnrichScatterBench(b *testing.B, nShards int) *shard.Coordinator {
-	b.Helper()
-	f := getEnrichBench(b)
+func benchEnrichScatter(b *testing.B, nShards int) {
 	// A small compendium supplies the shard role's dataset catalog (and
 	// hence the ownership groups); the enrichment universe is the
 	// independent 6k-gene F4c fixture, shared by every shard so the slice
 	// fingerprints agree.
-	u := synth.NewUniverse(100, 5, 91)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+	f := getEnrichBench(b)
+	dss, _ := synth.NewUniverse(100, 5, 91).GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 4 * nShards, MinExperiments: 4, MaxExperiments: 6, Seed: 92,
 	})
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
-	}
-	identities := make([]string, nShards)
-	for i := range identities {
-		identities[i] = fmt.Sprintf("shard-%d", i)
-	}
-	urls := make(map[string]string, nShards)
-	for _, self := range identities {
-		owned := shard.OwnedIndexesR(names, identities, self, 1)
-		if len(owned) == 0 {
-			b.Fatalf("shard %s owns no datasets at this fixture seed", self)
-		}
-		var slice []*microarray.Dataset
-		for _, gi := range owned {
-			slice = append(slice, dss[gi])
-		}
-		engine, err := spell.NewEngine(slice)
-		if err != nil {
-			b.Fatal(err)
-		}
-		srv, err := server.New(server.Config{
-			Engine: engine, Enricher: f.enricher,
-			ShardIndexes: owned, ShardDatasetIDs: names,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Cleanup(srv.Close)
-		hs := httptest.NewServer(srv)
-		b.Cleanup(hs.Close)
-		urls[self] = hs.URL
-	}
-	coord, err := shard.NewCoordinator(shard.Config{
-		Shards: identities, Deadline: time.Minute,
-		Resolve: func(id string) string { return urls[id] },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return coord
-}
-
-func benchEnrichScatter(b *testing.B, nShards int) {
-	coord := newEnrichScatterBench(b, nShards)
-	f := getEnrichBench(b)
+	coord := newScatterBench(b, nShards, dss, f.enricher)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -85,11 +85,7 @@ func run(outDir string, nGenes, nModules, nDatasets int, seed int64, caseStudy, 
 	}
 
 	// Ontology + associations from ground truth.
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: seed + 7})
+	onto, ann, err := u.Ontology(seed + 7)
 	if err != nil {
 		return err
 	}
@@ -104,7 +100,6 @@ func run(outDir string, nGenes, nModules, nDatasets int, seed int64, caseStudy, 
 	if err := of.Close(); err != nil {
 		return err
 	}
-	ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 	af, err := os.Create(filepath.Join(outDir, "associations.tsv"))
 	if err != nil {
 		return err

@@ -28,7 +28,7 @@ func (g gateRun) chaos() error {
 	}
 	defer tp.close()
 	tp.faults = inj
-	host := func(i int) string { return strings.TrimPrefix(tp.shardServers[i].URL, "http://") }
+	host := func(i int) string { return strings.TrimPrefix(tp.fleet.URL(i), "http://") }
 	inj.SetRules(
 		// shard-1: every other scatter request draws the next fault in the
 		// cycle. Stalls are short enough that the per-attempt deadline,

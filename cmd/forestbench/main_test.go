@@ -132,13 +132,30 @@ func TestSmokeProfileSingle(t *testing.T) {
 	}
 }
 
+// runKillingShard1 replays a seeded 3 s plan of mix at 50 req/s against tp,
+// kills shard-1 at killAt, and returns one envelope per op.
+func runKillingShard1(t *testing.T, tp *topology, seed int64, mix workload.Mix, killAt time.Duration) []workload.Envelope {
+	t.Helper()
+	plan, err := workload.NewPlan(workload.Spec{Rate: 50, Duration: 3 * time.Second, Seed: seed, Mix: mix, Genes: tp.genes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timer := time.AfterFunc(killAt, func() { tp.fleet.Kill(1) })
+	defer timer.Stop()
+	envs := workload.Run(context.Background(), plan, tp.url)
+	if len(envs) != len(plan.Ops) {
+		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
+	}
+	return envs
+}
+
 // TestShardKillMidRun: kill one of two shard servers mid-run. The
 // coordinator must degrade — every response after the kill is a 200 with
 // Degraded=true over the 1 surviving shard — and never error. The
 // coordinator cache is tiny so post-kill searches genuinely re-scatter
 // instead of replaying cached full merges.
 func TestShardKillMidRun(t *testing.T) {
-	tp, err := newShard2Topology(16)
+	tp, err := newTopology("shard2", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,22 +165,7 @@ func TestShardKillMidRun(t *testing.T) {
 		killAt   = 1500 * time.Millisecond
 		marginMS = 500
 	)
-	plan, err := workload.NewPlan(workload.Spec{
-		Rate:     50,
-		Duration: 3 * time.Second,
-		Seed:     5,
-		Mix:      workload.Mix{Search: 1},
-		Genes:    tp.genes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	timer := time.AfterFunc(killAt, tp.shardServers[1].Close)
-	defer timer.Stop()
-	envs := workload.Run(context.Background(), plan, tp.url)
-	if len(envs) != len(plan.Ops) {
-		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
-	}
+	envs := runKillingShard1(t, tp, 5, workload.Mix{Search: 1}, killAt)
 	killMS := float64(killAt / time.Millisecond)
 	var healthy, degraded int
 	for _, e := range envs {
@@ -209,22 +211,7 @@ func TestReplicatedFleetKillMidRun(t *testing.T) {
 	defer tp.close()
 
 	const killAt = 1200 * time.Millisecond
-	plan, err := workload.NewPlan(workload.Spec{
-		Rate:     50,
-		Duration: 3 * time.Second,
-		Seed:     9,
-		Mix:      workload.Mix{Search: 1, Enrich: 1},
-		Genes:    tp.genes,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	timer := time.AfterFunc(killAt, tp.shardServers[1].Close)
-	defer timer.Stop()
-	envs := workload.Run(context.Background(), plan, tp.url)
-	if len(envs) != len(plan.Ops) {
-		t.Fatalf("%d envelopes for %d ops", len(envs), len(plan.Ops))
-	}
+	envs := runKillingShard1(t, tp, 9, workload.Mix{Search: 1, Enrich: 1}, killAt)
 	killMS := float64(killAt / time.Millisecond)
 	postKill := map[string]int{}
 	for _, e := range envs {

@@ -3,10 +3,10 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,11 +34,11 @@ func adminPost(t *testing.T, url string, body []byte) (*http.Response, []byte) {
 // shardGroupSearch posts one shard-level search and returns the status.
 func shardGroupSearch(t *testing.T, url string, req shard.SearchRequest) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+	body, err := req.AppendBinary(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url+shard.SearchPath, shard.ContentType, &buf)
+	resp, err := http.Post(url+shard.SearchPath, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,11 +58,13 @@ func shardGroupSearch(t *testing.T, url string, req shard.SearchRequest) int {
 // seen under that topology, before the coordinator switches to it: each
 // answers 200 on first touch, having reloaded first.
 func TestRollingRestartDrainE2E(t *testing.T) {
-	tp, err := newFleetTopology("roll3r2", 3, 2, 6, 16, nil)
+	const repl = 2
+	tp, err := newFleetTopology("roll3r2", 3, repl, 6, 16, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tp.close()
+	ids := tp.fleet.IDs()
 
 	coordFleet := func(action, id string) {
 		t.Helper()
@@ -89,27 +91,28 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 	time.Sleep(400 * time.Millisecond) // let the load reach steady state
 
 	query := tp.u.ModuleGeneIDs(2)[:4]
-	for i, victim := range tp.identities {
+	for i, victim := range ids {
 		var survivors []string
-		for _, id := range tp.identities {
+		var rest []int // the survivors' indexes
+		for j, id := range ids {
 			if id != victim {
-				survivors = append(survivors, id)
+				survivors, rest = append(survivors, id), append(rest, j)
 			}
 		}
-		fleetBody, err := json.Marshal(map[string]any{"shards": survivors, "replication": tp.repl})
+		fleetBody, err := json.Marshal(map[string]any{"shards": survivors, "replication": repl})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		// Survivors adopt the post-drain topology first: they hold what they
 		// are about to own before anyone asks them for it.
-		for _, id := range survivors {
-			if resp, b := adminPost(t, tp.resolve(id)+shard.ShardFleetPath, fleetBody); resp.StatusCode != http.StatusOK {
-				t.Fatalf("cycle %d: survivor %s reload = %d: %s", i, id, resp.StatusCode, b)
+		for _, j := range rest {
+			if resp, b := adminPost(t, tp.fleet.URL(j)+shard.ShardFleetPath, fleetBody); resp.StatusCode != http.StatusOK {
+				t.Fatalf("cycle %d: survivor %s reload = %d: %s", i, ids[j], resp.StatusCode, b)
 			}
 		}
 		coordFleet("drain", victim)
-		resp, b := adminPost(t, tp.resolve(victim)+shard.DrainPath, fleetBody)
+		resp, b := adminPost(t, tp.fleet.URL(i)+shard.DrainPath, fleetBody)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("cycle %d: drain %s = %d: %s", i, victim, resp.StatusCode, b)
 		}
@@ -126,10 +129,10 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			// Before the coordinator switches to the 2-shard topology:
 			// every successor of every post-drain ownership group serves
 			// the group on first touch.
-			for _, owners := range shard.Groups(tp.names, survivors, tp.repl) {
+			for _, owners := range shard.Groups(tp.fleet.Names(), survivors, repl) {
 				for _, owner := range owners {
-					code := shardGroupSearch(t, tp.resolve(owner), shard.SearchRequest{
-						Query: query, Shards: survivors, Replication: tp.repl, Groups: [][]string{owners},
+					code := shardGroupSearch(t, tp.fleet.URL(slices.Index(ids, owner)), shard.SearchRequest{
+						Query: query, Shards: survivors, Replication: repl, Groups: [][]string{owners},
 					})
 					if code != http.StatusOK {
 						t.Fatalf("post-drain search on %s (group %v) = %d, want 200", owner, owners, code)
@@ -138,15 +141,15 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			}
 		}
 		coordFleet("remove", victim)
-		if err := tp.restartShard(i); err != nil {
+		if err := tp.fleet.Restart(i); err != nil {
 			t.Fatalf("cycle %d: restart %s: %v", i, victim, err)
 		}
 		// Everyone returns to the full-fleet view before the coordinator
 		// readmits the restarted member.
-		fullBody, _ := json.Marshal(map[string]any{"shards": tp.identities, "replication": tp.repl})
-		for _, id := range survivors {
-			if resp, b := adminPost(t, tp.resolve(id)+shard.ShardFleetPath, fullBody); resp.StatusCode != http.StatusOK {
-				t.Fatalf("cycle %d: survivor %s rejoin reload = %d: %s", i, id, resp.StatusCode, b)
+		fullBody, _ := json.Marshal(map[string]any{"shards": ids, "replication": repl})
+		for _, j := range rest {
+			if resp, b := adminPost(t, tp.fleet.URL(j)+shard.ShardFleetPath, fullBody); resp.StatusCode != http.StatusOK {
+				t.Fatalf("cycle %d: survivor %s rejoin reload = %d: %s", i, ids[j], resp.StatusCode, b)
 			}
 		}
 		coordFleet("add", victim)

@@ -6,13 +6,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 
 	"forestview/internal/cluster"
 	"forestview/internal/faultline"
+	"forestview/internal/fleettest"
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
-	"forestview/internal/ontology"
 	"forestview/internal/server"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
@@ -44,7 +43,7 @@ const (
 type topology struct {
 	name string
 	// url is the load target (the only listener in single mode, the
-	// coordinator in shard2 mode).
+	// coordinator in fleet mode).
 	url string
 	// genes is the queryable universe, paneRows the per-dataset heatmap
 	// row counts (nil when the target serves no heatmaps).
@@ -56,38 +55,16 @@ type topology struct {
 	// srv is the daemon in single mode (nil for fleets), exposed so the
 	// panwalk profile can pre-warm its clustered trees.
 	srv *server.Server
-	// shardServers are the shard backends, exposed so fleet tests can
-	// kill one mid-run. Empty in single mode. Index-aligned with
-	// identities and shardSrv; restartShard swaps entries in place.
-	shardServers []*httptest.Server
-	shardSrv     []*server.Server
-	// identities are the fleet's rendezvous identities ("shard-0"...);
-	// repl the replication factor; both empty/zero in single mode.
-	identities []string
-	repl       int
+	// fleet is the shard fleet behind the coordinator (nil in single mode),
+	// exposed so fleet tests can kill, drain and restart its members.
+	fleet *fleettest.Fleet[*server.Server]
+	// u is the fleet's universe, for tests that query a planted module.
+	u *synth.Universe
 	// faults is the injector wrapped around the coordinator's scatter
 	// client (chaos only); drive reports its counters.
 	faults *faultline.Injector
 
-	// The compendium behind every fleet member, kept so a restarted shard
-	// can rebuild its slice (and a reload can load datasets it lacked).
-	u     *synth.Universe
-	dss   []*microarray.Dataset
-	names []string
-
-	// urls maps identity -> live base URL; guarded because restartShard
-	// rewrites entries while the coordinator's Resolve hook reads them.
-	mu   sync.Mutex
-	urls map[string]string
-
 	closers []func()
-}
-
-// resolve is the coordinator's identity->URL hook; it follows restarts.
-func (tp *topology) resolve(id string) string {
-	tp.mu.Lock()
-	defer tp.mu.Unlock()
-	return tp.urls[id]
 }
 
 func (tp *topology) close() {
@@ -106,19 +83,15 @@ func smokeCompendium(nDatasets int) (*synth.Universe, []*microarray.Dataset) {
 }
 
 // smokeEnricher builds the synthetic-ontology GOLEM enricher over a smoke
-// universe. Every shard of a fleet calls this with the same universe, so
-// the enrichers share a background fingerprint and the coordinator can
-// merge their slice tallies exactly.
+// universe. Every shard of a fleet shares it, as a real fleet shares one OBO
+// and one association file, so the coordinator can merge their slice
+// tallies exactly.
 func smokeEnricher(u *synth.Universe) (*golem.Enricher, error) {
-	var leafNames []string
-	for _, m := range u.Modules {
-		leafNames = append(leafNames, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: leafNames, Seed: smokeSeed + 3})
+	onto, ann, err := u.Ontology(smokeSeed + 3)
 	if err != nil {
-		return nil, fmt.Errorf("synthetic ontology: %w", err)
+		return nil, err
 	}
-	enricher, err := golem.NewEnricher(onto, ontology.AnnotateFromModules(u.Annotations(), leafOf), u.GeneIDs())
+	enricher, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 	if err != nil {
 		return nil, fmt.Errorf("enricher: %w", err)
 	}
@@ -169,161 +142,70 @@ func newSingleTopology(prefetchWorkers int) (*topology, error) {
 	return tp, nil
 }
 
-// newFleetTopology builds the general fleet: n shard-role daemons, each
-// loading every dataset of an nDatasets-deep compendium that ranks it in
-// the top-repl rendezvous owners, and a coordinator scattering /api/search
-// over the fleet with that replication factor. Shard identities are the
-// logical strings "shard-0".."shard-N" resolved to httptest URLs through
-// the coordinator's Resolve hook — the same identity/dial split a real
-// deployment gets from -shards plus DNS. Every shard carries the synthetic
-// ontology, so the coordinator scatters enrichment as well as search; only
-// heatmaps stay off the fleet mix. Every member boots with the drain
-// plumbing armed under fleetAdminToken, so rolling-restart and chaos
-// harnesses can drive reloads and drains over the wire.
-// coordCacheBytes sizes the coordinator's merged-result cache — pass
-// something tiny (e.g. 16) to force every search to re-scatter, which is
-// what a shard-kill test needs: cached full merges would keep answering
-// non-degraded after a shard died. scatterClient, when non-nil, issues the
-// coordinator's shard requests — the chaos mode passes a faultline-wrapped
-// client here.
+// newFleetTopology builds the general fleet: n shard-role daemons placed by
+// fleettest over an nDatasets-deep compendium at replication repl, each with
+// the synthetic ontology, a loader over the whole compendium and the drain
+// plumbing armed under fleetAdminToken, and a coordinator over them.
+// coordCacheBytes sizes the coordinator's merged-result cache: a kill test
+// passes something tiny (16) so that every search re-scatters instead of
+// replaying full merges cached before the kill. scatterClient, when non-nil,
+// issues the coordinator's shard requests (chaos wraps it in faultline).
 func newFleetTopology(name string, nShards, repl, nDatasets int, coordCacheBytes int64, scatterClient *http.Client) (*topology, error) {
 	u, dss := smokeCompendium(nDatasets)
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
+	enricher, err := smokeEnricher(u)
+	if err != nil {
+		return nil, err
 	}
-	identities := make([]string, nShards)
-	for i := range identities {
-		identities[i] = fmt.Sprintf("shard-%d", i)
-	}
-	tp := &topology{
-		name: name, identities: identities, repl: repl,
-		u: u, dss: dss, names: names,
-		urls: make(map[string]string, nShards),
-	}
-	ok := false
-	defer func() {
-		if !ok {
-			tp.close()
+	load := func(_ context.Context, gi int) (*microarray.Dataset, error) {
+		if gi < 0 || gi >= len(dss) {
+			return nil, fmt.Errorf("dataset index %d outside the %d-dataset compendium", gi, len(dss))
 		}
-	}()
-	for _, self := range identities {
-		if err := tp.bootShard(self); err != nil {
-			return nil, err
-		}
+		return dss[gi], nil
 	}
-	coordr, err := shard.NewCoordinator(shard.Config{
-		Shards:      identities,
-		Replication: repl,
-		Retry:       true,
-		Resolve:     tp.resolve,
-		Client:      scatterClient,
+	fleet, err := fleettest.New(fleettest.Spec[*server.Server]{
+		Datasets: dss, Shards: nShards, Replication: repl,
+		Coordinator: shard.Config{Retry: true, Client: scatterClient},
+		Boot: func(m fleettest.Member) (*server.Server, error) {
+			return server.New(server.Config{
+				Engine: m.Engine, Enricher: enricher,
+				ShardIndexes: m.Owned, ShardDatasetIDs: m.Catalog,
+				ShardSelf: m.ID, ShardFleet: m.Shards, ShardReplication: m.Replication,
+				ShardRawDatasets: m.Datasets, ShardLoader: load,
+				FleetToken: fleetAdminToken,
+			})
+		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	coord, err := server.New(server.Config{
-		Scatter: coordr, CacheBytes: coordCacheBytes, FleetToken: fleetAdminToken,
+		Scatter: fleet.Coordinator(), CacheBytes: coordCacheBytes, FleetToken: fleetAdminToken,
 	})
 	if err != nil {
+		fleet.Close()
 		return nil, err
 	}
 	chs := httptest.NewServer(coord)
-	tp.closers = append(tp.closers, coord.Close, chs.Close)
-	tp.url = chs.URL
-	tp.genes = u.GeneIDs()
-	tp.mix = workload.Mix{Search: 4, Enrich: 2, Stats: 1}
-	ok = true
-	return tp, nil
+	return &topology{
+		name: name, url: chs.URL, fleet: fleet, u: u,
+		genes:   u.GeneIDs(),
+		mix:     workload.Mix{Search: 4, Enrich: 2, Stats: 1},
+		closers: []func(){fleet.Close, coord.Close, chs.Close},
+	}, nil
 }
 
-// bootShard builds and starts one shard over its owned slice of the
-// full-fleet view, wiring identity, membership, loader and admin token —
-// used at boot and again by restartShard after a drain.
-func (tp *topology) bootShard(self string) error {
-	owned := shard.OwnedIndexesR(tp.names, tp.identities, self, tp.repl)
-	if len(owned) == 0 {
-		return fmt.Errorf("shard %s owns no datasets at this fixture seed", self)
-	}
-	var slice []*microarray.Dataset
-	for _, gi := range owned {
-		slice = append(slice, tp.dss[gi])
-	}
-	se, err := spell.NewEngine(slice)
-	if err != nil {
-		return err
-	}
-	enricher, err := smokeEnricher(tp.u)
-	if err != nil {
-		return err
-	}
-	ss, err := server.New(server.Config{
-		Engine: se, Enricher: enricher,
-		ShardIndexes: owned, ShardDatasetIDs: tp.names,
-		ShardSelf: self, ShardFleet: tp.identities, ShardReplication: tp.repl,
-		ShardRawDatasets: slice,
-		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
-			if gi < 0 || gi >= len(tp.dss) {
-				return nil, fmt.Errorf("dataset index %d outside the %d-dataset compendium", gi, len(tp.dss))
-			}
-			return tp.dss[gi], nil
-		},
-		FleetToken: fleetAdminToken,
-	})
-	if err != nil {
-		return err
-	}
-	hs := httptest.NewServer(ss)
-	tp.closers = append(tp.closers, ss.Close, hs.Close)
-	idx := -1
-	for i, id := range tp.identities {
-		if id == self {
-			idx = i
-			break
-		}
-	}
-	if idx < len(tp.shardServers) {
-		tp.shardServers[idx], tp.shardSrv[idx] = hs, ss
-	} else {
-		tp.shardServers = append(tp.shardServers, hs)
-		tp.shardSrv = append(tp.shardSrv, ss)
-	}
-	tp.mu.Lock()
-	tp.urls[self] = hs.URL
-	tp.mu.Unlock()
-	return nil
-}
-
-// restartShard closes shard i's current instance and boots a fresh one at
-// a new URL with full-fleet holdings — the "restart" half of a rolling
-// restart. Double closes at teardown are harmless.
-func (tp *topology) restartShard(i int) error {
-	tp.shardSrv[i].Close()
-	tp.shardServers[i].Close()
-	return tp.bootShard(tp.identities[i])
-}
-
-// newShard2Topology is the unreplicated two-shard fleet: each of the 6
-// datasets lives on exactly one shard, so killing a shard must degrade.
-func newShard2Topology(coordCacheBytes int64) (*topology, error) {
-	return newFleetTopology("shard2", 2, 1, 6, coordCacheBytes, nil)
-}
-
-// newShard4Topology is the replicated fleet: 4 shards holding an
-// 8-dataset compendium at replication 2, so any single shard is
-// redundant.
-func newShard4Topology(coordCacheBytes int64) (*topology, error) {
-	return newFleetTopology("shard4", 4, 2, 8, coordCacheBytes, nil)
-}
-
+// newTopology builds a smoke topology by name. "shard2" is the unreplicated
+// two-shard fleet: each of its 6 datasets lives on exactly one shard, so
+// killing a shard must degrade. "shard4" is the replicated fleet: 4 shards
+// holding 8 datasets at replication 2, so any single shard is redundant.
 func newTopology(name string, coordCacheBytes int64) (*topology, error) {
 	switch name {
 	case "single":
 		return newSingleTopology(0)
 	case "shard2":
-		return newShard2Topology(coordCacheBytes)
+		return newFleetTopology(name, 2, 1, 6, coordCacheBytes, nil)
 	case "shard4":
-		return newShard4Topology(coordCacheBytes)
+		return newFleetTopology(name, 4, 2, 8, coordCacheBytes, nil)
 	default:
 		return nil, fmt.Errorf("unknown topology %q (single, shard2 or shard4)", name)
 	}

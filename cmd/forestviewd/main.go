@@ -274,43 +274,13 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		return srv, nil
 	}
 
-	// shardIndexes maps engine dataset position -> global compendium index;
-	// shardCatalog is the full dataset list every fleet member agrees on;
-	// shardLoader fetches a dataset by global index so a membership reload
-	// can grow this shard's holdings without a restart. All stay nil for
-	// the single role.
-	var shardIndexes []int
-	var shardCatalog []string
-	var shardLoader func(context.Context, int) (*microarray.Dataset, error)
-	ownedOnly := func(names []string) (map[int]bool, error) {
-		if role != "shard" {
-			return nil, nil
-		}
-		if len(cfg.shards) == 0 || cfg.self == "" {
-			return nil, fmt.Errorf("-role=shard requires -shards and -self")
-		}
-		if !slices.Contains(cfg.shards, cfg.self) {
-			return nil, fmt.Errorf("-self %q is not in -shards (assignment hashes the literal strings)", cfg.self)
-		}
-		if err := shard.CheckPlacement(names, cfg.shards, repl); err != nil {
-			return nil, err
-		}
-		// Top-repl ownership: this shard loads every dataset that ranks it
-		// among the top-repl rendezvous owners, so any repl-1 other shards
-		// can die without losing a dataset.
-		owned := make(map[int]bool)
-		for _, gi := range shard.OwnedIndexesR(names, cfg.shards, cfg.self, repl) {
-			owned[gi] = true
-		}
-		if len(owned) == 0 {
-			return nil, fmt.Errorf("shard %q owns none of the %d datasets; add datasets or shrink the shard set", cfg.self, len(names))
-		}
-		shardCatalog = names
-		return owned, nil
-	}
-
+	// A compendium source is its dataset names, known before anything is
+	// parsed, and a loader of one dataset by global index: the boot loads
+	// what this daemon holds through it, and a shard's membership reload
+	// loads what the shard newly owns through it too.
 	var (
-		datasets []*microarray.Dataset
+		names    []string
+		load     func(gi int) (*microarray.Dataset, error)
 		enricher *golem.Enricher
 	)
 	if cfg.demo {
@@ -319,48 +289,24 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			NumDatasets: cfg.datasets, MinExperiments: 10, MaxExperiments: 30,
 			ActiveFraction: 0.4, Noise: 0.25, MissingRate: 0.02, Seed: cfg.seed + 50,
 		})
-		names := make([]string, len(dss))
+		names = make([]string, len(dss))
 		for i, ds := range dss {
 			names[i] = ds.Name
 		}
-		owned, err := ownedOnly(names)
+		// The demo compendium is in memory whole; loading picks a dataset out.
+		load = func(gi int) (*microarray.Dataset, error) {
+			if gi < 0 || gi >= len(dss) {
+				return nil, fmt.Errorf("dataset index %d outside the %d-dataset demo compendium", gi, len(dss))
+			}
+			return dss[gi], nil
+		}
+		onto, ann, err := u.Ontology(cfg.seed + 3)
 		if err != nil {
 			return nil, err
 		}
-		for gi, ds := range dss {
-			if owned != nil && !owned[gi] {
-				continue
-			}
-			datasets = append(datasets, ds)
-			if owned != nil {
-				shardIndexes = append(shardIndexes, gi)
-			}
-		}
-		if owned != nil {
-			// The demo compendium is already in memory whole; a reload just
-			// picks the dataset out of it.
-			shardLoader = func(_ context.Context, gi int) (*microarray.Dataset, error) {
-				if gi < 0 || gi >= len(dss) {
-					return nil, fmt.Errorf("dataset index %d outside the %d-dataset demo compendium", gi, len(dss))
-				}
-				return dss[gi], nil
-			}
-		}
-		var leafNames []string
-		for _, m := range u.Modules {
-			leafNames = append(leafNames, m.Name)
-		}
-		onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: leafNames, Seed: cfg.seed + 3})
-		if err != nil {
-			return nil, fmt.Errorf("synthetic ontology: %w", err)
-		}
-		ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
-		enricher, err = golem.NewEnricher(onto, ann, u.GeneIDs())
-		if err != nil {
+		if enricher, err = golem.NewEnricher(onto, ann, u.GeneIDs()); err != nil {
 			return nil, fmt.Errorf("enricher: %w", err)
 		}
-		cfg.log("demo compendium: %d of %d datasets over %d genes, %d GO terms",
-			len(datasets), len(dss), cfg.genes, enricher.NumTerms())
 	} else {
 		paths := splitList(cfg.files)
 		if len(paths) == 0 {
@@ -368,15 +314,14 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		}
 		// Dataset identity is the trimmed file name, known before parsing:
 		// a shard only pays to parse the slice it owns.
-		names := make([]string, len(paths))
+		names = make([]string, len(paths))
 		for i, p := range paths {
 			names[i] = trimPCLExt(p)
 		}
-		owned, err := ownedOnly(names)
-		if err != nil {
-			return nil, err
-		}
-		readPCL := func(gi int) (*microarray.Dataset, error) {
+		load = func(gi int) (*microarray.Dataset, error) {
+			if gi < 0 || gi >= len(paths) {
+				return nil, fmt.Errorf("dataset index %d outside the %d-file compendium", gi, len(paths))
+			}
 			f, err := os.Open(paths[gi])
 			if err != nil {
 				return nil, err
@@ -386,31 +331,49 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", paths[gi], err)
 			}
+			cfg.log("loaded %q: %d genes x %d experiments", ds.Name, ds.NumGenes(), ds.NumExperiments())
 			return ds, nil
 		}
-		for gi := range paths {
-			if owned != nil && !owned[gi] {
-				continue
-			}
-			ds, err := readPCL(gi)
-			if err != nil {
-				return nil, err
-			}
-			datasets = append(datasets, ds)
-			if owned != nil {
-				shardIndexes = append(shardIndexes, gi)
-			}
-			cfg.log("loaded %q: %d genes x %d experiments", ds.Name, ds.NumGenes(), ds.NumExperiments())
+	}
+
+	// A shard holds the datasets that rank it among their top-repl
+	// rendezvous owners, so any repl-1 other shards can die without losing
+	// a dataset; shardIndexes maps its engine's dataset positions to global
+	// indexes. The single role holds everything, and shardIndexes stays nil.
+	var shardIndexes []int
+	if role == "shard" {
+		if len(cfg.shards) == 0 || cfg.self == "" {
+			return nil, fmt.Errorf("-role=shard requires -shards and -self")
 		}
-		if owned != nil {
-			// A reload re-parses the file for a dataset this shard newly owns.
-			shardLoader = func(_ context.Context, gi int) (*microarray.Dataset, error) {
-				if gi < 0 || gi >= len(paths) {
-					return nil, fmt.Errorf("dataset index %d outside the %d-file compendium", gi, len(paths))
-				}
-				return readPCL(gi)
-			}
+		if !slices.Contains(cfg.shards, cfg.self) {
+			return nil, fmt.Errorf("-self %q is not in -shards (assignment hashes the literal strings)", cfg.self)
 		}
+		if err := shard.CheckPlacement(names, cfg.shards, repl); err != nil {
+			return nil, err
+		}
+		shardIndexes = shard.OwnedIndexesR(names, cfg.shards, cfg.self, repl)
+		if len(shardIndexes) == 0 {
+			return nil, fmt.Errorf("shard %q owns none of the %d datasets; add datasets or shrink the shard set", cfg.self, len(names))
+		}
+	}
+	held := shardIndexes
+	if held == nil {
+		held = make([]int, len(names))
+		for i := range held {
+			held[i] = i
+		}
+	}
+	var datasets []*microarray.Dataset
+	for _, gi := range held {
+		ds, err := load(gi)
+		if err != nil {
+			return nil, err
+		}
+		datasets = append(datasets, ds)
+	}
+	if cfg.demo {
+		cfg.log("demo compendium: %d of %d datasets over %d genes, %d GO terms",
+			len(datasets), len(names), cfg.genes, enricher.NumTerms())
 	}
 
 	engine, err := spell.NewEngine(datasets)
@@ -455,7 +418,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 	scfg := server.Config{
 		Engine:          engine,
 		ShardIndexes:    shardIndexes,
-		ShardDatasetIDs: shardCatalog,
 		Enricher:        enricher,
 		RawDatasets:     datasets,
 		TreeMetric:      cluster.PearsonDist,
@@ -475,7 +437,8 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		scfg.ShardFleet = cfg.shards
 		scfg.ShardReplication = repl
 		scfg.ShardRawDatasets = datasets
-		scfg.ShardLoader = shardLoader
+		scfg.ShardDatasetIDs = names
+		scfg.ShardLoader = func(_ context.Context, gi int) (*microarray.Dataset, error) { return load(gi) }
 		scfg.OnDrained = cfg.onDrained
 		scfg.FleetToken = cfg.fleetToken
 	}
@@ -485,7 +448,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 	}
 	if role == "shard" {
 		cfg.log("shard %q serving %d/%d datasets (replication=%d) at %s, drain-admin=%t",
-			cfg.self, len(datasets), len(shardCatalog), repl, shard.SearchPath, cfg.fleetToken != "")
+			cfg.self, len(datasets), len(names), repl, shard.SearchPath, cfg.fleetToken != "")
 	}
 	if cfg.precluster {
 		if err := srv.WarmTrees(context.Background()); err != nil {

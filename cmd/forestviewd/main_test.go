@@ -150,6 +150,59 @@ func TestFileCompendium(t *testing.T) {
 	}
 }
 
+// TestFileShardLoadsWhatItOwns: a -files shard parses only the files it
+// owns at boot — one it does not own may be unreadable then — and a
+// membership reload that assigns it one more file parses that file from disk.
+func TestFileShardLoadsWhatItOwns(t *testing.T) {
+	dss, _ := synth.NewUniverse(120, 6, 9).GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 2, MinExperiments: 8, MaxExperiments: 10, Seed: 11,
+	})
+	// Under {shard-a, shard-b} at R=1, shard-a owns delta and shard-b alpha.
+	dir := t.TempDir()
+	paths := []string{filepath.Join(dir, "alpha.pcl"), filepath.Join(dir, "delta.pcl")}
+	write := func(gi int, pcl bool) {
+		t.Helper()
+		var body bytes.Buffer
+		if !pcl {
+			body.WriteString("not a PCL file")
+		} else if err := microarray.WritePCL(&body, dss[gi]); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(paths[gi], body.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(0, false)
+	write(1, true)
+	var loaded []string
+	srv, err := buildServer(buildConfig{
+		files: strings.Join(paths, ","), role: "shard", shards: []string{"shard-a", "shard-b"}, self: "shard-a",
+		fleetToken: "sesame", cacheMB: 4, workers: 1,
+		log: func(format string, args ...any) {
+			if strings.HasPrefix(format, "loaded ") {
+				loaded = append(loaded, args[0].(string))
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	if fmt.Sprint(loaded) != "[delta]" {
+		t.Fatalf("boot parsed %v, want only delta", loaded)
+	}
+
+	write(0, true)
+	req := httptest.NewRequest(http.MethodPost, shard.ShardFleetPath, strings.NewReader(`{"shards":["shard-a"],"replication":1}`))
+	req.Header.Set("X-Fleet-Token", "sesame")
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, req)
+	var view struct{ Held, Loaded int }
+	if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || view.Held != 2 || view.Loaded != 1 || fmt.Sprint(loaded) != "[delta alpha]" {
+		t.Fatalf("reload = %d %s, having parsed %v; want alpha parsed, 2 held", rec.Code, rec.Body, loaded)
+	}
+}
+
 func TestBuildServerErrors(t *testing.T) {
 	if _, err := buildServer(buildConfig{files: "/nonexistent.pcl"}); err == nil {
 		t.Fatal("missing file accepted")

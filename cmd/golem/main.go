@@ -51,17 +51,10 @@ func run(oboPath, assocPath, genesPath string, demo bool, maxP float64, mapOut s
 	)
 	if demo || oboPath == "" {
 		u := synth.NewUniverse(1500, 20, seed)
-		var names []string
-		for _, m := range u.Modules {
-			names = append(names, m.Name)
-		}
-		var leafOf map[string]string
 		var err error
-		onto, leafOf, err = ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: seed + 3})
-		if err != nil {
+		if onto, ann, err = u.Ontology(seed + 3); err != nil {
 			return err
 		}
-		ann = ontology.AnnotateFromModules(u.Annotations(), leafOf)
 		universe = u.GeneIDs()
 		// Demo selection: the ESR-induced module plus noise genes.
 		selection = append(selection, u.ModuleGeneIDs(u.ESRInduced)...)

@@ -28,11 +28,7 @@ func TestRunFromFiles(t *testing.T) {
 	dir := t.TempDir()
 	// Build a small workspace on disk: OBO + associations + gene list.
 	u := synth.NewUniverse(120, 8, 31)
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 33})
+	onto, ann, err := u.Ontology(33)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +38,6 @@ func TestRunFromFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 	assocPath := filepath.Join(dir, "a.tsv")
 	f, _ = os.Create(assocPath)
 	if err := ontology.WriteAssociations(f, ann); err != nil {

@@ -17,7 +17,6 @@ import (
 	"forestview/internal/core"
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
-	"forestview/internal/ontology"
 	"forestview/internal/render"
 	"forestview/internal/spell"
 	"forestview/internal/stats"
@@ -268,15 +267,10 @@ func TestF4_SPELLSearchQuality(t *testing.T) {
 // weaker, and the local map contains the path to the root.
 func TestF5_GOLEMEnrichmentShape(t *testing.T) {
 	u := synth.NewUniverse(600, 12, 79)
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 83})
+	onto, ann, err := u.Ontology(83)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 	enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +280,7 @@ func TestF5_GOLEMEnrichmentShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := leafOf[u.Modules[mod].Name]
+	want := ann.TermsOf(u.ModuleGeneIDs(mod)[0])[0] // the module's leaf
 	if results[0].TermID != want {
 		t.Fatalf("top term = %s, want %s", results[0].TermID, want)
 	}
@@ -326,15 +320,10 @@ func TestF6_CombinedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 97})
+	onto, ann, err := u.Ontology(97)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 	enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 	if err != nil {
 		t.Fatal(err)
@@ -355,7 +344,7 @@ func TestF6_CombinedPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	esrTerm := leafOf[u.Modules[u.ESRInduced].Name]
+	esrTerm := ann.TermsOf(u.ModuleGeneIDs(u.ESRInduced)[0])[0]
 	found := false
 	for _, r := range results[:minInt(3, len(results))] {
 		if r.TermID == esrTerm {

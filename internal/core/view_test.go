@@ -6,7 +6,6 @@ import (
 
 	"forestview/internal/cluster"
 	"forestview/internal/golem"
-	"forestview/internal/ontology"
 	"forestview/internal/render"
 	"forestview/internal/synth"
 	"forestview/internal/wall"
@@ -147,15 +146,10 @@ func TestApplySpellSearchIntegration(t *testing.T) {
 func TestEnrichSelectionIntegration(t *testing.T) {
 	u, fv := buildFixture(t)
 	// Build ontology + annotations from universe ground truth.
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 31})
+	onto, ann, err := u.Ontology(31)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ann := ontology.AnnotateFromModules(u.Annotations(), leafOf)
 	enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +164,7 @@ func TestEnrichSelectionIntegration(t *testing.T) {
 	if len(results) == 0 {
 		t.Fatal("no enrichment results")
 	}
-	wantTerm := leafOf[u.Modules[u.ESRInduced].Name]
+	wantTerm := ann.TermsOf(u.ModuleGeneIDs(u.ESRInduced)[0])[0] // the module's leaf
 	if results[0].TermID != wantTerm {
 		t.Fatalf("top term = %s (%s), want %s", results[0].TermID, results[0].TermName, wantTerm)
 	}

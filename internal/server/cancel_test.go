@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -108,12 +107,9 @@ func TestCancellationContract(t *testing.T) {
 	shardRole := func(path string, body func(genes []string) any) build {
 		return func(t *testing.T) (*Server, func() *http.Request) {
 			s, u := fixtureShard(t)
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(body(u.ModuleGeneIDs(2)[:4])); err != nil {
-				t.Fatal(err)
-			}
+			body := shardBody(t, body(u.ModuleGeneIDs(2)[:4]))
 			return s, func() *http.Request {
-				return httptest.NewRequest(http.MethodPost, path, bytes.NewReader(buf.Bytes()))
+				return httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 			}
 		}
 	}

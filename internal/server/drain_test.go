@@ -3,111 +3,19 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net/http"
-	"net/http/httptest"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"forestview/internal/microarray"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
 
-// drainTopology is a drain-capable shard fleet in-process: every shard
-// boots with its fleet identity, the full membership view, a dataset
-// loader over the shared compendium, and the admin token — everything a
-// rolling restart needs.
-type drainTopology struct {
-	dss     []*microarray.Dataset
-	names   []string // global dataset catalog
-	shards  []string // fleet identities
-	repl    int
-	servers []*httptest.Server
-	srv     []*Server
-	query   []string
-	drained chan string // OnDrained pings, by shard identity
-	// failLoad is the global index of a dataset the loader refuses to load
-	// (-1, the default: none).
-	failLoad atomic.Int64
-}
-
 const drainToken = "sesame"
-
-func newDrainTopology(t testing.TB, nShards, repl int) *drainTopology {
-	t.Helper()
-	u := synth.NewUniverse(200, 8, 71)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
-		NumDatasets: 6, MinExperiments: 8, MaxExperiments: 14,
-		ActiveFraction: 0.5, Noise: 0.3, Seed: 72,
-	})
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
-	}
-	var shardNames []string
-	for i := 0; i < nShards; i++ {
-		shardNames = append(shardNames, fmt.Sprintf("shard-%d", i))
-	}
-	top := &drainTopology{
-		dss: dss, names: names, shards: shardNames, repl: repl,
-		query:   u.ModuleGeneIDs(2)[:4],
-		drained: make(chan string, nShards),
-	}
-	top.failLoad.Store(-1)
-	for _, self := range shardNames {
-		ss := top.newShard(t, self)
-		hs := httptest.NewServer(ss)
-		t.Cleanup(hs.Close)
-		top.servers = append(top.servers, hs)
-		top.srv = append(top.srv, ss)
-	}
-	return top
-}
-
-// newShard boots one member over its owned slice of the full-fleet view.
-func (top *drainTopology) newShard(t testing.TB, self string) *Server {
-	t.Helper()
-	owned := shard.OwnedIndexesR(top.names, top.shards, self, top.repl)
-	var slice []*microarray.Dataset
-	for _, gi := range owned {
-		slice = append(slice, top.dss[gi])
-	}
-	se, err := spell.NewEngine(slice)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := New(Config{
-		Engine:           se,
-		ShardIndexes:     owned,
-		ShardDatasetIDs:  top.names,
-		ShardSelf:        self,
-		ShardFleet:       top.shards,
-		ShardReplication: top.repl,
-		ShardRawDatasets: slice,
-		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
-			if int64(gi) == top.failLoad.Load() {
-				return nil, fmt.Errorf("dataset %d is unreadable", gi)
-			}
-			return top.dss[gi], nil
-		},
-		OnDrained:  func() { top.drained <- self },
-		FleetToken: drainToken,
-		CacheBytes: 4 << 20,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ss.Close)
-	return ss
-}
 
 // postJSON drives a token-gated admin endpoint over the real listener.
 func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
@@ -127,38 +35,12 @@ func postJSON(t *testing.T, url, body string) (*http.Response, []byte) {
 	return resp, buf.Bytes()
 }
 
-// shardSearch posts one shard search request and returns the response and
-// the decoded answer.
-func shardSearch(t *testing.T, url string, req shard.SearchRequest) (*http.Response, shard.SearchAnswer) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(url+shard.SearchPath, shard.ContentType, &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var a shard.SearchAnswer
-	if resp.StatusCode == http.StatusOK {
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := a.UnmarshalBinary(body); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return resp, a
-}
-
 // TestShardDrain pins what a drain is: a token-gated, one-way flip that the
 // shard advertises, that fires OnDrained once, and after which the shard
 // keeps serving — and nothing else. There is no shard-to-shard endpoint.
 func TestShardDrain(t *testing.T) {
-	top := newDrainTopology(t, 3, 2)
-	drainURL := top.servers[0].URL + shard.DrainPath
+	top := newShardTopology(t, 3, shard.Config{Replication: 2})
+	drainURL := top.fleet.URL(0) + shard.DrainPath
 
 	plain, err := http.Post(drainURL, "application/json", nil)
 	if err != nil {
@@ -194,33 +76,33 @@ func TestShardDrain(t *testing.T) {
 	}
 
 	// The drained shard advertises its state; its neighbours do not.
-	if info := shardInfoOf(t, top.servers[0]); info.Status != shard.StatusDraining {
+	if info := shardInfoOf(t, top.fleet.URL(0)); info.Status != shard.StatusDraining {
 		t.Fatalf("drained shard status = %q", info.Status)
 	}
 	if snap := top.srv[0].Stats(); snap.Shard == nil || snap.Shard.Status != shard.StatusDraining {
 		t.Fatalf("drained shard stats: %+v", snap.Shard)
 	}
 	for _, si := range []int{1, 2} {
-		if info := shardInfoOf(t, top.servers[si]); info.Status != shard.StatusActive {
+		if info := shardInfoOf(t, top.fleet.URL(si)); info.Status != shard.StatusActive {
 			t.Fatalf("shard-%d status = %q", si, info.Status)
 		}
 	}
 
 	// It serves until its process exits: a group it owns, asked for after
 	// the drain, is a 200.
-	for _, owners := range shard.Groups(top.names, top.shards, 2) {
+	for _, owners := range shard.Groups(top.fleet.Names(), top.fleet.IDs(), 2) {
 		if !slices.Contains(owners, "shard-0") {
 			continue
 		}
-		resp, _ := shardSearch(t, top.servers[0].URL, shard.SearchRequest{
-			Query: top.query, Shards: top.shards, Replication: 2, Groups: [][]string{owners},
+		rec, _ := postShard[shard.SearchAnswer](t, top.srv[0], shard.SearchPath, shard.SearchRequest{
+			Query: top.query, Shards: top.fleet.IDs(), Replication: 2, Groups: [][]string{owners},
 		})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("drained shard answered group %v with %d", owners, resp.StatusCode)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("drained shard answered group %v with %d", owners, rec.Code)
 		}
 	}
 
-	if resp, raw := postJSON(t, top.servers[1].URL+"/api/shard/v1/handoff", ""); resp.StatusCode != http.StatusNotFound {
+	if resp, raw := postJSON(t, top.fleet.URL(1)+"/api/shard/v1/handoff", ""); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("POST /api/shard/v1/handoff = %d, want 404: %s", resp.StatusCode, raw)
 	}
 }
@@ -231,7 +113,7 @@ func TestShardDrain(t *testing.T) {
 // probe too, whose pre-reload partial is cached — while a reload whose
 // loader fails, and a repeated identical POST, leave the state as it is.
 func TestShardFleetReloadGrowsHoldings(t *testing.T) {
-	top := newDrainTopology(t, 3, 1) // R=1: slices are disjoint, reload must load
+	top := newShardTopology(t, 3, shard.Config{}) // R=1: slices are disjoint, reload must load
 	s1 := top.srv[1]
 	boot := s1.shardState()
 	if len(boot.indexes) == len(top.dss) {
@@ -239,9 +121,9 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	}
 	probe := func() int {
 		t.Helper()
-		resp, a := shardSearch(t, top.servers[1].URL, shard.SearchRequest{Query: top.query})
-		if resp.StatusCode != http.StatusOK || len(a.Parts) != 1 {
-			t.Fatalf("probe = %d, %d parts", resp.StatusCode, len(a.Parts))
+		rec, a := postShard[shard.SearchAnswer](t, s1, shard.SearchPath, shard.SearchRequest{Query: top.query})
+		if a == nil || len(a.Parts) != 1 {
+			t.Fatalf("probe = %d: %s", rec.Code, rec.Body)
 		}
 		return len(a.Parts[0].Partial.Datasets)
 	}
@@ -256,7 +138,7 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 			break
 		}
 	}
-	if resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body); resp.StatusCode != http.StatusUnprocessableEntity {
+	if resp, raw := postJSON(t, top.fleet.URL(1)+shard.ShardFleetPath, body); resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("reload with an unreadable dataset = %d, want 422: %s", resp.StatusCode, raw)
 	}
 	if s1.shardState() != boot || s1.shardReloads.Load() != 0 {
@@ -264,7 +146,7 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	}
 	top.failLoad.Store(-1)
 
-	resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body)
+	resp, raw := postJSON(t, top.fleet.URL(1)+shard.ShardFleetPath, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload = %d: %s", resp.StatusCode, raw)
 	}
@@ -286,7 +168,7 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 	// Identical list: the state, the ownership-group view cached against
 	// it, the generation and the reload count all stay.
 	grown := s1.shardState()
-	resp, raw = postJSON(t, top.servers[1].URL+shard.ShardFleetPath, body)
+	resp, raw = postJSON(t, top.fleet.URL(1)+shard.ShardFleetPath, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("repeat reload = %d: %s", resp.StatusCode, raw)
 	}
@@ -307,7 +189,7 @@ func TestShardFleetReloadGrowsHoldings(t *testing.T) {
 // everything, and the answer ranks the whole catalog, undegraded, as
 // /api/stats counts it.
 func TestShardSearchFollowsReload(t *testing.T) {
-	top := newDrainTopology(t, 3, 1)
+	top := newShardTopology(t, 3, shard.Config{})
 	s1 := top.srv[1]
 	held := len(s1.shardState().indexes)
 	if held == len(top.dss) {
@@ -328,7 +210,7 @@ func TestShardSearchFollowsReload(t *testing.T) {
 	if n, degraded := search(); n != held || degraded != "true" {
 		t.Fatalf("before the reload: %d datasets ranked (degraded %q), want the %d held (degraded true)", n, degraded, held)
 	}
-	if resp, raw := postJSON(t, top.servers[1].URL+shard.ShardFleetPath, `{"shards":["shard-1"],"replication":1}`); resp.StatusCode != http.StatusOK {
+	if resp, raw := postJSON(t, top.fleet.URL(1)+shard.ShardFleetPath, `{"shards":["shard-1"],"replication":1}`); resp.StatusCode != http.StatusOK {
 		t.Fatalf("reload = %d: %s", resp.StatusCode, raw)
 	}
 	if n, degraded := search(); n != len(top.dss) || degraded != "false" {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -63,24 +62,20 @@ const requestCorpusDir = "testdata/fuzz/FuzzShardPartialRequest"
 
 var updateRequestCorpus = flag.Bool("update-request-corpus", false, "rewrite the group seeds under "+requestCorpusDir+" from groupRequestSeeds")
 
-// TestShardRequestCorpusCommitted keeps the committed group seeds decoding
-// to the requests groupRequestSeeds builds, so that a change to the request
-// types shows up as a stale corpus (regenerate with -update-request-corpus)
-// instead of the fuzzer silently starting from bodies that no longer say
-// what their names claim. (Not byte for byte: gob numbers types in the order
-// a process first meets them.)
+// TestShardRequestCorpusCommitted keeps the committed group seeds byte for
+// byte the bodies of the requests groupRequestSeeds builds, so that a change
+// to the request types shows up as a stale corpus (regenerate with
+// -update-request-corpus) instead of the fuzzer silently starting from bodies
+// that no longer say what their names claim.
 func TestShardRequestCorpusCommitted(t *testing.T) {
 	s, u := fixtureShard(t)
 	for name, want := range groupRequestSeeds(t, s.cfg.ShardDatasetIDs, u.ModuleGeneIDs(2)[:4]) {
 		file := filepath.Join(requestCorpusDir, name)
 		_, enrich := want.(shard.EnrichRequest)
 		header := fmt.Sprintf("go test fuzz v1\nbool(%t)\n[]byte(", enrich)
+		body := shardBody(t, want)
 		if *updateRequestCorpus {
-			var body bytes.Buffer
-			if err := gob.NewEncoder(&body).Encode(want); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(file, []byte(header+strconv.Quote(body.String())+")\n"), 0o644); err != nil {
+			if err := os.WriteFile(file, []byte(header+strconv.Quote(string(body))+")\n"), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -91,22 +86,13 @@ func TestShardRequestCorpusCommitted(t *testing.T) {
 		}
 		quoted, ok := strings.CutPrefix(string(seed), header)
 		quoted, ok2 := strings.CutSuffix(quoted, ")\n")
-		body, err := strconv.Unquote(quoted)
+		got, err := strconv.Unquote(quoted)
 		if !ok || !ok2 || err != nil {
 			t.Errorf("%s is not a (bool, []byte) corpus entry for its endpoint", file)
 			continue
 		}
-		var got any
-		if enrich {
-			var req shard.EnrichRequest
-			err, got = gob.NewDecoder(strings.NewReader(body)).Decode(&req), req
-		} else {
-			var req shard.SearchRequest
-			err, got = gob.NewDecoder(strings.NewReader(body)).Decode(&req), req
-		}
-		// gob drops empty slices; so does the comparison.
-		if err != nil || fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Errorf("%s decodes to %v (%v), want %v: regenerate with -update-request-corpus", file, got, err, want)
+		if got != string(body) {
+			t.Errorf("%s is not the body of %v: regenerate with -update-request-corpus", file, want)
 		}
 	}
 }
@@ -116,12 +102,13 @@ func TestShardRequestCorpusCommitted(t *testing.T) {
 // hostile or version-skewed peer must not be able to panic a shard or
 // balloon its answer. Whatever the bytes, the shard answers 200 or a 4xx —
 // the only 5xx is the counted encode failure — and the response stays
-// small. The seed corpus in testdata/fuzz holds valid gob requests for both
-// endpoints over this fixture's catalog: groupless, the group seeds of
-// groupRequestSeeds, replication 0 and beyond the fleet, an empty fleet, a
-// truncated body, and requests naming one group the way the protocol did
-// before batching. The 10k-member fleet and the 10k-tuple request are
-// seeded here, being too bulky to commit.
+// small. The seed corpus in testdata/fuzz holds the group seeds of
+// groupRequestSeeds, request bodies for both endpoints over this fixture's
+// catalog, and the gob requests of the protocol before them — groupless,
+// replication 0 and beyond the fleet, an empty fleet, a truncated body, and
+// one group named the way the protocol did before batching — which a shard
+// now refuses. The 10k-member fleet and the 10k-tuple request are seeded
+// here, being too bulky to commit.
 func FuzzShardPartialRequest(f *testing.F) {
 	s, u := fixtureShard(f)
 	genes := u.ModuleGeneIDs(2)[:4]
@@ -137,14 +124,10 @@ func FuzzShardPartialRequest(f *testing.F) {
 		shard.SearchRequest{Query: genes, Shards: big[:3], Replication: 2, Groups: tuples},
 		shard.EnrichRequest{Selection: genes, Shards: big[:3], Replication: 2, Groups: tuples},
 	} {
-		var b bytes.Buffer
-		if err := gob.NewEncoder(&b).Encode(req); err != nil {
-			f.Fatal(err)
-		}
 		_, enrich := req.(shard.EnrichRequest)
-		f.Add(enrich, b.Bytes())
+		f.Add(enrich, shardBody(f, req))
 	}
-	f.Add(false, []byte("not gob"))
+	f.Add(false, []byte("not a request"))
 
 	f.Fuzz(func(t *testing.T, enrich bool, body []byte) {
 		path := shard.SearchPath
@@ -250,7 +233,7 @@ func FuzzHeatmapQuery(f *testing.F) {
 // truncated JSON; the two 64 KiB lists, one just under the body limit and
 // one over it, are seeded here, being too bulky to commit.
 func FuzzShardFleetRequest(f *testing.F) {
-	top := newDrainTopology(f, 3, 1)
+	top := newShardTopology(f, 3, shard.Config{})
 	top.failLoad.Store(int64(len(top.dss) - 1))
 	fleet := make([]string, 6000)
 	for i := range fleet {
@@ -265,7 +248,11 @@ func FuzzShardFleetRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		s := top.newShard(t, "shard-1")
+		s, err := top.boot(top.fleet.Members()[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
 		before := s.shardState()
 		req := httptest.NewRequest(http.MethodPost, shard.ShardFleetPath, bytes.NewReader(body))
 		req.Header.Set("X-Fleet-Token", drainToken)

@@ -15,7 +15,7 @@ import (
 	"forestview/internal/cluster"
 	"forestview/internal/core"
 	"forestview/internal/golem"
-	"forestview/internal/ontology"
+	"forestview/internal/microarray"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
@@ -27,6 +27,7 @@ var pngMagic = []byte{0x89, 'P', 'N', 'G', '\r', '\n', 0x1a, '\n'}
 var (
 	fixOnce     sync.Once
 	fixUniverse *synth.Universe
+	fixDatasets []*microarray.Dataset
 	fixEngine   *spell.Engine
 	fixEnricher *golem.Enricher
 	fixPanes    []*core.ClusteredDataset
@@ -46,15 +47,11 @@ func fixture(t testing.TB) (*Server, *synth.Universe) {
 		if err != nil {
 			panic(err)
 		}
-		var names []string
-		for _, m := range u.Modules {
-			names = append(names, m.Name)
-		}
-		onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 44})
+		onto, ann, err := u.Ontology(44)
 		if err != nil {
 			panic(err)
 		}
-		enr, err := golem.NewEnricher(onto, ontology.AnnotateFromModules(u.Annotations(), leafOf), u.GeneIDs())
+		enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 		if err != nil {
 			panic(err)
 		}
@@ -68,7 +65,7 @@ func fixture(t testing.TB) (*Server, *synth.Universe) {
 			}
 			panes = append(panes, cd)
 		}
-		fixUniverse, fixEngine, fixEnricher, fixPanes = u, engine, enr, panes
+		fixUniverse, fixDatasets, fixEngine, fixEnricher, fixPanes = u, dss, engine, enr, panes
 	})
 	srv, err := New(Config{
 		Engine: fixEngine, Enricher: fixEnricher, Datasets: fixPanes,

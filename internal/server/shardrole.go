@@ -3,9 +3,9 @@ package server
 import (
 	"context"
 	"crypto/subtle"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"slices"
 	"strconv"
@@ -31,10 +31,10 @@ const localMember = "local"
 // handed over by pointer with nothing encoded. Gene lists arrive canonical.
 type local struct{ s *Server }
 
-// handleShardSearch serves POST /api/shard/v1/search: a gob
-// shard.SearchRequest in, a shard.SearchAnswer body out — one spell.Partial
-// frame over the requested groups' datasets, dataset indexes already remapped
-// to the global compendium order.
+// handleShardSearch serves POST /api/shard/v1/search: a shard.SearchRequest
+// body in, a shard.SearchAnswer body out — one spell.Partial frame over the
+// requested groups' datasets, dataset indexes already remapped to the global
+// compendium order.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
 		func(req *shard.SearchRequest) *[]string { return &req.Query }, local{s}.Search,
@@ -45,9 +45,8 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// handleShardEnrich serves POST /api/shard/v1/enrich: a gob
-// shard.EnrichRequest in, a shard.EnrichAnswer body out — the integer
-// tallies of the requested groups' background slices. Mounted only on
+// handleShardEnrich serves POST /api/shard/v1/enrich: a shard.EnrichRequest
+// body in, a shard.EnrichAnswer body out — the integer tallies of the requested groups' background slices. Mounted only on
 // shards with an enricher; a capability-less shard 404s, which the
 // coordinator reads as "unsupported" and fails over.
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
@@ -60,14 +59,21 @@ func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 // path behind both partial endpoints; kind is the capability name, genes
 // points at the request's gene list (canonicalized in place), partial
 // computes the answer and encode appends its body.
-func serveShardPartial[R, A any](s *Server, w http.ResponseWriter, r *http.Request, kind string,
+func serveShardPartial[R, A any, PR interface {
+	*R
+	UnmarshalBinary([]byte) error
+}](s *Server, w http.ResponseWriter, r *http.Request, kind string,
 	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error), encode func(*A, []byte) ([]byte, error)) {
 	if r.Method != http.MethodPost {
-		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a gob-encoded shard "+kind+" request")
+		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a shard "+kind+" request body")
 		return
 	}
 	var req R
-	if err := gob.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err == nil {
+		err = PR(&req).UnmarshalBinary(body)
+	}
+	if err != nil {
 		s.writeJSONError(w, http.StatusBadRequest, codeBadParameter, "bad shard request: "+err.Error())
 		return
 	}

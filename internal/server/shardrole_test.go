@@ -2,40 +2,52 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
+	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"forestview/internal/fleettest"
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
-	"forestview/internal/ontology"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
 
 // shardTopology is a full two-tier deployment in-process: shard-role
-// Servers behind httptest listeners, selected by the real rendezvous
-// assignment, and a coordinator-role Server over them.
+// Servers placed and served by fleettest, each booted with its fleet
+// identity, the full membership view, a loader over the shared compendium
+// and the admin token — everything a drain or a rolling restart needs — and
+// a coordinator-role Server over them.
 type shardTopology struct {
-	coord   *Server
-	servers []*httptest.Server
-	dss     []*microarray.Dataset
-	full    *spell.Engine
-	query   []string
-	u       *synth.Universe
-	enr     *golem.Enricher // full-universe enricher (nil unless enriched)
+	coord *Server
+	fleet *fleettest.Fleet[*Server]
+	srv   []*Server // the members' servers, by index
+	dss   []*microarray.Dataset
+	full  *spell.Engine
+	query []string
+	u     *synth.Universe
+	enr   *golem.Enricher // full-universe enricher (nil unless enriched)
+	// enrich(i) says whether member i carries enr (nil: none does).
+	enrich  func(i int) bool
+	drained chan string // OnDrained pings, by shard identity
+	// failLoad is the global index of a dataset the loader refuses to load
+	// (-1, the default: none).
+	failLoad atomic.Int64
 }
 
-func newShardTopology(t *testing.T, nShards int, cfg shard.Config) *shardTopology {
+func newShardTopology(t testing.TB, nShards int, cfg shard.Config) *shardTopology {
 	return newEnrichedTopology(t, nShards, 6, cfg, nil)
 }
 
@@ -44,17 +56,13 @@ func newShardTopology(t *testing.T, nShards int, cfg shard.Config) *shardTopolog
 // enricher built from one universe has the same kernel fingerprint — the
 // property a real fleet gets from booting every shard off one OBO and one
 // association file.
-func topologyEnricher(t *testing.T, u *synth.Universe) *golem.Enricher {
+func topologyEnricher(t testing.TB, u *synth.Universe) *golem.Enricher {
 	t.Helper()
-	var names []string
-	for _, m := range u.Modules {
-		names = append(names, m.Name)
-	}
-	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: 73})
+	onto, ann, err := u.Ontology(73)
 	if err != nil {
 		t.Fatal(err)
 	}
-	enr, err := golem.NewEnricher(onto, ontology.AnnotateFromModules(u.Annotations(), leafOf), u.GeneIDs())
+	enr, err := golem.NewEnricher(onto, ann, u.GeneIDs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +73,7 @@ func topologyEnricher(t *testing.T, u *synth.Universe) *golem.Enricher {
 // parameterized and an optional per-shard enrichment predicate: shards for
 // which enrich(i) is true boot with an ontology (and the enrich
 // capability), the rest serve search only.
-func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config, enrich func(i int) bool) *shardTopology {
+func newEnrichedTopology(t testing.TB, nShards, nDatasets int, cfg shard.Config, enrich func(i int) bool) *shardTopology {
 	t.Helper()
 	u := synth.NewUniverse(200, 8, 71)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -80,72 +88,60 @@ func newEnrichedTopology(t *testing.T, nShards, nDatasets int, cfg shard.Config,
 	return top
 }
 
-// startFleet boots the two tiers of top over the compendium dss.
-func startFleet(t *testing.T, top *shardTopology, dss []*microarray.Dataset, nShards int, cfg shard.Config, enrich func(i int) bool) {
+// startFleet boots the two tiers of top over the compendium dss, at cfg's
+// replication.
+func startFleet(t testing.TB, top *shardTopology, dss []*microarray.Dataset, nShards int, cfg shard.Config, enrich func(i int) bool) {
 	t.Helper()
 	full, err := spell.NewEngine(dss)
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.dss, top.full = dss, full
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
-	}
-
-	// Shard identities must be known before listeners exist (the daemon
-	// flags work the same way), so name them logically; the coordinator
-	// dials them through a resolver over the listener URLs.
-	var shardNames []string
-	for i := 0; i < nShards; i++ {
-		shardNames = append(shardNames, fmt.Sprintf("shard-%d", i))
-	}
-	r := cfg.Replication
-	if r < 1 {
-		r = 1
-	}
-	urls := make(map[string]string, nShards)
-	for si, self := range shardNames {
-		owned := shard.OwnedIndexesR(names, shardNames, self, r)
-		if len(owned) == 0 {
-			// A shard with an empty slice cannot build an engine; serve
-			// nothing (rendezvous makes this rare but possible at tiny
-			// dataset counts). The coordinator handles it as a failure.
-			t.Fatalf("shard %s owns no datasets; pick a different fixture seed", self)
-		}
-		var slice []*microarray.Dataset
-		for _, gi := range owned {
-			slice = append(slice, dss[gi])
-		}
-		se, err := spell.NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		scfg := Config{Engine: se, ShardIndexes: owned, ShardDatasetIDs: names, CacheBytes: 4 << 20}
-		if enrich != nil && enrich(si) {
-			scfg.Enricher = topologyEnricher(t, top.u)
-		}
-		ss, err := New(scfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ss.Close)
-		hs := httptest.NewServer(ss)
-		t.Cleanup(hs.Close)
-		top.servers = append(top.servers, hs)
-		urls[shardNames[si]] = hs.URL
-	}
-	cfg.Shards = shardNames
-	cfg.Resolve = func(identity string) string { return urls[identity] }
-	coordr, err := shard.NewCoordinator(cfg)
+	top.dss, top.full, top.enrich = dss, full, enrich
+	top.srv, top.drained = make([]*Server, nShards), make(chan string, nShards)
+	top.failLoad.Store(-1)
+	top.fleet, err = fleettest.New(fleettest.Spec[*Server]{
+		Datasets: dss, Shards: nShards, Replication: cfg.Replication, Coordinator: cfg,
+		Boot: func(m fleettest.Member) (*Server, error) {
+			s, err := top.boot(m)
+			top.srv[m.Index] = s
+			return s, err
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	top.coord, err = New(Config{Scatter: coordr, CacheBytes: 4 << 20, FleetToken: "sesame"})
+	t.Cleanup(top.fleet.Close)
+	top.coord, err = New(Config{Scatter: top.fleet.Coordinator(), CacheBytes: 4 << 20, FleetToken: drainToken})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(top.coord.Close)
+}
+
+// boot serves one member over its owned slice of the full-fleet view.
+func (top *shardTopology) boot(m fleettest.Member) (*Server, error) {
+	cfg := Config{
+		Engine:           m.Engine,
+		ShardIndexes:     m.Owned,
+		ShardDatasetIDs:  m.Catalog,
+		ShardSelf:        m.ID,
+		ShardFleet:       m.Shards,
+		ShardReplication: m.Replication,
+		ShardRawDatasets: m.Datasets,
+		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
+			if int64(gi) == top.failLoad.Load() {
+				return nil, fmt.Errorf("dataset %d is unreadable", gi)
+			}
+			return top.dss[gi], nil
+		},
+		OnDrained:  func() { top.drained <- m.ID },
+		FleetToken: drainToken,
+		CacheBytes: 4 << 20,
+	}
+	if top.enrich != nil && top.enrich(m.Index) {
+		cfg.Enricher = top.enr
+	}
+	return New(cfg)
 }
 
 func searchURL(query []string) string {
@@ -243,7 +239,7 @@ func TestCoordinatorSearchMatchesSingleProcess(t *testing.T) {
 // Degraded merges must not enter the cache.
 func TestCoordinatorDegradedMode(t *testing.T) {
 	top := newShardTopology(t, 2, shard.Config{Deadline: 500 * time.Millisecond})
-	top.servers[1].Close() // kill one shard
+	top.fleet.Kill(1)
 
 	rec := get(t, top.coord, searchURL(top.query))
 	if rec.Code != http.StatusOK {
@@ -300,9 +296,7 @@ func TestCoordinatorDegradedMode(t *testing.T) {
 // with 503 — retryable, not a query error.
 func TestCoordinatorFullOutage(t *testing.T) {
 	top := newShardTopology(t, 2, shard.Config{Deadline: 300 * time.Millisecond})
-	for _, hs := range top.servers {
-		hs.Close()
-	}
+	top.fleet.Close()
 	rec := get(t, top.coord, searchURL(top.query))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("full outage = %d: %s", rec.Code, rec.Body.String())
@@ -455,20 +449,56 @@ func TestShardEndpointErrors(t *testing.T) {
 		t.Fatalf("GET = %d", rec.Code)
 	}
 	// Garbage body.
-	req := httptest.NewRequest(http.MethodPost, shard.SearchPath, strings.NewReader("not gob"))
+	req := httptest.NewRequest(http.MethodPost, shard.SearchPath, strings.NewReader("not a request"))
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("garbage = %d", rec.Code)
 	}
 	// Empty query.
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(shard.SearchRequest{})
-	req = httptest.NewRequest(http.MethodPost, shard.SearchPath, &buf)
+	req = httptest.NewRequest(http.MethodPost, shard.SearchPath, bytes.NewReader(shardBody(t, shard.SearchRequest{})))
 	rec = httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != http.StatusUnprocessableEntity {
 		t.Fatalf("empty query = %d", rec.Code)
+	}
+}
+
+// TestShardRefusesRequestBombs: a request body cannot make a shard allocate
+// more than a small multiple of its length before refusing it. The gob body
+// is the search request of the protocol before this one, its one tuple's
+// count patched to claim 15.7M strings: in 161 bytes it made gob allocate
+// 10 MiB. Its twin in the present layout claims 2^24.
+func TestShardRefusesRequestBombs(t *testing.T) {
+	s, _ := fixtureShard(t)
+	const gobBomb = "Y\x7f\x03\x01\x01\rSearchRequest\x01\xff\x80\x00\x01\x05\x01\x05Query\x01\xff\x82\x00" +
+		"\x01\x06Shards\x01\xff\x82\x00\x01\vReplication\x01\x04\x00\x01\x06Groups\x01\xff\x84\x00\x01\aUniform" +
+		"\x01\x02\x00\x00\x00\x16\xff\x81\x02\x01\x01\b[]string\x01\xff\x82\x00\x01\f\x00\x00\x19\xff\x83\x02\x01" +
+		"\x01\n[][]string\x01\xff\x84\x00\x01\xff\x82\x00\x00\x11\xff\x80\x01\x02\x01a\x01b\x03\x01\xfc\x00\xf0" +
+		"\x00\x00\x04zzzz\x00"
+	le := binary.LittleEndian
+	twin := le.AppendUint32([]byte("FVSR\x01"), 2) // Query: a, b
+	twin = append(le.AppendUint32(twin, 1), 'a')
+	twin = append(le.AppendUint32(twin, 1), 'b')
+	twin = le.AppendUint32(le.AppendUint32(twin, 0), 0)           // no Shards, replication 0
+	twin = le.AppendUint32(le.AppendUint32(twin, 1), 1<<24)       // one tuple of 2^24 strings
+	twin = append(append(le.AppendUint32(twin, 4), "zzzz"...), 0) // the first, and Uniform
+	for name, body := range map[string][]byte{"gob": []byte(gobBomb), "twin": twin} {
+		least := uint64(math.MaxUint64)
+		for range 3 { // TotalAlloc is process-wide: the least of three is the request's
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, shard.SearchPath, bytes.NewReader(body)))
+			runtime.ReadMemStats(&ms1)
+			if rec.Code != http.StatusBadRequest {
+				t.Fatalf("%s: %d-byte body = %d, want 400: %s", name, len(body), rec.Code, rec.Body.String())
+			}
+			least = min(least, ms1.TotalAlloc-ms0.TotalAlloc)
+		}
+		if least >= 64<<10 {
+			t.Errorf("%s: refusing a %d-byte body allocated %d KiB", name, len(body), least>>10)
+		}
 	}
 }
 
@@ -501,27 +531,9 @@ func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 func fleetOfOne(t *testing.T) *Server {
 	t.Helper()
 	fixture(t)
-	indexes := make([]int, fixEngine.NumDatasets())
-	for i := range indexes {
-		indexes[i] = i
-	}
-	sh, err := New(Config{Engine: fixEngine, Enricher: fixEnricher, ShardIndexes: indexes, ShardDatasetIDs: fixEngine.DatasetNames()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(sh.Close)
-	hs := httptest.NewServer(sh)
-	t.Cleanup(hs.Close)
-	coord, err := shard.NewCoordinator(shard.Config{Shards: []string{hs.Listener.Addr().String()}, Deadline: 5 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := New(Config{Scatter: coord, CacheBytes: 8 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	return s
+	top := &shardTopology{enr: fixEnricher}
+	startFleet(t, top, fixDatasets, 1, shard.Config{Deadline: 5 * time.Second}, func(int) bool { return true })
+	return top.coord
 }
 
 // TestSingleIsAFleetOfOne: a single daemon is a coordinator over one local
@@ -591,7 +603,7 @@ func TestServerShardConfigValidation(t *testing.T) {
 // surviving replica of every ownership group answers.
 func TestCoordinatorReplicatedFailover(t *testing.T) {
 	top := newShardTopology(t, 3, shard.Config{Deadline: 2 * time.Second, Replication: 2})
-	top.servers[1].Close()
+	top.fleet.Kill(1)
 	rec := get(t, top.coord, searchURL(top.query))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("replicated search = %d: %s", rec.Code, rec.Body.String())
@@ -758,7 +770,7 @@ func TestCoordinatorHTMLDisclosesDegraded(t *testing.T) {
 		t.Fatalf("healthy page = %d, degraded note present: %v", rec.Code,
 			strings.Contains(rec.Body.String(), "degraded result"))
 	}
-	top.servers[1].Close()
+	top.fleet.Kill(1)
 	rec = get(t, top.coord, "/search?q="+strings.Join(top.query, ","))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("degraded page = %d", rec.Code)
@@ -880,9 +892,9 @@ func TestCoordinatorEnrichMatchesSingleProcess(t *testing.T) {
 }
 
 // shardInfoOf fetches and decodes one shard's /api/shard/v1/info.
-func shardInfoOf(t *testing.T, hs *httptest.Server) shard.Info {
+func shardInfoOf(t *testing.T, url string) shard.Info {
 	t.Helper()
-	resp, err := http.Get(hs.URL + shard.InfoPath)
+	resp, err := http.Get(url + shard.InfoPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -917,8 +929,8 @@ func TestMixedFleetCapabilities(t *testing.T) {
 		1: {shard.CapabilitySearch},
 		2: {shard.CapabilitySearch, shard.CapabilityEnrich},
 	}
-	for si, hs := range top.servers {
-		info := shardInfoOf(t, hs)
+	for si := range top.fleet.Members() {
+		info := shardInfoOf(t, top.fleet.URL(si))
 		if fmt.Sprint(info.Capabilities) != fmt.Sprint(wantCaps[si]) {
 			t.Fatalf("shard %d capabilities = %v, want %v", si, info.Capabilities, wantCaps[si])
 		}
@@ -926,7 +938,7 @@ func TestMixedFleetCapabilities(t *testing.T) {
 	// The incapable shard 404s on both enrich paths — that is the protocol's
 	// "unsupported" signal.
 	for _, path := range []string{shard.EnrichPath, shard.EnrichCatalogPath} {
-		resp, err := http.Get(top.servers[1].URL + path)
+		resp, err := http.Get(top.fleet.URL(1) + path)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -982,7 +994,7 @@ func TestCoordinatorEnrichReplicatedFailover(t *testing.T) {
 	top := newEnrichedTopology(t, 3, 6,
 		shard.Config{Deadline: 2 * time.Second, Replication: 2},
 		func(int) bool { return true })
-	top.servers[1].Close()
+	top.fleet.Kill(1)
 	genes := top.u.ModuleGeneIDs(3)
 	rec := get(t, top.coord, enrichURL(genes))
 	if rec.Code != http.StatusOK {

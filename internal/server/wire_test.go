@@ -2,81 +2,37 @@ package server
 
 import (
 	"context"
-	"fmt"
-	"net"
-	"net/http"
-	"net/http/httptest"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"forestview/internal/microarray"
+	"forestview/internal/fleettest"
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
 
-// connCountingFleet boots nShards shard-role daemons at replication repl
-// over a compendium wide enough that every partial frame is over 64 KB,
-// each behind a listener that counts the connections it accepts, and a
+// wideFleet boots nShards shard-role daemons at replication repl over a
+// compendium wide enough that every partial frame is over 64 KB, under a
 // coordinator with the package's default HTTP client.
-func connCountingFleet(t *testing.T, nShards, repl, nDatasets int) (*shard.Coordinator, []*Server, []*atomic.Int64, []string) {
+func wideFleet(t *testing.T, nShards, repl, nDatasets int) (*fleettest.Fleet[*Server], []string) {
 	t.Helper()
 	u := synth.NewUniverse(2600, 10, 91)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: nDatasets, MinExperiments: 6, MaxExperiments: 8,
 		ActiveFraction: 0.5, Noise: 0.3, Seed: 92,
 	})
-	names := make([]string, len(dss))
-	for i, ds := range dss {
-		names[i] = ds.Name
-	}
-	var ids []string
-	for i := 0; i < nShards; i++ {
-		ids = append(ids, fmt.Sprintf("shard-%d", i))
-	}
-	urls := make(map[string]string, nShards)
-	conns := make([]*atomic.Int64, nShards)
-	shards := make([]*Server, nShards)
-	for si, self := range ids {
-		owned := shard.OwnedIndexesR(names, ids, self, repl)
-		if len(owned) == 0 {
-			t.Fatalf("%s owns no dataset; pick another fixture seed", self)
-		}
-		var slice []*microarray.Dataset
-		for _, gi := range owned {
-			slice = append(slice, dss[gi])
-		}
-		engine, err := spell.NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ss, err := New(Config{Engine: engine, ShardIndexes: owned, ShardDatasetIDs: names})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(ss.Close)
-		shards[si] = ss
-		n := new(atomic.Int64)
-		conns[si] = n
-		hs := httptest.NewUnstartedServer(ss)
-		hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
-			if st == http.StateNew {
-				n.Add(1)
-			}
-		}
-		hs.Start()
-		t.Cleanup(hs.Close)
-		urls[self] = hs.URL
-	}
-	coord, err := shard.NewCoordinator(shard.Config{
-		Shards: ids, Replication: repl, Deadline: 5 * time.Second,
-		Resolve: func(id string) string { return urls[id] },
+	fleet, err := fleettest.New(fleettest.Spec[*Server]{
+		Datasets: dss, Shards: nShards, Replication: repl,
+		Coordinator: shard.Config{Deadline: 5 * time.Second},
+		Boot: func(m fleettest.Member) (*Server, error) {
+			return New(Config{Engine: m.Engine, ShardIndexes: m.Owned, ShardDatasetIDs: m.Catalog})
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return coord, shards, conns, u.ModuleGeneIDs(3)[:4]
+	t.Cleanup(fleet.Close)
+	return fleet, u.ModuleGeneIDs(3)[:4]
 }
 
 // TestScatterReusesShardConnections: serial scatters over partial bodies
@@ -102,7 +58,8 @@ func TestScatterReusesShardConnections(t *testing.T) {
 		{"several-groups-per-shard", 4, 2, 24},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			coord, shards, conns, query := connCountingFleet(t, tc.nShards, tc.repl, tc.nDatasets)
+			fleet, query := wideFleet(t, tc.nShards, tc.repl, tc.nDatasets)
+			coord := fleet.Coordinator()
 			for i := 0; i < scatters; i++ {
 				res, meta, err := coord.SearchCtx(context.Background(), query, spell.Options{MaxGenes: 20})
 				if err != nil || meta.Degraded {
@@ -116,18 +73,18 @@ func TestScatterReusesShardConnections(t *testing.T) {
 			if groups < tc.nShards {
 				t.Fatalf("fixture: %d groups over %d shards", groups, tc.nShards)
 			}
-			for si, n := range conns {
+			for si, m := range fleet.Members() {
 				// A frame lists every gene of the shard's engine: 16 bytes of
 				// accumulators, and the ID and the name with their lengths, 12
 				// bytes at the least.
-				if genes := shards[si].cfg.Engine.NumGenes(); genes*28 <= 64<<10 {
+				if genes := m.Engine.NumGenes(); genes*28 <= 64<<10 {
 					t.Fatalf("fixture: shard %d frames %d genes, want frames over 64 KB", si, genes)
 				}
 				// One connection for the scatters, and one more at most: the
 				// catalog probe races every shard once per membership
 				// generation and cancels the losers mid-flight, connection
 				// included.
-				if got := n.Load(); got > 2 {
+				if got := fleet.Conns(si); got > 2 {
 					t.Errorf("shard %d accepted %d connections over %d serial scatters of %d groups, want at most 2",
 						si, got, scatters, groups)
 				}
@@ -142,8 +99,8 @@ func TestScatterReusesShardConnections(t *testing.T) {
 // there is — the cost must cover them, and they must be top-k small, not
 // frame-blob large.
 func TestMergedResultCostCoversItsStrings(t *testing.T) {
-	coord, _, _, query := connCountingFleet(t, 2, 1, 8)
-	res, _, err := coord.SearchCtx(context.Background(), query, spell.Options{MaxGenes: 20})
+	fleet, query := wideFleet(t, 2, 1, 8)
+	res, _, err := fleet.Coordinator().SearchCtx(context.Background(), query, spell.Options{MaxGenes: 20})
 	if err != nil {
 		t.Fatal(err)
 	}

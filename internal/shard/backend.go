@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -28,8 +27,8 @@ type Backend interface {
 	EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error)
 }
 
-// httpBackend is the default Backend: the shard protocol over HTTP, a gob
-// request out and a body back (see wire.go).
+// httpBackend is the default Backend: the shard protocol over HTTP, a
+// request body out and an answer body back (see wire.go).
 type httpBackend struct {
 	client   *http.Client
 	resolve  func(string) string
@@ -45,6 +44,11 @@ func (b *httpBackend) Enrich(ctx context.Context, shard string, req *EnrichReque
 	return call(ctx, b, shard, EnrichPath, req, (*EnrichAnswer).UnmarshalBinary)
 }
 
+// requestBody is the body of a POST: a SearchRequest or an EnrichRequest.
+type requestBody interface {
+	AppendBinary([]byte) ([]byte, error)
+}
+
 func (b *httpBackend) Info(ctx context.Context, shard string) (*Info, error) {
 	return call(ctx, b, shard, InfoPath, nil, (*Info).UnmarshalBinary)
 }
@@ -53,12 +57,13 @@ func (b *httpBackend) EnrichCatalog(ctx context.Context, shard string) (*golem.T
 	return call(ctx, b, shard, EnrichCatalogPath, nil, UnmarshalCatalog)
 }
 
-// maxBody bounds a shard answer the coordinator reads: 1 GiB, the limit gob
-// puts on one message.
+// maxBody bounds a shard answer the coordinator reads: 1 GiB, thousands of
+// times a paper-scale answer, and still far inside the u32 lengths of its
+// frames.
 const maxBody = 1 << 30
 
 // call performs one shard-protocol HTTP exchange, bounded by the attempt
-// deadline: a gob request POSTed to path (GET when req is nil), and a
+// deadline: req's body POSTed to path (GET when req is nil), and a
 // response body read whole into a pooled buffer and decoded as T. A body the
 // decoder rejects is an ordinary failed attempt. Any non-200 status is an
 // error carrying a bounded excerpt of the body; a 404 on the enrichment paths
@@ -68,23 +73,20 @@ const maxBody = 1 << 30
 // closed: net/http only returns a connection to the idle pool once the body
 // has been read to EOF, and closing short of it costs the next call to this
 // shard a TCP handshake.
-func call[T any](ctx context.Context, b *httpBackend, shard, path string, req any, decode func(*T, []byte) error) (*T, error) {
+func call[T any](ctx context.Context, b *httpBackend, shard, path string, req requestBody, decode func(*T, []byte) error) (*T, error) {
 	ctx, cancel := context.WithTimeout(ctx, b.deadline)
 	defer cancel()
 	method, body := http.MethodGet, io.Reader(nil)
 	if req != nil {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(req); err != nil {
+		raw, err := req.AppendBinary(nil)
+		if err != nil {
 			return nil, err
 		}
-		method, body = http.MethodPost, &buf
+		method, body = http.MethodPost, bytes.NewReader(raw)
 	}
 	hreq, err := http.NewRequestWithContext(ctx, method, b.resolve(shard)+path, body)
 	if err != nil {
 		return nil, err
-	}
-	if req != nil {
-		hreq.Header.Set("Content-Type", ContentType)
 	}
 	resp, err := b.client.Do(hreq)
 	if err != nil {

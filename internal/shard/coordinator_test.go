@@ -90,8 +90,8 @@ func (s *testShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if s.behave != nil && s.behave(n, w, r) {
 		return
 	}
-	var req SearchRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readRequest[SearchRequest](r)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -470,7 +470,6 @@ func TestScatterFailureModes(t *testing.T) {
 			// failed attempt.
 			name: "v1-shard",
 			behave: func(n int64, w http.ResponseWriter, r *http.Request) bool {
-				w.Header().Set("Content-Type", ContentType)
 				_ = gob.NewEncoder(w).Encode(spell.Partial{Query: []string{"A"}})
 				return true
 			},
@@ -483,7 +482,6 @@ func TestScatterFailureModes(t *testing.T) {
 				if !ok {
 					return false
 				}
-				w.Header().Set("Content-Type", ContentType)
 				_ = gob.NewEncoder(w).Encode(SearchAnswer{Parts: []SearchPart{{Groups: groups, Partial: &spell.Partial{Query: []string{"A"}}}}})
 				return true
 			},
@@ -585,11 +583,24 @@ func TestScatterFailureModes(t *testing.T) {
 	})
 }
 
+// readRequest reads and decodes the body of a shard request.
+func readRequest[R any, PR interface {
+	*R
+	UnmarshalBinary([]byte) error
+}](r *http.Request) (R, error) {
+	var req R
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = PR(&req).UnmarshalBinary(body)
+	}
+	return req, err
+}
+
 // requestedPositions decodes a search request and lists the positions of
 // its groups, as an answer covering all of them names them.
 func requestedPositions(r *http.Request) ([]int, bool) {
-	var req SearchRequest
-	if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+	req, err := readRequest[SearchRequest](r)
+	if err != nil {
 		return nil, false
 	}
 	groups := make([]int, len(req.Groups))

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -46,8 +45,8 @@ func (s *testShard) enrichAnswer(ctx context.Context, req *EnrichRequest) (*Enri
 // enrichHandler serves EnrichPath with enrichAnswer.
 func (s *testShard) enrichHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		var req EnrichRequest
-		if err := gob.NewDecoder(r.Body).Decode(&req); err != nil {
+		req, err := readRequest[EnrichRequest](r)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}

@@ -11,15 +11,15 @@ import (
 	"forestview/internal/spell"
 )
 
-// The shard wire protocol: Go-to-Go internal RPC over HTTP. Requests are
-// one gob message each. Gob over JSON because the payloads are float-heavy
-// and NaN-bearing — a dataset that measures fewer than two query genes has
-// NaN coherence, which JSON cannot represent — and
-// the merged path's golden parity needs every float64 bit-exact. The
-// endpoints are internal, so Go-only encoding is no constraint.
+// The shard wire protocol: Go-to-Go internal RPC over HTTP, every body in
+// both directions a binary layout of this package's own, opened by a magic
+// and a version. The payloads are float-heavy and NaN-bearing — a dataset
+// that measures fewer than two query genes has NaN coherence, which JSON
+// cannot represent — and the merged path's golden parity needs every
+// float64 bit-exact. The endpoints are internal, so Go-only bodies are no
+// constraint.
 //
-// The answers a coordinator reads on every query are not gob. A search or
-// enrichment answer is a body of parts, each a spell.Partial or
+// A search or enrichment answer is a body of parts, each a spell.Partial or
 // golem.PartialCounts frame (layouts and length checks in spell/frame.go and
 // golem/frame.go), written by AppendBinary and read by UnmarshalBinary:
 //
@@ -29,9 +29,11 @@ import (
 //	               positions u32, frame length u32,      left; then no byte
 //	               the frame                             may be left
 //
-// A body the decoder rejects — a peer that still answers in gob, a truncated
-// body, a frame of another version — is a decode error like any other: the
-// attempt fails and its groups fail over.
+// Requests, Info and the term catalog are bodies of strings (their layouts
+// below). A body the decoder rejects — a peer that still speaks gob, a
+// truncated body, a frame of another version — is a decode error like any
+// other: a shard answers 400, and a coordinator's attempt fails and its
+// groups fail over.
 //
 // One request names every ownership group the coordinator wants from that
 // shard at that moment, and one answer serves them all: a search answer is
@@ -46,8 +48,8 @@ import (
 // version 404s these paths, which the scatter's failover treats like any
 // other per-shard failure — mixed-version fleets degrade, they don't get
 // garbled merges. The same holds inside v1 across each change of its bodies
-// (bare partials to batches, gob answers, info and catalog to bodies): each
-// side refuses what the other sends.
+// (bare partials to batches, gob to bodies): each side refuses what the
+// other sends.
 
 // SearchPath is the shard-role endpoint serving spell partials.
 const SearchPath = "/api/shard/v1/search"
@@ -77,12 +79,8 @@ const DrainPath = "/api/shard/v1/admin/drain"
 // GET returns the current view.
 const ShardFleetPath = "/api/shard/v1/admin/fleet"
 
-// ContentType labels the gob-encoded requests, AnswerContentType every body
-// a shard answers with.
-const (
-	ContentType       = "application/x-gob"
-	AnswerContentType = "application/x-forestview-answer"
-)
+// AnswerContentType labels every body a shard answers with.
+const AnswerContentType = "application/x-forestview-answer"
 
 // Capability names a shard-role feature advertised in Info.Capabilities.
 const (
@@ -329,31 +327,87 @@ const (
 	StatusDraining = "draining"
 )
 
-// Info and the term catalog are bodies of strings, each a u32 length and
-// its bytes, after the body's magic and version:
+// Requests, Info and the term catalog are bodies of strings, each a u32
+// length and its bytes, after the body's magic and version; a list is a u32
+// count and that many strings:
 //
+//	search    "FVSR", 0x01; Query and Shards, each a list; Replication u32;
+//	          a u32 tuple count and each tuple a list; Uniform, a byte 0 or 1
+//	enrich    "FVSE", 0x01; Selection, Shards, Replication and the tuples,
+//	          as a search request's
 //	Info      "FVSI", 0x01; GeneIDs, DatasetIDs, AllDatasetIDs and
-//	          Capabilities, each a u32 count and that many strings; Status
+//	          Capabilities, each a list; Status
 //	catalog   "FVSC", 0x01; Fingerprint u64, BackgroundSize i64; a u32 term
 //	          count and each term's ID and Name
 //
 // Every count and length is checked against the bytes left before anything
 // is sized by it, so a body cannot make the decoder allocate more than a
-// small multiple of its length; gob cannot promise that (a 136-byte gob body
-// can claim a 10 MiB slice).
+// small multiple of its length; gob cannot promise that (a 161-byte gob
+// request can claim a 10 MiB slice).
 const (
+	searchHead  = "FVSR\x01"
+	enrichHead  = "FVSE\x01"
 	infoHead    = "FVSI\x01"
 	catalogHead = "FVSC\x01"
 )
+
+// AppendBinary appends q's body to b.
+func (q *SearchRequest) AppendBinary(b []byte) ([]byte, error) {
+	b = appendRequest(append(b, searchHead...), q.Query, q.Shards, q.Replication, q.Groups)
+	if q.Uniform {
+		return append(b, 1), nil
+	}
+	return append(b, 0), nil
+}
+
+// UnmarshalBinary decodes a body into q, replacing its contents, with
+// SearchAnswer's contract.
+func (q *SearchRequest) UnmarshalBinary(data []byte) error {
+	r := stringReader{data}
+	var out SearchRequest
+	out.Query, out.Shards, out.Replication, out.Groups = r.request(searchHead)
+	out.Uniform = r.flag()
+	if err := r.done("search request"); err != nil {
+		return err
+	}
+	*q = out
+	return nil
+}
+
+// AppendBinary appends q's body to b.
+func (q *EnrichRequest) AppendBinary(b []byte) ([]byte, error) {
+	return appendRequest(append(b, enrichHead...), q.Selection, q.Shards, q.Replication, q.Groups), nil
+}
+
+// UnmarshalBinary decodes a body into q, replacing its contents, with
+// SearchAnswer's contract.
+func (q *EnrichRequest) UnmarshalBinary(data []byte) error {
+	r := stringReader{data}
+	var out EnrichRequest
+	out.Selection, out.Shards, out.Replication, out.Groups = r.request(enrichHead)
+	if err := r.done("enrichment request"); err != nil {
+		return err
+	}
+	*q = out
+	return nil
+}
+
+// appendRequest appends the fields both requests share.
+func appendRequest(b []byte, genes, shards []string, repl int, groups [][]string) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(appendStrings(appendStrings(b, genes), shards), uint32(repl))
+	b = le.AppendUint32(b, uint32(len(groups)))
+	for _, g := range groups {
+		b = appendStrings(b, g)
+	}
+	return b
+}
 
 // AppendBinary appends i's body to b.
 func (i *Info) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, infoHead...)
 	for _, col := range [][]string{i.GeneIDs, i.DatasetIDs, i.AllDatasetIDs, i.Capabilities} {
-		b = binary.LittleEndian.AppendUint32(b, uint32(len(col)))
-		for _, s := range col {
-			b = appendString(b, s)
-		}
+		b = appendStrings(b, col)
 	}
 	return appendString(b, i.Status), nil
 }
@@ -414,6 +468,15 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
 }
 
+// appendStrings appends a list: its u32 count and its strings.
+func appendStrings(b []byte, ss []string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(ss)))
+	for _, s := range ss {
+		b = appendString(b, s)
+	}
+	return b
+}
+
 // stringReader reads a body of strings. The first malformed length empties
 // it and marks it bad, and every later read returns zero values.
 type stringReader struct{ b []byte }
@@ -460,6 +523,40 @@ func (r *stringReader) strings(per uint64) []string {
 		out[i] = r.string()
 	}
 	return out
+}
+
+// request reads the head and the fields both requests share: the genes, the
+// fleet, the replication (a u32 holding an int32) and the owner tuples, nil
+// for none. Another head marks the body bad.
+func (r *stringReader) request(head string) (genes, shards []string, repl int, groups [][]string) {
+	if !r.head(head) {
+		r.b = nil
+	}
+	genes, shards = r.strings(1), r.strings(1)
+	repl = int(int32(r.u32()))
+	n := r.u32()
+	if n == 0 || 4*n > uint64(len(r.b)) { // every tuple takes 4 bytes at least
+		if n != 0 {
+			r.b = nil
+		}
+		return genes, shards, repl, nil
+	}
+	groups = make([][]string, n)
+	for i := range groups {
+		groups[i] = r.strings(1)
+	}
+	return genes, shards, repl, groups
+}
+
+// flag reads a byte that must be 0 or 1.
+func (r *stringReader) flag() bool {
+	if len(r.b) == 0 || r.b[0] > 1 {
+		r.b = nil
+		return false
+	}
+	v := r.b[0] == 1
+	r.b = r.b[1:]
+	return v
 }
 
 func (r *stringReader) done(what string) error {

@@ -13,6 +13,8 @@ package synth
 import (
 	"fmt"
 	"math/rand"
+
+	"forestview/internal/ontology"
 )
 
 // GeneInfo describes one synthetic gene: a yeast-style systematic ID, a
@@ -247,4 +249,19 @@ func (u *Universe) Annotations() map[string][]string {
 		out[g.ID] = []string{u.Modules[g.Module].Name}
 	}
 	return out
+}
+
+// Ontology is the synthetic GO over u: ontology.Synthetic with one leaf term
+// per module, drawn from seed, and every gene annotated to its module's leaf.
+// The same universe and seed give the same terms and annotations.
+func (u *Universe) Ontology(seed int64) (*ontology.Ontology, *ontology.Annotations, error) {
+	names := make([]string, len(u.Modules))
+	for i, m := range u.Modules {
+		names[i] = m.Name
+	}
+	onto, leafOf, err := ontology.Synthetic(ontology.SyntheticSpec{LeafNames: names, Seed: seed})
+	if err != nil {
+		return nil, nil, fmt.Errorf("synthetic ontology: %w", err)
+	}
+	return onto, ontology.AnnotateFromModules(u.Annotations(), leafOf), nil
 }
