@@ -92,7 +92,6 @@ func main() {
 		replication  = flag.Int("replication", 1, "ownership replication factor R: each dataset is held by its top-R rendezvous shards (same value on every fleet member)")
 		fleetToken   = flag.String("fleet-token", "", "bearer token for fleet admin: the coordinator's POST /api/admin/fleet, and a shard's drain and fleet endpoints (empty disables them)")
 		shardTimeout = flag.Duration("shard-timeout", 10*time.Second, "coordinator: per-shard attempt deadline")
-		hedgeAfter   = flag.Duration("hedge-after", 0, "coordinator: duplicate a slow group request after this delay, onto the next untried replica (0 disables hedging)")
 		drain        = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown window for in-flight requests on SIGINT/SIGTERM")
 	)
 	flag.Parse()
@@ -110,7 +109,7 @@ func main() {
 		clusterArrays: *clusterArr, role: *role,
 		shards: splitList(*shardsFlag), self: *selfFlag,
 		replication: *replication, fleetToken: *fleetToken,
-		shardDeadline: *shardTimeout, hedgeAfter: *hedgeAfter,
+		shardDeadline: *shardTimeout,
 		onDrained: func() {
 			select {
 			case sigCh <- syscall.SIGTERM:
@@ -201,7 +200,6 @@ type buildConfig struct {
 	replication   int
 	fleetToken    string
 	shardDeadline time.Duration
-	hedgeAfter    time.Duration
 	// onDrained runs once when a shard-role daemon is drained (POST
 	// /api/shard/v1/admin/drain); main uses it to trigger the
 	// graceful-shutdown path.
@@ -253,7 +251,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			Replication: repl,
 			Deadline:    cfg.shardDeadline,
 			Retry:       true, // one extra attempt a group once every replica failed
-			HedgeAfter:  cfg.hedgeAfter,
 		})
 		if err != nil {
 			return nil, err
@@ -269,8 +266,8 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg.log("coordinator over %d shards (generation %016x), replication=%d hedge=%v fleet-admin=%t",
-			len(cfg.shards), coord.Generation(), repl, cfg.hedgeAfter, cfg.fleetToken != "")
+		cfg.log("coordinator over %d shards (generation %016x), replication=%d fleet-admin=%t",
+			len(cfg.shards), coord.Generation(), repl, cfg.fleetToken != "")
 		return srv, nil
 	}
 

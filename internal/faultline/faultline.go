@@ -48,7 +48,7 @@ const (
 	Truncate
 	// Stall: hold the request until the rule's Delay elapses or the
 	// request context dies, then fail it. Models a black-holed server —
-	// the case deadlines and hedges exist for.
+	// the case attempt deadlines and breakers exist for.
 	Stall
 )
 

@@ -278,7 +278,7 @@ func TestScatterStatsDiscloseBatching(t *testing.T) {
 	var requests, groups int64
 	for _, sh := range snap.Scatter.Shards {
 		requests, groups = requests+sh.Requests, groups+sh.Groups
-		if sh.Failovers+sh.Hedges+sh.Retries+sh.BreakerSkips+sh.Errors != 0 {
+		if sh.Failovers+sh.Retries+sh.BreakerSkips+sh.Errors != 0 {
 			t.Fatalf("healthy fleet counted a fault on %s: %+v", sh.Addr, sh)
 		}
 	}

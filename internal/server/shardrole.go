@@ -85,8 +85,8 @@ func serveShardPartial[R, A any, PR interface {
 	answer, err := partial(r.Context(), s.cfg.ShardSelf, &req)
 	switch {
 	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
-		// 499: the coordinator gave up on us (deadline, hedge won elsewhere,
-		// or its own caller hung up).
+		// 499: the coordinator gave up on us (its deadline, or its own
+		// caller hung up).
 	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:

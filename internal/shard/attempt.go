@@ -13,8 +13,7 @@ import (
 // This file is the attempt discipline of a scatter: the per-replica
 // bookkeeping around each backend call (counters, in-flight gauge, circuit
 // breaker), replica ordering, and fetchGroups' per-group candidate walks
-// (failover, hedge, last-resort retry, scavenge) batched into per-shard
-// requests.
+// (failover, last-resort retry, scavenge) batched into per-shard requests.
 
 // shardCounters is one backend's cumulative scatter accounting, plus its
 // circuit breaker (per-replica state lives with per-replica counters).
@@ -23,9 +22,7 @@ type shardCounters struct {
 	groups       atomic.Int64 // ownership groups those requests carried
 	errors       atomic.Int64
 	retries      atomic.Int64
-	hedges       atomic.Int64
 	failovers    atomic.Int64 // attempts landed here after another replica failed or fell short
-	hedgeWins    atomic.Int64 // hedged attempts whose answer was the one used
 	breakerSkips atomic.Int64 // attempts skipped because the breaker was open
 	inflight     atomic.Int64
 	latencyUS    atomic.Int64
@@ -65,9 +62,9 @@ func (c *Coordinator) breakerAllow(shard string, lastResort bool) (ok, probe boo
 }
 
 // breakerObserve feeds an attempt outcome to the replica's breaker.
-// Cancellation is neutral: a hedge loser or caller hangup says nothing
-// about the shard's health, so it neither trips nor closes anything (a
-// canceled probe only releases the probe slot).
+// Cancellation is neutral: a caller hangup says nothing about the shard's
+// health, so it neither trips nor closes anything (a canceled probe only
+// releases the probe slot).
 func (c *Coordinator) breakerObserve(shard string, err error, probe bool) {
 	b := &c.counterFor(shard).breaker
 	if err != nil && errors.Is(err, context.Canceled) {
@@ -171,10 +168,6 @@ type groupWalk[P any] struct {
 	cands  []string
 	owners int
 	next   int
-	// flying counts the requests in flight that carry the group, waiting
-	// whether a backoff timer holds its next attempt.
-	flying  int
-	waiting bool
 	// launched: some request has carried the group. retried: the
 	// last-resort retry is spent. scavenging: the walk has left the owners;
 	// fails counts the failed scavenge attempts behind the growing backoff.
@@ -194,20 +187,21 @@ type groupWalk[P any] struct {
 // other fleet member. A candidate whose breaker is open is skipped
 // (counted); each candidate is tried at most once by the walk. The primary
 // goes first; an error, or an answer that leaves the group incomplete, fails
-// it over to the next replica. The hedge timer (if configured) fires once
-// per scatter: every group still waiting on a replica is duplicated onto
-// its next untried replica, or onto the primary itself when none remain
-// (the single-owner tail-latency hedge). Whichever complete answer arrives
-// first settles a group; a summed part that covers a group already settled
-// cannot be taken apart and is dropped whole, and the shard that sent it is
-// asked again, as a plain attempt, for the groups of it still unsettled
-// (each re-ask names strictly fewer groups, so this ends) — their hedges
-// may have been batched onto a shard that never answers, and waiting for
-// those would take the deadline. If every replica's breaker refused admission, the
-// primary is probed anyway — the availability floor. If every replica
+// it over to the next replica. If every replica's breaker refused admission,
+// the primary is probed anyway — the availability floor. If every replica
 // failed outright, Retry grants the primary one extra attempt after a
 // jittered backoff, forced through its breaker as a probe: there is nowhere
 // else to send the group.
+//
+// One group, one attempt at a time: a group is carried by at most one
+// request or held by one backoff timer, and its next attempt is launched
+// only once that one has answered or run out. With split refusing an answer
+// that names a group twice, every part of an answer serves groups still
+// unsettled, so a summed part is always taken whole (spell.Merge's refusal
+// of a dataset claimed twice is the backstop). The price is a replica that
+// never answers: each attempt on it waits out the Deadline before failing
+// over, until breakerThreshold such failures open its breaker and the walk
+// skips it.
 //
 // Only when coverage is still incomplete — which consistent placement never
 // triggers — does the walk continue past the replicas, one candidate at a
@@ -217,9 +211,9 @@ type groupWalk[P any] struct {
 // shard can serve any slice). These scavenge answers are cheap and empty in
 // the common case. The best answer wins.
 //
-// The failover, hedge, retry and breaker-skip counters count groups, as
-// they did when every group travelled alone; requests counts what went over
-// the wire.
+// The failover, retry and breaker-skip counters count groups, as they did
+// when every group travelled alone; requests counts what went over the
+// wire.
 func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, groups [][]string, do requestFn[P]) []groupResult[P] {
 	// One cancel for the whole scatter: returning stops any stragglers.
 	ctx, cancel := context.WithCancel(ctx)
@@ -240,8 +234,7 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 	// What the loop below waits for: answers, and backoff timers running out.
 	type event struct {
 		shard  string
-		groups []int // the request's groups, or the one group a timer held back
-		hedge  bool
+		groups []int // the request's groups; none for a timer
 		parts  []part[P]
 		err    error
 		then   func() // a backoff ran out: the launch it held back
@@ -257,38 +250,35 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 	}
 	pending := 0 // requests in flight + timers running
 
-	// Launches collect in batch, one entry per shard and kind, until flush
-	// sends them; admitted remembers each shard's breaker verdict for the
-	// batch, so the groups of one request share one admission (and one
-	// half-open probe).
+	// Launches collect in batch, one entry per shard, until flush sends
+	// them; admitted remembers each shard's breaker verdict for the batch,
+	// so the groups of one request share one admission (and one half-open
+	// probe).
 	type launch struct {
 		shard  string
-		hedge  bool
 		probe  bool
 		groups []int
 	}
 	var batch []launch
 	type verdict struct{ ok, probe bool }
 	admitted := map[string]verdict{}
-	enqueue := func(gi int, shard string, hedge, probe bool) {
-		w := &walks[gi]
-		w.launched = true
-		w.flying++
+	enqueue := func(gi int, shard string, probe bool) {
+		walks[gi].launched = true
 		for i := range batch {
-			if batch[i].shard == shard && batch[i].hedge == hedge {
+			if batch[i].shard == shard {
 				batch[i].groups = append(batch[i].groups, gi)
 				batch[i].probe = batch[i].probe || probe
 				return
 			}
 		}
-		batch = append(batch, launch{shard: shard, hedge: hedge, probe: probe, groups: []int{gi}})
+		batch = append(batch, launch{shard: shard, probe: probe, groups: []int{gi}})
 	}
 	flush := func() {
 		for _, l := range batch {
 			pending++
 			go func() {
 				parts, err := request(ctx, c, l.shard, l.groups, l.probe, do)
-				send(event{shard: l.shard, groups: l.groups, hedge: l.hedge, parts: parts, err: err})
+				send(event{shard: l.shard, groups: l.groups, parts: parts, err: err})
 			}()
 		}
 		batch = batch[:0]
@@ -316,15 +306,14 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 	force := func(gi int) {
 		s := walks[gi].cands[0]
 		_, probe := c.breakerAllow(s, true)
-		enqueue(gi, s, false, probe)
+		enqueue(gi, s, probe)
 	}
 	// after holds a group's next attempt, then, back for d; then runs on
 	// this goroutine, unless the scatter ends first.
-	after := func(gi int, d time.Duration, then func()) {
-		walks[gi].waiting = true
+	after := func(d time.Duration, then func()) {
 		pending++
 		go func() {
-			ev := event{groups: []int{gi}, then: then}
+			ev := event{then: then}
 			if !sleepCtx(ctx, d) {
 				ev.err = ctx.Err()
 			}
@@ -333,9 +322,10 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 	}
 
 	// advance gives an unsettled group its next attempt, if it is due one.
+	// It runs only while no request carries the group and no timer holds it.
 	advance := func(gi int) {
 		w := &walks[gi]
-		if w.complete() || w.waiting || ctx.Err() != nil {
+		if w.complete() || ctx.Err() != nil {
 			return
 		}
 		if !w.scavenging {
@@ -343,7 +333,7 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				if w.launched {
 					c.counterFor(s).failovers.Add(1)
 				}
-				enqueue(gi, s, false, probe)
+				enqueue(gi, s, probe)
 				return
 			}
 			if !w.launched && w.owners > 0 && ctx.Err() == nil {
@@ -354,12 +344,9 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				return
 			}
 		}
-		if w.flying > 0 {
-			return // a hedge, or what it duplicated, is still out
-		}
 		if w.payload == nil && c.cfg.Retry && !w.retried && w.owners > 0 && !w.scavenging {
 			w.retried = true
-			after(gi, retryBackoff.Delay(0, rand.Float64), func() {
+			after(retryBackoff.Delay(0, rand.Float64), func() {
 				c.counterFor(w.cands[0]).retries.Add(1)
 				force(gi)
 			})
@@ -374,10 +361,10 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		}
 		scavenge := func() {
 			c.counterFor(s).failovers.Add(1)
-			enqueue(gi, s, false, probe)
+			enqueue(gi, s, probe)
 		}
 		if w.fails > 0 {
-			after(gi, retryBackoff.Delay(w.fails-1, rand.Float64), scavenge)
+			after(retryBackoff.Delay(w.fails-1, rand.Float64), scavenge)
 			return
 		}
 		scavenge()
@@ -387,97 +374,42 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		advance(gi)
 	}
 	flush()
-	var hedgeC <-chan time.Time
-	if c.cfg.HedgeAfter > 0 {
-		timer := time.NewTimer(c.cfg.HedgeAfter)
-		defer timer.Stop()
-		hedgeC = timer.C
-	}
 	unsettled := len(walks)
 	for pending > 0 && unsettled > 0 {
-		select {
-		case ev := <-events:
-			pending--
-			var reasked []int // groups of ev asked for again on ev.shard
-			switch {
-			case ev.then != nil:
-				walks[ev.groups[0]].waiting = false
-				if ev.err == nil {
-					ev.then()
-				}
-			case ev.err != nil:
-				for _, gi := range ev.groups {
-					w := &walks[gi]
-					w.flying--
-					if w.err == nil {
-						w.err = fmt.Errorf("%s: %w", ev.shard, ev.err)
-					}
-					if w.scavenging {
-						w.fails++
-					}
-				}
-			default:
-				for _, gi := range ev.groups {
-					walks[gi].flying--
-					if ev.hedge {
-						c.counterFor(ev.shard).hedgeWins.Add(1)
-					}
-				}
-				for _, p := range ev.parts {
-					// First come: a part is taken only for groups still
-					// unsettled, and a summed part only whole. One that
-					// overlaps a settled group is dropped, and the shard
-					// asked again, at once, for just the groups of it still
-					// unsettled: it recomputes them, and their other
-					// attempts may sit on a shard that never answers.
-					if slices.ContainsFunc(p.groups, func(gi int) bool { return walks[gi].complete() }) {
-						for _, gi := range p.groups {
-							if !walks[gi].complete() {
-								reasked = append(reasked, gi)
-								enqueue(gi, ev.shard, false, false)
-							}
-						}
-						continue
-					}
-					for _, gi := range p.groups {
-						w := &walks[gi]
-						if w.payload == nil || p.missing < w.missing {
-							w.payload, w.shard, w.missing = p.payload, ev.shard, p.missing
-							if w.complete() {
-								unsettled--
-							}
-						}
-					}
-				}
+		ev := <-events
+		pending--
+		switch {
+		case ev.then != nil:
+			if ev.err == nil {
+				ev.then()
 			}
-			// Failed, or incomplete coverage (membership drift): each group
-			// the event leaves unsettled tries its next candidate — unless
-			// it was just asked for again where it is.
+		case ev.err != nil:
 			for _, gi := range ev.groups {
-				if !slices.Contains(reasked, gi) {
-					advance(gi)
-				}
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if ctx.Err() != nil {
-				continue
-			}
-			for gi := range walks {
 				w := &walks[gi]
-				if w.complete() || w.flying == 0 || w.scavenging || w.retried {
-					continue
+				if w.err == nil {
+					w.err = fmt.Errorf("%s: %w", ev.shard, ev.err)
 				}
-				if s, probe, ok := admit(w, w.owners); ok {
-					c.counterFor(s).hedges.Add(1)
-					enqueue(gi, s, true, probe)
-				} else if w.next >= w.owners && w.owners > 0 {
-					// Every replica already tried or in flight: duplicate
-					// the primary, the legacy tail-latency hedge.
-					c.counterFor(w.cands[0]).hedges.Add(1)
-					enqueue(gi, w.cands[0], true, false)
+				if w.scavenging {
+					w.fails++
 				}
 			}
+		default:
+			for _, p := range ev.parts {
+				for _, gi := range p.groups {
+					w := &walks[gi]
+					if w.payload == nil || p.missing < w.missing {
+						w.payload, w.shard, w.missing = p.payload, ev.shard, p.missing
+						if w.complete() {
+							unsettled--
+						}
+					}
+				}
+			}
+		}
+		// Failed, or incomplete coverage (membership drift): each group the
+		// answer leaves unsettled tries its next candidate.
+		for _, gi := range ev.groups {
+			advance(gi)
 		}
 		flush()
 	}

@@ -3,9 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"net/http"
 	"strings"
 	"sync"
 	"testing"
@@ -60,7 +58,7 @@ func sumCounters(snap StatsSnapshot) (requests, groups, faults int64) {
 	for _, s := range snap.Shards {
 		requests += s.Requests
 		groups += s.Groups
-		faults += s.Errors + s.Failovers + s.Hedges + s.Retries + s.BreakerSkips
+		faults += s.Errors + s.Failovers + s.Retries + s.BreakerSkips
 	}
 	return requests, groups, faults
 }
@@ -233,84 +231,6 @@ func TestScatterPartlyHeldGroupFailsOverAlone(t *testing.T) {
 	}
 	if failovers != int64(reasked) {
 		t.Fatalf("%d failovers for %d re-asked groups", failovers, reasked)
-	}
-}
-
-// TestScatterHedgeBatches: a shard that never answers has the groups it
-// was picked for duplicated, after HedgeAfter, onto their other replicas —
-// batched like any launch — and the merge holds every dataset exactly once
-// (spell.Merge refuses a dataset claimed twice).
-func TestScatterHedgeBatches(t *testing.T) {
-	f := newScatterFixtureN(t, 4, 2, 24)
-	f.shards[1].behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
-		_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
-		<-r.Context().Done()
-		return true
-	}
-	c, _ := f.start(t, Config{Deadline: 10 * time.Second, Replication: 2, HedgeAfter: 40 * time.Millisecond})
-	want, err := f.full.Search(f.query, spell.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		t0 := time.Now()
-		got, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
-		if err != nil || meta.Degraded || meta.GroupsOK != meta.GroupsTotal {
-			t.Fatalf("scatter %d: %v, meta %+v", i, err, meta)
-		}
-		if elapsed := time.Since(t0); elapsed > 5*time.Second {
-			t.Fatalf("scatter %d took %v: the hedge did not rescue the stalled shard's groups", i, elapsed)
-		}
-		assertParity(t, got, want)
-	}
-	snap := c.Stats()
-	var hedges, wins int64
-	for _, s := range snap.Shards {
-		hedges += s.Hedges
-		wins += s.HedgeWins
-	}
-	if hedges == 0 || wins == 0 {
-		t.Fatalf("hedges = %d, wins = %d, want both > 0", hedges, wins)
-	}
-}
-
-// TestScatterHedgeOverlapReasks: the hedge fires before any primary has
-// answered, so every group is duplicated — some onto the shard that never
-// answers. A healthy primary's summed answer then overlaps groups a faster
-// hedge already settled and is dropped whole; its other groups must be
-// asked for again there, at once, not left waiting out the deadline behind
-// the stalled shard. Every dataset is still merged exactly once
-// (spell.Merge refuses a dataset claimed twice).
-func TestScatterHedgeOverlapReasks(t *testing.T) {
-	f := newScatterFixtureN(t, 4, 2, 24)
-	for si, sh := range f.shards {
-		sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
-			time.Sleep(20 * time.Millisecond) // outlive the hedge timer
-			return false
-		}
-		if si == 1 {
-			sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
-				_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
-				<-r.Context().Done()
-				return true
-			}
-		}
-	}
-	c, _ := f.start(t, Config{Deadline: 10 * time.Second, Replication: 2, HedgeAfter: time.Millisecond})
-	want, err := f.full.Search(f.query, spell.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		t0 := time.Now()
-		got, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
-		if err != nil || meta.Degraded || meta.GroupsOK != meta.GroupsTotal {
-			t.Fatalf("scatter %d: %v after %v, meta %+v", i, err, time.Since(t0), meta)
-		}
-		if elapsed := time.Since(t0); elapsed > time.Second {
-			t.Fatalf("scatter %d took %v: groups of a dropped summed answer waited behind the stalled shard", i, elapsed)
-		}
-		assertParity(t, got, want)
 	}
 }
 

@@ -18,10 +18,10 @@ import (
 //	            longer window.
 //
 // The scatter keeps an availability floor above the breaker: when a group
-// has *no* admitted replica, fetchGroup forces a probe of the primary
+// has *no* admitted replica, fetchGroups forces a probe of the primary
 // rather than fail the group without trying (allow with lastResort=true).
-// Failures caused by the coordinator's own cancellation (hedge losers,
-// caller hangup) never count — see breakerFailure.
+// A canceled attempt (the caller hung up) never counts — see
+// breakerObserve.
 type breaker struct {
 	mu       sync.Mutex
 	state    breakerState

@@ -63,18 +63,6 @@ type Config struct {
 	// bench/topology.go sets it too and the policy ablation that could
 	// retire it waits on that (ROADMAP items 1(c), 8).
 	Retry bool
-	// HedgeAfter, when positive, fires a duplicate request for a group
-	// whose in-flight attempt has not answered after this delay, taking
-	// whichever returns first. Under replication the hedge goes to the
-	// next *untried* replica — true failover for tail latency and host
-	// death alike; with a single owner it duplicates to the same backend,
-	// covering tail latency only (GC pauses, a lost packet), as before.
-	HedgeAfter time.Duration
-	// InfoFailureCooldown bounds how often a failing compendium-info
-	// probe round is retried (default 15s; negative disables the
-	// cooldown, so every caller re-probes). Cleared by a membership bump
-	// or the first successful round.
-	InfoFailureCooldown time.Duration
 }
 
 // maxIdleConnsPerShard is how many idle connections the default client
@@ -158,9 +146,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 10 * time.Second
-	}
-	if cfg.InfoFailureCooldown == 0 {
-		cfg.InfoFailureCooldown = 15 * time.Second
 	}
 	backend := cfg.Backend
 	if backend == nil {
@@ -490,15 +475,17 @@ type ShardSnapshot struct {
 	Addr string `json:"addr"`
 	// Requests counts wire requests, Groups the ownership groups they
 	// carried: Groups / Requests is the batching factor. Errors, like the
-	// latencies, are per request; Retries, Hedges, Failovers and
-	// BreakerSkips count groups.
-	Requests      int64 `json:"requests"`
-	Groups        int64 `json:"groups"`
-	Errors        int64 `json:"errors"`
-	Retries       int64 `json:"retries"`
-	Hedges        int64 `json:"hedges"`
-	Failovers     int64 `json:"failovers"`
-	HedgeWins     int64 `json:"hedge_wins"`
+	// latencies, are per request; Retries, Failovers and BreakerSkips count
+	// groups.
+	Requests  int64 `json:"requests"`
+	Groups    int64 `json:"groups"`
+	Errors    int64 `json:"errors"`
+	Retries   int64 `json:"retries"`
+	Failovers int64 `json:"failovers"`
+	// Hedges is always 0: the scatter sends no duplicate requests. The
+	// field stays only because bench/run.go, which a benchmarked change may
+	// not edit, reads it (ROADMAP item 1(m)).
+	Hedges        int64 `json:"-"`
 	InFlight      int64 `json:"in_flight"`
 	MeanLatencyUS int64 `json:"mean_latency_us"`
 	MaxLatencyUS  int64 `json:"max_latency_us"`
@@ -534,9 +521,7 @@ func (c *Coordinator) Stats() StatsSnapshot {
 			Groups:       sc.groups.Load(),
 			Errors:       sc.errors.Load(),
 			Retries:      sc.retries.Load(),
-			Hedges:       sc.hedges.Load(),
 			Failovers:    sc.failovers.Load(),
-			HedgeWins:    sc.hedgeWins.Load(),
 			InFlight:     sc.inflight.Load(),
 			MaxLatencyUS: sc.maxUS.Load(),
 			Draining:     c.isDraining(addr),

@@ -117,6 +117,11 @@ type CompendiumInfo struct {
 	Genes    int // distinct gene IDs across the union of slices
 }
 
+// infoFailureCooldown is how long a failed compendium-info probe round
+// answers further callers with its error instead of a new round (a var
+// only so that tests can shorten it).
+var infoFailureCooldown = 15 * time.Second
+
 // infoState pairs a cached compendium union with the membership
 // generation it was probed under.
 type infoState struct {
@@ -131,7 +136,7 @@ type infoState struct {
 // shard is unreachable the info stays uncached and the error is returned,
 // so callers degrade to "unknown" rather than a wrong total; probes are
 // serialized, and after a failed round further callers get that error for
-// a cooldown (cleared by a membership bump) instead of re-probing a
+// infoFailureCooldown (cleared by a membership bump) instead of re-probing a
 // known-sick fleet.
 func (c *Coordinator) Info(ctx context.Context) (CompendiumInfo, error) {
 	shards, gen := c.membership.Snapshot()
@@ -143,8 +148,7 @@ func (c *Coordinator) Info(ctx context.Context) (CompendiumInfo, error) {
 	if cached := c.info.Load(); cached != nil && cached.gen == gen {
 		return cached.info, nil // filled while we waited on the lock
 	}
-	if c.infoErr != nil && c.infoErrGen == gen && c.cfg.InfoFailureCooldown > 0 &&
-		time.Since(c.infoFailedAt) < c.cfg.InfoFailureCooldown {
+	if c.infoErr != nil && c.infoErrGen == gen && time.Since(c.infoFailedAt) < infoFailureCooldown {
 		return CompendiumInfo{}, c.infoErr
 	}
 	info, err := c.probeInfo(ctx, shards)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -155,9 +156,77 @@ func TestScatterBreakerOpensOnDeadReplica(t *testing.T) {
 	}
 }
 
-// TestInfoFailureCooldownOption pins the satellite bugfix: the cooldown is
-// configurable (not a hard-coded 15s), a negative value disables it, and
-// the first successful round clears the failure state.
+// TestScatterBlackHoledReplica: a replica that takes requests and never
+// answers costs each scatter that picks it one attempt Deadline — never
+// two, never a degraded merge — until its breaker opens; while it is open
+// the walk skips the replica and scatters finish well inside the Deadline.
+func TestScatterBlackHoledReplica(t *testing.T) {
+	f := newScatterFixtureR(t, 2, 2)
+	// Whichever shard the very first request reaches black-holes every
+	// search request from then on; the other is healthy. With R=2 both own
+	// every group, and p2c alternates the primaries, so the stalled shard
+	// is some group's pick in every scatter until its breaker opens.
+	var stalled atomic.Int32 // 1 + index of the stalled shard, 0 until the first request
+	for si, sh := range f.shards {
+		sh.behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
+			stalled.CompareAndSwap(0, int32(si+1))
+			if stalled.Load() != int32(si+1) {
+				return false
+			}
+			_, _ = io.Copy(io.Discard, r.Body) // unblock disconnect detection
+			<-r.Context().Done()
+			return true
+		}
+	}
+	const deadline = 250 * time.Millisecond
+	c, _ := f.start(t, Config{Deadline: deadline, Replication: 2})
+	want, err := f.full.Search(f.query, spell.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalledStats := func() ShardSnapshot {
+		for _, s := range c.Stats().Shards {
+			if s.Addr == f.identities[stalled.Load()-1] {
+				return s
+			}
+		}
+		t.Fatal("stalled shard missing from stats")
+		return ShardSnapshot{}
+	}
+	skipped := 0 // scatters that never reached the stalled shard
+	for i := 0; i < 16; i++ {
+		var before ShardSnapshot
+		if i > 0 {
+			before = stalledStats()
+		}
+		t0 := time.Now()
+		got, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
+		elapsed := time.Since(t0)
+		if err != nil || meta.Degraded || meta.GroupsOK != meta.GroupsTotal {
+			t.Fatalf("scatter %d: %v after %v, meta %+v", i, err, elapsed, meta)
+		}
+		assertParity(t, got, want)
+		if elapsed > 2*deadline {
+			t.Fatalf("scatter %d took %v: more than one attempt Deadline (%v)", i, elapsed, deadline)
+		}
+		after := stalledStats()
+		if i > 0 && after.Requests == before.Requests && after.BreakerSkips > before.BreakerSkips {
+			skipped++
+			if elapsed > deadline/2 {
+				t.Fatalf("scatter %d skipped the open breaker and still took %v", i, elapsed)
+			}
+		}
+	}
+	s := stalledStats()
+	if s.Errors == 0 || s.BreakerTrips == 0 || s.BreakerSkips == 0 || skipped == 0 {
+		t.Fatalf("breaker never tripped and skipped the stalled shard (%d scatters skipped it): %+v", skipped, s)
+	}
+}
+
+// TestInfoFailureCooldownOption pins the info failure cooldown: inside
+// infoFailureCooldown a failed round answers callers without probing, after
+// it a caller probes again, and the first successful round clears the
+// failure state.
 func TestInfoFailureCooldownOption(t *testing.T) {
 	var probes atomic.Int64
 	var healthy atomic.Bool
@@ -179,11 +248,12 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 	defer srv.Close()
 
 	const cooldown = 120 * time.Millisecond
+	defer func(d time.Duration) { infoFailureCooldown = d }(infoFailureCooldown)
+	infoFailureCooldown = cooldown
 	c, err := NewCoordinator(Config{
-		Shards:              []string{"s0"},
-		Resolve:             func(string) string { return srv.URL },
-		Deadline:            time.Second,
-		InfoFailureCooldown: cooldown,
+		Shards:   []string{"s0"},
+		Resolve:  func(string) string { return srv.URL },
+		Deadline: time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -225,26 +295,6 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 		t.Fatal("success did not clear the info failure state")
 	}
 
-	// Negative cooldown disables the guard: consecutive failures re-probe.
-	c2, err := NewCoordinator(Config{
-		Shards:              []string{"s0"},
-		Resolve:             func(string) string { return srv.URL },
-		Deadline:            time.Second,
-		InfoFailureCooldown: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	healthy.Store(false)
-	before := probes.Load()
-	for i := 0; i < 2; i++ {
-		if _, err := c2.Info(context.Background()); err == nil {
-			t.Fatal("Info succeeded against a sick shard")
-		}
-	}
-	if got := probes.Load(); got != before+2 {
-		t.Fatalf("disabled cooldown issued %d probes, want 2", got-before)
-	}
 }
 
 // TestOrderReplicasDrainingLast pins the drain demotion: a draining
