@@ -267,13 +267,9 @@ func BenchmarkF4_SPELLReference(b *testing.B) {
 				NumDatasets: nDS, MinExperiments: 12, MaxExperiments: 24,
 				ActiveFraction: 0.4, Noise: 0.25, Seed: 17,
 			})
-			engine, err := spell.NewEngine(dss)
-			if err != nil {
-				b.Fatal(err)
-			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := engine.ReferenceSearch(query, spell.Options{MaxGenes: 50}); err != nil {
+				if _, err := spell.ReferenceSearch(dss, query, spell.Options{MaxGenes: 50}); err != nil {
 					b.Fatal(err)
 				}
 			}

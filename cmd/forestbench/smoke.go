@@ -170,8 +170,8 @@ func newFleetTopology(name string, nShards, repl, nDatasets int, coordCacheBytes
 				Engine: m.Engine, Enricher: enricher,
 				ShardIndexes: m.Owned, ShardDatasetIDs: m.Catalog,
 				ShardSelf: m.ID, ShardFleet: m.Shards, ShardReplication: m.Replication,
-				ShardRawDatasets: m.Datasets, ShardLoader: load,
-				FleetToken: fleetAdminToken,
+				ShardLoader: load,
+				FleetToken:  fleetAdminToken,
 			})
 		},
 	})

@@ -433,7 +433,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		scfg.ShardSelf = cfg.self
 		scfg.ShardFleet = cfg.shards
 		scfg.ShardReplication = repl
-		scfg.ShardRawDatasets = datasets
 		scfg.ShardDatasetIDs = names
 		scfg.ShardLoader = func(_ context.Context, gi int) (*microarray.Dataset, error) { return load(gi) }
 		scfg.OnDrained = cfg.onDrained

@@ -22,16 +22,14 @@ import (
 // drain it computes, as it computes any query it has not seen.
 
 // shardState is what a daemon's own member computes on: the engine over
-// the held datasets, the global-index maps, the raw datasets the engine was
-// built from (nil disables reload), and the membership list the holdings
-// were last derived from. On a shard it is reloadable, swapped atomically by
-// reloadShard; handlers read one consistent state per request.
+// the held datasets, the global-index maps, and the membership list the
+// holdings were last derived from. On a shard it is reloadable, swapped
+// atomically by reloadShard; handlers read one consistent state per request.
 type shardState struct {
 	engine  *spell.Engine
 	indexes []int       // engine local index -> global catalog index
 	local   map[int]int // global catalog index -> engine local index
-	raw     []*microarray.Dataset
-	shards  []string // this shard's view of the fleet (nil: boot-time only)
+	shards  []string    // this shard's view of the fleet (nil: boot-time only)
 	repl    int
 	gen     uint64
 }
@@ -56,15 +54,13 @@ func newShardState(cfg *Config) (*shardState, error) {
 		return nil, fmt.Errorf("server: %d shard indexes for %d datasets", len(cfg.ShardIndexes), cfg.Engine.NumDatasets())
 	case len(cfg.ShardDatasetIDs) == 0:
 		return nil, fmt.Errorf("server: shard role requires the global dataset catalog (ShardDatasetIDs)")
-	case len(cfg.ShardRawDatasets) != 0 && len(cfg.ShardRawDatasets) != len(cfg.ShardIndexes):
-		return nil, fmt.Errorf("server: %d raw shard datasets for %d shard indexes", len(cfg.ShardRawDatasets), len(cfg.ShardIndexes))
 	}
 	for i, gi := range cfg.ShardIndexes {
 		if gi < 0 || gi >= len(cfg.ShardDatasetIDs) {
 			return nil, fmt.Errorf("server: shard index %d of dataset %d outside the %d-dataset catalog", gi, i, len(cfg.ShardDatasetIDs))
 		}
 	}
-	st := &shardState{engine: cfg.Engine, indexes: slices.Clone(cfg.ShardIndexes), raw: cfg.ShardRawDatasets, repl: max(cfg.ShardReplication, 1)}
+	st := &shardState{engine: cfg.Engine, indexes: slices.Clone(cfg.ShardIndexes), repl: max(cfg.ShardReplication, 1)}
 	if st.indexes == nil {
 		cfg.ShardDatasetIDs = cfg.Engine.DatasetNames()
 		for i := range cfg.ShardDatasetIDs {
@@ -115,8 +111,8 @@ func (s *Server) shardStatus() string {
 
 // handleShardFleet serves the shard-side membership view: GET reports it,
 // POST replaces it wholesale and re-derives the owned top-R slice — the
-// shard loads any newly owned datasets (ShardLoader), rebuilds its engine
-// over the union, and swaps state atomically. Holdings only grow: data a
+// shard loads any newly owned datasets (ShardLoader), grows its engine by
+// their slabs, and swaps state atomically. Holdings only grow: data a
 // reload no longer assigns here keeps being served (the coordinator's
 // scavenge pass and old-generation requests lean on exactly that), and a
 // restart is the way to shed it.
@@ -156,10 +152,10 @@ func (s *Server) fleetStateOf(st *shardState, loaded int) shardFleetState {
 }
 
 // reloadShard applies a new membership view: re-derive the owned top-R
-// slice, load what is newly owned, rebuild the engine over the union of
-// old and new holdings, and swap. The view the shard already has is a no-op:
-// the current state comes back as it is, the ownership-group view derived
-// from it with it. A reload that fails (a bad list, a loader error) leaves
+// slice, load what is newly owned, grow the engine by it (the held slabs are
+// shared, and the loaded rows are dropped once their slabs are built), and
+// swap. The view the shard already has is a no-op: the current state comes
+// back as it is, the ownership-group view derived from it with it. A reload that fails (a bad list, a loader error) leaves
 // the state untouched. Reloads are serialized under shardMu.
 func (s *Server) reloadShard(ctx context.Context, shards []string, repl int) (*shardState, int, error) {
 	s.shardMu.Lock()
@@ -203,37 +199,31 @@ func (s *Server) reloadShard(ctx context.Context, shards []string, repl int) (*s
 		engine:  st.engine,
 		indexes: st.indexes,
 		local:   st.local,
-		raw:     st.raw,
 		shards:  normalized,
 		repl:    repl,
 		gen:     gen,
 	}
 	if len(missing) > 0 {
-		if st.raw == nil {
-			return nil, 0, fmt.Errorf("reload assigns %d new datasets but the shard retained no raw datasets to rebuild from", len(missing))
-		}
 		if s.cfg.ShardLoader == nil {
 			return nil, 0, fmt.Errorf("reload assigns %d new datasets but no dataset loader is configured", len(missing))
 		}
-		raw := append([]*microarray.Dataset(nil), st.raw...)
-		indexes := append([]int(nil), st.indexes...)
-		for _, gi := range missing {
-			ds, lerr := s.cfg.ShardLoader(ctx, gi)
-			if lerr != nil {
+		loaded := make([]*microarray.Dataset, len(missing))
+		for i, gi := range missing {
+			var lerr error
+			if loaded[i], lerr = s.cfg.ShardLoader(ctx, gi); lerr != nil {
 				return nil, 0, fmt.Errorf("loading dataset %d (%s): %w", gi, s.cfg.ShardDatasetIDs[gi], lerr)
 			}
-			raw = append(raw, ds)
-			indexes = append(indexes, gi)
 		}
-		engine, eerr := spell.NewEngine(raw)
+		engine, eerr := st.engine.Grow(loaded)
 		if eerr != nil {
-			return nil, 0, fmt.Errorf("rebuilding engine over %d datasets: %w", len(raw), eerr)
+			return nil, 0, fmt.Errorf("growing engine by %d datasets: %w", len(loaded), eerr)
 		}
+		indexes := append(slices.Clip(st.indexes), missing...)
 		local := make(map[int]int, len(indexes))
 		for li, gi := range indexes {
 			local[gi] = li
 		}
-		next.engine, next.indexes, next.local, next.raw = engine, indexes, local, raw
+		next.engine, next.indexes, next.local = engine, indexes, local
 	}
 	s.shardSt.Store(next)
 	s.coord.ForgetInfo() // its own coordinator counts the grown holdings anew

@@ -237,7 +237,7 @@ func TestShardFleetReloadRefusesCollapsedPlacement(t *testing.T) {
 	s, err := New(Config{
 		Engine: engine, ShardIndexes: []int{0, 1, 2, 3},
 		ShardDatasetIDs: []string{"expr-a", "expr-b", "expr-c", "expr-d"},
-		ShardSelf:       "shard-0", ShardFleet: []string{"shard-0"}, ShardRawDatasets: dss,
+		ShardSelf:       "shard-0", ShardFleet: []string{"shard-0"},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -225,7 +225,7 @@ func FuzzHeatmapQuery(f *testing.F) {
 // (so a finding replays from its input alone) over a loader that cannot read
 // one dataset. Whatever the bytes: no panic and no 5xx; a 4xx — bad JSON, a
 // bad list, the unreadable dataset — leaves the shard's state the very
-// pointer it was; a 200 leaves indexes, local, raw and the engine describing
+// pointer it was; a 200 leaves indexes, local and the engine describing
 // one set of holdings that includes everything held before. The seed corpus
 // in testdata/fuzz holds shrinking and growing lists, the shard's own view
 // (a no-op), duplicates, empty strings, self absent, identities that
@@ -269,13 +269,14 @@ func FuzzShardFleetRequest(f *testing.F) {
 			if err := json.Unmarshal(rec.Body.Bytes(), &view); err != nil || view.Held != len(st.indexes) {
 				t.Fatalf("200 body %q (%v) for a shard holding %d", rec.Body.String(), err, len(st.indexes))
 			}
-			if len(st.local) != len(st.indexes) || len(st.raw) != len(st.indexes) || st.engine.NumDatasets() != len(st.indexes) {
-				t.Fatalf("holdings disagree: %d indexes, %d local, %d raw, an engine over %d",
-					len(st.indexes), len(st.local), len(st.raw), st.engine.NumDatasets())
+			if len(st.local) != len(st.indexes) || st.engine.NumDatasets() != len(st.indexes) {
+				t.Fatalf("holdings disagree: %d indexes, %d local, an engine over %d",
+					len(st.indexes), len(st.local), st.engine.NumDatasets())
 			}
+			names := st.engine.DatasetNames()
 			for li, gi := range st.indexes {
-				if st.local[gi] != li || st.raw[li] != top.dss[gi] {
-					t.Fatalf("local index %d: global %d maps back to %d, raw is %q", li, gi, st.local[gi], st.raw[li].Name)
+				if st.local[gi] != li || names[li] != top.dss[gi].Name {
+					t.Fatalf("local index %d: global %d maps back to %d, the engine's dataset is %q", li, gi, st.local[gi], names[li])
 				}
 			}
 			for _, gi := range before.indexes {

@@ -85,10 +85,10 @@ type Config struct {
 	// understands it, used to derive its owned slice after a reload
 	// (default 1).
 	ShardReplication int
-	// ShardRawDatasets are the raw datasets behind Engine, aligned with
-	// ShardIndexes. Required for membership reloads that grow the slice:
-	// the engine is rebuilt over these plus the newly loaded datasets. Nil
-	// disables reload-with-growth (the shard still serves and drains).
+	// ShardRawDatasets is read by nothing: a reload grows the engine by the
+	// datasets it loads, and keeps no rows. The field stays only because
+	// bench/topology.go, which a benchmarked change may not edit, assigns it
+	// (ROADMAP item 1(o)).
 	ShardRawDatasets []*microarray.Dataset
 	// ShardLoader loads one dataset by its global catalog index, for
 	// membership reloads that assign this shard datasets it does not hold.
@@ -237,6 +237,10 @@ func New(cfg Config) (*Server, error) {
 		start:   time.Now(),
 		dsIndex: dsIndex,
 	}
+	// The shard state and the tree cache hold what they need of these. A
+	// stored copy would pin more: a caller's sub-slice of panes pins its whole
+	// backing array, and the boot engine would outlive a growing reload.
+	s.cfg.Engine, s.cfg.Datasets, s.cfg.RawDatasets, s.cfg.ShardRawDatasets = nil, nil, nil, nil
 	if cfg.PrefetchWorkers > 0 {
 		s.prefetch = newPrefetcher(s, cfg.PrefetchWorkers, prefetchQueuePerWorker*cfg.PrefetchWorkers)
 	}

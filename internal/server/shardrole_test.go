@@ -127,7 +127,6 @@ func (top *shardTopology) boot(m fleettest.Member) (*Server, error) {
 		ShardSelf:        m.ID,
 		ShardFleet:       m.Shards,
 		ShardReplication: m.Replication,
-		ShardRawDatasets: m.Datasets,
 		ShardLoader: func(_ context.Context, gi int) (*microarray.Dataset, error) {
 			if int64(gi) == top.failLoad.Load() {
 				return nil, fmt.Errorf("dataset %d is unreadable", gi)
@@ -506,7 +505,7 @@ func TestShardRefusesRequestBombs(t *testing.T) {
 func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 	t.Helper()
 	base, u := fixture(t)
-	indexes := make([]int, base.cfg.Engine.NumDatasets())
+	indexes := make([]int, base.shardState().engine.NumDatasets())
 	for i := range indexes {
 		indexes[i] = i
 	}
@@ -517,7 +516,7 @@ func fixtureShard(t testing.TB) (*Server, *synth.Universe) {
 	for i := range catalog {
 		catalog[i] = fmt.Sprintf("dataset-%d-of-%d", i, len(catalog))
 	}
-	s, err := New(Config{Engine: base.cfg.Engine, Enricher: fixEnricher, ShardIndexes: indexes, ShardDatasetIDs: catalog, CacheBytes: 4 << 20})
+	s, err := New(Config{Engine: base.shardState().engine, Enricher: fixEnricher, ShardIndexes: indexes, ShardDatasetIDs: catalog, CacheBytes: 4 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -574,25 +573,25 @@ func TestSingleIsAFleetOfOne(t *testing.T) {
 
 func TestServerShardConfigValidation(t *testing.T) {
 	s, _ := fixture(t)
-	n := s.cfg.Engine.NumDatasets()
+	n := s.shardState().engine.NumDatasets()
 	indexes := make([]int, n)
 	catalog := make([]string, n)
 	for i := range indexes {
 		indexes[i] = i
 		catalog[i] = fmt.Sprintf("ds-%d", i)
 	}
-	if _, err := New(Config{Engine: s.cfg.Engine, ShardIndexes: []int{0}, ShardDatasetIDs: catalog}); err == nil {
+	if _, err := New(Config{Engine: s.shardState().engine, ShardIndexes: []int{0}, ShardDatasetIDs: catalog}); err == nil {
 		t.Fatal("mismatched shard index length accepted")
 	}
 	if _, err := New(Config{ShardIndexes: []int{0}, ShardDatasetIDs: catalog}); err == nil {
 		t.Fatal("shard role without engine accepted")
 	}
-	if _, err := New(Config{Engine: s.cfg.Engine, ShardIndexes: indexes}); err == nil {
+	if _, err := New(Config{Engine: s.shardState().engine, ShardIndexes: indexes}); err == nil {
 		t.Fatal("shard role without the global catalog accepted")
 	}
 	bad := append([]int(nil), indexes...)
 	bad[0] = n + 7
-	if _, err := New(Config{Engine: s.cfg.Engine, ShardIndexes: bad, ShardDatasetIDs: catalog}); err == nil {
+	if _, err := New(Config{Engine: s.shardState().engine, ShardIndexes: bad, ShardDatasetIDs: catalog}); err == nil {
 		t.Fatal("shard index outside the catalog accepted")
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"forestview/internal/microarray"
 	"forestview/internal/synth"
 )
 
@@ -45,7 +46,7 @@ func geneFixture(t *testing.T) (dense, sparse *Engine, query []string, scan func
 // one.
 func TestEngineAppendPartial(t *testing.T) {
 	dense, sparse, query, scan := geneFixture(t)
-	reloaded, err := NewEngine(dense.datasets)
+	reloaded, err := dense.Grow([]*microarray.Dataset{disjointDataset("disjoint", 12, 8, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestMergeSharedColumnsConcurrently(t *testing.T) {
 	var genes GeneColumns
 	var parts []*Partial
 	var shared, apart []Partial
-	for di := range dense.datasets {
+	for di := range dense.NumDatasets() {
 		p, err := dense.PartialSearchSubsetCtx(context.Background(), query, []int{di}, Options{})
 		if err != nil {
 			t.Fatal(err)

@@ -90,7 +90,7 @@ func TestSlabGeneOrderedTiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := e.ReferenceSearch(query, opt)
+			want, err := ReferenceSearch(dss, query, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -97,7 +97,7 @@ func TestDenseMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("dense %+v: %v", opt, err)
 					}
-					ref, err := e.ReferenceSearch(query, opt)
+					ref, err := ReferenceSearch(dss, query, opt)
 					if err != nil {
 						t.Fatalf("reference %+v: %v", opt, err)
 					}
@@ -145,7 +145,7 @@ func TestDenseMatchesReferenceDuplicateGeneIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := e.ReferenceSearch(query, Options{IncludeQuery: true})
+		ref, err := ReferenceSearch(dss, query, Options{IncludeQuery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,17 +291,13 @@ func TestReferenceSearchErrors(t *testing.T) {
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 2, MinExperiments: 6, MaxExperiments: 8, Seed: 78,
 	})
-	e, err := NewEngine(dss)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.ReferenceSearch(nil, Options{}); err == nil {
+	if _, err := ReferenceSearch(dss, nil, Options{}); err == nil {
 		t.Fatal("empty query should error")
 	}
-	if _, err := e.ReferenceSearch([]string{"  "}, Options{}); err == nil {
+	if _, err := ReferenceSearch(dss, []string{"  "}, Options{}); err == nil {
 		t.Fatal("blank query should error")
 	}
-	if _, err := e.ReferenceSearch([]string{"NOT-A-GENE"}, Options{}); err == nil {
+	if _, err := ReferenceSearch(dss, []string{"NOT-A-GENE"}, Options{}); err == nil {
 		t.Fatal("unknown query genes should error")
 	}
 }

@@ -166,7 +166,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	for i, di := range subset {
 		p.Datasets[i] = PartialDataset{
 			Index:     di,
-			Name:      e.datasets[di].Name,
+			Name:      e.dsNames[di],
 			Coherence: infos[di].coherence,
 			Present:   len(infos[di].q.Rows),
 		}

@@ -134,7 +134,7 @@ func TestMergeMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("search %+v: %v", opt, err)
 				}
-				ref, err := full.ReferenceSearch(query, opt)
+				ref, err := ReferenceSearch(dss, query, opt)
 				if err != nil {
 					t.Fatalf("reference %+v: %v", opt, err)
 				}
@@ -206,7 +206,7 @@ func TestMergeDegenerateFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Search takes the same second round by itself; the oracle has no rounds.
-	ref, err := full.ReferenceSearch(query, Options{IncludeQuery: true})
+	ref, err := ReferenceSearch(dss, query, Options{IncludeQuery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,7 +523,7 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 
 		// A nil subset is the whole slice (PartialSearchCtx): one part, which
 		// is what Search finishes, so it answers to the oracle.
-		ref, err := full.ReferenceSearch(query, opt)
+		ref, err := ReferenceSearch(dss, query, opt)
 		if err != nil {
 			t.Fatalf("reference %+v: %v", opt, err)
 		}

@@ -8,35 +8,48 @@ import (
 	"sort"
 	"sync"
 
+	"forestview/internal/microarray"
 	"forestview/internal/stats"
 )
 
 // ReferenceSearch is the original SPELL scoring path, retained as the
 // golden standard the dense kernel is verified against (parity to 1e-12 in
 // the package tests) and as the baseline BenchmarkF4_SPELLReference
-// measures the kernel's speedup from. It shares nothing with the kernel's
-// slabs: it z-scores the datasets' own rows on every call, computes every
+// measures the kernel's speedup from. It shares nothing with an engine: it
+// takes the rows it scores, indexes their genes in the first-seen order an
+// engine over dss assigns, z-scores the rows on every call, computes every
 // Pearson pair with the NaN-pairwise statistic, and merges per-dataset
 // map[string]float64 score tables under one mutex, exactly as the engine
 // did before the kernel rewrite. Do not optimize it: its value is being
 // obviously equivalent to the SPELL definition.
 //
-// Results match Search up to floating-point accumulation order; the query
-// contract (internal canonicalization, error cases) is identical.
-func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
+// Results match Search on NewEngine(dss) up to floating-point accumulation
+// order; the query contract (internal canonicalization, error cases) is
+// identical.
+func ReferenceSearch(dss []*microarray.Dataset, query []string, opt Options) (*Result, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
 		return nil, errors.New("spell: empty query")
 	}
-	qset := make(map[string]bool, len(query))
-	qgids := make([]int, 0, len(query))
-	for _, q := range query {
-		qset[q] = true
-		if gi, ok := e.gid[q]; ok {
-			qgids = append(qgids, gi)
+	seen := make(map[string]bool)
+	var order, names []string
+	for _, ds := range dss {
+		for _, gene := range ds.Genes {
+			if !seen[gene.ID] {
+				seen[gene.ID] = true
+				order, names = append(order, gene.ID), append(names, gene.Name)
+			}
 		}
 	}
-	if len(qgids) == 0 {
+	qset := make(map[string]bool, len(query))
+	var qids []string
+	for _, q := range query {
+		qset[q] = true
+		if seen[q] {
+			qids = append(qids, q)
+		}
+	}
+	if len(qids) == 0 {
 		return nil, fmt.Errorf("spell: none of the %d query genes occur in the compendium", len(query))
 	}
 
@@ -44,8 +57,8 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(e.slabs) {
-		par = len(e.slabs)
+	if par > len(dss) {
+		par = len(dss)
 	}
 
 	// Stage 1: per-dataset query coherence.
@@ -53,7 +66,7 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 		coherence float64
 		present   int
 	}
-	scores := make([]dsScore, len(e.slabs))
+	scores := make([]dsScore, len(dss))
 	var wg sync.WaitGroup
 	work := make(chan int)
 	for w := 0; w < par; w++ {
@@ -61,7 +74,7 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 		go func() {
 			defer wg.Done()
 			for di := range work {
-				rows := e.referenceQueryRows(di, qgids)
+				rows := referenceQueryRows(dss[di], qids)
 				scores[di] = dsScore{
 					coherence: referenceCoherence(rows),
 					present:   len(rows),
@@ -69,13 +82,13 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 			}
 		}()
 	}
-	for di := range e.slabs {
+	for di := range dss {
 		work <- di
 	}
 	close(work)
 	wg.Wait()
 
-	weights := make([]float64, len(e.slabs))
+	weights := make([]float64, len(dss))
 	total := 0.0
 	for di, s := range scores {
 		w := s.coherence
@@ -111,8 +124,8 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 
 	// Stage 2: weighted gene scores in string-keyed maps, merged under a
 	// mutex at dataset granularity.
-	geneScore := make(map[string]float64, len(e.order))
-	geneWeight := make(map[string]float64, len(e.order))
+	geneScore := make(map[string]float64, len(order))
+	geneWeight := make(map[string]float64, len(order))
 	var mu sync.Mutex
 	work2 := make(chan int)
 	for w := 0; w < par; w++ {
@@ -123,7 +136,7 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 				if weights[di] == 0 {
 					continue
 				}
-				local := e.referenceScoreDataset(di, qgids)
+				local := referenceScoreDataset(dss[di], qids)
 				mu.Lock()
 				for id, s := range local {
 					geneScore[id] += weights[di] * s
@@ -133,17 +146,17 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 			}
 		}()
 	}
-	for di := range e.slabs {
+	for di := range dss {
 		work2 <- di
 	}
 	close(work2)
 	wg.Wait()
 
 	res := &Result{Query: query}
-	for di := range e.slabs {
+	for di, ds := range dss {
 		res.Datasets = append(res.Datasets, DatasetRank{
 			Index:          di,
-			Name:           e.datasets[di].Name,
+			Name:           ds.Name,
 			Weight:         weights[di],
 			QueryCoherence: scores[di].coherence,
 			QueryPresent:   scores[di].present,
@@ -153,7 +166,7 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 		return res.Datasets[a].Weight > res.Datasets[b].Weight
 	})
 
-	for gi, id := range e.order {
+	for gi, id := range order {
 		isQ := qset[id]
 		if isQ && !opt.IncludeQuery {
 			continue
@@ -164,7 +177,7 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 		}
 		res.Genes = append(res.Genes, GeneRank{
 			ID:      id,
-			Name:    e.names[gi],
+			Name:    names[gi],
 			Score:   geneScore[id] / w,
 			IsQuery: isQ,
 		})
@@ -179,14 +192,13 @@ func (e *Engine) ReferenceSearch(query []string, opt Options) (*Result, error) {
 }
 
 // referenceQueryRows collects the z-scored rows of the query genes present
-// in dataset di. A gene ID the dataset carries twice resolves to its last
-// row, as a map from ID to row would.
-func (e *Engine) referenceQueryRows(di int, qgids []int) [][]float64 {
-	ds := e.datasets[di]
+// in ds. A gene ID the dataset carries twice resolves to its last row, as a
+// map from ID to row would.
+func referenceQueryRows(ds *microarray.Dataset, qids []string) [][]float64 {
 	var rows [][]float64
-	for _, gi := range qgids {
+	for _, id := range qids {
 		for g := ds.NumGenes() - 1; g >= 0; g-- {
-			if ds.Genes[g].ID == e.order[gi] {
+			if ds.Genes[g].ID == id {
 				rows = append(rows, stats.ZScores(ds.Row(g)))
 				break
 			}
@@ -218,14 +230,13 @@ func referenceCoherence(rows [][]float64) float64 {
 	return s / float64(n)
 }
 
-// referenceScoreDataset returns, for every gene in dataset di, its mean
-// correlation to the query genes present there, in a string-keyed map.
-func (e *Engine) referenceScoreDataset(di int, qgids []int) map[string]float64 {
-	qrows := e.referenceQueryRows(di, qgids)
+// referenceScoreDataset returns, for every gene in ds, its mean correlation
+// to the query genes present there, in a string-keyed map.
+func referenceScoreDataset(ds *microarray.Dataset, qids []string) map[string]float64 {
+	qrows := referenceQueryRows(ds, qids)
 	if len(qrows) == 0 {
 		return nil
 	}
-	ds := e.datasets[di]
 	out := make(map[string]float64, ds.NumGenes())
 	for g := 0; g < ds.NumGenes(); g++ {
 		row := stats.ZScores(ds.Row(g))

@@ -24,6 +24,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"maps"
 	"math"
 	"runtime"
 	"slices"
@@ -108,55 +109,70 @@ type Result struct {
 // assigns every distinct gene ID a global integer index and z-transforms
 // every gene vector once — so correlations are comparable across datasets
 // with different dynamic ranges, as SPELL prescribes — storing each dataset
-// as a contiguous slab ready for the dense kernel. An Engine is immutable
-// after NewEngine and safe for concurrent Search calls.
+// as a contiguous slab ready for the dense kernel. It keeps the slabs, the
+// gene index and the dataset names, in strings of its own, and nothing else
+// of its input: a dataset handed to NewEngine or Grow is free once the call
+// returns. An Engine is immutable and safe for concurrent Search calls.
 type Engine struct {
-	datasets []*microarray.Dataset
-	order    []string       // global gene index -> gene ID, stable compendium order
-	names    []string       // global gene index -> display name
-	gid      map[string]int // gene ID -> global index
-	slabs    []*slab
+	dsNames []string       // dataset index -> dataset name
+	order   []string       // global gene index -> gene ID, stable compendium order
+	names   []string       // global gene index -> display name
+	gid     map[string]int // gene ID -> global index
+	slabs   []*slab
 
 	genesOnce sync.Once
 	genes     []byte // order and names as frame columns (AppendPartial)
 }
 
-// NewEngine prepares the given datasets for searching. Datasets are not
-// modified; the engine keeps z-scored copies.
+// NewEngine prepares the given datasets for searching: an empty engine
+// grown by them.
 func NewEngine(dss []*microarray.Dataset) (*Engine, error) {
-	if len(dss) == 0 {
+	return new(Engine).Grow(dss)
+}
+
+// Grow returns an engine over the receiver's datasets followed by dss. The
+// genes dss bring that the receiver lacks join the end of a copy of its gene
+// index, in first-seen order, so the receiver's slabs stay valid and are
+// shared; only dss get slabs built. The receiver is never written, and keeps
+// answering while it grows. Datasets are not modified.
+func (e *Engine) Grow(dss []*microarray.Dataset) (*Engine, error) {
+	if len(e.slabs)+len(dss) == 0 {
 		return nil, errors.New("spell: empty compendium")
 	}
-	e := &Engine{
-		datasets: dss,
-		gid:      make(map[string]int),
-		slabs:    make([]*slab, len(dss)),
+	g := &Engine{
+		dsNames: slices.Clip(e.dsNames),
+		order:   slices.Clip(e.order),
+		names:   slices.Clip(e.names),
+		gid:     make(map[string]int, len(e.gid)),
+		slabs:   append(slices.Clip(e.slabs), make([]*slab, len(dss))...),
 	}
-	// Pass 1: the global gene index, in stable first-seen order.
+	maps.Copy(g.gid, e.gid)
+	// Pass 1: the new dataset names and genes, then their strings moved into
+	// one arena of the engine's own and the new genes re-keyed by it.
 	for _, ds := range dss {
-		for g := 0; g < ds.NumGenes(); g++ {
-			gene := ds.Genes[g]
-			if _, ok := e.gid[gene.ID]; !ok {
-				e.gid[gene.ID] = len(e.order)
-				e.order = append(e.order, gene.ID)
-				e.names = append(e.names, gene.Name)
+		g.dsNames = append(g.dsNames, ds.Name)
+		for _, gene := range ds.Genes {
+			if _, ok := g.gid[gene.ID]; !ok {
+				g.gid[gene.ID] = len(g.order)
+				g.order, g.names = append(g.order, gene.ID), append(g.names, gene.Name)
 			}
 		}
 	}
-	// Pass 2: per-dataset slabs, built concurrently — each slot is written
-	// by exactly one worker.
-	par := runtime.GOMAXPROCS(0)
-	if par > len(dss) {
-		par = len(dss)
+	ownStrings(g.dsNames[len(e.dsNames):], g.order[len(e.order):], g.names[len(e.names):])
+	for gi := len(e.order); gi < len(g.order); gi++ {
+		delete(g.gid, g.order[gi]) // keyed by the input's string
+		g.gid[g.order[gi]] = gi
 	}
+	// Pass 2: the new datasets' slabs, built concurrently — each slot is
+	// written by exactly one worker.
 	var wg sync.WaitGroup
 	work := make(chan int)
-	for w := 0; w < par; w++ {
+	for range min(runtime.GOMAXPROCS(0), len(dss)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for di := range work {
-				e.slabs[di] = buildSlab(dss[di], e.gid, len(e.order))
+				g.slabs[len(e.slabs)+di] = buildSlab(dss[di], g.gid, len(g.order))
 			}
 		}()
 	}
@@ -165,20 +181,31 @@ func NewEngine(dss []*microarray.Dataset) (*Engine, error) {
 	}
 	close(work)
 	wg.Wait()
-	return e, nil
+	return g, nil
+}
+
+// ownStrings points every string of cols into one new allocation, so that
+// none of them keeps the text it was cut from alive.
+func ownStrings(cols ...[]string) {
+	var b []byte
+	for _, col := range cols {
+		for _, s := range col {
+			b = append(b, s...)
+		}
+	}
+	text := string(b) // exactly its length: a builder's spare capacity would stay pinned
+	for _, col := range cols {
+		for i, s := range col {
+			col[i], text = text[:len(s)], text[len(s):]
+		}
+	}
 }
 
 // NumDatasets returns the compendium size.
-func (e *Engine) NumDatasets() int { return len(e.datasets) }
+func (e *Engine) NumDatasets() int { return len(e.slabs) }
 
 // DatasetNames returns the compendium's dataset names in engine order.
-func (e *Engine) DatasetNames() []string {
-	names := make([]string, len(e.datasets))
-	for di, ds := range e.datasets {
-		names[di] = ds.Name
-	}
-	return names
-}
+func (e *Engine) DatasetNames() []string { return slices.Clone(e.dsNames) }
 
 // NumGenes returns the number of distinct gene IDs across the compendium.
 func (e *Engine) NumGenes() int { return len(e.order) }
