@@ -226,6 +226,7 @@ func (s *Server) reloadShard(ctx context.Context, shards []string, repl int) (*s
 		next.engine, next.indexes, next.local = engine, indexes, local
 	}
 	s.shardSt.Store(next)
+	s.groupVw.Store(nil) // derived against st: it would keep st's engine alive
 	s.coord.ForgetInfo() // its own coordinator counts the grown holdings anew
 	s.shardReloads.Add(1)
 	return next, len(missing), nil

@@ -87,7 +87,7 @@ func parsedCompendium(t *testing.T, n int, r released) []*microarray.Dataset {
 // datasets keeps the rows of those two and of no other. The engine keeps
 // its slabs and strings of its own, and the server does not keep the
 // config's dataset slices, whose backing array would pin all six. A growing
-// reload drops the engine it replaces.
+// reload drops the engine it replaces, and the group view derived from it.
 func TestServerKeepsNoNonPaneRows(t *testing.T) {
 	t.Run("panes", func(t *testing.T) {
 		r := make(released, 64)
@@ -152,6 +152,15 @@ func TestServerKeepsNoNonPaneRows(t *testing.T) {
 			return s
 		}()
 		t.Cleanup(s.Close)
+		// A grouped shard search first: the ownership-group view it caches
+		// is derived against the boot state, and must not outlive it.
+		req := shard.SearchRequest{
+			Query: s.shardState().engine.GeneIDs()[1:3], Shards: fleet, Replication: 1,
+			Groups: shard.Groups(catalog, fleet, 1),
+		}
+		if rec, a := postShard[shard.SearchAnswer](t, s, shard.SearchPath, req); a == nil {
+			t.Fatalf("shard search before the reload = %d: %s", rec.Code, rec.Body)
+		}
 		if _, loaded, err := s.reloadShard(context.Background(), fleet[:1], 1); err != nil || loaded == 0 {
 			t.Fatalf("growing reload: loaded %d, err %v", loaded, err)
 		}

@@ -15,10 +15,10 @@ import (
 // geneFixture is a small compendium and two engines over it: dense, in
 // which every gene scores on a module query, and sparse, whose extra
 // disjoint dataset leaves genes unscored (the compacting path).
-func geneFixture(t *testing.T) (dense, sparse *Engine, query []string, scan func(*Engine, []string, []int) *Partial) {
+func geneFixture(t *testing.T) (dss []*microarray.Dataset, dense, sparse *Engine, query []string, scan func(*Engine, []string, []int) *Partial) {
 	t.Helper()
 	u := synth.NewUniverse(90, 5, 7)
-	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+	dss, _ = u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 3, MinExperiments: 8, MaxExperiments: 10,
 		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.04, Seed: 8,
 	})
@@ -36,17 +36,21 @@ func geneFixture(t *testing.T) (dense, sparse *Engine, query []string, scan func
 		}
 		return p
 	}
-	return dense, sparse, u.ModuleGeneIDs(1)[:3], scan
+	return dss, dense, sparse, u.ModuleGeneIDs(1)[:3], scan
 }
 
 // TestEngineAppendPartial: an engine's frame of a partial is byte for byte
 // what AppendBinary writes, whether the engine copies its encoded gene
 // columns (a partial of its whole universe) or cannot: a compacted subset,
 // an empty partial, or a partial another engine scanned, as a reload leaves
-// one.
+// one: an engine over the same genes in arrays of its own, or a grown one.
 func TestEngineAppendPartial(t *testing.T) {
-	dense, sparse, query, scan := geneFixture(t)
-	reloaded, err := dense.Grow([]*microarray.Dataset{disjointDataset("disjoint", 12, 8, 9)})
+	dss, dense, sparse, query, scan := geneFixture(t)
+	reloaded, err := NewEngine(dss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := dense.Grow([]*microarray.Dataset{disjointDataset("disjoint", 12, 8, 9)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,6 +63,7 @@ func TestEngineAppendPartial(t *testing.T) {
 		"subset":   {sparse, scan(sparse, query, []int{2, 3, 0}), false},
 		"empty":    {sparse, scan(sparse, []string{"NOPE1", "NOPE2"}, nil), false},
 		"reloaded": {reloaded, scan(dense, query, nil), false},
+		"grown":    {grown, scan(dense, query, nil), false},
 	} {
 		if c.e.ownsGenes(c.p) != c.shared {
 			t.Fatalf("%s: engine owns the partial's genes = %t", name, !c.shared)
@@ -77,7 +82,7 @@ func TestEngineAppendPartial(t *testing.T) {
 			}
 		}
 	}
-	if reloaded.genes != nil {
+	if reloaded.genes != nil || grown.genes != nil {
 		t.Fatal("an engine that encoded no partial of its own built its gene columns")
 	}
 }
@@ -86,7 +91,7 @@ func TestEngineAppendPartial(t *testing.T) {
 // bytes share one decoded copy; a frame one byte away decodes afresh, to
 // what UnmarshalBinary makes of it, and leaves the shared copy as it was.
 func TestGeneColumnsShareOnlyEqualBytes(t *testing.T) {
-	dense, _, query, scan := geneFixture(t)
+	_, dense, _, query, scan := geneFixture(t)
 	p := scan(dense, query, nil)
 	frame, err := p.MarshalBinary()
 	if err != nil {
@@ -128,7 +133,7 @@ func TestGeneColumnsShareOnlyEqualBytes(t *testing.T) {
 // nothing. Under -race this shows the two memos are safe to share and that
 // Merge never writes to a part's columns.
 func TestMergeSharedColumnsConcurrently(t *testing.T) {
-	dense, _, query, _ := geneFixture(t)
+	_, dense, _, query, _ := geneFixture(t)
 	var genes GeneColumns
 	var parts []*Partial
 	var shared, apart []Partial

@@ -147,21 +147,17 @@ func (e *Engine) Grow(dss []*microarray.Dataset) (*Engine, error) {
 		slabs:   append(slices.Clip(e.slabs), make([]*slab, len(dss))...),
 	}
 	maps.Copy(g.gid, e.gid)
-	// Pass 1: the new dataset names and genes, then their strings moved into
-	// one arena of the engine's own and the new genes re-keyed by it.
+	// Pass 1: the new dataset names and genes, each string copied so that
+	// none keeps the text it was parsed from alive.
 	for _, ds := range dss {
-		g.dsNames = append(g.dsNames, ds.Name)
+		g.dsNames = append(g.dsNames, strings.Clone(ds.Name))
 		for _, gene := range ds.Genes {
 			if _, ok := g.gid[gene.ID]; !ok {
-				g.gid[gene.ID] = len(g.order)
-				g.order, g.names = append(g.order, gene.ID), append(g.names, gene.Name)
+				id := strings.Clone(gene.ID)
+				g.gid[id] = len(g.order)
+				g.order, g.names = append(g.order, id), append(g.names, strings.Clone(gene.Name))
 			}
 		}
-	}
-	ownStrings(g.dsNames[len(e.dsNames):], g.order[len(e.order):], g.names[len(e.names):])
-	for gi := len(e.order); gi < len(g.order); gi++ {
-		delete(g.gid, g.order[gi]) // keyed by the input's string
-		g.gid[g.order[gi]] = gi
 	}
 	// Pass 2: the new datasets' slabs, built concurrently — each slot is
 	// written by exactly one worker.
@@ -182,23 +178,6 @@ func (e *Engine) Grow(dss []*microarray.Dataset) (*Engine, error) {
 	close(work)
 	wg.Wait()
 	return g, nil
-}
-
-// ownStrings points every string of cols into one new allocation, so that
-// none of them keeps the text it was cut from alive.
-func ownStrings(cols ...[]string) {
-	var b []byte
-	for _, col := range cols {
-		for _, s := range col {
-			b = append(b, s...)
-		}
-	}
-	text := string(b) // exactly its length: a builder's spare capacity would stay pinned
-	for _, col := range cols {
-		for i, s := range col {
-			col[i], text = text[:len(s)], text[len(s):]
-		}
-	}
 }
 
 // NumDatasets returns the compendium size.
