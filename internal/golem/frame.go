@@ -5,6 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+
+	"forestview/internal/wire"
 )
 
 // The PartialCounts wire frame. A slice's tallies cross the shard hop as one
@@ -12,7 +15,7 @@ import (
 // (shard.EnrichAnswer):
 //
 //	section        encoding                                    length check
-//	magic+version  "GLPC", 0x01                                5 bytes, both equal
+//	head           "GLPC", 0x01                                5 bytes, both equal
 //	scalars        Fingerprint u64; Slice, Slices,             40 bytes
 //	               BackgroundSize, SelectionSize: i64 each
 //	counts         ns, nt: u32 each                            8 bytes
@@ -24,10 +27,16 @@ import (
 // frame cannot make the decoder allocate more than about its own length. The
 // frame checks only its own shape; whether the values fit the catalog is the
 // coordinator's check (shard's checkCounts).
+//
+// The term catalog a coordinator fetches from a shard is a body of its own,
+// of internal/wire's u32 strings:
+//
+//	head           "FVSC", 0x01
+//	scalars        Fingerprint u64, BackgroundSize i64
+//	terms          a u32 term count and each term's ID and Name
 const (
-	countsMagic   = "GLPC"
-	countsVersion = 1
-	countsHead    = len(countsMagic) + 1 + 8 + 4*8 + 2*4
+	countsHead  = "GLPC\x01"
+	catalogHead = "FVSC\x01"
 )
 
 // AppendBinary appends p's frame to b.
@@ -39,11 +48,7 @@ func (p *PartialCounts) AppendBinary(b []byte) ([]byte, error) {
 	if uint64(ns) > math.MaxUint32 || uint64(nt) > math.MaxUint32 {
 		return nil, errors.New("golem: partial counts exceed the frame's u32 counts")
 	}
-	if size := countsHead + ns + 8*nt; cap(b)-len(b) < size {
-		b = append(make([]byte, 0, len(b)+size), b...)
-	}
-	b = append(b, countsMagic...)
-	b = append(b, countsVersion)
+	b = append(slices.Grow(b, len(countsHead)+5*8+2*4+ns+8*nt), countsHead...)
 	b = binary.LittleEndian.AppendUint64(b, p.Fingerprint)
 	for _, v := range [4]int{p.Slice, p.Slices, p.BackgroundSize, p.SelectionSize} {
 		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
@@ -70,42 +75,59 @@ func (p *PartialCounts) AppendBinary(b []byte) ([]byte, error) {
 // bytes left, a flag that is not 0 or 1 — is an error and leaves p untouched;
 // it never panics. data is not retained.
 func (p *PartialCounts) UnmarshalBinary(data []byte) error {
-	if len(data) <= len(countsMagic) || string(data[:len(countsMagic)]) != countsMagic {
-		return errors.New("golem: not a partial-counts frame (bad magic)")
-	}
-	if v := data[len(countsMagic)]; v != countsVersion {
-		return fmt.Errorf("golem: partial-counts frame version %d, this build reads version %d", v, countsVersion)
-	}
-	if len(data) < countsHead {
-		return fmt.Errorf("golem: partial-counts frame truncated at %d bytes", len(data))
-	}
-	le := binary.LittleEndian
-	scalar := func(i int) int { return int(int64(le.Uint64(data[len(countsMagic)+9+8*i:]))) }
-	ns, nt := uint64(le.Uint32(data[countsHead-8:])), uint64(le.Uint32(data[countsHead-4:]))
-	body := data[countsHead:]
-	if ns+8*nt != uint64(len(body)) {
-		return fmt.Errorf("golem: partial-counts frame claims %d flags and %d terms in %d bytes", ns, nt, len(body))
-	}
+	r := wire.Open(data, "golem: partial-counts frame", countsHead)
 	out := PartialCounts{
-		Fingerprint:    le.Uint64(data[len(countsMagic)+1:]),
-		Slice:          scalar(0),
-		Slices:         scalar(1),
-		BackgroundSize: scalar(2),
-		SelectionSize:  scalar(3),
-		InBackground:   make([]bool, ns),
+		Fingerprint:    r.U64(),
+		Slice:          int(int64(r.U64())),
+		Slices:         int(int64(r.U64())),
+		BackgroundSize: int(int64(r.U64())),
+		SelectionSize:  int(int64(r.U64())),
 	}
-	for i, f := range body[:ns] {
-		if f > 1 {
-			return fmt.Errorf("golem: partial-counts frame membership flag %d is %d", i, f)
-		}
-		out.InBackground[i] = f == 1
+	ns, nt := uint64(r.U32()), uint64(r.U32())
+	if !r.Need(ns + 8*nt) {
+		return r.Close()
+	}
+	out.InBackground = make([]bool, ns)
+	for i := range out.InBackground {
+		out.InBackground[i] = r.Byte(1) == 1
 	}
 	// One allocation cut two ways.
 	vals := make([]int32, 2*nt)
 	for i := range vals {
-		vals[i] = int32(le.Uint32(body[ns+4*uint64(i):]))
+		vals[i] = int32(r.U32())
+	}
+	if err := r.Close(); err != nil {
+		return err
 	}
 	out.Selected, out.Background = vals[:nt:nt], vals[nt:]
 	*p = out
+	return nil
+}
+
+// AppendBinary appends c's body to b.
+func (c *TermCatalog) AppendBinary(b []byte) ([]byte, error) {
+	b = binary.LittleEndian.AppendUint64(append(b, catalogHead...), c.Fingerprint)
+	b = binary.LittleEndian.AppendUint64(b, uint64(int64(c.BackgroundSize)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(c.Terms)))
+	for _, t := range c.Terms {
+		b = wire.AppendString(wire.AppendString(b, t.ID), t.Name)
+	}
+	return b, nil
+}
+
+// UnmarshalBinary decodes a body into c, replacing its contents, with
+// PartialCounts' contract.
+func (c *TermCatalog) UnmarshalBinary(data []byte) error {
+	r := wire.Open(data, "golem: term catalog", catalogHead)
+	out := TermCatalog{Fingerprint: r.U64(), BackgroundSize: int(int64(r.U64()))}
+	ids := r.Strings(2) // an ID and a Name a term
+	if err := r.Close(); err != nil {
+		return err
+	}
+	out.Terms = make([]TermInfo, len(ids)/2)
+	for t := range out.Terms {
+		out.Terms[t] = TermInfo{ID: ids[2*t], Name: ids[2*t+1]}
+	}
+	*c = out
 	return nil
 }

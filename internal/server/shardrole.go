@@ -316,7 +316,7 @@ func (l local) Enrich(ctx context.Context, _ string, req *shard.EnrichRequest) (
 // generation.
 func (s *Server) handleShardEnrichCatalog(w http.ResponseWriter, r *http.Request) {
 	s.writeBody(w, "catalog", shard.AnswerContentType, func(b []byte) ([]byte, error) {
-		return shard.AppendCatalog(b, s.cfg.Enricher.Catalog()), nil
+		return s.cfg.Enricher.Catalog().AppendBinary(b)
 	})
 }
 

@@ -54,7 +54,7 @@ func (b *httpBackend) Info(ctx context.Context, shard string) (*Info, error) {
 }
 
 func (b *httpBackend) EnrichCatalog(ctx context.Context, shard string) (*golem.TermCatalog, error) {
-	return call(ctx, b, shard, EnrichCatalogPath, nil, UnmarshalCatalog)
+	return call(ctx, b, shard, EnrichCatalogPath, nil, (*golem.TermCatalog).UnmarshalBinary)
 }
 
 // maxBody bounds a shard answer the coordinator reads: 1 GiB, thousands of

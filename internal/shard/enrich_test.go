@@ -65,7 +65,8 @@ func (s *testShard) enrichHandler() http.HandlerFunc {
 func (s *testShard) enrichCatalogHandler() http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", AnswerContentType)
-		_, _ = w.Write(AppendCatalog(nil, s.enr.Catalog()))
+		body, _ := s.enr.Catalog().AppendBinary(nil)
+		_, _ = w.Write(body)
 	}
 }
 

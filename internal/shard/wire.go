@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -9,6 +8,7 @@ import (
 
 	"forestview/internal/golem"
 	"forestview/internal/spell"
+	"forestview/internal/wire"
 )
 
 // The shard wire protocol: Go-to-Go internal RPC over HTTP, every body in
@@ -23,17 +23,17 @@ import (
 // golem.PartialCounts frame (layouts and length checks in spell/frame.go and
 // golem/frame.go), written by AppendBinary and read by UnmarshalBinary:
 //
-//	magic+version  "FVSA", 0x01
+//	head           "FVSA", 0x01
 //	part count     u32                                  8·count ≤ bytes left
 //	each part      group count u32, that many group     every length ≤ bytes
 //	               positions u32, frame length u32,      left; then no byte
 //	               the frame                             may be left
 //
-// Requests, Info and the term catalog are bodies of strings (their layouts
-// below). A body the decoder rejects — a peer that still speaks gob, a
-// truncated body, a frame of another version — is a decode error like any
-// other: a shard answers 400, and a coordinator's attempt fails and its
-// groups fail over.
+// Requests and Info (layouts below) and the term catalog (golem/frame.go)
+// are bodies of strings; internal/wire reads every body. A body the decoder
+// rejects — a peer that still speaks gob, a truncated body, a frame of
+// another version — is a decode error like any other: a shard answers 400,
+// and a coordinator's attempt fails and its groups fail over.
 //
 // One request names every ownership group the coordinator wants from that
 // shard at that moment, and one answer serves them all: a search answer is
@@ -162,9 +162,6 @@ type EnrichAnswer struct {
 	Slices []*golem.PartialCounts
 }
 
-// answerHead opens every answer body: its magic and version 1.
-const answerHead = "FVSA\x01"
-
 // AppendBinary appends a's answer body to b.
 func (a *SearchAnswer) AppendBinary(b []byte) ([]byte, error) {
 	return a.AppendFrames(b, func(b []byte, p *spell.Partial) ([]byte, error) { return p.AppendBinary(b) })
@@ -249,49 +246,34 @@ func appendBody(b []byte, n int, groups func(int) []int, frame func([]byte, int)
 // readBody checks an answer body's framing and hands each part's groups (nil
 // for none) and frame, a sub-slice of data, to part, in order.
 func readBody(data []byte, part func(groups []int, frame []byte) error) error {
-	r, ok := bytes.CutPrefix(data, []byte(answerHead))
-	if !ok || len(r) < 4 {
-		return errors.New("shard: not an answer body of version 1")
-	}
-	u32 := func() uint64 {
-		v := binary.LittleEndian.Uint32(r)
-		r = r[4:]
-		return uint64(v)
-	}
+	r := wire.Open(data, "shard: answer body", answerHead)
 	// Every part takes at least 8 bytes and every group position 4, checked
 	// before anything is sized by them.
-	n := u32()
-	if 8*n > uint64(len(r)) {
-		return fmt.Errorf("shard: answer body claims %d parts in %d bytes", n, len(r))
+	n := uint64(r.U32())
+	if !r.Need(8 * n) {
+		return r.Close()
 	}
 	for i := range n {
-		if len(r) < 8 {
-			return fmt.Errorf("shard: answer body truncated in part %d", i)
-		}
-		ng := u32()
-		if 4*ng+4 > uint64(len(r)) {
-			return fmt.Errorf("shard: answer part %d claims %d groups in %d bytes", i, ng, len(r))
+		ng := uint64(r.U32())
+		if !r.Need(4*ng + 4) {
+			return r.Close()
 		}
 		var groups []int
 		if ng > 0 {
 			groups = make([]int, ng)
 		}
 		for j := range groups {
-			groups[j] = int(u32())
+			groups[j] = int(r.U32())
 		}
-		fl := u32()
-		if fl > uint64(len(r)) {
-			return fmt.Errorf("shard: answer part %d claims a %d-byte frame in %d bytes", i, fl, len(r))
+		frame := r.Take(uint64(r.U32()))
+		if err := r.Err(); err != nil {
+			return err
 		}
-		if err := part(groups, r[:fl]); err != nil {
+		if err := part(groups, frame); err != nil {
 			return fmt.Errorf("shard: answer part %d: %w", i, err)
 		}
-		r = r[fl:]
 	}
-	if len(r) != 0 {
-		return fmt.Errorf("shard: %d trailing bytes after the answer body", len(r))
-	}
-	return nil
+	return r.Close()
 }
 
 // Info describes a shard's slice of the compendium, served at InfoPath.
@@ -327,9 +309,8 @@ const (
 	StatusDraining = "draining"
 )
 
-// Requests, Info and the term catalog are bodies of strings, each a u32
-// length and its bytes, after the body's magic and version; a list is a u32
-// count and that many strings:
+// Requests and Info are bodies of internal/wire's u32 strings and lists,
+// after the body's head:
 //
 //	search    "FVSR", 0x01; Query and Shards, each a list; Replication u32;
 //	          a u32 tuple count and each tuple a list; Uniform, a byte 0 or 1
@@ -337,18 +318,15 @@ const (
 //	          as a search request's
 //	Info      "FVSI", 0x01; GeneIDs, DatasetIDs, AllDatasetIDs and
 //	          Capabilities, each a list; Status
-//	catalog   "FVSC", 0x01; Fingerprint u64, BackgroundSize i64; a u32 term
-//	          count and each term's ID and Name
 //
-// Every count and length is checked against the bytes left before anything
-// is sized by it, so a body cannot make the decoder allocate more than a
-// small multiple of its length; gob cannot promise that (a 161-byte gob
-// request can claim a 10 MiB slice).
+// Every count is checked against the bytes left before anything is sized by
+// it; gob cannot promise that (a 161-byte gob request can claim a 10 MiB
+// slice).
 const (
-	searchHead  = "FVSR\x01"
-	enrichHead  = "FVSE\x01"
-	infoHead    = "FVSI\x01"
-	catalogHead = "FVSC\x01"
+	answerHead = "FVSA\x01"
+	searchHead = "FVSR\x01"
+	enrichHead = "FVSE\x01"
+	infoHead   = "FVSI\x01"
 )
 
 // AppendBinary appends q's body to b.
@@ -363,11 +341,11 @@ func (q *SearchRequest) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary decodes a body into q, replacing its contents, with
 // SearchAnswer's contract.
 func (q *SearchRequest) UnmarshalBinary(data []byte) error {
-	r := stringReader{data}
+	r := wire.Open(data, "shard: search request", searchHead)
 	var out SearchRequest
-	out.Query, out.Shards, out.Replication, out.Groups = r.request(searchHead)
-	out.Uniform = r.flag()
-	if err := r.done("search request"); err != nil {
+	out.Query, out.Shards, out.Replication, out.Groups = readShared(&r)
+	out.Uniform = r.Byte(1) == 1
+	if err := r.Close(); err != nil {
 		return err
 	}
 	*q = out
@@ -382,10 +360,10 @@ func (q *EnrichRequest) AppendBinary(b []byte) ([]byte, error) {
 // UnmarshalBinary decodes a body into q, replacing its contents, with
 // SearchAnswer's contract.
 func (q *EnrichRequest) UnmarshalBinary(data []byte) error {
-	r := stringReader{data}
+	r := wire.Open(data, "shard: enrichment request", enrichHead)
 	var out EnrichRequest
-	out.Selection, out.Shards, out.Replication, out.Groups = r.request(enrichHead)
-	if err := r.done("enrichment request"); err != nil {
+	out.Selection, out.Shards, out.Replication, out.Groups = readShared(&r)
+	if err := r.Close(); err != nil {
 		return err
 	}
 	*q = out
@@ -395,176 +373,52 @@ func (q *EnrichRequest) UnmarshalBinary(data []byte) error {
 // appendRequest appends the fields both requests share.
 func appendRequest(b []byte, genes, shards []string, repl int, groups [][]string) []byte {
 	le := binary.LittleEndian
-	b = le.AppendUint32(appendStrings(appendStrings(b, genes), shards), uint32(repl))
+	b = le.AppendUint32(wire.AppendStrings(wire.AppendStrings(b, genes), shards), uint32(repl))
 	b = le.AppendUint32(b, uint32(len(groups)))
 	for _, g := range groups {
-		b = appendStrings(b, g)
+		b = wire.AppendStrings(b, g)
 	}
 	return b
+}
+
+// readShared reads the fields both requests share: the genes, the fleet,
+// the replication (a u32 holding an int32) and the owner tuples, nil for
+// none.
+func readShared(r *wire.Reader) (genes, shards []string, repl int, groups [][]string) {
+	genes, shards = r.Strings(1), r.Strings(1)
+	repl = int(int32(r.U32()))
+	n := uint64(r.U32())
+	if n == 0 || !r.Need(4*n) { // every tuple takes 4 bytes at least
+		return genes, shards, repl, nil
+	}
+	groups = make([][]string, n)
+	for i := range groups {
+		groups[i] = r.Strings(1)
+	}
+	return genes, shards, repl, groups
 }
 
 // AppendBinary appends i's body to b.
 func (i *Info) AppendBinary(b []byte) ([]byte, error) {
 	b = append(b, infoHead...)
 	for _, col := range [][]string{i.GeneIDs, i.DatasetIDs, i.AllDatasetIDs, i.Capabilities} {
-		b = appendStrings(b, col)
+		b = wire.AppendStrings(b, col)
 	}
-	return appendString(b, i.Status), nil
+	return wire.AppendString(b, i.Status), nil
 }
 
 // UnmarshalBinary decodes a body into i, replacing its contents, with
 // SearchAnswer's contract.
 func (i *Info) UnmarshalBinary(data []byte) error {
-	r := stringReader{data}
-	if !r.head(infoHead) {
-		return errors.New("shard: not an info body of version 1")
-	}
+	r := wire.Open(data, "shard: info body", infoHead)
 	var out Info
 	for _, col := range []*[]string{&out.GeneIDs, &out.DatasetIDs, &out.AllDatasetIDs, &out.Capabilities} {
-		*col = r.strings(1)
+		*col = r.Strings(1)
 	}
-	out.Status = r.string()
-	if err := r.done("info"); err != nil {
+	out.Status = r.String()
+	if err := r.Close(); err != nil {
 		return err
 	}
 	*i = out
-	return nil
-}
-
-// AppendCatalog appends c's body to b.
-func AppendCatalog(b []byte, c *golem.TermCatalog) []byte {
-	le := binary.LittleEndian
-	b = le.AppendUint64(append(b, catalogHead...), c.Fingerprint)
-	b = le.AppendUint32(le.AppendUint64(b, uint64(int64(c.BackgroundSize))), uint32(len(c.Terms)))
-	for _, t := range c.Terms {
-		b = appendString(appendString(b, t.ID), t.Name)
-	}
-	return b
-}
-
-// UnmarshalCatalog decodes a body into c, replacing its contents, with
-// SearchAnswer's contract.
-func UnmarshalCatalog(c *golem.TermCatalog, data []byte) error {
-	r := stringReader{data}
-	if !r.head(catalogHead) || len(r.b) < 16 {
-		return errors.New("shard: not a catalog body of version 1")
-	}
-	le := binary.LittleEndian
-	out := golem.TermCatalog{Fingerprint: le.Uint64(r.b), BackgroundSize: int(int64(le.Uint64(r.b[8:])))}
-	r.b = r.b[16:]
-	ids := r.strings(2) // an ID and a Name a term
-	out.Terms = make([]golem.TermInfo, len(ids)/2)
-	for t := range out.Terms {
-		out.Terms[t] = golem.TermInfo{ID: ids[2*t], Name: ids[2*t+1]}
-	}
-	if err := r.done("catalog"); err != nil {
-		return err
-	}
-	*c = out
-	return nil
-}
-
-func appendString(b []byte, s string) []byte {
-	return append(binary.LittleEndian.AppendUint32(b, uint32(len(s))), s...)
-}
-
-// appendStrings appends a list: its u32 count and its strings.
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
-
-// stringReader reads a body of strings. The first malformed length empties
-// it and marks it bad, and every later read returns zero values.
-type stringReader struct{ b []byte }
-
-func (r *stringReader) head(h string) bool {
-	var ok bool
-	r.b, ok = bytes.CutPrefix(r.b, []byte(h))
-	return ok
-}
-
-func (r *stringReader) u32() uint64 {
-	if len(r.b) < 4 {
-		r.b = nil
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b)
-	r.b = r.b[4:]
-	return uint64(v)
-}
-
-func (r *stringReader) string() string {
-	n := r.u32()
-	if r.b == nil || n > uint64(len(r.b)) {
-		r.b = nil
-		return ""
-	}
-	s := string(r.b[:n])
-	r.b = r.b[n:]
-	return s
-}
-
-// strings reads a u32 count of groups of per strings, and the strings: nil
-// for none.
-func (r *stringReader) strings(per uint64) []string {
-	n := r.u32() * per
-	if n == 0 || 4*n > uint64(len(r.b)) { // every string takes 4 bytes at least
-		if n != 0 {
-			r.b = nil
-		}
-		return nil
-	}
-	out := make([]string, n)
-	for i := range out {
-		out[i] = r.string()
-	}
-	return out
-}
-
-// request reads the head and the fields both requests share: the genes, the
-// fleet, the replication (a u32 holding an int32) and the owner tuples, nil
-// for none. Another head marks the body bad.
-func (r *stringReader) request(head string) (genes, shards []string, repl int, groups [][]string) {
-	if !r.head(head) {
-		r.b = nil
-	}
-	genes, shards = r.strings(1), r.strings(1)
-	repl = int(int32(r.u32()))
-	n := r.u32()
-	if n == 0 || 4*n > uint64(len(r.b)) { // every tuple takes 4 bytes at least
-		if n != 0 {
-			r.b = nil
-		}
-		return genes, shards, repl, nil
-	}
-	groups = make([][]string, n)
-	for i := range groups {
-		groups[i] = r.strings(1)
-	}
-	return genes, shards, repl, groups
-}
-
-// flag reads a byte that must be 0 or 1.
-func (r *stringReader) flag() bool {
-	if len(r.b) == 0 || r.b[0] > 1 {
-		r.b = nil
-		return false
-	}
-	v := r.b[0] == 1
-	r.b = r.b[1:]
-	return v
-}
-
-func (r *stringReader) done(what string) error {
-	switch {
-	case r.b == nil:
-		return fmt.Errorf("shard: a malformed %s body", what)
-	case len(r.b) != 0:
-		return fmt.Errorf("shard: %d trailing bytes after the %s body", len(r.b), what)
-	}
 	return nil
 }

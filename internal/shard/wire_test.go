@@ -22,15 +22,16 @@ type answerBody[A any] interface {
 
 // checkBody is the contract FuzzSearchAnswer holds an answer decoder to: a
 // body it rejects leaves the target untouched, and one it accepts re-encodes
-// to a body that decodes and re-encodes to the same bytes.
-func checkBody[A any, PA answerBody[A]](t *testing.T, data []byte) (accepted bool) {
+// to a body that decodes and re-encodes to the same bytes. It returns that
+// body, nil for a rejected one.
+func checkBody[A any, PA answerBody[A]](t *testing.T, data []byte) (body []byte) {
 	t.Helper()
 	var a A
 	if err := PA(&a).UnmarshalBinary(data); err != nil {
 		if !reflect.DeepEqual(a, *new(A)) {
 			t.Fatalf("rejected body (%v) still wrote to the answer: %+v", err, a)
 		}
-		return false
+		return nil
 	}
 	body, err := PA(&a).AppendBinary(nil)
 	if err != nil {
@@ -43,7 +44,17 @@ func checkBody[A any, PA answerBody[A]](t *testing.T, data []byte) (accepted boo
 	if again, _ := PA(&back).AppendBinary(nil); !bytes.Equal(again, body) {
 		t.Fatal("re-encoding changed the answer")
 	}
-	return true
+	return body
+}
+
+// checkSeedEncodes holds a committed seed the decoder accepted (body, its
+// re-encoding, not nil) to re-encoding to exactly its own bytes, which pins
+// the encoder to the committed layout.
+func checkSeedEncodes(t *testing.T, name string, data, body []byte) {
+	t.Helper()
+	if body != nil && !bytes.Equal(body, data) {
+		t.Errorf("%s re-encodes to other bytes:\n got %q\nwant %q", name, body, data)
+	}
 }
 
 // decodeAllocs is the least of three decodes' allocation: TotalAlloc is
@@ -68,8 +79,9 @@ func decodeAllocs[A any, PA answerBody[A]](data []byte) uint64 {
 // and as a search answer whose gene columns are shared with earlier inputs'.
 // The committed seeds say by name what must decode: search-* as a search
 // answer only, enrich-* as an enrichment answer only, both-* as either,
-// reject-* as neither; and none may make a decoder allocate more than a
-// small multiple of its length.
+// reject-* as neither; what decodes must re-encode to the seed's own bytes,
+// and none may make a decoder allocate more than a small multiple of its
+// length.
 func FuzzSearchAnswer(f *testing.F) {
 	var genes spell.GeneColumns // shared by every input, as by one coordinator's answers
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -92,9 +104,11 @@ func FuzzSearchAnswer(f *testing.F) {
 		if !named {
 			return
 		}
-		if got := [2]bool{search, enrich}; got != want {
+		if got := [2]bool{search != nil, enrich != nil}; got != want {
 			t.Errorf("%s decodes as (search, enrichment) %v, want %v", name, got, want)
 		}
+		checkSeedEncodes(t, name, data, search)
+		checkSeedEncodes(t, name, data, enrich)
 		limit := uint64(16*len(data) + 1024)
 		if got := max(decodeAllocs[SearchAnswer](data), decodeAllocs[EnrichAnswer](data)); got > limit {
 			t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", name, len(data), got, limit)
@@ -102,25 +116,18 @@ func FuzzSearchAnswer(f *testing.F) {
 	})
 }
 
-// catalogBody gives the term catalog's body codec the answerBody methods.
-type catalogBody golem.TermCatalog
-
-func (c *catalogBody) AppendBinary(b []byte) ([]byte, error) {
-	return AppendCatalog(b, (*golem.TermCatalog)(c)), nil
-}
-
-func (c *catalogBody) UnmarshalBinary(data []byte) error {
-	return UnmarshalCatalog((*golem.TermCatalog)(c), data)
-}
-
 // checkNamedBody holds a decoder to checkBody's contract and to allocating
 // at most a small multiple of its input. A committed seed says by name
-// whether it must decode: accept-* must, reject-* must not.
+// whether it must decode: accept-* must, and must re-encode to its own
+// bytes; reject-* must not.
 func checkNamedBody[A any, PA answerBody[A]](t *testing.T, data []byte) {
-	accepted := checkBody[A, PA](t, data)
+	body := checkBody[A, PA](t, data)
 	name := path.Base(t.Name())
-	if want, named := map[string]bool{"accept": true, "reject": false}[strings.SplitN(name, "-", 2)[0]]; named && accepted != want {
-		t.Errorf("%s: decoded = %v, want %v", name, accepted, want)
+	if want, named := map[string]bool{"accept": true, "reject": false}[strings.SplitN(name, "-", 2)[0]]; named {
+		if accepted := body != nil; accepted != want {
+			t.Errorf("%s: decoded = %v, want %v", name, accepted, want)
+		}
+		checkSeedEncodes(t, name, data, body)
 	}
 	if limit, got := uint64(16*len(data)+1024), decodeAllocs[A, PA](data); got > limit {
 		t.Errorf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
@@ -136,7 +143,7 @@ func FuzzShardInfo(f *testing.F) {
 // FuzzTermCatalog is the fuzz cover of the term catalog bodies a coordinator
 // reads from a shard once a membership generation.
 func FuzzTermCatalog(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) { checkNamedBody[catalogBody](t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) { checkNamedBody[golem.TermCatalog](t, data) })
 }
 
 // requestBodies decodes a body as the request its head names.

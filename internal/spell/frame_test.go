@@ -259,7 +259,7 @@ func frameCorpus(t testing.TB) map[string][]byte {
 	}
 	huge := []byte{0xff, 0xff, 0xff, 0xff}
 	mutate("bad-magic", 0, 'X')
-	mutate("bad-version", 4, frameVersion+1)
+	mutate("bad-version", 4, frameHead[4]+1)
 	mutate("bad-kind", 5, 2)
 	mutate("huge-query-count", 6, huge...)
 	mutate("huge-dataset-count", 10, huge...)
@@ -308,8 +308,8 @@ func parseCorpusEntry(t testing.TB, body string) []byte {
 // TestPartialFrameCorpusCommitted keeps the committed fuzz corpus equal to
 // what frameCorpus builds. The corpus holds valid frames of the current
 // version, so this is also the test that fails when the frame layout changes
-// without a version bump: bump frameVersion, rename the old seeds under a
-// prefix like oldFramePrefix, and only then regenerate with
+// without a version bump: bump frameHead's version, rename the old seeds
+// under a prefix like oldFramePrefix, and only then regenerate with
 // -update-frame-corpus (which leaves the old versions' seeds alone).
 func TestPartialFrameCorpusCommitted(t *testing.T) {
 	want := map[string]string{}
@@ -350,7 +350,7 @@ func TestPartialFrameCorpusCommitted(t *testing.T) {
 		}
 		seeds++
 		if string(got) != body {
-			t.Errorf("%s/%s is not what frameCorpus builds: the frame layout changed (bump frameVersion, keep the old seeds, then -update-frame-corpus)", frameCorpusDir, e.Name())
+			t.Errorf("%s/%s is not what frameCorpus builds: the frame layout changed (bump frameHead's version, keep the old seeds, then -update-frame-corpus)", frameCorpusDir, e.Name())
 		}
 	}
 	if seeds != len(want) {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"slices"
 	"strings"
+
+	"forestview/internal/wire"
 )
 
 // This file is SPELL's search, written once as a mergeable pipeline. An
@@ -234,7 +236,7 @@ func (e *Engine) AppendPartial(b []byte, p *Partial) ([]byte, error) {
 	if !e.ownsGenes(p) {
 		return p.AppendBinary(b)
 	}
-	e.genesOnce.Do(func() { e.genes = appendColumn(appendColumn(nil, e.order), e.names) })
+	e.genesOnce.Do(func() { e.genes = wire.AppendColumn(wire.AppendColumn(nil, e.order), e.names) })
 	return p.appendFrame(b, e.genes)
 }
 
