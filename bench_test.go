@@ -30,6 +30,7 @@ import (
 	"forestview/internal/shard"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
+	"forestview/internal/tilecorr"
 	"forestview/internal/wall"
 )
 
@@ -361,6 +362,9 @@ func paperPaneRows(b *testing.B) [][]float64 {
 	return ds.Data
 }
 
+// BenchmarkF4_Cluster times whole trees, and reports dist-ms besides: the
+// distance build (stage 1) by itself, timed after the measured loop — so the
+// trajectory can tell the matrix from the NN-chain without a profiler.
 func BenchmarkF4_Cluster(b *testing.B) {
 	run := func(b *testing.B, rows [][]float64) {
 		b.ReportAllocs()
@@ -370,6 +374,15 @@ func BenchmarkF4_Cluster(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.StopTimer()
+		start := time.Now()
+		for i := 0; i < b.N; i++ {
+			ctx := &stageOneCtx{Context: context.Background(), left: (len(rows)+tilecorr.BlockRows-1)/tilecorr.BlockRows + 1}
+			if _, err := cluster.HierarchicalCtx(ctx, rows, cluster.PearsonDist, cluster.AverageLinkage); err != context.Canceled {
+				b.Fatalf("stage 1 alone: err = %v, want context.Canceled", err)
+			}
+		}
+		b.ReportMetric(float64(time.Since(start).Nanoseconds())/1e6/float64(b.N), "dist-ms")
 	}
 	for _, nGenes := range []int{500, 1000, 2000} {
 		rows := clusterBenchRows(nGenes)
@@ -378,6 +391,27 @@ func BenchmarkF4_Cluster(b *testing.B) {
 	// What a daemon boots on: rows with missing cells, which the complete
 	// synthetic rows above never had.
 	b.Run("paper-6000x37/missing=0.02", func(b *testing.B) { run(b, paperPaneRows(b)) })
+}
+
+// stageOneCtx stops a Pearson tree build between its stages. The distance
+// build polls its context once per block of tilecorr.BlockRows rows, once
+// when every block is in and once when the triangle is mirrored; the
+// context answers nil to the first left polls and context.Canceled from
+// then on, so the build returns that error with the matrix complete and
+// before the chain starts.
+type stageOneCtx struct {
+	context.Context
+	mu   sync.Mutex
+	left int
+}
+
+func (c *stageOneCtx) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.left--; c.left < 0 {
+		return context.Canceled
+	}
+	return nil
 }
 
 // BenchmarkF4_ClusterReference runs the identical workload through the

@@ -351,20 +351,23 @@ func HierarchicalFromDistance(d [][]float64, linkage Linkage) (*Tree, error) {
 	if n == 1 {
 		return t, nil
 	}
-	dist := newTriMatrix(n)
+	dist, err := newSqMatrix(n)
+	if err != nil {
+		return nil, err
+	}
 	for i := 1; i < n; i++ {
-		for j := 0; j < i; j++ {
-			v := d[i][j]
+		for j, v := range d[i][:i] {
 			if math.IsNaN(v) {
 				v = math.MaxFloat64
 			}
-			dist.set(i, j, v)
+			dist.v[i*n+j] = v
 		}
 	}
-	return nnChain(context.Background(), n, dist, linkage)
+	dist.mirror(0, 1)
+	return nnChain(context.Background(), dist, linkage)
 }
 
-// triMatrix is a flat lower-triangular matrix (i>j).
+// triMatrix is a flat lower-triangular matrix (i>j), the reference path's.
 type triMatrix struct {
 	n int
 	v []float64

@@ -2,15 +2,20 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
 	"testing"
 
 	"forestview/internal/stats"
+	"forestview/internal/tilecorr"
 )
 
 // structural reports whether rows a and b are a pair whose distance the
@@ -184,7 +189,7 @@ func TestDistancesWorkerIndependent(t *testing.T) {
 	rows := noisyRows(31, 257, 19, 0.05)
 	copy(rows[40], rows[200]) // a handed-back pair
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want *triMatrix
+	var want *sqMatrix
 	for _, procs := range []int{1, 2, 3, 5} {
 		runtime.GOMAXPROCS(procs)
 		got, err := buildDistances(context.Background(), rows, PearsonDist)
@@ -199,7 +204,7 @@ func TestDistancesWorkerIndependent(t *testing.T) {
 	}
 }
 
-// BenchmarkF4_ClusterDistances times stage 1 alone — the condensed matrix of
+// BenchmarkF4_ClusterDistances times stage 1 alone — the square matrix of
 // 2,000 rows × 37 experiments, complete and at the served 2% missing — and
 // reports it per pair, so a set-up change can tell the distance build from
 // the NN-chain (BenchmarkF4_Cluster times both) without a profiler.
@@ -220,5 +225,107 @@ func BenchmarkF4_ClusterDistances(b *testing.B) {
 			pairs := float64(len(rows) * (len(rows) - 1) / 2)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
 		})
+	}
+}
+
+// TestTreeBitsPaperShape pins the kernel trees of TestTreeParityPaperShape to
+// the bit. The parity tests tolerate tie order and 1e-12 of height, so they
+// cannot show that a change to the kernel moved nothing; this digest can. It
+// is a SHA-256 over (A, B, Float64bits(Height)) of every merge of every
+// kernel tree that test builds, in its loop order, one constant per kernel
+// routine (the assembly's fused multiply-adds round differently from the Go
+// loop's). A change that means to move a bit records the new digest and
+// says why.
+func TestTreeBitsPaperShape(t *testing.T) {
+	want := map[string]string{
+		"avx2-fma": "f5fdff54d244f3aa04dc8a87d1f4a6f14c2fccb89636e38a587b076af29a1c56",
+		"go":       "ccdf73340334a044469fe1d4fc54f87d09be48c2394d57c5a84fa0997567f843",
+	}
+	underEachDot(t, func(t *testing.T) {
+		h := sha256.New()
+		var buf [24]byte
+		for _, missing := range []float64{0.02, 0.15} {
+			rows := noisyRows(600, 600, 24, missing)
+			for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
+				for _, linkage := range allLinkages {
+					tree, err := Hierarchical(rows, metric, linkage)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range tree.Merges {
+						binary.LittleEndian.PutUint64(buf[0:], uint64(m.A))
+						binary.LittleEndian.PutUint64(buf[8:], uint64(m.B))
+						binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(m.Height))
+						h.Write(buf[:])
+					}
+				}
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[tilecorr.KernelName()] {
+			t.Fatalf("kernel trees digest %s, want %s: some merge moved a bit", got, want[tilecorr.KernelName()])
+		}
+	})
+}
+
+// TestDistancesSquareMirror: the matrix stage 1 hands the chain is
+// symmetric to the bit, +Inf on its diagonal, on both build paths and
+// whatever GOMAXPROCS deals the rows out to. 37 rows end both the last block
+// and the last tile short.
+func TestDistancesSquareMirror(t *testing.T) {
+	rows := noisyRows(41, 37, 11, 0.1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 3} {
+		runtime.GOMAXPROCS(procs)
+		for _, metric := range allMetrics {
+			dist, err := buildDistances(context.Background(), rows, metric)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range rows {
+				if d := dist.at(i, i); !math.IsInf(d, 1) {
+					t.Fatalf("GOMAXPROCS=%d, %v: diagonal (%d,%d) = %v, want +Inf", procs, metric, i, i, d)
+				}
+				for j := 0; j < i; j++ {
+					if lo, hi := dist.at(i, j), dist.at(j, i); math.Float64bits(lo) != math.Float64bits(hi) {
+						t.Fatalf("GOMAXPROCS=%d, %v: (%d,%d) = %v but (%d,%d) = %v", procs, metric, i, j, lo, j, i, hi)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSquareCellsOverflow: the matrix size is checked, not wrapped. An int
+// holds 46,340² but not 46,341² on 32-bit platforms, 3,037,000,499² but not
+// 3,037,000,500² on 64-bit ones; past that both entry points say so.
+func TestSquareCellsOverflow(t *testing.T) {
+	if c, err := squareCells(int32(46340)); err != nil || c != 2147395600 {
+		t.Fatalf("int32 46,340²: %d, %v", c, err)
+	}
+	if c, err := squareCells(int32(46341)); err == nil {
+		t.Fatalf("int32 46,341²: %d, want an error", c)
+	}
+	if c, err := squareCells(int64(3037000499)); err != nil || c != 9223372030926249001 {
+		t.Fatalf("int64 3,037,000,499²: %d, %v", c, err)
+	}
+	if c, err := squareCells(int64(3037000500)); err == nil {
+		t.Fatalf("int64 3,037,000,500²: %d, want an error", c)
+	}
+	if c, err := squareCells(0); err != nil || c != 0 {
+		t.Fatalf("0²: %d, %v", c, err)
+	}
+	if strconv.IntSize == 32 {
+		// The size is checked before anything reads a row or a cell.
+		n := 46341
+		if _, err := HierarchicalCtx(context.Background(), make([][]float64, n), PearsonDist, AverageLinkage); err == nil {
+			t.Fatalf("HierarchicalCtx on %d rows: no error", n)
+		}
+		d, row := make([][]float64, n), make([]float64, n)
+		for i := range d {
+			d[i] = row // one row under every index: 370 KB, not 17 GB
+		}
+		if _, err := HierarchicalFromDistance(d, AverageLinkage); err == nil {
+			t.Fatalf("HierarchicalFromDistance on %d rows: no error", n)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"sort"
@@ -15,27 +16,27 @@ import (
 // This file is the clustering kernel: the exact O(n²) replacement for the
 // O(n³)-worst-case reference path, in two stages.
 //
-// Stage 1 builds the condensed distance matrix in parallel; each worker
-// writes disjoint rows of the flat matrix — no locks. The two Pearson
-// metrics run on the correlation kernel SPELL scans with (internal/tilecorr):
-// the rows are tiled once, z-scored and zero-filled, and every block of four
-// rows meets every tile at or below its diagonal in one pass of dot products
-// plus a correction per missing cell — no means, no variances, no NaN checks
-// in the O(n²) loop, whether the rows are complete or not (tileDistances).
-// The other metrics keep a per-pair kernel with a dense tier for complete
-// rows (pairKernel). Either way a pair the fast arithmetic cannot settle to
-// the reference's bits where they matter falls back to Metric.Distance on
-// the raw rows, so missing-value semantics — and exact ties — are those of
-// the reference path.
+// Stage 1 builds the square distance matrix in parallel; the workers write
+// disjoint rows below its diagonal, then mirror them above it — no locks.
+// The two Pearson metrics run on the correlation kernel SPELL scans with
+// (internal/tilecorr): the rows are tiled once, z-scored and zero-filled,
+// and every block of four rows meets every tile at or below its diagonal in
+// one pass of dot products plus a correction per missing cell — no means, no
+// variances, no NaN checks in the O(n²) loop, whether the rows are complete
+// or not (tileDistances). The other metrics keep a per-pair kernel with a
+// dense tier for complete rows (pairKernel). Either way a pair the fast
+// arithmetic cannot settle to the reference's bits where they matter falls
+// back to Metric.Distance on the raw rows, so missing-value semantics — and
+// exact ties — are those of the reference path.
 //
 // Stage 2 agglomerates by nearest-neighbor chain (Müllner 2011): grow a
 // chain slot → nearest neighbour → ... until two clusters are each other's
-// nearest neighbour, merge them, and continue from the remaining chain. For
-// the reducible Lance-Williams updates used here (single, complete,
-// average) a merge never invalidates the rest of the chain, every
-// reciprocal pair found this way is a merge of the greedy
-// globally-closest-pair algorithm, and merge heights are monotone — so
-// sorting the discovered merges by height reproduces the reference tree
+// nearest neighbour, merge them, and continue from the remaining chain,
+// reading and writing rows only. For the reducible Lance-Williams updates
+// used here (single, complete, average) a merge never invalidates the rest
+// of the chain, every reciprocal pair found this way is a merge of the
+// greedy globally-closest-pair algorithm, and merge heights are monotone —
+// so sorting the discovered merges by height reproduces the reference tree
 // exactly (up to the order of tied merges) in O(n²) total time.
 
 // Hierarchical builds a dendrogram over the rows using the given metric and
@@ -56,15 +57,79 @@ func HierarchicalCtx(ctx context.Context, rows [][]float64, metric Metric, linka
 	if n == 0 {
 		return nil, errors.New("cluster: no rows")
 	}
-	t := &Tree{NLeaves: n}
 	if n == 1 {
-		return t, nil
+		return &Tree{NLeaves: 1}, nil
 	}
 	dist, err := buildDistances(ctx, rows, metric)
 	if err != nil {
 		return nil, err
 	}
-	return nnChain(ctx, n, dist, linkage)
+	return nnChain(ctx, dist, linkage)
+}
+
+// sqMatrix is a full row-major n×n distance matrix, +Inf on the diagonal.
+type sqMatrix struct {
+	n int
+	v []float64
+}
+
+func newSqMatrix(n int) (*sqMatrix, error) {
+	cells, err := squareCells(n)
+	if err != nil {
+		return nil, err
+	}
+	m := &sqMatrix{n: n, v: make([]float64, cells)}
+	for i := 0; i < n; i++ {
+		m.v[i*n+i] = math.Inf(1)
+	}
+	return m, nil
+}
+
+func (m *sqMatrix) at(i, j int) float64 { return m.v[i*m.n+j] }
+
+// mirror is worker w's share of copying the lower triangle above the
+// diagonal, in 64×64 tiles so that the rows read and the rows written both
+// stay in cache. Worker w takes the tile rows w, w+workers, ….
+func (m *sqMatrix) mirror(w, workers int) {
+	const side = 64
+	n := m.n
+	for r0 := w * side; r0 < n; r0 += workers * side {
+		for c0 := r0; c0 < n; c0 += side {
+			for r := r0; r < min(r0+side, n); r++ {
+				for c := max(c0, r+1); c < min(c0+side, n); c++ {
+					m.v[r*n+c] = m.v[c*n+r]
+				}
+			}
+		}
+	}
+}
+
+// squareCells is n², or an error when it overflows I (46,341 rows do on
+// 32-bit platforms); generic so that a test can try both widths anywhere.
+func squareCells[I ~int | ~int32 | ~int64](n I) (I, error) {
+	if c := n * n; n == 0 || c/n == n {
+		return c, nil
+	}
+	return 0, fmt.Errorf("cluster: %d rows need more distance cells than an int can index", n)
+}
+
+// lwStep is one merge of the chain's log: slot b joined slot a, with
+// average linkage's weights for the two.
+type lwStep struct {
+	a, b   int
+	wa, wb float64
+}
+
+// combine is the Lance-Williams distance from the merged cluster to a third
+// one, da and db being its parts' distances to it.
+func (s *lwStep) combine(linkage Linkage, da, db float64) float64 {
+	switch linkage {
+	case AverageLinkage:
+		return s.wa*da + s.wb*db
+	case CompleteLinkage:
+		return max(da, db) // math.Max's answer, NaN and ±0 included
+	}
+	return min(da, db)
 }
 
 // pairKernel evaluates one metric over row pairs, with a dense fast path
@@ -173,42 +238,47 @@ func rowComplete(row []float64) bool {
 	return true
 }
 
-// buildDistances fills the condensed distance matrix in parallel. A pair's
-// value depends on the two rows and their indices only — never on the
-// worker count or on what else the process is building — so a tree is
+// buildDistances fills the square distance matrix in parallel: the workers
+// compute the pairs below the diagonal, then mirror that triangle above it.
+// A pair's value depends on the two rows and their indices only — never on
+// the worker count or on what else the process is building — so a tree is
 // bit-stable on a host.
-func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triMatrix, error) {
+func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*sqMatrix, error) {
 	n := len(rows)
-	dist := newTriMatrix(n)
+	dist, err := newSqMatrix(n)
+	if err != nil {
+		return nil, err
+	}
 	var fill func(w, workers int) // worker w's share; polls ctx once per unit of work
 	if dim := commonDim(rows); dim > 0 && (metric == PearsonDist || metric == PearsonAbsDist) {
 		tiles := tilecorr.New(rows, dim)
 		fill = func(w, workers int) { tileDistances(ctx, dist, tiles, rows, metric, w, workers) }
 	} else {
-		// Triangular row i holds i pairs, so dealing rows round-robin keeps
-		// the workers' shares within one row of each other.
+		// Row i holds i pairs below the diagonal, so dealing rows
+		// round-robin keeps the workers' shares within one row of each other.
 		k := newPairKernel(rows, metric)
 		fill = func(w, workers int) {
 			for i := 1 + w; i < n && ctx.Err() == nil; i += workers {
-				out := dist.v[i*(i-1)/2 : i*(i-1)/2+i]
-				for j := range out {
-					out[j] = k.dist(i, j)
+				for j := 0; j < i; j++ {
+					dist.v[i*n+j] = k.dist(i, j)
 				}
 			}
 		}
 	}
 	workers := max(1, min(runtime.GOMAXPROCS(0), n-1))
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			fill(w, workers)
-		}(w)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	for _, stage := range []func(w, workers int){fill, dist.mirror} {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				stage(w, workers)
+			}(w)
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 	}
 	return dist, nil
 }
@@ -219,7 +289,7 @@ func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triM
 // A block is gathered once and met with every tile holding a row below one
 // of its own; the kernel's block finish yields each pair's correlation over
 // the cells both rows observe, and the distance goes straight into the
-// block's rows of the condensed matrix, which no other worker writes.
+// block's rows of the matrix, which no other worker writes.
 //
 // The lanes the kernel does not vouch for — two shared cells, a joint subset
 // nearly constant, |r| within 1e-12 of 1 — are Metric.Distance on the raw
@@ -227,7 +297,7 @@ func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*triM
 // cosmetic: two rows sharing two cells correlate at exactly ±1 in the
 // reference, and a one-pass value an ulp short of it changes which pair
 // merges at height 0 and with it the tree above (DESIGN.md §3b).
-func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, rows [][]float64, metric Metric, w, workers int) {
+func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, metric Metric, w, workers int) {
 	const tileRows, blockRows = tilecorr.TileRows, tilecorr.BlockRows
 	n, dim := len(rows), tiles.NExp()
 	q := tilecorr.Query{
@@ -254,7 +324,7 @@ func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, 
 				// Only those lanes are read: the diagonal's self-pair, flagged
 				// at r = 1, is never recomputed.
 				below := uint8(flagged>>(tileRows*k)) & (1<<live - 1)
-				out := dist.v[i*(i-1)/2+base:]
+				out := dist.v[i*n+base:]
 				for j, r := range rs[k*tileRows : k*tileRows+live] {
 					switch {
 					case below>>j&1 != 0 || math.IsNaN(r): // NaN: fewer than two shared cells, the metric's maximum
@@ -270,86 +340,80 @@ func tileDistances(ctx context.Context, dist *triMatrix, tiles *tilecorr.Tiles, 
 	}
 }
 
-// nnChain agglomerates the condensed matrix by nearest-neighbor chain and
+// nnChain agglomerates the square matrix by nearest-neighbor chain and
 // relabels the discovered merges into the reference node-numbering
 // convention (merges in nondecreasing height order, clusters represented by
 // their smallest leaf). It consumes dist as scratch space.
 //
-// Two matrix disciplines keep the chain phase cheap. Dead slots are
-// tombstoned: a merge overwrites the dying slot's entries with +Inf in the
-// same pass that applies the Lance-Williams update, so the nearest-
-// neighbour scans need no per-element liveness test — +Inf can never win a
-// strict comparison. And when more than half the slots are dead, the
-// matrix is compacted onto the survivors: scans walk the (shrinking)
-// current width, and once the live matrix fits in cache the strided
-// upper-triangle reads stop missing. Discarding the chain at a compaction
-// is sound — any chain rebuilt from current nearest neighbours finds a
-// reciprocal pair of the same agglomeration.
-func nnChain(ctx context.Context, n int, dist *triMatrix, linkage Linkage) (*Tree, error) {
+// A merge of slots a < b rewrites row a as the Lance-Williams combination
+// of rows a and b and appends the step to a log. Every other row owes the
+// step two cells (column a takes the combined value, column b dies) and
+// pays them when the chain next reads it: catchUp replays the entries the
+// row has not applied yet, ver records how far it got. So no column is ever
+// walked, every scan is one contiguous row, and dead slots stay +Inf
+// tombstones (as the diagonal is), which no strict comparison picks.
+func nnChain(ctx context.Context, dist *sqMatrix, linkage Linkage) (*Tree, error) {
 	type rawMerge struct {
 		a, b int // original cluster representatives (smallest leaf), a < b
 		h    float64
 	}
+	n, inf := dist.n, math.Inf(1)
 	raw := make([]rawMerge, 0, n-1)
-	cur := n // current matrix width (shrinks at compactions)
-	active := make([]bool, n)
-	size := make([]int, n)
-	orig := make([]int, n) // slot -> smallest original leaf of its cluster
-	for i := range active {
-		active[i], size[i], orig[i] = true, 1, i
+	log := make([]lwStep, 0, n-1)
+	ver := make([]int, n) // row i has applied log[:ver[i]]
+	catchUp := func(i int) []float64 {
+		row := dist.v[i*n : (i+1)*n]
+		for _, s := range log[ver[i]:] {
+			row[s.a] = s.combine(linkage, row[s.a], row[s.b])
+			row[s.b] = inf
+		}
+		ver[i] = len(log)
+		return row
 	}
-	live := n
-	first := 0 // smallest possibly-active slot, advanced lazily
+	size := make([]int, n) // 0 once the slot is dead
+	orig := make([]int, n) // slot -> smallest original leaf of its cluster
+	for i := range size {
+		size[i], orig[i] = 1, i
+	}
+	first := 0 // smallest possibly-live slot, advanced lazily
 	chain := make([]int, 0, 64)
 	for len(raw) < n-1 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		if len(chain) == 0 {
-			for !active[first] {
+			for size[first] == 0 {
 				first++
 			}
 			chain = append(chain, first)
 		}
 		for {
 			top := chain[len(chain)-1]
-			prev := -1
-			best, bd := -1, math.Inf(1)
+			row := catchUp(top)
+			prev, best := -1, first
 			if len(chain) > 1 {
 				// The previous chain element seeds the scan and wins ties,
 				// so a reciprocal pair is always detected and the chain's
 				// distances strictly decrease — the termination argument.
+				// It can only tie its own entry, so the scan needs no test.
 				prev = chain[len(chain)-2]
-				best, bd = prev, dist.at(top, prev)
-			}
-			// Nearest-neighbour scan, split at the diagonal so the j < top
-			// half streams through row `top` contiguously and the j > top
-			// half advances its flat index incrementally (idx(j+1) =
-			// idx(j) + j) — this loop is the kernel's agglomeration cost.
-			// Dead slots and prev need no per-element test: dead entries
-			// are +Inf, and prev — the seeded incumbent — can only tie its
-			// own entry, so prev wins ties, the property the termination
-			// argument needs.
-			row := dist.v[top*(top-1)/2:]
-			for j := 0; j < top; j++ {
-				if d := row[j]; d < bd {
-					bd, best = d, j
+				best = prev
+			} else {
+				// No incumbent: the first live partner. Every slot before it
+				// is +Inf, so the scan keeps it on a tie, and it is the
+				// answer when every distance left is +Inf (±Inf input).
+				for size[best] == 0 || best == top {
+					best++
 				}
 			}
-			idx := top*(top+1)/2 + top
-			for j := top + 1; j < cur; j++ {
-				if d := dist.v[idx]; d < bd {
-					bd, best = d, j
-				}
-				idx += j
-			}
-			if best < 0 {
-				// Every remaining distance is +Inf (pathological input,
-				// e.g. ±Inf expression values): any live partner will do.
-				for j := first; j < cur; j++ {
-					if active[j] && j != top {
-						best, bd = j, dist.at(top, j)
-						break
+			bd := row[best]
+			for j := 0; j < n; j += 4 { // four cells a test: few beat bd
+				q := row[j:min(j+4, n)]
+				if len(q) < 4 || q[0] < bd || q[1] < bd || q[2] < bd || q[3] < bd {
+					for k, d := range q {
+						if d < bd {
+							bd, best = d, j+k
+						}
 					}
 				}
 			}
@@ -358,91 +422,23 @@ func nnChain(ctx context.Context, n int, dist *triMatrix, linkage Linkage) (*Tre
 				// same Lance-Williams arithmetic as the reference (bitwise,
 				// for height parity — the hoisted weights evaluate the
 				// identical expression the reference computes per pair).
-				a, b := prev, top
-				if a > b {
-					a, b = b, a
-				}
-				ra, rb := orig[a], orig[b]
-				if ra > rb {
-					ra, rb = rb, ra
-				}
+				// Dead columns combine to +Inf again (the weights are
+				// positive: no Inf-Inf or 0·Inf makes a NaN).
+				a, b := min(prev, top), max(prev, top)
+				ra, rb := min(orig[a], orig[b]), max(orig[a], orig[b])
 				raw = append(raw, rawMerge{a: ra, b: rb, h: bd})
-				var combine func(da, db float64) float64
-				switch linkage {
-				case AverageLinkage:
-					wa := float64(size[a]) / float64(size[a]+size[b])
-					wb := float64(size[b]) / float64(size[a]+size[b])
-					combine = func(da, db float64) float64 { return wa*da + wb*db }
-				case CompleteLinkage:
-					combine = math.Max
-				default:
-					combine = math.Min
+				ab := float64(size[a] + size[b])
+				s := lwStep{a, b, float64(size[a]) / ab, float64(size[b]) / ab}
+				rowA, rowB := catchUp(a), catchUp(b)
+				for j, db := range rowB {
+					rowA[j] = s.combine(linkage, rowA[j], db)
 				}
-				// Walk the triangle like the scan: row a and row b are
-				// contiguous below their diagonals, flat indices advance by
-				// j beyond them. Slot b's entries are tombstoned to +Inf in
-				// the same pass so future scans skip the dead slot for
-				// free; dead-pair entries are already +Inf on both sides
-				// and combine to +Inf again (the weights are positive, so
-				// no Inf-Inf or 0·Inf can make a NaN).
-				inf := math.Inf(1)
-				rowA := dist.v[a*(a-1)/2:]
-				rowB := dist.v[b*(b-1)/2:]
-				for j := 0; j < a; j++ {
-					rowA[j] = combine(rowA[j], rowB[j])
-					rowB[j] = inf
-				}
-				idxA := a*(a+1)/2 + a // idx(a, a+1)
-				for j := a + 1; j < b; j++ {
-					dist.v[idxA] = combine(dist.v[idxA], rowB[j])
-					rowB[j] = inf
-					idxA += j
-				}
-				dist.v[idxA] = inf // the a↔b entry dies with b
-				idxA += b
-				idxB := b*(b+1)/2 + b
-				for j := b + 1; j < cur; j++ {
-					dist.v[idxA] = combine(dist.v[idxA], dist.v[idxB])
-					dist.v[idxB] = inf
-					idxA += j
-					idxB += j
-				}
-				active[b] = false
-				size[a] += size[b]
+				rowA[a], rowA[b] = inf, inf
+				log = append(log, s)
+				ver[a] = len(log)
+				size[a], size[b] = size[a]+size[b], 0
 				orig[a] = ra
-				live--
 				chain = chain[:len(chain)-2]
-				if 2*live < cur && live > 32 {
-					// Compact the matrix onto the survivors, preserving
-					// slot order (so representative-slot reasoning is
-					// unaffected), and restart the chain.
-					k := 0
-					for s := 0; s < cur; s++ {
-						if !active[s] {
-							continue
-						}
-						// New row k gathers the live columns of old row s;
-						// both sides walk forward, so reads and writes stay
-						// in order.
-						oldRow := dist.v[s*(s-1)/2 : s*(s-1)/2+s]
-						newRow := dist.v[k*(k-1)/2:]
-						c := 0
-						for j := 0; j < s; j++ {
-							if active[j] {
-								newRow[c] = oldRow[j]
-								c++
-							}
-						}
-						size[k], orig[k] = size[s], orig[s]
-						k++
-					}
-					cur = k
-					for s := 0; s < cur; s++ {
-						active[s] = true
-					}
-					first = 0
-					chain = chain[:0]
-				}
 				break
 			}
 			chain = append(chain, best)

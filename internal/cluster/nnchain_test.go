@@ -426,3 +426,37 @@ var errNondeterministic = errorString("cluster: concurrent kernel builds diverge
 type errorString string
 
 func (e errorString) Error() string { return string(e) }
+
+// TestNNChainAllInfFallback reaches the chain's last resort: a cluster whose
+// every remaining distance is +Inf — +Inf being also what a merged-away
+// slot reads — takes the first live partner. Two finite groups and a
+// singleton, separated by +Inf, must still make one valid tree under every
+// linkage: the finite merges first, then the +Inf ones, and no NaN height.
+func TestNNChainAllInfFallback(t *testing.T) {
+	inf := math.Inf(1)
+	d := [][]float64{
+		{0, 1, inf, inf, inf},
+		{1, 0, inf, inf, inf},
+		{inf, inf, 0, 2, inf},
+		{inf, inf, 2, 0, inf},
+		{inf, inf, inf, inf, 0},
+	}
+	want := []Merge{{0, 1, 1}, {2, 3, 2}, {5, 6, inf}, {7, 4, inf}}
+	for _, linkage := range allLinkages {
+		tree, err := HierarchicalFromDistance(d, linkage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tree.Validate(); err != nil {
+			t.Fatalf("%v: %v", linkage, err)
+		}
+		for i, m := range tree.Merges {
+			if math.IsNaN(m.Height) {
+				t.Fatalf("%v: NaN height at merge %d", linkage, i)
+			}
+		}
+		if !reflect.DeepEqual(tree.Merges, want) {
+			t.Fatalf("%v: merges %v, want %v", linkage, tree.Merges, want)
+		}
+	}
+}

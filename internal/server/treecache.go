@@ -25,8 +25,8 @@ import (
 //   - trees live in the pane, outside the byte-budgeted LRU: a burst of hot
 //     tiles must not evict the dendrograms they are rendered from.
 //   - at most GOMAXPROCS builds run at once, whoever asked (warm, or every
-//     pane of a cold daemon touched together): a build holds an n²/2
-//     distance matrix — 144 MB for 6,000 rows — while it agglomerates on one
+//     pane of a cold daemon touched together): a build holds an n²
+//     distance matrix — 288 MB for 6,000 rows — while it agglomerates on one
 //     core, so more builds than cores add peak heap and no speed. A build is
 //     a Run on the cache's own Pool, waiting under its leader's context; if
 //     that dies first the flight goes to a live follower.
