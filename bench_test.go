@@ -13,6 +13,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -296,7 +297,17 @@ func BenchmarkF4_SPELLEngineBuild(b *testing.B) {
 // BenchmarkF4_ReadPCL parses paperFixture's 24 PCL files, what a daemon
 // boot or a shard reload reads before anything else (`microarray.pcl_parse_s`
 // in BENCHMARK.json): MB/s over the files' bytes, allocs per 24-file pass.
-func BenchmarkF4_ReadPCL(b *testing.B) {
+// Each file is parsed on up to GOMAXPROCS workers.
+func BenchmarkF4_ReadPCL(b *testing.B) { benchReadPCL(b) }
+
+// BenchmarkF4_ReadPCLSerial is BenchmarkF4_ReadPCL on one core, so a
+// per-core regression cannot hide behind the workers.
+func BenchmarkF4_ReadPCLSerial(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchReadPCL(b)
+}
+
+func benchReadPCL(b *testing.B) {
 	var files [][]byte
 	size := 0
 	for _, ds := range paperFixture() {

@@ -234,8 +234,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 	if role != "single" && len(cfg.shards) > 0 && repl > len(cfg.shards) {
 		return nil, fmt.Errorf("-replication %d exceeds the %d-shard fleet", repl, len(cfg.shards))
 	}
-	t0 := time.Now()
-
 	if role == "coordinator" {
 		// A coordinator holds no expression data and no ontology at all:
 		// ownership is a pure function of the shard set, so it scatters and
@@ -360,6 +358,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			held[i] = i
 		}
 	}
+	t0 := time.Now()
 	var datasets []*microarray.Dataset
 	for _, gi := range held {
 		ds, err := load(gi)
@@ -368,6 +367,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		}
 		datasets = append(datasets, ds)
 	}
+	cfg.log("loaded %d datasets in %v", len(datasets), time.Since(t0).Round(time.Millisecond))
 	if cfg.demo {
 		cfg.log("demo compendium: %d of %d datasets over %d genes, %d GO terms",
 			len(datasets), len(names), cfg.genes, enricher.NumTerms())
@@ -447,6 +447,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			cfg.self, len(datasets), len(names), repl, shard.SearchPath, cfg.fleetToken != "")
 	}
 	if cfg.precluster {
+		t0 := time.Now()
 		if err := srv.WarmTrees(context.Background()); err != nil {
 			srv.Close()
 			return nil, fmt.Errorf("preclustering: %w", err)

@@ -179,7 +179,7 @@ func TestFileShardLoadsWhatItOwns(t *testing.T) {
 		files: strings.Join(paths, ","), role: "shard", shards: []string{"shard-a", "shard-b"}, self: "shard-a",
 		fleetToken: "sesame", cacheMB: 4, workers: 1,
 		log: func(format string, args ...any) {
-			if strings.HasPrefix(format, "loaded ") {
+			if strings.HasPrefix(format, "loaded %q") { // one file parsed
 				loaded = append(loaded, args[0].(string))
 			}
 		},

@@ -145,10 +145,14 @@ func longLinePCL() []byte {
 }
 
 // FuzzReadPCL's seeds live in testdata/fuzz/FuzzReadPCL: valid-* parse,
-// bad-* are rejected (TestReadPCLCorpus).
+// bad-* are rejected (TestReadPCLCorpus). Every input also parses the same
+// in any number of spans as in one.
 func FuzzReadPCL(f *testing.F) {
 	f.Add(longLinePCL())
-	f.Fuzz(func(t *testing.T, data []byte) { checkReadPCL(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadPCL(t, data)
+		checkSpansAgree(t, data, "PCL")
+	})
 }
 
 // TestReadPCLCorpus runs the seed corpus (and the long line) as a plain test.
@@ -234,9 +238,13 @@ func checkReadCDT(t testing.TB, data []byte) bool {
 }
 
 // FuzzReadCDT's seeds live in testdata/fuzz/FuzzReadCDT: valid-* parse,
-// bad-* are rejected (TestReadCDTCorpus).
+// bad-* are rejected (TestReadCDTCorpus). Every input also parses the same
+// in any number of spans as in one.
 func FuzzReadCDT(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) { checkReadCDT(t, data) })
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkReadCDT(t, data)
+		checkSpansAgree(t, data, "CDT")
+	})
 }
 
 // TestReadCDTCorpus runs the seed corpus as a plain test.
