@@ -442,6 +442,48 @@ func BenchmarkF4_ClusterReference(b *testing.B) {
 	}
 }
 
+// BenchmarkF4_PaneRetained reports what a daemon keeps of one raw pane, in
+// B/pane: the live heap of a server whose only raw pane is paperFixture's
+// pane 0, parsed from PCL, less that of the same server with no pane. The
+// engine is built from a separate parse, so only the server references the
+// pane, and two collections (the second empties the parser's buffer pool)
+// leave only what is reachable.
+func BenchmarkF4_PaneRetained(b *testing.B) {
+	var pcl bytes.Buffer
+	if err := microarray.WritePCL(&pcl, paperFixture()[0]); err != nil {
+		b.Fatal(err)
+	}
+	parse := func() []*microarray.Dataset {
+		ds, err := microarray.ReadPCL(bytes.NewReader(pcl.Bytes()), "pane-0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		return []*microarray.Dataset{ds}
+	}
+	engine, err := spell.NewEngine(parse())
+	if err != nil {
+		b.Fatal(err)
+	}
+	live := func(raw []*microarray.Dataset) uint64 {
+		s, err := server.New(server.Config{Engine: engine, RawDatasets: raw})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		s.Close()
+		return ms.HeapAlloc
+	}
+	var kept float64
+	for i := 0; i < b.N; i++ {
+		bare := live(nil)
+		kept += float64(live(parse())) - float64(bare)
+	}
+	b.ReportMetric(kept/float64(b.N), "B/pane")
+}
+
 // BenchmarkF4_HeatmapTile measures the daemon's full tile pipeline against
 // a warmed tree cache: each iteration requests a distinct row window, so
 // the clustered tree is reused (one build total, amortized away before the

@@ -31,6 +31,10 @@ type Gene struct {
 // matrix of log-ratio expression values plus identity metadata. Missing
 // measurements are NaN. The zero value is an empty dataset ready for
 // incremental construction via AddGene.
+//
+// A Dataset with Data but no Genes is a bare matrix: it counts its rows,
+// clusters and renders, finds no gene by ID and fails Validate. The daemon
+// keeps its lazily clustered panes in this form.
 type Dataset struct {
 	// Name identifies the dataset (typically the source file or study).
 	Name string
@@ -84,8 +88,9 @@ func (d *Dataset) AddGene(g Gene, values []float64) error {
 	return nil
 }
 
-// NumGenes returns the number of gene rows.
-func (d *Dataset) NumGenes() int { return len(d.Genes) }
+// NumGenes returns the number of gene rows, counted in Data so that a
+// dataset without a gene table has them too.
+func (d *Dataset) NumGenes() int { return len(d.Data) }
 
 // NumExperiments returns the number of experiment columns.
 func (d *Dataset) NumExperiments() int { return len(d.Experiments) }

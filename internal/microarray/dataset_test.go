@@ -93,6 +93,21 @@ func TestValidate(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatalf("valid dataset rejected: %v", err)
 	}
+	// A matrix without its gene table counts its rows, finds no gene and
+	// fails validation.
+	m := &Dataset{Name: ds.Name, Experiments: ds.Experiments, Data: ds.Data}
+	if m.NumGenes() != 3 {
+		t.Fatalf("matrix NumGenes = %d, want 3", m.NumGenes())
+	}
+	if i, ok := m.GeneIndex("YAL001C"); ok {
+		t.Fatalf("matrix GeneIndex found row %d", i)
+	}
+	if ids := m.GeneIDs(); len(ids) != 0 {
+		t.Fatalf("matrix GeneIDs = %v", ids)
+	}
+	if err := m.Validate(); err == nil || err.Error() != "microarray: 3 data rows vs 0 genes" {
+		t.Fatalf("matrix Validate = %v", err)
+	}
 	ds.Data[1] = ds.Data[1][:2]
 	if err := ds.Validate(); err == nil {
 		t.Fatal("ragged data should fail validation")

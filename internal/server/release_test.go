@@ -53,10 +53,21 @@ func (r released) await(want int) map[int]int {
 	}
 }
 
+// What parsedCompendium watches of each dataset: watchKey(i, w) is the key
+// of watch w of dataset i.
+const (
+	watchDataset = iota // the *Dataset
+	watchCells          // its cell array
+	watchArena          // its string arena
+	watches
+)
+
+func watchKey(i, w int) int { return i*watches + w }
+
 // parsedCompendium is n synthetic datasets as ReadPCL returns them, each
-// watched under its index in three places: the dataset, its cell array and
-// its string arena. Each dataset's first gene is its own, so an engine that
-// kept the gene IDs it was handed would pin every arena.
+// watched in three places under keys of its own: the dataset, its cell array
+// and its string arena. Each dataset's first gene is its own, so an engine
+// that kept the gene IDs it was handed would pin every arena.
 func parsedCompendium(t *testing.T, n int, r released) []*microarray.Dataset {
 	t.Helper()
 	u := synth.NewUniverse(240, 6, 61)
@@ -75,19 +86,21 @@ func parsedCompendium(t *testing.T, n int, r released) []*microarray.Dataset {
 		if err != nil {
 			t.Fatal(err)
 		}
-		watch(r, ds, i)
-		watch(r, &ds.Data[0][0], i)
-		watch(r, unsafe.StringData(ds.Genes[0].ID), i)
+		watch(r, ds, watchKey(i, watchDataset))
+		watch(r, &ds.Data[0][0], watchKey(i, watchCells))
+		watch(r, unsafe.StringData(ds.Genes[0].ID), watchKey(i, watchArena))
 		dss[i] = ds
 	}
 	return dss
 }
 
 // TestServerKeepsNoNonPaneRows: a daemon whose panes are two of its six
-// datasets keeps the rows of those two and of no other. The engine keeps
-// its slabs and strings of its own, and the server does not keep the
-// config's dataset slices, whose backing array would pin all six. A growing
-// reload drops the engine it replaces, and the group view derived from it.
+// datasets keeps the rows of those two and of no other. A pane keeps its
+// cells only: its *Dataset and its string arena go with the caller. The
+// engine keeps its slabs and strings of its own, and the server does not
+// keep the config's dataset slices, whose backing array would pin all six. A
+// growing reload drops the engine it replaces, and the group view derived
+// from it.
 func TestServerKeepsNoNonPaneRows(t *testing.T) {
 	t.Run("panes", func(t *testing.T) {
 		r := make(released, 64)
@@ -104,10 +117,16 @@ func TestServerKeepsNoNonPaneRows(t *testing.T) {
 			return s
 		}()
 		t.Cleanup(s.Close)
-		got := r.await(3 * 4)
+		got := r.await(2*2 + 4*watches)
 		for di := range 6 {
-			if want := map[bool]int{true: 0, false: 3}[di < 2]; got[di] != want {
-				t.Errorf("dataset %d: %d of its 3 cleanups ran, want %d", di, got[di], want)
+			for w, what := range []string{"dataset", "cells", "arena"} {
+				want := 1
+				if di < 2 && w == watchCells {
+					want = 0
+				}
+				if n := got[watchKey(di, w)]; n != want {
+					t.Errorf("dataset %d: %d cleanups of its %s ran, want %d", di, n, what, want)
+				}
 			}
 		}
 		// What is kept still serves: a search, and a tile of a pane.

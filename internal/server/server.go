@@ -110,7 +110,11 @@ type Config struct {
 	// RawDatasets are unclustered panes, indexed after Datasets: the first
 	// /api/heatmap touch clusters each one exactly once through the
 	// server's tree cache (concurrent requests coalesce onto one build),
-	// which keeps daemon startup off the clustering critical path.
+	// which keeps daemon startup off the clustering critical path. A pane
+	// keeps its dataset's Name, Experiments and Data rows, sharing them
+	// with the caller; nothing else of the dataset is kept (no Genes, ID
+	// index, weights or string arena), so those are freed once the caller
+	// drops it. The rows must not change after New.
 	RawDatasets []*microarray.Dataset
 	// TreeMetric and TreeLinkage configure the lazy clustering of
 	// RawDatasets (defaults: Pearson distance, average linkage — the

@@ -46,13 +46,17 @@ type treeCache struct {
 
 // pane is one heatmap pane, and the place its tree is kept.
 type pane struct {
-	raw  *microarray.Dataset                   // build source; nil for a pre-clustered pane
+	raw  *microarray.Dataset                   // build source, a matrix without a gene table; nil for a pre-clustered pane
 	rows int                                   // display rows, known before any build
 	tree atomic.Pointer[core.ClusteredDataset] // nil until built
 }
 
 // newTreeCache lists the pre-clustered panes, then the lazily clustered
-// ones; a pane's position is its index.
+// ones; a pane's position is its index. A raw pane keeps what a tree build
+// and a tile read, its name, column labels and rows, the caller's slices
+// with no value copied. Its gene table (Genes, the ID index, the weights and
+// the string arena they point into) stays with the caller, to be collected
+// when the caller drops it.
 func newTreeCache(opt core.ClusterOptions, pre []*core.ClusteredDataset, raw []*microarray.Dataset) *treeCache {
 	tc := &treeCache{opt: opt}
 	for _, cd := range pre {
@@ -61,7 +65,8 @@ func newTreeCache(opt core.ClusterOptions, pre []*core.ClusteredDataset, raw []*
 		tc.panes = append(tc.panes, p)
 	}
 	for _, ds := range raw {
-		tc.panes = append(tc.panes, &pane{raw: ds, rows: ds.NumGenes()})
+		m := &microarray.Dataset{Name: ds.Name, Experiments: ds.Experiments, Data: ds.Data}
+		tc.panes = append(tc.panes, &pane{raw: m, rows: m.NumGenes()})
 	}
 	tc.pool = NewPool(runtime.GOMAXPROCS(0), len(tc.panes))
 	return tc

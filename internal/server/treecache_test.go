@@ -5,6 +5,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"image/color"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -17,6 +19,7 @@ import (
 	"forestview/internal/cluster"
 	"forestview/internal/core"
 	"forestview/internal/microarray"
+	"forestview/internal/render"
 	"forestview/internal/spell"
 	"forestview/internal/synth"
 )
@@ -318,6 +321,108 @@ func TestMixedPreAndRawPanes(t *testing.T) {
 	}
 	if ts := treeStats(t, s); ts.Builds != 1 || ts.Built != 2 {
 		t.Fatalf("raw pane stats: %+v", ts)
+	}
+}
+
+// TestRawPaneIsCallersMatrix: a raw pane keeps the caller's rows and not its
+// gene table, and what it builds and draws is what the caller's full dataset
+// gives. Its trees match core.ClusterCtx over that dataset bit for bit, and
+// its tiles (level 0, a pyramid level, both dendrogram strips) match
+// RenderHeatmap + EncodePNG over that reference byte for byte.
+func TestRawPaneIsCallersMatrix(t *testing.T) {
+	u := synth.NewUniverse(220, 8, 91)
+	gen, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 1, MinExperiments: 11, MaxExperiments: 11,
+		ActiveFraction: 0.5, Noise: 0.25, MissingRate: 0.05, Seed: 92,
+	})
+	var pcl bytes.Buffer
+	if err := microarray.WritePCL(&pcl, gen[0]); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := microarray.ReadPCL(&pcl, gen[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ds.MissingFraction() == 0 {
+		t.Fatal("fixture has no missing cells")
+	}
+	opt := pearsonAverage
+	opt.ClusterArrays = true
+	ref, err := core.ClusterCtx(context.Background(), ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engine, err := spell.NewEngine(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Engine: engine, RawDatasets: []*microarray.Dataset{ds}, ClusterArrays: true, RenderWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	cd, err := s.trees.get(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := cd.Data; m.Genes != nil || m.GWeights != nil || m.EWeights != nil || m.NumGenes() != ds.NumGenes() {
+		t.Fatalf("pane keeps %d genes, %d gene and %d array weights over %d rows; want only the %d rows",
+			len(m.Genes), len(m.GWeights), len(m.EWeights), m.NumGenes(), ds.NumGenes())
+	}
+	for _, tr := range []struct {
+		axis      string
+		got, want *cluster.Tree
+	}{{"gene", cd.GeneTree, ref.GeneTree}, {"array", cd.ArrayTree, ref.ArrayTree}} {
+		if tr.got == nil || tr.got.NLeaves != tr.want.NLeaves || len(tr.got.Merges) != len(tr.want.Merges) {
+			t.Fatalf("%s tree: got %+v, want %d leaves", tr.axis, tr.got, tr.want.NLeaves)
+		}
+		for i, m := range tr.got.Merges {
+			w := tr.want.Merges[i]
+			if m.A != w.A || m.B != w.B || math.Float64bits(m.Height) != math.Float64bits(w.Height) {
+				t.Fatalf("%s tree merge %d = %+v, want %+v", tr.axis, i, m, w)
+			}
+		}
+	}
+
+	n := ds.NumGenes()
+	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
+	for _, tc := range []struct {
+		query                  string
+		w, h, level, treeW, ah int
+	}{
+		{"w=96&h=256", 96, 256, 0, 0, 0},
+		{"w=96&h=64", 96, 64, 1, 0, 0},
+		{"w=160&h=256&tree=40&atree=48", 160, 256, 0, 40, 48},
+	} {
+		c := render.NewCanvas(tc.w, tc.h, color.RGBA{A: 255})
+		render.RenderDendrogramOrdered(c, render.Rect{X: tc.treeW, W: tc.w - tc.treeW, H: tc.ah},
+			ref.ArrayTree, ref.ArrayOrder, render.AboveColumns, fg)
+		render.RenderDendrogramOrdered(c, render.Rect{Y: tc.ah, W: tc.treeW, H: tc.h - tc.ah},
+			ref.GeneTree, ref.DisplayOrder, render.LeftOfRows, fg)
+		rows := ref.RowsInDisplayRange(0, n)
+		if tc.level > 0 {
+			rows = ref.Pyramid(core.PyramidOptions{}).Level(tc.level).F64
+		}
+		var colOrder []int
+		if tc.ah > 0 {
+			colOrder = ref.ArrayOrder
+		}
+		render.RenderHeatmap(c, render.Rect{X: tc.treeW, Y: tc.ah, W: tc.w - tc.treeW, H: tc.h - tc.ah}, rows,
+			render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true, ColOrder: colOrder})
+		var want bytes.Buffer
+		if err := c.EncodePNG(&want); err != nil {
+			t.Fatal(err)
+		}
+		rec := get(t, s, "/api/heatmap?dataset=0&"+tc.query)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d: %s", tc.query, rec.Code, rec.Body)
+		}
+		if lv := rec.Header().Get("X-Forestview-Level"); lv != fmt.Sprint(tc.level) {
+			t.Fatalf("%s resolved level %s, want %d", tc.query, lv, tc.level)
+		}
+		if !bytes.Equal(rec.Body.Bytes(), want.Bytes()) {
+			t.Errorf("%s differs from the reference render (%d vs %d bytes)", tc.query, rec.Body.Len(), want.Len())
+		}
 	}
 }
 
