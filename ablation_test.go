@@ -5,6 +5,7 @@ package forestview
 // is visible in the bench output, not just the cost.
 
 import (
+	"context"
 	"fmt"
 	"image/color"
 	"testing"
@@ -27,7 +28,7 @@ func newBenchCanvas() *render.Canvas {
 func BenchmarkAblation_LeafOrdering(b *testing.B) {
 	u := synth.NewUniverse(400, 12, 201)
 	ds := u.Generate(synth.DatasetSpec{Name: "ord", NumExperiments: 24, Seed: 203})
-	tree, err := cluster.Hierarchical(ds.Data, cluster.PearsonDist, cluster.AverageLinkage)
+	tree, err := cluster.HierarchicalCtx(context.Background(), ds.Data, cluster.PearsonDist, cluster.AverageLinkage)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 		b.Run(lk.String(), func(b *testing.B) {
 			var sil float64
 			for i := 0; i < b.N; i++ {
-				tree, err := cluster.Hierarchical(ds.Data, cluster.PearsonDist, lk)
+				tree, err := cluster.HierarchicalCtx(context.Background(), ds.Data, cluster.PearsonDist, lk)
 				if err != nil {
 					b.Fatal(err)
 				}

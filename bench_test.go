@@ -381,7 +381,7 @@ func BenchmarkF4_Cluster(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cluster.Hierarchical(rows, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
+			if _, err := cluster.HierarchicalCtx(context.Background(), rows, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -1173,7 +1173,7 @@ func BenchmarkC4_DatasetScaleCluster(b *testing.B) {
 			ds := u.Generate(synth.DatasetSpec{Name: "scale", NumExperiments: 50, Seed: 31})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.Hierarchical(ds.Data, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
+				if _, err := cluster.HierarchicalCtx(context.Background(), ds.Data, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -58,10 +58,6 @@ func (s *Store) Get(id string) (Record, bool) {
 	return Record{}, false
 }
 
-// All returns the records in insertion order. The slice is shared; callers
-// must not modify it.
-func (s *Store) All() []Record { return s.records }
-
 // Query is a parsed search expression. The surface syntax is the one
 // biologists type into the TreeView/ForestView search box:
 //
@@ -224,21 +220,5 @@ func (s *Store) Search(expr string) []string {
 		}
 	}
 	sort.Strings(out)
-	return out
-}
-
-// SearchRecords is Search returning full records instead of IDs, in
-// insertion order.
-func (s *Store) SearchRecords(expr string) []Record {
-	q := ParseQuery(expr)
-	if q.Empty() {
-		return nil
-	}
-	var out []Record
-	for _, rec := range s.records {
-		if q.Matches(rec) {
-			out = append(out, rec)
-		}
-	}
 	return out
 }

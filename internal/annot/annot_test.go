@@ -134,21 +134,6 @@ func TestSearchEmpty(t *testing.T) {
 	}
 }
 
-func TestSearchRecords(t *testing.T) {
-	s := fixtureStore()
-	recs := s.SearchRecords("heat")
-	if len(recs) != 2 {
-		t.Fatalf("records = %d", len(recs))
-	}
-	// Insertion order, not sorted.
-	if recs[0].ID != "YBR072W" || recs[1].ID != "YLL026W" {
-		t.Fatalf("record order = %v", recs)
-	}
-	if s.SearchRecords("") != nil {
-		t.Fatal("empty query should return nil records")
-	}
-}
-
 func TestQueryMatchesDirect(t *testing.T) {
 	q := ParseQuery("shock -histone")
 	if !q.Matches(Record{ID: "X", Description: "heat shock"}) {

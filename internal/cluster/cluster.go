@@ -2,12 +2,10 @@
 // reproduction: agglomerative hierarchical clustering with the metrics and
 // linkages of Cluster 3.0 (whose CDT/GTR/ATR output Java TreeView — and
 // therefore ForestView — renders), tree manipulation (leaf ordering,
-// cutting), the GTR/ATR tree file formats, and k-means as the flat
-// alternative.
+// cutting) and the GTR/ATR tree file formats.
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -308,7 +306,7 @@ func (t *Tree) Cut(k int) ([]int, error) {
 
 // ReferenceHierarchical is the pre-kernel clustering path, retained
 // verbatim as the golden standard the nearest-neighbor-chain kernel
-// (Hierarchical, nnchain.go) must match: it computes the full pairwise
+// (HierarchicalCtx, nnchain.go) must match: it computes the full pairwise
 // distance matrix serially, then performs greedy globally-closest-pair
 // Lance-Williams agglomeration with a nearest-neighbour cache. The parity
 // tests in nnchain_test.go hold the kernel to this tree (heights within
@@ -331,40 +329,6 @@ func ReferenceHierarchical(rows [][]float64, metric Metric, linkage Linkage) (*T
 		}
 	}
 	return agglomerate(n, dist, linkage), nil
-}
-
-// HierarchicalFromDistance builds a dendrogram from a precomputed symmetric
-// distance matrix, for callers that already paid the O(n²) metric cost.
-// NaN entries (undefined dissimilarities) are treated as the maximum
-// distance rather than poisoning the agglomeration's comparisons.
-func HierarchicalFromDistance(d [][]float64, linkage Linkage) (*Tree, error) {
-	n := len(d)
-	if n == 0 {
-		return nil, errors.New("cluster: empty distance matrix")
-	}
-	for i := range d {
-		if len(d[i]) != n {
-			return nil, fmt.Errorf("cluster: distance matrix row %d has %d entries, want %d", i, len(d[i]), n)
-		}
-	}
-	t := &Tree{NLeaves: n}
-	if n == 1 {
-		return t, nil
-	}
-	dist, err := newSqMatrix(n)
-	if err != nil {
-		return nil, err
-	}
-	for i := 1; i < n; i++ {
-		for j, v := range d[i][:i] {
-			if math.IsNaN(v) {
-				v = math.MaxFloat64
-			}
-			dist.v[i*n+j] = v
-		}
-	}
-	dist.mirror(0, 1)
-	return nnChain(context.Background(), dist, linkage)
 }
 
 // triMatrix is a flat lower-triangular matrix (i>j), the reference path's.

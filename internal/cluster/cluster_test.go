@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -75,7 +76,7 @@ func TestMetricStrings(t *testing.T) {
 
 func TestHierarchicalTwoGroups(t *testing.T) {
 	rows := twoBlobs()
-	tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+	tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,7 @@ func TestHierarchicalTwoGroups(t *testing.T) {
 func TestHierarchicalAllLinkages(t *testing.T) {
 	rows := twoBlobs()
 	for _, lk := range []Linkage{AverageLinkage, CompleteLinkage, SingleLinkage} {
-		tree, err := Hierarchical(rows, EuclideanDist, lk)
+		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, lk)
 		if err != nil {
 			t.Fatalf("%v: %v", lk, err)
 		}
@@ -116,10 +117,10 @@ func TestHierarchicalAllLinkages(t *testing.T) {
 }
 
 func TestHierarchicalEdgeCases(t *testing.T) {
-	if _, err := Hierarchical(nil, PearsonDist, AverageLinkage); err == nil {
+	if _, err := HierarchicalCtx(context.Background(), nil, PearsonDist, AverageLinkage); err == nil {
 		t.Fatal("empty input should error")
 	}
-	tree, err := Hierarchical([][]float64{{1, 2}}, PearsonDist, AverageLinkage)
+	tree, err := HierarchicalCtx(context.Background(), [][]float64{{1, 2}}, PearsonDist, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestHierarchicalEdgeCases(t *testing.T) {
 	if got := tree.LeafOrder(); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("single leaf order = %v", got)
 	}
-	two, err := Hierarchical([][]float64{{1, 2, 3}, {3, 2, 1}}, PearsonDist, AverageLinkage)
+	two, err := HierarchicalCtx(context.Background(), [][]float64{{1, 2, 3}, {3, 2, 1}}, PearsonDist, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +150,7 @@ func TestHierarchicalMonotoneHeights(t *testing.T) {
 		}
 	}
 	for _, lk := range []Linkage{AverageLinkage, CompleteLinkage} {
-		tree, err := Hierarchical(rows, EuclideanDist, lk)
+		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, lk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,32 +163,9 @@ func TestHierarchicalMonotoneHeights(t *testing.T) {
 	}
 }
 
-func TestHierarchicalFromDistance(t *testing.T) {
-	d := [][]float64{
-		{0, 1, 9},
-		{1, 0, 9},
-		{9, 9, 0},
-	}
-	tree, err := HierarchicalFromDistance(d, SingleLinkage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First merge must join 0 and 1 at height 1.
-	m := tree.Merges[0]
-	if !(m.A == 0 && m.B == 1) || m.Height != 1 {
-		t.Fatalf("first merge = %+v", m)
-	}
-	if _, err := HierarchicalFromDistance([][]float64{{0, 1}}, SingleLinkage); err == nil {
-		t.Fatal("ragged matrix should error")
-	}
-	if _, err := HierarchicalFromDistance(nil, SingleLinkage); err == nil {
-		t.Fatal("empty matrix should error")
-	}
-}
-
 func TestLeafOrderIsPermutation(t *testing.T) {
 	rows := twoBlobs()
-	tree, _ := Hierarchical(rows, PearsonDist, AverageLinkage)
+	tree, _ := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 	order := tree.LeafOrder()
 	seen := make([]bool, len(rows))
 	for _, o := range order {
@@ -200,7 +178,7 @@ func TestLeafOrderIsPermutation(t *testing.T) {
 
 func TestCutExtremes(t *testing.T) {
 	rows := twoBlobs()
-	tree, _ := Hierarchical(rows, PearsonDist, AverageLinkage)
+	tree, _ := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 	one, err := tree.Cut(1)
 	if err != nil {
 		t.Fatal(err)
@@ -267,7 +245,7 @@ func TestQuickHierarchicalAlwaysValid(t *testing.T) {
 		}
 		metric := Metric(int(metBits) % 6)
 		linkage := Linkage(int(linkBits) % 3)
-		tree, err := Hierarchical(rows, metric, linkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
 		if err != nil {
 			return false
 		}
@@ -299,7 +277,7 @@ func TestQuickCutClusterCount(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		}
-		tree, err := Hierarchical(rows, EuclideanDist, AverageLinkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, AverageLinkage)
 		if err != nil {
 			return false
 		}

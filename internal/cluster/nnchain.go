@@ -39,16 +39,11 @@ import (
 // so sorting the discovered merges by height reproduces the reference tree
 // exactly (up to the order of tied merges) in O(n²) total time.
 
-// Hierarchical builds a dendrogram over the rows using the given metric and
-// linkage: a parallel distance-matrix build followed by exact
+// HierarchicalCtx builds a dendrogram over the rows using the given metric
+// and linkage: a parallel distance-matrix build followed by exact
 // nearest-neighbor-chain agglomeration. It produces the same tree as
 // ReferenceHierarchical (see the parity tests) at a fraction of the cost;
-// the before/after table in README.md quantifies the gap.
-func Hierarchical(rows [][]float64, metric Metric, linkage Linkage) (*Tree, error) {
-	return HierarchicalCtx(context.Background(), rows, metric, linkage)
-}
-
-// HierarchicalCtx is Hierarchical honoring cancellation: both the distance
+// the before/after table in README.md quantifies the gap. Both the distance
 // build and the agglomeration poll ctx and abandon the computation with
 // ctx's error once it is done. The query daemon threads request contexts
 // through here so a disconnected client stops paying for its tree build.
@@ -84,8 +79,6 @@ func newSqMatrix(n int) (*sqMatrix, error) {
 	}
 	return m, nil
 }
-
-func (m *sqMatrix) at(i, j int) float64 { return m.v[i*m.n+j] }
 
 // mirror is worker w's share of copying the lower triangle above the
 // diagonal, in 64×64 tiles so that the rows read and the rows written both

@@ -166,7 +166,7 @@ func TestNNChainGoldenParityRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%v/%v: reference: %v", metric, linkage, err)
 				}
-				got, err := Hierarchical(rows, metric, linkage)
+				got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
 				if err != nil {
 					t.Fatalf("%v/%v: kernel: %v", metric, linkage, err)
 				}
@@ -200,7 +200,7 @@ func TestNNChainGoldenParityNaN(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v/%v: reference: %v", metric, linkage, err)
 			}
-			got, err := Hierarchical(rows, metric, linkage)
+			got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
 			if err != nil {
 				t.Fatalf("%v/%v: kernel: %v", metric, linkage, err)
 			}
@@ -235,7 +235,7 @@ func TestNNChainGoldenParityTies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Hierarchical(rows, metric, linkage)
+			got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -254,10 +254,9 @@ func TestNNChainGoldenParityTies(t *testing.T) {
 	}
 }
 
-// TestNNChainFromDistanceParity proves the precomputed-matrix entry point
-// runs the same kernel: feeding Metric.Distance values through
-// HierarchicalFromDistance must reproduce ReferenceHierarchical, and NaN
-// entries map to the maximum distance instead of corrupting comparisons.
+// TestNNChainFromDistanceParity proves the kernel needs nothing of the
+// distance build: Metric.Distance values fed to nnChain as a precomputed
+// matrix must reproduce ReferenceHierarchical.
 func TestNNChainFromDistanceParity(t *testing.T) {
 	rows := noisyRows(99, 30, 8, 0)
 	d := make([][]float64, len(rows))
@@ -274,31 +273,31 @@ func TestNNChainFromDistanceParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := HierarchicalFromDistance(d, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireTreeParity(t, ref, got, 1e-12, false)
+		requireTreeParity(t, ref, fromDistance(t, d, linkage), 1e-12, false)
 	}
+}
 
-	nan := [][]float64{
-		{0, 1, math.NaN()},
-		{1, 0, 2},
-		{math.NaN(), 2, 0},
-	}
-	tree, err := HierarchicalFromDistance(nan, SingleLinkage)
+// fromDistance runs nnChain over a precomputed symmetric distance matrix,
+// as HierarchicalCtx runs it over buildDistances' matrix.
+func fromDistance(t *testing.T, d [][]float64, linkage Linkage) *Tree {
+	t.Helper()
+	n := len(d)
+	dist, err := newSqMatrix(n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tree.Validate(); err != nil {
+	for i := range d {
+		for j, v := range d[i] {
+			if i != j {
+				dist.v[i*n+j] = v
+			}
+		}
+	}
+	tree, err := nnChain(context.Background(), dist, linkage)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m := tree.Merges[0]; m.A != 0 || m.B != 1 || m.Height != 1 {
-		t.Fatalf("first merge = %+v, want 0+1 at height 1", m)
-	}
-	if math.IsNaN(tree.Merges[1].Height) {
-		t.Fatal("NaN distance leaked into a merge height")
-	}
+	return tree
 }
 
 // TestPairKernelFallbackMatchesMetric pins the distance build's tiers
@@ -391,7 +390,7 @@ func (c *pollCtx) Err() error {
 // (read-only input) and checks determinism; meaningful under -race.
 func TestHierarchicalRaceHammer(t *testing.T) {
 	rows := noisyRows(21, 80, 10, 0.05)
-	want, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+	want, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +401,7 @@ func TestHierarchicalRaceHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for it := 0; it < 3; it++ {
-				tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+				tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 				if err != nil {
 					errs <- err
 					return
@@ -443,10 +442,7 @@ func TestNNChainAllInfFallback(t *testing.T) {
 	}
 	want := []Merge{{0, 1, 1}, {2, 3, 2}, {5, 6, inf}, {7, 4, inf}}
 	for _, linkage := range allLinkages {
-		tree, err := HierarchicalFromDistance(d, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tree := fromDistance(t, d, linkage)
 		if err := tree.Validate(); err != nil {
 			t.Fatalf("%v: %v", linkage, err)
 		}

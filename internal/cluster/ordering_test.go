@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,7 +21,7 @@ func randomRows(seed int64, n, dim int) [][]float64 {
 
 func TestOptimizeLeafOrderIsPermutation(t *testing.T) {
 	rows := randomRows(3, 25, 8)
-	tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+	tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestOptimizeLeafOrderImprovesQuality(t *testing.T) {
 	better, worse := 0, 0
 	for seed := int64(0); seed < 10; seed++ {
 		rows := randomRows(seed, 40, 10)
-		tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,7 +70,7 @@ func TestOptimizeLeafOrderPreservesTreeStructure(t *testing.T) {
 	// The oriented order must keep each subtree contiguous: for every
 	// merge, its leaves form one contiguous block.
 	rows := randomRows(7, 20, 6)
-	tree, _ := Hierarchical(rows, EuclideanDist, CompleteLinkage)
+	tree, _ := HierarchicalCtx(context.Background(), rows, EuclideanDist, CompleteLinkage)
 	order, err := OptimizeLeafOrder(tree, rows, EuclideanDist)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +150,7 @@ func TestQuickOptimizeLeafOrder(t *testing.T) {
 	f := func(seed int64, nBits uint8) bool {
 		n := int(nBits%20) + 2
 		rows := randomRows(seed, n, 5)
-		tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 		if err != nil {
 			return false
 		}

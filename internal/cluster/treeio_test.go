@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -48,7 +49,7 @@ func TestTreeRoundTrip(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		}
-		tree, err := Hierarchical(rows, PearsonDist, AverageLinkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,70 +111,6 @@ func TestReadTreeSkipsBlankLines(t *testing.T) {
 	}
 	if len(tree.Merges) != 1 {
 		t.Fatalf("merges = %d", len(tree.Merges))
-	}
-}
-
-func TestKMeansTwoGroups(t *testing.T) {
-	rows := twoBlobs()
-	rng := rand.New(rand.NewSource(5))
-	res, err := KMeans(rows, 2, 5, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Assign[0] != res.Assign[1] || res.Assign[1] != res.Assign[2] {
-		t.Fatalf("rising group split: %v", res.Assign)
-	}
-	if res.Assign[3] != res.Assign[4] || res.Assign[4] != res.Assign[5] {
-		t.Fatalf("falling group split: %v", res.Assign)
-	}
-	if res.Assign[0] == res.Assign[3] {
-		t.Fatalf("groups merged: %v", res.Assign)
-	}
-	if res.Inertia < 0 {
-		t.Fatalf("negative inertia: %v", res.Inertia)
-	}
-}
-
-func TestKMeansErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	if _, err := KMeans(nil, 2, 1, 10, rng); err == nil {
-		t.Fatal("empty rows should error")
-	}
-	rows := twoBlobs()
-	if _, err := KMeans(rows, 0, 1, 10, rng); err == nil {
-		t.Fatal("k=0 should error")
-	}
-	if _, err := KMeans(rows, 7, 1, 10, rng); err == nil {
-		t.Fatal("k>n should error")
-	}
-}
-
-func TestKMeansHandlesMissing(t *testing.T) {
-	rows := twoBlobs()
-	rows[0][1] = math.NaN()
-	rows[4][2] = math.NaN()
-	rng := rand.New(rand.NewSource(9))
-	res, err := KMeans(rows, 2, 5, 50, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range res.Centroids {
-		for _, v := range c {
-			if math.IsNaN(v) {
-				t.Fatal("centroids must not contain NaN")
-			}
-		}
-	}
-}
-
-func TestKMeansDeterministicWithSeed(t *testing.T) {
-	rows := twoBlobs()
-	a, _ := KMeans(rows, 2, 3, 50, rand.New(rand.NewSource(77)))
-	b, _ := KMeans(rows, 2, 3, 50, rand.New(rand.NewSource(77)))
-	for i := range a.Assign {
-		if a.Assign[i] != b.Assign[i] {
-			t.Fatal("same seed must give same clustering")
-		}
 	}
 }
 

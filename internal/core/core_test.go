@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,9 +110,9 @@ func TestMergedInterface(t *testing.T) {
 		t.Fatalf("genes = %d", m.NumGenes())
 	}
 	// 3-D access agrees with direct dataset access.
-	ds0 := m.Dataset(0)
+	ds0 := m.datasets[0]
 	for g := 0; g < 5; g++ {
-		id := m.GeneID(g)
+		id := m.geneIDs[g]
 		row, ok := ds0.GeneIndex(id)
 		if !ok {
 			t.Fatalf("gene %s missing from dataset 0", id)
@@ -126,16 +128,6 @@ func TestMergedInterface(t *testing.T) {
 	// Out-of-range access is NaN, not a panic.
 	if !math.IsNaN(m.Value(-1, 0, 0)) || !math.IsNaN(m.Value(0, -1, 0)) || !math.IsNaN(m.Value(0, 0, 1000)) {
 		t.Fatal("out-of-range Value should be NaN")
-	}
-	if m.Dataset(9) != nil || m.GeneID(-1) != "" {
-		t.Fatal("out-of-range accessors broken")
-	}
-	// All genes present everywhere in this fixture.
-	if got := len(m.CommonGenes()); got != 60 {
-		t.Fatalf("common genes = %d", got)
-	}
-	if m.PresenceCount(0) != 3 {
-		t.Fatalf("presence = %d", m.PresenceCount(0))
 	}
 }
 
@@ -153,22 +145,15 @@ func TestMergedPartialOverlap(t *testing.T) {
 	if m.NumGenes() != 3 {
 		t.Fatalf("union genes = %d", m.NumGenes())
 	}
-	g1, _ := m.GeneIndex("G1")
+	g1 := m.geneIdx["G1"]
 	if !math.IsNaN(m.Value(1, g1, 0)) {
 		t.Fatal("G1 absent from b should be NaN")
 	}
-	g2, _ := m.GeneIndex("G2")
+	g2 := m.geneIdx["G2"]
 	if m.Value(0, g2, 0) != 2 || m.Value(1, g2, 0) != 20 {
 		t.Fatal("shared gene values wrong")
 	}
-	common := m.CommonGenes()
-	if len(common) != 1 || common[0] != "G2" {
-		t.Fatalf("common = %v", common)
-	}
-	if m.Row(1, g1) != nil {
-		t.Fatal("absent row should be nil")
-	}
-	if m.RowIndex(1, g1) != -1 {
+	if m.row[1][g1] != -1 {
 		t.Fatal("absent row index should be -1")
 	}
 }
@@ -223,15 +208,6 @@ func TestSelectQueryAndFind(t *testing.T) {
 	if _, err := fv.SelectQuery("zzz-no-such-thing"); err == nil {
 		t.Fatal("no-match query should error")
 	}
-	// FindGenes previews without selecting.
-	fv.ClearSelection()
-	found := fv.FindGenes("stress response induced")
-	if len(found) != wantLen {
-		t.Fatalf("found = %d", len(found))
-	}
-	if fv.Selection() != nil {
-		t.Fatal("FindGenes must not change the selection")
-	}
 }
 
 func TestSelectListDeduplicates(t *testing.T) {
@@ -240,8 +216,8 @@ func TestSelectListDeduplicates(t *testing.T) {
 	if got := fv.Selection().Len(); got != 3 {
 		t.Fatalf("dedup selection = %d", got)
 	}
-	if !fv.Selection().Has("A") || fv.Selection().Has("Z") {
-		t.Fatal("Has broken")
+	if sel := fv.Selection(); !sel.set["A"] || sel.set["Z"] {
+		t.Fatal("membership broken")
 	}
 }
 
@@ -317,20 +293,20 @@ func TestHighlightPositions(t *testing.T) {
 	_, fv := buildFixture(t)
 	_ = fv.SelectRegion(0, 3, 7)
 	for p := 0; p < fv.NumPanes(); p++ {
-		hl := fv.HighlightPositions(p)
+		hl := fv.highlightLocked(p)
 		if len(hl) != 5 {
 			t.Fatalf("pane %d highlights = %d", p, len(hl))
 		}
 		cd := fv.Pane(p).DS
 		for pos := range hl {
 			id := cd.Data.Genes[cd.DisplayOrder[pos]].ID
-			if !fv.Selection().Has(id) {
+			if !fv.Selection().set[id] {
 				t.Fatalf("pane %d highlight at %d is not selected", p, pos)
 			}
 		}
 	}
 	fv.ClearSelection()
-	if fv.HighlightPositions(0) != nil {
+	if fv.highlightLocked(0) != nil {
 		t.Fatal("cleared selection should not highlight")
 	}
 }
@@ -341,17 +317,17 @@ func TestScrollSynchronizedShared(t *testing.T) {
 	fv.SetSynchronized(true)
 	fv.Scroll(0, 5)
 	for p := 0; p < fv.NumPanes(); p++ {
-		if got := fv.ScrollPos(p); got != 5 {
+		if got := fv.scrollLocked(p); got != 5 {
 			t.Fatalf("pane %d scroll = %d, want shared 5", p, got)
 		}
 	}
 	// Clamp at selection bounds.
 	fv.Scroll(0, 1000)
-	if got := fv.ScrollPos(0); got != 19 {
+	if got := fv.scrollLocked(0); got != 19 {
 		t.Fatalf("clamped scroll = %d", got)
 	}
 	fv.Scroll(0, -1000)
-	if got := fv.ScrollPos(0); got != 0 {
+	if got := fv.scrollLocked(0); got != 0 {
 		t.Fatalf("clamped scroll = %d", got)
 	}
 }
@@ -361,10 +337,10 @@ func TestScrollUnsynchronizedIndependent(t *testing.T) {
 	_ = fv.SelectRegion(0, 0, 19)
 	fv.SetSynchronized(false)
 	fv.Scroll(1, 7)
-	if fv.ScrollPos(1) != 7 {
-		t.Fatalf("pane 1 scroll = %d", fv.ScrollPos(1))
+	if fv.scrollLocked(1) != 7 {
+		t.Fatalf("pane 1 scroll = %d", fv.scrollLocked(1))
 	}
-	if fv.ScrollPos(0) != 0 || fv.ScrollPos(2) != 0 {
+	if fv.scrollLocked(0) != 0 || fv.scrollLocked(2) != 0 {
 		t.Fatal("unsync scroll leaked to other panes")
 	}
 }
@@ -405,13 +381,21 @@ func TestExportGeneList(t *testing.T) {
 	if len(lines) != 6 { // header + 5 genes
 		t.Fatalf("lines = %d", len(lines))
 	}
-	if !strings.HasPrefix(lines[0], "#") {
-		t.Fatal("missing header")
+	sel := fv.Selection()
+	if want := fmt.Sprintf("# ForestView gene list (5 genes, %s)", sel.Source); lines[0] != want {
+		t.Fatalf("header = %q, want %q", lines[0], want)
 	}
-	for i, id := range fv.Selection().IDs {
+	for i, id := range sel.IDs {
 		if lines[i+1] != id {
 			t.Fatalf("line %d = %q, want %q", i+1, lines[i+1], id)
 		}
+	}
+	back, err := microarray.ReadGeneList(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, sel.IDs) {
+		t.Fatalf("ReadGeneList of the export = %v, want %v", back, sel.IDs)
 	}
 	fv.ClearSelection()
 	if err := fv.ExportGeneList(&buf); err == nil {
@@ -443,47 +427,6 @@ func TestExportMergedRoundTrip(t *testing.T) {
 	}
 	if !strings.HasPrefix(back.Experiments[12], "beta: ") {
 		t.Fatalf("experiment name = %q", back.Experiments[12])
-	}
-}
-
-func TestSelectionAsDataset(t *testing.T) {
-	_, fv := buildFixture(t)
-	_ = fv.SelectRegion(0, 0, 4)
-	ds, err := fv.SelectionAsDataset("subset")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Name != "subset" || ds.NumGenes() != 5 {
-		t.Fatalf("subset = %q %d genes", ds.Name, ds.NumGenes())
-	}
-	// It can be loaded back as a pane.
-	cd, err := FromDataset(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cd.Data.NumGenes() != 5 {
-		t.Fatal("round trip into pane failed")
-	}
-	fv.ClearSelection()
-	if _, err := fv.SelectionAsDataset("x"); err == nil {
-		t.Fatal("empty selection should error")
-	}
-}
-
-func TestApplyPrefsToAll(t *testing.T) {
-	_, fv := buildFixture(t)
-	fv.Pane(1).Prefs.ColorMap = 2
-	fv.Pane(1).Prefs.ContrastLimit = 5
-	if err := fv.ApplyPrefsToAll(1); err != nil {
-		t.Fatal(err)
-	}
-	for p := 0; p < fv.NumPanes(); p++ {
-		if fv.Pane(p).Prefs.ContrastLimit != 5 {
-			t.Fatalf("pane %d prefs not applied", p)
-		}
-	}
-	if err := fv.ApplyPrefsToAll(99); err == nil {
-		t.Fatal("bad pane should error")
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -51,14 +50,6 @@ type Selection struct {
 	// Source describes how the selection was made (pane region, query,
 	// analysis), for the UI caption and the export header.
 	Source string
-}
-
-// Has reports whether the gene is selected.
-func (s *Selection) Has(id string) bool {
-	if s == nil {
-		return false
-	}
-	return s.set[id]
 }
 
 // Len returns the selection size.
@@ -186,21 +177,11 @@ func (fv *ForestView) PaneOrder() []int {
 // Merged exposes the merged dataset interface.
 func (fv *ForestView) Merged() *Merged { return fv.merged }
 
-// Annotations exposes the merged annotation store.
-func (fv *ForestView) Annotations() *annot.Store { return fv.store }
-
 // Selection returns the current selection (nil-safe snapshot).
 func (fv *ForestView) Selection() *Selection {
 	fv.mu.RLock()
 	defer fv.mu.RUnlock()
 	return fv.selection
-}
-
-// Synchronized reports whether zoom views are synchronized.
-func (fv *ForestView) Synchronized() bool {
-	fv.mu.RLock()
-	defer fv.mu.RUnlock()
-	return fv.syncViews
 }
 
 // SetSynchronized toggles synchronized viewing ("If desired it is possible
@@ -385,19 +366,6 @@ func (fv *ForestView) Scroll(pane, delta int) {
 	}
 }
 
-// ScrollPos returns the effective zoom scroll position for a pane.
-func (fv *ForestView) ScrollPos(pane int) int {
-	fv.mu.RLock()
-	defer fv.mu.RUnlock()
-	if fv.syncViews {
-		return fv.syncScroll
-	}
-	if pane >= 0 && pane < len(fv.panes) {
-		return fv.panes[pane].scroll
-	}
-	return 0
-}
-
 // ZoomRow is one row of a pane's zoom view: a gene ID and the dataset-local
 // row holding its data (-1 when the dataset does not measure the gene; the
 // row renders as missing, keeping cross-pane rows aligned).
@@ -444,34 +412,6 @@ func (fv *ForestView) ZoomContent(pane int) []ZoomRow {
 	return out
 }
 
-// HighlightPositions returns, for a pane, the display positions of the
-// selected genes — the line markers the global view draws in every pane
-// once a selection exists anywhere.
-func (fv *ForestView) HighlightPositions(pane int) map[int]bool {
-	fv.mu.RLock()
-	defer fv.mu.RUnlock()
-	if pane < 0 || pane >= len(fv.panes) || fv.selection == nil {
-		return nil
-	}
-	cd := fv.panes[pane].DS
-	out := make(map[int]bool)
-	for _, id := range fv.selection.IDs {
-		if row, ok := cd.Data.GeneIndex(id); ok {
-			if pos := cd.DisplayPos(row); pos >= 0 {
-				out[pos] = true
-			}
-		}
-	}
-	return out
-}
-
-// FindGenes searches annotations and returns matching IDs without changing
-// the selection (the Figure-1 "Find Genes by name" box previews results
-// before the user commits them).
-func (fv *ForestView) FindGenes(expr string) []string {
-	return fv.store.Search(expr)
-}
-
 // ExportGeneList writes the selected gene IDs (one per line, with a
 // provenance header) — Figure 1's "Export Gene List".
 func (fv *ForestView) ExportGeneList(w io.Writer) error {
@@ -481,12 +421,8 @@ func (fv *ForestView) ExportGeneList(w io.Writer) error {
 	if sel == nil || len(sel.IDs) == 0 {
 		return fmt.Errorf("core: nothing selected")
 	}
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# ForestView gene list (%d genes, %s)\n", len(sel.IDs), sel.Source)
-	for _, id := range sel.IDs {
-		fmt.Fprintln(bw, id)
-	}
-	return bw.Flush()
+	header := fmt.Sprintf("ForestView gene list (%d genes, %s)", len(sel.IDs), sel.Source)
+	return microarray.WriteGeneList(w, sel.IDs, header)
 }
 
 // ExportMerged writes the merged expression matrix of the selection (or of
@@ -504,37 +440,4 @@ func (fv *ForestView) ExportMerged(w io.Writer) error {
 		return err
 	}
 	return microarray.WritePCL(w, ds)
-}
-
-// SelectionAsDataset materializes the current selection as a standalone
-// merged dataset ("This subset can also be loaded into the ForestView
-// display as a dataset").
-func (fv *ForestView) SelectionAsDataset(name string) (*microarray.Dataset, error) {
-	fv.mu.RLock()
-	sel := fv.selection
-	fv.mu.RUnlock()
-	if sel == nil || len(sel.IDs) == 0 {
-		return nil, fmt.Errorf("core: nothing selected")
-	}
-	ds, err := fv.merged.ExportPCL(sel.IDs)
-	if err != nil {
-		return nil, err
-	}
-	ds.Name = name
-	return ds, nil
-}
-
-// ApplyPrefsToAll copies one pane's preferences to every pane ("...or
-// applied to all datasets").
-func (fv *ForestView) ApplyPrefsToAll(from int) error {
-	if from < 0 || from >= len(fv.panes) {
-		return fmt.Errorf("core: pane %d out of range", from)
-	}
-	fv.mu.Lock()
-	defer fv.mu.Unlock()
-	p := fv.panes[from].Prefs
-	for _, pane := range fv.panes {
-		pane.Prefs = p
-	}
-	return nil
 }

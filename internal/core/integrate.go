@@ -73,30 +73,3 @@ func (fv *ForestView) EnrichSelection(enr *golem.Enricher, opt golem.Options) ([
 	}
 	return enr.Analyze(sel.IDs, opt)
 }
-
-// SelectEnrichedTerm replaces the selection with the loaded genes annotated
-// to one term — the reverse flow: clicking a GOLEM term highlights its
-// genes in every pane. ann is typically propagated ontology annotations.
-func (fv *ForestView) SelectEnrichedTerm(ann interface {
-	GenesPerTerm() map[string]map[string]bool
-}, termID string) (int, error) {
-	inv := ann.GenesPerTerm()
-	genes, ok := inv[termID]
-	if !ok || len(genes) == 0 {
-		return 0, fmt.Errorf("core: term %s has no annotated genes", termID)
-	}
-	// Keep only genes ForestView knows about, in merged-universe order for
-	// determinism.
-	var ids []string
-	for g := 0; g < fv.merged.NumGenes(); g++ {
-		id := fv.merged.GeneID(g)
-		if genes[id] {
-			ids = append(ids, id)
-		}
-	}
-	if len(ids) == 0 {
-		return 0, fmt.Errorf("core: no genes of term %s are loaded", termID)
-	}
-	fv.SelectList(ids, "GOLEM term "+termID)
-	return len(ids), nil
-}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"forestview/internal/microarray"
 )
@@ -63,28 +62,6 @@ func (m *Merged) NumExperiments(d int) int {
 	return m.datasets[d].NumExperiments()
 }
 
-// Dataset returns dataset d, or nil.
-func (m *Merged) Dataset(d int) *microarray.Dataset {
-	if d < 0 || d >= len(m.datasets) {
-		return nil
-	}
-	return m.datasets[d]
-}
-
-// GeneID returns the unified gene ID at index g, or "".
-func (m *Merged) GeneID(g int) string {
-	if g < 0 || g >= len(m.geneIDs) {
-		return ""
-	}
-	return m.geneIDs[g]
-}
-
-// GeneIndex returns the unified index of a gene ID.
-func (m *Merged) GeneIndex(id string) (int, bool) {
-	i, ok := m.geneIdx[id]
-	return i, ok
-}
-
 // Value is the 3-D accessor: dataset d, unified gene g, experiment e.
 // Missing combinations (gene absent from the dataset, or anything out of
 // range) return NaN.
@@ -97,54 +74,6 @@ func (m *Merged) Value(d, g, e int) float64 {
 		return math.NaN()
 	}
 	return m.datasets[d].Value(r, e)
-}
-
-// Row returns the expression vector of unified gene g in dataset d, or nil
-// when the gene is absent there.
-func (m *Merged) Row(d, g int) []float64 {
-	if d < 0 || d >= len(m.datasets) || g < 0 || g >= len(m.geneIDs) {
-		return nil
-	}
-	r := m.row[d][g]
-	if r < 0 {
-		return nil
-	}
-	return m.datasets[d].Row(r)
-}
-
-// RowIndex returns the dataset-local row of unified gene g in dataset d,
-// or -1.
-func (m *Merged) RowIndex(d, g int) int {
-	if d < 0 || d >= len(m.datasets) || g < 0 || g >= len(m.geneIDs) {
-		return -1
-	}
-	return m.row[d][g]
-}
-
-// PresenceCount returns in how many datasets gene g is measured.
-func (m *Merged) PresenceCount(g int) int {
-	if g < 0 || g >= len(m.geneIDs) {
-		return 0
-	}
-	n := 0
-	for d := range m.datasets {
-		if m.row[d][g] >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// CommonGenes returns the IDs measured in every dataset, sorted.
-func (m *Merged) CommonGenes() []string {
-	var out []string
-	for g, id := range m.geneIDs {
-		if m.PresenceCount(g) == len(m.datasets) {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ExportPCL writes the merged matrix for the given genes (nil = all unified

@@ -110,7 +110,7 @@ func TestQuickMergedConsistency(t *testing.T) {
 			return false
 		}
 		for g := 0; g < m.NumGenes(); g++ {
-			id := m.GeneID(g)
+			id := m.geneIDs[g]
 			for d, ds := range []*microarray.Dataset{full, sub} {
 				row, ok := ds.GeneIndex(id)
 				for e := 0; e < ds.NumExperiments(); e++ {

@@ -65,7 +65,7 @@ func TestRunScriptQuery(t *testing.T) {
 func TestRunScriptSelectListFile(t *testing.T) {
 	_, fv := buildFixture(t)
 	path := filepath.Join(t.TempDir(), "genes.txt")
-	ids := fv.Merged().GeneID(0) + "\n# comment\n" + fv.Merged().GeneID(1) + "\n"
+	ids := fv.merged.geneIDs[0] + "\n# comment\n" + fv.merged.geneIDs[1] + "\n"
 	if err := os.WriteFile(path, []byte(ids), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ func TestSessionRoundTrip(t *testing.T) {
 	if err := fv2.RestoreSession(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatal(err)
 	}
-	if fv2.Synchronized() {
+	if fv2.syncViews {
 		t.Fatal("sync flag lost")
 	}
 	order := fv2.PaneOrder()

@@ -122,7 +122,9 @@ func (fv *ForestView) renderPane(c *render.Canvas, r render.Rect, pi int) {
 	c.DrawTextClipped(r.X+minIntView(r.W/3, 90)+8, fy, caption, 1, r.W-minIntView(r.W/3, 90)-12, titleFG)
 }
 
-// highlightLocked mirrors HighlightPositions without re-locking.
+// highlightLocked returns the display positions of the selected genes in
+// pane pi — the line markers the global view draws in every pane once a
+// selection exists anywhere. The caller holds fv.mu.
 func (fv *ForestView) highlightLocked(pi int) map[int]bool {
 	if fv.selection == nil {
 		return nil

@@ -131,7 +131,7 @@ func TestApplySpellSearchIntegration(t *testing.T) {
 	}
 	hits := 0
 	for _, q := range query {
-		if sel.Has(q) {
+		if sel.set[q] {
 			hits++
 		}
 	}
@@ -170,15 +170,6 @@ func TestEnrichSelectionIntegration(t *testing.T) {
 	}
 	if results[0].PValue > 1e-6 {
 		t.Fatalf("planted enrichment p = %v", results[0].PValue)
-	}
-
-	// Reverse flow: select the term's genes.
-	n, err := fv.SelectEnrichedTerm(ann.Propagate(onto), wantTerm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(ids) {
-		t.Fatalf("term selection = %d, want %d", n, len(ids))
 	}
 
 	// No selection -> error.

@@ -305,9 +305,41 @@ func TestLayoutBarycenterReducesCrossings(t *testing.T) {
 	_ = o.AddTerm(&ontology.Term{ID: "b-leaf", Parents: []string{"p1"}})
 	g := LocalMap(o, []string{"a-leaf", "b-leaf"}, 0)
 	lay := LayoutGraph(g, 4)
-	if c := CrossingCount(g, lay); c != 0 {
+	if c := crossingCount(g, lay); c != 0 {
 		t.Fatalf("crossings = %d, want 0 after barycenter", c)
 	}
+}
+
+// crossingCount returns the number of pairwise edge crossings in the
+// layout.
+func crossingCount(g *Graph, lay *Layout) int {
+	// Two edges (u1->v1), (u2->v2) between the same pair of layers cross
+	// when their endpoints interleave.
+	type edge struct {
+		fromCol, toCol, fromLayer int
+	}
+	var edges []edge
+	for _, e := range g.Edges {
+		a, b := lay.Pos[e[0]], lay.Pos[e[1]]
+		// Normalize: from the upper (smaller) layer to the lower.
+		if a.Layer > b.Layer {
+			a, b = b, a
+		}
+		edges = append(edges, edge{fromCol: a.Col, toCol: b.Col, fromLayer: a.Layer})
+	}
+	crossings := 0
+	for i := 0; i < len(edges); i++ {
+		for j := i + 1; j < len(edges); j++ {
+			if edges[i].fromLayer != edges[j].fromLayer {
+				continue
+			}
+			a, b := edges[i], edges[j]
+			if (a.fromCol-b.fromCol)*(a.toCol-b.toCol) < 0 {
+				crossings++
+			}
+		}
+	}
+	return crossings
 }
 
 func TestLayoutEmptyGraph(t *testing.T) {

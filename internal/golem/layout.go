@@ -141,35 +141,3 @@ func sortLayerByBarycenter(l []string, bary func(string) (float64, bool)) {
 		l[i] = e.n
 	}
 }
-
-// CrossingCount returns the number of pairwise edge crossings in the
-// layout, the quality metric the layout ablation bench reports.
-func CrossingCount(g *Graph, lay *Layout) int {
-	// Two edges (u1->v1), (u2->v2) between the same pair of layers cross
-	// when their endpoints interleave.
-	type edge struct {
-		fromCol, toCol, fromLayer int
-	}
-	var edges []edge
-	for _, e := range g.Edges {
-		a, b := lay.Pos[e[0]], lay.Pos[e[1]]
-		// Normalize: from the upper (smaller) layer to the lower.
-		if a.Layer > b.Layer {
-			a, b = b, a
-		}
-		edges = append(edges, edge{fromCol: a.Col, toCol: b.Col, fromLayer: a.Layer})
-	}
-	crossings := 0
-	for i := 0; i < len(edges); i++ {
-		for j := i + 1; j < len(edges); j++ {
-			if edges[i].fromLayer != edges[j].fromLayer {
-				continue
-			}
-			a, b := edges[i], edges[j]
-			if (a.fromCol-b.fromCol)*(a.toCol-b.toCol) < 0 {
-				crossings++
-			}
-		}
-	}
-	return crossings
-}

@@ -73,95 +73,6 @@ func (g *Graph) Contains(id string) bool {
 	return i < len(g.Nodes) && g.Nodes[i] == id
 }
 
-// Expand grows the map by the children of one term down to the given depth
-// — GOLEM's interactive "local exploration": clicking a node unfolds its
-// sub-hierarchy. It returns a new graph; the original is unchanged.
-func (g *Graph) Expand(o *ontology.Ontology, termID string, depth int) *Graph {
-	if !g.Contains(termID) || depth <= 0 {
-		return g.clone()
-	}
-	include := make(map[string]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		include[n] = true
-	}
-	frontier := []string{termID}
-	for d := 0; d < depth; d++ {
-		var next []string
-		for _, n := range frontier {
-			for _, c := range o.Children(n) {
-				if !include[c] {
-					include[c] = true
-					next = append(next, c)
-				}
-			}
-		}
-		frontier = next
-	}
-	return rebuild(o, include, g.Focus)
-}
-
-// Collapse removes a term's descendants from the map (folding the node
-// back up). Focus terms are never removed. It returns a new graph.
-func (g *Graph) Collapse(o *ontology.Ontology, termID string) *Graph {
-	if !g.Contains(termID) {
-		return g.clone()
-	}
-	drop := make(map[string]bool)
-	for _, d := range o.Descendants(termID) {
-		if !g.Focus[d] {
-			drop[d] = true
-		}
-	}
-	include := make(map[string]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if !drop[n] {
-			include[n] = true
-		}
-	}
-	return rebuild(o, include, g.Focus)
-}
-
-// rebuild constructs a Graph over an inclusion set, keeping only edges with
-// both endpoints present.
-func rebuild(o *ontology.Ontology, include map[string]bool, focus map[string]bool) *Graph {
-	out := &Graph{Focus: make(map[string]bool, len(focus))}
-	for f := range focus {
-		if include[f] {
-			out.Focus[f] = true
-		}
-	}
-	for id := range include {
-		out.Nodes = append(out.Nodes, id)
-	}
-	sort.Strings(out.Nodes)
-	for _, id := range out.Nodes {
-		for _, p := range o.Parents(id) {
-			if include[p] {
-				out.Edges = append(out.Edges, [2]string{id, p})
-			}
-		}
-	}
-	sort.Slice(out.Edges, func(a, b int) bool {
-		if out.Edges[a][0] != out.Edges[b][0] {
-			return out.Edges[a][0] < out.Edges[b][0]
-		}
-		return out.Edges[a][1] < out.Edges[b][1]
-	})
-	return out
-}
-
-func (g *Graph) clone() *Graph {
-	out := &Graph{
-		Nodes: append([]string(nil), g.Nodes...),
-		Edges: append([][2]string(nil), g.Edges...),
-		Focus: make(map[string]bool, len(g.Focus)),
-	}
-	for f := range g.Focus {
-		out.Focus[f] = true
-	}
-	return out
-}
-
 // parentsIn returns the in-graph parents of a node.
 func (g *Graph) parentsIn(id string) []string {
 	var out []string

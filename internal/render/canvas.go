@@ -38,9 +38,6 @@ func NewCanvas(w, h int, bg color.Color) *Canvas {
 	return c
 }
 
-// FromImage wraps an existing RGBA image (shared, not copied).
-func FromImage(img *image.RGBA) *Canvas { return &Canvas{img: img} }
-
 // Image returns the underlying image (shared).
 func (c *Canvas) Image() *image.RGBA { return c.img }
 

@@ -169,26 +169,3 @@ func RenderRowLabels(c *Canvas, r Rect, labels []string, fg color.Color) {
 		c.DrawTextClipped(r.X, y, lab, scale, r.W, fg)
 	}
 }
-
-// RenderColumnLabels draws experiment names vertically condensed: one
-// character column per experiment is impossible with a bitmap font, so the
-// names render horizontally, clipped, in slanted stagger rows.
-func RenderColumnLabels(c *Canvas, r Rect, labels []string, fg color.Color) {
-	n := len(labels)
-	if n == 0 || r.W <= 0 || r.H <= 0 {
-		return
-	}
-	colW := r.W / n
-	if colW < 4 {
-		return
-	}
-	rowsAvail := r.H / TextHeight(1)
-	if rowsAvail < 1 {
-		return
-	}
-	for i, lab := range labels {
-		x := r.X + i*r.W/n
-		y := r.Y + (i%rowsAvail)*TextHeight(1)
-		c.DrawTextClipped(x, y, lab, 1, r.W-(x-r.X), fg)
-	}
-}

@@ -3,6 +3,7 @@ package render
 import (
 	"bytes"
 	"compress/zlib"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -122,7 +123,7 @@ func TestEncodePNGRoundTrip(t *testing.T) {
 		{"1xN", noisyCanvas(1, 37, 4, false)},
 		{"Nx1", noisyCanvas(37, 1, 4, true)},
 		{"repeated rows", NewCanvas(33, 20, color.RGBA{R: 3, G: 200, B: 7, A: 255})},
-		{"subimage window", FromImage(window)},
+		{"subimage window", &Canvas{img: window}},
 		// Stride 1+4·8192 = 32,769: one byte past the window, so equal rows
 		// cannot be row matches and must be written as runs.
 		{"8192-wide RGBA, identical rows", repeatRows(noisyCanvas(8192, 4, 6, true), 1)},
@@ -203,7 +204,7 @@ func DecodePNG(r io.Reader) (*Canvas, error) {
 			out.Set(x, y, img.At(b.Min.X+x, b.Min.Y+y))
 		}
 	}
-	return FromImage(out), nil
+	return &Canvas{img: out}, nil
 }
 
 // TestHuffmanLengthsLimited: code lengths stay within deflate's limits and
@@ -301,7 +302,7 @@ func FuzzEncodePNG(f *testing.F) {
 		}
 		if y := (i + w - 1) / w; y > 0 && y < h {
 			p := min(y, period)
-			repeatRows(FromImage(c.Image().SubImage(image.Rect(0, y-p, w, h)).(*image.RGBA)), p)
+			repeatRows(&Canvas{img: c.Image().SubImage(image.Rect(0, y-p, w, h)).(*image.RGBA)}, p)
 		}
 
 		var ms0, ms1 runtime.MemStats
@@ -440,11 +441,11 @@ func TestEncodePNGNoLargerThanDeflate6(t *testing.T) {
 			cols[j] = append(cols[j], dense[i][j])
 		}
 	}
-	geneTree, err := cluster.Hierarchical(dense, cluster.PearsonDist, cluster.AverageLinkage)
+	geneTree, err := cluster.HierarchicalCtx(context.Background(), dense, cluster.PearsonDist, cluster.AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arrayTree, err := cluster.Hierarchical(cols, cluster.PearsonDist, cluster.AverageLinkage)
+	arrayTree, err := cluster.HierarchicalCtx(context.Background(), cols, cluster.PearsonDist, cluster.AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}

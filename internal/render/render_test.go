@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"context"
 	"image/color"
 	"math"
 	"os"
@@ -396,7 +397,7 @@ func TestRenderDendrogramLeftOfRows(t *testing.T) {
 		{1.1, 2.1, 3.1},
 		{3, 2, 1},
 	}
-	tree, err := cluster.Hierarchical(rows, cluster.PearsonDist, cluster.AverageLinkage)
+	tree, err := cluster.HierarchicalCtx(context.Background(), rows, cluster.PearsonDist, cluster.AverageLinkage)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,7 +419,7 @@ func TestRenderDendrogramLeftOfRows(t *testing.T) {
 
 func TestRenderDendrogramAboveColumns(t *testing.T) {
 	rows := [][]float64{{1, 2}, {2, 1}}
-	tree, _ := cluster.Hierarchical(rows, cluster.EuclideanDist, cluster.AverageLinkage)
+	tree, _ := cluster.HierarchicalCtx(context.Background(), rows, cluster.EuclideanDist, cluster.AverageLinkage)
 	c := NewCanvas(20, 10, black)
 	RenderDendrogram(c, Rect{X: 0, Y: 0, W: 20, H: 10}, tree, AboveColumns, white)
 	count := 0

@@ -765,7 +765,7 @@ func TestScatterDegradedUnresolved(t *testing.T) {
 	pin := func(name, want string) string {
 		for i := 0; ; i++ {
 			cand := fmt.Sprintf("%s#%d", name, i)
-			if Owner(cand, identities) == want {
+			if Owners(cand, identities, 1)[0] == want {
 				return cand
 			}
 		}

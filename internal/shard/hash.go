@@ -15,9 +15,17 @@ import (
 	"strings"
 )
 
-// Owner returns the shard that owns datasetID under rendezvous
-// (highest-random-weight) hashing: every participant scores each
-// (shard, dataset) pair with one hash and the highest score wins.
+// Owners returns the top-r shards of datasetID's rendezvous
+// (highest-random-weight) ranking, in rank order: every participant scores
+// each (shard, dataset) pair with one hash, the highest score is the
+// owner, entry 1 the first replica, and so on.
+//
+// Replication factor r gives each dataset r distinct owners out of the
+// same per-(shard, dataset) scores, so raising r only *adds* replicas — the
+// rank-k owner under r is the rank-k owner under any r' > k — and a
+// membership change still moves only ~1/len(shards) of the assignments at
+// each rank independently (the minimal-disruption property, per rank). r
+// is clamped to len(shards).
 //
 // Rendezvous was chosen over a ring for three reasons. (1) It needs no
 // shared state and no virtual-node tuning: any process holding the same
@@ -34,23 +42,6 @@ import (
 // Shard identity is the listed address string: reordering the list does
 // not change the assignment, renaming a shard does (it is a new
 // participant).
-func Owner(datasetID string, shards []string) string {
-	owners := Owners(datasetID, shards, 1)
-	if len(owners) == 0 {
-		return ""
-	}
-	return owners[0]
-}
-
-// Owners returns the top-r shards of datasetID's rendezvous ranking, in
-// rank order: Owners(id, shards, 1)[0] is Owner(id, shards), entry 1 the
-// first replica, and so on. Replication factor r gives each dataset r
-// distinct owners out of the same per-(shard, dataset) scores single
-// ownership uses, so raising r only *adds* replicas — the rank-k owner
-// under r is the rank-k owner under any r' > k — and a membership change
-// still moves only ~1/len(shards) of the assignments at each rank
-// independently (the minimal-disruption property, now per rank). r is
-// clamped to len(shards).
 func Owners(datasetID string, shards []string, r int) []string {
 	if r > len(shards) {
 		r = len(shards)
@@ -92,18 +83,11 @@ func rendezvousScore(shard, datasetID string) uint64 {
 	return h.Sum64()
 }
 
-// OwnedIndexes returns the positions (in the given order) of the dataset
-// ids owned by self under the shard set. A shard daemon applies this to
-// the full compendium list to select its slice while retaining each
-// dataset's global index for partial remapping.
-func OwnedIndexes(datasetIDs []string, shards []string, self string) []int {
-	return OwnedIndexesR(datasetIDs, shards, self, 1)
-}
-
-// OwnedIndexesR is OwnedIndexes under replication factor r: the positions
-// of every dataset that lists self among its top-r owners at *any* rank.
-// A shard loads all of them, so losing any r-1 other shards loses no
-// dataset.
+// OwnedIndexesR returns the positions (in the given order) of every
+// dataset id that lists self among its top-r owners at any rank. A shard
+// daemon applies this to the full compendium list to select its slice while
+// retaining each dataset's global index for partial remapping; it loads all
+// of them, so losing any r-1 other shards loses no dataset.
 func OwnedIndexesR(datasetIDs []string, shards []string, self string, r int) []int {
 	var owned []int
 	for i, id := range datasetIDs {

@@ -12,10 +12,10 @@ func TestOwnerPartition(t *testing.T) {
 		ids = append(ids, fmt.Sprintf("dataset-%03d", i))
 	}
 	// Every dataset is owned by exactly one shard, and the per-shard
-	// OwnedIndexes views reassemble the full list without overlap.
+	// OwnedIndexesR views reassemble the full list without overlap.
 	seen := make(map[int]string)
 	for _, s := range shards {
-		for _, idx := range OwnedIndexes(ids, shards, s) {
+		for _, idx := range OwnedIndexesR(ids, shards, s, 1) {
 			if prev, dup := seen[idx]; dup {
 				t.Fatalf("dataset %d owned by both %s and %s", idx, prev, s)
 			}
@@ -42,10 +42,10 @@ func TestOwnerOrderInsensitiveAndStable(t *testing.T) {
 	b := []string{"http://c:1", "http://a:1", "http://b:1"}
 	for i := 0; i < 50; i++ {
 		id := fmt.Sprintf("ds-%d", i)
-		if Owner(id, a) != Owner(id, b) {
+		if Owners(id, a, 1)[0] != Owners(id, b, 1)[0] {
 			t.Fatalf("ownership of %s depends on shard list order", id)
 		}
-		if Owner(id, a) != Owner(id, a) {
+		if Owners(id, a, 1)[0] != Owners(id, a, 1)[0] {
 			t.Fatalf("ownership of %s unstable", id)
 		}
 	}
@@ -59,8 +59,8 @@ func TestOwnerMinimalDisruption(t *testing.T) {
 	without := []string{"http://a:1", "http://b:1", "http://d:1"}
 	for i := 0; i < 200; i++ {
 		id := fmt.Sprintf("ds-%d", i)
-		before := Owner(id, full)
-		after := Owner(id, without)
+		before := Owners(id, full, 1)[0]
+		after := Owners(id, without, 1)[0]
 		if before != "http://c:1" && after != before {
 			t.Fatalf("dataset %s moved %s -> %s though its owner survived", id, before, after)
 		}
@@ -104,8 +104,8 @@ func TestOwnersTopR(t *testing.T) {
 				}
 				seen[o] = true
 			}
-			if owners[0] != Owner(id, shards) {
-				t.Fatalf("Owners(%s)[0] = %s, Owner = %s", id, owners[0], Owner(id, shards))
+			if owners[0] != Owners(id, shards, 1)[0] {
+				t.Fatalf("Owners(%s)[0] = %s, Owner = %s", id, owners[0], Owners(id, shards, 1)[0])
 			}
 			if r > 1 {
 				prev := Owners(id, shards, r-1)

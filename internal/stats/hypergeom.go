@@ -126,7 +126,7 @@ func HypergeomLowerTail(k, N, K, n int) float64 {
 		// Fewer successes than the draw forces are impossible.
 		return 0
 	}
-	if k >= minInt(n, K) {
+	if k >= min(n, K) {
 		return 1
 	}
 	maxLog := math.Inf(-1)
@@ -197,13 +197,6 @@ func HypergeomUpperTailLgamma(k, N, K, n int) float64 {
 		s += math.Exp(lp - maxLog)
 	}
 	return Clamp(math.Exp(maxLog)*s, 0, 1)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // FoldEnrichment returns the ratio of the observed annotation fraction in

@@ -150,7 +150,7 @@ func TestQuickHypergeomSymmetry(t *testing.T) {
 		N := int(a%60) + 10
 		K := int(b) % (N + 1)
 		n := int(c) % (N + 1)
-		k := int(d) % (minInt(K, n) + 1)
+		k := int(d) % (min(K, n) + 1)
 		p1 := HypergeomPMF(k, N, K, n)
 		p2 := HypergeomPMF(k, N, n, K)
 		return almostEqual(p1, p2, 1e-9)
@@ -209,20 +209,8 @@ func TestBenjaminiHochbergMonotone(t *testing.T) {
 	}
 }
 
-func TestHolmBonferroni(t *testing.T) {
-	ps := []float64{0.01, 0.04, 0.03, 0.005}
-	h := HolmBonferroni(ps)
-	// Sorted: 0.005*4=0.02, 0.01*3=0.03, 0.03*2=0.06, 0.04*1=0.04→max(0.06)=0.06.
-	want := []float64{0.03, 0.06, 0.06, 0.02}
-	for i := range want {
-		if !almostEqual(h[i], want[i], 1e-12) {
-			t.Fatalf("Holm = %v, want %v", h, want)
-		}
-	}
-}
-
 func TestCorrectionsEmpty(t *testing.T) {
-	if len(Bonferroni(nil)) != 0 || len(BenjaminiHochberg(nil)) != 0 || len(HolmBonferroni(nil)) != 0 {
+	if len(Bonferroni(nil)) != 0 || len(BenjaminiHochberg(nil)) != 0 {
 		t.Fatal("empty input should yield empty output")
 	}
 	allNaN := []float64{Missing, Missing}
@@ -232,8 +220,7 @@ func TestCorrectionsEmpty(t *testing.T) {
 	}
 }
 
-// Property: Holm is never less conservative than raw p, and BH is never
-// more conservative than Bonferroni.
+// Property: BH is never more conservative than Bonferroni.
 func TestQuickCorrectionOrdering(t *testing.T) {
 	f := func(raw []float64) bool {
 		ps := make([]float64, 0, len(raw))
@@ -250,11 +237,7 @@ func TestQuickCorrectionOrdering(t *testing.T) {
 		}
 		bon := Bonferroni(ps)
 		bh := BenjaminiHochberg(ps)
-		holm := HolmBonferroni(ps)
 		for i := range ps {
-			if holm[i]+1e-12 < ps[i] {
-				return false
-			}
 			if bh[i] > bon[i]+1e-12 {
 				return false
 			}

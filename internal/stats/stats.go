@@ -17,32 +17,6 @@ import (
 // All statistics skip entries for which math.IsNaN reports true.
 var Missing = math.NaN()
 
-// IsMissing reports whether v is a missing measurement.
-func IsMissing(v float64) bool { return math.IsNaN(v) }
-
-// Count returns the number of observed (non-missing) values in xs.
-func Count(xs []float64) int {
-	n := 0
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			n++
-		}
-	}
-	return n
-}
-
-// Sum returns the sum of the observed values in xs. An all-missing or empty
-// slice sums to zero.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			s += v
-		}
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of the observed values in xs.
 // It returns NaN when xs has no observed values.
 func Mean(xs []float64) float64 {
@@ -89,28 +63,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(v)
 }
 
-// MinMax returns the smallest and largest observed values in xs.
-// ok is false when xs has no observed values.
-func MinMax(xs []float64) (lo, hi float64, ok bool) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, v := range xs {
-		if math.IsNaN(v) {
-			continue
-		}
-		ok = true
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	if !ok {
-		return math.NaN(), math.NaN(), false
-	}
-	return lo, hi, true
-}
-
 // Median returns the median of the observed values in xs, or NaN when none
 // are observed. The input is not modified.
 func Median(xs []float64) float64 {
@@ -129,36 +81,6 @@ func Median(xs []float64) float64 {
 		return obs[n/2]
 	}
 	return (obs[n/2-1] + obs[n/2]) / 2
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of the observed
-// values using linear interpolation between closest ranks. NaN when no
-// values are observed or p is out of range.
-func Percentile(xs []float64, p float64) float64 {
-	if p < 0 || p > 100 {
-		return math.NaN()
-	}
-	obs := make([]float64, 0, len(xs))
-	for _, v := range xs {
-		if !math.IsNaN(v) {
-			obs = append(obs, v)
-		}
-	}
-	if len(obs) == 0 {
-		return math.NaN()
-	}
-	insertionSort(obs)
-	if len(obs) == 1 {
-		return obs[0]
-	}
-	rank := p / 100 * float64(len(obs)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return obs[lo]
-	}
-	frac := rank - float64(lo)
-	return obs[lo]*(1-frac) + obs[hi]*frac
 }
 
 // insertionSort sorts small float slices in place; stats paths deal with

@@ -14,27 +14,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestCount(t *testing.T) {
-	if got := Count(nil); got != 0 {
-		t.Fatalf("Count(nil) = %d, want 0", got)
-	}
-	if got := Count([]float64{1, Missing, 3}); got != 2 {
-		t.Fatalf("Count = %d, want 2", got)
-	}
-	if got := Count([]float64{Missing, Missing}); got != 0 {
-		t.Fatalf("Count all-missing = %d, want 0", got)
-	}
-}
-
-func TestSum(t *testing.T) {
-	if got := Sum([]float64{1, 2, Missing, 3}); got != 6 {
-		t.Fatalf("Sum = %v, want 6", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Fatalf("Sum(nil) = %v, want 0", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	cases := []struct {
 		in   []float64
@@ -79,16 +58,6 @@ func TestVarianceSkipsMissing(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	lo, hi, ok := MinMax([]float64{3, Missing, -1, 7})
-	if !ok || lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = (%v,%v,%v), want (-1,7,true)", lo, hi, ok)
-	}
-	if _, _, ok := MinMax([]float64{Missing}); ok {
-		t.Fatal("MinMax of all-missing should report !ok")
-	}
-}
-
 func TestMedian(t *testing.T) {
 	if got := Median([]float64{5, 1, 3}); got != 3 {
 		t.Fatalf("odd median = %v, want 3", got)
@@ -109,24 +78,6 @@ func TestMedianDoesNotMutateInput(t *testing.T) {
 	Median(in)
 	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
 		t.Fatalf("Median mutated its input: %v", in)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{10, 20, 30, 40}
-	cases := []struct{ p, want float64 }{
-		{0, 10}, {100, 40}, {50, 25}, {25, 17.5},
-	}
-	for _, c := range cases {
-		if got := Percentile(xs, c.p); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("Percentile(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if !math.IsNaN(Percentile(xs, -1)) || !math.IsNaN(Percentile(xs, 101)) {
-		t.Fatal("out-of-range percentile should be NaN")
-	}
-	if got := Percentile([]float64{7}, 50); got != 7 {
-		t.Fatalf("single-element percentile = %v", got)
 	}
 }
 

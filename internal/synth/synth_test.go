@@ -99,17 +99,24 @@ func TestModuleGeneIDs(t *testing.T) {
 	if len(ids) == 0 {
 		t.Fatal("ESR-induced module empty")
 	}
+	moduleOf := geneModules(u)
 	for _, id := range ids {
-		if u.ModuleOf(id) != u.ESRInduced {
+		if moduleOf[id] != u.ESRInduced {
 			t.Fatalf("gene %s not mapped back to ESR-induced", id)
 		}
 	}
 	if u.ModuleGeneIDs(-1) != nil || u.ModuleGeneIDs(99) != nil {
 		t.Fatal("out-of-range module should return nil")
 	}
-	if u.ModuleOf("NOPE") != -1 {
-		t.Fatal("unknown gene should map to -1")
+}
+
+// geneModules maps each gene ID of the universe to its module index.
+func geneModules(u *Universe) map[string]int {
+	m := make(map[string]int, len(u.Genes))
+	for _, g := range u.Genes {
+		m[g.ID] = g.Module
 	}
+	return m
 }
 
 func TestAnnotations(t *testing.T) {
@@ -118,11 +125,12 @@ func TestAnnotations(t *testing.T) {
 	if len(ann) != 100 {
 		t.Fatalf("annotations = %d", len(ann))
 	}
+	moduleOf := geneModules(u)
 	for id, terms := range ann {
 		if len(terms) != 1 {
 			t.Fatalf("gene %s has %d terms", id, len(terms))
 		}
-		m := u.ModuleOf(id)
+		m := moduleOf[id]
 		if terms[0] != u.Modules[m].Name {
 			t.Fatalf("gene %s annotated %q, module is %q", id, terms[0], u.Modules[m].Name)
 		}

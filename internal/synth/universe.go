@@ -231,16 +231,6 @@ func (u *Universe) ModuleGeneIDs(m int) []string {
 	return ids
 }
 
-// ModuleOf returns the module index of a gene ID, or -1 when unknown.
-func (u *Universe) ModuleOf(id string) int {
-	for _, g := range u.Genes {
-		if g.ID == id {
-			return g.Module
-		}
-	}
-	return -1
-}
-
 // Annotations returns gene-ID -> module-name assignments, the ground truth
 // consumed by the synthetic GO builder and the enrichment experiments.
 func (u *Universe) Annotations() map[string][]string {

@@ -71,19 +71,8 @@ type Scene interface {
 	Render(c *render.Canvas, viewport render.Rect, wallW, wallH int)
 }
 
-// SceneFunc adapts a function to the Scene interface.
-type SceneFunc func(c *render.Canvas, viewport render.Rect, wallW, wallH int)
-
-// Render implements Scene.
-func (f SceneFunc) Render(c *render.Canvas, viewport render.Rect, wallW, wallH int) {
-	f(c, viewport, wallW, wallH)
-}
-
 // TileID addresses one tile of the grid.
 type TileID struct{ X, Y int }
-
-// String formats the tile address.
-func (id TileID) String() string { return fmt.Sprintf("tile(%d,%d)", id.X, id.Y) }
 
 // Node owns one tile: a double-buffered framebuffer pair and the scene
 // replica it renders from. On a real wall each node is a PC; here it is a
@@ -163,9 +152,6 @@ func (n *Node) Front() *render.Canvas {
 	return n.front
 }
 
-// Frames returns how many frames this node has rendered.
-func (n *Node) Frames() int64 { return n.frames }
-
 // FrameStats aggregates one wall frame.
 type FrameStats struct {
 	Frame int64
@@ -204,19 +190,8 @@ func NewWall(cfg Config, scene Scene) (*Wall, error) {
 	return w, nil
 }
 
-// Config returns the wall geometry.
-func (w *Wall) Config() Config { return w.cfg }
-
 // NumNodes returns the node count.
 func (w *Wall) NumNodes() int { return len(w.nodes) }
-
-// Node returns the node driving the given tile, or nil.
-func (w *Wall) Node(x, y int) *Node {
-	if x < 0 || x >= w.cfg.TilesX || y < 0 || y >= w.cfg.TilesY {
-		return nil
-	}
-	return w.nodes[y*w.cfg.TilesX+x]
-}
 
 // RenderFrame renders one synchronized frame: all tiles in parallel, a
 // barrier, then a simultaneous swap. It returns the frame statistics.

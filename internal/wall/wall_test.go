@@ -10,20 +10,20 @@ import (
 // gradientScene paints pixel (x,y) of the wall-global coordinate system
 // with a deterministic color, so tile/composite correctness is verifiable
 // pixel by pixel.
-func gradientScene() Scene {
-	return SceneFunc(func(c *render.Canvas, vp render.Rect, wallW, wallH int) {
-		for y := 0; y < vp.H; y++ {
-			for x := 0; x < vp.W; x++ {
-				gx, gy := vp.X+x, vp.Y+y
-				c.Set(x, y, color.RGBA{
-					R: uint8(gx % 251),
-					G: uint8(gy % 241),
-					B: uint8((gx + gy) % 239),
-					A: 255,
-				})
-			}
+type gradientScene struct{}
+
+func (gradientScene) Render(c *render.Canvas, vp render.Rect, wallW, wallH int) {
+	for y := 0; y < vp.H; y++ {
+		for x := 0; x < vp.W; x++ {
+			gx, gy := vp.X+x, vp.Y+y
+			c.Set(x, y, color.RGBA{
+				R: uint8(gx % 251),
+				G: uint8(gy % 241),
+				B: uint8((gx + gy) % 239),
+				A: 255,
+			})
 		}
-	})
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -69,7 +69,7 @@ func TestPresetConfigs(t *testing.T) {
 }
 
 func TestNewWallErrors(t *testing.T) {
-	if _, err := NewWall(Config{}, gradientScene()); err == nil {
+	if _, err := NewWall(Config{}, gradientScene{}); err == nil {
 		t.Fatal("bad config should error")
 	}
 	if _, err := NewWall(Desktop2MP(), nil); err == nil {
@@ -79,19 +79,19 @@ func TestNewWallErrors(t *testing.T) {
 
 func TestNodeViewport(t *testing.T) {
 	cfg := Config{TilesX: 3, TilesY: 2, TileW: 10, TileH: 20}
-	n := NewNode(TileID{X: 2, Y: 1}, cfg, gradientScene())
+	n := NewNode(TileID{X: 2, Y: 1}, cfg, gradientScene{})
 	vp := n.Viewport()
 	if vp.X != 20 || vp.Y != 20 || vp.W != 10 || vp.H != 20 {
 		t.Fatalf("viewport = %+v", vp)
 	}
-	if n.ID.String() != "tile(2,1)" {
-		t.Fatalf("ID = %s", n.ID)
+	if n.ID != (TileID{X: 2, Y: 1}) {
+		t.Fatalf("ID = %v", n.ID)
 	}
 }
 
 func TestWallRenderFrameBarrier(t *testing.T) {
 	cfg := Config{TilesX: 4, TilesY: 2, TileW: 32, TileH: 32}
-	w, err := NewWall(cfg, gradientScene())
+	w, err := NewWall(cfg, gradientScene{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,20 +114,20 @@ func TestWallRenderFrameBarrier(t *testing.T) {
 	// Every node rendered exactly one frame.
 	for y := 0; y < cfg.TilesY; y++ {
 		for x := 0; x < cfg.TilesX; x++ {
-			if w.Node(x, y).Frames() != 1 {
-				t.Fatalf("node %d,%d frames = %d", x, y, w.Node(x, y).Frames())
+			if n := w.nodes[y*cfg.TilesX+x]; n.frames != 1 {
+				t.Fatalf("node %d,%d frames = %d", x, y, n.frames)
 			}
 		}
 	}
 }
 
 func TestWallNodeLookup(t *testing.T) {
-	w, _ := NewWall(Config{TilesX: 2, TilesY: 2, TileW: 8, TileH: 8}, gradientScene())
-	if w.Node(1, 1) == nil {
-		t.Fatal("valid node missing")
-	}
-	if w.Node(-1, 0) != nil || w.Node(2, 0) != nil {
-		t.Fatal("out-of-range node should be nil")
+	w, _ := NewWall(Config{TilesX: 2, TilesY: 2, TileW: 8, TileH: 8}, gradientScene{})
+	// Nodes are laid out row-major, each owning its own tile.
+	for i, n := range w.nodes {
+		if want := (TileID{X: i % 2, Y: i / 2}); n.ID != want {
+			t.Fatalf("node %d drives %v, want %v", i, n.ID, want)
+		}
 	}
 	if w.NumNodes() != 4 {
 		t.Fatalf("NumNodes = %d", w.NumNodes())
@@ -138,7 +138,7 @@ func TestWallNodeLookup(t *testing.T) {
 // pixel-identical to rendering the scene once at full resolution.
 func TestCompositeLossless(t *testing.T) {
 	cfg := Config{TilesX: 3, TilesY: 2, TileW: 40, TileH: 30}
-	scene := gradientScene()
+	scene := gradientScene{}
 	w, err := NewWall(cfg, scene)
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCompositeLossless(t *testing.T) {
 
 func TestCompositeWithBezel(t *testing.T) {
 	cfg := Config{TilesX: 2, TilesY: 1, TileW: 10, TileH: 10, BezelPx: 4}
-	w, _ := NewWall(cfg, gradientScene())
+	w, _ := NewWall(cfg, gradientScene{})
 	w.RenderFrame()
 	comp := w.Composite()
 	if comp.Width() != 24 || comp.Height() != 10 {
@@ -179,8 +179,8 @@ func TestCompositeWithBezel(t *testing.T) {
 
 func TestDoubleBufferSwap(t *testing.T) {
 	cfg := Config{TilesX: 1, TilesY: 1, TileW: 8, TileH: 8}
-	w, _ := NewWall(cfg, gradientScene())
-	n := w.Node(0, 0)
+	w, _ := NewWall(cfg, gradientScene{})
+	n := w.nodes[0]
 	// Before any frame, the front buffer is blank.
 	if got := n.Front().At(3, 3); (got != color.RGBA{A: 255}) {
 		t.Fatalf("front before frame = %v", got)
@@ -193,8 +193,8 @@ func TestDoubleBufferSwap(t *testing.T) {
 
 func TestChecksumDeterminism(t *testing.T) {
 	cfg := Config{TilesX: 2, TilesY: 2, TileW: 16, TileH: 16}
-	w1, _ := NewWall(cfg, gradientScene())
-	w2, _ := NewWall(cfg, gradientScene())
+	w1, _ := NewWall(cfg, gradientScene{})
+	w2, _ := NewWall(cfg, gradientScene{})
 	f1 := w1.RenderFrame()
 	f2 := w2.RenderFrame()
 	sums := func(fs FrameStats) map[TileID]uint32 {
@@ -217,14 +217,14 @@ func TestChecksumDeterminism(t *testing.T) {
 }
 
 func TestMultipleFrames(t *testing.T) {
-	w, _ := NewWall(Config{TilesX: 2, TilesY: 1, TileW: 8, TileH: 8}, gradientScene())
+	w, _ := NewWall(Config{TilesX: 2, TilesY: 1, TileW: 8, TileH: 8}, gradientScene{})
 	for i := 1; i <= 5; i++ {
 		fs := w.RenderFrame()
 		if fs.Frame != int64(i) {
 			t.Fatalf("frame = %d, want %d", fs.Frame, i)
 		}
 	}
-	if w.Node(0, 0).Frames() != 5 {
-		t.Fatalf("node frames = %d", w.Node(0, 0).Frames())
+	if w.nodes[0].frames != 5 {
+		t.Fatalf("node frames = %d", w.nodes[0].frames)
 	}
 }

@@ -1,0 +1,334 @@
+package forestview
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"runtime"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// allowlistPath holds the functions under internal/ that no binary links
+// and that stay anyway: one line each, the symbol as go tool nm spells it
+// (or a whole package's import path), a tab, and the reason.
+const allowlistPath = "testdata/unlinked.txt"
+
+// TestEveryFunctionIsLinked holds production code to what a binary links.
+// It builds every main package under cmd/ and examples/, and bench/ from
+// its own module, with inlining off for this module's packages so every
+// function a binary calls keeps its symbol. Then it fails on any function
+// declared in a non-test file under internal/ that no binary links and
+// allowlistPath does not name, and on any allowlist entry that is now
+// linked or no longer exists.
+//
+// The symbol sets differ per architecture (internal/tilecorr picks its
+// routines by GOARCH), so the test runs on amd64 only.
+func TestEveryFunctionIsLinked(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("the allowlist is written for amd64's symbol set")
+	}
+	bins := buildAllBinaries(t, t.TempDir())
+	linked := map[string]bool{}
+	for _, bin := range bins {
+		out, err := exec.Command("go", "tool", "nm", bin).Output()
+		if err != nil {
+			t.Fatalf("go tool nm %s: %v", bin, err)
+		}
+		for _, line := range strings.Split(string(out), "\n") {
+			if fn, ok := nmFunc(line); ok {
+				linked[fn] = true
+			}
+		}
+	}
+	decls := declaredFuncs(t, "internal")
+	allow := readAllowlist(t, allowlistPath)
+	unlisted, stale := auditLinks(decls, linked, allow)
+	for _, fn := range unlisted {
+		t.Errorf("%s: %s is linked by no binary: delete it, or add it to %s with its reason", decls[fn], fn, allowlistPath)
+	}
+	for _, e := range stale {
+		t.Errorf("%s: entry %s is stale: it is linked now, or it no longer exists", allowlistPath, e)
+	}
+}
+
+// buildAllBinaries builds every binary the audit counts into dir and
+// returns their paths.
+func buildAllBinaries(t *testing.T, dir string) []string {
+	t.Helper()
+	const noInline = "-gcflags=forestview/...=-l"
+	run := func(wd string, args ...string) {
+		cmd := exec.Command("go", args...)
+		cmd.Dir = wd
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
+	// go test caches this test's result keyed on the files the test itself
+	// touches, not on what the go build below reads: stat every source
+	// the binaries are built from, so that editing one reruns the audit.
+	for _, root := range []string{"cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err == nil && strings.HasSuffix(path, ".go") {
+				_, err = os.Stat(path)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(".", "build", "-o", dir+string(filepath.Separator), noInline, "./cmd/...", "./examples/...")
+	run("bench", "build", "-o", filepath.Join(dir, "bench"), noInline, ".")
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bins []string
+	for _, e := range ents {
+		bins = append(bins, filepath.Join(dir, e.Name()))
+	}
+	return bins
+}
+
+var (
+	// nmLine splits a go tool nm line into its type letter and its name.
+	// The address is blank for undefined symbols, and a name may hold
+	// spaces (a generic's shape type).
+	nmLine = regexp.MustCompile(`^\s*[0-9a-f]*\s+([A-Za-z])\s+(.+)$`)
+	// closureSuffix is what the compiler appends to the function a
+	// closure, a go or defer wrapper or a method value comes from, and to
+	// an assembly function's symbol.
+	closureSuffix = regexp.MustCompile(`(\.(func|gowrap|deferwrap|abi)?[0-9]+|-fm)$`)
+)
+
+// nmFunc turns one go tool nm line into the name of the function it
+// belongs to, spelled as declaredFuncs spells it, with type arguments and
+// closure suffixes stripped. It reports false for anything that is not
+// this module's code.
+func nmFunc(line string) (string, bool) {
+	m := nmLine.FindStringSubmatch(line)
+	if m == nil || (m[1] != "T" && m[1] != "t") || !strings.HasPrefix(m[2], "forestview/") {
+		return "", false
+	}
+	name := stripTypeArgs(m[2])
+	if strings.Contains(name, "..") {
+		return "", false // compiler data: dictionaries, init tasks, stubs
+	}
+	for {
+		trimmed := closureSuffix.ReplaceAllString(name, "")
+		if trimmed == name {
+			return name, true
+		}
+		name = trimmed
+	}
+}
+
+// stripTypeArgs drops every bracketed type-argument list, nested ones
+// included, from a symbol name.
+func stripTypeArgs(s string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range s {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']' && depth > 0:
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// declaredFuncs parses every non-test Go file under root that this
+// platform's build compiles, and returns each function and method declared
+// there, keyed as nmFunc spells its symbol, with its position. init
+// functions are linked with their package and are left out.
+func declaredFuncs(t *testing.T, root string) map[string]string {
+	t.Helper()
+	fset := token.NewFileSet()
+	decls := map[string]string{}
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		if ok, err := build.Default.MatchFile(filepath.Dir(path), d.Name()); !ok || err != nil {
+			return err // a file this platform's build leaves out
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := "forestview/" + filepath.ToSlash(filepath.Dir(path))
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Name.Name == "init" || fd.Name.Name == "_" {
+				continue
+			}
+			decls[pkg+"."+funcKey(fd)] = fset.Position(fd.Pos()).String()
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return decls
+}
+
+// funcKey spells a declaration as its symbol does after the package:
+// Name, T.Name or (*T).Name, without the receiver's type parameters.
+func funcKey(fd *ast.FuncDecl) string {
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return fd.Name.Name
+	}
+	typ, ptr := fd.Recv.List[0].Type, false
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ, ptr = star.X, true
+	}
+	switch x := typ.(type) {
+	case *ast.IndexExpr:
+		typ = x.X
+	case *ast.IndexListExpr:
+		typ = x.X
+	}
+	recv := typ.(*ast.Ident).Name
+	if ptr {
+		return "(*" + recv + ")." + fd.Name.Name
+	}
+	return recv + "." + fd.Name.Name
+}
+
+// readAllowlist reads allowlistPath's "symbol<TAB>reason" lines; blank
+// lines and lines starting with # are skipped, and an entry without a
+// reason is an error.
+func readAllowlist(t *testing.T, path string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow := map[string]string{}
+	for i, line := range strings.Split(string(data), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		sym, reason, ok := strings.Cut(line, "\t")
+		if !ok || strings.TrimSpace(reason) == "" {
+			t.Fatalf("%s:%d: want symbol, a tab, then the reason: %q", path, i+1, line)
+		}
+		if _, dup := allow[sym]; dup {
+			t.Fatalf("%s:%d: %s is listed twice", path, i+1, sym)
+		}
+		allow[sym] = reason
+	}
+	return allow
+}
+
+// auditLinks returns, sorted, the declared functions that are neither
+// linked nor allowed (by symbol or by their package's import path), and
+// the allowlist entries that excuse nothing: a symbol that is linked or no
+// longer declared, or a package none of whose functions is unlinked.
+func auditLinks(decls map[string]string, linked map[string]bool, allow map[string]string) (unlisted, stale []string) {
+	used := map[string]bool{}
+	for fn := range decls {
+		if linked[fn] {
+			continue
+		}
+		slash := strings.LastIndex(fn, "/")
+		pkg := fn[:slash+strings.Index(fn[slash:], ".")]
+		switch {
+		case allow[fn] != "":
+			used[fn] = true
+		case allow[pkg] != "":
+			used[pkg] = true
+		default:
+			unlisted = append(unlisted, fn)
+		}
+	}
+	for e := range allow {
+		if !used[e] {
+			stale = append(stale, e)
+		}
+	}
+	sort.Strings(unlisted)
+	sort.Strings(stale)
+	return unlisted, stale
+}
+
+func TestNMFunc(t *testing.T) {
+	for _, c := range []struct {
+		line, want string
+	}{
+		{"  74c6a0 T forestview/internal/cluster.squareCells[go.shape.int]",
+			"forestview/internal/cluster.squareCells"},
+		{"  7f0e20 T forestview/internal/server.serveShardPartial[go.shape.struct { Query []string; Shards []string; Replication int; Groups [][]string; Uniform bool },go.shape.struct { Parts []forestview/internal/shard.SearchPart },go.shape.*forestview/internal/shard.SearchRequest].func1",
+			"forestview/internal/server.serveShardPartial"},
+		{"  7e5a40 T forestview/internal/shard.(*genCache[go.shape.*uint8]).get.deferwrap1",
+			"forestview/internal/shard.(*genCache).get"},
+		{"  8d1e60 T forestview/internal/fleettest.(*Fleet[*forestview/internal/server.Server]).Close-fm",
+			"forestview/internal/fleettest.(*Fleet).Close"},
+		{"  74a180 T forestview/internal/cluster.buildDistances.func3.deferwrap1",
+			"forestview/internal/cluster.buildDistances"},
+		{"  74a0a0 T forestview/internal/cluster.buildDistances.gowrap1",
+			"forestview/internal/cluster.buildDistances"},
+		{"  748e80 T forestview/internal/cluster.(*Tree).Cut.func1",
+			"forestview/internal/cluster.(*Tree).Cut"},
+		{"  702040 T forestview/internal/tilecorr.cpuid.abi0",
+			"forestview/internal/tilecorr.cpuid"},
+		{"  74cac0 T forestview/internal/render.init.func1",
+			"forestview/internal/render.init"},
+		{"  73a2e0 T forestview/internal/spell.Engine.NumDatasets",
+			"forestview/internal/spell.Engine.NumDatasets"},
+		{"  a40ca0 R forestview/internal/cluster..dict.squareCells[int]", ""},
+		{"  a42230 R forestview/internal/microarray..dict.grow[uint8]", ""},
+		{"  4b3c20 T main.main", ""},
+		{"  4f2d00 T runtime.mallocgc", ""},
+	} {
+		got, ok := nmFunc(c.line)
+		if got != c.want || ok != (c.want != "") {
+			t.Errorf("nmFunc(%q) = %q, %v; want %q", c.line, got, ok, c.want)
+		}
+	}
+}
+
+func TestAuditLinks(t *testing.T) {
+	decls := map[string]string{
+		"forestview/internal/a.Used":        "a.go:1",
+		"forestview/internal/a.(*T).Oracle": "a.go:2",
+		"forestview/internal/a.Planted":     "a.go:3",
+		"forestview/internal/b.Experiment":  "b.go:1",
+		"forestview/internal/b.T.Method":    "b.go:2",
+		"forestview/internal/c.AllLinked":   "c.go:1",
+		"forestview/internal/c.AlsoLinked":  "c.go:2",
+	}
+	linked := map[string]bool{
+		"forestview/internal/a.Used":       true,
+		"forestview/internal/a.Renamed":    true,
+		"forestview/internal/c.AllLinked":  true,
+		"forestview/internal/c.AlsoLinked": true,
+	}
+	allow := map[string]string{
+		"forestview/internal/a.(*T).Oracle": "oracle",
+		"forestview/internal/b":             "experiment",
+		"forestview/internal/a.Used":        "stale: linked",
+		"forestview/internal/a.Gone":        "stale: deleted",
+		"forestview/internal/c":             "stale: every function linked",
+	}
+	unlisted, stale := auditLinks(decls, linked, allow)
+	if want := []string{"forestview/internal/a.Planted"}; fmt.Sprint(unlisted) != fmt.Sprint(want) {
+		t.Errorf("unlisted = %v, want %v", unlisted, want)
+	}
+	if want := []string{"forestview/internal/a.Gone", "forestview/internal/a.Used", "forestview/internal/c"}; fmt.Sprint(stale) != fmt.Sprint(want) {
+		t.Errorf("stale = %v, want %v", stale, want)
+	}
+}
