@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,8 +16,8 @@ import (
 
 // These tests pin the daemon's one cancellation rule (writeContextError)
 // on every compute endpoint: the request's own hangup is a 499 with no
-// body; a context error that leaked from other requests' flights is a
-// counted, retryable 503 "interrupted"; neither caches anything.
+// body and starts nothing; another request's hangup never reaches a live
+// one, because a flight lives as long as anyone waits for it.
 
 // serve runs one request through the server.
 func serve(s *Server, req *http.Request) *httptest.ResponseRecorder {
@@ -53,98 +55,134 @@ func TestSearchClientCancel(t *testing.T) {
 	}
 }
 
-// cachedKeys lists every key resident in the cache.
-func cachedKeys(c *Cache) []string {
-	var keys []string
-	c.each(func(sh *cacheShard) {
-		for k := range sh.items {
-			keys = append(keys, k)
-		}
-	})
-	return keys
+// stall parks the first search or enrichment to reach it after hold until
+// released, unless that computation's context ends first: a computation
+// held in progress, on whichever member path it runs.
+type stall struct {
+	armed   atomic.Bool
+	release chan struct{}
 }
 
-// poisonFlights parks, under each key, a finished flight that died of its
-// leader's hangup: every request that joins it — on every retry — gets the
-// leader's context.Canceled, exactly what a follower sees when the flights
-// it coalesces onto keep losing their leaders. clear removes them.
-func poisonFlights(g *flightGroup, keys []string) (clear func()) {
-	finished := make(chan struct{})
-	close(finished)
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+func newStall() *stall { return &stall{release: make(chan struct{})} }
+
+// hold arms the stall and returns its release.
+func (st *stall) hold() (release func()) {
+	st.armed.Store(true)
+	return sync.OnceFunc(func() { close(st.release) })
+}
+
+func (st *stall) wait(ctx context.Context) error {
+	if !st.armed.CompareAndSwap(true, false) {
+		return nil
 	}
-	for _, k := range keys {
-		g.calls[k] = &flightCall{done: finished, err: context.Canceled}
+	select {
+	case <-st.release:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	g.mu.Unlock()
-	return func() {
-		g.mu.Lock()
-		for _, k := range keys {
-			delete(g.calls, k)
+}
+
+// stalledBackend is a daemon's own member behind a stall.
+type stalledBackend struct {
+	shard.Backend
+	st *stall
+}
+
+func (b stalledBackend) Search(ctx context.Context, id string, req *shard.SearchRequest) (*shard.SearchAnswer, error) {
+	if err := b.st.wait(ctx); err != nil {
+		return nil, err
+	}
+	return b.Backend.Search(ctx, id, req)
+}
+
+func (b stalledBackend) Enrich(ctx context.Context, id string, req *shard.EnrichRequest) (*shard.EnrichAnswer, error) {
+	if err := b.st.wait(ctx); err != nil {
+		return nil, err
+	}
+	return b.Backend.Enrich(ctx, id, req)
+}
+
+// stalledTransport is a coordinator's road to its shards behind a stall.
+type stalledTransport struct{ st *stall }
+
+func (tr stalledTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == shard.SearchPath || req.URL.Path == shard.EnrichPath {
+		if err := tr.st.wait(req.Context()); err != nil {
+			return nil, err
 		}
-		g.mu.Unlock()
 	}
+	return http.DefaultTransport.RoundTrip(req)
 }
 
 // TestCancellationContract drives every compute endpoint through the same
-// three steps. The cache keys to poison are learned from a twin server
-// answering the same request, so the test does not restate key formats. The
-// shard role keeps nothing and joins no flight: its step 2 cannot happen, and
-// its steps 1 and 3 are that a hangup leaves nothing behind and the next
-// request is answered.
+// three steps. The shard role keeps nothing and joins no flight: its step 2
+// cannot happen, and its steps 1 and 3 are that a hangup leaves nothing
+// behind and the next request is answered.
 func TestCancellationContract(t *testing.T) {
-	// Each build returns a fresh server and a maker of one fixed request.
-	type build func(t *testing.T) (*Server, func() *http.Request)
+	// Each build returns a fresh server, a maker of one fixed request, and
+	// hold, which keeps the next computation of that request in progress
+	// until release.
+	type build func(t *testing.T) (s *Server, request func() *http.Request, hold func() (release func()))
 	single := func(path string) build {
-		return func(t *testing.T) (*Server, func() *http.Request) {
+		return func(t *testing.T) (*Server, func() *http.Request, func() func()) {
 			s, u := fixture(t)
+			st := newStall()
+			var err error
+			if s.coord, err = shard.NewCoordinator(shard.Config{Shards: []string{localMember}, Backend: stalledBackend{local{s}, st}}); err != nil {
+				t.Fatal(err)
+			}
 			url := path + strings.Join(u.ModuleGeneIDs(2)[:4], ",")
-			return s, func() *http.Request { return httptest.NewRequest(http.MethodGet, url, nil) }
+			return s, func() *http.Request { return httptest.NewRequest(http.MethodGet, url, nil) }, st.hold
 		}
 	}
 	shardRole := func(path string, body func(genes []string) any) build {
-		return func(t *testing.T) (*Server, func() *http.Request) {
+		return func(t *testing.T) (*Server, func() *http.Request, func() func()) {
 			s, u := fixtureShard(t)
 			body := shardBody(t, body(u.ModuleGeneIDs(2)[:4]))
 			return s, func() *http.Request {
 				return httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
-			}
+			}, nil
 		}
 	}
 	cases := []struct {
 		name         string
-		endpoint     string // the /api/stats endpoint whose rejected counter moves
+		stat         func(*Server) *endpointStats
 		build        build
 		keepsNothing bool // a shard-role endpoint: no cache, no flights
 	}{
-		{"search", "search", single("/api/search?q="), false},
-		{"search-coordinator", "search", func(t *testing.T) (*Server, func() *http.Request) {
-			top := newShardTopology(t, 2, shard.Config{Deadline: time.Second})
-			return top.coord, func() *http.Request { return httptest.NewRequest(http.MethodGet, searchURL(top.query), nil) }
+		{"search", func(s *Server) *endpointStats { return &s.statSearch }, single("/api/search?q="), false},
+		{"search-coordinator", func(s *Server) *endpointStats { return &s.statSearch }, func(t *testing.T) (*Server, func() *http.Request, func() func()) {
+			st := newStall()
+			top := newShardTopology(t, 2, shard.Config{Deadline: time.Second, Client: &http.Client{Transport: stalledTransport{st}}})
+			return top.coord, func() *http.Request { return httptest.NewRequest(http.MethodGet, searchURL(top.query), nil) }, st.hold
 		}, false},
-		{"enrich", "enrich", single("/api/enrich?genes="), false},
-		{"heatmap", "heatmap", func(t *testing.T) (*Server, func() *http.Request) {
+		{"enrich", func(s *Server) *endpointStats { return &s.statEnrich }, single("/api/enrich?genes="), false},
+		{"heatmap", func(s *Server) *endpointStats { return &s.statHeatmap }, func(t *testing.T) (*Server, func() *http.Request, func() func()) {
 			s, _ := fixture(t)
 			return s, func() *http.Request {
 				return httptest.NewRequest(http.MethodGet, "/api/heatmap?dataset=0&w=32&h=32", nil)
-			}
+			}, func() func() { return holdSlots(t, s.pool, cap(s.pool.slots)) }
 		}, false},
-		{"shard-search", "shard", shardRole(shard.SearchPath, func(genes []string) any {
+		{"shard-search", func(s *Server) *endpointStats { return &s.statShard }, shardRole(shard.SearchPath, func(genes []string) any {
 			return shard.SearchRequest{Query: genes}
 		}), true},
-		{"shard-enrich", "shard", shardRole(shard.EnrichPath, func(genes []string) any {
+		{"shard-enrich", func(s *Server) *endpointStats { return &s.statShard }, shardRole(shard.EnrichPath, func(genes []string) any {
 			return shard.EnrichRequest{Selection: genes}
 		}), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			s, request := tc.build(t)
-			// 1. Own hangup: 499, no body, nothing cached.
+			s, request, hold := tc.build(t)
+			ep := tc.stat(s)
+			// 1. Own hangup: 499, no body, nothing cached; a request that
+			// would lead a flight starts none.
 			rec := serve(s, canceled(request()))
 			if rec.Code != statusClientClosedRequest || rec.Body.Len() != 0 {
 				t.Fatalf("own hangup = %d with %d body bytes, want %d and none", rec.Code, rec.Body.Len(), statusClientClosedRequest)
+			}
+			if n := s.cache.Len(); n != 0 {
+				t.Fatalf("own hangup cached %d entries", n)
 			}
 			if tc.keepsNothing {
 				// 3. The next clean request is answered, and kept no more than
@@ -155,42 +193,42 @@ func TestCancellationContract(t *testing.T) {
 				return
 			}
 
-			twin, twinRequest := tc.build(t)
-			if rec := serve(twin, twinRequest()); rec.Code != http.StatusOK {
-				t.Fatalf("twin = %d: %s", rec.Code, rec.Body.String())
-			}
-			keys := cachedKeys(twin.cache)
-			if len(keys) == 0 {
-				t.Fatal("the request cached nothing on the twin")
+			if n := ep.computed.Load(); n != 0 {
+				t.Fatalf("own hangup computed %d times", n)
 			}
 
-			// 2. Live client, every joined flight died of its leader's hangup:
-			// retries exhausted, shed as a counted 503.
-			before := statsOf(t, s, tc.endpoint)
-			clear := poisonFlights(&s.flights, keys)
-			rec = serve(s, request())
-			clear()
-			if rec.Code != http.StatusServiceUnavailable {
-				t.Fatalf("poisoned flights = %d: %s", rec.Code, rec.Body.String())
+			// 2. A live joiner of a flight whose first caller hung up: one
+			// computation answers it, and nothing is shed.
+			release := hold()
+			misses := ep.cacheMisses.Load()
+			ctx, hangUp := context.WithCancel(context.Background())
+			first := make(chan int, 1)
+			go func() { first <- serve(s, request().WithContext(ctx)).Code }()
+			waitMiss(t, &ep.cacheMisses, misses) // the first caller leads the flight
+			joiner := make(chan *httptest.ResponseRecorder, 1)
+			go func() { joiner <- serve(s, request()) }()
+			waitMiss(t, &ep.cacheMisses, misses+1) // the joiner is at the flight
+			hangUp()
+			time.Sleep(20 * time.Millisecond) // the hangup reaches whatever it reaches
+			release()
+			rec = <-joiner
+			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispCoalesced {
+				t.Fatalf("live joiner = %d (%s: %q): %s", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.String())
 			}
-			if code, _ := errorEnvelopeOf(t, rec.Body.Bytes()); code != codeInterrupted {
-				t.Fatalf("error code = %q, want %q", code, codeInterrupted)
+			if code := <-first; code != http.StatusOK && code != statusClientClosedRequest {
+				t.Fatalf("the caller that hung up = %d", code)
 			}
-			after := statsOf(t, s, tc.endpoint)
-			if got := after.Rejected - before.Rejected; got != 1 {
-				t.Fatalf("rejected moved by %d, want 1", got)
+			if n := ep.computed.Load(); n != 1 {
+				t.Fatalf("computed %d times, want once", n)
 			}
-			if got := after.Coalesced - before.Coalesced; got != 3 {
-				t.Fatalf("joined %d flights before giving up, want 3", got)
-			}
-			if n := s.cache.Len(); n != 0 {
-				t.Fatalf("%d entries cached by aborted requests", n)
+			if n := ep.rejected.Load(); n != 0 {
+				t.Fatalf("rejected = %d, want 0", n)
 			}
 
-			// 3. The next clean request computes fresh.
+			// 3. The flight's answer was kept: the next request is a hit.
 			rec = serve(s, request())
-			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispMiss {
-				t.Fatalf("clean request = %d (%s: %q): %s", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.String())
+			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispHit {
+				t.Fatalf("next request = %d (%s: %q): %s", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.String())
 			}
 		})
 	}

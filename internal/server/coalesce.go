@@ -10,60 +10,110 @@ import (
 // flightGroup implements request coalescing (the singleflight pattern):
 // when many goroutines ask for the same key at once, exactly one executes
 // the computation and the rest wait until it finishes and share its
-// result. Under coalesce it gives the daemon its concurrency
-// discipline — a burst of identical queries costs one SPELL search, one
-// enrichment pass, one tile render or one pane clustering, never N.
+// result: a burst of identical queries costs one SPELL search, one
+// enrichment pass, one tile render or one pane clustering, never N. A
+// flight belongs to its waiters: it runs under its own context, detached
+// from every request, which ends (and the key is forgotten) only when the
+// last waiter has left, so no client's hangup fails another's request.
 type flightGroup struct {
 	mu    sync.Mutex
 	calls map[string]*flightCall
 }
 
 type flightCall struct {
-	done chan struct{} // closed once val and err are final
-	val  any
-	err  error
+	ctx     context.Context // the flight's own, ended by cancel
+	cancel  context.CancelFunc
+	done    chan struct{} // closed once val and err are final
+	val     any
+	err     error
+	waiters int // callers still waiting, leader included; under the group's mu
 }
 
-// Do executes fn under key, coalescing concurrent duplicate calls. joined
-// reports whether this caller piggybacked on another goroutine's in-flight
-// computation instead of running fn itself. A joiner waits only as long as
-// its own ctx lives: a client that hangs up leaves the flight (with its
-// context's error) and the leader's result is none the worse for it. fn is
-// expected to honor the leader's context by itself.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)) (val any, err error, joined bool) {
-	g.mu.Lock()
-	if g.calls == nil {
-		g.calls = make(map[string]*flightCall)
+// Do executes fn under key, coalescing concurrent duplicate calls; joined
+// reports that this caller waited on another's flight. A caller whose ctx
+// is done starts nothing; a joiner waits only while its ctx lives; the
+// leader runs fn, which must honor the flight's context, on its own
+// goroutine, and its ctx ending only drops its interest.
+func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, err error, joined bool) {
+	if err := ctx.Err(); err != nil {
+		return nil, err, false
 	}
-	if c, ok := g.calls[key]; ok {
-		g.mu.Unlock()
+	c, led := g.open(ctx, key, true)
+	if !led {
 		select {
 		case <-c.done:
 			return c.val, c.err, true
 		case <-ctx.Done():
+			g.leave(key, c)
 			return nil, ctx.Err(), true
 		}
 	}
-	c := &flightCall{done: make(chan struct{})}
-	g.calls[key] = c
-	g.mu.Unlock()
-
-	func() {
-		// Cleanup is deferred so a panicking fn cannot wedge the key and
-		// leak every future caller onto a flight that never completes. The
-		// panic itself becomes an error shared by leader and joiners alike.
-		defer func() {
-			if r := recover(); r != nil {
-				c.err = fmt.Errorf("server: query computation panicked: %v", r)
-			}
-			g.mu.Lock()
-			delete(g.calls, key)
-			g.mu.Unlock()
-			close(c.done)
-		}()
-		c.val, c.err = fn()
-	}()
+	defer context.AfterFunc(ctx, func() { g.leave(key, c) })()
+	g.run(key, c, fn)
 	return c.val, c.err, false
+}
+
+// lead runs fn under key as Do's leader would, unless key is in flight:
+// then it returns at once with led false. No hangup reaches its flight.
+func (g *flightGroup) lead(key string, fn func(context.Context) (any, error)) (val any, err error, led bool) {
+	c, led := g.open(context.Background(), key, false)
+	if !led {
+		return nil, nil, false
+	}
+	g.run(key, c, fn)
+	return c.val, c.err, true
+}
+
+// open returns key's flight, joined if join is set, or opens one led by
+// the caller under a context with ctx's values and not its cancellation.
+func (g *flightGroup) open(ctx context.Context, key string, join bool) (c *flightCall, led bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c, ok := g.calls[key]; ok {
+		if join {
+			c.waiters++
+		}
+		return c, false
+	}
+	if g.calls == nil {
+		g.calls = make(map[string]*flightCall)
+	}
+	c = &flightCall{done: make(chan struct{}), waiters: 1}
+	c.ctx, c.cancel = context.WithCancel(context.WithoutCancel(ctx))
+	g.calls[key] = c
+	return c, true
+}
+
+// run executes fn for c and publishes its outcome; a panic in fn becomes
+// the flight's error instead of wedging the key.
+func (g *flightGroup) run(key string, c *flightCall, fn func(context.Context) (any, error)) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.err = fmt.Errorf("server: query computation panicked: %v", r)
+		}
+		g.mu.Lock()
+		g.forget(key, c)
+		g.mu.Unlock()
+		close(c.done)
+	}()
+	c.val, c.err = fn(c.ctx)
+}
+
+// leave drops one waiter; the last to leave ends the flight.
+func (g *flightGroup) leave(key string, c *flightCall) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if c.waiters--; c.waiters == 0 {
+		g.forget(key, c)
+	}
+}
+
+// forget unmaps c, unless a newer flight holds key, and ends it. g.mu is held.
+func (g *flightGroup) forget(key string, c *flightCall) {
+	if g.calls[key] == c {
+		delete(g.calls, key)
+	}
+	c.cancel()
 }
 
 // coalesce is the daemon's concurrency discipline in one place, shared by
@@ -71,78 +121,47 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func() (any, error)
 // lookup, then coalesced computation, then fill. load and store are the
 // place the value is kept between requests: the shared LRU for everything
 // evictable (cachedCompute), a pane's own pointer for its clustered tree,
-// which a burst of tiles must never evict. Errors
-// are never stored (a transiently bad query must not poison the place), but
-// concurrent identical failures still compute only once. compute is
-// expected to honor ctx; because followers share the leader's flight — and
-// therefore the leader's context — a caller whose joined flight died of a
-// context error that is not its own (the *leader's* client disconnected)
-// retries with its own live context, becoming the new leader instead of
-// failing an innocent request; after maxAttempts dead leaders it returns
-// that context error, which every handler sheds as a 503 "interrupted". The
-// disposition says which layer answered the final attempt, and ep's
-// counters agree with it: every attempt ends in one hit, one join or one
-// computation. A package-level function because Go methods cannot take type
-// parameters; flightGroup stays any-valued underneath.
+// which a burst of tiles must never evict. Errors are never stored, but
+// concurrent identical failures still compute only once. compute runs
+// under the flight's context, so a caller sees a context error only when
+// its own context ended. The disposition says which layer answered, and
+// ep's counters agree: every call ends in one hit, one join or one
+// computation. A function because Go methods cannot take type parameters.
 func coalesce[T any](ctx context.Context, g *flightGroup, ep *endpointStats, key string,
-	load func() (T, bool), store func(T), compute func() (T, error)) (T, string, error) {
-	const maxAttempts = 3
-	var (
-		val  T
-		disp string
-		err  error
-	)
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			ep.retries.Add(1)
-		}
-		if v, ok := load(); ok {
-			ep.cacheHits.Add(1)
-			return v, dispHit, nil
-		}
-		ep.cacheMisses.Add(1)
-		// computed is written only when this caller leads the flight (a joiner's
-		// closure never runs), so reading it after Do is race-free.
-		computed := false
-		v, ferr, joined := g.Do(ctx, key, func() (any, error) {
-			// Re-check under the flight: a caller that missed just as the
-			// previous flight completed must find that flight's result here
-			// rather than compute again.
-			if v, ok := load(); ok {
-				return v, nil
-			}
-			ep.computed.Add(1)
-			computed = true
-			v, err := compute()
-			if err == nil {
-				store(v)
-			}
-			return v, err
-		})
-		// A panicking compute surfaces as an error with a nil value.
-		val, _ = v.(T)
-		err = ferr
-		switch {
-		case joined:
-			ep.coalesced.Add(1)
-			disp = dispCoalesced
-		case !computed:
-			// We led a flight but its re-check hit: the previous flight stored
-			// its value between our miss and our entry. For the client that's a
-			// hit — no computation ran on its behalf — and the second lookup is
-			// counted as one.
-			ep.cacheHits.Add(1)
-			disp = dispHit
-		default:
-			disp = dispMiss
-		}
-		// A joined flight shed by its leader's admission (a speculation finds
-		// no idle render slot) is not this caller's refusal either.
-		if err == nil || ctx.Err() != nil || !isContextErr(err) && !(joined && errors.Is(err, ErrSaturated)) {
-			break
-		}
+	load func() (T, bool), store func(T), compute func(context.Context) (T, error)) (T, string, error) {
+	if v, ok := load(); ok {
+		ep.cacheHits.Add(1)
+		return v, dispHit, nil
 	}
-	return val, disp, err
+	ep.cacheMisses.Add(1)
+	computed := false // written only by a leader, on this goroutine
+	v, err, joined := g.Do(ctx, key, func(ctx context.Context) (any, error) {
+		// Re-check under the flight: a caller that missed just as the
+		// previous flight completed must find that flight's result here
+		// rather than compute again.
+		if v, ok := load(); ok {
+			return v, nil
+		}
+		ep.computed.Add(1)
+		computed = true
+		v, err := compute(ctx)
+		if err == nil {
+			store(v)
+		}
+		return v, err
+	})
+	// A panicking compute surfaces as an error with a nil value.
+	val, _ := v.(T)
+	switch {
+	case joined:
+		ep.coalesced.Add(1)
+		return val, dispCoalesced, err
+	case computed || err != nil:
+		return val, dispMiss, err
+	default: // we led, but the re-check hit: the previous flight stored it
+		ep.cacheHits.Add(1)
+		return val, dispHit, nil
+	}
 }
 
 // isContextErr reports whether err is (or wraps) a context cancellation or

@@ -27,7 +27,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			if i > 0 {
 				<-ready // the first goroutine is mid-compute before others join
 			}
-			v, err, joined := g.Do(context.Background(), "k", func() (any, error) {
+			v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) {
 				computes.Add(1)
 				close(ready)
 				<-release
@@ -55,8 +55,9 @@ func TestFlightGroupCoalesces(t *testing.T) {
 
 // TestFlightGroupJoinerHonoursItsContext: a joiner whose own context is
 // cancelled while the leader still computes leaves at once with its context's
-// error; the leader's result is unaffected, a later caller still gets the
-// value, and no goroutine is left behind.
+// error; the leader's result is unaffected and a later caller still gets the
+// value. When the last waiter leaves, fn's context is done and the key is
+// forgotten, so the next caller computes afresh. No goroutine is left behind.
 func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	var g flightGroup
@@ -69,7 +70,7 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	}
 	leader := make(chan result, 1)
 	go func() {
-		v, err, joined := g.Do(context.Background(), "k", func() (any, error) {
+		v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) {
 			close(computing)
 			<-release
 			return 42, nil
@@ -81,9 +82,10 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	joiner := make(chan result, 1)
 	go func() {
-		v, err, joined := g.Do(ctx, "k", func() (any, error) { return nil, errors.New("joiner computed") })
+		v, err, joined := g.Do(ctx, "k", func(context.Context) (any, error) { return nil, errors.New("joiner computed") })
 		joiner <- result{v, err, joined}
 	}()
+	waitWaiters(&g, "k", 2)
 	cancel()
 	select {
 	case r := <-joiner:
@@ -97,7 +99,7 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	// A live joiner, and the leader itself, still get the leader's value.
 	live := make(chan result, 1)
 	go func() {
-		v, err, joined := g.Do(context.Background(), "k", func() (any, error) { return 7, nil })
+		v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) { return 7, nil })
 		live <- result{v, err, joined}
 	}()
 	time.Sleep(5 * time.Millisecond) // let it reach the flight (either way it must see 42 or recompute 7)
@@ -108,6 +110,52 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	if r := <-live; r.err != nil || (r.joined && r.v.(int) != 42) || (!r.joined && r.v.(int) != 7) {
 		t.Fatalf("later caller = %+v", r)
 	}
+
+	// The leader and its joiner both leave: fn's context ends only with the
+	// last of them, and the key is free before fn has returned.
+	leaderCtx, leaderLeaves := context.WithCancel(context.Background())
+	entered, ended, finish := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	abandoned := make(chan result, 1)
+	go func() {
+		v, err, joined := g.Do(leaderCtx, "k", func(ctx context.Context) (any, error) {
+			close(entered)
+			<-ctx.Done()
+			close(ended)
+			<-finish
+			return nil, ctx.Err()
+		})
+		abandoned <- result{v, err, joined}
+	}()
+	<-entered
+	ctx, cancel = context.WithCancel(context.Background())
+	go func() {
+		v, err, joined := g.Do(ctx, "k", func(context.Context) (any, error) { return nil, errors.New("joiner computed") })
+		joiner <- result{v, err, joined}
+	}()
+	waitWaiters(&g, "k", 2)
+	cancel()
+	if r := <-joiner; r.err != context.Canceled || !r.joined {
+		t.Fatalf("cancelled joiner = %+v, want a joined context.Canceled", r)
+	}
+	select {
+	case <-ended:
+		t.Fatal("fn's context ended while its leader still waited")
+	case <-time.After(20 * time.Millisecond):
+	}
+	leaderLeaves()
+	select {
+	case <-ended:
+	case <-time.After(5 * time.Second):
+		t.Fatal("fn's context outlived the last waiter")
+	}
+	if v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) { return 7, nil }); err != nil || joined || v.(int) != 7 {
+		t.Fatalf("caller after the last waiter left = %v, %v, joined %v; want 7 computed afresh", v, err, joined)
+	}
+	close(finish)
+	if r := <-abandoned; r.err != context.Canceled || r.joined {
+		t.Fatalf("abandoned leader = %+v, want its flight's context.Canceled", r)
+	}
+
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
@@ -117,11 +165,25 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	}
 }
 
+// waitWaiters polls until key's flight has n waiters.
+func waitWaiters(g *flightGroup, key string, n int) {
+	for {
+		g.mu.Lock()
+		c := g.calls[key]
+		done := c != nil && c.waiters == n
+		g.mu.Unlock()
+		if done {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 	var g flightGroup
 	n := 0
 	for i := 0; i < 3; i++ {
-		v, err, joined := g.Do(context.Background(), "k", func() (any, error) { n++; return n, nil })
+		v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) { n++; return n, nil })
 		if err != nil || joined {
 			t.Fatalf("call %d: err=%v joined=%v", i, err, joined)
 		}
@@ -134,7 +196,7 @@ func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 func TestFlightGroupPropagatesErrors(t *testing.T) {
 	var g flightGroup
 	boom := errors.New("boom")
-	_, err, _ := g.Do(context.Background(), "k", func() (any, error) { return nil, boom })
+	_, err, _ := g.Do(context.Background(), "k", func(context.Context) (any, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
@@ -144,11 +206,11 @@ func TestFlightGroupPropagatesErrors(t *testing.T) {
 // key — later callers get a fresh flight, concurrent joiners get the error.
 func TestFlightGroupSurvivesPanic(t *testing.T) {
 	var g flightGroup
-	_, err, _ := g.Do(context.Background(), "k", func() (any, error) { panic("kaboom") })
+	_, err, _ := g.Do(context.Background(), "k", func(context.Context) (any, error) { panic("kaboom") })
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("panic not converted to error: %v", err)
 	}
-	v, err, joined := g.Do(context.Background(), "k", func() (any, error) { return "recovered", nil })
+	v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) { return "recovered", nil })
 	if err != nil || joined || v.(string) != "recovered" {
 		t.Fatalf("key wedged after panic: %v, %v, %v", v, err, joined)
 	}

@@ -34,7 +34,7 @@ func holdFlight(t *testing.T, g *flightGroup, key string, val any) (release func
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, _, _ = g.Do(context.Background(), key, func() (any, error) {
+		_, _, _ = g.Do(context.Background(), key, func(context.Context) (any, error) {
 			close(ready)
 			<-gate
 			return val, nil

@@ -36,7 +36,6 @@ const (
 	codeNoOntology         = "no_ontology"
 	codeAllShardsFailed    = "all_shards_failed"
 	codeDegradedUnresolved = "degraded_unresolved"
-	codeInterrupted        = "interrupted"
 	codeSaturated          = "saturated"
 	codeForbidden          = "forbidden"
 	codeMethodNotAllowed   = "method_not_allowed"
@@ -145,7 +144,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	a, disp, err := s.searchWith(r.Context(), &s.statSearch, ids, spell.Options{MaxGenes: top, IncludeQuery: true})
 	if err != nil {
-		s.writeComputeError(w, r, &s.statSearch, "search", err)
+		s.writeComputeError(w, &s.statSearch, err)
 		return
 	}
 	s.writeAnswer(w, a, disp)
@@ -172,25 +171,15 @@ func (s *Server) writeAnswer(w http.ResponseWriter, a answer, disp string) {
 }
 
 // writeContextError is the daemon's one cancellation rule, applied by every
-// compute endpoint. It reports whether err was a context error, in which
-// case the response has been written. If the request's own context is done,
-// its client hung up (or timed out) before the computation finished and
-// nobody is listening for a body: 499, the de-facto "client closed request"
-// status, keeps the abort visible as an error in /api/stats. If the client
-// is still live, the context error leaked from other requests' flights
-// (coalesce ran out of retries against flights whose leaders kept
-// disconnecting): shed with a 503 "interrupted" so the client retries,
-// counted in ep.rejected like every other shed. what names the computation.
-func (s *Server) writeContextError(w http.ResponseWriter, r *http.Request, ep *endpointStats, err error, what string) bool {
+// compute endpoint: it reports whether err was a context error, and if so
+// writes a 499 ("client closed request"), which keeps the abort visible as
+// an error in /api/stats. A flight outlives all its waiters but the last,
+// so the error is always the request's own: nobody is reading a body.
+func writeContextError(w http.ResponseWriter, err error) bool {
 	if !isContextErr(err) {
 		return false
 	}
-	if r.Context().Err() != nil {
-		w.WriteHeader(statusClientClosedRequest)
-		return true
-	}
-	ep.rejected.Add(1)
-	s.writeJSONError(w, http.StatusServiceUnavailable, codeInterrupted, what+" repeatedly interrupted, retry later")
+	w.WriteHeader(statusClientClosedRequest)
 	return true
 }
 
@@ -245,7 +234,7 @@ func (s *Server) handleEnrich(w http.ResponseWriter, r *http.Request) {
 	}
 	a, disp, err := s.scatterEnrich(r.Context(), spell.CanonicalQuery(genes), opt)
 	if err != nil {
-		s.writeComputeError(w, r, &s.statEnrich, "enrichment", err)
+		s.writeComputeError(w, &s.statEnrich, err)
 		return
 	}
 	s.writeAnswer(w, a, disp)
@@ -268,13 +257,13 @@ func newEnrichResponse(sel []string, res *shard.EnrichResult, meta shard.Meta) e
 // writeComputeError maps a search or enrichment failure onto the error
 // envelope: retryable conditions are 503s with a condition-specific code,
 // counted in ep.rejected; anything else is a query error (422).
-func (s *Server) writeComputeError(w http.ResponseWriter, r *http.Request, ep *endpointStats, what string, err error) {
+func (s *Server) writeComputeError(w http.ResponseWriter, ep *endpointStats, err error) {
 	reject := func(code string) {
 		ep.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, code, err.Error())
 	}
 	switch {
-	case s.writeContextError(w, r, ep, err, what):
+	case writeContextError(w, err):
 	case errors.Is(err, shard.ErrNoEnrichment):
 		// No member has an ontology: a daemon booted without one, or a fleet
 		// of such shards.
@@ -439,7 +428,7 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 
 	cd, err := s.trees.get(r.Context(), dsIndex)
 	if err != nil {
-		if !s.writeContextError(w, r, &s.statHeatmap, err, "clustering") {
+		if !writeContextError(w, err) {
 			s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		}
 		return
@@ -454,16 +443,15 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	png, disp, err := s.renderTile(r.Context(), s.pool.Run, cd, p, &s.statHeatmap)
-	if errors.Is(err, ErrSaturated) {
+	png, disp, err := s.renderTile(r.Context(), cd, p)
+	switch {
+	case errors.Is(err, ErrSaturated):
 		s.statHeatmap.rejected.Add(1)
 		s.writeJSONError(w, http.StatusServiceUnavailable, codeSaturated, "render pool saturated, retry later")
 		return
-	}
-	if s.writeContextError(w, r, &s.statHeatmap, err, "render") {
+	case writeContextError(w, err):
 		return
-	}
-	if err != nil {
+	case err != nil:
 		s.writeJSONError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
@@ -484,16 +472,12 @@ func (s *Server) handleHeatmap(w http.ResponseWriter, r *http.Request) {
 }
 
 // renderTile produces the PNG bytes for p, cached and coalesced like every
-// other result; only the rasterization takes a render slot, through admit,
-// so cache hits bypass it. A request admits with s.pool.Run: its context
-// rides in, so a tile whose client hangs up while waiting for a slot leaves
-// at once and never renders. A prediction admits with s.pool.TryRun, which
-// sheds unless a slot is idle. ep receives the cache/compute accounting:
-// statHeatmap from the handler, the prefetcher's own stats from speculation.
-func (s *Server) renderTile(ctx context.Context, admit func(context.Context, func() (any, error)) (any, error),
-	cd *core.ClusteredDataset, p tileParams, ep *endpointStats) ([]byte, string, error) {
-	return cachedCompute(ctx, s, ep, p.key(), wireCost, nil, func() ([]byte, error) {
-		res, err := admit(ctx, func() (any, error) { return s.rasterizeTile(cd, p) })
+// other result; only the rasterization waits for a render slot, so cache
+// hits bypass the pool. The flight waits under its own context: a tile
+// whose every client hangs up before it took a slot never renders.
+func (s *Server) renderTile(ctx context.Context, cd *core.ClusteredDataset, p tileParams) ([]byte, string, error) {
+	return cachedCompute(ctx, s, &s.statHeatmap, p.key(), wireCost, nil, func(ctx context.Context) ([]byte, error) {
+		res, err := s.pool.Run(ctx, func() (any, error) { return s.rasterizeTile(cd, p) })
 		png, _ := res.([]byte)
 		return png, err
 	})

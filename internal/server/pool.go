@@ -78,10 +78,10 @@ func (p *Pool) Run(ctx context.Context, fn func() (any, error)) (any, error) {
 
 // TryRun runs fn only if a slot is free right now, and never waits:
 // otherwise it returns ErrSaturated without calling fn.
-func (p *Pool) TryRun(ctx context.Context, fn func() (any, error)) (any, error) {
+func (p *Pool) TryRun(fn func() (any, error)) (any, error) {
 	select {
 	case p.slots <- struct{}{}:
-		return p.hold(ctx, fn)
+		return p.hold(context.Background(), fn)
 	default:
 		return nil, ErrSaturated
 	}

@@ -120,20 +120,20 @@ func holdSlots(t *testing.T, p *Pool, n int) (release func()) {
 func TestPoolTryRun(t *testing.T) {
 	p := NewPool(1, 4)
 	defer p.Close()
-	if v, err := p.TryRun(nil, func() (any, error) { return "ran", nil }); err != nil || v.(string) != "ran" {
+	if v, err := p.TryRun(func() (any, error) { return "ran", nil }); err != nil || v.(string) != "ran" {
 		t.Fatalf("TryRun with a free slot = %v, %v", v, err)
 	}
 	release := holdSlots(t, p, 1)
 	called := false
 	t0 := time.Now()
-	if _, err := p.TryRun(nil, func() (any, error) { called = true; return nil, nil }); err != ErrSaturated {
+	if _, err := p.TryRun(func() (any, error) { called = true; return nil, nil }); err != ErrSaturated {
 		t.Fatalf("TryRun with every slot held: err = %v, want ErrSaturated", err)
 	}
 	if called || time.Since(t0) > 100*time.Millisecond {
 		t.Fatalf("TryRun with every slot held called the job (%v) or waited (%v)", called, time.Since(t0))
 	}
 	release()
-	if _, err := p.TryRun(nil, func() (any, error) { return nil, nil }); err != nil {
+	if _, err := p.TryRun(func() (any, error) { return nil, nil }); err != nil {
 		t.Fatalf("TryRun after the slot freed: %v", err)
 	}
 }

@@ -17,12 +17,11 @@ import (
 //
 // The discipline that keeps speculation free:
 //
-//   - predictions go through the exact renderTile path (cache → singleflight
-//     → pool), so a speculative render coalesces with a real request for the
-//     same tile and never double-renders;
-//   - workers yield to the foreground: a job only rasterizes in a render
-//     slot that is idle right now (Pool.TryRun) and otherwise sheds the
-//     speculation (counted, never retried);
+//   - workers yield to the foreground: a job takes a render slot only if one
+//     is idle right now (Pool.TryRun), else sheds (counted, never retried);
+//   - in its slot a job only leads a flight under the tile's key, so a real
+//     request for the tile joins it, and a tile already in flight is left
+//     to its leader: nothing renders twice, and no request inherits a shed;
 //   - tiles rendered speculatively are tracked until a foreground request
 //     first serves them (disposition becomes "prefetched") or the LRU evicts
 //     them untouched (counted as evicted_unused — the misprediction signal);
@@ -42,10 +41,6 @@ type prefetcher struct {
 	// to any foreground request.
 	mu      sync.Mutex
 	pending map[string]struct{}
-
-	// stat receives the renderTile cache/compute accounting for speculative
-	// work, kept apart from statHeatmap so foreground counters stay exact.
-	stat endpointStats
 
 	enqueued      atomic.Int64
 	withheld      atomic.Int64
@@ -210,8 +205,8 @@ func (pf *prefetcher) worker() {
 	}
 }
 
-// run renders one speculative tile, or declines to: already cached, or no
-// render slot idle.
+// run renders one speculative tile, or declines to: already cached,
+// already in flight, or no render slot idle.
 func (pf *prefetcher) run(q tileParams) {
 	key := q.key()
 	if _, ok := pf.s.cache.Get(key); ok {
@@ -227,22 +222,30 @@ func (pf *prefetcher) run(q tileParams) {
 	// Mark before rendering so a foreground hit arriving right after the
 	// cache fill already reads "prefetched".
 	pf.mark(key)
-	_, disp, err := pf.s.renderTile(context.Background(), pf.s.pool.TryRun, cd, q, &pf.stat)
-	if err == nil && disp == dispMiss {
-		pf.rendered.Add(1)
-		return
-	}
-	pf.take(key)
-	switch {
-	case errors.Is(err, ErrSaturated):
+	rendered := false
+	_, err = pf.s.pool.TryRun(func() (any, error) {
+		_, err, led := pf.s.flights.lead(key, func(context.Context) (any, error) {
+			if v, ok := pf.s.cache.Get(key); ok { // joiners get the value too
+				pf.skippedCached.Add(1)
+				return v, nil
+			}
+			png, err := pf.s.rasterizeTile(cd, q)
+			if rendered = err == nil; rendered {
+				pf.s.cache.Put(key, png, wireCost(png))
+				pf.rendered.Add(1)
+			}
+			return png, err
+		})
+		if !led { // a real request is rendering this tile: its flight serves it
+			pf.coalesced.Add(1)
+		}
+		return nil, err
+	})
+	if errors.Is(err, ErrSaturated) {
 		pf.shed.Add(1)
-	case err != nil: // the pool closed under us, or the render failed
-	case disp == dispCoalesced:
-		// A real request was already rendering this tile; the singleflight
-		// absorbed our speculation.
-		pf.coalesced.Add(1)
-	case disp == dispHit:
-		pf.skippedCached.Add(1)
+	}
+	if !rendered {
+		pf.take(key)
 	}
 }
 

@@ -306,32 +306,85 @@ func TestPrefetchYieldsToForeground(t *testing.T) {
 	}
 }
 
-// TestHeatmapOutlivesShedSpeculation: a request that joined a speculative
-// render's flight just as the speculation found no idle slot is not refused
-// with it: it asks again under its own admission and renders the tile.
+// TestHeatmapOutlivesShedSpeculation: a speculation that finds no idle
+// render slot opens no flight, so no request can inherit its shed; one that
+// finds its tile already in flight leaves it to the foreground request,
+// which renders the tile.
 func TestHeatmapOutlivesShedSpeculation(t *testing.T) {
 	s, _ := rawFixture(t, 1)
-	const url = "/api/heatmap?dataset=0&w=32&h=32"
-	twin, _ := rawFixture(t, 1)
-	if rec := get(t, twin, url); rec.Code != http.StatusOK {
-		t.Fatalf("twin = %d", rec.Code)
+	if _, err := s.trees.get(context.Background(), 0); err != nil {
+		t.Fatal(err)
 	}
-	key := cachedKeys(twin.cache)[0]
-	ready, gate, done := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _, _ = s.flights.Do(context.Background(), key, func() (any, error) { close(ready); <-gate; return nil, ErrSaturated })
-	}()
-	<-ready // the shedding flight is open; the request will join it
-	before := s.statHeatmap.cacheMisses.Load()
+	pf := newPrefetcher(s, 0, 4) // no workers: run() is called directly
+	t.Cleanup(pf.Close)
+	q := tileParams{dsIndex: 0, from: 0, to: 50, w: 32, h: 24, cmap: render.GreenBlackRed, limit: 2}
+	const url = "/api/heatmap?dataset=0&rows=0:50&w=32&h=24&level=0"
+
+	release := holdSlots(t, s.pool, cap(s.pool.slots))
+	pf.run(q)
+	s.flights.mu.Lock()
+	open := len(s.flights.calls)
+	s.flights.mu.Unlock()
+	if pi := pf.snapshot(); pi.Shed != 1 || open != 0 {
+		t.Fatalf("speculation without an idle slot: %+v, %d flights open (want shed=1, none open)", pi, open)
+	}
+
+	// The foreground request leads the tile's flight, waiting for a slot.
 	answered := make(chan *httptest.ResponseRecorder, 1)
 	go func() { answered <- get(t, s, url) }()
-	waitMiss(t, &s.statHeatmap.cacheMisses, before)
-	close(gate)
-	<-done
+	waitMiss(t, &s.statHeatmap.cacheMisses, 0)
+	release()
+	// Whether or not the request holds its slot yet, the speculation now
+	// finds an idle slot, or the tile in flight, or the tile cached: it
+	// renders nothing.
+	pf.run(q)
 	if rec := <-answered; rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispMiss {
-		t.Fatalf("joiner of a shed speculation = %d (%s: %q)", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
+		t.Fatalf("foreground request = %d (%s: %q)", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
 	}
+	if pi := pf.snapshot(); pi.Rendered != 0 || pi.Coalesced+pi.SkippedCached != 1 {
+		t.Fatalf("speculation beside a foreground render: %+v (want rendered=0, coalesced or skipped_cached 1)", pi)
+	}
+}
+
+// TestRequestJoinsSpeculation: a request for a tile a speculation is
+// rendering joins the speculation's flight and gets the tile. The render
+// only outlasts the request's way to the flight on most tries, so each try
+// takes a fresh tile, and every answer must be the tile.
+func TestRequestJoinsSpeculation(t *testing.T) {
+	s, _ := rawFixture(t, 1)
+	if _, err := s.trees.get(context.Background(), 0); err != nil {
+		t.Fatal(err)
+	}
+	pf := newPrefetcher(s, 0, 4)
+	t.Cleanup(pf.Close)
+	for try := 0; try < 20; try++ {
+		// The largest tile, so the render is slow.
+		q := tileParams{dsIndex: 0, from: try, to: try + 200, w: 2048, h: 2048, cmap: render.GreenBlackRed, limit: 2}
+		done := make(chan struct{})
+		go func() { pf.run(q); close(done) }()
+		inFlight := func() bool {
+			s.flights.mu.Lock()
+			defer s.flights.mu.Unlock()
+			_, ok := s.flights.calls[q.key()]
+			return ok
+		}
+		for wait := true; wait && !inFlight(); {
+			select {
+			case <-done:
+				wait = false
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+		rec := get(t, s, fmt.Sprintf("/api/heatmap?dataset=0&rows=%d:%d&w=2048&h=2048&level=0", q.from, q.to))
+		<-done
+		if rec.Code != http.StatusOK || !bytes.HasPrefix(rec.Body.Bytes(), pngMagic) {
+			t.Fatalf("request = %d (%s: %q), %d body bytes; want the tile", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.Len())
+		}
+		if rec.Header().Get(cacheHeader) == dispCoalesced {
+			return
+		}
+	}
+	t.Fatal("no request joined a speculation's flight in 20 tries")
 }
 
 // TestPrefetchEvictedUnusedAccounting: a speculative tile the LRU evicts

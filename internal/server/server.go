@@ -334,7 +334,7 @@ func (s *Server) searchWith(ctx context.Context, ep *endpointStats, ids []string
 	// Every result-shaping option must be in the key.
 	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s",
 		s.coord.Generation(), opt.MaxGenes, opt.IncludeQuery, opt.UniformWeights, joinIDs(ids))
-	return cachedScatter(ctx, s, ep, key, func() (*spell.Result, any, shard.Meta, error) {
+	return cachedScatter(ctx, s, ep, key, func(ctx context.Context) (*spell.Result, any, shard.Meta, error) {
 		res, meta, err := s.coord.SearchCtx(ctx, ids, opt)
 		return res, scatterSearchResponse{res, meta}, meta, err
 	})
@@ -371,7 +371,7 @@ func (h htmlSearcher) NumGenes() int    { _, g := h.compendiumSize(); return g }
 func (s *Server) scatterEnrich(ctx context.Context, sel []string, opt golem.Options) (answer, string, error) {
 	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s",
 		s.coord.Generation(), opt.MinSelected, opt.MaxPValue, joinIDs(sel))
-	return cachedScatter(ctx, s, &s.statEnrich, key, func() (*spell.Result, any, shard.Meta, error) {
+	return cachedScatter(ctx, s, &s.statEnrich, key, func(ctx context.Context) (*spell.Result, any, shard.Meta, error) {
 		t0 := time.Now()
 		res, meta, err := s.coord.EnrichCtx(ctx, sel, opt)
 		s.enrichKernel.observe(time.Since(t0), err)
@@ -413,7 +413,7 @@ const cacheHeader = "X-Forestview-Cache"
 // cacheable (optional) returns false is delivered to its waiters but never
 // enters the cache — cachedScatter keeps degraded merges out this way.
 func cachedCompute[T any](ctx context.Context, s *Server, ep *endpointStats, key string,
-	cost func(T) int64, cacheable func(T) bool, compute func() (T, error)) (T, string, error) {
+	cost func(T) int64, cacheable func(T) bool, compute func(context.Context) (T, error)) (T, string, error) {
 	load := func() (T, bool) {
 		v, ok := s.cache.Get(key)
 		val, _ := v.(T)
@@ -445,13 +445,13 @@ type answer struct {
 // answering for the survivors long after the shard recovered. A result that
 // does not encode fails its computation.
 func cachedScatter(ctx context.Context, s *Server, ep *endpointStats, key string,
-	scatter func() (*spell.Result, any, shard.Meta, error)) (answer, string, error) {
+	scatter func(context.Context) (*spell.Result, any, shard.Meta, error)) (answer, string, error) {
 	return cachedCompute(ctx, s, ep, key,
 		func(a answer) int64 { return searchCost(a.res) + int64(len(a.body)) },
 		func(a answer) bool { return !a.meta.Degraded },
-		func() (a answer, err error) {
+		func(ctx context.Context) (a answer, err error) {
 			var v any
-			if a.res, v, a.meta, err = scatter(); err == nil {
+			if a.res, v, a.meta, err = scatter(ctx); err == nil {
 				a.body, err = encodeJSON(v)
 			}
 			return a, err
@@ -579,7 +579,6 @@ func (s *Server) Stats() StatsSnapshot {
 			Analyses:     s.enrichKernel.analyses.Load(),
 			Canceled:     s.enrichKernel.canceled.Load(),
 			Failures:     s.enrichKernel.failures.Load(),
-			Retries:      s.statEnrich.retries.Load(),
 			MaxAnalyzeUS: s.enrichKernel.maxUS.Load(),
 			Entries:      prefixes["escatter"].Entries,
 			Bytes:        prefixes["escatter"].Bytes,

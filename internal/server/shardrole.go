@@ -84,7 +84,7 @@ func serveShardPartial[R, A any, PR interface {
 	}
 	answer, err := partial(r.Context(), s.cfg.ShardSelf, &req)
 	switch {
-	case s.writeContextError(w, r, &s.statShard, err, "partial "+kind):
+	case writeContextError(w, err):
 		// 499: the coordinator gave up on us (its deadline, or its own
 		// caller hung up).
 	case err != nil:

@@ -17,8 +17,7 @@ type endpointStats struct {
 	cacheMisses atomic.Int64
 	coalesced   atomic.Int64 // requests that joined another's in-flight compute
 	computed    atomic.Int64 // underlying computations actually executed
-	rejected    atomic.Int64 // shed with a retryable 503 (saturation, outage, interruption)
-	retries     atomic.Int64 // cache-path re-entries after a flight died of its leader's hangup
+	rejected    atomic.Int64 // shed with a retryable 503 (saturation, outage, no ontology)
 	latencyUS   atomic.Int64 // summed request latency, microseconds
 	maxUS       atomic.Int64 // worst observed request latency, microseconds
 }
@@ -108,19 +107,14 @@ func (e *enrichKernelStats) observe(d time.Duration, err error) {
 // actually cost. Analyses vs Hits+Coalesced is the "one scan per distinct
 // gene list, not per request" criterion made observable.
 type EnrichCacheInfo struct {
-	Terms      int   `json:"terms"`
-	Background int   `json:"background"`
-	Hits       int64 `json:"hits"`
-	Misses     int64 `json:"misses"`
-	Coalesced  int64 `json:"coalesced"`
-	Analyses   int64 `json:"analyses"`
-	Canceled   int64 `json:"canceled"`
-	Failures   int64 `json:"failures"`
-	// Retries counts re-entries into the cache path after a joined flight
-	// died of its leader's disconnect; each one re-counts a miss (and
-	// possibly an analysis) for the same request, so under leader-cancel
-	// churn compare Analyses against Misses - Retries.
-	Retries       int64 `json:"retries"`
+	Terms         int   `json:"terms"`
+	Background    int   `json:"background"`
+	Hits          int64 `json:"hits"`
+	Misses        int64 `json:"misses"`
+	Coalesced     int64 `json:"coalesced"`
+	Analyses      int64 `json:"analyses"`
+	Canceled      int64 `json:"canceled"`
+	Failures      int64 `json:"failures"`
 	MeanAnalyzeUS int64 `json:"mean_analyze_us"`
 	MaxAnalyzeUS  int64 `json:"max_analyze_us"`
 	// Entries/Bytes are the enrich key family's current occupancy of the

@@ -19,17 +19,16 @@ import (
 // changes after New, so a tree once built is final:
 //
 //   - a build is one more coalesced computation (coalesce, keyed by pane
-//     index): one leader runs the clustering kernel with its request context,
-//     followers join its flight, and if the leader's client hangs up
-//     mid-build (the kernel polls ctx) a live follower retries as the leader.
+//     index): one leader runs the clustering kernel under the flight's
+//     context, followers join its flight, and the build stops (the kernel
+//     polls ctx) only once every request waiting for it has hung up.
 //   - trees live in the pane, outside the byte-budgeted LRU: a burst of hot
 //     tiles must not evict the dendrograms they are rendered from.
 //   - at most GOMAXPROCS builds run at once, whoever asked (warm, or every
 //     pane of a cold daemon touched together): a build holds an n²
 //     distance matrix — 288 MB for 6,000 rows — while it agglomerates on one
 //     core, so more builds than cores add peak heap and no speed. A build is
-//     a Run on the cache's own Pool, waiting under its leader's context; if
-//     that dies first the flight goes to a live follower.
+//     a Run on the cache's own Pool, waiting under the flight's context.
 //
 // Counters are surfaced under tree_cache in /api/stats.
 type treeCache struct {
@@ -72,8 +71,9 @@ func newTreeCache(opt core.ClusterOptions, pre []*core.ClusteredDataset, raw []*
 	return tc
 }
 
-// get returns the pane's clustered tree, building it on first touch. ctx
-// cancellation unblocks the caller immediately, leader or follower.
+// get returns the pane's clustered tree, building it on first touch. A
+// follower whose ctx ends leaves at once; the leader builds on for as long
+// as anyone waits.
 func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, error) {
 	p := tc.panes[idx]
 	load := func() (*core.ClusteredDataset, bool) {
@@ -81,7 +81,7 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 		return cd, cd != nil
 	}
 	cd, _, err := coalesce(ctx, &tc.flights, &tc.stat, strconv.Itoa(idx), load, p.tree.Store,
-		func() (*core.ClusteredDataset, error) { return tc.build(ctx, p.raw) })
+		func(ctx context.Context) (*core.ClusteredDataset, error) { return tc.build(ctx, p.raw) })
 	return cd, err
 }
 

@@ -147,13 +147,15 @@ func TestTreeCacheConcurrentSingleBuild(t *testing.T) {
 	}
 }
 
-// TestTreeCacheLeaderCancelHandover: a leader whose context dies mid-build
-// must not fail live followers — one of them rebuilds. Exercised at the
-// treeCache level for determinism; assertions hold under any interleaving.
+// TestTreeCacheLeaderCancelHandover: a leader whose context dies before its
+// build finishes must not fail live followers — they get the leader's
+// build, the one and only. The build cannot start until every build slot is
+// released, so the hangup always lands while the follower waits.
 func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 	u := synth.NewUniverse(1200, 10, 5)
 	ds := u.Generate(synth.DatasetSpec{Name: "big", NumExperiments: 24, Seed: 6})
 	tc := newTreeCache(pearsonAverage, nil, []*microarray.Dataset{ds})
+	release := holdSlots(t, tc.pool, cap(tc.pool.slots))
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
@@ -161,7 +163,7 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 		_, err := tc.get(leaderCtx, 0)
 		leaderErr <- err
 	}()
-	time.Sleep(2 * time.Millisecond) // give the leader a head start (not required for correctness)
+	waitMiss(t, &tc.stat.cacheMisses, 0)
 	followerErr := make(chan error, 1)
 	go func() {
 		cd, err := tc.get(context.Background(), 0)
@@ -170,8 +172,9 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 		}
 		followerErr <- err
 	}()
-	time.Sleep(2 * time.Millisecond)
+	waitMiss(t, &tc.stat.cacheMisses, 1)
 	cancelLeader()
+	release()
 
 	if err := <-followerErr; err != nil {
 		t.Fatalf("follower failed after leader cancel: %v", err)
@@ -179,7 +182,9 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 	if err := <-leaderErr; err != nil && err != context.Canceled {
 		t.Fatalf("leader error = %v, want nil or context.Canceled", err)
 	}
-	// Whatever the interleaving, the cache must end up with the tree built.
+	if n := tc.stat.computed.Load(); n != 1 {
+		t.Fatalf("builds started = %d, want 1: the follower gets the leader's build", n)
+	}
 	if cd, err := tc.get(context.Background(), 0); err != nil || cd == nil {
 		t.Fatalf("cache not settled: %v", err)
 	}
@@ -218,28 +223,47 @@ func TestTreeFollowerHangup(t *testing.T) {
 	}
 }
 
-// TestTreeFollowerInterrupted: a live tile request whose pane's build keeps
-// losing its leaders gives up after three and is shed with the same counted
-// 503 "interrupted" every other endpoint gives; the next request builds.
+// TestTreeFollowerInterrupted: a live tile request is never interrupted by
+// its leaders' hangups. Two requests ahead of it on a cold pane's build —
+// the one that opened the flight and one that joined — hang up while the
+// build waits for a slot; the live one gets its tile from that one build,
+// and nothing is shed.
 func TestTreeFollowerInterrupted(t *testing.T) {
 	s, _ := rawFixture(t, 1)
-	clear := poisonFlights(&s.trees.flights, []string{"0"})
-	rec := get(t, s, "/api/heatmap?dataset=0&w=32&h=32")
-	clear()
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("tile over dead build leaders = %d: %s", rec.Code, rec.Body.String())
+	release := holdSlots(t, s.trees.pool, cap(s.trees.pool.slots))
+	const url = "/api/heatmap?dataset=0&w=32&h=32"
+	request := func(ctx context.Context, codes chan<- int) {
+		codes <- serve(s, httptest.NewRequest(http.MethodGet, url, nil).WithContext(ctx)).Code
 	}
-	if code, _ := errorEnvelopeOf(t, rec.Body.Bytes()); code != codeInterrupted {
-		t.Fatalf("error code = %q, want %q", code, codeInterrupted)
+	gone := make(chan int, 2)
+	var hangUps []context.CancelFunc
+	for i := 0; i < 2; i++ {
+		ctx, hangUp := context.WithCancel(context.Background())
+		hangUps = append(hangUps, hangUp)
+		go request(ctx, gone)
+		waitMiss(t, &s.trees.stat.cacheMisses, int64(i))
 	}
-	if ep := statsOf(t, s, "heatmap"); ep.Rejected != 1 {
-		t.Fatalf("rejected = %d, want 1", ep.Rejected)
+	live := make(chan int, 1)
+	go request(context.Background(), live)
+	waitMiss(t, &s.trees.stat.cacheMisses, 2)
+	for _, hangUp := range hangUps {
+		hangUp()
 	}
-	if ts := treeStats(t, s); ts.Coalesced != 3 || ts.Builds != 0 {
-		t.Fatalf("after three dead leaders: %+v (want 3 joins, no build)", ts)
+	if code := <-gone; code != statusClientClosedRequest {
+		t.Fatalf("the joiner that hung up = %d, want %d", code, statusClientClosedRequest)
 	}
-	if rec := get(t, s, "/api/heatmap?dataset=0&w=32&h=32"); rec.Code != http.StatusOK {
-		t.Fatalf("next tile = %d: %s", rec.Code, rec.Body.String())
+	release()
+	if code := <-live; code != http.StatusOK {
+		t.Fatalf("live tile = %d", code)
+	}
+	if code := <-gone; code != statusClientClosedRequest {
+		t.Fatalf("the leader that hung up = %d, want %d", code, statusClientClosedRequest)
+	}
+	if ep := statsOf(t, s, "heatmap"); ep.Rejected != 0 {
+		t.Fatalf("rejected = %d, want 0", ep.Rejected)
+	}
+	if ts := treeStats(t, s); ts.Builds != 1 || ts.Coalesced != 2 || s.trees.stat.computed.Load() != 1 {
+		t.Fatalf("after two hangups: %+v, %d builds started (want one build, 2 joins)", ts, s.trees.stat.computed.Load())
 	}
 }
 
