@@ -36,18 +36,18 @@ func BenchmarkAblation_LeafOrdering(b *testing.B) {
 		var q float64
 		for i := 0; i < b.N; i++ {
 			order := tree.LeafOrder()
-			q = cluster.OrderQuality(ds.Data, order, cluster.PearsonDist)
+			q = cluster.OrderQuality(ds.Data, order)
 		}
 		b.ReportMetric(q, "adjacent-similarity")
 	})
 	b.Run("gruvaeus-wainer", func(b *testing.B) {
 		var q float64
 		for i := 0; i < b.N; i++ {
-			order, err := cluster.OptimizeLeafOrder(tree, ds.Data, cluster.PearsonDist)
+			order, err := cluster.OptimizeLeafOrder(tree, ds.Data)
 			if err != nil {
 				b.Fatal(err)
 			}
-			q = cluster.OrderQuality(ds.Data, order, cluster.PearsonDist)
+			q = cluster.OrderQuality(ds.Data, order)
 		}
 		b.ReportMetric(q, "adjacent-similarity")
 	})
@@ -118,7 +118,7 @@ func BenchmarkAblation_Linkage(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				sil = cluster.Silhouette(ds.Data, assign, cluster.PearsonDist)
+				sil = cluster.Silhouette(ds.Data, assign)
 			}
 			b.ReportMetric(sil, "silhouette")
 		})

@@ -434,7 +434,7 @@ func BenchmarkF4_ClusterReference(b *testing.B) {
 		b.Run(fmt.Sprintf("genes-%d", nGenes), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := cluster.ReferenceHierarchical(rows, cluster.PearsonDist, cluster.AverageLinkage); err != nil {
+				if _, err := cluster.ReferenceHierarchical(rows, cluster.AverageLinkage); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,8 +1,9 @@
 // Package cluster implements the clustering substrate of the ForestView
-// reproduction: agglomerative hierarchical clustering with the metrics and
-// linkages of Cluster 3.0 (whose CDT/GTR/ATR output Java TreeView — and
-// therefore ForestView — renders), tree manipulation (leaf ordering,
-// cutting) and the GTR/ATR tree file formats.
+// reproduction: agglomerative hierarchical clustering with Cluster 3.0's
+// default gene similarity (centered Pearson correlation) and its three
+// linkages (whose CDT/GTR/ATR output Java TreeView — and therefore
+// ForestView — renders), tree manipulation (leaf ordering, cutting) and the
+// GTR/ATR tree file formats.
 package cluster
 
 import (
@@ -13,91 +14,33 @@ import (
 	"forestview/internal/stats"
 )
 
-// Metric selects the pairwise dissimilarity between expression rows.
+// Metric names the pairwise dissimilarity between expression rows. Pearson
+// distance is the only one the kernel computes; the type stays so that a
+// configuration can say which one it means.
 type Metric int
 
-const (
-	// PearsonDist is 1 - centered Pearson correlation, Cluster 3.0's
-	// default gene similarity.
-	PearsonDist Metric = iota
-	// PearsonAbsDist is 1 - |r|, grouping correlated and anti-correlated
-	// profiles together.
-	PearsonAbsDist
-	// UncenteredDist is 1 - uncentered correlation (cosine distance).
-	UncenteredDist
-	// SpearmanDist is 1 - Spearman rank correlation.
-	SpearmanDist
-	// EuclideanDist is the missing-rescaled Euclidean distance.
-	EuclideanDist
-	// ManhattanDist is the missing-rescaled city-block distance.
-	ManhattanDist
-)
+// PearsonDist is 1 - centered Pearson correlation, Cluster 3.0's default
+// gene similarity.
+const PearsonDist Metric = 0
 
 // String returns the Cluster 3.0-style name of the metric.
 func (m Metric) String() string {
-	switch m {
-	case PearsonDist:
+	if m == PearsonDist {
 		return "correlation (centered)"
-	case PearsonAbsDist:
-		return "absolute correlation"
-	case UncenteredDist:
-		return "correlation (uncentered)"
-	case SpearmanDist:
-		return "spearman rank correlation"
-	case EuclideanDist:
-		return "euclidean"
-	case ManhattanDist:
-		return "city-block"
-	default:
-		return fmt.Sprintf("Metric(%d)", int(m))
 	}
+	return fmt.Sprintf("Metric(%d)", int(m))
 }
 
-// Distance returns the dissimilarity between two expression vectors under
-// the metric. Undefined correlations (constant or all-missing vectors)
-// yield the maximum distance so degenerate rows cluster last rather than
-// poisoning the tree.
-func (m Metric) Distance(a, b []float64) float64 {
-	switch m {
-	case PearsonDist:
-		r := stats.Pearson(a, b)
-		if math.IsNaN(r) {
-			return 2
-		}
-		return 1 - r
-	case PearsonAbsDist:
-		r := stats.Pearson(a, b)
-		if math.IsNaN(r) {
-			return 1
-		}
-		return 1 - math.Abs(r)
-	case UncenteredDist:
-		r := stats.PearsonUncentered(a, b)
-		if math.IsNaN(r) {
-			return 2
-		}
-		return 1 - r
-	case SpearmanDist:
-		r := stats.Spearman(a, b)
-		if math.IsNaN(r) {
-			return 2
-		}
-		return 1 - r
-	case EuclideanDist:
-		d := stats.Euclidean(a, b)
-		if math.IsNaN(d) {
-			return math.MaxFloat64
-		}
-		return d
-	case ManhattanDist:
-		d := stats.Manhattan(a, b)
-		if math.IsNaN(d) {
-			return math.MaxFloat64
-		}
-		return d
-	default:
-		return math.MaxFloat64
+// distance is the Pearson distance between two expression vectors over the
+// cells both observe. An undefined correlation (a constant or all-missing
+// vector, fewer than two shared cells) yields the maximum distance, 2, so
+// degenerate rows cluster last rather than poisoning the tree.
+func distance(a, b []float64) float64 {
+	r := stats.Pearson(a, b)
+	if math.IsNaN(r) {
+		return 2
 	}
+	return 1 - r
 }
 
 // Linkage selects how the distance between merged clusters is defined.
@@ -307,11 +250,12 @@ func (t *Tree) Cut(k int) ([]int, error) {
 // ReferenceHierarchical is the pre-kernel clustering path, retained
 // verbatim as the golden standard the nearest-neighbor-chain kernel
 // (HierarchicalCtx, nnchain.go) must match: it computes the full pairwise
-// distance matrix serially, then performs greedy globally-closest-pair
-// Lance-Williams agglomeration with a nearest-neighbour cache. The parity
-// tests in nnchain_test.go hold the kernel to this tree (heights within
-// 1e-12, identical Cut partitions) on random, tied and NaN-bearing inputs.
-func ReferenceHierarchical(rows [][]float64, metric Metric, linkage Linkage) (*Tree, error) {
+// Pearson distance matrix serially, then performs greedy
+// globally-closest-pair Lance-Williams agglomeration with a
+// nearest-neighbour cache. The parity tests in nnchain_test.go hold the
+// kernel to this tree (heights within 1e-12, identical Cut partitions) on
+// random, tied and NaN-bearing inputs.
+func ReferenceHierarchical(rows [][]float64, linkage Linkage) (*Tree, error) {
 	n := len(rows)
 	if n == 0 {
 		return nil, errors.New("cluster: no rows")
@@ -325,7 +269,7 @@ func ReferenceHierarchical(rows [][]float64, metric Metric, linkage Linkage) (*T
 	dist := newTriMatrix(n)
 	for i := 1; i < n; i++ {
 		for j := 0; j < i; j++ {
-			dist.set(i, j, metric.Distance(rows[i], rows[j]))
+			dist.set(i, j, distance(rows[i], rows[j]))
 		}
 	}
 	return agglomerate(n, dist, linkage), nil

@@ -24,46 +24,40 @@ func twoBlobs() [][]float64 {
 func TestMetricDistanceBasics(t *testing.T) {
 	a := []float64{1, 2, 3}
 	b := []float64{2, 4, 6}
-	if d := PearsonDist.Distance(a, b); math.Abs(d) > 1e-9 {
+	if d := distance(a, b); math.Abs(d) > 1e-9 {
 		t.Fatalf("colinear Pearson distance = %v, want 0", d)
 	}
 	anti := []float64{3, 2, 1}
-	if d := PearsonDist.Distance(a, anti); math.Abs(d-2) > 1e-9 {
+	if d := distance(a, anti); math.Abs(d-2) > 1e-9 {
 		t.Fatalf("anti-correlated distance = %v, want 2", d)
 	}
-	if d := PearsonAbsDist.Distance(a, anti); math.Abs(d) > 1e-9 {
-		t.Fatalf("abs-correlation distance = %v, want 0", d)
-	}
-	if d := EuclideanDist.Distance([]float64{0, 0}, []float64{3, 4}); math.Abs(d-5) > 1e-9 {
-		t.Fatalf("euclidean = %v", d)
+	// Missing cells are skipped pairwise: the observed pairs are colinear.
+	if d := distance([]float64{1, math.NaN(), 3, 4}, []float64{2, 99, 6, 8}); math.Abs(d) > 1e-9 {
+		t.Fatalf("Pearson distance over observed pairs = %v, want 0", d)
 	}
 }
 
 func TestMetricDegenerateRows(t *testing.T) {
 	flat := []float64{1, 1, 1}
 	x := []float64{1, 2, 3}
-	if d := PearsonDist.Distance(flat, x); d != 2 {
+	if d := distance(flat, x); d != 2 {
 		t.Fatalf("flat-row Pearson distance = %v, want max (2)", d)
 	}
 	missing := []float64{math.NaN(), math.NaN(), math.NaN()}
-	if d := EuclideanDist.Distance(missing, x); d != math.MaxFloat64 {
-		t.Fatalf("all-missing Euclidean distance = %v, want max", d)
+	if d := distance(missing, x); d != 2 {
+		t.Fatalf("all-missing Pearson distance = %v, want max (2)", d)
+	}
+	if d := distance([]float64{1, 2, math.NaN()}, []float64{math.NaN(), 3, 1}); d != 2 {
+		t.Fatalf("one shared cell: Pearson distance = %v, want max (2)", d)
 	}
 }
 
 func TestMetricStrings(t *testing.T) {
-	names := map[Metric]string{
-		PearsonDist:    "correlation (centered)",
-		PearsonAbsDist: "absolute correlation",
-		UncenteredDist: "correlation (uncentered)",
-		SpearmanDist:   "spearman rank correlation",
-		EuclideanDist:  "euclidean",
-		ManhattanDist:  "city-block",
+	if got := PearsonDist.String(); got != "correlation (centered)" {
+		t.Fatalf("PearsonDist.String() = %q", got)
 	}
-	for m, want := range names {
-		if m.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", m, m.String(), want)
-		}
+	if got := Metric(4).String(); got != "Metric(4)" {
+		t.Fatalf("Metric(4).String() = %q", got)
 	}
 	for l, want := range map[Linkage]string{
 		AverageLinkage: "average", CompleteLinkage: "complete", SingleLinkage: "single",
@@ -102,7 +96,7 @@ func TestHierarchicalTwoGroups(t *testing.T) {
 func TestHierarchicalAllLinkages(t *testing.T) {
 	rows := twoBlobs()
 	for _, lk := range []Linkage{AverageLinkage, CompleteLinkage, SingleLinkage} {
-		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, lk)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, lk)
 		if err != nil {
 			t.Fatalf("%v: %v", lk, err)
 		}
@@ -112,6 +106,15 @@ func TestHierarchicalAllLinkages(t *testing.T) {
 		order := tree.LeafOrder()
 		if len(order) != len(rows) {
 			t.Fatalf("%v: leaf order has %d entries", lk, len(order))
+		}
+		// Every linkage separates the rising rows from the falling ones.
+		assign, err := tree.Cut(2)
+		if err != nil {
+			t.Fatalf("%v: %v", lk, err)
+		}
+		if assign[0] != assign[1] || assign[0] != assign[2] || assign[3] != assign[4] ||
+			assign[3] != assign[5] || assign[0] == assign[3] {
+			t.Fatalf("%v: two groups cut as %v", lk, assign)
 		}
 	}
 }
@@ -150,7 +153,7 @@ func TestHierarchicalMonotoneHeights(t *testing.T) {
 		}
 	}
 	for _, lk := range []Linkage{AverageLinkage, CompleteLinkage} {
-		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, lk)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, lk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,9 +230,9 @@ func TestTreeValidateRejectsBadTrees(t *testing.T) {
 }
 
 // Property: for random data, the tree is always a valid dendrogram and its
-// leaf order a permutation, under every metric/linkage combination.
+// leaf order a permutation, under every linkage.
 func TestQuickHierarchicalAlwaysValid(t *testing.T) {
-	f := func(seed int64, nBits, metBits, linkBits uint8) bool {
+	f := func(seed int64, nBits, linkBits uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		n := int(nBits%20) + 2
 		dim := 6
@@ -243,9 +246,8 @@ func TestQuickHierarchicalAlwaysValid(t *testing.T) {
 				rows[i][r.Intn(dim)] = math.NaN()
 			}
 		}
-		metric := Metric(int(metBits) % 6)
 		linkage := Linkage(int(linkBits) % 3)
-		tree, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 		if err != nil {
 			return false
 		}
@@ -277,7 +279,7 @@ func TestQuickCutClusterCount(t *testing.T) {
 		for i := range rows {
 			rows[i] = []float64{r.NormFloat64(), r.NormFloat64(), r.NormFloat64()}
 		}
-		tree, err := HierarchicalCtx(context.Background(), rows, EuclideanDist, AverageLinkage)
+		tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
 		if err != nil {
 			return false
 		}

@@ -19,7 +19,7 @@ import (
 )
 
 // structural reports whether rows a and b are a pair whose distance the
-// tile build must take from Metric.Distance itself rather than from the
+// tile build must take from the exact distance itself rather than from the
 // kernel's one-pass arithmetic: fewer than three shared cells, an undefined
 // correlation, or |r| within 1e-12 of 1 — where exact ties decide merges.
 // (The margin keeps pairs the kernel's own r, a rounding away, may see on
@@ -36,31 +36,30 @@ func structural(a, b []float64) bool {
 }
 
 // requireDistancesMatchMetric holds every entry of the condensed matrix
-// buildDistances makes of rows to Metric.Distance on the raw rows: never
-// NaN, within 1e-12, and the same bits on structural pairs (on every pair
-// when exact is set).
-func requireDistancesMatchMetric(t *testing.T, rows [][]float64, metric Metric, exact bool) {
+// buildDistances makes of rows to the exact Pearson distance on the raw
+// rows: never NaN, within 1e-12, and the same bits on structural pairs.
+func requireDistancesMatchMetric(t *testing.T, rows [][]float64) {
 	t.Helper()
-	dist, err := buildDistances(context.Background(), rows, metric)
+	dist, err := buildDistances(context.Background(), rows)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(rows); i++ {
 		for j := 0; j < i; j++ {
-			got, want := dist.at(i, j), metric.Distance(rows[i], rows[j])
+			got, want := dist.at(i, j), distance(rows[i], rows[j])
 			if math.IsNaN(got) || math.Abs(got-want) > 1e-12 {
-				t.Fatalf("%v: pair (%d,%d) = %v, Metric.Distance = %v\na=%v\nb=%v", metric, i, j, got, want, rows[i], rows[j])
+				t.Fatalf("pair (%d,%d) = %v, exact distance = %v\na=%v\nb=%v", i, j, got, want, rows[i], rows[j])
 			}
-			if got != want && (exact || structural(rows[i], rows[j])) {
-				t.Fatalf("%v: pair (%d,%d) = %v is not Metric.Distance's %v to the bit (|Δ|=%g)\na=%v\nb=%v",
-					metric, i, j, got, want, math.Abs(got-want), rows[i], rows[j])
+			if got != want && structural(rows[i], rows[j]) {
+				t.Fatalf("pair (%d,%d) = %v is not the exact distance %v to the bit (|Δ|=%g)\na=%v\nb=%v",
+					i, j, got, want, math.Abs(got-want), rows[i], rows[j])
 			}
 		}
 	}
 }
 
-// TestDistancesMatchMetric is the distance build's property test for the two
-// Pearson metrics, under both kernel routines: row counts either side of the
+// TestDistancesMatchMetric is the distance build's property test for the
+// Pearson distance, under both kernel routines: row counts either side of the
 // tile and block sizes, 1-70 columns, missing rates 0-40%, and in every set
 // as many as fit of the rows that break one-pass arithmetic — a constant row,
 // an all-missing row, a duplicated row, ±Inf cells, and pairs of rows sharing
@@ -115,9 +114,7 @@ func TestDistancesMatchMetric(t *testing.T) {
 				for _, plant := range specials {
 					plant()
 				}
-				for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
-					requireDistancesMatchMetric(t, rows, metric, false)
-				}
+				requireDistancesMatchMetric(t, rows)
 			}
 		}
 		// The case that fixed the rule: two rows sharing two cells correlate
@@ -129,15 +126,9 @@ func TestDistancesMatchMetric(t *testing.T) {
 			{-1.75, 1.751, 3.25, 1.25, 4, 2.001},
 			{-1.75, 1.75, 3.252, 1.25, 4.001, 2},
 		}
-		requireDistancesMatchMetric(t, two, PearsonDist, false)
-		if d, err := buildDistances(context.Background(), two, PearsonDist); err != nil || d.at(1, 0) != 0 {
+		requireDistancesMatchMetric(t, two)
+		if d, err := buildDistances(context.Background(), two); err != nil || d.at(1, 0) != 0 {
 			t.Fatalf("rows sharing two concordant cells: distance %v (err %v), want exactly 0", d.at(1, 0), err)
-		}
-		// Ragged rows cannot be tiled: every pair is Metric.Distance itself.
-		ragged := noisyRows(23, 12, 9, 0.1)
-		ragged[4] = ragged[4][:6]
-		for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
-			requireDistancesMatchMetric(t, ragged, metric, true)
 		}
 	})
 }
@@ -150,31 +141,29 @@ func TestTreeParityPaperShape(t *testing.T) {
 	underEachDot(t, func(t *testing.T) {
 		for _, missing := range []float64{0.02, 0.15} {
 			rows := noisyRows(600, 600, 24, missing)
-			for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
-				for _, linkage := range allLinkages {
-					ref, err := ReferenceHierarchical(rows, metric, linkage)
-					if err != nil {
-						t.Fatal(err)
+			for _, linkage := range allLinkages {
+				ref, err := ReferenceHierarchical(rows, linkage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				for i := range ref.Merges {
+					if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
+						t.Fatalf("missing %g, %v: merge %d height: reference %v vs kernel %v",
+							missing, linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
 					}
-					got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := got.Validate(); err != nil {
-						t.Fatal(err)
-					}
-					for i := range ref.Merges {
-						if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
-							t.Fatalf("missing %g, %v/%v: merge %d height: reference %v vs kernel %v",
-								missing, metric, linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
-						}
-					}
-					for _, k := range []int{2, 5, 20, 100} {
-						want, err1 := ref.Cut(k)
-						have, err2 := got.Cut(k)
-						if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
-							t.Fatalf("missing %g, %v/%v: Cut(%d) differs from the reference (errs %v, %v)", missing, metric, linkage, k, err1, err2)
-						}
+				}
+				for _, k := range []int{2, 5, 20, 100} {
+					want, err1 := ref.Cut(k)
+					have, err2 := got.Cut(k)
+					if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
+						t.Fatalf("missing %g, %v: Cut(%d) differs from the reference (errs %v, %v)", missing, linkage, k, err1, err2)
 					}
 				}
 			}
@@ -192,7 +181,7 @@ func TestDistancesWorkerIndependent(t *testing.T) {
 	var want *sqMatrix
 	for _, procs := range []int{1, 2, 3, 5} {
 		runtime.GOMAXPROCS(procs)
-		got, err := buildDistances(context.Background(), rows, PearsonDist)
+		got, err := buildDistances(context.Background(), rows)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +207,7 @@ func BenchmarkF4_ClusterDistances(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := buildDistances(context.Background(), rows, PearsonDist); err != nil {
+				if _, err := buildDistances(context.Background(), rows); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -238,26 +227,24 @@ func BenchmarkF4_ClusterDistances(b *testing.B) {
 // says why.
 func TestTreeBitsPaperShape(t *testing.T) {
 	want := map[string]string{
-		"avx2-fma": "f5fdff54d244f3aa04dc8a87d1f4a6f14c2fccb89636e38a587b076af29a1c56",
-		"go":       "ccdf73340334a044469fe1d4fc54f87d09be48c2394d57c5a84fa0997567f843",
+		"avx2-fma": "9ccc2d40a7a448722169b7fb92c908b2bd7c4e7f5bb2992668326aa37a7e473a",
+		"go":       "d3b041793fae523ea36058990c4486e6e51e48a1fcc70648fba0a25d98d93f1b",
 	}
 	underEachDot(t, func(t *testing.T) {
 		h := sha256.New()
 		var buf [24]byte
 		for _, missing := range []float64{0.02, 0.15} {
 			rows := noisyRows(600, 600, 24, missing)
-			for _, metric := range []Metric{PearsonDist, PearsonAbsDist} {
-				for _, linkage := range allLinkages {
-					tree, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for _, m := range tree.Merges {
-						binary.LittleEndian.PutUint64(buf[0:], uint64(m.A))
-						binary.LittleEndian.PutUint64(buf[8:], uint64(m.B))
-						binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(m.Height))
-						h.Write(buf[:])
-					}
+			for _, linkage := range allLinkages {
+				tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range tree.Merges {
+					binary.LittleEndian.PutUint64(buf[0:], uint64(m.A))
+					binary.LittleEndian.PutUint64(buf[8:], uint64(m.B))
+					binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(m.Height))
+					h.Write(buf[:])
 				}
 			}
 		}
@@ -268,27 +255,24 @@ func TestTreeBitsPaperShape(t *testing.T) {
 }
 
 // TestDistancesSquareMirror: the matrix stage 1 hands the chain is
-// symmetric to the bit, +Inf on its diagonal, on both build paths and
-// whatever GOMAXPROCS deals the rows out to. 37 rows end both the last block
-// and the last tile short.
+// symmetric to the bit, +Inf on its diagonal, whatever GOMAXPROCS deals the
+// rows out to. 37 rows end both the last block and the last tile short.
 func TestDistancesSquareMirror(t *testing.T) {
 	rows := noisyRows(41, 37, 11, 0.1)
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 3} {
 		runtime.GOMAXPROCS(procs)
-		for _, metric := range allMetrics {
-			dist, err := buildDistances(context.Background(), rows, metric)
-			if err != nil {
-				t.Fatal(err)
+		dist, err := buildDistances(context.Background(), rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range rows {
+			if d := dist.at(i, i); !math.IsInf(d, 1) {
+				t.Fatalf("GOMAXPROCS=%d: diagonal (%d,%d) = %v, want +Inf", procs, i, i, d)
 			}
-			for i := range rows {
-				if d := dist.at(i, i); !math.IsInf(d, 1) {
-					t.Fatalf("GOMAXPROCS=%d, %v: diagonal (%d,%d) = %v, want +Inf", procs, metric, i, i, d)
-				}
-				for j := 0; j < i; j++ {
-					if lo, hi := dist.at(i, j), dist.at(j, i); math.Float64bits(lo) != math.Float64bits(hi) {
-						t.Fatalf("GOMAXPROCS=%d, %v: (%d,%d) = %v but (%d,%d) = %v", procs, metric, i, j, lo, j, i, hi)
-					}
+			for j := 0; j < i; j++ {
+				if lo, hi := dist.at(i, j), dist.at(j, i); math.Float64bits(lo) != math.Float64bits(hi) {
+					t.Fatalf("GOMAXPROCS=%d: (%d,%d) = %v but (%d,%d) = %v", procs, i, j, lo, j, i, hi)
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"sort"
 	"sync"
 
-	"forestview/internal/stats"
 	"forestview/internal/tilecorr"
 )
 
@@ -18,16 +17,15 @@ import (
 //
 // Stage 1 builds the square distance matrix in parallel; the workers write
 // disjoint rows below its diagonal, then mirror them above it — no locks.
-// The two Pearson metrics run on the correlation kernel SPELL scans with
-// (internal/tilecorr): the rows are tiled once, z-scored and zero-filled,
-// and every block of four rows meets every tile at or below its diagonal in
-// one pass of dot products plus a correction per missing cell — no means, no
-// variances, no NaN checks in the O(n²) loop, whether the rows are complete
-// or not (tileDistances). The other metrics keep a per-pair kernel with a
-// dense tier for complete rows (pairKernel). Either way a pair the fast
-// arithmetic cannot settle to the reference's bits where they matter falls
-// back to Metric.Distance on the raw rows, so missing-value semantics — and
-// exact ties — are those of the reference path.
+// It runs on the correlation kernel SPELL scans with (internal/tilecorr):
+// the rows are tiled once, z-scored and zero-filled, and every block of four
+// rows meets every tile at or below its diagonal in one pass of dot products
+// plus a correction per missing cell — no means, no variances, no NaN checks
+// in the O(n²) loop, whether the rows are complete or not (tileDistances). A
+// pair the one-pass arithmetic cannot settle to the reference's bits where
+// they matter falls back to the exact Pearson distance on the raw rows, so
+// missing-value semantics — and exact ties — are those of the reference
+// path.
 //
 // Stage 2 agglomerates by nearest-neighbor chain (Müllner 2011): grow a
 // chain slot → nearest neighbour → ... until two clusters are each other's
@@ -39,11 +37,14 @@ import (
 // so sorting the discovered merges by height reproduces the reference tree
 // exactly (up to the order of tied merges) in O(n²) total time.
 
-// HierarchicalCtx builds a dendrogram over the rows using the given metric
-// and linkage: a parallel distance-matrix build followed by exact
-// nearest-neighbor-chain agglomeration. It produces the same tree as
-// ReferenceHierarchical (see the parity tests) at a fraction of the cost;
-// the before/after table in README.md quantifies the gap. Both the distance
+// HierarchicalCtx builds a dendrogram over the rows by Pearson distance
+// (metric must be PearsonDist) and the given linkage: a parallel
+// distance-matrix build followed by exact nearest-neighbor-chain
+// agglomeration. It produces the same tree as ReferenceHierarchical (see the
+// parity tests) at a fraction of the cost; the before/after table in
+// README.md quantifies the gap. Rows must all have one length — the PCL/CDT
+// readers and Dataset.Validate give no other kind — and any other metric or
+// ragged rows are an error before any matrix is built. Both the distance
 // build and the agglomeration poll ctx and abandon the computation with
 // ctx's error once it is done. The query daemon threads request contexts
 // through here so a disconnected client stops paying for its tree build.
@@ -52,10 +53,18 @@ func HierarchicalCtx(ctx context.Context, rows [][]float64, metric Metric, linka
 	if n == 0 {
 		return nil, errors.New("cluster: no rows")
 	}
+	if metric != PearsonDist {
+		return nil, fmt.Errorf("cluster: %v: Pearson distance is the only metric", metric)
+	}
+	for i, row := range rows {
+		if len(row) != len(rows[0]) {
+			return nil, fmt.Errorf("cluster: row %d has %d cells, row 0 has %d", i, len(row), len(rows[0]))
+		}
+	}
 	if n == 1 {
 		return &Tree{NLeaves: 1}, nil
 	}
-	dist, err := buildDistances(ctx, rows, metric)
+	dist, err := buildDistances(ctx, rows)
 	if err != nil {
 		return nil, err
 	}
@@ -125,139 +134,19 @@ func (s *lwStep) combine(linkage Linkage, da, db float64) float64 {
 	return min(da, db)
 }
 
-// pairKernel evaluates one metric over row pairs, with a dense fast path
-// for rows that admit one and a pairwise-complete fallback
-// (Metric.Distance) for rows with missing values, so NaN-bearing microarray
-// rows cannot poison the tree. It serves every metric but the two Pearson
-// distances over rows of one length, which tileDistances builds.
-type pairKernel struct {
-	metric Metric
-	rows   [][]float64
-	dim    int       // common row length; 0 when rows are ragged (no fast path)
-	unit   []float64 // contiguous per-row unit forms (uncentered and rank correlation)
-	fast   []bool    // unit form exists for row i
-	whole  []bool    // row i has no missing values (distance metrics)
-}
-
-// commonDim returns the length every row shares, or 0 when the rows are
-// ragged or empty.
-func commonDim(rows [][]float64) int {
-	dim := len(rows[0])
-	for _, r := range rows {
-		if len(r) != dim {
-			return 0
-		}
-	}
-	return dim
-}
-
-func newPairKernel(rows [][]float64, metric Metric) *pairKernel {
-	k := &pairKernel{metric: metric, rows: rows, dim: commonDim(rows)}
-	if k.dim == 0 {
-		return k // ragged input: every pair falls back
-	}
-	dim, n := k.dim, len(rows)
-	switch metric {
-	case UncenteredDist, SpearmanDist:
-		k.unit = make([]float64, n*dim)
-		k.fast = make([]bool, n)
-		for i, row := range rows {
-			dst := k.unit[i*dim : (i+1)*dim]
-			switch metric {
-			case UncenteredDist:
-				k.fast[i] = stats.UnitNormInto(dst, row)
-			case SpearmanDist:
-				// Spearman is Pearson of mid-ranks, but only complete rows
-				// keep that identity pairwise: a missing value changes the
-				// partner's paired ranks too, so masked rows fall back.
-				if rowComplete(row) {
-					k.fast[i] = stats.CenterUnitNormInto(dst, stats.Ranks(row))
-				}
-			}
-		}
-	case EuclideanDist, ManhattanDist:
-		k.whole = make([]bool, n)
-		for i, row := range rows {
-			k.whole[i] = rowComplete(row)
-		}
-	}
-	return k
-}
-
-// dist returns the metric distance between rows i and j.
-func (k *pairKernel) dist(i, j int) float64 {
-	switch k.metric {
-	case UncenteredDist, SpearmanDist:
-		if k.fast != nil && k.fast[i] && k.fast[j] {
-			r := stats.Dot(k.unit[i*k.dim:(i+1)*k.dim], k.unit[j*k.dim:(j+1)*k.dim])
-			// Guard against floating-point drift outside [-1, 1], like
-			// stats.Pearson does.
-			if r > 1 {
-				r = 1
-			} else if r < -1 {
-				r = -1
-			}
-			return 1 - r
-		}
-	case EuclideanDist:
-		if k.whole != nil && k.whole[i] && k.whole[j] {
-			a, b := k.rows[i], k.rows[j][:k.dim]
-			var ss float64
-			for x, v := range a {
-				d := v - b[x]
-				ss += d * d
-			}
-			return math.Sqrt(ss)
-		}
-	case ManhattanDist:
-		if k.whole != nil && k.whole[i] && k.whole[j] {
-			a, b := k.rows[i], k.rows[j][:k.dim]
-			var s float64
-			for x, v := range a {
-				s += math.Abs(v - b[x])
-			}
-			return s
-		}
-	}
-	return k.metric.Distance(k.rows[i], k.rows[j])
-}
-
-func rowComplete(row []float64) bool {
-	for _, v := range row {
-		if math.IsNaN(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // buildDistances fills the square distance matrix in parallel: the workers
 // compute the pairs below the diagonal, then mirror that triangle above it.
 // A pair's value depends on the two rows and their indices only — never on
 // the worker count or on what else the process is building — so a tree is
 // bit-stable on a host.
-func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*sqMatrix, error) {
+func buildDistances(ctx context.Context, rows [][]float64) (*sqMatrix, error) {
 	n := len(rows)
 	dist, err := newSqMatrix(n)
 	if err != nil {
 		return nil, err
 	}
-	var fill func(w, workers int) // worker w's share; polls ctx once per unit of work
-	if dim := commonDim(rows); dim > 0 && (metric == PearsonDist || metric == PearsonAbsDist) {
-		tiles := tilecorr.New(rows, dim)
-		fill = func(w, workers int) { tileDistances(ctx, dist, tiles, rows, metric, w, workers) }
-	} else {
-		// Row i holds i pairs below the diagonal, so dealing rows
-		// round-robin keeps the workers' shares within one row of each other.
-		k := newPairKernel(rows, metric)
-		fill = func(w, workers int) {
-			for i := 1 + w; i < n && ctx.Err() == nil; i += workers {
-				for j := 0; j < i; j++ {
-					dist.v[i*n+j] = k.dist(i, j)
-				}
-			}
-		}
-	}
+	tiles := tilecorr.New(rows, len(rows[0]))
+	fill := func(w, workers int) { tileDistances(ctx, dist, tiles, rows, w, workers) }
 	workers := max(1, min(runtime.GOMAXPROCS(0), n-1))
 	for _, stage := range []func(w, workers int){fill, dist.mirror} {
 		var wg sync.WaitGroup
@@ -285,12 +174,12 @@ func buildDistances(ctx context.Context, rows [][]float64, metric Metric) (*sqMa
 // block's rows of the matrix, which no other worker writes.
 //
 // The lanes the kernel does not vouch for — two shared cells, a joint subset
-// nearly constant, |r| within 1e-12 of 1 — are Metric.Distance on the raw
+// nearly constant, |r| within 1e-12 of 1 — are the exact distance on the raw
 // rows, bit for bit. Under complete linkage that is structural, not
 // cosmetic: two rows sharing two cells correlate at exactly ±1 in the
 // reference, and a one-pass value an ulp short of it changes which pair
 // merges at height 0 and with it the tree above (DESIGN.md §3b).
-func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, metric Metric, w, workers int) {
+func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, w, workers int) {
 	const tileRows, blockRows = tilecorr.TileRows, tilecorr.BlockRows
 	n, dim := len(rows), tiles.NExp()
 	q := tilecorr.Query{
@@ -319,12 +208,9 @@ func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, r
 				below := uint8(flagged>>(tileRows*k)) & (1<<live - 1)
 				out := dist.v[i*n+base:]
 				for j, r := range rs[k*tileRows : k*tileRows+live] {
-					switch {
-					case below>>j&1 != 0 || math.IsNaN(r): // NaN: fewer than two shared cells, the metric's maximum
-						out[j] = metric.Distance(rows[i], rows[base+j])
-					case metric == PearsonAbsDist:
-						out[j] = 1 - math.Abs(r)
-					default:
+					if below>>j&1 != 0 || math.IsNaN(r) { // NaN: fewer than two shared cells, the maximum
+						out[j] = distance(rows[i], rows[base+j])
+					} else {
 						out[j] = 1 - r
 					}
 				}

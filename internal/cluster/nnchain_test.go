@@ -13,11 +13,7 @@ import (
 	"time"
 )
 
-// allMetrics and allLinkages enumerate every supported combination for the
-// parity sweeps.
-var allMetrics = []Metric{
-	PearsonDist, PearsonAbsDist, UncenteredDist, SpearmanDist, EuclideanDist, ManhattanDist,
-}
+// allLinkages enumerates every supported linkage for the parity sweeps.
 var allLinkages = []Linkage{AverageLinkage, CompleteLinkage, SingleLinkage}
 
 // randomRows generates n x dim data; nanRate injects missing values.
@@ -109,16 +105,15 @@ func requireTreeParity(t *testing.T, ref, got *Tree, tol float64, tiesBenign boo
 	}
 }
 
-// distinctPairDistances reports whether every pairwise distance under the
-// metric is separated from every other by more than 2*tol — the regime in
-// which the agglomeration order is uniquely determined and exact structural
-// parity is well-defined. Discrete metrics (Spearman over short rows)
-// routinely fail this on random data.
-func distinctPairDistances(rows [][]float64, metric Metric, tol float64) bool {
+// distinctPairDistances reports whether every pairwise distance is
+// separated from every other by more than 2*tol — the regime in which the
+// agglomeration order is uniquely determined and exact structural parity is
+// well-defined.
+func distinctPairDistances(rows [][]float64, tol float64) bool {
 	var ds []float64
 	for i := 1; i < len(rows); i++ {
 		for j := 0; j < i; j++ {
-			ds = append(ds, metric.Distance(rows[i], rows[j]))
+			ds = append(ds, distance(rows[i], rows[j]))
 		}
 	}
 	sort.Float64s(ds)
@@ -152,26 +147,24 @@ func partitionsEqual(a, b []int) bool {
 }
 
 // TestNNChainGoldenParityRandom holds the kernel to the reference tree on
-// generic (distance-distinct) random data, across every metric and linkage,
-// with exact structural equality.
+// generic (distance-distinct) random data, across every linkage, with exact
+// structural equality.
 func TestNNChainGoldenParityRandom(t *testing.T) {
-	for _, metric := range allMetrics {
-		for _, linkage := range allLinkages {
-			for seed := int64(1); seed <= 3; seed++ {
-				rows := noisyRows(seed*100+int64(metric)*10+int64(linkage), 48, 12, 0)
-				if !distinctPairDistances(rows, metric, 1e-12) {
-					continue // tied input; covered by the dedicated ties test
-				}
-				ref, err := ReferenceHierarchical(rows, metric, linkage)
-				if err != nil {
-					t.Fatalf("%v/%v: reference: %v", metric, linkage, err)
-				}
-				got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
-				if err != nil {
-					t.Fatalf("%v/%v: kernel: %v", metric, linkage, err)
-				}
-				requireTreeParity(t, ref, got, 1e-12, false)
+	for _, linkage := range allLinkages {
+		for seed := int64(1); seed <= 3; seed++ {
+			rows := noisyRows(seed*100+int64(linkage), 48, 12, 0)
+			if !distinctPairDistances(rows, 1e-12) {
+				continue // tied input; covered by the dedicated ties test
 			}
+			ref, err := ReferenceHierarchical(rows, linkage)
+			if err != nil {
+				t.Fatalf("%v: reference: %v", linkage, err)
+			}
+			got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+			if err != nil {
+				t.Fatalf("%v: kernel: %v", linkage, err)
+			}
+			requireTreeParity(t, ref, got, 1e-12, false)
 		}
 	}
 }
@@ -181,36 +174,34 @@ func TestNNChainGoldenParityRandom(t *testing.T) {
 // reference tree exactly — no NaN may reach the distance matrix, the merge
 // heights, or the comparisons between them.
 func TestNNChainGoldenParityNaN(t *testing.T) {
-	for _, metric := range allMetrics {
-		for _, linkage := range allLinkages {
-			rows := noisyRows(7+int64(metric)+int64(linkage), 40, 10, 0.15)
-			// An all-missing row and a constant row: the classic degenerate
-			// microarray rows that must cluster last, not poison the tree.
-			for j := range rows[3] {
-				rows[3][j] = math.NaN()
-			}
-			for j := range rows[5] {
-				rows[5][j] = 1.5
-			}
-			// The degenerate rows tie at the metric's max distance, but the
-			// tied merges form one transitively-connected block at the top
-			// of the tree, so cuts at unambiguous boundaries stay
-			// well-defined: the benign-ties mode below.
-			ref, err := ReferenceHierarchical(rows, metric, linkage)
-			if err != nil {
-				t.Fatalf("%v/%v: reference: %v", metric, linkage, err)
-			}
-			got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
-			if err != nil {
-				t.Fatalf("%v/%v: kernel: %v", metric, linkage, err)
-			}
-			for i, m := range got.Merges {
-				if math.IsNaN(m.Height) {
-					t.Fatalf("%v/%v: NaN height at merge %d", metric, linkage, i)
-				}
-			}
-			requireTreeParity(t, ref, got, 1e-12, true)
+	for _, linkage := range allLinkages {
+		rows := noisyRows(7+int64(linkage), 40, 10, 0.15)
+		// An all-missing row and a constant row: the classic degenerate
+		// microarray rows that must cluster last, not poison the tree.
+		for j := range rows[3] {
+			rows[3][j] = math.NaN()
 		}
+		for j := range rows[5] {
+			rows[5][j] = 1.5
+		}
+		// The degenerate rows tie at the maximum distance, but the tied
+		// merges form one transitively-connected block at the top of the
+		// tree, so cuts at unambiguous boundaries stay well-defined: the
+		// benign-ties mode below.
+		ref, err := ReferenceHierarchical(rows, linkage)
+		if err != nil {
+			t.Fatalf("%v: reference: %v", linkage, err)
+		}
+		got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+		if err != nil {
+			t.Fatalf("%v: kernel: %v", linkage, err)
+		}
+		for i, m := range got.Merges {
+			if math.IsNaN(m.Height) {
+				t.Fatalf("%v: NaN height at merge %d", linkage, i)
+			}
+		}
+		requireTreeParity(t, ref, got, 1e-12, true)
 	}
 }
 
@@ -229,33 +220,31 @@ func TestNNChainGoldenParityTies(t *testing.T) {
 			rows = append(rows, append([]float64(nil), b...))
 		}
 	}
-	for _, metric := range []Metric{EuclideanDist, PearsonDist, ManhattanDist} {
-		for _, linkage := range allLinkages {
-			ref, err := ReferenceHierarchical(rows, metric, linkage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := HierarchicalCtx(context.Background(), rows, metric, linkage)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireTreeParity(t, ref, got, 1e-12, true)
-			// The three-copy blocks must be recovered exactly at k=3.
-			assign, err := got.Cut(3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < len(rows); i += 3 {
-				if assign[i] != assign[i+1] || assign[i] != assign[i+2] {
-					t.Fatalf("%v/%v: duplicate block %d split: %v", metric, linkage, i/3, assign)
-				}
+	for _, linkage := range allLinkages {
+		ref, err := ReferenceHierarchical(rows, linkage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireTreeParity(t, ref, got, 1e-12, true)
+		// The three-copy blocks must be recovered exactly at k=3.
+		assign, err := got.Cut(3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < len(rows); i += 3 {
+			if assign[i] != assign[i+1] || assign[i] != assign[i+2] {
+				t.Fatalf("%v: duplicate block %d split: %v", linkage, i/3, assign)
 			}
 		}
 	}
 }
 
 // TestNNChainFromDistanceParity proves the kernel needs nothing of the
-// distance build: Metric.Distance values fed to nnChain as a precomputed
+// distance build: exact Pearson distances fed to nnChain as a precomputed
 // matrix must reproduce ReferenceHierarchical.
 func TestNNChainFromDistanceParity(t *testing.T) {
 	rows := noisyRows(99, 30, 8, 0)
@@ -264,12 +253,12 @@ func TestNNChainFromDistanceParity(t *testing.T) {
 		d[i] = make([]float64, len(rows))
 		for j := range d[i] {
 			if i != j {
-				d[i][j] = EuclideanDist.Distance(rows[i], rows[j])
+				d[i][j] = distance(rows[i], rows[j])
 			}
 		}
 	}
 	for _, linkage := range allLinkages {
-		ref, err := ReferenceHierarchical(rows, EuclideanDist, linkage)
+		ref, err := ReferenceHierarchical(rows, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -298,40 +287,6 @@ func fromDistance(t *testing.T, d [][]float64, linkage Linkage) *Tree {
 		t.Fatal(err)
 	}
 	return tree
-}
-
-// TestPairKernelFallbackMatchesMetric pins the distance build's tiers
-// together on masked (NaN-bearing) rows, for every metric. The per-pair
-// kernel must evaluate exactly Metric.Distance on a pair with a masked row
-// and agree within float tolerance on its dense tier. The two Pearson
-// metrics no longer pass through it when the rows share a length — the tile
-// kernel corrects a missing cell instead of falling back — so for them the
-// same matrix contract reads: Metric.Distance to the bit on every pair the
-// kernel hands back (structural), within 1e-12 on the rest.
-func TestPairKernelFallbackMatchesMetric(t *testing.T) {
-	rows := noisyRows(5, 20, 9, 0.2)
-	for _, metric := range allMetrics {
-		if metric == PearsonDist || metric == PearsonAbsDist {
-			requireDistancesMatchMetric(t, rows, metric, false)
-			continue
-		}
-		k := newPairKernel(rows, metric)
-		for i := 1; i < len(rows); i++ {
-			for j := 0; j < i; j++ {
-				want := metric.Distance(rows[i], rows[j])
-				got := k.dist(i, j)
-				fast := k.fast != nil && k.fast[i] && k.fast[j] ||
-					k.whole != nil && k.whole[i] && k.whole[j]
-				if !fast && got != want {
-					t.Fatalf("%v: fallback pair (%d,%d) = %v, want Metric.Distance %v",
-						metric, i, j, got, want)
-				}
-				if math.Abs(got-want) > 1e-12 {
-					t.Fatalf("%v: pair (%d,%d) = %v, want %v", metric, i, j, got, want)
-				}
-			}
-		}
-	}
 }
 
 // TestHierarchicalCtxCancel: a canceled context aborts the build with the

@@ -15,9 +15,9 @@ import (
 // (AblationLeafOrdering) quantifies the improvement.
 
 // OptimizeLeafOrder returns a leaf order for t with per-merge orientations
-// chosen to minimize boundary distances under the metric. rows must be the
-// leaf data (rows[i] for leaf i).
-func OptimizeLeafOrder(t *Tree, rows [][]float64, metric Metric) ([]int, error) {
+// chosen to minimize boundary Pearson distances. rows must be the leaf data
+// (rows[i] for leaf i).
+func OptimizeLeafOrder(t *Tree, rows [][]float64) ([]int, error) {
 	if t == nil || t.NLeaves == 0 {
 		return nil, fmt.Errorf("cluster: empty tree")
 	}
@@ -32,7 +32,7 @@ func OptimizeLeafOrder(t *Tree, rows [][]float64, metric Metric) ([]int, error) 
 	for leaf := 0; leaf < t.NLeaves; leaf++ {
 		blocks[leaf] = []int{leaf}
 	}
-	dist := func(a, b int) float64 { return metric.Distance(rows[a], rows[b]) }
+	dist := func(a, b int) float64 { return distance(rows[a], rows[b]) }
 	for i, m := range t.Merges {
 		a, b := blocks[m.A], blocks[m.B]
 		// Boundary leaves of each child block in its current orientation.
@@ -79,24 +79,16 @@ func reversed(xs []int) []int {
 	return out
 }
 
-// OrderQuality scores a display order: the mean similarity (1 - distance,
-// for correlation metrics) between adjacent rows. Higher is better; it is
-// the objective the orientation pass improves.
-func OrderQuality(rows [][]float64, order []int, metric Metric) float64 {
+// OrderQuality scores a display order: the mean similarity, 1 - Pearson
+// distance, between adjacent rows (an undefined correlation counts as -1).
+// Higher is better; it is the objective the orientation pass improves.
+func OrderQuality(rows [][]float64, order []int) float64 {
 	if len(order) < 2 {
 		return math.NaN()
 	}
-	s, n := 0.0, 0
+	s := 0.0
 	for i := 1; i < len(order); i++ {
-		d := metric.Distance(rows[order[i-1]], rows[order[i]])
-		if d == math.MaxFloat64 {
-			continue
-		}
-		s += 1 - d
-		n++
+		s += 1 - distance(rows[order[i-1]], rows[order[i]])
 	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return s / float64(n)
+	return s / float64(len(order)-1)
 }

@@ -25,7 +25,7 @@ func TestOptimizeLeafOrderIsPermutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	order, err := OptimizeLeafOrder(tree, rows, PearsonDist)
+	order, err := OptimizeLeafOrder(tree, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +49,12 @@ func TestOptimizeLeafOrderImprovesQuality(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		naive := OrderQuality(rows, tree.LeafOrder(), PearsonDist)
-		opt, err := OptimizeLeafOrder(tree, rows, PearsonDist)
+		naive := OrderQuality(rows, tree.LeafOrder())
+		opt, err := OptimizeLeafOrder(tree, rows)
 		if err != nil {
 			t.Fatal(err)
 		}
-		optQ := OrderQuality(rows, opt, PearsonDist)
+		optQ := OrderQuality(rows, opt)
 		if optQ > naive+1e-9 {
 			better++
 		} else if optQ < naive-1e-9 {
@@ -70,8 +70,8 @@ func TestOptimizeLeafOrderPreservesTreeStructure(t *testing.T) {
 	// The oriented order must keep each subtree contiguous: for every
 	// merge, its leaves form one contiguous block.
 	rows := randomRows(7, 20, 6)
-	tree, _ := HierarchicalCtx(context.Background(), rows, EuclideanDist, CompleteLinkage)
-	order, err := OptimizeLeafOrder(tree, rows, EuclideanDist)
+	tree, _ := HierarchicalCtx(context.Background(), rows, PearsonDist, CompleteLinkage)
+	order, err := OptimizeLeafOrder(tree, rows)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,16 +105,16 @@ func TestOptimizeLeafOrderPreservesTreeStructure(t *testing.T) {
 }
 
 func TestOptimizeLeafOrderEdgeCases(t *testing.T) {
-	if _, err := OptimizeLeafOrder(nil, nil, PearsonDist); err == nil {
+	if _, err := OptimizeLeafOrder(nil, nil); err == nil {
 		t.Fatal("nil tree should error")
 	}
 	single := &Tree{NLeaves: 1}
-	order, err := OptimizeLeafOrder(single, [][]float64{{1, 2}}, PearsonDist)
+	order, err := OptimizeLeafOrder(single, [][]float64{{1, 2}})
 	if err != nil || len(order) != 1 {
 		t.Fatalf("single leaf: %v, %v", order, err)
 	}
 	tree := &Tree{NLeaves: 3, Merges: []Merge{{A: 0, B: 1, Height: 1}, {A: 3, B: 2, Height: 2}}}
-	if _, err := OptimizeLeafOrder(tree, [][]float64{{1}}, PearsonDist); err == nil {
+	if _, err := OptimizeLeafOrder(tree, [][]float64{{1}}); err == nil {
 		t.Fatal("too few rows should error")
 	}
 }
@@ -126,17 +126,17 @@ func TestOrderQuality(t *testing.T) {
 		{3, 2, 1},
 	}
 	// Order [0,1,2]: junctions (0,1) similar, (1,2) anti — mean ≈ (1 + -1)/2.
-	good := OrderQuality(rows, []int{0, 2, 1}, PearsonDist)
-	bad := OrderQuality(rows, []int{0, 1, 2}, PearsonDist)
+	good := OrderQuality(rows, []int{0, 2, 1})
+	bad := OrderQuality(rows, []int{0, 1, 2})
 	_ = bad
 	// Putting the anti-correlated row in the middle is worse than at the
 	// end for this metric? Both have one good and one bad junction; use a
 	// cleaner assertion: the identity on identical rows scores 1.
 	same := [][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}
-	if q := OrderQuality(same, []int{0, 1, 2}, PearsonDist); q < 0.999 {
+	if q := OrderQuality(same, []int{0, 1, 2}); q < 0.999 {
 		t.Fatalf("colinear rows quality = %v", q)
 	}
-	if q := OrderQuality(rows, []int{0}, PearsonDist); !isNaN(q) {
+	if q := OrderQuality(rows, []int{0}); !isNaN(q) {
 		t.Fatal("single-row quality should be NaN")
 	}
 	_ = good
@@ -154,7 +154,7 @@ func TestQuickOptimizeLeafOrder(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		order, err := OptimizeLeafOrder(tree, rows, PearsonDist)
+		order, err := OptimizeLeafOrder(tree, rows)
 		if err != nil || len(order) != n {
 			return false
 		}

@@ -3,9 +3,9 @@ package cluster
 import "math"
 
 // Silhouette returns the mean silhouette coefficient of a flat clustering
-// under the given metric — the cluster-quality score used by the ablation
+// under Pearson distance — the cluster-quality score used by the ablation
 // benchmarks. Values near 1 indicate tight, well-separated clusters.
-func Silhouette(rows [][]float64, assign []int, metric Metric) float64 {
+func Silhouette(rows [][]float64, assign []int) float64 {
 	n := len(rows)
 	if n != len(assign) || n < 2 {
 		return math.NaN()
@@ -27,7 +27,7 @@ func Silhouette(rows [][]float64, assign []int, metric Metric) float64 {
 		a := 0.0
 		for _, j := range own {
 			if j != i {
-				a += metric.Distance(rows[i], rows[j])
+				a += distance(rows[i], rows[j])
 			}
 		}
 		a /= float64(len(own) - 1)
@@ -38,7 +38,7 @@ func Silhouette(rows [][]float64, assign []int, metric Metric) float64 {
 			}
 			s := 0.0
 			for _, j := range members {
-				s += metric.Distance(rows[i], rows[j])
+				s += distance(rows[i], rows[j])
 			}
 			s /= float64(len(members))
 			if s < b {

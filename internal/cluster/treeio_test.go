@@ -118,18 +118,18 @@ func TestSilhouette(t *testing.T) {
 	rows := twoBlobs()
 	good := []int{0, 0, 0, 1, 1, 1}
 	bad := []int{0, 1, 0, 1, 0, 1}
-	sGood := Silhouette(rows, good, EuclideanDist)
-	sBad := Silhouette(rows, bad, EuclideanDist)
+	sGood := Silhouette(rows, good)
+	sBad := Silhouette(rows, bad)
 	if !(sGood > sBad) {
 		t.Fatalf("good clustering silhouette %v should beat bad %v", sGood, sBad)
 	}
 	if sGood < 0.5 {
 		t.Fatalf("well-separated blobs should score high, got %v", sGood)
 	}
-	if !math.IsNaN(Silhouette(rows, []int{0, 0, 0, 0, 0, 0}, EuclideanDist)) {
+	if !math.IsNaN(Silhouette(rows, []int{0, 0, 0, 0, 0, 0})) {
 		t.Fatal("single cluster silhouette should be NaN")
 	}
-	if !math.IsNaN(Silhouette(rows[:1], []int{0}, EuclideanDist)) {
+	if !math.IsNaN(Silhouette(rows[:1], []int{0})) {
 		t.Fatal("single row silhouette should be NaN")
 	}
 }

@@ -48,6 +48,8 @@ type ClusteredDataset struct {
 
 // ClusterOptions configure Cluster.
 type ClusterOptions struct {
+	// Metric must be cluster.PearsonDist (the zero value); any other is
+	// an error.
 	Metric  cluster.Metric
 	Linkage cluster.Linkage
 	// ClusterArrays also builds the experiment (column) tree.
@@ -95,7 +97,7 @@ func ClusterCtx(ctx context.Context, ds *microarray.Dataset, opt ClusterOptions)
 	}
 	cd.refreshOrder()
 	if opt.OptimizeOrder {
-		order, err := cluster.OptimizeLeafOrder(gt, ds.Data, opt.Metric)
+		order, err := cluster.OptimizeLeafOrder(gt, ds.Data)
 		if err != nil {
 			return nil, fmt.Errorf("core: optimizing leaf order of %q: %w", ds.Name, err)
 		}

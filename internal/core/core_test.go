@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -39,6 +41,62 @@ func buildFixture(t testing.TB) (*synth.Universe, *ForestView) {
 		t.Fatal(err)
 	}
 	return u, fv
+}
+
+// TestClusterRefusesUntileableInput: the clustering kernel computes Pearson
+// distance over rows of one length and nothing else. Any other Metric value
+// and rows of unequal length are an error from cluster.HierarchicalCtx and
+// from ClusterCtx, given before the distance matrix — 72 MB at these 3,000
+// rows — is allocated.
+func TestClusterRefusesUntileableInput(t *testing.T) {
+	const n, dim = 3000, 6
+	rows := make([][]float64, n)
+	for i := range rows {
+		rows[i] = make([]float64, dim)
+		for j := range rows[i] {
+			rows[i][j] = float64((i*7 + j*j*3) % 11)
+		}
+	}
+	ragged := append([][]float64(nil), rows...)
+	ragged[n/2] = ragged[n/2][:dim-1]
+	ctx := context.Background()
+	run := map[string]func(rows [][]float64, metric cluster.Metric) error{
+		"HierarchicalCtx": func(rows [][]float64, metric cluster.Metric) error {
+			_, err := cluster.HierarchicalCtx(ctx, rows, metric, cluster.AverageLinkage)
+			return err
+		},
+		"ClusterCtx": func(rows [][]float64, metric cluster.Metric) error {
+			ds := &microarray.Dataset{Name: "refused", Experiments: make([]string, dim), Data: rows}
+			_, err := ClusterCtx(ctx, ds, ClusterOptions{Metric: metric, Linkage: cluster.AverageLinkage})
+			return err
+		},
+	}
+	for name, build := range run {
+		if err := build(rows[:40], cluster.PearsonDist); err != nil {
+			t.Fatalf("%s: rectangular rows under PearsonDist: %v", name, err)
+		}
+		for _, c := range []struct {
+			what   string
+			rows   [][]float64
+			metric cluster.Metric
+		}{
+			{"ragged rows", ragged, cluster.PearsonDist},
+			{"Metric(1)", rows, cluster.PearsonDist + 1},
+			{"Metric(4)", rows, cluster.PearsonDist + 4},
+			{"Metric(-1)", rows, cluster.PearsonDist - 1},
+		} {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := build(c.rows, c.metric)
+			runtime.ReadMemStats(&after)
+			if err == nil {
+				t.Errorf("%s, %s: clustered without an error", name, c.what)
+			}
+			if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 1<<20 {
+				t.Errorf("%s, %s: %d bytes allocated before the refusal", name, c.what, alloc)
+			}
+		}
+	}
 }
 
 func TestClusterBuildsTreesAndOrder(t *testing.T) {

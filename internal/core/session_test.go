@@ -120,8 +120,8 @@ func TestClusterWithOptimizedOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qPlain := cluster.OrderQuality(ds.Data, plain.DisplayOrder, cluster.PearsonDist)
-	qOpt := cluster.OrderQuality(ds.Data, opt.DisplayOrder, cluster.PearsonDist)
+	qPlain := cluster.OrderQuality(ds.Data, plain.DisplayOrder)
+	qOpt := cluster.OrderQuality(ds.Data, opt.DisplayOrder)
 	if qOpt < qPlain-1e-9 {
 		t.Fatalf("optimized order quality %v worse than naive %v", qOpt, qPlain)
 	}

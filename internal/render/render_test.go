@@ -419,7 +419,7 @@ func TestRenderDendrogramLeftOfRows(t *testing.T) {
 
 func TestRenderDendrogramAboveColumns(t *testing.T) {
 	rows := [][]float64{{1, 2}, {2, 1}}
-	tree, _ := cluster.HierarchicalCtx(context.Background(), rows, cluster.EuclideanDist, cluster.AverageLinkage)
+	tree, _ := cluster.HierarchicalCtx(context.Background(), rows, cluster.PearsonDist, cluster.AverageLinkage)
 	c := NewCanvas(20, 10, black)
 	RenderDendrogram(c, Rect{X: 0, Y: 0, W: 20, H: 10}, tree, AboveColumns, white)
 	count := 0

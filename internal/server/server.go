@@ -118,7 +118,8 @@ type Config struct {
 	RawDatasets []*microarray.Dataset
 	// TreeMetric and TreeLinkage configure the lazy clustering of
 	// RawDatasets (defaults: Pearson distance, average linkage — the
-	// Cluster 3.0 defaults).
+	// Cluster 3.0 defaults). Pearson distance is the only metric a build
+	// accepts; any other TreeMetric fails every tree.
 	TreeMetric cluster.Metric
 	// TreeLinkage — see TreeMetric.
 	TreeLinkage cluster.Linkage

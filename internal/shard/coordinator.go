@@ -193,7 +193,7 @@ func (c *Coordinator) replicationFor(nShards int) int {
 // SetDraining marks (or clears) a replica as draining: orderReplicas
 // demotes marked replicas to last-resort, so a shard about to leave stops
 // receiving primary traffic while it can still serve as a failover target.
-// Driven by the daemon's fleet admin endpoint and by shard info statuses.
+// Driven by the daemon's fleet admin endpoint only.
 func (c *Coordinator) SetDraining(shard string, draining bool) {
 	shard = normalizeIdentity(shard)
 	if draining {

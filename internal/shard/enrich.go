@@ -11,7 +11,7 @@ import (
 
 // The distributed-enrichment scatter. Enrichment rides the same
 // ownership-group machinery as search — batched per-shard requests, p2c
-// replica selection, failover, hedging, scavenge — but with one structural
+// replica selection, failover, scavenge — but with one structural
 // difference: a group names a background *slice* (slice gi of G, where gi
 // is the group's position in the Groups derivation), and slices don't
 // depend on which datasets a shard holds, so any shard with an enricher
@@ -46,7 +46,7 @@ type EnrichResult struct {
 
 // EnrichCtx scatters one enrichment selection over the fleet's ownership
 // groups (see scatter): group gi is asked for background slice gi of G,
-// served by one of its R replicas with failover/hedging/scavenge exactly
+// served by one of its R replicas with failover and scavenge exactly
 // like SearchCtx, and a shard answers all the slices asked of it in one
 // list. The slice tallies merge through golem.MergeCounts, so the result is
 // exact, not approximate. Degraded means some slice was unreachable — the

@@ -191,12 +191,6 @@ func (c *Coordinator) probeInfo(ctx context.Context, shards []string) (Compendiu
 		if info == nil {
 			return CompendiumInfo{}, fmt.Errorf("%s: %w", shards[si], errs[si])
 		}
-		if info.Status == StatusDraining {
-			// A shard advertising drain demotes itself in replica ordering
-			// even if no operator marked it here. Set-only: an "active"
-			// status never clears an operator's explicit mark.
-			c.SetDraining(shards[si], true)
-		}
 		for _, n := range info.DatasetIDs {
 			names[n] = true
 		}

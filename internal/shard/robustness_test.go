@@ -297,6 +297,42 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 
 }
 
+// TestInfoStatusLeavesDrainMarkAlone: a shard's advertised status is for
+// operators. However a probe round finds it, only SetDraining (the fleet
+// admin's "drain") moves the mark, so whether a drained shard is demoted
+// never depends on when the coordinator last probed.
+func TestInfoStatusLeavesDrainMarkAlone(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc(InfoPath, func(w http.ResponseWriter, r *http.Request) {
+		body, _ := (&Info{
+			GeneIDs: []string{"g1"}, DatasetIDs: []string{"d1"}, AllDatasetIDs: []string{"d1"},
+			Status: StatusDraining,
+		}).AppendBinary(nil)
+		w.Header().Set("Content-Type", AnswerContentType)
+		_, _ = w.Write(body)
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	c, err := NewCoordinator(Config{
+		Shards:   []string{"s0"},
+		Resolve:  func(string) string { return srv.URL },
+		Deadline: time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Info(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.DrainingShards(); len(got) != 0 {
+		t.Fatalf("a probe of a shard reporting %q marked %v draining", StatusDraining, got)
+	}
+	c.SetDraining("s0", true)
+	if got := c.DrainingShards(); len(got) != 1 || got[0] != "s0" {
+		t.Fatalf("DrainingShards after SetDraining = %v", got)
+	}
+}
+
 // TestOrderReplicasDrainingLast pins the drain demotion: a draining
 // replica is ordered last regardless of p2c, and clearing the mark
 // restores it to the candidate pool.

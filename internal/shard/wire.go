@@ -297,9 +297,10 @@ type Info struct {
 	// coordinator discloses the gap instead of discovering it by 404.
 	Capabilities []string
 	// Status is the shard's lifecycle state (StatusActive or
-	// StatusDraining; empty from pre-drain shards means active). A
-	// coordinator that sees StatusDraining demotes the shard to
-	// last-resort replica ordering.
+	// StatusDraining; empty from pre-drain shards means active), reported
+	// for operators as /api/stats reports it. No coordinator reads it: a
+	// shard is demoted in replica ordering only by the fleet admin's
+	// "drain" action (Coordinator.SetDraining).
 	Status string
 }
 

@@ -1,6 +1,6 @@
 // Package stats provides the statistical substrate shared by every analysis
-// engine in the ForestView reproduction: descriptive statistics, several
-// correlation measures, rank transforms, the hypergeometric distribution in
+// engine in the ForestView reproduction: descriptive statistics, Pearson
+// correlation and the Fisher z-transform, the hypergeometric distribution in
 // log space, and multiple-hypothesis corrections.
 //
 // Microarray matrices routinely contain missing values, so every routine in
@@ -106,6 +106,24 @@ func ZScores(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	ZScoresInto(out, xs)
 	return out
+}
+
+// ZScoresInto is ZScores writing into a caller-provided slice (len(dst)
+// must be at least len(xs)), so bulk preprocessing can fill one contiguous
+// slab without a per-row allocation.
+func ZScoresInto(dst, xs []float64) {
+	m := Mean(xs)
+	sd := StdDev(xs)
+	for i, v := range xs {
+		switch {
+		case math.IsNaN(v):
+			dst[i] = math.NaN()
+		case math.IsNaN(sd) || sd == 0:
+			dst[i] = 0
+		default:
+			dst[i] = (v - m) / sd
+		}
+	}
 }
 
 // Normalize scales the observed entries of xs to unit Euclidean norm in

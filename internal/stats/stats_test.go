@@ -95,6 +95,21 @@ func TestZScores(t *testing.T) {
 	}
 }
 
+func TestZScoresInto(t *testing.T) {
+	xs := []float64{1, math.NaN(), 3, 5}
+	dst := make([]float64, len(xs))
+	ZScoresInto(dst, xs)
+	want := ZScores(xs)
+	for i := range want {
+		if math.IsNaN(want[i]) != math.IsNaN(dst[i]) {
+			t.Fatalf("missing mismatch at %d", i)
+		}
+		if !math.IsNaN(want[i]) && dst[i] != want[i] {
+			t.Fatalf("ZScoresInto[%d] = %v, want %v", i, dst[i], want[i])
+		}
+	}
+}
+
 func TestZScoresFlatVector(t *testing.T) {
 	zs := ZScores([]float64{5, 5, 5})
 	for i, z := range zs {
