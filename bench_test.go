@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"testing"
@@ -423,6 +424,71 @@ func (c *stageOneCtx) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// BenchmarkF4_ClusterWarm times a paper-scale boot's trees: the repo
+// benchmark's four panes (paperFixture's first four, 6,000 rows × 37, 27,
+// 12 and 33 experiments) clustered by Server.WarmTrees, GOMAXPROCS builds
+// at a time, on a fresh server and a collected heap each iteration, as a
+// daemon warms once at boot. Besides B/op it reports
+// peak-MB, the largest /memory/classes/heap/objects:bytes sampled each
+// millisecond over the iterations (live objects and garbage not yet swept,
+// which is what a build's transient costs the process), and base-MB, the
+// same reading after a collection before the first: the heap no build
+// has touched. A 6,000-row build's square is 288 MB.
+func BenchmarkF4_ClusterWarm(b *testing.B) {
+	dss := paperFixture()[:4]
+	for i, exps := range []int{37, 27, 12, 33} {
+		if dss[i].NumGenes() != paperGenes || dss[i].NumExperiments() != exps {
+			b.Fatalf("pane %d is %d x %d, want %d x %d: the fixture spec moved", i, dss[i].NumGenes(), dss[i].NumExperiments(), paperGenes, exps)
+		}
+	}
+	engine, err := spell.NewEngine(dss)
+	if err != nil {
+		b.Fatal(err)
+	}
+	heap := []metrics.Sample{{Name: "/memory/classes/heap/objects:bytes"}}
+	read := func() uint64 {
+		metrics.Read(heap)
+		return heap[0].Value.Uint64()
+	}
+	runtime.GC()
+	base, peak := read(), uint64(0)
+	stop, sampled := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sampled)
+		tick := time.NewTicker(time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				peak = max(peak, read())
+			}
+		}
+	}()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // a boot warms once: no earlier warm's garbage
+		b.StartTimer()
+		srv, err := server.New(server.Config{Engine: engine, RawDatasets: dss})
+		if err != nil {
+			b.Fatal(err)
+		}
+		err = srv.WarmTrees(context.Background())
+		srv.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	close(stop)
+	<-sampled
+	b.ReportMetric(float64(peak)/1e6, "peak-MB")
+	b.ReportMetric(float64(base)/1e6, "base-MB")
 }
 
 // BenchmarkF4_ClusterReference runs the identical workload through the

@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"reflect"
@@ -11,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"forestview/internal/tilecorr"
 )
 
 // allLinkages enumerates every supported linkage for the parity sweeps.
@@ -410,4 +415,107 @@ func TestNNChainAllInfFallback(t *testing.T) {
 			t.Fatalf("%v: merges %v, want %v", linkage, tree.Merges, want)
 		}
 	}
+}
+
+// compactionRows is 720 rows of 16 columns for the chain's compaction,
+// which repacks the live slots at 360, 180 and 90 of them: every pair
+// shares the last four columns, so the only exact ties are the planted
+// ones. Among the rows are 60 rows missing 11 of their cells, 5% missing
+// cells elsewhere, 60 exact copies of other rows (ties at height 0), 20
+// rows with a +Inf or -Inf cell and a tail of 100 rows of +Inf only. The
+// last two kinds are at the maximum distance, 2, from every row, so the
+// tree's last 120 merges are tied at 2 and run across the last compaction.
+func compactionRows() [][]float64 {
+	const n, dim, tail = 720, 16, 100
+	rng := rand.New(rand.NewSource(45))
+	rows := noisyRows(45, n, dim, 0)
+	for i, row := range rows[:n-tail] {
+		if i%12 == 0 {
+			keep := rng.Intn(dim - 4)
+			for j := range row[:dim-4] {
+				if j != keep {
+					row[j] = math.NaN()
+				}
+			}
+			continue
+		}
+		for j := range row[:dim-4] {
+			if rng.Float64() < 0.05 {
+				row[j] = math.NaN()
+			}
+		}
+	}
+	for k := 0; k < 60; k++ {
+		copy(rows[rng.Intn(n-tail)], rows[rng.Intn(n-tail)])
+	}
+	for k := 0; k < 20; k++ {
+		rows[rng.Intn(n-tail)][dim-1] = math.Inf(1 - 2*(k%2))
+	}
+	for _, row := range rows[n-tail:] {
+		for j := range row {
+			row[j] = math.Inf(1)
+		}
+	}
+	return rows
+}
+
+// TestNNChainGoldenParityCompaction holds trees built across compactions to
+// the reference, under every linkage: heights within 1e-12, and the same
+// Cut(k) wherever k's boundary is not a tie. (requireTreeParity's cut at
+// every k costs seconds at this size.) The digest, taken as
+// TestTreeBitsPaperShape's over the three kernel trees, was recorded before
+// the chain compacted: compaction moved no bit of them.
+func TestNNChainGoldenParityCompaction(t *testing.T) {
+	want := map[string]string{
+		"avx2-fma": "014864c44db859c780af62ec19ef1b3de332d9329db195b2e2ad18fc9a746add",
+		"go":       "1a3753d9ff8c064c3c4f4101ce9aa3bf8b0fdd6d7506fa52f0b6ad9a9dada740",
+	}
+	rows := compactionRows()
+	n := len(rows)
+	underEachDot(t, func(t *testing.T) {
+		h := sha256.New()
+		var buf [24]byte
+		for _, linkage := range allLinkages {
+			ref, err := ReferenceHierarchical(rows, linkage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			for i := range ref.Merges {
+				if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
+					t.Fatalf("%v: merge %d height: reference %v vs kernel %v", linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
+				}
+			}
+			cuts := 0
+			for _, k := range []int{2, 121, 122, 130, 200, 300, 400, 500, 600, 700} {
+				if ref.Merges[n-k].Height-ref.Merges[n-k-1].Height <= 2e-12 {
+					continue // a tie: which merge Cut suppresses is tie order
+				}
+				want, err1 := ref.Cut(k)
+				have, err2 := got.Cut(k)
+				if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
+					t.Fatalf("%v: Cut(%d) differs from the reference (errs %v, %v)", linkage, k, err1, err2)
+				}
+				cuts++
+			}
+			if cuts < 5 {
+				t.Fatalf("%v: only %d cuts at untied boundaries", linkage, cuts)
+			}
+			for _, m := range got.Merges {
+				binary.LittleEndian.PutUint64(buf[0:], uint64(m.A))
+				binary.LittleEndian.PutUint64(buf[8:], uint64(m.B))
+				binary.LittleEndian.PutUint64(buf[16:], math.Float64bits(m.Height))
+				h.Write(buf[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != want[tilecorr.KernelName()] {
+			t.Fatalf("kernel trees digest %s, want %s: some merge moved a bit", got, want[tilecorr.KernelName()])
+		}
+	})
 }

@@ -119,19 +119,22 @@ func TestOptimizeLeafOrderEdgeCases(t *testing.T) {
 	}
 }
 
+// TestOrderQuality: two tight pairs, each anti-correlated with the other,
+// score 1/3 kept apart (junctions +1, -1, +1) and -1 interleaved (three
+// -1 junctions), so the worse order scores strictly lower.
 func TestOrderQuality(t *testing.T) {
 	rows := [][]float64{
-		{1, 2, 3},
-		{1.1, 2.1, 3.1},
-		{3, 2, 1},
+		{1, 2, 3}, {2, 4, 6}, // pair A: r = 1
+		{3, 2, 1}, {6, 4, 2}, // pair B: r = 1, and r = -1 against A
 	}
-	// Order [0,1,2]: junctions (0,1) similar, (1,2) anti — mean ≈ (1 + -1)/2.
-	good := OrderQuality(rows, []int{0, 2, 1})
-	bad := OrderQuality(rows, []int{0, 1, 2})
-	_ = bad
-	// Putting the anti-correlated row in the middle is worse than at the
-	// end for this metric? Both have one good and one bad junction; use a
-	// cleaner assertion: the identity on identical rows scores 1.
+	apart := OrderQuality(rows, []int{0, 1, 2, 3})
+	interleaved := OrderQuality(rows, []int{0, 2, 1, 3})
+	if apart != 1.0/3 || interleaved != -1 {
+		t.Fatalf("pairs apart score %v, interleaved %v; want 1/3 and -1", apart, interleaved)
+	}
+	if !(interleaved < apart) {
+		t.Fatalf("interleaved pairs score %v, not below %v apart", interleaved, apart)
+	}
 	same := [][]float64{{1, 2, 3}, {2, 4, 6}, {3, 6, 9}}
 	if q := OrderQuality(same, []int{0, 1, 2}); q < 0.999 {
 		t.Fatalf("colinear rows quality = %v", q)
@@ -139,7 +142,6 @@ func TestOrderQuality(t *testing.T) {
 	if q := OrderQuality(rows, []int{0}); !isNaN(q) {
 		t.Fatal("single-row quality should be NaN")
 	}
-	_ = good
 }
 
 func isNaN(f float64) bool { return f != f }

@@ -27,8 +27,10 @@ import (
 //   - at most GOMAXPROCS builds run at once, whoever asked (warm, or every
 //     pane of a cold daemon touched together): a build holds an n²
 //     distance matrix — 288 MB for 6,000 rows — while it agglomerates on one
-//     core, so more builds than cores add peak heap and no speed. A build is
-//     a Run on the cache's own Pool, waiting under the flight's context.
+//     core, and hands it to the next build when it ends, so panes of one
+//     size hold at most GOMAXPROCS matrices between them; more builds than
+//     cores would add peak heap and no speed. A build is a Run on the
+//     cache's own Pool, waiting under the flight's context.
 //
 // Counters are surfaced under tree_cache in /api/stats.
 type treeCache struct {
