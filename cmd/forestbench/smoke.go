@@ -164,7 +164,7 @@ func newFleetTopology(name string, nShards, repl, nDatasets int, coordCacheBytes
 	}
 	fleet, err := fleettest.New(fleettest.Spec[*server.Server]{
 		Datasets: dss, Shards: nShards, Replication: repl,
-		Coordinator: shard.Config{Retry: true, Client: scatterClient},
+		Coordinator: shard.Config{Client: scatterClient},
 		Boot: func(m fleettest.Member) (*server.Server, error) {
 			return server.New(server.Config{
 				Engine: m.Engine, Enricher: enricher,

@@ -248,7 +248,6 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			Shards:      cfg.shards,
 			Replication: repl,
 			Deadline:    cfg.shardDeadline,
-			Retry:       true, // one extra attempt a group once every replica failed
 		})
 		if err != nil {
 			return nil, err

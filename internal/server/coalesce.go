@@ -33,7 +33,8 @@ type flightCall struct {
 // reports that this caller waited on another's flight. A caller whose ctx
 // is done starts nothing; a joiner waits only while its ctx lives; the
 // leader runs fn, which must honor the flight's context, on its own
-// goroutine, and its ctx ending only drops its interest.
+// goroutine, and its ctx ending only drops its interest. A caller whose ctx
+// ended answers its context's error, however the flight ended.
 func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (val any, err error, joined bool) {
 	if err := ctx.Err(); err != nil {
 		return nil, err, false
@@ -50,6 +51,9 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 	}
 	defer context.AfterFunc(ctx, func() { g.leave(key, c) })()
 	g.run(key, c, fn)
+	if err := ctx.Err(); err != nil {
+		return nil, err, false
+	}
 	return c.val, c.err, false
 }
 

@@ -238,11 +238,12 @@ type drainResponse struct {
 }
 
 // handleShardDrain serves POST /api/shard/v1/admin/drain: flip into the
-// draining state — one way, advertised in /api/shard/v1/info and /api/stats,
-// which demotes this shard to last resort in the coordinator's replica
-// ordering — and fire OnDrained, once, so the daemon can exit through its
-// graceful shutdown; the shard keeps serving until that ends. A request body
-// is accepted and ignored, and a repeated drain answers the same.
+// draining state — one way, reported for operators in /api/shard/v1/info and
+// /api/stats; no coordinator reads it, and only the fleet admin's "drain"
+// (Coordinator.SetDraining) demotes a replica — and fire OnDrained, once, so
+// the daemon can exit through its graceful shutdown; the shard keeps serving
+// until that ends. A request body is accepted and ignored, and a repeated
+// drain answers the same.
 func (s *Server) handleShardDrain(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST to drain this shard")

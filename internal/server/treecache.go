@@ -43,6 +43,8 @@ type treeCache struct {
 	builds   atomic.Int64 // kernel builds that completed
 	failures atomic.Int64 // builds that failed for non-context reasons
 	buildNS  atomic.Int64 // summed successful build wall time
+
+	hook func() // nil but in tests: runs in a build's slot before the kernel
 }
 
 // pane is one heatmap pane, and the place its tree is kept.
@@ -91,6 +93,9 @@ func (tc *treeCache) get(ctx context.Context, idx int) (*core.ClusteredDataset, 
 // one for as long as ctx lives.
 func (tc *treeCache) build(ctx context.Context, raw *microarray.Dataset) (*core.ClusteredDataset, error) {
 	v, err := tc.pool.Run(ctx, func() (any, error) {
+		if tc.hook != nil {
+			tc.hook()
+		}
 		t0 := time.Now()
 		cd, err := core.ClusterCtx(ctx, raw, tc.opt)
 		switch {

@@ -453,7 +453,9 @@ func TestRawPaneIsCallersMatrix(t *testing.T) {
 // TestTreeCacheBoundsConcurrentBuilds: 3 × GOMAXPROCS cold panes touched at
 // once — as a booting daemon's first screenful does — cluster at most
 // GOMAXPROCS at a time, each exactly once; and a leader whose client hangs up
-// while it waits for a build slot takes none. Run with -race.
+// while it waits for a build slot takes none. The builds are held in their
+// slots on a gate the test opens, so every state it checks is one it waited
+// for. Run with -race.
 func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	procs := runtime.GOMAXPROCS(0)
 	u := synth.NewUniverse(700, 8, 41)
@@ -464,23 +466,19 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	tc := newTreeCache(pearsonAverage, nil, panes)
 	last := 3 * procs // the pane whose leader gives up waiting
 
+	// Each build reads the gauge from inside its slot: the builds the gate
+	// holds keep theirs, so the last of them to start reads the peak.
+	gate := make(chan struct{})
 	var peak atomic.Int64
-	watched := make(chan struct{})
-	stopWatch := make(chan struct{})
-	go func() {
-		defer close(watched)
-		for {
-			if b := int64(tc.snapshot().Building); b > peak.Load() {
-				peak.Store(b)
-			}
-			select {
-			case <-stopWatch:
-				return
-			default:
-				runtime.Gosched()
+	tc.hook = func() {
+		for b := int64(tc.snapshot().Building); ; {
+			p := peak.Load()
+			if b <= p || peak.CompareAndSwap(p, b) {
+				break
 			}
 		}
-	}()
+		<-gate
+	}
 
 	var wg sync.WaitGroup
 	for i := 0; i < last; i++ {
@@ -492,27 +490,28 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 			}
 		}(i)
 	}
+	queued := int64(last - procs)
+	waitUntil(t, "every slot held and the other builds queued", func() bool {
+		return tc.pool.Running() == procs && tc.pool.waiting.Load() == queued
+	})
 	// With every slot taken, a leader that is cancelled while it waits
 	// returns its context's error and leaves the pane buildable.
-	for tc.pool.Running() < procs {
-		runtime.Gosched()
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	waiter := make(chan error, 1)
 	go func() {
 		_, err := tc.get(ctx, last)
 		waiter <- err
 	}()
+	waitUntil(t, "the last leader queued for a slot", func() bool { return tc.pool.waiting.Load() == queued+1 })
 	cancel()
 	if err := <-waiter; err != context.Canceled {
 		t.Fatalf("leader cancelled waiting for a slot: err = %v, want context.Canceled", err)
 	}
+	close(gate)
 	wg.Wait()
-	close(stopWatch)
-	<-watched
 
-	if p := peak.Load(); p > int64(procs) || p == 0 {
-		t.Fatalf("building gauge peaked at %d, want 1..GOMAXPROCS (%d)", p, procs)
+	if p := peak.Load(); p != int64(procs) {
+		t.Fatalf("building gauge peaked at %d, want GOMAXPROCS (%d)", p, procs)
 	}
 	info := tc.snapshot()
 	if info.Builds != int64(last) || info.Built != last || info.Building != 0 {
@@ -520,5 +519,16 @@ func TestTreeCacheBoundsConcurrentBuilds(t *testing.T) {
 	}
 	if cd, err := tc.get(context.Background(), last); err != nil || cd == nil {
 		t.Fatalf("the cancelled leader's pane did not build afterwards: %v", err)
+	}
+}
+
+// waitUntil polls cond until it holds, and fails the test naming what it
+// waited for if that takes more than 10 s.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("waited 10 s for %s", what)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // This file is the attempt discipline of a scatter: the per-replica
 // bookkeeping around each backend call (counters, in-flight gauge, circuit
-// breaker), replica ordering, and fetchGroups' per-group candidate walks
-// (failover, last-resort retry, scavenge) batched into per-shard requests.
+// breaker), replica ordering, and fetchGroups' one candidate walk per group
+// (failover, the forced step, scavenge) batched into per-shard requests.
 
 // shardCounters is one backend's cumulative scatter accounting, plus its
 // circuit breaker (per-replica state lives with per-replica counters).
@@ -126,8 +126,9 @@ type part[P any] struct {
 }
 
 // requestFn is one endpoint-specific shard request for a set of catalog
-// groups: it returns the decoded, validated answer cut into parts. A group
-// of the request that no part serves got nothing from this shard.
+// groups: it returns the decoded, validated answer cut into parts, which
+// serve every group of the request (split refuses an answer that leaves
+// one out).
 type requestFn[P any] func(ctx context.Context, shard string, groups []int) ([]part[P], error)
 
 // request runs one shard request inside its bookkeeping — the in-flight
@@ -162,17 +163,14 @@ func (g *groupResult[P]) complete() bool { return g.payload != nil && g.missing 
 type groupWalk[P any] struct {
 	groupResult[P]
 	// cands is the ordered candidate walk: the group's replicas
-	// (orderReplicas: p2c primary first, draining last), then every other
-	// fleet member; next is the walk's position, owners how many of cands
-	// are replicas.
+	// (orderReplicas: p2c primary first, draining last), the primary once
+	// more (the forced step, at cands[owners]), then every other fleet
+	// member. next is the walk's position; fails counts the failed scavenge
+	// attempts behind the growing backoff.
 	cands  []string
 	owners int
 	next   int
-	// launched: some request has carried the group. retried: the
-	// last-resort retry is spent. scavenging: the walk has left the owners;
-	// fails counts the failed scavenge attempts behind the growing backoff.
-	launched, retried, scavenging bool
-	fails                         int
+	fails  int
 }
 
 // fetchGroups runs the attempt discipline of every ownership group of one
@@ -183,15 +181,23 @@ type groupWalk[P any] struct {
 // settles the groups it serves while the rest move on at once — there is no
 // barrier between shards or between rounds.
 //
-// A group's candidates form one ordered walk: its replicas, then every
-// other fleet member. A candidate whose breaker is open is skipped
-// (counted); each candidate is tried at most once by the walk. The primary
-// goes first; an error, or an answer that leaves the group incomplete, fails
-// it over to the next replica. If every replica's breaker refused admission,
-// the primary is probed anyway — the availability floor. If every replica
-// failed outright, Retry grants the primary one extra attempt after a
-// jittered backoff, forced through its breaker as a probe: there is nowhere
-// else to send the group.
+// A group's candidates form one ordered walk, and a step's role follows
+// from its position in it:
+//   - the replicas, primary first. A candidate whose breaker is open is
+//     skipped (counted); an error, or an answer that leaves the group
+//     incomplete, fails the group over to the next replica.
+//   - the primary once more, forced through its breaker as a probe: there
+//     is nowhere else to send the group. If no replica was admitted it is
+//     the availability floor and goes at once; if every replica failed
+//     outright it is the last-resort retry, after a jittered backoff. A
+//     group some replica answered in part skips it.
+//   - every other fleet member: scavenge, one candidate at a time, with a
+//     growing backoff after failures, while coverage is still incomplete
+//     (which consistent placement never leaves it). After a membership
+//     change without a data re-sync the other shards may still hold the
+//     group's datasets from their boot-time assignment, and for enrichment
+//     any capable shard can serve any slice. These answers are cheap and
+//     empty in the common case; the best answer wins.
 //
 // One group, one attempt at a time: a group is carried by at most one
 // request or held by one backoff timer, and its next attempt is launched
@@ -202,14 +208,6 @@ type groupWalk[P any] struct {
 // never answers: each attempt on it waits out the Deadline before failing
 // over, until breakerThreshold such failures open its breaker and the walk
 // skips it.
-//
-// Only when coverage is still incomplete — which consistent placement never
-// triggers — does the walk continue past the replicas, one candidate at a
-// time, with a growing backoff after failures: after a membership change
-// without a data re-sync the other shards may still hold the group's
-// datasets from their boot-time assignment (and for enrichment any capable
-// shard can serve any slice). These scavenge answers are cheap and empty in
-// the common case. The best answer wins.
 //
 // The failover, retry and breaker-skip counters count groups, as they did
 // when every group travelled alone; requests counts what went over the
@@ -224,8 +222,9 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		w := &walks[gi]
 		w.cands = c.orderReplicas(owners)
 		w.owners = len(w.cands)
+		w.cands = append(w.cands, w.cands[0])
 		for _, s := range shards {
-			if !slices.Contains(w.cands[:w.owners], s) {
+			if !slices.Contains(owners, s) {
 				w.cands = append(w.cands, s)
 			}
 		}
@@ -263,7 +262,6 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 	type verdict struct{ ok, probe bool }
 	admitted := map[string]verdict{}
 	enqueue := func(gi int, shard string, probe bool) {
-		walks[gi].launched = true
 		for i := range batch {
 			if batch[i].shard == shard {
 				batch[i].groups = append(batch[i].groups, gi)
@@ -284,30 +282,6 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		batch = batch[:0]
 		clear(admitted)
 	}
-	// admit advances a group's walk to the next candidate before limit whose
-	// breaker admits an attempt.
-	admit := func(w *groupWalk[P], limit int) (shard string, probe, ok bool) {
-		for w.next < limit && ctx.Err() == nil {
-			s := w.cands[w.next]
-			w.next++
-			v, seen := admitted[s]
-			if !seen {
-				v.ok, v.probe = c.breakerAllow(s, false)
-				admitted[s] = v
-			}
-			if v.ok {
-				return s, v.probe, true
-			}
-			c.counterFor(s).breakerSkips.Add(1)
-		}
-		return "", false, false
-	}
-	// force sends a group to its primary through the breaker, as a probe.
-	force := func(gi int) {
-		s := walks[gi].cands[0]
-		_, probe := c.breakerAllow(s, true)
-		enqueue(gi, s, probe)
-	}
 	// after holds a group's next attempt, then, back for d; then runs on
 	// this goroutine, unless the scatter ends first.
 	after := func(d time.Duration, then func()) {
@@ -321,53 +295,64 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 		}()
 	}
 
-	// advance gives an unsettled group its next attempt, if it is due one.
-	// It runs only while no request carries the group and no timer holds it.
+	// advance walks an unsettled group on to its next attempt, if it has
+	// one. It runs only while no request carries the group and no timer
+	// holds it. An attempt leaves the group an error or a payload, so a
+	// group with neither has never been carried.
 	advance := func(gi int) {
 		w := &walks[gi]
-		if w.complete() || ctx.Err() != nil {
-			return
-		}
-		if !w.scavenging {
-			if s, probe, ok := admit(w, w.owners); ok {
-				if w.launched {
-					c.counterFor(s).failovers.Add(1)
+		for w.next < len(w.cands) && !w.complete() && ctx.Err() == nil {
+			i, s := w.next, w.cands[w.next]
+			w.next++
+			sc := c.counterFor(s)
+			var wait time.Duration
+			var attempt func()
+			if i == w.owners {
+				if w.payload != nil {
+					continue // answered in part: scavenge, don't re-ask
 				}
-				enqueue(gi, s, probe)
-				return
+				retry := w.err != nil // else the floor: no replica was admitted
+				if retry {
+					wait = retryBackoff.Delay(0, rand.Float64)
+				}
+				attempt = func() {
+					if retry {
+						sc.retries.Add(1)
+					}
+					_, probe := c.breakerAllow(s, true)
+					enqueue(gi, s, probe)
+				}
+			} else {
+				// The breaker decides, once per shard and batch. Scavenging
+				// is speculative, so a shard known to be sick is not worth
+				// the attempt deadline there either.
+				v, seen := admitted[s]
+				if !seen {
+					v.ok, v.probe = c.breakerAllow(s, false)
+					admitted[s] = v
+				}
+				if !v.ok {
+					sc.breakerSkips.Add(1)
+					continue
+				}
+				if i > w.owners && w.fails > 0 {
+					wait = retryBackoff.Delay(w.fails-1, rand.Float64)
+				}
+				failover := w.err != nil || w.payload != nil
+				attempt = func() {
+					if failover {
+						sc.failovers.Add(1)
+					}
+					enqueue(gi, s, v.probe)
+				}
 			}
-			if !w.launched && w.owners > 0 && ctx.Err() == nil {
-				// Availability floor: every replica's breaker refused
-				// admission. Force a half-open probe of the primary rather
-				// than fail the group without a single attempt.
-				force(gi)
-				return
+			if wait > 0 {
+				after(wait, attempt)
+			} else {
+				attempt()
 			}
-		}
-		if w.payload == nil && c.cfg.Retry && !w.retried && w.owners > 0 && !w.scavenging {
-			w.retried = true
-			after(retryBackoff.Delay(0, rand.Float64), func() {
-				c.counterFor(w.cands[0]).retries.Add(1)
-				force(gi)
-			})
 			return
 		}
-		// Scavenging is speculative, so a shard known to be sick (open
-		// breaker) is not worth the attempt deadline: admit skips it.
-		w.scavenging = true
-		s, probe, ok := admit(w, len(w.cands))
-		if !ok {
-			return
-		}
-		scavenge := func() {
-			c.counterFor(s).failovers.Add(1)
-			enqueue(gi, s, probe)
-		}
-		if w.fails > 0 {
-			after(retryBackoff.Delay(w.fails-1, rand.Float64), scavenge)
-			return
-		}
-		scavenge()
 	}
 
 	for gi := range walks {
@@ -389,7 +374,7 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				if w.err == nil {
 					w.err = fmt.Errorf("%s: %w", ev.shard, ev.err)
 				}
-				if w.scavenging {
+				if w.next > w.owners+1 {
 					w.fails++
 				}
 			}

@@ -76,7 +76,7 @@ func TestScatterBatchedParity(t *testing.T) {
 			t.Run(fmt.Sprintf("shards=%d/r=%d", n, r), func(t *testing.T) {
 				f := newScatterFixtureN(t, n, r, 24)
 				asks := f.logAsks()
-				c, _ := f.start(t, Config{Deadline: 5 * time.Second, Replication: r, Retry: true})
+				c, _ := f.start(t, Config{Deadline: 5 * time.Second, Replication: r})
 				for _, opt := range []spell.Options{{IncludeQuery: true, MaxGenes: 30}, {UniformWeights: true}} {
 					got, meta, err := c.SearchCtx(context.Background(), f.query, opt)
 					if err != nil {
@@ -269,7 +269,7 @@ func TestScatterUniformSecondRound(t *testing.T) {
 			}
 		}
 	}
-	c, _ := f.start(t, Config{Deadline: 5 * time.Second, Replication: 2, Retry: true})
+	c, _ := f.start(t, Config{Deadline: 5 * time.Second, Replication: 2})
 	// Not IncludeQuery: each query gene correlates only with itself there,
 	// they tie at exactly 1, and Merge orders exact ties by ID.
 	opt := spell.Options{MaxGenes: 40}

@@ -18,7 +18,7 @@ import (
 //	            longer window.
 //
 // The scatter keeps an availability floor above the breaker: when a group
-// has *no* admitted replica, fetchGroups forces a probe of the primary
+// has *no* admitted replica, fetchGroups' forced step probes the primary
 // rather than fail the group without trying (allow with lastResort=true).
 // A canceled attempt (the caller hung up) never counts — see
 // breakerObserve.

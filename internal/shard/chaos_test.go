@@ -26,8 +26,9 @@ func TestScatterChaosZeroDegraded(t *testing.T) {
 	f := newScatterFixtureR(t, 3, 2)
 	inj := faultline.New(20260808)
 	c, servers := f.start(t, Config{
-		Deadline: 2 * time.Second,
-		Client:   &http.Client{Transport: inj.Wrap(nil)},
+		Deadline:    2 * time.Second,
+		Replication: 2,
+		Client:      &http.Client{Transport: inj.Wrap(nil)},
 	})
 	host := func(i int) string { return strings.TrimPrefix(servers[i].URL, "http://") }
 	inj.SetRules(
@@ -89,7 +90,7 @@ func TestTruncatedAnswerFailsOver(t *testing.T) {
 	f := newScatterFixtureR(t, 3, 2)
 	sel := f.withEnrichers(t, 7)
 	inj := faultline.New(1)
-	c, servers := f.start(t, Config{Deadline: 2 * time.Second, Client: &http.Client{Transport: inj.Wrap(nil)}})
+	c, servers := f.start(t, Config{Deadline: 2 * time.Second, Replication: 2, Client: &http.Client{Transport: inj.Wrap(nil)}})
 	cut := strings.TrimPrefix(servers[1].URL, "http://")
 	inj.SetRules(faultline.Rule{Host: cut, Every: 1, Kinds: []faultline.Kind{faultline.Truncate}})
 

@@ -57,11 +57,9 @@ type Config struct {
 	// cannot answer within it is treated as failed for this query — the
 	// attempt fails over to the next replica rather than waiting.
 	Deadline time.Duration
-	// Retry gives each ownership group one extra attempt (against its
-	// primary replica, with a fresh deadline) after every replica failed.
-	// forestviewd always sets it; it stays a field only because
-	// bench/topology.go sets it too and the policy ablation that could
-	// retire it waits on that (ROADMAP items 1(c), 8).
+	// Retry is ignored: a group whose replicas all failed outright always
+	// gets its primary once more (fetchGroups' forced step). It stays a
+	// field only because bench/topology.go sets it (ROADMAP item 1(c)).
 	Retry bool
 }
 
@@ -101,10 +99,10 @@ type Coordinator struct {
 	// uniform accumulator pair (see SearchCtx).
 	uniformRounds atomic.Int64
 
-	// draining marks replicas an operator (or the shard's own info
-	// status) has flagged as leaving: orderReplicas demotes them to
-	// last-resort so planned maintenance drains query load before the
-	// membership bump. Keyed by identity; no generation semantics — a
+	// draining marks replicas an operator has flagged as leaving (the
+	// shards' own advertised status is not read): orderReplicas demotes
+	// them to the back so planned maintenance drains query load before
+	// the membership bump. Keyed by identity; no generation semantics — a
 	// mark survives until cleared (undrain, re-add, or remove).
 	draining sync.Map // shard identity -> struct{}
 

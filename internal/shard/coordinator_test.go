@@ -423,6 +423,48 @@ func TestScatterMembershipElasticity(t *testing.T) {
 	}
 }
 
+// TestScatterScavengesMembershipDrift: at R=1 the coordinator lists a
+// member that joined without its data, so the datasets placement gives it
+// are still held only by their old owner. The member answers its group
+// empty, the walk scavenges past it to the old owner, and every merge stays
+// whole at golden parity. A walk cut at the replicas degrades it.
+func TestScatterScavengesMembershipDrift(t *testing.T) {
+	f := newScatterFixtureR(t, 2, 1)
+	// shard-0 is the old fleet of one: it still holds the whole compendium.
+	all := make([]int, len(f.dss))
+	g2l := make(map[int]int, len(f.dss))
+	for i := range all {
+		all[i], g2l[i] = i, i
+	}
+	f.shards[0] = &testShard{engine: f.full, global: all, g2l: g2l, allIDs: f.ids}
+	// shard-1 joined empty: it answers for none of its placement.
+	f.shards[1].disown = map[int]bool{}
+	for _, gi := range f.shards[1].global {
+		f.shards[1].disown[gi] = true
+	}
+	c, _ := f.start(t, Config{Deadline: 2 * time.Second})
+	opt := spell.Options{IncludeQuery: true, MaxGenes: 30}
+	want, err := f.full.Search(f.query, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		got, meta, err := c.SearchCtx(context.Background(), f.query, opt)
+		if err != nil || meta.Degraded || meta.GroupsOK != meta.GroupsTotal {
+			t.Fatalf("scatter %d over the drifted fleet: %v, meta %+v", i, err, meta)
+		}
+		assertParity(t, got, want)
+	}
+	for _, s := range c.Stats().Shards {
+		if s.Errors != 0 || s.Retries != 0 {
+			t.Fatalf("no attempt failed, yet %s counted %d errors, %d retries", s.Addr, s.Errors, s.Retries)
+		}
+		if s.Addr == f.identities[0] && s.Failovers != 3 {
+			t.Fatalf("the old owner served %d scavenges, want one a scatter: %+v", s.Failovers, s)
+		}
+	}
+}
+
 // TestScatterFailureModes is the coordinator failure-mode table: a flaky
 // shard that times out, serves 5xx, or is dead must degrade the merge
 // (renormalized over the survivors) rather than fail the query; a full
@@ -623,9 +665,9 @@ func oldFrameAnswer(groups []int) []byte {
 	return b
 }
 
-// TestScatterRetryRecovers: with Retry enabled, a shard that fails its
-// first attempt but answers the second yields a full (non-degraded)
-// result, and the retry is counted.
+// TestScatterRetryRecovers: at R=1 a shard that fails its first attempt
+// but answers the second yields a full (non-degraded) result through the
+// walk's forced step, and the retry is counted.
 func TestScatterRetryRecovers(t *testing.T) {
 	f := newScatterFixture(t, 2)
 	f.shards[0].behave = func(n int64, w http.ResponseWriter, r *http.Request) bool {
@@ -635,7 +677,7 @@ func TestScatterRetryRecovers(t *testing.T) {
 		}
 		return false
 	}
-	c, _ := f.start(t, Config{Deadline: 2 * time.Second, Retry: true})
+	c, _ := f.start(t, Config{Deadline: 2 * time.Second})
 	_, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
 	if err != nil {
 		t.Fatal(err)

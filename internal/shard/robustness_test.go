@@ -119,7 +119,7 @@ func TestBreakerStateMachine(t *testing.T) {
 // skip the dead shard (breaker_skips) while every merge stays full.
 func TestScatterBreakerOpensOnDeadReplica(t *testing.T) {
 	f := newScatterFixtureR(t, 3, 2)
-	c, servers := f.start(t, Config{Deadline: time.Second})
+	c, servers := f.start(t, Config{Deadline: time.Second, Replication: 2})
 	servers[1].Close()
 
 	for i := 0; i < 12; i++ {
@@ -220,6 +220,35 @@ func TestScatterBlackHoledReplica(t *testing.T) {
 	s := stalledStats()
 	if s.Errors == 0 || s.BreakerTrips == 0 || s.BreakerSkips == 0 || skipped == 0 {
 		t.Fatalf("breaker never tripped and skipped the stalled shard (%d scatters skipped it): %+v", skipped, s)
+	}
+}
+
+// TestScatterFloorProbesOpenBreaker: a group whose every replica's breaker
+// is open is not failed untried. The walk's forced step probes the primary
+// through its breaker at once (the availability floor, which counts no
+// retry), and a shard that has recovered answers it in full.
+func TestScatterFloorProbesOpenBreaker(t *testing.T) {
+	f := newScatterFixture(t, 2) // R=1: each group has one replica
+	c, _ := f.start(t, Config{Deadline: 2 * time.Second})
+	// shard-0's breaker opened on failures that have since cleared, with a
+	// window that outlasts the test.
+	b := &c.counterFor(f.identities[0]).breaker
+	for i := 0; i < breakerThreshold; i++ {
+		b.observe(false, false, time.Now(), breakerThreshold, func(int) time.Duration { return time.Hour })
+	}
+	want, err := f.full.Search(f.query, spell.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, meta, err := c.SearchCtx(context.Background(), f.query, spell.Options{})
+	if err != nil || meta.Degraded {
+		t.Fatalf("scatter past an open breaker: %v, meta %+v", err, meta)
+	}
+	assertParity(t, got, want)
+	for _, s := range c.Stats().Shards {
+		if s.Addr == f.identities[0] && (s.BreakerSkips != 1 || s.Retries != 0 || s.Breaker != "closed") {
+			t.Fatalf("the floor's probe: %+v, want one skip, no retry, a closed breaker", s)
+		}
 	}
 }
 
