@@ -333,9 +333,8 @@ func benchReadPCL(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // F4b — the clustering half of the interactive-heatmap path: the
-// nearest-neighbor-chain kernel vs the retained reference agglomerator,
-// at the paper's dataset scale. Run with GOMAXPROCS=4 for the README
-// before/after table; the acceptance bar is >= 4x at 2000 rows.
+// nearest-neighbor-chain kernel at the paper's dataset scale, timed for the
+// README table (GOMAXPROCS=2).
 
 func clusterBenchRows(nGenes int) [][]float64 {
 	u := synth.NewUniverse(nGenes, 20, 29)
@@ -489,23 +488,6 @@ func BenchmarkF4_ClusterWarm(b *testing.B) {
 	<-sampled
 	b.ReportMetric(float64(peak)/1e6, "peak-MB")
 	b.ReportMetric(float64(base)/1e6, "base-MB")
-}
-
-// BenchmarkF4_ClusterReference runs the identical workload through the
-// retained pre-kernel path (serial distance build, greedy nearest-cache
-// agglomeration) so the NN-chain speedup is measurable within one binary.
-func BenchmarkF4_ClusterReference(b *testing.B) {
-	for _, nGenes := range []int{500, 1000, 2000} {
-		rows := clusterBenchRows(nGenes)
-		b.Run(fmt.Sprintf("genes-%d", nGenes), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := cluster.ReferenceHierarchical(rows, cluster.AverageLinkage); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkF4_PaneRetained reports what a daemon keeps of one raw pane, in

@@ -246,139 +246,3 @@ func (t *Tree) Cut(k int) ([]int, error) {
 	}
 	return out, nil
 }
-
-// ReferenceHierarchical is the pre-kernel clustering path, retained
-// verbatim as the golden standard the nearest-neighbor-chain kernel
-// (HierarchicalCtx, nnchain.go) must match: it computes the full pairwise
-// Pearson distance matrix serially, then performs greedy
-// globally-closest-pair Lance-Williams agglomeration with a
-// nearest-neighbour cache. The parity tests in nnchain_test.go hold the
-// kernel to this tree (heights within 1e-12, identical Cut partitions) on
-// random, tied and NaN-bearing inputs.
-func ReferenceHierarchical(rows [][]float64, linkage Linkage) (*Tree, error) {
-	n := len(rows)
-	if n == 0 {
-		return nil, errors.New("cluster: no rows")
-	}
-	t := &Tree{NLeaves: n}
-	if n == 1 {
-		return t, nil
-	}
-	// Condensed distance matrix d[i][j] for j<i stored in flat triangular
-	// layout to halve memory at paper scale.
-	dist := newTriMatrix(n)
-	for i := 1; i < n; i++ {
-		for j := 0; j < i; j++ {
-			dist.set(i, j, distance(rows[i], rows[j]))
-		}
-	}
-	return agglomerate(n, dist, linkage), nil
-}
-
-// triMatrix is a flat lower-triangular matrix (i>j), the reference path's.
-type triMatrix struct {
-	n int
-	v []float64
-}
-
-func newTriMatrix(n int) *triMatrix {
-	return &triMatrix{n: n, v: make([]float64, n*(n-1)/2)}
-}
-
-func (m *triMatrix) idx(i, j int) int {
-	if i < j {
-		i, j = j, i
-	}
-	return i*(i-1)/2 + j
-}
-
-func (m *triMatrix) at(i, j int) float64     { return m.v[m.idx(i, j)] }
-func (m *triMatrix) set(i, j int, d float64) { m.v[m.idx(i, j)] = d }
-
-// agglomerate runs generic Lance-Williams agglomeration over an existing
-// triangular distance matrix. Cluster slots are reused: after merging a and
-// b (a<b as slots), the merged cluster lives in slot a and slot b dies.
-func agglomerate(n int, dist *triMatrix, linkage Linkage) *Tree {
-	t := &Tree{NLeaves: n, Merges: make([]Merge, 0, n-1)}
-	active := make([]bool, n)
-	size := make([]int, n)   // cluster sizes for average linkage
-	nodeOf := make([]int, n) // tree node ID currently held by each slot
-	for i := 0; i < n; i++ {
-		active[i] = true
-		size[i] = 1
-		nodeOf[i] = i
-	}
-	// nearest[i] caches the current best neighbour of slot i to cut the
-	// O(n³) naive scan down to ~O(n²) in practice.
-	nearest := make([]int, n)
-	nearDist := make([]float64, n)
-	recomputeNearest := func(i int) {
-		nearest[i] = -1
-		nearDist[i] = math.Inf(1)
-		for j := 0; j < n; j++ {
-			if j == i || !active[j] {
-				continue
-			}
-			if d := dist.at(i, j); d < nearDist[i] {
-				nearDist[i] = d
-				nearest[i] = j
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		recomputeNearest(i)
-	}
-	for step := 0; step < n-1; step++ {
-		// Find the globally closest active pair via the nearest cache.
-		bi, bd := -1, math.Inf(1)
-		for i := 0; i < n; i++ {
-			if active[i] && nearest[i] >= 0 && nearDist[i] < bd {
-				bd = nearDist[i]
-				bi = i
-			}
-		}
-		a, b := bi, nearest[bi]
-		if a > b {
-			a, b = b, a
-		}
-		t.Merges = append(t.Merges, Merge{A: nodeOf[a], B: nodeOf[b], Height: bd})
-		newNode := n + step
-		// Lance-Williams update of distances from the merged cluster to
-		// every other active cluster; merged cluster occupies slot a.
-		for j := 0; j < n; j++ {
-			if j == a || j == b || !active[j] {
-				continue
-			}
-			da, db := dist.at(a, j), dist.at(b, j)
-			var d float64
-			switch linkage {
-			case AverageLinkage:
-				wa := float64(size[a]) / float64(size[a]+size[b])
-				wb := float64(size[b]) / float64(size[a]+size[b])
-				d = wa*da + wb*db
-			case CompleteLinkage:
-				d = math.Max(da, db)
-			case SingleLinkage:
-				d = math.Min(da, db)
-			}
-			dist.set(a, j, d)
-		}
-		active[b] = false
-		size[a] += size[b]
-		nodeOf[a] = newNode
-		// Refresh nearest caches invalidated by the merge.
-		recomputeNearest(a)
-		for j := 0; j < n; j++ {
-			if !active[j] || j == a {
-				continue
-			}
-			if nearest[j] == a || nearest[j] == b {
-				recomputeNearest(j)
-			} else if d := dist.at(a, j); d < nearDist[j] {
-				nearDist[j] = d
-				nearest[j] = a
-			}
-		}
-	}
-	return t
-}

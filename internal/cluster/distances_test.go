@@ -118,7 +118,7 @@ func TestDistancesMatchMetric(t *testing.T) {
 			}
 		}
 		// The case that fixed the rule: two rows sharing two cells correlate
-		// at exactly ±1 in the reference, among rows that correlate at 0.99….
+		// at exactly ±1 in distance, among rows that correlate at 0.99….
 		// (On these two the one-pass identity lands on 1 − 5.6e-16.)
 		two := [][]float64{
 			{-1.75, 1.75, math.NaN(), math.NaN(), 4, 2},
@@ -133,8 +133,8 @@ func TestDistancesMatchMetric(t *testing.T) {
 	})
 }
 
-// TestTreeParityPaperShape holds the whole kernel to the reference at a size
-// and missing rates the 40-48-row golden fixtures do not reach: every row is
+// TestTreeParityPaperShape certifies the whole kernel's trees at a size and
+// missing rates the 40-48-row golden fixtures do not reach: every row is
 // several tiles from most others, most tiles hold a missing cell, and at 15%
 // missing nearly every pair is corrected.
 func TestTreeParityPaperShape(t *testing.T) {
@@ -142,30 +142,11 @@ func TestTreeParityPaperShape(t *testing.T) {
 		for _, missing := range []float64{0.02, 0.15} {
 			rows := noisyRows(600, 600, 24, missing)
 			for _, linkage := range allLinkages {
-				ref, err := ReferenceHierarchical(rows, linkage)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := got.Validate(); err != nil {
-					t.Fatal(err)
-				}
-				for i := range ref.Merges {
-					if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
-						t.Fatalf("missing %g, %v: merge %d height: reference %v vs kernel %v",
-							missing, linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
-					}
-				}
-				for _, k := range []int{2, 5, 20, 100} {
-					want, err1 := ref.Cut(k)
-					have, err2 := got.Cut(k)
-					if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
-						t.Fatalf("missing %g, %v: Cut(%d) differs from the reference (errs %v, %v)", missing, linkage, k, err1, err2)
-					}
-				}
+				checkTree(t, rows, linkage, got)
 			}
 		}
 	})

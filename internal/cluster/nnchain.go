@@ -13,8 +13,7 @@ import (
 	"forestview/internal/tilecorr"
 )
 
-// This file is the clustering kernel: the exact O(n²) replacement for the
-// O(n³)-worst-case reference path, in two stages.
+// This file is the clustering kernel, O(n²) in two stages.
 //
 // Stage 1 builds the square distance matrix in parallel; the workers write
 // disjoint rows below its diagonal, then mirror them above it — no locks.
@@ -23,10 +22,9 @@ import (
 // rows meets every tile at or below its diagonal in one pass of dot products
 // plus a correction per missing cell — no means, no variances, no NaN checks
 // in the O(n²) loop, whether the rows are complete or not (tileDistances). A
-// pair the one-pass arithmetic cannot settle to the reference's bits where
-// they matter falls back to the exact Pearson distance on the raw rows, so
-// missing-value semantics — and exact ties — are those of the reference
-// path.
+// pair the one-pass arithmetic cannot settle to the exact distance's bits
+// where they matter falls back to the exact Pearson distance on the raw
+// rows, so missing-value semantics — and exact ties — are those of distance.
 //
 // Stage 2 agglomerates by nearest-neighbor chain (Müllner 2011): grow a
 // chain slot → nearest neighbour → ... until two clusters are each other's
@@ -35,15 +33,17 @@ import (
 // used here (single, complete, average) a merge never invalidates the rest
 // of the chain, every reciprocal pair found this way is a merge of the
 // greedy globally-closest-pair algorithm, and merge heights are monotone —
-// so sorting the discovered merges by height reproduces the reference tree
-// exactly (up to the order of tied merges) in O(n²) total time.
+// so the discovered merges sorted by height are a greedy merge sequence,
+// up to how its ties break, in O(n²) total time.
 
 // HierarchicalCtx builds a dendrogram over the rows by Pearson distance
 // (metric must be PearsonDist) and the given linkage: a parallel
 // distance-matrix build followed by exact nearest-neighbor-chain
-// agglomeration. It produces the same tree as ReferenceHierarchical (see the
-// parity tests) at a fraction of the cost; the before/after table in
-// README.md quantifies the gap. Rows must all have one length — the PCL/CDT
+// agglomeration. The tree is a greedy one: replayed in order, each merge
+// joins two clusters at the least distance between any two live clusters
+// and records that distance as its height (the certificate nnchain_test.go
+// checks every tree against); where that least distance is tied, any of
+// the tied pairs may go first. Rows must all have one length — the PCL/CDT
 // readers and Dataset.Validate give no other kind — and any other metric or
 // ragged rows are an error before any matrix is built. Both the distance
 // build and the agglomeration poll ctx and abandon the computation with
@@ -266,8 +266,8 @@ func buildDistances(ctx context.Context, rows [][]float64) (*sqMatrix, error) {
 // The lanes the kernel does not vouch for — two shared cells, a joint subset
 // nearly constant, |r| within 1e-12 of 1 — are the exact distance on the raw
 // rows, bit for bit. Under complete linkage that is structural, not
-// cosmetic: two rows sharing two cells correlate at exactly ±1 in the
-// reference, and a one-pass value an ulp short of it changes which pair
+// cosmetic: two rows sharing two cells correlate at exactly ±1, a distance
+// of exactly 0 or 2, and a one-pass value an ulp off it changes which pair
 // merges at height 0 and with it the tree above (DESIGN.md §3b).
 func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, w, workers int) {
 	const tileRows, blockRows = tilecorr.TileRows, tilecorr.BlockRows
@@ -310,7 +310,7 @@ func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, r
 }
 
 // nnChain agglomerates the square matrix by nearest-neighbor chain and
-// relabels the discovered merges into the reference node-numbering
+// relabels the discovered merges into Tree's node-numbering
 // convention (merges in nondecreasing height order, clusters represented by
 // their smallest leaf). It consumes dist as scratch space.
 //
@@ -426,10 +426,8 @@ func nnChain(ctx context.Context, dist *sqMatrix, linkage Linkage) (*Tree, error
 				}
 			}
 			if best == prev && prev >= 0 {
-				// Reciprocal nearest neighbours: merge b into a with the
-				// same Lance-Williams arithmetic as the reference (bitwise,
-				// for height parity — the hoisted weights evaluate the
-				// identical expression the reference computes per pair).
+				// Reciprocal nearest neighbours: merge b into a by
+				// Lance-Williams, the weights hoisted out of the row.
 				// Dead columns combine to +Inf again (the weights are
 				// positive: no Inf-Inf or 0·Inf makes a NaN).
 				a, b := min(prev, top), max(prev, top)

@@ -5,11 +5,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -38,146 +40,124 @@ func noisyRows(seed int64, n, dim int, nanRate float64) [][]float64 {
 	return rows
 }
 
-// requireTreeParity asserts the kernel tree matches the reference tree:
-// merge heights equal within tol position by position, and identical Cut(k)
-// partitions (modulo cluster label order) for every k whose cut boundary
-// does not fall inside a block of tied heights — inside a tie, which of the
-// equal-height merges Cut suppresses is tie-break order, and both answers
-// are correct partitions of the same dendrogram. When every height is
-// pairwise distinct the merge structure and leaf order must match exactly
-// as well.
-func requireTreeParity(t *testing.T, ref, got *Tree, tol float64, tiesBenign bool) {
+// checkTree holds tree to the certificate of a greedy agglomeration of rows
+// under linkage (certify); an error fails the test.
+func checkTree(t *testing.T, rows [][]float64, linkage Linkage, tree *Tree) {
 	t.Helper()
-	if err := got.Validate(); err != nil {
-		t.Fatalf("kernel tree invalid: %v", err)
+	if err := certify(rows, linkage, tree); err != nil {
+		t.Fatalf("%v: %v", linkage, err)
 	}
-	if got.NLeaves != ref.NLeaves || len(got.Merges) != len(ref.Merges) {
-		t.Fatalf("shape: kernel %d/%d vs reference %d/%d leaves/merges",
-			got.NLeaves, len(got.Merges), ref.NLeaves, len(ref.Merges))
+}
+
+// certify replays a valid tree's merges, in their recorded (height) order,
+// on a Lance-Williams matrix of its own, built from the exact distance, and
+// requires of each that it join two live clusters, that their distance be
+// the least between any two live clusters, and that its height be that
+// distance, both within 1e-12. Every way of breaking a tie passes; a merge
+// of a pair that is not closest, or a height that is not its pair's
+// distance, is the error. Each row's nearest live slot is cached, so a
+// replay costs about n² where a full scan a merge would cost n³.
+func certify(rows [][]float64, linkage Linkage, tree *Tree) error {
+	if err := tree.Validate(); err != nil {
+		return err
 	}
-	for i := range ref.Merges {
-		dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height)
-		if !(dh <= tol) {
-			t.Fatalf("merge %d height: reference %v vs kernel %v (|Δ|=%v > %v)",
-				i, ref.Merges[i].Height, got.Merges[i].Height, dh, tol)
+	n, inf := len(rows), math.Inf(1)
+	if tree.NLeaves != n {
+		return fmt.Errorf("%d leaves for %d rows", tree.NLeaves, n)
+	}
+	d := make([]float64, n*n) // row-major; +Inf on the diagonal and in dead columns
+	for i := range rows {
+		d[i*n+i] = inf
+		for j := 0; j < i; j++ {
+			d[i*n+j] = distance(rows[i], rows[j])
+			d[j*n+i] = d[i*n+j]
 		}
 	}
-	n := ref.NLeaves
-	strict := true
-	for i := 1; i < len(ref.Merges); i++ {
-		if ref.Merges[i].Height-ref.Merges[i-1].Height <= 2*tol {
-			strict = false
-			break
-		}
-	}
-	if strict {
-		for i := range ref.Merges {
-			if ref.Merges[i].A != got.Merges[i].A || ref.Merges[i].B != got.Merges[i].B {
-				t.Fatalf("merge %d children: reference %+v vs kernel %+v",
-					i, ref.Merges[i], got.Merges[i])
+	size, near := make([]int, n), make([]int, n) // 0 once dead; nearest live slot
+	nearest := func(i int) {
+		row := d[i*n : (i+1)*n]
+		near[i] = 0
+		for j, v := range row {
+			if v < row[near[i]] {
+				near[i] = j
 			}
 		}
-		if !reflect.DeepEqual(ref.LeafOrder(), got.LeafOrder()) {
-			t.Fatalf("leaf order differs:\nreference %v\nkernel    %v", ref.LeafOrder(), got.LeafOrder())
+	}
+	slot := make([]int, n+len(tree.Merges)) // node -> its slot, -1 once merged
+	for i := range rows {
+		slot[i], size[i] = i, 1
+		nearest(i)
+	}
+	for s, m := range tree.Merges {
+		a, b := slot[m.A], slot[m.B]
+		if a < 0 || b < 0 {
+			return fmt.Errorf("merge %d joins %d and %d, not both live", s, m.A, m.B)
 		}
-	}
-	if !strict && !tiesBenign {
-		// Heights tied on input the caller has not vouched for: which of
-		// the equal-height merges happens first is tie-break order, and
-		// different orders yield different (equally correct) partitions.
-		// Height parity above is the whole contract here.
-		return
-	}
-	for k := 1; k <= n; k++ {
-		if !strict && k > 1 && k < n {
-			// Cut(k) suppresses the k-1 highest merges: sorted indices
-			// n-k..n-2. Skip k when the kept/suppressed boundary is a tie.
-			if ref.Merges[n-k].Height-ref.Merges[n-k-1].Height <= 2*tol {
+		least := inf
+		for i, sz := range size {
+			if sz > 0 {
+				least = min(least, d[i*n+near[i]])
+			}
+		}
+		h := d[a*n+b]
+		if !(h-least <= 1e-12) {
+			return fmt.Errorf("merge %d joins %d and %d, %v apart, but the closest live clusters are %v apart", s, m.A, m.B, h, least)
+		}
+		if !(math.Abs(m.Height-h) <= 1e-12) {
+			return fmt.Errorf("merge %d records height %v, but %d and %d are %v apart", s, m.Height, m.A, m.B, h)
+		}
+		// The merged cluster takes slot a; slot b dies.
+		for k, sz := range size {
+			if sz == 0 || k == a || k == b {
 				continue
 			}
+			da, db := d[a*n+k], d[b*n+k]
+			v := min(da, db)
+			switch linkage {
+			case AverageLinkage:
+				v = (float64(size[a])*da + float64(size[b])*db) / float64(size[a]+size[b])
+			case CompleteLinkage:
+				v = max(da, db)
+			}
+			d[a*n+k], d[k*n+a], d[k*n+b] = v, v, inf
 		}
-		ra, err1 := ref.Cut(k)
-		ga, err2 := got.Cut(k)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("Cut(%d): reference err=%v, kernel err=%v", k, err1, err2)
-		}
-		if err1 != nil {
-			continue
-		}
-		if !partitionsEqual(ra, ga) {
-			t.Fatalf("Cut(%d) partitions differ:\nreference %v\nkernel    %v", k, ra, ga)
+		d[a*n+b] = inf
+		size[a], size[b] = size[a]+size[b], 0
+		slot[m.A], slot[m.B], slot[n+s] = -1, -1, a
+		nearest(a)
+		for k, sz := range size {
+			if sz == 0 || k == a {
+				continue
+			}
+			if near[k] == a || near[k] == b {
+				nearest(k)
+			} else if d[k*n+a] < d[k*n+near[k]] {
+				near[k] = a
+			}
 		}
 	}
+	return nil
 }
 
-// distinctPairDistances reports whether every pairwise distance is
-// separated from every other by more than 2*tol — the regime in which the
-// agglomeration order is uniquely determined and exact structural parity is
-// well-defined.
-func distinctPairDistances(rows [][]float64, tol float64) bool {
-	var ds []float64
-	for i := 1; i < len(rows); i++ {
-		for j := 0; j < i; j++ {
-			ds = append(ds, distance(rows[i], rows[j]))
-		}
-	}
-	sort.Float64s(ds)
-	for i := 1; i < len(ds); i++ {
-		if ds[i]-ds[i-1] <= 2*tol {
-			return false
-		}
-	}
-	return true
-}
-
-// partitionsEqual reports whether two flat clusterings induce the same
-// partition of the leaves regardless of cluster numbering.
-func partitionsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	ab := make(map[int]int)
-	ba := make(map[int]int)
-	for i := range a {
-		if m, ok := ab[a[i]]; ok && m != b[i] {
-			return false
-		}
-		if m, ok := ba[b[i]]; ok && m != a[i] {
-			return false
-		}
-		ab[a[i]] = b[i]
-		ba[b[i]] = a[i]
-	}
-	return true
-}
-
-// TestNNChainGoldenParityRandom holds the kernel to the reference tree on
-// generic (distance-distinct) random data, across every linkage, with exact
-// structural equality.
+// TestNNChainGoldenParityRandom certifies the kernel's trees of random
+// complete rows, across every linkage.
 func TestNNChainGoldenParityRandom(t *testing.T) {
 	for _, linkage := range allLinkages {
 		for seed := int64(1); seed <= 3; seed++ {
 			rows := noisyRows(seed*100+int64(linkage), 48, 12, 0)
-			if !distinctPairDistances(rows, 1e-12) {
-				continue // tied input; covered by the dedicated ties test
-			}
-			ref, err := ReferenceHierarchical(rows, linkage)
-			if err != nil {
-				t.Fatalf("%v: reference: %v", linkage, err)
-			}
 			got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 			if err != nil {
 				t.Fatalf("%v: kernel: %v", linkage, err)
 			}
-			requireTreeParity(t, ref, got, 1e-12, false)
+			checkTree(t, rows, linkage, got)
 		}
 	}
 }
 
 // TestNNChainGoldenParityNaN is the missing-value regression: NaN-bearing
-// rows must take the pairwise-complete fallback in the kernel and yield the
-// reference tree exactly — no NaN may reach the distance matrix, the merge
-// heights, or the comparisons between them.
+// rows must take the pairwise-complete fallback in the kernel and yield a
+// certified tree — no NaN may reach the distance matrix, the merge heights,
+// or the comparisons between them.
 func TestNNChainGoldenParityNaN(t *testing.T) {
 	for _, linkage := range allLinkages {
 		rows := noisyRows(7+int64(linkage), 40, 10, 0.15)
@@ -189,14 +169,6 @@ func TestNNChainGoldenParityNaN(t *testing.T) {
 		for j := range rows[5] {
 			rows[5][j] = 1.5
 		}
-		// The degenerate rows tie at the maximum distance, but the tied
-		// merges form one transitively-connected block at the top of the
-		// tree, so cuts at unambiguous boundaries stay well-defined: the
-		// benign-ties mode below.
-		ref, err := ReferenceHierarchical(rows, linkage)
-		if err != nil {
-			t.Fatalf("%v: reference: %v", linkage, err)
-		}
 		got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 		if err != nil {
 			t.Fatalf("%v: kernel: %v", linkage, err)
@@ -206,13 +178,13 @@ func TestNNChainGoldenParityNaN(t *testing.T) {
 				t.Fatalf("%v: NaN height at merge %d", linkage, i)
 			}
 		}
-		requireTreeParity(t, ref, got, 1e-12, true)
+		checkTree(t, rows, linkage, got)
 	}
 }
 
 // TestNNChainGoldenParityTies exercises tied distances (duplicate rows,
-// zero distances): heights and Cut partitions must still agree even though
-// tie-break order inside a block of equal-height merges is unspecified.
+// zero distances): whichever tied pair goes first, the tree is certified
+// and the three copies of each profile come back at Cut(3).
 func TestNNChainGoldenParityTies(t *testing.T) {
 	base := [][]float64{
 		{1, 2, 3, 4, 5, 6},
@@ -226,16 +198,11 @@ func TestNNChainGoldenParityTies(t *testing.T) {
 		}
 	}
 	for _, linkage := range allLinkages {
-		ref, err := ReferenceHierarchical(rows, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireTreeParity(t, ref, got, 1e-12, true)
-		// The three-copy blocks must be recovered exactly at k=3.
+		checkTree(t, rows, linkage, got)
 		assign, err := got.Cut(3)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +217,7 @@ func TestNNChainGoldenParityTies(t *testing.T) {
 
 // TestNNChainFromDistanceParity proves the kernel needs nothing of the
 // distance build: exact Pearson distances fed to nnChain as a precomputed
-// matrix must reproduce ReferenceHierarchical.
+// matrix must yield a certified tree.
 func TestNNChainFromDistanceParity(t *testing.T) {
 	rows := noisyRows(99, 30, 8, 0)
 	d := make([][]float64, len(rows))
@@ -263,11 +230,7 @@ func TestNNChainFromDistanceParity(t *testing.T) {
 		}
 	}
 	for _, linkage := range allLinkages {
-		ref, err := ReferenceHierarchical(rows, linkage)
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireTreeParity(t, ref, fromDistance(t, d, linkage), 1e-12, false)
+		checkTree(t, rows, linkage, fromDistance(t, d, linkage))
 	}
 }
 
@@ -459,10 +422,8 @@ func compactionRows() [][]float64 {
 	return rows
 }
 
-// TestNNChainGoldenParityCompaction holds trees built across compactions to
-// the reference, under every linkage: heights within 1e-12, and the same
-// Cut(k) wherever k's boundary is not a tie. (requireTreeParity's cut at
-// every k costs seconds at this size.) The digest, taken as
+// TestNNChainGoldenParityCompaction certifies trees built across
+// compactions, under every linkage. The digest, taken as
 // TestTreeBitsPaperShape's over the three kernel trees, was recorded before
 // the chain compacted: compaction moved no bit of them.
 func TestNNChainGoldenParityCompaction(t *testing.T) {
@@ -471,42 +432,15 @@ func TestNNChainGoldenParityCompaction(t *testing.T) {
 		"go":       "1a3753d9ff8c064c3c4f4101ce9aa3bf8b0fdd6d7506fa52f0b6ad9a9dada740",
 	}
 	rows := compactionRows()
-	n := len(rows)
 	underEachDot(t, func(t *testing.T) {
 		h := sha256.New()
 		var buf [24]byte
 		for _, linkage := range allLinkages {
-			ref, err := ReferenceHierarchical(rows, linkage)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := got.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			for i := range ref.Merges {
-				if dh := math.Abs(ref.Merges[i].Height - got.Merges[i].Height); !(dh <= 1e-12) {
-					t.Fatalf("%v: merge %d height: reference %v vs kernel %v", linkage, i, ref.Merges[i].Height, got.Merges[i].Height)
-				}
-			}
-			cuts := 0
-			for _, k := range []int{2, 121, 122, 130, 200, 300, 400, 500, 600, 700} {
-				if ref.Merges[n-k].Height-ref.Merges[n-k-1].Height <= 2e-12 {
-					continue // a tie: which merge Cut suppresses is tie order
-				}
-				want, err1 := ref.Cut(k)
-				have, err2 := got.Cut(k)
-				if err1 != nil || err2 != nil || !partitionsEqual(want, have) {
-					t.Fatalf("%v: Cut(%d) differs from the reference (errs %v, %v)", linkage, k, err1, err2)
-				}
-				cuts++
-			}
-			if cuts < 5 {
-				t.Fatalf("%v: only %d cuts at untied boundaries", linkage, cuts)
-			}
+			checkTree(t, rows, linkage, got)
 			for _, m := range got.Merges {
 				binary.LittleEndian.PutUint64(buf[0:], uint64(m.A))
 				binary.LittleEndian.PutUint64(buf[8:], uint64(m.B))
@@ -517,5 +451,90 @@ func TestNNChainGoldenParityCompaction(t *testing.T) {
 		if got := hex.EncodeToString(h.Sum(nil)); got != want[tilecorr.KernelName()] {
 			t.Fatalf("kernel trees digest %s, want %s: some merge moved a bit", got, want[tilecorr.KernelName()])
 		}
+	})
+}
+
+// tiedRows is compactionRows with its 60 sparse rows thinned to 4 or 5
+// observed cells anywhere among the 16. Two such rows mostly share two cells
+// or fewer, which puts them at exactly 0 or 2, and a row can sit at 0
+// from two rows that sit at 2 from each other: exact ties that are not
+// transitive, which the chain and a greedy closest-pair pass break
+// differently, their heights parting by far more than 1e-12 above the tie.
+func tiedRows() [][]float64 {
+	rows := compactionRows()
+	rng := rand.New(rand.NewSource(47))
+	for i := 0; i < len(rows)-100; i += 12 {
+		row := rows[i]
+		for j := range row {
+			row[j] = math.NaN()
+		}
+		for _, j := range rng.Perm(len(row))[:4+rng.Intn(2)] {
+			row[j] = rng.NormFloat64()
+		}
+	}
+	return rows
+}
+
+// TestNNChainCertifiesNonTransitiveTies: however the chain breaks the
+// non-transitive ties of tiedRows, every linkage's tree is certified.
+func TestNNChainCertifiesNonTransitiveTies(t *testing.T) {
+	rows := tiedRows()
+	for _, linkage := range allLinkages {
+		got, err := HierarchicalCtx(context.Background(), rows, PearsonDist, linkage)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkTree(t, rows, linkage, got)
+	}
+}
+
+// TestTreeCertificateRejects: certify refuses a copy of a certified kernel
+// tree with one merge of a pair that is not closest, and one with a height
+// moved by 1e4 ulp, though both copies are valid dendrograms.
+func TestTreeCertificateRejects(t *testing.T) {
+	rows := noisyRows(47, 40, 10, 0)
+	tree, err := HierarchicalCtx(context.Background(), rows, PearsonDist, AverageLinkage)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkTree(t, rows, AverageLinkage, tree)
+	refuse := func(what, want string, alter func(ms []Merge)) {
+		t.Helper()
+		bad := &Tree{NLeaves: tree.NLeaves, Merges: slices.Clone(tree.Merges)}
+		alter(bad.Merges)
+		if err := bad.Validate(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := certify(rows, AverageLinkage, bad); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: certify = %v, want an error saying %q", what, err, want)
+		}
+	}
+	// The first merge joins the closest two leaves, a and b. Leaf far, the
+	// farthest from a, takes b's place there, and b takes far's.
+	refuse("a pair that is not closest", "closest", func(ms []Merge) {
+		a, b, far := ms[0].A, ms[0].B, 0
+		for c := range rows {
+			if distance(rows[a], rows[c]) > distance(rows[a], rows[far]) {
+				far = c
+			}
+		}
+		for i := range ms {
+			for _, c := range []*int{&ms[i].A, &ms[i].B} {
+				switch *c {
+				case b:
+					*c = far
+				case far:
+					*c = b
+				}
+			}
+		}
+	})
+	// At the root's height, about 1, 1e4 ulp is over 1e-12.
+	refuse("a height 1e4 ulp off", "records height", func(ms []Merge) {
+		root := &ms[len(ms)-1]
+		if root.Height < 0.5 {
+			t.Fatalf("root height %v: 1e4 ulp of it is under 1e-12", root.Height)
+		}
+		root.Height = math.Float64frombits(math.Float64bits(root.Height) + 1e4)
 	})
 }

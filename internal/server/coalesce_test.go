@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -41,7 +42,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 			}
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond) // let joiners pile onto the flight
+	waitWaiters(t, &g, "k", n) // every joiner is on the flight
 	close(release)
 	wg.Wait()
 
@@ -85,7 +86,7 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 		v, err, joined := g.Do(ctx, "k", func(context.Context) (any, error) { return nil, errors.New("joiner computed") })
 		joiner <- result{v, err, joined}
 	}()
-	waitWaiters(&g, "k", 2)
+	waitWaiters(t, &g, "k", 2)
 	cancel()
 	select {
 	case r := <-joiner:
@@ -102,13 +103,13 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 		v, err, joined := g.Do(context.Background(), "k", func(context.Context) (any, error) { return 7, nil })
 		live <- result{v, err, joined}
 	}()
-	time.Sleep(5 * time.Millisecond) // let it reach the flight (either way it must see 42 or recompute 7)
+	waitWaiters(t, &g, "k", 2) // the leader and the live joiner
 	close(release)
 	if r := <-leader; r.err != nil || r.joined || r.v.(int) != 42 {
 		t.Fatalf("leader = %+v, want 42 computed", r)
 	}
-	if r := <-live; r.err != nil || (r.joined && r.v.(int) != 42) || (!r.joined && r.v.(int) != 7) {
-		t.Fatalf("later caller = %+v", r)
+	if r := <-live; r.err != nil || !r.joined || r.v.(int) != 42 {
+		t.Fatalf("later caller = %+v, want the leader's 42, joined", r)
 	}
 
 	// The leader and its joiner both leave: fn's context ends only with the
@@ -132,7 +133,7 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 		v, err, joined := g.Do(ctx, "k", func(context.Context) (any, error) { return nil, errors.New("joiner computed") })
 		joiner <- result{v, err, joined}
 	}()
-	waitWaiters(&g, "k", 2)
+	waitWaiters(t, &g, "k", 2)
 	cancel()
 	if r := <-joiner; r.err != context.Canceled || !r.joined {
 		t.Fatalf("cancelled joiner = %+v, want a joined context.Canceled", r)
@@ -165,18 +166,15 @@ func TestFlightGroupJoinerHonoursItsContext(t *testing.T) {
 	}
 }
 
-// waitWaiters polls until key's flight has n waiters.
-func waitWaiters(g *flightGroup, key string, n int) {
-	for {
+// waitWaiters waits until key's flight has n waiters, the leader included.
+func waitWaiters(t *testing.T, g *flightGroup, key string, n int) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("%d waiters on flight %q", n, key), func() bool {
 		g.mu.Lock()
+		defer g.mu.Unlock()
 		c := g.calls[key]
-		done := c != nil && c.waiters == n
-		g.mu.Unlock()
-		if done {
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return c != nil && c.waiters == n
+	})
 }
 
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {

@@ -34,7 +34,7 @@ func TestPoolRunUnblocksOnContextCancel(t *testing.T) {
 		_, err := p.Run(ctx, func() (any, error) { return "never", nil })
 		done <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let the job reach the queue
+	waitUntil(t, "the job in the queue", func() bool { return p.waiting.Load() == 1 })
 	cancel()
 	select {
 	case err := <-done:

@@ -519,7 +519,6 @@ func (s *Server) Stats() StatsSnapshot {
 	nDatasets, nGenes := s.compendiumSize() // at most one probe (cached after success)
 	scatter := s.coord.Stats()
 	snap := StatsSnapshot{
-		UptimeSeconds: time.Since(s.start).Seconds(),
 		Server: ServerInfo{
 			UptimeSeconds: time.Since(s.start).Seconds(),
 			Role:          s.Role(),
@@ -527,9 +526,8 @@ func (s *Server) Stats() StatsSnapshot {
 			SpellKernel:   tilecorr.KernelName(),
 		},
 		Compendium: CompendiumInfo{
-			Datasets:  nDatasets,
-			Genes:     nGenes,
-			Clustered: s.NumPanes(),
+			Datasets: nDatasets,
+			Genes:    nGenes,
 		},
 		TreeCache: s.trees.snapshot(),
 		Scatter:   &scatter,
@@ -547,8 +545,6 @@ func (s *Server) Stats() StatsSnapshot {
 			"stats":   s.statStats.snapshot(),
 		},
 	}
-	snap.TreeCache.TileEntries = prefixes["tile"].Entries
-	snap.TreeCache.TileBytes = prefixes["tile"].Bytes
 	if s.cfg.ShardIndexes != nil {
 		snap.Endpoints["shard"] = s.statShard.snapshot()
 		st := s.shardState()
@@ -572,17 +568,11 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.cfg.Enricher != nil {
 		snap.Compendium.GOTerms = s.cfg.Enricher.NumTerms()
 		ec := &EnrichCacheInfo{
-			Terms:        s.cfg.Enricher.NumTerms(),
 			Background:   s.cfg.Enricher.BackgroundSize(),
-			Hits:         s.statEnrich.cacheHits.Load(),
-			Misses:       s.statEnrich.cacheMisses.Load(),
-			Coalesced:    s.statEnrich.coalesced.Load(),
 			Analyses:     s.enrichKernel.analyses.Load(),
 			Canceled:     s.enrichKernel.canceled.Load(),
 			Failures:     s.enrichKernel.failures.Load(),
 			MaxAnalyzeUS: s.enrichKernel.maxUS.Load(),
-			Entries:      prefixes["escatter"].Entries,
-			Bytes:        prefixes["escatter"].Bytes,
 		}
 		if ec.Analyses > 0 {
 			ec.MeanAnalyzeUS = s.enrichKernel.analyzeUS.Load() / ec.Analyses

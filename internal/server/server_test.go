@@ -482,6 +482,35 @@ func TestStatsShape(t *testing.T) {
 	if snap.Cache.MaxBytes != 8<<20 {
 		t.Fatalf("cache max bytes = %d", snap.Cache.MaxBytes)
 	}
+	if snap.TreeCache.Panes != 4 {
+		t.Fatalf("tree_cache panes = %d, want 4", snap.TreeCache.Panes)
+	}
+	// Each number once: no field copies another (server.uptime_seconds,
+	// cache.prefixes, endpoints.enrich, compendium.go_terms,
+	// tree_cache.panes).
+	var raw map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	for section, copies := range map[string][]string{
+		"":             {"uptime_seconds"},
+		"compendium":   {"clustered_datasets"},
+		"tree_cache":   {"tile_entries", "tile_bytes"},
+		"enrich_cache": {"terms", "hits", "misses", "coalesced", "entries", "bytes"},
+	} {
+		sec := raw
+		if section != "" {
+			sec = nil // a fresh map: Unmarshal adds to a live one
+			if err := json.Unmarshal(raw[section], &sec); err != nil {
+				t.Fatalf("%s: %v", section, err)
+			}
+		}
+		for _, k := range copies {
+			if _, ok := sec[k]; ok {
+				t.Fatalf("section %q has %q, a copy of another field", section, k)
+			}
+		}
+	}
 	for _, ep := range []string{"search", "enrich", "heatmap", "html", "stats"} {
 		if _, ok := snap.Endpoints[ep]; !ok {
 			t.Fatalf("endpoint %q missing", ep)
@@ -602,11 +631,11 @@ func TestEnrichCacheStats(t *testing.T) {
 	if ec == nil {
 		t.Fatal("enrich_cache section missing")
 	}
-	if ec.Analyses != 1 || ec.Misses != 1 || ec.Hits != 1 {
-		t.Fatalf("enrich cache accounting: %+v", ec)
+	if ep := snap.Endpoints["enrich"]; ec.Analyses != 1 || ep.CacheMisses != 1 || ep.CacheHits != 1 {
+		t.Fatalf("enrich cache accounting: %+v, endpoint %+v", ec, ep)
 	}
-	if ec.Terms != fixEnricher.NumTerms() || ec.Background != fixEnricher.BackgroundSize() {
-		t.Fatalf("enrich context info: %+v", ec)
+	if snap.Compendium.GOTerms != fixEnricher.NumTerms() || ec.Background != fixEnricher.BackgroundSize() {
+		t.Fatalf("enrich context info: %+v, compendium %+v", ec, snap.Compendium)
 	}
 	if ec.Canceled != 0 || ec.Failures != 0 {
 		t.Fatalf("unexpected kernel errors: %+v", ec)
@@ -672,9 +701,8 @@ func TestConcurrentIdenticalEnrichComputesOnce(t *testing.T) {
 }
 
 // TestStatsPrefixOccupancy: after one search, one enrichment and one tile,
-// the cache's per-prefix occupancy surfaces in /api/stats — the overall
-// prefixes map, the enrich_cache residency fields, and the tree_cache's
-// tile fields.
+// the cache's per-prefix occupancy surfaces in /api/stats' prefixes map,
+// and its entries and bytes sum to the cache's.
 func TestStatsPrefixOccupancy(t *testing.T) {
 	s, u := fixture(t)
 	q := strings.Join(u.ModuleGeneIDs(2)[:4], ",")
@@ -691,15 +719,15 @@ func TestStatsPrefixOccupancy(t *testing.T) {
 	if err := json.Unmarshal(get(t, s, "/api/stats").Body.Bytes(), &snap); err != nil {
 		t.Fatal(err)
 	}
+	entries, size := 0, int64(0)
 	for _, prefix := range []string{"scatter", "escatter", "tile"} {
-		if occ := snap.Cache.Prefixes[prefix]; occ.Entries != 1 || occ.Bytes <= 0 {
+		occ := snap.Cache.Prefixes[prefix]
+		if occ.Entries != 1 || occ.Bytes <= 0 {
 			t.Fatalf("prefix %q occupancy: %+v (map %+v)", prefix, occ, snap.Cache.Prefixes)
 		}
+		entries, size = entries+occ.Entries, size+occ.Bytes
 	}
-	if snap.EnrichCache.Entries != 1 || snap.EnrichCache.Bytes <= 0 {
-		t.Fatalf("enrich_cache residency: %+v", snap.EnrichCache)
-	}
-	if snap.TreeCache.TileEntries != 1 || snap.TreeCache.TileBytes <= 0 {
-		t.Fatalf("tree_cache tile residency: %+v", snap.TreeCache)
+	if len(snap.Cache.Prefixes) != 3 || entries != snap.Cache.Entries || size != snap.Cache.Bytes {
+		t.Fatalf("prefixes %+v do not sum to the cache's %d entries, %d bytes", snap.Cache.Prefixes, snap.Cache.Entries, snap.Cache.Bytes)
 	}
 }

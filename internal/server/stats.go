@@ -101,27 +101,19 @@ func (e *enrichKernelStats) observe(d time.Duration, err error) {
 	storeMax(&e.maxUS, d.Microseconds())
 }
 
-// EnrichCacheInfo is the enrich_cache section of /api/stats: the cache
-// traffic of the enrich key space (from the endpoint counters — HTML and
-// API callers share the keys) next to the kernel executions that traffic
-// actually cost. Analyses vs Hits+Coalesced is the "one scan per distinct
+// EnrichCacheInfo is the enrich_cache section of /api/stats: the kernel
+// executions the enrich key space cost. Its cache traffic is
+// endpoints.enrich (HTML and API callers share the keys), its residency
+// cache.prefixes.escatter and its term count compendium.go_terms; Analyses
+// vs that endpoint's cache hits + coalesced is the "one scan per distinct
 // gene list, not per request" criterion made observable.
 type EnrichCacheInfo struct {
-	Terms         int   `json:"terms"`
 	Background    int   `json:"background"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Coalesced     int64 `json:"coalesced"`
 	Analyses      int64 `json:"analyses"`
 	Canceled      int64 `json:"canceled"`
 	Failures      int64 `json:"failures"`
 	MeanAnalyzeUS int64 `json:"mean_analyze_us"`
 	MaxAnalyzeUS  int64 `json:"max_analyze_us"`
-	// Entries/Bytes are the enrich key family's current occupancy of the
-	// shared LRU (prefix accounting inside the cache), completing the
-	// traffic counters above with a residency picture.
-	Entries int   `json:"entries"`
-	Bytes   int64 `json:"bytes"`
 }
 
 // PrefetchInfo is the prefetch section of /api/stats: the speculative tile
@@ -174,18 +166,15 @@ type ServerInfo struct {
 
 // StatsSnapshot is the /api/stats response body.
 type StatsSnapshot struct {
-	// UptimeSeconds is kept at the top level for pre-server-section
-	// consumers; Server.UptimeSeconds is the same value.
-	UptimeSeconds float64                     `json:"uptime_seconds"`
-	Server        ServerInfo                  `json:"server"`
-	Compendium    CompendiumInfo              `json:"compendium"`
-	Cache         CacheInfo                   `json:"cache"`
-	TreeCache     TreeCacheInfo               `json:"tree_cache"`
-	EnrichCache   *EnrichCacheInfo            `json:"enrich_cache,omitempty"` // nil without an ontology
-	Prefetch      *PrefetchInfo               `json:"prefetch,omitempty"`     // nil unless prefetching
-	Scatter       *shard.StatsSnapshot        `json:"scatter,omitempty"`      // every role: a single daemon's has one member
-	Shard         *ShardRoleInfo              `json:"shard,omitempty"`        // nil unless a shard backend
-	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
+	Server      ServerInfo                  `json:"server"`
+	Compendium  CompendiumInfo              `json:"compendium"`
+	Cache       CacheInfo                   `json:"cache"`
+	TreeCache   TreeCacheInfo               `json:"tree_cache"`
+	EnrichCache *EnrichCacheInfo            `json:"enrich_cache,omitempty"` // nil without an ontology
+	Prefetch    *PrefetchInfo               `json:"prefetch,omitempty"`     // nil unless prefetching
+	Scatter     *shard.StatsSnapshot        `json:"scatter,omitempty"`      // every role: a single daemon's has one member
+	Shard       *ShardRoleInfo              `json:"shard,omitempty"`        // nil unless a shard backend
+	Endpoints   map[string]EndpointSnapshot `json:"endpoints"`
 	// EncodeFailures counts responses whose JSON encoding failed and were
 	// converted to 500s by writeJSON; see the encode-failure regression.
 	EncodeFailures int64 `json:"encode_failures"`
@@ -207,10 +196,6 @@ type TreeCacheInfo struct {
 	Coalesced   int64   `json:"coalesced"`
 	Failures    int64   `json:"failures"`
 	MeanBuildMS float64 `json:"mean_build_ms"`
-	// TileEntries/TileBytes are the rendered-tile key family's current
-	// occupancy of the shared LRU — the pixels the cached trees back.
-	TileEntries int   `json:"tile_entries"`
-	TileBytes   int64 `json:"tile_bytes"`
 }
 
 // ShardRoleInfo is the shard section of /api/stats: the shard's lifecycle
@@ -228,10 +213,9 @@ type ShardRoleInfo struct {
 
 // CompendiumInfo summarizes what the daemon loaded at startup.
 type CompendiumInfo struct {
-	Datasets  int `json:"datasets"`
-	Genes     int `json:"genes"`
-	GOTerms   int `json:"go_terms"`
-	Clustered int `json:"clustered_datasets"`
+	Datasets int `json:"datasets"`
+	Genes    int `json:"genes"`
+	GOTerms  int `json:"go_terms"`
 }
 
 // CacheInfo summarizes shared-cache occupancy, overall and per key family

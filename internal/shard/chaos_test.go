@@ -85,7 +85,10 @@ func TestScatterChaosZeroDegraded(t *testing.T) {
 
 // TestTruncatedAnswerFailsOver: a search or enrichment answer body cut in
 // half is a decode error, never a shorter answer, and at R=2 its groups fail
-// over to a replica, so the merge stays exact and non-degraded.
+// over to a replica, so the merge stays exact and non-degraded. Replica
+// failover carries them, not the forced retry or scavenge (which reach the
+// other replica too): no retry runs, and the surviving replicas record the
+// failovers.
 func TestTruncatedAnswerFailsOver(t *testing.T) {
 	f := newScatterFixtureR(t, 3, 2)
 	sel := f.withEnrichers(t, 7)
@@ -121,9 +124,17 @@ func TestTruncatedAnswerFailsOver(t *testing.T) {
 		t.Fatalf("enrichment past a truncating shard: %v, %+v", err, meta)
 	}
 	assertEnrichParity(t, resE.Results, wantE)
+	var retries, failovers int64
 	for _, sh := range c.Stats().Shards {
 		if sh.Addr == f.identities[1] && sh.Errors == 0 {
 			t.Fatalf("the truncating shard recorded no failed attempt: %+v (faults %v)", sh, inj.Counts())
 		}
+		retries += sh.Retries
+		if sh.Addr != f.identities[1] {
+			failovers += sh.Failovers
+		}
+	}
+	if retries != 0 || failovers == 0 {
+		t.Fatalf("%d retries and %d failovers to the surviving replicas, want 0 and at least 1: %+v", retries, failovers, c.Stats().Shards)
 	}
 }
