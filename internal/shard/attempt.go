@@ -22,7 +22,8 @@ type shardCounters struct {
 	groups       atomic.Int64 // ownership groups those requests carried
 	errors       atomic.Int64
 	retries      atomic.Int64
-	failovers    atomic.Int64 // attempts landed here after another replica failed or fell short
+	failovers    atomic.Int64 // replica attempts landed here after another replica failed or fell short
+	scavenges    atomic.Int64 // attempts landed here, past the group's owners, after they failed or fell short
 	breakerSkips atomic.Int64 // attempts skipped because the breaker was open
 	inflight     atomic.Int64
 	latencyUS    atomic.Int64
@@ -338,10 +339,16 @@ func fetchGroups[P any](ctx context.Context, c *Coordinator, shards []string, gr
 				if i > w.owners && w.fails > 0 {
 					wait = retryBackoff.Delay(w.fails-1, rand.Float64)
 				}
-				failover := w.err != nil || w.payload != nil
+				// A step past the owners is a scavenge, one among them after
+				// a failed or short answer a failover.
+				counter := &sc.failovers
+				if i > w.owners {
+					counter = &sc.scavenges
+				}
+				count := w.err != nil || w.payload != nil
 				attempt = func() {
-					if failover {
-						sc.failovers.Add(1)
+					if count {
+						counter.Add(1)
 					}
 					enqueue(gi, s, v.probe)
 				}

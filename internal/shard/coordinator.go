@@ -473,13 +473,16 @@ type ShardSnapshot struct {
 	Addr string `json:"addr"`
 	// Requests counts wire requests, Groups the ownership groups they
 	// carried: Groups / Requests is the batching factor. Errors, like the
-	// latencies, are per request; Retries, Failovers and BreakerSkips count
-	// groups.
+	// latencies, are per request; Retries, Failovers, Scavenges and
+	// BreakerSkips count groups. A failover is a replica of the group asked
+	// after another failed or fell short, a scavenge a member past the
+	// group's replicas asked for what it may hold of the group.
 	Requests  int64 `json:"requests"`
 	Groups    int64 `json:"groups"`
 	Errors    int64 `json:"errors"`
 	Retries   int64 `json:"retries"`
 	Failovers int64 `json:"failovers"`
+	Scavenges int64 `json:"scavenges"`
 	// Hedges is always 0: the scatter sends no duplicate requests. The
 	// field stays only because bench/run.go, which a benchmarked change may
 	// not edit, reads it (ROADMAP item 1(m)).
@@ -520,6 +523,7 @@ func (c *Coordinator) Stats() StatsSnapshot {
 			Errors:       sc.errors.Load(),
 			Retries:      sc.retries.Load(),
 			Failovers:    sc.failovers.Load(),
+			Scavenges:    sc.scavenges.Load(),
 			InFlight:     sc.inflight.Load(),
 			MaxLatencyUS: sc.maxUS.Load(),
 			Draining:     c.isDraining(addr),

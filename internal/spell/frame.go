@@ -137,7 +137,8 @@ func (p *Partial) UnmarshalShared(data []byte, genes *GeneColumns) error {
 		index, coherence, present := int64(r.U64()), math.Float64frombits(r.U64()), int64(r.U64())
 		out.Datasets[i] = PartialDataset{Index: int(index), Name: name, Coherence: coherence, Present: int(present)}
 	}
-	out.IDs, out.Names = genes.columns(&r, int(ng))
+	out.IDs, out.Names, out.rows = genes.columns(&r, int(ng))
+	out.rowsOf = out.IDs
 	floats := r.Take(2 * 8 * ng)
 	if err := r.Close(); err != nil {
 		return err
@@ -156,8 +157,9 @@ func (p *Partial) UnmarshalShared(data []byte, genes *GeneColumns) error {
 // name columns: a shard lists the same genes in every answer until it
 // reloads, and the shards of one compendium list the same genes as each
 // other, which also keeps Merge on its no-map path. It keeps the last few
-// column pairs it decoded and compares each frame's bytes with theirs, in
-// full. Safe for concurrent use; the zero value is ready.
+// column pairs it decoded, with an index of each ID column for Merge to find
+// the query genes by, and compares each frame's bytes with theirs, in full.
+// Safe for concurrent use; the zero value is ready.
 type GeneColumns struct {
 	mu   sync.Mutex
 	seen [4]geneColumns
@@ -167,13 +169,15 @@ type GeneColumns struct {
 type geneColumns struct {
 	frame      string // the pair's bytes in the frame
 	ids, names []string
+	rows       map[string]int // ids' index, nil when an ID repeats
 }
 
 // columns reads the gene ID and name columns of n strings each, from m's
-// copy when m holds one decoded from the same bytes.
-func (m *GeneColumns) columns(r *wire.Reader, n int) (ids, names []string) {
+// copy when m holds one decoded from the same bytes, and that copy's index
+// (nil without m).
+func (m *GeneColumns) columns(r *wire.Reader, n int) (ids, names []string, rows map[string]int) {
 	if m == nil {
-		return r.Column(n), r.Column(n)
+		return r.Column(n), r.Column(n), nil
 	}
 	pair := r.PeekColumns(2)
 	m.mu.Lock()
@@ -181,15 +185,22 @@ func (m *GeneColumns) columns(r *wire.Reader, n int) (ids, names []string) {
 		if len(c.ids) == n && c.frame == string(pair) {
 			m.mu.Unlock()
 			r.Take(uint64(len(pair)))
-			return c.ids, c.names
+			return c.ids, c.names, c.rows
 		}
 	}
 	m.mu.Unlock()
 	if ids, names = r.Column(n), r.Column(n); r.Err() == nil {
+		rows = make(map[string]int, n)
+		for i, id := range ids {
+			rows[id] = i
+		}
+		if len(rows) < n {
+			rows = nil
+		}
 		m.mu.Lock()
-		m.seen[m.next] = geneColumns{string(pair), ids, names}
+		m.seen[m.next] = geneColumns{string(pair), ids, names, rows}
 		m.next = (m.next + 1) % len(m.seen)
 		m.mu.Unlock()
 	}
-	return ids, names
+	return ids, names, rows
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -189,4 +191,119 @@ func TestMergeSharedColumnsConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestMergeTakesALonePart pins Merge's ownership rule. Over one part — what
+// a single daemon merges — the union is that part's accumulator columns, not
+// a copy: the ranking leaves each ranked gene's score in the part's Sum. Over
+// several parts the union has columns of its own, and every part keeps every
+// bit of its accumulators.
+func TestMergeTakesALonePart(t *testing.T) {
+	_, dense, _, query, scan := geneFixture(t)
+	p := scan(dense, query, nil)
+	res, err := Merge([]Partial{*p}, Options{IncludeQuery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Genes {
+		if s := slices.Index(p.IDs, g.ID); math.Float64bits(p.Sum[s]) != math.Float64bits(g.Score) {
+			t.Fatalf("gene %s scores %v, its row of the lone part holds %v: the union was a copy", g.ID, g.Score, p.Sum[s])
+		}
+	}
+
+	parts := []Partial{*scan(dense, query, []int{0, 2}), *scan(dense, query, []int{1})}
+	parts[1].Datasets[0].Index = 1
+	var was [][]float64
+	for _, p := range parts {
+		was = append(was, slices.Clone(p.Sum), slices.Clone(p.Cnt))
+	}
+	if _, err := Merge(parts, Options{IncludeQuery: true}); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range parts {
+		if !reflect.DeepEqual(bitsOfColumn(p.Sum), bitsOfColumn(was[2*i])) || !reflect.DeepEqual(bitsOfColumn(p.Cnt), bitsOfColumn(was[2*i+1])) {
+			t.Fatalf("part %d of two: Merge wrote its accumulators", i)
+		}
+	}
+}
+
+// bitsOfColumn is a column's floats as bit patterns.
+func bitsOfColumn(xs []float64) []uint64 {
+	out := make([]uint64, len(xs))
+	for i, x := range xs {
+		out[i] = math.Float64bits(x)
+	}
+	return out
+}
+
+// TestMarkQueryByIndex: wherever Merge or Search finds a partial's query
+// rows — the engine's gene index, the index a GeneColumns keeps of a column
+// it decoded, the union's slot table — it marks the rows searching every ID
+// in the query marks, and a partial whose IDs are not the indexed column
+// falls back to that search.
+func TestMarkQueryByIndex(t *testing.T) {
+	_, dense, sparse, query, scan := geneFixture(t)
+	query = append(slices.Clone(query), "not-a-gene")
+	slices.Sort(query)
+	mark := func(p *Partial) []bool {
+		q := make([]bool, len(p.IDs))
+		markQuery(q, p)
+		return q
+	}
+	search := func(p *Partial) []bool {
+		q := make([]bool, len(p.IDs))
+		for s, id := range p.IDs {
+			q[s] = slices.Contains(p.Query, id)
+		}
+		return q
+	}
+	whole := scan(dense, query, nil)
+	if whole.geneIndex() == nil {
+		t.Fatal("a partial in which every gene scored has no gene index")
+	}
+	copied := *whole
+	copied.IDs = slices.Clone(whole.IDs)
+	var genes GeneColumns
+	frame, err := dense.AppendPartial(nil, whole)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded [2]Partial
+	for i := range decoded {
+		if err := decoded[i].UnmarshalShared(frame, &genes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if decoded[1].geneIndex() == nil {
+		t.Fatal("a frame decoded through a GeneColumns has no gene index")
+	}
+	for name, p := range map[string]*Partial{
+		"engine": whole, "copied IDs": &copied, "decoded": &decoded[0], "decoded again": &decoded[1],
+		"compacted": scan(sparse, query, []int{0, 3}),
+	} {
+		if got, want := mark(p), search(p); !slices.Equal(got, want) || !slices.Contains(got, true) {
+			t.Fatalf("%s: query rows %v, the search marks %v", name, got, want)
+		}
+	}
+
+	// A union of parts listing their genes in other orders is found through
+	// its slot table.
+	parts := []Partial{*scan(dense, query, []int{0, 2}), *scan(dense, query, []int{1})}
+	b := &parts[1]
+	b.Datasets[0].Index = 1
+	b.IDs, b.Names = slices.Clone(b.IDs), slices.Clone(b.Names)
+	for _, col := range [][]string{b.IDs, b.Names} {
+		slices.Reverse(col)
+	}
+	slices.Reverse(b.Sum)
+	slices.Reverse(b.Cnt)
+	res, err := Merge(parts, Options{IncludeQuery: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range res.Genes {
+		if g.IsQuery != slices.Contains(query, g.ID) {
+			t.Fatalf("merged gene %s: IsQuery %t", g.ID, g.IsQuery)
+		}
+	}
 }

@@ -156,23 +156,30 @@ func TestSearchAllocs(t *testing.T) {
 }
 
 // BenchmarkF4_SPELLTile times the kernel on one tile: 8 rows × 26
-// experiments (the paper compendium's mean) against one block of 4 query
-// rows from the next tile — a scan meets a gene with itself once in 6,000
-// rows, not once in 8 — Dot then FinishBlock, under the routines this build
-// runs (`-tags purego` for the Go code on an AVX2 host). ns/pair is the whole
-// kernel per (gene row, query row) pair and dot-ns/pair the dot routine's
-// share of it, timed by itself after the measured loop — so a kernel change
-// can tell the dot from the finish without a profiler.
+// experiments (the paper compendium's mean) against a query of rows from the
+// next tile — a scan meets a gene with itself once in 6,000 rows, not once
+// in 8 — as the scan runs it, one tilecorr.ScoreTile call, under the
+// routines this build runs (`-tags purego` for the Go code on an AVX2 host).
+// "complete" and "missing=0.02" meet a block of 4 rows; rows=3, 4 and 5, at
+// 2% missing, a block with a dead row, a full block, and a full block plus a
+// lone row. ns/pair is the whole call per (gene row, query row) pair;
+// blocks-ns/pair is the same sums block by block — Dot, FinishBlock and the
+// Go sum, what a flagged tile costs (scoreFlagged) — and dot-ns/pair Dot's
+// share of that, each timed by itself after the measured loop, so a kernel
+// change can tell the dot from the finish without a profiler.
 func BenchmarkF4_SPELLTile(b *testing.B) {
-	const nExp, pairs = 26, blockRows * tileRows
+	const nExp = 26
 	// The routine this build runs: "avx2", or "go" under -tags purego.
 	routine := strings.TrimSuffix(tilecorr.KernelName(), "-fma")
-	for _, missing := range []float64{0, 0.02} {
-		name := "complete"
-		if missing > 0 {
-			name = fmt.Sprintf("missing=%g", missing)
-		}
-		b.Run(routine+"/"+name, func(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		missing float64
+		rows    int
+	}{
+		{"complete", 0, 4}, {"missing=0.02", 0.02, 4},
+		{"rows=3", 0.02, 3}, {"rows=4", 0.02, 4}, {"rows=5", 0.02, 5},
+	} {
+		b.Run(routine+"/"+c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(26))
 			ds := &microarray.Dataset{Name: "tile", Experiments: make([]string, nExp)}
 			gid := map[string]int{}
@@ -180,7 +187,7 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 				r := make([]float64, nExp)
 				for i := range r {
 					r[i] = rng.NormFloat64()
-					if rng.Float64() < missing {
+					if rng.Float64() < c.missing {
 						r[i] = nan
 					}
 				}
@@ -189,29 +196,43 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 				ds.Genes, ds.Data = append(ds.Genes, microarray.Gene{ID: id}), append(ds.Data, r)
 			}
 			sl := buildSlab(ds, gid, 2*tileRows)
-			if holes := slices.ContainsFunc(ds.Data, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }); holes != (missing > 0) {
-				b.Fatalf("the tile has missing cells: %t at rate %g", holes, missing)
+			if holes := slices.ContainsFunc(ds.Data, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }); holes != (c.missing > 0) {
+				b.Fatalf("the tile has missing cells: %t at rate %g", holes, c.missing)
 			}
-			q := tilecorr.Query{Rows: sl.appendQueryRows(nil, []int{8, 9, 10, 11}), Buf: make([]float64, tilecorr.QueryCells(blockRows, nExp))}
+			qgids := make([]int, c.rows)
+			for k := range qgids {
+				qgids[k] = tileRows + k
+			}
+			q := tilecorr.Query{Rows: sl.appendQueryRows(nil, qgids), Buf: make([]float64, tilecorr.QueryCells(c.rows, nExp))}
 			sl.tiles.Gather(&q)
-			z, _, _ := q.Block(0, nExp)
-			tile := sl.tiles.Tile(0)
-			var dots, corr [pairs]float64
+			var sum, n [tileRows]float64
+			if sl.tiles.ScoreTile(&sum, &n, 0, &q) != 0 {
+				b.Fatal("the tile flags a pair: the benchmark would time the fallback")
+			}
+			pairs := float64(c.rows * tileRows)
+			perPair := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) / pairs }
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tilecorr.Dot(&dots, tile, z, nExp)
-				if m := sl.tiles.FinishBlock(&corr, &dots, 0, &q, 0); m != 0 {
-					sl.exactLanes(&corr, m, 0, q.Rows)
-				}
+				sl.tiles.ScoreTile(&sum, &n, 0, &q)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/pairs, "ns/pair")
+			b.ReportMetric(perPair(b.Elapsed()), "ns/pair")
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
-				tilecorr.Dot(&dots, tile, z, nExp)
+				sl.scoreFlagged(&sum, &n, 0, &q)
 			}
-			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N)/pairs, "dot-ns/pair")
+			b.ReportMetric(perPair(time.Since(start)), "blocks-ns/pair")
+			tile := sl.tiles.Tile(0)
+			var dots [blockRows * tileRows]float64
+			start = time.Now()
+			for i := 0; i < b.N; i++ {
+				for blk := 0; blk < q.Blocks(); blk++ {
+					z, _, _ := q.Block(blk, nExp)
+					tilecorr.Dot(&dots, tile, z, nExp)
+				}
+			}
+			b.ReportMetric(perPair(time.Since(start)), "dot-ns/pair")
 		})
 	}
 }

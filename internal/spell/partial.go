@@ -74,6 +74,22 @@ type Partial struct {
 	// parallel to them.
 	IDs, Names []string
 	Sum, Cnt   []float64
+
+	// rows finds a gene's row in IDs without reading IDs, while rowsOf is
+	// IDs itself (geneIndex): the engine's gene index for a partial in which
+	// every gene scored, the one a GeneColumns keeps of a column it decoded,
+	// or Merge's slot table. It is not part of the frame.
+	rows   map[string]int
+	rowsOf []string
+}
+
+// geneIndex returns p's index of its gene IDs, or nil when it has none for
+// the IDs it holds now.
+func (p *Partial) geneIndex() map[string]int {
+	if p.rows == nil || len(p.rowsOf) != len(p.IDs) || len(p.IDs) == 0 || &p.rowsOf[0] != &p.IDs[0] {
+		return nil
+	}
+	return p.rows
 }
 
 // PartialDataset is one dataset's unnormalized stage-1 result.
@@ -207,6 +223,7 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	}
 	if n == len(e.order) {
 		p.IDs, p.Names = e.order[:n:n], e.names[:n:n]
+		p.rows, p.rowsOf = e.gid, p.IDs
 	} else {
 		p.IDs, p.Names = make([]string, 0, n), make([]string, 0, n)
 		for gi, w := range acc.weight {
@@ -300,11 +317,17 @@ func checkParts(parts []*Partial) ([]*Partial, error) {
 // first-seen order (only tie order among bitwise-equal scores could observe
 // it), the part maps its rows to slots once, and a part whose ID column
 // equals its predecessor's reuses that row→slot vector.
+//
+// The union takes the first part's accumulator columns, not a copy of them,
+// and copies them only when a second part is added: a lone part's Sum and
+// Cnt are the union's, which finish ranks in place (Merge's contract).
 type geneSums struct {
 	ids, names []string
 	sum, cnt   []float64
+	taken      bool           // sum and cnt are the first part's own columns
+	index      map[string]int // the first part's gene index, or the slot table
 
-	slot    map[string]int32 // nil until a part lists other genes than the first
+	slot    map[string]int // nil until a part lists other genes than the first
 	prevIDs []string
 	buf     []int32 // the row→slot vector of the part last mapped
 	rows    []int32 // buf, or nil when that vector is the identity
@@ -319,7 +342,8 @@ func sameColumn(a, b []string) bool {
 	return len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b)
 }
 
-// add accumulates one part; p is only read.
+// add accumulates one part. The first part's accumulator columns become
+// the union's; every later part is only read.
 func (u *geneSums) add(p *Partial) {
 	if len(p.IDs) == 0 {
 		return // nothing scored there
@@ -328,29 +352,33 @@ func (u *geneSums) add(p *Partial) {
 		// Clipped, so that growing the union copies instead of writing
 		// behind the part's columns.
 		u.ids, u.names = slices.Clip(p.IDs), slices.Clip(p.Names)
-		u.sum, u.cnt = slices.Clone(p.Sum), slices.Clone(p.Cnt)
-		u.prevIDs = p.IDs
+		u.sum, u.cnt, u.taken = slices.Clip(p.Sum), slices.Clip(p.Cnt), true
+		u.index, u.prevIDs = p.geneIndex(), p.IDs
 		return
+	}
+	if u.taken {
+		u.sum, u.cnt, u.taken = slices.Clone(u.sum), slices.Clone(u.cnt), false
 	}
 	if !sameColumn(p.IDs, u.prevIDs) {
 		if u.slot == nil {
-			u.slot = make(map[string]int32, len(u.ids))
+			u.slot = make(map[string]int, len(u.ids))
 			for i, id := range u.ids {
-				u.slot[id] = int32(i)
+				u.slot[id] = i
 			}
+			u.index = u.slot
 		}
 		u.prevIDs, u.buf = p.IDs, slices.Grow(u.buf[:0], len(p.IDs))
 		identity := true
 		for i, id := range p.IDs {
 			s, ok := u.slot[id]
 			if !ok {
-				s = int32(len(u.ids))
+				s = len(u.ids)
 				u.slot[id] = s
 				u.ids, u.names = append(u.ids, id), append(u.names, p.Names[i])
 				u.sum, u.cnt = append(u.sum, 0), append(u.cnt, 0)
 			}
-			u.buf = append(u.buf, s)
-			identity = identity && int(s) == i
+			u.buf = append(u.buf, int32(s))
+			identity = identity && s == i
 		}
 		if u.rows = u.buf; identity {
 			u.rows = nil
@@ -393,6 +421,13 @@ func addRows(dst, src []float64, rows []int32) {
 // double-count its coherence and scores. Weighted partials whose union
 // needs the uniform pair are ErrNeedUniform.
 //
+// Merge over one part — a single daemon is a fleet of one — consumes that
+// part's accumulators: the union is its Sum and Cnt, not a copy, and the
+// ranking divides Sum in place, so the caller does not read either column
+// after the call. (A part that scored no gene does not count: the same
+// holds for the one part of several that did.) Over several parts that
+// scored, the union has columns of its own and the parts are only read.
+//
 // The result shares no memory with the partials: every string it returns
 // is copied, into one block. A decoded partial's strings are substrings of
 // its frame's blobs (frame.go), and daemons cache merged results — a cached
@@ -424,6 +459,7 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 		return cmp.Or(cmp.Compare(a.Index, b.Index), strings.Compare(a.Name, b.Name))
 	})
 	union.IDs, union.Names, union.Sum, union.Cnt = u.ids, u.names, u.sum, u.cnt
+	union.rows, union.rowsOf = u.index, u.ids
 
 	qmask := make([]bool, len(union.IDs))
 	markQuery(qmask, union)
@@ -455,9 +491,18 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// markQuery sets qmask at the rows of p's gene columns that are query genes.
-// The query is sorted, so finding it needs no map.
+// markQuery sets qmask at the rows of p's gene columns that are query genes:
+// each query gene looked up in p's gene index when it has one, else each
+// row's ID searched for in the sorted query.
 func markQuery(qmask []bool, p *Partial) {
+	if index := p.geneIndex(); index != nil {
+		for _, q := range p.Query {
+			if s, ok := index[q]; ok {
+				qmask[s] = true
+			}
+		}
+		return
+	}
 	for s, id := range p.IDs {
 		_, qmask[s] = slices.BinarySearch(p.Query, id)
 	}

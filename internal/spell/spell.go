@@ -318,19 +318,8 @@ func (e *Engine) searchRound(ctx context.Context, query []string, opt Options) (
 	if err != nil {
 		return nil, err
 	}
-	// Row s of a partial in which every gene scored is global gene s, and the
-	// engine's index finds the query there; a compacted partial is searched
-	// by ID, as Merge searches a decoded one.
 	qmask := make([]bool, len(p.IDs))
-	if e.ownsGenes(p) {
-		for _, q := range p.Query {
-			if gi, ok := e.gid[q]; ok {
-				qmask[gi] = true
-			}
-		}
-	} else {
-		markQuery(qmask, p)
-	}
+	markQuery(qmask, p)
 	return finish(p, qmask, opt)
 }
 
@@ -427,35 +416,47 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 // whole and only the run's lanes are added — the neighbouring range computes
 // it again for its own. (Sharing out tiles instead would not do: datasets
 // measuring different genes put one gene in tiles of different numbers, and
-// its accumulator cell would then have two writers.)
+// its accumulator cell would then have two writers.) Each tile is one
+// tilecorr.ScoreTile call; the few it flags are scored again by
+// scoreFlagged, which adds the same correlations in the same order, so a
+// gene's mean has the same bits either way.
 func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) {
 	r0, _ := slices.BinarySearch(s.gids, int32(lo))
 	r1, _ := slices.BinarySearch(s.gids, int32(hi))
-	nExp := s.tiles.NExp()
-	var dots, corr [blockRows * tileRows]float64
+	var sum, n [tileRows]float64
 	for t := r0 / tileRows; t*tileRows < r1; t++ {
-		base, tile := t*tileRows, s.tiles.Tile(t)
-		live := min(tileRows, len(s.gids)-base)
-		var sum [tileRows]float64
-		var n [tileRows]int
-		for b := 0; b < q.Blocks(); b++ {
-			z, _, rows := q.Block(b, nExp)
-			tilecorr.Dot(&dots, tile, z, nExp)
-			if m := s.tiles.FinishBlock(&corr, &dots, t, q, b); m != 0 {
-				s.exactLanes(&corr, m, t, q.Rows[blockRows*b:])
-			}
-			for k := 0; k < rows; k++ {
-				for j, c := range corr[k*tileRows : k*tileRows+live] {
-					if !math.IsNaN(c) {
-						sum[j] += c
-						n[j]++
-					}
-				}
-			}
+		base := t * tileRows
+		if s.tiles.ScoreTile(&sum, &n, t, q) != 0 {
+			s.scoreFlagged(&sum, &n, t, q)
 		}
 		for r := max(r0, base); r < min(r1, base+tileRows); r++ {
 			if j := r - base; n[j] > 0 {
-				acc.add(s.gids[r], w, sum[j]/float64(n[j]))
+				acc.add(s.gids[r], w, sum[j]/n[j])
+			}
+		}
+	}
+}
+
+// scoreFlagged is tilecorr.ScoreTile's sums for tile t, block by block: Dot
+// and FinishBlock, the pairs the finish flags recomputed by exactLanes, and
+// the defined correlations added lane by lane in ascending query row order.
+func (s *slab) scoreFlagged(sum, n *[tileRows]float64, t int, q *tilecorr.Query) {
+	nExp := s.tiles.NExp()
+	tile := s.tiles.Tile(t)
+	*sum, *n = [tileRows]float64{}, [tileRows]float64{}
+	var dots, corr [blockRows * tileRows]float64
+	for b := 0; b < q.Blocks(); b++ {
+		z, _, rows := q.Block(b, nExp)
+		tilecorr.Dot(&dots, tile, z, nExp)
+		if m := s.tiles.FinishBlock(&corr, &dots, t, q, b); m != 0 {
+			s.exactLanes(&corr, m, t, q.Rows[blockRows*b:])
+		}
+		for k := 0; k < rows; k++ {
+			for j, c := range corr[k*tileRows : (k+1)*tileRows] {
+				if !math.IsNaN(c) {
+					sum[j] += c
+					n[j]++
+				}
 			}
 		}
 	}

@@ -2,10 +2,10 @@
 
 package tilecorr
 
-// useAsm says whether Dot runs dotAsm and FinishBlock finishAsm: decided
-// once, from what the CPU reports. Only this package's own tests clear it,
-// to hold one process to both routines; every other package meets the Go
-// code in a `-tags purego` build (DESIGN.md §3a).
+// useAsm says whether Dot runs dotAsm, FinishBlock finishAsm and ScoreTile
+// scoreAsm: decided once, from what the CPU reports. Only this package's own
+// tests clear it, to hold one process to both routines; every other package
+// meets the Go code in a `-tags purego` build (DESIGN.md §3a).
 var useAsm = cpuHasAVX2FMA()
 
 // dotAsm is Dot's contract in AVX2 + FMA: the tile line in two 256-bit
@@ -23,6 +23,15 @@ func dotAsm(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int)
 //
 //go:noescape
 func finishAsm(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, z, present []float64, rows []Row, unit *[TileRows][TileRows]float64, lim float64) (flagged uint32)
+
+// scoreAsm is scoreGo in AVX2 + FMA: ScoreTile's one call a tile, the dot
+// of dotAsm and the finish of finishAsm per block, and the sums of the
+// defined correlations, all without returning to Go. It reads every block
+// of buf that rows fill and trusts every column it is handed to lie inside
+// the tile, so it is called through ScoreTile only.
+//
+//go:noescape
+func scoreAsm(sum, cnt *[TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, buf []float64, rows []Row, unit *[TileRows][TileRows]float64, lim float64, lanes uint64) (flagged uint64)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

@@ -124,10 +124,14 @@ func (s *Tiles) Row(r int) Row {
 // interleaved — row BlockRows·b+k at experiment e is z[e·BlockRows+k], absent
 // rows 0 — then, in the same layout, 1 where the row observes the experiment
 // and 0 where it does not. The caller owns both slices, so many queries can
-// be cut from two allocations.
+// be cut from two allocations. Gather checks the rows against the tiles'
+// width and records it; the finish checks only that record, so Rows and Buf
+// do not change between a Gather and the finishes that read it.
 type Query struct {
 	Rows []Row
 	Buf  []float64 // QueryCells(len(Rows), nExp) cells, zeroed before Gather
+
+	checked int // 1 + the width Gather checked Rows against; 0 until it has
 }
 
 // QueryCells is the number of cells a Query of n rows needs in Buf.
@@ -146,8 +150,16 @@ func (q *Query) Block(b, nExp int) (z, present []float64, live int) {
 	return blk[:n], blk[n:], min(BlockRows, len(q.Rows)-BlockRows*b)
 }
 
-// Gather copies q.Rows out of their tiles into q.Buf.
+// Gather copies q.Rows out of their tiles into q.Buf, after checking that
+// every row's missing columns lie inside these tiles' width: the assembly
+// reads the query's cells at them.
 func (s *Tiles) Gather(q *Query) {
+	q.checked = 0
+	for _, qr := range q.Rows {
+		if m := qr.miss; len(m) > 0 && int(m[len(m)-1]>>3) >= s.nExp {
+			panic("tilecorr: Gather query row from tiles of another width")
+		}
+	}
 	for i, qr := range q.Rows {
 		z, present, _ := q.Block(i/BlockRows, s.nExp)
 		k := i % BlockRows
@@ -159,6 +171,15 @@ func (s *Tiles) Gather(q *Query) {
 		for _, m := range qr.miss {
 			present[int(m>>3)*BlockRows+k] = 0
 		}
+	}
+	q.checked = s.nExp + 1
+}
+
+// checkQuery panics unless q was gathered at these tiles' width into a
+// buffer that holds its blocks: what the assembly relies on of a query.
+func (s *Tiles) checkQuery(q *Query) {
+	if q.checked != s.nExp+1 || len(q.Buf) < QueryCells(len(q.Rows), s.nExp) {
+		panic("tilecorr: query not gathered at these tiles' width")
 	}
 }
 
@@ -176,7 +197,7 @@ func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 		dotAsm(out, tile, qz, nExp)
 		return
 	}
-	dotGo(out, tile, qz, nExp)
+	dotGo(out, tile, qz, nExp, BlockRows)
 }
 
 // KernelName names the routines this process runs, Dot's and FinishBlock's
@@ -190,9 +211,11 @@ func KernelName() string {
 	return "go"
 }
 
-// dotGo is the portable dot routine, and the assembly's oracle.
-func dotGo(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
-	for k := 0; k < BlockRows; k++ {
+// dotGo is the portable dot routine, and the assembly's oracle, for the
+// block's first rows rows: each row's dots are its own sums, so leaving the
+// others out changes no bit of these.
+func dotGo(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp, rows int) {
+	for k := 0; k < rows; k++ {
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		for e := 0; e < nExp; e++ {
 			q, line := qz[e*BlockRows+k], (*[TileRows]float64)(tile[e*TileRows:])
@@ -259,13 +282,9 @@ func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *
 	base := TileRows * t
 	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
 	cells := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
+	s.checkQuery(q)
 	z, present, live := q.Block(b, s.nExp)
 	rows := q.Rows[BlockRows*b : BlockRows*b+live]
-	for i := range rows {
-		if m := rows[i].miss; len(m) > 0 && int(m[len(m)-1]>>3) >= s.nExp {
-			panic("tilecorr: FinishBlock query row from tiles of another width")
-		}
-	}
 	lim := varGuard * float64(s.nExp)
 	if useAsm {
 		flagged = finishAsm(out, dots, tile, t1, t2, cells, z, present, rows, &unitLanes, lim)
@@ -321,6 +340,56 @@ func finishGo(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *
 				flagged |= 1 << (TileRows*k + j)
 			}
 			o[j] = r
+		}
+	}
+	return flagged
+}
+
+// ScoreTile scores tile t against every block of q in one call: for each
+// lane j of the tile, sum[j] is the sum of the lane's correlations with q's
+// rows that are defined — not NaN — added in ascending row order, and n[j]
+// how many there are. Each block is dotted over its live rows only and
+// finished as Dot and FinishBlock would, so every correlation it adds has
+// their bits. The result is the lanes holding a pair FinishBlock would flag
+// (bit j for lane j, real pairs only); when it is not 0, sum and n are not
+// to be read, and the caller scores the tile block by block with Dot and
+// FinishBlock, recomputing the flagged pairs its own way. The work is done
+// by the assembly where Dot's is (useAsm) and by scoreGo everywhere else.
+func (s *Tiles) ScoreTile(sum, n *[TileRows]float64, t int, q *Query) (flagged uint8) {
+	tile := s.Tile(t)
+	base := TileRows * t
+	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
+	cells := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
+	s.checkQuery(q)
+	lanes := uint8(1)<<min(TileRows, s.rows-base) - 1
+	lim := varGuard * float64(s.nExp)
+	if useAsm {
+		return uint8(scoreAsm(sum, n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
+	}
+	return scoreGo(sum, n, tile, t1, t2, cells, q.Buf, q.Rows, lim, lanes)
+}
+
+// scoreGo is ScoreTile's arithmetic in Go, and the assembly's oracle: per
+// block, dotGo over the live rows, finishGo, then the defined correlations
+// added row by row. Like the assembly it stops after the first block that
+// flags a pair.
+func scoreGo(sum, n *[TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, buf []float64, rows []Row, lim float64, lanes uint8) (flagged uint8) {
+	nExp := len(tile) / TileRows
+	*sum, *n = [TileRows]float64{}, [TileRows]float64{}
+	var dots, corr [BlockRows * TileRows]float64
+	for b := 0; BlockRows*b < len(rows) && flagged == 0; b++ {
+		blk := buf[2*BlockRows*nExp*b:]
+		live := rows[BlockRows*b : min(BlockRows*(b+1), len(rows))]
+		dotGo(&dots, tile, blk, nExp, len(live))
+		f := finishGo(&corr, &dots, tile, t1, t2, cells, blk[:BlockRows*nExp], blk[BlockRows*nExp:], live, lim)
+		for k := range live {
+			flagged |= uint8(f>>(TileRows*k)) & lanes
+			for j, c := range corr[TileRows*k : TileRows*(k+1)] {
+				if c == c {
+					sum[j] += c
+					n[j]++
+				}
+			}
 		}
 	}
 	return flagged

@@ -75,7 +75,7 @@ func TestDotTileMatchesGo(t *testing.T) {
 			}
 			Dot(&got.out, tile, qz, nExp)
 			var want [BlockRows * TileRows]float64
-			dotGo(&want, tile, qz, nExp)
+			dotGo(&want, tile, qz, nExp, BlockRows)
 			for k := 0; k < BlockRows; k++ {
 				for j := 0; j < TileRows; j++ {
 					mag := 0.0
@@ -450,21 +450,32 @@ func TestFinishAsmMatchesGo(t *testing.T) {
 
 // blockFromBytes decodes a fuzz input into a blockCase: byte 0 is the row
 // length (mod 73); byte 1 the shape — 1 + bits 0-1 gathered rows, 1 + bits
-// 2-4 tile rows, bit 5 the diagonal pair; then each row, gathered rows
-// first, is one value byte per cell (a signed eighth, with -128 for −Inf
-// and 127 for +Inf) and one mask byte per eight cells (a set bit is a
-// missing cell). Bytes past the input are 0.
+// 2-4 tile rows, bit 5 the diagonal pair; then the rows, gathered rows
+// first, as fuzzRows reads them.
 func blockFromBytes(data []byte) (gathered, tileRows [][]float64, nExp int, self bool) {
-	at := func(i int) byte {
+	at := fuzzBytes(data)
+	nExp, shape := int(at(0))%73, at(1)
+	nGathered, nTile := 1+int(shape&3), 1+int(shape>>2&7)
+	rows := fuzzRows(at, 2, nExp, nGathered+nTile)
+	return rows[:nGathered], rows[nGathered:], nExp, shape>>5&1 != 0
+}
+
+// fuzzBytes reads a fuzz input byte by byte: bytes past its end are 0.
+func fuzzBytes(data []byte) func(i int) byte {
+	return func(i int) byte {
 		if i < len(data) {
 			return data[i]
 		}
 		return 0
 	}
-	nExp = int(at(0)) % 73
-	shape := at(1)
-	next := 2
-	row := func() []float64 {
+}
+
+// fuzzRows decodes n rows of nExp cells from byte next on: each row is one
+// value byte per cell (a signed eighth, with -128 for −Inf and 127 for
+// +Inf) and one mask byte per eight cells (a set bit is a missing cell).
+func fuzzRows(at func(int) byte, next, nExp, n int) [][]float64 {
+	rows := make([][]float64, n)
+	for k := range rows {
 		r := make([]float64, nExp)
 		for i := range r {
 			switch v := int8(at(next + i)); v {
@@ -480,15 +491,9 @@ func blockFromBytes(data []byte) (gathered, tileRows [][]float64, nExp int, self
 			}
 		}
 		next += nExp + (nExp+7)/8
-		return r
+		rows[k] = r
 	}
-	for range 1 + int(shape&3) {
-		gathered = append(gathered, row())
-	}
-	for range 1 + int(shape>>2&7) {
-		tileRows = append(tileRows, row())
-	}
-	return gathered, tileRows, nExp, shape>>5&1 != 0
+	return rows
 }
 
 // FuzzFinishBlock holds one block finish to the contract under both
@@ -501,5 +506,166 @@ func FuzzFinishBlock(f *testing.F) {
 		gathered, tileRows, nExp, self := blockFromBytes(data)
 		s, q, all := blockCase(gathered, tileRows, nExp, self)
 		assertRoutinesAgree(t, s, q, all)
+	})
+}
+
+// scoreCase tiles the query rows first, padded to whole tiles with rows
+// missing every cell, then tileRows into the last tile, t; and gathers the
+// query — with self, its first row is tile t's row 0, whose pair with lane 0
+// is the diagonal.
+func scoreCase(tileRows, queryRows [][]float64, nExp int, self bool) (s *Tiles, q *Query, t int) {
+	all := slices.Clone(queryRows)
+	for len(all)%TileRows != 0 {
+		row := make([]float64, nExp)
+		for i := range row {
+			row[i] = nan
+		}
+		all = append(all, row)
+	}
+	t = len(all) / TileRows
+	s = New(append(all, tileRows...), nExp)
+	q = &Query{Buf: make([]float64, QueryCells(len(queryRows), nExp))}
+	for k := range queryRows {
+		r := k
+		if self && k == 0 {
+			r = TileRows * t
+		}
+		q.Rows = append(q.Rows, s.Row(r))
+	}
+	s.Gather(q)
+	return s, q, t
+}
+
+// assertScoreTile holds ScoreTile on tile t of a scoreCase, under the routine
+// useAsm selects, to what a caller computes block by block from Dot and
+// FinishBlock under the same routine: it flags a lane exactly when some
+// block flags a pair, only lanes some block flags; and where it flags none,
+// each real lane's sum and count of the defined correlations are the block
+// by block Go sum's, bit for bit. The call writes its 16 outputs and nothing
+// else.
+func assertScoreTile(t testing.TB, s *Tiles, q *Query, tl int) {
+	t.Helper()
+	nExp := s.NExp()
+	var wantSum, wantN [TileRows]float64
+	var wantFlags uint8
+	var dots, corr [BlockRows * TileRows]float64
+	for b := 0; b < q.Blocks(); b++ {
+		z, _, live := q.Block(b, nExp)
+		Dot(&dots, s.Tile(tl), z, nExp)
+		f := s.FinishBlock(&corr, &dots, tl, q, b)
+		for k := 0; k < live; k++ {
+			wantFlags |= uint8(f >> (TileRows * k))
+			for j, c := range corr[TileRows*k : TileRows*(k+1)] {
+				if !math.IsNaN(c) {
+					wantSum[j] += c
+					wantN[j]++
+				}
+			}
+		}
+	}
+
+	inputs := func() []any {
+		return []any{slices.Clone(s.zt), slices.Clone(s.t1), slices.Clone(s.t2), slices.Clone(s.miss), slices.Clone(q.Buf), slices.Clone(q.Rows), unitLanes}
+	}
+	was := inputs()
+	const sentinel = 12345.678
+	var got struct {
+		before [4]float64
+		sum    [TileRows]float64
+		mid    [4]float64
+		n      [TileRows]float64
+		after  [4]float64
+	}
+	for _, cells := range [][]float64{got.before[:], got.mid[:], got.after[:]} {
+		for i := range cells {
+			cells[i] = sentinel
+		}
+	}
+	flagged := s.ScoreTile(&got.sum, &got.n, tl, q)
+	for _, c := range slices.Concat(got.before[:], got.mid[:], got.after[:]) {
+		if c != sentinel {
+			t.Fatalf("%s: ScoreTile wrote outside its 16 outputs", KernelName())
+		}
+	}
+	if !reflect.DeepEqual(inputs(), was) {
+		t.Fatalf("%s: ScoreTile wrote to its inputs", KernelName())
+	}
+	if (flagged == 0) != (wantFlags == 0) || flagged&^wantFlags != 0 {
+		t.Fatalf("%s: ScoreTile flags lanes %08b, the blocks flag %08b", KernelName(), flagged, wantFlags)
+	}
+	if flagged != 0 {
+		return
+	}
+	for j := 0; j < s.rows-TileRows*tl; j++ {
+		if math.Float64bits(got.sum[j]) != math.Float64bits(wantSum[j]) || got.n[j] != wantN[j] {
+			t.Fatalf("%s: lane %d sums %v over %v correlations, the blocks %v over %v", KernelName(), j, got.sum[j], got.n[j], wantSum[j], wantN[j])
+		}
+	}
+}
+
+// TestScoreTileMatchesBlocks holds ScoreTile to the block-by-block Go sum,
+// under both routines, on random tiles of 1-8 rows against queries of 1-9
+// rows — a block with dead rows, a lone row, two full blocks — of 0-70
+// cells, with every value shape, missing cells at 0-60%, and among the
+// rows of every fourth case an all-missing one, a constant one and one
+// sharing only two cells with the others.
+func TestScoreTileMatchesBlocks(t *testing.T) {
+	underEachDot(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(49))
+		for iter := 0; iter < 3000; iter++ {
+			nExp := 8 + rng.Intn(63)
+			if iter%8 == 0 {
+				nExp = rng.Intn(8)
+			}
+			missing := []float64{0, 0.02, 0.15, 0.3, 0.6}[rng.Intn(5)]
+			rows := randomRows(rng, 2+rng.Intn(17), nExp, missing)
+			for _, row := range rows {
+				if rng.Intn(8) == 0 {
+					reshape(rng, row)
+				}
+			}
+			if nExp >= 3 && len(rows) > 3 && iter%4 == 0 {
+				for i := range rows[1] {
+					rows[1][i], rows[2][i], rows[3][i] = nan, 0.5, nan // all missing; constant
+				}
+				rows[3][0], rows[3][2] = 1, -1 // shares two cells with every row observing them
+			}
+			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
+			split := 1 + rng.Intn(min(TileRows, len(rows)-1))
+			queryRows := rows[split:]
+			if len(queryRows) > 9 {
+				queryRows = queryRows[:9]
+			}
+			s, q, tl := scoreCase(rows[:split], queryRows, nExp, rng.Intn(8) == 0)
+			assertScoreTile(t, s, q, tl)
+		}
+	})
+}
+
+// scoreFromBytes decodes a fuzz input into a scoreCase: byte 0 is the row
+// length (mod 73); byte 1 the shape — 1 + bits 0-2 tile rows, 1 + bits 3-6
+// (mod 9) query rows, bit 7 the diagonal pair; then the rows, tile rows
+// first, as fuzzRows reads them.
+func scoreFromBytes(data []byte) (tileRows, queryRows [][]float64, nExp int, self bool) {
+	at := fuzzBytes(data)
+	nExp, shape := int(at(0))%73, at(1)
+	nTile, nQuery := 1+int(shape&7), 1+int(shape>>3&15)%9
+	rows := fuzzRows(at, 2, nExp, nTile+nQuery)
+	return rows[:nTile], rows[nTile:], nExp, shape>>7 != 0
+}
+
+// FuzzScoreTile holds ScoreTile to Dot, FinishBlock and the Go sum, block by
+// block, under both routines. Its seeds, in testdata/fuzz/FuzzScoreTile,
+// hold an all-missing row, a constant row, rows sharing only two cells and
+// the diagonal pair.
+func FuzzScoreTile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tileRows, queryRows, nExp, self := scoreFromBytes(data)
+		asm := useAsm
+		defer func() { useAsm = asm }()
+		for _, useAsm = range []bool{false, asm} {
+			s, q, tl := scoreCase(tileRows, queryRows, nExp, self)
+			assertScoreTile(t, s, q, tl)
+		}
 	})
 }
