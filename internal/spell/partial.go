@@ -47,9 +47,10 @@ import (
 // zero shard case (no query gene present anywhere in the slice, or no
 // dataset carrying weight) is a valid Partial with empty columns.
 //
-// A Partial is read-only once built: one computed by an engine shares its
-// ID and Name columns with that engine, and one decoded from a frame holds
-// substrings of a few large blobs.
+// A Partial's strings are read-only once built: one computed by an engine
+// shares its ID and Name columns with that engine, and one decoded from a
+// frame holds substrings of a few large blobs. Its accumulator columns are
+// read-only too, except to Merge over that one part, which consumes them.
 type Partial struct {
 	// Query is the canonicalized query the shard ran. Merge refuses to
 	// combine partials of different queries.

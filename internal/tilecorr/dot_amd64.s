@@ -231,14 +231,14 @@ done:
 // func scoreAsm(sum, cnt *[8]float64, tile []float64, t1, t2 *[8]float64, cells []int32, buf []float64, rows []Row, unit *[8][8]float64, lim float64, lanes uint64) (flagged uint64)
 //
 // Block by block: dotAsm's loop over the block's live rows only, into the
-// local dots; then one live row at a time, ROWSUMS and HALF as finishAsm runs
-// them, the row's flagged lanes (masked by lanes) into R9 and its defined
-// r — NaN lanes masked to +0, which adds nothing to a sum that starts at +0
-// — into sum, with 1 per defined r into cnt. DI is the block's cells in
-// buf, CX the rows left, BX, SI, R12 and R13 walk rows, dots, z and
-// present as in finishAsm; R8, R10 and R11 walk the block's z-scores, the
-// tile and its lines in the dot. The call stops after the first block that
-// flags a lane.
+// local dots; then one live row at a time, ROWSUMS and HALF as finishAsm
+// runs them, the row's flagged lanes (masked by lanes) into R9 and its
+// defined r — NaN lanes masked to +0, which adds nothing to a sum that
+// starts at +0 — into sum, with 1 per defined r into cnt. DI is the block's
+// cells in buf, CX the rows left; BX, SI, R12 and R13 walk rows, dots, z
+// and present as in finishAsm. In the dot R8 and R10 walk the block's
+// z-scores and the tile, and R11 counts the lines. The call stops after the
+// first block that flags a lane.
 TEXT ·scoreAsm(SB), NOSPLIT, $256-160
 	MOVQ         tile_base+16(FP), DX
 	MOVQ         buf_base+80(FP), DI

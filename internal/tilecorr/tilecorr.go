@@ -5,8 +5,10 @@
 // major (Tiles). One pass over a tile dots it with a block of up to four
 // gathered rows (Dot), and FinishBlock turns those 4×8 dots into 32
 // correlations over the cells each pair observes jointly — a missing cell
-// costs a correction, not another code path. Both are AVX2+FMA assembly
-// where the CPU has it and the same arithmetic in Go everywhere else. A pair
+// costs a correction, not another code path. ScoreTile does both for every
+// block of a query and sums each tile row's correlations with it, in one
+// call. All are AVX2+FMA assembly where the CPU has it and the same
+// arithmetic in Go everywhere else. A pair
 // whose one-pass value cannot be trusted to the last bits is reported to the
 // caller, who recomputes it exactly by its own definition: the kernel never
 // chooses the exact routine.
@@ -200,8 +202,8 @@ func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 	dotGo(out, tile, qz, nExp, BlockRows)
 }
 
-// KernelName names the routines this process runs, Dot's and FinishBlock's
-// both: "avx2-fma" (amd64 with AVX2 and FMA) or "go". Processes on different
+// KernelName names the routines this process runs, Dot's, FinishBlock's
+// and ScoreTile's: "avx2-fma" (amd64 with AVX2 and FMA) or "go". Processes on different
 // routines differ in speed and in the last bits of a correlation (the
 // assembly dot fuses its multiply-adds, the Go loop does not).
 func KernelName() string {
@@ -278,14 +280,9 @@ var unitLanes = func() (u [TileRows][TileRows]float64) {
 // (useAsm) and by finishGo, the same arithmetic, everywhere else; the checks
 // here keep the assembly inside its arguments.
 func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *Query, b int) (flagged uint32) {
-	tile := s.Tile(t)
-	base := TileRows * t
-	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
-	cells := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
-	s.checkQuery(q)
+	tile, t1, t2, cells, lim := s.finishArgs(t, q)
 	z, present, live := q.Block(b, s.nExp)
 	rows := q.Rows[BlockRows*b : BlockRows*b+live]
-	lim := varGuard * float64(s.nExp)
 	if useAsm {
 		flagged = finishAsm(out, dots, tile, t1, t2, cells, z, present, rows, &unitLanes, lim)
 	} else {
@@ -293,8 +290,23 @@ func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *
 	}
 	// Every real pair: the tile's lanes up to its last row, in each live row
 	// (a uint32 shifted by 32 is 0, so four live rows keep all 32 bits).
-	lanes := uint32(1)<<min(TileRows, s.rows-base) - 1
+	lanes := uint32(s.lanes(t))
 	return flagged & (lanes * 0x01010101) & (uint32(1)<<(TileRows*live) - 1)
+}
+
+// finishArgs checks q (checkQuery) and returns what the finish reads of
+// tile t — its cells, totals and missing cells — and lim, the guard's share
+// of nExp: a variance term must exceed lim times its row's t2.
+func (s *Tiles) finishArgs(t int, q *Query) (tile []float64, t1, t2 *[TileRows]float64, cells []int32, lim float64) {
+	s.checkQuery(q)
+	base := TileRows * t
+	return s.Tile(t), (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:]),
+		s.miss[s.missOff[base]:s.missOff[base+TileRows]], varGuard * float64(s.nExp)
+}
+
+// lanes has bit j set for each lane j of tile t that holds a row.
+func (s *Tiles) lanes(t int) uint8 {
+	return uint8(1)<<min(TileRows, s.rows-TileRows*t) - 1
 }
 
 // finishGo is FinishBlock's arithmetic in Go, and the assembly's oracle:
@@ -350,19 +362,16 @@ func finishGo(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *
 // rows that are defined — not NaN — added in ascending row order, and n[j]
 // how many there are. Each block is dotted over its live rows only and
 // finished as Dot and FinishBlock would, so every correlation it adds has
-// their bits. The result is the lanes holding a pair FinishBlock would flag
-// (bit j for lane j, real pairs only); when it is not 0, sum and n are not
-// to be read, and the caller scores the tile block by block with Dot and
-// FinishBlock, recomputing the flagged pairs its own way. The work is done
-// by the assembly where Dot's is (useAsm) and by scoreGo everywhere else.
+// their bits. The result is not 0 exactly when FinishBlock would flag a
+// pair of the tile's real lanes with q's rows, and its set bits (bit j for
+// lane j) are lanes holding such a pair — the call stops at the first block
+// that flags one. Then sum and n are not to be read: the caller scores the
+// tile block by block with Dot and FinishBlock, recomputing the flagged
+// pairs its own way. The work is done by the assembly where Dot's is
+// (useAsm) and by scoreGo everywhere else.
 func (s *Tiles) ScoreTile(sum, n *[TileRows]float64, t int, q *Query) (flagged uint8) {
-	tile := s.Tile(t)
-	base := TileRows * t
-	t1, t2 := (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:])
-	cells := s.miss[s.missOff[base]:s.missOff[base+TileRows]]
-	s.checkQuery(q)
-	lanes := uint8(1)<<min(TileRows, s.rows-base) - 1
-	lim := varGuard * float64(s.nExp)
+	tile, t1, t2, cells, lim := s.finishArgs(t, q)
+	lanes := s.lanes(t)
 	if useAsm {
 		return uint8(scoreAsm(sum, n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
 	}
