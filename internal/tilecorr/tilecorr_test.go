@@ -669,3 +669,41 @@ func FuzzScoreTile(f *testing.F) {
 		}
 	})
 }
+
+// TestQueryCheckedAtGather: the assembly reads a query's cells at its rows'
+// missing columns, so the kernel meets only a query Gather checked against
+// the tiles' width. Gather refuses a row of wider tiles; FinishBlock and
+// ScoreTile refuse a query never gathered, one gathered by tiles of another
+// width, and one whose buffer is too short for its rows.
+func TestQueryCheckedAtGather(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	narrow, wide := New(randomRows(rng, 9, 10, 0.3), 10), New(randomRows(rng, 9, 12, 0.3), 12)
+	wideRow := wide.Row(0)
+	for r := 0; len(wideRow.miss) == 0 || wideRow.miss[len(wideRow.miss)-1]>>3 < 10; r++ {
+		wideRow = wide.Row(r) // a row missing a column narrow does not have
+	}
+	panics := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	var sum, n [TileRows]float64
+	var dots, out [BlockRows * TileRows]float64
+	kernel := func(s *Tiles, q *Query) {
+		panics("FinishBlock", func() { s.FinishBlock(&out, &dots, 0, q, 0) })
+		panics("ScoreTile", func() { s.ScoreTile(&sum, &n, 0, q) })
+	}
+	panics("Gather of a wider row", func() {
+		narrow.Gather(&Query{Rows: []Row{wideRow}, Buf: make([]float64, QueryCells(1, 12))})
+	})
+	kernel(narrow, &Query{Rows: []Row{narrow.Row(1)}, Buf: make([]float64, QueryCells(1, 10))})
+	q := &Query{Rows: []Row{narrow.Row(1)}, Buf: make([]float64, QueryCells(1, 12))}
+	narrow.Gather(q)
+	kernel(wide, q)
+	q.Rows = append(q.Rows, narrow.Row(2), narrow.Row(3), narrow.Row(4), narrow.Row(5))
+	kernel(narrow, q)
+}
