@@ -27,6 +27,7 @@ import (
 	"forestview/internal/golem"
 	"forestview/internal/microarray"
 	"forestview/internal/ontology"
+	"forestview/internal/oracle"
 	"forestview/internal/render"
 	"forestview/internal/server"
 	"forestview/internal/shard"
@@ -257,10 +258,10 @@ func benchSearch(b *testing.B, dss []*microarray.Dataset, query []string) {
 	}
 }
 
-// BenchmarkF4_SPELLReference runs the identical workload through the
-// retained naive scorer (map-merged, per-pair Pearson from scratch) so the
-// dense kernel's speedup is measurable within one binary: compare against
-// BenchmarkF4_SPELL at the same dataset counts.
+// BenchmarkF4_SPELLReference runs the identical workload through
+// oracle.Search, the naive serial scorer (map-merged, per-pair Pearson from
+// scratch), so the dense kernel's speedup is measurable within one binary:
+// compare against BenchmarkF4_SPELL at the same dataset counts.
 func BenchmarkF4_SPELLReference(b *testing.B) {
 	u := synth.NewUniverse(1000, 20, 13)
 	query := u.ModuleGeneIDs(4)[:4]
@@ -272,7 +273,7 @@ func BenchmarkF4_SPELLReference(b *testing.B) {
 			})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := spell.ReferenceSearch(dss, query, spell.Options{MaxGenes: 50}); err != nil {
+				if _, err := oracle.Search(dss, spell.CanonicalQuery(query), oracle.SearchOptions{MaxGenes: 50}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -572,7 +573,7 @@ func BenchmarkF4_HeatmapTile(b *testing.B) {
 // F4c — the GOLEM enrichment half of the interactive drill-down path, at the
 // acceptance scale from ISSUE 4: a 6k-gene background against a 2k-term
 // ontology. BenchmarkF4_Enrich runs the bitset AND-popcount kernel,
-// BenchmarkF4_EnrichReference the retained map-walk + per-call-Lgamma path,
+// BenchmarkF4_EnrichReference the oracle's map-walk + per-call-Lgamma path,
 // so the speedup is measurable within one binary (acceptance bar: >= 5x).
 // BenchmarkF4_EnrichHTTP runs the daemon's full /api/enrich pipeline with a
 // distinct selection per iteration (parse -> canonicalize -> cache miss ->
@@ -580,6 +581,7 @@ func BenchmarkF4_HeatmapTile(b *testing.B) {
 
 type enrichBench struct {
 	enricher   *golem.Enricher
+	reference  *oracle.Terms
 	background []string
 	selection  []string
 }
@@ -617,7 +619,8 @@ func getEnrichBench(b testing.TB) *enrichBench {
 		for i := 0; i < 500; i++ {
 			selection = append(selection, background[(i*11)%nGenes])
 		}
-		enrichBenchFix = &enrichBench{enricher: enr, background: background, selection: selection}
+		enrichBenchFix = &enrichBench{enricher: enr, reference: oracle.NewTerms(onto, ann, background),
+			background: background, selection: selection}
 	})
 	return enrichBenchFix
 }
@@ -633,8 +636,8 @@ func BenchmarkF4_Enrich(b *testing.B) {
 	}
 }
 
-// BenchmarkF4_EnrichReference runs the identical workload through the
-// retained pre-kernel path (per-call sort.Strings, map-walk intersections,
+// BenchmarkF4_EnrichReference runs the identical workload through
+// oracle.Terms.Enrich (per-call sort.Strings, map-walk intersections,
 // math.Lgamma hypergeometrics) so the bitset kernel's speedup is measurable
 // within one binary: compare against BenchmarkF4_Enrich.
 func BenchmarkF4_EnrichReference(b *testing.B) {
@@ -642,7 +645,7 @@ func BenchmarkF4_EnrichReference(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := f.enricher.ReferenceAnalyze(f.selection, golem.Options{}); err != nil {
+		if _, err := f.reference.Enrich(f.selection, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

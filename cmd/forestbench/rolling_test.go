@@ -67,7 +67,7 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer tp.close()
-	ids := tp.fleet.IDs()
+	ids := tp.fleet.Members()[0].Shards
 
 	coordFleet := func(action, id string) {
 		t.Helper()
@@ -132,7 +132,7 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 			// Before the coordinator switches to the 2-shard topology:
 			// every successor of every post-drain ownership group serves
 			// the group on first touch.
-			for _, owners := range shard.Groups(tp.fleet.Names(), survivors, repl) {
+			for _, owners := range shard.Groups(tp.fleet.Members()[0].Catalog, survivors, repl) {
 				for _, owner := range owners {
 					code := shardGroupSearch(t, tp.fleet.URL(slices.Index(ids, owner)), shard.SearchRequest{
 						Query: query, Shards: survivors, Replication: repl, Groups: [][]string{owners},

@@ -101,7 +101,7 @@ func main() {
 	sigCh := make(chan os.Signal, 2)
 	srv, err := buildServer(buildConfig{
 		files: *files, obo: *oboPath, assoc: *assocPath,
-		demo: *demo || *files == "", precluster: *precluster,
+		demo: *demo, precluster: *precluster,
 		genes: *genes, modules: *modules,
 		datasets: *nDatasets, seed: *seed,
 		cacheMB: *cacheMB, workers: *workers,
@@ -268,6 +268,13 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		return srv, nil
 	}
 
+	// The demo (the default without -files) brings its own compendium and
+	// ontology, so a file it would not read is refused, not ignored.
+	demo := cfg.demo || cfg.files == ""
+	if demo && (cfg.files != "" || cfg.obo != "" || cfg.assoc != "") {
+		return nil, fmt.Errorf("-demo serves a synthetic compendium and ontology: it takes no -files, -obo or -assoc")
+	}
+
 	// A compendium source is its dataset names, known before anything is
 	// parsed, and a loader of one dataset by global index: the boot loads
 	// what this daemon holds through it, and a shard's membership reload
@@ -277,7 +284,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		load     func(gi int) (*microarray.Dataset, error)
 		enricher *golem.Enricher
 	)
-	if cfg.demo {
+	if demo {
 		u := synth.NewUniverse(cfg.genes, cfg.modules, cfg.seed)
 		dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 			NumDatasets: cfg.datasets, MinExperiments: 10, MaxExperiments: 30,
@@ -367,7 +374,7 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 		datasets = append(datasets, ds)
 	}
 	cfg.log("loaded %d datasets in %v", len(datasets), time.Since(t0).Round(time.Millisecond))
-	if cfg.demo {
+	if demo {
 		cfg.log("demo compendium: %d of %d datasets over %d genes, %d GO terms",
 			len(datasets), len(names), cfg.genes, enricher.NumTerms())
 	}

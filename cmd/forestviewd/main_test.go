@@ -210,12 +210,60 @@ func TestBuildServerErrors(t *testing.T) {
 	if _, err := buildServer(buildConfig{files: " , "}); err == nil {
 		t.Fatal("empty file list accepted")
 	}
-	// Demo mode ignores -obo (its enricher is synthetic), so this builds.
-	srv, err := buildServer(buildConfig{demo: true, genes: 50, modules: 4, datasets: 1, obo: "x"})
-	if err != nil {
-		t.Fatalf("demo with -obo: %v", err)
+	// The demo's enricher is synthetic: an -obo beside it is refused.
+	if _, err := buildServer(buildConfig{demo: true, genes: 50, modules: 4, datasets: 1, obo: "x"}); err == nil {
+		t.Fatal("demo with -obo accepted")
 	}
-	srv.Close()
+}
+
+// TestDemoRefusesFiles: -demo, which is also the default without -files,
+// serves its own compendium and ontology, so it refuses -files, -obo and
+// -assoc rather than leave them unread.
+func TestDemoRefusesFiles(t *testing.T) {
+	for _, cfg := range []buildConfig{
+		{demo: true, files: "a.pcl"},
+		{demo: true, obo: "go.obo", assoc: "go.assoc"},
+		{assoc: "go.assoc"},
+		{obo: "go.obo"},
+	} {
+		cfg.genes, cfg.modules, cfg.datasets = 50, 4, 1
+		_, err := buildServer(cfg)
+		if err == nil || !strings.Contains(err.Error(), "-demo") {
+			t.Errorf("%+v: err = %v, want the -demo refusal", cfg, err)
+		}
+	}
+}
+
+// TestFilesRefuseDuplicateNames: a dataset is named by its trimmed file
+// name, so two files of one name in two directories are one name twice,
+// and the daemon refuses to boot, naming it, rather than answer every
+// search 422.
+func TestFilesRefuseDuplicateNames(t *testing.T) {
+	u := synth.NewUniverse(60, 4, 9)
+	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
+		NumDatasets: 2, MinExperiments: 6, MaxExperiments: 8, Seed: 11,
+	})
+	var paths []string
+	for i, ds := range dss {
+		dir := filepath.Join(t.TempDir(), string(rune('a'+i)))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		p := filepath.Join(dir, "x.pcl")
+		f, err := os.Create(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := microarray.WritePCL(f, ds); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		paths = append(paths, p)
+	}
+	_, err := buildServer(buildConfig{files: strings.Join(paths, ","), cacheMB: 4, workers: 1})
+	if err == nil || !strings.Contains(err.Error(), `"x"`) {
+		t.Fatalf("two files named x: err = %v, want a refusal naming \"x\"", err)
+	}
 }
 
 func TestTrimPCLExt(t *testing.T) {

@@ -227,12 +227,3 @@ func (cd *ClusteredDataset) copyRowHeaders(from, to int) [][]float64 {
 	}
 	return out
 }
-
-// IDsInDisplayOrder returns gene IDs arranged for display.
-func (cd *ClusteredDataset) IDsInDisplayOrder() []string {
-	out := make([]string, len(cd.DisplayOrder))
-	for pos, row := range cd.DisplayOrder {
-		out[pos] = cd.Data.Genes[row].ID
-	}
-	return out
-}

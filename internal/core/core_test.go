@@ -152,8 +152,7 @@ func TestFromDatasetIdentityOrder(t *testing.T) {
 	if cd.DisplayOrder[0] != 0 || cd.DisplayOrder[1] != 1 {
 		t.Fatalf("identity order = %v", cd.DisplayOrder)
 	}
-	ids := cd.IDsInDisplayOrder()
-	if ids[0] != "G1" || ids[1] != "G2" {
+	if ids := cd.Data.GeneIDs(); ids[cd.DisplayOrder[0]] != "G1" || ids[cd.DisplayOrder[1]] != "G2" {
 		t.Fatalf("IDs = %v", ids)
 	}
 }

@@ -58,9 +58,6 @@ type Pyramid struct {
 	levels []Slab
 }
 
-// NumLevels returns the number of levels, counting level 0.
-func (p *Pyramid) NumLevels() int { return len(p.levels) }
-
 // Level returns the slab for level k, clamped to the available range.
 func (p *Pyramid) Level(k int) Slab {
 	if k < 0 {
@@ -70,19 +67,6 @@ func (p *Pyramid) Level(k int) Slab {
 		k = len(p.levels) - 1
 	}
 	return p.levels[k]
-}
-
-// MemBytes reports the storage the aggregated levels add beyond the raw
-// dataset (level 0 aliases the dataset and costs only row headers).
-func (p *Pyramid) MemBytes() int64 {
-	var b int64
-	for _, s := range p.levels {
-		b += int64(len(s.F64)) * 24 // row headers
-		if s.K > 0 {
-			b += int64(s.NRows) * int64(s.NCols) * 8
-		}
-	}
-	return b
 }
 
 // buildPyramid constructs every level for the current display order.
@@ -152,36 +136,4 @@ func emitLevel(k, nRows, nCols int, sum []float64, cnt []int32) Slab {
 		s.F64[i] = vals[i*nCols : (i+1)*nCols : (i+1)*nCols]
 	}
 	return s
-}
-
-// ReferencePyramidLevel computes level k by direct NaN-aware mean over the
-// raw display rows — the naive O(rows) aggregation the pyramid replaces.
-// Retained as the golden-parity oracle for Pyramid (level k row i must
-// match within 1e-12).
-func (cd *ClusteredDataset) ReferencePyramidLevel(k int) [][]float64 {
-	n := len(cd.DisplayOrder)
-	nCols := cd.Data.NumExperiments()
-	block := 1 << uint(k)
-	nRows := (n + block - 1) / block
-	out := make([][]float64, nRows)
-	for i := 0; i < nRows; i++ {
-		row := make([]float64, nCols)
-		for c := 0; c < nCols; c++ {
-			sum, cnt := 0.0, 0
-			for j := i * block; j < (i+1)*block && j < n; j++ {
-				src := cd.Data.Row(cd.DisplayOrder[j])
-				if c < len(src) && !math.IsNaN(src[c]) {
-					sum += src[c]
-					cnt++
-				}
-			}
-			if cnt > 0 {
-				row[c] = sum / float64(cnt)
-			} else {
-				row[c] = math.NaN()
-			}
-		}
-		out[i] = row
-	}
-	return out
 }

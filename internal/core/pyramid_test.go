@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"forestview/internal/cluster"
+	"forestview/internal/oracle"
 	"forestview/internal/synth"
 )
 
@@ -42,17 +43,22 @@ func TestNumPyramidLevels(t *testing.T) {
 	}
 }
 
+// referenceLevel is oracle.PyramidLevel over cd's rows in display order.
+func referenceLevel(cd *ClusteredDataset, k int) [][]float64 {
+	return oracle.PyramidLevel(cd.copyRowHeaders(0, len(cd.DisplayOrder)), cd.Data.NumExperiments(), k)
+}
+
 // TestPyramidParityFloat64 is the golden-parity oracle: every level of the
 // built pyramid must match the naive direct aggregation within 1e-12.
 func TestPyramidParityFloat64(t *testing.T) {
 	cd := pyramidFixture(t)
 	p := cd.Pyramid(PyramidOptions{})
-	if p.NumLevels() != NumPyramidLevels(len(cd.DisplayOrder)) {
-		t.Fatalf("levels = %d, want %d", p.NumLevels(), NumPyramidLevels(len(cd.DisplayOrder)))
+	if len(p.levels) != NumPyramidLevels(len(cd.DisplayOrder)) {
+		t.Fatalf("levels = %d, want %d", len(p.levels), NumPyramidLevels(len(cd.DisplayOrder)))
 	}
-	for k := 0; k < p.NumLevels(); k++ {
+	for k := 0; k < len(p.levels); k++ {
 		slab := p.Level(k)
-		ref := cd.ReferencePyramidLevel(k)
+		ref := referenceLevel(cd, k)
 		if slab.NRows != len(ref) {
 			t.Fatalf("level %d: %d rows, want %d", k, slab.NRows, len(ref))
 		}
@@ -84,7 +90,7 @@ func TestPyramidInvalidatedByOrderChange(t *testing.T) {
 	if after == before {
 		t.Fatal("pyramid not invalidated by SetDisplayOrder")
 	}
-	ref := cd.ReferencePyramidLevel(1)
+	ref := referenceLevel(cd, 1)
 	slab := after.Level(1)
 	for i, refRow := range ref {
 		for c, want := range refRow {
@@ -100,7 +106,7 @@ func TestPyramidInvalidatedByOrderChange(t *testing.T) {
 // -race.
 func TestPyramidRaceHammer(t *testing.T) {
 	cd := pyramidFixture(t)
-	ref := cd.ReferencePyramidLevel(2)
+	ref := referenceLevel(cd, 2)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)

@@ -147,12 +147,6 @@ func (f *Fleet[S]) start(i int) error {
 // Members lists the placed members, by index.
 func (f *Fleet[S]) Members() []Member { return f.members }
 
-// IDs lists the members' identities, by index.
-func (f *Fleet[S]) IDs() []string { return f.members[0].Shards }
-
-// Names is the catalog: every dataset's name, in global order.
-func (f *Fleet[S]) Names() []string { return f.members[0].Catalog }
-
 // Coordinator is the coordinator over the fleet. It follows Restart.
 func (f *Fleet[S]) Coordinator() *shard.Coordinator { return f.coord }
 

@@ -10,9 +10,8 @@
 // gene index and packs every testable term's annotated-gene set into one
 // []uint64 bitset row of a shared arena, so Analyze is one selection bitset
 // plus an AND-popcount per term — no map walks, no string hashing, no
-// per-call sorting. The pre-kernel map-walk is retained verbatim as
-// ReferenceAnalyze (reference.go), the golden standard the kernel is held
-// to by parity_test.go.
+// per-call sorting. internal/oracle's Terms.Enrich is the map-walk
+// definition the kernel is held to by parity_test.go.
 package golem
 
 import (
@@ -22,7 +21,6 @@ import (
 	"hash/fnv"
 	"math"
 	"sort"
-	"sync"
 
 	"forestview/internal/ontology"
 	"forestview/internal/stats"
@@ -66,13 +64,8 @@ type termEntry struct {
 // it once per (ontology, annotations, background) and reuse it for many
 // selections — ForestView calls it every time the user re-selects genes.
 // An Enricher is immutable after NewEnricher and safe for concurrent use;
-// it assumes the ontology and annotations it was built from are not
-// mutated afterwards.
+// it keeps nothing of the ontology and annotations it was built from.
 type Enricher struct {
-	onto       *ontology.Ontology
-	direct     *ontology.Annotations // unpropagated, as handed to NewEnricher
-	background map[string]bool
-
 	// The dense kernel state: every background gene owns one bit position,
 	// every testable term one packed bitset row in a shared arena, rows in
 	// ascending TermID order so Analyze needs no per-call sort.
@@ -81,19 +74,11 @@ type Enricher struct {
 	terms   []termEntry      // sorted by TermID
 	bits    []uint64         // term arena, len = len(terms)*words
 
-	// The reference path's map state (term -> background gene set) is heavy
-	// — at GO scale it dwarfs the packed arena — and only parity tests and
-	// benchmarks ever walk it, so it is built lazily on the first
-	// ReferenceAnalyze instead of living on the serving path's memory for the
-	// process lifetime.
 	// fingerprint identifies the exact kernel layout (gene bit order, term
 	// rows, per-term K) so distributed partials from differently-built
 	// enrichers can never be merged into a silently wrong table.
 	fingerprint uint64
 	catalog     *TermCatalog // what a merge needs of the layout, see Catalog
-
-	refOnce   sync.Once
-	termGenes map[string]map[string]bool
 }
 
 // NewEnricher prepares an enrichment context. annotations are direct
@@ -107,19 +92,13 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 	if len(background) == 0 {
 		return nil, errors.New("golem: empty background")
 	}
-	e := &Enricher{
-		onto:       o,
-		direct:     direct,
-		background: make(map[string]bool, len(background)),
-		geneIdx:    make(map[string]int32, len(background)),
-	}
+	e := &Enricher{geneIdx: make(map[string]int32, len(background))}
 	fp := fnv.New64a()
 	for _, g := range background {
-		if !e.background[g] {
+		if _, dup := e.geneIdx[g]; !dup {
 			// First occurrence claims the bit; duplicate universe entries
-			// collapse, matching the map semantics of the reference path.
+			// collapse, as a set of genes would.
 			e.geneIdx[g] = int32(len(e.geneIdx))
-			e.background[g] = true
 			// The fingerprint covers the claimed gene order: two enrichers
 			// agree on it iff their background slices partition identically,
 			// which is exactly when their word-range partials compose.
@@ -130,7 +109,7 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 	// The propagated per-term gene sets are needed only transiently here:
 	// they compile into the packed arena and are then released, so the
 	// serving path never carries the map-of-maps weight.
-	termGenes := e.buildTermGenes()
+	termGenes := e.termGenes(o, direct)
 
 	// Pack the term arena in sorted order.
 	N := len(e.geneIdx)
@@ -178,20 +157,19 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 	return e, nil
 }
 
-// buildTermGenes applies the true-path rule and inverts the annotations
-// into term -> background-gene sets, skipping obsolete terms (untestable;
+// termGenes applies the true-path rule and inverts the annotations into
+// term -> background-gene sets, skipping obsolete terms (untestable;
 // keeping them out keeps NumTerms honest) and terms annotating no
-// background gene. Deterministic in the inputs, so the lazy reference
-// rebuild reproduces exactly what the arena was compiled from.
-func (e *Enricher) buildTermGenes() map[string]map[string]bool {
+// background gene.
+func (e *Enricher) termGenes(o *ontology.Ontology, direct *ontology.Annotations) map[string]map[string]bool {
 	out := make(map[string]map[string]bool)
-	for term, genes := range e.direct.Propagate(e.onto).GenesPerTerm() {
-		if t := e.onto.Term(term); t != nil && t.Obsolete {
+	for term, genes := range direct.Propagate(o).GenesPerTerm() {
+		if t := o.Term(term); t != nil && t.Obsolete {
 			continue
 		}
 		set := make(map[string]bool)
 		for g := range genes {
-			if e.background[g] {
+			if _, ok := e.geneIdx[g]; ok {
 				set[g] = true
 			}
 		}
@@ -202,24 +180,13 @@ func (e *Enricher) buildTermGenes() map[string]map[string]bool {
 	return out
 }
 
-// refTermGenes returns the reference path's map state, built on first use.
-func (e *Enricher) refTermGenes() map[string]map[string]bool {
-	e.refOnce.Do(func() { e.termGenes = e.buildTermGenes() })
-	return e.termGenes
-}
-
 // BackgroundSize returns N, the size of the gene universe.
-func (e *Enricher) BackgroundSize() int { return len(e.background) }
+func (e *Enricher) BackgroundSize() int { return len(e.geneIdx) }
 
 // NumTerms returns the number of testable terms — terms annotating at
 // least one background gene after propagation. The query daemon reports it
 // in /api/stats.
 func (e *Enricher) NumTerms() int { return len(e.terms) }
-
-// InBackground reports whether a gene is part of the universe. Analyze
-// silently drops selection genes outside it, so callers reporting what was
-// actually tested filter with this first.
-func (e *Enricher) InBackground(id string) bool { return e.background[id] }
 
 // Options tune an analysis.
 type Options struct {
@@ -261,7 +228,7 @@ func (e *Enricher) AnalyzeCtx(ctx context.Context, selection []string, opt Optio
 
 // finishAnalysis applies the multiple-hypothesis corrections over the
 // tested family, the MaxPValue filter, and the final (p, TermID) ordering —
-// shared bit-for-bit by the kernel (MergeCounts) and the reference path.
+// MergeCounts' last step.
 func finishAnalysis(results []Enrichment, opt Options) []Enrichment {
 	ps := make([]float64, len(results))
 	for i := range results {

@@ -10,7 +10,37 @@ import (
 	"testing"
 
 	"forestview/internal/ontology"
+	"forestview/internal/oracle"
 )
+
+// refEnricher is an Enricher beside the oracle's terms over the same
+// inputs, which the Enricher does not keep.
+type refEnricher struct {
+	*Enricher
+	ref *oracle.Terms
+}
+
+func newRefEnricher(t *testing.T, o *ontology.Ontology, ann *ontology.Annotations, background []string) *refEnricher {
+	t.Helper()
+	enr, err := NewEnricher(o, ann, background)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &refEnricher{enr, oracle.NewTerms(o, ann, background)}
+}
+
+// ReferenceAnalyze is oracle.Terms.Enrich as []Enrichment.
+func (e *refEnricher) ReferenceAnalyze(selection []string, opt Options) ([]Enrichment, error) {
+	ref, err := e.ref.Enrich(selection, opt.MinSelected, opt.MaxPValue)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Enrichment, len(ref))
+	for i, r := range ref {
+		out[i] = Enrichment(r)
+	}
+	return out, nil
+}
 
 // assertEnrichmentsEqual holds the kernel to the reference: the slices must
 // be identical element by element — same terms in the same order, same 2×2
@@ -48,7 +78,7 @@ func assertEnrichmentsEqual(t *testing.T, got, want []Enrichment, tol float64) {
 // random annotation set, a background, and a selection salted with
 // out-of-background gene IDs — every irregularity the kernel must resolve
 // exactly like the map walk.
-func randomEnrichmentFixture(t *testing.T, rng *rand.Rand, nTerms, nGenes int) (*Enricher, []string) {
+func randomEnrichmentFixture(t *testing.T, rng *rand.Rand, nTerms, nGenes int) (*refEnricher, []string) {
 	t.Helper()
 	o := ontology.New()
 	if err := o.AddTerm(&ontology.Term{ID: "T0000", Name: "root"}); err != nil {
@@ -84,10 +114,7 @@ func randomEnrichmentFixture(t *testing.T, rng *rand.Rand, nTerms, nGenes int) (
 	for g := 0; g < nGenes/10; g++ {
 		ann.Add(fmt.Sprintf("OUT%04d", g), ids[rng.Intn(len(ids))])
 	}
-	enr, err := NewEnricher(o, ann, background)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enr := newRefEnricher(t, o, ann, background)
 	// Selection: a random slice of the background plus IDs the universe
 	// lacks plus duplicates.
 	sel := make([]string, 0, nGenes/4+8)
@@ -103,7 +130,7 @@ func randomEnrichmentFixture(t *testing.T, rng *rand.Rand, nTerms, nGenes int) (
 // TestKernelMatchesReference is the golden-parity proof for the bitset
 // kernel: on random ontologies — obsolete terms, unknown annotation
 // targets, out-of-background selection genes, duplicated selections —
-// Analyze must return Enrichment slices identical to ReferenceAnalyze's,
+// Analyze must return Enrichment slices identical to the oracle's,
 // p-values within 1e-12, for every option shape.
 func TestKernelMatchesReference(t *testing.T) {
 	for _, seed := range []int64{7, 71, 717} {
@@ -205,10 +232,7 @@ func TestAnalyzeMinSelectedBoundary(t *testing.T) {
 			ann.Add(g, "GO:B") // selection will hold 2 of these
 		}
 	}
-	enr, err := NewEnricher(o, ann, bg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enr := newRefEnricher(t, o, ann, bg)
 	sel := []string{"g00", "g01", "g02", "g06", "g07"}
 	for _, kernel := range []struct {
 		name string
@@ -302,10 +326,7 @@ func TestAnalyzeTieOrdering(t *testing.T) {
 			ann.Add(g, terms[i%4])
 		}
 	}
-	enr, err := NewEnricher(o, ann, bg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	enr := newRefEnricher(t, o, ann, bg)
 	sel := []string{"g00", "g01", "g02", "g03"} // one gene per term
 	for _, kernel := range []struct {
 		name string

@@ -11,7 +11,7 @@ import (
 )
 
 // An analysis is a counting pass and a pure merge, the same shape as
-// spell.PartialSearch/Merge. The background bitset is partitioned by
+// spell.PartialSearchSubsetCtx/Merge. The background bitset is partitioned by
 // contiguous *word ranges*: slice gi of G covers arena words
 // [gi*W/G, (gi+1)*W/G), so each shard popcounts ~1/G of every term row and
 // the per-slice 2×2 tallies are plain integers that sum — over a full
@@ -39,10 +39,6 @@ type TermCatalog struct {
 // Catalog returns the enricher's term catalog: one value, built with the
 // enricher and as immutable, that every caller shares.
 func (e *Enricher) Catalog() *TermCatalog { return e.catalog }
-
-// Fingerprint identifies the kernel layout (background gene order, term
-// rows, per-term K). Partials and catalogs compose iff fingerprints match.
-func (e *Enricher) Fingerprint() uint64 { return e.fingerprint }
 
 // PartialCounts is one background slice's contribution to an analysis: the
 // integer tallies of the 2×2 tables restricted to the slice's gene range,

@@ -16,7 +16,7 @@ import (
 // order, same 2×2 tables, p-values within 1e-12 (in practice bit-identical:
 // the summed integers feed the very same hypergeometric calls). One slice is
 // what Analyze itself merges, so that case is held to the oracle instead:
-// the chain is ReferenceAnalyze ← single ← K-way split.
+// the chain is the oracle ← single ← K-way split.
 func TestMergeCountsMatchesAnalyze(t *testing.T) {
 	for _, seed := range []int64{11, 211} {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
@@ -120,21 +120,21 @@ func TestPartialAnalyzeTallies(t *testing.T) {
 // fingerprint identically, so their partials interleave — the distributed
 // reality, where every shard built its own Enricher.
 func TestMergeCountsAcrossEnrichers(t *testing.T) {
-	build := func(seed int64) (*Enricher, []string) {
+	build := func(seed int64) (*refEnricher, []string) {
 		rng := rand.New(rand.NewSource(seed))
 		return randomEnrichmentFixture(t, rng, 120, 300)
 	}
 	a, sel := build(77)
 	b, _ := build(77)
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatalf("same-input enrichers fingerprint %016x vs %016x", a.Fingerprint(), b.Fingerprint())
+	if a.fingerprint != b.fingerprint {
+		t.Fatalf("same-input enrichers fingerprint %016x vs %016x", a.fingerprint, b.fingerprint)
 	}
 	want, err := a.Analyze(sel, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var parts []*PartialCounts
-	for s, e := range []*Enricher{a, b, a} {
+	for s, e := range []*Enricher{a.Enricher, b.Enricher, a.Enricher} {
 		p, err := e.PartialAnalyze(sel, s, 3)
 		if err != nil {
 			t.Fatal(err)
@@ -149,7 +149,7 @@ func TestMergeCountsAcrossEnrichers(t *testing.T) {
 
 	// A differently-built enricher must be refused, not silently merged.
 	c, _ := build(78)
-	if c.Fingerprint() == a.Fingerprint() {
+	if c.fingerprint == a.fingerprint {
 		t.Fatal("distinct fixtures collided on fingerprint")
 	}
 	bad, err := c.PartialAnalyze(sel, 1, 3)

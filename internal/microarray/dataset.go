@@ -7,10 +7,8 @@
 package microarray
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -155,15 +153,6 @@ func (d *Dataset) GeneIDs() []string {
 	return ids
 }
 
-// rebuildIndex recomputes the ID lookup map; used after bulk construction
-// or reordering.
-func (d *Dataset) rebuildIndex() {
-	d.idIndex = make(map[string]int, len(d.Genes))
-	for i, g := range d.Genes {
-		d.idIndex[g.ID] = i
-	}
-}
-
 // Validate checks internal consistency: parallel slice lengths, rectangular
 // data, and unique gene IDs.
 func (d *Dataset) Validate() error {
@@ -215,52 +204,6 @@ func (d *Dataset) Subset(name string, geneRows []int) *Dataset {
 	return out
 }
 
-// Reorder permutes the gene rows according to order, which must be a
-// permutation of 0..NumGenes-1 (e.g. the leaf order of a clustering tree).
-func (d *Dataset) Reorder(order []int) error {
-	if len(order) != len(d.Genes) {
-		return fmt.Errorf("microarray: order has %d entries, dataset has %d genes",
-			len(order), len(d.Genes))
-	}
-	seen := make([]bool, len(order))
-	for _, o := range order {
-		if o < 0 || o >= len(order) || seen[o] {
-			return errors.New("microarray: order is not a permutation")
-		}
-		seen[o] = true
-	}
-	genes := make([]Gene, len(d.Genes))
-	data := make([][]float64, len(d.Data))
-	gw := make([]float64, len(d.GWeights))
-	for i, o := range order {
-		genes[i] = d.Genes[o]
-		data[i] = d.Data[o]
-		if o < len(d.GWeights) {
-			gw[i] = d.GWeights[o]
-		}
-	}
-	d.Genes, d.Data, d.GWeights = genes, data, gw
-	d.rebuildIndex()
-	return nil
-}
-
-// MissingFraction returns the fraction of matrix cells that are missing.
-func (d *Dataset) MissingFraction() float64 {
-	total, missing := 0, 0
-	for _, row := range d.Data {
-		for _, v := range row {
-			total++
-			if math.IsNaN(v) {
-				missing++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(missing) / float64(total)
-}
-
 // Clone returns a deep copy of the dataset.
 func (d *Dataset) Clone() *Dataset {
 	out := NewDataset(d.Name, d.Experiments)
@@ -270,15 +213,4 @@ func (d *Dataset) Clone() *Dataset {
 	}
 	copy(out.GWeights, d.GWeights)
 	return out
-}
-
-// SortGenesByID sorts rows lexicographically by systematic gene ID; useful
-// for canonicalizing generated datasets before diffing in tests.
-func (d *Dataset) SortGenesByID() {
-	order := make([]int, len(d.Genes))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return d.Genes[order[a]].ID < d.Genes[order[b]].ID })
-	_ = d.Reorder(order)
 }

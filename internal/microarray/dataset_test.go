@@ -2,9 +2,7 @@ package microarray
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func testDataset(t *testing.T) *Dataset {
@@ -133,39 +131,6 @@ func TestSubset(t *testing.T) {
 	}
 }
 
-func TestReorder(t *testing.T) {
-	ds := testDataset(t)
-	if err := ds.Reorder([]int{2, 0, 1}); err != nil {
-		t.Fatal(err)
-	}
-	if ds.Genes[0].ID != "YAL003W" || ds.Genes[1].ID != "YAL001C" {
-		t.Fatalf("reorder wrong: %v", ds.GeneIDs())
-	}
-	// Index must be rebuilt.
-	if i, ok := ds.GeneIndex("YAL001C"); !ok || i != 1 {
-		t.Fatalf("index stale after reorder: %d %v", i, ok)
-	}
-	if err := ds.Reorder([]int{0, 0, 1}); err == nil {
-		t.Fatal("non-permutation should error")
-	}
-	if err := ds.Reorder([]int{0}); err == nil {
-		t.Fatal("short order should error")
-	}
-}
-
-func TestMissingFraction(t *testing.T) {
-	ds := testDataset(t)
-	got := ds.MissingFraction()
-	want := 1.0 / 9.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("MissingFraction = %v, want %v", got, want)
-	}
-	empty := NewDataset("e", nil)
-	if empty.MissingFraction() != 0 {
-		t.Fatal("empty dataset missing fraction should be 0")
-	}
-}
-
 func TestClone(t *testing.T) {
 	ds := testDataset(t)
 	c := ds.Clone()
@@ -173,53 +138,5 @@ func TestClone(t *testing.T) {
 	c.Genes[0].Name = "CHANGED"
 	if ds.Value(0, 0) == 99 || ds.Genes[0].Name == "CHANGED" {
 		t.Fatal("Clone must deep-copy")
-	}
-}
-
-func TestSortGenesByID(t *testing.T) {
-	ds := NewDataset("x", []string{"a"})
-	_ = ds.AddGene(Gene{ID: "C"}, []float64{3})
-	_ = ds.AddGene(Gene{ID: "A"}, []float64{1})
-	_ = ds.AddGene(Gene{ID: "B"}, []float64{2})
-	ds.SortGenesByID()
-	if ds.Genes[0].ID != "A" || ds.Genes[1].ID != "B" || ds.Genes[2].ID != "C" {
-		t.Fatalf("sorted = %v", ds.GeneIDs())
-	}
-	if ds.Value(0, 0) != 1 || ds.Value(2, 0) != 3 {
-		t.Fatal("data did not follow the sort")
-	}
-}
-
-// Property: Reorder with a random permutation preserves the multiset of
-// rows and the ID->row association.
-func TestQuickReorderPreservesRows(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := r.Intn(20) + 2
-		ds := NewDataset("q", []string{"e1", "e2"})
-		for i := 0; i < n; i++ {
-			_ = ds.AddGene(Gene{ID: string(rune('A'+i%26)) + string(rune('0'+i/26))},
-				[]float64{float64(i), r.NormFloat64()})
-		}
-		want := make(map[string]float64, n)
-		for i, g := range ds.Genes {
-			want[g.ID] = ds.Value(i, 0)
-		}
-		order := r.Perm(n)
-		if err := ds.Reorder(order); err != nil {
-			return false
-		}
-		for i, g := range ds.Genes {
-			if ds.Value(i, 0) != want[g.ID] {
-				return false
-			}
-			if idx, ok := ds.GeneIndex(g.ID); !ok || idx != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -80,8 +80,3 @@ func (a *Annotations) GenesPerTerm() map[string]map[string]bool {
 	}
 	return out
 }
-
-// Has reports whether gene is annotated to term.
-func (a *Annotations) Has(gene, term string) bool {
-	return a.direct[gene][term]
-}

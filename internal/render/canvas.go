@@ -191,17 +191,6 @@ func (c *Canvas) Blit(src *image.RGBA, x, y int) {
 	}
 }
 
-// SubImage returns the rectangle of the canvas as a standalone copy.
-func (c *Canvas) SubImage(x, y, w, h int) *image.RGBA {
-	out := image.NewRGBA(image.Rect(0, 0, w, h))
-	for yy := 0; yy < h; yy++ {
-		for xx := 0; xx < w; xx++ {
-			out.SetRGBA(xx, yy, c.At(x+xx, y+yy))
-		}
-	}
-	return out
-}
-
 func abs(v int) int {
 	if v < 0 {
 		return -v
@@ -212,9 +201,4 @@ func abs(v int) int {
 // Rect is an integer viewport used by the view renderers.
 type Rect struct {
 	X, Y, W, H int
-}
-
-// Contains reports whether the point lies inside the rect.
-func (r Rect) Contains(x, y int) bool {
-	return x >= r.X && x < r.X+r.W && y >= r.Y && y < r.Y+r.H
 }

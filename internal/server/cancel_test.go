@@ -200,16 +200,15 @@ func TestCancellationContract(t *testing.T) {
 			// 2. A live joiner of a flight whose first caller hung up: one
 			// computation answers it, and nothing is shed.
 			release := hold()
-			misses := ep.cacheMisses.Load()
 			ctx, hangUp := context.WithCancel(context.Background())
 			first := make(chan int, 1)
 			go func() { first <- serve(s, request().WithContext(ctx)).Code }()
-			waitMiss(t, &ep.cacheMisses, misses) // the first caller leads the flight
+			key := waitFlight(t, &s.flights) // the first caller leads the flight
 			joiner := make(chan *httptest.ResponseRecorder, 1)
 			go func() { joiner <- serve(s, request()) }()
-			waitMiss(t, &ep.cacheMisses, misses+1) // the joiner is at the flight
+			waitWaiters(t, &s.flights, key, 2) // the joiner is at the flight
 			hangUp()
-			time.Sleep(20 * time.Millisecond) // the hangup reaches whatever it reaches
+			waitWaiters(t, &s.flights, key, 1) // the first caller has left it
 			release()
 			rec = <-joiner
 			if rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != dispCoalesced {

@@ -177,6 +177,19 @@ func waitWaiters(t *testing.T, g *flightGroup, key string, n int) {
 	})
 }
 
+// waitFlight waits until g holds exactly one flight and returns its key.
+func waitFlight(t *testing.T, g *flightGroup) (key string) {
+	t.Helper()
+	waitUntil(t, "one flight open", func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for key = range g.calls {
+		}
+		return len(g.calls) == 1
+	})
+	return key
+}
+
 func TestFlightGroupSequentialCallsRecompute(t *testing.T) {
 	var g flightGroup
 	n := 0

@@ -8,9 +8,7 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"forestview/internal/spell"
 	"forestview/internal/tilecorr"
@@ -52,23 +50,6 @@ func holdFlight(t *testing.T, g *flightGroup, key string, val any) (release func
 	return func() { close(gate); <-done }
 }
 
-// waitMiss polls until the endpoint has recorded more cache misses than
-// before, i.e. the in-flight HTTP request has passed the cache lookup and
-// is at (or inside) the flight group.
-func waitMiss(t *testing.T, ctr *atomic.Int64, before int64) {
-	t.Helper()
-	for i := 0; i < 2000; i++ {
-		if ctr.Load() > before {
-			// A short grace period: between the miss count and Do there are
-			// only a few instructions, but they are not atomic with it.
-			time.Sleep(20 * time.Millisecond)
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatal("request never reached the cache path")
-}
-
 func TestSearchCacheDispositionHeader(t *testing.T) {
 	s, u := fixture(t)
 	ids := u.ModuleGeneIDs(3)[:3]
@@ -89,13 +70,12 @@ func TestSearchCacheDispositionHeader(t *testing.T) {
 	canonical := spell.CanonicalQuery(ids2)
 	key := fmt.Sprintf("scatter\x1f%016x\x1f%d\x1f%t\x1f%t\x1f%s", s.coord.Generation(), 10, true, false, joinIDs(canonical))
 	release := holdFlight(t, &s.flights, key, answer{})
-	before := s.statSearch.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
 		rec := get(t, s, "/api/search?q="+strings.Join(ids2, ",")+"&top=10")
 		recCh <- rec.Result()
 	}()
-	waitMiss(t, &s.statSearch.cacheMisses, before)
+	waitWaiters(t, &s.flights, key, 2) // the request joined the held flight
 	release()
 	resp := <-recCh
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "coalesced" {
@@ -121,13 +101,12 @@ func TestEnrichCacheDispositionHeader(t *testing.T) {
 	canonical := spell.CanonicalQuery(genes2)
 	key := fmt.Sprintf("escatter\x1f%016x\x1f%d\x1f%g\x1f%s", s.coord.Generation(), 1, 0.0, joinIDs(canonical))
 	release := holdFlight(t, &s.flights, key, answer{})
-	before := s.statEnrich.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
 		rec := get(t, s, "/api/enrich?genes="+strings.Join(genes2, ","))
 		recCh <- rec.Result()
 	}()
-	waitMiss(t, &s.statEnrich.cacheMisses, before)
+	waitWaiters(t, &s.flights, key, 2)
 	release()
 	resp := <-recCh
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "coalesced" {
@@ -156,13 +135,12 @@ func TestHeatmapCacheDispositionHeader(t *testing.T) {
 	}
 	p := tileParams{dsIndex: 0, from: 32, to: 64, w: 64, h: 64, cmap: 0, limit: 2}
 	release := holdFlight(t, &s.flights, p.key(), append([]byte(nil), pngMagic...))
-	before := s.statHeatmap.cacheMisses.Load()
 	recCh := make(chan *http.Response, 1)
 	go func() {
 		rec := get(t, s, "/api/heatmap?dataset=0&w=64&h=64&rows=32:64")
 		recCh <- rec.Result()
 	}()
-	waitMiss(t, &s.statHeatmap.cacheMisses, before)
+	waitWaiters(t, &s.flights, p.key(), 2)
 	release()
 	resp := <-recCh
 	if resp.StatusCode != http.StatusOK || resp.Header.Get(cacheHeader) != "coalesced" {

@@ -39,8 +39,9 @@ func (s *Server) shardState() *shardState { return s.shardSt.Load() }
 // newShardState validates the engine and shard fields of cfg and returns
 // the boot holdings: the shard role's slice or — a single daemon — the
 // whole engine, whose dataset names become the catalog
-// (cfg.ShardDatasetIDs) with each dataset at its own index. A coordinator
-// that holds no data has none.
+// (cfg.ShardDatasetIDs) with each dataset at its own index. A catalog that
+// names a dataset twice is refused: a merge could not tell the two apart.
+// A coordinator that holds no data has none.
 func newShardState(cfg *Config) (*shardState, error) {
 	switch {
 	case cfg.Engine == nil && cfg.ShardIndexes != nil:
@@ -66,6 +67,13 @@ func newShardState(cfg *Config) (*shardState, error) {
 		for i := range cfg.ShardDatasetIDs {
 			st.indexes = append(st.indexes, i)
 		}
+	}
+	seen := make(map[string]bool, len(cfg.ShardDatasetIDs))
+	for _, name := range cfg.ShardDatasetIDs {
+		if seen[name] {
+			return nil, fmt.Errorf("server: the catalog names dataset %q twice", name)
+		}
+		seen[name] = true
 	}
 	st.local = make(map[int]int, len(st.indexes))
 	for li, gi := range st.indexes {

@@ -90,12 +90,12 @@ func TestShardDrain(t *testing.T) {
 
 	// It serves until its process exits: a group it owns, asked for after
 	// the drain, is a 200.
-	for _, owners := range shard.Groups(top.fleet.Names(), top.fleet.IDs(), 2) {
+	for _, owners := range shard.Groups(top.fleet.Members()[0].Catalog, top.fleet.Members()[0].Shards, 2) {
 		if !slices.Contains(owners, "shard-0") {
 			continue
 		}
 		rec, _ := postShard[shard.SearchAnswer](t, top.srv[0], shard.SearchPath, shard.SearchRequest{
-			Query: top.query, Shards: top.fleet.IDs(), Replication: 2, Groups: [][]string{owners},
+			Query: top.query, Shards: top.fleet.Members()[0].Shards, Replication: 2, Groups: [][]string{owners},
 		})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("drained shard answered group %v with %d", owners, rec.Code)

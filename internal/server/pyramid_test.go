@@ -332,7 +332,7 @@ func TestHeatmapOutlivesShedSpeculation(t *testing.T) {
 	// The foreground request leads the tile's flight, waiting for a slot.
 	answered := make(chan *httptest.ResponseRecorder, 1)
 	go func() { answered <- get(t, s, url) }()
-	waitMiss(t, &s.statHeatmap.cacheMisses, 0)
+	waitWaiters(t, &s.flights, q.key(), 1)
 	release()
 	// Whether or not the request holds its slot yet, the speculation now
 	// finds an idle slot, or the tile in flight, or the tile cached: it

@@ -215,12 +215,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxTileDim <= 0 {
 		cfg.MaxTileDim = 2048
 	}
+	// A name two panes share resolves to the first of them.
 	dsIndex := make(map[string]int, len(cfg.Datasets)+len(cfg.RawDatasets))
 	for i, cd := range cfg.Datasets {
 		if cd == nil || cd.Data == nil {
 			return nil, fmt.Errorf("server: pre-clustered dataset %d is nil", i)
 		}
-		dsIndex[cd.Data.Name] = i
+		if _, taken := dsIndex[cd.Data.Name]; !taken {
+			dsIndex[cd.Data.Name] = i
+		}
 	}
 	for ri, ds := range cfg.RawDatasets {
 		if ds == nil || ds.NumGenes() == 0 {

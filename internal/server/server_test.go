@@ -524,6 +524,60 @@ func TestServerRequiresEngine(t *testing.T) {
 	}
 }
 
+// TestNewRefusesDuplicateDatasetNames: a catalog that names a dataset
+// twice would boot and then answer every search 422 (the merge finds the
+// name claimed twice), so New refuses it and names it, on a single daemon
+// and on a shard alike.
+func TestNewRefusesDuplicateDatasetNames(t *testing.T) {
+	fixture(t)
+	twin := fixDatasets[1].Clone()
+	twin.Name = fixDatasets[0].Name
+	engine, err := spell.NewEngine([]*microarray.Dataset{fixDatasets[0], twin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := strconv.Quote(fixDatasets[0].Name)
+	if _, err := New(Config{Engine: engine}); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("single daemon: err = %v, want a refusal naming %s", err, want)
+	}
+	shardCfg := Config{Engine: fixEngine, ShardIndexes: []int{0, 1, 2, 3},
+		ShardDatasetIDs: []string{"a", "b", "c", "b"}}
+	if _, err := New(shardCfg); err == nil || !strings.Contains(err.Error(), `"b"`) {
+		t.Errorf("shard: err = %v, want a refusal naming \"b\"", err)
+	}
+}
+
+// TestPaneIndexFirstWins: of two panes with one name, pre-clustered or
+// raw, the name resolves to the first.
+func TestPaneIndexFirstWins(t *testing.T) {
+	fixture(t)
+	rename := func(ds *microarray.Dataset, name string) *microarray.Dataset {
+		c := ds.Clone()
+		c.Name = name
+		return c
+	}
+	var panes []*core.ClusteredDataset
+	for _, i := range []int{2, 3} {
+		cd, err := core.FromDataset(rename(fixDatasets[i], "twin"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		panes = append(panes, cd)
+	}
+	raw := []*microarray.Dataset{rename(fixDatasets[0], "raw"), rename(fixDatasets[1], "raw")}
+	srv, err := New(Config{Engine: fixEngine, Datasets: panes, RawDatasets: raw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got := srv.dsIndex["twin"]; got != 0 {
+		t.Errorf("pre-clustered twin resolves to pane %d, want 0", got)
+	}
+	if got := srv.dsIndex["raw"]; got != 2 {
+		t.Errorf("raw twin resolves to pane %d, want 2", got)
+	}
+}
+
 // TestSearchSingleGeneRejected is the regression test for the pre-existing
 // empty-200 bug: a one-gene query has no query pairs, every dataset's
 // coherence is NaN, and the NaN used to kill the JSON encoder silently.

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,7 +164,7 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 		_, err := tc.get(leaderCtx, 0)
 		leaderErr <- err
 	}()
-	waitMiss(t, &tc.stat.cacheMisses, 0)
+	waitWaiters(t, &tc.flights, "0", 1)
 	followerErr := make(chan error, 1)
 	go func() {
 		cd, err := tc.get(context.Background(), 0)
@@ -172,7 +173,7 @@ func TestTreeCacheLeaderCancelHandover(t *testing.T) {
 		}
 		followerErr <- err
 	}()
-	waitMiss(t, &tc.stat.cacheMisses, 1)
+	waitWaiters(t, &tc.flights, "0", 2)
 	cancelLeader()
 	release()
 
@@ -197,14 +198,13 @@ func TestTreeFollowerHangup(t *testing.T) {
 	s, _ := rawFixture(t, 1)
 	// Someone else is clustering pane 0 and will be for a while.
 	release := holdFlight(t, &s.trees.flights, "0", (*core.ClusteredDataset)(nil))
-	before := s.trees.stat.cacheMisses.Load()
 	ctx, hangUp := context.WithCancel(context.Background())
 	answered := make(chan int, 1)
 	go func() {
 		req := httptest.NewRequest(http.MethodGet, "/api/heatmap?dataset=0&w=32&h=32", nil)
 		answered <- serve(s, req.WithContext(ctx)).Code
 	}()
-	waitMiss(t, &s.trees.stat.cacheMisses, before) // the request is at the flight
+	waitWaiters(t, &s.trees.flights, "0", 2) // the request is at the flight
 	hangUp()
 	select {
 	case code := <-answered:
@@ -241,11 +241,11 @@ func TestTreeFollowerInterrupted(t *testing.T) {
 		ctx, hangUp := context.WithCancel(context.Background())
 		hangUps = append(hangUps, hangUp)
 		go request(ctx, gone)
-		waitMiss(t, &s.trees.stat.cacheMisses, int64(i))
+		waitWaiters(t, &s.trees.flights, "0", i+1)
 	}
 	live := make(chan int, 1)
 	go request(context.Background(), live)
-	waitMiss(t, &s.trees.stat.cacheMisses, 2)
+	waitWaiters(t, &s.trees.flights, "0", 3)
 	for _, hangUp := range hangUps {
 		hangUp()
 	}
@@ -367,7 +367,7 @@ func TestRawPaneIsCallersMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.MissingFraction() == 0 {
+	if !slices.ContainsFunc(ds.Data, func(row []float64) bool { return slices.ContainsFunc(row, math.IsNaN) }) {
 		t.Fatal("fixture has no missing cells")
 	}
 	opt := pearsonAverage

@@ -571,7 +571,7 @@ func TestScatterFailureModes(t *testing.T) {
 				if si == 1 {
 					continue
 				}
-				p, err := sh.engine.PartialSearch(f.query, spell.Options{})
+				p, err := sh.engine.PartialSearchSubsetCtx(context.Background(), f.query, nil, spell.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}

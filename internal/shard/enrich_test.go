@@ -300,14 +300,11 @@ func genesInSlice(t *testing.T, enr *golem.Enricher, gi, G int) []string {
 	var out []string
 	for g := 0; g < 400 && len(out) < 3; g++ {
 		gene := fmt.Sprintf("EG%05d", g)
-		if !enr.InBackground(gene) {
-			continue
-		}
 		p, err := enr.PartialAnalyze([]string{gene}, gi, G)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.SelectionSize == 1 {
+		if p.InBackground[0] && p.SelectionSize == 1 {
 			out = append(out, gene)
 		}
 	}

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"forestview/internal/microarray"
-	"forestview/internal/stats"
 	"forestview/internal/synth"
 	"forestview/internal/tilecorr"
 )
@@ -20,7 +19,7 @@ import (
 // count falls against the tile size, the slab holds one row per gene ID in
 // ascending gene-index order — the last row carrying the ID, a shadowed
 // earlier one nowhere — and Search over such datasets matches
-// ReferenceSearch to 1e-12.
+// the oracle to 1e-12.
 func TestSlabGeneOrderedTiles(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const nGenes, nExp = 17, 9
@@ -76,7 +75,7 @@ func TestSlabGeneOrderedTiles(t *testing.T) {
 			// The row, read back out of its tile with its missing cells
 			// restored, is the z-scored last row carrying the gene.
 			got := sl.tiles.AppendZ(nil, r)
-			want := stats.ZScores(ds.Row(lastRow[gi]))
+			want := zscores(ds.Row(lastRow[gi]))
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 					t.Fatalf("%s row %d (gene %d): cell %d is %v, want %v", ds.Name, r, gi, i, got[i], want[i])
@@ -90,7 +89,7 @@ func TestSlabGeneOrderedTiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := ReferenceSearch(dss, query, opt)
+			want, err := referenceSearch(dss, query, opt)
 			if err != nil {
 				t.Fatal(err)
 			}

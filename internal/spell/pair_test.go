@@ -45,7 +45,7 @@ func kernelVsPearson(t testing.TB, a, b []float64) (got, want float64) {
 	if back := pair(1, 0); math.Float64bits(back) != math.Float64bits(got) {
 		t.Fatalf("the kernel is not symmetric: %v vs %v\na=%v\nb=%v", got, back, a, b)
 	}
-	return got, stats.Pearson(stats.ZScores(a), stats.ZScores(b))
+	return got, stats.Pearson(zscores(a), zscores(b))
 }
 
 // assertPairParity is the pair-level contract: NaN exactly when
@@ -366,7 +366,7 @@ func TestRankingTieOrder(t *testing.T) {
 		if !reflect.DeepEqual(ids(res), want) {
 			t.Fatalf("Search MaxGenes=%d ranked %v, want %v", k, ids(res), want)
 		}
-		part, err := e.PartialSearch(query, Options{})
+		part, err := e.PartialSearchSubsetCtx(context.Background(), query, nil, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

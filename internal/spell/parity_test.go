@@ -9,8 +9,35 @@ import (
 	"testing"
 
 	"forestview/internal/microarray"
+	"forestview/internal/oracle"
+	"forestview/internal/stats"
 	"forestview/internal/synth"
 )
+
+// referenceSearch is oracle.Search over dss as a Result, with the query
+// canonicalized as Search canonicalizes it.
+func referenceSearch(dss []*microarray.Dataset, query []string, opt Options) (*Result, error) {
+	r, err := oracle.Search(dss, CanonicalQuery(query), oracle.SearchOptions{
+		MaxGenes: opt.MaxGenes, IncludeQuery: opt.IncludeQuery, UniformWeights: opt.UniformWeights})
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Query: r.Query}
+	for _, d := range r.Datasets {
+		res.Datasets = append(res.Datasets, DatasetRank(d))
+	}
+	for _, g := range r.Genes {
+		res.Genes = append(res.Genes, GeneRank(g))
+	}
+	return res, nil
+}
+
+// zscores is stats.ZScoresInto into a new slice.
+func zscores(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	stats.ZScoresInto(out, xs)
+	return out
+}
 
 // assertResultsMatch checks that two search results agree to tol: identical
 // dataset weights/coherence by dataset index, the same set of scored genes,
@@ -68,7 +95,7 @@ func assertResultsMatch(t *testing.T, got, want *Result, tol float64) {
 // TestDenseMatchesReference is the golden-parity proof for the dense
 // kernel: on randomized synthetic compendia — including rows with missing
 // values, which exercise the NaN-pairwise fallback — Search must agree
-// with the retained naive ReferenceSearch to 1e-12, for both the SPELL
+// with the naive oracle.Search to 1e-12, for both the SPELL
 // weighting and the UniformWeights ablation.
 func TestDenseMatchesReference(t *testing.T) {
 	for _, seed := range []int64{3, 29, 137} {
@@ -97,7 +124,7 @@ func TestDenseMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("dense %+v: %v", opt, err)
 					}
-					ref, err := ReferenceSearch(dss, query, opt)
+					ref, err := referenceSearch(dss, query, opt)
 					if err != nil {
 						t.Fatalf("reference %+v: %v", opt, err)
 					}
@@ -145,7 +172,7 @@ func TestDenseMatchesReferenceDuplicateGeneIDs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref, err := ReferenceSearch(dss, query, Options{IncludeQuery: true})
+		ref, err := referenceSearch(dss, query, Options{IncludeQuery: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -291,13 +318,13 @@ func TestReferenceSearchErrors(t *testing.T) {
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 2, MinExperiments: 6, MaxExperiments: 8, Seed: 78,
 	})
-	if _, err := ReferenceSearch(dss, nil, Options{}); err == nil {
+	if _, err := referenceSearch(dss, nil, Options{}); err == nil {
 		t.Fatal("empty query should error")
 	}
-	if _, err := ReferenceSearch(dss, []string{"  "}, Options{}); err == nil {
+	if _, err := referenceSearch(dss, []string{"  "}, Options{}); err == nil {
 		t.Fatal("blank query should error")
 	}
-	if _, err := ReferenceSearch(dss, []string{"NOT-A-GENE"}, Options{}); err == nil {
+	if _, err := referenceSearch(dss, []string{"NOT-A-GENE"}, Options{}); err == nil {
 		t.Fatal("unknown query genes should error")
 	}
 }

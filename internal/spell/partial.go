@@ -96,7 +96,7 @@ func (p *Partial) geneIndex() map[string]int {
 // PartialDataset is one dataset's unnormalized stage-1 result.
 type PartialDataset struct {
 	// Index identifies the dataset in the *global* compendium order.
-	// PartialSearch fills in the shard engine's local index; a sharded
+	// PartialSearchSubsetCtx fills in the shard engine's local index; a sharded
 	// deployment remaps it (server-side, from the shard's slice of the
 	// global dataset list) before merging, so that merged dataset ranks
 	// and zero-weight tie order match the single-process engine.
@@ -121,29 +121,20 @@ func (p *Partial) checkColumns() error {
 	return nil
 }
 
-// PartialSearch computes this engine's share of a query. It does not error
-// when no query gene occurs in this engine's datasets — on a shard that is
-// an ordinary outcome, and the resulting empty Partial merges as zero
-// contribution; only the finish, which sees the whole compendium, can say
-// ErrNoQueryGenes. Options are honored for
+// PartialSearchSubsetCtx computes this engine's share of a query over a
+// subset of its datasets, given as local dataset indexes (nil means every
+// dataset). It does not error when no query gene occurs in those datasets
+// — on a shard that is an ordinary outcome, and the resulting empty
+// Partial merges as zero contribution; only the finish, which sees the
+// whole compendium, can say ErrNoQueryGenes. Options are honored for
 // Parallelism and UniformWeights (which accumulator pair the partial
 // carries); MaxGenes and IncludeQuery apply at Merge time, because a shard
 // cannot cap or filter accumulators without breaking the union
-// renormalization.
-func (e *Engine) PartialSearch(query []string, opt Options) (*Partial, error) {
-	return e.PartialSearchCtx(context.Background(), query, opt)
-}
-
-// PartialSearchCtx is PartialSearch with cooperative cancellation: both
-// stages stop at the next dataset once ctx is done, so a coordinator
-// deadline or a hung-up client stops costing shard CPU mid-scan.
-func (e *Engine) PartialSearchCtx(ctx context.Context, query []string, opt Options) (*Partial, error) {
-	return e.PartialSearchSubsetCtx(ctx, query, nil, opt)
-}
-
-// PartialSearchSubsetCtx is PartialSearchCtx restricted to a subset of
-// this engine's datasets, given as local dataset indexes (nil means every
-// dataset — plain PartialSearchCtx). The replicated fleet needs this:
+// renormalization. Both stages stop at the next dataset once ctx is done,
+// so a coordinator deadline or a hung-up client stops costing shard CPU
+// mid-scan.
+//
+// The subset is what the replicated fleet needs:
 // under top-R ownership a shard holds more datasets than any single
 // request should claim, and the coordinator asks each replica for whole
 // ownership groups, so two replicas can never both count a dataset into one

@@ -20,7 +20,7 @@ import (
 )
 
 // shardSplit builds one engine per shard over a round-robin split of the
-// datasets, runs PartialSearch on each, and remaps the per-shard local
+// datasets, runs PartialSearchSubsetCtx on each, and remaps the per-shard local
 // dataset indexes back to the global compendium order — exactly what the
 // shard server role does before answering the coordinator.
 func shardSplit(t testing.TB, dss []*microarray.Dataset, nShards int, query []string, opt Options) []Partial {
@@ -42,7 +42,7 @@ func shardSplit(t testing.TB, dss []*microarray.Dataset, nShards int, query []st
 		if err != nil {
 			t.Fatal(err)
 		}
-		p, err := se.PartialSearch(query, opt)
+		p, err := se.PartialSearchSubsetCtx(context.Background(), query, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func disjointDataset(name string, nGenes, nExp int, seed int64) *microarray.Data
 // exact float ties) — including a disjoint dataset whose shard contributes
 // zero coherent datasets, missing values, and every result-shaping option.
 // One shard is what Search itself runs (a partial, finished), so that case
-// is held to the oracle instead: the chain is ReferenceSearch ← single ←
+// is held to the oracle instead: the chain is oracle.Search ← single ←
 // K-way split.
 func TestMergeMatchesSearch(t *testing.T) {
 	for _, missing := range []float64{0, 0.05} {
@@ -134,7 +134,7 @@ func TestMergeMatchesSearch(t *testing.T) {
 				if err != nil {
 					t.Fatalf("search %+v: %v", opt, err)
 				}
-				ref, err := ReferenceSearch(dss, query, opt)
+				ref, err := referenceSearch(dss, query, opt)
 				if err != nil {
 					t.Fatalf("reference %+v: %v", opt, err)
 				}
@@ -206,7 +206,7 @@ func TestMergeDegenerateFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Search takes the same second round by itself; the oracle has no rounds.
-	ref, err := ReferenceSearch(dss, query, Options{IncludeQuery: true})
+	ref, err := referenceSearch(dss, query, Options{IncludeQuery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestPartialSearchNoQueryGenes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := e.PartialSearch([]string{"A", "B"}, Options{})
+	p, err := e.PartialSearchSubsetCtx(context.Background(), []string{"A", "B"}, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,12 +344,12 @@ func TestPartialSearchCtxCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := e.PartialSearchCtx(ctx, u.ModuleGeneIDs(1)[:3], Options{}); err == nil {
+	if _, err := e.PartialSearchSubsetCtx(ctx, u.ModuleGeneIDs(1)[:3], nil, Options{}); err == nil {
 		t.Fatal("canceled context accepted")
 	}
 }
 
-// TestPartialConcurrentHammer drives concurrent PartialSearch + Merge
+// TestPartialConcurrentHammer drives concurrent PartialSearchSubsetCtx + Merge
 // against shared engines; under -race it proves the accumulator stage
 // shares nothing mutable, and results must stay deterministic.
 func TestPartialConcurrentHammer(t *testing.T) {
@@ -402,7 +402,7 @@ func TestPartialConcurrentHammer(t *testing.T) {
 			for iter := 0; iter < 8; iter++ {
 				var parts []Partial
 				for _, sh := range shards {
-					p, err := sh.e.PartialSearch(query, Options{Parallelism: 1 + (w+iter)%3})
+					p, err := sh.e.PartialSearchSubsetCtx(context.Background(), query, nil, Options{Parallelism: 1 + (w+iter)%3})
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
@@ -521,9 +521,9 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 			}
 		}
 
-		// A nil subset is the whole slice (PartialSearchCtx): one part, which
+		// A nil subset is the whole slice (every dataset): one part, which
 		// is what Search finishes, so it answers to the oracle.
-		ref, err := ReferenceSearch(dss, query, opt)
+		ref, err := referenceSearch(dss, query, opt)
 		if err != nil {
 			t.Fatalf("reference %+v: %v", opt, err)
 		}

@@ -248,3 +248,65 @@ func TestQuickCorrectionOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Choose, HypergeomPMF and HypergeomLowerTail are the references the
+// upper tail is checked against here; no binary calls them.
+
+// Choose returns the binomial coefficient C(n, k) as a float64. Values
+// overflow to +Inf gracefully for very large arguments.
+func Choose(n, k int) float64 {
+	lc := logChoose(n, k)
+	if math.IsInf(lc, -1) {
+		return 0
+	}
+	return math.Exp(lc)
+}
+
+// HypergeomPMF returns P(X = k) where X follows a hypergeometric
+// distribution with population size N, K successes in the population, and n
+// draws. Zero is returned for impossible k.
+func HypergeomPMF(k, N, K, n int) float64 {
+	lp := HypergeomLogPMF(k, N, K, n)
+	if math.IsInf(lp, -1) {
+		return 0
+	}
+	return math.Exp(lp)
+}
+
+// HypergeomLowerTail returns P(X <= k), the depletion p-value.
+func HypergeomLowerTail(k, N, K, n int) float64 {
+	if k < 0 {
+		return 0
+	}
+	lo := 0
+	if n-(N-K) > lo {
+		lo = n - (N - K)
+	}
+	if k < lo {
+		// Fewer successes than the draw forces are impossible.
+		return 0
+	}
+	if k >= min(n, K) {
+		return 1
+	}
+	maxLog := math.Inf(-1)
+	logs := make([]float64, 0, k-lo+1)
+	for i := lo; i <= k; i++ {
+		lp := HypergeomLogPMF(i, N, K, n)
+		if math.IsInf(lp, -1) {
+			continue
+		}
+		logs = append(logs, lp)
+		if lp > maxLog {
+			maxLog = lp
+		}
+	}
+	if len(logs) == 0 {
+		return 0
+	}
+	s := 0.0
+	for _, lp := range logs {
+		s += math.Exp(lp - maxLog)
+	}
+	return Clamp(math.Exp(maxLog)*s, 0, 1)
+}

@@ -58,32 +58,16 @@ func TestVarianceSkipsMissing(t *testing.T) {
 	}
 }
 
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{5, 1, 3}); got != 3 {
-		t.Fatalf("odd median = %v, want 3", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Fatalf("even median = %v, want 2.5", got)
-	}
-	if got := Median([]float64{4, Missing, 1, 3, 2}); got != 2.5 {
-		t.Fatalf("median with missing = %v, want 2.5", got)
-	}
-	if !math.IsNaN(Median(nil)) {
-		t.Fatal("Median(nil) should be NaN")
-	}
-}
-
-func TestMedianDoesNotMutateInput(t *testing.T) {
-	in := []float64{5, 1, 3}
-	Median(in)
-	if in[0] != 5 || in[1] != 1 || in[2] != 3 {
-		t.Fatalf("Median mutated its input: %v", in)
-	}
+// zscores is ZScoresInto into a new slice.
+func zscores(xs []float64) []float64 {
+	out := make([]float64, len(xs))
+	ZScoresInto(out, xs)
+	return out
 }
 
 func TestZScores(t *testing.T) {
 	xs := []float64{1, 2, 3, Missing}
-	zs := ZScores(xs)
+	zs := zscores(xs)
 	if !math.IsNaN(zs[3]) {
 		t.Fatal("missing entry should stay missing")
 	}
@@ -99,7 +83,8 @@ func TestZScoresInto(t *testing.T) {
 	xs := []float64{1, math.NaN(), 3, 5}
 	dst := make([]float64, len(xs))
 	ZScoresInto(dst, xs)
-	want := ZScores(xs)
+	m, sd := Mean(xs), StdDev(xs)
+	want := []float64{(1 - m) / sd, math.NaN(), (3 - m) / sd, (5 - m) / sd}
 	for i := range want {
 		if math.IsNaN(want[i]) != math.IsNaN(dst[i]) {
 			t.Fatalf("missing mismatch at %d", i)
@@ -111,26 +96,11 @@ func TestZScoresInto(t *testing.T) {
 }
 
 func TestZScoresFlatVector(t *testing.T) {
-	zs := ZScores([]float64{5, 5, 5})
+	zs := zscores([]float64{5, 5, 5})
 	for i, z := range zs {
 		if z != 0 {
 			t.Fatalf("flat vector z-score[%d] = %v, want 0", i, z)
 		}
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	xs := []float64{3, 4}
-	norm := Normalize(xs)
-	if !almostEqual(norm, 5, 1e-12) {
-		t.Fatalf("norm = %v, want 5", norm)
-	}
-	if !almostEqual(xs[0], 0.6, 1e-12) || !almostEqual(xs[1], 0.8, 1e-12) {
-		t.Fatalf("normalized = %v", xs)
-	}
-	zero := []float64{0, 0}
-	if Normalize(zero) != 0 {
-		t.Fatal("zero vector norm should be 0")
 	}
 }
 
@@ -173,8 +143,8 @@ func TestQuickZScoresIdempotent(t *testing.T) {
 				xs = append(xs, v)
 			}
 		}
-		z1 := ZScores(xs)
-		z2 := ZScores(z1)
+		z1 := zscores(xs)
+		z2 := zscores(z1)
 		for i := range z1 {
 			if !almostEqual(z1[i], z2[i], 1e-6) {
 				return false

@@ -149,7 +149,16 @@ func TestGenerateShape(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	mf := ds.MissingFraction()
+	cells, missing := 0, 0
+	for _, row := range ds.Data {
+		for _, v := range row {
+			cells++
+			if math.IsNaN(v) {
+				missing++
+			}
+		}
+	}
+	mf := float64(missing) / float64(cells)
 	if mf < 0.05 || mf > 0.2 {
 		t.Fatalf("missing fraction = %v, want ~0.1", mf)
 	}

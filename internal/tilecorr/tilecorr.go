@@ -92,7 +92,7 @@ func (s *Tiles) Tile(t int) []float64 {
 }
 
 // AppendZ appends row r's z-scores to dst, NaN back at its missing cells:
-// the row as stats.ZScores left it, for a caller's exact recomputation.
+// the row as stats.ZScoresInto left it, for a caller's exact recomputation.
 func (s *Tiles) AppendZ(dst []float64, r int) []float64 {
 	from := len(dst)
 	tile, lane := s.Tile(r/TileRows), r%TileRows

@@ -121,7 +121,7 @@ func TestDotTileMatchesGo(t *testing.T) {
 // TestTilesLayout: whatever the row count against the tile size, the tiles
 // are padded to whole tiles, every missing entry names its own row's lane
 // and a cell stored as 0, and a row read back with its missing cells
-// restored is stats.ZScores of the row given, bit for bit.
+// restored is stats.ZScoresInto of the row given, bit for bit.
 func TestTilesLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	const nExp = 9
@@ -138,7 +138,8 @@ func TestTilesLayout(t *testing.T) {
 					t.Fatalf("%d rows, row %d: missing entry %d names another lane or a stored value", n, r, m)
 				}
 			}
-			got, want := s.AppendZ(nil, r), stats.ZScores(row)
+			got, want := s.AppendZ(nil, r), make([]float64, len(row))
+			stats.ZScoresInto(want, row)
 			for i := range want {
 				if math.Float64bits(got[i]) != math.Float64bits(want[i]) && !(math.IsNaN(got[i]) && math.IsNaN(want[i])) {
 					t.Fatalf("%d rows, row %d: cell %d is %v, want %v", n, r, i, got[i], want[i])
