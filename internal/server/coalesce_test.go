@@ -183,7 +183,8 @@ func waitFlight(t *testing.T, g *flightGroup) (key string) {
 	waitUntil(t, "one flight open", func() bool {
 		g.mu.Lock()
 		defer g.mu.Unlock()
-		for key = range g.calls {
+		for k := range g.calls {
+			key = k
 		}
 		return len(g.calls) == 1
 	})

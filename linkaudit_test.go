@@ -190,7 +190,7 @@ func moduleRefs(t *testing.T) *refGraph {
 	seen := map[string]bool{}
 	for _, c := range []struct{ dir, pattern string }{{".", "./..."}, {"bench", "."}} {
 		cmd := exec.Command("go", "list", "-export", "-deps", "-f",
-			`{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{.Export}}{{"\t"}}{{join .GoFiles " "}}`, c.pattern)
+			`{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{.Export}}{{"\t"}}{{join .GoFiles " "}} {{join .CgoFiles " "}}`, c.pattern)
 		cmd.Dir = c.dir
 		out, err := cmd.Output()
 		if err != nil {
