@@ -314,10 +314,14 @@ func buildServer(cfg buildConfig) (*server.Server, error) {
 			return nil, fmt.Errorf("no datasets given (use -files or -demo)")
 		}
 		// Dataset identity is the trimmed file name, known before parsing:
-		// a shard only pays to parse the slice it owns.
+		// a shard only pays to parse the slice it owns, and a name given
+		// twice is refused before any file is read.
 		names = make([]string, len(paths))
 		for i, p := range paths {
 			names[i] = trimPCLExt(p)
+			if slices.Contains(names[:i], names[i]) {
+				return nil, fmt.Errorf("the catalog names dataset %q twice", names[i])
+			}
 		}
 		load = func(gi int) (*microarray.Dataset, error) {
 			if gi < 0 || gi >= len(paths) {

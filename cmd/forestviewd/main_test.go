@@ -237,32 +237,41 @@ func TestDemoRefusesFiles(t *testing.T) {
 // TestFilesRefuseDuplicateNames: a dataset is named by its trimmed file
 // name, so two files of one name in two directories are one name twice,
 // and the daemon refuses to boot, naming it, rather than answer every
-// search 422.
+// search 422. The names are known before any file is read, so the refusal
+// comes before the parse: two files that are not PCL at all are refused
+// for their names too.
 func TestFilesRefuseDuplicateNames(t *testing.T) {
 	u := synth.NewUniverse(60, 4, 9)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 2, MinExperiments: 6, MaxExperiments: 8, Seed: 11,
 	})
-	var paths []string
-	for i, ds := range dss {
-		dir := filepath.Join(t.TempDir(), string(rune('a'+i)))
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
+	for _, valid := range []bool{true, false} {
+		var paths []string
+		for i, ds := range dss {
+			dir := filepath.Join(t.TempDir(), string(rune('a'+i)))
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			p := filepath.Join(dir, "x.pcl")
+			f, err := os.Create(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if valid {
+				err = microarray.WritePCL(f, ds)
+			} else {
+				_, err = f.WriteString("not a PCL file\n")
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			paths = append(paths, p)
 		}
-		p := filepath.Join(dir, "x.pcl")
-		f, err := os.Create(p)
-		if err != nil {
-			t.Fatal(err)
+		_, err := buildServer(buildConfig{files: strings.Join(paths, ","), cacheMB: 4, workers: 1})
+		if err == nil || !strings.Contains(err.Error(), `"x"`) {
+			t.Fatalf("two files named x (valid PCL: %v): err = %v, want a refusal naming \"x\"", valid, err)
 		}
-		if err := microarray.WritePCL(f, ds); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		paths = append(paths, p)
-	}
-	_, err := buildServer(buildConfig{files: strings.Join(paths, ","), cacheMB: 4, workers: 1})
-	if err == nil || !strings.Contains(err.Error(), `"x"`) {
-		t.Fatalf("two files named x: err = %v, want a refusal naming \"x\"", err)
 	}
 }
 

@@ -152,8 +152,8 @@ func TestFromDatasetIdentityOrder(t *testing.T) {
 	if cd.DisplayOrder[0] != 0 || cd.DisplayOrder[1] != 1 {
 		t.Fatalf("identity order = %v", cd.DisplayOrder)
 	}
-	if ids := cd.Data.GeneIDs(); ids[cd.DisplayOrder[0]] != "G1" || ids[cd.DisplayOrder[1]] != "G2" {
-		t.Fatalf("IDs = %v", ids)
+	if g := cd.Data.Genes; g[cd.DisplayOrder[0]].ID != "G1" || g[cd.DisplayOrder[1]].ID != "G2" {
+		t.Fatalf("genes = %v", g)
 	}
 }
 

@@ -144,15 +144,6 @@ func (d *Dataset) GeneIndex(id string) (int, bool) {
 	return 0, false
 }
 
-// GeneIDs returns the systematic IDs of all genes in row order.
-func (d *Dataset) GeneIDs() []string {
-	ids := make([]string, len(d.Genes))
-	for i, g := range d.Genes {
-		ids[i] = g.ID
-	}
-	return ids
-}
-
 // Validate checks internal consistency: parallel slice lengths, rectangular
 // data, and unique gene IDs.
 func (d *Dataset) Validate() error {
@@ -201,16 +192,5 @@ func (d *Dataset) Subset(name string, geneRows []int) *Dataset {
 			out.GWeights[i] = d.GWeights[g]
 		}
 	}
-	return out
-}
-
-// Clone returns a deep copy of the dataset.
-func (d *Dataset) Clone() *Dataset {
-	out := NewDataset(d.Name, d.Experiments)
-	out.EWeights = append([]float64(nil), d.EWeights...)
-	for i, g := range d.Genes {
-		_ = out.AddGene(g, d.Data[i])
-	}
-	copy(out.GWeights, d.GWeights)
 	return out
 }

@@ -100,9 +100,6 @@ func TestValidate(t *testing.T) {
 	if i, ok := m.GeneIndex("YAL001C"); ok {
 		t.Fatalf("matrix GeneIndex found row %d", i)
 	}
-	if ids := m.GeneIDs(); len(ids) != 0 {
-		t.Fatalf("matrix GeneIDs = %v", ids)
-	}
 	if err := m.Validate(); err == nil || err.Error() != "microarray: 3 data rows vs 0 genes" {
 		t.Fatalf("matrix Validate = %v", err)
 	}
@@ -119,7 +116,7 @@ func TestSubset(t *testing.T) {
 		t.Fatalf("subset genes = %d, want 2", sub.NumGenes())
 	}
 	if sub.Genes[0].ID != "YAL003W" || sub.Genes[1].ID != "YAL001C" {
-		t.Fatalf("subset order wrong: %v", sub.GeneIDs())
+		t.Fatalf("subset order wrong: %v", sub.Genes)
 	}
 	if sub.Value(1, 2) != 3 {
 		t.Fatalf("subset data wrong: %v", sub.Value(1, 2))
@@ -128,15 +125,5 @@ func TestSubset(t *testing.T) {
 	sub.Data[0][0] = 42
 	if ds.Value(2, 0) == 42 {
 		t.Fatal("Subset must copy data")
-	}
-}
-
-func TestClone(t *testing.T) {
-	ds := testDataset(t)
-	c := ds.Clone()
-	c.Data[0][0] = 99
-	c.Genes[0].Name = "CHANGED"
-	if ds.Value(0, 0) == 99 || ds.Genes[0].Name == "CHANGED" {
-		t.Fatal("Clone must deep-copy")
 	}
 }

@@ -266,12 +266,7 @@ func TestPoolShedsWhenSaturated(t *testing.T) {
 		_, _ = p.Run(nil, func() (any, error) { return nil, nil })
 	}()
 	// Wait for the filler job to occupy the one queue slot.
-	for i := 0; p.waiting.Load() == 0 && i < 2000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if p.waiting.Load() == 0 {
-		t.Fatal("queue slot never filled")
-	}
+	waitUntil(t, "the filler job in the queue slot", func() bool { return p.waiting.Load() == 1 })
 	// Worker busy + queue full: the next submission must shed, not block.
 	if _, err := p.Run(nil, func() (any, error) { return nil, nil }); err != ErrSaturated {
 		t.Fatalf("err = %v, want ErrSaturated", err)

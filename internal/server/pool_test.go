@@ -75,12 +75,7 @@ func TestPoolSkipsAbandonedQueuedJobs(t *testing.T) {
 	}
 	// Wait for the abandoned jobs to be queued, then hang up before the
 	// worker can reach them.
-	for i := 0; p.waiting.Load() < 3 && i < 2000; i++ {
-		time.Sleep(time.Millisecond)
-	}
-	if p.waiting.Load() < 3 {
-		t.Fatal("jobs never queued")
-	}
+	waitUntil(t, "the three jobs queued", func() bool { return p.waiting.Load() == 3 })
 	cancel()
 	abandoned.Wait()
 	close(block)
@@ -149,9 +144,7 @@ func TestPoolClose(t *testing.T) {
 		_, err := p.Run(context.Background(), func() (any, error) { return nil, nil })
 		waiter <- err
 	}()
-	for i := 0; p.waiting.Load() == 0 && i < 2000; i++ {
-		time.Sleep(time.Millisecond)
-	}
+	waitUntil(t, "the waiter queued", func() bool { return p.waiting.Load() == 1 })
 	closed := make(chan struct{})
 	go func() { p.Close(); close(closed) }()
 	select {

@@ -530,9 +530,9 @@ func TestServerRequiresEngine(t *testing.T) {
 // and on a shard alike.
 func TestNewRefusesDuplicateDatasetNames(t *testing.T) {
 	fixture(t)
-	twin := fixDatasets[1].Clone()
+	twin := *fixDatasets[1]
 	twin.Name = fixDatasets[0].Name
-	engine, err := spell.NewEngine([]*microarray.Dataset{fixDatasets[0], twin})
+	engine, err := spell.NewEngine([]*microarray.Dataset{fixDatasets[0], &twin})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,9 +552,9 @@ func TestNewRefusesDuplicateDatasetNames(t *testing.T) {
 func TestPaneIndexFirstWins(t *testing.T) {
 	fixture(t)
 	rename := func(ds *microarray.Dataset, name string) *microarray.Dataset {
-		c := ds.Clone()
+		c := *ds
 		c.Name = name
-		return c
+		return &c
 	}
 	var panes []*core.ClusteredDataset
 	for _, i := range []int{2, 3} {

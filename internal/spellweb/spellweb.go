@@ -8,7 +8,9 @@ package spellweb
 
 import (
 	"context"
-	"html/template"
+	"fmt"
+	"html"
+	"io"
 	"net/http"
 	"strings"
 
@@ -44,37 +46,59 @@ func RegisterHTML(mux *http.ServeMux, engine Searcher) {
 	mux.HandleFunc("/search", p.handleSearch)
 }
 
-var pageTmpl = template.Must(template.New("page").Funcs(template.FuncMap{
-	"inc": func(i int) int { return i + 1 },
-}).Parse(`<!DOCTYPE html>
+// pageHTML returns the page for d. Every string value goes through
+// html.EscapeString, which is enough for both places a value lands: element
+// text and the double-quoted value attribute. The page is written, not
+// templated: text/template looks fields up through
+// reflect.Value.MethodByName, and a binary that links that keeps every
+// exported method of every type it converts to an interface.
+func pageHTML(d pageData) string {
+	esc := html.EscapeString
+	var b strings.Builder
+	fmt.Fprintf(&b, `<!DOCTYPE html>
 <html><head><title>SPELL search</title></head>
 <body>
 <h1>SPELL: Serial Patterns of Expression Levels Locator</h1>
-<p>{{.NumDatasets}} datasets, {{.NumGenes}} genes in the compendium.</p>
+<p>%d datasets, %d genes in the compendium.</p>
 <form action="/search" method="get">
-  <input type="text" name="q" size="60" value="{{.Query}}"
+  <input type="text" name="q" size="60" value="%s"
          placeholder="query genes, comma separated (e.g. YAL001C, YBR072W)">
   <input type="submit" value="Search">
 </form>
-{{if .Error}}<p style="color:red">{{.Error}}</p>{{end}}
-{{if .Notice}}<p style="color:darkorange"><b>notice:</b> {{.Notice}}</p>{{end}}
-{{if .Result}}
-<h2>Datasets by relevance</h2>
+`, d.NumDatasets, d.NumGenes, esc(d.Query))
+	if d.Error != "" {
+		fmt.Fprintf(&b, "<p style=\"color:red\">%s</p>\n", esc(d.Error))
+	}
+	if d.Notice != "" {
+		fmt.Fprintf(&b, "<p style=\"color:darkorange\"><b>notice:</b> %s</p>\n", esc(d.Notice))
+	}
+	if d.Result != nil {
+		b.WriteString(`<h2>Datasets by relevance</h2>
 <table border="1" cellpadding="3">
 <tr><th>rank</th><th>weight</th><th>query coherence</th><th>query genes present</th><th>dataset</th></tr>
-{{range $i, $d := .Result.Datasets}}
-<tr><td>{{inc $i}}</td><td>{{printf "%.4f" $d.Weight}}</td><td>{{printf "%.3f" $d.QueryCoherence}}</td><td>{{$d.QueryPresent}}</td><td>{{$d.Name}}</td></tr>
-{{end}}
-</table>
+`)
+		for i, ds := range d.Result.Datasets {
+			fmt.Fprintf(&b, "<tr><td>%d</td><td>%.4f</td><td>%.3f</td><td>%d</td><td>%s</td></tr>\n",
+				i+1, ds.Weight, ds.QueryCoherence, ds.QueryPresent, esc(ds.Name))
+		}
+		b.WriteString(`</table>
 <h2>Genes by weighted correlation</h2>
 <table border="1" cellpadding="3">
 <tr><th>rank</th><th>score</th><th>gene</th><th>name</th><th>query?</th></tr>
-{{range $i, $g := .Result.Genes}}
-<tr><td>{{inc $i}}</td><td>{{printf "%.4f" $g.Score}}</td><td>{{$g.ID}}</td><td>{{$g.Name}}</td><td>{{if $g.IsQuery}}*{{end}}</td></tr>
-{{end}}
-</table>
-{{end}}
-</body></html>`))
+`)
+		for i, g := range d.Result.Genes {
+			star := ""
+			if g.IsQuery {
+				star = "*"
+			}
+			fmt.Fprintf(&b, "<tr><td>%d</td><td>%.4f</td><td>%s</td><td>%s</td><td>%s</td></tr>\n",
+				i+1, g.Score, esc(g.ID), esc(g.Name), star)
+		}
+		b.WriteString("</table>\n")
+	}
+	b.WriteString("</body></html>")
+	return b.String()
+}
 
 type pageData struct {
 	NumDatasets int
@@ -129,9 +153,7 @@ func (p *page) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 func (p *page) renderPage(w http.ResponseWriter, data pageData) {
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTmpl.Execute(w, data); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	_, _ = io.WriteString(w, pageHTML(data)) // a client that hung up gets nothing more
 }
 
 // ParseQuery splits a comma/whitespace separated gene list. It is the one

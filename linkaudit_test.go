@@ -4,11 +4,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/build"
-	"go/importer"
 	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"io/fs"
 	"os"
 	"os/exec"
@@ -29,16 +26,15 @@ const allowlistPath = "testdata/unlinked.txt"
 // It builds every main package under cmd/ and examples/, and bench/ from
 // its own module, with inlining off for this module's packages so every
 // function a binary calls keeps its symbol. Then it fails on any function
-// declared in a non-test file under internal/ that no binary links and
-// allowlistPath does not name, and on any allowlist entry that is now
-// linked or no longer exists.
+// declared in a non-test file under internal/ that no binary's symbol
+// table holds and allowlistPath does not name, and on any allowlist entry
+// that is now linked or no longer exists.
 //
-// A binary that can call a method by name (html/template's field lookup
-// does, through reflect.Value.MethodByName) makes the linker keep every
-// exported method of every type converted to an interface, called or not.
-// In such a binary a symbol counts as linked only if non-test code reaches
-// it (see moduleRefs), so a method only that retention kept, and whatever
-// only it calls, is reported like any other unlinked function.
+// A symbol table is the whole rule only while no binary can call a method
+// by name: one that links reflect.Value.Method or MethodByName (as
+// text/template's field lookup does) makes the linker keep every exported
+// method of every type converted to an interface, called or not. So such a
+// binary fails the test, named with the -dumpdep edge that links the call.
 //
 // The symbol sets differ per architecture (internal/tilecorr picks its
 // routines by GOARCH), so the test runs on amd64 only.
@@ -47,23 +43,21 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 		t.Skip("the allowlist is written for amd64's symbol set")
 	}
 	var bins []binarySyms
-	reflective := false
 	for _, bin := range buildAllBinaries(t, t.TempDir()) {
-		out, err := exec.Command("go", "tool", "nm", bin).Output()
+		out, err := exec.Command("go", "tool", "nm", bin.path).Output()
 		if err != nil {
-			t.Fatalf("go tool nm %s: %v", bin, err)
+			t.Fatalf("go tool nm %s: %v", bin.path, err)
 		}
 		b := readNM(string(out))
+		if b.reflective {
+			t.Errorf("%s links a call of a method by name, so its symbol table holds methods nothing calls; the edge:\n%s",
+				filepath.Base(bin.path), strings.Join(reflectEdges(t, bin), "\n"))
+		}
 		bins = append(bins, b)
-		reflective = reflective || b.reflective
-	}
-	var refs *refGraph
-	if reflective {
-		refs = moduleRefs(t)
 	}
 	decls := declaredFuncs(t, "internal")
 	allow := readAllowlist(t, allowlistPath)
-	unlisted, stale := auditLinks(decls, linkedFuncs(bins, refs), allow)
+	unlisted, stale := auditLinks(decls, linkedFuncs(bins), allow)
 	for _, fn := range unlisted {
 		t.Errorf("%s: %s is linked by no binary: delete it, or add it to %s with its reason", decls[fn], fn, allowlistPath)
 	}
@@ -72,9 +66,10 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	}
 }
 
-// binarySyms is what the audit reads of one binary: this module's
-// functions in its symbol table, and whether it links a way to call a
-// method by name.
+// binarySyms is what the audit reads of one binary's symbol table: this
+// module's functions, and whether it links reflect.Value.Method or
+// MethodByName, a way to call a method by name that makes the table
+// overstate what the binary calls.
 type binarySyms struct {
 	funcs      map[string]bool
 	reflective bool
@@ -84,8 +79,7 @@ type binarySyms struct {
 func readNM(out string) binarySyms {
 	b := binarySyms{funcs: map[string]bool{}}
 	for _, line := range strings.Split(out, "\n") {
-		if m := nmLine.FindStringSubmatch(line); m != nil && m[1] == "T" &&
-			(m[2] == "reflect.Value.Method" || m[2] == "reflect.Value.MethodByName") {
+		if m := nmLine.FindStringSubmatch(line); m != nil && m[1] == "T" && isMethodByName(m[2]) {
 			b.reflective = true
 		}
 		if fn, ok := nmFunc(line); ok {
@@ -95,234 +89,63 @@ func readNM(out string) binarySyms {
 	return b
 }
 
-// linkedFuncs returns the functions the binaries link. A binary that
-// calls no method by name is taken at its symbol table. In one that does,
-// a symbol counts only if refs reaches it from code that is live anyway:
-// code outside internal/, package-level and init code, the names an
-// interface or a template can call, and every function a binary of the
-// first kind links.
-func linkedFuncs(bins []binarySyms, refs *refGraph) map[string]bool {
+// isMethodByName reports whether a symbol is one of reflect's two ways to
+// call a method chosen at run time.
+func isMethodByName(sym string) bool {
+	return sym == "reflect.Value.Method" || sym == "reflect.Value.MethodByName"
+}
+
+// linkedFuncs returns the functions the binaries link: the union of their
+// symbol tables.
+func linkedFuncs(bins []binarySyms) map[string]bool {
 	linked := map[string]bool{}
 	for _, b := range bins {
-		if !b.reflective {
-			for fn := range b.funcs {
-				linked[fn] = true
-			}
-		}
-	}
-	var live map[string]bool
-	for _, b := range bins {
-		if !b.reflective {
-			continue
-		}
-		if live == nil {
-			live = refs.reach(linked)
-		}
 		for fn := range b.funcs {
-			if live[fn] {
-				linked[fn] = true
-			}
+			linked[fn] = true
 		}
 	}
 	return linked
 }
 
-// refGraph is this module's non-test code as references: each function's
-// key (spelled as nmFunc spells its symbol) maps to the functions its body
-// names, and to the methods it names as "." plus the method's name. A
-// method is named by name alone, whatever its receiver, so the graph only
-// ever errs towards reaching too much.
-type refGraph struct {
-	roots []string
-	edges map[string][]string
-}
-
-// reach returns every key reachable from the roots and from extra.
-func (g *refGraph) reach(extra map[string]bool) map[string]bool {
-	byName := map[string][]string{}
-	for k := range g.edges {
-		if m, ok := methodName(k); ok {
-			byName["."+m] = append(byName["."+m], k)
-		}
-	}
-	queue := append([]string(nil), g.roots...)
-	for k := range extra {
-		queue = append(queue, k)
-	}
-	live := map[string]bool{}
-	for len(queue) > 0 {
-		k := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		if live[k] {
-			continue
-		}
-		live[k] = true
-		queue = append(queue, g.edges[k]...)
-		queue = append(queue, byName[k]...)
-	}
-	return live
-}
-
-// methodName returns the name of the method a function key spells, and
-// false for a plain function.
-func methodName(key string) (string, bool) {
-	rest := key[strings.LastIndex(key, "/")+1:]
-	parts := strings.Split(rest, ".")
-	if len(parts) < 3 {
-		return "", false
-	}
-	return parts[len(parts)-1], true
-}
-
-// moduleRefs builds the reference graph of this module and of bench/, the
-// non-test files their builds compile, type-checked against the export
-// data go list -export leaves. Its roots are every function outside
-// internal/, package-level and init code, every method name an interface
-// declares (in the module or in any package a binary depends on, GOROOT's
-// parsed from source) and every name a template in the module selects.
-func moduleRefs(t *testing.T) *refGraph {
+// reflectEdges links bin again with -dumpdep and returns the edges into
+// reflect.Value.Method or MethodByName from outside them: the code that
+// makes the binary reflective.
+func reflectEdges(t *testing.T, bin binary) []string {
 	t.Helper()
-	type listed struct {
-		path, dir, export string
-		files             []string
+	cmd := exec.Command("go", "build", "-o", os.DevNull, "-ldflags=-dumpdep", bin.pkg)
+	cmd.Dir = bin.dir
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go build -ldflags=-dumpdep %s: %v", bin.pkg, err)
 	}
-	var pkgs []listed
-	seen := map[string]bool{}
-	for _, c := range []struct{ dir, pattern string }{{".", "./..."}, {"bench", "."}} {
-		cmd := exec.Command("go", "list", "-export", "-deps", "-f",
-			`{{.ImportPath}}{{"\t"}}{{.Dir}}{{"\t"}}{{.Export}}{{"\t"}}{{join .GoFiles " "}} {{join .CgoFiles " "}}`, c.pattern)
-		cmd.Dir = c.dir
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("go list in %s: %v", c.dir, err)
-		}
-		for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
-			f := strings.Split(line, "\t")
-			if len(f) != 4 || seen[f[0]] {
-				continue
-			}
-			seen[f[0]] = true
-			pkgs = append(pkgs, listed{f[0], f[1], f[2], strings.Fields(f[3])})
+	var edges []string
+	for _, line := range strings.Split(string(out), "\n") {
+		from, to, ok := strings.Cut(line, " -> ")
+		if ok && isMethodByName(to) && !isMethodByName(strings.Fields(from)[0]) {
+			edges = append(edges, line)
 		}
 	}
-	exports := map[string]string{}
-	for _, p := range pkgs {
-		exports[p.path] = p.export
-	}
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		return os.Open(exports[path])
-	})
-	g := &refGraph{edges: map[string][]string{}}
-	for _, p := range pkgs {
-		var files []*ast.File
-		for _, name := range p.files {
-			f, err := parser.ParseFile(fset, filepath.Join(p.dir, name), nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-			g.roots = append(g.roots, interfaceMethods(f)...)
-		}
-		if p.path != "forestview" && !strings.HasPrefix(p.path, "forestview/") {
-			continue
-		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		conf := types.Config{Importer: imp}
-		if _, err := conf.Check(p.path, fset, files, info); err != nil {
-			t.Fatalf("type-checking %s: %v", p.path, err)
-		}
-		for _, f := range files {
-			g.addFile(p.path, f, info)
-		}
-	}
-	return g
+	return edges
 }
 
-// templateAction finds the actions of a template, and templateName the
-// names an action selects.
-var (
-	templateAction = regexp.MustCompile(`(?s)\{\{.*?\}\}`)
-	templateName   = regexp.MustCompile(`\.([A-Za-z_][A-Za-z0-9_]*)`)
-)
+// binary is one program the audit builds: the package go build builds in
+// dir, and where the build put it.
+type binary struct{ dir, pkg, path string }
 
-// addFile adds one type-checked file of package pkg to the graph. The
-// functions of a package outside internal/ are roots, as are the
-// references of its package-level declarations and init functions, and
-// every name a template in one of its string literals selects.
-func (g *refGraph) addFile(pkg string, f *ast.File, info *types.Info) {
-	root := !strings.HasPrefix(pkg, "forestview/internal/")
-	for _, decl := range f.Decls {
-		var refs []string
-		ast.Inspect(decl, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				if fn, ok := info.Uses[n].(*types.Func); ok {
-					refs = append(refs, funcRef(fn))
-				}
-			case *ast.BasicLit:
-				if n.Kind == token.STRING {
-					for _, action := range templateAction.FindAllString(n.Value, -1) {
-						for _, m := range templateName.FindAllStringSubmatch(action, -1) {
-							g.roots = append(g.roots, "."+m[1])
-						}
-					}
-				}
-			}
-			return true
-		})
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Name.Name == "init" {
-			g.roots = append(g.roots, refs...)
-			continue
-		}
-		key := pkg + "." + funcKey(fd)
-		g.edges[key] = append(g.edges[key], refs...)
-		if root {
-			g.roots = append(g.roots, key)
-		}
-	}
-}
-
-// funcRef is the graph's key for a reference to fn: its symbol for a plain
-// function, "." and its name for a method.
-func funcRef(fn *types.Func) string {
-	if fn.Type().(*types.Signature).Recv() != nil {
-		return "." + fn.Name()
-	}
-	return fn.Pkg().Path() + "." + fn.Name()
-}
-
-// interfaceMethods returns, as graph keys, the names of the methods every
-// interface type in f declares, named types and literal ones alike.
-func interfaceMethods(f *ast.File) []string {
-	var names []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		if it, ok := n.(*ast.InterfaceType); ok {
-			for _, m := range it.Methods.List {
-				if _, ok := m.Type.(*ast.FuncType); ok {
-					for _, name := range m.Names {
-						names = append(names, "."+name.Name)
-					}
-				}
-			}
-		}
-		return true
-	})
-	return names
-}
-
-// buildAllBinaries builds every binary the audit counts into dir and
-// returns their paths.
-func buildAllBinaries(t *testing.T, dir string) []string {
+// buildAllBinaries builds every binary the audit counts into dir.
+func buildAllBinaries(t *testing.T, dir string) []binary {
 	t.Helper()
 	const noInline = "-gcflags=forestview/...=-l"
-	run := func(wd string, args ...string) {
+	run := func(wd string, args ...string) string {
 		cmd := exec.Command("go", args...)
 		cmd.Dir = wd
-		if out, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, out)
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 		}
+		return string(out)
 	}
 	// go test caches this test's result keyed on the files the test itself
 	// touches, not on what the go build below reads: stat every source
@@ -338,15 +161,12 @@ func buildAllBinaries(t *testing.T, dir string) []string {
 			t.Fatal(err)
 		}
 	}
-	run(".", "build", "-o", dir+string(filepath.Separator), noInline, "./cmd/...", "./examples/...")
+	mains := strings.Fields(run(".", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...", "./examples/..."))
+	run(".", append([]string{"build", "-o", dir + string(filepath.Separator), noInline}, mains...)...)
 	run("bench", "build", "-o", filepath.Join(dir, "bench"), noInline, ".")
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bins []string
-	for _, e := range ents {
-		bins = append(bins, filepath.Join(dir, e.Name()))
+	bins := []binary{{"bench", ".", filepath.Join(dir, "bench")}}
+	for _, pkg := range mains {
+		bins = append(bins, binary{".", pkg, filepath.Join(dir, filepath.Base(pkg))})
 	}
 	return bins
 }
@@ -583,62 +403,21 @@ func TestAuditLinks(t *testing.T) {
 	if want := []string{"forestview/internal/a.Gone", "forestview/internal/a.Used", "forestview/internal/c"}; fmt.Sprint(stale) != fmt.Sprint(want) {
 		t.Errorf("stale = %v, want %v", stale, want)
 	}
-	t.Run("reflect-retention", auditReflectRetention)
-}
-
-// auditReflectRetention: in a binary that can call a method by name, a
-// method the linker kept only for that counts as unlinked, and so does
-// what only it calls, while a method an interface names, one a template
-// selects and one live code calls stay linked.
-func auditReflectRetention(t *testing.T) {
-	const src = `package server
-
-type Stringer interface{ String() string }
-
-type Server struct{}
-
-func New() *Server { s := &Server{}; s.Serve(); return s }
-
-func (s *Server) Serve()          {}
-func (s *Server) String() string  { return "" }
-func (s *Server) NumGenes() int   { return 0 }
-func (s *Server) Planted() string { return helper() }
-
-func helper() string { return "" }
-
-var page = "<p>{{.NumGenes}} genes</p>"
-`
-	const pkg = "forestview/internal/server"
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "server.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-	if _, err := new(types.Config).Check(pkg, fset, []*ast.File{f}, info); err != nil {
-		t.Fatal(err)
-	}
-	refs := &refGraph{edges: map[string][]string{}, roots: interfaceMethods(f)}
-	refs.addFile(pkg, f, info)
-	refs.roots = append(refs.roots, pkg+".New") // as a main package calls it
-
-	decls := map[string]string{}
-	var nm []string
-	for _, fn := range []string{"New", "(*Server).Serve", "(*Server).String", "(*Server).NumGenes", "(*Server).Planted", "helper"} {
-		decls[pkg+"."+fn] = "server.go"
-		nm = append(nm, "  4b3c20 T "+pkg+"."+fn)
-	}
-	reflective := readNM(strings.Join(append(nm, "  4a1000 T reflect.Value.MethodByName"), "\n"))
-	if !reflective.reflective {
-		t.Fatal("reflect.Value.MethodByName not seen")
-	}
-	unlisted, _ := auditLinks(decls, linkedFuncs([]binarySyms{reflective}, refs), nil)
-	want := []string{pkg + ".(*Server).Planted", pkg + ".helper"}
-	if fmt.Sprint(unlisted) != fmt.Sprint(want) {
-		t.Errorf("reflective binary: unlisted = %v, want %v", unlisted, want)
-	}
-	plain := readNM(strings.Join(nm, "\n"))
-	if unlisted, _ := auditLinks(decls, linkedFuncs([]binarySyms{plain}, refs), nil); len(unlisted) != 0 {
-		t.Errorf("binary without reflection: unlisted = %v, want none", unlisted)
+	// A binary that can call a method by name is told apart by its
+	// symbol table; the rest of reflect does not count.
+	for _, c := range []struct {
+		line       string
+		reflective bool
+	}{
+		{"  4a1000 T reflect.Value.MethodByName", true},
+		{"  4a0f00 T reflect.Value.Method", true},
+		{"  4a1100 T reflect.Value.NumMethod", false},
+		{"  4a1200 T reflect.Value.Interface", false},
+		{"  4a1300 T reflect.(*rtype).MethodByName", false},
+		{"  4a1400 t reflect.methodName", false},
+	} {
+		if got := readNM(c.line).reflective; got != c.reflective {
+			t.Errorf("readNM(%q).reflective = %v, want %v", c.line, got, c.reflective)
+		}
 	}
 }
