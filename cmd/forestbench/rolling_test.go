@@ -88,10 +88,21 @@ func TestRollingRestartDrainE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runDone := make(chan []workload.Envelope, 1)
-	t0 := time.Now()
+	sent := func() (n int64) {
+		for _, s := range tp.fleet.Coordinator().Stats().Shards {
+			n += s.Requests
+		}
+		return n
+	}
+	runDone, before, t0 := make(chan []workload.Envelope, 1), sent(), time.Now()
 	go func() { runDone <- workload.Run(context.Background(), plan, tp.url) }()
-	time.Sleep(400 * time.Millisecond) // let the load reach steady state
+	// The restarts begin once the coordinator has sent its shards ten
+	// requests of the load.
+	for deadline := t0.Add(5 * time.Second); sent() < before+10; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the load did not reach the shards within 5 s")
+		}
+	}
 
 	query := tp.u.ModuleGeneIDs(2)[:4]
 	for i, victim := range ids {

@@ -40,7 +40,8 @@ func (r released) await(want int) map[int]int {
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
-	// A last collection, for any cleanup that should not run.
+	// A last collection, for any cleanup that should not run. Time is the
+	// event: no event marks an absence, so the cleanup goroutine gets 20 ms.
 	runtime.GC()
 	time.Sleep(20 * time.Millisecond)
 	for {

@@ -212,11 +212,7 @@ func TestEnrichErrors(t *testing.T) {
 		t.Fatalf("unknown genes = %d", rec.Code)
 	}
 
-	bare, err := New(Config{Engine: fixEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bare.Close)
+	bare := singleDaemon(t, fixEngine)
 	if rec := get(t, bare, "/api/enrich?genes=A"); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("no enricher = %d", rec.Code)
 	}
@@ -696,11 +692,7 @@ func TestEnrichCacheStats(t *testing.T) {
 	}
 
 	// A daemon without an ontology has no section at all.
-	bare, err := New(Config{Engine: fixEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bare.Close)
+	bare := singleDaemon(t, fixEngine)
 	if bare.Stats().EnrichCache != nil {
 		t.Fatal("enrich_cache section present without an enricher")
 	}

@@ -178,8 +178,7 @@ func (s *Server) scanPartial(ctx context.Context, st *shardState, ids []string, 
 // scoped to ownership groups of a replicated fleet (DESIGN.md §5) looks
 // them up in the topology's group view — the same pure derivation the
 // coordinator named them from — and answers the groups it holds completely
-// with one frame: one scan over the union of their datasets, ascending, so
-// the frame does not depend on the order the groups were named in. A group
+// with one frame: one scan over the union of their datasets. A group
 // held only in part keeps a scan and a frame to itself, so the coordinator
 // can still prefer another replica's complete answer for it.
 func (l local) Search(ctx context.Context, _ string, req *shard.SearchRequest) (*shard.SearchAnswer, error) {
@@ -214,7 +213,6 @@ func (l local) Search(ctx context.Context, _ string, req *shard.SearchRequest) (
 		answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
 	}
 	if len(whole.Groups) > 0 {
-		slices.Sort(union)
 		if whole.Partial, err = s.scanPartial(ctx, st, ids, union, req.Uniform); err != nil {
 			return nil, err
 		}

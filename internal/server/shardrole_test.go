@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -147,6 +148,34 @@ func searchURL(query []string) string {
 	return "/api/search?q=" + strings.Join(query, ",") + "&top=40"
 }
 
+// searchBody is s's 200 answer to url with shard.Meta's fields removed: what
+// a single daemon and every fleet over one compendium answer byte for byte.
+func searchBody(t *testing.T, s *Server, url string) []byte {
+	t.Helper()
+	rec := get(t, s, url)
+	var body, meta map[string]json.RawMessage
+	b, _ := json.Marshal(shard.Meta{Replication: 1, GroupsOK: 1, GroupsTotal: 1})
+	if err := errors.Join(json.Unmarshal(rec.Body.Bytes(), &body), json.Unmarshal(b, &meta)); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("%s = %d (%v): %s", url, rec.Code, err, rec.Body)
+	}
+	for k := range meta {
+		delete(body, k)
+	}
+	b, _ = json.Marshal(body)
+	return b
+}
+
+// singleDaemon serves e as a single daemon.
+func singleDaemon(t *testing.T, e *spell.Engine) *Server {
+	t.Helper()
+	s, err := New(Config{Engine: e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
 type scatterBody struct {
 	Query    []string
 	Datasets []json.RawMessage
@@ -160,8 +189,10 @@ type scatterBody struct {
 }
 
 // TestCoordinatorSearchMatchesSingleProcess: a 2-shard topology answers
-// /api/search with the same ranking the single-process daemon computes,
-// carries the shard tally headers, and caches the merged result.
+// /api/search with the single-process daemon's body, byte for byte but for
+// shard.Meta's fields, carries the shard tally headers, and caches the
+// merged result. So does every fleet shape, weighted and — for a query
+// incoherent everywhere — uniform.
 func TestCoordinatorSearchMatchesSingleProcess(t *testing.T) {
 	top := newShardTopology(t, 2, shard.Config{Deadline: 5 * time.Second})
 	rec := get(t, top.coord, searchURL(top.query))
@@ -181,21 +212,18 @@ func TestCoordinatorSearchMatchesSingleProcess(t *testing.T) {
 	if body.Degraded || body.ShardsOK != 2 || body.ShardsTotal != 2 {
 		t.Fatalf("body meta: degraded=%v %d/%d", body.Degraded, body.ShardsOK, body.ShardsTotal)
 	}
-	want, err := top.full.Search(top.query, spell.Options{MaxGenes: 40, IncludeQuery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Genes) != len(want.Genes) {
-		t.Fatalf("%d genes, want %d", len(body.Genes), len(want.Genes))
-	}
-	for i := range want.Genes {
-		if body.Genes[i].ID != want.Genes[i].ID ||
-			math.Abs(body.Genes[i].Score-want.Genes[i].Score) > 1e-12 {
-			t.Fatalf("rank %d: %+v vs %+v", i, body.Genes[i], want.Genes[i])
+	single := singleDaemon(t, top.full)
+	urls := []string{searchURL(top.query), "/api/search?q=" + top.query[0] + ",NOT-A-REAL-GENE"} // the second: every coherence NaN
+	for _, shape := range []struct{ shards, repl int }{{2, 1}, {1, 1}, {3, 1}, {3, 2}, {4, 2}, {5, 3}} {
+		fleet := top
+		if shape.shards != 2 {
+			fleet = newShardTopology(t, shape.shards, shard.Config{Deadline: 5 * time.Second, Replication: shape.repl})
 		}
-	}
-	if len(body.Datasets) != len(top.dss) {
-		t.Fatalf("%d datasets, want %d", len(body.Datasets), len(top.dss))
+		for _, url := range urls {
+			if got, want := searchBody(t, fleet.coord, url), searchBody(t, single, url); !bytes.Equal(got, want) {
+				t.Fatalf("%d shards R=%d, %s: bodies differ:\nfleet  %s\nsingle %s", shape.shards, shape.repl, url, got, want)
+			}
+		}
 	}
 
 	// Second identical query: merged-result cache hit, no new scatter.
@@ -610,25 +638,8 @@ func TestCoordinatorReplicatedFailover(t *testing.T) {
 	if h := rec.Header().Get("X-Forestview-Degraded"); h != "false" {
 		t.Fatalf("degraded header = %q (replica failover should hide the dead shard)", h)
 	}
-	var body scatterBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-		t.Fatal(err)
-	}
-	want, err := top.full.Search(top.query, spell.Options{MaxGenes: 40, IncludeQuery: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Genes) != len(want.Genes) {
-		t.Fatalf("%d genes, want %d", len(body.Genes), len(want.Genes))
-	}
-	for i := range want.Genes {
-		if body.Genes[i].ID != want.Genes[i].ID ||
-			math.Abs(body.Genes[i].Score-want.Genes[i].Score) > 1e-12 {
-			t.Fatalf("rank %d: %+v vs %+v", i, body.Genes[i], want.Genes[i])
-		}
-	}
-	if len(body.Datasets) != len(top.dss) {
-		t.Fatalf("%d datasets, want the full %d", len(body.Datasets), len(top.dss))
+	if got, want := searchBody(t, top.coord, searchURL(top.query)), searchBody(t, singleDaemon(t, top.full), searchURL(top.query)); !bytes.Equal(got, want) {
+		t.Fatalf("bodies differ:\nfleet  %s\nsingle %s", got, want)
 	}
 	var snap StatsSnapshot
 	if err := json.Unmarshal(get(t, top.coord, "/api/stats").Body.Bytes(), &snap); err != nil {
@@ -1014,9 +1025,10 @@ func TestCoordinatorEnrichReplicatedFailover(t *testing.T) {
 }
 
 // TestSingleAndFleetAgreeOnTies: genes tied to the bit rank in one order, gene
-// ID, whether a single daemon or a coordinator over two shards answers — with
-// and without the top cut — because both finish one partial with one ranking;
-// and a query the compendium lacks is the same refusal from both. The
+// ID, and a single daemon and a coordinator over two shards answer the same
+// body — with and without the top cut, shard.Meta's fields removed — because
+// both finish one exact sum with one ranking; and a query the compendium
+// lacks is the same refusal from both. The
 // compendium is spell's TestRankingTieOrder fixture over two datasets: the
 // Z*, M* and A* genes are copies of one row, first seen in another order
 // than their IDs sort in.
@@ -1040,42 +1052,25 @@ func TestSingleAndFleetAgreeOnTies(t *testing.T) {
 	}
 	top := &shardTopology{}
 	startFleet(t, top, dss, 2, shard.Config{Deadline: 5 * time.Second}, nil)
-	single, err := New(Config{Engine: top.full})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(single.Close)
-
-	order := func(s *Server, url string) []string {
-		t.Helper()
-		rec := get(t, s, url)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("%s = %d: %s", url, rec.Code, rec.Body.String())
-		}
-		var body scatterBody
-		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
-			t.Fatal(err)
-		}
-		ids := make([]string, len(body.Genes))
-		for i, g := range body.Genes {
-			ids[i] = g.ID
-		}
-		return ids
-	}
+	single := singleDaemon(t, top.full)
 	for _, url := range []string{"/api/search?q=Q1,Q2", "/api/search?q=Q1,Q2&top=4", "/api/search?q=Q1,Q2&top=5", "/api/search?q=Q2,Q1&top=6"} {
-		one, fleet := order(single, url), order(top.coord, url)
-		if !slices.Equal(one, fleet) {
-			t.Errorf("%s: single daemon ranks %v, fleet %v", url, one, fleet)
+		one, fleet := searchBody(t, single, url), searchBody(t, top.coord, url)
+		if !bytes.Equal(one, fleet) {
+			t.Errorf("%s: bodies differ:\nsingle %s\nfleet  %s", url, one, fleet)
 		}
 		// The tied block, as far as the cut lets it through, is in ID order.
+		var body scatterBody
+		if err := json.Unmarshal(one, &body); err != nil {
+			t.Fatal(err)
+		}
 		var twins []string
-		for _, id := range one {
-			if id[0] != 'Q' && id != "TOP" {
-				twins = append(twins, id)
+		for _, g := range body.Genes {
+			if g.ID[0] != 'Q' && g.ID != "TOP" {
+				twins = append(twins, g.ID)
 			}
 		}
 		if want := []string{"A1", "M5", "Z1", "Z9"}[:len(twins)]; len(twins) == 0 || !slices.Equal(twins, want) {
-			t.Errorf("%s: tied genes rank %v, want %v (of %v)", url, twins, want, one)
+			t.Errorf("%s: tied genes rank %v, want %v (of %s)", url, twins, want, one)
 		}
 	}
 
@@ -1097,11 +1092,7 @@ func TestAPIErrorEnvelope(t *testing.T) {
 	single, u := fixture(t)
 	shardS, _ := fixtureShard(t)
 	top := newShardTopology(t, 2, shard.Config{Deadline: time.Second})
-	bare, err := New(Config{Engine: fixEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(bare.Close)
+	bare := singleDaemon(t, fixEngine)
 	gene := u.ModuleGeneIDs(1)[0]
 
 	cases := []struct {

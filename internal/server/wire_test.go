@@ -74,10 +74,10 @@ func TestScatterReusesShardConnections(t *testing.T) {
 				t.Fatalf("fixture: %d groups over %d shards", groups, tc.nShards)
 			}
 			for si, m := range fleet.Members() {
-				// A frame lists every gene of the shard's engine: 16 bytes of
+				// A frame lists every gene of the shard's engine: 32 bytes of
 				// accumulators, and the ID and the name with their lengths, 12
 				// bytes at the least.
-				if genes := m.Engine.NumGenes(); genes*28 <= 64<<10 {
+				if genes := m.Engine.NumGenes(); genes*44 <= 64<<10 {
 					t.Fatalf("fixture: shard %d frames %d genes, want frames over 64 KB", si, genes)
 				}
 				// One connection for the scatters, and one more at most: the

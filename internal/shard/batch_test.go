@@ -64,8 +64,8 @@ func sumCounters(snap StatsSnapshot) (requests, groups, faults int64) {
 }
 
 // TestScatterBatchedParity: for every fleet size and replication factor, a
-// clean scatter serves every group, matches the single-process Search at
-// 1e-12, sends no shard more than one request, and touches none of the
+// clean scatter serves every group, matches the single-process Search bit
+// for bit, sends no shard more than one request, and touches none of the
 // fault counters.
 func TestScatterBatchedParity(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 5} {

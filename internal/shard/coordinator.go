@@ -124,6 +124,7 @@ type Coordinator struct {
 	infoFailedAt time.Time
 	infoErr      error
 	infoErrGen   uint64
+	infoNow      func() time.Time // the cooldown's clock: time.Now, or a test's
 }
 
 // NewCoordinator validates the config and prepares the scatter state.
@@ -158,7 +159,7 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		}
 		backend = hb
 	}
-	return &Coordinator{cfg: cfg, backend: backend, membership: m}, nil
+	return &Coordinator{cfg: cfg, backend: backend, membership: m, infoNow: time.Now}, nil
 }
 
 // Membership exposes the live shard list for runtime joins and leaves

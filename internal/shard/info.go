@@ -118,9 +118,8 @@ type CompendiumInfo struct {
 }
 
 // infoFailureCooldown is how long a failed compendium-info probe round
-// answers further callers with its error instead of a new round (a var
-// only so that tests can shorten it).
-var infoFailureCooldown = 15 * time.Second
+// answers further callers with its error instead of a new round.
+const infoFailureCooldown = 15 * time.Second
 
 // infoState pairs a cached compendium union with the membership
 // generation it was probed under.
@@ -148,12 +147,12 @@ func (c *Coordinator) Info(ctx context.Context) (CompendiumInfo, error) {
 	if cached := c.info.Load(); cached != nil && cached.gen == gen {
 		return cached.info, nil // filled while we waited on the lock
 	}
-	if c.infoErr != nil && c.infoErrGen == gen && time.Since(c.infoFailedAt) < infoFailureCooldown {
+	if c.infoErr != nil && c.infoErrGen == gen && c.infoNow().Sub(c.infoFailedAt) < infoFailureCooldown {
 		return CompendiumInfo{}, c.infoErr
 	}
 	info, err := c.probeInfo(ctx, shards)
 	if err != nil {
-		c.infoFailedAt, c.infoErr, c.infoErrGen = time.Now(), err, gen
+		c.infoFailedAt, c.infoErr, c.infoErrGen = c.infoNow(), err, gen
 		return CompendiumInfo{}, err
 	}
 	c.infoErr = nil

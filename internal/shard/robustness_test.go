@@ -255,7 +255,7 @@ func TestScatterFloorProbesOpenBreaker(t *testing.T) {
 // TestInfoFailureCooldownOption pins the info failure cooldown: inside
 // infoFailureCooldown a failed round answers callers without probing, after
 // it a caller probes again, and the first successful round clears the
-// failure state.
+// failure state. The cooldown's clock is the test's, advanced by hand.
 func TestInfoFailureCooldownOption(t *testing.T) {
 	var probes atomic.Int64
 	var healthy atomic.Bool
@@ -276,9 +276,6 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
-	const cooldown = 120 * time.Millisecond
-	defer func(d time.Duration) { infoFailureCooldown = d }(infoFailureCooldown)
-	infoFailureCooldown = cooldown
 	c, err := NewCoordinator(Config{
 		Shards:   []string{"s0"},
 		Resolve:  func(string) string { return srv.URL },
@@ -287,6 +284,8 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	now := time.Now()
+	c.infoNow = func() time.Time { return now }
 
 	if _, err := c.Info(context.Background()); err == nil {
 		t.Fatal("Info succeeded against a sick shard")
@@ -296,6 +295,7 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 		t.Fatal("no probe issued")
 	}
 	// Inside the window: cached error, no new probe.
+	now = now.Add(infoFailureCooldown - time.Millisecond)
 	if _, err := c.Info(context.Background()); err == nil {
 		t.Fatal("Info succeeded from inside the cooldown")
 	}
@@ -303,7 +303,7 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 		t.Fatalf("probe inside the cooldown window: %d -> %d", n, got)
 	}
 	// After the window: a fresh probe round.
-	time.Sleep(cooldown + 20*time.Millisecond)
+	now = now.Add(time.Millisecond)
 	if _, err := c.Info(context.Background()); err == nil {
 		t.Fatal("Info succeeded against a still-sick shard")
 	}
@@ -313,7 +313,7 @@ func TestInfoFailureCooldownOption(t *testing.T) {
 
 	// First success clears the failure state entirely.
 	healthy.Store(true)
-	time.Sleep(cooldown + 20*time.Millisecond)
+	now = now.Add(infoFailureCooldown)
 	if _, err := c.Info(context.Background()); err != nil {
 		t.Fatalf("Info after recovery: %v", err)
 	}

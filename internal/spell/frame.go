@@ -14,20 +14,21 @@ import (
 // (shard.SearchAnswer), with no reflection on either side:
 //
 //	section        encoding                                   length check
-//	head           "SPLP", 0x02                               5 bytes, both equal
+//	head           "SPLP", 0x03                               5 bytes, both equal
 //	kind           u8: 0 coherence-weighted, 1 uniform         at most 1
-//	counts         nq, nd, ng: u32 each                       1·nq + 25·nd + 18·ng + 32 ≤ bytes left
+//	counts         nq, nd, ng: u32 each                       1·nq + 25·nd + 34·ng + 32 ≤ bytes left
 //	query          string column of nq
 //	dataset names  string column of nd
 //	dataset rows   nd × (index i64, coherence f64, present i64)   24·nd ≤ bytes left
 //	gene IDs       string column of ng
 //	gene names     string column of ng
-//	Sum, Cnt       ng × f64 each (raw bits: NaN payloads, ±0       8·ng ≤ bytes left, twice;
-//	               and subnormals survive)                         then no byte may be left
+//	Sums           ng × f64 each, four columns in Partial.Sums  8·ng ≤ bytes left, four
+//	               order (raw bits: NaN payloads, ±0 and        times; then no byte may
+//	               subnormals survive)                          be left
 //
 // The string column and its checks are internal/wire's. The counts check is
 // what bounds allocation: every string costs at least one table byte, every
-// dataset 25 bytes, every gene 18, so a frame cannot make the decoder
+// dataset 25 bytes, every gene 34, so a frame cannot make the decoder
 // allocate more than a small multiple of its own size whatever its length
 // fields claim. Decoded strings are substrings of one copy of each blob (the
 // coordinator reuses the body a frame arrives in, so the copy is required
@@ -35,18 +36,19 @@ import (
 // reason Merge clones what it returns.
 //
 // Version 1 carried both accumulator pairs as four float columns and no kind
-// byte. A peer that still speaks it fails the version check here, which the
-// scatter treats as a failed attempt; testdata/fuzz keeps its frames as
+// byte; version 2 carried Sum and Cnt as one column each, not on the grid. A
+// peer that still speaks either fails the version check here, which the
+// scatter treats as a failed attempt; testdata/fuzz keeps their frames as
 // inputs that must be rejected.
 const (
-	frameHead = "SPLP\x02"
+	frameHead = "SPLP\x03"
 	// frameMinString, frameMinDataset and frameMinGene are the fewest frame
 	// bytes one query string, one dataset and one gene can occupy;
 	// frameColumns is the number of string columns, each with 8 bytes of
 	// length fields.
 	frameMinString  = 1
 	frameMinDataset = 1 + 24
-	frameMinGene    = 2 + 16
+	frameMinGene    = 2 + 32
 	frameColumns    = 4
 )
 
@@ -69,7 +71,7 @@ func (p Partial) appendFrame(b, genes []byte) ([]byte, error) {
 	for i, d := range p.Datasets {
 		dsNames[i] = d.Name
 	}
-	size := uint64(len(frameHead) + 1 + 3*4 + 24*len(p.Datasets) + 2*8*len(p.IDs) + len(genes))
+	size := uint64(len(frameHead) + 1 + 3*4 + 24*len(p.Datasets) + len(p.Sums)*8*len(p.IDs) + len(genes))
 	cols := [][]string{p.Query, dsNames, p.IDs, p.Names}
 	if genes != nil {
 		cols = cols[:2]
@@ -107,7 +109,7 @@ func (p Partial) appendFrame(b, genes []byte) ([]byte, error) {
 	} else {
 		b = wire.AppendColumn(wire.AppendColumn(b, p.IDs), p.Names)
 	}
-	for _, col := range [2][]float64{p.Sum, p.Cnt} {
+	for _, col := range p.Sums {
 		for _, v := range col {
 			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
@@ -139,16 +141,19 @@ func (p *Partial) UnmarshalShared(data []byte, genes *GeneColumns) error {
 	}
 	out.IDs, out.Names, out.rows = genes.columns(&r, int(ng))
 	out.rowsOf = out.IDs
-	floats := r.Take(2 * 8 * ng)
+	cells := uint64(len(out.Sums)) * ng
+	floats := r.Take(8 * cells)
 	if err := r.Close(); err != nil {
 		return err
 	}
-	// One allocation cut two ways.
-	vals := make([]float64, 2*ng)
+	// One allocation cut four ways.
+	vals := make([]float64, cells)
 	for i := range vals {
 		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(floats[8*i:]))
 	}
-	out.Sum, out.Cnt = vals[:ng:ng], vals[ng:]
+	for k := range out.Sums {
+		out.Sums[k] = vals[uint64(k)*ng : uint64(k+1)*ng : uint64(k+1)*ng]
+	}
 	*p = out
 	return nil
 }

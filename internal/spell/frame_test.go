@@ -12,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -42,7 +43,7 @@ func partialBits(p *Partial) any {
 	for i, d := range p.Datasets {
 		dss[i] = ds{d.Index, d.Present, d.Name, math.Float64bits(d.Coherence)}
 	}
-	return []any{strs(p.Query), dss, p.Uniform, strs(p.IDs), strs(p.Names), bits(p.Sum), bits(p.Cnt)}
+	return []any{strs(p.Query), dss, p.Uniform, strs(p.IDs), strs(p.Names), bits(p.Sums[0]), bits(p.Sums[1]), bits(p.Sums[2]), bits(p.Sums[3])}
 }
 
 // awkwardPartial is a hand-built partial holding every value an encoding
@@ -63,8 +64,12 @@ func awkwardPartial() *Partial {
 		Uniform: true,
 		IDs:     []string{"YAL001C", "ÿ-gène", "", "遺伝子", string(make([]byte, 200))},
 		Names:   []string{"TFC3", "", "naïve", "名前", "long-id"},
-		Sum:     []float64{1.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, payloadNaN},
-		Cnt:     []float64{2, 0, 5e-324, math.MaxFloat64, math.Inf(1)},
+		Sums: [4][]float64{
+			{1.5, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, payloadNaN},
+			{0x1p-70, -0x1p-31, 0, math.NaN(), 1},
+			{2, 0, 5e-324, math.MaxFloat64, math.Inf(1)},
+			{0, math.Copysign(0, -1), -5e-324, math.Inf(-1), 3},
+		},
 	}
 }
 
@@ -178,7 +183,7 @@ func TestPartialFrameRoundTrip(t *testing.T) {
 // cannot be framed or merged.
 func TestPartialFrameRaggedColumns(t *testing.T) {
 	p := awkwardPartial()
-	p.Cnt = p.Cnt[:len(p.Cnt)-1]
+	p.Sums[cntLo] = p.Sums[cntLo][:len(p.Sums[cntLo])-1]
 	if _, err := p.MarshalBinary(); err == nil {
 		t.Error("ragged partial framed")
 	}
@@ -209,7 +214,7 @@ func frameSections(p *Partial) []int {
 	add(24 * len(p.Datasets))
 	add(col(p.IDs))
 	add(col(p.Names))
-	for i := 0; i < 2; i++ {
+	for range p.Sums {
 		add(8 * len(p.IDs))
 	}
 	return ends
@@ -227,7 +232,7 @@ func frameCorpus(t testing.TB) map[string][]byte {
 		},
 		IDs:   []string{"A", "Bb", "Ccc"},
 		Names: []string{"a", "", "c-name"},
-		Sum:   []float64{1, 2, 3}, Cnt: []float64{0.5, 0.5, 0.5},
+		Sums:  [4][]float64{{1, 2, 3}, {0x1p-40, 0, -0x1p-40}, {0.5, 0.5, 0.5}, {0, 0x1p-60, 0}},
 	}
 	frame := func(p *Partial) []byte {
 		b, err := p.MarshalBinary()
@@ -281,11 +286,11 @@ func frameCorpus(t testing.TB) map[string][]byte {
 
 const frameCorpusDir = "testdata/fuzz/FuzzPartialFrame"
 
-// oldFramePrefix marks the committed seeds of earlier frame versions: every
-// frame the version-1 corpus held, valid ones included. They stay in the
-// corpus as inputs this build must reject (a peer that still speaks the old
-// version is a failed attempt, never a misread partial).
-const oldFramePrefix = "v1-"
+// oldFramePrefixes mark the committed seeds of earlier frame versions: every
+// frame the version-1 and version-2 corpora held, valid ones included. They
+// stay in the corpus as inputs this build must reject (a peer that still
+// speaks an old version is a failed attempt, never a misread partial).
+var oldFramePrefixes = []string{"v1", "v2"}
 
 var updateFrameCorpus = flag.Bool("update-frame-corpus", false, "rewrite "+frameCorpusDir+" from frameCorpus")
 
@@ -309,7 +314,7 @@ func parseCorpusEntry(t testing.TB, body string) []byte {
 // what frameCorpus builds. The corpus holds valid frames of the current
 // version, so this is also the test that fails when the frame layout changes
 // without a version bump: bump frameHead's version, rename the old seeds
-// under a prefix like oldFramePrefix, and only then regenerate with
+// under a prefix of oldFramePrefixes, and only then regenerate with
 // -update-frame-corpus (which leaves the old versions' seeds alone).
 func TestPartialFrameCorpusCommitted(t *testing.T) {
 	want := map[string]string{}
@@ -330,14 +335,14 @@ func TestPartialFrameCorpusCommitted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds, old := 0, 0
+	seeds, old := 0, map[string]int{}
 	for _, e := range entries {
 		got, err := os.ReadFile(filepath.Join(frameCorpusDir, e.Name()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if strings.HasPrefix(e.Name(), oldFramePrefix) {
-			old++
+		if prefix, _, ok := strings.Cut(e.Name(), "-"); ok && slices.Contains(oldFramePrefixes, prefix) {
+			old[prefix]++
 			var p Partial
 			if err := p.UnmarshalBinary(parseCorpusEntry(t, string(got))); err == nil {
 				t.Errorf("%s/%s: a frame of an old version decoded", frameCorpusDir, e.Name())
@@ -356,8 +361,10 @@ func TestPartialFrameCorpusCommitted(t *testing.T) {
 	if seeds != len(want) {
 		t.Errorf("%d of %d seed frames committed under %s", seeds, len(want), frameCorpusDir)
 	}
-	if old < 3 {
-		t.Errorf("%d version-1 seeds under %s: the must-reject half of the corpus is gone", old, frameCorpusDir)
+	for _, prefix := range oldFramePrefixes {
+		if n := old[prefix]; n < 3 {
+			t.Errorf("%d %s- seeds under %s: the must-reject part of the corpus is gone", n, prefix, frameCorpusDir)
+		}
 	}
 }
 
@@ -377,7 +384,7 @@ func checkFrameDecode(t *testing.T, data []byte) (accepted bool) {
 	if err := p.checkColumns(); err != nil {
 		t.Fatalf("accepted frame decoded ragged: %v", err)
 	}
-	footprint := 16*(len(p.Query)+len(p.IDs)+len(p.Names)) + 16*len(p.IDs) + int(unsafe.Sizeof(PartialDataset{}))*len(p.Datasets)
+	footprint := 16*(len(p.Query)+len(p.IDs)+len(p.Names)) + 32*len(p.IDs) + int(unsafe.Sizeof(PartialDataset{}))*len(p.Datasets)
 	for _, col := range [][]string{p.Query, p.IDs, p.Names} {
 		for _, s := range col {
 			footprint += len(s)

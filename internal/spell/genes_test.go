@@ -195,7 +195,7 @@ func TestMergeSharedColumnsConcurrently(t *testing.T) {
 
 // TestMergeTakesALonePart pins Merge's ownership rule. Over one part — what
 // a single daemon merges — the union is that part's accumulator columns, not
-// a copy: the ranking leaves each ranked gene's score in the part's Sum. Over
+// a copy: the ranking leaves each ranked gene's score in the part's Sums. Over
 // several parts the union has columns of its own, and every part keeps every
 // bit of its accumulators.
 func TestMergeTakesALonePart(t *testing.T) {
@@ -206,34 +206,22 @@ func TestMergeTakesALonePart(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range res.Genes {
-		if s := slices.Index(p.IDs, g.ID); math.Float64bits(p.Sum[s]) != math.Float64bits(g.Score) {
-			t.Fatalf("gene %s scores %v, its row of the lone part holds %v: the union was a copy", g.ID, g.Score, p.Sum[s])
+		if s := slices.Index(p.IDs, g.ID); math.Float64bits(p.Sums[sumHi][s]) != math.Float64bits(g.Score) {
+			t.Fatalf("gene %s scores %v, its row of the lone part holds %v: the union was a copy", g.ID, g.Score, p.Sums[sumHi][s])
 		}
 	}
 
 	parts := []Partial{*scan(dense, query, []int{0, 2}), *scan(dense, query, []int{1})}
 	parts[1].Datasets[0].Index = 1
-	var was [][]float64
-	for _, p := range parts {
-		was = append(was, slices.Clone(p.Sum), slices.Clone(p.Cnt))
-	}
+	was := []any{partialBits(&parts[0]), partialBits(&parts[1])}
 	if _, err := Merge(parts, Options{IncludeQuery: true}); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parts {
-		if !reflect.DeepEqual(bitsOfColumn(p.Sum), bitsOfColumn(was[2*i])) || !reflect.DeepEqual(bitsOfColumn(p.Cnt), bitsOfColumn(was[2*i+1])) {
+	for i := range parts {
+		if !reflect.DeepEqual(partialBits(&parts[i]), was[i]) {
 			t.Fatalf("part %d of two: Merge wrote its accumulators", i)
 		}
 	}
-}
-
-// bitsOfColumn is a column's floats as bit patterns.
-func bitsOfColumn(xs []float64) []uint64 {
-	out := make([]uint64, len(xs))
-	for i, x := range xs {
-		out[i] = math.Float64bits(x)
-	}
-	return out
 }
 
 // TestMarkQueryByIndex: wherever Merge or Search finds a partial's query
@@ -295,8 +283,9 @@ func TestMarkQueryByIndex(t *testing.T) {
 	for _, col := range [][]string{b.IDs, b.Names} {
 		slices.Reverse(col)
 	}
-	slices.Reverse(b.Sum)
-	slices.Reverse(b.Cnt)
+	for _, col := range b.Sums {
+		slices.Reverse(col)
+	}
 	res, err := Merge(parts, Options{IncludeQuery: true})
 	if err != nil {
 		t.Fatal(err)

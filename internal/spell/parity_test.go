@@ -1,10 +1,12 @@
 package spell
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -37,6 +39,32 @@ func zscores(xs []float64) []float64 {
 	out := make([]float64, len(xs))
 	stats.ZScoresInto(out, xs)
 	return out
+}
+
+// sameResult reports whether two search results encode to the same JSON
+// bytes. It compares what the encoder reads — every field, in order, floats
+// by their bits — which is that and a little more (NaN payloads), at a
+// fraction of an encode's cost.
+func sameResult(got, want *Result) bool {
+	bits := math.Float64bits
+	return slices.Equal(got.Query, want.Query) &&
+		slices.EqualFunc(got.Datasets, want.Datasets, func(g, w DatasetRank) bool {
+			return g.Index == w.Index && g.Name == w.Name && g.QueryPresent == w.QueryPresent &&
+				bits(g.Weight) == bits(w.Weight) && bits(g.QueryCoherence) == bits(w.QueryCoherence)
+		}) &&
+		slices.EqualFunc(got.Genes, want.Genes, func(g, w GeneRank) bool {
+			return g.ID == w.ID && g.Name == w.Name && g.IsQuery == w.IsQuery && bits(g.Score) == bits(w.Score)
+		})
+}
+
+// assertSameJSON fails t unless sameResult.
+func assertSameJSON(t *testing.T, got, want *Result) {
+	t.Helper()
+	if !sameResult(got, want) {
+		g, _ := json.Marshal(got)
+		w, _ := json.Marshal(want)
+		t.Fatalf("results differ:\n got %s\nwant %s", g, w)
+	}
 }
 
 // assertResultsMatch checks that two search results agree to tol: identical
@@ -272,10 +300,7 @@ func TestSearchConcurrentHammer(t *testing.T) {
 		}
 	}
 
-	workers := 4 * runtime.GOMAXPROCS(0)
-	if workers < 8 {
-		workers = 8
-	}
+	workers := max(8, 4*runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -293,17 +318,9 @@ func TestSearchConcurrentHammer(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if len(res.Genes) != len(want[qi].Genes) {
-					t.Errorf("worker %d: %d genes, want %d",
-						w, len(res.Genes), len(want[qi].Genes))
+				if !sameResult(res, want[qi]) {
+					t.Errorf("worker %d: query %d answered other bits", w, qi)
 					return
-				}
-				for i := range res.Genes {
-					if math.Abs(res.Genes[i].Score-want[qi].Genes[i].Score) > 1e-9 {
-						t.Errorf("worker %d: rank %d score %v vs %v",
-							w, i, res.Genes[i].Score, want[qi].Genes[i].Score)
-						return
-					}
 				}
 			}
 		}(w)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 
@@ -26,8 +25,8 @@ import (
 // is Σ_d w_d·m_{g,d} / Σ_d w_d — the global normalizer Σc divides both the
 // numerator and the denominator, so it cancels. A shard can therefore ship
 // Σ_{d∈shard} c_d·m and Σ_{d∈shard} c_d without knowing Σc, and the score
-// (Σ c·m)/(Σ c) over any split equals the score over one part up to float
-// accumulation order (the golden-parity tests pin ≤1e-12). The one place
+// (Σ c·m)/(Σ c) over any split equals the score over one part bit for bit:
+// every sum is exact (accum.go). The one place
 // the global total does change the math is SPELL's degenerate fallback —
 // when every dataset's coherence clamps to zero, the weights are uniform
 // over the datasets measuring the query — and a shard cannot know locally
@@ -58,7 +57,7 @@ type Partial struct {
 	// Datasets lists every dataset the partial answers for.
 	Datasets []PartialDataset
 
-	// Uniform says which accumulator pair Sum and Cnt hold. m_{g,d} is the
+	// Uniform says which accumulator pair Sums holds. m_{g,d} is the
 	// gene's mean correlation to the query genes within dataset d; c_d is
 	// the dataset's raw coherence clamped to [0, ∞) with NaN → 0.
 	//
@@ -71,10 +70,11 @@ type Partial struct {
 	// Either way a gene's score is Sum/Cnt.
 	Uniform bool
 	// IDs and Names identify the genes that scored in at least one scanned
-	// dataset, in the shard engine's stable gene order; Sum and Cnt are
-	// parallel to them.
+	// dataset, in the shard engine's stable gene order. Sums is parallel to
+	// them: Sum and Cnt, each as the hi and lo column of the exact grid
+	// (accum.go), in the order sumHi, sumLo, cntHi, cntLo.
 	IDs, Names []string
-	Sum, Cnt   []float64
+	Sums       [4][]float64
 
 	// rows finds a gene's row in IDs without reading IDs, while rowsOf is
 	// IDs itself (geneIndex): the engine's gene index for a partial in which
@@ -111,14 +111,31 @@ type PartialDataset struct {
 	Present int
 }
 
-// checkColumns reports whether the four gene columns have one length.
+// checkColumns reports whether the six gene columns have one length.
 func (p *Partial) checkColumns() error {
-	n := len(p.IDs)
-	if len(p.Names) != n || len(p.Sum) != n || len(p.Cnt) != n {
-		return fmt.Errorf("spell: partial gene columns differ in length (%d ids, %d names, %d/%d accumulators)",
-			n, len(p.Names), len(p.Sum), len(p.Cnt))
+	n, ok := len(p.IDs), len(p.Names) == len(p.IDs)
+	for _, col := range p.Sums {
+		ok = ok && len(col) == n
+	}
+	if !ok {
+		return fmt.Errorf("spell: partial gene columns differ in length (%d ids, %d names, %d/%d/%d/%d accumulators)",
+			n, len(p.Names), len(p.Sums[0]), len(p.Sums[1]), len(p.Sums[2]), len(p.Sums[3]))
 	}
 	return nil
+}
+
+// weight is a dataset's unnormalized weight: its raw coherence, or with
+// uniform weights 1 when it measures the query; 0 when that is not above
+// zero on the grid (NaN included). Stage 2 and finish both ask it, so a
+// dataset carries weight in the ranked list exactly when its genes scored.
+func weight(coherence float64, present int, uniform bool) float64 {
+	if uniform {
+		coherence = float64(min(present, 1))
+	}
+	if hi, lo := split(coherence); hi+lo > 0 {
+		return coherence
+	}
+	return 0
 }
 
 // PartialSearchSubsetCtx computes this engine's share of a query over a
@@ -138,10 +155,10 @@ func (p *Partial) checkColumns() error {
 // under top-R ownership a shard holds more datasets than any single
 // request should claim, and the coordinator asks each replica for whole
 // ownership groups, so two replicas can never both count a dataset into one
-// merge. Entries must be in range and unique; every dataset of the subset
-// is listed in the Partial, and those that carry weight — clamped coherence
-// above zero, or with opt.UniformWeights any that measures the query — are
-// scanned. An empty (non-nil) subset is valid and yields the empty partial.
+// merge. Entries must be in range and unique, in any order; every dataset
+// of the subset is listed in the Partial, and those that carry weight (see
+// weight) are scanned. An empty (non-nil) subset is valid and yields the
+// empty partial.
 func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, subset []int, opt Options) (*Partial, error) {
 	query = CanonicalQuery(query)
 	if len(query) == 0 {
@@ -182,17 +199,11 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		}
 	}
 
-	// Stage 2, at unnormalized weights: the clamped raw coherence, or 1 for
-	// every dataset measuring the query.
+	// Stage 2, at unnormalized weights.
 	var todo []int
 	weights := make([]float64, len(e.slabs))
 	for _, di := range subset {
-		w := infos[di].coherence
-		if opt.UniformWeights {
-			w = float64(min(len(infos[di].q.Rows), 1))
-		}
-		if w > 0 { // false for NaN
-			weights[di] = w
+		if weights[di] = weight(infos[di].coherence, len(infos[di].q.Rows), opt.UniformWeights); weights[di] > 0 {
 			todo = append(todo, di)
 		}
 	}
@@ -207,9 +218,10 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	// scanned datasets measure every gene of the engine, the normal case —
 	// nothing is copied and the ID and Name columns are the engine's own;
 	// otherwise the genes that scored are compacted to the front in place.
+	scored := func(gi int) bool { return acc[cntHi][gi]+acc[cntLo][gi] != 0 }
 	n := 0
-	for _, w := range acc.weight {
-		if w != 0 {
+	for gi := range e.order {
+		if scored(gi) {
 			n++
 		}
 	}
@@ -218,16 +230,20 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 		p.rows, p.rowsOf = e.gid, p.IDs
 	} else {
 		p.IDs, p.Names = make([]string, 0, n), make([]string, 0, n)
-		for gi, w := range acc.weight {
-			if w == 0 {
+		for gi := range e.order {
+			if !scored(gi) {
 				continue
 			}
 			k := len(p.IDs)
 			p.IDs, p.Names = append(p.IDs, e.order[gi]), append(p.Names, e.names[gi])
-			acc.score[k], acc.weight[k] = acc.score[gi], w
+			for _, col := range acc {
+				col[k] = col[gi]
+			}
 		}
 	}
-	p.Sum, p.Cnt = acc.score[:n:n], acc.weight[:n:n]
+	for k, col := range acc {
+		p.Sums[k] = col[:n:n]
+	}
 	return p, nil
 }
 
@@ -263,42 +279,31 @@ var ErrNoQueryGenes = errors.New("spell: none of the query genes occur in the co
 var ErrNeedUniform = errors.New("spell: the merge needs uniform-weight partials")
 
 // checkParts is Merge's precondition: at least one partial, one canonical
-// query, one accumulator kind, consistent columns. It returns the parts in
-// the order Merge adds them up in — ascending lowest global dataset index —
-// so that a sum depends on which datasets each part covers and never on the
-// order the parts arrived in.
-func checkParts(parts []*Partial) ([]*Partial, error) {
+// query, one accumulator kind, consistent columns.
+func checkParts(parts []Partial) error {
 	if len(parts) == 0 {
-		return nil, errors.New("spell: no partials to merge")
+		return errors.New("spell: no partials to merge")
 	}
-	first := parts[0]
+	first := &parts[0]
 	if len(first.Query) == 0 {
-		return nil, errors.New("spell: empty query")
+		return errors.New("spell: empty query")
 	}
 	if !slices.IsSorted(first.Query) {
-		return nil, fmt.Errorf("spell: partial query %v is not canonical", first.Query)
+		return fmt.Errorf("spell: partial query %v is not canonical", first.Query)
 	}
-	for _, p := range parts {
+	for i := range parts {
+		p := &parts[i]
 		if !slices.Equal(first.Query, p.Query) {
-			return nil, fmt.Errorf("spell: partials ran different queries (%v vs %v)", first.Query, p.Query)
+			return fmt.Errorf("spell: partials ran different queries (%v vs %v)", first.Query, p.Query)
 		}
 		if p.Uniform != first.Uniform {
-			return nil, errors.New("spell: partials mix coherence-weighted and uniform accumulators")
+			return errors.New("spell: partials mix coherence-weighted and uniform accumulators")
 		}
 		if err := p.checkColumns(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	lowest := func(p *Partial) int {
-		lo := math.MaxInt
-		for _, d := range p.Datasets {
-			lo = min(lo, d.Index)
-		}
-		return lo
-	}
-	ordered := slices.Clone(parts)
-	slices.SortStableFunc(ordered, func(a, b *Partial) int { return cmp.Compare(lowest(a), lowest(b)) })
-	return ordered, nil
+	return nil
 }
 
 // geneSums is the union of several partials' gene accumulators. While every
@@ -311,12 +316,12 @@ func checkParts(parts []*Partial) ([]*Partial, error) {
 // equals its predecessor's reuses that row→slot vector.
 //
 // The union takes the first part's accumulator columns, not a copy of them,
-// and copies them only when a second part is added: a lone part's Sum and
-// Cnt are the union's, which finish ranks in place (Merge's contract).
+// and copies them only when a second part is added: a lone part's Sums are
+// the union's, which finish ranks in place (Merge's contract).
 type geneSums struct {
 	ids, names []string
-	sum, cnt   []float64
-	taken      bool           // sum and cnt are the first part's own columns
+	sums       accum
+	taken      bool           // sums are the first part's own columns
 	index      map[string]int // the first part's gene index, or the slot table
 
 	slot    map[string]int // nil until a part lists other genes than the first
@@ -344,12 +349,17 @@ func (u *geneSums) add(p *Partial) {
 		// Clipped, so that growing the union copies instead of writing
 		// behind the part's columns.
 		u.ids, u.names = slices.Clip(p.IDs), slices.Clip(p.Names)
-		u.sum, u.cnt, u.taken = slices.Clip(p.Sum), slices.Clip(p.Cnt), true
-		u.index, u.prevIDs = p.geneIndex(), p.IDs
+		for k, col := range p.Sums {
+			u.sums[k] = slices.Clip(col)
+		}
+		u.taken, u.index, u.prevIDs = true, p.geneIndex(), p.IDs
 		return
 	}
 	if u.taken {
-		u.sum, u.cnt, u.taken = slices.Clone(u.sum), slices.Clone(u.cnt), false
+		for k, col := range u.sums {
+			u.sums[k] = slices.Clone(col)
+		}
+		u.taken = false
 	}
 	if !sameColumn(p.IDs, u.prevIDs) {
 		if u.slot == nil {
@@ -367,7 +377,9 @@ func (u *geneSums) add(p *Partial) {
 				s = len(u.ids)
 				u.slot[id] = s
 				u.ids, u.names = append(u.ids, id), append(u.names, p.Names[i])
-				u.sum, u.cnt = append(u.sum, 0), append(u.cnt, 0)
+				for k := range u.sums {
+					u.sums[k] = append(u.sums[k], 0)
+				}
 			}
 			u.buf = append(u.buf, int32(s))
 			identity = identity && s == i
@@ -376,8 +388,9 @@ func (u *geneSums) add(p *Partial) {
 			u.rows = nil
 		}
 	}
-	addRows(u.sum, p.Sum, u.rows)
-	addRows(u.cnt, p.Cnt, u.rows)
+	for k, col := range u.sums {
+		addRows(col, p.Sums[k], u.rows)
+	}
 }
 
 // addRows adds the column src into the accumulator dst: row i into slot
@@ -402,21 +415,22 @@ func addRows(dst, src []float64, rows []int32) {
 // over the survivors, which is exactly the degraded-mode semantics.
 //
 // Merge is the union step only — the dataset lists put in global-index
-// order, the gene accumulators added up in checkParts' order — and hands
-// the union to finish, the ranking Search runs on its own partial: a search
-// over any split of the compendium is a search, to float accumulation order
-// (pinned ≤1e-12 by the package tests) and with the same order among ties.
+// order, the gene accumulators added up in the order the parts are given —
+// and hands the union to finish, the ranking Search runs on its own
+// partial: a search over any split of the compendium is that search, bit
+// for bit, because every sum is exact (accum.go).
 //
 // Every partial must carry the same canonical query and the same
 // accumulator pair, and dataset names must be unique across partials — a
 // duplicate means two shards both claimed a dataset, which would
-// double-count its coherence and scores. Weighted partials whose union
-// needs the uniform pair are ErrNeedUniform.
+// double-count its coherence and scores. A union of more than MaxDatasets
+// is refused. Weighted partials whose union needs the uniform pair are
+// ErrNeedUniform.
 //
 // Merge over one part — a single daemon is a fleet of one — consumes that
-// part's accumulators: the union is its Sum and Cnt, not a copy, and the
-// ranking divides Sum in place, so the caller does not read either column
-// after the call. (A part that scored no gene does not count: the same
+// part's accumulators: the union is its Sums, not a copy, and the ranking
+// writes scores into them, so the caller does not read them after the
+// call. (A part that scored no gene does not count: the same
 // holds for the one part of several that did.) Over several parts that
 // scored, the union has columns of its own and the parts are only read.
 //
@@ -426,31 +440,29 @@ func addRows(dst, src []float64, rows []int32) {
 // top-20 that aliased its inputs would pin ≈100 KB of gene-ID blob per
 // entry (measured on fleet-scatter: mem_live_mb +15%).
 func Merge(parts []Partial, opt Options) (*Result, error) {
-	ptrs := make([]*Partial, len(parts))
-	for i := range parts {
-		ptrs[i] = &parts[i]
-	}
-	ordered, err := checkParts(ptrs)
-	if err != nil {
+	if err := checkParts(parts); err != nil {
 		return nil, err
 	}
 	var u geneSums
-	union := &Partial{Query: ordered[0].Query, Uniform: ordered[0].Uniform}
+	union := &Partial{Query: parts[0].Query, Uniform: parts[0].Uniform}
 	seenDS := make(map[string]bool)
-	for _, p := range ordered {
-		for _, d := range p.Datasets {
+	for i := range parts {
+		for _, d := range parts[i].Datasets {
 			if seenDS[d.Name] {
 				return nil, fmt.Errorf("spell: dataset %q claimed by more than one shard", d.Name)
 			}
 			seenDS[d.Name] = true
 			union.Datasets = append(union.Datasets, d)
 		}
-		u.add(p)
+		u.add(&parts[i])
+	}
+	if n := len(union.Datasets); n > MaxDatasets {
+		return nil, fmt.Errorf("spell: a union of %d datasets, more than the %d a search adds up exactly", n, MaxDatasets)
 	}
 	slices.SortFunc(union.Datasets, func(a, b PartialDataset) int {
 		return cmp.Or(cmp.Compare(a.Index, b.Index), strings.Compare(a.Name, b.Name))
 	})
-	union.IDs, union.Names, union.Sum, union.Cnt = u.ids, u.names, u.sum, u.cnt
+	union.IDs, union.Names, union.Sums = u.ids, u.names, u.sums
 	union.rows, union.rowsOf = u.index, u.ids
 
 	qmask := make([]bool, len(union.IDs))
@@ -505,8 +517,8 @@ func markQuery(qmask []bool, p *Partial) {
 // fleet's — to the result. p.Datasets must be in global-index order, the
 // order the weight total is summed in, and qmask marks the rows of p's gene
 // columns that are query genes. The result shares p's strings, and finish
-// divides p.Sum by p.Cnt in place: the caller owns the accumulator columns
-// and does not read them again.
+// folds each gene's columns and leaves its score in p.Sums[sumHi]: the
+// caller owns the accumulator columns and does not read them again.
 func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 	// Normalize positive coherence into weights. A dataset where the query
 	// genes are uncorrelated (or absent) contributes nothing, exactly the
@@ -515,17 +527,8 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 	total, measuring := 0.0, 0
 	for i, d := range p.Datasets {
 		measuring += min(d.Present, 1)
-		w := d.Coherence
-		if opt.UniformWeights {
-			// Ablation baseline: every dataset measuring the query counts
-			// equally, informative or not.
-			w = float64(min(d.Present, 1))
-		}
-		if math.IsNaN(w) || w < 0 {
-			w = 0
-		}
-		weights[i] = w
-		total += w
+		weights[i] = weight(d.Coherence, d.Present, opt.UniformWeights)
+		total += weights[i]
 	}
 	if measuring == 0 {
 		return nil, fmt.Errorf("%w (%d query genes)", ErrNoQueryGenes, len(p.Query))
@@ -564,14 +567,14 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 
 	// Rank compact row indexes rather than GeneRank structs, and materialize
 	// only the entries that survive the MaxGenes cut.
-	ids, sum := p.IDs, p.Sum
+	ids, sum := p.IDs, p.Sums[sumHi]
 	order := make([]int32, 0, len(ids))
-	for s, c := range p.Cnt {
+	for s := range ids {
 		if qmask[s] && !opt.IncludeQuery {
 			continue
 		}
-		if c != 0 {
-			sum[s] /= c // final score, reused in place
+		if c := p.Sums[cntHi][s] + p.Sums[cntLo][s]; c != 0 {
+			sum[s] = (sum[s] + p.Sums[sumLo][s]) / c // the fold, then the final score, in place
 			order = append(order, int32(s))
 		}
 	}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -20,36 +20,19 @@ import (
 )
 
 // shardSplit builds one engine per shard over a round-robin split of the
-// datasets, runs PartialSearchSubsetCtx on each, and remaps the per-shard local
-// dataset indexes back to the global compendium order — exactly what the
-// shard server role does before answering the coordinator.
+// datasets and returns each one's partial of its whole slice, dataset
+// indexes remapped to the global compendium order — exactly what the shard
+// server role answers the coordinator with.
 func shardSplit(t testing.TB, dss []*microarray.Dataset, nShards int, query []string, opt Options) []Partial {
 	t.Helper()
-	var parts []Partial
-	for s := 0; s < nShards; s++ {
-		var slice []*microarray.Dataset
-		var global []int
-		for di, ds := range dss {
-			if di%nShards == s {
-				slice = append(slice, ds)
-				global = append(global, di)
-			}
-		}
-		if len(slice) == 0 {
-			continue
-		}
-		se, err := NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := se.PartialSearchSubsetCtx(context.Background(), query, nil, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range p.Datasets {
-			p.Datasets[i].Index = global[p.Datasets[i].Index]
-		}
-		parts = append(parts, *p)
+	owners := make([][2]int, nShards)
+	for s := range owners {
+		owners[s] = [2]int{s, s}
+	}
+	f := newGroupFleet(t, dss, nShards, owners)
+	parts := make([]Partial, nShards)
+	for s := range parts {
+		parts[s] = *f.scan(t, s, 1<<s, query, opt)
 	}
 	return parts
 }
@@ -98,13 +81,12 @@ func disjointDataset(name string, nGenes, nExp int, seed int64) *microarray.Data
 }
 
 // TestMergeMatchesSearch is the golden-parity proof for the sharded
-// pipeline: for every shard count in {2, 3, 5}, Merge over the round-robin
-// split of the compendium must agree with the single-process Search to
-// 1e-12 — dataset weights, coherences, gene scores, and rank order (modulo
-// exact float ties) — including a disjoint dataset whose shard contributes
+// pipeline: for every shard count in {1, 2, 3, 5}, Merge over the
+// round-robin split of the compendium must encode to the single-process
+// Search's JSON bytes — including a disjoint dataset whose shard contributes
 // zero coherent datasets, missing values, and every result-shaping option.
-// One shard is what Search itself runs (a partial, finished), so that case
-// is held to the oracle instead: the chain is oracle.Search ← single ←
+// One shard is what Search itself runs (a partial, finished), and it is
+// also held to the oracle at 1e-12: the chain is oracle.Search ← single =
 // K-way split.
 func TestMergeMatchesSearch(t *testing.T) {
 	for _, missing := range []float64{0, 0.05} {
@@ -139,30 +121,14 @@ func TestMergeMatchesSearch(t *testing.T) {
 					t.Fatalf("reference %+v: %v", opt, err)
 				}
 				for _, nShards := range []int{1, 2, 3, 5} {
-					want := search
-					if nShards == 1 {
-						want = ref
-					}
-					parts := shardSplit(t, dss, nShards, query, opt)
-					got, err := Merge(parts, opt)
+					got, err := Merge(shardSplit(t, dss, nShards, query, opt), opt)
 					if err != nil {
 						t.Fatalf("merge %d shards %+v: %v", nShards, opt, err)
 					}
-					assertResultsMatch(t, got, want, 1e-12)
-					// Identical rank order, not merely tie-tolerant: the
-					// synthetic scores carry no exact float ties.
-					for i := range want.Genes {
-						if got.Genes[i].ID != want.Genes[i].ID {
-							t.Fatalf("%d shards %+v: rank %d = %s, want %s",
-								nShards, opt, i, got.Genes[i].ID, want.Genes[i].ID)
-						}
+					if nShards == 1 {
+						assertResultsMatch(t, got, ref, 1e-12)
 					}
-					for i := range want.Datasets {
-						if got.Datasets[i].Index != want.Datasets[i].Index {
-							t.Fatalf("%d shards %+v: dataset rank %d = index %d, want %d",
-								nShards, opt, i, got.Datasets[i].Index, want.Datasets[i].Index)
-						}
-					}
+					assertSameJSON(t, got, search)
 				}
 			}
 		})
@@ -177,16 +143,13 @@ func TestMergeMatchesSearch(t *testing.T) {
 // round.
 func TestMergeDegenerateFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	const nExp = 10
 	mk := func(name string, ids ...string) *microarray.Dataset {
-		ds := &microarray.Dataset{Name: name, Experiments: make([]string, nExp)}
+		ds := &microarray.Dataset{Name: name, Experiments: make([]string, 10)}
 		for _, id := range ids {
-			row := make([]float64, nExp)
-			for i := range row {
-				row[i] = rng.NormFloat64()
+			ds.Genes, ds.Data = append(ds.Genes, microarray.Gene{ID: id, Name: id}), append(ds.Data, make([]float64, 10))
+			for i := range ds.Data[len(ds.Data)-1] {
+				ds.Data[len(ds.Data)-1][i] = rng.NormFloat64()
 			}
-			ds.Genes = append(ds.Genes, microarray.Gene{ID: id, Name: id})
-			ds.Data = append(ds.Data, row)
 		}
 		return ds
 	}
@@ -227,7 +190,7 @@ func TestMergeDegenerateFallback(t *testing.T) {
 		if rounds != 2 {
 			t.Fatalf("%d shards: merged in %d round(s), want the uniform second round", nShards, rounds)
 		}
-		assertResultsMatch(t, got, want, 1e-12)
+		assertSameJSON(t, got, want)
 	}
 }
 
@@ -313,24 +276,7 @@ func TestPartialGobRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Genes) != len(want.Genes) || len(got.Datasets) != len(want.Datasets) {
-		t.Fatalf("shape changed over the wire")
-	}
-	for i := range want.Genes {
-		if got.Genes[i] != want.Genes[i] {
-			t.Fatalf("gene %d: %+v vs %+v", i, got.Genes[i], want.Genes[i])
-		}
-	}
-	for i := range want.Datasets {
-		g, w := got.Datasets[i], want.Datasets[i]
-		bothNaN := math.IsNaN(g.QueryCoherence) && math.IsNaN(w.QueryCoherence)
-		if bothNaN {
-			g.QueryCoherence, w.QueryCoherence = 0, 0
-		}
-		if g != w {
-			t.Fatalf("dataset %d: %+v vs %+v", i, got.Datasets[i], want.Datasets[i])
-		}
-	}
+	assertSameJSON(t, got, want)
 }
 
 func TestPartialSearchCtxCanceled(t *testing.T) {
@@ -358,42 +304,14 @@ func TestPartialConcurrentHammer(t *testing.T) {
 		NumDatasets: 6, MinExperiments: 8, MaxExperiments: 14,
 		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.03, Seed: 62,
 	})
-	full, err := NewEngine(dss)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newGroupFleet(t, dss, 2, [][2]int{{0, 0}, {1, 1}}) // two shard engines, shared by all workers
 	query := u.ModuleGeneIDs(2)[:4]
-	want, err := full.Search(query, Options{IncludeQuery: true})
+	want, err := f.full.Search(query, Options{IncludeQuery: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Two shard engines, shared by all workers.
-	type eng struct {
-		e      *Engine
-		global []int
-	}
-	var shards []eng
-	for s := 0; s < 2; s++ {
-		var slice []*microarray.Dataset
-		var global []int
-		for di, ds := range dss {
-			if di%2 == s {
-				slice = append(slice, ds)
-				global = append(global, di)
-			}
-		}
-		se, err := NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shards = append(shards, eng{e: se, global: global})
-	}
-
-	workers := 4 * runtime.GOMAXPROCS(0)
-	if workers < 8 {
-		workers = 8
-	}
+	workers := max(8, 4*runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -401,14 +319,14 @@ func TestPartialConcurrentHammer(t *testing.T) {
 			defer wg.Done()
 			for iter := 0; iter < 8; iter++ {
 				var parts []Partial
-				for _, sh := range shards {
-					p, err := sh.e.PartialSearchSubsetCtx(context.Background(), query, nil, Options{Parallelism: 1 + (w+iter)%3})
+				for s, e := range f.local {
+					p, err := e.PartialSearchSubsetCtx(context.Background(), query, nil, Options{Parallelism: 1 + (w+iter)%3})
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
 					for i := range p.Datasets {
-						p.Datasets[i].Index = sh.global[p.Datasets[i].Index]
+						p.Datasets[i].Index = f.global[s][p.Datasets[i].Index]
 					}
 					parts = append(parts, *p)
 				}
@@ -417,16 +335,9 @@ func TestPartialConcurrentHammer(t *testing.T) {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
-				if len(got.Genes) != len(want.Genes) {
-					t.Errorf("worker %d: %d genes, want %d", w, len(got.Genes), len(want.Genes))
+				if !sameResult(got, want) {
+					t.Errorf("worker %d: the merge is not Search's answer", w)
 					return
-				}
-				for i := range got.Genes {
-					if math.Abs(got.Genes[i].Score-want.Genes[i].Score) > 1e-9 {
-						t.Errorf("worker %d: rank %d score %v vs %v",
-							w, i, got.Genes[i].Score, want.Genes[i].Score)
-						return
-					}
 				}
 			}
 		}(w)
@@ -438,10 +349,11 @@ func TestPartialConcurrentHammer(t *testing.T) {
 // shard that holds more datasets than one request should claim (top-R
 // ownership replicates slices) serves per-group *subsets* of its slice,
 // and merging those subset partials must still reproduce the
-// single-process Search. Here two "replica" engines hold overlapping
-// slices of the compendium while the subsets requested from them
-// partition the global dataset list exactly once — the coordinator's
-// single-coverage discipline — and the merge must match Search to 1e-12.
+// single-process Search. Here two replicas hold overlapping slices — the
+// middle group's datasets live on both — while the subsets requested from
+// them partition the global dataset list exactly once, the middle group
+// asked of either replica — the coordinator's single-coverage discipline —
+// and the merge must encode to Search's JSON bytes.
 func TestPartialSubsetMatchesSearch(t *testing.T) {
 	u := synth.NewUniverse(180, 8, 43)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
@@ -449,76 +361,27 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.03, Seed: 44,
 	})
 	dss = append(dss, disjointDataset("disjoint", 25, 9, 17))
-	full, err := NewEngine(dss)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := newGroupFleet(t, dss, 2, [][2]int{{0, 0}, {0, 1}, {1, 1}})
 	query := u.ModuleGeneIDs(2)[:5]
-
-	// Replica A holds globals {0..5}, replica B holds {3..7}: datasets 3-5
-	// exist on both, like any dataset with two rendezvous owners.
-	buildReplica := func(globals []int) (*Engine, []int) {
-		var slice []*microarray.Dataset
-		for _, gi := range globals {
-			slice = append(slice, dss[gi])
-		}
-		e, err := NewEngine(slice)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return e, globals
-	}
-	engA, globA := buildReplica([]int{0, 1, 2, 3, 4, 5})
-	engB, globB := buildReplica([]int{3, 4, 5, 6, 7})
-
-	// The coordinator assigns each global dataset to exactly one replica:
-	// A serves {0,1,2,4}, B serves {3,5,6,7} — including datasets both
-	// hold, split across the two.
-	serveA := map[int]bool{0: true, 1: true, 2: true, 4: true}
-	var subA, subB []int
-	for li, gi := range globA {
-		if serveA[gi] {
-			subA = append(subA, li)
-		}
-	}
-	for li, gi := range globB {
-		if !serveA[gi] {
-			subB = append(subB, li)
-		}
-	}
-
 	for _, opt := range []Options{
 		{},
 		{UniformWeights: true},
 		{MaxGenes: 25, IncludeQuery: true},
 	} {
-		want, err := full.Search(query, opt)
+		want, err := f.full.Search(query, opt)
 		if err != nil {
 			t.Fatalf("search %+v: %v", opt, err)
 		}
-		pA, err := engA.PartialSearchSubsetCtx(context.Background(), query, subA, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pB, err := engB.PartialSearchSubsetCtx(context.Background(), query, subB, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range pA.Datasets {
-			pA.Datasets[i].Index = globA[pA.Datasets[i].Index]
-		}
-		for i := range pB.Datasets {
-			pB.Datasets[i].Index = globB[pB.Datasets[i].Index]
-		}
-		got, err := Merge([]Partial{*pA, *pB}, opt)
-		if err != nil {
-			t.Fatalf("merge %+v: %v", opt, err)
-		}
-		assertResultsMatch(t, got, want, 1e-12)
-		for i := range want.Genes {
-			if got.Genes[i].ID != want.Genes[i].ID {
-				t.Fatalf("%+v: rank %d = %s, want %s", opt, i, got.Genes[i].ID, want.Genes[i].ID)
+		for _, assign := range []int{0b000, 0b010} {
+			var parts []Partial
+			for s, mask := range f.masks(assign) {
+				parts = append(parts, *f.scan(t, s, mask, query, opt))
 			}
+			got, err := Merge(parts, opt)
+			if err != nil {
+				t.Fatalf("merge %+v: %v", opt, err)
+			}
+			assertSameJSON(t, got, want)
 		}
 
 		// A nil subset is the whole slice (every dataset): one part, which
@@ -527,11 +390,12 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reference %+v: %v", opt, err)
 		}
-		whole, err := full.PartialSearchSubsetCtx(context.Background(), query, nil, opt)
+		whole, err := f.full.PartialSearchSubsetCtx(context.Background(), query, nil, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err = Merge([]Partial{*whole}, opt); err != nil {
+		got, err := Merge([]Partial{*whole}, opt)
+		if err != nil {
 			t.Fatalf("merge of the whole slice %+v: %v", opt, err)
 		}
 		assertResultsMatch(t, got, ref, 1e-12)
@@ -539,15 +403,39 @@ func TestPartialSubsetMatchesSearch(t *testing.T) {
 
 	// An empty subset is a valid empty partial, and malformed subsets are
 	// loud errors.
-	if p, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{}, Options{}); err != nil || len(p.Datasets) != 0 || len(p.IDs) != 0 {
+	e := f.local[0]
+	if p, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{}, Options{}); err != nil || len(p.Datasets) != 0 || len(p.IDs) != 0 {
 		t.Fatalf("empty subset: %+v, %v", p, err)
 	}
-	if _, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{0, 0}, Options{}); err == nil {
+	if _, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{0, 0}, Options{}); err == nil {
 		t.Fatal("duplicate subset index accepted")
 	}
-	if _, err := engA.PartialSearchSubsetCtx(context.Background(), query, []int{99}, Options{}); err == nil {
+	if _, err := e.PartialSearchSubsetCtx(context.Background(), query, []int{99}, Options{}); err == nil {
 		t.Fatal("out-of-range subset index accepted")
 	}
+}
+
+// scrambledPair is raw with every dataset scrambled, the query genes kept,
+// and a degenerate copy in which each dataset keeps one query gene only, so
+// that no coherence is defined anywhere and Search falls back to uniform
+// weights.
+func scrambledPair(raw []*microarray.Dataset, query []string, seed int64) (coherent, degenerate []*microarray.Dataset) {
+	keep := map[string]bool{}
+	for _, q := range query {
+		keep[q] = true
+	}
+	rng := rand.New(rand.NewSource(seed))
+	for di, ds := range raw {
+		coherent = append(coherent, scrambled(ds, rng, 0.25, keep))
+		var rows []int
+		for r, g := range ds.Genes {
+			if !keep[g.ID] || g.ID == query[di%len(query)] {
+				rows = append(rows, r)
+			}
+		}
+		degenerate = append(degenerate, scrambled(ds.Subset(ds.Name, rows), rng, 0.25, keep))
+	}
+	return coherent, degenerate
 }
 
 // scrambled returns ds with its rows shuffled and a share of them dropped
@@ -566,8 +454,8 @@ func scrambled(ds *microarray.Dataset, rng *rand.Rand, drop float64, keep map[st
 // TestMergeMixedGeneColumns is the golden-parity proof for the slot table's
 // general path: the parts list different gene subsets in different orders
 // (so no part can reuse its predecessor's slot vector), some parts repeat a
-// predecessor's column exactly (so some do), and Merge must still match the
-// single-process Search to 1e-12 — weighted, UniformWeights, and the
+// predecessor's column exactly (so some do), and Merge must still give the
+// single-process Search's JSON bytes — weighted, UniformWeights, and the
 // degenerate all-NaN-coherence fallback.
 func TestMergeMixedGeneColumns(t *testing.T) {
 	u := synth.NewUniverse(220, 8, 71)
@@ -576,27 +464,7 @@ func TestMergeMixedGeneColumns(t *testing.T) {
 		ActiveFraction: 0.5, Noise: 0.3, MissingRate: 0.04, Seed: 72,
 	})
 	query := u.ModuleGeneIDs(3)[:4]
-	rng := rand.New(rand.NewSource(73))
-
-	// coherent: every dataset keeps all query genes. degenerate: each keeps
-	// exactly one, so no coherence is defined anywhere and Search falls back
-	// to uniform weights.
-	keepAll := map[string]bool{}
-	for _, q := range query {
-		keepAll[q] = true
-	}
-	coherent := make([]*microarray.Dataset, len(raw))
-	degenerate := make([]*microarray.Dataset, len(raw))
-	for di, ds := range raw {
-		coherent[di] = scrambled(ds, rng, 0.25, keepAll)
-		var rows []int
-		for r, g := range ds.Genes {
-			if !keepAll[g.ID] || g.ID == query[di%len(query)] {
-				rows = append(rows, r)
-			}
-		}
-		degenerate[di] = scrambled(ds.Subset(ds.Name, rows), rng, 0.25, keepAll)
-	}
+	coherent, degenerate := scrambledPair(raw, query, 73)
 
 	for _, tc := range []struct {
 		name string
@@ -647,7 +515,7 @@ func TestMergeMixedGeneColumns(t *testing.T) {
 					if want := map[string]int{"coherent": 1, "degenerate": 2}[tc.name]; rounds != want {
 						t.Fatalf("%s %+v: merged in %d round(s), want %d", name, opt, rounds, want)
 					}
-					assertResultsMatch(t, got, want, 1e-12)
+					assertSameJSON(t, got, want)
 					mapped := 0
 					for i := 1; i < len(last); i++ {
 						if !slices.Equal(last[i].IDs, last[i-1].IDs) {
@@ -665,30 +533,32 @@ func TestMergeMixedGeneColumns(t *testing.T) {
 					for _, p := range last {
 						a, b := p, p
 						a.Datasets, b.Datasets = p.Datasets[:len(p.Datasets)/2], p.Datasets[len(p.Datasets)/2:]
-						a.Sum, b.Sum = splitColumn(p.Sum)
-						a.Cnt, b.Cnt = splitColumn(p.Cnt)
+						a.Sums, b.Sums = splitColumns(p.Sums)
 						halves = append(halves, a, b)
 					}
 					again, err := Merge(halves, opt)
 					if err != nil {
 						t.Fatalf("%s halves %+v: %v", name, opt, err)
 					}
-					assertResultsMatch(t, again, want, 1e-12)
+					assertSameJSON(t, again, want)
 				}
 			}
 		})
 	}
 }
 
-// splitColumn splits an accumulator column into two that sum back to it
-// exactly: the even rows in one, the odd rows in the other, zeros elsewhere.
-func splitColumn(col []float64) (even, odd []float64) {
-	even, odd = make([]float64, len(col)), make([]float64, len(col))
-	for i, v := range col {
-		if i%2 == 0 {
-			even[i] = v
-		} else {
-			odd[i] = v
+// splitColumns splits a partial's accumulator columns into two sets that
+// sum back to them exactly: the even rows in one, the odd rows in the
+// other, zeros elsewhere.
+func splitColumns(cols [4][]float64) (even, odd [4][]float64) {
+	for k, col := range cols {
+		even[k], odd[k] = make([]float64, len(col)), make([]float64, len(col))
+		for i, v := range col {
+			if i%2 == 0 {
+				even[k][i] = v
+			} else {
+				odd[k][i] = v
+			}
 		}
 	}
 	return even, odd
@@ -770,9 +640,7 @@ func TestMergeResultOwnsItsMemory(t *testing.T) {
 		t.Fatalf("fixture: result holds %d string bytes, %d genes", held, len(got.Genes))
 	}
 
-	want := bitsOf(got)
-	wantIDs := got.TopGeneIDs(len(got.Genes))
-	wantQuery := append([]string(nil), got.Query...)
+	want, _ := json.Marshal(got)
 	for pi := range parts {
 		p := &parts[pi]
 		for _, col := range [][]string{p.Query, p.IDs, p.Names} {
@@ -780,7 +648,7 @@ func TestMergeResultOwnsItsMemory(t *testing.T) {
 				col[i] = "scribbled"
 			}
 		}
-		for _, col := range [][]float64{p.Sum, p.Cnt} {
+		for _, col := range p.Sums {
 			for i := range col {
 				col[i] = -1
 			}
@@ -789,7 +657,7 @@ func TestMergeResultOwnsItsMemory(t *testing.T) {
 			p.Datasets[i] = PartialDataset{Name: "scribbled"}
 		}
 	}
-	if !reflect.DeepEqual(bitsOf(got), want) || !reflect.DeepEqual(got.TopGeneIDs(len(got.Genes)), wantIDs) || !reflect.DeepEqual(got.Query, wantQuery) {
+	if now, _ := json.Marshal(got); !bytes.Equal(now, want) {
 		t.Fatal("scribbling over the merged partials changed the result")
 	}
 }

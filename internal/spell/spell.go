@@ -16,14 +16,15 @@
 // of dot products plus a correction per missing cell (the kernel shared
 // with clustering, internal/tilecorr; slab.go). Gene scores accumulate into
 // one dense vector that the workers share by owning disjoint ranges of the
-// gene index (see accum.go). The retained naive scorer in reference.go is the
-// golden standard the kernel is tested against.
+// gene index, each term on an exact grid (see accum.go). The naive scorer in
+// internal/oracle is the golden standard the kernel is tested against.
 package spell
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
 	"math"
 	"runtime"
@@ -136,8 +137,10 @@ func NewEngine(dss []*microarray.Dataset) (*Engine, error) {
 // shared; only dss get slabs built. The receiver is never written, and keeps
 // answering while it grows. Datasets are not modified.
 func (e *Engine) Grow(dss []*microarray.Dataset) (*Engine, error) {
-	if len(e.slabs)+len(dss) == 0 {
+	if n := len(e.slabs) + len(dss); n == 0 {
 		return nil, errors.New("spell: empty compendium")
+	} else if n > MaxDatasets {
+		return nil, fmt.Errorf("spell: %d datasets, more than the %d a search adds up exactly", n, MaxDatasets)
 	}
 	g := &Engine{
 		dsNames: slices.Clip(e.dsNames),
@@ -299,8 +302,7 @@ func (e *Engine) Search(query []string, opt Options) (*Result, error) {
 // single process is a fleet of one, and runs what a coordinator runs over
 // the wire, down to the second round for a query that is incoherent in
 // every dataset. Two runs of one query on one engine return bit-identical
-// results, whatever the parallelism: every float sum is taken in dataset
-// order.
+// results, whatever the parallelism: every sum is exact (accum.go).
 func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*Result, error) {
 	res, err := e.searchRound(ctx, query, opt)
 	if errors.Is(err, ErrNeedUniform) {
@@ -384,12 +386,11 @@ func (s *slab) coherence(q *tilecorr.Query) float64 {
 // scan runs stage 2 over the datasets in todo: every gene's mean
 // correlation to the query rows of each dataset, accumulated into acc at
 // weights[di]. The par workers each own a contiguous range of the global
-// gene index and walk the datasets in todo order, so every accumulator cell
-// is written by one worker in one order — no lock, no per-worker copy to
-// merge, and sums that do not depend on scheduling or on par. Workers stop
-// at the next dataset once ctx is done; scan then returns the context error
-// and acc must not be trusted.
-func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, weights []float64, acc *accum) error {
+// gene index, so every accumulator cell is written by one worker — no lock
+// and no per-worker copy to merge. Workers stop at the next dataset once
+// ctx is done; scan then returns the context error and acc must not be
+// trusted.
+func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, weights []float64, acc accum) error {
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		lo, hi := w*len(e.order)/par, (w+1)*len(e.order)/par
@@ -420,7 +421,9 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 // tilecorr.ScoreTile call; the few it flags are scored again by
 // scoreFlagged, which adds the same correlations in the same order, so a
 // gene's mean has the same bits either way.
-func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) {
+func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc accum) {
+	cHi, cLo := split(w)
+	sumH, sumL, cntH, cntL := acc[sumHi], acc[sumLo], acc[cntHi], acc[cntLo]
 	r0, _ := slices.BinarySearch(s.gids, int32(lo))
 	r1, _ := slices.BinarySearch(s.gids, int32(hi))
 	var sum, n [tileRows]float64
@@ -431,7 +434,11 @@ func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc *accum) 
 		}
 		for r := max(r0, base); r < min(r1, base+tileRows); r++ {
 			if j := r - base; n[j] > 0 {
-				acc.add(s.gids[r], w, sum[j]/n[j])
+				// The conversion rounds the product, so that no build fuses
+				// it into the grid's first add.
+				tHi, tLo := split(float64(w * (sum[j] / n[j])))
+				g := s.gids[r]
+				sumH[g], sumL[g], cntH[g], cntL[g] = sumH[g]+tHi, sumL[g]+tLo, cntH[g]+cHi, cntL[g]+cLo
 			}
 		}
 	}

@@ -223,20 +223,7 @@ func TestSearchDeterministicAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seq.Genes) != len(par.Genes) {
-		t.Fatalf("lengths differ: %d vs %d", len(seq.Genes), len(par.Genes))
-	}
-	for i := range seq.Genes {
-		if seq.Genes[i].ID != par.Genes[i].ID {
-			// Scores are floating-point sums accumulated in different
-			// orders; ties may swap. Require score agreement instead.
-			if math.Abs(seq.Genes[i].Score-par.Genes[i].Score) > 1e-9 {
-				t.Fatalf("rank %d differs: %s(%v) vs %s(%v)", i,
-					seq.Genes[i].ID, seq.Genes[i].Score,
-					par.Genes[i].ID, par.Genes[i].Score)
-			}
-		}
-	}
+	assertSameJSON(t, par, seq)
 }
 
 func TestTopGeneIDs(t *testing.T) {
