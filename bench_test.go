@@ -714,6 +714,43 @@ func BenchmarkF4_SearchHTTP(b *testing.B) {
 	}
 }
 
+// raceEnabled is set in a -race build (race_test.go).
+var raceEnabled bool
+
+// TestSearchMissAllocs bounds what a single daemon's /api/search miss
+// allocates, request and recorder included, at BenchmarkF4_SearchHTTP's
+// shape: 153 when written, 213 before the dataset ranks were written
+// without encoding/json and the ranking kept only its best genes. A JSON
+// encode that goes back through reflection per dataset fails here. Under
+// the race detector, whose sync.Pool drops items, it counts nothing.
+func TestSearchMissAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	u := synth.NewUniverse(paperGenes, 20, 13)
+	engine, err := spell.NewEngine(paperCompendium(u, 0.02))
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: engine, CacheBytes: 64 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ids, i := u.GeneIDs(), 0
+	if allocs := testing.AllocsPerRun(20, func() {
+		i++
+		url := "/api/search?q=" + strings.Join(ids[i*7:i*7+4], ",")
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, url, nil))
+		if rec.Code != http.StatusOK || rec.Header().Get("X-Forestview-Cache") != "miss" {
+			t.Fatalf("search = %d (%s): %s", rec.Code, rec.Header().Get("X-Forestview-Cache"), rec.Body.String())
+		}
+	}); allocs > 160 {
+		t.Errorf("a search miss made %.0f allocations, want <= 160", allocs)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // F5a — the sharded compendium (DESIGN.md §4): scatter a SPELL query over
 // N loopback shard daemons and merge with global renormalization. One

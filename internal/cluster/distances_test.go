@@ -209,6 +209,7 @@ func BenchmarkF4_ClusterDistances(b *testing.B) {
 func TestTreeBitsPaperShape(t *testing.T) {
 	want := map[string]string{
 		"avx2-fma": "9ccc2d40a7a448722169b7fb92c908b2bd7c4e7f5bb2992668326aa37a7e473a",
+		"avx512":   "9ccc2d40a7a448722169b7fb92c908b2bd7c4e7f5bb2992668326aa37a7e473a",
 		"go":       "d3b041793fae523ea36058990c4486e6e51e48a1fcc70648fba0a25d98d93f1b",
 	}
 	underEachDot(t, func(t *testing.T) {

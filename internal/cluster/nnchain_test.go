@@ -429,6 +429,7 @@ func compactionRows() [][]float64 {
 func TestNNChainGoldenParityCompaction(t *testing.T) {
 	want := map[string]string{
 		"avx2-fma": "014864c44db859c780af62ec19ef1b3de332d9329db195b2e2ad18fc9a746add",
+		"avx512":   "014864c44db859c780af62ec19ef1b3de332d9329db195b2e2ad18fc9a746add",
 		"go":       "1a3753d9ff8c064c3c4f4101ce9aa3bf8b0fdd6d7506fa52f0b6ad9a9dada740",
 	}
 	rows := compactionRows()

@@ -158,9 +158,10 @@ type ServerInfo struct {
 	Role string `json:"role"`
 	// GoVersion is runtime.Version() of the serving binary.
 	GoVersion string `json:"go_version"`
-	// SpellKernel is tilecorr.KernelName(): the dot routine this replica
+	// SpellKernel is tilecorr.KernelName(): the routines this replica
 	// scores and clusters with. Replicas on different routines differ in
-	// speed and in the last bits of a score.
+	// speed, and the Go routines from the assembly in the last bits of a
+	// score.
 	SpellKernel string `json:"spell_kernel"`
 }
 

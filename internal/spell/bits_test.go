@@ -30,6 +30,7 @@ import (
 func TestSearchBitsPaperShape(t *testing.T) {
 	want := map[string]string{
 		"avx2-fma": "8604c723831c6af4cb7ec5913ff8220d7ed160ca47b918e5eb943d4a39e13654",
+		"avx512":   "8604c723831c6af4cb7ec5913ff8220d7ed160ca47b918e5eb943d4a39e13654",
 		"go":       "49975abaaa899fa9c36f6df43882c43c97b1934c7d3606caa9acf14e4d20a863",
 	}
 	u := synth.NewUniverse(6000, 20, 13)

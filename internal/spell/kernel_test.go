@@ -154,21 +154,23 @@ func TestSearchAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkF4_SPELLTile times the kernel on one tile: 8 rows × 26
+// BenchmarkF4_SPELLTile times the kernel per tile: two tiles of 8 rows × 26
 // experiments (the paper compendium's mean) against a query of rows from the
 // next tile — a scan meets a gene with itself once in 6,000 rows, not once
-// in 8 — as the scan runs it, one tilecorr.ScoreTile call, under the
-// routines this build runs (`-tags purego` for the Go code on an AVX2 host).
-// "complete" and "missing=0.02" meet a block of 4 rows; rows=3, 4 and 5, at
-// 2% missing, a block with a dead row, a full block, and a full block plus a
-// lone row. ns/pair is the whole call per (gene row, query row) pair;
-// blocks-ns/pair is the same sums block by block — Dot, FinishBlock and the
-// Go sum, what a flagged tile costs (scoreFlagged) — and dot-ns/pair Dot's
-// share of that, each timed by itself after the measured loop, so a kernel
-// change can tell the dot from the finish without a profiler.
+// in 8 — as the scan runs them, one tilecorr.ScoreRange call adding the
+// rows onto the grid, under the routines this build runs (`-tags purego`
+// for the Go code on an AVX2 host; the AVX-512 routine scores both tiles in
+// one pass). "complete" and "missing=0.02" meet a block of 4 rows; rows=3, 4
+// and 5, at 2% missing, a block with a dead row, a full block, and a full
+// block plus a lone row. ns/tile and ns/pair are the whole call per tile
+// and per (gene row, query row) pair; blocks-ns/pair is one tile's sums
+// block by block — Dot, FinishBlock and the Go sum, what a flagged tile
+// costs (scoreFlagged) — and dot-ns/pair Dot's share of that, each timed by
+// itself after the measured loop, so a kernel change can tell the dot from
+// the finish without a profiler.
 func BenchmarkF4_SPELLTile(b *testing.B) {
-	const nExp = 26
-	// The routine this build runs: "avx2", or "go" under -tags purego.
+	const nExp, scored = 26, 2 * tileRows
+	// The routine this build runs: "avx512", "avx2", or "go" under -tags purego.
 	routine := strings.TrimSuffix(tilecorr.KernelName(), "-fma")
 	for _, c := range []struct {
 		name    string
@@ -182,7 +184,7 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 			rng := rand.New(rand.NewSource(26))
 			ds := &microarray.Dataset{Name: "tile", Experiments: make([]string, nExp)}
 			gid := map[string]int{}
-			for g := 0; g < 2*tileRows; g++ {
+			for g := 0; g < scored+tileRows; g++ {
 				r := make([]float64, nExp)
 				for i := range r {
 					r[i] = rng.NormFloat64()
@@ -194,34 +196,39 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 				gid[id] = g
 				ds.Genes, ds.Data = append(ds.Genes, microarray.Gene{ID: id}), append(ds.Data, r)
 			}
-			sl := buildSlab(ds, gid, 2*tileRows)
+			sl := buildSlab(ds, gid, scored+tileRows)
 			if holes := slices.ContainsFunc(ds.Data, func(r []float64) bool { return slices.ContainsFunc(r, math.IsNaN) }); holes != (c.missing > 0) {
-				b.Fatalf("the tile has missing cells: %t at rate %g", holes, c.missing)
+				b.Fatalf("the tiles have missing cells: %t at rate %g", holes, c.missing)
 			}
 			qgids := make([]int, c.rows)
 			for k := range qgids {
-				qgids[k] = tileRows + k
+				qgids[k] = scored + k
 			}
 			q := tilecorr.Query{Rows: sl.appendQueryRows(nil, qgids), Buf: make([]float64, tilecorr.QueryCells(c.rows, nExp))}
 			sl.tiles.Gather(&q)
-			var sum, n [tileRows]float64
-			if sl.tiles.ScoreTile(&sum, &n, 0, &q) != 0 {
-				b.Fatal("the tile flags a pair: the benchmark would time the fallback")
+			acc := newAccum(scored + tileRows)
+			grid := (*[4][]float64)(&acc)
+			if sl.tiles.ScoreRange(grid, &q, sl.gids, 0.5, 0, scored) >= 0 {
+				b.Fatal("a tile flags a pair: the benchmark would time the fallback")
 			}
 			pairs := float64(c.rows * tileRows)
-			perPair := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N) / pairs }
+			perPair := func(d time.Duration, tiles int) float64 {
+				return float64(d.Nanoseconds()) / float64(b.N) / pairs / float64(tiles)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sl.tiles.ScoreTile(&sum, &n, 0, &q)
+				sl.tiles.ScoreRange(grid, &q, sl.gids, 0.5, 0, scored)
 			}
 			b.StopTimer()
-			b.ReportMetric(perPair(b.Elapsed()), "ns/pair")
+			b.ReportMetric(perPair(b.Elapsed(), 2)*pairs, "ns/tile")
+			b.ReportMetric(perPair(b.Elapsed(), 2), "ns/pair")
+			var sum, n [tileRows]float64
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				sl.scoreFlagged(&sum, &n, 0, &q)
 			}
-			b.ReportMetric(perPair(time.Since(start)), "blocks-ns/pair")
+			b.ReportMetric(perPair(time.Since(start), 1), "blocks-ns/pair")
 			tile := sl.tiles.Tile(0)
 			var dots [blockRows * tileRows]float64
 			start = time.Now()
@@ -231,7 +238,7 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 					tilecorr.Dot(&dots, tile, z, nExp)
 				}
 			}
-			b.ReportMetric(perPair(time.Since(start)), "dot-ns/pair")
+			b.ReportMetric(perPair(time.Since(start), 1), "dot-ns/pair")
 		})
 	}
 }

@@ -61,15 +61,16 @@ func assertPairParity(t testing.TB, a, b []float64) (got float64) {
 }
 
 // underEachDot runs f as the subtest named for the kernel routines this
-// build runs ("go" or "avx2-fma", tilecorr.KernelName()); the other name says so
-// and passes. A test binary has one routine — the kernel exports no switch,
-// and only tilecorr's own tests flip its unexported one — so SPELL's oracles
-// meet the Go loop in CI's `-tags purego` leg and the assembly in the default
-// one.
+// build runs ("go" or "avx2-fma", tilecorr.KernelName(); "avx512" runs the
+// latter); the other name says so and passes. A test binary has one
+// routine — the kernel exports no switch, and only tilecorr's own tests
+// flip its unexported one — so SPELL's oracles meet the Go loop in CI's
+// `-tags purego` leg and the assembly in the default one.
 func underEachDot(t *testing.T, f func(t *testing.T)) {
 	for _, routine := range []string{"go", "avx2-fma"} {
 		t.Run(routine, func(t *testing.T) {
-			if k := tilecorr.KernelName(); k != routine {
+			// The AVX-512 scan keeps the AVX2 routines' bits.
+			if k := tilecorr.KernelName(); k != routine && !(k == "avx512" && routine == "avx2-fma") {
 				t.Logf("not run: this build's dot routine is %s", k)
 				return
 			}
@@ -314,7 +315,7 @@ func TestSearchBitStable(t *testing.T) {
 
 // TestRankingTieOrder plants exactly tied scores and pins the one order
 // Search and Merge promise: score descending, then gene ID — with and without
-// the MaxGenes cut, which takes the bounded-selection path of topK.
+// the MaxGenes cut, which keeps the best while scoring (keepTop).
 func TestRankingTieOrder(t *testing.T) {
 	exps := make([]string, 5)
 	q1, q2 := []float64{1, 2, 3, 4, 6}, []float64{2, 3, 5, 4, 7}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 
+	"forestview/internal/tilecorr"
 	"forestview/internal/wire"
 )
 
@@ -132,7 +133,7 @@ func weight(coherence float64, present int, uniform bool) float64 {
 	if uniform {
 		coherence = float64(min(present, 1))
 	}
-	if hi, lo := split(coherence); hi+lo > 0 {
+	if hi, lo := tilecorr.Split(coherence); hi+lo > 0 {
 		return coherence
 	}
 	return 0
@@ -445,19 +446,26 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	}
 	var u geneSums
 	union := &Partial{Query: parts[0].Query, Uniform: parts[0].Uniform}
-	seenDS := make(map[string]bool)
+	n := 0
 	for i := range parts {
-		for _, d := range parts[i].Datasets {
-			if seenDS[d.Name] {
-				return nil, fmt.Errorf("spell: dataset %q claimed by more than one shard", d.Name)
-			}
-			seenDS[d.Name] = true
-			union.Datasets = append(union.Datasets, d)
-		}
-		u.add(&parts[i])
+		n += len(parts[i].Datasets)
 	}
-	if n := len(union.Datasets); n > MaxDatasets {
+	if n > MaxDatasets {
 		return nil, fmt.Errorf("spell: a union of %d datasets, more than the %d a search adds up exactly", n, MaxDatasets)
+	}
+	union.Datasets = make([]PartialDataset, 0, n)
+	for i := range parts {
+		union.Datasets = append(union.Datasets, parts[i].Datasets...)
+	}
+	// By name first: a name twice means two shards both claimed a dataset.
+	slices.SortFunc(union.Datasets, func(a, b PartialDataset) int { return strings.Compare(a.Name, b.Name) })
+	for i := 1; i < n; i++ {
+		if name := union.Datasets[i].Name; name == union.Datasets[i-1].Name {
+			return nil, fmt.Errorf("spell: dataset %q claimed by more than one shard", name)
+		}
+	}
+	for i := range parts {
+		u.add(&parts[i])
 	}
 	slices.SortFunc(union.Datasets, func(a, b PartialDataset) int {
 		return cmp.Or(cmp.Compare(a.Index, b.Index), strings.Compare(a.Name, b.Name))
@@ -523,12 +531,14 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 	// Normalize positive coherence into weights. A dataset where the query
 	// genes are uncorrelated (or absent) contributes nothing, exactly the
 	// behaviour that lets SPELL ignore irrelevant studies.
-	weights := make([]float64, len(p.Datasets))
+	// Each dataset's weight is its raw weight until the total divides it.
+	res := &Result{Query: p.Query, Datasets: make([]DatasetRank, len(p.Datasets))}
 	total, measuring := 0.0, 0
 	for i, d := range p.Datasets {
 		measuring += min(d.Present, 1)
-		weights[i] = weight(d.Coherence, d.Present, opt.UniformWeights)
-		total += weights[i]
+		w := weight(d.Coherence, d.Present, opt.UniformWeights)
+		res.Datasets[i] = DatasetRank{Index: d.Index, Name: d.Name, Weight: w, QueryCoherence: d.Coherence, QueryPresent: d.Present}
+		total += w
 	}
 	if measuring == 0 {
 		return nil, fmt.Errorf("%w (%d query genes)", ErrNoQueryGenes, len(p.Query))
@@ -539,7 +549,7 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 		// weights over the datasets measuring the query.
 		uniform = true
 		for i, d := range p.Datasets {
-			weights[i] = float64(min(d.Present, 1))
+			res.Datasets[i].Weight = float64(min(d.Present, 1))
 		}
 		total = float64(measuring)
 	}
@@ -550,44 +560,40 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 		return nil, errors.New("spell: uniform-weight partials, but the merged coherences call for the weighted pair")
 	}
 
-	res := &Result{Query: p.Query, Datasets: make([]DatasetRank, len(p.Datasets))}
-	for i, d := range p.Datasets {
-		res.Datasets[i] = DatasetRank{
-			Index:          d.Index,
-			Name:           d.Name,
-			Weight:         weights[i] / total,
-			QueryCoherence: d.Coherence,
-			QueryPresent:   d.Present,
-		}
+	for i := range res.Datasets {
+		res.Datasets[i].Weight /= total
 	}
 	// Weight descending, global index ascending among equal weights.
 	slices.SortStableFunc(res.Datasets, func(a, b DatasetRank) int {
 		return cmp.Compare(b.Weight, a.Weight)
 	})
 
-	// Rank compact row indexes rather than GeneRank structs, and materialize
-	// only the entries that survive the MaxGenes cut.
+	// Score descending, gene ID among exact ties. The best MaxGenes are kept
+	// while the genes are scored, in the result's own slice: nothing is
+	// built over every gene but with MaxGenes <= 0, which ranks them all.
 	ids, sum := p.IDs, p.Sums[sumHi]
-	order := make([]int32, 0, len(ids))
+	by := func(a, b GeneRank) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		return strings.Compare(a.ID, b.ID)
+	}
+	keep := len(ids)
+	if opt.MaxGenes > 0 {
+		keep = min(opt.MaxGenes, keep)
+	}
+	res.Genes = make([]GeneRank, 0, keep)
 	for s := range ids {
 		if qmask[s] && !opt.IncludeQuery {
 			continue
 		}
 		if c := p.Sums[cntHi][s] + p.Sums[cntLo][s]; c != 0 {
 			sum[s] = (sum[s] + p.Sums[sumLo][s]) / c // the fold, then the final score, in place
-			order = append(order, int32(s))
+			res.Genes = keepTop(res.Genes, GeneRank{ID: ids[s], Name: p.Names[s], Score: sum[s], IsQuery: qmask[s]}, opt.MaxGenes, by)
 		}
 	}
-	// Score descending, gene ID among exact ties.
-	order = topK(order, opt.MaxGenes, func(a, b int32) int {
-		if c := cmp.Compare(sum[b], sum[a]); c != 0 {
-			return c
-		}
-		return strings.Compare(ids[a], ids[b])
-	})
-	res.Genes = make([]GeneRank, len(order))
-	for i, s := range order {
-		res.Genes[i] = GeneRank{ID: ids[s], Name: p.Names[s], Score: sum[s], IsQuery: qmask[s]}
+	if opt.MaxGenes <= 0 {
+		slices.SortFunc(res.Genes, by)
 	}
 	return res, nil
 }

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -75,8 +76,30 @@ type DatasetRank struct {
 // MarshalJSON emits an undefined QueryCoherence (NaN — the dataset measures
 // fewer than two query genes) as null: NaN is not representable in JSON and
 // used to kill the encoder mid-response on every HTTP entry point, turning
-// such searches into empty 200s.
+// such searches into empty 200s. It writes the bytes encoding/json writes
+// for the struct with that one field a pointer — the fields in that order,
+// the floats as json formats them — itself, in one allocation, and hands a
+// name that would need escaping or a value json refuses to marshalStd.
 func (d DatasetRank) MarshalJSON() ([]byte, error) {
+	if !plainJSON(d.Name) || math.IsInf(d.Weight, 0) || math.IsNaN(d.Weight) || math.IsInf(d.QueryCoherence, 0) {
+		return d.marshalStd()
+	}
+	b := make([]byte, 0, 144+len(d.Name))
+	b = strconv.AppendInt(append(b, `{"Index":`...), int64(d.Index), 10)
+	b = append(append(append(b, `,"Name":"`...), d.Name...), '"')
+	b = appendJSONFloat(append(b, `,"Weight":`...), d.Weight)
+	b = strconv.AppendInt(append(b, `,"QueryPresent":`...), int64(d.QueryPresent), 10)
+	b = append(b, `,"QueryCoherence":`...)
+	if math.IsNaN(d.QueryCoherence) {
+		b = append(b, "null"...)
+	} else {
+		b = appendJSONFloat(b, d.QueryCoherence)
+	}
+	return append(b, '}'), nil
+}
+
+// marshalStd is MarshalJSON by encoding/json.
+func (d DatasetRank) marshalStd() ([]byte, error) {
 	type alias DatasetRank // no methods: avoids marshal recursion
 	out := struct {
 		alias
@@ -86,6 +109,33 @@ func (d DatasetRank) MarshalJSON() ([]byte, error) {
 		out.QueryCoherence = &d.QueryCoherence
 	}
 	return json.Marshal(out)
+}
+
+// plainJSON reports whether encoding/json writes s as it is between quotes:
+// printable ASCII with nothing it escapes.
+func plainJSON(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			return false
+		}
+	}
+	return true
+}
+
+// appendJSONFloat appends a finite f as encoding/json writes a float64: the
+// shortest decimal, in exponent form below 1e-6 and from 1e21 on, with a
+// one-digit negative exponent unpadded.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
 
 // GeneRank is one entry of the ranked gene list.
@@ -325,26 +375,22 @@ func (e *Engine) searchRound(ctx context.Context, query []string, opt Options) (
 	return finish(p, qmask, opt)
 }
 
-// topK sorts xs by the total order by and cuts it to its first k elements
-// (k <= 0 keeps all). When the cut is real it never sorts the tail: one
-// pass keeps the best k seen so far, in order, at the front of xs.
-func topK[T any](xs []T, k int, by func(a, b T) int) []T {
-	if k <= 0 || k >= len(xs) {
-		slices.SortFunc(xs, by)
-		return xs
+// keepTop adds x to top, which holds the best k of the elements it has been
+// handed so far in the total order by, in that order: x goes in where it
+// ranks unless top is full and x ranks after its last. With k <= 0 it keeps
+// every element, unsorted.
+func keepTop[T any](top []T, x T, k int, by func(a, b T) int) []T {
+	if k <= 0 {
+		return append(top, x)
 	}
-	top := xs[:0]
-	for _, x := range xs {
-		if len(top) == k {
-			if by(x, top[k-1]) >= 0 {
-				continue
-			}
-			top = top[:k-1]
+	if len(top) == k {
+		if by(x, top[k-1]) >= 0 {
+			return top
 		}
-		at, _ := slices.BinarySearchFunc(top, x, by)
-		top = slices.Insert(top, at, x)
+		top = top[:k-1]
 	}
-	return top
+	at, _ := slices.BinarySearchFunc(top, x, by)
+	return slices.Insert(top, at, x)
 }
 
 // coherence is the mean Fisher-z-transformed pairwise Pearson correlation
@@ -417,34 +463,29 @@ func scan(ctx context.Context, e *Engine, par int, todo []int, infos []dsInfo, w
 // whole and only the run's lanes are added — the neighbouring range computes
 // it again for its own. (Sharing out tiles instead would not do: datasets
 // measuring different genes put one gene in tiles of different numbers, and
-// its accumulator cell would then have two writers.) Each tile is one
-// tilecorr.ScoreTile call; the few it flags are scored again by
-// scoreFlagged, which adds the same correlations in the same order, so a
-// gene's mean has the same bits either way.
+// its accumulator cell would then have two writers.) The run is one
+// tilecorr.ScoreRange call, which adds the rows onto the grid itself; the
+// few tiles it stops at are scored again by scoreFlagged, which adds the
+// same correlations in the same order, so a gene's mean has the same bits
+// either way.
 func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc accum) {
-	cHi, cLo := split(w)
-	sumH, sumL, cntH, cntL := acc[sumHi], acc[sumLo], acc[cntHi], acc[cntLo]
 	r0, _ := slices.BinarySearch(s.gids, int32(lo))
 	r1, _ := slices.BinarySearch(s.gids, int32(hi))
+	grid := (*[4][]float64)(&acc)
 	var sum, n [tileRows]float64
-	for t := r0 / tileRows; t*tileRows < r1; t++ {
-		base := t * tileRows
-		if s.tiles.ScoreTile(&sum, &n, t, q) != 0 {
-			s.scoreFlagged(&sum, &n, t, q)
+	for r0 < r1 {
+		t := s.tiles.ScoreRange(grid, q, s.gids, w, r0, r1)
+		if t < 0 {
+			return
 		}
-		for r := max(r0, base); r < min(r1, base+tileRows); r++ {
-			if j := r - base; n[j] > 0 {
-				// The conversion rounds the product, so that no build fuses
-				// it into the grid's first add.
-				tHi, tLo := split(float64(w * (sum[j] / n[j])))
-				g := s.gids[r]
-				sumH[g], sumL[g], cntH[g], cntL[g] = sumH[g]+tHi, sumL[g]+tLo, cntH[g]+cHi, cntL[g]+cLo
-			}
-		}
+		s.scoreFlagged(&sum, &n, t, q)
+		next := min(r1, (t+1)*tileRows)
+		tilecorr.AddMeans(grid, &sum, &n, s.gids, w, max(r0, t*tileRows), next)
+		r0 = next
 	}
 }
 
-// scoreFlagged is tilecorr.ScoreTile's sums for tile t, block by block: Dot
+// scoreFlagged is tilecorr.ScoreRange's sums for tile t, block by block: Dot
 // and FinishBlock, the pairs the finish flags recomputed by exactLanes, and
 // the defined correlations added lane by lane in ascending query row order.
 func (s *slab) scoreFlagged(sum, n *[tileRows]float64, t int, q *tilecorr.Query) {

@@ -15,6 +15,7 @@ import (
 	"forestview/internal/microarray"
 	"forestview/internal/stats"
 	"forestview/internal/synth"
+	"forestview/internal/tilecorr"
 )
 
 // groupFleet is a sharded fleet as the spell layer sees it: each ownership
@@ -335,8 +336,8 @@ func FuzzExactSum(f *testing.F) {
 			sums[k] = newAccum(1)
 		}
 		add := func(a accum, x float64) { // as scoreGenes adds a term
-			tHi, tLo := split(x)
-			cHi, cLo := split(math.Abs(x))
+			tHi, tLo := tilecorr.Split(x)
+			cHi, cLo := tilecorr.Split(math.Abs(x))
 			a[sumHi][0], a[sumLo][0], a[cntHi][0], a[cntLo][0] = a[sumHi][0]+tHi, a[sumLo][0]+tLo, a[cntHi][0]+cHi, a[cntLo][0]+cLo
 		}
 		terms := make([]float64, n)
@@ -366,7 +367,7 @@ func FuzzExactSum(f *testing.F) {
 		// 1200 bits hold any sum of terms between 2^-1074 and 2^4.
 		exact, hi, lo := new(big.Float).SetPrec(1200), new(big.Float).SetPrec(1200), new(big.Float).SetPrec(1200)
 		for _, x := range terms {
-			h, l := split(x)
+			h, l := tilecorr.Split(x)
 			exact.Add(exact, big.NewFloat(x))
 			hi.Add(hi, big.NewFloat(h))
 			lo.Add(lo, big.NewFloat(l))

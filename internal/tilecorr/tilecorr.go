@@ -5,10 +5,12 @@
 // major (Tiles). One pass over a tile dots it with a block of up to four
 // gathered rows (Dot), and FinishBlock turns those 4×8 dots into 32
 // correlations over the cells each pair observes jointly — a missing cell
-// costs a correction, not another code path. ScoreTile does both for every
-// block of a query and sums each tile row's correlations with it, in one
-// call. All are AVX2+FMA assembly where the CPU has it and the same
-// arithmetic in Go everywhere else. A pair
+// costs a correction, not another code path. ScoreRange does both for every
+// tile of a run of rows against every block of a query, and adds each row's
+// mean correlation onto SPELL's exact grid, in one call. All are AVX2+FMA
+// assembly where the CPU has it and the same arithmetic in Go everywhere
+// else; ScoreRange scores two tiles a pass in AVX-512 where the CPU has
+// that, to the same bits. A pair
 // whose one-pass value cannot be trusted to the last bits is reported to the
 // caller, who recomputes it exactly by its own definition: the kernel never
 // chooses the exact routine.
@@ -188,29 +190,35 @@ func (s *Tiles) checkQuery(q *Query) {
 // Dot fills out[k·TileRows+j] with Σ_e qz[e·BlockRows+k]·tile[e·TileRows+j],
 // summed in ascending e: the dot products of BlockRows interleaved gathered
 // rows with the TileRows rows of one tile. The work is done by the build's
-// assembly routine where start-up found the CPU can run it (useAsm,
+// AVX2 routine where start-up found the CPU can run it (kernel,
 // dot_amd64.go) and by dotGo everywhere else; the length checks here are
 // what keeps the assembly from reading past its arguments.
 func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 	if nExp < 0 || len(tile) < TileRows*nExp || len(qz) < BlockRows*nExp {
 		panic("tilecorr: Dot arguments shorter than nExp lines")
 	}
-	if useAsm {
+	if kernel >= avx2Kernel {
 		dotAsm(out, tile, qz, nExp)
 		return
 	}
 	dotGo(out, tile, qz, nExp, BlockRows)
 }
 
-// KernelName names the routines this process runs, Dot's, FinishBlock's
-// and ScoreTile's: "avx2-fma" (amd64 with AVX2 and FMA) or "go". Processes on different
-// routines differ in speed and in the last bits of a correlation (the
-// assembly dot fuses its multiply-adds, the Go loop does not).
+// The routines a process can run, each needing the CPU features of the one
+// before it: kernel holds the one start-up chose (dot_amd64.go).
+const (
+	goKernel     = iota // Go everywhere
+	avx2Kernel          // AVX2+FMA assembly
+	avx512Kernel        // ScoreRange in AVX-512, Dot and FinishBlock in AVX2
+)
+
+// KernelName names the routines this process runs: "avx512" (amd64 with
+// AVX-512F: ScoreRange's, with Dot and FinishBlock on AVX2), "avx2-fma"
+// (amd64 with AVX2 and FMA) or "go". The two assembly names give the same
+// bits; the Go routines differ from them in the last bits of a correlation
+// (the assembly dot fuses its multiply-adds, the Go loop does not).
 func KernelName() string {
-	if useAsm {
-		return "avx2-fma"
-	}
-	return "go"
+	return [...]string{goKernel: "go", avx2Kernel: "avx2-fma", avx512Kernel: "avx512"}[kernel]
 }
 
 // dotGo is the portable dot routine, and the assembly's oracle, for the
@@ -277,13 +285,13 @@ var unitLanes = func() (u [TileRows][TileRows]float64) {
 // subtracted, eight lanes at a time through unitLanes, at each of the tile's
 // missing cells — whose presence term leaves a column missing on both sides
 // counted once. The work is done by the assembly where Dot's is
-// (useAsm) and by finishGo, the same arithmetic, everywhere else; the checks
+// (kernel) and by finishGo, the same arithmetic, everywhere else; the checks
 // here keep the assembly inside its arguments.
 func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *Query, b int) (flagged uint32) {
 	tile, t1, t2, cells, lim := s.finishArgs(t, q)
 	z, present, live := q.Block(b, s.nExp)
 	rows := q.Rows[BlockRows*b : BlockRows*b+live]
-	if useAsm {
+	if kernel >= avx2Kernel {
 		flagged = finishAsm(out, dots, tile, t1, t2, cells, z, present, rows, &unitLanes, lim)
 	} else {
 		flagged = finishGo(out, dots, tile, t1, t2, cells, z, present, rows, lim)
@@ -299,10 +307,21 @@ func (s *Tiles) FinishBlock(out, dots *[BlockRows * TileRows]float64, t int, q *
 // of nExp: a variance term must exceed lim times its row's t2.
 func (s *Tiles) finishArgs(t int, q *Query) (tile []float64, t1, t2 *[TileRows]float64, cells []int32, lim float64) {
 	s.checkQuery(q)
+	tile, t1, t2, cells = s.tileArgs(t)
+	return tile, t1, t2, cells, s.lim()
+}
+
+// tileArgs is what the finish reads of tile t: its cells, totals and
+// missing cells.
+func (s *Tiles) tileArgs(t int) (tile []float64, t1, t2 *[TileRows]float64, cells []int32) {
 	base := TileRows * t
 	return s.Tile(t), (*[TileRows]float64)(s.t1[base:]), (*[TileRows]float64)(s.t2[base:]),
-		s.miss[s.missOff[base]:s.missOff[base+TileRows]], varGuard * float64(s.nExp)
+		s.miss[s.missOff[base]:s.missOff[base+TileRows]]
 }
+
+// lim is the guard's share of nExp: a variance term must exceed lim times
+// its row's t2.
+func (s *Tiles) lim() float64 { return varGuard * float64(s.nExp) }
 
 // lanes has bit j set for each lane j of tile t that holds a row.
 func (s *Tiles) lanes(t int) uint8 {
@@ -357,31 +376,124 @@ func finishGo(out, dots *[BlockRows * TileRows]float64, tile []float64, t1, t2 *
 	return flagged
 }
 
-// ScoreTile scores tile t against every block of q in one call: for each
-// lane j of the tile, sum[j] is the sum of the lane's correlations with q's
-// rows that are defined — not NaN — added in ascending row order, and n[j]
-// how many there are. Each block is dotted over its live rows only and
-// finished as Dot and FinishBlock would, so every correlation it adds has
-// their bits. The result is not 0 exactly when FinishBlock would flag a
-// pair of the tile's real lanes with q's rows, and its set bits (bit j for
-// lane j) are lanes holding such a pair — the call stops at the first block
-// that flags one. Then sum and n are not to be read: the caller scores the
-// tile block by block with Dot and FinishBlock, recomputing the flagged
-// pairs its own way. The work is done by the assembly where Dot's is
-// (useAsm) and by scoreGo everywhere else.
-func (s *Tiles) ScoreTile(sum, n *[TileRows]float64, t int, q *Query) (flagged uint8) {
-	tile, t1, t2, cells, lim := s.finishArgs(t, q)
-	lanes := s.lanes(t)
-	if useAsm {
-		return uint8(scoreAsm(sum, n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
-	}
-	return scoreGo(sum, n, tile, t1, t2, cells, q.Buf, q.Rows, lim, lanes)
+// Split puts a term t on SPELL's two-bin grid (internal/spell/accum.go has
+// its bounds): hi is t rounded to a multiple of 2^-30 and lo the rest
+// rounded to a multiple of 2^-70, so sums of either add without rounding.
+// The constants are 1.5·2^22 and 1.5·2^-18: a sum with either lands in a
+// binade whose ulp is 2^-30 or 2^-70. scoreRange512 spells them out.
+func Split(t float64) (hi, lo float64) {
+	hi = (t + 0x1.8p22) - 0x1.8p22
+	return hi, ((t - hi) + 0x1.8p-18) - 0x1.8p-18
 }
 
-// scoreGo is ScoreTile's arithmetic in Go, and the assembly's oracle: per
-// block, dotGo over the live rows, finishGo, then the defined correlations
-// added row by row. Like the assembly it stops after the first block that
-// flags a pair.
+// ScoreRange scores rows [r0, r1) of the tiles against q and adds them onto
+// a grid, four columns indexed by gene: for each row r with a defined
+// correlation (not NaN) to one of q's rows, with m the mean of the defined
+// ones — added in ascending query row order, each as Dot and FinishBlock
+// compute it — it adds Split(float64(w·m)) to acc[0][g] and acc[1][g] and
+// Split(w) to acc[2][g] and acc[3][g], where g = gids[r]. Every gene index
+// it writes must lie inside every column.
+//
+// It stops at the first tile holding a row of the range that FinishBlock
+// would flag a pair of with q's rows, and returns that tile: the rows of the
+// tiles before it are added, none of its own. The caller scores the tile
+// its own way, adds its rows (AddMeans) and calls again from the next tile.
+// It returns -1 when it has added the whole range.
+//
+// The work is done two tiles a pass by scoreRange512 where start-up chose
+// AVX-512 (kernel), and otherwise one tile at a time by scoreAsm (AVX2) or
+// scoreGo, with the grid adds in Go; the routines give the same bits, and
+// the AVX2 and AVX-512 ones the same bits as each other.
+func (s *Tiles) ScoreRange(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) (flagged int) {
+	s.checkQuery(q)
+	if r0 < 0 || r1 > min(s.rows, len(gids)) {
+		panic("tilecorr: ScoreRange rows outside the tiles or the gene indices")
+	}
+	if r0 >= r1 {
+		return -1
+	}
+	if kernel < avx512Kernel {
+		return s.scoreTiles(acc, q, gids, w, r0, r1)
+	}
+	cHi, cLo := Split(w)
+	a := rangeArgs{
+		zt: s.zt, t1: s.t1, t2: s.t2, missOff: s.missOff, miss: s.miss, nExp: s.nExp,
+		buf: q.Buf, rows: q.Rows, unit: &unitLanes, lim: s.lim(),
+		gids: gids, acc: acc, accLen: min(len(acc[0]), len(acc[1]), len(acc[2]), len(acc[3])),
+		w: w, cHi: cHi, cLo: cLo, r0: r0, r1: r1,
+	}
+	if flagged = scoreRange512(&a); flagged < -1 {
+		panic("tilecorr: ScoreRange gene index outside the grid")
+	}
+	return flagged
+}
+
+// scoreTiles is ScoreRange one tile at a time, for the AVX2 and Go
+// routines: scoreAsm or scoreGo over the tile's lanes in the range, then
+// AddMeans.
+func (s *Tiles) scoreTiles(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) int {
+	var sum, n [TileRows]float64
+	lim := s.lim()
+	for t := r0 / TileRows; TileRows*t < r1; t++ {
+		lo, hi := max(r0, TileRows*t), min(r1, TileRows*(t+1))
+		lanes := uint(1)<<(hi-TileRows*t) - uint(1)<<(lo-TileRows*t)
+		tile, t1, t2, cells := s.tileArgs(t)
+		var flagged uint8
+		if kernel >= avx2Kernel {
+			flagged = uint8(scoreAsm(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
+		} else {
+			flagged = scoreGo(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, lim, uint8(lanes))
+		}
+		if flagged != 0 {
+			return t
+		}
+		AddMeans(acc, &sum, &n, gids, w, lo, hi)
+	}
+	return -1
+}
+
+// AddMeans adds rows [r0, r1) of one tile onto the grid as ScoreRange does,
+// from sum and n: each lane's sum of its defined correlations with the
+// query's rows, in ascending row order, and their count.
+func AddMeans(acc *[4][]float64, sum, n *[TileRows]float64, gids []int32, w float64, r0, r1 int) {
+	cHi, cLo := Split(w)
+	sumH, sumL, cntH, cntL := acc[0], acc[1], acc[2], acc[3]
+	for r := r0; r < r1; r++ {
+		if j := r % TileRows; n[j] > 0 {
+			// The conversion rounds the product, so that no build fuses it
+			// into the grid's first add.
+			tHi, tLo := Split(float64(w * (sum[j] / n[j])))
+			g := gids[r]
+			sumH[g], sumL[g], cntH[g], cntL[g] = sumH[g]+tHi, sumL[g]+tLo, cntH[g]+cHi, cntL[g]+cLo
+		}
+	}
+}
+
+// rangeArgs is what scoreRange512 reads of a ScoreRange call, by name
+// (go_asm.h): the tiles' arrays, the gathered query, the grid and the
+// range, with Split(w) in cHi and cLo. ScoreRange's checks keep every read
+// inside them; the assembly checks each gene index it writes against
+// accLen, the shortest column.
+type rangeArgs struct {
+	zt, t1, t2    []float64
+	missOff, miss []int32
+	nExp          int
+	buf           []float64
+	rows          []Row
+	unit          *[TileRows][TileRows]float64
+	lim           float64
+	gids          []int32
+	acc           *[4][]float64
+	accLen        int
+	w, cHi, cLo   float64
+	r0, r1        int
+}
+
+// scoreGo is one tile of ScoreRange's arithmetic in Go, and the assembly's
+// oracle: per block, dotGo over the live rows, finishGo, then the defined
+// correlations added row by row into sum and n; the result has bit j set
+// for each lane j of lanes holding a flagged pair. Like scoreAsm it stops
+// after the first block that flags one.
 func scoreGo(sum, n *[TileRows]float64, tile []float64, t1, t2 *[TileRows]float64, cells []int32, buf []float64, rows []Row, lim float64, lanes uint8) (flagged uint8) {
 	nExp := len(tile) / TileRows
 	*sum, *n = [TileRows]float64{}, [TileRows]float64{}

@@ -12,22 +12,32 @@ import (
 
 var nan = math.NaN()
 
+// best is the routine set start-up chose: the tests run every one up to it.
+var best = kernel
+
 // underEachDot runs f as the subtests "go" and "avx2-fma": under the Go
-// routines, and under the assembly ones where start-up selected them.
+// routines, and under the AVX2 ones where start-up found the CPU has them.
 func underEachDot(t *testing.T, f func(t *testing.T)) {
-	asm := useAsm
-	defer func() { useAsm = asm }()
-	t.Run("go", func(t *testing.T) {
-		useAsm = false
-		f(t)
-	})
-	t.Run("avx2-fma", func(t *testing.T) {
-		if !asm {
-			t.Skip("no AVX2+FMA routines in this build or on this CPU")
-		}
-		useAsm = true
-		f(t)
-	})
+	underEach(t, avx2Kernel, f)
+}
+
+// underEachScan runs f under every routine ScoreRange has: underEachDot's
+// two and "avx512".
+func underEachScan(t *testing.T, f func(t *testing.T)) {
+	underEach(t, avx512Kernel, f)
+}
+
+func underEach(t *testing.T, last int, f func(t *testing.T)) {
+	defer func() { kernel = best }()
+	for k := goKernel; k <= last; k++ {
+		kernel = k
+		t.Run(KernelName(), func(t *testing.T) {
+			if k > best {
+				t.Skipf("no %s routines in this build or on this CPU", KernelName())
+			}
+			f(t)
+		})
+	}
 }
 
 // TestDotTileMatchesGo holds the assembly dot routine to the Go loop: on
@@ -39,7 +49,7 @@ func underEachDot(t *testing.T, f func(t *testing.T)) {
 // (the two differ by fused against unfused rounding only), and the 32 are
 // the only memory written.
 func TestDotTileMatchesGo(t *testing.T) {
-	if !useAsm {
+	if best < avx2Kernel {
 		t.Skip("no AVX2+FMA dot routine in this build or on this CPU")
 	}
 	rng := rand.New(rand.NewSource(18))
@@ -317,9 +327,8 @@ func rowsFromBytes(data []byte) (a, b []float64) {
 func FuzzPairCorr(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, b := rowsFromBytes(data)
-		asm := useAsm
-		defer func() { useAsm = asm }()
-		for _, useAsm = range []bool{false, asm} {
+		defer func() { kernel = best }()
+		for _, kernel = range []int{goKernel, min(best, avx2Kernel)} {
 			assertKernelContract(t, [][]float64{a, b}, len(a))
 		}
 	})
@@ -354,7 +363,7 @@ func blockCase(gathered, tileRows [][]float64, nExp int, self bool) (s *Tiles, q
 }
 
 // finishChecked runs FinishBlock on dots — tile 1 against block 0 of a
-// blockCase — under the routine useAsm selects. It holds the call to what
+// blockCase — under the routine kernel selects. It holds the call to what
 // it may write, the 32 outputs: sentinels either side of them keep their
 // values and every input keeps its bits. And it holds every real pair to
 // assertPair and the flags to the real pairs.
@@ -403,17 +412,16 @@ func finishChecked(t testing.TB, s *Tiles, q *Query, all [][]float64, dots *[Blo
 // the contract, and where both vouch for a pair they agree to 1e-14.
 func assertRoutinesAgree(t testing.TB, s *Tiles, q *Query, all [][]float64) {
 	t.Helper()
-	asm := useAsm
-	defer func() { useAsm = asm }()
+	defer func() { kernel = best }()
 	z, _, _ := q.Block(0, s.NExp())
 	var dots [BlockRows * TileRows]float64
 	Dot(&dots, s.Tile(1), z, s.NExp())
-	useAsm = false
+	kernel = goKernel
 	goOut, goFlags := finishChecked(t, s, q, all, &dots)
-	if !asm {
+	if best < avx2Kernel {
 		return
 	}
-	useAsm = true
+	kernel = avx2Kernel
 	asmOut, asmFlags := finishChecked(t, s, q, all, &dots)
 	for p := range goOut {
 		g, a := goOut[p], asmOut[p]
@@ -429,7 +437,7 @@ func assertRoutinesAgree(t testing.TB, s *Tiles, q *Query, all [][]float64) {
 // cells, 0-70% of them missing, the four value shapes, a ±Inf cell now and
 // then and the diagonal pair in a quarter of the blocks.
 func TestFinishAsmMatchesGo(t *testing.T) {
-	if !useAsm {
+	if best < avx2Kernel {
 		t.Skip("no AVX2+FMA finish routine in this build or on this CPU")
 	}
 	rng := rand.New(rand.NewSource(30))
@@ -537,81 +545,143 @@ func scoreCase(tileRows, queryRows [][]float64, nExp int, self bool) (s *Tiles, 
 	return s, q, t
 }
 
-// assertScoreTile holds ScoreTile on tile t of a scoreCase, under the routine
-// useAsm selects, to what a caller computes block by block from Dot and
-// FinishBlock under the same routine: it flags a lane exactly when some
-// block flags a pair, only lanes some block flags; and where it flags none,
-// each real lane's sum and count of the defined correlations are the block
-// by block Go sum's, bit for bit. The call writes its 16 outputs and nothing
-// else.
-func assertScoreTile(t testing.TB, s *Tiles, q *Query, tl int) {
-	t.Helper()
-	nExp := s.NExp()
-	var wantSum, wantN [TileRows]float64
-	var wantFlags uint8
+// rangeCase is one ScoreRange call: rows [r0, r1) of s against q, onto a
+// grid through gids at weight w.
+type rangeCase struct {
+	s      *Tiles
+	q      *Query
+	gids   []int32
+	w      float64
+	r0, r1 int
+}
+
+// grid returns four columns one cell longer than the largest gene index,
+// every cell a random value: a row added twice, or a cell written that no
+// row of the range maps to, shows.
+func (c rangeCase) grid(rng *rand.Rand) (grid [4][]float64) {
+	n := int(slices.Max(c.gids)) + 2
+	for k := range grid {
+		grid[k] = make([]float64, n)
+		for g := range grid[k] {
+			grid[k][g] = rng.NormFloat64()
+		}
+	}
+	return grid
+}
+
+// reference is what ScoreRange adds and where it stops, computed tile by
+// tile from Dot and FinishBlock under the routine kernel selects: each
+// tile's defined correlations summed block by block in ascending row
+// order; a tile where a block flags a pair of a row in the range is a stop,
+// and every other tile's rows of the range are added by AddMeans.
+func (c rangeCase) reference(grid *[4][]float64) (stops []int) {
+	nExp := c.s.NExp()
 	var dots, corr [BlockRows * TileRows]float64
-	for b := 0; b < q.Blocks(); b++ {
-		z, _, live := q.Block(b, nExp)
-		Dot(&dots, s.Tile(tl), z, nExp)
-		f := s.FinishBlock(&corr, &dots, tl, q, b)
-		for k := 0; k < live; k++ {
-			wantFlags |= uint8(f >> (TileRows * k))
-			for j, c := range corr[TileRows*k : TileRows*(k+1)] {
-				if !math.IsNaN(c) {
-					wantSum[j] += c
-					wantN[j]++
+	for tl := c.r0 / TileRows; TileRows*tl < c.r1; tl++ {
+		lo, hi := max(c.r0, TileRows*tl), min(c.r1, TileRows*(tl+1))
+		lanes := uint8(uint(1)<<(hi-TileRows*tl) - uint(1)<<(lo-TileRows*tl))
+		var sum, n [TileRows]float64
+		var flags uint8
+		for b := 0; b < c.q.Blocks(); b++ {
+			z, _, live := c.q.Block(b, nExp)
+			Dot(&dots, c.s.Tile(tl), z, nExp)
+			f := c.s.FinishBlock(&corr, &dots, tl, c.q, b)
+			for k := 0; k < live; k++ {
+				flags |= uint8(f>>(TileRows*k)) & lanes
+				for j, r := range corr[TileRows*k : TileRows*(k+1)] {
+					if !math.IsNaN(r) {
+						sum[j] += r
+						n[j]++
+					}
 				}
 			}
 		}
+		if flags != 0 {
+			stops = append(stops, tl)
+			continue
+		}
+		AddMeans(grid, &sum, &n, c.gids, c.w, lo, hi)
 	}
+	return stops
+}
 
+// run calls ScoreRange as the scan does: after each tile it stops at, again
+// from the next one, leaving the stopped tile's rows unadded.
+func (c rangeCase) run(grid *[4][]float64) (stops []int) {
+	for r := c.r0; r < c.r1; {
+		tl := c.s.ScoreRange(grid, c.q, c.gids, c.w, r, c.r1)
+		if tl < 0 {
+			break
+		}
+		stops = append(stops, tl)
+		r = min(c.r1, TileRows*(tl+1))
+	}
+	return stops
+}
+
+// assertScoreRange holds ScoreRange, under the routine kernel selects, to
+// the reference under the same routine — whose Dot and FinishBlock are the
+// AVX2 ones under avx512 — bit for bit: it stops at the same tiles and
+// leaves every grid cell with the same bits. It leaves its inputs as they
+// were. Under avx512 it runs the AVX2 routine too and holds the two to each
+// other's bits.
+func assertScoreRange(t testing.TB, c rangeCase, rng *rand.Rand) {
+	t.Helper()
+	start := c.grid(rng)
+	clone := func(g [4][]float64) [4][]float64 {
+		for k := range g {
+			g[k] = slices.Clone(g[k])
+		}
+		return g
+	}
 	inputs := func() []any {
-		return []any{slices.Clone(s.zt), slices.Clone(s.t1), slices.Clone(s.t2), slices.Clone(s.miss), slices.Clone(q.Buf), slices.Clone(q.Rows), unitLanes}
+		return []any{slices.Clone(c.s.zt), slices.Clone(c.s.t1), slices.Clone(c.s.t2), slices.Clone(c.s.miss), slices.Clone(c.q.Buf), slices.Clone(c.q.Rows), slices.Clone(c.gids), unitLanes}
 	}
 	was := inputs()
-	const sentinel = 12345.678
-	var got struct {
-		before [4]float64
-		sum    [TileRows]float64
-		mid    [4]float64
-		n      [TileRows]float64
-		after  [4]float64
-	}
-	for _, cells := range [][]float64{got.before[:], got.mid[:], got.after[:]} {
-		for i := range cells {
-			cells[i] = sentinel
-		}
-	}
-	flagged := s.ScoreTile(&got.sum, &got.n, tl, q)
-	for _, c := range slices.Concat(got.before[:], got.mid[:], got.after[:]) {
-		if c != sentinel {
-			t.Fatalf("%s: ScoreTile wrote outside its 16 outputs", KernelName())
-		}
-	}
+	got, want := clone(start), clone(start)
+	gotStops, wantStops := c.run(&got), c.reference(&want)
 	if !reflect.DeepEqual(inputs(), was) {
-		t.Fatalf("%s: ScoreTile wrote to its inputs", KernelName())
+		t.Fatalf("%s: ScoreRange wrote to its inputs", KernelName())
 	}
-	if (flagged == 0) != (wantFlags == 0) || flagged&^wantFlags != 0 {
-		t.Fatalf("%s: ScoreTile flags lanes %08b, the blocks flag %08b", KernelName(), flagged, wantFlags)
+	if !slices.Equal(gotStops, wantStops) {
+		t.Fatalf("%s: rows [%d, %d): ScoreRange stops at tiles %v, the blocks flag %v", KernelName(), c.r0, c.r1, gotStops, wantStops)
 	}
-	if flagged != 0 {
-		return
+	assertSameGrid(t, got, want, "the blocks")
+	if kernel == avx512Kernel {
+		kernel = avx2Kernel
+		avx2 := clone(start)
+		avx2Stops := c.run(&avx2)
+		kernel = avx512Kernel
+		if !slices.Equal(gotStops, avx2Stops) {
+			t.Fatalf("avx512 stops at tiles %v, avx2-fma at %v", gotStops, avx2Stops)
+		}
+		assertSameGrid(t, got, avx2, "avx2-fma")
 	}
-	for j := 0; j < s.rows-TileRows*tl; j++ {
-		if math.Float64bits(got.sum[j]) != math.Float64bits(wantSum[j]) || got.n[j] != wantN[j] {
-			t.Fatalf("%s: lane %d sums %v over %v correlations, the blocks %v over %v", KernelName(), j, got.sum[j], got.n[j], wantSum[j], wantN[j])
+}
+
+// assertSameGrid fails unless every cell of got has the bits of want's.
+func assertSameGrid(t testing.TB, got, want [4][]float64, who string) {
+	t.Helper()
+	for k := range got {
+		for g := range got[k] {
+			if math.Float64bits(got[k][g]) != math.Float64bits(want[k][g]) {
+				t.Fatalf("%s: grid column %d, gene %d is %v, %s say %v", KernelName(), k, g, got[k][g], who, want[k][g])
+			}
 		}
 	}
 }
 
-// TestScoreTileMatchesBlocks holds ScoreTile to the block-by-block Go sum,
-// under both routines, on random tiles of 1-8 rows against queries of 1-9
-// rows — a block with dead rows, a lone row, two full blocks — of 0-70
-// cells, with every value shape, missing cells at 0-60%, and among the
-// rows of every fourth case an all-missing one, a constant one and one
-// sharing only two cells with the others.
+// TestScoreTileMatchesBlocks holds ScoreRange to the block-by-block sums,
+// under every routine, on random cases: 1-40 rows of 0-70 cells, with every
+// value shape and missing cells at 0-60%, and among them in every fourth
+// case an all-missing row, a constant one and one sharing only two cells
+// with the others; a range of them starting and ending anywhere; a query of
+// 1-9 other rows — a block with dead rows, a lone row, two full blocks —
+// with one of the range's own rows among them in every eighth case (the
+// diagonal pair, flagged); gene indices with gaps and repeats now and
+// then; a random weight.
 func TestScoreTileMatchesBlocks(t *testing.T) {
-	underEachDot(t, func(t *testing.T) {
+	underEachScan(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(49))
 		for iter := 0; iter < 3000; iter++ {
 			nExp := 8 + rng.Intn(63)
@@ -619,26 +689,41 @@ func TestScoreTileMatchesBlocks(t *testing.T) {
 				nExp = rng.Intn(8)
 			}
 			missing := []float64{0, 0.02, 0.15, 0.3, 0.6}[rng.Intn(5)]
-			rows := randomRows(rng, 2+rng.Intn(17), nExp, missing)
+			n, nq := 1+rng.Intn(40), 1+rng.Intn(9)
+			rows := randomRows(rng, n+nq, nExp, missing)
 			for _, row := range rows {
 				if rng.Intn(8) == 0 {
 					reshape(rng, row)
 				}
 			}
-			if nExp >= 3 && len(rows) > 3 && iter%4 == 0 {
+			if nExp >= 3 && n > 3 && iter%4 == 0 {
 				for i := range rows[1] {
 					rows[1][i], rows[2][i], rows[3][i] = nan, 0.5, nan // all missing; constant
 				}
 				rows[3][0], rows[3][2] = 1, -1 // shares two cells with every row observing them
 			}
-			rng.Shuffle(len(rows), func(i, j int) { rows[i], rows[j] = rows[j], rows[i] })
-			split := 1 + rng.Intn(min(TileRows, len(rows)-1))
-			queryRows := rows[split:]
-			if len(queryRows) > 9 {
-				queryRows = queryRows[:9]
+			c := rangeCase{s: New(rows, nExp), w: rng.Float64()}
+			c.r0 = rng.Intn(n)
+			c.r1 = c.r0 + 1 + rng.Intn(n-c.r0)
+			c.q = &Query{Buf: make([]float64, QueryCells(nq, nExp))}
+			for k := range nq {
+				r := n + k
+				if k == 0 && iter%8 == 1 {
+					r = c.r0 + rng.Intn(c.r1-c.r0)
+				}
+				c.q.Rows = append(c.q.Rows, c.s.Row(r))
 			}
-			s, q, tl := scoreCase(rows[:split], queryRows, nExp, rng.Intn(8) == 0)
-			assertScoreTile(t, s, q, tl)
+			c.s.Gather(c.q)
+			for r, g := 0, int32(rng.Intn(3)); r < n+nq; r, g = r+1, g+1 {
+				switch rng.Intn(12) {
+				case 0, 1:
+					g += 2
+				case 2:
+					g = max(g-1, 0) // a gene on two rows: with a gap, eight rows span eight genes
+				}
+				c.gids = append(c.gids, g)
+			}
+			assertScoreRange(t, c, rng)
 		}
 	})
 }
@@ -655,18 +740,73 @@ func scoreFromBytes(data []byte) (tileRows, queryRows [][]float64, nExp int, sel
 	return rows[:nTile], rows[nTile:], nExp, shape>>7 != 0
 }
 
-// FuzzScoreTile holds ScoreTile to Dot, FinishBlock and the Go sum, block by
-// block, under both routines. Its seeds, in testdata/fuzz/FuzzScoreTile,
-// hold an all-missing row, a constant row, rows sharing only two cells and
-// the diagonal pair.
+// FuzzScoreTile holds ScoreRange over the rows of one tile — the last tile
+// of a scoreCase — to Dot, FinishBlock and the Go sum, block by block,
+// under every routine. Its seeds, in testdata/fuzz/FuzzScoreTile, hold an
+// all-missing row, a constant row, rows sharing only two cells and the
+// diagonal pair.
 func FuzzScoreTile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tileRows, queryRows, nExp, self := scoreFromBytes(data)
-		asm := useAsm
-		defer func() { useAsm = asm }()
-		for _, useAsm = range []bool{false, asm} {
+		defer func() { kernel = best }()
+		for kernel = goKernel; kernel <= best; kernel++ {
 			s, q, tl := scoreCase(tileRows, queryRows, nExp, self)
-			assertScoreTile(t, s, q, tl)
+			gids := make([]int32, s.rows)
+			for r := range gids {
+				gids[r] = int32(r)
+			}
+			assertScoreRange(t, rangeCase{s: s, q: q, gids: gids, w: 0.75, r0: TileRows * tl, r1: s.rows}, rand.New(rand.NewSource(int64(len(data)))))
+		}
+	})
+}
+
+// rangeFromBytes decodes a fuzz input into a rangeCase: byte 0 is the row
+// length (mod 41) and byte 1 the row count, 1 + (mod 40); bytes 2 and 3
+// the range, its first row and 1 + its length, each modulo what fits; byte
+// 4 the query's size, 1 + (mod 5), and bytes 5-9 its rows, each modulo the
+// row count; byte 10 the first row whose gene index skips two past its
+// predecessor's (modulo 1 + the row count: none at the row count); byte 11
+// the weight in 64ths; then the rows as fuzzRows reads them.
+func rangeFromBytes(data []byte) rangeCase {
+	at := fuzzBytes(data)
+	nExp, n := int(at(0))%41, 1+int(at(1))%40
+	s := New(fuzzRows(at, 12, nExp, n), nExp)
+	c := rangeCase{s: s, w: float64(at(11)) / 64}
+	c.r0 = int(at(2)) % n
+	c.r1 = c.r0 + 1 + int(at(3))%(n-c.r0)
+	nq := 1 + int(at(4))%5
+	c.q = &Query{Buf: make([]float64, QueryCells(nq, nExp))}
+	for k := range nq {
+		c.q.Rows = append(c.q.Rows, s.Row(int(at(5+k))%n))
+	}
+	s.Gather(c.q)
+	gap := int(at(10)) % (n + 1)
+	for r := range n {
+		g := r
+		if r >= gap {
+			g += 2
+		}
+		c.gids = append(c.gids, int32(g))
+	}
+	return c
+}
+
+// FuzzScoreRange holds one ScoreRange call over several tiles to the block
+// by block sums under every routine, and the AVX-512 routine to the AVX2
+// one bit for bit; a host without AVX-512 says the comparison did not run.
+// Its seeds, in testdata/fuzz/FuzzScoreRange, hold an odd tile count (a
+// lone last tile), ranges starting and ending mid-tile, lanes past the last
+// row, queries of 1-5 rows, a flagged lane in the first and in the second
+// tile of a pair, missing cells in every lane and a gap in the gene
+// indices.
+func FuzzScoreRange(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if best < avx512Kernel {
+			t.Logf("no AVX-512 routine in this build or on this CPU: the avx512 comparison did not run (this host runs %s)", KernelName())
+		}
+		defer func() { kernel = best }()
+		for kernel = goKernel; kernel <= best; kernel++ {
+			assertScoreRange(t, rangeFromBytes(data), rand.New(rand.NewSource(int64(len(data)))))
 		}
 	})
 }
@@ -674,7 +814,7 @@ func FuzzScoreTile(f *testing.F) {
 // TestQueryCheckedAtGather: the assembly reads a query's cells at its rows'
 // missing columns, so the kernel meets only a query Gather checked against
 // the tiles' width. Gather refuses a row of wider tiles; FinishBlock and
-// ScoreTile refuse a query never gathered, one gathered by tiles of another
+// ScoreRange refuse a query never gathered, one gathered by tiles of another
 // width, and one whose buffer is too short for its rows.
 func TestQueryCheckedAtGather(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
@@ -692,19 +832,55 @@ func TestQueryCheckedAtGather(t *testing.T) {
 		}()
 		f()
 	}
-	var sum, n [TileRows]float64
 	var dots, out [BlockRows * TileRows]float64
-	kernel := func(s *Tiles, q *Query) {
+	grid := [4][]float64{make([]float64, 9), make([]float64, 9), make([]float64, 9), make([]float64, 9)}
+	gids := []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}
+	refused := func(s *Tiles, q *Query) {
 		panics("FinishBlock", func() { s.FinishBlock(&out, &dots, 0, q, 0) })
-		panics("ScoreTile", func() { s.ScoreTile(&sum, &n, 0, q) })
+		panics("ScoreRange", func() { s.ScoreRange(&grid, q, gids, 1, 0, 8) })
 	}
 	panics("Gather of a wider row", func() {
 		narrow.Gather(&Query{Rows: []Row{wideRow}, Buf: make([]float64, QueryCells(1, 12))})
 	})
-	kernel(narrow, &Query{Rows: []Row{narrow.Row(1)}, Buf: make([]float64, QueryCells(1, 10))})
+	refused(narrow, &Query{Rows: []Row{narrow.Row(1)}, Buf: make([]float64, QueryCells(1, 10))})
 	q := &Query{Rows: []Row{narrow.Row(1)}, Buf: make([]float64, QueryCells(1, 12))}
 	narrow.Gather(q)
-	kernel(wide, q)
+	refused(wide, q)
 	q.Rows = append(q.Rows, narrow.Row(2), narrow.Row(3), narrow.Row(4), narrow.Row(5))
-	kernel(narrow, q)
+	refused(narrow, q)
+}
+
+// TestScoreRangeChecksGrid: under every routine, ScoreRange refuses a range
+// past the tiles' rows or the gene indices, and a gene index outside the
+// grid — one of eight consecutive genes and one among others, the vector
+// and the scalar add of the AVX-512 routine — with a panic, not a write
+// past a column.
+func TestScoreRangeChecksGrid(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	s := New(randomRows(rng, 20, 12, 0), 12)
+	q := &Query{Rows: []Row{s.Row(17)}, Buf: make([]float64, QueryCells(1, 12))}
+	s.Gather(q)
+	underEachScan(t, func(t *testing.T) {
+		for _, c := range []struct {
+			name   string
+			gids   []int32
+			r0, r1 int
+		}{
+			{"past the rows", make([]int32, 24), 0, 21},
+			{"past the gene indices", make([]int32, 15), 0, 16},
+			{"consecutive genes past the grid", []int32{10, 11, 12, 13, 14, 15, 16, 17}, 0, 8},
+			{"scattered genes past the grid", []int32{0, 2, 4, 6, 8, 10, 12, 17}, 0, 8},
+			{"a negative gene index", []int32{-1, 0, 1, 2, 3, 4, 5, 6}, 0, 8},
+		} {
+			grid := [4][]float64{make([]float64, 17), make([]float64, 17), make([]float64, 17), make([]float64, 17)}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: ScoreRange did not panic", c.name)
+					}
+				}()
+				s.ScoreRange(&grid, q, c.gids, 1, c.r0, c.r1)
+			}()
+		}
+	})
 }
