@@ -1443,6 +1443,49 @@ func BenchmarkF10_TileEncodePNG(b *testing.B) {
 	}
 }
 
+// BenchmarkF10_TilePNG is a plain cold tile as the daemon renders it: the
+// raster's runs straight to PNG, no canvas — the work TileRaster and
+// TileEncodePNG split between them on the canvas path, with the same file
+// (png_bytes).
+func BenchmarkF10_TilePNG(b *testing.B) {
+	opt := render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true}
+	for _, sh := range tileShapes {
+		rows := tileBenchRows(sh.nR, sh.nC)
+		b.Run(sh.name, func(b *testing.B) {
+			var png []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if png, err = render.HeatmapPNG(256, 256, color.RGBA{A: 255}, rows, opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(png)), "png_bytes")
+		})
+	}
+}
+
+// TestHeatmapPNGAllocs: a plain tile on the runs path allocates the file
+// it returns, and past that only when a pooled encoder is new or grows.
+// Under the race detector, whose sync.Pool drops items, it counts nothing.
+func TestHeatmapPNGAllocs(t *testing.T) {
+	if raceEnabled {
+		return
+	}
+	opt := render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true}
+	for _, sh := range tileShapes {
+		rows := tileBenchRows(sh.nR, sh.nC)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := render.HeatmapPNG(256, 256, color.RGBA{A: 255}, rows, opt); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 4 {
+			t.Fatalf("a 256x256 %s tile made %.1f allocations, want <= 4", sh.name, allocs)
+		}
+	}
+}
+
 // TestTileRenderAllocs: a cold tile costs a dozen allocations (the canvas,
 // the column spans, the returned file). A rasterizer that boxes one colour
 // per pixel into a color.Color costs 65,000; this bound catches it.

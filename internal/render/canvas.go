@@ -5,10 +5,12 @@
 // framebuffer instead. Pixels are pixels: resolution, layout, color mapping
 // and render latency — the properties the paper's claims rest on — are all
 // preserved, and the framebuffers can be written out as PNG or shipped to
-// the simulated display wall.
+// the simulated display wall. A heatmap alone needs none: HeatmapPNG
+// writes its PNG straight from the raster's runs.
 package render
 
 import (
+	"encoding/binary"
 	"image"
 	"image/color"
 )
@@ -101,17 +103,22 @@ func (c *Canvas) fillRect(x, y, w, h int, rgba color.RGBA) {
 	// Paint the first row, then copy it down.
 	base := c.img.PixOffset(r.Min.X, r.Min.Y)
 	first := c.img.Pix[base : base+4*r.Dx()]
-	fillRun(first, rgba)
+	fillRun(first, pixelOf(rgba))
 	for yy := r.Min.Y + 1; yy < r.Max.Y; yy++ {
 		base += c.img.Stride
 		copy(c.img.Pix[base:], first)
 	}
 }
 
-// fillRun paints every 4-byte pixel of run, a slice of Pix.
-func fillRun(run []uint8, rgba color.RGBA) {
-	for i := 0; i+3 < len(run); i += 4 {
-		run[i], run[i+1], run[i+2], run[i+3] = rgba.R, rgba.G, rgba.B, rgba.A
+// fillRun paints every 4-byte pixel of run, a slice of Pix, with the pixel
+// word px, two pixels a store.
+func fillRun(run []uint8, px uint32) {
+	i, two := 0, uint64(px)<<32|uint64(px)
+	for ; i+8 <= len(run); i += 8 {
+		binary.LittleEndian.PutUint64(run[i:], two)
+	}
+	if i+4 <= len(run) {
+		binary.LittleEndian.PutUint32(run[i:], px)
 	}
 }
 

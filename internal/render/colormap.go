@@ -52,10 +52,15 @@ func contrastLimit(limit float64) float64 {
 // contrastLimit for a limit that is not positive). NaN maps to
 // MissingColor.
 func (m ColorMap) Map(v, limit float64) color.RGBA {
-	if math.IsNaN(v) {
-		return MissingColor
+	return rgbaOf(m.word(v, contrastLimit(limit)))
+}
+
+// word is Map's colour as a pixel word (R in the low byte, as image.RGBA
+// lays it out) under a limit contrastLimit already resolved.
+func (m ColorMap) word(v, limit float64) uint32 {
+	if v != v {
+		return pixelOf(MissingColor)
 	}
-	limit = contrastLimit(limit)
 	t := v / limit
 	if t > 1 {
 		t = 1
@@ -63,22 +68,44 @@ func (m ColorMap) Map(v, limit float64) color.RGBA {
 	if t < -1 {
 		t = -1
 	}
-	mag := uint8(math.Round(math.Abs(t) * 255))
+	// The sign picks the channels without a branch to mispredict: at -0
+	// (and NaN, from ±Inf over an infinite limit) mag is 0 and both sides
+	// are black.
+	mag, neg := round255(math.Abs(t)*255), uint32(0)
+	if t < 0 {
+		neg = 1
+	}
 	switch m {
 	case BlueYellow:
-		if t >= 0 {
-			return color.RGBA{R: mag, G: mag, B: 0, A: 255}
-		}
-		return color.RGBA{R: 0, G: 0, B: mag, A: 255}
+		return opaque | (1-neg)*(mag<<8|mag) | neg*mag<<16
 	case Grayscale:
-		g := uint8(math.Round((t + 1) / 2 * 255))
-		return color.RGBA{R: g, G: g, B: g, A: 255}
+		g := round255((t + 1) / 2 * 255)
+		return opaque | g<<16 | g<<8 | g
 	default: // GreenBlackRed
-		if t >= 0 {
-			return color.RGBA{R: mag, G: 0, B: 0, A: 255}
-		}
-		return color.RGBA{R: 0, G: mag, B: 0, A: 255}
+		return opaque | mag<<(8*neg)
 	}
+}
+
+// round255 is uint8(math.Round(x)) for x in [0, 255]: x + 0.5 truncated.
+// The sum rounds only where its integer part stays put, but for x just
+// under a half, which rounds to 0.
+func round255(x float64) uint32 {
+	i := uint32(int(x + 0.5))
+	if x < 0.5 {
+		i = 0
+	}
+	return i & 0xff
+}
+
+const opaque = 0xff << 24
+
+// pixelOf and rgbaOf convert between a colour and its pixel word.
+func pixelOf(c color.RGBA) uint32 {
+	return uint32(c.R) | uint32(c.G)<<8 | uint32(c.B)<<16 | uint32(c.A)<<24
+}
+
+func rgbaOf(p uint32) color.RGBA {
+	return color.RGBA{R: uint8(p), G: uint8(p >> 8), B: uint8(p >> 16), A: uint8(p >> 24)}
 }
 
 // Legend renders a horizontal color scale with tick labels into the rect,

@@ -2,6 +2,7 @@ package render
 
 import (
 	"bytes"
+	"fmt"
 	"image/color"
 	"math"
 	"math/rand"
@@ -296,4 +297,166 @@ func TestRenderHeatmapMatchesReference(t *testing.T) {
 			t.Fatalf("256x256 tile of %d rows x %d cols: Pix differs", sh[0], sh[1])
 		}
 	}
+}
+
+// canvasHeatmapPNG is the path HeatmapPNG replaces: a canvas cleared to bg,
+// RenderHeatmap over the whole of it, and the canvas encoded.
+func canvasHeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) ([]byte, error) {
+	c := NewCanvas(w, h, bg)
+	RenderHeatmap(c, Rect{W: w, H: h}, rows, opt)
+	return c.PNG()
+}
+
+// checkHeatmapPNG fails unless HeatmapPNG gives the canvas path's file, or
+// its error.
+func checkHeatmapPNG(t *testing.T, name string, w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) {
+	t.Helper()
+	got, gotErr := HeatmapPNG(w, h, bg, rows, opt)
+	want, wantErr := canvasHeatmapPNG(w, h, bg, rows, opt)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
+		t.Fatalf("%s: %dx%d tile of %d rows, opt %+v: runs path %d bytes (err %v), canvas path %d bytes (err %v)",
+			name, w, h, len(rows), opt, len(got), gotErr, len(want), wantErr)
+	}
+}
+
+// TestHeatmapPNGMatchesCanvas: the runs path writes the canvas path's file
+// byte for byte — both regimes and the nR = h ± 1 boundary, columns below,
+// at and above the width, ragged, empty and all-NaN rows, column orders
+// with out-of-range entries, every colour map under NaN, zero and negative
+// limits, highlights and backgrounds (translucent ones make the file
+// RGBA; an opaque one can equal a cell colour), and 1×N and N×1 tiles.
+func TestHeatmapPNGMatchesCanvas(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	const cases = 4000
+	regimes := [2]int{}
+	for i := 0; i < cases; i++ {
+		w, h := 1+rng.Intn(64), 1+rng.Intn(64)
+		switch rng.Intn(8) {
+		case 0:
+			w = 1
+		case 1:
+			h = 1
+		}
+		var nR, nC int
+		switch rng.Intn(4) {
+		case 0: // the regime boundary
+			nR = max(1, h-1+rng.Intn(3))
+		case 1:
+			nR = 1 + rng.Intn(h)
+		default:
+			nR = h + rng.Intn(3*h)
+		}
+		switch rng.Intn(3) {
+		case 0:
+			nC = w
+		case 1:
+			nC = 1 + rng.Intn(w)
+		default:
+			nC = w + 1 + rng.Intn(2*w)
+		}
+		rows := synthRows(nR, nC, rng.Int63())
+		for g := range rows {
+			switch rng.Intn(12) {
+			case 0:
+				rows[g] = nil
+			case 1:
+				rows[g] = rows[g][:rng.Intn(nC)]
+			case 2:
+				for c := range rows[g] {
+					rows[g][c] = math.NaN()
+				}
+			}
+		}
+		if rng.Intn(50) == 0 {
+			rows = rows[:0]
+		}
+		opt := HeatmapOptions{
+			ColorMap:   ColorMap(rng.Intn(3)),
+			Limit:      []float64{2, 0.5, 0, -1, math.NaN()}[rng.Intn(5)],
+			CellBorder: rng.Intn(3) > 0,
+		}
+		if rng.Intn(3) == 0 {
+			opt.ColOrder = rng.Perm(nC)[:1+rng.Intn(nC)]
+			if rng.Intn(2) == 0 {
+				opt.ColOrder[rng.Intn(len(opt.ColOrder))] = []int{-1, nC, nC + 7}[rng.Intn(3)]
+			}
+		}
+		if rng.Intn(4) == 0 && nR > 0 {
+			opt.Highlight = map[int]bool{rng.Intn(nR): true, rng.Intn(nR): true}
+			if rng.Intn(2) == 0 {
+				opt.HighlightColor = color.NRGBA{R: 200, G: 40, B: uint8(rng.Intn(256)), A: uint8(128 + rng.Intn(128))}
+			}
+		}
+		bg := []color.RGBA{{A: 255}, {R: 9, G: 9, B: 9, A: 255}, MissingColor, {R: 10, B: 20, A: 128}}[rng.Intn(4)]
+		checkHeatmapPNG(t, fmt.Sprintf("case %d", i), w, h, bg, rows, opt)
+		if nR >= h {
+			regimes[0]++
+		} else {
+			regimes[1]++
+		}
+	}
+	if regimes[0] < cases/4 || regimes[1] < cases/4 {
+		t.Fatalf("regimes unevenly covered: global %d, zoom %d", regimes[0], regimes[1])
+	}
+	// The slab shapes a 256x256 /api/heatmap tile renders from.
+	for _, sh := range [][2]int{{100, 24}, {255, 24}, {256, 256}, {257, 300}, {300, 12}, {400, 40}, {511, 24}} {
+		opt := HeatmapOptions{Limit: 2, CellBorder: true}
+		checkHeatmapPNG(t, "tile", 256, 256, color.RGBA{A: 255}, synthRows(sh[0], sh[1], 99), opt)
+	}
+	checkHeatmapPNG(t, "no size", 0, 5, color.RGBA{A: 255}, synthRows(3, 3, 1), HeatmapOptions{})
+	checkHeatmapPNG(t, "negative size", 4, -2, color.RGBA{A: 255}, synthRows(3, 3, 1), HeatmapOptions{})
+}
+
+// FuzzHeatmapPNG holds the runs path to the canvas path on any tile of up
+// to 64×64 pixels and 130×130 values. The input is width, height, rows,
+// columns and a flag byte (colour map, limit, borders, a column order,
+// a highlight), then value bytes, cycled: 255 is NaN, any other b is
+// (b−128)/32, and a row whose first byte is 0 mod 7 is cut short. The
+// seeds are in testdata/fuzz/FuzzHeatmapPNG.
+func FuzzHeatmapPNG(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 5 {
+			return
+		}
+		w, h, nR, nC, flags := 1+int(data[0]%64), 1+int(data[1]%64), int(data[2]%130), int(data[3]%130), data[4]
+		vals := data[5:]
+		val := func(k int) byte {
+			if len(vals) == 0 {
+				return 128
+			}
+			return vals[k%len(vals)]
+		}
+		rows, k := make([][]float64, nR), 0
+		for g := range rows {
+			n := nC
+			if b := val(k); b%7 == 0 && nC > 0 {
+				n = int(b) % nC
+			}
+			rows[g] = make([]float64, n)
+			for c := range rows[g] {
+				if b := val(k); b == 255 {
+					rows[g][c] = math.NaN()
+				} else {
+					rows[g][c] = (float64(b) - 128) / 32
+				}
+				k++
+			}
+		}
+		opt := HeatmapOptions{
+			ColorMap:   ColorMap(flags & 3 % 3),
+			Limit:      []float64{2, 0.5, 0, -1, math.NaN(), math.Inf(1), 1e-9, 3}[flags>>2&7],
+			CellBorder: flags&0x20 != 0,
+		}
+		if flags&0x40 != 0 && nC > 0 {
+			opt.ColOrder = make([]int, 1+int(val(0))%(nC+2))
+			for i := range opt.ColOrder {
+				opt.ColOrder[i] = int(val(i+1))%(nC+3) - 1
+			}
+		}
+		if flags&0x80 != 0 && nR > 0 {
+			opt.Highlight = map[int]bool{int(val(1)) % nR: true}
+			opt.HighlightColor = color.NRGBA{R: val(2), G: val(3), A: val(4)}
+		}
+		checkHeatmapPNG(t, "fuzz", w, h, color.RGBA{A: 255}, rows, opt)
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"image"
+	"image/color"
 	"io"
 	"math/bits"
 	"os"
@@ -13,34 +14,54 @@ import (
 	"sync"
 )
 
-// The PNG writer is built for what a canvas holds: runs of one pixel and
-// rows that repeat, the matches deflate would search for. This one does
-// not search. Rows are unfiltered (filter None); a row equal to one still
-// in the 32 KiB window is whole-row matches back to it, any other row
-// pixel runs (see runs). Tokens are Huffman-coded in dynamic blocks. There
-// is no level: the output is a function of the pixels alone.
+// The PNG writer is built for what a heatmap is: rows of runs of one
+// pixel, and rows that repeat — the matches deflate would search for. This
+// one does not search: it takes each row as its runs (see run), cut from a
+// canvas row or straight from heatRaster, which never paints a pixel.
+// Rows are unfiltered (filter None); a row equal to one still in the 32 KiB
+// window (the last row with its hash, see hashRuns) is whole-row matches
+// back to it, any other row its runs (see rowTokens). Tokens are
+// Huffman-coded in dynamic blocks. There is no level: the output is a
+// function of the pixels alone.
 const (
 	windowSize     = 1 << 15 // deflate's farthest match distance
 	minMatch       = 3
 	maxMatch       = 258
-	maxBlockTokens = 1 << 16 // bounds the token buffer whatever the canvas size
+	maxBlockTokens = 1 << 16 // bounds the token buffer whatever the image size
 	rowTableBits   = 12      // the row table's largest size, in bits
 	adlerMod       = 65521
 )
 
+// A run is pixels of one colour: the pixel word, as image.RGBA holds it (R
+// in the low byte, alpha premultiplied), up to the column end. A row is its
+// runs left to right, maximal (no two neighbours equal), so two rows are
+// equal exactly when their runs are.
+type run struct {
+	end int32
+	px  uint32
+}
+
 // pngEncoder is the reusable state of one encode, pooled: one per
 // concurrent encode, each with buffers grown to the largest file it wrote.
 type pngEncoder struct {
-	out      []byte   // the file; the deflate stream is appended bit by bit
-	straight []byte   // a translucent row in straight alpha
-	tokens   []uint32 // the current block (see token)
-	rows     [1 << rowTableBits]rowEntry
-	bits     uint64 // pending output bits, LSB first
-	nbits    uint
+	out    []byte   // the file; the deflate stream is appended bit by bit
+	tokens []uint64 // the current block (see token)
+	ntok   int      // its length in deflate symbols (a run token is bpp or bpp+1)
+	rows   [1 << rowTableBits]rowEntry
+	bits   uint64 // pending output bits, LSB first
+	nbits  uint
 
-	img         *image.RGBA // the canvas being encoded
-	bpp, stride int         // bytes a pixel and a filtered row
+	// The image being encoded: a canvas, or when img is nil, a heatmap.
+	img  *image.RGBA
+	heat heatRaster
+	w, h int
 
+	bpp, stride int // bytes a pixel and a filtered row
+	// The runs of the rows a match can reach: row y's are
+	// runs[rowAt[y]-base : rowAt[y+1]-base].
+	runs     []run
+	rowAt    []int
+	base     int
 	litFreq  [286]uint32 // literal/length symbol counts of the current block
 	distFreq [30]uint32
 }
@@ -49,7 +70,7 @@ type pngEncoder struct {
 // repeated row costs neither a scan nor a sum.
 type rowEntry struct {
 	y1        int32  // row index + 1; 0 is empty
-	sum, wsum uint32 // the row's Adler-32 sums (see runs), mod adlerMod
+	sum, wsum uint32 // the row's Adler-32 sums (see rowTokens), mod adlerMod
 }
 
 var pngEncoders = sync.Pool{New: func() any { return new(pngEncoder) }}
@@ -58,20 +79,23 @@ var pngEncoders = sync.Pool{New: func() any { return new(pngEncoder) }}
 // (length, type, 13 bytes, CRC) and the IDAT chunk's length and type.
 const pngHead = 8 + (8 + 13 + 4) + 8
 
-// encode writes the canvas into e.out as a PNG file: 8-bit RGB when every
-// pixel is opaque, else straight-alpha RGBA, in one IDAT chunk. It starts
-// as RGB and starts over as RGBA at a pixel that is not opaque: every pixel
-// is a run start, which is checked, or equal to one, so no separate pass.
-func (c *Canvas) encode(e *pngEncoder) error {
-	if w, h := c.Width(), c.Height(); w <= 0 || h <= 0 {
+// encode writes the image set in e, w×h, into e.out as a PNG file: 8-bit
+// RGB when every pixel is opaque, else straight-alpha RGBA, in one IDAT
+// chunk. It starts as RGB and starts over as RGBA at a pixel that is not
+// opaque: every pixel is in a run, which is checked, or equal to one, so
+// no separate pass.
+func (e *pngEncoder) encode(w, h int) error {
+	defer func() { // a pooled encoder must not pin the image
+		e.img = nil
+		e.heat.unpin()
+	}()
+	if w <= 0 || h <= 0 {
 		return fmt.Errorf("render: encoding PNG: invalid image size %dx%d", w, h)
 	}
-	e.img = c.img
+	e.w, e.h = w, h
 	if !e.deflate(3) {
 		e.deflate(4)
 	}
-	e.img = nil // a pooled encoder must not pin the canvas
-
 	idat := e.out[pngHead-4:] // chunk type + payload: what the CRC covers
 	binary.BigEndian.PutUint32(e.out[pngHead-8:], uint32(len(idat)-4))
 	e.out = binary.BigEndian.AppendUint32(e.out, crc32.ChecksumIEEE(idat))
@@ -79,35 +103,52 @@ func (c *Canvas) encode(e *pngEncoder) error {
 	return nil
 }
 
-// deflate writes e.img into e.out at bpp bytes a pixel, up to the end of
-// the IDAT payload; at 3 it gives up, false, on a pixel that is not opaque.
+// deflate writes the image into e.out at bpp bytes a pixel, up to the end
+// of the IDAT payload; at 3 it gives up, false, on a pixel that is not
+// opaque.
 func (e *pngEncoder) deflate(bpp int) bool {
-	w, h := e.img.Rect.Dx(), e.img.Rect.Dy()
+	w, h := e.w, e.h
 	e.bpp, e.stride = bpp, 1+bpp*w // a filtered row: the filter byte, then the pixels
 	e.out = append(e.out[:0], "\x89PNG\r\n\x1a\n\x00\x00\x00\x0dIHDR"...)
 	e.out = binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint32(e.out, uint32(w)), uint32(h))
 	e.out = append(e.out, 8, byte(4*bpp-10), 0, 0, 0) // 8-bit RGB (2) or RGBA (6)
 	e.out = binary.BigEndian.AppendUint32(e.out, crc32.ChecksumIEEE(e.out[12:29]))
 	e.out = append(e.out, "\x00\x00\x00\x00IDAT\x78\x01"...) // IDAT's length is patched in by encode
-	e.tokens, e.bits, e.nbits = e.tokens[:0], 0, 0
+	e.tokens, e.ntok, e.bits, e.nbits = e.tokens[:0], 0, 0, 0
 	e.litFreq, e.distFreq = [286]uint32{}, [30]uint32{}
+	e.runs, e.rowAt, e.base = e.runs[:0], append(e.rowAt[:0], 0), 0
 
 	// About twice as many slots as the window holds rows.
-	tableBits := min(rowTableBits, 1+bits.Len(uint(min(h, windowSize/e.stride+1))))
+	reach := windowSize / e.stride // the rows back a match can reach
+	tableBits := min(rowTableBits, 1+bits.Len(uint(min(h, reach+1))))
 	table := e.rows[:1<<tableBits]
 	clear(table)
+	var slot *rowEntry
 	s1, s2 := uint64(1), uint64(0) // Adler-32 of the filtered rows
 	for y := 0; y < h; y++ {
-		src := e.row(y)
-		slot := &table[crc32.ChecksumIEEE(src)>>(32-tableBits)] // fixed: no per-process seed
-		if y0 := int(slot.y1) - 1; y0 < 0 || (y-y0)*e.stride > windowSize || !bytes.Equal(src, e.row(y0)) {
-			sum, wsum, ok := e.runs(y)
-			if !ok {
-				return false
-			}
-			*slot = rowEntry{sum: uint32(sum % adlerMod), wsum: uint32(wsum % adlerMod)}
+		if dead := e.rowAt[max(0, y-reach)] - e.base; dead >= 1024 && 2*dead >= len(e.runs) {
+			e.runs = e.runs[:copy(e.runs, e.runs[dead:])]
+			e.base += dead
+		}
+		e.appendRow(y)
+		cur := e.row(y)
+		if y > 0 && reach > 0 && slices.Equal(cur, e.row(y-1)) {
+			e.match(e.stride, e.stride) // the slot of the row above is this row's
 		} else {
-			e.match(e.stride, (y-y0)*e.stride)
+			slot = &table[hashRuns(cur)>>(32-tableBits)] // fixed: no per-process seed
+			if y0 := int(slot.y1) - 1; y0 < 0 || y-y0 > reach || !slices.Equal(cur, e.row(y0)) {
+				var up []run
+				if y > 0 && reach > 0 {
+					up = e.row(y - 1)
+				}
+				sum, wsum, ok := e.rowTokens(cur, up)
+				if !ok {
+					return false
+				}
+				*slot = rowEntry{sum: uint32(sum % adlerMod), wsum: uint32(wsum % adlerMod)}
+			} else {
+				e.match(e.stride, (y-y0)*e.stride)
+			}
 		}
 		slot.y1 = int32(y + 1)
 		s2 = (s2 + uint64(e.stride)*s1 + uint64(slot.wsum)) % adlerMod
@@ -122,47 +163,73 @@ func (e *pngEncoder) deflate(bpp int) bool {
 	return true
 }
 
-// row returns the source pixels of row y of the canvas being encoded.
-func (e *pngEncoder) row(y int) []uint8 {
+// appendRow appends row y's runs to e.runs.
+func (e *pngEncoder) appendRow(y int) {
+	switch {
+	case e.img == nil:
+		e.runs = append(e.runs, e.heat.row(y)...)
+	case y > 0 && e.rowAt[y-1] >= e.base && bytes.Equal(e.canvasRow(y), e.canvasRow(y-1)):
+		e.runs = append(e.runs, e.row(y-1)...) // a memory compare, not a scan
+	default:
+		src := e.canvasRow(y)
+		for i, n := 0, e.w; i < n; {
+			p, j := pixel(src, i), i+1
+			for j < n && pixel(src, j) == p {
+				j++
+			}
+			e.runs = append(e.runs, run{end: int32(j), px: p})
+			i = j
+		}
+	}
+	e.rowAt = append(e.rowAt, e.base+len(e.runs))
+}
+
+// row returns row y's runs, a row in reach of a match.
+func (e *pngEncoder) row(y int) []run { return e.runs[e.rowAt[y]-e.base : e.rowAt[y+1]-e.base] }
+
+// canvasRow returns the pixels of row y of the canvas being encoded.
+func (e *pngEncoder) canvasRow(y int) []uint8 {
 	off := e.img.PixOffset(e.img.Rect.Min.X, e.img.Rect.Min.Y+y)
-	return e.img.Pix[off : off+4*e.img.Rect.Dx()]
+	return e.img.Pix[off : off+4*e.w]
+}
+
+// hashRuns is a row's hash, read off its runs: a multiplicative hash, the
+// table's slot its top bits.
+func hashRuns(rs []run) uint32 {
+	h := uint64(len(rs))
+	for _, rn := range rs {
+		h = (h ^ uint64(rn.end)<<32 ^ uint64(rn.px)) * 0x9e3779b97f4a7c15
+	}
+	return uint32(h >> 32)
 }
 
 // pixel is the i-th 4-byte pixel of p as one word.
 func pixel(p []uint8, i int) uint32 { return binary.LittleEndian.Uint32(p[4*i:]) }
 
-// runs writes row y, which repeats no row in reach: the filter byte, then
-// from each run start either the run (first pixel as literals, the rest
-// one match bpp back) or, where the pixels equal the row above's for longer
-// than the run, that span as one match a row back — so a row that differs
-// from the one above in places (a dendrogram leg across a zoomed heatmap)
-// costs those places. On a tie the run wins: its matches carry no distance
-// bits. It returns the row's Adler-32 sums, per run: sum = Σ b_i and
-// wsum = Σ (stride − i)·b_i over the row's bytes b_i, so the stream's (s1,
-// s2) become (s1 + sum, s2 + stride·s1 + wsum); not ok at a pixel that is
-// not opaque when bpp is 3.
-func (e *pngEncoder) runs(y int) (sum, wsum uint64, ok bool) {
-	src, px, bpp, stride := e.row(y), e.row(y), e.bpp, e.stride
-	if bpp == 4 {
-		px = e.unpremultiplied(src)
-	}
-	var up []uint8 // compared as source pixels: equal there, equal written
-	if y > 0 && stride <= windowSize {
-		up = e.row(y - 1)
-	}
+// rowTokens writes a row that repeats no row in reach, its runs cur: the
+// filter byte, then from each run start either the run (first pixel as
+// literals, the rest one match bpp back) or, where the row equals the row
+// above, up, for longer than the run, that span as one match a row back —
+// so a row that differs from the one above in places (a dendrogram leg
+// across a zoomed heatmap) costs those places. On a tie the run wins: its
+// matches carry no distance bits. It returns the row's Adler-32 sums, per
+// run: sum = Σ b_i and wsum = Σ (stride − i)·b_i over the row's bytes b_i,
+// so the stream's (s1, s2) become (s1 + sum, s2 + stride·s1 + wsum); not
+// ok at a pixel that is not opaque when bpp is 3.
+func (e *pngEncoder) rowTokens(cur, up []run) (sum, wsum uint64, ok bool) {
+	bpp, stride := e.bpp, e.stride
 	e.room(1)
 	e.token(0) // filter None
-	for i, n, covered := 0, len(px)/4, 0; i < n; {
-		p, j := pixel(px, i), i+1
-		for j < n && pixel(px, j) == p {
-			j++
+	for i, k, u, covered := 0, 0, 0, 0; k < len(cur); {
+		p, j := cur[k].px, int(cur[k].end)
+		if bpp == 4 {
+			p = straight(p) // the bytes written; runs compare as they are held
 		}
 		if covered == 0 && up != nil {
-			v := 0
-			for i+v < n && pixel(src, i+v) == pixel(up, i+v) {
-				v++
+			for int(up[u].end) <= i {
+				u++
 			}
-			if v > j-i {
+			if v := agree(cur[k:], up[u:], i) - i; v > j-i {
 				e.match(v*bpp, stride)
 				covered = v
 			}
@@ -174,12 +241,16 @@ func (e *pngEncoder) runs(y int) (sum, wsum uint64, ok bool) {
 			if bpp == 3 && p>>24 != 0xff {
 				return 0, 0, false
 			}
-			e.room(bpp)
-			for k := 0; k < bpp; k++ {
-				e.token(p >> (8 * k) & 0xff)
-			}
-			if j-i > 1 {
-				e.match((j-i-1)*bpp, bpp)
+			// The run as one token where the block has room for both halves
+			// (a match of 255 bytes or more asks room for two chunks).
+			if n := (j - i - 1) * bpp; n <= maxMatch && e.ntok+bpp+2 <= maxBlockTokens {
+				e.pixelRun(p, n)
+			} else {
+				e.room(bpp)
+				e.pixelRun(p, 0)
+				if n > 0 {
+					e.match(n, bpp)
+				}
 			}
 		}
 		// Byte k of the run's r-th pixel is at row offset o + r·bpp + k.
@@ -191,45 +262,66 @@ func (e *pngEncoder) runs(y int) (sum, wsum uint64, ok bool) {
 		r, o := uint64(j-i), uint64(1+i*bpp)
 		sum += r * pSum
 		wsum += r*((uint64(stride)-o)*pSum-pWeighted) - uint64(bpp)*(r*(r-1)/2)*pSum
-		i = j
+		if i = j; j == int(cur[k].end) {
+			k++
+		}
 	}
 	return sum, wsum, true
 }
 
-// unpremultiplied converts a row of image.RGBA's alpha-premultiplied pixels
-// to PNG's straight alpha, rounding as color.NRGBAModel does.
-func (e *pngEncoder) unpremultiplied(row []uint8) []uint8 {
-	e.straight = append(e.straight[:0], row...)
-	for i := 0; i < len(row); i += 4 {
-		switch a := uint32(row[i+3]) * 0x101; a {
-		case 0xffff:
-		case 0:
-			clear(e.straight[i : i+3])
-		default:
-			for k := i; k < i+3; k++ {
-				e.straight[k] = uint8(uint32(row[k]) * 0x101 * 0xffff / a >> 8)
-			}
+// agree returns the column where rows a and b, runs from the ones holding
+// column i on, first differ, or their end.
+func agree(a, b []run, i int) int {
+	for len(a) > 0 && len(b) > 0 && a[0].px == b[0].px {
+		i = int(min(a[0].end, b[0].end))
+		if a[0].end == int32(i) {
+			a = a[1:]
+		}
+		if b[0].end == int32(i) {
+			b = b[1:]
 		}
 	}
-	return e.straight
+	return i
 }
 
-// room ends the block if n more tokens would not fit in it.
+// straight converts an alpha-premultiplied pixel word to PNG's straight
+// alpha, rounding as color.NRGBAModel does.
+func straight(p uint32) uint32 {
+	switch a := p >> 24 * 0x101; a {
+	case 0xffff:
+		return p
+	case 0:
+		return 0
+	default:
+		for k := 0; k < 24; k += 8 {
+			c := uint32(uint8(p>>k)) * 0x101 * 0xffff / a >> 8
+			p = p&^(0xff<<k) | uint32(uint8(c))<<k
+		}
+		return p
+	}
+}
+
+// room ends the block if n more deflate symbols would not fit in it.
 func (e *pngEncoder) room(n int) {
-	if len(e.tokens)+n > maxBlockTokens {
+	if e.ntok+n > maxBlockTokens {
 		e.writeBlock(0)
 	}
 }
 
-// A token is a literal (its byte) or a match chunk: length symbol | length
-// extra<<9 | distance code<<14 | distance extra<<19. Its caller made room.
-func (e *pngEncoder) token(t uint32) {
+// A token is a literal (its byte), a match chunk (length symbol | length
+// extra<<9 | distance code<<14 | distance extra<<19) or a run (runToken |
+// a pixel's bytes<<9 | n<<41: bpp literals, then unless n is 0 one match
+// of n bytes bpp back). Its caller made room.
+func (e *pngEncoder) token(t uint64) {
 	e.tokens = append(e.tokens, t)
+	e.ntok++
 	e.litFreq[t&511]++
 	if t&511 > 256 {
 		e.distFreq[t>>14&31]++
 	}
 }
+
+const runToken = 511
 
 // match copies length bytes from dist back, in chunks of at most maxMatch
 // and none shorter than minMatch (length >= minMatch).
@@ -247,7 +339,25 @@ func (e *pngEncoder) match(length, dist int) {
 			n = length - minMatch
 		}
 		length -= n
-		e.token(lengthToken[n] | dist32<<14)
+		e.token(uint64(lengthToken[n] | dist32<<14))
+	}
+}
+
+// pixelRun writes the bpp bytes of p as literals, then, unless n is 0,
+// n <= maxMatch bytes bpp back: one token. Its caller made room.
+func (e *pngEncoder) pixelRun(p uint32, n int) {
+	e.tokens = append(e.tokens, uint64(n)<<41|uint64(p)<<9|runToken)
+	e.ntok += e.bpp
+	e.litFreq[p&0xff]++
+	e.litFreq[p>>8&0xff]++
+	e.litFreq[p>>16&0xff]++
+	if e.bpp == 4 {
+		e.litFreq[p>>24]++
+	}
+	if n > 0 {
+		e.ntok++
+		e.litFreq[lengthToken[n]&511]++
+		e.distFreq[e.bpp-1]++ // codes 0-3 carry no extra bits
 	}
 }
 
@@ -335,18 +445,46 @@ func (e *pngEncoder) writeBlock(final uint64) {
 			e.write(uint64(clCode[sym])|uint64(s>>8)<<n, n+clExtraBits[sym-16])
 		}
 	}
+	// A run token's match, n bytes bpp back, as one code of at most 35 bits;
+	// tail[0], no match, is empty.
+	var tail [maxMatch + 1]uint64
+	var tailLen [maxMatch + 1]uint8
+	for n, d := minMatch, e.bpp-1; n <= maxMatch; n++ {
+		lt := lengthToken[n]
+		ls, extra := lt&511, lengthExtraBits[lt&511-257]
+		tail[n] = uint64(litCode[ls]) | uint64(lt>>9&31)<<litLen[ls] | uint64(distCode[d])<<(litLen[ls]+extra)
+		tailLen[n] = litLen[ls] + extra + distLen[d]
+	}
 	for _, t := range e.tokens {
-		s := t & 511
-		if s < 256 {
+		switch s := t & 511; {
+		case s < 256:
 			e.write(uint64(litCode[s]), litLen[s])
-			continue
+		case s == runToken: // literals two a write (30 bits at most), then the match
+			b0, b1, b2, b3 := t>>9&0xff, t>>17&0xff, t>>25&0xff, t>>33&0xff
+			e.write(uint64(litCode[b0])|uint64(litCode[b1])<<litLen[b0], litLen[b0]+litLen[b1])
+			v, n := uint64(litCode[b2]), litLen[b2]
+			if e.bpp == 4 {
+				e.write(v|uint64(litCode[b3])<<n, n+litLen[b3])
+				v, n = 0, 0
+			}
+			e.writeLong(v|tail[t>>41]<<n, n+tailLen[t>>41])
+		default:
+			e.write(uint64(litCode[s])|uint64(t>>9&31)<<litLen[s], litLen[s]+lengthExtraBits[s-257])
+			d := t >> 14 & 31
+			e.write(uint64(distCode[d])|uint64(t>>19)<<distLen[d], distLen[d]+distExtraBits[d])
 		}
-		e.write(uint64(litCode[s])|uint64(t>>9&31)<<litLen[s], litLen[s]+lengthExtraBits[s-257])
-		d := t >> 14 & 31
-		e.write(uint64(distCode[d])|uint64(t>>19)<<distLen[d], distLen[d]+distExtraBits[d])
 	}
 	e.write(uint64(litCode[256]), litLen[256])
-	e.tokens, e.litFreq, e.distFreq = e.tokens[:0], [286]uint32{}, [30]uint32{}
+	e.tokens, e.ntok, e.litFreq, e.distFreq = e.tokens[:0], 0, [286]uint32{}, [30]uint32{}
+}
+
+// writeLong is write for n <= 64.
+func (e *pngEncoder) writeLong(v uint64, n uint8) {
+	if n > 32 {
+		e.write(v&(1<<32-1), 32)
+		v, n = v>>32, n-32
+	}
+	e.write(v, n)
 }
 
 // write appends the low n bits of v (n <= 32) to the deflate stream.
@@ -448,7 +586,8 @@ func minimumRedundancy(a []int32) {
 func (c *Canvas) EncodePNG(w io.Writer) error {
 	e := pngEncoders.Get().(*pngEncoder)
 	defer pngEncoders.Put(e)
-	if err := c.encode(e); err != nil {
+	e.img = c.img
+	if err := e.encode(c.Width(), c.Height()); err != nil {
 		return err
 	}
 	_, err := w.Write(e.out)
@@ -460,7 +599,27 @@ func (c *Canvas) EncodePNG(w io.Writer) error {
 func (c *Canvas) PNG() ([]byte, error) {
 	e := pngEncoders.Get().(*pngEncoder)
 	defer pngEncoders.Put(e)
-	if err := c.encode(e); err != nil {
+	e.img = c.img
+	return e.file(c.Width(), c.Height())
+}
+
+// HeatmapPNG returns, byte for byte, what a w×h NewCanvas cleared to bg
+// with RenderHeatmap of rows over the whole of it gives as PNG — without
+// the canvas: the raster's runs, with bg in the cell borders, go straight
+// to the writer.
+func HeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) ([]byte, error) {
+	w, h = max(w, 0), max(h, 0)
+	e := pngEncoders.Get().(*pngEncoder)
+	defer pngEncoders.Put(e)
+	e.heat.init(w, h, rows, opt, 0, w)
+	e.heat.hole = pixelOf(bg)
+	return e.file(w, h)
+}
+
+// file encodes the image set in e and returns it in a slice of exactly
+// its length.
+func (e *pngEncoder) file(w, h int) ([]byte, error) {
+	if err := e.encode(w, h); err != nil {
 		return nil, err
 	}
 	return append(make([]byte, 0, len(e.out)), e.out...), nil

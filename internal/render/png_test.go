@@ -351,8 +351,7 @@ func referenceEncodePNG(c *Canvas) []byte {
 	}
 	var idat bytes.Buffer
 	zw, _ := zlib.NewWriterLevel(&idat, 6) // errs on a bad level only
-	e := new(pngEncoder)
-	row := make([]byte, 1+bpp*w)
+	row, straightRow := make([]byte, 1+bpp*w), make([]byte, 4*w)
 	var prev []uint8
 	for y := 0; y < h; y++ {
 		cur := img.Pix[img.PixOffset(img.Rect.Min.X, img.Rect.Min.Y+y):][:4*w]
@@ -363,7 +362,10 @@ func referenceEncodePNG(c *Canvas) []byte {
 			row[0] = 1 // Sub
 			src := cur
 			if bpp == 4 {
-				src = e.unpremultiplied(cur)
+				for x := 0; x < w; x++ {
+					binary.LittleEndian.PutUint32(straightRow[4*x:], straight(pixel(cur, x)))
+				}
+				src = straightRow
 			}
 			copy(row[1:], src[:bpp])
 			for s, d := 4, 1+bpp; s < len(src); s, d = s+4, d+bpp {

@@ -491,18 +491,32 @@ func wireCost(b []byte) int64 { return int64(len(b)) + 64 }
 // rasterizeTile draws one tile: optional array-tree strip on top, optional
 // gene-tree strip on the left, and the expression matrix — from the raw
 // display rows at level 0 (the pre-pyramid path, byte-for-byte), or from
-// the pane's precomputed pyramid slab at level >= 1.
+// the pane's precomputed pyramid slab at level >= 1. A tile that is the
+// matrix alone never has a canvas: the raster's runs go straight to PNG.
 func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte, error) {
-	c := tileCanvas(p.w, p.h, color.RGBA{A: 255})
+	bg := color.RGBA{A: 255}
+	var rows [][]float64
+	if p.level == 0 {
+		rows = cd.RowsInDisplayRange(p.from, p.to)
+	} else {
+		slab := cd.Pyramid(core.PyramidOptions{}).Level(p.level)
+		lo := p.from >> uint(p.level)
+		hi := (p.to + 1<<uint(p.level) - 1) >> uint(p.level)
+		rows = slab.F64[lo:hi]
+	}
+	opt := render.HeatmapOptions{ColorMap: p.cmap, Limit: p.limit, CellBorder: true}
+	if p.treeW == 0 && p.atreeH == 0 {
+		return render.HeatmapPNG(p.w, p.h, bg, rows, opt)
+	}
+	c := tileCanvas(p.w, p.h, bg)
 	defer tileCanvases.Put(c)
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
 	hx, hy := 0, 0
-	var colOrder []int
 	if p.atreeH > 0 {
 		// The column dendrogram spans the heatmap's width (to the right of
 		// any gene-tree strip); the heatmap below renders its columns in
 		// the same leaf order so the brackets line up.
-		colOrder = cd.ArrayOrder
+		opt.ColOrder = cd.ArrayOrder
 		render.RenderDendrogramOrdered(c,
 			render.Rect{X: p.treeW, Y: 0, W: p.w - p.treeW, H: p.atreeH},
 			cd.ArrayTree, cd.ArrayOrder, render.AboveColumns, fg)
@@ -517,16 +531,7 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 			cd.GeneTree, cd.DisplayOrder, render.LeftOfRows, fg)
 		hx = p.treeW
 	}
-	hr := render.Rect{X: hx, Y: hy, W: p.w - hx, H: p.h - hy}
-	opt := render.HeatmapOptions{ColorMap: p.cmap, Limit: p.limit, CellBorder: true, ColOrder: colOrder}
-	if p.level == 0 {
-		render.RenderHeatmap(c, hr, cd.RowsInDisplayRange(p.from, p.to), opt)
-	} else {
-		slab := cd.Pyramid(core.PyramidOptions{}).Level(p.level)
-		lo := p.from >> uint(p.level)
-		hi := (p.to + 1<<uint(p.level) - 1) >> uint(p.level)
-		render.RenderHeatmap(c, hr, slab.F64[lo:hi], opt)
-	}
+	render.RenderHeatmap(c, render.Rect{X: hx, Y: hy, W: p.w - hx, H: p.h - hy}, rows, opt)
 	// Exactly sized: wireCost charges the LRU len, so the cached tile must
 	// not pin a larger capacity.
 	return c.PNG()
