@@ -19,9 +19,10 @@ import (
 // disjoint rows below its diagonal, then mirror them above it — no locks.
 // It runs on the correlation kernel SPELL scans with (internal/tilecorr):
 // the rows are tiled once, z-scored and zero-filled, and every block of four
-// rows meets every tile at or below its diagonal in one pass of dot products
-// plus a correction per missing cell — no means, no variances, no NaN checks
-// in the O(n²) loop, whether the rows are complete or not (tileDistances). A
+// rows meets every tile at or below its diagonal in one kernel call — dot
+// products plus a correction per missing cell, no means, no variances, no
+// NaN checks in the O(n²) loop, whether the rows are complete or not
+// (tileDistances). A
 // pair the one-pass arithmetic cannot settle to the exact distance's bits
 // where they matter falls back to the exact Pearson distance on the raw
 // rows, so missing-value semantics — and exact ties — are those of distance.
@@ -209,16 +210,49 @@ type lwStep struct {
 	wa, wb float64
 }
 
-// combine is the Lance-Williams distance from the merged cluster to a third
-// one, da and db being its parts' distances to it.
-func (s *lwStep) combine(linkage Linkage, da, db float64) float64 {
+// combineRows merges src into dst cell by cell by Lance-Williams, dst[j]
+// being the merged cluster's part a's distance to cluster j and src[j] its
+// part b's: one straight loop a linkage.
+func (s *lwStep) combineRows(linkage Linkage, dst, src []float64) {
+	src = src[:len(dst)]
 	switch linkage {
 	case AverageLinkage:
-		return s.wa*da + s.wb*db
+		for j, db := range src {
+			dst[j] = s.wa*dst[j] + s.wb*db
+		}
 	case CompleteLinkage:
-		return max(da, db) // math.Max's answer, NaN and ±0 included
+		for j, db := range src {
+			dst[j] = max(dst[j], db) // math.Max's answer, NaN and ±0 included
+		}
+	default:
+		for j, db := range src {
+			dst[j] = min(dst[j], db)
+		}
 	}
-	return min(da, db)
+}
+
+// replay applies steps to row, in order: column a of each takes the
+// combined value and column b dies. One straight loop a linkage, each the
+// arithmetic of combineRows.
+func replay(linkage Linkage, row []float64, steps []lwStep) {
+	inf := math.Inf(1)
+	switch linkage {
+	case AverageLinkage:
+		for _, s := range steps {
+			row[s.a] = s.wa*row[s.a] + s.wb*row[s.b]
+			row[s.b] = inf
+		}
+	case CompleteLinkage:
+		for _, s := range steps {
+			row[s.a] = max(row[s.a], row[s.b])
+			row[s.b] = inf
+		}
+	default:
+		for _, s := range steps {
+			row[s.a] = min(row[s.a], row[s.b])
+			row[s.b] = inf
+		}
+	}
 }
 
 // buildDistances fills the square distance matrix in parallel: the workers
@@ -259,51 +293,66 @@ func buildDistances(ctx context.Context, rows [][]float64) (*sqMatrix, error) {
 // blocks of tilecorr.BlockRows rows numbered w, w+workers, … (a block's cost
 // grows with its number, so dealing them round-robin balances the workers).
 // A block is gathered once and met with every tile holding a row below one
-// of its own; the kernel's block finish yields each pair's correlation over
-// the cells both rows observe, and the distance goes straight into the
-// block's rows of the matrix, which no other worker writes.
+// of its own in one kernel call, DistanceRange, which writes each pair's
+// distance straight into the block's rows of the matrix, which no other
+// worker writes.
 //
-// The lanes the kernel does not vouch for — two shared cells, a joint subset
-// nearly constant, |r| within 1e-12 of 1 — are the exact distance on the raw
-// rows, bit for bit. Under complete linkage that is structural, not
-// cosmetic: two rows sharing two cells correlate at exactly ±1, a distance
-// of exactly 0 or 2, and a one-pass value an ulp off it changes which pair
-// merges at height 0 and with it the tree above (DESIGN.md §3b).
+// The tiles it stops at hold lanes the kernel does not vouch for — two
+// shared cells, a joint subset nearly constant, |r| within 1e-12 of 1 — and
+// exactTile writes them as the exact distance on the raw rows, bit for bit.
+// Under complete linkage that is structural, not cosmetic: two rows sharing
+// two cells correlate at exactly ±1, a distance of exactly 0 or 2, and a
+// one-pass value an ulp off it changes which pair merges at height 0 and
+// with it the tree above (DESIGN.md §3b).
 func tileDistances(ctx context.Context, dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, w, workers int) {
-	const tileRows, blockRows = tilecorr.TileRows, tilecorr.BlockRows
+	const blockRows = tilecorr.BlockRows
 	n, dim := len(rows), tiles.NExp()
 	q := tilecorr.Query{
 		Rows: make([]tilecorr.Row, 0, blockRows),
 		Buf:  make([]float64, tilecorr.QueryCells(blockRows, dim)),
 	}
-	var dots, rs [blockRows * tileRows]float64
 	for i0 := w * blockRows; i0 < n && ctx.Err() == nil; i0 += workers * blockRows {
-		i1 := min(i0+blockRows, n)
 		q.Rows = q.Rows[:0]
-		for i := i0; i < i1; i++ {
+		for i := i0; i < min(i0+blockRows, n); i++ {
 			q.Rows = append(q.Rows, tiles.Row(i))
 		}
 		clear(q.Buf)
 		tiles.Gather(&q)
-		z, _, _ := q.Block(0, dim)
-		for t := 0; t*tileRows < i1-1; t++ {
-			base := t * tileRows
-			tilecorr.Dot(&dots, tiles.Tile(t), z, dim)
-			flagged := tiles.FinishBlock(&rs, &dots, t, &q, 0)
-			for k := max(0, base+1-i0); k < i1-i0; k++ {
-				i := i0 + k
-				live := min(tileRows, i-base) // the tile's rows below row i
-				// Only those lanes are read: the diagonal's self-pair, flagged
-				// at r = 1, is never recomputed.
-				below := uint8(flagged>>(tileRows*k)) & (1<<live - 1)
-				out := dist.v[i*n+base:]
-				for j, r := range rs[k*tileRows : k*tileRows+live] {
-					if below>>j&1 != 0 || math.IsNaN(r) { // NaN: fewer than two shared cells, the maximum
-						out[j] = distance(rows[i], rows[base+j])
-					} else {
-						out[j] = 1 - r
-					}
-				}
+		for t := 0; ; {
+			stop, next := tiles.DistanceRange(dist.v, n, &q, t)
+			if stop < 0 {
+				break
+			}
+			exactTile(dist, tiles, rows, &q, stop)
+			t = next
+		}
+	}
+}
+
+// exactTile writes the block q's distances to the rows of tile t below its
+// own by Dot and FinishBlock, and the lanes the finish flags or leaves NaN
+// (fewer than two shared cells: the maximum) by distance on the raw rows.
+// The diagonal's self-pair, flagged at r = 1, is never read.
+func exactTile(dist *sqMatrix, tiles *tilecorr.Tiles, rows [][]float64, q *tilecorr.Query, t int) {
+	const tileRows = tilecorr.TileRows
+	var dots, rs [tilecorr.BlockRows * tileRows]float64
+	n, base := dist.n, t*tileRows
+	z, _, _ := q.Block(0, tiles.NExp())
+	tilecorr.Dot(&dots, tiles.Tile(t), z, tiles.NExp())
+	flagged := tiles.FinishBlock(&rs, &dots, t, q, 0)
+	for k, qr := range q.Rows {
+		i := qr.Index
+		live := min(tileRows, i-base) // the tile's rows below row i
+		if live <= 0 {
+			continue
+		}
+		below := uint8(flagged>>(tileRows*k)) & (1<<live - 1)
+		out := dist.v[i*n+base:]
+		for j, r := range rs[k*tileRows : k*tileRows+live] {
+			if below>>j&1 != 0 || math.IsNaN(r) {
+				out[j] = distance(rows[i], rows[base+j])
+			} else {
+				out[j] = 1 - r
 			}
 		}
 	}
@@ -340,10 +389,7 @@ func nnChain(ctx context.Context, dist *sqMatrix, linkage Linkage) (*Tree, error
 		if len(log)-ver[i] > w/64 { // a step per eight of its cache lines
 			streamIn(row)
 		}
-		for _, s := range log[ver[i]:] {
-			row[s.a] = s.combine(linkage, row[s.a], row[s.b])
-			row[s.b] = inf
-		}
+		replay(linkage, row, log[ver[i]:])
 		ver[i] = len(log)
 		return row
 	}
@@ -414,17 +460,8 @@ func nnChain(ctx context.Context, dist *sqMatrix, linkage Linkage) (*Tree, error
 					best++
 				}
 			}
+			best = nearest(row, best)
 			bd := row[best]
-			for j := 0; j < w; j += 4 { // four cells a test: few beat bd
-				q := row[j:min(j+4, w)]
-				if len(q) < 4 || q[0] < bd || q[1] < bd || q[2] < bd || q[3] < bd {
-					for k, d := range q {
-						if d < bd {
-							bd, best = d, j+k
-						}
-					}
-				}
-			}
 			if best == prev && prev >= 0 {
 				// Reciprocal nearest neighbours: merge b into a by
 				// Lance-Williams, the weights hoisted out of the row.
@@ -435,10 +472,8 @@ func nnChain(ctx context.Context, dist *sqMatrix, linkage Linkage) (*Tree, error
 				raw = append(raw, rawMerge{a: ra, b: rb, h: bd})
 				ab := float64(size[a] + size[b])
 				s := lwStep{a, b, float64(size[a]) / ab, float64(size[b]) / ab}
-				rowA, rowB := catchUp(a), catchUp(b)
-				for j, db := range rowB {
-					rowA[j] = s.combine(linkage, rowA[j], db)
-				}
+				rowA := catchUp(a)
+				s.combineRows(linkage, rowA, catchUp(b))
 				rowA[a], rowA[b] = inf, inf
 				log = append(log, s)
 				ver[a] = len(log)

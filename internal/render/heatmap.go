@@ -32,11 +32,7 @@ type HeatmapOptions struct {
 // canvas clip, so a wall tile pays for its own viewport.
 func RenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
 	clip := c.ClipBounds()
-	xLo, xHi := 0, r.W
-	if len(opt.Highlight) > 0 { // the tick marks reach 3 pixels, whatever r.W
-		xLo, xHi = min(0, r.W-3), max(r.W, 3)
-	}
-	xLo, xHi = max(xLo, clip.X-r.X), min(xHi, clip.X+clip.W-r.X)
+	xLo, xHi := max(0, clip.X-r.X), min(r.W, clip.X+clip.W-r.X)
 	pyLo, pyHi := max(0, clip.Y-r.Y), min(r.H, clip.Y+clip.H-r.Y)
 	hr := heatRasters.Get().(*heatRaster)
 	defer func() {
@@ -65,10 +61,9 @@ func RenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOptions) {
 }
 
 // heatRaster is the one heatmap raster: pixel row py of a w×h rect, over
-// the columns [xLo, xHi) relative to the rect (a clip, or the tick marks'
-// reach beyond a narrow rect), as maximal runs of one pixel word. Pixels
-// it does not paint (cell borders, and everything outside the rect) are
-// runs of hole. RenderHeatmap paints the runs into a canvas; HeatmapPNG
+// the columns [xLo, xHi) of the rect (all of them, or a clip), as maximal
+// runs of one pixel word. Pixels it does not paint (cell borders) are runs
+// of hole; tick marks 3 pixels wide are cut to the rect. RenderHeatmap paints the runs into a canvas; HeatmapPNG
 // hands them, with hole the background, to the PNG writer.
 type heatRaster struct {
 	w, h, nC  int
@@ -123,7 +118,7 @@ func (hr *heatRaster) init(w, h int, rows [][]float64, opt HeatmapOptions, xLo, 
 		hr.border = opt.CellBorder && h/len(rows) >= 3 && w/nC >= 3
 		return
 	}
-	for px := max(0, xLo); px < min(w, xHi); px++ {
+	for px := xLo; px < xHi; px++ {
 		cLo := px * nC / w
 		cHi := max((px+1)*nC/w, cLo+1)
 		if n := len(hr.spans); n > 0 && hr.spans[n-1].cLo == cLo && hr.spans[n-1].cHi == cHi {
@@ -163,9 +158,6 @@ func (hr *heatRaster) row(py int) []run {
 	// heatmap_test.go sums in), and each span colour-mapped once.
 	lo, hi := py*nR/hr.h, (py+1)*nR/hr.h // hi > lo: nR >= h
 	rs := hr.out[:0]
-	if hr.xLo < 0 {
-		rs = add(rs, min(0, hr.xHi), hr.hole)
-	}
 	for _, sp := range hr.spans {
 		sum, n := 0.0, 0
 		for _, row := range hr.rows[lo:hi] {
@@ -187,9 +179,6 @@ func (hr *heatRaster) row(py int) []run {
 			v = sum / float64(n)
 		}
 		rs = add(rs, sp.pxHi, hr.cmap.word(v, hr.limit))
-	}
-	if hr.xHi > hr.w {
-		rs = add(rs, hr.xHi, hr.hole)
 	}
 	hr.out = rs
 	if len(hr.highlight) > 0 {

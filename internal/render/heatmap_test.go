@@ -148,9 +148,10 @@ func referenceRenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOpti
 				}
 			}
 			if anyHL {
-				// Selection tick marks at both edges of the strip.
-				c.FillRect(r.X, r.Y+py, 3, 1, hl)
-				c.FillRect(r.X+r.W-3, r.Y+py, 3, 1, hl)
+				// Selection tick marks at both edges of the strip, cut to
+				// the rect.
+				c.FillRect(r.X, r.Y+py, min(3, r.W), 1, hl)
+				c.FillRect(r.X+max(0, r.W-3), r.Y+py, min(3, r.W), 1, hl)
 			}
 		}
 		return
@@ -195,7 +196,34 @@ func referenceRenderHeatmap(c *Canvas, r Rect, rows [][]float64, opt HeatmapOpti
 			}
 		}
 		if opt.Highlight != nil && opt.Highlight[gr] {
-			c.FillRect(r.X, y, 3, h, hl)
+			c.FillRect(r.X, y, min(3, r.W), h, hl)
+		}
+	}
+}
+
+// TestHeatmapTicksStayInRect: a highlighted rect 1 or 2 pixels wide, in
+// either regime, drawn between two filled neighbours by RenderHeatmap and
+// by the reference, leaves every pixel of both neighbours its colour: the
+// 3-pixel tick marks are cut to the rect.
+func TestHeatmapTicksStayInRect(t *testing.T) {
+	fill := color.RGBA{R: 10, G: 20, B: 30, A: 255}
+	for _, w := range []int{1, 2} {
+		for _, nR := range []int{4, 40} { // zoom, global
+			rows := synthRows(nR, 5, int64(w*nR))
+			opt := HeatmapOptions{ColorMap: GreenBlackRed, Limit: 2, Highlight: map[int]bool{0: true, 3: true, nR - 1: true}}
+			for name, draw := range map[string]func(*Canvas, Rect, [][]float64, HeatmapOptions){"RenderHeatmap": RenderHeatmap, "reference": referenceRenderHeatmap} {
+				c := NewCanvas(3+w+3, 20, color.Black)
+				c.FillRect(0, 0, 3, 20, fill)
+				c.FillRect(3+w, 0, 3, 20, fill)
+				draw(c, Rect{X: 3, Y: 0, W: w, H: 20}, rows, opt)
+				for y := 0; y < 20; y++ {
+					for _, x := range []int{0, 1, 2, 3 + w, 4 + w, 5 + w} {
+						if got := c.At(x, y); got != fill {
+							t.Fatalf("%s, %d px wide, %d rows: neighbour pixel (%d, %d) is %v, want %v", name, w, nR, x, y, got, fill)
+						}
+					}
+				}
+			}
 		}
 	}
 }

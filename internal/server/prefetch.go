@@ -52,6 +52,8 @@ type prefetcher struct {
 	shed          atomic.Int64
 	served        atomic.Int64
 	evictedUnused atomic.Int64
+
+	hook func() // nil but in tests: runs in a speculation's flight before its render
 }
 
 // prefetchQueuePerWorker sizes the speculative tile queue: a served tile
@@ -228,6 +230,9 @@ func (pf *prefetcher) run(q tileParams) {
 			if v, ok := pf.s.cache.Get(key); ok { // joiners get the value too
 				pf.skippedCached.Add(1)
 				return v, nil
+			}
+			if pf.hook != nil {
+				pf.hook()
 			}
 			png, err := pf.s.rasterizeTile(cd, q)
 			if rendered = err == nil; rendered {

@@ -347,9 +347,9 @@ func TestHeatmapOutlivesShedSpeculation(t *testing.T) {
 }
 
 // TestRequestJoinsSpeculation: a request for a tile a speculation is
-// rendering joins the speculation's flight and gets the tile. The render
-// only outlasts the request's way to the flight on most tries, so each try
-// takes a fresh tile, and every answer must be the tile.
+// rendering joins the speculation's flight and gets the tile. The
+// speculation's render waits on a gate until the request has joined, so
+// the join does not depend on how long a render takes.
 func TestRequestJoinsSpeculation(t *testing.T) {
 	s, _ := rawFixture(t, 1)
 	if _, err := s.trees.get(context.Background(), 0); err != nil {
@@ -357,34 +357,29 @@ func TestRequestJoinsSpeculation(t *testing.T) {
 	}
 	pf := newPrefetcher(s, 0, 4)
 	t.Cleanup(pf.Close)
-	for try := 0; try < 20; try++ {
-		// The largest tile, so the render is slow.
-		q := tileParams{dsIndex: 0, from: try, to: try + 200, w: 2048, h: 2048, cmap: render.GreenBlackRed, limit: 2}
-		done := make(chan struct{})
-		go func() { pf.run(q); close(done) }()
-		inFlight := func() bool {
-			s.flights.mu.Lock()
-			defer s.flights.mu.Unlock()
-			_, ok := s.flights.calls[q.key()]
-			return ok
-		}
-		for wait := true; wait && !inFlight(); {
-			select {
-			case <-done:
-				wait = false
-			case <-time.After(50 * time.Microsecond):
-			}
-		}
-		rec := get(t, s, fmt.Sprintf("/api/heatmap?dataset=0&rows=%d:%d&w=2048&h=2048&level=0", q.from, q.to))
-		<-done
-		if rec.Code != http.StatusOK || !bytes.HasPrefix(rec.Body.Bytes(), pngMagic) {
-			t.Fatalf("request = %d (%s: %q), %d body bytes; want the tile", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.Len())
-		}
-		if rec.Header().Get(cacheHeader) == dispCoalesced {
-			return
-		}
+	gate := make(chan struct{})
+	pf.hook = func() { <-gate }
+	q := tileParams{dsIndex: 0, from: 0, to: 200, w: 2048, h: 2048, cmap: render.GreenBlackRed, limit: 2}
+	done := make(chan struct{})
+	go func() { pf.run(q); close(done) }()
+	waitWaiters(t, &s.flights, q.key(), 1)
+	answered := make(chan *httptest.ResponseRecorder, 1)
+	go func() {
+		answered <- get(t, s, fmt.Sprintf("/api/heatmap?dataset=0&rows=%d:%d&w=2048&h=2048&level=0", q.from, q.to))
+	}()
+	waitWaiters(t, &s.flights, q.key(), 2)
+	close(gate)
+	<-done
+	rec := <-answered
+	if rec.Code != http.StatusOK || !bytes.HasPrefix(rec.Body.Bytes(), pngMagic) {
+		t.Fatalf("request = %d (%s: %q), %d body bytes; want the tile", rec.Code, cacheHeader, rec.Header().Get(cacheHeader), rec.Body.Len())
 	}
-	t.Fatal("no request joined a speculation's flight in 20 tries")
+	if d := rec.Header().Get(cacheHeader); d != dispCoalesced {
+		t.Fatalf("request answered %s: %q, want %q: it did not join the speculation's flight", cacheHeader, d, dispCoalesced)
+	}
+	if pi := pf.snapshot(); pi.Rendered != 1 {
+		t.Fatalf("speculation: %+v, want rendered=1", pi)
+	}
 }
 
 // TestPrefetchEvictedUnusedAccounting: a speculative tile the LRU evicts

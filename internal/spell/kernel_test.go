@@ -208,7 +208,7 @@ func BenchmarkF4_SPELLTile(b *testing.B) {
 			sl.tiles.Gather(&q)
 			acc := newAccum(scored + tileRows)
 			grid := (*[4][]float64)(&acc)
-			if sl.tiles.ScoreRange(grid, &q, sl.gids, 0.5, 0, scored) >= 0 {
+			if t, _ := sl.tiles.ScoreRange(grid, &q, sl.gids, 0.5, 0, scored); t >= 0 {
 				b.Fatal("a tile flags a pair: the benchmark would time the fallback")
 			}
 			pairs := float64(c.rows * tileRows)

@@ -474,13 +474,12 @@ func (s *slab) scoreGenes(q *tilecorr.Query, w float64, lo, hi int, acc accum) {
 	grid := (*[4][]float64)(&acc)
 	var sum, n [tileRows]float64
 	for r0 < r1 {
-		t := s.tiles.ScoreRange(grid, q, s.gids, w, r0, r1)
+		t, next := s.tiles.ScoreRange(grid, q, s.gids, w, r0, r1)
 		if t < 0 {
 			return
 		}
 		s.scoreFlagged(&sum, &n, t, q)
-		next := min(r1, (t+1)*tileRows)
-		tilecorr.AddMeans(grid, &sum, &n, s.gids, w, max(r0, t*tileRows), next)
+		tilecorr.AddMeans(grid, &sum, &n, s.gids, w, max(r0, t*tileRows), min(r1, (t+1)*tileRows))
 		r0 = next
 	}
 }

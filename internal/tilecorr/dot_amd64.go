@@ -37,12 +37,21 @@ func scoreAsm(sum, cnt *[TileRows]float64, tile []float64, t1, t2 *[TileRows]flo
 // dot, finish and sums the AVX2 routines' operations in their order, one
 // 512-bit register a tile line, and the grid adds of AddMeans — a vector
 // add for a tile whose eight rows are consecutive genes, one add a row
-// otherwise. It returns the first flagged tile, -1 when the range is done,
-// and -2 when a gene index lies outside the grid. It trusts ScoreRange's
-// checks, so it is called through ScoreRange only.
+// otherwise. It returns the first flagged tile and the tile to go on from
+// (past the pass's second tile when that one was clean and added), -1 when
+// the range is done, and -2 when a gene index lies outside the grid. It
+// trusts ScoreRange's checks, so it is called through ScoreRange only.
 //
 //go:noescape
-func scoreRange512(a *rangeArgs) (flagged int)
+func scoreRange512(a *rangeArgs) (flagged, next int)
+
+// distRange512 is DistanceRange in AVX-512F: two tiles a pass, each lane's
+// dot and finish scoreRange512's, and 1 − r stored under a mask of the
+// lanes below each row. It trusts DistanceRange's checks, so it is called
+// through DistanceRange only.
+//
+//go:noescape
+func distRange512(a *distArgs) (stop, next int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

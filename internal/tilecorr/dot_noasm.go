@@ -5,7 +5,7 @@ package tilecorr
 // This build has no assembly routines — another architecture, or the
 // purego tag, which is how a host that would choose the assembly runs every
 // package's tests on the Go code: Dot always runs dotGo, FinishBlock
-// finishGo and ScoreRange scoreGo.
+// finishGo, ScoreRange scoreGo and DistanceRange distTiles.
 var kernel = goKernel
 
 func dotAsm(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
@@ -20,6 +20,10 @@ func scoreAsm(sum, cnt *[TileRows]float64, tile []float64, t1, t2 *[TileRows]flo
 	panic("tilecorr: no assembly score routine in this build")
 }
 
-func scoreRange512(a *rangeArgs) int {
+func scoreRange512(a *rangeArgs) (int, int) {
 	panic("tilecorr: no assembly range routine in this build")
+}
+
+func distRange512(a *distArgs) (int, int) {
+	panic("tilecorr: no assembly distance routine in this build")
 }

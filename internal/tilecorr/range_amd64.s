@@ -147,7 +147,7 @@ done:
 // range ends the call; otherwise its lanes go onto the grid, eight adds a
 // column when its rows are eight consecutive genes and one add a lane
 // otherwise.
-TEXT ·scoreRange512(SB), 0, $736-16
+TEXT ·scoreRange512(SB), 0, $736-24
 	MOVQ         a+0(FP), DI
 	VBROADCASTSD rangeK<>+0(SB), Z26
 	VBROADCASTSD rangeK<>+8(SB), Z27
@@ -412,7 +412,7 @@ sums:
 blocksdone:
 	MOVL flagsA-64(SP), AX
 	TESTL AX, AX
-	JNZ  retA
+	JNZ  flaggedA
 	MOVQ tA-96(SP), R8
 	MOVQ laneA-80(SP), R9
 	MOVQ $1, more-8(SP)
@@ -506,6 +506,8 @@ added:
 	MOVQ more-8(SP), AX
 	TESTQ AX, AX
 	JEQ  advance
+	CMPQ AX, $2
+	JEQ  retA
 	MOVQ $0, more-8(SP)
 	MOVL flagsB-56(SP), AX
 	TESTL AX, AX
@@ -522,24 +524,380 @@ advance:
 	MOVQ AX, tA-96(SP)
 	JMP  pass
 
+flaggedA:
+	// A clean B still goes onto the grid before A is returned, and the
+	// caller goes on after it; a flagged B is the caller's next call.
+	MOVL flagsB-56(SP), AX
+	TESTL AX, AX
+	JNZ  retAB
+	MOVQ $2, more-8(SP)
+	VMOVAPD Z17, Z16
+	VMOVAPD Z19, Z18
+	MOVQ tB-88(SP), R8
+	MOVQ laneB-72(SP), R9
+	JMP  add
+
 finished:
 	MOVQ $-1, flagged+8(FP)
+	MOVQ $0, next+16(FP)
 	VZEROUPPER
 	RET
 
 retA:
 	MOVQ tA-96(SP), AX
 	MOVQ AX, flagged+8(FP)
+	MOVQ tB-88(SP), AX
+	INCQ AX
+	MOVQ AX, next+16(FP)
+	VZEROUPPER
+	RET
+
+retAB:
+	MOVQ tA-96(SP), AX
+	MOVQ AX, flagged+8(FP)
+	MOVQ tB-88(SP), AX
+	MOVQ AX, next+16(FP)
 	VZEROUPPER
 	RET
 
 retB:
 	MOVQ tB-88(SP), AX
 	MOVQ AX, flagged+8(FP)
+	INCQ AX
+	MOVQ AX, next+16(FP)
 	VZEROUPPER
 	RET
 
 bad:
 	MOVQ $-2, flagged+8(FP)
+	MOVQ $0, next+16(FP)
+	VZEROUPPER
+	RET
+
+// BELOW sets OUT to the lanes of tile T below query row BX: bit j for each
+// j with 8T + j < the row's index. Scratch: CX, R10.
+#define BELOW(T, OUT) \
+	MOVQ    Row_Index(BX), CX; \
+	MOVQ    T, R10; \
+	SHLQ    $3, R10; \
+	SUBQ    R10, CX; \
+	XORQ    R10, R10; \
+	CMPQ    CX, $0; \
+	CMOVQLT R10, CX; \
+	MOVQ    $8, R10; \
+	CMPQ    CX, $8; \
+	CMOVQGT R10, CX; \
+	MOVQ    $1, OUT; \
+	SHLQ    CX, OUT; \
+	DECQ    OUT
+
+// DSTORE writes 1 − r (r in R, as HALF512 left it with KV and KN) to query
+// row BX's lanes of tile T below it that on keeps, and adds those of them
+// the finish does not vouch for or leaves NaN — not in KV, or in KN — to
+// flags. Scratch: AX, CX, R8, R10, K5.
+#define DSTORE(T, R, KV, KN, on, flags) \
+	BELOW(T, R8); \
+	ANDQ    on, R8; \
+	KMOVW   KV, AX; \
+	KMOVW   KN, R10; \
+	NOTL    R10; \
+	ANDL    R10, AX; \
+	NOTL    AX; \
+	ANDL    R8, AX; \
+	ORL     AX, flags; \
+	KMOVW   R8, K5; \
+	VSUBPD  R, Z29, R; \
+	MOVQ    Row_Index(BX), AX; \
+	IMULQ   distArgs_stride(DI), AX; \
+	MOVQ    T, R10; \
+	SHLQ    $3, R10; \
+	ADDQ    R10, AX; \
+	MOVQ    distArgs_dst(DI), R10; \
+	VMOVUPD R, K5, (R10)(AX*8)
+
+// func distRange512(a *distArgs) (stop, next int)
+//
+// A pass meets tiles A = tA and B = tA+1 (B = A, with no lanes kept, when A
+// is the range's last tile) with the one gathered block as scoreRange512
+// meets them with a block: the dots of its live rows with both tiles into
+// the frame's dots, then row by row the sums of both tiles (Z0-Z4 for A,
+// Z5-Z9 for B), HALF512 and DSTORE. Z20-Z23 hold the tiles' totals, Z24/Z25
+// their guard limits, Z26-Z29 the constants 2, sure, the sign mask and 1;
+// DX and R14 the tiles, R9 the block, BX, SI, R12 and R13 walk rows, dots,
+// z-scores and presence. After the rows a tile with a flagged lane ends the
+// call: A, to go on from B, or from past B when B is clean; else B.
+TEXT ·distRange512(SB), 0, $592-24
+	MOVQ         a+0(FP), DI
+	VBROADCASTSD rangeK<>+0(SB), Z26
+	VBROADCASTSD rangeK<>+8(SB), Z27
+	VBROADCASTSD rangeK<>+16(SB), Z28
+	VBROADCASTSD rangeK<>+24(SB), Z29
+	MOVQ         distArgs_t0(DI), AX
+	MOVQ         AX, tA-64(SP)
+
+pass:
+	MOVQ tA-64(SP), R8
+	CMPQ R8, distArgs_end(DI)
+	JGE  finished
+	LEAQ 1(R8), R9
+	MOVQ R9, tB-56(SP)
+	MOVQ $0xff, bOn-72(SP)
+	CMPQ R9, distArgs_end(DI)
+	JLT  tiles
+	MOVQ R8, tB-56(SP)
+	MOVQ $0, bOn-72(SP)
+
+tiles:
+	// Tile A's cells, totals, guard limits and missing cells, then B's.
+	MOVQ         distArgs_nExp(DI), AX
+	SHLQ         $6, AX
+	MOVQ         tA-64(SP), R8
+	MOVQ         AX, DX
+	IMULQ        R8, DX
+	ADDQ         distArgs_zt(DI), DX
+	MOVQ         tB-56(SP), R9
+	MOVQ         AX, R14
+	IMULQ        R9, R14
+	ADDQ         distArgs_zt(DI), R14
+	VBROADCASTSD distArgs_lim(DI), Z30
+	MOVQ         R8, R10
+	SHLQ         $6, R10
+	MOVQ         distArgs_t1(DI), AX
+	VMOVUPD      (AX)(R10*1), Z20
+	MOVQ         distArgs_t2(DI), AX
+	VMOVUPD      (AX)(R10*1), Z21
+	VMULPD       Z21, Z30, Z24
+	MOVQ         R9, R10
+	SHLQ         $6, R10
+	MOVQ         distArgs_t1(DI), AX
+	VMOVUPD      (AX)(R10*1), Z22
+	MOVQ         distArgs_t2(DI), AX
+	VMOVUPD      (AX)(R10*1), Z23
+	VMULPD       Z23, Z30, Z25
+	MOVQ         distArgs_missOff(DI), CX
+	MOVQ         distArgs_miss(DI), R11
+	SHLQ         $5, R8
+	MOVLQSX      (CX)(R8*1), AX
+	MOVLQSX      32(CX)(R8*1), R10
+	SUBQ         AX, R10
+	MOVQ         R10, nA-24(SP)
+	LEAQ         (R11)(AX*4), AX
+	MOVQ         AX, cellsA-32(SP)
+	SHLQ         $5, R9
+	MOVLQSX      (CX)(R9*1), AX
+	MOVLQSX      32(CX)(R9*1), R10
+	SUBQ         AX, R10
+	MOVQ         R10, nB-8(SP)
+	LEAQ         (R11)(AX*4), AX
+	MOVQ         AX, cellsB-16(SP)
+
+	MOVQ  $0, flagsA-48(SP)
+	MOVQ  $0, flagsB-40(SP)
+	MOVQ  distArgs_buf(DI), R9
+	MOVQ  distArgs_rows(DI), BX
+	MOVQ  distArgs_rows+8(DI), CX
+	MOVQ  CX, left-80(SP)
+	TESTQ CX, CX
+	JEQ   rowsdone
+	MOVQ  DX, R10
+	MOVQ  R14, R11
+	MOVQ  R9, R8
+	MOVQ  distArgs_nExp(DI), AX
+	CMPQ  CX, $3
+	JGT   dot4
+	JEQ   dot3
+	CMPQ  CX, $2
+	JEQ   dot2
+	JMP   dot1
+
+dot4:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	TESTQ  AX, AX
+	JEQ    st4
+
+line4:
+	LINE
+	DOTROW(0, Z0, Z1)
+	DOTROW(8, Z2, Z3)
+	DOTROW(16, Z4, Z5)
+	DOTROW(24, Z6, Z7)
+	NEXT
+	JNZ    line4
+	JMP    st4
+
+dot3:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	TESTQ  AX, AX
+	JEQ    st3
+
+line3:
+	LINE
+	DOTROW(0, Z0, Z1)
+	DOTROW(8, Z2, Z3)
+	DOTROW(16, Z4, Z5)
+	NEXT
+	JNZ    line3
+	JMP    st3
+
+dot2:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	TESTQ  AX, AX
+	JEQ    st2
+
+line2:
+	LINE
+	DOTROW(0, Z0, Z1)
+	DOTROW(8, Z2, Z3)
+	NEXT
+	JNZ    line2
+	JMP    st2
+
+dot1:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	TESTQ  AX, AX
+	JEQ    st1
+
+line1:
+	LINE
+	DOTROW(0, Z0, Z1)
+	NEXT
+	JNZ    line1
+	JMP    st1
+
+st4:
+	VMOVUPD Z6, dots-400(SP)
+	VMOVUPD Z7, dots-144(SP)
+
+st3:
+	VMOVUPD Z4, dots-464(SP)
+	VMOVUPD Z5, dots-208(SP)
+
+st2:
+	VMOVUPD Z2, dots-528(SP)
+	VMOVUPD Z3, dots-272(SP)
+
+st1:
+	VMOVUPD Z0, dots-592(SP)
+	VMOVUPD Z1, dots-336(SP)
+	LEAQ    dots-592(SP), SI
+	MOVQ    R9, R12
+	MOVQ    distArgs_nExp(DI), AX
+	SHLQ    $5, AX
+	LEAQ    (R9)(AX*1), R13
+
+row:
+	// The row's sums against both tiles, as scoreRange512 takes them.
+	VMOVAPD      Z20, Z0
+	VMOVAPD      Z21, Z1
+	VMOVAPD      Z22, Z5
+	VMOVAPD      Z23, Z6
+	MOVQ         Row_miss(BX), R8
+	MOVQ         Row_miss+8(BX), R11
+	MOVQ         distArgs_nExp(DI), AX
+	SUBQ         R11, AX
+	VCVTSI2SDQ   AX, X4, X4
+	VBROADCASTSD X4, Z4
+	VMOVAPD      Z4, Z9
+	TESTQ        R11, R11
+	JEQ          sums
+
+qmiss:
+	MOVLQSX (R8), AX
+	ANDQ    $~7, AX
+	VMOVUPD (DX)(AX*8), Z10
+	VMOVUPD (R14)(AX*8), Z11
+	VSUBPD  Z10, Z0, Z0
+	VSUBPD  Z11, Z5, Z5
+	VMULPD  Z10, Z10, Z10
+	VMULPD  Z11, Z11, Z11
+	VSUBPD  Z10, Z1, Z1
+	VSUBPD  Z11, Z6, Z6
+	ADDQ    $4, R8
+	DECQ    R11
+	JNZ     qmiss
+
+sums:
+	VBROADCASTSD Row_t1(BX), Z2
+	VMOVAPD      Z2, Z7
+	VBROADCASTSD Row_t2(BX), Z3
+	VMOVAPD      Z3, Z8
+	MOVQ         distArgs_unit(DI), CX
+	MOVQ         cellsA-32(SP), R8
+	MOVQ         nA-24(SP), R11
+	CELLS(Z2, Z3, Z4, cellA, cellsAdone)
+	MOVQ         cellsB-16(SP), R8
+	MOVQ         nB-8(SP), R11
+	CELLS(Z7, Z8, Z9, cellB, cellsBdone)
+	VMOVSD       Row_t2(BX), X14
+	VMULSD       distArgs_lim(DI), X14, X14
+	VBROADCASTSD X14, Z14
+
+	HALF512(Z0, Z1, Z2, Z3, Z4, Z24, (SI), K1, K2)
+	DSTORE(tA-64(SP), Z4, K1, K2, $0xff, flagsA-48(SP))
+	HALF512(Z5, Z6, Z7, Z8, Z9, Z25, 256(SI), K3, K4)
+	DSTORE(tB-56(SP), Z9, K3, K4, bOn-72(SP), flagsB-40(SP))
+
+	ADDQ $64, SI
+	ADDQ $8, R12
+	ADDQ $8, R13
+	ADDQ $Row__size, BX
+	DECQ left-80(SP)
+	JNE  row
+
+rowsdone:
+	MOVL  flagsA-48(SP), AX
+	TESTL AX, AX
+	JNZ   stopA
+	MOVL  flagsB-40(SP), AX
+	TESTL AX, AX
+	JNZ   stopB
+	MOVQ  tA-64(SP), AX
+	ADDQ  $2, AX
+	MOVQ  AX, tA-64(SP)
+	JMP   pass
+
+stopA:
+	// Go on from B when it stopped too, else from past it.
+	MOVQ  tA-64(SP), AX
+	MOVQ  AX, stop+8(FP)
+	MOVQ  tB-56(SP), AX
+	MOVL  flagsB-40(SP), CX
+	TESTL CX, CX
+	JNZ   stopAB
+	INCQ  AX
+
+stopAB:
+	MOVQ       AX, next+16(FP)
+	VZEROUPPER
+	RET
+
+stopB:
+	MOVQ       tB-56(SP), AX
+	MOVQ       AX, stop+8(FP)
+	INCQ       AX
+	MOVQ       AX, next+16(FP)
+	VZEROUPPER
+	RET
+
+finished:
+	MOVQ       $-1, stop+8(FP)
+	MOVQ       distArgs_end(DI), AX
+	MOVQ       AX, next+16(FP)
 	VZEROUPPER
 	RET

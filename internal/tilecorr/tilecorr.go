@@ -7,10 +7,12 @@
 // correlations over the cells each pair observes jointly — a missing cell
 // costs a correction, not another code path. ScoreRange does both for every
 // tile of a run of rows against every block of a query, and adds each row's
-// mean correlation onto SPELL's exact grid, in one call. All are AVX2+FMA
-// assembly where the CPU has it and the same arithmetic in Go everywhere
-// else; ScoreRange scores two tiles a pass in AVX-512 where the CPU has
-// that, to the same bits. A pair
+// mean correlation onto SPELL's exact grid, in one call; DistanceRange does
+// both for a block against every tile below it, and writes each pair's
+// Pearson distance into a matrix. All are AVX2+FMA assembly where the CPU
+// has it and the same arithmetic in Go everywhere else; ScoreRange and
+// DistanceRange meet two tiles a pass in AVX-512 where the CPU has that, to
+// the same bits. A pair
 // whose one-pass value cannot be trusted to the last bits is reported to the
 // caller, who recomputes it exactly by its own definition: the kernel never
 // chooses the exact routine.
@@ -209,11 +211,12 @@ func Dot(out *[BlockRows * TileRows]float64, tile, qz []float64, nExp int) {
 const (
 	goKernel     = iota // Go everywhere
 	avx2Kernel          // AVX2+FMA assembly
-	avx512Kernel        // ScoreRange in AVX-512, Dot and FinishBlock in AVX2
+	avx512Kernel        // ScoreRange and DistanceRange in AVX-512, Dot and FinishBlock in AVX2
 )
 
 // KernelName names the routines this process runs: "avx512" (amd64 with
-// AVX-512F: ScoreRange's, with Dot and FinishBlock on AVX2), "avx2-fma"
+// AVX-512F: ScoreRange's and DistanceRange's, with Dot and FinishBlock on
+// AVX2), "avx2-fma"
 // (amd64 with AVX2 and FMA) or "go". The two assembly names give the same
 // bits; the Go routines differ from them in the last bits of a correlation
 // (the assembly dot fuses its multiply-adds, the Go loop does not).
@@ -395,22 +398,26 @@ func Split(t float64) (hi, lo float64) {
 // it writes must lie inside every column.
 //
 // It stops at the first tile holding a row of the range that FinishBlock
-// would flag a pair of with q's rows, and returns that tile: the rows of the
-// tiles before it are added, none of its own. The caller scores the tile
-// its own way, adds its rows (AddMeans) and calls again from the next tile.
-// It returns -1 when it has added the whole range.
+// would flag a pair of with q's rows, and returns that tile: none of its
+// rows are added, the rows of the tiles before it are, and so are those of
+// every tile before next, the row to call again from. The caller scores the
+// flagged tile its own way and adds its rows (AddMeans). It returns -1 and
+// r1 when it has added the whole range. The grid's adds are exact, so the
+// order in which a caller adds its tiles shows in no bit.
 //
 // The work is done two tiles a pass by scoreRange512 where start-up chose
-// AVX-512 (kernel), and otherwise one tile at a time by scoreAsm (AVX2) or
-// scoreGo, with the grid adds in Go; the routines give the same bits, and
-// the AVX2 and AVX-512 ones the same bits as each other.
-func (s *Tiles) ScoreRange(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) (flagged int) {
+// AVX-512 (kernel) — a pass whose first tile is flagged still adds its
+// second when that is clean, and next is then past it — and otherwise one
+// tile at a time by scoreAsm (AVX2) or scoreGo, with the grid adds in Go;
+// the routines give the same bits, and the AVX2 and AVX-512 ones the same
+// bits as each other.
+func (s *Tiles) ScoreRange(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) (flagged, next int) {
 	s.checkQuery(q)
 	if r0 < 0 || r1 > min(s.rows, len(gids)) {
 		panic("tilecorr: ScoreRange rows outside the tiles or the gene indices")
 	}
 	if r0 >= r1 {
-		return -1
+		return -1, r1
 	}
 	if kernel < avx512Kernel {
 		return s.scoreTiles(acc, q, gids, w, r0, r1)
@@ -422,34 +429,38 @@ func (s *Tiles) ScoreRange(acc *[4][]float64, q *Query, gids []int32, w float64,
 		gids: gids, acc: acc, accLen: min(len(acc[0]), len(acc[1]), len(acc[2]), len(acc[3])),
 		w: w, cHi: cHi, cLo: cLo, r0: r0, r1: r1,
 	}
-	if flagged = scoreRange512(&a); flagged < -1 {
+	flagged, nextTile := scoreRange512(&a)
+	switch {
+	case flagged < -1:
 		panic("tilecorr: ScoreRange gene index outside the grid")
+	case flagged < 0:
+		return -1, r1
 	}
-	return flagged
+	return flagged, min(r1, TileRows*nextTile)
 }
 
 // scoreTiles is ScoreRange one tile at a time, for the AVX2 and Go
 // routines: scoreAsm or scoreGo over the tile's lanes in the range, then
 // AddMeans.
-func (s *Tiles) scoreTiles(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) int {
+func (s *Tiles) scoreTiles(acc *[4][]float64, q *Query, gids []int32, w float64, r0, r1 int) (flagged, next int) {
 	var sum, n [TileRows]float64
 	lim := s.lim()
 	for t := r0 / TileRows; TileRows*t < r1; t++ {
 		lo, hi := max(r0, TileRows*t), min(r1, TileRows*(t+1))
 		lanes := uint(1)<<(hi-TileRows*t) - uint(1)<<(lo-TileRows*t)
 		tile, t1, t2, cells := s.tileArgs(t)
-		var flagged uint8
+		var flags uint8
 		if kernel >= avx2Kernel {
-			flagged = uint8(scoreAsm(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
+			flags = uint8(scoreAsm(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, &unitLanes, lim, uint64(lanes)))
 		} else {
-			flagged = scoreGo(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, lim, uint8(lanes))
+			flags = scoreGo(&sum, &n, tile, t1, t2, cells, q.Buf, q.Rows, lim, uint8(lanes))
 		}
-		if flagged != 0 {
-			return t
+		if flags != 0 {
+			return t, hi
 		}
 		AddMeans(acc, &sum, &n, gids, w, lo, hi)
 	}
-	return -1
+	return -1, r1
 }
 
 // AddMeans adds rows [r0, r1) of one tile onto the grid as ScoreRange does,
@@ -487,6 +498,98 @@ type rangeArgs struct {
 	accLen        int
 	w, cHi, cLo   float64
 	r0, r1        int
+}
+
+// DistanceRange writes the Pearson distance 1 − r of each row of q — one
+// block, gathered — to every row below it in tiles t0 onwards: for row i of
+// q and each tile t ≥ t0 with a lane j below it (TileRows·t + j < i), it
+// sets dst[i·stride + TileRows·t + j] to 1 − r, r as Dot and FinishBlock
+// compute it. The tiles met end with the last one holding a row below q's
+// largest.
+//
+// It stops at the first tile with such a lane that FinishBlock flags or
+// leaves NaN, and returns that tile: every other lane of the tiles before
+// next, the tile to call again from, is written, and the stopped tile's
+// lanes hold anything at all. The caller computes that tile its own way. It
+// returns -1 and the end when every tile is written.
+//
+// The work is done two tiles a pass by distRange512 where start-up chose
+// AVX-512 (kernel) — a pass whose first tile stops still writes its second
+// when that is clean, and next is then past it — and otherwise one tile at
+// a time by Dot and FinishBlock (distTiles); the AVX2 and AVX-512 routines
+// give the same bits.
+func (s *Tiles) DistanceRange(dst []float64, stride int, q *Query, t0 int) (stop, next int) {
+	s.checkQuery(q)
+	if len(q.Rows) > BlockRows || t0 < 0 || stride < max(1, s.rows) || len(dst)/stride < s.rows {
+		panic("tilecorr: DistanceRange arguments outside the tiles or the matrix")
+	}
+	end := 0
+	for _, r := range q.Rows {
+		if r.Index < 0 || r.Index >= s.rows {
+			panic("tilecorr: DistanceRange row outside the tiles")
+		}
+		end = max(end, (r.Index+TileRows-1)/TileRows)
+	}
+	if t0 >= end {
+		return -1, end
+	}
+	if kernel < avx512Kernel {
+		return s.distTiles(dst, stride, q, t0, end)
+	}
+	return distRange512(&distArgs{
+		zt: s.zt, t1: s.t1, t2: s.t2, missOff: s.missOff, miss: s.miss, nExp: s.nExp,
+		buf: q.Buf, rows: q.Rows, unit: &unitLanes, lim: s.lim(),
+		dst: dst, stride: stride, t0: t0, end: end,
+	})
+}
+
+// distTiles is DistanceRange one tile at a time, for the AVX2 and Go
+// routines: Dot, FinishBlock, then each row's lanes below it.
+func (s *Tiles) distTiles(dst []float64, stride int, q *Query, t, end int) (stop, next int) {
+	var dots, rs [BlockRows * TileRows]float64
+	z, _, _ := q.Block(0, s.nExp)
+	for ; t < end; t++ {
+		Dot(&dots, s.Tile(t), z, s.nExp)
+		flagged := s.FinishBlock(&rs, &dots, t, q, 0)
+		bad := false
+		for k, r := range q.Rows {
+			live := r.Index - TileRows*t // the tile's lanes below row r
+			if live <= 0 {
+				continue
+			}
+			live = min(live, TileRows)
+			below := uint8(flagged>>(TileRows*k)) & (1<<live - 1)
+			out := dst[r.Index*stride+TileRows*t:][:live]
+			for j, c := range rs[TileRows*k:][:live] {
+				if below>>j&1 != 0 || math.IsNaN(c) {
+					bad = true
+				} else {
+					out[j] = 1 - c
+				}
+			}
+		}
+		if bad {
+			return t, t + 1
+		}
+	}
+	return -1, end
+}
+
+// distArgs is what distRange512 reads of a DistanceRange call, by name
+// (go_asm.h): the tiles' arrays, the gathered block, the matrix and its
+// stride, and the tiles [t0, end) to meet. DistanceRange's checks keep
+// every read and every lane written inside them.
+type distArgs struct {
+	zt, t1, t2    []float64
+	missOff, miss []int32
+	nExp          int
+	buf           []float64
+	rows          []Row
+	unit          *[TileRows][TileRows]float64
+	lim           float64
+	dst           []float64
+	stride        int
+	t0, end       int
 }
 
 // scoreGo is one tile of ScoreRange's arithmetic in Go, and the assembly's

@@ -606,15 +606,19 @@ func (c rangeCase) reference(grid *[4][]float64) (stops []int) {
 }
 
 // run calls ScoreRange as the scan does: after each tile it stops at, again
-// from the next one, leaving the stopped tile's rows unadded.
+// from the row it says to go on from, leaving the stopped tile's rows
+// unadded.
 func (c rangeCase) run(grid *[4][]float64) (stops []int) {
 	for r := c.r0; r < c.r1; {
-		tl := c.s.ScoreRange(grid, c.q, c.gids, c.w, r, c.r1)
+		tl, next := c.s.ScoreRange(grid, c.q, c.gids, c.w, r, c.r1)
 		if tl < 0 {
 			break
 		}
+		if next <= r || next > c.r1 || next < min(c.r1, TileRows*(tl+1)) {
+			panic("ScoreRange goes on from a row outside the range or before its own stop")
+		}
 		stops = append(stops, tl)
-		r = min(c.r1, TileRows*(tl+1))
+		r = next
 	}
 	return stops
 }
