@@ -719,10 +719,12 @@ var raceEnabled bool
 
 // TestSearchMissAllocs bounds what a single daemon's /api/search miss
 // allocates, request and recorder included, at BenchmarkF4_SearchHTTP's
-// shape: 153 when written, 213 before the dataset ranks were written
-// without encoding/json and the ranking kept only its best genes. A JSON
-// encode that goes back through reflection per dataset fails here. Under
-// the race detector, whose sync.Pool drops items, it counts nothing.
+// shape: 153 allocations when written, 213 before the dataset ranks were
+// written without encoding/json and the ranking kept only its best genes;
+// and 200 KB, 343 KB before the accumulator came from a pool. A JSON encode
+// that goes back through reflection per dataset fails here, and so does a
+// search that allocates its accumulator afresh. Under the race detector,
+// whose sync.Pool drops items, it counts nothing.
 func TestSearchMissAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")
@@ -738,6 +740,8 @@ func TestSearchMissAllocs(t *testing.T) {
 	}
 	defer srv.Close()
 	ids, i := u.GeneIDs(), 0
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
 	if allocs := testing.AllocsPerRun(20, func() {
 		i++
 		url := "/api/search?q=" + strings.Join(ids[i*7:i*7+4], ",")
@@ -748,6 +752,46 @@ func TestSearchMissAllocs(t *testing.T) {
 		}
 	}); allocs > 160 {
 		t.Errorf("a search miss made %.0f allocations, want <= 160", allocs)
+	}
+	runtime.ReadMemStats(&ms1)
+	bytes := (ms1.TotalAlloc - ms0.TotalAlloc) / uint64(i)
+	t.Logf("a search miss: %d bytes", bytes)
+	if bytes > 200<<10 {
+		t.Errorf("a search miss allocated %d bytes, want <= %d", bytes, 200<<10)
+	}
+}
+
+// TestScatterBytes bounds what one scattered search allocates fleet-wide —
+// the coordinator, four loopback shards at R=2 and the HTTP between them —
+// at the paper compendium's shape: 300 KB, 1.84 MB before the accumulator
+// columns came from a pool, the answers named the gene columns the
+// coordinator holds, and a constant column crossed as one value. Under the
+// race detector, whose sync.Pool drops items, it counts nothing.
+func TestScatterBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts under the race detector are not the program's")
+	}
+	u := synth.NewUniverse(paperGenes, 20, 73)
+	coord := newScatterBench(t, 4, 2, paperCompendium(u, 0.02), nil)
+	query := u.ModuleGeneIDs(4)[:4]
+	search := func() {
+		res, meta, err := coord.SearchCtx(context.Background(), query, spell.Options{MaxGenes: 50})
+		if err != nil || meta.Degraded || len(res.Genes) != 50 {
+			t.Fatalf("scatter: %v, meta %+v", err, meta)
+		}
+	}
+	search() // the first carries the gene columns, and opens the connections
+	const n = 20
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for range n {
+		search()
+	}
+	runtime.ReadMemStats(&ms1)
+	bytes := (ms1.TotalAlloc - ms0.TotalAlloc) / n
+	t.Logf("a scattered search: %d bytes", bytes)
+	if bytes > 300<<10 {
+		t.Errorf("a scattered search allocated %d bytes, want <= %d", bytes, 300<<10)
 	}
 }
 
@@ -764,12 +808,12 @@ func TestSearchMissAllocs(t *testing.T) {
 // overhead dominates (and only when the host has at least N cores). Compare
 // Scatter{1,2,4}Shards sec/op.
 
-// newScatterBench boots nShards shard daemons over dss and returns the
-// coordinator over them.
-func newScatterBench(b *testing.B, nShards int, dss []*microarray.Dataset, enricher *golem.Enricher) *shard.Coordinator {
+// newScatterBench boots nShards shard daemons at replication repl over dss
+// and returns the coordinator over them.
+func newScatterBench(b testing.TB, nShards, repl int, dss []*microarray.Dataset, enricher *golem.Enricher) *shard.Coordinator {
 	b.Helper()
 	fleet, err := fleettest.New(fleettest.Spec[*server.Server]{
-		Datasets: dss, Shards: nShards,
+		Datasets: dss, Shards: nShards, Replication: repl,
 		Coordinator: shard.Config{Deadline: time.Minute},
 		Boot: func(m fleettest.Member) (*server.Server, error) {
 			return server.New(server.Config{
@@ -797,11 +841,11 @@ func benchScatter(b *testing.B, nShards int) {
 			NumDatasets: 24, MinExperiments: 80, MaxExperiments: 120,
 			ActiveFraction: 0.4, Noise: 0.25, Seed: 74,
 		})
-		runScatter(b, newScatterBench(b, nShards, dss, nil), u.ModuleGeneIDs(4)[:4])
+		runScatter(b, newScatterBench(b, nShards, 1, dss, nil), u.ModuleGeneIDs(4)[:4])
 	})
 	b.Run("paper-6000x24/missing=0.02", func(b *testing.B) {
 		u := synth.NewUniverse(paperGenes, 20, 73)
-		runScatter(b, newScatterBench(b, nShards, paperCompendium(u, 0.02), nil), u.ModuleGeneIDs(4)[:4])
+		runScatter(b, newScatterBench(b, nShards, 1, paperCompendium(u, 0.02), nil), u.ModuleGeneIDs(4)[:4])
 	})
 }
 
@@ -829,9 +873,10 @@ func BenchmarkF5_Scatter4Shards(b *testing.B) { benchScatter(b, 4) }
 // owner pairs), every group partial listing all 6,000 genes.
 
 // paperGroups is the fixture: an engine over the first n two-dataset groups
-// of the paper compendium, and the function that scans groups [lo, hi) of it
-// for one query in one pass, as a shard answers a request naming them.
-func paperGroups(b testing.TB, n int) func(lo, hi int) *spell.Partial {
+// of the paper compendium, the function that scans groups [lo, hi) of it for
+// one query in one pass, as a shard answers a request naming them, and the
+// hop its answers take to a coordinator.
+func paperGroups(b testing.TB, n int) (scan func(lo, hi int) *spell.Partial, h *wireHop) {
 	b.Helper()
 	u := synth.NewUniverse(paperGenes, 20, 73)
 	engine, err := spell.NewEngine(paperCompendium(u, 0.02)[:2*n])
@@ -851,7 +896,7 @@ func paperGroups(b testing.TB, n int) func(lo, hi int) *spell.Partial {
 			b.Fatalf("groups [%d,%d): partial lists %d genes, %d datasets", lo, hi, len(p.IDs), len(p.Datasets))
 		}
 		return p
-	}
+	}, &wireHop{engine: engine}
 }
 
 // BenchmarkF5_GroupPartial: one 6,000-gene two-dataset group partial,
@@ -859,49 +904,66 @@ func paperGroups(b testing.TB, n int) func(lo, hi int) *spell.Partial {
 // shipped: computing it costs less than moving it, which is why a drained
 // shard hands its successors nothing (DESIGN.md §7).
 func BenchmarkF5_GroupPartial(b *testing.B) {
-	scan := paperGroups(b, 1)
+	scan, _ := paperGroups(b, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scan(0, 1)
+		scan(0, 1).Release()
 	}
 }
 
-// answerTrip is one search answer's trip over the shard hop, minus the
-// socket: its body appended to the shard's reused buffer, and decoded by the
-// coordinator.
-func answerTrip(b testing.TB, buf *[]byte, a *shard.SearchAnswer) (decoded shard.SearchAnswer, wireBytes int) {
-	body, err := a.AppendBinary((*buf)[:0])
+// wireHop is the shard hop minus the socket, on the path the fleet takes:
+// the shard's engine frames an answer into the shard's reused buffer, naming
+// the gene columns the coordinator holds by digest, and the coordinator
+// decodes it against what it held — after the first trip, which carries
+// them, the pair is held.
+type wireHop struct {
+	engine *spell.Engine
+	genes  spell.GeneColumns
+	buf    []byte
+}
+
+// answerTrip is one search answer's trip over the hop.
+func answerTrip(b testing.TB, h *wireHop, a *shard.SearchAnswer) (decoded shard.SearchAnswer, wireBytes int) {
+	held := h.genes.Held()
+	body, err := a.AppendFrames(h.buf[:0], func(b []byte, p *spell.Partial) ([]byte, error) {
+		return h.engine.AppendPartial(b, p, held.Digests())
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	*buf = body
-	if err := decoded.UnmarshalBinary(body); err != nil {
+	h.buf = body
+	if err := decoded.UnmarshalShared(body, held); err != nil {
 		b.Fatal(err)
 	}
 	return decoded, len(body)
 }
 
-// partialWireTrip is one group partial's trip over the shard hop: the
-// answer body of one part carrying it.
-func partialWireTrip(b testing.TB, buf *[]byte, p *spell.Partial) (decoded spell.Partial, wireBytes int) {
-	a, n := answerTrip(b, buf, &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0}, Partial: p}}})
+// partialWireTrip is one group partial's trip over the hop: the answer body
+// of one part carrying it.
+func partialWireTrip(b testing.TB, h *wireHop, p *spell.Partial) (decoded spell.Partial, wireBytes int) {
+	a, n := answerTrip(b, h, &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0}, Partial: p}}})
 	return *a.Parts[0].Partial, n
 }
 
 // BenchmarkF5_PartialWire: the answer-body round trip of one 6,000-gene
-// group partial (DESIGN.md §4 has the numbers).
+// group partial, the decoded columns released as a coordinator does once it
+// has merged (DESIGN.md §4 has the numbers).
 func BenchmarkF5_PartialWire(b *testing.B) {
-	p := paperGroups(b, 1)(0, 1)
-	var buf []byte
-	_, n := partialWireTrip(b, &buf, p)
+	scan, h := paperGroups(b, 1)
+	p := scan(0, 1)
+	back, _ := partialWireTrip(b, h, p) // the coordinator takes the gene columns in
+	back.Release()
+	_, n := partialWireTrip(b, h, p)
 	b.SetBytes(int64(n))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if back, _ := partialWireTrip(b, &buf, p); len(back.IDs) != paperGenes {
+		back, _ := partialWireTrip(b, h, p)
+		if len(back.IDs) != paperGenes {
 			b.Fatalf("decoded %d genes", len(back.IDs))
 		}
+		back.Release()
 	}
 }
 
@@ -914,10 +976,11 @@ func BenchmarkF5_PartialWire(b *testing.B) {
 // "rendezvous" as it was done per request before there was one.
 func BenchmarkF5_ShardBatch(b *testing.B) {
 	b.Run("scan+frame", func(b *testing.B) {
-		scan := paperGroups(b, 3)
-		var buf []byte
+		scan, h := paperGroups(b, 3)
 		trip := func() shard.SearchAnswer {
-			decoded, n := answerTrip(b, &buf, &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: scan(0, 3)}}})
+			a := &shard.SearchAnswer{Parts: []shard.SearchPart{{Groups: []int{0, 1, 2}, Partial: scan(0, 3)}}}
+			decoded, n := answerTrip(b, h, a)
+			a.Release() // the shard's handler, once the frame is written
 			b.SetBytes(int64(n))
 			return decoded
 		}
@@ -927,7 +990,8 @@ func BenchmarkF5_ShardBatch(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			trip()
+			back := trip()
+			back.Release() // the coordinator, once it has merged
 		}
 	})
 
@@ -967,11 +1031,10 @@ func BenchmarkF5_ShardBatch(b *testing.B) {
 // benchMerge is the coordinator's serial step: n decoded partials — the
 // paper compendium cut n ways — merged into the top 20.
 func benchMerge(b *testing.B, n int) {
-	scan := paperGroups(b, 12)
-	var buf []byte
+	scan, h := paperGroups(b, 12)
 	parts := make([]spell.Partial, 0, n)
 	for i := 0; i < n; i++ {
-		back, _ := partialWireTrip(b, &buf, scan(i*12/n, (i+1)*12/n))
+		back, _ := partialWireTrip(b, h, scan(i*12/n, (i+1)*12/n))
 		parts = append(parts, back)
 	}
 	b.ReportAllocs()
@@ -995,10 +1058,10 @@ func BenchmarkF5_Merge12(b *testing.B) { benchMerge(b, 12) }
 // partial that goes back to one struct per gene, or a wire form that goes
 // back through reflection, costs two allocations per gene and fails here.
 func TestPartialWireAllocs(t *testing.T) {
-	p := paperGroups(t, 1)(0, 1)
-	var buf []byte
-	partialWireTrip(t, &buf, p) // size the buffer once, as a warm server has
-	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, &buf, p) }); allocs > 30 {
+	scan, h := paperGroups(t, 1)
+	p := scan(0, 1)
+	partialWireTrip(t, h, p) // size the buffer once, as a warm server has
+	if allocs := testing.AllocsPerRun(10, func() { partialWireTrip(t, h, p) }); allocs > 30 {
 		t.Errorf("one group partial's wire round trip made %.0f allocations, want <= 30", allocs)
 	}
 }
@@ -1025,7 +1088,7 @@ func benchEnrichScatter(b *testing.B, nShards int) {
 	dss, _ := synth.NewUniverse(100, 5, 91).GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: 4 * nShards, MinExperiments: 4, MaxExperiments: 6, Seed: 92,
 	})
-	coord := newScatterBench(b, nShards, dss, f.enricher)
+	coord := newScatterBench(b, nShards, 1, dss, f.enricher)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

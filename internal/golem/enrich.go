@@ -5,13 +5,14 @@
 // correction, extraction of the local DAG neighbourhood around significant
 // terms, and a layered layout of that neighbourhood for display.
 //
-// Scoring runs on a dense bitset kernel (the same playbook as the SPELL and
-// clustering kernels): NewEnricher interns the background into an integer
-// gene index and packs every testable term's annotated-gene set into one
-// []uint64 bitset row of a shared arena, so Analyze is one selection bitset
-// plus an AND-popcount per term — no map walks, no string hashing, no
-// per-call sorting. internal/oracle's Terms.Enrich is the map-walk
-// definition the kernel is held to by parity_test.go.
+// Counting runs from the selection's side: NewEnricher interns the
+// background into an integer gene index and inverts the propagated
+// annotations into one gene→term list (CSR: an offset per gene into one
+// array of term rows), so an analysis adds one to each term of each selected
+// gene — work in proportion to the selection's annotations, not to the
+// number of terms — with no map walks past the interning and no per-call
+// sorting. internal/oracle's Terms.Enrich is the map-walk definition the
+// kernel is held to by parity_test.go.
 package golem
 
 import (
@@ -20,6 +21,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"slices"
 	"sort"
 
 	"forestview/internal/ontology"
@@ -52,8 +54,7 @@ type Enrichment struct {
 	Fold float64
 }
 
-// termEntry is one testable term in the kernel's sorted arena. Its bitset
-// row lives at bits[row*words : (row+1)*words].
+// termEntry is one testable term, at its row of the TermID-sorted list.
 type termEntry struct {
 	id   string
 	name string
@@ -66,13 +67,15 @@ type termEntry struct {
 // An Enricher is immutable after NewEnricher and safe for concurrent use;
 // it keeps nothing of the ontology and annotations it was built from.
 type Enricher struct {
-	// The dense kernel state: every background gene owns one bit position,
-	// every testable term one packed bitset row in a shared arena, rows in
-	// ascending TermID order so Analyze needs no per-call sort.
-	geneIdx map[string]int32 // background gene -> bit position [0, N)
-	words   int              // uint64 words per bitset row: ceil(N/64)
-	terms   []termEntry      // sorted by TermID
-	bits    []uint64         // term arena, len = len(terms)*words
+	// The kernel state: every background gene owns one position, every
+	// testable term one row, rows in ascending TermID order so Analyze needs
+	// no per-call sort. The term rows annotating gene g are
+	// geneTerms[geneStart[g]:geneStart[g+1]], ascending.
+	geneIdx   map[string]int32 // background gene -> position [0, N)
+	words     int              // ceil(N/64): slices cut the positions at multiples of 64
+	terms     []termEntry      // sorted by TermID
+	geneStart []int32          // len N+1
+	geneTerms []int32
 
 	// fingerprint identifies the exact kernel layout (gene bit order, term
 	// rows, per-term K) so distributed partials from differently-built
@@ -107,11 +110,10 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 		}
 	}
 	// The propagated per-term gene sets are needed only transiently here:
-	// they compile into the packed arena and are then released, so the
+	// they compile into the gene→term list and are then released, so the
 	// serving path never carries the map-of-maps weight.
 	termGenes := e.termGenes(o, direct)
 
-	// Pack the term arena in sorted order.
 	N := len(e.geneIdx)
 	e.words = (N + 63) / 64
 	e.terms = make([]termEntry, 0, len(termGenes))
@@ -120,7 +122,10 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 		ids = append(ids, t)
 	}
 	sort.Strings(ids)
-	e.bits = make([]uint64, len(ids)*e.words)
+	// Every (gene, row) annotation once, in row order; a counting sort by
+	// gene then lays them out, each gene's rows ascending.
+	var pairs [][2]int32
+	e.geneStart = make([]int32, N+1)
 	for row, id := range ids {
 		set := termGenes[id]
 		name := id
@@ -128,14 +133,23 @@ func NewEnricher(o *ontology.Ontology, direct *ontology.Annotations, background 
 			name = t.Name
 		}
 		e.terms = append(e.terms, termEntry{id: id, name: name, k: len(set)})
-		tb := e.bits[row*e.words : (row+1)*e.words]
 		for g := range set {
 			gi := e.geneIdx[g]
-			tb[gi>>6] |= 1 << uint(gi&63)
+			pairs = append(pairs, [2]int32{gi, int32(row)})
+			e.geneStart[gi+1]++
 		}
 	}
+	for g := range N {
+		e.geneStart[g+1] += e.geneStart[g]
+	}
+	e.geneTerms = make([]int32, len(pairs))
+	next := slices.Clone(e.geneStart[:N])
+	for _, p := range pairs {
+		e.geneTerms[next[p[0]]] = p[1]
+		next[p[0]]++
+	}
 	// Fold the term layout into the fingerprint: row order, IDs and per-term
-	// K pin the arena shape a PartialCounts was computed against.
+	// K pin the term rows a PartialCounts was computed against.
 	var buf [8]byte
 	for i := range e.terms {
 		fp.Write([]byte(e.terms[i].id))
@@ -205,15 +219,10 @@ func (e *Enricher) Analyze(selection []string, opt Options) ([]Enrichment, error
 	return e.AnalyzeCtx(context.Background(), selection, opt)
 }
 
-// countShardTerms is the minimum number of terms a single worker keeps:
-// below par×this, the AND-popcount pass runs serially — goroutine handoff
-// would cost more than the counting.
-const countShardTerms = 256
-
-// AnalyzeCtx is Analyze with cancellation: the term-count shards poll ctx,
-// so a disconnected client stops paying for its enrichment mid-scan. The
-// result is identical to Analyze's for a live context; a canceled one
-// returns ctx.Err().
+// AnalyzeCtx is Analyze with cancellation: a context that is done before
+// the count returns ctx.Err(), so a disconnected client's enrichment costs
+// nothing past the check. The result is identical to Analyze's for a live
+// context.
 //
 // An analysis is the merge of the one slice that covers the whole
 // background: a single process is a fleet of one, and runs the count pass

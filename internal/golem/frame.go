@@ -87,17 +87,21 @@ func (p *PartialCounts) UnmarshalBinary(data []byte) error {
 	if !r.Need(ns + 8*nt) {
 		return r.Close()
 	}
+	flags, counts := r.Take(ns), r.Take(8*nt)
+	if err := r.Close(); err != nil {
+		return err
+	}
 	out.InBackground = make([]bool, ns)
-	for i := range out.InBackground {
-		out.InBackground[i] = r.Byte(1) == 1
+	for i, f := range flags {
+		if f > 1 {
+			return fmt.Errorf("golem: partial-counts frame: InBackground flag %d is %d, not 0 or 1", i, f)
+		}
+		out.InBackground[i] = f == 1
 	}
 	// One allocation cut two ways.
 	vals := make([]int32, 2*nt)
 	for i := range vals {
-		vals[i] = int32(r.U32())
-	}
-	if err := r.Close(); err != nil {
-		return err
+		vals[i] = int32(binary.LittleEndian.Uint32(counts[4*i:]))
 	}
 	out.Selected, out.Background = vals[:nt:nt], vals[nt:]
 	*p = out

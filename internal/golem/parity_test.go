@@ -162,10 +162,9 @@ func TestKernelMatchesReference(t *testing.T) {
 }
 
 // TestKernelMatchesReferenceSharded runs the golden parity at an ontology
-// large enough that the AND-popcount pass fans out across workers
-// (par > 1 needs >= 2*countShardTerms testable terms), so a shard-boundary
-// bug in the chunk math cannot hide behind the serial path the smaller
-// fixtures take.
+// of at least 2*countShardTerms testable terms, where a gene carries many
+// term rows in the gene→term list, so a bug in laying that list out cannot
+// hide behind the few rows a gene has in the smaller fixtures.
 func TestKernelMatchesReferenceSharded(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		t.Skip("needs GOMAXPROCS >= 2 to exercise the sharded counting path")

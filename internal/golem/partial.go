@@ -3,21 +3,19 @@ package golem
 import (
 	"context"
 	"fmt"
-	mbits "math/bits"
-	"runtime"
-	"sync"
 
 	"forestview/internal/stats"
 )
 
 // An analysis is a counting pass and a pure merge, the same shape as
-// spell.PartialSearchSubsetCtx/Merge. The background bitset is partitioned by
-// contiguous *word ranges*: slice gi of G covers arena words
-// [gi*W/G, (gi+1)*W/G), so each shard popcounts ~1/G of every term row and
-// the per-slice 2×2 tallies are plain integers that sum — over a full
-// partition — to exactly the global k, K, n, N the hypergeometric is fed.
-// Analyze is slice 0 of 1, merged: the answer of a fleet is the answer of
-// one process bit-for-bit, because both are MergeCounts over the same sums.
+// spell.PartialSearchSubsetCtx/Merge. The background is partitioned by
+// contiguous gene positions cut at multiples of 64: slice gi of G covers
+// positions [64·(gi·W/G), 64·((gi+1)·W/G)) of the W = ⌈N/64⌉ words a
+// bitset of the universe would take, so the per-slice 2×2 tallies are plain
+// integers that sum — over a full partition — to exactly the global k, K, n,
+// N the hypergeometric is fed. Analyze is slice 0 of 1, merged: the answer
+// of a fleet is the answer of one process bit-for-bit, because both are
+// MergeCounts over the same sums.
 
 // TermInfo names one testable term for merge-time result assembly.
 type TermInfo struct {
@@ -67,10 +65,13 @@ func (e *Enricher) PartialAnalyze(selection []string, slice, slices int) (*Parti
 	return e.PartialAnalyzeCtx(context.Background(), selection, slice, slices)
 }
 
-// PartialAnalyzeCtx computes one slice's PartialCounts, polling ctx between
-// term chunks. It does not error on an empty slice-local selection: a slice
-// legitimately holding none of the genes still contributes its background
-// tallies to the global table, and ErrNoSelection is for the merge to say.
+// PartialAnalyzeCtx computes one slice's PartialCounts: Selected from the
+// selection's genes in the slice, Background from all of the slice's genes,
+// each gene adding one to every term it is annotated to. A context that is
+// done before the count is its error. It does not error on an empty
+// slice-local selection: a slice legitimately holding none of the genes
+// still contributes its background tallies to the global table, and
+// ErrNoSelection is for the merge to say.
 func (e *Enricher) PartialAnalyzeCtx(ctx context.Context, selection []string, slice, slices int) (*PartialCounts, error) {
 	if slices < 1 || slice < 0 || slice >= slices {
 		return nil, fmt.Errorf("golem: slice %d of %d out of range", slice, slices)
@@ -78,107 +79,48 @@ func (e *Enricher) PartialAnalyzeCtx(ctx context.Context, selection []string, sl
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// One full-universe selection bitset — duplicate and out-of-background
-	// IDs vanish here. The slice restriction happens at the word range, not
-	// at interning, so the InBackground disclosure stays slice-independent.
-	sel := make([]uint64, e.words)
-	inBG := make([]bool, len(selection))
+	N, T := len(e.geneIdx), len(e.terms)
+	lo := min(64*(slice*e.words/slices), N)
+	hi := min(64*((slice+1)*e.words/slices), N)
+	counts := make([]int32, 2*T) // one allocation cut two ways
+	p := &PartialCounts{
+		Fingerprint:    e.fingerprint,
+		Slice:          slice,
+		Slices:         slices,
+		BackgroundSize: hi - lo,
+		InBackground:   make([]bool, len(selection)),
+		Selected:       counts[:T:T],
+		Background:     counts[T:],
+	}
+	// The InBackground disclosure is over the full universe, so it is the
+	// same on every slice; a gene named twice counts once.
+	seen := make([]uint64, (hi-lo+63)/64)
 	for i, g := range selection {
-		if gi, ok := e.geneIdx[g]; ok {
-			inBG[i] = true
-			sel[gi>>6] |= 1 << uint(gi&63)
+		gi, ok := e.geneIdx[g]
+		if !ok {
+			continue
+		}
+		p.InBackground[i] = true
+		at := int(gi) - lo
+		if at < 0 || int(gi) >= hi || seen[at>>6]&(1<<(at&63)) != 0 {
+			continue
+		}
+		seen[at>>6] |= 1 << (at & 63)
+		p.SelectionSize++
+		for _, t := range e.geneTerms[e.geneStart[gi]:e.geneStart[gi+1]] {
+			p.Selected[t]++
 		}
 	}
-
-	N := len(e.geneIdx)
-	wlo := slice * e.words / slices
-	whi := (slice + 1) * e.words / slices
-	p := &PartialCounts{
-		Fingerprint:  e.fingerprint,
-		Slice:        slice,
-		Slices:       slices,
-		InBackground: inBG,
-		Selected:     make([]int32, len(e.terms)),
-		Background:   make([]int32, len(e.terms)),
-	}
-	// Slice-local N: bit positions in [wlo*64, whi*64) clamped to the
-	// universe (the last word's tail bits are never claimed).
-	if hiBit := whi * 64; hiBit > N {
-		p.BackgroundSize = N - wlo*64
-	} else {
-		p.BackgroundSize = (whi - wlo) * 64
-	}
-	if p.BackgroundSize < 0 {
-		p.BackgroundSize = 0
-	}
-	for _, w := range sel[wlo:whi] {
-		p.SelectionSize += mbits.OnesCount64(w)
-	}
-
-	// Per-term AND-popcounts over the word range, sharded across workers
-	// for large ontologies. Each worker owns a disjoint term range — no
-	// locks, deterministic output.
-	par := runtime.GOMAXPROCS(0)
-	sliceWords := whi - wlo
-	if sliceWords == 0 {
-		return p, nil // empty range: all-zero tallies are the exact answer
-	}
-	// Scale the serial cutoff by the slice fraction: a 1/G slice does 1/G
-	// the popcount work per term, so it takes G× the terms to justify a
-	// goroutine.
-	minTerms := countShardTerms * e.words / sliceWords
-	if max := len(e.terms) / minTerms; par > max {
-		par = max
-	}
-	if par <= 1 {
-		if err := e.partialCountRange(ctx, sel, p, wlo, whi, 0, len(e.terms)); err != nil {
-			return nil, err
+	if lo == 0 && hi == N {
+		for t := range e.terms {
+			p.Background[t] = int32(e.terms[t].k)
 		}
 		return p, nil
 	}
-	var wg sync.WaitGroup
-	chunk := (len(e.terms) + par - 1) / par
-	for w := 0; w < par; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(e.terms) {
-			hi = len(e.terms)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			_ = e.partialCountRange(ctx, sel, p, wlo, whi, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	for _, t := range e.geneTerms[e.geneStart[lo]:e.geneStart[hi]] {
+		p.Background[t]++
 	}
 	return p, nil
-}
-
-// partialCountRange fills p.Selected/p.Background[lo:hi] with popcounts of
-// term-row words [wlo, whi), polling ctx between terms.
-func (e *Enricher) partialCountRange(ctx context.Context, sel []uint64, p *PartialCounts, wlo, whi, lo, hi int) error {
-	words := e.words
-	selRange := sel[wlo:whi]
-	for i := lo; i < hi; i++ {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		row := e.bits[i*words+wlo : i*words+whi]
-		row = row[:len(selRange)] // one bounds check for the fused loop
-		k, kb := 0, 0
-		for w, s := range selRange {
-			k += mbits.OnesCount64(row[w] & s)
-			kb += mbits.OnesCount64(row[w])
-		}
-		p.Selected[i] = int32(k)
-		p.Background[i] = int32(kb)
-	}
-	return nil
 }
 
 // MergeCounts sums a set of slice partials into global 2×2 tables and scores
@@ -188,7 +130,7 @@ func (e *Enricher) partialCountRange(ctx context.Context, sel []uint64, p *Parti
 // selection — Analyze's 1 included — gives one bit-identical table. Over a
 // *subset* of slices — a degraded scatter — it is still a valid exact
 // analysis, just over the reduced background the reachable slices cover.
-// The arena is TermID-sorted, so the tested family accumulates in the
+// The term rows are TermID-sorted, so the tested family accumulates in the
 // reference's deterministic order.
 //
 // Every partial must carry the catalog's fingerprint and agree on Slices;

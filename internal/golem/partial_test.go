@@ -63,6 +63,10 @@ func TestMergeCountsMatchesAnalyze(t *testing.T) {
 	}
 }
 
+// countShardTerms sizes TestKernelMatchesReferenceSharded's large fixture:
+// at least twice this many testable terms.
+const countShardTerms = 256
+
 // TestPartialAnalyzeTallies pins the slice-local invariants: background
 // sizes partition N exactly, selection sizes partition n, per-term counts
 // sum to the full-scan counts, and the InBackground disclosure is identical

@@ -34,14 +34,19 @@ type local struct{ s *Server }
 // handleShardSearch serves POST /api/shard/v1/search: a shard.SearchRequest
 // body in, a shard.SearchAnswer body out — one spell.Partial frame over the
 // requested groups' datasets, dataset indexes already remapped to the global
-// compendium order.
+// compendium order. The handler owns the partials' accumulator columns and
+// releases them once their frames are written.
 func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilitySearch,
 		func(req *shard.SearchRequest) *[]string { return &req.Query }, local{s}.Search,
-		func(a *shard.SearchAnswer, b []byte) ([]byte, error) {
+		func(req *shard.SearchRequest, a *shard.SearchAnswer, b []byte) ([]byte, error) {
+			defer a.Release()
 			// The current engine: after a reload it owns none of the
 			// partials' genes, and they are encoded afresh.
-			return a.AppendFrames(b, s.shardState().engine.AppendPartial)
+			engine := s.shardState().engine
+			return a.AppendFrames(b, func(b []byte, p *spell.Partial) ([]byte, error) {
+				return engine.AppendPartial(b, p, req.Genes)
+			})
 		})
 }
 
@@ -52,18 +57,20 @@ func (s *Server) handleShardSearch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleShardEnrich(w http.ResponseWriter, r *http.Request) {
 	serveShardPartial(s, w, r, shard.CapabilityEnrich,
 		func(req *shard.EnrichRequest) *[]string { return &req.Selection }, local{s}.Enrich,
-		(*shard.EnrichAnswer).AppendBinary)
+		func(_ *shard.EnrichRequest, a *shard.EnrichAnswer, b []byte) ([]byte, error) {
+			return a.AppendBinary(b)
+		})
 }
 
 // serveShardPartial is the one decode → canonicalize → serve → error-map
 // path behind both partial endpoints; kind is the capability name, genes
 // points at the request's gene list (canonicalized in place), partial
-// computes the answer and encode appends its body.
+// computes the answer and encode appends its body for the request.
 func serveShardPartial[R, A any, PR interface {
 	*R
 	UnmarshalBinary([]byte) error
 }](s *Server, w http.ResponseWriter, r *http.Request, kind string,
-	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error), encode func(*A, []byte) ([]byte, error)) {
+	genes func(*R) *[]string, partial func(context.Context, string, *R) (*A, error), encode func(*R, *A, []byte) ([]byte, error)) {
 	if r.Method != http.MethodPost {
 		s.writeJSONError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a shard "+kind+" request body")
 		return
@@ -90,7 +97,7 @@ func serveShardPartial[R, A any, PR interface {
 	case err != nil:
 		s.writeJSONError(w, http.StatusUnprocessableEntity, codeUnprocessable, err.Error())
 	default:
-		s.writeBody(w, "partial "+kind, shard.AnswerContentType, func(b []byte) ([]byte, error) { return encode(answer, b) })
+		s.writeBody(w, "partial "+kind, shard.AnswerContentType, func(b []byte) ([]byte, error) { return encode(&req, answer, b) })
 	}
 }
 
@@ -208,12 +215,14 @@ func (l local) Search(ctx context.Context, _ string, req *shard.SearchRequest) (
 		}
 		p, err := s.scanPartial(ctx, st, ids, v.held[gi], req.Uniform)
 		if err != nil {
+			answer.Release()
 			return nil, err
 		}
 		answer.Parts = append(answer.Parts, shard.SearchPart{Groups: []int{pos}, Partial: p})
 	}
 	if len(whole.Groups) > 0 {
 		if whole.Partial, err = s.scanPartial(ctx, st, ids, union, req.Uniform); err != nil {
+			answer.Release()
 			return nil, err
 		}
 		answer.Parts = append(answer.Parts, whole)
@@ -272,9 +281,9 @@ func (s *Server) writeBody(w http.ResponseWriter, what, contentType string, enco
 	_, _ = w.Write(b)
 }
 
-// bodyBuffers recycles writeBody's buffer. A search answer is one ≈185 KB
-// frame at paper scale, encoded per request; grown from empty each time, the
-// buffer alone was a ninth of what a scattered search allocated fleet-wide.
+// bodyBuffers recycles writeBody's buffer. A search answer is one ≈96 KB
+// frame at paper scale, encoded per request; grown from empty each time,
+// the buffer would be most of what a scattered search allocates.
 var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
 
 // Enrich serves the slice tallies for one canonical selection: one

@@ -77,7 +77,7 @@ func (e *endpointStats) snapshot() EndpointSnapshot {
 }
 
 // enrichKernelStats tracks GOLEM kernel executions behind the enrich cache:
-// how often /api/enrich actually ran the bitset scan (vs being absorbed by
+// how often /api/enrich actually ran the count pass (vs being absorbed by
 // the LRU or a coalesced flight), how those runs ended, and what they cost.
 type enrichKernelStats struct {
 	analyses  atomic.Int64 // kernel executions

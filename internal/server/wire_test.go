@@ -16,7 +16,7 @@ import (
 // coordinator with the package's default HTTP client.
 func wideFleet(t *testing.T, nShards, repl, nDatasets int) (*fleettest.Fleet[*Server], []string) {
 	t.Helper()
-	u := synth.NewUniverse(2600, 10, 91)
+	u := synth.NewUniverse(4400, 10, 91)
 	dss, _ := u.GenerateCompendium(synth.CompendiumSpec{
 		NumDatasets: nDatasets, MinExperiments: 6, MaxExperiments: 8,
 		ActiveFraction: 0.5, Noise: 0.3, Seed: 92,
@@ -74,10 +74,10 @@ func TestScatterReusesShardConnections(t *testing.T) {
 				t.Fatalf("fixture: %d groups over %d shards", groups, tc.nShards)
 			}
 			for si, m := range fleet.Members() {
-				// A frame lists every gene of the shard's engine: 32 bytes of
-				// accumulators, and the ID and the name with their lengths, 12
-				// bytes at the least.
-				if genes := m.Engine.NumGenes(); genes*44 <= 64<<10 {
+				// A frame lists every gene of the shard's engine: once the
+				// coordinator holds the gene columns and with the count columns
+				// one value each, 16 bytes of accumulators a gene.
+				if genes := m.Engine.NumGenes(); genes*16 <= 64<<10 {
 					t.Fatalf("fixture: shard %d frames %d genes, want frames over 64 KB", si, genes)
 				}
 				// One connection for the scatters, and one more at most: the

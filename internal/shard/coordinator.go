@@ -426,7 +426,9 @@ func (c *Coordinator) SearchCtx(ctx context.Context, query []string, opt spell.O
 	return res, meta, err
 }
 
-// searchRound is one scatter and merge, for one accumulator pair.
+// searchRound is one scatter and merge, for one accumulator pair. It owns
+// the merged partials' accumulator columns, and releases them once Merge
+// returns: Merge copies out whatever its result keeps.
 func (c *Coordinator) searchRound(ctx context.Context, query []string, opt spell.Options, uniform bool) (*spell.Result, Meta, error) {
 	sc, err := scatter(ctx, c, query, searchOp(c.backend, uniform))
 	if err != nil {
@@ -437,6 +439,9 @@ func (c *Coordinator) searchRound(ctx context.Context, query []string, opt spell
 		parts[i] = *p
 	}
 	res, err := spell.Merge(parts, opt)
+	for _, p := range sc.parts {
+		p.Release()
+	}
 	if err != nil {
 		if sc.meta.Degraded && errors.Is(err, spell.ErrNoQueryGenes) {
 			// The survivors can't rule the genes in OR out.

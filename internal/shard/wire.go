@@ -115,6 +115,11 @@ type SearchRequest struct {
 	// set for the UniformWeights ablation and on the second round of a query
 	// whose merged coherences all clamp to zero.
 	Uniform bool
+
+	// Genes names the gene column pairs the coordinator holds
+	// (spell.GeneColumns): a frame whose pair is one of them names it by
+	// digest instead of carrying it.
+	Genes []spell.GenesDigest
 }
 
 // SearchAnswer is a shard's reply to a SearchRequest. In the common case it
@@ -178,21 +183,36 @@ func (a *SearchAnswer) AppendFrames(b []byte, frame func([]byte, *spell.Partial)
 // UnmarshalBinary decodes an answer body into a, replacing its contents. A
 // body it rejects leaves a untouched; it never panics, and it allocates at
 // most a small multiple of len(data), which it does not retain.
-func (a *SearchAnswer) UnmarshalBinary(data []byte) error { return a.unmarshal(data, nil) }
+func (a *SearchAnswer) UnmarshalBinary(data []byte) error { return a.UnmarshalShared(data, nil) }
 
-// unmarshal is UnmarshalBinary, the partials' gene columns shared through
-// genes (spell.Partial.UnmarshalShared).
-func (a *SearchAnswer) unmarshal(data []byte, genes *spell.GeneColumns) error {
+// UnmarshalShared is UnmarshalBinary, the partials' gene columns shared
+// through held (spell.Partial.UnmarshalShared): what a coordinator held when
+// it named its gene pairs in the request. The partials' accumulator columns
+// are pooled; their owner releases them (Release).
+func (a *SearchAnswer) UnmarshalShared(data []byte, held *spell.HeldGenes) error {
 	var parts []SearchPart
 	err := readBody(data, func(groups []int, frame []byte) error {
 		p := new(spell.Partial)
 		parts = append(parts, SearchPart{Groups: groups, Partial: p})
-		return p.UnmarshalShared(frame, genes)
+		return p.UnmarshalShared(frame, held)
 	})
 	if err == nil {
 		a.Parts = parts
+		return nil
 	}
+	(&SearchAnswer{Parts: parts}).Release()
 	return err
+}
+
+// Release hands every part's accumulator columns back to their pool
+// (spell.Partial.Release): the answer's owner calls it once nothing reads
+// them.
+func (a *SearchAnswer) Release() {
+	for _, sp := range a.Parts {
+		if sp.Partial != nil {
+			sp.Partial.Release()
+		}
+	}
 }
 
 // AppendBinary appends a's answer body to b.
@@ -313,8 +333,9 @@ const (
 // Requests and Info are bodies of internal/wire's u32 strings and lists,
 // after the body's head:
 //
-//	search    "FVSR", 0x01; Query and Shards, each a list; Replication u32;
-//	          a u32 tuple count and each tuple a list; Uniform, a byte 0 or 1
+//	search    "FVSR", 0x03; Query and Shards, each a list; Replication u32;
+//	          a u32 tuple count and each tuple a list; Uniform, a byte 0 or 1;
+//	          a u32 count of Genes digests and the digests, 32 bytes each
 //	enrich    "FVSE", 0x01; Selection, Shards, Replication and the tuples,
 //	          as a search request's
 //	Info      "FVSI", 0x01; GeneIDs, DatasetIDs, AllDatasetIDs and
@@ -325,7 +346,7 @@ const (
 // slice).
 const (
 	answerHead = "FVSA\x01"
-	searchHead = "FVSR\x01"
+	searchHead = "FVSR\x03"
 	enrichHead = "FVSE\x01"
 	infoHead   = "FVSI\x01"
 )
@@ -333,10 +354,15 @@ const (
 // AppendBinary appends q's body to b.
 func (q *SearchRequest) AppendBinary(b []byte) ([]byte, error) {
 	b = appendRequest(append(b, searchHead...), q.Query, q.Shards, q.Replication, q.Groups)
+	uniform := byte(0)
 	if q.Uniform {
-		return append(b, 1), nil
+		uniform = 1
 	}
-	return append(b, 0), nil
+	b = binary.LittleEndian.AppendUint32(append(b, uniform), uint32(len(q.Genes)))
+	for _, d := range q.Genes {
+		b = append(b, d[:]...)
+	}
+	return b, nil
 }
 
 // UnmarshalBinary decodes a body into q, replacing its contents, with
@@ -346,6 +372,12 @@ func (q *SearchRequest) UnmarshalBinary(data []byte) error {
 	var out SearchRequest
 	out.Query, out.Shards, out.Replication, out.Groups = readShared(&r)
 	out.Uniform = r.Byte(1) == 1
+	if n := uint64(r.U32()); n > 0 && r.Need(uint64(len(spell.GenesDigest{}))*n) {
+		out.Genes = make([]spell.GenesDigest, n)
+		for i := range out.Genes {
+			out.Genes[i] = spell.GenesDigest(r.Take(uint64(len(out.Genes[i]))))
+		}
+	}
 	if err := r.Close(); err != nil {
 		return err
 	}

@@ -76,40 +76,71 @@ func decodeAllocs[A any, PA answerBody[A]](data []byte) uint64 {
 // FuzzSearchAnswer is the fuzz cover of the answer bodies a coordinator
 // reads: every input is decoded as a search answer and as an enrichment
 // answer (the frames inside are FuzzPartialFrame's and FuzzPartialCounts'),
-// and as a search answer whose gene columns are shared with earlier inputs'.
-// The committed seeds say by name what must decode: search-* as a search
-// answer only, enrich-* as an enrichment answer only, both-* as either,
-// reject-* as neither; what decodes must re-encode to the seed's own bytes,
-// and none may make a decoder allocate more than a small multiple of its
-// length.
+// and as a search answer whose gene columns are shared with earlier inputs'
+// — which may also name a held pair by its digest: the seeds' pair (IDs A,
+// Bb, Ccc) is held from the start. The committed seeds say by name what
+// must decode: search-* as a search answer only, enrich-* as an enrichment
+// answer only, both-* as either, held-* only against the held pair, reject-*
+// as nothing; what decodes must re-encode to the seed's own bytes, and none
+// may make a decoder allocate more than frame.go's bound: 40 bytes a body
+// byte, and 32 a gene of a held pair the body names.
 func FuzzSearchAnswer(f *testing.F) {
 	var genes spell.GeneColumns // shared by every input, as by one coordinator's answers
+	seedPair := spell.Partial{Query: []string{"A"}, IDs: []string{"A", "Bb", "Ccc"}, Names: []string{"a", "", "c-name"}}
+	for k := range seedPair.Sums {
+		seedPair.Sums[k] = make([]float64, len(seedPair.IDs))
+	}
+	frame, err := seedPair.MarshalBinary()
+	if err == nil {
+		err = new(spell.Partial).UnmarshalShared(frame, genes.Held())
+	}
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		search := checkBody[SearchAnswer](t, data)
 		enrich := checkBody[EnrichAnswer](t, data)
+		held := genes.Held()
 		var plain, shared SearchAnswer
-		errPlain, errShared := plain.UnmarshalBinary(data), shared.unmarshal(data, &genes)
-		if (errPlain == nil) != (errShared == nil) {
-			t.Fatalf("decoding with shared gene columns: err %v, without: %v", errShared, errPlain)
+		errPlain, errShared := plain.UnmarshalBinary(data), shared.UnmarshalShared(data, held)
+		if errPlain == nil && errShared != nil {
+			t.Fatalf("decoding with shared gene columns: err %v, without: nil", errShared)
 		}
-		if b1, _ := plain.AppendBinary(nil); errPlain == nil {
-			if b2, _ := shared.AppendBinary(nil); !bytes.Equal(b1, b2) {
+		if errShared == nil {
+			// An answer decoded against held pairs is one whose frames carry
+			// them: it re-encodes to a body any reader decodes.
+			b2, err := shared.AppendBinary(nil)
+			var again SearchAnswer
+			if err != nil || again.UnmarshalBinary(b2) != nil {
+				t.Fatalf("an answer decoded against held gene columns does not re-encode (%v)", err)
+			}
+			if b1, _ := plain.AppendBinary(nil); errPlain == nil && !bytes.Equal(b1, b2) {
 				t.Fatal("shared gene columns changed a decoded answer")
+			}
+			genes := 0
+			for _, sp := range shared.Parts {
+				genes += len(sp.Partial.IDs)
+			}
+			if limit, got := uint64(40*len(data)+32*genes+1024), sharedDecodeAllocs(data, held); got > limit {
+				t.Errorf("decoding %d bytes naming %d genes allocated %d (limit %d)", len(data), genes, got, limit)
 			}
 		}
 		name := path.Base(t.Name())
 		want, named := map[string][2]bool{
-			"search": {true, false}, "enrich": {false, true}, "both": {true, true}, "reject": {false, false},
+			"search": {true, false}, "enrich": {false, true}, "both": {true, true}, "held": {false, false}, "reject": {false, false},
 		}[strings.SplitN(name, "-", 2)[0]]
 		if !named {
 			return
+		}
+		if held := strings.HasPrefix(name, "held-"); held != (errShared == nil && errPlain != nil) {
+			t.Errorf("%s decodes against the held pair: %v, without it: %v", name, errShared, errPlain)
 		}
 		if got := [2]bool{search != nil, enrich != nil}; got != want {
 			t.Errorf("%s decodes as (search, enrichment) %v, want %v", name, got, want)
 		}
 		checkSeedEncodes(t, name, data, search)
 		checkSeedEncodes(t, name, data, enrich)
-		limit := uint64(16*len(data) + 1024)
+		limit := uint64(40*len(data) + 1024)
 		if got := max(decodeAllocs[SearchAnswer](data), decodeAllocs[EnrichAnswer](data)); got > limit {
 			t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", name, len(data), got, limit)
 		}
@@ -132,6 +163,21 @@ func checkNamedBody[A any, PA answerBody[A]](t *testing.T, data []byte) {
 	if limit, got := uint64(16*len(data)+1024), decodeAllocs[A, PA](data); got > limit {
 		t.Errorf("decoding %d bytes allocated %d (limit %d)", len(data), got, limit)
 	}
+}
+
+// sharedDecodeAllocs is decodeAllocs for a search answer decoded against
+// held gene columns.
+func sharedDecodeAllocs(data []byte, held *spell.HeldGenes) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		var a SearchAnswer
+		_ = a.UnmarshalShared(data, held)
+		runtime.ReadMemStats(&ms1)
+		least = min(least, ms1.TotalAlloc-ms0.TotalAlloc)
+	}
+	return least
 }
 
 // FuzzShardInfo is the fuzz cover of the info bodies a coordinator reads

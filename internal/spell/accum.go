@@ -1,5 +1,11 @@
 package spell
 
+import (
+	"math"
+	"sync"
+	"sync/atomic"
+)
+
 // SPELL's sums are exact: every term is put on a two-bin grid before it is
 // added (Demmel & Nguyen's binned summation, ARITH 2013, cut to two bins),
 // so float64 adds the terms without rounding and no split of the datasets
@@ -28,11 +34,46 @@ const (
 // never takes a lock, never hashes a string, and leaves nothing to merge.
 type accum [4][]float64
 
-func newAccum(numGenes int) accum {
-	var a accum
-	buf := make([]float64, len(a)*numGenes)
-	for k := range a {
-		a[k] = buf[k*numGenes : (k+1)*numGenes : (k+1)*numGenes]
+// columnPool recycles the four-column float buffers a search moves through:
+// a scan's accumulator, a decoded frame's columns and Merge's union, each
+// 4 × 8 B × genes (192 KB at paper scale). Each buffer has one owner, who
+// returns it once nothing reads it (Partial.Release): on a shard the handler
+// once the answer's frames are written, on a coordinator its searchRound
+// once Merge returns, in Engine.searchRound once finish returns, and in
+// Merge itself the union's.
+var columnPool sync.Pool // of *[]float64
+
+// poisonReleased, set by tests, fills every buffer released to the pool with
+// NaN, so that a reader who outlives the owner's release reads NaN rather
+// than the next search's numbers.
+var poisonReleased atomic.Bool
+
+// pooledColumns cuts four columns of n out of one pooled buffer, zeroed when
+// zero is set, and returns the buffer for the owner to release.
+func pooledColumns(n int, zero bool) (accum, *[]float64) {
+	buf, _ := columnPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < 4*n {
+		buf = &[]float64{}
+		*buf = make([]float64, 4*n)
+	} else if *buf = (*buf)[:4*n]; zero {
+		clear(*buf)
 	}
-	return a
+	var a accum
+	for k := range a {
+		a[k] = (*buf)[k*n : (k+1)*n : (k+1)*n]
+	}
+	return a, buf
+}
+
+// releaseColumns returns buf (nil: nothing) to the pool.
+func releaseColumns(buf *[]float64) {
+	if buf == nil {
+		return
+	}
+	if poisonReleased.Load() {
+		for i := range *buf {
+			(*buf)[i] = math.NaN()
+		}
+	}
+	columnPool.Put(buf)
 }

@@ -212,10 +212,15 @@ func frameSections(p *Partial) []int {
 	add(col(p.Query))
 	add(col(names))
 	add(24 * len(p.Datasets))
+	add(1)
 	add(col(p.IDs))
 	add(col(p.Names))
-	for range p.Sums {
-		add(8 * len(p.IDs))
+	for _, c := range p.Sums {
+		if slices.ContainsFunc(c, func(v float64) bool { return math.Float64bits(v) != math.Float64bits(c[0]) }) || len(c) == 0 {
+			add(1 + 8*len(c))
+		} else {
+			add(1 + 8)
+		}
 	}
 	return ends
 }
@@ -271,16 +276,31 @@ func frameCorpus(t testing.TB) map[string][]byte {
 	mutate("huge-gene-count", 14, huge...)
 	mutate("huge-query-table", 18, huge...)
 	mutate("huge-query-blob", 22, huge...)
-	mutate("huge-id-table", ends[6], huge...)
-	mutate("huge-id-blob", ends[6]+4, huge...)
+	mutate("huge-id-table", ends[7], huge...)
+	mutate("huge-id-blob", ends[7]+4, huge...)
 	mutate("gene-count-short-of-columns", 14, 2, 0, 0, 0)
 	mutate("gene-count-beyond-columns", 14, 4, 0, 0, 0)
-	mutate("id-lengths-exceed-blob", ends[6]+8, 3)    // "A" claims 3 bytes: the lengths sum past the blob
-	mutate("id-lengths-short-of-blob", ends[6]+10, 1) // "Ccc" claims 1 byte: blob bytes left over
-	mutate("id-length-unterminated-varint", ends[6]+10, 0x80)
-	mutate("id-length-two-byte-varint", ends[6]+9, 0x80) // 0x80 0x03: one 384-byte string where two short ones were
+	mutate("id-lengths-exceed-blob", ends[7]+8, 3)    // "A" claims 3 bytes: the lengths sum past the blob
+	mutate("id-lengths-short-of-blob", ends[7]+10, 1) // "Ccc" claims 1 byte: blob bytes left over
+	mutate("id-length-unterminated-varint", ends[7]+10, 0x80)
+	mutate("id-length-two-byte-varint", ends[7]+9, 0x80) // 0x80 0x03: one 384-byte string where two short ones were
+	mutate("genes-bad-tag", ends[6], 2)
+	mutate("floats-bad-tag", ends[9], 2)
+	mutate("floats-one-where-each", ends[12], floatsOne)  // cntLo's three values read as one: bytes left over
+	mutate("floats-each-where-one", ends[11], floatsEach) // cntHi's one value read as three: cntLo's bytes left over
 	out["columns-one-float-short"] = valid[:len(valid)-8]
 	out["trailing-byte"] = append(append([]byte(nil), valid...), 0)
+	// A frame naming a held pair: no reader without a GeneColumns holds it.
+	held := append(bytes.Clone(valid[:ends[6]]), genesHeld)
+	held = append(held, make([]byte, 32)...)
+	out["genes-held-unheld"] = append(held, valid[ends[8]:]...)
+	// A frame of no genes whose float columns each claim one value.
+	empty := out["valid-empty"]
+	noGenes := bytes.Clone(empty[:len(empty)-4])
+	for range 4 {
+		noGenes = append(append(noGenes, floatsOne), make([]byte, 8)...)
+	}
+	out["floats-one-no-genes"] = noGenes
 	return out
 }
 
@@ -290,7 +310,7 @@ const frameCorpusDir = "testdata/fuzz/FuzzPartialFrame"
 // frame the version-1 and version-2 corpora held, valid ones included. They
 // stay in the corpus as inputs this build must reject (a peer that still
 // speaks an old version is a failed attempt, never a misread partial).
-var oldFramePrefixes = []string{"v1", "v2"}
+var oldFramePrefixes = []string{"v1", "v2", "v3"}
 
 var updateFrameCorpus = flag.Bool("update-frame-corpus", false, "rewrite "+frameCorpusDir+" from frameCorpus")
 
@@ -368,6 +388,12 @@ func TestPartialFrameCorpusCommitted(t *testing.T) {
 	}
 }
 
+// frameAllocPerByte is the frame layout's bound on what a frame that carries
+// its gene columns can make the decoder allocate, per frame byte: a gene
+// costs two frame bytes when its strings are empty and its float columns
+// each one value, and 64 bytes decoded (frame.go).
+const frameAllocPerByte = 40
+
 // checkFrameDecode is the property FuzzPartialFrame holds UnmarshalBinary
 // to on arbitrary bytes: no panic; a rejected frame leaves the target
 // untouched; an accepted one has consistent columns, a footprint within a
@@ -393,7 +419,7 @@ func checkFrameDecode(t *testing.T, data []byte) (accepted bool) {
 	for _, d := range p.Datasets {
 		footprint += len(d.Name)
 	}
-	if footprint > 16*len(data) {
+	if footprint > frameAllocPerByte*len(data) {
 		t.Fatalf("a %d-byte frame decoded to %d bytes", len(data), footprint)
 	}
 	frame, err := p.MarshalBinary()
@@ -447,7 +473,7 @@ func TestPartialFrameRejectsMalformed(t *testing.T) {
 			runtime.ReadMemStats(&ms1)
 			got = min(got, ms1.TotalAlloc-ms0.TotalAlloc)
 		}
-		if limit := uint64(16*len(data) + 1024); got > limit {
+		if limit := uint64(frameAllocPerByte*len(data) + 1024); got > limit {
 			t.Errorf("%s: decoding %d bytes allocated %d (limit %d)", name, len(data), got, limit)
 		}
 	}

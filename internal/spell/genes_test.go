@@ -3,6 +3,7 @@ package spell
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/binary"
 	"math"
 	"reflect"
@@ -78,7 +79,7 @@ func TestEngineAppendPartial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for try := range 2 { // the second reuses what the first built
-			got, err := c.e.AppendPartial([]byte("head"), c.p)
+			got, err := c.e.AppendPartial([]byte("head"), c.p, nil)
 			if err != nil || string(got[:4]) != "head" || !bytes.Equal(got[4:], want) {
 				t.Fatalf("%s, call %d: engine frame differs from AppendBinary's (%v)", name, try, err)
 			}
@@ -86,6 +87,61 @@ func TestEngineAppendPartial(t *testing.T) {
 	}
 	if reloaded.genes != nil || grown.genes != nil {
 		t.Fatal("an engine that encoded no partial of its own built its gene columns")
+	}
+}
+
+// TestEngineAppendPartialNamesHeldGenes: a frame of an engine's own genes
+// names them by digest exactly when the request lists that digest, and a
+// reader that holds the pair decodes it to what the carried frame decodes
+// to; a reader that does not hold it, or holds another, refuses it.
+func TestEngineAppendPartialNamesHeldGenes(t *testing.T) {
+	_, dense, _, query, scan := geneFixture(t)
+	p := scan(dense, query, nil)
+	carried, err := dense.AppendPartial(nil, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var genes GeneColumns
+	var want Partial
+	if err := want.UnmarshalShared(carried, genes.Held()); err != nil {
+		t.Fatal(err)
+	}
+	held := genes.Held()
+	if d := held.Digests(); len(d) != 1 || d[0] != sha256.Sum256(dense.genes) {
+		t.Fatalf("held digests %x, want the engine's", d)
+	}
+	other := GenesDigest{1}
+	if got, _ := dense.AppendPartial(nil, p, []GenesDigest{other}); !bytes.Equal(got, carried) {
+		t.Fatal("a frame named a pair the request did not list")
+	}
+	named, err := dense.AppendPartial(nil, p, []GenesDigest{other, held.Digests()[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(named) != len(carried)-len(dense.genes)+sha256.Size {
+		t.Fatalf("a frame naming its genes is %d bytes, carrying them %d", len(named), len(carried))
+	}
+	var got Partial
+	if err := got.UnmarshalShared(named, held); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(partialBits(&got), partialBits(&want)) || &got.IDs[0] != &want.IDs[0] || got.geneIndex() == nil {
+		t.Fatal("a frame naming held genes decoded to another partial, or to other columns")
+	}
+	var plain, elsewhere Partial
+	var otherGenes GeneColumns
+	awkward, _ := awkwardPartial().MarshalBinary()
+	if err := elsewhere.UnmarshalShared(awkward, otherGenes.Held()); err != nil {
+		t.Fatal(err)
+	}
+	for name, err := range map[string]error{
+		"plain":      plain.UnmarshalBinary(named),
+		"empty":      plain.UnmarshalShared(named, new(GeneColumns).Held()),
+		"other pair": plain.UnmarshalShared(named, otherGenes.Held()),
+	} {
+		if err == nil || !reflect.DeepEqual(plain, Partial{}) {
+			t.Fatalf("%s: a frame naming a pair the reader does not hold decoded (%v)", name, err)
+		}
 	}
 }
 
@@ -101,21 +157,21 @@ func TestGeneColumnsShareOnlyEqualBytes(t *testing.T) {
 	}
 	var genes GeneColumns
 	var a, b Partial
-	if err := a.UnmarshalShared(frame, &genes); err != nil {
+	if err := a.UnmarshalShared(frame, genes.Held()); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.UnmarshalShared(frame, &genes); err != nil {
+	if err := b.UnmarshalShared(frame, genes.Held()); err != nil {
 		t.Fatal(err)
 	}
 	if &a.IDs[0] != &b.IDs[0] || &a.Names[0] != &b.Names[0] {
 		t.Fatal("two frames with the same gene columns decoded two copies")
 	}
 
-	ids := frameSections(p)[6]
+	ids := frameSections(p)[7]
 	flipped := bytes.Clone(frame)
 	flipped[ids+8+int(binary.LittleEndian.Uint32(flipped[ids:]))] ^= 0x20 // the first ID's first byte
 	var c, fresh Partial
-	if err := c.UnmarshalShared(flipped, &genes); err != nil {
+	if err := c.UnmarshalShared(flipped, genes.Held()); err != nil {
 		t.Fatal(err)
 	}
 	if err := fresh.UnmarshalBinary(flipped); err != nil {
@@ -149,7 +205,7 @@ func TestMergeSharedColumnsConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s, q Partial
-		if err := s.UnmarshalShared(frame, &genes); err != nil {
+		if err := s.UnmarshalShared(frame, genes.Held()); err != nil {
 			t.Fatal(err)
 		}
 		if err := q.UnmarshalBinary(frame); err != nil {
@@ -172,9 +228,10 @@ func TestMergeSharedColumnsConcurrently(t *testing.T) {
 			for range 10 {
 				own := make([]Partial, len(parts))
 				for i, p := range parts {
-					frame, err := dense.AppendPartial(nil, p)
+					held := genes.Held()
+					frame, err := dense.AppendPartial(nil, p, held.Digests())
 					if err == nil {
-						err = own[i].UnmarshalShared(frame, &genes)
+						err = own[i].UnmarshalShared(frame, held)
 					}
 					if err != nil {
 						t.Errorf("part %d through the memos: %v", i, err)
@@ -252,13 +309,13 @@ func TestMarkQueryByIndex(t *testing.T) {
 	copied := *whole
 	copied.IDs = slices.Clone(whole.IDs)
 	var genes GeneColumns
-	frame, err := dense.AppendPartial(nil, whole)
+	frame, err := dense.AppendPartial(nil, whole, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var decoded [2]Partial
 	for i := range decoded {
-		if err := decoded[i].UnmarshalShared(frame, &genes); err != nil {
+		if err := decoded[i].UnmarshalShared(frame, genes.Held()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -135,5 +135,5 @@ func frameOf(e *Engine, query []string, subset []int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.AppendPartial(nil, p)
+	return e.AppendPartial(nil, p, nil)
 }

@@ -3,6 +3,7 @@ package spell
 import (
 	"cmp"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -50,7 +51,8 @@ import (
 // A Partial's strings are read-only once built: one computed by an engine
 // shares its ID and Name columns with that engine, and one decoded from a
 // frame holds substrings of a few large blobs. Its accumulator columns are
-// read-only too, except to Merge over that one part, which consumes them.
+// read-only too, except to Merge over that one part, which consumes them,
+// and to Release, which hands them back to the pool they came from.
 type Partial struct {
 	// Query is the canonicalized query the shard ran. Merge refuses to
 	// combine partials of different queries.
@@ -83,6 +85,19 @@ type Partial struct {
 	// or Merge's slot table. It is not part of the frame.
 	rows   map[string]int
 	rowsOf []string
+	// pool is the pooled buffer Sums are cut from (accum.go), nil when they
+	// are not the pool's.
+	pool *[]float64
+}
+
+// Release hands p's accumulator columns back to the pool they came from,
+// when they came from one, and empties them. The caller is their one owner
+// and reads nothing of them after: an engine's partial once it is finished
+// or framed, a decoded one once Merge returns. Releasing a partial that
+// holds no pooled columns only empties them.
+func (p *Partial) Release() {
+	releaseColumns(p.pool)
+	p.pool, p.Sums = nil, [4][]float64{}
 }
 
 // geneIndex returns p's index of its gene IDs, or nil when it has none for
@@ -211,10 +226,12 @@ func (e *Engine) PartialSearchSubsetCtx(ctx context.Context, query []string, sub
 	if len(todo) == 0 {
 		return p, nil // nothing in this slice carries weight: zero contribution
 	}
-	acc := newAccum(len(e.order))
+	acc, buf := pooledColumns(len(e.order), true)
 	if err := scan(ctx, e, e.searchPar(opt.Parallelism), todo, infos, weights, acc); err != nil {
+		releaseColumns(buf)
 		return nil, err
 	}
+	p.pool = buf
 	// The columns are the accumulator itself. When every gene scored — the
 	// scanned datasets measure every gene of the engine, the normal case —
 	// nothing is copied and the ID and Name columns are the engine's own;
@@ -254,16 +271,24 @@ func (e *Engine) ownsGenes(p *Partial) bool {
 		&p.IDs[0] == &e.order[0] && &p.Names[0] == &e.names[0]
 }
 
-// AppendPartial appends p's frame to b: the bytes p.AppendBinary appends.
-// When p's gene columns are this engine's own slices (every gene scored),
-// they are copied from one encoding the engine builds on first use, not
-// encoded again; a daemon that never answers a coordinator never builds it.
-func (e *Engine) AppendPartial(b []byte, p *Partial) ([]byte, error) {
+// AppendPartial appends p's frame to b. When p's gene columns are this
+// engine's own slices (every gene scored) and held names their digest, the
+// reader holds them and the frame names them by it; otherwise they are
+// copied from one encoding the engine builds on first use, which is the
+// bytes p.AppendBinary appends. A daemon that never answers a coordinator
+// never builds it.
+func (e *Engine) AppendPartial(b []byte, p *Partial, held []GenesDigest) ([]byte, error) {
 	if !e.ownsGenes(p) {
 		return p.AppendBinary(b)
 	}
-	e.genesOnce.Do(func() { e.genes = wire.AppendColumn(wire.AppendColumn(nil, e.order), e.names) })
-	return p.appendFrame(b, e.genes)
+	e.genesOnce.Do(func() {
+		e.genes = wire.AppendColumn(wire.AppendColumn(nil, e.order), e.names)
+		e.genesDigest = sha256.Sum256(e.genes)
+	})
+	if slices.Contains(held, e.genesDigest) {
+		return p.appendFrame(b, nil, &e.genesDigest)
+	}
+	return p.appendFrame(b, e.genes, nil)
 }
 
 // ErrNoQueryGenes reports that no dataset of the searched compendium measures
@@ -317,12 +342,14 @@ func checkParts(parts []Partial) error {
 // equals its predecessor's reuses that row→slot vector.
 //
 // The union takes the first part's accumulator columns, not a copy of them,
-// and copies them only when a second part is added: a lone part's Sums are
-// the union's, which finish ranks in place (Merge's contract).
+// and copies them into a pooled buffer of its own only when a second part
+// is added: a lone part's Sums are the union's, which finish ranks in place
+// (Merge's contract).
 type geneSums struct {
 	ids, names []string
 	sums       accum
 	taken      bool           // sums are the first part's own columns
+	pool       *[]float64     // the union's own pooled buffer, for Merge to release
 	index      map[string]int // the first part's gene index, or the slot table
 
 	slot    map[string]int // nil until a part lists other genes than the first
@@ -357,8 +384,11 @@ func (u *geneSums) add(p *Partial) {
 		return
 	}
 	if u.taken {
+		var own accum
+		own, u.pool = pooledColumns(len(u.ids), false)
 		for k, col := range u.sums {
-			u.sums[k] = slices.Clone(col)
+			u.sums[k] = own[k]
+			copy(own[k], col)
 		}
 		u.taken = false
 	}
@@ -431,9 +461,10 @@ func addRows(dst, src []float64, rows []int32) {
 // Merge over one part — a single daemon is a fleet of one — consumes that
 // part's accumulators: the union is its Sums, not a copy, and the ranking
 // writes scores into them, so the caller does not read them after the
-// call. (A part that scored no gene does not count: the same
-// holds for the one part of several that did.) Over several parts that
-// scored, the union has columns of its own and the parts are only read.
+// call, but releases them (Partial.Release). (A part that scored no gene
+// does not count: the same holds for the one part of several that did.)
+// Over several parts that scored, the union has pooled columns of its own,
+// released before Merge returns, and the parts are only read.
 //
 // The result shares no memory with the partials: every string it returns
 // is copied, into one block. A decoded partial's strings are substrings of
@@ -476,6 +507,7 @@ func Merge(parts []Partial, opt Options) (*Result, error) {
 	qmask := make([]bool, len(union.IDs))
 	markQuery(qmask, union)
 	res, err := finish(union, qmask, opt)
+	releaseColumns(u.pool)
 	if err != nil {
 		return nil, err
 	}
@@ -589,6 +621,9 @@ func finish(p *Partial, qmask []bool, opt Options) (*Result, error) {
 		}
 		if c := p.Sums[cntHi][s] + p.Sums[cntLo][s]; c != 0 {
 			sum[s] = (sum[s] + p.Sums[sumLo][s]) / c // the fold, then the final score, in place
+			if n := len(res.Genes); n > 0 && n == opt.MaxGenes && sum[s] < res.Genes[n-1].Score {
+				continue // below the last kept score: keepTop would turn it away
+			}
 			res.Genes = keepTop(res.Genes, GeneRank{ID: ids[s], Name: p.Names[s], Score: sum[s], IsQuery: qmask[s]}, opt.MaxGenes, by)
 		}
 	}

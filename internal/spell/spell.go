@@ -171,8 +171,9 @@ type Engine struct {
 	gid     map[string]int // gene ID -> global index
 	slabs   []*slab
 
-	genesOnce sync.Once
-	genes     []byte // order and names as frame columns (AppendPartial)
+	genesOnce   sync.Once
+	genes       []byte      // order and names as frame columns (AppendPartial)
+	genesDigest GenesDigest // genes' SHA-256
 }
 
 // NewEngine prepares the given datasets for searching: an empty engine
@@ -363,13 +364,15 @@ func (e *Engine) SearchCtx(ctx context.Context, query []string, opt Options) (*R
 }
 
 // searchRound is one partial and its finish, for one accumulator pair. The
-// partial is this call's own, so finish ranks its columns in place and the
-// result's strings are the engine's: nothing is added up and nothing cloned.
+// partial is this call's own, so finish ranks its columns in place, which
+// go back to the pool once it returns, and the result's strings are the
+// engine's: nothing is added up and nothing cloned.
 func (e *Engine) searchRound(ctx context.Context, query []string, opt Options) (*Result, error) {
 	p, err := e.PartialSearchSubsetCtx(ctx, query, nil, opt)
 	if err != nil {
 		return nil, err
 	}
+	defer p.Release()
 	qmask := make([]bool, len(p.IDs))
 	markQuery(qmask, p)
 	return finish(p, qmask, opt)

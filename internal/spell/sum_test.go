@@ -380,3 +380,9 @@ func FuzzExactSum(f *testing.F) {
 		}
 	})
 }
+
+// newAccum is a zeroed accumulator of n genes from the pool.
+func newAccum(n int) accum {
+	a, _ := pooledColumns(n, true)
+	return a
+}

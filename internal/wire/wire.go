@@ -35,16 +35,18 @@ func Open(data []byte, what, head string) Reader {
 	magic := head[:len(head)-1]
 	switch {
 	case len(data) < len(head) || string(data[:len(magic)]) != magic:
-		r.fail(fmt.Errorf("%s: bad magic", what))
+		r.Fail(fmt.Errorf("%s: bad magic", what))
 	case data[len(magic)] != head[len(magic)]:
-		r.fail(fmt.Errorf("%s version %d, this build reads version %d", what, data[len(magic)], head[len(magic)]))
+		r.Fail(fmt.Errorf("%s version %d, this build reads version %d", what, data[len(magic)], head[len(magic)]))
 	default:
 		r.b = data[len(head):]
 	}
 	return r
 }
 
-func (r *Reader) fail(err error) {
+// Fail fails the reader with err, unless a check has failed already: a
+// decoder's own checks stick like the reader's.
+func (r *Reader) Fail(err error) {
 	if r.err == nil {
 		r.err, r.b = err, nil
 	}
@@ -66,7 +68,7 @@ func (r *Reader) Close() error {
 // items it counts can occupy.
 func (r *Reader) Need(n uint64) bool {
 	if r.err == nil && n > uint64(len(r.b)) {
-		r.fail(fmt.Errorf("%s truncated: %d bytes wanted, %d left", r.what, n, len(r.b)))
+		r.Fail(fmt.Errorf("%s truncated: %d bytes wanted, %d left", r.what, n, len(r.b)))
 	}
 	return r.err == nil
 }
@@ -102,7 +104,7 @@ func (r *Reader) Byte(limit byte) byte {
 		return 0
 	}
 	if b[0] > limit {
-		r.fail(fmt.Errorf("%s: byte %d exceeds %d", r.what, b[0], limit))
+		r.Fail(fmt.Errorf("%s: byte %d exceeds %d", r.what, b[0], limit))
 		return 0
 	}
 	return b[0]
@@ -159,20 +161,20 @@ func (r *Reader) Column(n int) []string {
 		} else {
 			v, w := binary.Uvarint(table)
 			if w <= 0 {
-				r.fail(fmt.Errorf("%s string table ends after %d of %d lengths", r.what, i, n))
+				r.Fail(fmt.Errorf("%s string table ends after %d of %d lengths", r.what, i, n))
 				return nil
 			}
 			l, table = v, table[w:]
 		}
 		if l > uint64(len(blob))-at {
-			r.fail(fmt.Errorf("%s string %d overruns its %d-byte blob", r.what, i, len(blob)))
+			r.Fail(fmt.Errorf("%s string %d overruns its %d-byte blob", r.what, i, len(blob)))
 			return nil
 		}
 		out[i] = blob[at : at+l]
 		at += l
 	}
 	if len(table) != 0 || at != uint64(len(blob)) {
-		r.fail(fmt.Errorf("%s string column of %d disagrees with its lengths (%d table bytes, %d blob bytes unused)",
+		r.Fail(fmt.Errorf("%s string column of %d disagrees with its lengths (%d table bytes, %d blob bytes unused)",
 			r.what, n, len(table), uint64(len(blob))-at))
 		return nil
 	}
