@@ -1506,25 +1506,68 @@ func BenchmarkF10_TileEncodePNG(b *testing.B) {
 	}
 }
 
-// BenchmarkF10_TilePNG is a plain cold tile as the daemon renders it: the
-// raster's runs straight to PNG, no canvas — the work TileRaster and
-// TileEncodePNG split between them on the canvas path, with the same file
-// (png_bytes).
+// BenchmarkF10_TilePNG is a cold tile as the daemon renders it: runs
+// straight to PNG, no canvas — the work TileRaster and TileEncodePNG split
+// between them on the canvas path, with the same file (png_bytes). The
+// plain shapes are the matrix alone; strips-6000x24 is a
+// tree=40&atree=48 tile of a paper-scale pane.
 func BenchmarkF10_TilePNG(b *testing.B) {
 	opt := render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true}
+	run := func(b *testing.B, rows [][]float64, opt render.HeatmapOptions, strips ...render.Dendrogram) {
+		var png []byte
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var err error
+			if png, err = render.HeatmapPNG(256, 256, color.RGBA{A: 255}, rows, opt, strips...); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(len(png)), "png_bytes")
+	}
 	for _, sh := range tileShapes {
 		rows := tileBenchRows(sh.nR, sh.nC)
-		b.Run(sh.name, func(b *testing.B) {
-			var png []byte
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var err error
-				if png, err = render.HeatmapPNG(256, 256, color.RGBA{A: 255}, rows, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(png)), "png_bytes")
-		})
+		b.Run(sh.name, func(b *testing.B) { run(b, rows, opt) })
+	}
+	b.Run("strips-6000x24", func(b *testing.B) {
+		paperStripOnce.Do(func() { paperStrip = newStripTile(b, paperGenes) })
+		run(b, paperStrip.rows, paperStrip.opt, paperStrip.strips...)
+	})
+}
+
+var (
+	paperStripOnce sync.Once
+	paperStrip     stripTile
+)
+
+// stripTile is a 256×256 tile with a 40-pixel gene-tree strip and a
+// 48-pixel array-tree strip of a whole pane, as the daemon renders
+// tree=40&atree=48 at the auto level.
+type stripTile struct {
+	rows   [][]float64
+	opt    render.HeatmapOptions
+	strips []render.Dendrogram
+}
+
+// newStripTile clusters an nGenes × 24 synthetic pane, arrays too, and
+// lays out its strip tile.
+func newStripTile(tb testing.TB, nGenes int) stripTile {
+	u := synth.NewUniverse(nGenes, 20, 60)
+	ds := u.Generate(synth.DatasetSpec{Name: "strips", NumExperiments: 24, MissingRate: 0.02, Seed: 61})
+	cd, err := core.Cluster(ds, core.ClusterOptions{ClusterArrays: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lvl := 0
+	for levels := core.NumPyramidLevels(nGenes); lvl+1 < levels && nGenes>>(lvl+1) >= 256; lvl++ {
+	}
+	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
+	return stripTile{
+		rows: cd.Pyramid(core.PyramidOptions{}).Level(lvl).F64,
+		opt:  render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true, ColOrder: cd.ArrayOrder},
+		strips: []render.Dendrogram{
+			{Tree: cd.ArrayTree, Order: cd.ArrayOrder, Orientation: render.AboveColumns, Size: 48, Color: fg},
+			{Tree: cd.GeneTree, Order: cd.DisplayOrder, Orientation: render.LeftOfRows, Size: 40, Color: fg},
+		},
 	}
 }
 
@@ -1549,13 +1592,31 @@ func TestHeatmapPNGAllocs(t *testing.T) {
 	}
 }
 
+// TestHeatmapPNGStripAllocs: a tile with both dendrogram strips allocates
+// no more than a plain one — the file, and a pooled encoder's growth.
+func TestHeatmapPNGStripAllocs(t *testing.T) {
+	if raceEnabled {
+		return
+	}
+	tile := newStripTile(t, 600)
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := render.HeatmapPNG(256, 256, color.RGBA{A: 255}, tile.rows, tile.opt, tile.strips...); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("a 256x256 tree=40&atree=48 tile made %.1f allocations, want <= 4", allocs)
+	}
+}
+
 // TestTileRenderAllocs: a cold tile costs a dozen allocations (the canvas,
-// the column spans, the returned file). A rasterizer that boxes one colour
-// per pixel into a color.Color costs 65,000; this bound catches it.
+// the column spans, the file). A rasterizer that boxes one colour per
+// pixel into a color.Color costs 65,000; this bound catches it.
 func TestTileRenderAllocs(t *testing.T) {
 	rows := tileBenchRows(400, 40)
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := drawBenchTile(rows).PNG(); err != nil {
+		var file bytes.Buffer
+		if err := drawBenchTile(rows).EncodePNG(&file); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -106,6 +107,43 @@ func TestDemoDaemonServesAllSubsystems(t *testing.T) {
 	rec = get(t, srv, "/")
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "SPELL") {
 		t.Fatalf("HTML index = %d", rec.Code)
+	}
+}
+
+// TestReadmeHeatmapExamples: every /api/heatmap URL in README.md's sh
+// blocks is a 200 PNG from the daemon its quickstart starts (the -demo
+// flag defaults: 1,500 genes, 20 modules, 8 datasets, seed 1) with
+// -cluster-arrays, which its atree= example needs.
+func TestReadmeHeatmapExamples(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(readme, []byte("go run ./cmd/forestviewd -demo -addr 127.0.0.1:8080\n")) {
+		t.Fatal("README's quickstart no longer starts the daemon with -demo alone: update this test's config")
+	}
+	srv, err := buildServer(buildConfig{
+		demo: true, genes: 1500, modules: 20, datasets: 8, seed: 1,
+		cacheMB: 64, workers: 2, maxGenes: 200, maxTileDim: 2048, clusterArrays: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	url := regexp.MustCompile(`'http://127\.0\.0\.1:8080(/api/heatmap\?[^']*)'`)
+	blocks := regexp.MustCompile("(?s)```sh\n(.*?)```").FindAllSubmatch(readme, -1)
+	n := 0
+	for _, block := range blocks {
+		for _, m := range url.FindAllSubmatch(block[1], -1) {
+			n++
+			rec := get(t, srv, string(m[1]))
+			if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != "image/png" {
+				t.Errorf("README's %s = %d %s: %s", m[1], rec.Code, rec.Header().Get("Content-Type"), rec.Body)
+			}
+		}
+	}
+	if n < 5 {
+		t.Fatalf("found %d /api/heatmap examples in README's sh blocks, want at least 5", n)
 	}
 }
 

@@ -5,8 +5,8 @@
 // framebuffer instead. Pixels are pixels: resolution, layout, color mapping
 // and render latency — the properties the paper's claims rest on — are all
 // preserved, and the framebuffers can be written out as PNG or shipped to
-// the simulated display wall. A heatmap alone needs none: HeatmapPNG
-// writes its PNG straight from the raster's runs.
+// the simulated display wall. A heatmap tile, strips included, needs none:
+// HeatmapPNG writes its PNG straight from runs.
 package render
 
 import (
@@ -36,7 +36,7 @@ func NewCanvas(w, h int, bg color.Color) *Canvas {
 		h = 0
 	}
 	c := &Canvas{img: image.NewRGBA(image.Rect(0, 0, w, h))}
-	c.Fill(bg)
+	c.fillRect(0, 0, w, h, toRGBA(bg))
 	return c
 }
 
@@ -46,12 +46,6 @@ func (c *Canvas) Image() *image.RGBA { return c.img }
 // Width and Height return the canvas dimensions.
 func (c *Canvas) Width() int  { return c.img.Bounds().Dx() }
 func (c *Canvas) Height() int { return c.img.Bounds().Dy() }
-
-// Fill paints the whole underlying framebuffer, regardless of translation.
-func (c *Canvas) Fill(col color.Color) {
-	b := c.img.Bounds()
-	c.FillRect(b.Min.X-c.offX, b.Min.Y-c.offY, b.Dx(), b.Dy(), col)
-}
 
 // Translated returns a view of the same framebuffer whose origin is
 // shifted by (dx, dy): drawing at scene coordinates lands dx/dy further
@@ -127,26 +121,11 @@ func (c *Canvas) StrokeRect(x, y, w, h int, col color.Color) {
 	if w <= 0 || h <= 0 {
 		return
 	}
-	c.HLine(x, x+w-1, y, col)
-	c.HLine(x, x+w-1, y+h-1, col)
-	c.VLine(x, y, y+h-1, col)
-	c.VLine(x+w-1, y, y+h-1, col)
-}
-
-// HLine draws a horizontal line from x0 to x1 inclusive at row y.
-func (c *Canvas) HLine(x0, x1, y int, col color.Color) {
-	if x1 < x0 {
-		x0, x1 = x1, x0
-	}
-	c.FillRect(x0, y, x1-x0+1, 1, col)
-}
-
-// VLine draws a vertical line from y0 to y1 inclusive at column x.
-func (c *Canvas) VLine(x, y0, y1 int, col color.Color) {
-	if y1 < y0 {
-		y0, y1 = y1, y0
-	}
-	c.FillRect(x, y0, 1, y1-y0+1, col)
+	rgba := toRGBA(col)
+	c.fillRect(x, y, w, 1, rgba)
+	c.fillRect(x, y+h-1, w, 1, rgba)
+	c.fillRect(x, y, 1, h, rgba)
+	c.fillRect(x+w-1, y, 1, h, rgba)
 }
 
 // Line draws an arbitrary segment with Bresenham's algorithm.

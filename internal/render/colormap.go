@@ -120,7 +120,7 @@ func (m ColorMap) Legend(c *Canvas, r Rect, limit float64, fg color.Color) {
 		barH = r.H - TextHeight(1) - 2
 	}
 	for x := 0; x < r.W; x++ {
-		t := (float64(x)/float64(maxInt(r.W-1, 1)))*2 - 1
+		t := (float64(x)/float64(max(r.W-1, 1)))*2 - 1
 		col := m.Map(t*limit, limit)
 		c.fillRect(r.X+x, r.Y, 1, barH, col)
 	}
@@ -172,11 +172,4 @@ func itoa(v int) string {
 		buf[i] = '-'
 	}
 	return string(buf[i:])
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package render
 import (
 	"image/color"
 	"math"
+	"slices"
 
 	"forestview/internal/cluster"
 )
@@ -30,22 +31,29 @@ func RenderDendrogram(c *Canvas, r Rect, t *cluster.Tree, o Orientation, fg colo
 }
 
 // RenderDendrogramOrdered is RenderDendrogram for a precomputed display
-// order: band i of the leaf axis holds leaf order[i]. Servers that cache
-// clustered trees pass the pane's DisplayOrder here, so the brackets line
-// up with the heatmap rows even when an optimized (Gruvaeus-Wainer
-// reoriented) order is installed — any orientation of the tree's merges is
-// drawable without crossings, and recomputing LeafOrder per tile is
-// avoided. order must be a permutation of the leaves; mismatched lengths
-// draw nothing.
+// order: band i of the leaf axis holds leaf order[i]. A pane's DisplayOrder
+// lines the brackets up with its heatmap rows even when an optimized
+// (Gruvaeus-Wainer reoriented) order is installed — any orientation of
+// the tree's merges is drawable without crossings. order must be a
+// permutation of the leaves; mismatched lengths draw nothing.
 func RenderDendrogramOrdered(c *Canvas, r Rect, t *cluster.Tree, order []int, o Orientation, fg color.Color) {
+	rgba := toRGBA(fg)
+	layBrackets(nil, r, t, order, o, func(x0, y0, x1, y1 int) { c.fillRect(x0, y0, x1-x0+1, y1-y0+1, rgba) })
+}
+
+// node is a tree node's pixel position: along the leaf axis, and along the
+// depth axis at its merge height.
+type node struct{ leaf, depth int }
+
+// layBrackets calls seg with each segment of t's brackets drawn in r, band
+// i of the leaf axis holding leaf order[i]: x0..x1 × y0..y1, inclusive and
+// ordered, one pixel thick; with finite heights >= 0, inside r. Node
+// positions, the leaves' first (the inverse of order), go in pos, reused
+// and returned.
+func layBrackets(pos []node, r Rect, t *cluster.Tree, order []int, o Orientation, seg func(x0, y0, x1, y1 int)) []node {
 	if t == nil || t.NLeaves == 0 || len(order) != t.NLeaves || r.W <= 0 || r.H <= 0 {
-		return
+		return pos
 	}
-	leafBand := make(map[int]int, len(order)) // leaf -> band index in display order
-	for band, leaf := range order {
-		leafBand[leaf] = band
-	}
-	n := t.NLeaves
 	// Height scale: root (max height) at depth 0 of the rect, leaves at
 	// the heatmap edge.
 	maxH := 0.0
@@ -57,48 +65,84 @@ func RenderDendrogramOrdered(c *Canvas, r Rect, t *cluster.Tree, order []int, o 
 	if maxH == 0 {
 		maxH = 1
 	}
-
-	// Positions along the leaf axis (pixel centers) and depth axis.
-	leafPos := func(band int) int {
-		if o == LeftOfRows {
-			return r.Y + (2*band+1)*r.H/(2*n)
-		}
-		return r.X + (2*band+1)*r.W/(2*n)
+	// A gene tree's leaf axis is r's height and its depth axis r's width,
+	// leaves at the right edge; an array tree's the other way round, leaves
+	// at the bottom.
+	lo, span, deep, depth := r.Y, r.H, r.X, r.W
+	if o != LeftOfRows {
+		lo, span, deep, depth = r.X, r.W, r.Y, r.H
 	}
 	depthPos := func(h float64) int {
-		frac := h / maxH
-		if frac > 1 {
-			frac = 1
-		}
-		if o == LeftOfRows {
-			// Leaves at right edge, root at left edge.
-			return r.X + r.W - 1 - int(math.Round(frac*float64(r.W-1)))
-		}
-		return r.Y + r.H - 1 - int(math.Round(frac*float64(r.H-1)))
+		return deep + depth - 1 - int(math.Round(min(h/maxH, 1)*float64(depth-1)))
 	}
-
-	// Compute each node's position: leaves at depth 0, internal nodes at
-	// their merge height, centered between children along the leaf axis.
-	type pt struct{ leafAxis, depthAxis int }
-	pos := make([]pt, n+len(t.Merges))
-	for leaf := 0; leaf < n; leaf++ {
-		pos[leaf] = pt{leafAxis: leafPos(leafBand[leaf]), depthAxis: depthPos(0)}
+	line := func(l0, l1, d0, d1 int) {
+		if o == LeftOfRows {
+			seg(min(d0, d1), min(l0, l1), max(d0, d1), max(l0, l1))
+		} else {
+			seg(min(l0, l1), min(d0, d1), max(l0, l1), max(d0, d1))
+		}
+	}
+	n := t.NLeaves
+	pos = slices.Grow(pos[:0], n+len(t.Merges))[:n+len(t.Merges)]
+	for leaf := range n { // a leaf the order leaves out sits in band 0
+		pos[leaf] = node{leaf: lo + span/(2*n), depth: depthPos(0)}
+	}
+	for band, leaf := range order {
+		if leaf >= 0 && leaf < n {
+			pos[leaf].leaf = lo + (2*band+1)*span/(2*n)
+		}
 	}
 	for i, m := range t.Merges {
-		a, b := pos[m.A], pos[m.B]
-		d := depthPos(m.Height)
-		node := pt{leafAxis: (a.leafAxis + b.leafAxis) / 2, depthAxis: d}
-		pos[n+i] = node
-		// Draw the bracket: two legs from children up to the merge depth,
-		// one rung connecting them.
-		if o == LeftOfRows {
-			c.HLine(d, a.depthAxis, a.leafAxis, fg)
-			c.HLine(d, b.depthAxis, b.leafAxis, fg)
-			c.VLine(d, a.leafAxis, b.leafAxis, fg)
-		} else {
-			c.VLine(a.leafAxis, d, a.depthAxis, fg)
-			c.VLine(b.leafAxis, d, b.depthAxis, fg)
-			c.HLine(a.leafAxis, b.leafAxis, d, fg)
-		}
+		a, c, d := pos[m.A], pos[m.B], depthPos(m.Height)
+		pos[n+i] = node{leaf: (a.leaf + c.leaf) / 2, depth: d}
+		line(a.leaf, a.leaf, d, a.depth)
+		line(c.leaf, c.leaf, d, c.depth)
+		line(a.leaf, c.leaf, d, d)
 	}
+	return pos
+}
+
+// Dendrogram is a HeatmapPNG tile's tree strip, Size pixels deep (<= 0 is
+// none): Tree in Color, as RenderDendrogramOrdered draws it with Order, a
+// LeftOfRows strip at the tile's left, an AboveColumns one on top.
+type Dendrogram struct {
+	Tree        *cluster.Tree
+	Order       []int
+	Orientation Orientation
+	Size        int
+	Color       color.RGBA
+}
+
+// stripRaster is a dendrogram strip as runs: its brackets marked in a
+// mask, one byte a pixel, over the tile's pixels left of r's right edge in
+// r's rows, and each mask row cut into runs of bg and fg.
+type stripRaster struct {
+	w, h int
+	mask []byte
+	px   [2]uint32 // bg, fg
+	pos  []node    // layBrackets's
+}
+
+// init lays d's tree out over r, in the coordinates of a w×h tile, and
+// marks its brackets in the mask, cut to it.
+func (s *stripRaster) init(d Dendrogram, r Rect, w, h int, bg uint32) {
+	s.w, s.h, s.px = min(r.X+r.W, w), max(min(r.Y+r.H, h)-r.Y, 0), [2]uint32{bg, pixelOf(d.Color)}
+	s.mask = slices.Grow(s.mask[:0], s.w*s.h)[:s.w*s.h]
+	clear(s.mask)
+	s.pos = layBrackets(s.pos, r, d.Tree, d.Order, d.Orientation, func(x0, y0, x1, y1 int) {
+		x0, x1, y0, y1 = max(x0, 0), min(x1, s.w-1), max(y0, r.Y), min(y1, r.Y+s.h-1)
+		for i := (y0 - r.Y) * s.w; y0 <= y1; y0, i = y0+1, i+s.w {
+			for x := x0; x <= x1; x++ {
+				s.mask[i+x] = 1
+			}
+		}
+	})
+}
+
+// appendRow appends mask row y's runs to rs.
+func (s *stripRaster) appendRow(rs []run, y int) []run {
+	for x, m := range s.mask[y*s.w : (y+1)*s.w] {
+		rs = add(rs, x+1, s.px[m])
+	}
+	return rs
 }

@@ -40,7 +40,7 @@ func RenderGOGraph(c *Canvas, r Rect, g *golem.Graph, lay *golem.Layout, opt GOG
 	}
 	c.FillRect(r.X, r.Y, r.W, r.H, bg)
 
-	layerH := r.H / maxInt(lay.LayerCount, 1)
+	layerH := r.H / max(lay.LayerCount, 1)
 	boxH := layerH * 2 / 3
 	if boxH < 9 {
 		boxH = minInt(9, layerH)
@@ -49,7 +49,7 @@ func RenderGOGraph(c *Canvas, r Rect, g *golem.Graph, lay *golem.Layout, opt GOG
 	center := func(id string) (int, int) {
 		p := lay.Pos[id]
 		width := len(lay.Layers[p.Layer])
-		cx := r.X + (2*p.Col+1)*r.W/(2*maxInt(width, 1))
+		cx := r.X + (2*p.Col+1)*r.W/(2*max(width, 1))
 		cy := r.Y + p.Layer*layerH + layerH/2
 		return cx, cy
 	}
@@ -63,7 +63,7 @@ func RenderGOGraph(c *Canvas, r Rect, g *golem.Graph, lay *golem.Layout, opt GOG
 		cx, cy := center(id)
 		p := lay.Pos[id]
 		width := len(lay.Layers[p.Layer])
-		boxW := r.W/maxInt(width, 1) - 4
+		boxW := r.W/max(width, 1) - 4
 		if boxW < 8 {
 			boxW = 8
 		}

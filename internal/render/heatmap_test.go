@@ -6,7 +6,10 @@ import (
 	"image/color"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"forestview/internal/cluster"
 )
 
 func synthRows(nR, nC int, seed int64) [][]float64 {
@@ -328,23 +331,48 @@ func TestRenderHeatmapMatchesReference(t *testing.T) {
 }
 
 // canvasHeatmapPNG is the path HeatmapPNG replaces: a canvas cleared to bg,
-// RenderHeatmap over the whole of it, and the canvas encoded.
-func canvasHeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) ([]byte, error) {
+// the top strip's tree right of the left strip, the left strip's tree
+// below the top one, RenderHeatmap over the rest, and the canvas encoded.
+func canvasHeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions, strips ...Dendrogram) ([]byte, error) {
 	c := NewCanvas(w, h, bg)
-	RenderHeatmap(c, Rect{W: w, H: h}, rows, opt)
-	return c.PNG()
+	var top, left Dendrogram
+	for _, d := range strips {
+		if d.Orientation == AboveColumns {
+			top = d
+		} else {
+			left = d
+		}
+	}
+	hx, hy := max(left.Size, 0), max(top.Size, 0)
+	if hy > 0 {
+		RenderDendrogramOrdered(c, Rect{X: hx, W: w - hx, H: hy}, top.Tree, top.Order, AboveColumns, top.Color)
+	}
+	if hx > 0 {
+		RenderDendrogramOrdered(c, Rect{Y: hy, W: hx, H: h - hy}, left.Tree, left.Order, LeftOfRows, left.Color)
+	}
+	RenderHeatmap(c, Rect{X: hx, Y: hy, W: w - hx, H: h - hy}, rows, opt)
+	return encodePNG(c)
 }
 
 // checkHeatmapPNG fails unless HeatmapPNG gives the canvas path's file, or
 // its error.
-func checkHeatmapPNG(t *testing.T, name string, w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) {
+func checkHeatmapPNG(t *testing.T, name string, w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions, strips ...Dendrogram) {
 	t.Helper()
-	got, gotErr := HeatmapPNG(w, h, bg, rows, opt)
-	want, wantErr := canvasHeatmapPNG(w, h, bg, rows, opt)
+	got, gotErr := HeatmapPNG(w, h, bg, rows, opt, strips...)
+	want, wantErr := canvasHeatmapPNG(w, h, bg, rows, opt, strips...)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || !bytes.Equal(got, want) {
-		t.Fatalf("%s: %dx%d tile of %d rows, opt %+v: runs path %d bytes (err %v), canvas path %d bytes (err %v)",
-			name, w, h, len(rows), opt, len(got), gotErr, len(want), wantErr)
+		t.Fatalf("%s: %dx%d tile of %d rows, opt %+v, strips %v: runs path %d bytes (err %v), canvas path %d bytes (err %v)",
+			name, w, h, len(rows), opt, stripSizes(strips), len(got), gotErr, len(want), wantErr)
 	}
+}
+
+// stripSizes names each strip by its orientation, size and leaf count.
+func stripSizes(strips []Dendrogram) []string {
+	var out []string
+	for _, d := range strips {
+		out = append(out, fmt.Sprintf("%d:%dpx/%d leaves", d.Orientation, d.Size, d.Tree.NLeaves))
+	}
+	return out
 }
 
 // TestHeatmapPNGMatchesCanvas: the runs path writes the canvas path's file
@@ -486,5 +514,171 @@ func FuzzHeatmapPNG(f *testing.F) {
 			opt.HighlightColor = color.NRGBA{R: val(2), G: val(3), A: val(4)}
 		}
 		checkHeatmapPNG(t, "fuzz", w, h, color.RGBA{A: 255}, rows, opt)
+	})
+}
+
+// buildTree returns a tree over n >= 1 leaves whose merge heights come
+// from height: each merge joins two of the clusters left, pick(k) choosing
+// among k, or, for a chain, the last cluster and the next leaf.
+func buildTree(n int, chain bool, pick func(int) int, height func() float64) *cluster.Tree {
+	t := &cluster.Tree{NLeaves: n}
+	roots := make([]int, n)
+	for i := range roots {
+		roots[i] = i
+	}
+	for k := 0; k+1 < n; k++ {
+		i, j := 0, 1
+		if !chain {
+			i, j = pick(len(roots)), pick(len(roots)-1)
+			if j >= i {
+				j++
+			}
+		}
+		t.Merges = append(t.Merges, cluster.Merge{A: roots[i], B: roots[j], Height: height()})
+		roots[i] = n + k
+		roots = slices.Delete(roots, j, j+1)
+	}
+	return t
+}
+
+// TestHeatmapPNGStripsMatchCanvas: with dendrogram strips, the runs path
+// writes the canvas path's file byte for byte — both strips, either alone,
+// 1-px strips and strips as wide or tall as the tile or more; trees of 1
+// and 2 leaves, chains and random shapes, with heights rising, falling or
+// tied at 0, drawn in LeafOrder or any other order; both heatmap regimes,
+// a column order, highlights, translucent colours; and tiles of every
+// size one after another on the pooled encoders.
+func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
+	rng := rand.New(rand.NewSource(60))
+	colors := []color.RGBA{{R: 180, G: 180, B: 180, A: 255}, {A: 255}, {R: 90, G: 10, A: 128}}
+	strip := func(o Orientation, size, n int) Dendrogram {
+		heights := []func() float64{
+			func() float64 { return 2 * rng.Float64() },
+			func() float64 { return 0 },
+			func() float64 { return float64(rng.Intn(3)) / 2 },
+		}[rng.Intn(3)]
+		tr := buildTree(n, rng.Intn(4) == 0, rng.Intn, heights)
+		order := tr.LeafOrder()
+		if rng.Intn(2) == 0 {
+			order = rng.Perm(n)
+		}
+		return Dendrogram{Tree: tr, Order: order, Orientation: o, Size: size, Color: colors[rng.Intn(len(colors))]}
+	}
+	size := func(side int) int {
+		switch rng.Intn(8) {
+		case 0:
+			return 1
+		case 1:
+			return side + rng.Intn(3)
+		default:
+			return 1 + rng.Intn(side)
+		}
+	}
+	leaves := func(n int) int { return []int{1, 2, max(n, 1), 1 + rng.Intn(3*n+1)}[rng.Intn(4)] }
+	const cases = 3000
+	regimes := [2]int{}
+	for i := 0; i < cases; i++ {
+		w, h := 1+rng.Intn(96), 1+rng.Intn(96)
+		nR, nC := 1+rng.Intn(2*h), 1+rng.Intn(w)
+		rows := synthRows(nR, nC, rng.Int63())
+		opt := HeatmapOptions{ColorMap: ColorMap(rng.Intn(3)), Limit: 2, CellBorder: rng.Intn(3) > 0}
+		var strips []Dendrogram
+		heatH, kind := h, rng.Intn(3) // kind 0: both strips, 1: left, 2: top
+		if kind != 2 {
+			strips = append(strips, strip(LeftOfRows, size(w), leaves(nR)))
+		}
+		if kind != 1 {
+			top := strip(AboveColumns, size(h), leaves(nC))
+			if rng.Intn(2) == 0 {
+				opt.ColOrder = top.Order
+			}
+			strips, heatH = append(strips, top), h-top.Size
+		}
+		if rng.Intn(4) == 0 {
+			opt.Highlight = map[int]bool{rng.Intn(nR): true}
+		}
+		rng.Shuffle(len(strips), func(a, b int) { strips[a], strips[b] = strips[b], strips[a] })
+		bg := []color.RGBA{{A: 255}, {R: 9, G: 9, B: 9, A: 255}, {R: 10, B: 20, A: 128}}[rng.Intn(3)]
+		checkHeatmapPNG(t, fmt.Sprintf("case %d", i), w, h, bg, rows, opt, strips...)
+		if nR >= heatH {
+			regimes[0]++
+		} else {
+			regimes[1]++
+		}
+	}
+	if regimes[0] < cases/5 || regimes[1] < cases/5 {
+		t.Fatalf("regimes unevenly covered: global %d, zoom %d", regimes[0], regimes[1])
+	}
+	// A paper-shaped tree=40&atree=48 tile: 375 slab rows of a 6,000-row
+	// pane (level 4), 24 columns in the array tree's order.
+	rows := synthRows(375, 24, 60)
+	gene := buildTree(6000, false, rng.Intn, func() float64 { return 2 * rng.Float64() })
+	array := buildTree(24, false, rng.Intn, func() float64 { return 2 * rng.Float64() })
+	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
+	checkHeatmapPNG(t, "paper", 256, 256, color.RGBA{A: 255}, rows,
+		HeatmapOptions{Limit: 2, CellBorder: true, ColOrder: array.LeafOrder()},
+		Dendrogram{Tree: array, Order: array.LeafOrder(), Orientation: AboveColumns, Size: 48, Color: fg},
+		Dendrogram{Tree: gene, Order: gene.LeafOrder(), Orientation: LeftOfRows, Size: 40, Color: fg})
+}
+
+// FuzzHeatmapPNGStrips holds the strip runs path to the canvas path on any
+// tile of up to 64×64 pixels with either strip or both. The input is
+// width, height, the left strip's width and the top strip's height (0 is
+// none; up to 2 past the tile), rows, columns and a flag byte (chain-shaped
+// trees, orders that are not LeafOrder, borders, the top tree's order as
+// the column order, a highlight), then bytes cycled: the values ((b−128)/32,
+// 255 is NaN), then the trees (b picks a cluster to merge, b/64 is its
+// height). The left tree has a leaf a row, the top one a leaf a column.
+// The seeds are in testdata/fuzz/FuzzHeatmapPNGStrips.
+func FuzzHeatmapPNGStrips(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		w, h := 1+int(data[0]%64), 1+int(data[1]%64)
+		left, top := int(data[2])%(w+3), int(data[3])%(h+3)
+		nR, nC, flags := 1+int(data[4]%130), 1+int(data[5]%40), data[6]
+		vals, k := data[7:], 0
+		next := func() byte {
+			k++
+			if len(vals) == 0 {
+				return 128
+			}
+			return vals[(k-1)%len(vals)]
+		}
+		rows := make([][]float64, nR)
+		for g := range rows {
+			rows[g] = make([]float64, nC)
+			for c := range rows[g] {
+				if b := next(); b == 255 {
+					rows[g][c] = math.NaN()
+				} else {
+					rows[g][c] = (float64(b) - 128) / 32
+				}
+			}
+		}
+		pick := func(n int) int { return int(next()) % n }
+		height := func() float64 { return float64(next()) / 64 }
+		strip := func(o Orientation, size, n int, chain, shuffled bool) Dendrogram {
+			tr := buildTree(n, chain, pick, height)
+			order := tr.LeafOrder()
+			if shuffled {
+				for i := len(order) - 1; i > 0; i-- {
+					j := pick(i + 1)
+					order[i], order[j] = order[j], order[i]
+				}
+			}
+			return Dendrogram{Tree: tr, Order: order, Orientation: o, Size: size, Color: color.RGBA{R: 180, G: 180, B: 180, A: 255}}
+		}
+		gene := strip(LeftOfRows, left, nR, flags&1 != 0, flags&2 != 0)
+		array := strip(AboveColumns, top, nC, flags&4 != 0, flags&8 != 0)
+		opt := HeatmapOptions{Limit: 2, CellBorder: flags&0x10 != 0}
+		if flags&0x20 != 0 {
+			opt.ColOrder = array.Order
+		}
+		if flags&0x40 != 0 {
+			opt.Highlight = map[int]bool{int(next()) % nR: true}
+		}
+		checkHeatmapPNG(t, "fuzz", w, h, color.RGBA{A: 255}, rows, opt, gene, array)
 	})
 }

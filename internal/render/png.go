@@ -17,7 +17,7 @@ import (
 // The PNG writer is built for what a heatmap is: rows of runs of one
 // pixel, and rows that repeat — the matches deflate would search for. This
 // one does not search: it takes each row as its runs (see run), cut from a
-// canvas row or straight from heatRaster, which never paints a pixel.
+// canvas row or straight from a tile's rasters, which paint no pixel.
 // Rows are unfiltered (filter None); a row equal to one still in the 32 KiB
 // window (the last row with its hash, see hashRuns) is whole-row matches
 // back to it, any other row its runs (see rowTokens). Tokens are
@@ -51,10 +51,13 @@ type pngEncoder struct {
 	bits   uint64 // pending output bits, LSB first
 	nbits  uint
 
-	// The image being encoded: a canvas, or when img is nil, a heatmap.
-	img  *image.RGBA
-	heat heatRaster
-	w, h int
+	// The image being encoded: a canvas, or when img is nil, a HeatmapPNG
+	// tile: its heatmap, its strips by Orientation, and the row they make.
+	img    *image.RGBA
+	heat   heatRaster
+	strips [2]stripRaster
+	tile   []run
+	w, h   int
 
 	bpp, stride int // bytes a pixel and a filtered row
 	// The runs of the rows a match can reach: row y's are
@@ -167,7 +170,7 @@ func (e *pngEncoder) deflate(bpp int) bool {
 func (e *pngEncoder) appendRow(y int) {
 	switch {
 	case e.img == nil:
-		e.runs = append(e.runs, e.heat.row(y)...)
+		e.runs = append(e.runs, e.tileRow(y)...)
 	case y > 0 && e.rowAt[y-1] >= e.base && bytes.Equal(e.canvasRow(y), e.canvasRow(y-1)):
 		e.runs = append(e.runs, e.row(y-1)...) // a memory compare, not a scan
 	default:
@@ -594,35 +597,53 @@ func (c *Canvas) EncodePNG(w io.Writer) error {
 	return err
 }
 
-// PNG returns the canvas as a PNG file in a slice of exactly its length,
-// so a cache that charges len holds no more than it charged for.
-func (c *Canvas) PNG() ([]byte, error) {
-	e := pngEncoders.Get().(*pngEncoder)
-	defer pngEncoders.Put(e)
-	e.img = c.img
-	return e.file(c.Width(), c.Height())
-}
-
 // HeatmapPNG returns, byte for byte, what a w×h NewCanvas cleared to bg
-// with RenderHeatmap of rows over the whole of it gives as PNG — without
-// the canvas: the raster's runs, with bg in the cell borders, go straight
-// to the writer.
-func HeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions) ([]byte, error) {
+// gives as PNG after RenderDendrogramOrdered of the AboveColumns strip
+// right of the LeftOfRows one, then of that strip below it, then
+// RenderHeatmap of rows over the rest — without the canvas: strip and
+// raster runs, bg in the cell borders, go straight to the writer. Of two
+// strips of one orientation the last counts. Merge heights must be finite
+// and >= 0, as cluster's are: a bracket leaving its strip is cut at its edge.
+func HeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOptions, strips ...Dendrogram) ([]byte, error) {
 	w, h = max(w, 0), max(h, 0)
+	var by [2]Dendrogram
+	for _, d := range strips {
+		by[d.Orientation] = d
+	}
+	left, top, px := max(by[LeftOfRows].Size, 0), max(by[AboveColumns].Size, 0), pixelOf(bg)
 	e := pngEncoders.Get().(*pngEncoder)
 	defer pngEncoders.Put(e)
-	e.heat.init(w, h, rows, opt, 0, w)
-	e.heat.hole = pixelOf(bg)
-	return e.file(w, h)
-}
-
-// file encodes the image set in e and returns it in a slice of exactly
-// its length.
-func (e *pngEncoder) file(w, h int) ([]byte, error) {
+	e.strips[AboveColumns].init(by[AboveColumns], Rect{X: left, W: w - left, H: top}, w, h, px)
+	e.strips[LeftOfRows].init(by[LeftOfRows], Rect{Y: top, W: left, H: h - top}, w, h, px)
+	hw := w - e.strips[LeftOfRows].w
+	e.heat.init(hw, h-e.strips[AboveColumns].h, rows, opt, 0, hw)
+	e.heat.hole = px
 	if err := e.encode(w, h); err != nil {
 		return nil, err
 	}
+	// Exactly sized: a cache that charges len holds no more than it charged.
 	return append(make([]byte, 0, len(e.out)), e.out...), nil
+}
+
+// tileRow returns row y of a HeatmapPNG tile, valid until the next call:
+// the top strip's row across the tile, or the left strip's row and then
+// the heatmap's, shifted by the strip's width.
+func (e *pngEncoder) tileRow(y int) []run {
+	top, left := &e.strips[AboveColumns], &e.strips[LeftOfRows]
+	switch {
+	case y < top.h:
+		e.tile = top.appendRow(e.tile[:0], y)
+	case left.w == 0:
+		return e.heat.row(y - top.h)
+	default:
+		e.tile = left.appendRow(e.tile[:0], y-top.h)
+		if left.w < e.w { // else the heatmap has no pixels
+			for _, rn := range e.heat.row(y - top.h) {
+				e.tile = add(e.tile, int(rn.end)+left.w, rn.px)
+			}
+		}
+	}
+	return e.tile
 }
 
 // SavePNG writes the canvas to a file.

@@ -55,28 +55,6 @@ func TestFillRectClips(t *testing.T) {
 	}
 }
 
-func TestLines(t *testing.T) {
-	c := NewCanvas(10, 10, black)
-	c.HLine(2, 7, 5, red)
-	for x := 2; x <= 7; x++ {
-		if c.At(x, 5) != red {
-			t.Fatalf("HLine missing pixel at %d", x)
-		}
-	}
-	c.VLine(3, 1, 4, red)
-	for y := 1; y <= 4; y++ {
-		if c.At(3, y) != red {
-			t.Fatalf("VLine missing pixel at %d", y)
-		}
-	}
-	// Reversed coordinates still work.
-	c2 := NewCanvas(10, 10, black)
-	c2.HLine(7, 2, 5, red)
-	if c2.At(2, 5) != red || c2.At(7, 5) != red {
-		t.Fatal("reversed HLine broken")
-	}
-}
-
 func TestBresenhamDiagonal(t *testing.T) {
 	c := NewCanvas(10, 10, black)
 	c.Line(0, 0, 9, 9, red)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"forestview/internal/core"
 	"forestview/internal/spell"
 	"forestview/internal/tilecorr"
 )
@@ -150,31 +151,40 @@ func TestHeatmapCacheDispositionHeader(t *testing.T) {
 
 // TestCachedTileIsExactlySized: the LRU charges a tile its length
 // (wireCost), so the slice it holds must not pin a larger backing array,
-// as the bytes of a bytes.Buffer grown by doubling do (up to twice).
+// as the bytes of a bytes.Buffer grown by doubling do (up to twice) — a
+// plain tile and one with a dendrogram strip alike.
 func TestCachedTileIsExactlySized(t *testing.T) {
 	s, _ := fixture(t)
-	url := "/api/heatmap?dataset=0&w=256&h=256&rows=0:150"
-	get(t, s, url)
-	if rec := get(t, s, url); rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "hit" {
-		t.Fatalf("warm tile = %d, %s: %q", rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
-	}
-	_, err := s.trees.get(context.Background(), 0)
+	cd, err := s.trees.get(context.Background(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := tileParams{dsIndex: 0, from: 0, to: 150, w: 256, h: 256, cmap: 0, limit: 2}
-	v, ok := s.cache.Get(p.key())
-	if !ok {
-		t.Fatalf("no cache entry under the tile's key %q", p.key())
-	}
-	if b := v.([]byte); cap(b) != len(b) {
-		t.Fatalf("cached tile holds cap %d for the %d bytes it is charged", cap(b), len(b))
+	for _, tc := range []struct {
+		url string
+		p   tileParams
+	}{
+		{"/api/heatmap?dataset=0&w=256&h=256&rows=0:150", tileParams{from: 0, to: 150, w: 256, h: 256}},
+		{"/api/heatmap?dataset=0&w=256&h=256&tree=40", tileParams{from: 0, to: len(cd.DisplayOrder), w: 256, h: 256, treeW: 40}},
+	} {
+		get(t, s, tc.url)
+		if rec := get(t, s, tc.url); rec.Code != http.StatusOK || rec.Header().Get(cacheHeader) != "hit" {
+			t.Fatalf("warm tile %s = %d, %s: %q", tc.url, rec.Code, cacheHeader, rec.Header().Get(cacheHeader))
+		}
+		tc.p.limit = 2
+		tc.p.level = autoLevel(tc.p.to-tc.p.from, tc.p.h, core.NumPyramidLevels(len(cd.DisplayOrder)))
+		v, ok := s.cache.Get(tc.p.key())
+		if !ok {
+			t.Fatalf("no cache entry under the tile's key %q", tc.p.key())
+		}
+		if b := v.([]byte); cap(b) != len(b) {
+			t.Fatalf("cached tile %s holds cap %d for the %d bytes it is charged", tc.url, cap(b), len(b))
+		}
 	}
 }
 
-// TestTileCanvasReuseIsInvisible: a tile drawn on a recycled canvas —
-// after a different tile of the same size, after one with strips, after
-// one of another size — is byte for byte the tile drawn on a fresh one.
+// TestTileCanvasReuseIsInvisible: a tile drawn after a different tile of
+// the same size, after one with strips, after one of another size — on a
+// pooled encoder that drew them — is byte for byte the tile drawn first.
 func TestTileCanvasReuseIsInvisible(t *testing.T) {
 	s, _ := fixture(t)
 	cd, err := s.trees.get(context.Background(), 0)
@@ -188,26 +198,23 @@ func TestTileCanvasReuseIsInvisible(t *testing.T) {
 		{from: 0, to: n, w: 96, h: 64, treeW: 30},
 		{from: 0, to: n, w: 64, h: 96, cmap: 2},
 	}
-	var fresh [][]byte
+	var first [][]byte
 	for i := range tiles {
 		tiles[i].dsIndex, tiles[i].limit = 0, 2
-		// An emptied pool: every one of these draws on a new canvas.
-		for tileCanvases.Get() != nil {
-		}
 		png, err := s.rasterizeTile(cd, tiles[i])
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh = append(fresh, png)
+		first = append(first, png)
 	}
-	for round := 0; round < 3; round++ {
-		for i, p := range tiles {
-			png, err := s.rasterizeTile(cd, p)
+	for round, order := range [][]int{{3, 2, 1, 0}, {2, 0, 3, 1}, {0, 2, 1, 3}} {
+		for _, i := range order {
+			png, err := s.rasterizeTile(cd, tiles[i])
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(png, fresh[i]) {
-				t.Fatalf("round %d, tile %d: a recycled canvas changed the tile", round, i)
+			if !bytes.Equal(png, first[i]) {
+				t.Fatalf("round %d, tile %d: what the encoder drew before changed the tile", round, i)
 			}
 		}
 	}

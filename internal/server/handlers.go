@@ -12,7 +12,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"forestview/internal/core"
@@ -491,10 +490,9 @@ func wireCost(b []byte) int64 { return int64(len(b)) + 64 }
 // rasterizeTile draws one tile: optional array-tree strip on top, optional
 // gene-tree strip on the left, and the expression matrix — from the raw
 // display rows at level 0 (the pre-pyramid path, byte-for-byte), or from
-// the pane's precomputed pyramid slab at level >= 1. A tile that is the
-// matrix alone never has a canvas: the raster's runs go straight to PNG.
+// the pane's precomputed pyramid slab at level >= 1. Strips and matrix are
+// runs that go straight to PNG; no tile has a framebuffer.
 func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte, error) {
-	bg := color.RGBA{A: 255}
 	var rows [][]float64
 	if p.level == 0 {
 		rows = cd.RowsInDisplayRange(p.from, p.to)
@@ -505,52 +503,13 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 		rows = slab.F64[lo:hi]
 	}
 	opt := render.HeatmapOptions{ColorMap: p.cmap, Limit: p.limit, CellBorder: true}
-	if p.treeW == 0 && p.atreeH == 0 {
-		return render.HeatmapPNG(p.w, p.h, bg, rows, opt)
-	}
-	c := tileCanvas(p.w, p.h, bg)
-	defer tileCanvases.Put(c)
-	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
-	hx, hy := 0, 0
 	if p.atreeH > 0 {
-		// The column dendrogram spans the heatmap's width (to the right of
-		// any gene-tree strip); the heatmap below renders its columns in
-		// the same leaf order so the brackets line up.
-		opt.ColOrder = cd.ArrayOrder
-		render.RenderDendrogramOrdered(c,
-			render.Rect{X: p.treeW, Y: 0, W: p.w - p.treeW, H: p.atreeH},
-			cd.ArrayTree, cd.ArrayOrder, render.AboveColumns, fg)
-		hy = p.atreeH
+		opt.ColOrder = cd.ArrayOrder // the columns under their brackets
 	}
-	if p.treeW > 0 {
-		// The cached tree drawn against the pane's display
-		// order, so brackets line up with the heatmap rows even
-		// under an optimized leaf orientation.
-		render.RenderDendrogramOrdered(c,
-			render.Rect{X: 0, Y: hy, W: p.treeW, H: p.h - hy},
-			cd.GeneTree, cd.DisplayOrder, render.LeftOfRows, fg)
-		hx = p.treeW
-	}
-	render.RenderHeatmap(c, render.Rect{X: hx, Y: hy, W: p.w - hx, H: p.h - hy}, rows, opt)
-	// Exactly sized: wireCost charges the LRU len, so the cached tile must
-	// not pin a larger capacity.
-	return c.PNG()
-}
-
-// tileCanvases recycles the framebuffer between tile renders: a 256×256
-// canvas is 256 KiB, a dozen times the PNG it becomes, and allocated per tile
-// it would be nearly all the daemon's garbage. The pool holds at most one
-// canvas per concurrent render: a tile of another size drops the canvas it
-// was handed and puts back the one it allocated.
-var tileCanvases sync.Pool
-
-// tileCanvas returns a w×h canvas cleared to bg, as render.NewCanvas does.
-func tileCanvas(w, h int, bg color.RGBA) *render.Canvas {
-	if c, _ := tileCanvases.Get().(*render.Canvas); c != nil && c.Width() == w && c.Height() == h {
-		c.Fill(bg)
-		return c
-	}
-	return render.NewCanvas(w, h, bg)
+	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
+	return render.HeatmapPNG(p.w, p.h, color.RGBA{A: 255}, rows, opt,
+		render.Dendrogram{Tree: cd.ArrayTree, Order: cd.ArrayOrder, Orientation: render.AboveColumns, Size: p.atreeH, Color: fg},
+		render.Dendrogram{Tree: cd.GeneTree, Order: cd.DisplayOrder, Orientation: render.LeftOfRows, Size: p.treeW, Color: fg})
 }
 
 // parseRowRange parses a strict "FROM:TO" display-row range; unlike

@@ -160,7 +160,9 @@ func (pf *prefetcher) speculate(p tileParams, nRows, levels int) {
 	}
 	preds := make([]tileParams, 0, 4)
 	for _, c := range cands {
-		if c.to <= c.from || (c.from == p.from && c.to == p.to) {
+		// A tree= tile spans the pane, and the handler refuses one for any
+		// other window: such a tile has no neighbour a client can ask for.
+		if c.to <= c.from || (c.from == p.from && c.to == p.to) || p.treeW > 0 {
 			continue
 		}
 		q := p

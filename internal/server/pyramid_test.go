@@ -234,6 +234,19 @@ func TestPrefetchServesNextWindow(t *testing.T) {
 	}
 }
 
+// TestTreeTileSpeculatesNothing: a tree=W tile spans the whole pane, and
+// the handler refuses a tree for any other window, so its zoom-in child
+// is no tile a client can ask for and is not speculated.
+func TestTreeTileSpeculatesNothing(t *testing.T) {
+	s, _ := arrayFixture(t, 2)
+	if rec := get(t, s, "/api/heatmap?dataset=0&w=64&h=48&tree=16"); rec.Code != http.StatusOK {
+		t.Fatalf("tree tile = %d: %s", rec.Code, rec.Body.String())
+	}
+	if pi := prefetchStats(t, s); pi.Enqueued != 0 {
+		t.Fatalf("a tree tile enqueued %d speculations, want 0: %+v", pi.Enqueued, *pi)
+	}
+}
+
 // TestPrefetchYieldsToForeground: speculation must never compete with real
 // requests for render slots. With every slot held — whether or not anyone
 // waits — a prefetch job sheds at once instead of rendering; with the queue

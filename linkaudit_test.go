@@ -14,6 +14,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -42,18 +43,12 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("the allowlist is written for amd64's symbol set")
 	}
-	var bins []binarySyms
-	for _, bin := range buildAllBinaries(t, t.TempDir()) {
-		out, err := exec.Command("go", "tool", "nm", bin.path).Output()
-		if err != nil {
-			t.Fatalf("go tool nm %s: %v", bin.path, err)
-		}
-		b := readNM(string(out))
-		if b.reflective {
+	built, bins := auditedBinaries(t)
+	for i, bin := range built {
+		if bins[i].reflective {
 			t.Errorf("%s links a call of a method by name, so its symbol table holds methods nothing calls; the edge:\n%s",
 				filepath.Base(bin.path), strings.Join(reflectEdges(t, bin), "\n"))
 		}
-		bins = append(bins, b)
 	}
 	decls := declaredFuncs(t, "internal")
 	allow := readAllowlist(t, allowlistPath)
@@ -64,6 +59,61 @@ func TestEveryFunctionIsLinked(t *testing.T) {
 	for _, e := range stale {
 		t.Errorf("%s: entry %s is stale: it is linked now, or it no longer exists", allowlistPath, e)
 	}
+}
+
+// TestDaemonLinksNoCanvas: forestviewd writes every tile, dendrogram
+// strips included, from runs, so it links no framebuffer and none of the
+// canvas renderers.
+func TestDaemonLinksNoCanvas(t *testing.T) {
+	built, bins := auditedBinaries(t)
+	for i, bin := range built {
+		if filepath.Base(bin.path) != "forestviewd" {
+			continue
+		}
+		for _, fn := range []string{"NewCanvas", "(*Canvas).Fill", "(*Canvas).FillRect", "RenderHeatmap", "RenderDendrogramOrdered"} {
+			if bins[i].funcs["forestview/internal/render."+fn] {
+				t.Errorf("forestviewd links render.%s", fn)
+			}
+		}
+		return
+	}
+	t.Fatal("forestviewd is not among the audited binaries")
+}
+
+var (
+	auditOnce  sync.Once
+	auditBuilt []binary
+	auditSyms  []binarySyms
+	auditErr   error
+)
+
+// auditedBinaries builds every binary the audit counts and reads their
+// symbol tables, once for all the tests of a run.
+func auditedBinaries(t *testing.T) ([]binary, []binarySyms) {
+	t.Helper()
+	auditOnce.Do(func() {
+		dir, err := os.MkdirTemp("", "linkaudit")
+		if err != nil {
+			auditErr = err
+			return
+		}
+		defer os.RemoveAll(dir)
+		if auditBuilt, auditErr = buildAllBinaries(dir); auditErr != nil {
+			return
+		}
+		for _, bin := range auditBuilt {
+			out, err := exec.Command("go", "tool", "nm", bin.path).Output()
+			if err != nil {
+				auditErr = fmt.Errorf("go tool nm %s: %v", bin.path, err)
+				return
+			}
+			auditSyms = append(auditSyms, readNM(string(out)))
+		}
+	})
+	if auditErr != nil {
+		t.Fatal(auditErr)
+	}
+	return auditBuilt, auditSyms
 }
 
 // binarySyms is what the audit reads of one binary's symbol table: this
@@ -133,19 +183,18 @@ func reflectEdges(t *testing.T, bin binary) []string {
 type binary struct{ dir, pkg, path string }
 
 // buildAllBinaries builds every binary the audit counts into dir.
-func buildAllBinaries(t *testing.T, dir string) []binary {
-	t.Helper()
+func buildAllBinaries(dir string) ([]binary, error) {
 	const noInline = "-gcflags=forestview/...=-l"
-	run := func(wd string, args ...string) string {
+	run := func(wd string, args ...string) (string, error) {
 		cmd := exec.Command("go", args...)
 		cmd.Dir = wd
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
+			return "", fmt.Errorf("go %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 		}
-		return string(out)
+		return string(out), nil
 	}
 	// go test caches this test's result keyed on the files the test itself
 	// touches, not on what the go build below reads: stat every source
@@ -158,17 +207,25 @@ func buildAllBinaries(t *testing.T, dir string) []binary {
 			return err
 		})
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
-	mains := strings.Fields(run(".", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...", "./examples/..."))
-	run(".", append([]string{"build", "-o", dir + string(filepath.Separator), noInline}, mains...)...)
-	run("bench", "build", "-o", filepath.Join(dir, "bench"), noInline, ".")
+	list, err := run(".", "list", "-f", `{{if eq .Name "main"}}{{.ImportPath}}{{end}}`, "./cmd/...", "./examples/...")
+	if err != nil {
+		return nil, err
+	}
+	mains := strings.Fields(list)
+	if _, err := run(".", append([]string{"build", "-o", dir + string(filepath.Separator), noInline}, mains...)...); err != nil {
+		return nil, err
+	}
+	if _, err := run("bench", "build", "-o", filepath.Join(dir, "bench"), noInline, "."); err != nil {
+		return nil, err
+	}
 	bins := []binary{{"bench", ".", filepath.Join(dir, "bench")}}
 	for _, pkg := range mains {
 		bins = append(bins, binary{".", pkg, filepath.Join(dir, filepath.Base(pkg))})
 	}
-	return bins
+	return bins, nil
 }
 
 var (
