@@ -43,11 +43,11 @@ func BenchmarkAblation_LeafOrdering(b *testing.B) {
 	b.Run("gruvaeus-wainer", func(b *testing.B) {
 		var q float64
 		for i := 0; i < b.N; i++ {
-			order, err := cluster.OptimizeLeafOrder(tree, ds.Data)
+			oriented, err := cluster.Orient(tree, ds.Data)
 			if err != nil {
 				b.Fatal(err)
 			}
-			q = cluster.OrderQuality(ds.Data, order)
+			q = cluster.OrderQuality(ds.Data, oriented.LeafOrder())
 		}
 		b.ReportMetric(q, "adjacent-similarity")
 	})

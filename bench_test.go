@@ -1565,8 +1565,8 @@ func newStripTile(tb testing.TB, nGenes int) stripTile {
 		rows: cd.Pyramid(core.PyramidOptions{}).Level(lvl).F64,
 		opt:  render.HeatmapOptions{ColorMap: render.GreenBlackRed, Limit: 2, CellBorder: true, ColOrder: cd.ArrayOrder},
 		strips: []render.Dendrogram{
-			{Tree: cd.ArrayTree, Order: cd.ArrayOrder, Orientation: render.AboveColumns, Size: 48, Color: fg},
-			{Tree: cd.GeneTree, Order: cd.DisplayOrder, Orientation: render.LeftOfRows, Size: 40, Color: fg},
+			{Tree: cd.ArrayTree, Orientation: render.AboveColumns, Size: 48, Color: fg},
+			{Tree: cd.GeneTree, Orientation: render.LeftOfRows, Size: 40, Color: fg},
 		},
 	}
 }

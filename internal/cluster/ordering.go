@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // A dendrogram fixes which leaves are siblings but not the left/right
@@ -14,69 +15,67 @@ import (
 // the distance between the facing boundary leaves. The ablation bench
 // (AblationLeafOrdering) quantifies the improvement.
 
-// OptimizeLeafOrder returns a leaf order for t with per-merge orientations
-// chosen to minimize boundary Pearson distances. rows must be the leaf data
-// (rows[i] for leaf i).
-func OptimizeLeafOrder(t *Tree, rows [][]float64) ([]int, error) {
+// Orient returns a copy of t whose LeafOrder has each merge's two child
+// blocks oriented to minimize the Pearson distance across their junction.
+// Only the children of some merges trade places: heights and merge pairs
+// are t's, and t is not changed. rows must be the leaf data (rows[i] for
+// leaf i).
+func Orient(t *Tree, rows [][]float64) (*Tree, error) {
 	if t == nil || t.NLeaves == 0 {
 		return nil, fmt.Errorf("cluster: empty tree")
 	}
 	if len(rows) < t.NLeaves {
 		return nil, fmt.Errorf("cluster: %d rows for %d leaves", len(rows), t.NLeaves)
 	}
-	if t.NLeaves == 1 {
-		return []int{0}, nil
+	n := t.NLeaves
+	out := &Tree{NLeaves: n, Merges: slices.Clone(t.Merges)}
+	// ends[k] is node k's first and last leaf in the orientation the
+	// greedy pass gave it; flip[i] says it reversed merge i's A and B
+	// blocks.
+	ends := make([][2]int, n+len(t.Merges))
+	for leaf := range n {
+		ends[leaf] = [2]int{leaf, leaf}
 	}
-	// block[i] is the ordered leaf list of node i (leaves then merges).
-	blocks := make([][]int, t.NLeaves+len(t.Merges))
-	for leaf := 0; leaf < t.NLeaves; leaf++ {
-		blocks[leaf] = []int{leaf}
-	}
+	flip := make([][2]bool, len(t.Merges))
 	dist := func(a, b int) float64 { return distance(rows[a], rows[b]) }
 	for i, m := range t.Merges {
-		a, b := blocks[m.A], blocks[m.B]
-		// Boundary leaves of each child block in its current orientation.
-		aL, aR := a[0], a[len(a)-1]
-		bL, bR := b[0], b[len(b)-1]
-		// Four orientations; cost is the distance across the junction.
-		type option struct {
-			flipA, flipB bool
-			cost         float64
-		}
-		options := []option{
-			{false, false, dist(aR, bL)},
-			{true, false, dist(aL, bL)},
-			{false, true, dist(aR, bR)},
-			{true, true, dist(aL, bR)},
-		}
-		best := options[0]
-		for _, o := range options[1:] {
-			if o.cost < best.cost {
-				best = o
+		a, b := ends[m.A], ends[m.B]
+		// Four orientations, the first of the cheapest junctions kept.
+		best := dist(a[1], b[0])
+		for _, o := range [][2]bool{{true, false}, {false, true}, {true, true}} {
+			x, y := a[1], b[0]
+			if o[0] {
+				x = a[0]
+			}
+			if o[1] {
+				y = b[1]
+			}
+			if c := dist(x, y); c < best {
+				best, flip[i] = c, o
 			}
 		}
-		left := a
-		if best.flipA {
-			left = reversed(a)
+		first, last := a[0], b[1]
+		if flip[i][0] {
+			first = a[1]
 		}
-		right := b
-		if best.flipB {
-			right = reversed(b)
+		if flip[i][1] {
+			last = b[0]
 		}
-		merged := make([]int, 0, len(left)+len(right))
-		merged = append(merged, left...)
-		merged = append(merged, right...)
-		blocks[t.NLeaves+i] = merged
+		ends[n+i] = [2]int{first, last}
 	}
-	return blocks[t.Root()], nil
-}
-
-func reversed(xs []int) []int {
-	out := make([]int, len(xs))
-	for i, v := range xs {
-		out[len(xs)-1-i] = v
+	// A reversed block is every merge under it reversed, its children
+	// swapped: walk the merges root first, handing each child whether its
+	// own block reads backwards.
+	rev := make([]bool, n+len(t.Merges))
+	for i := len(out.Merges) - 1; i >= 0; i-- {
+		m := &out.Merges[i]
+		r := rev[n+i]
+		rev[m.A], rev[m.B] = r != flip[i][0], r != flip[i][1]
+		if r {
+			m.A, m.B = m.B, m.A
+		}
 	}
-	return out
+	return out, nil
 }
 
 // OrderQuality scores a display order: the mean similarity, 1 - Pearson

@@ -28,7 +28,8 @@ type ClusteredDataset struct {
 	GeneTree  *cluster.Tree
 	ArrayTree *cluster.Tree
 	// DisplayOrder maps display position -> data row. With a gene tree it
-	// is the tree's leaf order; without one it is the identity.
+	// is the tree's leaf order (an oriented tree carries its orientation);
+	// without one it is the identity.
 	DisplayOrder []int
 	// ArrayOrder maps display column -> data column. With an array tree it
 	// is that tree's leaf order; nil otherwise (columns display in data
@@ -37,11 +38,10 @@ type ClusteredDataset struct {
 	// displayPos is the inverse: data row -> display position.
 	displayPos []int
 	// displayRows is the pyramid's level 0: row headers into the dataset,
-	// arranged in display order once per order change instead of once per
-	// tile request.
+	// arranged in display order once instead of once per tile request.
 	displayRows [][]float64
 
-	// pyrMu guards the lazily built pyramid; order changes invalidate it.
+	// pyrMu guards the lazily built pyramid.
 	pyrMu sync.Mutex
 	pyr   *Pyramid
 }
@@ -54,8 +54,9 @@ type ClusterOptions struct {
 	Linkage cluster.Linkage
 	// ClusterArrays also builds the experiment (column) tree.
 	ClusterArrays bool
-	// OptimizeOrder runs the Gruvaeus-Wainer orientation pass so adjacent
-	// display rows are maximally similar across subtree boundaries.
+	// OptimizeOrder orients the gene tree by the Gruvaeus-Wainer pass so
+	// adjacent display rows are maximally similar across subtree
+	// boundaries.
 	OptimizeOrder bool
 }
 
@@ -80,6 +81,11 @@ func ClusterCtx(ctx context.Context, ds *microarray.Dataset, opt ClusterOptions)
 		}
 		return nil, fmt.Errorf("core: clustering genes of %q: %w", ds.Name, err)
 	}
+	if opt.OptimizeOrder {
+		if gt, err = cluster.Orient(gt, ds.Data); err != nil {
+			return nil, fmt.Errorf("core: orienting the gene tree of %q: %w", ds.Name, err)
+		}
+	}
 	cd := &ClusteredDataset{Data: ds, GeneTree: gt}
 	if opt.ClusterArrays {
 		cols := make([][]float64, ds.NumExperiments())
@@ -96,28 +102,7 @@ func ClusterCtx(ctx context.Context, ds *microarray.Dataset, opt ClusterOptions)
 		cd.ArrayTree = at
 	}
 	cd.refreshOrder()
-	if opt.OptimizeOrder {
-		order, err := cluster.OptimizeLeafOrder(gt, ds.Data)
-		if err != nil {
-			return nil, fmt.Errorf("core: optimizing leaf order of %q: %w", ds.Name, err)
-		}
-		cd.SetDisplayOrder(order)
-	}
 	return cd, nil
-}
-
-// SetDisplayOrder installs an explicit display order (e.g. an optimized
-// leaf orientation). The order must be a permutation of the data rows.
-func (cd *ClusteredDataset) SetDisplayOrder(order []int) {
-	if len(order) != cd.Data.NumGenes() {
-		return
-	}
-	cd.DisplayOrder = append([]int(nil), order...)
-	cd.displayPos = make([]int, len(order))
-	for pos, row := range order {
-		cd.displayPos[row] = pos
-	}
-	cd.refreshDisplayRows()
 }
 
 // FromDataset wraps an already-ordered dataset without clustering (e.g.
@@ -131,7 +116,8 @@ func FromDataset(ds *microarray.Dataset) (*ClusteredDataset, error) {
 	return cd, nil
 }
 
-// refreshOrder recomputes DisplayOrder from the gene tree (or identity).
+// refreshOrder sets DisplayOrder from the gene tree (or identity), its
+// inverse and the level-0 row headers, once: a pane's order never changes.
 func (cd *ClusteredDataset) refreshOrder() {
 	n := cd.Data.NumGenes()
 	if cd.GeneTree != nil && cd.GeneTree.NLeaves == n {
@@ -149,26 +135,15 @@ func (cd *ClusteredDataset) refreshOrder() {
 	if cd.ArrayTree != nil && cd.ArrayTree.NLeaves == cd.Data.NumExperiments() {
 		cd.ArrayOrder = cd.ArrayTree.LeafOrder()
 	}
-	cd.refreshDisplayRows()
-}
-
-// refreshDisplayRows rebuilds the level-0 row headers and drops any pyramid
-// built over the previous order.
-func (cd *ClusteredDataset) refreshDisplayRows() {
-	rows := make([][]float64, len(cd.DisplayOrder))
+	cd.displayRows = make([][]float64, n)
 	for pos, row := range cd.DisplayOrder {
 		r := cd.Data.Row(row)
-		rows[pos] = r[:len(r):len(r)]
+		cd.displayRows[pos] = r[:len(r):len(r)]
 	}
-	cd.displayRows = rows
-	cd.pyrMu.Lock()
-	cd.pyr = nil
-	cd.pyrMu.Unlock()
 }
 
-// Pyramid returns the pane's tile pyramid, building it on first use (and
-// after any display-order change). Safe for concurrent callers; the result
-// is immutable.
+// Pyramid returns the pane's tile pyramid, building it on first use. Safe
+// for concurrent callers; the result is immutable.
 func (cd *ClusteredDataset) Pyramid(PyramidOptions) *Pyramid {
 	cd.pyrMu.Lock()
 	defer cd.pyrMu.Unlock()

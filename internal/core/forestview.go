@@ -249,14 +249,12 @@ func (fv *ForestView) SelectTreeNode(pane, node int) error {
 	if cd.GeneTree == nil {
 		return fmt.Errorf("core: pane %d has no gene tree", pane)
 	}
+	// In the tree's leaf order, which is the pane's display order: the
+	// subtree reads like a region selection.
 	leaves := cd.GeneTree.LeavesUnder(node)
 	if len(leaves) == 0 {
 		return fmt.Errorf("core: node %d not in tree", node)
 	}
-	// Present the subtree in display order, like a region selection.
-	sort.Slice(leaves, func(a, b int) bool {
-		return cd.DisplayPos(leaves[a]) < cd.DisplayPos(leaves[b])
-	})
 	ids := make([]string, len(leaves))
 	for i, row := range leaves {
 		ids[i] = cd.Data.Genes[row].ID

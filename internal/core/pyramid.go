@@ -50,8 +50,8 @@ type Slab struct {
 }
 
 // Pyramid holds every aggregation level for one display order. It is
-// immutable once built; ClusteredDataset.Pyramid caches one per pane and
-// rebuilds on display-order changes.
+// immutable once built; ClusteredDataset.Pyramid builds one per pane, on
+// first use.
 type Pyramid struct {
 	nRows  int
 	nCols  int

@@ -76,32 +76,6 @@ func TestPyramidParityFloat64(t *testing.T) {
 	}
 }
 
-// TestPyramidInvalidatedByOrderChange proves a display-order change drops
-// the cached pyramid and the rebuilt levels follow the new order.
-func TestPyramidInvalidatedByOrderChange(t *testing.T) {
-	cd := pyramidFixture(t)
-	before := cd.Pyramid(PyramidOptions{})
-	rev := make([]int, len(cd.DisplayOrder))
-	for i, r := range cd.DisplayOrder {
-		rev[len(rev)-1-i] = r
-	}
-	cd.SetDisplayOrder(rev)
-	after := cd.Pyramid(PyramidOptions{})
-	if after == before {
-		t.Fatal("pyramid not invalidated by SetDisplayOrder")
-	}
-	ref := referenceLevel(cd, 1)
-	slab := after.Level(1)
-	for i, refRow := range ref {
-		for c, want := range refRow {
-			got := slab.F64[i][c]
-			if math.IsNaN(want) != math.IsNaN(got) || (!math.IsNaN(want) && math.Abs(got-want) > 1e-12) {
-				t.Fatalf("post-reorder level 1 row %d col %d: got %v, want %v", i, c, got, want)
-			}
-		}
-	}
-}
-
 // TestPyramidRaceHammer drives concurrent Pyramid builds and reads under
 // -race.
 func TestPyramidRaceHammer(t *testing.T) {

@@ -2,10 +2,13 @@ package core
 
 import (
 	"bytes"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"forestview/internal/cluster"
+	"forestview/internal/oracle"
 	"forestview/internal/synth"
 )
 
@@ -107,8 +110,11 @@ func TestSessionRestoreErrors(t *testing.T) {
 	}
 }
 
+// TestClusterWithOptimizedOrder: the oriented pane orders no worse than
+// the plain one, its display order is its gene tree's leaf order, and its
+// pyramid aggregates the rows in that order.
 func TestClusterWithOptimizedOrder(t *testing.T) {
-	u := synth.NewUniverse(50, 6, 9)
+	u := synth.NewUniverse(200, 6, 9)
 	ds := u.Generate(synth.DatasetSpec{Name: "opt", NumExperiments: 12, Seed: 15})
 	plain, err := Cluster(ds, ClusterOptions{
 		Metric: cluster.PearsonDist, Linkage: cluster.AverageLinkage})
@@ -125,23 +131,30 @@ func TestClusterWithOptimizedOrder(t *testing.T) {
 	if qOpt < qPlain-1e-9 {
 		t.Fatalf("optimized order quality %v worse than naive %v", qOpt, qPlain)
 	}
+	if !slices.Equal(opt.DisplayOrder, opt.GeneTree.LeafOrder()) {
+		t.Fatal("display order is not the oriented gene tree's leaf order")
+	}
 	// DisplayPos stays the inverse.
 	for pos, row := range opt.DisplayOrder {
 		if opt.DisplayPos(row) != pos {
-			t.Fatal("DisplayPos broken after SetDisplayOrder")
+			t.Fatal("DisplayPos is not DisplayOrder's inverse")
 		}
 	}
-}
-
-func TestSetDisplayOrderRejectsWrongLength(t *testing.T) {
-	u := synth.NewUniverse(10, 4, 9)
-	ds := u.Generate(synth.DatasetSpec{Name: "x", NumExperiments: 5, Seed: 1})
-	cd, _ := FromDataset(ds)
-	before := append([]int(nil), cd.DisplayOrder...)
-	cd.SetDisplayOrder([]int{0, 1}) // wrong length: ignored
-	for i := range before {
-		if cd.DisplayOrder[i] != before[i] {
-			t.Fatal("wrong-length order should be ignored")
+	rows := make([][]float64, 0, ds.NumGenes())
+	for _, row := range opt.GeneTree.LeafOrder() {
+		rows = append(rows, ds.Row(row))
+	}
+	want := oracle.PyramidLevel(rows, ds.NumExperiments(), 1)
+	got := opt.Pyramid(PyramidOptions{}).Level(1)
+	if got.NRows != len(want) {
+		t.Fatalf("level 1 has %d rows, want %d", got.NRows, len(want))
+	}
+	for i, wantRow := range want {
+		for c, w := range wantRow {
+			g := got.F64[i][c]
+			if math.IsNaN(w) != math.IsNaN(g) || (!math.IsNaN(w) && math.Abs(g-w) > 1e-12) {
+				t.Fatalf("level 1 row %d col %d: got %v, want %v", i, c, g, w)
+			}
 		}
 	}
 }

@@ -95,18 +95,20 @@ func (fv *ForestView) renderPane(c *render.Canvas, r render.Rect, pi int) {
 	}
 	zy := body.Y
 	zh := body.H
-	if cd.ArrayTree != nil && zh > arrayTreeH*3 {
-		render.RenderDendrogram(c, render.Rect{X: zx, Y: zy, W: zw, H: arrayTreeH},
-			cd.ArrayTree, render.AboveColumns, treeFG)
-		zy += arrayTreeH + 2
-		zh -= arrayTreeH + 2
-	}
 	labelW := 0
 	if prefs.ShowLabels && zw > labelColW*2 {
 		labelW = labelColW
 	}
+	var colOrder []int // the zoom's columns under their brackets
+	if cd.ArrayTree != nil && zh > arrayTreeH*3 {
+		render.RenderDendrogram(c, render.Rect{X: zx, Y: zy, W: zw - labelW, H: arrayTreeH},
+			cd.ArrayTree, render.AboveColumns, treeFG)
+		zy += arrayTreeH + 2
+		zh -= arrayTreeH + 2
+		colOrder = cd.ArrayOrder
+	}
 	zoomRect := render.Rect{X: zx, Y: zy, W: zw - labelW, H: zh}
-	fv.renderZoomLocked(c, zoomRect, pi)
+	fv.renderZoomLocked(c, zoomRect, pi, colOrder)
 	if labelW > 0 {
 		fv.renderZoomLabelsLocked(c, render.Rect{X: zx + zw - labelW + 2, Y: zy, W: labelW - 2, H: zh}, pi)
 	}
@@ -175,10 +177,11 @@ func (fv *ForestView) scrollLocked(pi int) int {
 	return fv.panes[pi].scroll
 }
 
-// renderZoomLocked draws the pane's zoom view. Rows below the scroll
-// position fill the rect top-down; genes absent from this dataset render as
-// a dim placeholder band so cross-pane row alignment is visibly preserved.
-func (fv *ForestView) renderZoomLocked(c *render.Canvas, r render.Rect, pi int) {
+// renderZoomLocked draws the pane's zoom view, its columns in colOrder
+// (nil is data order). Rows below the scroll position fill the rect
+// top-down; genes absent from this dataset render as a dim placeholder
+// band so cross-pane row alignment is visibly preserved.
+func (fv *ForestView) renderZoomLocked(c *render.Canvas, r render.Rect, pi int, colOrder []int) {
 	rows := fv.zoomContentLocked(pi)
 	if len(rows) == 0 {
 		c.DrawTextClipped(r.X+2, r.Y+2, "no selection", 1, r.W-4, treeFG)
@@ -203,6 +206,7 @@ func (fv *ForestView) renderZoomLocked(c *render.Canvas, r render.Rect, pi int) 
 		ColorMap:   prefs.ColorMap,
 		Limit:      prefs.ContrastLimit,
 		CellBorder: true,
+		ColOrder:   colOrder,
 	})
 	// Overpaint absent-gene bands so they are distinguishable from
 	// measured-but-missing cells.

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"image/color"
+	"math/rand"
 	"testing"
 
 	"forestview/internal/cluster"
 	"forestview/internal/golem"
+	"forestview/internal/microarray"
 	"forestview/internal/render"
 	"forestview/internal/synth"
 	"forestview/internal/wall"
@@ -68,6 +71,104 @@ func TestWallSceneTilingLossless(t *testing.T) {
 				t.Fatalf("pixel (%d,%d): tiled %v vs direct %v", x, y, comp.At(x, y), ref.At(x, y))
 			}
 		}
+	}
+}
+
+// scenePane renders a 400×360 scene of one pane: 40 genes × 12 arrays of
+// random values, clustered with opt, its first selected rows selected. It
+// returns the pane, the canvas and the pane's body as renderPane lays it
+// out: title above, footer below.
+func scenePane(t *testing.T, opt ClusterOptions, selected int) (*ClusteredDataset, *render.Canvas, render.Rect) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(61))
+	exps := make([]string, 12)
+	for e := range exps {
+		exps[e] = fmt.Sprintf("E%d", e)
+	}
+	ds := microarray.NewDataset("scene", exps)
+	for g := 0; g < 40; g++ {
+		vals := make([]float64, len(exps))
+		for e := range vals {
+			vals[e] = rng.NormFloat64()
+		}
+		if err := ds.AddGene(microarray.Gene{ID: fmt.Sprintf("G%02d", g)}, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cd, err := Cluster(ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fv, err := New([]*ClusteredDataset{cd})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if selected > 0 {
+		if err := fv.SelectRegion(0, 0, selected-1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const w, h = 400, 360
+	c := render.NewCanvas(w, h, color.RGBA{A: 255})
+	fv.RenderScene(c, w, h)
+	titleH := render.TextHeight(titleScale) + 4
+	pane := render.Rect{X: paneMargin, Y: paneMargin, W: w - 2*paneMargin, H: h - 2*paneMargin}
+	return cd, c, render.Rect{X: pane.X + 2, Y: pane.Y + titleH, W: pane.W - 4, H: pane.H - titleH - footerH}
+}
+
+// TestSceneGeneTreeOverItsRows: in a pane whose gene tree is oriented,
+// each leaf's leg, the k-th from the top being LeafOrder()[k]'s, sits in
+// the global view's band of that leaf's own row.
+func TestSceneGeneTreeOverItsRows(t *testing.T) {
+	cd, c, body := scenePane(t, ClusterOptions{OptimizeOrder: true}, 0)
+	var legs []int // at the strip's leaf edge, top down
+	for y := body.Y; y < body.Y+body.H; y++ {
+		if c.At(body.X+geneTreeW-1, y) == treeFG {
+			legs = append(legs, y)
+		}
+	}
+	if len(legs) != cd.Data.NumGenes() {
+		t.Fatalf("%d legs at the gene tree's leaf edge, want %d", len(legs), cd.Data.NumGenes())
+	}
+	prefs, missed := DefaultPrefs(), 0
+	for k, y := range legs {
+		leaf := cd.GeneTree.LeafOrder()[k]
+		if c.At(body.X+geneTreeW+2, y) != prefs.ColorMap.Map(cd.Data.Value(leaf, 0), prefs.ContrastLimit) {
+			missed++
+		}
+	}
+	if missed > 0 {
+		t.Fatalf("%d of %d gene leaves' legs are not beside their own rows", missed, len(legs))
+	}
+}
+
+// TestSceneArrayTreeOverItsColumns: with labels shown (the default), each
+// array leaf's leg, the k-th from the left being LeafOrder()[k]'s, sits in
+// the zoom view's band of that leaf's own column.
+func TestSceneArrayTreeOverItsColumns(t *testing.T) {
+	cd, c, body := scenePane(t, ClusterOptions{ClusterArrays: true}, 10)
+	zx := body.X + geneTreeW + 2 + int(float64(body.W)*DefaultPrefs().GlobalViewFrac) + 4
+	var legs []int // at the strip's leaf edge, left to right
+	for x := zx; x < body.X+body.W; x++ {
+		if c.At(x, body.Y+arrayTreeH-1) == treeFG {
+			legs = append(legs, x)
+		}
+	}
+	if len(legs) != cd.Data.NumExperiments() {
+		t.Fatalf("%d legs at the array tree's leaf edge, want %d", len(legs), cd.Data.NumExperiments())
+	}
+	// The first zoom row is the first selected gene, DisplayOrder[0]; the
+	// middle of its band is clear of the cell borders.
+	y := body.Y + arrayTreeH + 2 + (body.H-arrayTreeH-2)/20
+	prefs, missed := DefaultPrefs(), 0
+	for k, x := range legs {
+		leaf := cd.ArrayTree.LeafOrder()[k]
+		if c.At(x, y) != prefs.ColorMap.Map(cd.Data.Value(cd.DisplayOrder[0], leaf), prefs.ContrastLimit) {
+			missed++
+		}
+	}
+	if missed > 0 {
+		t.Fatalf("%d of %d array leaves' legs are not over their own columns", missed, len(legs))
 	}
 }
 

@@ -19,39 +19,25 @@ const (
 )
 
 // RenderDendrogram draws the tree into rect. Leaves line up with the
-// heatmap rows (or columns) they index: leaf i sits at the center of band i
-// of the rect's leaf axis, in *leaf order* (the caller renders the heatmap
-// in the same order). Merge heights map linearly onto the depth axis, root
-// at the far edge.
+// heatmap rows (or columns) they index: band i of the rect's leaf axis
+// holds the tree's LeafOrder()[i] (the caller renders the heatmap in the
+// same order, as a pane does). Merge heights map linearly onto the depth
+// axis, root at the far edge.
 func RenderDendrogram(c *Canvas, r Rect, t *cluster.Tree, o Orientation, fg color.Color) {
-	if t == nil || t.NLeaves == 0 {
-		return
-	}
-	RenderDendrogramOrdered(c, r, t, t.LeafOrder(), o, fg)
-}
-
-// RenderDendrogramOrdered is RenderDendrogram for a precomputed display
-// order: band i of the leaf axis holds leaf order[i]. A pane's DisplayOrder
-// lines the brackets up with its heatmap rows even when an optimized
-// (Gruvaeus-Wainer reoriented) order is installed — any orientation of
-// the tree's merges is drawable without crossings. order must be a
-// permutation of the leaves; mismatched lengths draw nothing.
-func RenderDendrogramOrdered(c *Canvas, r Rect, t *cluster.Tree, order []int, o Orientation, fg color.Color) {
 	rgba := toRGBA(fg)
-	layBrackets(nil, r, t, order, o, func(x0, y0, x1, y1 int) { c.fillRect(x0, y0, x1-x0+1, y1-y0+1, rgba) })
+	layBrackets(nil, r, t, o, func(x0, y0, x1, y1 int) { c.fillRect(x0, y0, x1-x0+1, y1-y0+1, rgba) })
 }
 
 // node is a tree node's pixel position: along the leaf axis, and along the
 // depth axis at its merge height.
 type node struct{ leaf, depth int }
 
-// layBrackets calls seg with each segment of t's brackets drawn in r, band
-// i of the leaf axis holding leaf order[i]: x0..x1 × y0..y1, inclusive and
-// ordered, one pixel thick; with finite heights >= 0, inside r. Node
-// positions, the leaves' first (the inverse of order), go in pos, reused
-// and returned.
-func layBrackets(pos []node, r Rect, t *cluster.Tree, order []int, o Orientation, seg func(x0, y0, x1, y1 int)) []node {
-	if t == nil || t.NLeaves == 0 || len(order) != t.NLeaves || r.W <= 0 || r.H <= 0 {
+// layBrackets calls seg with each segment of a valid tree t's brackets
+// drawn in r, band i of the leaf axis holding t's LeafOrder()[i]: x0..x1 ×
+// y0..y1, inclusive and ordered, one pixel thick; with finite heights >= 0,
+// inside r. Node positions go in pos, reused and returned.
+func layBrackets(pos []node, r Rect, t *cluster.Tree, o Orientation, seg func(x0, y0, x1, y1 int)) []node {
+	if t == nil || t.NLeaves == 0 || r.W <= 0 || r.H <= 0 {
 		return pos
 	}
 	// Height scale: root (max height) at depth 0 of the rect, leaves at
@@ -84,13 +70,21 @@ func layBrackets(pos []node, r Rect, t *cluster.Tree, order []int, o Orientation
 	}
 	n := t.NLeaves
 	pos = slices.Grow(pos[:0], n+len(t.Merges))[:n+len(t.Merges)]
-	for leaf := range n { // a leaf the order leaves out sits in band 0
-		pos[leaf] = node{leaf: lo + span/(2*n), depth: depthPos(0)}
+	// Each leaf's band, as LeafOrder lays it out: every node's leaf count
+	// bottom-up in .leaf, then its first band top-down in .depth, A's
+	// block before B's.
+	for k := range pos {
+		pos[k] = node{leaf: 1}
 	}
-	for band, leaf := range order {
-		if leaf >= 0 && leaf < n {
-			pos[leaf].leaf = lo + (2*band+1)*span/(2*n)
-		}
+	for i, m := range t.Merges {
+		pos[n+i].leaf = pos[m.A].leaf + pos[m.B].leaf
+	}
+	for i := len(t.Merges) - 1; i >= 0; i-- {
+		m, first := t.Merges[i], pos[n+i].depth
+		pos[m.A].depth, pos[m.B].depth = first, first+pos[m.A].leaf
+	}
+	for leaf := range n {
+		pos[leaf] = node{leaf: lo + (2*pos[leaf].depth+1)*span/(2*n), depth: depthPos(0)}
 	}
 	for i, m := range t.Merges {
 		a, c, d := pos[m.A], pos[m.B], depthPos(m.Height)
@@ -103,11 +97,10 @@ func layBrackets(pos []node, r Rect, t *cluster.Tree, order []int, o Orientation
 }
 
 // Dendrogram is a HeatmapPNG tile's tree strip, Size pixels deep (<= 0 is
-// none): Tree in Color, as RenderDendrogramOrdered draws it with Order, a
-// LeftOfRows strip at the tile's left, an AboveColumns one on top.
+// none): Tree in Color, as RenderDendrogram draws it, a LeftOfRows strip
+// at the tile's left, an AboveColumns one on top.
 type Dendrogram struct {
 	Tree        *cluster.Tree
-	Order       []int
 	Orientation Orientation
 	Size        int
 	Color       color.RGBA
@@ -129,7 +122,7 @@ func (s *stripRaster) init(d Dendrogram, r Rect, w, h int, bg uint32) {
 	s.w, s.h, s.px = min(r.X+r.W, w), max(min(r.Y+r.H, h)-r.Y, 0), [2]uint32{bg, pixelOf(d.Color)}
 	s.mask = slices.Grow(s.mask[:0], s.w*s.h)[:s.w*s.h]
 	clear(s.mask)
-	s.pos = layBrackets(s.pos, r, d.Tree, d.Order, d.Orientation, func(x0, y0, x1, y1 int) {
+	s.pos = layBrackets(s.pos, r, d.Tree, d.Orientation, func(x0, y0, x1, y1 int) {
 		x0, x1, y0, y1 = max(x0, 0), min(x1, s.w-1), max(y0, r.Y), min(y1, r.Y+s.h-1)
 		for i := (y0 - r.Y) * s.w; y0 <= y1; y0, i = y0+1, i+s.w {
 			for x := x0; x <= x1; x++ {

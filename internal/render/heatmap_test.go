@@ -345,10 +345,10 @@ func canvasHeatmapPNG(w, h int, bg color.RGBA, rows [][]float64, opt HeatmapOpti
 	}
 	hx, hy := max(left.Size, 0), max(top.Size, 0)
 	if hy > 0 {
-		RenderDendrogramOrdered(c, Rect{X: hx, W: w - hx, H: hy}, top.Tree, top.Order, AboveColumns, top.Color)
+		RenderDendrogram(c, Rect{X: hx, W: w - hx, H: hy}, top.Tree, AboveColumns, top.Color)
 	}
 	if hx > 0 {
-		RenderDendrogramOrdered(c, Rect{Y: hy, W: hx, H: h - hy}, left.Tree, left.Order, LeftOfRows, left.Color)
+		RenderDendrogram(c, Rect{Y: hy, W: hx, H: h - hy}, left.Tree, LeftOfRows, left.Color)
 	}
 	RenderHeatmap(c, Rect{X: hx, Y: hy, W: w - hx, H: h - hy}, rows, opt)
 	return encodePNG(c)
@@ -541,16 +541,53 @@ func buildTree(n int, chain bool, pick func(int) int, height func() float64) *cl
 	return t
 }
 
+// swapChildren trades the children of each merge of t that swap(i) picks,
+// as an orientation pass does: the same tree, in another leaf order.
+func swapChildren(t *cluster.Tree, swap func(i int) bool) {
+	for i, m := range t.Merges {
+		if swap(i) {
+			t.Merges[i].A, t.Merges[i].B = m.B, m.A
+		}
+	}
+}
+
+// TestLayBracketsBandsFollowLeafOrder: the bands layBrackets works out
+// from the tree put leaf LeafOrder()[i] at the centre of band i, on chains
+// and random shapes with random merges' children swapped, on either axis.
+func TestLayBracketsBandsFollowLeafOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	var pos []node
+	for i := 0; i < 500; i++ {
+		n := 1 + rng.Intn(200)
+		tr := buildTree(n, rng.Intn(4) == 0, rng.Intn, rng.Float64)
+		swapChildren(tr, func(int) bool { return rng.Intn(2) == 0 })
+		r := Rect{X: rng.Intn(9), Y: rng.Intn(9), W: 1 + rng.Intn(300), H: 1 + rng.Intn(300)}
+		o := Orientation(rng.Intn(2))
+		lo, span := r.Y, r.H
+		if o == AboveColumns {
+			lo, span = r.X, r.W
+		}
+		pos = layBrackets(pos, r, tr, o, func(x0, y0, x1, y1 int) {})
+		for band, leaf := range tr.LeafOrder() {
+			if want := lo + (2*band+1)*span/(2*n); pos[leaf].leaf != want {
+				t.Fatalf("tree %d (%d leaves): leaf %d sits at %d, want band %d's centre %d", i, n, leaf, pos[leaf].leaf, band, want)
+			}
+		}
+	}
+}
+
 // TestHeatmapPNGStripsMatchCanvas: with dendrogram strips, the runs path
 // writes the canvas path's file byte for byte — both strips, either alone,
 // 1-px strips and strips as wide or tall as the tile or more; trees of 1
 // and 2 leaves, chains and random shapes, with heights rising, falling or
-// tied at 0, drawn in LeafOrder or any other order; both heatmap regimes,
+// tied at 0, with or without the children of random merges swapped (so
+// in another leaf order than buildTree's); both heatmap regimes,
 // a column order, highlights, translucent colours; and tiles of every
 // size one after another on the pooled encoders.
 func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
 	rng := rand.New(rand.NewSource(60))
 	colors := []color.RGBA{{R: 180, G: 180, B: 180, A: 255}, {A: 255}, {R: 90, G: 10, A: 128}}
+	reordered := 0
 	strip := func(o Orientation, size, n int) Dendrogram {
 		heights := []func() float64{
 			func() float64 { return 2 * rng.Float64() },
@@ -558,11 +595,14 @@ func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
 			func() float64 { return float64(rng.Intn(3)) / 2 },
 		}[rng.Intn(3)]
 		tr := buildTree(n, rng.Intn(4) == 0, rng.Intn, heights)
-		order := tr.LeafOrder()
 		if rng.Intn(2) == 0 {
-			order = rng.Perm(n)
+			order := tr.LeafOrder()
+			swapChildren(tr, func(int) bool { return rng.Intn(2) == 0 })
+			if !slices.Equal(tr.LeafOrder(), order) {
+				reordered++
+			}
 		}
-		return Dendrogram{Tree: tr, Order: order, Orientation: o, Size: size, Color: colors[rng.Intn(len(colors))]}
+		return Dendrogram{Tree: tr, Orientation: o, Size: size, Color: colors[rng.Intn(len(colors))]}
 	}
 	size := func(side int) int {
 		switch rng.Intn(8) {
@@ -590,7 +630,7 @@ func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
 		if kind != 1 {
 			top := strip(AboveColumns, size(h), leaves(nC))
 			if rng.Intn(2) == 0 {
-				opt.ColOrder = top.Order
+				opt.ColOrder = top.Tree.LeafOrder()
 			}
 			strips, heatH = append(strips, top), h-top.Size
 		}
@@ -609,6 +649,9 @@ func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
 	if regimes[0] < cases/5 || regimes[1] < cases/5 {
 		t.Fatalf("regimes unevenly covered: global %d, zoom %d", regimes[0], regimes[1])
 	}
+	if reordered < cases/4 {
+		t.Fatalf("%d strips of %d tiles in another leaf order than buildTree's", reordered, cases)
+	}
 	// A paper-shaped tree=40&atree=48 tile: 375 slab rows of a 6,000-row
 	// pane (level 4), 24 columns in the array tree's order.
 	rows := synthRows(375, 24, 60)
@@ -617,18 +660,19 @@ func TestHeatmapPNGStripsMatchCanvas(t *testing.T) {
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
 	checkHeatmapPNG(t, "paper", 256, 256, color.RGBA{A: 255}, rows,
 		HeatmapOptions{Limit: 2, CellBorder: true, ColOrder: array.LeafOrder()},
-		Dendrogram{Tree: array, Order: array.LeafOrder(), Orientation: AboveColumns, Size: 48, Color: fg},
-		Dendrogram{Tree: gene, Order: gene.LeafOrder(), Orientation: LeftOfRows, Size: 40, Color: fg})
+		Dendrogram{Tree: array, Orientation: AboveColumns, Size: 48, Color: fg},
+		Dendrogram{Tree: gene, Orientation: LeftOfRows, Size: 40, Color: fg})
 }
 
 // FuzzHeatmapPNGStrips holds the strip runs path to the canvas path on any
 // tile of up to 64×64 pixels with either strip or both. The input is
 // width, height, the left strip's width and the top strip's height (0 is
 // none; up to 2 past the tile), rows, columns and a flag byte (chain-shaped
-// trees, orders that are not LeafOrder, borders, the top tree's order as
-// the column order, a highlight), then bytes cycled: the values ((b−128)/32,
-// 255 is NaN), then the trees (b picks a cluster to merge, b/64 is its
-// height). The left tree has a leaf a row, the top one a leaf a column.
+// trees, trees with merges' children swapped, borders, the top tree's
+// order as the column order, a highlight), then bytes cycled: the values
+// ((b−128)/32, 255 is NaN), then the trees (b picks a cluster to merge, b/64
+// is its height, and an odd b swaps a merge's children). The left tree has
+// a leaf a row, the top one a leaf a column.
 // The seeds are in testdata/fuzz/FuzzHeatmapPNGStrips.
 func FuzzHeatmapPNGStrips(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -659,22 +703,18 @@ func FuzzHeatmapPNGStrips(f *testing.F) {
 		}
 		pick := func(n int) int { return int(next()) % n }
 		height := func() float64 { return float64(next()) / 64 }
-		strip := func(o Orientation, size, n int, chain, shuffled bool) Dendrogram {
+		strip := func(o Orientation, size, n int, chain, swapped bool) Dendrogram {
 			tr := buildTree(n, chain, pick, height)
-			order := tr.LeafOrder()
-			if shuffled {
-				for i := len(order) - 1; i > 0; i-- {
-					j := pick(i + 1)
-					order[i], order[j] = order[j], order[i]
-				}
+			if swapped {
+				swapChildren(tr, func(int) bool { return next()&1 != 0 })
 			}
-			return Dendrogram{Tree: tr, Order: order, Orientation: o, Size: size, Color: color.RGBA{R: 180, G: 180, B: 180, A: 255}}
+			return Dendrogram{Tree: tr, Orientation: o, Size: size, Color: color.RGBA{R: 180, G: 180, B: 180, A: 255}}
 		}
 		gene := strip(LeftOfRows, left, nR, flags&1 != 0, flags&2 != 0)
 		array := strip(AboveColumns, top, nC, flags&4 != 0, flags&8 != 0)
 		opt := HeatmapOptions{Limit: 2, CellBorder: flags&0x10 != 0}
 		if flags&0x20 != 0 {
-			opt.ColOrder = array.Order
+			opt.ColOrder = array.Tree.LeafOrder()
 		}
 		if flags&0x40 != 0 {
 			opt.Highlight = map[int]bool{int(next()) % nR: true}

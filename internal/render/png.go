@@ -598,7 +598,7 @@ func (c *Canvas) EncodePNG(w io.Writer) error {
 }
 
 // HeatmapPNG returns, byte for byte, what a w×h NewCanvas cleared to bg
-// gives as PNG after RenderDendrogramOrdered of the AboveColumns strip
+// gives as PNG after RenderDendrogram of the AboveColumns strip
 // right of the LeftOfRows one, then of that strip below it, then
 // RenderHeatmap of rows over the rest — without the canvas: strip and
 // raster runs, bg in the cell borders, go straight to the writer. Of two

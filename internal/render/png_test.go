@@ -457,8 +457,8 @@ func TestEncodePNGNoLargerThanDeflate6(t *testing.T) {
 	}
 	strips := NewCanvas(256, 256, color.RGBA{A: 255})
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
-	RenderDendrogramOrdered(strips, Rect{X: 60, W: 196, H: 40}, arrayTree, arrayTree.LeafOrder(), AboveColumns, fg)
-	RenderDendrogramOrdered(strips, Rect{Y: 40, W: 60, H: 216}, geneTree, geneTree.LeafOrder(), LeftOfRows, fg)
+	RenderDendrogram(strips, Rect{X: 60, W: 196, H: 40}, arrayTree, AboveColumns, fg)
+	RenderDendrogram(strips, Rect{Y: 40, W: 60, H: 216}, geneTree, LeftOfRows, fg)
 	stripOpt := opt
 	stripOpt.ColOrder = arrayTree.LeafOrder()
 	RenderHeatmap(strips, Rect{X: 60, Y: 40, W: 196, H: 216}, rows, stripOpt)

@@ -508,8 +508,8 @@ func (s *Server) rasterizeTile(cd *core.ClusteredDataset, p tileParams) ([]byte,
 	}
 	fg := color.RGBA{R: 180, G: 180, B: 180, A: 255}
 	return render.HeatmapPNG(p.w, p.h, color.RGBA{A: 255}, rows, opt,
-		render.Dendrogram{Tree: cd.ArrayTree, Order: cd.ArrayOrder, Orientation: render.AboveColumns, Size: p.atreeH, Color: fg},
-		render.Dendrogram{Tree: cd.GeneTree, Order: cd.DisplayOrder, Orientation: render.LeftOfRows, Size: p.treeW, Color: fg})
+		render.Dendrogram{Tree: cd.ArrayTree, Orientation: render.AboveColumns, Size: p.atreeH, Color: fg},
+		render.Dendrogram{Tree: cd.GeneTree, Orientation: render.LeftOfRows, Size: p.treeW, Color: fg})
 }
 
 // parseRowRange parses a strict "FROM:TO" display-row range; unlike

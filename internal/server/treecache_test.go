@@ -419,10 +419,10 @@ func TestRawPaneIsCallersMatrix(t *testing.T) {
 		{"w=160&h=256&tree=40&atree=48", 160, 256, 0, 40, 48},
 	} {
 		c := render.NewCanvas(tc.w, tc.h, color.RGBA{A: 255})
-		render.RenderDendrogramOrdered(c, render.Rect{X: tc.treeW, W: tc.w - tc.treeW, H: tc.ah},
-			ref.ArrayTree, ref.ArrayOrder, render.AboveColumns, fg)
-		render.RenderDendrogramOrdered(c, render.Rect{Y: tc.ah, W: tc.treeW, H: tc.h - tc.ah},
-			ref.GeneTree, ref.DisplayOrder, render.LeftOfRows, fg)
+		render.RenderDendrogram(c, render.Rect{X: tc.treeW, W: tc.w - tc.treeW, H: tc.ah},
+			ref.ArrayTree, render.AboveColumns, fg)
+		render.RenderDendrogram(c, render.Rect{Y: tc.ah, W: tc.treeW, H: tc.h - tc.ah},
+			ref.GeneTree, render.LeftOfRows, fg)
 		rows := ref.RowsInDisplayRange(0, n)
 		if tc.level > 0 {
 			rows = ref.Pyramid(core.PyramidOptions{}).Level(tc.level).F64

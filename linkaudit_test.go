@@ -70,7 +70,7 @@ func TestDaemonLinksNoCanvas(t *testing.T) {
 		if filepath.Base(bin.path) != "forestviewd" {
 			continue
 		}
-		for _, fn := range []string{"NewCanvas", "(*Canvas).Fill", "(*Canvas).FillRect", "RenderHeatmap", "RenderDendrogramOrdered"} {
+		for _, fn := range []string{"NewCanvas", "(*Canvas).Fill", "(*Canvas).FillRect", "RenderHeatmap", "RenderDendrogram"} {
 			if bins[i].funcs["forestview/internal/render."+fn] {
 				t.Errorf("forestviewd links render.%s", fn)
 			}
